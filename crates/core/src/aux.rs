@@ -12,13 +12,13 @@
 //! The baseline comparison (Fig. 20) is a Hadoop user running the same
 //! detection as an extra synchronous MapReduce job between iterations.
 
-use crate::api::{IterativeJob, Mapping, StateInput};
+use crate::api::{IterativeJob, Mapping};
 use crate::config::IterConfig;
-use crate::engine::IterativeRunner;
-use bytes::Bytes;
-use imr_mapreduce::io::{num_parts, part_path, read_part};
-use imr_mapreduce::{Emitter, EngineError};
-use imr_records::{decode_pairs, encode_pairs, group_sorted, merge_runs, sort_run};
+use crate::engine::{merge_broadcast, IterativeRunner};
+use crate::kernel::{map_side, reduce_side, MapState};
+use crate::store::{check_parts, check_slots};
+use imr_mapreduce::{ClockCharge, EngineError};
+use imr_records::encode_pairs;
 use imr_simcluster::{RunReport, TaskClock, VInstant};
 
 /// The auxiliary phase: a distributed check over the main phase's
@@ -70,17 +70,15 @@ where
     J: IterativeJob,
     A: AuxPhase<J::K, J::S>,
 {
-    assert_eq!(
-        cfg.mapping,
-        Mapping::One2All,
-        "auxiliary phases are supported for one2all (K-means-like) jobs"
-    );
+    if cfg.mapping != Mapping::One2All {
+        return Err(EngineError::Config(
+            "auxiliary phases are supported for one2all (K-means-like) jobs".into(),
+        ));
+    }
     let n = cfg.num_tasks;
     // Main pairs plus auxiliary tasks need slots.
-    assert!(
-        2 * n <= runner.pair_capacity(),
-        "aux phase needs extra task slots"
-    );
+    check_slots(2 * n, runner.pair_capacity())?;
+    check_parts(runner.dfs(), static_dir, n, "static data")?;
     let cost = &runner.cluster().cost;
     let metrics = runner.metrics().clone();
     metrics.jobs_launched.add(1);
@@ -93,40 +91,25 @@ where
     // ---- Init: launch persistent pairs (+ aux pairs), load data ------
     let job_start = VInstant::EPOCH + cost.job_setup;
     metrics.tasks_launched.add(4 * n as u64);
-    assert_eq!(num_parts(runner.dfs(), static_dir), n);
-    let state_parts = num_parts(runner.dfs(), state_dir);
 
     let mut static_store: Vec<Vec<(J::K, J::T)>> = Vec::with_capacity(n);
     let mut static_bytes: Vec<u64> = Vec::with_capacity(n);
     let mut global_state: Vec<(J::K, J::S)> = Vec::new();
+    let mut state_total_bytes = 0u64;
     let mut state_ready: Vec<VInstant> = Vec::with_capacity(n);
     for p in 0..n {
         let node = assignment[p];
-        let speed = runner.cluster().speed(node);
         let mut clock = TaskClock::starting_at(job_start + cost.task_launch);
-        let stat: Vec<(J::K, J::T)> = read_part(runner.dfs(), static_dir, p, node, &mut clock)?;
-        let sbytes = runner.dfs().len(&part_path(static_dir, p))?;
-        clock.advance(cost.serde_per_byte * sbytes);
-        clock.advance(cost.sort_time(stat.len() as u64, speed));
+        let (stat, sbytes) = runner.load_sorted_part(static_dir, p, node, &mut clock)?;
         static_store.push(stat);
         static_bytes.push(sbytes);
-        let mut all = Vec::new();
-        for i in 0..state_parts {
-            all.extend(read_part::<J::K, J::S>(
-                runner.dfs(),
-                state_dir,
-                i,
-                node,
-                &mut clock,
-            )?);
-        }
-        sort_run(&mut all);
+        let (all, total) = runner.load_broadcast_state(state_dir, node, &mut clock)?;
         if p == 0 {
             global_state = all;
+            state_total_bytes = total;
         }
         state_ready.push(clock.now());
     }
-    let state_total_bytes = encode_pairs(&global_state).len() as u64;
     let mut state_bytes: Vec<u64> = vec![state_total_bytes; n];
 
     let mut prev_out: Vec<Option<Vec<(J::K, J::S)>>> = vec![None; n];
@@ -146,56 +129,30 @@ where
         // ---- Map phase (synchronous, one2all) -------------------------
         let gate = state_ready.iter().copied().max().unwrap_or(job_start);
         let mut map_done = Vec::with_capacity(n);
-        let mut segments: Vec<Vec<Bytes>> = Vec::with_capacity(n);
+        let mut segments = Vec::with_capacity(n);
         for p in 0..n {
-            let node = assignment[p];
-            let speed = runner.cluster().speed(node);
+            let speed = runner.cluster().speed(assignment[p]);
             let mut clock = TaskClock::starting_at(gate);
-            let mut emitter = Emitter::new();
-            for (k, t) in &static_store[p] {
-                job.map(k, StateInput::All(&global_state), t, &mut emitter);
-            }
-            metrics.map_input_records.add(static_store[p].len() as u64);
-            let emitted = emitter.len() as u64;
+            let out = map_side(
+                job,
+                MapState::Broadcast(&global_state),
+                &static_store[p],
+                n,
+                p,
+                &metrics,
+                &mut ClockCharge::new(&mut clock, cost, speed),
+            )?;
             clock.advance(cost.compute_time(
-                static_store[p].len() as u64 + emitted,
+                out.records_in + out.emitted,
                 static_bytes[p] + state_bytes[p],
                 speed,
             ));
-            let mut partitions: Vec<Vec<(J::K, J::S)>> = (0..n).map(|_| Vec::new()).collect();
-            for (k, v) in emitter.into_pairs() {
-                let t = job.partition(&k, n);
-                partitions[t].push((k, v));
-            }
-            let mut encoded = Vec::with_capacity(n);
-            let mut spill = 0u64;
-            for part in &mut partitions {
-                sort_run(part);
-                clock.advance(cost.sort_time(part.len() as u64, speed));
-                let final_part: Vec<(J::K, J::S)> = if job.has_combiner() {
-                    let grouped = group_sorted(std::mem::take(part));
-                    let mut combined = Vec::new();
-                    for (k, vals) in grouped {
-                        let nv = vals.len() as u64;
-                        for v in job.combine(&k, vals) {
-                            combined.push((k.clone(), v));
-                        }
-                        clock.advance(cost.compute_time(nv, 0, speed));
-                    }
-                    combined
-                } else {
-                    std::mem::take(part)
-                };
-                let seg = encode_pairs(&final_part);
-                spill += seg.len() as u64;
-                encoded.push(seg);
-            }
-            clock.advance(cost.serde_per_byte * spill);
-            clock.advance(cost.disk_time(spill));
+            clock.advance(cost.serde_per_byte * out.spill_bytes);
+            clock.advance(cost.disk_time(out.spill_bytes));
             let busy = clock.now().duration_since(gate);
             clock.advance(busy * cost.straggler(iter as u64, p as u64, 1));
             map_done.push(clock.now());
-            segments.push(encoded);
+            segments.push(out.segments);
         }
 
         // ---- Reduce phase ---------------------------------------------
@@ -203,38 +160,20 @@ where
         let mut out_bytes = Vec::with_capacity(n);
         let mut reduce_done = Vec::with_capacity(n);
         for q in 0..n {
-            let node = assignment[q];
-            let speed = runner.cluster().speed(node);
+            let speed = runner.cluster().speed(assignment[q]);
             let mut clock = TaskClock::default();
-            let mut arrivals = Vec::with_capacity(n);
-            let mut runs = Vec::with_capacity(n);
-            let mut fetched = 0u64;
-            for p in 0..n {
-                let seg = &segments[p][q];
-                let bytes = seg.len() as u64;
-                fetched += bytes;
-                arrivals
-                    .push(map_done[p] + runner.cluster().transfer_time(assignment[p], node, bytes));
-                if assignment[p] == node {
-                    metrics.shuffle_local_bytes.add(bytes);
-                } else {
-                    metrics.shuffle_remote_bytes.add(bytes);
-                }
-                runs.push(decode_pairs::<J::K, J::S>(seg.clone())?);
-            }
-            clock.barrier(arrivals);
-            let work_start = clock.now();
-            clock.advance(cost.serde_per_byte * fetched);
-            let total: u64 = runs.iter().map(|r| r.len() as u64).sum();
-            metrics.reduce_input_records.add(total);
-            let merged = merge_runs(runs);
-            let mut out = Vec::new();
-            for (k, vals) in group_sorted(merged) {
-                let nv = vals.len() as u64;
-                let s = job.reduce(&k, vals);
-                clock.advance(cost.compute_time(nv.div_ceil(3), 0, speed));
-                out.push((k, s));
-            }
+            let (inbound, work_start) =
+                runner.fetch_segments(&segments, q, &map_done, &assignment, &mut clock);
+            let out = reduce_side(
+                job,
+                inbound,
+                None,
+                true,
+                false,
+                &metrics,
+                &mut ClockCharge::new(&mut clock, cost, speed),
+            )?
+            .state;
             let bytes = encode_pairs(&out).len() as u64;
             clock.advance(cost.serde_per_byte * bytes);
             let busy = clock.now().duration_since(work_start);
@@ -285,30 +224,10 @@ where
         }
 
         // ---- Broadcast hand-off for the next iteration -----------------
-        let mut next_global: Vec<(J::K, J::S)> = Vec::new();
-        for out in &outs {
-            next_global.extend(out.iter().cloned());
-        }
-        sort_run(&mut next_global);
-        let total: u64 = out_bytes.iter().sum();
-        for p in 0..n {
-            let mut gate = VInstant::EPOCH;
-            for q in 0..n {
-                let arr = reduce_done[q]
-                    + cost.handoff_flush
-                    + runner
-                        .cluster()
-                        .transfer_time(assignment[q], assignment[p], out_bytes[q]);
-                gate = gate.max(arr);
-                if assignment[q] != assignment[p] {
-                    metrics.broadcast_bytes.add(out_bytes[q]);
-                }
-            }
-            state_ready[p] = gate;
-            state_bytes[p] = total;
-        }
+        state_ready = runner.broadcast_gates(&reduce_done, &out_bytes, &assignment);
+        state_bytes = vec![out_bytes.iter().sum(); n];
+        global_state = merge_broadcast(&outs);
         prev_out = outs.into_iter().map(Some).collect();
-        global_state = next_global;
 
         if stop_signal.is_some() {
             break;
@@ -319,23 +238,9 @@ where
     let end = stop_signal.unwrap_or_else(|| {
         report.iteration_done.last().copied().unwrap_or(job_start) + cost.net_latency
     });
-    let mut finish = Vec::with_capacity(n);
-    let mut final_state: Vec<(J::K, J::S)> = Vec::new();
-    for q in 0..n {
-        let start = last_reduce_done[q].max(end);
-        let mut clock = TaskClock::starting_at(start);
-        let payload = encode_pairs(&final_out[q]);
-        runner.dfs().put(
-            &part_path(output_dir, q),
-            payload,
-            assignment[q],
-            &mut clock,
-        )?;
-        finish.push(clock.now());
-        final_state.extend(final_out[q].iter().cloned());
-    }
-    sort_run(&mut final_state);
-    report.finished = finish.into_iter().max().unwrap_or(end);
+    let starts: Vec<VInstant> = last_reduce_done.iter().map(|t| (*t).max(end)).collect();
+    let (final_state, finished) = runner.dump_final(output_dir, final_out, &assignment, &starts)?;
+    report.finished = finished;
     report.metrics = metrics.snapshot();
     Ok(AuxOutcome {
         report,

@@ -13,13 +13,15 @@
 //! fault tolerance with rollback (§3.4.1), and migration-based load
 //! balancing (§3.4.2).
 
-use crate::api::{IterativeJob, Mapping, StateInput};
+use crate::api::{IterativeJob, Mapping};
 use crate::config::{FailureEvent, FaultEvent, IterConfig};
+use crate::kernel::{check_co_partitioned, map_side, reduce_side, MapState};
+use crate::store::{check_inputs, check_slots};
 use bytes::Bytes;
 use imr_dfs::Dfs;
 use imr_mapreduce::io::{num_parts, part_path, read_part};
-use imr_mapreduce::{Emitter, EngineError};
-use imr_records::{decode_pairs, encode_pairs, group_sorted, merge_runs, sort_run};
+use imr_mapreduce::{ClockCharge, EngineError};
+use imr_records::{encode_pairs, sort_run, Codec};
 use imr_simcluster::{
     ClusterSpec, MetricsHandle, NodeId, RunReport, TaskClock, VDuration, VInstant,
 };
@@ -53,6 +55,25 @@ pub struct IterativeRunner {
     metrics: MetricsHandle,
     trace: Option<TraceHandle>,
     telemetry: Option<TelemetryHandle>,
+}
+
+/// Trace coordinates of an event: where and when in the run it happened.
+#[derive(Clone, Copy)]
+struct Tag {
+    node: u32,
+    /// The pair, or [`COORD`] for master-side events.
+    pair: u32,
+    iter: u32,
+    generation: u32,
+}
+
+fn tag(node: NodeId, pair: usize, iter: usize, generation: u32) -> Tag {
+    Tag {
+        node: node.index() as u32,
+        pair: pair as u32,
+        iter: iter as u32,
+        generation,
+    }
 }
 
 /// Checkpoint snapshot kept by the master for rollback.
@@ -103,9 +124,11 @@ impl IterativeRunner {
         self.telemetry.as_ref()
     }
 
-    fn record(&self, event: TraceEvent) {
+    /// Records `kind` over `[start, end]` (no-op without a trace ring).
+    fn event(&self, kind: TraceKind, start: VInstant, end: VInstant, tag: Tag) {
         if let Some(trace) = &self.trace {
-            trace.record(event);
+            let event = TraceEvent::new(kind).spanning(start.as_nanos(), end.as_nanos());
+            trace.record(event.tagged(tag.node, tag.pair, tag.iter, tag.generation));
         }
     }
 
@@ -113,6 +136,11 @@ impl IterativeRunner {
         if let Some(tel) = &self.telemetry {
             tel.record_phase(phase, nanos);
         }
+    }
+
+    /// Records the latency of `phase` as the span from `from` to `to`.
+    fn phase_span(&self, phase: Phase, from: VInstant, to: VInstant) {
+        self.phase(phase, to.as_nanos().saturating_sub(from.as_nanos()));
     }
 
     fn sample(&self, stamp: u64, worker: u32, generation: u32, iteration: u64) {
@@ -223,17 +251,8 @@ impl IterativeRunner {
             ));
         }
         let n = cfg.num_tasks;
-        assert!(
-            n <= self.pair_capacity(),
-            "persistent tasks need dedicated slots: {} pairs > capacity {}",
-            n,
-            self.pair_capacity()
-        );
-        assert_eq!(
-            num_parts(&self.dfs, static_dir),
-            n,
-            "static data must be pre-partitioned into num_tasks parts"
-        );
+        check_slots(n, self.pair_capacity())?;
+        check_inputs(&self.dfs, cfg, state_dir, static_dir)?;
         let cost = &self.cluster.cost;
         let one2all = cfg.mapping == Mapping::One2All;
         self.metrics.jobs_launched.add(1);
@@ -250,34 +269,21 @@ impl IterativeRunner {
         let mut state_bytes: Vec<u64> = Vec::with_capacity(n);
         let mut state_ready: Vec<VInstant> = Vec::with_capacity(n);
         let mut global_state: Vec<(J::K, J::S)> = Vec::new();
-        let state_parts = num_parts(&self.dfs, state_dir);
 
         for p in 0..n {
             let node = assignment[p];
-            let speed = self.cluster.speed(node);
             let mut clock = TaskClock::starting_at(job_start);
             // The pair's two persistent tasks launch concurrently.
             clock.advance(cost.task_launch);
             self.metrics.tasks_launched.add(2);
 
-            let stat: Vec<(J::K, J::T)> = read_part(&self.dfs, static_dir, p, node, &mut clock)?;
-            let sbytes = self.dfs.len(&part_path(static_dir, p))?;
-            clock.advance(cost.serde_per_byte * sbytes);
-            clock.advance(cost.sort_time(stat.len() as u64, speed));
+            let (stat, sbytes) = self.load_sorted_part(static_dir, p, node, &mut clock)?;
             static_store.push(stat);
             static_bytes.push(sbytes);
 
             if one2all {
                 // Every map task loads the full (small) initial state.
-                let mut all: Vec<(J::K, J::S)> = Vec::new();
-                let mut total = 0u64;
-                for i in 0..state_parts {
-                    all.extend(read_part::<J::K, J::S>(
-                        &self.dfs, state_dir, i, node, &mut clock,
-                    )?);
-                    total += self.dfs.len(&part_path(state_dir, i))?;
-                }
-                sort_run(&mut all);
+                let (all, total) = self.load_broadcast_state(state_dir, node, &mut clock)?;
                 clock.advance(cost.serde_per_byte * total);
                 if p == 0 {
                     global_state = all;
@@ -285,14 +291,7 @@ impl IterativeRunner {
                 state_store.push(Vec::new());
                 state_bytes.push(total);
             } else {
-                assert_eq!(
-                    state_parts, n,
-                    "one2one state must be pre-partitioned into num_tasks parts"
-                );
-                let st: Vec<(J::K, J::S)> = read_part(&self.dfs, state_dir, p, node, &mut clock)?;
-                let bytes = self.dfs.len(&part_path(state_dir, p))?;
-                clock.advance(cost.serde_per_byte * bytes);
-                clock.advance(cost.sort_time(st.len() as u64, speed));
+                let (st, bytes) = self.load_sorted_part(state_dir, p, node, &mut clock)?;
                 state_store.push(st);
                 state_bytes.push(bytes);
             }
@@ -326,17 +325,10 @@ impl IterativeRunner {
         // Kills and hangs are consumed once recovery handles them;
         // delays stay scripted for the whole run so a rolled-back
         // iteration replays them identically (determinism).
-        let mut pending_failures: Vec<FaultEvent> = faults
+        let (delays, mut pending_failures): (Vec<FaultEvent>, Vec<FaultEvent>) = faults
             .iter()
-            .filter(|f| !matches!(f, FaultEvent::Delay { .. }))
-            .copied()
-            .collect();
+            .partition(|f| matches!(f, FaultEvent::Delay { .. }));
         pending_failures.sort_by_key(|f| f.at_iteration());
-        let delays: Vec<FaultEvent> = faults
-            .iter()
-            .filter(|f| matches!(f, FaultEvent::Delay { .. }))
-            .copied()
-            .collect();
         let mut migrations = 0u64;
         let mut recoveries = 0u64;
         let max_iters = cfg.termination.max_iterations;
@@ -368,64 +360,28 @@ impl IterativeRunner {
                 let speed = self.cluster.speed(node);
                 let mut clock = TaskClock::starting_at(activation);
 
-                let mut emitter = Emitter::new();
-                let records_in: u64 = if one2all {
-                    for (k, t) in &static_store[p] {
-                        job.map(k, StateInput::All(&global_state), t, &mut emitter);
-                    }
-                    static_store[p].len() as u64
+                // Eager sorted join of the state stream with the local
+                // static store (§3.2.2), map, partition, sort, combine,
+                // encode: the shared kernel, charged to this clock.
+                let input = if one2all {
+                    MapState::Broadcast(&global_state)
                 } else {
-                    // Eager sorted join of the state stream with the
-                    // local static store (§3.2.2). Both are key-sorted
-                    // and co-partitioned, so they zip exactly.
-                    assert_eq!(
-                        state_store[p].len(),
-                        static_store[p].len(),
-                        "state/static co-partitioning broken at pair {p}"
-                    );
-                    for ((ks, s), (kt, t)) in state_store[p].iter().zip(&static_store[p]) {
-                        assert!(ks == kt, "state/static keys diverged at pair {p}");
-                        job.map(ks, StateInput::One(s), t, &mut emitter);
-                    }
-                    state_store[p].len() as u64
+                    MapState::Own(&state_store[p])
                 };
-                self.metrics.map_input_records.add(records_in);
+                let out = map_side(
+                    job,
+                    input,
+                    &static_store[p],
+                    n,
+                    p,
+                    &self.metrics,
+                    &mut ClockCharge::new(&mut clock, cost, speed),
+                )?;
                 let in_bytes = state_bytes[p] + static_bytes[p];
-                let emitted = emitter.len() as u64;
-                clock.advance(cost.compute_time(records_in + emitted, in_bytes, speed));
-
-                // Partition, sort, optionally combine, encode.
-                let mut partitions: Vec<Vec<(J::K, J::S)>> = (0..n).map(|_| Vec::new()).collect();
-                for (k, v) in emitter.into_pairs() {
-                    let t = job.partition(&k, n);
-                    partitions[t].push((k, v));
-                }
-                let mut encoded = Vec::with_capacity(n);
-                let mut spill = 0u64;
-                for part in &mut partitions {
-                    sort_run(part);
-                    clock.advance(cost.sort_time(part.len() as u64, speed));
-                    let final_part: Vec<(J::K, J::S)> = if job.has_combiner() {
-                        let grouped = group_sorted(std::mem::take(part));
-                        let mut combined = Vec::new();
-                        for (k, vals) in grouped {
-                            let nv = vals.len() as u64;
-                            for v in job.combine(&k, vals) {
-                                combined.push((k.clone(), v));
-                            }
-                            clock.advance(cost.compute_time(nv, 0, speed));
-                        }
-                        combined
-                    } else {
-                        std::mem::take(part)
-                    };
-                    let seg = encode_pairs(&final_part);
-                    spill += seg.len() as u64;
-                    encoded.push(seg);
-                }
+                clock.advance(cost.compute_time(out.records_in + out.emitted, in_bytes, speed));
                 // iMapReduce keeps intermediate data in files (§6).
-                clock.advance(cost.serde_per_byte * spill);
-                clock.advance(cost.disk_time(spill));
+                clock.advance(cost.serde_per_byte * out.spill_bytes);
+                clock.advance(cost.disk_time(out.spill_bytes));
                 // Deterministic straggler slowdown, keyed by iteration
                 // and task so sync/async variants face the same pattern.
                 let busy = clock.now().duration_since(activation);
@@ -433,29 +389,14 @@ impl IterativeRunner {
                 pair_busy[p] += clock.now().duration_since(activation).as_secs_f64();
                 // Pipelined consumption cannot outrun its producer.
                 map_done.push(clock.now().max(state_complete[p]));
-                segments.push(encoded);
-                self.record(
-                    TraceEvent::new(TraceKind::IterStart)
-                        .at(activation.as_nanos())
-                        .tagged(node.index() as u32, p as u32, iter as u32, generation),
-                );
-                self.record(
-                    TraceEvent::new(TraceKind::MapPhase)
-                        .spanning(activation.as_nanos(), map_done[p].as_nanos())
-                        .tagged(node.index() as u32, p as u32, iter as u32, generation),
-                );
+                segments.push(out.segments);
+                let at = tag(node, p, iter, generation);
+                self.event(TraceKind::IterStart, activation, activation, at);
+                self.event(TraceKind::MapPhase, activation, map_done[p], at);
                 if cfg.effective_sync() {
-                    self.phase(
-                        Phase::BarrierWait,
-                        sync_gate
-                            .as_nanos()
-                            .saturating_sub(state_ready[p].as_nanos()),
-                    );
+                    self.phase_span(Phase::BarrierWait, state_ready[p], sync_gate);
                 }
-                self.phase(
-                    Phase::Map,
-                    map_done[p].as_nanos().saturating_sub(activation.as_nanos()),
-                );
+                self.phase_span(Phase::Map, activation, map_done[p]);
             }
 
             // ---- Reduce phase ----------------------------------------
@@ -470,63 +411,34 @@ impl IterativeRunner {
                 let node = assignment[q];
                 let speed = self.cluster.speed(node);
                 let mut clock = TaskClock::default();
-                let mut runs: Vec<Vec<(J::K, J::S)>> = Vec::with_capacity(n);
-                let mut fetched = 0u64;
-                let mut arrivals = Vec::with_capacity(n);
-                for p in 0..n {
-                    let seg = &segments[p][q];
-                    let bytes = seg.len() as u64;
-                    fetched += bytes;
-                    arrivals
-                        .push(map_done[p] + self.cluster.transfer_time(assignment[p], node, bytes));
-                    if assignment[p] == node {
-                        self.metrics.shuffle_local_bytes.add(bytes);
-                    } else {
-                        self.metrics.shuffle_remote_bytes.add(bytes);
-                    }
-                    runs.push(decode_pairs(seg.clone())?);
-                }
-                clock.barrier(arrivals);
-                let work_start = clock.now();
+                let (inbound, work_start) =
+                    self.fetch_segments(&segments, q, &map_done, &assignment, &mut clock);
                 reduce_work_start.push(work_start);
-                clock.advance(cost.serde_per_byte * fetched);
-                let total_rec: u64 = runs.iter().map(|r| r.len() as u64).sum();
-                self.metrics.reduce_input_records.add(total_rec);
-                let merged = merge_runs(runs);
-                if n > 1 && total_rec > 0 {
-                    let cmps = total_rec as f64 * (n as f64).log2();
-                    clock.advance(cost.sort_per_cmp * cmps.round() as u64 * (1.0 / speed));
-                }
 
-                let mut reduced: Vec<(J::K, J::S)> = Vec::new();
-                for (k, vals) in group_sorted(merged) {
-                    let nv = vals.len() as u64;
-                    let s = job.reduce(&k, vals);
-                    clock.advance(cost.compute_time(nv.div_ceil(3), 0, speed));
-                    reduced.push((k, s));
-                }
-
-                // Keys that received no value this iteration keep their
-                // previous state (one2one only; under one2all the state
-                // space is whatever the reducers produce).
-                let new_state = if one2all {
-                    reduced
+                // Merge, reduce, carry forward keys that received no
+                // value (one2one only) and measure the local distance
+                // vs the previous snapshot (§3.1.2): the shared kernel.
+                let prev: Option<&[(J::K, J::S)]> = if one2all {
+                    prev_out[q].as_deref()
                 } else {
-                    carry_forward(reduced, &state_store[q])
+                    Some(&state_store[q])
                 };
-
-                // Local distance vs the previous snapshot (§3.1.2).
-                if cfg.termination.distance_threshold.is_some() {
-                    let prev: Option<&[(J::K, J::S)]> = if one2all {
-                        prev_out[q].as_deref()
-                    } else {
-                        Some(&state_store[q])
-                    };
-                    if let Some(prev) = prev {
-                        any_prev = true;
-                        iter_distance += distance_sorted(job, prev, &new_state);
-                        clock.advance(cost.compute_time(new_state.len() as u64, 0, speed));
-                    }
+                let mut charge = ClockCharge::new(&mut clock, cost, speed);
+                let out = reduce_side(
+                    job,
+                    inbound,
+                    prev,
+                    one2all,
+                    cfg.termination.distance_threshold.is_some(),
+                    &self.metrics,
+                    &mut charge,
+                )?;
+                charge.merged(out.records, n);
+                let new_state = out.state;
+                if out.has_prev {
+                    any_prev = true;
+                    iter_distance += out.distance;
+                    clock.advance(cost.compute_time(new_state.len() as u64, 0, speed));
                 }
 
                 let bytes = encode_pairs(&new_state).len() as u64;
@@ -554,15 +466,9 @@ impl IterativeRunner {
                 reduce_done.push(clock.now());
                 new_states.push(new_state);
                 new_state_bytes.push(bytes);
-                self.record(
-                    TraceEvent::new(TraceKind::ReducePhase)
-                        .spanning(work_start.as_nanos(), clock.now().as_nanos())
-                        .tagged(node.index() as u32, q as u32, iter as u32, generation),
-                );
-                self.phase(
-                    Phase::Reduce,
-                    clock.now().as_nanos().saturating_sub(work_start.as_nanos()),
-                );
+                let at = tag(node, q, iter, generation);
+                self.event(TraceKind::ReducePhase, work_start, clock.now(), at);
+                self.phase_span(Phase::Reduce, work_start, clock.now());
             }
 
             let iter_done = reduce_done.iter().copied().max().unwrap_or(job_start);
@@ -574,51 +480,21 @@ impl IterativeRunner {
                 // Broadcast: every reduce ships its output to all map
                 // tasks; each map's next activation is the barrier over
                 // all broadcasts.
-                let mut next_global: Vec<(J::K, J::S)> = Vec::new();
-                for q in 0..n {
-                    next_global.extend(new_states[q].iter().cloned());
-                }
-                sort_run(&mut next_global);
+                let gates = self.broadcast_gates(&reduce_done, &new_state_bytes, &assignment);
                 let total: u64 = new_state_bytes.iter().sum();
                 for p in 0..n {
-                    let mut gate = VInstant::EPOCH;
-                    for q in 0..n {
-                        let arr = reduce_done[q]
-                            + cost.handoff_flush
-                            + self.cluster.transfer_time(
-                                assignment[q],
-                                assignment[p],
-                                new_state_bytes[q],
-                            );
-                        gate = gate.max(arr);
-                        if assignment[q] != assignment[p] {
-                            self.metrics.broadcast_bytes.add(new_state_bytes[q]);
-                        }
-                    }
-                    state_ready[p] = gate;
-                    state_complete[p] = gate;
+                    state_ready[p] = gates[p];
+                    state_complete[p] = gates[p];
                     state_bytes[p] = total;
                 }
                 for q in 0..n {
-                    let at = (reduce_done[q] + cost.handoff_flush).as_nanos();
-                    let tags = (assignment[q].index() as u32, q as u32, iter as u32);
-                    self.record(
-                        TraceEvent::new(TraceKind::Broadcast {
-                            bytes: new_state_bytes[q],
-                        })
-                        .at(at)
-                        .tagged(tags.0, tags.1, tags.2, generation),
-                    );
-                    self.record(
-                        TraceEvent::new(TraceKind::IterEnd)
-                            .at(at)
-                            .tagged(tags.0, tags.1, tags.2, generation),
-                    );
-                    self.phase(Phase::Handoff, at - reduce_done[q].as_nanos());
-                    self.sample(at, q as u32, generation, iter as u64);
+                    let bytes = new_state_bytes[q];
+                    let sent = reduce_done[q] + cost.handoff_flush;
+                    let at = tag(assignment[q], q, iter, generation);
+                    self.end_iteration(TraceKind::Broadcast { bytes }, reduce_done[q], sent, at);
                 }
-                prev_out = new_states.iter().cloned().map(Some).collect();
-                global_state = next_global;
+                global_state = merge_broadcast(&new_states);
+                prev_out = new_states.into_iter().map(Some).collect();
             } else {
                 for q in 0..n {
                     // Persistent local socket to the paired map task.
@@ -637,26 +513,14 @@ impl IterativeRunner {
                     };
                     self.metrics.state_handoff_bytes.add(new_state_bytes[q]);
                     state_bytes[q] = new_state_bytes[q];
-                    let tags = (assignment[q].index() as u32, q as u32, iter as u32);
-                    self.record(
-                        TraceEvent::new(TraceKind::StateHandoff {
-                            bytes: new_state_bytes[q],
-                        })
-                        .at(complete.as_nanos())
-                        .tagged(tags.0, tags.1, tags.2, generation),
+                    let bytes = new_state_bytes[q];
+                    let at = tag(assignment[q], q, iter, generation);
+                    self.end_iteration(
+                        TraceKind::StateHandoff { bytes },
+                        reduce_done[q],
+                        complete,
+                        at,
                     );
-                    self.record(
-                        TraceEvent::new(TraceKind::IterEnd)
-                            .at(complete.as_nanos())
-                            .tagged(tags.0, tags.1, tags.2, generation),
-                    );
-                    self.phase(
-                        Phase::Handoff,
-                        complete
-                            .as_nanos()
-                            .saturating_sub(reduce_done[q].as_nanos()),
-                    );
-                    self.sample(complete.as_nanos(), q as u32, generation, iter as u64);
                 }
                 prev_out = state_store.iter().cloned().map(Some).collect();
                 state_store = new_states;
@@ -680,23 +544,23 @@ impl IterativeRunner {
             // ---- Checkpointing (parallel with computation) -----------
             if !done && cfg.checkpoint_interval > 0 && iter.is_multiple_of(cfg.checkpoint_interval)
             {
-                let dir = imr_dfs::snapshot_dir(output_dir, iter);
-                let ckpt_before = self.metrics.checkpoint_bytes.get();
-                self.write_checkpoint::<J>(
-                    &dir,
-                    &state_store,
-                    &global_state,
-                    one2all,
+                // Under one2all part 0 carries the whole broadcast state.
+                let payloads = state_store.iter().enumerate().map(|(q, part)| {
+                    encode_pairs(if one2all && q == 0 {
+                        &global_state
+                    } else {
+                        part
+                    })
+                });
+                let dir = self.write_checkpoint(
+                    output_dir,
+                    iter,
+                    payloads,
+                    ckpt.dfs_dir.take(),
                     &assignment,
+                    iter_done,
+                    generation,
                 )?;
-                let ckpt_written = self.metrics.checkpoint_bytes.get() - ckpt_before;
-                self.phase(
-                    Phase::CheckpointWrite,
-                    cost.disk_time(ckpt_written).as_nanos(),
-                );
-                if let Some(old) = ckpt.dfs_dir.take() {
-                    imr_mapreduce::io::delete_dir(&self.dfs, &old);
-                }
                 ckpt = Checkpoint {
                     iter,
                     state: state_store.clone(),
@@ -704,24 +568,16 @@ impl IterativeRunner {
                     prev_out: prev_out.clone(),
                     dfs_dir: Some(dir),
                 };
-                for q in 0..n {
-                    self.record(
-                        TraceEvent::new(TraceKind::Checkpoint { epoch: iter as u64 })
-                            .at(iter_done.as_nanos())
-                            .tagged(
-                                assignment[q].index() as u32,
-                                q as u32,
-                                iter as u32,
-                                generation,
-                            ),
-                    );
-                }
             }
             if done {
                 break;
             }
 
-            // ---- Failure injection + recovery ------------------------
+            // ---- Failure injection + recovery, load balancing --------
+            // Either way every pair rolls back to the latest checkpoint;
+            // `rolled_back` carries when they may resume and which node
+            // writes the flight-recorder dump.
+            let mut rolled_back: Option<(VInstant, NodeId)> = None;
             if let Some(pos) = pending_failures
                 .iter()
                 .position(|f| f.at_iteration() == iter)
@@ -742,25 +598,16 @@ impl IterativeRunner {
                 };
                 recoveries += 1;
                 self.metrics.recoveries.add(1);
+                // A master-side event about the faulted node, not a pair.
+                let at = Tag {
+                    pair: COORD,
+                    ..tag(fault.node(), 0, iter, generation)
+                };
                 if matches!(fault, FaultEvent::Hang { .. }) {
-                    self.record(
-                        TraceEvent::new(TraceKind::StallDetected)
-                            .at(decision_time.as_nanos())
-                            .tagged(fault.node().index() as u32, COORD, iter as u32, generation),
-                    );
+                    self.event(TraceKind::StallDetected, decision_time, decision_time, at);
                 }
-                self.record(
-                    TraceEvent::new(TraceKind::Rollback {
-                        epoch: ckpt.iter as u64,
-                    })
-                    .at(detected_at.as_nanos())
-                    .tagged(
-                        fault.node().index() as u32,
-                        COORD,
-                        iter as u32,
-                        generation,
-                    ),
-                );
+                let epoch = ckpt.iter as u64;
+                self.event(TraceKind::Rollback { epoch }, detected_at, detected_at, at);
                 let recover_at = self.recover_from_failure::<J>(
                     fault.node(),
                     detected_at,
@@ -770,6 +617,47 @@ impl IterativeRunner {
                     &mut static_store,
                     &mut static_bytes,
                 )?;
+                rolled_back = Some((recover_at, assignment[0]));
+            } else if let Some(lb) = cfg
+                .load_balance
+                .filter(|lb| migrations < lb.max_migrations as u64 && n > 1)
+            {
+                // Load balancing (§3.4.2).
+                if let Some((slow_pair, fast_node)) =
+                    self.cluster
+                        .pick_migration(&assignment, &pair_busy, lb.deviation)
+                {
+                    migrations += 1;
+                    self.metrics.migrations.add(1);
+                    // Record the migration epoch next to the snapshots
+                    // (post-mortem parity with native).
+                    let marker = imr_dfs::migration_marker(output_dir, migrations, ckpt.iter);
+                    let mut off_path = TaskClock::default();
+                    self.dfs.put_atomic(
+                        &marker,
+                        Bytes::from_static(b"migrated"),
+                        fast_node,
+                        &mut off_path,
+                    )?;
+                    let migration = TraceKind::Migration {
+                        from: assignment[slow_pair].index() as u32,
+                        to: fast_node.index() as u32,
+                    };
+                    let at = tag(assignment[slow_pair], slow_pair, iter, generation);
+                    self.event(migration, decision_time, decision_time, at);
+                    let recover_at = self.migrate_pair::<J>(
+                        slow_pair,
+                        fast_node,
+                        decision_time,
+                        &mut assignment,
+                        static_dir,
+                        &mut static_store,
+                        &mut static_bytes,
+                    )?;
+                    rolled_back = Some((recover_at, fast_node));
+                }
+            }
+            if let Some((recover_at, dump_node)) = rolled_back {
                 state_store = ckpt.state.clone();
                 global_state = ckpt.global_state.clone();
                 prev_out = ckpt.prev_out.clone();
@@ -783,7 +671,7 @@ impl IterativeRunner {
                     })
                     .len() as u64;
                 }
-                self.flight_dump(output_dir, flight_seq, cfg.flight_window, assignment[0])?;
+                self.flight_dump(output_dir, flight_seq, cfg.flight_window, dump_node)?;
                 flight_seq += 1;
                 generation += 1;
                 report.iteration_done.truncate(ckpt.iter);
@@ -792,97 +680,26 @@ impl IterativeRunner {
                 continue;
             }
 
-            // ---- Load balancing (§3.4.2) -----------------------------
-            if let Some(lb) = &cfg.load_balance {
-                if migrations < lb.max_migrations as u64 && n > 1 {
-                    if let Some((slow_pair, fast_node)) =
-                        self.cluster
-                            .pick_migration(&assignment, &pair_busy, lb.deviation)
-                    {
-                        migrations += 1;
-                        self.metrics.migrations.add(1);
-                        // Record the migration epoch next to the
-                        // snapshots (post-mortem parity with native).
-                        let marker = imr_dfs::migration_marker(output_dir, migrations, ckpt.iter);
-                        let mut off_path = TaskClock::default();
-                        self.dfs.put_atomic(
-                            &marker,
-                            Bytes::from_static(b"migrated"),
-                            fast_node,
-                            &mut off_path,
-                        )?;
-                        self.record(
-                            TraceEvent::new(TraceKind::Migration {
-                                from: assignment[slow_pair].index() as u32,
-                                to: fast_node.index() as u32,
-                            })
-                            .at(decision_time.as_nanos())
-                            .tagged(
-                                assignment[slow_pair].index() as u32,
-                                slow_pair as u32,
-                                iter as u32,
-                                generation,
-                            ),
-                        );
-                        let recover_at = self.migrate_pair::<J>(
-                            slow_pair,
-                            fast_node,
-                            decision_time,
-                            &mut assignment,
-                            static_dir,
-                            &mut static_store,
-                            &mut static_bytes,
-                        )?;
-                        // Everyone rolls back to the latest checkpoint.
-                        state_store = ckpt.state.clone();
-                        global_state = ckpt.global_state.clone();
-                        prev_out = ckpt.prev_out.clone();
-                        for p in 0..n {
-                            state_ready[p] = recover_at;
-                            state_complete[p] = recover_at;
-                            state_bytes[p] = encode_pairs(if one2all {
-                                &global_state
-                            } else {
-                                &state_store[p]
-                            })
-                            .len() as u64;
-                        }
-                        self.flight_dump(output_dir, flight_seq, cfg.flight_window, fast_node)?;
-                        flight_seq += 1;
-                        generation += 1;
-                        report.iteration_done.truncate(ckpt.iter);
-                        distances.truncate(ckpt.iter);
-                        iter = ckpt.iter + 1;
-                        continue;
-                    }
-                }
-            }
-
             iter += 1;
         }
 
         let iterations = report.iteration_done.len();
 
         // ---- Final output dump (once, at termination; Fig. 1b) -------
-        let mut finish_times = Vec::with_capacity(n);
-        let mut final_state: Vec<(J::K, J::S)> = Vec::new();
-        for q in 0..n {
-            let node = assignment[q];
-            let start = last_reduce_done[q].max(decision_time);
-            let mut clock = TaskClock::starting_at(start);
-            let data = if one2all {
-                prev_out[q].clone().unwrap_or_default()
-            } else {
-                state_store[q].clone()
-            };
-            let payload = encode_pairs(&data);
-            self.dfs
-                .put(&part_path(output_dir, q), payload, node, &mut clock)?;
-            finish_times.push(clock.now());
-            final_state.extend(data);
-        }
-        sort_run(&mut final_state);
-        report.finished = finish_times.into_iter().max().unwrap_or(decision_time);
+        let starts: Vec<VInstant> = last_reduce_done
+            .iter()
+            .map(|done| (*done).max(decision_time))
+            .collect();
+        let parts = if one2all {
+            prev_out
+                .into_iter()
+                .map(Option::unwrap_or_default)
+                .collect()
+        } else {
+            state_store
+        };
+        let (final_state, finished) = self.dump_final(output_dir, parts, &assignment, &starts)?;
+        report.finished = finished;
         report.metrics = self.metrics.snapshot();
 
         Ok(IterOutcome {
@@ -934,22 +751,8 @@ impl IterativeRunner {
             ));
         }
         let n = cfg.num_tasks;
-        assert!(
-            n <= self.pair_capacity(),
-            "persistent tasks need dedicated slots: {} pairs > capacity {}",
-            n,
-            self.pair_capacity()
-        );
-        assert_eq!(
-            num_parts(&self.dfs, static_dir),
-            n,
-            "static data must be pre-partitioned into num_tasks parts"
-        );
-        assert_eq!(
-            num_parts(&self.dfs, state_dir),
-            n,
-            "one2one state must be pre-partitioned into num_tasks parts"
-        );
+        check_slots(n, self.pair_capacity())?;
+        check_inputs(&self.dfs, cfg, state_dir, static_dir)?;
         let cost = &self.cluster.cost;
         self.metrics.jobs_launched.add(1);
 
@@ -961,35 +764,20 @@ impl IterativeRunner {
         let mut now: Vec<VInstant> = Vec::with_capacity(n);
         for p in 0..n {
             let node = assignment[p];
-            let speed = self.cluster.speed(node);
             let mut clock = TaskClock::starting_at(job_start);
             clock.advance(cost.task_launch);
             self.metrics.tasks_launched.add(2);
-            let stat: Vec<(J::K, J::T)> = read_part(&self.dfs, static_dir, p, node, &mut clock)?;
-            let sbytes = self.dfs.len(&part_path(static_dir, p))?;
-            clock.advance(cost.serde_per_byte * sbytes);
-            clock.advance(cost.sort_time(stat.len() as u64, speed));
+            let (stat, _) = self.load_sorted_part::<J::K, J::T>(static_dir, p, node, &mut clock)?;
             let bytes = self.dfs.len(&part_path(state_dir, p))?;
             let store = if cfg.incremental {
                 // Warm start: the state part already holds the planned
                 // (key, (value, pending)) entries — decode, don't seed.
-                let st: Vec<(J::K, (J::S, J::S))> =
-                    read_part(&self.dfs, state_dir, p, node, &mut clock)?;
-                assert_eq!(
-                    st.len(),
-                    stat.len(),
-                    "state/static co-partitioning broken at pair {p}"
-                );
-                DeltaStore::restore(st)
+                DeltaStore::restore(read_part(&self.dfs, state_dir, p, node, &mut clock)?)
             } else {
                 let st: Vec<(J::K, J::S)> = read_part(&self.dfs, state_dir, p, node, &mut clock)?;
-                assert_eq!(
-                    st.len(),
-                    stat.len(),
-                    "state/static co-partitioning broken at pair {p}"
-                );
                 DeltaStore::seed(job, &st)
             };
+            check_co_partitioned(p, store.len(), stat.len())?;
             clock.advance(cost.serde_per_byte * bytes);
             stores.push(store);
             static_store.push(stat);
@@ -1011,16 +799,8 @@ impl IterativeRunner {
 
         for check in 1..=max_checks {
             for p in 0..n {
-                self.record(
-                    TraceEvent::new(TraceKind::IterStart)
-                        .at(now[p].as_nanos())
-                        .tagged(
-                            assignment[p].index() as u32,
-                            p as u32,
-                            check as u32,
-                            generation,
-                        ),
-                );
+                let at = tag(assignment[p], p, check, generation);
+                self.event(TraceKind::IterStart, now[p], now[p], at);
             }
             for _round in 0..cfg.check_every {
                 // ---- Round phase A: select, apply, extract, send -----
@@ -1048,20 +828,12 @@ impl IterativeRunner {
                         bytes_row.push(b);
                     }
                     clock.advance(cost.serde_per_byte * spill);
-                    self.record(
-                        TraceEvent::new(TraceKind::DeltaRound { deltas: sent })
-                            .spanning(round_start.as_nanos(), clock.now().as_nanos())
-                            .tagged(node.index() as u32, p as u32, check as u32, generation),
-                    );
+                    let at = tag(node, p, check, generation);
+                    let round = TraceKind::DeltaRound { deltas: sent };
+                    self.event(round, round_start, clock.now(), at);
                     // A delta round's select/apply/send half is the
                     // accumulative analogue of the map phase.
-                    self.phase(
-                        Phase::Map,
-                        clock
-                            .now()
-                            .as_nanos()
-                            .saturating_sub(round_start.as_nanos()),
-                    );
+                    self.phase_span(Phase::Map, round_start, clock.now());
                     send_done.push(clock.now());
                     outgoing.push(dests);
                     seg_bytes.push(bytes_row);
@@ -1073,36 +845,16 @@ impl IterativeRunner {
                     let node = assignment[q];
                     let speed = self.cluster.speed(node);
                     let mut clock = TaskClock::default();
-                    let mut fetched = 0u64;
-                    let mut arrivals = Vec::with_capacity(n);
-                    for p in 0..n {
-                        let b = seg_bytes[p][q];
-                        fetched += b;
-                        arrivals.push(
-                            send_done[p] + self.cluster.transfer_time(assignment[p], node, b),
-                        );
-                        if assignment[p] == node {
-                            self.metrics.shuffle_local_bytes.add(b);
-                        } else {
-                            self.metrics.shuffle_remote_bytes.add(b);
-                        }
-                    }
-                    clock.barrier(arrivals);
-                    let merge_start = clock.now();
-                    clock.advance(cost.serde_per_byte * fetched);
+                    let sizes = seg_bytes.iter().map(|row| row[q]);
+                    let merge_start =
+                        self.shuffle_barrier(sizes, q, &send_done, &assignment, &mut clock);
                     let mut merged = 0u64;
                     for p in 0..n {
                         merged += stores[q].merge_segment(job, &outgoing[p][q]) as u64;
                     }
                     clock.advance(cost.compute_time(merged, 0, speed));
                     // The receive/merge half plays the reduce role.
-                    self.phase(
-                        Phase::Reduce,
-                        clock
-                            .now()
-                            .as_nanos()
-                            .saturating_sub(merge_start.as_nanos()),
-                    );
+                    self.phase_span(Phase::Reduce, merge_start, clock.now());
                     now[q] = clock.now();
                 }
             }
@@ -1113,21 +865,13 @@ impl IterativeRunner {
             self.metrics.termination_checks.add(n as u64);
             let decision = now.iter().copied().max().unwrap_or(job_start) + cost.net_latency;
             for q in 0..n {
-                let tags = (assignment[q].index() as u32, q as u32, check as u32);
-                self.record(
-                    TraceEvent::new(TraceKind::TerminationCheck {
-                        progress_bits: locals[q].to_bits(),
-                    })
-                    .at(decision.as_nanos())
-                    .tagged(tags.0, tags.1, tags.2, generation),
-                );
-                self.record(
-                    TraceEvent::new(TraceKind::IterEnd)
-                        .at(decision.as_nanos())
-                        .tagged(tags.0, tags.1, tags.2, generation),
-                );
+                let at = tag(assignment[q], q, check, generation);
+                let progress_bits = locals[q].to_bits();
+                let termination = TraceKind::TerminationCheck { progress_bits };
+                self.event(termination, decision, decision, at);
+                self.event(TraceKind::IterEnd, decision, decision, at);
                 if let Some(tel) = &self.telemetry {
-                    tel.set_gauge(Gauge::PendingDeltaMass, locals[q].to_bits());
+                    tel.set_gauge(Gauge::PendingDeltaMass, progress_bits);
                 }
                 self.sample(decision.as_nanos(), q as u32, generation, check as u64);
                 now[q] = decision;
@@ -1140,40 +884,17 @@ impl IterativeRunner {
             // ---- Checkpointing (parallel with computation) -----------
             if !done && cfg.checkpoint_interval > 0 && check.is_multiple_of(cfg.checkpoint_interval)
             {
-                let dir = imr_dfs::snapshot_dir(output_dir, check);
-                let before = self.metrics.dfs_write_bytes.get();
-                for q in 0..n {
-                    let mut off_path = TaskClock::default();
-                    self.dfs.put_atomic(
-                        &part_path(&dir, q),
-                        stores[q].encode(),
-                        assignment[q],
-                        &mut off_path,
-                    )?;
-                }
-                let ckpt_written = self.metrics.dfs_write_bytes.get() - before;
-                self.metrics.checkpoint_bytes.add(ckpt_written);
-                self.phase(
-                    Phase::CheckpointWrite,
-                    cost.disk_time(ckpt_written).as_nanos(),
-                );
-                if let Some(old) = last_snapshot.replace(dir) {
-                    imr_mapreduce::io::delete_dir(&self.dfs, &old);
-                }
-                for q in 0..n {
-                    self.record(
-                        TraceEvent::new(TraceKind::Checkpoint {
-                            epoch: check as u64,
-                        })
-                        .at(decision.as_nanos())
-                        .tagged(
-                            assignment[q].index() as u32,
-                            q as u32,
-                            check as u32,
-                            generation,
-                        ),
-                    );
-                }
+                let payloads = stores.iter().map(DeltaStore::encode);
+                let dir = self.write_checkpoint(
+                    output_dir,
+                    check,
+                    payloads,
+                    last_snapshot.take(),
+                    &assignment,
+                    decision,
+                    generation,
+                )?;
+                last_snapshot = Some(dir);
             }
             if done {
                 break;
@@ -1185,23 +906,9 @@ impl IterativeRunner {
         // ---- Final output dump: fold any residual (sub-threshold)
         // pending deltas into the values so the output is the fixpoint
         // the detector certified ----------------------------------------
-        let mut finish_times = Vec::with_capacity(n);
-        let mut final_state: Vec<(J::K, J::S)> = Vec::new();
-        for (q, store) in stores.into_iter().enumerate() {
-            let node = assignment[q];
-            let mut clock = TaskClock::starting_at(now[q]);
-            let data = store.final_values(job);
-            let payload = encode_pairs(&data);
-            self.dfs
-                .put(&part_path(output_dir, q), payload, node, &mut clock)?;
-            finish_times.push(clock.now());
-            final_state.extend(data);
-        }
-        sort_run(&mut final_state);
-        report.finished = finish_times
-            .into_iter()
-            .max()
-            .unwrap_or(now.iter().copied().max().unwrap_or(job_start));
+        let parts = stores.into_iter().map(|s| s.final_values(job)).collect();
+        let (final_state, finished) = self.dump_final(output_dir, parts, &assignment, &now)?;
+        report.finished = finished;
         report.metrics = self.metrics.snapshot();
 
         Ok(IterOutcome {
@@ -1222,31 +929,188 @@ impl IterativeRunner {
         }
     }
 
-    /// Writes a checkpoint to the DFS on a throwaway clock: the paper
-    /// performs checkpointing in parallel with the iterative process,
-    /// so it costs bytes (counted) but no critical-path time.
-    fn write_checkpoint<J: IterativeJob>(
+    /// Launch-time load of a part a pair keeps on its local store: DFS
+    /// read, decode and the one-time sort, charged to `clock`. Returns
+    /// the records and their encoded size.
+    pub(crate) fn load_sorted_part<K: Codec, V: Codec>(
         &self,
         dir: &str,
-        state: &[Vec<(J::K, J::S)>],
-        global_state: &[(J::K, J::S)],
-        one2all: bool,
+        p: usize,
+        node: NodeId,
+        clock: &mut TaskClock,
+    ) -> Result<(Vec<(K, V)>, u64), EngineError> {
+        let cost = &self.cluster.cost;
+        let part: Vec<(K, V)> = read_part(&self.dfs, dir, p, node, clock)?;
+        let bytes = self.dfs.len(&part_path(dir, p))?;
+        clock.advance(cost.serde_per_byte * bytes);
+        clock.advance(cost.sort_time(part.len() as u64, self.cluster.speed(node)));
+        Ok((part, bytes))
+    }
+
+    /// Launch-time load of the full one2all state: every part of
+    /// `state_dir`, concatenated and key-sorted. Returns the records and
+    /// their total encoded size; only the DFS reads are charged.
+    pub(crate) fn load_broadcast_state<K: Codec + Ord, S: Codec>(
+        &self,
+        state_dir: &str,
+        node: NodeId,
+        clock: &mut TaskClock,
+    ) -> Result<(Vec<(K, S)>, u64), EngineError> {
+        let mut all: Vec<(K, S)> = Vec::new();
+        let mut total = 0u64;
+        for i in 0..num_parts(&self.dfs, state_dir) {
+            all.extend(read_part::<K, S>(&self.dfs, state_dir, i, node, clock)?);
+            total += self.dfs.len(&part_path(state_dir, i))?;
+        }
+        sort_run(&mut all);
+        Ok((all, total))
+    }
+
+    /// The shuffle fetch of reduce task `q`: its segment from every map
+    /// task, in task order, behind [`Self::shuffle_barrier`].
+    pub(crate) fn fetch_segments(
+        &self,
+        segments: &[Vec<Bytes>],
+        q: usize,
+        map_done: &[VInstant],
         assignment: &[NodeId],
-    ) -> Result<(), EngineError> {
-        let before = self.metrics.dfs_write_bytes.get();
-        for (q, part) in state.iter().enumerate() {
-            let payload = if one2all && q == 0 {
-                encode_pairs(global_state)
+        clock: &mut TaskClock,
+    ) -> (Vec<Bytes>, VInstant) {
+        let inbound: Vec<Bytes> = segments.iter().map(|from| from[q].clone()).collect();
+        let sizes = inbound.iter().map(|seg| seg.len() as u64);
+        let work_start = self.shuffle_barrier(sizes, q, map_done, assignment, clock);
+        (inbound, work_start)
+    }
+
+    /// Task `q` receives `sizes[p]` bytes from every task `p`, sent at
+    /// `sent_at[p]`: moves `clock` to the last arrival (the shuffle
+    /// barrier), then charges deserialising what arrived. Returns the
+    /// instant the barrier cleared.
+    fn shuffle_barrier(
+        &self,
+        sizes: impl Iterator<Item = u64>,
+        q: usize,
+        sent_at: &[VInstant],
+        assignment: &[NodeId],
+        clock: &mut TaskClock,
+    ) -> VInstant {
+        let node = assignment[q];
+        let mut fetched = 0u64;
+        for (p, bytes) in sizes.enumerate() {
+            fetched += bytes;
+            clock.merge(sent_at[p] + self.cluster.transfer_time(assignment[p], node, bytes));
+            if assignment[p] == node {
+                self.metrics.shuffle_local_bytes.add(bytes);
             } else {
-                encode_pairs(part)
-            };
+                self.metrics.shuffle_remote_bytes.add(bytes);
+            }
+        }
+        let cleared = clock.now();
+        clock.advance(self.cluster.cost.serde_per_byte * fetched);
+        cleared
+    }
+
+    /// One2all hand-off: reduce `q` ships `bytes[q]` to every map task
+    /// once done; map `p`'s next activation is the barrier over all the
+    /// broadcasts it receives.
+    pub(crate) fn broadcast_gates(
+        &self,
+        reduce_done: &[VInstant],
+        bytes: &[u64],
+        assignment: &[NodeId],
+    ) -> Vec<VInstant> {
+        let flush = self.cluster.cost.handoff_flush;
+        (0..assignment.len())
+            .map(|p| {
+                let mut gate = VInstant::EPOCH;
+                for q in 0..assignment.len() {
+                    let transfer =
+                        self.cluster
+                            .transfer_time(assignment[q], assignment[p], bytes[q]);
+                    gate = gate.max(reduce_done[q] + flush + transfer);
+                    if assignment[q] != assignment[p] {
+                        self.metrics.broadcast_bytes.add(bytes[q]);
+                    }
+                }
+                gate
+            })
+            .collect()
+    }
+
+    /// The final output dump (once, at termination; Fig. 1b): pair `q`
+    /// commits `parts[q]` to `output_dir` starting at `starts[q]`.
+    /// Returns the key-sorted union and when the last commit landed.
+    pub(crate) fn dump_final<K: Codec + Ord, S: Codec>(
+        &self,
+        output_dir: &str,
+        parts: Vec<Vec<(K, S)>>,
+        assignment: &[NodeId],
+        starts: &[VInstant],
+    ) -> Result<(Vec<(K, S)>, VInstant), EngineError> {
+        let mut finished = VInstant::EPOCH;
+        let mut final_state: Vec<(K, S)> = Vec::new();
+        for (q, data) in parts.into_iter().enumerate() {
+            let mut clock = TaskClock::starting_at(starts[q]);
+            self.dfs.put(
+                &part_path(output_dir, q),
+                encode_pairs(&data),
+                assignment[q],
+                &mut clock,
+            )?;
+            finished = finished.max(clock.now());
+            final_state.extend(data);
+        }
+        sort_run(&mut final_state);
+        Ok((final_state, finished))
+    }
+
+    /// Writes checkpoint `epoch` — one part per pair, atomically — and
+    /// retires the `previous` snapshot directory. The paper performs
+    /// checkpointing in parallel with the iterative process, so the
+    /// writes go to throwaway clocks: they cost bytes (counted) but no
+    /// critical-path time. Returns the new snapshot directory.
+    #[allow(clippy::too_many_arguments)]
+    fn write_checkpoint(
+        &self,
+        output_dir: &str,
+        epoch: usize,
+        payloads: impl Iterator<Item = Bytes>,
+        previous: Option<String>,
+        assignment: &[NodeId],
+        at: VInstant,
+        generation: u32,
+    ) -> Result<String, EngineError> {
+        let dir = imr_dfs::snapshot_dir(output_dir, epoch);
+        let before = self.metrics.dfs_write_bytes.get();
+        for (q, payload) in payloads.enumerate() {
             let mut off_path = TaskClock::default();
             self.dfs
-                .put_atomic(&part_path(dir, q), payload, assignment[q], &mut off_path)?;
+                .put_atomic(&part_path(&dir, q), payload, assignment[q], &mut off_path)?;
         }
         let written = self.metrics.dfs_write_bytes.get() - before;
         self.metrics.checkpoint_bytes.add(written);
-        Ok(())
+        let disk = self.cluster.cost.disk_time(written);
+        self.phase(Phase::CheckpointWrite, disk.as_nanos());
+        if let Some(old) = previous {
+            imr_mapreduce::io::delete_dir(&self.dfs, &old);
+        }
+        for (q, node) in assignment.iter().enumerate() {
+            let checkpoint = TraceKind::Checkpoint {
+                epoch: epoch as u64,
+            };
+            self.event(checkpoint, at, at, tag(*node, q, epoch, generation));
+        }
+        Ok(dir)
+    }
+
+    /// Ends pair `at.pair`'s iteration: the hand-off event (`handoff`, at
+    /// the instant the new state left the reduce task), IterEnd, the
+    /// hand-off latency since `reduce_done`, and the telemetry sample.
+    fn end_iteration(&self, handoff: TraceKind, reduce_done: VInstant, sent: VInstant, at: Tag) {
+        self.event(handoff, sent, sent, at);
+        self.event(TraceKind::IterEnd, sent, sent, at);
+        self.phase_span(Phase::Handoff, reduce_done, sent);
+        self.sample(sent.as_nanos(), at.pair, at.generation, u64::from(at.iter));
     }
 
     /// Handles a worker failure: marks the node dead in the DFS,
@@ -1267,12 +1131,8 @@ impl IterativeRunner {
         self.dfs.fail_node(dead);
         let n = assignment.len();
         let mut per_node = vec![0usize; self.cluster.len()];
-        for (p, node) in assignment.iter().enumerate() {
-            if *node != dead {
-                per_node[node.index()] += 1;
-            } else {
-                let _ = p;
-            }
+        for node in assignment.iter().filter(|node| **node != dead) {
+            per_node[node.index()] += 1;
         }
         let mut resume = detected_at;
         for p in 0..n {
@@ -1288,22 +1148,25 @@ impl IterativeRunner {
                 .filter(|&nid| nid != dead)
                 .filter(|&nid| per_node[nid.index()] < self.node_pair_capacity(nid))
                 .max_by(|a, b| {
-                    self.cluster
-                        .speed(*a)
-                        .partial_cmp(&self.cluster.speed(*b))
-                        .unwrap()
-                        .then(b.0.cmp(&a.0))
+                    let (sa, sb) = (self.cluster.speed(*a), self.cluster.speed(*b));
+                    sa.total_cmp(&sb).then(b.0.cmp(&a.0))
                 })
-                .expect("no surviving node has capacity for recovery");
+                .ok_or_else(|| {
+                    EngineError::Config(format!(
+                        "no surviving node has a free pair slot to host pair {p} after {dead:?} failed"
+                    ))
+                })?;
             per_node[target.index()] += 1;
-            assignment[p] = target;
-            self.metrics.tasks_launched.add(2);
-
-            let mut clock = TaskClock::starting_at(detected_at + self.cluster.cost.task_launch);
-            let stat: Vec<(J::K, J::T)> = read_part(&self.dfs, static_dir, p, target, &mut clock)?;
-            static_bytes[p] = self.dfs.len(&part_path(static_dir, p))?;
-            static_store[p] = stat;
-            resume = resume.max(clock.now());
+            let relaunched = self.migrate_pair::<J>(
+                p,
+                target,
+                detected_at,
+                assignment,
+                static_dir,
+                static_store,
+                static_bytes,
+            )?;
+            resume = resume.max(relaunched);
         }
         // Rolled-back tasks (all of them) reload the checkpointed state
         // from DFS; charge the slowest reload.
@@ -1342,80 +1205,10 @@ impl IterativeRunner {
     }
 }
 
-/// Merges reduce output with the carried-forward previous state: keys
-/// absent from `reduced` keep their old value. Both inputs are sorted;
-/// output is sorted.
-///
-/// Shared by every backend: the native engine must apply the exact same
-/// merge (including tie-breaking) for cross-engine equality to hold.
-pub fn carry_forward<K: Ord + Clone, S: Clone>(
-    reduced: Vec<(K, S)>,
-    previous: &[(K, S)],
-) -> Vec<(K, S)> {
-    let mut out = Vec::with_capacity(previous.len().max(reduced.len()));
-    let mut prev = previous.iter().peekable();
-    for (k, s) in reduced {
-        while let Some((pk, ps)) = prev.peek() {
-            if *pk < k {
-                out.push((pk.clone(), ps.clone()));
-                prev.next();
-            } else {
-                break;
-            }
-        }
-        if let Some((pk, _)) = prev.peek() {
-            if *pk == k {
-                prev.next();
-            }
-        }
-        out.push((k, s));
-    }
-    for (pk, ps) in prev {
-        out.push((pk.clone(), ps.clone()));
-    }
-    out
-}
-
-/// Sums the job's per-key distance over two sorted snapshots (keys
-/// present in only one snapshot contribute nothing).
-///
-/// Shared by every backend; summation order is key order, which keeps
-/// floating-point accumulation identical across engines.
-pub fn distance_sorted<J: IterativeJob>(
-    job: &J,
-    prev: &[(J::K, J::S)],
-    cur: &[(J::K, J::S)],
-) -> f64 {
-    let mut total = 0.0;
-    let mut pi = 0usize;
-    for (k, s) in cur {
-        while pi < prev.len() && prev[pi].0 < *k {
-            pi += 1;
-        }
-        if pi < prev.len() && prev[pi].0 == *k {
-            total += job.distance(k, &prev[pi].1, s);
-        }
-    }
-    total
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn carry_forward_fills_gaps() {
-        let prev = vec![(1u32, 10), (2, 20), (3, 30), (5, 50)];
-        let reduced = vec![(2u32, 99), (4, 44)];
-        let merged = carry_forward(reduced, &prev);
-        assert_eq!(merged, vec![(1, 10), (2, 99), (3, 30), (4, 44), (5, 50)]);
-    }
-
-    #[test]
-    fn carry_forward_with_empty_sides() {
-        let prev = vec![(1u32, 1)];
-        assert_eq!(carry_forward(vec![], &prev), prev);
-        let merged = carry_forward(vec![(2u32, 2)], &[]);
-        assert_eq!(merged, vec![(2, 2)]);
-    }
+/// The one2all state every map task receives: the reduce outputs
+/// concatenated in task order, then key-sorted (stable).
+pub(crate) fn merge_broadcast<K: Ord + Clone, S: Clone>(outs: &[Vec<(K, S)>]) -> Vec<(K, S)> {
+    let mut global: Vec<(K, S)> = outs.iter().flatten().cloned().collect();
+    sort_run(&mut global);
+    global
 }

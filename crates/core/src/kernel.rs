@@ -1,0 +1,242 @@
+//! The iteration kernel: what one persistent map/reduce pair computes
+//! in one iteration, written once.
+//!
+//! [`map_side`] joins the pair's state with its static partition, runs
+//! the user map and hands the output to the shuffle kernel
+//! ([`imr_records::shuffle_out`]); [`reduce_side`] merges the pair's
+//! inbound segments ([`imr_records::shuffle_in`]), runs the user reduce,
+//! carries forward keys that received nothing and measures the distance
+//! to the previous snapshot. The simulation engine, the native pair loop
+//! (threads and TCP) and the auxiliary-phase runner all call these two
+//! functions; each supplies only its own clock (through the
+//! [`ShuffleCost`] hook), transport and supervision. Cross-engine
+//! bit-identity therefore follows from shared code.
+
+use crate::api::{Emitter, IterativeJob, StateInput};
+use bytes::Bytes;
+use imr_mapreduce::EngineError;
+use imr_records::{shuffle_in, shuffle_out, ShuffleCost};
+use imr_simcluster::Metrics;
+
+/// The state a pair's map task consumes this iteration.
+#[derive(Clone, Copy)]
+pub enum MapState<'a, K, S> {
+    /// One2one: the pair's own state partition, co-partitioned and
+    /// key-aligned with its static partition.
+    Own(&'a [(K, S)]),
+    /// One2all: the full broadcast state, sorted by key.
+    Broadcast(&'a [(K, S)]),
+}
+
+/// What [`map_side`] produced.
+pub struct MapOutput {
+    /// One encoded shuffle segment per destination pair.
+    pub segments: Vec<Bytes>,
+    /// Total encoded size of the segments.
+    pub spill_bytes: u64,
+    /// Records the map consumed.
+    pub records_in: u64,
+    /// Records the map emitted (before any combiner).
+    pub emitted: u64,
+}
+
+/// What [`reduce_side`] produced.
+pub struct ReduceOutput<K, S> {
+    /// The pair's next state, sorted by key.
+    pub state: Vec<(K, S)>,
+    /// Local distance to the previous snapshot (0 without one).
+    pub distance: f64,
+    /// Whether a previous snapshot existed to measure against.
+    pub has_prev: bool,
+    /// Records merged from the inbound segments.
+    pub records: u64,
+}
+
+/// Map side of one iteration of pair `pair`: the sorted state/static
+/// join (§3.2.2), the user map, then partition → sort → combine →
+/// encode into `n` segments. A state partition that does not line up
+/// key for key with the static partition is a [`EngineError::Config`]:
+/// the inputs were not co-partitioned.
+pub fn map_side<J: IterativeJob>(
+    job: &J,
+    state: MapState<'_, J::K, J::S>,
+    stat: &[(J::K, J::T)],
+    n: usize,
+    pair: usize,
+    metrics: &Metrics,
+    cost: &mut impl ShuffleCost,
+) -> Result<MapOutput, EngineError> {
+    let mut emitter = Emitter::new();
+    match state {
+        MapState::Broadcast(global) => {
+            for (k, t) in stat {
+                job.map(k, StateInput::All(global), t, &mut emitter);
+            }
+        }
+        MapState::Own(state) => {
+            check_co_partitioned(pair, state.len(), stat.len())?;
+            for ((ks, s), (kt, t)) in state.iter().zip(stat) {
+                if ks != kt {
+                    return Err(EngineError::Config(format!(
+                        "state/static keys diverged at pair {pair}"
+                    )));
+                }
+                job.map(ks, StateInput::One(s), t, &mut emitter);
+            }
+        }
+    }
+    let records_in = stat.len() as u64;
+    metrics.map_input_records.add(records_in);
+    let emitted = emitter.len() as u64;
+    let combiner = job
+        .has_combiner()
+        .then_some(|k: &J::K, vals| job.combine(k, vals));
+    let out = shuffle_out(
+        emitter.into_pairs(),
+        n,
+        |k, n| job.partition(k, n),
+        combiner,
+        cost,
+    );
+    Ok(MapOutput {
+        segments: out.segments,
+        spill_bytes: out.bytes,
+        records_in,
+        emitted,
+    })
+}
+
+/// A pair's state and static partitions must hold the same keys; a
+/// length mismatch means the inputs were partitioned differently.
+pub fn check_co_partitioned(
+    pair: usize,
+    state_records: usize,
+    static_records: usize,
+) -> Result<(), EngineError> {
+    if state_records == static_records {
+        return Ok(());
+    }
+    Err(EngineError::Config(format!(
+        "state/static co-partitioning broken at pair {pair}: \
+         {state_records} state records vs {static_records} static records"
+    )))
+}
+
+/// Reduce side of one iteration: merges `segments` (one per source
+/// pair, in task order), reduces every key group, and — under one2one —
+/// carries forward from `prev` the keys that received no value. When
+/// `measure` is set and `prev` exists, also sums the job's per-key
+/// distance from `prev` to the new state (§3.1.2).
+///
+/// `prev` is the pair's current state under one2one, and its previous
+/// reduce output (if any) under one2all, where the state space is
+/// whatever the reducers produce.
+pub fn reduce_side<J: IterativeJob>(
+    job: &J,
+    segments: Vec<Bytes>,
+    prev: Option<&[(J::K, J::S)]>,
+    one2all: bool,
+    measure: bool,
+    metrics: &Metrics,
+    cost: &mut impl ShuffleCost,
+) -> Result<ReduceOutput<J::K, J::S>, EngineError> {
+    let mut reduced: Vec<(J::K, J::S)> = Vec::new();
+    let records = shuffle_in(
+        segments,
+        |k, vals| {
+            let s = job.reduce(&k, vals);
+            reduced.push((k, s));
+        },
+        cost,
+    )?;
+    metrics.reduce_input_records.add(records);
+    let state = if one2all {
+        reduced
+    } else {
+        carry_forward(reduced, prev.unwrap_or(&[]))
+    };
+    let (distance, has_prev) = match prev {
+        Some(prev) if measure => (distance_sorted(job, prev, &state), true),
+        _ => (0.0, false),
+    };
+    Ok(ReduceOutput {
+        state,
+        distance,
+        has_prev,
+        records,
+    })
+}
+
+/// Merges reduce output with the carried-forward previous state: keys
+/// absent from `reduced` keep their old value. Both inputs are sorted;
+/// output is sorted.
+pub fn carry_forward<K: Ord + Clone, S: Clone>(
+    reduced: Vec<(K, S)>,
+    previous: &[(K, S)],
+) -> Vec<(K, S)> {
+    let mut out = Vec::with_capacity(previous.len().max(reduced.len()));
+    let mut prev = previous.iter().peekable();
+    for (k, s) in reduced {
+        while let Some((pk, ps)) = prev.peek() {
+            if *pk < k {
+                out.push((pk.clone(), ps.clone()));
+                prev.next();
+            } else {
+                break;
+            }
+        }
+        if let Some((pk, _)) = prev.peek() {
+            if *pk == k {
+                prev.next();
+            }
+        }
+        out.push((k, s));
+    }
+    for (pk, ps) in prev {
+        out.push((pk.clone(), ps.clone()));
+    }
+    out
+}
+
+/// Sums the job's per-key distance over two sorted snapshots (keys
+/// present in only one snapshot contribute nothing). Summation order is
+/// key order, which keeps floating-point accumulation identical across
+/// engines.
+pub fn distance_sorted<J: IterativeJob>(
+    job: &J,
+    prev: &[(J::K, J::S)],
+    cur: &[(J::K, J::S)],
+) -> f64 {
+    let mut total = 0.0;
+    let mut pi = 0usize;
+    for (k, s) in cur {
+        while pi < prev.len() && prev[pi].0 < *k {
+            pi += 1;
+        }
+        if pi < prev.len() && prev[pi].0 == *k {
+            total += job.distance(k, &prev[pi].1, s);
+        }
+    }
+    total
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn carry_forward_fills_gaps() {
+        let prev = vec![(1u32, 10), (2, 20), (3, 30), (5, 50)];
+        let reduced = vec![(2u32, 99), (4, 44)];
+        let merged = carry_forward(reduced, &prev);
+        assert_eq!(merged, vec![(1, 10), (2, 99), (3, 30), (4, 44), (5, 50)]);
+    }
+
+    #[test]
+    fn carry_forward_with_empty_sides() {
+        let prev = vec![(1u32, 1)];
+        assert_eq!(carry_forward(vec![], &prev), prev);
+        let merged = carry_forward(vec![(2u32, 2)], &[]);
+        assert_eq!(merged, vec![(2, 2)]);
+    }
+}

@@ -73,6 +73,7 @@ mod ctl;
 mod engine;
 mod incremental;
 mod iter_engine;
+mod kernel;
 mod multiphase;
 mod store;
 
@@ -83,14 +84,18 @@ pub use config::{
     FailureEvent, FaultEvent, IterConfig, LoadBalance, Termination, TransportKind, WatchdogConfig,
 };
 pub use ctl::RunCtl;
-pub use engine::{carry_forward, distance_sorted, IterOutcome, IterativeRunner};
+pub use engine::{IterOutcome, IterativeRunner};
 pub use incremental::{
     apply_delta, plan_incremental, prepare_incremental, AppliedDelta, FixpointStore, GraphDelta,
     GraphDeltaOp, Incremental, IncrementalOutcome, IncrementalPlan, PatchEffect, PatchStats,
 };
 pub use iter_engine::IterEngine;
+pub use kernel::{
+    carry_forward, check_co_partitioned, distance_sorted, map_side, reduce_side, MapOutput,
+    MapState, ReduceOutput,
+};
 pub use multiphase::{run_two_phase, PhaseJob, TwoPhaseConfig, TwoPhaseOutcome};
-pub use store::{load_partitioned, part_len, partition_sorted};
+pub use store::{check_inputs, load_partitioned, part_len, partition_sorted};
 
 // Re-export the engine error type jobs see.
 pub use imr_mapreduce::EngineError;

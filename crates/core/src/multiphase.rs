@@ -13,14 +13,13 @@
 //! phases is what the paper specifies and measures (Fig. 18).
 
 use crate::api::Emitter;
-use bytes::Bytes;
-use imr_dfs::Dfs;
-use imr_mapreduce::io::{num_parts, part_path, read_part};
-use imr_mapreduce::EngineError;
-use imr_records::{decode_pairs, encode_pairs, group_sorted, merge_runs, sort_run, Key, Value};
-use imr_simcluster::{MetricsHandle, NodeId, RunReport, TaskClock, VInstant};
-
 use crate::engine::IterativeRunner;
+use crate::store::{check_parts, check_slots};
+use imr_dfs::Dfs;
+use imr_mapreduce::io::{part_path, read_part};
+use imr_mapreduce::{ClockCharge, EngineError};
+use imr_records::{encode_pairs, shuffle_in, shuffle_out, sort_run, Key, Value};
+use imr_simcluster::{MetricsHandle, NodeId, RunReport, TaskClock, VInstant};
 
 /// One map-reduce phase of a multi-phase iteration.
 ///
@@ -118,11 +117,7 @@ fn load_static<K: Key, T: Value>(
     let Some(dir) = dir else {
         return Ok(vec![Vec::new(); n]);
     };
-    assert_eq!(
-        num_parts(dfs, dir),
-        n,
-        "static data must have num_tasks parts"
-    );
+    check_parts(dfs, dir, n, "static data")?;
     let mut out = Vec::with_capacity(n);
     for p in 0..n {
         let part: Vec<(K, T)> = read_part(dfs, dir, p, assignment[p], &mut clocks[p])?;
@@ -153,7 +148,7 @@ fn run_phase<P: PhaseJob>(
     let gate = activations.iter().copied().max().unwrap_or(VInstant::EPOCH);
 
     let mut map_done = Vec::with_capacity(n);
-    let mut segments: Vec<Vec<Bytes>> = Vec::with_capacity(n);
+    let mut segments = Vec::with_capacity(n);
     for p in 0..n {
         let node = assignment[p];
         let speed = runner.cluster().speed(node);
@@ -173,66 +168,43 @@ fn run_phase<P: PhaseJob>(
         let emitted = emitter.len() as u64;
         clock.advance(cost.compute_time(state[p].len() as u64 + emitted, in_bytes, speed));
 
-        let mut partitions: Vec<Vec<(P::MidK, P::Mid)>> = (0..n).map(|_| Vec::new()).collect();
-        for (k, v) in emitter.into_pairs() {
-            let t = phase.partition_mid(&k, n);
-            partitions[t].push((k, v));
-        }
-        let mut encoded = Vec::with_capacity(n);
-        let mut spill = 0u64;
-        for part in &mut partitions {
-            sort_run(part);
-            clock.advance(cost.sort_time(part.len() as u64, speed));
-            let seg = encode_pairs(part);
-            spill += seg.len() as u64;
-            encoded.push(seg);
-        }
-        clock.advance(cost.serde_per_byte * spill);
-        clock.advance(cost.disk_time(spill));
+        // No combiner between phases: the user functions arrive as
+        // closures because a `PhaseJob` is not an `IterativeJob`.
+        let no_combiner = None::<fn(&P::MidK, Vec<P::Mid>) -> Vec<P::Mid>>;
+        let spilled = shuffle_out(
+            emitter.into_pairs(),
+            n,
+            |k, n| phase.partition_mid(k, n),
+            no_combiner,
+            &mut ClockCharge::new(&mut clock, cost, speed),
+        );
+        clock.advance(cost.serde_per_byte * spilled.bytes);
+        clock.advance(cost.disk_time(spilled.bytes));
         let busy = clock.now().duration_since(start);
         clock.advance(busy * cost.straggler(iter, p as u64, phase_tag));
         map_done.push(clock.now());
-        segments.push(encoded);
+        segments.push(spilled.segments);
     }
 
     let mut outputs = Vec::with_capacity(n);
     let mut reduce_done = Vec::with_capacity(n);
     for q in 0..n {
-        let node = assignment[q];
-        let speed = runner.cluster().speed(node);
+        let speed = runner.cluster().speed(assignment[q]);
         let mut clock = TaskClock::default();
-        let mut arrivals = Vec::with_capacity(n);
-        let mut runs = Vec::with_capacity(n);
-        let mut fetched = 0u64;
-        for p in 0..n {
-            let seg = &segments[p][q];
-            let bytes = seg.len() as u64;
-            fetched += bytes;
-            arrivals.push(map_done[p] + runner.cluster().transfer_time(assignment[p], node, bytes));
-            if assignment[p] == node {
-                metrics.shuffle_local_bytes.add(bytes);
-            } else {
-                metrics.shuffle_remote_bytes.add(bytes);
-            }
-            runs.push(decode_pairs::<P::MidK, P::Mid>(seg.clone())?);
-        }
-        clock.barrier(arrivals);
-        let work_start = clock.now();
-        clock.advance(cost.serde_per_byte * fetched);
-        let total: u64 = runs.iter().map(|r| r.len() as u64).sum();
-        metrics.reduce_input_records.add(total);
-        let merged = merge_runs(runs);
-        if n > 1 && total > 0 {
-            let cmps = total as f64 * (n as f64).log2();
-            clock.advance(cost.sort_per_cmp * cmps.round() as u64 * (1.0 / speed));
-        }
+        let (inbound, work_start) =
+            runner.fetch_segments(&segments, q, &map_done, assignment, &mut clock);
         let mut out = Vec::new();
-        for (k, vals) in group_sorted(merged) {
-            let nv = vals.len() as u64;
-            let s = phase.reduce(&k, vals);
-            clock.advance(cost.compute_time(nv.div_ceil(3), 0, speed));
-            out.push((k, s));
-        }
+        let mut charge = ClockCharge::new(&mut clock, cost, speed);
+        let total = shuffle_in(
+            inbound,
+            |k, vals| {
+                let s = phase.reduce(&k, vals);
+                out.push((k, s));
+            },
+            &mut charge,
+        )?;
+        charge.merged(total, n);
+        metrics.reduce_input_records.add(total);
         let busy = clock.now().duration_since(work_start);
         clock.advance(busy * cost.straggler(iter, q as u64, phase_tag + 1));
         // Local hand-off to the successor phase's paired map task.
@@ -267,10 +239,9 @@ where
     P2: PhaseJob<InK = P1::MidK, InS = P1::OutS, MidK = P1::InK, OutS = P1::InS>,
 {
     let n = cfg.num_tasks;
-    assert!(
-        2 * n <= runner.pair_capacity(),
-        "two phases need 2*num_tasks persistent pairs worth of slots"
-    );
+    // Two phases need 2 * num_tasks persistent pairs worth of slots.
+    check_slots(2 * n, runner.pair_capacity())?;
+    check_parts(runner.dfs(), state_dir, n, "state")?;
     let cost = &runner.cluster().cost;
     let metrics = runner.metrics().clone();
     metrics.jobs_launched.add(1);
@@ -285,11 +256,6 @@ where
         .collect();
     metrics.tasks_launched.add(4 * n as u64);
 
-    assert_eq!(
-        num_parts(runner.dfs(), state_dir),
-        n,
-        "state must have num_tasks parts"
-    );
     let mut state1: Vec<Vec<(P1::InK, P1::InS)>> = Vec::with_capacity(n);
     for p in 0..n {
         let part: Vec<(P1::InK, P1::InS)> =
@@ -358,22 +324,9 @@ where
     }
 
     // ---- Final dump ---------------------------------------------------
-    let mut finish = Vec::with_capacity(n);
-    let mut final_state: Vec<(P1::InK, P1::InS)> = Vec::new();
-    for q in 0..n {
-        let mut clock = TaskClock::starting_at(activations[q]);
-        let payload = encode_pairs(&state1[q]);
-        runner.dfs().put(
-            &part_path(output_dir, q),
-            payload,
-            assignment[q],
-            &mut clock,
-        )?;
-        finish.push(clock.now());
-        final_state.extend(state1[q].iter().cloned());
-    }
-    sort_run(&mut final_state);
-    report.finished = finish.into_iter().max().unwrap_or(job_start);
+    let (final_state, finished) =
+        runner.dump_final(output_dir, state1, &assignment, &activations)?;
+    report.finished = finished;
     report.metrics = metrics.snapshot();
     Ok(TwoPhaseOutcome {
         report,

@@ -7,8 +7,11 @@
 //! files to the DFS; at job start each persistent map task pulls its
 //! own part onto its local store once.
 
+use crate::api::Mapping;
+use crate::config::IterConfig;
 use imr_dfs::{Dfs, DfsError};
-use imr_mapreduce::io::{part_path, write_parts};
+use imr_mapreduce::io::{num_parts, part_path, write_parts};
+use imr_mapreduce::EngineError;
 use imr_records::{sort_run, Codec};
 use imr_simcluster::TaskClock;
 
@@ -62,6 +65,45 @@ where
 /// transfer).
 pub fn part_len(dfs: &Dfs, dir: &str, i: usize) -> Result<u64, DfsError> {
     dfs.len(&part_path(dir, i))
+}
+
+/// Rejects a dataset directory that is not split into exactly `n` parts
+/// (one per persistent pair).
+pub(crate) fn check_parts(dfs: &Dfs, dir: &str, n: usize, what: &str) -> Result<(), EngineError> {
+    let found = num_parts(dfs, dir);
+    if found == n {
+        return Ok(());
+    }
+    Err(EngineError::Config(format!(
+        "{what} {dir} has {found} parts: it must be pre-partitioned into num_tasks = {n} parts"
+    )))
+}
+
+/// The input check every engine runs before launching pairs: the static
+/// data has one part per pair and, under one2one, so does the state
+/// (one2all state may be split any way — every map loads all of it).
+pub fn check_inputs(
+    dfs: &Dfs,
+    cfg: &IterConfig,
+    state_dir: &str,
+    static_dir: &str,
+) -> Result<(), EngineError> {
+    check_parts(dfs, static_dir, cfg.num_tasks, "static data")?;
+    if cfg.mapping == Mapping::One2One {
+        check_parts(dfs, state_dir, cfg.num_tasks, "one2one state")?;
+    }
+    Ok(())
+}
+
+/// Persistent tasks hold their slots for the whole run (§3.1.1), so a
+/// job needing more pairs than the cluster has pair slots cannot start.
+pub(crate) fn check_slots(pairs: usize, capacity: usize) -> Result<(), EngineError> {
+    if pairs <= capacity {
+        return Ok(());
+    }
+    Err(EngineError::Config(format!(
+        "persistent tasks need dedicated slots: {pairs} pairs > capacity {capacity}"
+    )))
 }
 
 #[cfg(test)]

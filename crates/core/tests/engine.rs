@@ -331,13 +331,54 @@ fn state_handoff_stays_local_and_counted() {
     assert_eq!(out.report.metrics.broadcast_bytes, 0);
 }
 
+fn assert_config_error<T>(res: Result<T, EngineError>, needle: &str) {
+    match res {
+        Err(EngineError::Config(msg)) => assert!(msg.contains(needle), "{msg}"),
+        Err(other) => panic!("expected a Config error, got {other}"),
+        Ok(_) => panic!("expected a Config error, got Ok"),
+    }
+}
+
 #[test]
-#[should_panic(expected = "dedicated slots")]
 fn too_many_pairs_for_the_cluster_is_rejected() {
     let r = runner_on(ClusterSpec::local(1)); // capacity: min(2,2) = 2
     load_relax(&r, 8, 3);
     let cfg = IterConfig::new("relax", 3, 2);
-    let _ = r.run(&Relax, &cfg, "/state", "/static", "/out", &[]);
+    let res = r.run(&Relax, &cfg, "/state", "/static", "/out", &[]);
+    assert_config_error(res, "dedicated slots");
+}
+
+#[test]
+fn mispartitioned_static_dir_is_a_config_error() {
+    let r = runner_on(ClusterSpec::local(4));
+    load_relax(&r, 8, 3);
+    // The job wants 2 pairs but both directories hold 3 parts.
+    let cfg = IterConfig::new("relax", 2, 2);
+    let res = r.run(&Relax, &cfg, "/state", "/static", "/out", &[]);
+    assert_config_error(res, "pre-partitioned into num_tasks = 2");
+}
+
+#[test]
+fn key_diverged_state_part_is_a_config_error() {
+    let r = runner_on(ClusterSpec::local(4));
+    load_relax(&r, 8, 2);
+    // Same part count and record counts, but pair 0's last state key is
+    // one its static partition does not hold.
+    let mut clock = TaskClock::default();
+    let mut part: Vec<(u32, f64)> =
+        imr_mapreduce::io::read_part(r.dfs(), "/state", 0, NodeId(0), &mut clock).unwrap();
+    part.last_mut().unwrap().0 += 1000;
+    r.dfs()
+        .put_atomic(
+            &imr_mapreduce::io::part_path("/state", 0),
+            imr_records::encode_pairs(&part),
+            NodeId(0),
+            &mut clock,
+        )
+        .unwrap();
+    let cfg = IterConfig::new("relax", 2, 2);
+    let res = r.run(&Relax, &cfg, "/state", "/static", "/out", &[]);
+    assert_config_error(res, "keys diverged at pair 0");
 }
 
 // ---------------------------------------------------------------------

@@ -19,12 +19,14 @@
 #![allow(clippy::needless_range_loop, clippy::type_complexity)]
 #![warn(missing_docs)]
 
+mod charge;
 mod driver;
 pub mod io;
 mod job;
 mod runner;
 mod schedule;
 
+pub use charge::ClockCharge;
 pub use driver::{run_iterative, CheckSpec, IterativeOutcome};
 pub use job::{Emitter, JobConfig, JobCounters, MrJob};
 pub use runner::{EngineError, JobResult, JobRunner};

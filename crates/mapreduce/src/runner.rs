@@ -2,12 +2,13 @@
 //! MapReduce job — split computation, map wave, shuffle, reduce wave,
 //! DFS output commit.
 
+use crate::charge::ClockCharge;
 use crate::io::{num_parts, part_path, read_part, write_parts};
 use crate::job::{Emitter, JobConfig, JobCounters, MrJob};
 use crate::schedule::SlotPool;
 use bytes::Bytes;
 use imr_dfs::{Dfs, DfsError};
-use imr_records::{decode_pairs, encode_pairs, group_sorted, merge_runs, sort_run, CodecError};
+use imr_records::{encode_pairs, shuffle_in, shuffle_out, CodecError};
 use imr_simcluster::{ClusterSpec, MetricsHandle, NodeId, TaskClock, VInstant};
 use std::fmt;
 use std::sync::Arc;
@@ -210,36 +211,18 @@ impl JobRunner {
             clock.advance(cost.compute_time(records_in + raw_out.len() as u64, in_bytes, speed));
 
             // Partition, sort, (combine), encode, spill.
-            let mut partitions: Vec<Vec<(J::MidK, J::MidV)>> = (0..r).map(|_| Vec::new()).collect();
-            for (k, v) in raw_out {
-                let p = job.partition(&k, r);
-                partitions[p].push((k, v));
-            }
-            let mut encoded = Vec::with_capacity(r);
-            let mut spill_bytes = 0u64;
-            for part in &mut partitions {
-                let n_rec = part.len() as u64;
-                sort_run(part);
-                clock.advance(cost.sort_time(n_rec, speed));
-                let final_part: Vec<(J::MidK, J::MidV)> = if job.has_combiner() {
-                    let grouped = group_sorted(std::mem::take(part));
-                    let mut combined = Vec::new();
-                    for (k, vals) in grouped {
-                        let n_vals = vals.len() as u64;
-                        for v in job.combine(&k, vals) {
-                            combined.push((k.clone(), v));
-                        }
-                        clock.advance(cost.compute_time(n_vals, 0, speed));
-                    }
-                    combined
-                } else {
-                    std::mem::take(part)
-                };
-                counters.shuffle_records += final_part.len() as u64;
-                let seg = encode_pairs(&final_part);
-                spill_bytes += seg.len() as u64;
-                encoded.push(seg);
-            }
+            let combiner = job
+                .has_combiner()
+                .then_some(|k: &J::MidK, vals| job.combine(k, vals));
+            let spilled = shuffle_out(
+                raw_out,
+                r,
+                |k, r| job.partition(k, r),
+                combiner,
+                &mut ClockCharge::new(&mut clock, cost, speed),
+            );
+            counters.shuffle_records += spilled.records;
+            let spill_bytes = spilled.bytes;
             counters.shuffle_bytes += spill_bytes;
             clock.advance(cost.serde_per_byte * spill_bytes);
             clock.advance(cost.disk_time(spill_bytes));
@@ -283,7 +266,7 @@ impl JobRunner {
 
             map_nodes.push(node);
             map_done.push(done);
-            map_parts.push(encoded);
+            map_parts.push(spilled.segments);
         }
 
         // ---- Shuffle + reduce wave ------------------------------------
@@ -302,7 +285,7 @@ impl JobRunner {
 
             // Fetch this partition's segment from every map task.
             let mut arrivals = Vec::with_capacity(m);
-            let mut runs: Vec<Vec<(J::MidK, J::MidV)>> = Vec::with_capacity(m);
+            let mut segments = Vec::with_capacity(m);
             let mut fetched_bytes = 0u64;
             for i in 0..m {
                 let seg = &map_parts[i][p];
@@ -315,33 +298,27 @@ impl JobRunner {
                     self.metrics.shuffle_remote_bytes.add(bytes);
                 }
                 arrivals.push(arrival);
-                runs.push(decode_pairs(seg.clone())?);
+                segments.push(seg.clone());
             }
             clock.barrier(arrivals);
             let work_start = clock.now();
             clock.advance(cost.serde_per_byte * fetched_bytes);
 
-            // Merge sorted runs and group by key.
-            let total_rec: u64 = runs.iter().map(|r| r.len() as u64).sum();
-            let merged = merge_runs(runs);
-            if m > 1 {
-                // k-way merge costs n * log2(k) comparisons.
-                let cmps = total_rec as f64 * (m as f64).log2();
-                clock.advance(cost.sort_per_cmp * cmps.round() as u64 * (1.0 / speed));
-            }
-            let groups = group_sorted(merged);
-            counters.reduce_input_groups += groups.len() as u64;
-            self.metrics.reduce_input_records.add(total_rec);
-
-            // User reduce function per group.
+            // Merge sorted runs, group by key, user reduce per group.
             let mut emitter = Emitter::new();
-            for (k, vals) in groups {
-                let n_vals = vals.len() as u64;
-                job.reduce(&k, vals, &mut emitter);
-                // Reduce-side per-value cost is ~1/3 of a map-side
-                // record pass (iterator-based consumption).
-                clock.advance(cost.compute_time(n_vals.div_ceil(3), 0, speed));
-            }
+            let mut groups = 0u64;
+            let mut charge = ClockCharge::new(&mut clock, cost, speed);
+            let total_rec = shuffle_in(
+                segments,
+                |k: J::MidK, vals| {
+                    groups += 1;
+                    job.reduce(&k, vals, &mut emitter);
+                },
+                &mut charge,
+            )?;
+            charge.merged(total_rec, m);
+            counters.reduce_input_groups += groups;
+            self.metrics.reduce_input_records.add(total_rec);
             let out_pairs = emitter.into_pairs();
             counters.reduce_output_records += out_pairs.len() as u64;
 

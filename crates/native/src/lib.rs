@@ -71,8 +71,9 @@
 //!
 //! Determinism: every data-path step (partition fill order, stable
 //! sorts, run merging in task order, carry-forward, task-ordered float
-//! accumulation) matches the simulation engine exactly, so for the same
-//! job, inputs and configuration the backends produce identical
+//! accumulation) is the simulation engine's — both call the same
+//! iteration kernel, `imapreduce::map_side` / `reduce_side` — so for the
+//! same job, inputs and configuration the backends produce identical
 //! `final_state`, `iterations` and `distances` — only the `report`
 //! timeline differs (wall-clock here, virtual time there). The
 //! cross-engine test suite pins this down per algorithm, per transport,
@@ -106,8 +107,8 @@ mod supervisor;
 use bytes::Bytes;
 use fault::FaultBarrier;
 use imapreduce::{
-    FailureEvent, FaultEvent, IterConfig, IterEngine, IterOutcome, IterativeJob, Mapping, RunCtl,
-    TransportKind,
+    check_inputs, FailureEvent, FaultEvent, IterConfig, IterEngine, IterOutcome, IterativeJob,
+    Mapping, RunCtl, TransportKind,
 };
 use imr_dfs::{hist_path, snapshot_dir, Dfs};
 use imr_mapreduce::io::{num_parts, part_path};
@@ -118,32 +119,19 @@ use imr_simcluster::{MetricsHandle, NodeId, TaskClock};
 use imr_telemetry::{Gauge, Phase, TelemetryHandle};
 use imr_trace::{TraceEvent, TraceHandle};
 use monitor::{monitor_loop, BalancePlan, Intervention, ProgressBoard};
-use pair::{delta_loop, pair_loop, EnvFail, PairCfg, PairDirs, PairEnv, PairOutcome, PairPlan};
+use pair::{delta_loop, pair_loop, EnvFail, PairCfg, PairCtx, PairDirs, PairEnv, PairOutcome};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
-use std::time::{Duration, Instant};
-use supervisor::{assert_partitioning, supervise, GenInput, PairRun, RunOutcome};
+use std::time::Duration;
+use supervisor::{supervise, GenInput, PairRun, RunOutcome};
 
 /// The worker-thread body `run_threaded` drives: either `pair_loop`
 /// (map/reduce iterations) or `delta_loop` (barrier-free accumulative
 /// rounds), as a higher-ranked fn pointer so one generation harness
 /// serves both modes.
-type ThreadLoop<J> = fn(
-    usize,
-    &J,
-    &PairCfg,
-    &PairDirs,
-    &PairPlan,
-    usize,
-    &MetricsHandle,
-    &mut ThreadEnv<'_>,
-    Instant,
-    &mut Vec<(f64, bool)>,
-    &mut Vec<Duration>,
-    &mut usize,
-) -> Result<PairOutcome, EngineError>;
+type ThreadLoop<J> = fn(PairCtx<'_, J, ThreadEnv<'_>>) -> Result<PairOutcome, EngineError>;
 
 pub use remote::{serve_worker, serve_worker_accum, WorkerSpec};
 
@@ -275,19 +263,6 @@ impl NativeRunner {
                     .into(),
             ));
         }
-        if cfg.transport == TransportKind::Tcp {
-            return Err(EngineError::Config(
-                "transport Tcp needs worker processes: use NativeRunner::run_remote \
-                 with a worker binary"
-                    .into(),
-            ));
-        }
-        let loop_fn: ThreadLoop<J> =
-            |q, job, cfg, dirs, plan, epoch, metrics, env, started, ld, id, lc| {
-                pair_loop::<J, ThreadEnv<'_>>(
-                    q, job, cfg, dirs, plan, epoch, metrics, env, started, ld, id, lc,
-                )
-            };
         self.run_threaded(
             job,
             cfg,
@@ -295,7 +270,7 @@ impl NativeRunner {
             static_dir,
             output_dir,
             faults,
-            loop_fn,
+            |ctx| pair_loop(ctx),
             self.label(cfg),
         )
     }
@@ -329,19 +304,6 @@ impl NativeRunner {
                 "run_accumulative needs cfg.with_accumulative_mode()".into(),
             ));
         }
-        if cfg.transport == TransportKind::Tcp {
-            return Err(EngineError::Config(
-                "transport Tcp needs worker processes: use NativeRunner::run_remote \
-                 with a worker binary"
-                    .into(),
-            ));
-        }
-        let loop_fn: ThreadLoop<J> =
-            |q, job, cfg, dirs, plan, epoch, metrics, env, started, ld, id, lc| {
-                delta_loop::<J, ThreadEnv<'_>>(
-                    q, job, cfg, dirs, plan, epoch, metrics, env, started, ld, id, lc,
-                )
-            };
         self.run_threaded(
             job,
             cfg,
@@ -349,7 +311,7 @@ impl NativeRunner {
             static_dir,
             output_dir,
             faults,
-            loop_fn,
+            |ctx| delta_loop(ctx),
             "iMapReduce native (delta)".to_owned(),
         )
     }
@@ -370,7 +332,14 @@ impl NativeRunner {
         loop_fn: ThreadLoop<J>,
         label: String,
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        assert_partitioning(&self.dfs, cfg, state_dir, static_dir);
+        if cfg.transport == TransportKind::Tcp {
+            return Err(EngineError::Config(
+                "transport Tcp needs worker processes: use NativeRunner::run_remote \
+                 with a worker binary"
+                    .into(),
+            ));
+        }
+        check_inputs(&self.dfs, cfg, state_dir, static_dir)?;
         let n = cfg.num_tasks;
         let num_state_parts = num_parts(&self.dfs, state_dir);
         let pair_cfg = PairCfg::from_config(cfg, num_state_parts);
@@ -477,20 +446,20 @@ impl NativeRunner {
                                 seed: &seed_dist[q],
                             };
                             let result = catch_unwind(AssertUnwindSafe(|| {
-                                loop_fn(
+                                loop_fn(PairCtx {
                                     q,
                                     job,
-                                    pair_cfg,
+                                    cfg: pair_cfg,
                                     dirs,
                                     plan,
                                     epoch,
                                     metrics,
-                                    &mut env,
+                                    env: &mut env,
                                     started,
-                                    &mut local_dist,
-                                    &mut iter_done,
-                                    &mut last_ckpt,
-                                )
+                                    local_dist: &mut local_dist,
+                                    iter_done: &mut iter_done,
+                                    last_ckpt: &mut last_ckpt,
+                                })
                             }));
                             // Disconnect this pair's links first so blocked
                             // peers unwind, exactly as the old inline worker
@@ -1006,6 +975,42 @@ mod tests {
             EngineError::Config(msg) => assert!(msg.contains("run_remote"), "{msg}"),
             other => panic!("expected a configuration error, got {other}"),
         }
+    }
+
+    #[test]
+    fn mispartitioned_or_key_diverged_inputs_are_config_errors() {
+        let expect_config = |native: &NativeRunner, tasks: usize, needle: &str| {
+            let cfg = IterConfig::new("halve", tasks, 3);
+            match native.run(&Halve, &cfg, "/state", "/static", "/out", &[]) {
+                Err(EngineError::Config(msg)) => assert!(msg.contains(needle), "{msg}"),
+                Err(other) => panic!("expected a configuration error, got {other}"),
+                Ok(_) => panic!("expected a configuration error, got Ok"),
+            }
+        };
+        // Three parts on disk, two pairs requested.
+        let (native, _) = fixtures(2);
+        load_halve(native.dfs(), 3);
+        expect_config(&native, 2, "pre-partitioned into num_tasks = 2");
+
+        // Right part and record counts, but pair 0's last state key is
+        // one its static partition does not hold: the worker reports the
+        // kernel's typed error instead of panicking.
+        let (native, _) = fixtures(2);
+        load_halve(native.dfs(), 2);
+        let mut clock = TaskClock::default();
+        let mut part: Vec<(u32, f64)> =
+            imr_mapreduce::io::read_part(native.dfs(), "/state", 0, NodeId(0), &mut clock).unwrap();
+        part.last_mut().unwrap().0 += 1000;
+        native
+            .dfs()
+            .put_atomic(
+                &part_path("/state", 0),
+                imr_records::encode_pairs(&part),
+                NodeId(0),
+                &mut clock,
+            )
+            .unwrap();
+        expect_config(&native, 2, "keys diverged at pair 0");
     }
 
     #[test]

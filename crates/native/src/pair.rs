@@ -1,9 +1,13 @@
 //! The per-iteration loop of one persistent map/reduce pair, shared by
 //! the in-process thread backend and the multi-process TCP backend.
 //!
-//! The loop is a line-for-line data-path port of the simulation
-//! engine's per-iteration loop with the virtual clocks removed. All
-//! interaction with the rest of the job — the shuffle fabric, the
+//! What a pair computes each iteration is not written here: the map
+//! side and the reduce side are the core crate's iteration kernel
+//! (`imapreduce::map_side` / `reduce_side`), the same two functions the
+//! simulation engine calls, driven here with the no-op cost hook `()`.
+//! This module owns what is native about the loop: wall-clock spans,
+//! the blocking shuffle, heartbeats, checkpoints and scripted faults.
+//! All interaction with the rest of the job — the shuffle fabric, the
 //! barrier, the one2all broadcast, termination voting, DFS access for
 //! loads and checkpoints, heartbeats and the hang primitive — goes
 //! through the [`PairEnv`] trait, so the exact same loop runs on a
@@ -18,12 +22,12 @@
 
 use bytes::Bytes;
 use imapreduce::{
-    carry_forward, distance_sorted, Emitter, IterConfig, IterativeJob, Mapping, StateInput,
+    check_co_partitioned, map_side, reduce_side, IterConfig, IterativeJob, MapState, Mapping,
 };
 use imr_dfs::snapshot_dir;
 use imr_mapreduce::EngineError;
 use imr_net::{Closed, Transport};
-use imr_records::{decode_pairs, encode_pairs, group_sorted, merge_runs, sort_run};
+use imr_records::{decode_pairs, encode_pairs, sort_run, Codec, CodecError};
 use imr_simcluster::MetricsHandle;
 use imr_telemetry::{Gauge, Phase};
 use imr_trace::{TraceEvent, TraceKind};
@@ -142,6 +146,18 @@ impl From<imr_dfs::DfsError> for EnvFail {
     }
 }
 
+impl From<CodecError> for EnvFail {
+    fn from(e: CodecError) -> Self {
+        EnvFail::Error(e.into())
+    }
+}
+
+impl From<Closed> for EnvFail {
+    fn from(_: Closed) -> Self {
+        EnvFail::Closed
+    }
+}
+
 /// Everything a pair needs from the outside world, beyond the shuffle
 /// [`Transport`] it inherits.
 pub(crate) trait PairEnv: Transport {
@@ -226,269 +242,273 @@ pub(crate) trait PairEnv: Transport {
     }
 }
 
-/// The per-iteration loop. `Err` carries real failures (DFS, codec);
-/// scripted exits and peer-death unwinds come back as `Ok` outcomes.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pair_loop<J: IterativeJob, E: PairEnv>(
-    q: usize,
-    job: &J,
-    cfg: &PairCfg,
-    dirs: &PairDirs,
-    plan: &PairPlan,
-    epoch: usize,
-    metrics: &MetricsHandle,
-    env: &mut E,
-    started: Instant,
-    local_dist: &mut Vec<(f64, bool)>,
-    iter_done: &mut Vec<Duration>,
-    last_ckpt: &mut usize,
-) -> Result<PairOutcome, EngineError> {
-    let n = cfg.n;
-    let one2all = cfg.one2all;
-    metrics.tasks_launched.add(2);
+/// Everything one generation of one pair's loop runs against: its
+/// identity and configuration, the environment, and the per-iteration
+/// records it leaves behind for the supervisor.
+pub(crate) struct PairCtx<'a, J, E> {
+    pub q: usize,
+    pub job: &'a J,
+    pub cfg: &'a PairCfg,
+    pub dirs: &'a PairDirs,
+    pub plan: &'a PairPlan,
+    /// Checkpoint epoch this generation resumes from (0 = job input).
+    pub epoch: usize,
+    pub metrics: &'a MetricsHandle,
+    pub env: &'a mut E,
+    /// The run's start instant; trace stamps are nanoseconds since it.
+    pub started: Instant,
+    /// `(local distance, had previous snapshot)` per completed iteration.
+    pub local_dist: &'a mut Vec<(f64, bool)>,
+    /// Offset from `started` at which each completed iteration ended.
+    pub iter_done: &'a mut Vec<Duration>,
+    /// Last iteration whose snapshot this pair fully wrote.
+    pub last_ckpt: &'a mut usize,
+}
 
-    // ---- One-time load: static partition + state at this epoch -------
-    // Epoch 0 is the job's initial input; epoch e > 0 is the snapshot
-    // the pairs wrote at the end of iteration e (one part per pair).
-    let stat: Vec<(J::K, J::T)> = match env.read_part(&dirs.static_dir, q) {
-        Ok(raw) => decode_pairs(raw)?,
-        Err(EnvFail::Closed) => return Ok(PairOutcome::Aborted),
-        Err(EnvFail::Error(e)) => return Err(e),
-    };
-    let load_part =
-        |env: &mut E, dir: &str, i: usize| -> Result<Option<Vec<(J::K, J::S)>>, EngineError> {
-            match env.read_part(dir, i) {
-                Ok(raw) => Ok(Some(decode_pairs(raw)?)),
-                Err(EnvFail::Closed) => Ok(None),
-                Err(EnvFail::Error(e)) => Err(e),
-            }
-        };
-    let mut state: Vec<(J::K, J::S)> = Vec::new();
-    let mut global: Vec<(J::K, J::S)> = Vec::new();
-    let mut prev_out: Option<Vec<(J::K, J::S)>> = None;
-    if epoch == 0 {
-        if one2all {
-            // Every map task holds the full (small) broadcast state.
-            for i in 0..cfg.num_state_parts {
-                match load_part(env, &dirs.state_dir, i)? {
-                    Some(part) => global.extend(part),
-                    None => return Ok(PairOutcome::Aborted),
-                }
-            }
-            sort_run(&mut global);
-        } else {
-            state = match load_part(env, &dirs.state_dir, q)? {
-                Some(part) => part,
-                None => return Ok(PairOutcome::Aborted),
-            };
-        }
-    } else {
-        let snap = snapshot_dir(&dirs.output_dir, epoch);
-        if one2all {
-            // Part i is pair i's reduce output at the epoch iteration;
-            // the broadcast state is their task-ordered concatenation,
-            // exactly as the live hand-off rebuilds it.
-            for i in 0..n {
-                let part = match load_part(env, &snap, i)? {
-                    Some(part) => part,
-                    None => return Ok(PairOutcome::Aborted),
-                };
-                if i == q {
-                    prev_out = Some(part.clone());
-                }
-                global.extend(part);
-            }
-            sort_run(&mut global);
-        } else {
-            state = match load_part(env, &snap, q)? {
-                Some(part) => part,
-                None => return Ok(PairOutcome::Aborted),
-            };
-        }
+/// The scaffolding `pair_loop` and `delta_loop` share around their
+/// different per-iteration bodies.
+impl<J, E: PairEnv> PairCtx<'_, J, E> {
+    fn now_ns(&self) -> u64 {
+        self.started.elapsed().as_nanos() as u64
     }
 
-    for it in (epoch + 1)..=cfg.max_iters {
-        // A poisoned environment means the generation is being torn
-        // down (peer death or a monitor intervention). In async mode no
-        // barrier wait may be reached before the next blocking shuffle
-        // op, so check explicitly: the unwind must cascade even when
-        // this pair's own links are still healthy.
-        if env.is_poisoned() {
-            return Ok(PairOutcome::Aborted);
+    /// Records an instantaneous trace event now; returns its stamp.
+    fn mark(&mut self, kind: TraceKind, it: usize) -> u64 {
+        let now = self.now_ns();
+        self.span(kind, it, now, now);
+        now
+    }
+
+    fn span(&mut self, kind: TraceKind, it: usize, start_ns: u64, end_ns: u64) {
+        // The environment stamps its node and generation tags.
+        let event = TraceEvent::new(kind).spanning(start_ns, end_ns);
+        self.env.trace(event.tagged(0, self.q as u32, it as u32, 0));
+    }
+
+    /// Reads and decodes `<dir>/part-<part>`.
+    fn load<K: Codec, V: Codec>(&mut self, dir: &str, part: usize) -> Result<Vec<(K, V)>, EnvFail> {
+        Ok(decode_pairs(self.env.read_part(dir, part)?)?)
+    }
+
+    /// Starts iteration `it`: bails out if the generation is being torn
+    /// down (peer death or a monitor intervention). In async mode no
+    /// barrier wait may be reached before the next blocking shuffle op,
+    /// so the poison check is explicit: the unwind must cascade even
+    /// when this pair's own links are still healthy.
+    fn begin_iter(&mut self, it: usize) -> Result<u64, EnvFail> {
+        if self.env.is_poisoned() {
+            return Err(EnvFail::Closed);
         }
-        if cfg.sync {
+        if self.cfg.sync {
             let wait_start = Instant::now();
-            if env.barrier_wait().is_err() {
-                return Ok(PairOutcome::Aborted);
-            }
-            env.phase(Phase::BarrierWait, wait_start.elapsed().as_nanos() as u64);
+            self.env.barrier_wait()?;
+            self.env
+                .phase(Phase::BarrierWait, wait_start.elapsed().as_nanos() as u64);
         }
-        // Busy time = compute only (map + reduce spans), excluding
-        // shuffle blocking — the load signal §3.4.2's balancer keys on.
-        let mut busy = Duration::ZERO;
-        let iter_start_ns = started.elapsed().as_nanos() as u64;
-        env.trace(
-            TraceEvent::new(TraceKind::IterStart)
-                .at(iter_start_ns)
-                .tagged(0, q as u32, it as u32, 0),
-        );
-        let map_start = Instant::now();
+        Ok(self.mark(TraceKind::IterStart, it))
+    }
 
-        // ---- Map phase -----------------------------------------------
-        let mut emitter = Emitter::new();
-        let records_in: u64 = if one2all {
-            for (k, t) in &stat {
-                job.map(k, StateInput::All(&global), t, &mut emitter);
-            }
-            stat.len() as u64
-        } else {
-            assert_eq!(
-                state.len(),
-                stat.len(),
-                "state/static co-partitioning broken at pair {q}"
-            );
-            for ((ks, s), (kt, t)) in state.iter().zip(&stat) {
-                assert!(ks == kt, "state/static keys diverged at pair {q}");
-                job.map(ks, StateInput::One(s), t, &mut emitter);
-            }
-            state.len() as u64
-        };
-        metrics.map_input_records.add(records_in);
-
-        let mut partitions: Vec<Vec<(J::K, J::S)>> = (0..n).map(|_| Vec::new()).collect();
-        for (k, v) in emitter.into_pairs() {
-            let t = job.partition(&k, n);
-            partitions[t].push((k, v));
-        }
-        let segs: Vec<Bytes> = partitions
-            .into_iter()
-            .map(|mut part| {
-                sort_run(&mut part);
-                let final_part: Vec<(J::K, J::S)> = if job.has_combiner() {
-                    let mut combined = Vec::new();
-                    for (k, vals) in group_sorted(part) {
-                        for v in job.combine(&k, vals) {
-                            combined.push((k.clone(), v));
-                        }
-                    }
-                    combined
-                } else {
-                    part
-                };
-                encode_pairs(&final_part)
-            })
-            .collect();
-        busy += map_start.elapsed();
-        let map_end_ns = started.elapsed().as_nanos() as u64;
-        env.trace(
-            TraceEvent::new(TraceKind::MapPhase)
-                .spanning(iter_start_ns, map_end_ns)
-                .tagged(0, q as u32, it as u32, 0),
-        );
-        env.phase(Phase::Map, map_end_ns.saturating_sub(iter_start_ns));
-        // Sends sit outside the busy span: a blocked send is
-        // back-pressure from a slow consumer, not this pair's load.
-        for (dest, seg) in segs.into_iter().enumerate() {
-            metrics.shuffle_local_bytes.add(seg.len() as u64);
-            if env.send(dest, seg).is_err() {
-                return Ok(PairOutcome::Aborted);
-            }
-        }
-
-        // ---- Reduce phase --------------------------------------------
-        // Drain peers in task order: merge_runs breaks key ties by run
-        // index, so the run order must match the simulation engine's.
-        // Blocking receives stay outside the busy span.
-        let mut raw_segs: Vec<Bytes> = Vec::with_capacity(n);
-        for src in 0..n {
-            match env.recv(src) {
-                Ok(seg) => raw_segs.push(seg),
-                Err(Closed) => return Ok(PairOutcome::Aborted),
-            }
-        }
-        let reduce_start_ns = started.elapsed().as_nanos() as u64;
-        let reduce_start = Instant::now();
-        let mut runs: Vec<Vec<(J::K, J::S)>> = Vec::with_capacity(n);
-        let mut total_rec = 0u64;
-        for seg in raw_segs {
-            let run: Vec<(J::K, J::S)> = decode_pairs(seg)?;
-            total_rec += run.len() as u64;
-            runs.push(run);
-        }
-        metrics.reduce_input_records.add(total_rec);
-        let merged = merge_runs(runs);
-        let mut reduced: Vec<(J::K, J::S)> = Vec::new();
-        for (k, vals) in group_sorted(merged) {
-            let s = job.reduce(&k, vals);
-            reduced.push((k, s));
-        }
-        let new_state = if one2all {
-            reduced
-        } else {
-            carry_forward(reduced, &state)
-        };
-
-        // Local distance vs the previous snapshot (§3.1.2).
-        let mut d = 0.0f64;
-        let mut has_prev = false;
-        if cfg.threshold.is_some() {
-            let prev: Option<&[(J::K, J::S)]> = if one2all {
-                prev_out.as_deref()
-            } else {
-                Some(&state)
-            };
-            if let Some(prev) = prev {
-                has_prev = true;
-                d = distance_sorted(job, prev, &new_state);
-            }
-        }
-        local_dist.push((d, has_prev));
-        busy += reduce_start.elapsed();
-
-        // ---- Emulated slowdowns --------------------------------------
-        // A node speed below 1.0 stretches this pair's compute time
-        // proportionally (heterogeneous hardware); a scripted Delay adds
-        // a fixed pause at its iteration. Both feed the heartbeat's busy
-        // figure so the balancer and watchdog see the stretched load.
+    /// Emulated slowdowns: a node speed below 1.0 stretches this pair's
+    /// compute time proportionally (heterogeneous hardware); a scripted
+    /// Delay adds a fixed pause at its iteration. Returns the stretched
+    /// busy seconds the heartbeat reports, so the balancer and watchdog
+    /// see the load the slow node would show.
+    fn stretch(&self, it: usize, busy: Duration) -> f64 {
         let mut effective_busy = busy.as_secs_f64();
-        if plan.speed < 1.0 {
-            let extra = busy.as_secs_f64() * (1.0 / plan.speed - 1.0);
+        if self.plan.speed < 1.0 {
+            let extra = busy.as_secs_f64() * (1.0 / self.plan.speed - 1.0);
             std::thread::sleep(Duration::from_secs_f64(extra));
             effective_busy += extra;
         }
-        for &(at, millis) in &plan.delays {
+        for &(at, millis) in &self.plan.delays {
             if at == it {
                 let pause = Duration::from_millis(millis);
                 std::thread::sleep(pause);
                 effective_busy += pause.as_secs_f64();
             }
         }
+        effective_busy
+    }
+
+    /// Ends iteration `it`: IterEnd event, telemetry sample, heartbeat.
+    fn end_iter(&mut self, it: usize, effective_busy: f64, d: f64, has_prev: bool) {
+        let end = self.started.elapsed();
+        self.iter_done.push(end);
+        let end_ns = end.as_nanos() as u64;
+        self.span(TraceKind::IterEnd, it, end_ns, end_ns);
+        self.env
+            .gauge(Gauge::HandoffDepth, self.env.inbound_backlog());
+        self.env.sample(end_ns, it as u64);
+        self.env.beat(it, effective_busy, d, has_prev);
+    }
+
+    /// Checkpointing (§3.4.1): persists `snapshot()` after iteration
+    /// `it` when the interval says so — never on the final iteration,
+    /// the same gating as the simulation engine. Written atomically, so
+    /// a crash mid-checkpoint leaves the previous epoch intact.
+    fn checkpoint(
+        &mut self,
+        it: usize,
+        done: bool,
+        snapshot: impl FnOnce() -> Bytes,
+    ) -> Result<(), EnvFail> {
+        let every = self.cfg.checkpoint_interval;
+        if done || every == 0 || !it.is_multiple_of(every) {
+            return Ok(());
+        }
+        let payload = snapshot();
+        self.metrics.checkpoint_bytes.add(payload.len() as u64);
+        let ckpt_start = Instant::now();
+        self.env.write_checkpoint(it, payload, self.local_dist)?;
+        *self.last_ckpt = it;
+        self.env.phase(
+            Phase::CheckpointWrite,
+            ckpt_start.elapsed().as_nanos() as u64,
+        );
+        self.mark(TraceKind::Checkpoint { epoch: it as u64 }, it);
+        Ok(())
+    }
+
+    /// Scripted faults, at the same decision point as the simulation
+    /// engine: a pair dies right after completing iteration `it`, never
+    /// on the final iteration (the caller's done-check fires first). A
+    /// kill exits immediately; a crash hook exits *abruptly* (no outcome
+    /// report — the caller terminates the process); a hang goes silent —
+    /// links held open, no heartbeats — until the watchdog poisons the
+    /// generation.
+    fn scripted_exit(&mut self, it: usize) -> Option<PairOutcome> {
+        if self.plan.kills.contains(&it) {
+            return Some(PairOutcome::Induced { at_iteration: it });
+        }
+        if self.plan.crash_after == Some(it) {
+            return Some(PairOutcome::Vanish);
+        }
+        if self.plan.hangs.contains(&it) {
+            self.env.hang();
+            return Some(PairOutcome::Stalled { at_iteration: it });
+        }
+        None
+    }
+}
+
+/// A closed transport or poisoned generation is a recoverable unwind
+/// (`Aborted`), not an error; only real failures (DFS, codec, input
+/// validation) surface as `Err`.
+fn settle(result: Result<PairOutcome, EnvFail>) -> Result<PairOutcome, EngineError> {
+    match result {
+        Ok(outcome) => Ok(outcome),
+        Err(EnvFail::Closed) => Ok(PairOutcome::Aborted),
+        Err(EnvFail::Error(e)) => Err(e),
+    }
+}
+
+/// The per-iteration loop. `Err` carries real failures (DFS, codec);
+/// scripted exits and peer-death unwinds come back as `Ok` outcomes.
+pub(crate) fn pair_loop<J: IterativeJob, E: PairEnv>(
+    mut ctx: PairCtx<'_, J, E>,
+) -> Result<PairOutcome, EngineError> {
+    settle(map_reduce_iterations(&mut ctx))
+}
+
+fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
+    ctx: &mut PairCtx<'_, J, E>,
+) -> Result<PairOutcome, EnvFail> {
+    let (q, job, cfg, dirs) = (ctx.q, ctx.job, ctx.cfg, ctx.dirs);
+    let (n, one2all) = (cfg.n, cfg.one2all);
+    ctx.metrics.tasks_launched.add(2);
+
+    // ---- One-time load: static partition + state at this epoch -------
+    // Epoch 0 is the job's initial input; epoch e > 0 is the snapshot
+    // the pairs wrote at the end of iteration e (one part per pair).
+    let stat: Vec<(J::K, J::T)> = ctx.load(&dirs.static_dir, q)?;
+    let (source, parts) = if ctx.epoch == 0 {
+        (dirs.state_dir.clone(), cfg.num_state_parts)
+    } else {
+        (snapshot_dir(&dirs.output_dir, ctx.epoch), n)
+    };
+    let mut state: Vec<(J::K, J::S)> = Vec::new();
+    let mut global: Vec<(J::K, J::S)> = Vec::new();
+    let mut prev_out: Option<Vec<(J::K, J::S)>> = None;
+    if one2all {
+        // Every map task holds the full (small) broadcast state. In a
+        // snapshot, part i is pair i's reduce output at the epoch
+        // iteration; the broadcast state is their task-ordered
+        // concatenation, exactly as the live hand-off rebuilds it.
+        for i in 0..parts {
+            let part: Vec<(J::K, J::S)> = ctx.load(&source, i)?;
+            if ctx.epoch > 0 && i == q {
+                prev_out = Some(part.clone());
+            }
+            global.extend(part);
+        }
+        sort_run(&mut global);
+    } else {
+        state = ctx.load(&source, q)?;
+    }
+
+    for it in (ctx.epoch + 1)..=cfg.max_iters {
+        let iter_start_ns = ctx.begin_iter(it)?;
+        // Busy time = compute only (map + reduce spans), excluding
+        // shuffle blocking — the load signal §3.4.2's balancer keys on.
+        let map_start = Instant::now();
+
+        // ---- Map phase -----------------------------------------------
+        let input = if one2all {
+            MapState::Broadcast(&global)
+        } else {
+            MapState::Own(&state)
+        };
+        let mapped = map_side(job, input, &stat, n, q, ctx.metrics, &mut ())?;
+        let mut busy = map_start.elapsed();
+        let map_end_ns = ctx.now_ns();
+        ctx.span(TraceKind::MapPhase, it, iter_start_ns, map_end_ns);
+        ctx.env
+            .phase(Phase::Map, map_end_ns.saturating_sub(iter_start_ns));
+        // Sends sit outside the busy span: a blocked send is
+        // back-pressure from a slow consumer, not this pair's load.
+        for (dest, seg) in mapped.segments.into_iter().enumerate() {
+            ctx.metrics.shuffle_local_bytes.add(seg.len() as u64);
+            ctx.env.send(dest, seg)?;
+        }
+
+        // ---- Reduce phase --------------------------------------------
+        // Drain peers in task order: the kernel's merge breaks key ties
+        // by source index. Blocking receives stay outside the busy span.
+        let mut inbound: Vec<Bytes> = Vec::with_capacity(n);
+        for src in 0..n {
+            inbound.push(ctx.env.recv(src)?);
+        }
+        let reduce_start_ns = ctx.now_ns();
+        let reduce_start = Instant::now();
+        let prev: Option<&[(J::K, J::S)]> = if one2all {
+            prev_out.as_deref()
+        } else {
+            Some(&state)
+        };
+        let measure = cfg.threshold.is_some();
+        let reduced = reduce_side(job, inbound, prev, one2all, measure, ctx.metrics, &mut ())?;
+        let (d, has_prev) = (reduced.distance, reduced.has_prev);
+        let new_state = reduced.state;
+        ctx.local_dist.push((d, has_prev));
+        busy += reduce_start.elapsed();
+
         // The emulated stretch is compute time on the slow node, so it
         // lands inside the reduce span — mirroring the simulation
         // engine, whose cost model stretches the reduce work directly.
-        let reduce_end_ns = started.elapsed().as_nanos() as u64;
-        env.trace(
-            TraceEvent::new(TraceKind::ReducePhase)
-                .spanning(reduce_start_ns, reduce_end_ns)
-                .tagged(0, q as u32, it as u32, 0),
-        );
-        env.phase(Phase::Reduce, reduce_end_ns.saturating_sub(reduce_start_ns));
+        let effective_busy = ctx.stretch(it, busy);
+        let reduce_end_ns = ctx.now_ns();
+        ctx.span(TraceKind::ReducePhase, it, reduce_start_ns, reduce_end_ns);
+        ctx.env
+            .phase(Phase::Reduce, reduce_end_ns.saturating_sub(reduce_start_ns));
 
         // ---- State hand-off back to the map side ---------------------
         let handoff_start = Instant::now();
         if one2all {
             let payload = encode_pairs(&new_state);
-            let payload_len = payload.len() as u64;
-            metrics.broadcast_bytes.add(payload_len * (n as u64 - 1));
-            let parts = match env.exchange_broadcast(payload) {
-                Ok(parts) => parts,
-                Err(Closed) => return Ok(PairOutcome::Aborted),
-            };
-            env.trace(
-                TraceEvent::new(TraceKind::Broadcast { bytes: payload_len })
-                    .at(started.elapsed().as_nanos() as u64)
-                    .tagged(0, q as u32, it as u32, 0),
-            );
+            let bytes = payload.len() as u64;
+            ctx.metrics.broadcast_bytes.add(bytes * (n as u64 - 1));
+            let parts = ctx.env.exchange_broadcast(payload)?;
+            ctx.mark(TraceKind::Broadcast { bytes }, it);
             // Task-ordered concatenation + stable sort: identical to
             // the simulation engine's broadcast reassembly.
             let mut next_global: Vec<(J::K, J::S)> = Vec::new();
@@ -499,28 +519,14 @@ pub(crate) fn pair_loop<J: IterativeJob, E: PairEnv>(
             prev_out = Some(new_state);
             global = next_global;
         } else {
-            let handoff_bytes = encode_pairs(&new_state).len() as u64;
-            metrics.state_handoff_bytes.add(handoff_bytes);
+            let bytes = encode_pairs(&new_state).len() as u64;
+            ctx.metrics.state_handoff_bytes.add(bytes);
             state = new_state;
-            env.trace(
-                TraceEvent::new(TraceKind::StateHandoff {
-                    bytes: handoff_bytes,
-                })
-                .at(started.elapsed().as_nanos() as u64)
-                .tagged(0, q as u32, it as u32, 0),
-            );
+            ctx.mark(TraceKind::StateHandoff { bytes }, it);
         }
-        env.phase(Phase::Handoff, handoff_start.elapsed().as_nanos() as u64);
-        let end = started.elapsed();
-        iter_done.push(end);
-        env.trace(
-            TraceEvent::new(TraceKind::IterEnd)
-                .at(end.as_nanos() as u64)
-                .tagged(0, q as u32, it as u32, 0),
-        );
-        env.gauge(Gauge::HandoffDepth, env.inbound_backlog());
-        env.sample(end.as_nanos() as u64, it as u64);
-        env.beat(it, effective_busy, d, has_prev);
+        ctx.env
+            .phase(Phase::Handoff, handoff_start.elapsed().as_nanos() as u64);
+        ctx.end_iter(it, effective_busy, d, has_prev);
 
         // ---- Termination check (§3.1.2) ------------------------------
         // Every pair evaluates the same verdict over the same
@@ -528,77 +534,29 @@ pub(crate) fn pair_loop<J: IterativeJob, E: PairEnv>(
         // iteration without a master round-trip.
         let mut converged = false;
         if let Some(eps) = cfg.threshold {
-            let (total, any_prev) = match env.exchange_distance(d, has_prev) {
-                Ok(v) => v,
-                Err(Closed) => return Ok(PairOutcome::Aborted),
-            };
+            let (total, any_prev) = ctx.env.exchange_distance(d, has_prev)?;
             converged = any_prev && total < eps;
         }
         let done = converged || it == cfg.max_iters;
 
-        // ---- Checkpointing (§3.4.1) ----------------------------------
         // The pair's snapshot is its reduce-side state at the end of
         // iteration `it`: the carried-forward partition under one2one,
         // the pair's own reduce output under one2all (the broadcast
-        // state is reassembled from all parts on reload). Written
-        // atomically, so a crash mid-checkpoint leaves the previous
-        // epoch intact. Same gating as the simulation engine: never on
-        // the final iteration.
-        if !done && cfg.checkpoint_interval > 0 && it.is_multiple_of(cfg.checkpoint_interval) {
-            let snapshot: &[(J::K, J::S)] = if one2all {
-                prev_out.as_deref().expect("one2all snapshot exists")
-            } else {
-                &state
-            };
-            let payload = encode_pairs(snapshot);
-            metrics.checkpoint_bytes.add(payload.len() as u64);
-            let ckpt_start = Instant::now();
-            match env.write_checkpoint(it, payload, local_dist) {
-                Ok(()) => {
-                    *last_ckpt = it;
-                    env.phase(
-                        Phase::CheckpointWrite,
-                        ckpt_start.elapsed().as_nanos() as u64,
-                    );
-                    env.trace(
-                        TraceEvent::new(TraceKind::Checkpoint { epoch: it as u64 })
-                            .at(started.elapsed().as_nanos() as u64)
-                            .tagged(0, q as u32, it as u32, 0),
-                    );
-                }
-                Err(EnvFail::Closed) => return Ok(PairOutcome::Aborted),
-                Err(EnvFail::Error(e)) => return Err(e),
-            }
-        }
+        // state is reassembled from all parts on reload).
+        let snapshot: &[(J::K, J::S)] = if one2all {
+            prev_out.as_deref().unwrap_or_default()
+        } else {
+            &state
+        };
+        ctx.checkpoint(it, done, || encode_pairs(snapshot))?;
         if done {
-            let final_pairs = if one2all {
-                prev_out.unwrap_or_default()
-            } else {
-                state
-            };
             return Ok(PairOutcome::Finished {
-                final_data: encode_pairs(&final_pairs),
+                final_data: encode_pairs(snapshot),
                 iterations: it,
             });
         }
-
-        // ---- Scripted faults (fault injection) -----------------------
-        // Same decision point as the simulation engine: a pair dies
-        // right after completing iteration `it`, never on the final
-        // iteration (the done-check above fires first). A kill exits
-        // immediately; a crash hook exits *abruptly* (no outcome report
-        // — the caller terminates the process); a hang goes silent —
-        // links held open, no heartbeats — until the watchdog poisons
-        // the generation.
-        if plan.kills.contains(&it) {
-            return Ok(PairOutcome::Induced { at_iteration: it });
-        }
-        if plan.crash_after == Some(it) {
-            return Ok(PairOutcome::Vanish);
-        }
-        if plan.hangs.contains(&it) {
-            env.hang();
-            return Ok(PairOutcome::Stalled { at_iteration: it });
+        if let Some(exit) = ctx.scripted_exit(it) {
+            return Ok(exit);
         }
     }
 
@@ -625,121 +583,85 @@ pub(crate) fn pair_loop<J: IterativeJob, E: PairEnv>(
 /// checkpoints (the encoded `(key, (value, delta))` store), scripted
 /// faults and the rollback protocol all count checks, which is what
 /// lets `supervise` drive this loop unchanged.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn delta_loop<J: imapreduce::Accumulative, E: PairEnv>(
-    q: usize,
-    job: &J,
-    cfg: &PairCfg,
-    dirs: &PairDirs,
-    plan: &PairPlan,
-    epoch: usize,
-    metrics: &MetricsHandle,
-    env: &mut E,
-    started: Instant,
-    local_dist: &mut Vec<(f64, bool)>,
-    iter_done: &mut Vec<Duration>,
-    last_ckpt: &mut usize,
+    mut ctx: PairCtx<'_, J, E>,
 ) -> Result<PairOutcome, EngineError> {
+    settle(delta_checks(&mut ctx))
+}
+
+fn delta_checks<J: imapreduce::Accumulative, E: PairEnv>(
+    ctx: &mut PairCtx<'_, J, E>,
+) -> Result<PairOutcome, EnvFail> {
     use imapreduce::{partition_deltas, DeltaStore};
 
+    let (q, job, cfg, dirs) = (ctx.q, ctx.job, ctx.cfg, ctx.dirs);
     let n = cfg.n;
     let eps = cfg
         .threshold
         .expect("validate: accumulative mode needs a threshold");
-    metrics.tasks_launched.add(2);
+    ctx.metrics.tasks_launched.add(2);
 
     // ---- One-time load: static partition + delta store ---------------
     // Epoch 0 seeds the store from the initial state part; epoch e > 0
     // restores the full `(key, (value, delta))` snapshot written at
     // check `e`.
-    let stat: Vec<(J::K, J::T)> = match env.read_part(&dirs.static_dir, q) {
-        Ok(raw) => decode_pairs(raw)?,
-        Err(EnvFail::Closed) => return Ok(PairOutcome::Aborted),
-        Err(EnvFail::Error(e)) => return Err(e),
-    };
-    let mut store: DeltaStore<J::K, J::S> = if epoch == 0 {
-        match env.read_part(&dirs.state_dir, q) {
-            Ok(raw) if cfg.incremental => {
-                // Warm start: the part holds the planner's
-                // (key, (value, pending)) entries. Verify against the
-                // coordinator's Patch expectation before restoring.
-                let entries = decode_pairs::<J::K, (J::S, J::S)>(raw.clone())?;
-                match env.patch_verify(&raw, entries.len()) {
-                    Ok(()) => {}
-                    Err(EnvFail::Closed) => return Ok(PairOutcome::Aborted),
-                    Err(EnvFail::Error(e)) => return Err(e),
-                }
-                DeltaStore::restore(entries)
-            }
-            Ok(raw) => DeltaStore::seed(job, &decode_pairs::<J::K, J::S>(raw)?),
-            Err(EnvFail::Closed) => return Ok(PairOutcome::Aborted),
-            Err(EnvFail::Error(e)) => return Err(e),
-        }
+    let stat: Vec<(J::K, J::T)> = ctx.load(&dirs.static_dir, q)?;
+    let mut store: DeltaStore<J::K, J::S> = if ctx.epoch > 0 {
+        let snap = snapshot_dir(&dirs.output_dir, ctx.epoch);
+        DeltaStore::decode(ctx.env.read_part(&snap, q)?)?
+    } else if cfg.incremental {
+        // Warm start: the part holds the planner's
+        // (key, (value, pending)) entries. Verify against the
+        // coordinator's Patch expectation before restoring.
+        let raw = ctx.env.read_part(&dirs.state_dir, q)?;
+        let entries = decode_pairs::<J::K, (J::S, J::S)>(raw.clone())?;
+        ctx.env.patch_verify(&raw, entries.len())?;
+        DeltaStore::restore(entries)
     } else {
-        let snap = snapshot_dir(&dirs.output_dir, epoch);
-        match env.read_part(&snap, q) {
-            Ok(raw) => DeltaStore::decode(raw)?,
-            Err(EnvFail::Closed) => return Ok(PairOutcome::Aborted),
-            Err(EnvFail::Error(e)) => return Err(e),
-        }
+        DeltaStore::seed(job, &ctx.load::<J::K, J::S>(&dirs.state_dir, q)?)
     };
-    assert_eq!(
-        store.len(),
-        stat.len(),
-        "state/static co-partitioning broken at pair {q}"
-    );
+    check_co_partitioned(q, store.len(), stat.len())?;
 
-    for check in (epoch + 1)..=cfg.max_iters {
-        if env.is_poisoned() {
-            return Ok(PairOutcome::Aborted);
-        }
+    for check in (ctx.epoch + 1)..=cfg.max_iters {
+        ctx.begin_iter(check)?;
         let mut busy = Duration::ZERO;
-        let check_start_ns = started.elapsed().as_nanos() as u64;
-        env.trace(
-            TraceEvent::new(TraceKind::IterStart)
-                .at(check_start_ns)
-                .tagged(0, q as u32, check as u32, 0),
-        );
         let mut check_deltas = 0u64;
         let mut check_preempt = 0u64;
 
         for _round in 0..cfg.check_every {
             // ---- Round phase A: select, apply, extract, send ---------
-            let round_start_ns = started.elapsed().as_nanos() as u64;
+            let round_start_ns = ctx.now_ns();
             let work_start = Instant::now();
             let batch = store.select_batch(job, &stat, cfg.delta_batch);
             let dests = partition_deltas(job, batch.emitted, n);
             let sent: u64 = dests.iter().map(|d| d.len() as u64).sum();
-            metrics.deltas_sent.add(sent);
-            metrics.priority_preemptions.add(batch.deferred as u64);
+            ctx.metrics.deltas_sent.add(sent);
+            ctx.metrics.priority_preemptions.add(batch.deferred as u64);
             check_deltas += sent;
             check_preempt += batch.deferred as u64;
             let segs: Vec<Bytes> = dests.iter().map(|dest| encode_pairs(dest)).collect();
             busy += work_start.elapsed();
-            let round_end_ns = started.elapsed().as_nanos() as u64;
-            env.trace(
-                TraceEvent::new(TraceKind::DeltaRound { deltas: sent })
-                    .spanning(round_start_ns, round_end_ns)
-                    .tagged(0, q as u32, check as u32, 0),
+            let round_end_ns = ctx.now_ns();
+            ctx.span(
+                TraceKind::DeltaRound { deltas: sent },
+                check,
+                round_start_ns,
+                round_end_ns,
             );
             // A delta round's select/apply/send half is the
             // accumulative analogue of the map phase.
-            env.phase(Phase::Map, round_end_ns.saturating_sub(round_start_ns));
+            ctx.env
+                .phase(Phase::Map, round_end_ns.saturating_sub(round_start_ns));
             // Sends sit outside the busy span (back-pressure, not load).
             for (dest, seg) in segs.into_iter().enumerate() {
-                metrics.shuffle_local_bytes.add(seg.len() as u64);
-                if env.send_delta(dest, seg).is_err() {
-                    return Ok(PairOutcome::Aborted);
-                }
+                ctx.metrics.shuffle_local_bytes.add(seg.len() as u64);
+                ctx.env.send_delta(dest, seg)?;
             }
             // ---- Round phase B: receive from every peer, merge in
             // source order ---------------------------------------------
             let mut raw_segs: Vec<Bytes> = Vec::with_capacity(n);
             for src in 0..n {
-                match env.recv_delta(src) {
-                    Ok(seg) => raw_segs.push(seg),
-                    Err(Closed) => return Ok(PairOutcome::Aborted),
-                }
+                raw_segs.push(ctx.env.recv_delta(src)?);
             }
             let merge_start = Instant::now();
             for seg in raw_segs {
@@ -749,100 +671,33 @@ pub(crate) fn delta_loop<J: imapreduce::Accumulative, E: PairEnv>(
             let merge_elapsed = merge_start.elapsed();
             busy += merge_elapsed;
             // The receive/merge half plays the reduce role.
-            env.phase(Phase::Reduce, merge_elapsed.as_nanos() as u64);
+            ctx.env
+                .phase(Phase::Reduce, merge_elapsed.as_nanos() as u64);
         }
 
         // ---- Global accumulated-progress termination check -----------
         let local = store.pending_progress(job);
-        local_dist.push((local, true));
+        ctx.local_dist.push((local, true));
+        let effective_busy = ctx.stretch(check, busy);
+        let progress_bits = local.to_bits();
+        ctx.mark(TraceKind::TerminationCheck { progress_bits }, check);
+        ctx.env.gauge(Gauge::PendingDeltaMass, progress_bits);
+        ctx.end_iter(check, effective_busy, local, true);
+        ctx.env.delta_stats(check_deltas, check_preempt, 1);
+        ctx.metrics.termination_checks.add(1);
+        let (total, _any_prev) = ctx.env.exchange_distance(local, true)?;
+        let done = total < eps || check == cfg.max_iters;
 
-        // ---- Emulated slowdowns (same contract as pair_loop) ---------
-        let mut effective_busy = busy.as_secs_f64();
-        if plan.speed < 1.0 {
-            let extra = busy.as_secs_f64() * (1.0 / plan.speed - 1.0);
-            std::thread::sleep(Duration::from_secs_f64(extra));
-            effective_busy += extra;
-        }
-        for &(at, millis) in &plan.delays {
-            if at == check {
-                let pause = Duration::from_millis(millis);
-                std::thread::sleep(pause);
-                effective_busy += pause.as_secs_f64();
-            }
-        }
-        env.trace(
-            TraceEvent::new(TraceKind::TerminationCheck {
-                progress_bits: local.to_bits(),
-            })
-            .at(started.elapsed().as_nanos() as u64)
-            .tagged(0, q as u32, check as u32, 0),
-        );
-        let end = started.elapsed();
-        iter_done.push(end);
-        env.trace(
-            TraceEvent::new(TraceKind::IterEnd)
-                .at(end.as_nanos() as u64)
-                .tagged(0, q as u32, check as u32, 0),
-        );
-        env.gauge(Gauge::PendingDeltaMass, local.to_bits());
-        env.gauge(Gauge::HandoffDepth, env.inbound_backlog());
-        env.sample(end.as_nanos() as u64, check as u64);
-        env.beat(check, effective_busy, local, true);
-        env.delta_stats(check_deltas, check_preempt, 1);
-        metrics.termination_checks.add(1);
-        let (total, _any_prev) = match env.exchange_distance(local, true) {
-            Ok(v) => v,
-            Err(Closed) => return Ok(PairOutcome::Aborted),
-        };
-        let converged = total < eps;
-        let done = converged || check == cfg.max_iters;
-
-        // ---- Checkpointing (§3.4.1): the full (value, delta) store ---
-        if !done && cfg.checkpoint_interval > 0 && check.is_multiple_of(cfg.checkpoint_interval) {
-            let payload = store.encode();
-            metrics.checkpoint_bytes.add(payload.len() as u64);
-            let ckpt_start = Instant::now();
-            match env.write_checkpoint(check, payload, local_dist) {
-                Ok(()) => {
-                    *last_ckpt = check;
-                    env.phase(
-                        Phase::CheckpointWrite,
-                        ckpt_start.elapsed().as_nanos() as u64,
-                    );
-                    env.trace(
-                        TraceEvent::new(TraceKind::Checkpoint {
-                            epoch: check as u64,
-                        })
-                        .at(started.elapsed().as_nanos() as u64)
-                        .tagged(0, q as u32, check as u32, 0),
-                    );
-                }
-                Err(EnvFail::Closed) => return Ok(PairOutcome::Aborted),
-                Err(EnvFail::Error(e)) => return Err(e),
-            }
-        }
+        // The snapshot is the full (value, delta) store.
+        ctx.checkpoint(check, done, || store.encode())?;
         if done {
-            let final_pairs = store.final_values(job);
             return Ok(PairOutcome::Finished {
-                final_data: encode_pairs(&final_pairs),
+                final_data: encode_pairs(&store.final_values(job)),
                 iterations: check,
             });
         }
-
-        // ---- Scripted faults (same decision point as pair_loop) ------
-        if plan.kills.contains(&check) {
-            return Ok(PairOutcome::Induced {
-                at_iteration: check,
-            });
-        }
-        if plan.crash_after == Some(check) {
-            return Ok(PairOutcome::Vanish);
-        }
-        if plan.hangs.contains(&check) {
-            env.hang();
-            return Ok(PairOutcome::Stalled {
-                at_iteration: check,
-            });
+        if let Some(exit) = ctx.scripted_exit(check) {
+            return Ok(exit);
         }
     }
 

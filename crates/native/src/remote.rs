@@ -41,14 +41,14 @@
 use crate::fault::FaultBarrier;
 use crate::monitor::{monitor_loop, BalancePlan, Intervention, ProgressBoard};
 use crate::pair::{
-    delta_loop, pair_loop, EnvFail, PairCfg, PairDirs, PairEnv, PairOutcome, PairPlan,
+    delta_loop, pair_loop, EnvFail, PairCfg, PairCtx, PairDirs, PairEnv, PairOutcome, PairPlan,
 };
-use crate::supervisor::{assert_partitioning, supervise, GenInput, PairRun, RunOutcome};
+use crate::supervisor::{supervise, GenInput, PairRun, RunOutcome};
 use crate::{NativeRunner, HANDOFF_BUFFER};
 use bytes::Bytes;
 use imapreduce::{
-    prepare_incremental, FaultEvent, FixpointStore, GraphDelta, Incremental, IncrementalOutcome,
-    IterConfig, IterOutcome, IterativeJob, Mapping, TransportKind,
+    check_inputs, prepare_incremental, FaultEvent, FixpointStore, GraphDelta, Incremental,
+    IncrementalOutcome, IterConfig, IterOutcome, IterativeJob, Mapping, TransportKind,
 };
 use imr_dfs::{hist_path, snapshot_dir};
 use imr_mapreduce::io::{num_parts, part_path};
@@ -246,7 +246,7 @@ impl NativeRunner {
                     .into(),
             ));
         }
-        assert_partitioning(&self.dfs, cfg, state_dir, static_dir);
+        check_inputs(&self.dfs, cfg, state_dir, static_dir)?;
         let num_state_parts = num_parts(&self.dfs, state_dir);
         let dirs = PairDirs {
             state_dir: state_dir.to_owned(),
@@ -1397,31 +1397,12 @@ pub fn serve_worker_accum<J: imapreduce::Accumulative>(
     generation: u64,
     job_id: u64,
 ) -> Result<(), String> {
-    let accum: RemoteLoop<J> =
-        |pair, job, cfg, dirs, plan, epoch, metrics, env, started, ld, id, lc| {
-            delta_loop::<J, RemoteEnv>(
-                pair, job, cfg, dirs, plan, epoch, metrics, env, started, ld, id, lc,
-            )
-        };
-    serve_inner(job, addr, pair, generation, job_id, Some(accum))
+    serve_inner(job, addr, pair, generation, job_id, Some(delta_loop))
 }
 
 /// The worker-thread body a remote worker drives, as a fn pointer so
 /// one serving routine covers both iteration modes.
-type RemoteLoop<J> = fn(
-    usize,
-    &J,
-    &PairCfg,
-    &PairDirs,
-    &PairPlan,
-    usize,
-    &MetricsHandle,
-    &mut RemoteEnv,
-    Instant,
-    &mut Vec<(f64, bool)>,
-    &mut Vec<Duration>,
-    &mut usize,
-) -> Result<PairOutcome, EngineError>;
+type RemoteLoop<J> = fn(PairCtx<'_, J, RemoteEnv>) -> Result<PairOutcome, EngineError>;
 
 fn serve_inner<J: IterativeJob>(
     job: &J,
@@ -1496,27 +1477,23 @@ fn serve_inner<J: IterativeJob>(
             }
         }
     } else {
-        |pair, job, cfg, dirs, plan, epoch, metrics, env, started, ld, id, lc| {
-            pair_loop::<J, RemoteEnv>(
-                pair, job, cfg, dirs, plan, epoch, metrics, env, started, ld, id, lc,
-            )
-        }
+        pair_loop
     };
     let result = catch_unwind(AssertUnwindSafe(|| {
-        loop_fn(
-            pair,
+        loop_fn(PairCtx {
+            q: pair,
             job,
-            &cfg,
-            &dirs,
-            &plan,
-            setup.epoch,
-            &metrics,
-            &mut env,
+            cfg: &cfg,
+            dirs: &dirs,
+            plan: &plan,
+            epoch: setup.epoch,
+            metrics: &metrics,
+            env: &mut env,
             started,
-            &mut local_dist,
-            &mut iter_done,
-            &mut last_ckpt,
-        )
+            local_dist: &mut local_dist,
+            iter_done: &mut iter_done,
+            last_ckpt: &mut last_ckpt,
+        })
     }));
     let wire = match result {
         Ok(Ok(PairOutcome::Vanish)) => std::process::exit(0),

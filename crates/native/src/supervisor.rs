@@ -12,7 +12,7 @@
 use crate::monitor::Intervention;
 use crate::pair::{PairOutcome, PairPlan};
 use bytes::Bytes;
-use imapreduce::{FaultEvent, IterConfig, IterOutcome, IterativeJob, Mapping, RunCtl};
+use imapreduce::{FaultEvent, IterConfig, IterOutcome, IterativeJob, RunCtl};
 use imr_dfs::{hist_path, migration_marker, resume_epoch, snapshot_dir, snapshot_epochs, Dfs};
 use imr_mapreduce::io::{delete_dir, part_path};
 use imr_mapreduce::EngineError;
@@ -632,24 +632,4 @@ pub(crate) fn supervise<J: IterativeJob>(
         migrations,
         recoveries,
     })
-}
-
-/// Validates part counts shared by both backends (panics like the
-/// original in-line asserts: these are caller-contract violations, not
-/// recoverable configuration errors).
-pub(crate) fn assert_partitioning(dfs: &Dfs, cfg: &IterConfig, state_dir: &str, static_dir: &str) {
-    use imr_mapreduce::io::num_parts;
-    let n = cfg.num_tasks;
-    assert_eq!(
-        num_parts(dfs, static_dir),
-        n,
-        "static data must be pre-partitioned into num_tasks parts"
-    );
-    if cfg.mapping != Mapping::One2All {
-        assert_eq!(
-            num_parts(dfs, state_dir),
-            n,
-            "one2one state must be pre-partitioned into num_tasks parts"
-        );
-    }
 }

@@ -9,21 +9,25 @@
 //! * [`Partitioner`] implementations — deterministic FNV-based hash
 //!   partitioning plus the paper's modulo node-id partitioning;
 //! * sorted-run utilities ([`sort_run`], [`merge_runs`],
-//!   [`group_sorted`]) — the sort/spill/merge path between map and
-//!   reduce;
-//! * the state/static [`join_sorted`] of paper §3.2.2.
+//!   [`group_sorted`]) and, over them, the shuffle kernel
+//!   ([`shuffle_out`], [`shuffle_in`]) — the one sort/combine/encode →
+//!   decode/merge/group/reduce path every engine drives.
+//!
+//! The state/static join of paper §3.2.2 is not here: both streams are
+//! co-partitioned and key-sorted, so it is a lockstep zip, done (and
+//! checked) by the iteration kernel in `imapreduce`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod codec;
-mod join;
 mod partition;
+mod shuffle;
 mod sorted;
 
 pub use codec::{decode_pairs, encode_pairs, Codec, CodecError, CodecResult, Key, Value};
-pub use join::{join_sorted, join_sorted_lossy, JoinError};
 pub use partition::{Fnv1a, HashPartitioner, ModPartitioner, PairPartitioner, Partitioner};
+pub use shuffle::{shuffle_in, shuffle_out, ShuffleCost, ShuffleOut};
 pub use sorted::{group_sorted, is_sorted_by_key, merge_runs, sort_run};
 
 #[cfg(test)]
@@ -67,17 +71,43 @@ mod proptests {
             prop_assert!(ModPartitioner.partition(&key, n) < n);
         }
 
-        /// Strict join over identical key sets is total and key-ordered.
+        /// The shuffle kernel end to end: several mappers' output routed
+        /// to `n` reducers arrives grouped by key, each key's values in
+        /// mapper order then emission order, with or without a combiner.
         #[test]
-        fn strict_join_is_total(keys in proptest::collection::btree_set(any::<u32>(), 0..100)) {
-            let state: Vec<(u32, u64)> = keys.iter().map(|&k| (k, u64::from(k) * 2)).collect();
-            let statics: Vec<(u32, u64)> = keys.iter().map(|&k| (k, u64::from(k) + 1)).collect();
-            let joined = join_sorted(state, statics).unwrap();
-            prop_assert_eq!(joined.len(), keys.len());
-            for (k, s, t) in joined {
-                prop_assert_eq!(s, u64::from(k) * 2);
-                prop_assert_eq!(t, u64::from(k) + 1);
+        fn shuffle_groups_like_a_btreemap(
+            mappers in proptest::collection::vec(
+                proptest::collection::vec((0u32..20, any::<u32>()), 0..30), 1..5),
+            n in 1usize..5,
+            combine in any::<bool>(),
+        ) {
+            let route = |k: &u32, n: usize| *k as usize % n;
+            // The combiner folds a mapper's values for one key into one
+            // list value, so order stays observable either way.
+            let combiner = combine.then_some(|_: &u32, vals: Vec<Vec<u32>>| vec![vals.concat()]);
+            let mut segments = Vec::new();
+            let mut want: std::collections::BTreeMap<u32, Vec<u32>> = Default::default();
+            for pairs in &mappers {
+                for (k, v) in pairs {
+                    want.entry(*k).or_default().push(*v);
+                }
+                let lifted = pairs.iter().map(|&(k, v)| (k, vec![v])).collect();
+                let out = shuffle_out(lifted, n, route, combiner, &mut ());
+                prop_assert_eq!(out.segments.len(), n);
+                prop_assert_eq!(out.bytes, out.segments.iter().map(|s| s.len() as u64).sum::<u64>());
+                segments.push(out.segments);
             }
+            let mut got: Vec<(u32, Vec<u32>)> = Vec::new();
+            for q in 0..n {
+                let inbound = segments.iter().map(|from| from[q].clone()).collect();
+                let before = got.len();
+                shuffle_in(inbound, |k: u32, vals: Vec<Vec<u32>>| got.push((k, vals.concat())), &mut ())
+                    .unwrap();
+                prop_assert!(got[before..].iter().all(|(k, _)| route(k, n) == q));
+                prop_assert!(got[before..].windows(2).all(|w| w[0].0 < w[1].0));
+            }
+            got.sort();
+            prop_assert_eq!(got, want.into_iter().collect::<Vec<_>>());
         }
 
         /// group_sorted preserves multiplicity.
