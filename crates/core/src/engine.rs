@@ -16,6 +16,7 @@
 use crate::api::{IterativeJob, Mapping};
 use crate::config::{FailureEvent, FaultEvent, IterConfig};
 use crate::kernel::{check_co_partitioned, map_side, reduce_side, MapState};
+use crate::observe::Observer;
 use crate::store::{check_inputs, check_slots};
 use bytes::Bytes;
 use imr_dfs::Dfs;
@@ -25,7 +26,7 @@ use imr_records::{encode_pairs, sort_run, Codec};
 use imr_simcluster::{
     ClusterSpec, MetricsHandle, NodeId, RunReport, TaskClock, VDuration, VInstant,
 };
-use imr_telemetry::{Gauge, Phase, TelemetryHandle};
+use imr_telemetry::TelemetryHandle;
 use imr_trace::{TraceEvent, TraceHandle, TraceKind, COORD};
 use std::sync::Arc;
 
@@ -53,8 +54,7 @@ pub struct IterativeRunner {
     cluster: Arc<ClusterSpec>,
     dfs: Dfs,
     metrics: MetricsHandle,
-    trace: Option<TraceHandle>,
-    telemetry: Option<TelemetryHandle>,
+    observer: Observer,
 }
 
 /// Trace coordinates of an event: where and when in the run it happened.
@@ -91,9 +91,8 @@ impl IterativeRunner {
         IterativeRunner {
             cluster,
             dfs,
+            observer: Observer::new(Arc::clone(&metrics)),
             metrics,
-            trace: None,
-            telemetry: None,
         }
     }
 
@@ -101,58 +100,24 @@ impl IterativeRunner {
     /// spans (virtual-time timestamps) and fault-path events into it,
     /// and fault recovery dumps a flight-recorder artifact to the DFS.
     pub fn with_trace(mut self, trace: TraceHandle) -> Self {
-        self.trace = Some(trace);
+        self.observer.attach_trace(trace);
         self
     }
 
-    /// The attached trace ring, if any.
-    pub fn trace(&self) -> Option<&TraceHandle> {
-        self.trace.as_ref()
-    }
-
-    /// Attaches a telemetry registry: subsequent runs record phase
-    /// latencies into its histograms and push one sample per pair per
-    /// iteration, stamped with virtual time — so the sampled series is
-    /// bit-identical across runs of the same job.
+    /// Attaches a telemetry registry: subsequent runs record each phase
+    /// span's latency into its histograms and push one sample per pair
+    /// per iteration, stamped with virtual time — so the sampled series
+    /// is bit-identical across runs of the same job.
     pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Self {
-        self.telemetry = Some(telemetry);
+        self.observer.attach_telemetry(telemetry);
         self
     }
 
-    /// The attached telemetry registry, if any.
-    pub fn telemetry(&self) -> Option<&TelemetryHandle> {
-        self.telemetry.as_ref()
-    }
-
-    /// Records `kind` over `[start, end]` (no-op without a trace ring).
+    /// Emits `kind` over `[start, end]` to the run's observer.
     fn event(&self, kind: TraceKind, start: VInstant, end: VInstant, tag: Tag) {
-        if let Some(trace) = &self.trace {
-            let event = TraceEvent::new(kind).spanning(start.as_nanos(), end.as_nanos());
-            trace.record(event.tagged(tag.node, tag.pair, tag.iter, tag.generation));
-        }
-    }
-
-    fn phase(&self, phase: Phase, nanos: u64) {
-        if let Some(tel) = &self.telemetry {
-            tel.record_phase(phase, nanos);
-        }
-    }
-
-    /// Records the latency of `phase` as the span from `from` to `to`.
-    fn phase_span(&self, phase: Phase, from: VInstant, to: VInstant) {
-        self.phase(phase, to.as_nanos().saturating_sub(from.as_nanos()));
-    }
-
-    fn sample(&self, stamp: u64, worker: u32, generation: u32, iteration: u64) {
-        if let Some(tel) = &self.telemetry {
-            tel.sample(
-                stamp,
-                worker,
-                generation,
-                iteration,
-                &self.metrics.snapshot(),
-            );
-        }
+        let event = TraceEvent::new(kind).spanning(start.as_nanos(), end.as_nanos());
+        self.observer
+            .emit(event.tagged(tag.node, tag.pair, tag.iter, tag.generation));
     }
 
     /// Dump the trailing `window` events to the DFS flight-recorder
@@ -164,10 +129,9 @@ impl IterativeRunner {
         window: usize,
         node: NodeId,
     ) -> Result<(), EngineError> {
-        let Some(trace) = &self.trace else {
+        let Some(lines) = self.observer.flight_lines(window) else {
             return Ok(());
         };
-        let lines = imr_trace::flight_lines(&trace.tail(window));
         let mut off_path = TaskClock::default();
         self.dfs.put_atomic(
             &imr_trace::flight_path(output_dir, seq),
@@ -391,12 +355,11 @@ impl IterativeRunner {
                 map_done.push(clock.now().max(state_complete[p]));
                 segments.push(out.segments);
                 let at = tag(node, p, iter, generation);
+                if cfg.effective_sync() {
+                    self.event(TraceKind::BarrierWait, state_ready[p], sync_gate, at);
+                }
                 self.event(TraceKind::IterStart, activation, activation, at);
                 self.event(TraceKind::MapPhase, activation, map_done[p], at);
-                if cfg.effective_sync() {
-                    self.phase_span(Phase::BarrierWait, state_ready[p], sync_gate);
-                }
-                self.phase_span(Phase::Map, activation, map_done[p]);
             }
 
             // ---- Reduce phase ----------------------------------------
@@ -468,7 +431,6 @@ impl IterativeRunner {
                 new_state_bytes.push(bytes);
                 let at = tag(node, q, iter, generation);
                 self.event(TraceKind::ReducePhase, work_start, clock.now(), at);
-                self.phase_span(Phase::Reduce, work_start, clock.now());
             }
 
             let iter_done = reduce_done.iter().copied().max().unwrap_or(job_start);
@@ -831,9 +793,6 @@ impl IterativeRunner {
                     let at = tag(node, p, check, generation);
                     let round = TraceKind::DeltaRound { deltas: sent };
                     self.event(round, round_start, clock.now(), at);
-                    // A delta round's select/apply/send half is the
-                    // accumulative analogue of the map phase.
-                    self.phase_span(Phase::Map, round_start, clock.now());
                     send_done.push(clock.now());
                     outgoing.push(dests);
                     seg_bytes.push(bytes_row);
@@ -853,8 +812,8 @@ impl IterativeRunner {
                         merged += stores[q].merge_segment(job, &outgoing[p][q]) as u64;
                     }
                     clock.advance(cost.compute_time(merged, 0, speed));
-                    // The receive/merge half plays the reduce role.
-                    self.phase_span(Phase::Reduce, merge_start, clock.now());
+                    let at = tag(node, q, check, generation);
+                    self.event(TraceKind::DeltaMerge, merge_start, clock.now(), at);
                     now[q] = clock.now();
                 }
             }
@@ -870,10 +829,6 @@ impl IterativeRunner {
                 let termination = TraceKind::TerminationCheck { progress_bits };
                 self.event(termination, decision, decision, at);
                 self.event(TraceKind::IterEnd, decision, decision, at);
-                if let Some(tel) = &self.telemetry {
-                    tel.set_gauge(Gauge::PendingDeltaMass, progress_bits);
-                }
-                self.sample(decision.as_nanos(), q as u32, generation, check as u64);
                 now[q] = decision;
             }
             report.iteration_done.push(decision);
@@ -1081,36 +1036,38 @@ impl IterativeRunner {
         generation: u32,
     ) -> Result<String, EngineError> {
         let dir = imr_dfs::snapshot_dir(output_dir, epoch);
-        let before = self.metrics.dfs_write_bytes.get();
+        let checkpoint = TraceKind::Checkpoint {
+            epoch: epoch as u64,
+        };
         for (q, payload) in payloads.enumerate() {
+            let before = self.metrics.dfs_write_bytes.get();
             let mut off_path = TaskClock::default();
             self.dfs
                 .put_atomic(&part_path(&dir, q), payload, assignment[q], &mut off_path)?;
+            let written = self.metrics.dfs_write_bytes.get() - before;
+            self.metrics.checkpoint_bytes.add(written);
+            // The span is what the part's disk write costs; it starts
+            // at `at` on every pair because the writes run in parallel.
+            let done = at + self.cluster.cost.disk_time(written);
+            self.event(
+                checkpoint,
+                at,
+                done,
+                tag(assignment[q], q, epoch, generation),
+            );
         }
-        let written = self.metrics.dfs_write_bytes.get() - before;
-        self.metrics.checkpoint_bytes.add(written);
-        let disk = self.cluster.cost.disk_time(written);
-        self.phase(Phase::CheckpointWrite, disk.as_nanos());
         if let Some(old) = previous {
             imr_mapreduce::io::delete_dir(&self.dfs, &old);
-        }
-        for (q, node) in assignment.iter().enumerate() {
-            let checkpoint = TraceKind::Checkpoint {
-                epoch: epoch as u64,
-            };
-            self.event(checkpoint, at, at, tag(*node, q, epoch, generation));
         }
         Ok(dir)
     }
 
-    /// Ends pair `at.pair`'s iteration: the hand-off event (`handoff`, at
-    /// the instant the new state left the reduce task), IterEnd, the
-    /// hand-off latency since `reduce_done`, and the telemetry sample.
+    /// Ends pair `at.pair`'s iteration: the hand-off span (`handoff`,
+    /// from reduce done until the new state left the reduce task), then
+    /// IterEnd.
     fn end_iteration(&self, handoff: TraceKind, reduce_done: VInstant, sent: VInstant, at: Tag) {
-        self.event(handoff, sent, sent, at);
+        self.event(handoff, reduce_done, sent, at);
         self.event(TraceKind::IterEnd, sent, sent, at);
-        self.phase_span(Phase::Handoff, reduce_done, sent);
-        self.sample(sent.as_nanos(), at.pair, at.generation, u64::from(at.iter));
     }
 
     /// Handles a worker failure: marks the node dead in the DFS,

@@ -21,7 +21,6 @@ use crate::incremental::{
 use imr_dfs::Dfs;
 use imr_mapreduce::EngineError;
 use imr_simcluster::TaskClock;
-use imr_trace::TraceHandle;
 
 /// A backend that can run iterative jobs end to end.
 ///
@@ -33,14 +32,6 @@ use imr_trace::TraceHandle;
 pub trait IterEngine {
     /// The DFS holding initial state, static data and job output.
     fn dfs(&self) -> &Dfs;
-
-    /// The trace ring this backend records structured events into, if
-    /// tracing was enabled (see the backends' `with_trace` builders).
-    /// Generic test and report code reads merged traces through this
-    /// hook without knowing which engine produced them.
-    fn trace(&self) -> Option<&TraceHandle> {
-        None
-    }
 
     /// Runs `job` to termination under a generalized fault schedule.
     ///
@@ -155,10 +146,6 @@ pub trait IterEngine {
 impl IterEngine for IterativeRunner {
     fn dfs(&self) -> &Dfs {
         IterativeRunner::dfs(self)
-    }
-
-    fn trace(&self) -> Option<&TraceHandle> {
-        IterativeRunner::trace(self)
     }
 
     fn run_faults<J: IterativeJob>(

@@ -75,6 +75,7 @@ mod incremental;
 mod iter_engine;
 mod kernel;
 mod multiphase;
+mod observe;
 mod store;
 
 pub use accum::{partition_deltas, Accumulative, BatchOutcome, DeltaStore};
@@ -95,6 +96,7 @@ pub use kernel::{
     MapState, ReduceOutput,
 };
 pub use multiphase::{run_two_phase, PhaseJob, TwoPhaseConfig, TwoPhaseOutcome};
+pub use observe::{phase_of, Observer};
 pub use store::{check_inputs, load_partitioned, part_len, partition_sorted};
 
 // Re-export the engine error type jobs see.

@@ -35,5 +35,5 @@ pub mod spec;
 pub use catalog::{DlqEntry, JobId, JobMeta, JobPhase};
 pub use exec::{ExecCtx, Halve, ResultRecord};
 pub use queue::{Admission, AdmissionQueue};
-pub use service::{JobService, JobStatus, ServiceConfig};
+pub use service::{JobService, JobStatus, ServiceConfig, ServiceError};
 pub use spec::{AlgoSpec, EngineSel, FaultPolicy, InputSpec, JobSpec};

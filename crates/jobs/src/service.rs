@@ -35,7 +35,85 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
-use std::thread;
+use std::thread::{self, JoinHandle};
+use std::time::Duration;
+
+/// Why the fleet scheduler stopped. Scheduler invariants that input,
+/// storage or a dying thread could break are typed here instead of
+/// panicking the service that every tenant shares.
+#[derive(Debug)]
+pub enum ServiceError {
+    /// A storage, codec or engine failure (journaling a transition, or
+    /// one job attempt's own failure).
+    Engine(EngineError),
+    /// The admission queue named a job the catalog does not hold.
+    QueuedJobMissing(JobId),
+    /// A job reported completion but the catalog does not hold it.
+    CompletedJobMissing(JobId),
+    /// A job's thread exited without reporting an outcome.
+    NoReport(JobId),
+}
+
+impl std::fmt::Display for ServiceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ServiceError::Engine(e) => e.fmt(f),
+            ServiceError::QueuedJobMissing(id) => {
+                write!(f, "queued job {id} is not in the catalog")
+            }
+            ServiceError::CompletedJobMissing(id) => {
+                write!(f, "completed job {id} is not in the catalog")
+            }
+            ServiceError::NoReport(id) => {
+                write!(f, "job {id}'s thread exited without reporting an outcome")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ServiceError {}
+
+impl From<EngineError> for ServiceError {
+    fn from(e: EngineError) -> Self {
+        ServiceError::Engine(e)
+    }
+}
+
+/// What a job thread sends the scheduler when its attempt ends.
+type Report = (JobId, Result<ResultRecord, EngineError>);
+
+/// How often the scheduler, while waiting for a report, checks for a
+/// job thread that died without sending one.
+const REPORT_POLL: Duration = Duration::from_millis(100);
+
+/// Blocks for the next attempt outcome and retires that job's thread.
+/// A thread that finished with nothing in the channel can only have
+/// died outside its `catch_unwind`; its job gets
+/// [`ServiceError::NoReport`] as the attempt's failure, so it retries
+/// or dead-letters like any other instead of stalling the fleet.
+fn next_report(
+    rx: &mpsc::Receiver<Report>,
+    threads: &mut Vec<(JobId, JoinHandle<()>)>,
+) -> (JobId, Result<ResultRecord, ServiceError>) {
+    let (id, result) = loop {
+        // Looked up before the wait: a send happens before its thread
+        // finishes, so if the wait then times out on an empty channel,
+        // this thread sent nothing.
+        let dead = threads
+            .iter()
+            .find(|(_, t)| t.is_finished())
+            .map(|(id, _)| *id);
+        match (rx.recv_timeout(REPORT_POLL), dead) {
+            (Ok((id, result)), _) => break (id, result.map_err(ServiceError::Engine)),
+            (Err(_), Some(id)) => break (id, Err(ServiceError::NoReport(id))),
+            (Err(_), None) => {}
+        }
+    };
+    if let Some(pos) = threads.iter().position(|(job, _)| *job == id) {
+        let _ = threads.swap_remove(pos).1.join();
+    }
+    (id, result)
+}
 
 /// Service-level configuration.
 #[derive(Clone, Debug)]
@@ -354,22 +432,23 @@ impl JobService {
     /// queue drains and every running job has reported — or, after
     /// [`JobService::kill`], until the in-flight jobs have aborted.
     /// Call again after submitting more jobs; the service is reusable.
-    pub fn run_until_idle(&self) -> Result<(), EngineError> {
+    pub fn run_until_idle(&self) -> Result<(), ServiceError> {
         let (tx, rx) = mpsc::channel();
-        let mut handles = Vec::new();
+        let mut threads = Vec::new();
         loop {
-            let launches = self.admit();
+            let launches = self.admit()?;
             for (adm_id, resume, meta, spec, trace, telemetry, ctl) in launches {
                 self.journal_meta(&meta)?;
                 let ctx = self.exec_ctx();
                 let tx = tx.clone();
-                handles.push(thread::spawn(move || {
+                let thread = thread::spawn(move || {
                     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         exec::run_job(&ctx, adm_id, &spec, resume, ctl, trace, telemetry)
                     }))
                     .unwrap_or_else(|_| Err(EngineError::Worker("job attempt panicked".into())));
                     let _ = tx.send((adm_id, result));
-                }));
+                });
+                threads.push((adm_id, thread));
             }
             {
                 let st = self.state.lock();
@@ -378,11 +457,8 @@ impl JobService {
                     break;
                 }
             }
-            let (id, result) = rx.recv().expect("running jobs always report");
+            let (id, result) = next_report(&rx, &mut threads);
             self.on_complete(id, result)?;
-        }
-        for handle in handles {
-            let _ = handle.join();
         }
         Ok(())
     }
@@ -504,29 +580,35 @@ impl JobService {
     #[allow(clippy::type_complexity)]
     fn admit(
         &self,
-    ) -> Vec<(
-        JobId,
-        bool,
-        JobMeta,
-        JobSpec,
-        TraceHandle,
-        TelemetryHandle,
-        RunCtl,
-    )> {
-        let mut st = self.state.lock();
+    ) -> Result<
+        Vec<(
+            JobId,
+            bool,
+            JobMeta,
+            JobSpec,
+            TraceHandle,
+            TelemetryHandle,
+            RunCtl,
+        )>,
+        ServiceError,
+    > {
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
         let mut launches = Vec::new();
         if self.killed.load(Ordering::Acquire) {
-            return launches;
+            return Ok(launches);
         }
         loop {
             let free = self.cfg.slots - st.slots_used;
             let Some(adm) = st.queue.pop_admissible(free) else {
                 break;
             };
+            let Some(entry) = st.catalog.get_mut(&adm.id) else {
+                return Err(ServiceError::QueuedJobMissing(adm.id));
+            };
             st.slots_used += adm.tasks;
             let ctl = RunCtl::new();
             st.running.insert(adm.id, ctl.clone());
-            let entry = st.catalog.get_mut(&adm.id).expect("queued job in catalog");
             entry.meta.phase = JobPhase::Running;
             launches.push((
                 adm.id,
@@ -538,8 +620,8 @@ impl JobService {
                 ctl,
             ));
         }
-        Self::publish_gauges(&st);
-        launches
+        Self::publish_gauges(st);
+        Ok(launches)
     }
 
     /// Mirrors the service-level admission gauges into every job's
@@ -557,20 +639,17 @@ impl JobService {
     fn on_complete(
         &self,
         id: JobId,
-        result: Result<ResultRecord, EngineError>,
-    ) -> Result<(), EngineError> {
+        result: Result<ResultRecord, ServiceError>,
+    ) -> Result<(), ServiceError> {
         let killed = self.killed.load(Ordering::Acquire);
         let outcome = {
-            let mut st = self.state.lock();
+            let mut guard = self.state.lock();
+            let st = &mut *guard;
             st.running.remove(&id);
-            let tasks = st
-                .catalog
-                .get(&id)
-                .expect("completed job in catalog")
-                .spec
-                .tasks;
-            st.slots_used -= tasks;
-            let entry = st.catalog.get_mut(&id).expect("completed job in catalog");
+            let Some(entry) = st.catalog.get_mut(&id) else {
+                return Err(ServiceError::CompletedJobMissing(id));
+            };
+            st.slots_used -= entry.spec.tasks;
             match result {
                 Ok(rec) => {
                     entry.meta.attempts += 1;
@@ -605,6 +684,11 @@ impl JobService {
             let st = self.state.lock();
             Self::publish_gauges(&st);
         }
+        Ok(self.journal_outcome(id, outcome)?)
+    }
+
+    /// Journals what [`JobService::on_complete`] decided about job `id`.
+    fn journal_outcome(&self, id: JobId, outcome: Outcome) -> Result<(), EngineError> {
         match outcome {
             Outcome::Completed(meta, rec) => {
                 let mut clock = TaskClock::default();
@@ -702,6 +786,47 @@ mod tests {
         assert_eq!(rec.iterations, 3);
         assert!(!rec.state.is_empty());
         assert!(s.dlq().unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_job_thread_that_dies_silently_fails_its_job_not_the_service() {
+        let s = svc(4);
+        let id = s
+            .submit(
+                JobSpec::new("mute", AlgoSpec::Halve, EngineSel::Sim, 7)
+                    .with_scale(16)
+                    .with_max_retries(0),
+            )
+            .unwrap();
+        // Admit the job as the scheduler would, then stand in for its
+        // thread with one that exits without sending a report.
+        assert_eq!(s.admit().unwrap().len(), 1);
+        let (_tx, rx) = mpsc::channel::<Report>();
+        let mut threads = vec![(id, thread::spawn(|| {}))];
+        let (reported, result) = next_report(&rx, &mut threads);
+        assert_eq!(reported, id);
+        assert!(matches!(result, Err(ServiceError::NoReport(job)) if job == id));
+        assert!(threads.is_empty(), "the dead thread was retired");
+        s.on_complete(reported, result).unwrap();
+        let status = s.status();
+        assert_eq!(status[0].phase, JobPhase::DeadLettered);
+        assert!(status[0].reason.contains("without reporting"));
+        assert_eq!(s.dlq().unwrap()[0].id, id);
+        // The fleet's slots are free again and the scheduler still runs.
+        let next = s
+            .submit(JobSpec::new("after", AlgoSpec::Halve, EngineSel::Sim, 7).with_scale(16))
+            .unwrap();
+        s.run_until_idle().unwrap();
+        assert!(s.result(next).unwrap().is_some());
+    }
+
+    #[test]
+    fn a_report_for_an_uncatalogued_job_is_a_typed_error() {
+        let s = svc(2);
+        let err = s
+            .on_complete(41, Err(ServiceError::NoReport(41)))
+            .unwrap_err();
+        assert!(matches!(err, ServiceError::CompletedJobMissing(41)));
     }
 
     #[test]

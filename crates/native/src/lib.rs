@@ -108,7 +108,7 @@ use bytes::Bytes;
 use fault::FaultBarrier;
 use imapreduce::{
     check_inputs, FailureEvent, FaultEvent, IterConfig, IterEngine, IterOutcome, IterativeJob,
-    Mapping, RunCtl, TransportKind,
+    Mapping, Observer, RunCtl, TransportKind,
 };
 use imr_dfs::{hist_path, snapshot_dir, Dfs};
 use imr_mapreduce::io::{num_parts, part_path};
@@ -116,8 +116,8 @@ use imr_mapreduce::EngineError;
 use imr_net::{ChannelLink, ChannelMesh, Closed, Transport};
 use imr_records::Codec;
 use imr_simcluster::{MetricsHandle, NodeId, TaskClock};
-use imr_telemetry::{Gauge, Phase, TelemetryHandle};
-use imr_trace::{TraceEvent, TraceHandle};
+use imr_telemetry::{Gauge, TelemetryHandle};
+use imr_trace::{TraceEvent, TraceHandle, TraceKind};
 use monitor::{monitor_loop, BalancePlan, Intervention, ProgressBoard};
 use pair::{delta_loop, pair_loop, EnvFail, PairCfg, PairCtx, PairDirs, PairEnv, PairOutcome};
 use parking_lot::Mutex;
@@ -152,8 +152,7 @@ pub const HANDOFF_BUFFER: usize = 1;
 pub struct NativeRunner {
     dfs: Dfs,
     metrics: MetricsHandle,
-    trace: Option<TraceHandle>,
-    telemetry: Option<TelemetryHandle>,
+    observer: Observer,
     ctl: Option<RunCtl>,
 }
 
@@ -162,9 +161,8 @@ impl NativeRunner {
     pub fn new(dfs: Dfs, metrics: MetricsHandle) -> Self {
         NativeRunner {
             dfs,
+            observer: Observer::new(std::sync::Arc::clone(&metrics)),
             metrics,
-            trace: None,
-            telemetry: None,
             ctl: None,
         }
     }
@@ -173,7 +171,7 @@ impl NativeRunner {
     /// structured span events into it, and rollbacks dump a flight
     /// recorder artifact to the DFS (see `imr-trace`).
     pub fn with_trace(mut self, trace: TraceHandle) -> Self {
-        self.trace = Some(trace);
+        self.observer.attach_trace(trace);
         self
     }
 
@@ -186,24 +184,14 @@ impl NativeRunner {
         self
     }
 
-    /// The attached trace ring, if tracing was enabled.
-    pub fn trace(&self) -> Option<&TraceHandle> {
-        self.trace.as_ref()
-    }
-
-    /// Attaches a telemetry registry: workers record phase latencies
-    /// into its histograms and push one sample per pair per iteration
-    /// (monotonic nanoseconds since the run started). The TCP backend
-    /// streams worker batches to the coordinator, which merges them
-    /// into this registry.
+    /// Attaches a telemetry registry: every phase span the workers emit
+    /// lands in its histograms, and every `IterEnd` pushes one sample
+    /// per pair per iteration (monotonic nanoseconds since the run
+    /// started). The TCP backend's workers ship their events to the
+    /// coordinator, which feeds this registry from them.
     pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Self {
-        self.telemetry = Some(telemetry);
+        self.observer.attach_telemetry(telemetry);
         self
-    }
-
-    /// The attached telemetry registry, if any.
-    pub fn telemetry(&self) -> Option<&TelemetryHandle> {
-        self.telemetry.as_ref()
     }
 
     /// The DFS this runner reads and writes.
@@ -440,9 +428,7 @@ impl NativeRunner {
                                 output_dir: &dirs.output_dir,
                                 node: assignment[q].index() as u32,
                                 generation,
-                                trace: self.trace.as_ref(),
-                                telemetry: self.telemetry.as_ref(),
-                                metrics,
+                                observer: &self.observer,
                                 seed: &seed_dist[q],
                             };
                             let result = catch_unwind(AssertUnwindSafe(|| {
@@ -515,7 +501,7 @@ impl NativeRunner {
             faults,
             label,
             false,
-            self.trace.as_ref(),
+            &self.observer,
             self.ctl.as_ref(),
             &mut run_gen,
         )
@@ -533,10 +519,6 @@ impl NativeRunner {
 impl IterEngine for NativeRunner {
     fn dfs(&self) -> &Dfs {
         &self.dfs
-    }
-
-    fn trace(&self) -> Option<&TraceHandle> {
-        self.trace.as_ref()
     }
 
     fn run_faults<J: IterativeJob>(
@@ -581,12 +563,8 @@ struct ThreadEnv<'a> {
     node: u32,
     /// Current generation number (trace tag).
     generation: u32,
-    /// Shared trace ring, when tracing is enabled.
-    trace: Option<&'a TraceHandle>,
-    /// Shared telemetry registry, when telemetry is enabled.
-    telemetry: Option<&'a TelemetryHandle>,
-    /// The authoritative metrics registry (sample counter columns).
-    metrics: &'a MetricsHandle,
+    /// The run's observability sink.
+    observer: &'a Observer,
     /// This pair's committed distance history from earlier generations,
     /// prepended to the generation-local history in every checkpoint
     /// sidecar so the sidecar covers iterations `1..=it`.
@@ -679,42 +657,17 @@ impl PairEnv for ThreadEnv<'_> {
         self.barrier.block_until_poisoned();
     }
 
-    fn trace(&mut self, event: TraceEvent) {
-        if let Some(trace) = self.trace {
-            trace.record(TraceEvent {
-                node: self.node,
-                generation: self.generation,
-                ..event
-            });
+    fn emit(&mut self, event: TraceEvent) {
+        // The sample the observer takes on IterEnd carries how many
+        // segments sit unconsumed on this pair's inbound links.
+        if let (TraceKind::IterEnd, Some(tel)) = (event.kind, self.observer.telemetry()) {
+            tel.set_gauge(Gauge::HandoffDepth, self.link.backlog());
         }
-    }
-
-    fn phase(&mut self, phase: Phase, nanos: u64) {
-        if let Some(tel) = self.telemetry {
-            tel.record_phase(phase, nanos);
-        }
-    }
-
-    fn gauge(&mut self, gauge: Gauge, value: u64) {
-        if let Some(tel) = self.telemetry {
-            tel.set_gauge(gauge, value);
-        }
-    }
-
-    fn sample(&mut self, stamp_nanos: u64, iteration: u64) {
-        if let Some(tel) = self.telemetry {
-            tel.sample(
-                stamp_nanos,
-                self.q as u32,
-                self.generation,
-                iteration,
-                &self.metrics.snapshot(),
-            );
-        }
-    }
-
-    fn inbound_backlog(&self) -> u64 {
-        self.link.backlog()
+        self.observer.emit(TraceEvent {
+            node: self.node,
+            generation: self.generation,
+            ..event
+        });
     }
 }
 

@@ -29,7 +29,6 @@ use imr_mapreduce::EngineError;
 use imr_net::{Closed, Transport};
 use imr_records::{decode_pairs, encode_pairs, sort_run, Codec, CodecError};
 use imr_simcluster::MetricsHandle;
-use imr_telemetry::{Gauge, Phase};
 use imr_trace::{TraceEvent, TraceKind};
 use std::time::{Duration, Instant};
 
@@ -193,26 +192,12 @@ pub(crate) trait PairEnv: Transport {
     fn beat(&mut self, iteration: usize, busy_secs: f64, d: f64, has_prev: bool);
     /// Go silent until the generation is poisoned (scripted hang).
     fn hang(&mut self);
-    /// Record a structured trace event. The loop fills the task,
-    /// iteration and timestamps (nanoseconds since the run's `started`
-    /// instant); the environment stamps its node and generation tags
-    /// before recording, and drops the event when tracing is off.
-    fn trace(&mut self, _event: TraceEvent) {}
-    /// Record one phase-latency observation into the telemetry
-    /// histograms (dropped when telemetry is off).
-    fn phase(&mut self, _phase: Phase, _nanos: u64) {}
-    /// Set a telemetry gauge (dropped when telemetry is off).
-    fn gauge(&mut self, _gauge: Gauge, _value: u64) {}
-    /// Push one telemetry sample at the end of `iteration`, stamped
-    /// `stamp_nanos` since the run's `started` instant. The environment
-    /// fills the worker/generation tags and the counter columns from
-    /// its metrics registry (dropped when telemetry is off).
-    fn sample(&mut self, _stamp_nanos: u64, _iteration: u64) {}
-    /// Segments queued on this pair's inbound shuffle/handoff channels,
-    /// awaiting receive. 0 where the transport can't observe depth.
-    fn inbound_backlog(&self) -> u64 {
-        0
-    }
+    /// Emit one event — the loop's only observability output. The loop
+    /// fills the task, iteration and timestamps (nanoseconds since the
+    /// run's `started` instant); the environment stamps its node and
+    /// generation tags and hands the event to the run's
+    /// `imapreduce::Observer` (directly, or by way of the coordinator).
+    fn emit(&mut self, event: TraceEvent);
     /// Send one encoded delta segment to `dest` (accumulative mode).
     /// Defaults to the shuffle transport — the two traffic classes
     /// never coexist in one run; the TCP environment overrides this to
@@ -272,7 +257,7 @@ impl<J, E: PairEnv> PairCtx<'_, J, E> {
         self.started.elapsed().as_nanos() as u64
     }
 
-    /// Records an instantaneous trace event now; returns its stamp.
+    /// Emits an instantaneous event now; returns its stamp.
     fn mark(&mut self, kind: TraceKind, it: usize) -> u64 {
         let now = self.now_ns();
         self.span(kind, it, now, now);
@@ -282,7 +267,7 @@ impl<J, E: PairEnv> PairCtx<'_, J, E> {
     fn span(&mut self, kind: TraceKind, it: usize, start_ns: u64, end_ns: u64) {
         // The environment stamps its node and generation tags.
         let event = TraceEvent::new(kind).spanning(start_ns, end_ns);
-        self.env.trace(event.tagged(0, self.q as u32, it as u32, 0));
+        self.env.emit(event.tagged(0, self.q as u32, it as u32, 0));
     }
 
     /// Reads and decodes `<dir>/part-<part>`.
@@ -300,10 +285,10 @@ impl<J, E: PairEnv> PairCtx<'_, J, E> {
             return Err(EnvFail::Closed);
         }
         if self.cfg.sync {
-            let wait_start = Instant::now();
+            let wait_start_ns = self.now_ns();
             self.env.barrier_wait()?;
-            self.env
-                .phase(Phase::BarrierWait, wait_start.elapsed().as_nanos() as u64);
+            let released_ns = self.now_ns();
+            self.span(TraceKind::BarrierWait, it, wait_start_ns, released_ns);
         }
         Ok(self.mark(TraceKind::IterStart, it))
     }
@@ -330,15 +315,13 @@ impl<J, E: PairEnv> PairCtx<'_, J, E> {
         effective_busy
     }
 
-    /// Ends iteration `it`: IterEnd event, telemetry sample, heartbeat.
+    /// Ends iteration `it`: IterEnd event (which the observer samples
+    /// on), heartbeat.
     fn end_iter(&mut self, it: usize, effective_busy: f64, d: f64, has_prev: bool) {
         let end = self.started.elapsed();
         self.iter_done.push(end);
         let end_ns = end.as_nanos() as u64;
         self.span(TraceKind::IterEnd, it, end_ns, end_ns);
-        self.env
-            .gauge(Gauge::HandoffDepth, self.env.inbound_backlog());
-        self.env.sample(end_ns, it as u64);
         self.env.beat(it, effective_busy, d, has_prev);
     }
 
@@ -358,14 +341,12 @@ impl<J, E: PairEnv> PairCtx<'_, J, E> {
         }
         let payload = snapshot();
         self.metrics.checkpoint_bytes.add(payload.len() as u64);
-        let ckpt_start = Instant::now();
+        let write_start_ns = self.now_ns();
         self.env.write_checkpoint(it, payload, self.local_dist)?;
         *self.last_ckpt = it;
-        self.env.phase(
-            Phase::CheckpointWrite,
-            ckpt_start.elapsed().as_nanos() as u64,
-        );
-        self.mark(TraceKind::Checkpoint { epoch: it as u64 }, it);
+        let written_ns = self.now_ns();
+        let checkpoint = TraceKind::Checkpoint { epoch: it as u64 };
+        self.span(checkpoint, it, write_start_ns, written_ns);
         Ok(())
     }
 
@@ -462,8 +443,6 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
         let mut busy = map_start.elapsed();
         let map_end_ns = ctx.now_ns();
         ctx.span(TraceKind::MapPhase, it, iter_start_ns, map_end_ns);
-        ctx.env
-            .phase(Phase::Map, map_end_ns.saturating_sub(iter_start_ns));
         // Sends sit outside the busy span: a blocked send is
         // back-pressure from a slow consumer, not this pair's load.
         for (dest, seg) in mapped.segments.into_iter().enumerate() {
@@ -498,17 +477,13 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
         let effective_busy = ctx.stretch(it, busy);
         let reduce_end_ns = ctx.now_ns();
         ctx.span(TraceKind::ReducePhase, it, reduce_start_ns, reduce_end_ns);
-        ctx.env
-            .phase(Phase::Reduce, reduce_end_ns.saturating_sub(reduce_start_ns));
 
         // ---- State hand-off back to the map side ---------------------
-        let handoff_start = Instant::now();
-        if one2all {
+        let handoff = if one2all {
             let payload = encode_pairs(&new_state);
             let bytes = payload.len() as u64;
             ctx.metrics.broadcast_bytes.add(bytes * (n as u64 - 1));
             let parts = ctx.env.exchange_broadcast(payload)?;
-            ctx.mark(TraceKind::Broadcast { bytes }, it);
             // Task-ordered concatenation + stable sort: identical to
             // the simulation engine's broadcast reassembly.
             let mut next_global: Vec<(J::K, J::S)> = Vec::new();
@@ -518,14 +493,15 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
             sort_run(&mut next_global);
             prev_out = Some(new_state);
             global = next_global;
+            TraceKind::Broadcast { bytes }
         } else {
             let bytes = encode_pairs(&new_state).len() as u64;
             ctx.metrics.state_handoff_bytes.add(bytes);
             state = new_state;
-            ctx.mark(TraceKind::StateHandoff { bytes }, it);
-        }
-        ctx.env
-            .phase(Phase::Handoff, handoff_start.elapsed().as_nanos() as u64);
+            TraceKind::StateHandoff { bytes }
+        };
+        let handoff_end_ns = ctx.now_ns();
+        ctx.span(handoff, it, reduce_end_ns, handoff_end_ns);
         ctx.end_iter(it, effective_busy, d, has_prev);
 
         // ---- Termination check (§3.1.2) ------------------------------
@@ -642,16 +618,8 @@ fn delta_checks<J: imapreduce::Accumulative, E: PairEnv>(
             let segs: Vec<Bytes> = dests.iter().map(|dest| encode_pairs(dest)).collect();
             busy += work_start.elapsed();
             let round_end_ns = ctx.now_ns();
-            ctx.span(
-                TraceKind::DeltaRound { deltas: sent },
-                check,
-                round_start_ns,
-                round_end_ns,
-            );
-            // A delta round's select/apply/send half is the
-            // accumulative analogue of the map phase.
-            ctx.env
-                .phase(Phase::Map, round_end_ns.saturating_sub(round_start_ns));
+            let round = TraceKind::DeltaRound { deltas: sent };
+            ctx.span(round, check, round_start_ns, round_end_ns);
             // Sends sit outside the busy span (back-pressure, not load).
             for (dest, seg) in segs.into_iter().enumerate() {
                 ctx.metrics.shuffle_local_bytes.add(seg.len() as u64);
@@ -663,16 +631,14 @@ fn delta_checks<J: imapreduce::Accumulative, E: PairEnv>(
             for src in 0..n {
                 raw_segs.push(ctx.env.recv_delta(src)?);
             }
-            let merge_start = Instant::now();
+            let merge_start_ns = ctx.now_ns();
             for seg in raw_segs {
                 let pairs: Vec<(J::K, J::S)> = decode_pairs(seg)?;
                 store.merge_segment(job, &pairs);
             }
-            let merge_elapsed = merge_start.elapsed();
-            busy += merge_elapsed;
-            // The receive/merge half plays the reduce role.
-            ctx.env
-                .phase(Phase::Reduce, merge_elapsed.as_nanos() as u64);
+            let merge_end_ns = ctx.now_ns();
+            busy += Duration::from_nanos(merge_end_ns - merge_start_ns);
+            ctx.span(TraceKind::DeltaMerge, check, merge_start_ns, merge_end_ns);
         }
 
         // ---- Global accumulated-progress termination check -----------
@@ -681,7 +647,6 @@ fn delta_checks<J: imapreduce::Accumulative, E: PairEnv>(
         let effective_busy = ctx.stretch(check, busy);
         let progress_bits = local.to_bits();
         ctx.mark(TraceKind::TerminationCheck { progress_bits }, check);
-        ctx.env.gauge(Gauge::PendingDeltaMass, progress_bits);
         ctx.end_iter(check, effective_busy, local, true);
         ctx.env.delta_stats(check_deltas, check_preempt, 1);
         ctx.metrics.termination_checks.add(1);

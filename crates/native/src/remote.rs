@@ -58,8 +58,7 @@ use imr_net::frame::{FrameReader, FrameWriter, HEADER_LEN};
 use imr_net::proto::{OutcomeKind, ToCoord, ToWorker, WireOutcome, WorkerSetup};
 use imr_net::{Closed, FrameAction, NetError, NetPolicy, Transport, WorkerConn};
 use imr_records::Codec;
-use imr_simcluster::{Metrics, MetricsHandle, MetricsSnapshot, NodeId, TaskClock};
-use imr_telemetry::{Gauge, HistSnapshot, Phase, Telemetry, NUM_PHASES};
+use imr_simcluster::{Metrics, MetricsHandle, NodeId, TaskClock};
 use imr_trace::{TraceEvent, TraceKind, COORD};
 use parking_lot::Mutex;
 use std::io::{BufWriter, Write};
@@ -274,7 +273,10 @@ impl NativeRunner {
         // and `IMR_TELEMETRY_ADDR` set, serve this run's registry over
         // HTTP for the duration of the run. A failed bind only costs
         // the endpoint — telemetry is never fatal.
-        let _tel_server = match (std::env::var("IMR_TELEMETRY_ADDR"), &self.telemetry) {
+        let _tel_server = match (
+            std::env::var("IMR_TELEMETRY_ADDR"),
+            self.observer.telemetry(),
+        ) {
             (Ok(addr), Some(tel)) if !addr.is_empty() => {
                 let tel = Arc::clone(tel);
                 let job_id = spec.job;
@@ -321,7 +323,7 @@ impl NativeRunner {
             faults,
             format!("{} [tcp]", self.label(cfg)),
             true,
-            self.trace.as_ref(),
+            &self.observer,
             self.ctl.as_ref(),
             &mut run_gen,
         )
@@ -548,13 +550,11 @@ fn run_generation(
     let trace_offset = gen.started.elapsed().as_nanos() as u64;
     if generation > 1 {
         runner.metrics.reconnect_attempts.add(1);
-        if let Some(trace) = runner.trace.as_ref() {
-            trace.record(
-                TraceEvent::new(TraceKind::Reconnect { generation })
-                    .at(trace_offset)
-                    .tagged(COORD, COORD, epoch as u32, gen.generation),
-            );
-        }
+        runner.observer.emit(
+            TraceEvent::new(TraceKind::Reconnect { generation })
+                .at(trace_offset)
+                .tagged(COORD, COORD, epoch as u32, gen.generation),
+        );
     }
 
     // Split each accepted connection into its chaos-aware halves: a
@@ -644,6 +644,7 @@ fn run_generation(
                 delta_batch: cfg.delta_batch,
                 check_every: cfg.check_every,
                 incremental: cfg.incremental,
+                observed: runner.observer.has_sink(),
             })),
         );
     }
@@ -781,13 +782,11 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
             },
             Err(NetError::Corrupt { seq }) => {
                 co.runner.metrics.corrupt_frames.add(1);
-                if let Some(trace) = co.runner.trace.as_ref() {
-                    trace.record(
-                        TraceEvent::new(TraceKind::Corrupt { seq })
-                            .at(co.started.elapsed().as_nanos() as u64)
-                            .tagged(COORD, q as u32, 0, 0),
-                    );
-                }
+                co.runner.observer.emit(
+                    TraceEvent::new(TraceKind::Corrupt { seq })
+                        .at(co.started.elapsed().as_nanos() as u64)
+                        .tagged(COORD, q as u32, 0, 0),
+                );
                 break;
             }
             Err(_) => break,
@@ -999,40 +998,20 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
                 }
             }
             ToCoord::Trace { payload } => {
-                // Merge the worker's batch into the job trace: rebase
+                // Replay the worker's batch through the run's observer,
+                // exactly as if the pair had emitted here: rebase
                 // worker-relative timestamps onto the coordinator's
                 // timeline and retag the node from the pair's current
                 // placement (the worker does not know where it runs).
-                // Dropped silently when tracing is off or the batch is
-                // malformed — trace loss is never fatal.
-                if let Some(trace) = co.runner.trace.as_ref() {
-                    if let Ok(events) = imr_trace::decode_events(&payload) {
-                        for mut ev in events {
-                            ev.node = co.assignment[q].index() as u32;
-                            ev.start_nanos = ev.start_nanos.saturating_add(co.trace_offset);
-                            ev.end_nanos = ev.end_nanos.saturating_add(co.trace_offset);
-                            trace.record(ev);
-                        }
-                    }
-                }
-            }
-            ToCoord::Telemetry { payload } => {
-                // Merge the worker's sampled series + histogram deltas
-                // into the job registry: rebase worker-relative stamps
-                // onto the coordinator's timeline and overwrite the
-                // counter columns from the authoritative registry (the
-                // worker's local registry is a sink). Dropped silently
-                // when telemetry is off or the batch is malformed —
-                // telemetry loss is never fatal.
-                if let Some(tel) = co.runner.telemetry.as_ref() {
-                    if let Ok((samples, hists)) = imr_telemetry::decode_batch(&payload) {
-                        let counters = co.runner.metrics.snapshot().values();
-                        for mut s in samples {
-                            s.stamp_nanos = s.stamp_nanos.saturating_add(co.trace_offset);
-                            s.counters = counters;
-                            tel.push_sample(s);
-                        }
-                        tel.merge_hists(&hists);
+                // The samples IterEnd takes read this registry's
+                // counters — the worker's own registry is a sink. A
+                // malformed batch is dropped: losing it is never fatal.
+                if let Ok(events) = imr_trace::decode_events(&payload) {
+                    for mut ev in events {
+                        ev.node = co.assignment[q].index() as u32;
+                        ev.start_nanos = ev.start_nanos.saturating_add(co.trace_offset);
+                        ev.end_nanos = ev.end_nanos.saturating_add(co.trace_offset);
+                        co.runner.observer.emit(ev);
                     }
                 }
             }
@@ -1099,13 +1078,11 @@ fn accept_workers(
                     }
                     _ => {
                         runner.metrics.hellos_rejected.add(1);
-                        if let Some(trace) = runner.trace.as_ref() {
-                            trace.record(
-                                TraceEvent::new(TraceKind::RejectedHello)
-                                    .at(started.elapsed().as_nanos() as u64)
-                                    .tagged(COORD, COORD, 0, generation as u32),
-                            );
-                        }
+                        runner.observer.emit(
+                            TraceEvent::new(TraceKind::RejectedHello)
+                                .at(started.elapsed().as_nanos() as u64)
+                                .tagged(COORD, COORD, 0, generation as u32),
+                        );
                     }
                 }
             }
@@ -1211,55 +1188,26 @@ impl Drop for ChildGuard {
 /// coordinator connection.
 struct RemoteEnv {
     conn: WorkerConn,
-    /// This worker's pair index (telemetry sample tag).
-    q: u32,
     /// Zero-based trace generation tag (the wire generation is
     /// one-based).
     generation: u32,
-    /// Trace events buffered since the last flush. The worker always
-    /// collects and streams; the coordinator drops the batches when
-    /// tracing is off.
-    events: Vec<TraceEvent>,
-    /// Local telemetry registry. The worker always records and streams
-    /// batches; the coordinator drops them when telemetry is off. The
-    /// counter columns ship as zeros — the coordinator's registry is
-    /// authoritative and overwrites them on merge.
-    telemetry: Telemetry,
-    /// Samples already shipped to the coordinator.
-    tel_sent: usize,
-    /// Histogram snapshots at the last flush (the next batch carries
-    /// the bucket-wise delta since these).
-    tel_hists: [HistSnapshot; NUM_PHASES],
+    /// Events buffered since the last flush; `None` when the
+    /// coordinator's observer has no sink, so nothing is buffered,
+    /// encoded or sent.
+    events: Option<Vec<TraceEvent>>,
 }
 
 impl RemoteEnv {
-    /// Ship buffered trace events to the coordinator (best-effort).
-    /// Called once per iteration (from `beat`) and before the outcome
-    /// frame, so in-order delivery puts every batch ahead of the
-    /// worker's terminal status.
-    fn flush_trace(&mut self) {
-        if !self.events.is_empty() {
-            let batch = imr_trace::encode_events(&self.events);
-            self.events.clear();
+    /// Ship buffered events to the coordinator (best-effort). Called
+    /// once per iteration (from `beat`) and before the outcome frame,
+    /// so in-order delivery puts every batch ahead of the worker's
+    /// terminal status.
+    fn flush_events(&mut self) {
+        if let Some(events) = self.events.as_mut().filter(|e| !e.is_empty()) {
+            let batch = imr_trace::encode_events(events);
+            events.clear();
             self.conn.send_trace(Bytes::from(batch));
         }
-    }
-
-    /// Ship the samples and histogram increments recorded since the
-    /// last flush (best-effort, same cadence as `flush_trace`).
-    fn flush_telemetry(&mut self) {
-        let samples = self.telemetry.samples();
-        let hists = self.telemetry.hist_snapshots();
-        let new_samples = &samples[self.tel_sent.min(samples.len())..];
-        let deltas: [HistSnapshot; NUM_PHASES] =
-            std::array::from_fn(|i| hists[i].delta(&self.tel_hists[i]));
-        if new_samples.is_empty() && deltas.iter().all(|d| d.count() == 0) {
-            return;
-        }
-        self.tel_sent = samples.len();
-        self.tel_hists = hists;
-        let batch = imr_telemetry::encode_batch(new_samples, &deltas);
-        self.conn.send_telemetry(Bytes::from(batch));
     }
 }
 
@@ -1302,8 +1250,7 @@ impl PairEnv for RemoteEnv {
             .map_err(|_| EnvFail::Closed)
     }
     fn beat(&mut self, iteration: usize, busy_secs: f64, d: f64, has_prev: bool) {
-        self.flush_trace();
-        self.flush_telemetry();
+        self.flush_events();
         self.conn.beat(iteration, busy_secs, d, has_prev);
     }
     fn send_delta(&mut self, dest: usize, seg: Bytes) -> Result<(), Closed> {
@@ -1336,28 +1283,13 @@ impl PairEnv for RemoteEnv {
     fn hang(&mut self) {
         self.conn.block_until_poisoned();
     }
-    fn trace(&mut self, event: TraceEvent) {
-        self.events.push(TraceEvent {
-            generation: self.generation,
-            ..event
-        });
-    }
-    fn phase(&mut self, phase: Phase, nanos: u64) {
-        self.telemetry.record_phase(phase, nanos);
-    }
-    fn gauge(&mut self, gauge: Gauge, value: u64) {
-        self.telemetry.set_gauge(gauge, value);
-    }
-    fn sample(&mut self, stamp_nanos: u64, iteration: u64) {
-        // Counter columns ship as zeros; the coordinator overwrites
-        // them from its authoritative registry on merge.
-        self.telemetry.sample(
-            stamp_nanos,
-            self.q,
-            self.generation,
-            iteration,
-            &MetricsSnapshot::default(),
-        );
+    fn emit(&mut self, event: TraceEvent) {
+        if let Some(events) = &mut self.events {
+            events.push(TraceEvent {
+                generation: self.generation,
+                ..event
+            });
+        }
     }
 }
 
@@ -1447,12 +1379,8 @@ fn serve_inner<J: IterativeJob>(
     let started = Instant::now();
     let mut env = RemoteEnv {
         conn,
-        q: pair as u32,
         generation: generation.saturating_sub(1) as u32,
-        events: Vec::new(),
-        telemetry: Telemetry::default(),
-        tel_sent: 0,
-        tel_hists: Default::default(),
+        events: setup.observed.then(Vec::new),
     };
     let mut local_dist: Vec<(f64, bool)> = Vec::new();
     let mut iter_done: Vec<Duration> = Vec::new();
@@ -1549,8 +1477,7 @@ fn serve_inner<J: IterativeJob>(
             }
         }
     };
-    env.flush_trace();
-    env.flush_telemetry();
+    env.flush_events();
     env.conn.send_outcome(wire);
     // Dropping the connection flushes and shuts the socket down: the
     // coordinator sees the outcome frame, then EOF.

@@ -12,13 +12,13 @@
 use crate::monitor::Intervention;
 use crate::pair::{PairOutcome, PairPlan};
 use bytes::Bytes;
-use imapreduce::{FaultEvent, IterConfig, IterOutcome, IterativeJob, RunCtl};
+use imapreduce::{FaultEvent, IterConfig, IterOutcome, IterativeJob, Observer, RunCtl};
 use imr_dfs::{hist_path, migration_marker, resume_epoch, snapshot_dir, snapshot_epochs, Dfs};
 use imr_mapreduce::io::{delete_dir, part_path};
 use imr_mapreduce::EngineError;
 use imr_records::{decode_pairs, sort_run, Codec};
 use imr_simcluster::{MetricsHandle, NodeId, RunReport, TaskClock, VDuration, VInstant};
-use imr_trace::{TraceEvent, TraceHandle, TraceKind, COORD};
+use imr_trace::{TraceEvent, TraceKind, COORD};
 use std::time::{Duration, Instant};
 
 /// Supervisor-level view of how one pair's generation ended: the
@@ -122,7 +122,7 @@ pub(crate) fn supervise<J: IterativeJob>(
     faults: &[FaultEvent],
     label: String,
     recovers_unscripted: bool,
-    trace: Option<&TraceHandle>,
+    observer: &Observer,
     ctl: Option<&RunCtl>,
     run_gen: &mut dyn FnMut(
         GenInput<'_>,
@@ -211,11 +211,6 @@ pub(crate) fn supervise<J: IterativeJob>(
     // advance on every rollback (recovery or migration).
     let mut generation: u32 = 0;
     let mut flight_seq = 0usize;
-    let record = |ev: TraceEvent| {
-        if let Some(t) = trace {
-            t.record(ev);
-        }
-    };
     // Consecutive unscripted recoveries (watchdog stalls or vanished
     // workers) with no checkpoint progress — the backstop against
     // retrying a persistent failure forever.
@@ -338,7 +333,7 @@ pub(crate) fn supervise<J: IterativeJob>(
                 pending.remove(pos);
                 recoveries += 1;
                 metrics.recoveries.add(1);
-                record(
+                observer.emit(
                     TraceEvent::new(TraceKind::Rollback {
                         epoch: new_epoch as u64,
                     })
@@ -362,12 +357,12 @@ pub(crate) fn supervise<J: IterativeJob>(
                 recoveries += 1;
                 metrics.recoveries.add(1);
                 let tag_node = assignment[q].index() as u32;
-                record(
+                observer.emit(
                     TraceEvent::new(TraceKind::StallDetected)
                         .at(now_ns)
                         .tagged(tag_node, COORD, at as u32, generation),
                 );
-                record(
+                observer.emit(
                     TraceEvent::new(TraceKind::Rollback {
                         epoch: new_epoch as u64,
                     })
@@ -389,7 +384,7 @@ pub(crate) fn supervise<J: IterativeJob>(
                     // cannot livelock the job.
                     migrations += 1;
                     metrics.migrations.add(1);
-                    record(
+                    observer.emit(
                         TraceEvent::new(TraceKind::Migration {
                             from: assignment[pair].index() as u32,
                             to: to.index() as u32,
@@ -433,7 +428,7 @@ pub(crate) fn supervise<J: IterativeJob>(
                     }
                     recoveries += 1;
                     metrics.recoveries.add(1);
-                    record(
+                    observer.emit(
                         TraceEvent::new(TraceKind::Retry {
                             attempt: stall_retries as u64,
                         })
@@ -446,13 +441,13 @@ pub(crate) fn supervise<J: IterativeJob>(
                         ),
                     );
                     let tag_node = assignment[pair].index() as u32;
-                    record(TraceEvent::new(TraceKind::StallDetected).at(now_ns).tagged(
+                    observer.emit(TraceEvent::new(TraceKind::StallDetected).at(now_ns).tagged(
                         tag_node,
                         COORD,
                         new_epoch as u32,
                         generation,
                     ));
-                    record(
+                    observer.emit(
                         TraceEvent::new(TraceKind::Rollback {
                             epoch: new_epoch as u64,
                         })
@@ -486,7 +481,7 @@ pub(crate) fn supervise<J: IterativeJob>(
                     }
                     recoveries += 1;
                     metrics.recoveries.add(1);
-                    record(
+                    observer.emit(
                         TraceEvent::new(TraceKind::Retry {
                             attempt: stall_retries as u64,
                         })
@@ -498,7 +493,7 @@ pub(crate) fn supervise<J: IterativeJob>(
                             generation,
                         ),
                     );
-                    record(
+                    observer.emit(
                         TraceEvent::new(TraceKind::Rollback {
                             epoch: new_epoch as u64,
                         })
@@ -518,8 +513,7 @@ pub(crate) fn supervise<J: IterativeJob>(
         // events leading up to the incident survive the respawn. The
         // Rollback/Migration events above are recorded first, so the
         // artifact always contains the incident itself.
-        if let Some(t) = trace {
-            let lines = imr_trace::flight_lines(&t.tail(cfg.flight_window));
+        if let Some(lines) = observer.flight_lines(cfg.flight_window) {
             let mut ck = TaskClock::default();
             dfs.put_atomic(
                 &imr_trace::flight_path(output_dir, flight_seq),

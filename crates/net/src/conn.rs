@@ -307,13 +307,6 @@ impl WorkerConn {
         let _ = self.write(&ToCoord::Trace { payload });
     }
 
-    /// Ship a batch of encoded telemetry samples + histogram deltas
-    /// (see `imr_telemetry::encode_batch`). Best-effort, like trace
-    /// batches.
-    pub fn send_telemetry(&mut self, payload: Bytes) {
-        let _ = self.write(&ToCoord::Telemetry { payload });
-    }
-
     /// Report our terminal status. Best-effort once poisoned.
     pub fn send_outcome(&mut self, outcome: WireOutcome) {
         let _ = self.write(&ToCoord::Outcome(outcome));

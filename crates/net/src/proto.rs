@@ -54,10 +54,11 @@ pub enum ToCoord {
     /// Terminal status of this worker process.
     Outcome(WireOutcome),
     /// A batch of `imr_trace` events (56-byte records, see
-    /// `imr_trace::encode_events`), timestamped on the worker's clock;
-    /// the coordinator rebases them onto its own timeline and merges
-    /// them into the job trace. Best-effort: dropped when tracing is
-    /// off.
+    /// `imr_trace::encode_events`), timestamped on the worker's clock —
+    /// the worker's whole observability output. The coordinator rebases
+    /// them onto its own timeline and replays them through the run's
+    /// observer, which feeds the job trace and the telemetry registry
+    /// alike. Best-effort, and only sent when [`WorkerSetup::observed`].
     Trace { payload: Bytes },
     /// A delta segment for pair `dest` (barrier-free accumulative
     /// mode). Delta rounds send exactly one — possibly empty — segment
@@ -78,13 +79,6 @@ pub enum ToCoord {
     /// `bytes` length and FNV-64 `digest`) so the coordinator can
     /// verify the plan arrived intact (see [`ToWorker::Patch`]).
     PatchStats { keys: u64, bytes: u64, digest: u64 },
-    /// A batch of encoded telemetry samples + phase-histogram deltas
-    /// (see `imr_telemetry::encode_batch`), timestamped on the worker's
-    /// clock; the coordinator rebases the stamps onto its own timeline
-    /// and merges the batch into the job's telemetry registry, exactly
-    /// like [`ToCoord::Trace`] batches. Best-effort: dropped when
-    /// telemetry is off or the payload is malformed.
-    Telemetry { payload: Bytes },
 }
 
 /// Messages sent from the coordinator to a worker process.
@@ -187,6 +181,10 @@ pub struct WorkerSetup {
     /// `(key, (value, pending))` entries to restore, guarded by a
     /// [`ToWorker::Patch`] / [`ToCoord::PatchStats`] handshake.
     pub incremental: bool,
+    /// Whether the coordinator's observer has a sink (trace ring or
+    /// telemetry registry) attached; when not, the worker buffers and
+    /// ships no [`ToCoord::Trace`] batches.
+    pub observed: bool,
 }
 
 impl Codec for OutcomeKind {
@@ -261,6 +259,7 @@ impl Codec for WorkerSetup {
         self.delta_batch.encode(buf);
         self.check_every.encode(buf);
         self.incremental.encode(buf);
+        self.observed.encode(buf);
     }
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
         Ok(WorkerSetup {
@@ -285,6 +284,7 @@ impl Codec for WorkerSetup {
             delta_batch: usize::decode(buf)?,
             check_every: usize::decode(buf)?,
             incremental: bool::decode(buf)?,
+            observed: bool::decode(buf)?,
         })
     }
     fn encoded_len(&self) -> usize {
@@ -309,6 +309,7 @@ impl Codec for WorkerSetup {
             + self.delta_batch.encoded_len()
             + self.check_every.encoded_len()
             + self.incremental.encoded_len()
+            + self.observed.encoded_len()
     }
 }
 
@@ -404,10 +405,6 @@ impl Codec for ToCoord {
                 bytes.encode(buf);
                 digest.encode(buf);
             }
-            ToCoord::Telemetry { payload } => {
-                14u8.encode(buf);
-                payload.encode(buf);
-            }
         }
     }
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
@@ -465,9 +462,6 @@ impl Codec for ToCoord {
                 bytes: u64::decode(buf)?,
                 digest: u64::decode(buf)?,
             },
-            14 => ToCoord::Telemetry {
-                payload: Bytes::decode(buf)?,
-            },
             _ => return Err(CodecError::Corrupt("unknown ToCoord tag")),
         })
     }
@@ -513,7 +507,6 @@ impl Codec for ToCoord {
                 bytes,
                 digest,
             } => keys.encoded_len() + bytes.encoded_len() + digest.encoded_len(),
-            ToCoord::Telemetry { payload } => payload.encoded_len(),
         }
     }
 }
@@ -659,6 +652,7 @@ mod tests {
             delta_batch: 16,
             check_every: 3,
             incremental: true,
+            observed: true,
         }
     }
 
@@ -719,9 +713,6 @@ mod tests {
             keys: 512,
             bytes: 8192,
             digest: 0xDEAD_BEEF_CAFE_F00D,
-        });
-        round_trip(ToCoord::Telemetry {
-            payload: Bytes::from(vec![3; 248]),
         });
     }
 

@@ -4,12 +4,204 @@
 
 use bytes::Bytes;
 use imr_net::frame::{FrameReader, MAX_FRAME, PREAMBLE_LEN};
-use imr_net::proto::{ToCoord, ToWorker};
+use imr_net::proto::{OutcomeKind, ToCoord, ToWorker, WireOutcome, WorkerSetup};
 use imr_net::NetError;
 use imr_records::Codec;
 use proptest::prelude::*;
 
+/// One valid message per `ToCoord` variant in `proto.rs`.
+fn every_to_coord() -> Vec<ToCoord> {
+    let payload = Bytes::from(vec![7u8; 56]);
+    vec![
+        ToCoord::Hello {
+            pair: 3,
+            generation: 2,
+            job: 17,
+        },
+        ToCoord::Segment {
+            dest: 1,
+            payload: payload.clone(),
+        },
+        ToCoord::Credit { src: 2 },
+        ToCoord::BarrierArrive,
+        ToCoord::Broadcast {
+            payload: payload.clone(),
+        },
+        ToCoord::Distance {
+            d: 0.125,
+            has_prev: true,
+        },
+        ToCoord::Beat {
+            iteration: 12,
+            busy_secs: 0.003,
+            d: 1.5,
+            has_prev: false,
+        },
+        ToCoord::Ckpt {
+            iteration: 10,
+            payload: payload.clone(),
+            hist: vec![(1.5, false), (0.25, true)],
+        },
+        ToCoord::ReadPart {
+            dir: "/job/static".into(),
+            part: 3,
+        },
+        ToCoord::Outcome(WireOutcome {
+            kind: OutcomeKind::Error,
+            at_iteration: 4,
+            message: "pair 1 panicked: boom".into(),
+            payload: Bytes::new(),
+        }),
+        ToCoord::Trace {
+            payload: payload.clone(),
+        },
+        ToCoord::Delta { dest: 2, payload },
+        ToCoord::DeltaStats {
+            deltas: 120,
+            preemptions: 7,
+            checks: 1,
+        },
+        ToCoord::PatchStats {
+            keys: 512,
+            bytes: 8192,
+            digest: 0xDEAD_BEEF_CAFE_F00D,
+        },
+    ]
+}
+
+/// One valid message per `ToWorker` variant in `proto.rs`.
+fn every_to_worker() -> Vec<ToWorker> {
+    let payload = Bytes::from(vec![5u8; 17]);
+    vec![
+        ToWorker::Setup(Box::new(WorkerSetup {
+            job: 11,
+            num_tasks: 4,
+            epoch: 6,
+            one2all: true,
+            sync: false,
+            distance_threshold: Some(1e-9),
+            max_iterations: 50,
+            checkpoint_interval: 5,
+            num_state_parts: 4,
+            state_dir: "/job/state".into(),
+            static_dir: "/job/static".into(),
+            output_dir: "/job/out".into(),
+            kills: vec![7],
+            hangs: vec![],
+            delays: vec![(3, 250)],
+            speed: 0.5,
+            crash_after: Some(9),
+            accumulative: true,
+            delta_batch: 16,
+            check_every: 3,
+            incremental: true,
+            observed: true,
+        })),
+        ToWorker::Segment {
+            src: 0,
+            payload: payload.clone(),
+        },
+        ToWorker::Credit { dest: 3 },
+        ToWorker::BarrierRelease,
+        ToWorker::BroadcastAll {
+            parts: vec![payload.clone(), Bytes::new()],
+        },
+        ToWorker::DistanceTotal {
+            total: 42.5,
+            any_prev: true,
+        },
+        ToWorker::PartData {
+            payload: payload.clone(),
+        },
+        ToWorker::PartErr {
+            message: "block lost".into(),
+        },
+        ToWorker::Poison,
+        ToWorker::Drain,
+        ToWorker::Delta { src: 1, payload },
+        ToWorker::Patch {
+            bytes: 8192,
+            digest: 0xDEAD_BEEF_CAFE_F00D,
+        },
+    ]
+}
+
+/// The `ToCoord` tag that carried telemetry batches until the worker's
+/// events became its only observability frame.
+const RETIRED_TELEMETRY_TAG: u8 = 14;
+
+fn decode_to_coord(frame: Vec<u8>) -> Result<ToCoord, NetError> {
+    Ok(ToCoord::decode(&mut Bytes::from(frame))?)
+}
+
+fn decode_to_worker(frame: Vec<u8>) -> Result<ToWorker, NetError> {
+    Ok(ToWorker::decode(&mut Bytes::from(frame))?)
+}
+
+#[test]
+fn every_variant_owns_one_tag_and_the_retired_one_stays_dead() {
+    let coord: Vec<u8> = every_to_coord().iter().map(|m| m.to_bytes()[0]).collect();
+    let worker: Vec<u8> = every_to_worker().iter().map(|m| m.to_bytes()[0]).collect();
+    assert_eq!(coord, (0..coord.len() as u8).collect::<Vec<_>>());
+    assert_eq!(worker, (0..worker.len() as u8).collect::<Vec<_>>());
+    assert!(!coord.contains(&RETIRED_TELEMETRY_TAG));
+    // A well-formed old telemetry frame (tag + length-prefixed payload)
+    // is a typed codec error, as is every tag past the live range.
+    let mut old = ToCoord::Trace {
+        payload: Bytes::from(vec![3u8; 248]),
+    }
+    .to_bytes()
+    .to_vec();
+    old[0] = RETIRED_TELEMETRY_TAG;
+    assert!(matches!(decode_to_coord(old), Err(NetError::Codec(_))));
+    for tag in coord.len() as u8..=u8::MAX {
+        assert!(matches!(
+            decode_to_coord(vec![tag]),
+            Err(NetError::Codec(_))
+        ));
+    }
+    for tag in worker.len() as u8..=u8::MAX {
+        assert!(matches!(
+            decode_to_worker(vec![tag]),
+            Err(NetError::Codec(_))
+        ));
+    }
+}
+
 proptest! {
+    #[test]
+    fn arbitrary_payload_behind_every_tag_decodes_or_fails_typed(body in proptest::collection::vec(any::<u8>(), 0..256)) {
+        // Every tag byte — live, retired, unassigned — in front of the
+        // same hostile body: each decoder arm sees it, none may panic.
+        for tag in 0..=u8::MAX {
+            let mut frame = vec![tag];
+            frame.extend_from_slice(&body);
+            let _ = decode_to_coord(frame.clone());
+            let _ = decode_to_worker(frame);
+        }
+    }
+
+    #[test]
+    fn damaged_valid_messages_decode_or_fail_typed(cut in 0usize..512, flip in 0usize..4096) {
+        // Truncations and single-bit flips of a real encoding reach the
+        // length-prefixed fields (payloads, strings, vectors) deep inside
+        // each variant, which random bytes behind a tag rarely do.
+        let encodings = every_to_coord()
+            .into_iter()
+            .map(|m| m.to_bytes().to_vec())
+            .chain(every_to_worker().into_iter().map(|m| m.to_bytes().to_vec()));
+        for bytes in encodings {
+            let mut flipped = bytes.clone();
+            let bit = flip % (flipped.len() * 8);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let truncated = bytes[..cut % bytes.len()].to_vec();
+            for frame in [flipped, truncated] {
+                let _ = decode_to_coord(frame.clone());
+                let _ = decode_to_worker(frame);
+            }
+        }
+    }
+
     #[test]
     fn arbitrary_bytes_never_panic_the_reader(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
         let mut r = FrameReader::new(std::io::Cursor::new(data));

@@ -1,5 +1,5 @@
-//! Exposition formats: Prometheus text, a JSON snapshot, and Chrome
-//! `trace_event` counter tracks spliced into trace timelines.
+//! Exposition formats: Prometheus text, and Chrome `trace_event`
+//! counter tracks spliced into trace timelines.
 
 use crate::hist::HistSnapshot;
 use crate::series::{GAUGE_NAMES, NUM_COUNTERS, NUM_GAUGES};
@@ -7,8 +7,8 @@ use crate::{Gauge, Sample, Telemetry, NUM_PHASES, PHASES};
 use imr_simcluster::COUNTER_NAMES;
 use std::fmt::Write as _;
 
-/// One job's (or one standalone run's) derived stats, the unit of both
-/// exposition formats.
+/// One job's (or one standalone run's) derived stats, the unit of the
+/// exposition.
 #[derive(Debug, Clone)]
 pub struct JobStats {
     /// Job id (0 for a standalone run outside the job service).
@@ -180,65 +180,10 @@ impl Exposition {
         }
         out
     }
-
-    /// The JSON snapshot served next to the Prometheus text.
-    pub fn json(&self) -> String {
-        let mut out = String::from("{\"jobs\":[");
-        for (i, j) in self.jobs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"job\":{},\"iteration\":{},\"iteration_rate\":{},\"samples\":{}",
-                j.job,
-                j.iteration,
-                fmt_f64(j.iter_rate),
-                j.samples
-            );
-            out.push_str(",\"counters\":{");
-            for (c, name) in COUNTER_NAMES.iter().enumerate() {
-                if c > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{name}\":{}", j.counters[c]);
-            }
-            out.push_str("},\"gauges\":{");
-            for (g, name) in GAUGE_NAMES.iter().enumerate() {
-                if g > 0 {
-                    out.push(',');
-                }
-                if g == Gauge::PendingDeltaMass.index() {
-                    let _ = write!(out, "\"{name}\":{}", fmt_f64(f64::from_bits(j.gauges[g])));
-                } else {
-                    let _ = write!(out, "\"{name}\":{}", j.gauges[g]);
-                }
-            }
-            out.push_str("},\"phases\":{");
-            for (p, phase) in PHASES.iter().enumerate() {
-                if p > 0 {
-                    out.push(',');
-                }
-                let h = &j.hists[p];
-                let _ = write!(
-                    out,
-                    "\"{}\":{{\"count\":{},\"sum_nanos\":{},\"p50_nanos\":{},\"p99_nanos\":{}}}",
-                    phase.name(),
-                    h.count(),
-                    h.sum(),
-                    h.p50(),
-                    h.p99()
-                );
-            }
-            out.push_str("}}");
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
-/// Renders `f64` so both Prometheus and JSON parse it (no NaN/Inf
-/// leaks: both degrade to 0).
+/// Renders `f64` so Prometheus parses it (no NaN/Inf leaks: both
+/// degrade to 0).
 fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.6}")
@@ -339,20 +284,6 @@ mod tests {
                 "unparsable value in line: {line}"
             );
         }
-    }
-
-    #[test]
-    fn json_snapshot_carries_all_sections() {
-        let expo = Exposition {
-            jobs: vec![stats()],
-        };
-        let json = expo.json();
-        assert!(json.starts_with("{\"jobs\":["));
-        assert!(json.contains("\"job\":7"));
-        assert!(json.contains("\"shuffle_remote_bytes\":30"));
-        assert!(json.contains("\"queue_len\":4"));
-        assert!(json.contains("\"map\":{\"count\":2"));
-        assert!(json.contains("\"iteration_rate\":2.000000"));
     }
 
     #[test]

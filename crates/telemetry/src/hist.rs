@@ -2,10 +2,8 @@
 //!
 //! Bucket `i` counts observations `v` with `floor(log2(v)) == i`, i.e.
 //! `v ∈ [2^i, 2^(i+1))`; zero lands in bucket 0. The boundaries are the
-//! same for every histogram ever recorded, so histograms from different
-//! workers, engines or wire batches merge by plain bucket-wise addition
-//! — merging is associative and commutative by construction, which the
-//! coordinator relies on when folding worker deltas in arrival order.
+//! same for every histogram ever recorded, so quantiles from different
+//! runs and engines compare directly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -61,22 +59,9 @@ impl Histogram {
             sum: self.sum.load(Ordering::Relaxed),
         }
     }
-
-    /// Bucket-wise adds a snapshot (a worker's shipped delta) into the
-    /// live histogram.
-    pub fn merge(&self, delta: &HistSnapshot) {
-        for (live, d) in self.counts.iter().zip(delta.counts.iter()) {
-            if *d > 0 {
-                live.fetch_add(*d, Ordering::Relaxed);
-            }
-        }
-        if delta.sum > 0 {
-            self.sum.fetch_add(delta.sum, Ordering::Relaxed);
-        }
-    }
 }
 
-/// Plain-data histogram: the wire/merge/reporting form.
+/// Plain-data histogram: the reporting form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// Per-bucket observation counts.
@@ -110,27 +95,9 @@ impl HistSnapshot {
         self.sum.checked_div(self.count()).unwrap_or(0)
     }
 
-    /// Bucket-wise `self + other`.
-    pub fn merged(&self, other: &HistSnapshot) -> HistSnapshot {
-        HistSnapshot {
-            counts: std::array::from_fn(|i| self.counts[i] + other.counts[i]),
-            sum: self.sum + other.sum,
-        }
-    }
-
-    /// Bucket-wise `self - earlier` (saturating): what this worker
-    /// recorded since the last shipped batch.
-    pub fn delta(&self, earlier: &HistSnapshot) -> HistSnapshot {
-        HistSnapshot {
-            counts: std::array::from_fn(|i| self.counts[i].saturating_sub(earlier.counts[i])),
-            sum: self.sum.saturating_sub(earlier.sum),
-        }
-    }
-
     /// The `q`-quantile (0..=1) as the upper boundary of the bucket
-    /// where the cumulative count crosses `ceil(q * total)`. Bucket
-    /// boundaries are fixed, so quantiles computed after any merge
-    /// order agree. Returns 0 for an empty histogram.
+    /// where the cumulative count crosses `ceil(q * total)`. Returns 0
+    /// for an empty histogram.
     pub fn quantile(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
@@ -192,36 +159,5 @@ mod tests {
         // p99: rank 5 → the 1e6 observation's bucket [2^19, 2^20).
         assert_eq!(s.p99(), (1u64 << 20) - 1);
         assert_eq!(HistSnapshot::default().p50(), 0);
-    }
-
-    #[test]
-    fn merge_is_associative_and_commutative() {
-        let mk = |values: &[u64]| {
-            let h = Histogram::default();
-            for v in values {
-                h.record(*v);
-            }
-            h.snapshot()
-        };
-        let a = mk(&[1, 10, 100]);
-        let b = mk(&[1_000, 10_000]);
-        let c = mk(&[7, 7, 7, 1 << 40]);
-        assert_eq!(a.merged(&b), b.merged(&a));
-        assert_eq!(a.merged(&b).merged(&c), a.merged(&b.merged(&c)));
-        assert_eq!(a.merged(&b).merged(&c).count(), 9);
-    }
-
-    #[test]
-    fn delta_isolates_new_observations() {
-        let h = Histogram::default();
-        h.record(50);
-        let first = h.snapshot();
-        h.record(60);
-        h.record(1 << 30);
-        let d = h.snapshot().delta(&first);
-        assert_eq!(d.count(), 2);
-        assert_eq!(d.sum(), 60 + (1 << 30));
-        // Merging the delta into a copy of the first equals the second.
-        assert_eq!(first.merged(&d), h.snapshot());
     }
 }

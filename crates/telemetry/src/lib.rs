@@ -1,46 +1,42 @@
-//! Live telemetry for all four engines (DESIGN.md §14).
+//! Live telemetry for all four engines (DESIGN.md §9).
 //!
 //! Three layers, all hand-rolled like `crates/net`'s TCP and the bench
 //! JSON module — zero external dependencies:
 //!
 //! * **Sampling** — every [`Metrics`](imr_simcluster::Metrics) counter
-//!   plus a small gauge set (iteration, handoff-channel depth, pending
-//!   delta mass, admission-queue length, in-flight slots) snapshotted
-//!   into a per-worker ring-buffered time series at iteration
-//!   boundaries. On the simulation engine the stamps are virtual nanos,
-//!   so a run's series is bit-reproducible; on the native engines they
-//!   are monotonic nanos since the run started — the same two clock
-//!   conventions `imr-trace` uses.
+//!   plus a small gauge set (handoff-channel depth, pending delta mass,
+//!   admission-queue length, in-flight slots) snapshotted into a
+//!   ring-buffered time series at iteration boundaries. On the
+//!   simulation engine the stamps are virtual nanos, so a run's series
+//!   is bit-reproducible; on the native engines they are monotonic
+//!   nanos since the run started — the same two clock conventions
+//!   `imr-trace` uses.
 //! * **Phase-latency histograms** — fixed-boundary log2 buckets
 //!   ([`Histogram`]) for the map phase, reduce phase, reduce→map state
-//!   handoff, barrier wait and checkpoint write. Bucket boundaries are
-//!   powers of two, so histograms recorded by different workers (or
-//!   shipped over the wire as [`HistSnapshot`] deltas) merge by plain
-//!   bucket-wise addition.
-//! * **Exposition** — [`Exposition`] renders Prometheus text format and
-//!   a JSON snapshot; [`TelemetryServer`] serves both over a tiny
-//!   blocking HTTP listener, and the `imr-stat` CLI polls it.
+//!   handoff, barrier wait and checkpoint write.
+//! * **Exposition** — [`Exposition`] renders Prometheus text format;
+//!   [`TelemetryServer`] serves it over a tiny blocking HTTP listener,
+//!   and the `imr-stat` CLI polls it.
 //!
 //! The shared registry is [`Telemetry`] (one per run or per job),
-//! cheaply cloned as [`TelemetryHandle`]. TCP workers keep a local
-//! registry and stream its contents to the coordinator as encoded
-//! batches ([`encode_batch`]) inside `ToCoord::Telemetry` frames; the
-//! coordinator rebases the stamps onto its own clock and merges them
-//! per job, exactly like trace batches.
+//! cheaply cloned as [`TelemetryHandle`]. Engines never call it
+//! directly: they emit `imr-trace` span events into
+//! `imapreduce::Observer`, which records each phase span's duration
+//! here and takes the sample on `IterEnd` — on TCP the workers ship
+//! only events and the coordinator's observer does the same.
 
-mod codec;
 mod expo;
 mod hist;
 mod series;
 mod server;
 
-pub use codec::{decode_batch, encode_batch, SAMPLE_WORDS};
 pub use expo::{chrome_counter_track, Exposition, JobStats};
 pub use hist::{HistSnapshot, Histogram, NUM_BUCKETS};
-pub use series::{Sample, SeriesRing, GAUGE_NAMES, NUM_COUNTERS, NUM_GAUGES};
+pub use series::{Sample, GAUGE_NAMES, NUM_COUNTERS, NUM_GAUGES};
 pub use server::{Provider, TelemetryServer};
 
 use imr_simcluster::MetricsSnapshot;
+use series::SeriesRing;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -160,11 +156,6 @@ impl Telemetry {
         self.gauges[gauge.index()].store(value, Ordering::Relaxed);
     }
 
-    /// Current value of a gauge.
-    pub fn gauge(&self, gauge: Gauge) -> u64 {
-        self.gauges[gauge.index()].load(Ordering::Relaxed)
-    }
-
     /// Current values of all gauges, in [`Gauge::index`] order.
     pub fn gauges(&self) -> [u64; NUM_GAUGES] {
         std::array::from_fn(|i| self.gauges[i].load(Ordering::Relaxed))
@@ -180,18 +171,14 @@ impl Telemetry {
         iteration: u64,
         metrics: &MetricsSnapshot,
     ) {
-        self.push_sample(Sample {
+        let sample = Sample {
             stamp_nanos,
             worker,
             generation,
             iteration,
             counters: metrics.values(),
             gauges: self.gauges(),
-        });
-    }
-
-    /// Appends a fully built sample (the coordinator-side merge path).
-    pub fn push_sample(&self, sample: Sample) {
+        };
         self.series
             .lock()
             .unwrap_or_else(|poison| poison.into_inner())
@@ -223,13 +210,6 @@ impl Telemetry {
     /// Point-in-time snapshot of all five phase histograms.
     pub fn hist_snapshots(&self) -> [HistSnapshot; NUM_PHASES] {
         std::array::from_fn(|i| self.hists[i].snapshot())
-    }
-
-    /// Bucket-wise adds worker histogram deltas into this registry.
-    pub fn merge_hists(&self, deltas: &[HistSnapshot; NUM_PHASES]) {
-        for (hist, delta) in self.hists.iter().zip(deltas) {
-            hist.merge(delta);
-        }
     }
 }
 
@@ -293,18 +273,5 @@ mod tests {
         assert_eq!(snaps[Phase::Map.index()].sum(), 300);
         assert_eq!(snaps[Phase::CheckpointWrite.index()].count(), 1);
         assert_eq!(snaps[Phase::Reduce.index()].count(), 0);
-    }
-
-    #[test]
-    fn merge_hists_adds_bucketwise() {
-        let a = Telemetry::default();
-        let b = Telemetry::default();
-        a.record_phase(Phase::Reduce, 1_000);
-        b.record_phase(Phase::Reduce, 1_000);
-        b.record_phase(Phase::Reduce, 1_000_000);
-        a.merge_hists(&b.hist_snapshots());
-        let merged = a.hist_snapshots()[Phase::Reduce.index()].clone();
-        assert_eq!(merged.count(), 3);
-        assert_eq!(merged.sum(), 1_002_000);
     }
 }

@@ -41,17 +41,10 @@ pub struct Sample {
     pub gauges: [u64; NUM_GAUGES],
 }
 
-impl Sample {
-    /// `pending_delta_mass` carries an `f64` as bits; decode it.
-    pub fn pending_delta_mass(&self) -> f64 {
-        f64::from_bits(self.gauges[1])
-    }
-}
-
 /// Bounded sample ring: keeps the newest `capacity` samples and counts
 /// what it evicted.
 #[derive(Debug)]
-pub struct SeriesRing {
+pub(crate) struct SeriesRing {
     capacity: usize,
     buf: VecDeque<Sample>,
     dropped: u64,
@@ -81,16 +74,6 @@ impl SeriesRing {
         self.buf.iter().copied()
     }
 
-    /// Number of retained samples.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been sampled yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Samples evicted so far.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -118,7 +101,6 @@ mod tests {
         for i in 0..5 {
             ring.push(sample(i));
         }
-        assert_eq!(ring.len(), 3);
         assert_eq!(ring.dropped(), 2);
         let stamps: Vec<_> = ring.iter().map(|s| s.stamp_nanos).collect();
         assert_eq!(stamps, [2, 3, 4]);
@@ -128,8 +110,5 @@ mod tests {
     fn gauge_schema_matches_columns() {
         assert_eq!(GAUGE_NAMES.len(), NUM_GAUGES);
         assert_eq!(NUM_COUNTERS, COUNTER_NAMES.len());
-        let mut s = sample(1);
-        s.gauges[1] = 2.5f64.to_bits();
-        assert_eq!(s.pending_delta_mass(), 2.5);
     }
 }

@@ -1,8 +1,8 @@
 //! The exposition endpoint: a tiny blocking HTTP/1.1 listener serving
-//! Prometheus text at `/metrics` and the JSON snapshot at `/json` (and
-//! `/`). Hand-rolled on `TcpListener` like the rest of the transport
-//! layer — one short-lived handler thread per connection, each request
-//! re-invokes the provider so every scrape sees live state.
+//! Prometheus text at `/metrics`. Hand-rolled on `TcpListener` like the
+//! rest of the transport layer — one short-lived handler thread per
+//! connection, each request re-invokes the provider so every scrape
+//! sees live state.
 
 use crate::Exposition;
 use std::io::{Read, Write};
@@ -103,7 +103,6 @@ fn handle(mut stream: TcpStream, provider: &Provider) -> std::io::Result<()> {
             "text/plain; version=0.0.4; charset=utf-8",
             provider().prometheus_text(),
         ),
-        "/" | "/json" | "/snapshot" => ("200 OK", "application/json", provider().json()),
         _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
     };
     let response = format!(
@@ -139,15 +138,12 @@ mod tests {
     }
 
     #[test]
-    fn serves_prometheus_and_json() {
+    fn serves_prometheus_text() {
         let server = test_server();
         let metrics = get(server.addr(), "/metrics");
         assert!(metrics.starts_with("HTTP/1.1 200 OK"));
         assert!(metrics.contains("text/plain"));
         assert!(metrics.contains("imr_iteration{job=\"1\"} 5"));
-        let json = get(server.addr(), "/json");
-        assert!(json.starts_with("HTTP/1.1 200 OK"));
-        assert!(json.contains("\"iteration\":5"));
         let missing = get(server.addr(), "/nope");
         assert!(missing.starts_with("HTTP/1.1 404"));
     }

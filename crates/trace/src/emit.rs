@@ -136,7 +136,9 @@ fn data_json(kind: TraceKind) -> String {
         | TraceKind::MapPhase
         | TraceKind::ReducePhase
         | TraceKind::StallDetected
-        | TraceKind::RejectedHello => "{}".to_string(),
+        | TraceKind::RejectedHello
+        | TraceKind::BarrierWait
+        | TraceKind::DeltaMerge => "{}".to_string(),
     }
 }
 

@@ -5,7 +5,7 @@
 //! next iteration's maps with the previous iteration's reduces. This
 //! crate records that as a stream of typed [`TraceEvent`]s in a
 //! lock-free bounded ring ([`TraceBuffer`]), then turns the stream into
-//! per-phase latency histograms and an async-overlap score
+//! per-phase latency summaries and an async-overlap score
 //! ([`TraceReport`]), a Chrome `trace_event` timeline
 //! ([`chrome_trace_json`]), or a postmortem flight-recorder artifact
 //! ([`flight_lines`]).
@@ -41,9 +41,10 @@ pub type TraceHandle = Arc<TraceBuffer>;
 /// coordinator/supervisor) rather than to one task.
 pub const COORD: u32 = u32::MAX;
 
-/// What happened. Span kinds ([`MapPhase`](TraceKind::MapPhase),
-/// [`ReducePhase`](TraceKind::ReducePhase)) cover
-/// `[start_nanos, end_nanos]`; the rest are instants.
+/// What happened. The phase kinds — map, reduce, hand-off, barrier
+/// wait, checkpoint, and the two halves of a delta round — are spans
+/// over `[start_nanos, end_nanos]` and are what the telemetry phase
+/// histograms are fed from; the rest are instants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// A task began an iteration.
@@ -54,17 +55,19 @@ pub enum TraceKind {
     MapPhase,
     /// The reduce phase of one task-iteration.
     ReducePhase,
-    /// One2one state handoff from a reduce to its paired map.
+    /// One2one state handoff from a reduce to its paired map (spans
+    /// reduce done → state delivered).
     StateHandoff {
         /// Encoded state bytes moved.
         bytes: u64,
     },
-    /// One2all state broadcast contribution.
+    /// One2all state broadcast contribution (spans reduce done → all
+    /// parts exchanged).
     Broadcast {
         /// Encoded state bytes contributed.
         bytes: u64,
     },
-    /// A checkpoint part was persisted.
+    /// A checkpoint part was persisted (spans the write).
     Checkpoint {
         /// Iteration the checkpoint captures.
         epoch: u64,
@@ -117,6 +120,13 @@ pub enum TraceKind {
     /// `accept_workers` rejected a connection for a bad hello (wrong
     /// generation/job, out-of-range pair, garbage bytes).
     RejectedHello,
+    /// Time a task spent blocked at the global synchronization barrier
+    /// before starting an iteration (synchronous maps only).
+    BarrierWait,
+    /// The receive half of an accumulative round: merging the delta
+    /// segments of every peer into the local store (the reduce role;
+    /// [`DeltaRound`](TraceKind::DeltaRound) is the map role).
+    DeltaMerge,
 }
 
 impl TraceKind {
@@ -140,12 +150,14 @@ impl TraceKind {
             TraceKind::Corrupt { .. } => "Corrupt",
             TraceKind::Retry { .. } => "Retry",
             TraceKind::RejectedHello => "RejectedHello",
+            TraceKind::BarrierWait => "BarrierWait",
+            TraceKind::DeltaMerge => "DeltaMerge",
         }
     }
 
-    /// Canonical rank of this kind *within* one task-iteration,
-    /// mirroring emission order in every engine. Used as the final
-    /// component of the cross-engine canonical sort key.
+    /// Canonical rank of this kind *within* one task-iteration: the
+    /// final component of the cross-engine canonical sort key, and the
+    /// kind's wire tag (so new kinds append).
     pub fn rank(&self) -> u8 {
         match self {
             TraceKind::IterStart => 0,
@@ -164,6 +176,8 @@ impl TraceKind {
             TraceKind::Corrupt { .. } => 13,
             TraceKind::Retry { .. } => 14,
             TraceKind::RejectedHello => 15,
+            TraceKind::BarrierWait => 16,
+            TraceKind::DeltaMerge => 17,
         }
     }
 
@@ -186,7 +200,9 @@ impl TraceKind {
             | TraceKind::MapPhase
             | TraceKind::ReducePhase
             | TraceKind::StallDetected
-            | TraceKind::RejectedHello => (0, 0),
+            | TraceKind::RejectedHello
+            | TraceKind::BarrierWait
+            | TraceKind::DeltaMerge => (0, 0),
         }
     }
 
@@ -211,6 +227,8 @@ impl TraceKind {
             13 => TraceKind::Corrupt { seq: a },
             14 => TraceKind::Retry { attempt: a },
             15 => TraceKind::RejectedHello,
+            16 => TraceKind::BarrierWait,
+            17 => TraceKind::DeltaMerge,
             _ => return None,
         })
     }
@@ -333,6 +351,8 @@ mod tests {
             TraceKind::Corrupt { seq: 41 },
             TraceKind::Retry { attempt: 2 },
             TraceKind::RejectedHello,
+            TraceKind::BarrierWait,
+            TraceKind::DeltaMerge,
         ]
     }
 

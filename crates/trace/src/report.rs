@@ -1,16 +1,13 @@
-//! Turning an event stream into numbers: per-phase latency histograms,
-//! the §3.3 async-overlap score, and the canonical cross-engine
-//! ordering used by the determinism tests.
+//! Turning an event stream into numbers: per-phase latency summaries
+//! (count / mean / max — the histograms live in `imr-telemetry`), the
+//! §3.3 async-overlap score, and the canonical cross-engine ordering
+//! used by the determinism tests.
 
 use crate::{TraceEvent, TraceKind};
 use std::collections::BTreeMap;
 
-/// Number of log2 latency buckets (bucket `i` holds durations in
-/// `[2^(i-1), 2^i)` nanoseconds; bucket 0 holds zero-duration spans).
-pub const BUCKETS: usize = 64;
-
-/// Latency histogram for one phase.
-#[derive(Debug, Clone, PartialEq)]
+/// Latency summary for one phase.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseStats {
     /// Spans observed.
     pub count: u64,
@@ -18,19 +15,6 @@ pub struct PhaseStats {
     pub total_nanos: u64,
     /// Longest span, nanoseconds.
     pub max_nanos: u64,
-    /// Log2-bucketed duration counts; see [`BUCKETS`].
-    pub buckets: [u64; BUCKETS],
-}
-
-impl Default for PhaseStats {
-    fn default() -> PhaseStats {
-        PhaseStats {
-            count: 0,
-            total_nanos: 0,
-            max_nanos: 0,
-            buckets: [0; BUCKETS],
-        }
-    }
 }
 
 impl PhaseStats {
@@ -38,8 +22,6 @@ impl PhaseStats {
         self.count += 1;
         self.total_nanos += nanos;
         self.max_nanos = self.max_nanos.max(nanos);
-        let bucket = (64 - nanos.leading_zeros()) as usize;
-        self.buckets[bucket.min(BUCKETS - 1)] += 1;
     }
 
     /// Mean span duration in nanoseconds (0 when empty).
@@ -54,11 +36,11 @@ impl PhaseStats {
 pub struct TraceReport {
     /// Highest iteration number seen.
     pub iterations: u32,
-    /// Map-phase latency histogram.
+    /// Map-phase latency summary.
     pub map: PhaseStats,
-    /// Reduce-phase latency histogram.
+    /// Reduce-phase latency summary.
     pub reduce: PhaseStats,
-    /// Whole-iteration latency histogram (per-task `IterStart` →
+    /// Whole-iteration latency summary (per-task `IterStart` →
     /// `IterEnd`).
     pub iter: PhaseStats,
     /// Fraction of map-phase time at iteration `k+1` spent while some
@@ -74,13 +56,6 @@ pub struct TraceReport {
     pub stalls: u64,
     /// `Reconnect` events observed.
     pub reconnects: u64,
-    /// `Corrupt` (failed wire integrity check) events observed.
-    pub corrupt_frames: u64,
-    /// `Retry` (supervisor no-progress retry) events observed.
-    pub retries: u64,
-    /// `RejectedHello` (bad handshake dropped in accept) events
-    /// observed.
-    pub rejected_hellos: u64,
 }
 
 impl TraceReport {
@@ -106,14 +81,16 @@ impl TraceReport {
                 TraceKind::Migration { .. } => report.migrations += 1,
                 TraceKind::StallDetected => report.stalls += 1,
                 TraceKind::Reconnect { .. } => report.reconnects += 1,
-                TraceKind::Corrupt { .. } => report.corrupt_frames += 1,
-                TraceKind::Retry { .. } => report.retries += 1,
-                TraceKind::RejectedHello => report.rejected_hellos += 1,
                 TraceKind::StateHandoff { .. }
                 | TraceKind::Broadcast { .. }
                 | TraceKind::Checkpoint { .. }
                 | TraceKind::DeltaRound { .. }
-                | TraceKind::TerminationCheck { .. } => {}
+                | TraceKind::TerminationCheck { .. }
+                | TraceKind::Corrupt { .. }
+                | TraceKind::Retry { .. }
+                | TraceKind::RejectedHello
+                | TraceKind::BarrierWait
+                | TraceKind::DeltaMerge => {}
             }
         }
         report.async_overlap = async_overlap_score(events);
@@ -309,20 +286,5 @@ mod tests {
             canonical_kinds(&a),
             vec!["IterStart", "MapPhase", "IterStart", "MapPhase"]
         );
-    }
-
-    #[test]
-    fn histogram_buckets_are_log2() {
-        let mut stats = PhaseStats::default();
-        stats.add(0);
-        stats.add(1);
-        stats.add(2);
-        stats.add(3);
-        stats.add(1024);
-        assert_eq!(stats.buckets[0], 1); // zero
-        assert_eq!(stats.buckets[1], 1); // [1,2)
-        assert_eq!(stats.buckets[2], 2); // [2,4)
-        assert_eq!(stats.buckets[11], 1); // [1024,2048)
-        assert_eq!(stats.count, 5);
     }
 }

@@ -327,6 +327,7 @@ fn dummy_setup() -> WorkerSetup {
         delta_batch: 0,
         check_every: 1,
         incremental: false,
+        observed: false,
     }
 }
 

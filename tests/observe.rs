@@ -1,0 +1,182 @@
+//! One emit path, checked end to end: on every engine and in every
+//! mode, each telemetry phase histogram holds exactly the trace spans
+//! `imapreduce::phase_of` maps to it — same count, same summed
+//! duration — because both are fed from the same emitted event.
+
+use imapreduce::{phase_of, IterConfig, IterativeJob};
+use imr_algorithms::kmeans::{self, KmeansIter};
+use imr_algorithms::pagerank::{self, PageRankIter};
+use imr_algorithms::sssp::{self, SsspIter};
+use imr_algorithms::testutil::{imr_runner, native_runner};
+use imr_graph::{dataset, generate_points};
+use imr_native::{NativeRunner, WorkerSpec};
+use imr_telemetry::{Phase, Telemetry, TelemetryHandle, PHASES};
+use imr_trace::{TraceBuffer, TraceHandle};
+use std::sync::Arc;
+
+/// A fresh trace ring and telemetry registry for one run.
+fn sinks() -> (TraceHandle, TelemetryHandle) {
+    (
+        Arc::new(TraceBuffer::with_capacity(1 << 15)),
+        Arc::new(Telemetry::default()),
+    )
+}
+
+/// Asserts histogram == spans for every phase, and that each phase in
+/// `expected` was observed at all (so an engine that stopped emitting a
+/// span cannot pass by recording nothing on both sides).
+fn assert_hists_are_the_spans(
+    label: &str,
+    trace: &TraceHandle,
+    tel: &TelemetryHandle,
+    expected: &[Phase],
+) {
+    let events = trace.snapshot();
+    let hists = tel.hist_snapshots();
+    for phase in PHASES {
+        let spans: Vec<u64> = events
+            .iter()
+            .filter(|e| phase_of(e.kind) == Some(phase))
+            .map(|e| e.duration_nanos())
+            .collect();
+        let hist = &hists[phase.index()];
+        let name = phase.name();
+        assert_eq!(hist.count(), spans.len() as u64, "{label}: {name} count");
+        assert_eq!(hist.sum(), spans.iter().sum::<u64>(), "{label}: {name} sum");
+        assert_eq!(
+            hist.count() > 0,
+            expected.contains(&phase),
+            "{label}: {name} observed"
+        );
+    }
+}
+
+/// Runs `job` from `/s`, `/t` over worker processes with both sinks
+/// attached to the coordinator.
+fn run_tcp<J: IterativeJob>(tcp: &NativeRunner, job: &J, job_args: &[&str], cfg: &IterConfig) {
+    let spec = WorkerSpec::new(
+        env!("CARGO_BIN_EXE_imr-worker"),
+        job_args.iter().map(|s| (*s).to_owned()).collect(),
+    );
+    tcp.run_remote(
+        job,
+        &spec,
+        &cfg.clone().with_tcp_transport(),
+        "/s",
+        "/t",
+        "/o",
+        &[],
+    )
+    .unwrap();
+}
+
+/// Synchronous one2one SSSP with a checkpoint every 2 of 6 iterations:
+/// all five phases occur.
+#[test]
+fn sync_one2one_with_checkpoints() {
+    let g = dataset("DBLP").unwrap().generate(0.005);
+    let cfg = IterConfig::new("sssp", 4, 6)
+        .with_sync_maps()
+        .with_checkpoint_interval(2);
+    let all = PHASES;
+
+    let (trace, tel) = sinks();
+    let sim = imr_runner(4)
+        .with_trace(Arc::clone(&trace))
+        .with_telemetry(Arc::clone(&tel));
+    sssp::run_sssp_imr(&sim, &g, 0, &cfg).unwrap();
+    assert_hists_are_the_spans("sim", &trace, &tel, &all);
+
+    let (trace, tel) = sinks();
+    let chan = native_runner(4)
+        .with_trace(Arc::clone(&trace))
+        .with_telemetry(Arc::clone(&tel));
+    sssp::run_sssp_imr(&chan, &g, 0, &cfg).unwrap();
+    assert_hists_are_the_spans("threads", &trace, &tel, &all);
+
+    let (trace, tel) = sinks();
+    let tcp = native_runner(4)
+        .with_trace(Arc::clone(&trace))
+        .with_telemetry(Arc::clone(&tel));
+    sssp::load_sssp_imr(&tcp, &g, 0, 4, "/s", "/t").unwrap();
+    run_tcp(&tcp, &SsspIter, &["sssp"], &cfg);
+    assert_hists_are_the_spans("tcp", &trace, &tel, &all);
+}
+
+/// K-means: one2all broadcast (so the hand-off span is `Broadcast`),
+/// inherently synchronous, no checkpoints.
+#[test]
+fn one2all_broadcast() {
+    let points = generate_points(400, 5, 3, 77);
+    let cfg = IterConfig::new("km", 4, 5).with_one2all();
+    let expected = [
+        Phase::Map,
+        Phase::Reduce,
+        Phase::Handoff,
+        Phase::BarrierWait,
+    ];
+
+    let (trace, tel) = sinks();
+    let sim = imr_runner(4)
+        .with_trace(Arc::clone(&trace))
+        .with_telemetry(Arc::clone(&tel));
+    kmeans::run_kmeans_imr(&sim, &points, 3, &cfg, false).unwrap();
+    assert_hists_are_the_spans("sim", &trace, &tel, &expected);
+
+    let (trace, tel) = sinks();
+    let chan = native_runner(4)
+        .with_trace(Arc::clone(&trace))
+        .with_telemetry(Arc::clone(&tel));
+    kmeans::run_kmeans_imr(&chan, &points, 3, &cfg, false).unwrap();
+    assert_hists_are_the_spans("threads", &trace, &tel, &expected);
+
+    let (trace, tel) = sinks();
+    let tcp = native_runner(4)
+        .with_trace(Arc::clone(&trace))
+        .with_telemetry(Arc::clone(&tel));
+    kmeans::load_kmeans_imr(&tcp, &points, 3, 4, "/s", "/t").unwrap();
+    run_tcp(
+        &tcp,
+        &KmeansIter { combiner: false },
+        &["kmeans", "0"],
+        &cfg,
+    );
+    assert_hists_are_the_spans("tcp", &trace, &tel, &expected);
+}
+
+/// Delta-accumulative PageRank: the round's two halves (`DeltaRound`,
+/// `DeltaMerge`) feed the map and reduce histograms, and every check but
+/// the last checkpoints the store; no barrier, no hand-off.
+#[test]
+fn delta_mode() {
+    let g = dataset("Google").unwrap().generate(0.003);
+    let job = PageRankIter::new(g.num_nodes() as u64);
+    let nodes = g.num_nodes().to_string();
+    let cfg = IterConfig::new("prd", 4, 400)
+        .with_accumulative_mode()
+        .with_distance_threshold(1e-6)
+        .with_checkpoint_interval(1);
+    let expected = [Phase::Map, Phase::Reduce, Phase::CheckpointWrite];
+
+    let (trace, tel) = sinks();
+    let sim = imr_runner(4)
+        .with_trace(Arc::clone(&trace))
+        .with_telemetry(Arc::clone(&tel));
+    pagerank::run_pagerank_delta(&sim, &g, &cfg).unwrap();
+    assert_hists_are_the_spans("sim", &trace, &tel, &expected);
+
+    let (trace, tel) = sinks();
+    let chan = native_runner(4)
+        .with_trace(Arc::clone(&trace))
+        .with_telemetry(Arc::clone(&tel));
+    pagerank::run_pagerank_delta(&chan, &g, &cfg).unwrap();
+    assert_hists_are_the_spans("threads", &trace, &tel, &expected);
+
+    let (trace, tel) = sinks();
+    let tcp = native_runner(4)
+        .with_trace(Arc::clone(&trace))
+        .with_telemetry(Arc::clone(&tel));
+    pagerank::load_pagerank_imr(&tcp, &g, 4, "/s", "/t").unwrap();
+    run_tcp(&tcp, &job, &["pagerank", &nodes], &cfg);
+    assert_hists_are_the_spans("tcp", &trace, &tel, &expected);
+}

@@ -12,8 +12,7 @@
 #   ./verify.sh bench      # smoke-run every experiment binary at tiny size
 #   ./verify.sh drift      # verify.sh subcommands <-> CI jobs bijection
 #   ./verify.sh <suite>    # one row group of the SUITES table: faults,
-#                          # trace, service, delta, chaos, incremental,
-#                          # telemetry
+#                          # observe, service, delta, chaos, incremental
 #
 # Performance is not judged here: `benchmark/run.sh` (declared in
 # BENCHMARK.json) is the perf baseline; `bench` only proves the
@@ -58,19 +57,23 @@ cmd_test() {
 #
 #   faults       checkpoint rollback after kills/hangs/crashes, and the
 #                native crate's watchdog/migration monitor
-#   trace        trace crate units, cross-engine trace determinism and
-#                the flight recorder
+#   observe      the one observability pipeline (DESIGN.md §9): trace
+#                and telemetry crate units, cross-engine trace
+#                determinism, the flight recorder, sampled series, and
+#                histogram == spans on every engine
 #   service      multi-tenant job service: 20-job stress, coordinator
 #                kill + bit-identical resume, DLQ, priority, drain
 #   delta        barrier-free delta-accumulative mode (DESIGN.md §11)
 #   chaos        hardened wire protocol under seeded network chaos (§12)
 #   incremental  warm re-convergence vs cold recompute (§13)
-#   telemetry    sampled series, phase histograms, merge algebra (§14)
 SUITES='
 faults      600 --test fault_tolerance
 faults      600 -p imr-native
-trace       600 -p imr-trace
-trace       600 --test tracing
+observe     600 -p imr-trace
+observe     600 -p imr-telemetry
+observe     600 --test tracing
+observe     900 --release --test telemetry
+observe     900 --release --test observe
 service     600 -p imr-jobs
 service     900 --release --test job_service
 delta       600 -p imapreduce accum
@@ -85,8 +88,6 @@ incremental 600 -p imapreduce incremental
 incremental 600 -p imr-algorithms incremental
 incremental 900 --release --test incremental
 incremental 600 --test properties incremental_
-telemetry   600 -p imr-telemetry
-telemetry   900 --release --test telemetry
 '
 
 suite_names() {
@@ -152,9 +153,14 @@ cmd_bench() {
   echo "bench-smoke: $n artifacts, all keys present"
 }
 
+smoke_observe() {
+  timeline_smoke
+  exposition_smoke
+}
+
 # A smoke-run of the trace_timeline binary, whose artifacts must carry
 # the keys the timeline tooling relies on.
-smoke_trace() {
+timeline_smoke() {
   cargo build --release -p imr-bench --bin trace_timeline
   local out
   out=$(mktemp -d)
@@ -184,7 +190,7 @@ smoke_service() {
 # embedded HTTP endpoint enabled while curl scrapes /metrics (the
 # Prometheus text must parse and carry the expected families) and
 # imr-stat renders one snapshot from the same endpoint.
-smoke_telemetry() {
+exposition_smoke() {
   cargo build --release -p imr-bench --bin jobs_throughput
   cargo build --release --bin imr-stat
   local out addr bg ok i fam
@@ -256,7 +262,7 @@ cmd_all() {
   run_suite faults
   cmd_bench
   local suite
-  for suite in trace service delta chaos incremental telemetry; do
+  for suite in observe service delta chaos incremental; do
     run_suite "$suite"
   done
   cmd_drift
