@@ -15,7 +15,7 @@
 
 use crate::api::{IterativeJob, Mapping};
 use crate::config::{FailureEvent, FaultEvent, IterConfig};
-use crate::kernel::{check_co_partitioned, map_side, reduce_side, MapState};
+use crate::kernel::{check_co_partitioned, fold_votes, map_side, reduce_side, MapState};
 use crate::observe::Observer;
 use crate::store::{check_inputs, check_slots};
 use bytes::Bytes;
@@ -367,8 +367,7 @@ impl IterativeRunner {
             let mut new_state_bytes: Vec<u64> = Vec::with_capacity(n);
             let mut reduce_done: Vec<VInstant> = Vec::with_capacity(n);
             let mut reduce_work_start: Vec<VInstant> = Vec::with_capacity(n);
-            let mut iter_distance = 0.0f64;
-            let mut any_prev = false;
+            let mut votes: Vec<(f64, bool)> = Vec::with_capacity(n);
 
             for q in 0..n {
                 let node = assignment[q];
@@ -398,9 +397,8 @@ impl IterativeRunner {
                 )?;
                 charge.merged(out.records, n);
                 let new_state = out.state;
+                votes.push((out.distance, out.has_prev));
                 if out.has_prev {
-                    any_prev = true;
-                    iter_distance += out.distance;
                     clock.advance(cost.compute_time(new_state.len() as u64, 0, speed));
                 }
 
@@ -490,6 +488,7 @@ impl IterativeRunner {
 
             // ---- Master: termination check ---------------------------
             decision_time = iter_done + cost.net_latency;
+            let (iter_distance, any_prev) = fold_votes(votes);
             if cfg.termination.distance_threshold.is_some() {
                 distances.push(if any_prev {
                     iter_distance

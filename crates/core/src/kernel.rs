@@ -220,9 +220,35 @@ pub fn distance_sorted<J: IterativeJob>(
     total
 }
 
+/// Folds the pairs' termination votes — one `(local distance, had a
+/// previous snapshot)` per pair, **in task order** — into the global
+/// `(distance, any pair had a previous snapshot)` of §3.1.2. The one
+/// definition of that sum: every engine and the native supervisor's
+/// final stitch call it, so the float accumulation order cannot differ.
+pub fn fold_votes(votes: impl IntoIterator<Item = (f64, bool)>) -> (f64, bool) {
+    let mut total = 0.0f64;
+    let mut any_prev = false;
+    for (d, has_prev) in votes {
+        if has_prev {
+            any_prev = true;
+            total += d;
+        }
+    }
+    (total, any_prev)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fold_votes_skips_pairs_without_a_previous_snapshot() {
+        assert_eq!(
+            fold_votes([(9.0, false), (0.5, true), (0.25, true)]),
+            (0.75, true)
+        );
+        assert_eq!(fold_votes([(9.0, false)]), (0.0, false));
+    }
 
     #[test]
     fn carry_forward_fills_gaps() {

@@ -92,8 +92,8 @@ pub use incremental::{
 };
 pub use iter_engine::IterEngine;
 pub use kernel::{
-    carry_forward, check_co_partitioned, distance_sorted, map_side, reduce_side, MapOutput,
-    MapState, ReduceOutput,
+    carry_forward, check_co_partitioned, distance_sorted, fold_votes, map_side, reduce_side,
+    MapOutput, MapState, ReduceOutput,
 };
 pub use multiphase::{run_two_phase, PhaseJob, TwoPhaseConfig, TwoPhaseOutcome};
 pub use observe::{phase_of, Observer};

@@ -25,14 +25,16 @@
 //!   barrier. `IterConfig::with_sync_maps` inserts a barrier before
 //!   every map phase instead (the paper's "iMapReduce (sync.)"
 //!   variant).
-//! * **one2all broadcast** (§5.1) — reduce outputs meet in a barriered
-//!   collective (shared slots in-process, a coordinator gather over
-//!   TCP); every map rebuilds the global state list in task order, so
-//!   the broadcast state is byte-identical on all pairs.
+//! * **one2all broadcast** (§5.1) — reduce outputs meet in the one
+//!   collective, a task-ordered all-gather (shared slots under a
+//!   barrier in-process, a coordinator gather over TCP); every map
+//!   rebuilds the global state list in task order, so the broadcast
+//!   state is byte-identical on all pairs. The sync-mode barrier is the
+//!   same gather with empty parts.
 //! * **Termination** (§3.1.2) — per-pair distances meet in the same
-//!   collective; every pair evaluates the same threshold verdict over
-//!   the same task-ordered float sum, so all pairs stop at the same
-//!   iteration without a master round-trip.
+//!   collective; every pair folds the same votes in task order
+//!   (`imapreduce::fold_votes`), so all pairs reach the same verdict and
+//!   stop at the same iteration without a master round-trip.
 //! * **Checkpointing and rollback** (§3.4.1) — every
 //!   `cfg.checkpoint_interval` iterations each pair atomically snapshots
 //!   its reduce-side state to the DFS (`<out>/_ckpt/iter-NNNN/part-*`).
@@ -110,16 +112,18 @@ use imapreduce::{
     check_inputs, FailureEvent, FaultEvent, IterConfig, IterEngine, IterOutcome, IterativeJob,
     Mapping, Observer, RunCtl, TransportKind,
 };
-use imr_dfs::{hist_path, snapshot_dir, Dfs};
-use imr_mapreduce::io::{num_parts, part_path};
+use imr_dfs::Dfs;
+use imr_mapreduce::io::num_parts;
 use imr_mapreduce::EngineError;
 use imr_net::{ChannelLink, ChannelMesh, Closed, Transport};
-use imr_records::Codec;
-use imr_simcluster::{MetricsHandle, NodeId, TaskClock};
+use imr_simcluster::MetricsHandle;
 use imr_telemetry::{Gauge, TelemetryHandle};
 use imr_trace::{TraceEvent, TraceHandle, TraceKind};
 use monitor::{monitor_loop, BalancePlan, Intervention, ProgressBoard};
-use pair::{delta_loop, pair_loop, EnvFail, PairCfg, PairCtx, PairDirs, PairEnv, PairOutcome};
+use pair::{
+    delta_loop, pair_cfg, pair_loop, panic_message, persist_checkpoint, read_part_raw, EnvFail,
+    PairCtx, PairDirs, PairEnv, PairOutcome,
+};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -330,7 +334,7 @@ impl NativeRunner {
         check_inputs(&self.dfs, cfg, state_dir, static_dir)?;
         let n = cfg.num_tasks;
         let num_state_parts = num_parts(&self.dfs, state_dir);
-        let pair_cfg = PairCfg::from_config(cfg, num_state_parts);
+        let pair_cfg = pair_cfg(cfg, num_state_parts);
         let dirs = PairDirs {
             state_dir: state_dir.to_owned(),
             static_dir: static_dir.to_owned(),
@@ -354,8 +358,6 @@ impl NativeRunner {
                 // links are disconnected and its barrier poisoned.
                 let links = ChannelMesh::links(n, HANDOFF_BUFFER);
                 let slots: Vec<Mutex<Option<Bytes>>> = (0..n).map(|_| Mutex::new(None)).collect();
-                let dist_slots: Vec<Mutex<(f64, bool)>> =
-                    (0..n).map(|_| Mutex::new((0.0, false))).collect();
                 let barrier = FaultBarrier::new(n);
                 let board = ProgressBoard::new(n, epoch);
                 let workers_done = AtomicBool::new(false);
@@ -406,7 +408,6 @@ impl NativeRunner {
                     for (q, link) in links.into_iter().enumerate() {
                         let plan = &plans[q];
                         let slots = &slots;
-                        let dist_slots = &dist_slots;
                         let barrier = &barrier;
                         let board = &board;
                         let dfs = &self.dfs;
@@ -422,7 +423,6 @@ impl NativeRunner {
                                 dfs,
                                 link,
                                 slots,
-                                dist_slots,
                                 barrier,
                                 board,
                                 output_dir: &dirs.output_dir,
@@ -454,18 +454,11 @@ impl NativeRunner {
                             let outcome = match result {
                                 Ok(Ok(outcome)) => RunOutcome::from(outcome),
                                 Ok(Err(e)) => RunOutcome::Error(e),
-                                Err(payload) => {
-                                    // A panic in job code: surface it as an
-                                    // engine error instead of hanging peers.
-                                    let msg = payload
-                                        .downcast_ref::<&str>()
-                                        .map(|s| (*s).to_owned())
-                                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                                        .unwrap_or_else(|| "panicked".to_owned());
-                                    RunOutcome::Error(EngineError::Worker(format!(
-                                        "pair {q} panicked: {msg}"
-                                    )))
-                                }
+                                // A panic in job code: surface it as an
+                                // engine error instead of hanging peers.
+                                Err(payload) => RunOutcome::Error(EngineError::Worker(
+                                    panic_message(q, payload),
+                                )),
                             };
                             board.mark_exited(q);
                             if !matches!(outcome, RunOutcome::Finished { .. }) {
@@ -546,16 +539,16 @@ impl IterEngine for NativeRunner {
     }
 }
 
-/// The in-process environment: channels for the shuffle, shared slots
-/// under the fault barrier for the collectives, direct DFS access for
+/// The in-process environment: channels for the segments, shared slots
+/// under the fault barrier for the all-gather, direct DFS access for
 /// loads and checkpoints, and the generation's progress board for
-/// heartbeats.
+/// heartbeats. The loop's `metrics` handle is the run's registry itself,
+/// so there is nothing to deliver.
 struct ThreadEnv<'a> {
     q: usize,
     dfs: &'a Dfs,
     link: ChannelLink,
     slots: &'a [Mutex<Option<Bytes>>],
-    dist_slots: &'a [Mutex<(f64, bool)>],
     barrier: &'a FaultBarrier,
     board: &'a ProgressBoard,
     output_dir: &'a str,
@@ -585,45 +578,22 @@ impl PairEnv for ThreadEnv<'_> {
         self.barrier.is_poisoned()
     }
 
-    fn barrier_wait(&mut self) -> Result<(), Closed> {
-        self.barrier.wait().map_err(|_| Closed)
-    }
-
-    fn exchange_broadcast(&mut self, mine: Bytes) -> Result<Vec<Bytes>, Closed> {
+    fn allgather(&mut self, mine: Bytes) -> Result<Vec<Bytes>, Closed> {
         *self.slots[self.q].lock() = Some(mine);
         self.barrier.wait().map_err(|_| Closed)?;
         let parts: Vec<Bytes> = self
             .slots
             .iter()
-            .map(|slot| slot.lock().clone().expect("broadcast slot filled"))
+            .map(|slot| slot.lock().clone().expect("gather slot filled"))
             .collect();
-        // Second barrier: nobody may overwrite a slot until every pair
+        // Second rally: nobody may overwrite a slot until every pair
         // has read all of them.
         self.barrier.wait().map_err(|_| Closed)?;
         Ok(parts)
     }
 
-    fn exchange_distance(&mut self, d: f64, has_prev: bool) -> Result<(f64, bool), Closed> {
-        *self.dist_slots[self.q].lock() = (d, has_prev);
-        self.barrier.wait().map_err(|_| Closed)?;
-        let mut total = 0.0f64;
-        let mut any_prev = false;
-        for slot in self.dist_slots {
-            let (ds, hs) = *slot.lock();
-            if hs {
-                any_prev = true;
-                total += ds;
-            }
-        }
-        self.barrier.wait().map_err(|_| Closed)?;
-        Ok((total, any_prev))
-    }
-
     fn read_part(&mut self, dir: &str, part: usize) -> Result<Bytes, EnvFail> {
-        let mut clock = TaskClock::default();
-        self.dfs
-            .read(&part_path(dir, part), NodeId(0), &mut clock)
-            .map_err(EnvFail::from)
+        Ok(read_part_raw(self.dfs, dir, part)?)
     }
 
     fn write_checkpoint(
@@ -632,16 +602,14 @@ impl PairEnv for ThreadEnv<'_> {
         payload: Bytes,
         hist: &[(f64, bool)],
     ) -> Result<(), EnvFail> {
-        let dir = snapshot_dir(self.output_dir, iteration);
-        let mut ck = TaskClock::default();
-        self.dfs
-            .put_atomic(&part_path(&dir, self.q), payload, NodeId(0), &mut ck)?;
-        let full: Vec<(f64, bool)> = self.seed.iter().chain(hist).copied().collect();
-        self.dfs.put_atomic(
-            &hist_path(&dir, self.q),
-            full.to_bytes(),
-            NodeId(0),
-            &mut ck,
+        persist_checkpoint(
+            self.dfs,
+            self.output_dir,
+            self.q,
+            iteration,
+            payload,
+            self.seed,
+            hist,
         )?;
         self.board.mark_ckpt(self.q, iteration);
         Ok(())
@@ -677,8 +645,9 @@ mod tests {
     use imapreduce::{
         load_partitioned, Emitter, IterativeRunner, LoadBalance, StateInput, WatchdogConfig,
     };
-    use imr_dfs::snapshot_epochs;
-    use imr_simcluster::{ClusterSpec, Metrics};
+    use imr_dfs::{snapshot_dir, snapshot_epochs};
+    use imr_mapreduce::io::part_path;
+    use imr_simcluster::{ClusterSpec, Metrics, NodeId, TaskClock};
     use std::sync::Arc;
 
     /// Each key's state is halved every iteration (same as the core

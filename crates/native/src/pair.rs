@@ -6,100 +6,57 @@
 //! (`imapreduce::map_side` / `reduce_side`), the same two functions the
 //! simulation engine calls, driven here with the no-op cost hook `()`.
 //! This module owns what is native about the loop: wall-clock spans,
-//! the blocking shuffle, heartbeats, checkpoints and scripted faults.
-//! All interaction with the rest of the job — the shuffle fabric, the
-//! barrier, the one2all broadcast, termination voting, DFS access for
-//! loads and checkpoints, heartbeats and the hang primitive — goes
-//! through the [`PairEnv`] trait, so the exact same loop runs on a
-//! thread over channels and shared slots, or in a separate OS process
-//! over a TCP connection to the coordinator.
+//! the blocking shuffle, heartbeats, checkpoints, scripted faults —
+//! and every data-path counter: the loop counts, the environment only
+//! delivers. All interaction with the rest of the job goes through the
+//! [`PairEnv`] trait, which carries one of each thing: one segment
+//! class (the inherited [`Transport`], for shuffle and delta rounds
+//! alike), one collective ([`PairEnv::allgather`] — the barrier, the
+//! one2all exchange and the termination vote are the same task-ordered
+//! all-gather of different payloads), DFS access for loads and
+//! checkpoints, one heartbeat, the hang primitive and one event sink.
+//! So the exact same loop runs on a thread over channels and shared
+//! slots, or in a separate OS process over a TCP connection to the
+//! coordinator.
 //!
-//! Determinism note: collective payloads cross [`PairEnv`] as
-//! `encode_pairs` bytes. The workspace codec is lossless (f64 travels
-//! as its full 8-byte pattern), so decode∘encode is the identity and
-//! the broadcast state both backends reassemble is bit-identical to
-//! the old typed shared-slot hand-off.
+//! Determinism note: collective payloads cross [`PairEnv`] as codec
+//! bytes. The workspace codec is lossless (f64 travels as its full
+//! 8-byte pattern), so decode∘encode is the identity: the broadcast
+//! state both backends reassemble and the votes they fold (in task
+//! order, with `imapreduce::fold_votes`) are bit-identical to a typed
+//! shared-memory hand-off.
 
 use bytes::Bytes;
 use imapreduce::{
-    check_co_partitioned, map_side, reduce_side, IterConfig, IterativeJob, MapState, Mapping,
+    check_co_partitioned, fold_votes, map_side, reduce_side, IterConfig, IterativeJob, MapState,
+    Mapping,
 };
-use imr_dfs::snapshot_dir;
+use imr_dfs::{hist_path, snapshot_dir, Dfs, DfsError};
+use imr_mapreduce::io::part_path;
 use imr_mapreduce::EngineError;
+pub(crate) use imr_net::proto::{PairCfg, PairDirs, PairPlan};
 use imr_net::{Closed, Transport};
 use imr_records::{decode_pairs, encode_pairs, sort_run, Codec, CodecError};
-use imr_simcluster::MetricsHandle;
+use imr_simcluster::{MetricsHandle, NodeId, TaskClock};
 use imr_trace::{TraceEvent, TraceKind};
 use std::time::{Duration, Instant};
 
-/// The per-pair slice of the job configuration, identical across
-/// backends (the TCP backend ships it in the setup frame).
-pub(crate) struct PairCfg {
-    pub n: usize,
-    pub one2all: bool,
-    pub sync: bool,
-    pub threshold: Option<f64>,
-    pub max_iters: usize,
-    pub checkpoint_interval: usize,
-    /// Number of `part-*` files under the state directory (one2all
-    /// epoch-0 loads read them all).
-    pub num_state_parts: usize,
-    /// Barrier-free delta-accumulative mode (run via `delta_loop`
-    /// instead of `pair_loop`).
-    pub accumulative: bool,
-    /// Accumulative mode: pending keys applied per round (0 = all).
-    pub delta_batch: usize,
-    /// Accumulative mode: rounds between two termination checks.
-    pub check_every: usize,
-    /// Incremental mode: epoch-0 state parts are warm
-    /// `(key, (value, pending))` plans to restore, not initial state to
-    /// seed (i2MapReduce-style warm start).
-    pub incremental: bool,
-}
-
-impl PairCfg {
-    pub(crate) fn from_config(cfg: &IterConfig, num_state_parts: usize) -> Self {
-        PairCfg {
-            n: cfg.num_tasks,
-            one2all: cfg.mapping == Mapping::One2All,
-            sync: cfg.effective_sync(),
-            threshold: cfg.termination.distance_threshold,
-            max_iters: cfg.termination.max_iterations,
-            checkpoint_interval: cfg.checkpoint_interval,
-            num_state_parts,
-            accumulative: cfg.accumulative,
-            delta_batch: cfg.delta_batch,
-            check_every: cfg.check_every,
-            incremental: cfg.incremental,
-        }
+/// The per-pair slice of `cfg`, the same on both fabrics (the TCP
+/// backend ships it in the setup frame).
+pub(crate) fn pair_cfg(cfg: &IterConfig, num_state_parts: usize) -> PairCfg {
+    PairCfg {
+        n: cfg.num_tasks,
+        one2all: cfg.mapping == Mapping::One2All,
+        sync: cfg.effective_sync(),
+        threshold: cfg.termination.distance_threshold,
+        max_iters: cfg.termination.max_iterations,
+        checkpoint_interval: cfg.checkpoint_interval,
+        num_state_parts,
+        accumulative: cfg.accumulative,
+        delta_batch: cfg.delta_batch,
+        check_every: cfg.check_every,
+        incremental: cfg.incremental,
     }
-}
-
-/// The DFS directory layout a pair reads from and writes to.
-pub(crate) struct PairDirs {
-    pub state_dir: String,
-    pub static_dir: String,
-    pub output_dir: String,
-}
-
-/// One pair's resolved fault script and emulated node speed for one
-/// generation, derived from the pending fault events and the pair's
-/// current placement.
-#[derive(Clone)]
-pub(crate) struct PairPlan {
-    /// Iterations after which this pair crashes (scripted kills).
-    pub kills: Vec<usize>,
-    /// Iterations after which this pair hangs until poisoned.
-    pub hangs: Vec<usize>,
-    /// `(iteration, millis)` scripted slowdowns during that iteration.
-    pub delays: Vec<(usize, u64)>,
-    /// Relative speed of the hosting node; below 1.0 the pair sleeps
-    /// `busy · (1/speed − 1)` per iteration to emulate slow hardware.
-    pub speed: f64,
-    /// Test hook (TCP backend): vanish — exit the process abruptly with
-    /// no outcome report — right after this iteration, emulating an
-    /// unscripted worker crash / dropped connection.
-    pub crash_after: Option<usize>,
 }
 
 /// How one pair's generation ended. `Finished` carries the pair's
@@ -157,20 +114,15 @@ impl From<Closed> for EnvFail {
     }
 }
 
-/// Everything a pair needs from the outside world, beyond the shuffle
+/// Everything a pair needs from the outside world, beyond the segment
 /// [`Transport`] it inherits.
 pub(crate) trait PairEnv: Transport {
     /// Has the generation been poisoned for teardown?
     fn is_poisoned(&self) -> bool;
-    /// One round of the global synchronization barrier.
-    fn barrier_wait(&mut self) -> Result<(), Closed>;
-    /// Contribute our encoded reduce output; receive every pair's
-    /// contribution in task order (one2all state exchange, two rallies
-    /// in the thread backend, one collective on the coordinator).
-    fn exchange_broadcast(&mut self, mine: Bytes) -> Result<Vec<Bytes>, Closed>;
-    /// Contribute our local distance; receive the task-ordered global
-    /// sum and whether any pair had a previous snapshot.
-    fn exchange_distance(&mut self, d: f64, has_prev: bool) -> Result<(f64, bool), Closed>;
+    /// The one collective: contribute `mine`, receive every pair's
+    /// contribution of this round in task order. A round that completed
+    /// before the generation was poisoned still returns its parts.
+    fn allgather(&mut self, mine: Bytes) -> Result<Vec<Bytes>, Closed>;
     /// Read the raw bytes of `<dir>/part-<part>`.
     fn read_part(&mut self, dir: &str, part: usize) -> Result<Bytes, EnvFail>;
     /// Persist the encoded snapshot of `iteration` atomically, together
@@ -188,7 +140,9 @@ pub(crate) trait PairEnv: Transport {
     /// `iteration`. Carries the iteration's local distance sample so
     /// the coordinator side can rebuild per-iteration records for pairs
     /// whose process dies before reporting (the thread backend ignores
-    /// those fields — it reads the worker's vectors directly).
+    /// those fields — it reads the worker's vectors directly). The TCP
+    /// environment also delivers, in the same frame, what the loop
+    /// counted on the worker's registry since the previous beat.
     fn beat(&mut self, iteration: usize, busy_secs: f64, d: f64, has_prev: bool);
     /// Go silent until the generation is poisoned (scripted hang).
     fn hang(&mut self);
@@ -198,24 +152,6 @@ pub(crate) trait PairEnv: Transport {
     /// generation tags and hands the event to the run's
     /// `imapreduce::Observer` (directly, or by way of the coordinator).
     fn emit(&mut self, event: TraceEvent);
-    /// Send one encoded delta segment to `dest` (accumulative mode).
-    /// Defaults to the shuffle transport — the two traffic classes
-    /// never coexist in one run; the TCP environment overrides this to
-    /// tag the frame as delta traffic.
-    fn send_delta(&mut self, dest: usize, seg: Bytes) -> Result<(), Closed> {
-        self.send(dest, seg)
-    }
-    /// Receive one delta segment from `src` (accumulative mode).
-    fn recv_delta(&mut self, src: usize) -> Result<Bytes, Closed> {
-        self.recv(src)
-    }
-    /// Forward this check's accumulative counter increments
-    /// (`deltas_sent`, `priority_preemptions`, `termination_checks`) to
-    /// the authoritative metrics registry. No-op where the loop's
-    /// `metrics` handle already is authoritative (the thread backend);
-    /// the TCP environment overrides this because its local registry is
-    /// a sink.
-    fn delta_stats(&mut self, _deltas: u64, _preemptions: u64, _checks: u64) {}
     /// Verify the epoch-0 warm-start patch part against the
     /// coordinator's expectation (incremental mode). The thread backend
     /// shares memory with the coordinator, so nothing can diverge and
@@ -225,6 +161,45 @@ pub(crate) trait PairEnv: Transport {
     fn patch_verify(&mut self, _raw: &Bytes, _keys: usize) -> Result<(), EnvFail> {
         Ok(())
     }
+}
+
+// ---- What both environments do the same way, written once ----------
+
+/// Reads the raw bytes of `<dir>/part-<part>`.
+pub(crate) fn read_part_raw(dfs: &Dfs, dir: &str, part: usize) -> Result<Bytes, DfsError> {
+    dfs.read(&part_path(dir, part), NodeId(0), &mut TaskClock::default())
+}
+
+/// Persists pair `q`'s snapshot of `iteration` and, next to it, the
+/// distance-history sidecar covering iterations `1..=iteration`: the
+/// committed prefix from earlier generations (`seed`) followed by the
+/// generation-local `hist`. Both writes are atomic, part first, so a
+/// sidecar never describes a snapshot that is not there.
+pub(crate) fn persist_checkpoint(
+    dfs: &Dfs,
+    output_dir: &str,
+    q: usize,
+    iteration: usize,
+    payload: Bytes,
+    seed: &[(f64, bool)],
+    hist: &[(f64, bool)],
+) -> Result<(), DfsError> {
+    let dir = snapshot_dir(output_dir, iteration);
+    let mut ck = TaskClock::default();
+    dfs.put_atomic(&part_path(&dir, q), payload, NodeId(0), &mut ck)?;
+    let full: Vec<(f64, bool)> = seed.iter().chain(hist).copied().collect();
+    dfs.put_atomic(&hist_path(&dir, q), full.to_bytes(), NodeId(0), &mut ck)
+}
+
+/// What a panic in job code said, for the worker error that replaces it
+/// (so peers unwind instead of hanging).
+pub(crate) fn panic_message(q: usize, payload: Box<dyn std::any::Any + Send>) -> String {
+    let msg = payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "panicked".to_owned());
+    format!("pair {q} panicked: {msg}")
 }
 
 /// Everything one generation of one pair's loop runs against: its
@@ -285,8 +260,9 @@ impl<J, E: PairEnv> PairCtx<'_, J, E> {
             return Err(EnvFail::Closed);
         }
         if self.cfg.sync {
+            // The barrier is a gather of nothing.
             let wait_start_ns = self.now_ns();
-            self.env.barrier_wait()?;
+            self.env.allgather(Bytes::new())?;
             let released_ns = self.now_ns();
             self.span(TraceKind::BarrierWait, it, wait_start_ns, released_ns);
         }
@@ -313,6 +289,18 @@ impl<J, E: PairEnv> PairCtx<'_, J, E> {
             }
         }
         effective_busy
+    }
+
+    /// The termination vote (§3.1.2): gathers every pair's local
+    /// `(distance, had a previous snapshot)` and folds them in task
+    /// order. Every pair computes the same sum over the same bytes, so
+    /// all pairs reach the same verdict without a master round-trip.
+    fn vote(&mut self, d: f64, has_prev: bool) -> Result<(f64, bool), EnvFail> {
+        let mut votes = Vec::with_capacity(self.cfg.n);
+        for mut part in self.env.allgather((d, has_prev).to_bytes())? {
+            votes.push(<(f64, bool)>::decode(&mut part)?);
+        }
+        Ok(fold_votes(votes))
     }
 
     /// Ends iteration `it`: IterEnd event (which the observer samples
@@ -483,7 +471,7 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
             let payload = encode_pairs(&new_state);
             let bytes = payload.len() as u64;
             ctx.metrics.broadcast_bytes.add(bytes * (n as u64 - 1));
-            let parts = ctx.env.exchange_broadcast(payload)?;
+            let parts = ctx.env.allgather(payload)?;
             // Task-ordered concatenation + stable sort: identical to
             // the simulation engine's broadcast reassembly.
             let mut next_global: Vec<(J::K, J::S)> = Vec::new();
@@ -505,12 +493,9 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
         ctx.end_iter(it, effective_busy, d, has_prev);
 
         // ---- Termination check (§3.1.2) ------------------------------
-        // Every pair evaluates the same verdict over the same
-        // task-ordered float sum, so all pairs stop at the same
-        // iteration without a master round-trip.
         let mut converged = false;
         if let Some(eps) = cfg.threshold {
-            let (total, any_prev) = ctx.env.exchange_distance(d, has_prev)?;
+            let (total, any_prev) = ctx.vote(d, has_prev)?;
             converged = any_prev && total < eps;
         }
         let done = converged || it == cfg.max_iters;
@@ -601,8 +586,6 @@ fn delta_checks<J: imapreduce::Accumulative, E: PairEnv>(
     for check in (ctx.epoch + 1)..=cfg.max_iters {
         ctx.begin_iter(check)?;
         let mut busy = Duration::ZERO;
-        let mut check_deltas = 0u64;
-        let mut check_preempt = 0u64;
 
         for _round in 0..cfg.check_every {
             // ---- Round phase A: select, apply, extract, send ---------
@@ -613,8 +596,6 @@ fn delta_checks<J: imapreduce::Accumulative, E: PairEnv>(
             let sent: u64 = dests.iter().map(|d| d.len() as u64).sum();
             ctx.metrics.deltas_sent.add(sent);
             ctx.metrics.priority_preemptions.add(batch.deferred as u64);
-            check_deltas += sent;
-            check_preempt += batch.deferred as u64;
             let segs: Vec<Bytes> = dests.iter().map(|dest| encode_pairs(dest)).collect();
             busy += work_start.elapsed();
             let round_end_ns = ctx.now_ns();
@@ -623,13 +604,13 @@ fn delta_checks<J: imapreduce::Accumulative, E: PairEnv>(
             // Sends sit outside the busy span (back-pressure, not load).
             for (dest, seg) in segs.into_iter().enumerate() {
                 ctx.metrics.shuffle_local_bytes.add(seg.len() as u64);
-                ctx.env.send_delta(dest, seg)?;
+                ctx.env.send(dest, seg)?;
             }
             // ---- Round phase B: receive from every peer, merge in
             // source order ---------------------------------------------
             let mut raw_segs: Vec<Bytes> = Vec::with_capacity(n);
             for src in 0..n {
-                raw_segs.push(ctx.env.recv_delta(src)?);
+                raw_segs.push(ctx.env.recv(src)?);
             }
             let merge_start_ns = ctx.now_ns();
             for seg in raw_segs {
@@ -648,9 +629,8 @@ fn delta_checks<J: imapreduce::Accumulative, E: PairEnv>(
         let progress_bits = local.to_bits();
         ctx.mark(TraceKind::TerminationCheck { progress_bits }, check);
         ctx.end_iter(check, effective_busy, local, true);
-        ctx.env.delta_stats(check_deltas, check_preempt, 1);
         ctx.metrics.termination_checks.add(1);
-        let (total, _any_prev) = ctx.env.exchange_distance(local, true)?;
+        let (total, _any_prev) = ctx.vote(local, true)?;
         let done = total < eps || check == cfg.max_iters;
 
         // The snapshot is the full (value, delta) store.

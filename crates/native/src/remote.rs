@@ -7,20 +7,28 @@
 //! master: it binds a localhost listener, spawns one worker process per
 //! pair from a [`WorkerSpec`], and serves as the hub of a star topology
 //! — every worker holds exactly one persistent connection to the
-//! coordinator for its whole generation, and shuffle segments, credits,
-//! barrier/broadcast/distance collectives, heartbeats, checkpoint
-//! bodies and DFS reads all travel over that single framed connection
-//! (see `imr_net::proto`).
+//! coordinator for its whole generation, and segments, credits, the
+//! all-gather collective, heartbeats, checkpoint bodies and DFS reads
+//! all travel over that single framed connection (see
+//! `imr_net::proto`).
 //!
 //! Key properties:
 //!
 //! * **Same loop, different env**: workers run the exact
 //!   [`pair_loop`] the thread backend runs, through a [`PairEnv`] that
 //!   speaks the wire protocol. TCP preserves per-connection FIFO order
-//!   and the coordinator performs every order-sensitive step (segment
-//!   routing per link, task-ordered distance sums, task-ordered
-//!   broadcast assembly) exactly like the in-process fabric, so results
-//!   are bit-identical across transports.
+//!   and the coordinator performs the order-sensitive steps (segment
+//!   routing per link, task-ordered gather assembly) exactly like the
+//!   in-process fabric; everything computed *from* gathered parts —
+//!   the broadcast state, the termination vote — is computed by the
+//!   pair loop itself, so results are bit-identical across transports.
+//! * **The pair loop counts, the environment delivers**: a worker's
+//!   loop increments a process-local registry exactly as a thread's
+//!   loop increments the run's; every `Beat` (and one trailing report
+//!   before the outcome) ships the increments, which the coordinator
+//!   adds to the run's registry. The coordinator itself counts only
+//!   what it alone can see: corrupt frames, reconnects, rejected hellos
+//!   and chaos injections.
 //! * **Credit-based backpressure**: a worker may only send a segment
 //!   while it holds a credit for the destination link; the consumer
 //!   returns the credit through the coordinator when it pops the
@@ -41,17 +49,17 @@
 use crate::fault::FaultBarrier;
 use crate::monitor::{monitor_loop, BalancePlan, Intervention, ProgressBoard};
 use crate::pair::{
-    delta_loop, pair_loop, EnvFail, PairCfg, PairCtx, PairDirs, PairEnv, PairOutcome, PairPlan,
+    delta_loop, pair_cfg, pair_loop, panic_message, persist_checkpoint, read_part_raw, EnvFail,
+    PairCfg, PairCtx, PairDirs, PairEnv, PairOutcome, PairPlan,
 };
 use crate::supervisor::{supervise, GenInput, PairRun, RunOutcome};
 use crate::{NativeRunner, HANDOFF_BUFFER};
 use bytes::Bytes;
 use imapreduce::{
     check_inputs, prepare_incremental, FaultEvent, FixpointStore, GraphDelta, Incremental,
-    IncrementalOutcome, IterConfig, IterOutcome, IterativeJob, Mapping, TransportKind,
+    IncrementalOutcome, IterConfig, IterOutcome, IterativeJob, TransportKind,
 };
-use imr_dfs::{hist_path, snapshot_dir};
-use imr_mapreduce::io::{num_parts, part_path};
+use imr_mapreduce::io::num_parts;
 use imr_mapreduce::EngineError;
 use imr_net::chaos::{ChaosDirection, ChaosState, ChaosStream, DIR_INBOUND, DIR_OUTBOUND};
 use imr_net::frame::{FrameReader, FrameWriter, HEADER_LEN};
@@ -207,9 +215,7 @@ impl NativeRunner {
         )?;
         let mut patches = Vec::with_capacity(cfg.num_tasks);
         for q in 0..cfg.num_tasks {
-            let raw = self
-                .dfs
-                .read(&part_path(state_dir, q), NodeId(0), &mut clock)?;
+            let raw = read_part_raw(&self.dfs, state_dir, q)?;
             patches.push((raw.len() as u64, patch_digest(&raw)));
         }
         let outcome = self.run_remote_inner(
@@ -246,7 +252,7 @@ impl NativeRunner {
             ));
         }
         check_inputs(&self.dfs, cfg, state_dir, static_dir)?;
-        let num_state_parts = num_parts(&self.dfs, state_dir);
+        let pair_cfg = pair_cfg(cfg, num_parts(&self.dfs, state_dir));
         let dirs = PairDirs {
             state_dir: state_dir.to_owned(),
             static_dir: static_dir.to_owned(),
@@ -303,8 +309,8 @@ impl NativeRunner {
                     self,
                     cfg,
                     spec,
+                    &pair_cfg,
                     &dirs,
-                    num_state_parts,
                     &listener,
                     &addr,
                     generation_no,
@@ -346,12 +352,10 @@ fn patch_digest(bytes: &[u8]) -> u64 {
 
 /// Shared coordinator state for one generation.
 struct CoordState {
-    /// Barrier arrivals in the current round.
-    arrivals: usize,
-    /// Pending one2all contributions, one slot per pair.
-    bcast: Vec<Option<Bytes>>,
-    /// Pending distance contributions, one slot per pair.
-    dists: Vec<Option<(f64, bool)>>,
+    /// Contributions to the all-gather round in flight, one slot per
+    /// pair (a pair cannot contribute to the next round before this one
+    /// completes, so one round's worth of slots is sufficient).
+    gather: Vec<Option<Bytes>>,
     /// First terminal outcome recorded per pair (never overwritten).
     outcomes: Vec<Option<RunOutcome>>,
     /// The pair's connection reached EOF — nothing more will arrive.
@@ -428,6 +432,8 @@ struct Coordinator<'a> {
     latch: FaultBarrier,
     runner: &'a NativeRunner,
     output_dir: &'a str,
+    /// Checkpoint epoch this generation resumed from.
+    epoch: usize,
     started: Instant,
     /// Current pair→node placement, used to retag worker trace events
     /// with the node hosting the pair.
@@ -517,8 +523,8 @@ fn run_generation(
     runner: &NativeRunner,
     cfg: &IterConfig,
     spec: &WorkerSpec,
+    pair_cfg: &PairCfg,
     dirs: &PairDirs,
-    num_state_parts: usize,
     listener: &TcpListener,
     addr: &str,
     generation: u64,
@@ -530,7 +536,6 @@ fn run_generation(
     let n = plans.len();
     let epoch = gen.epoch;
     let policy = &cfg.net;
-    runner.metrics.tasks_launched.add(2 * n as u64);
 
     // ---- Spawn + connect -------------------------------------------
     let mut children: Vec<ChildGuard> = (0..n)
@@ -596,9 +601,7 @@ fn run_generation(
     let co = Coordinator {
         n,
         state: Mutex::new(CoordState {
-            arrivals: 0,
-            bcast: vec![None; n],
-            dists: vec![None; n],
+            gather: vec![None; n],
             outcomes: (0..n).map(|_| None).collect(),
             settled: vec![false; n],
             local_dist: vec![Vec::new(); n],
@@ -611,6 +614,7 @@ fn run_generation(
         latch: FaultBarrier::new(1),
         runner,
         output_dir: &dirs.output_dir,
+        epoch,
         started: gen.started,
         assignment: gen.assignment,
         trace_offset,
@@ -624,27 +628,11 @@ fn run_generation(
             q,
             &ToWorker::Setup(Box::new(WorkerSetup {
                 job: spec.job,
-                num_tasks: n,
                 epoch,
-                one2all: cfg.mapping == Mapping::One2All,
-                sync: cfg.effective_sync(),
-                distance_threshold: cfg.termination.distance_threshold,
-                max_iterations: cfg.termination.max_iterations,
-                checkpoint_interval: cfg.checkpoint_interval,
-                num_state_parts,
-                state_dir: dirs.state_dir.clone(),
-                static_dir: dirs.static_dir.clone(),
-                output_dir: dirs.output_dir.clone(),
-                kills: plan.kills.clone(),
-                hangs: plan.hangs.clone(),
-                delays: plan.delays.clone(),
-                speed: plan.speed,
-                crash_after: plan.crash_after,
-                accumulative: cfg.accumulative,
-                delta_batch: cfg.delta_batch,
-                check_every: cfg.check_every,
-                incremental: cfg.incremental,
                 observed: runner.observer.has_sink(),
+                cfg: pair_cfg.clone(),
+                dirs: dirs.clone(),
+                plan: plan.clone(),
             })),
         );
     }
@@ -752,19 +740,24 @@ fn run_generation(
     }
 
     let state = co.state.into_inner();
-    let runs: Vec<PairRun> = state
+    let runs = state
         .outcomes
         .into_iter()
         .zip(state.local_dist)
         .zip(state.iter_done)
         .zip(state.last_ckpt)
-        .map(|(((outcome, local_dist), iter_done), last_ckpt)| PairRun {
-            local_dist,
-            iter_done,
-            last_ckpt,
-            outcome: outcome.expect("settled worker has an outcome"),
+        .enumerate()
+        .map(|(q, (((outcome, local_dist), iter_done), last_ckpt))| {
+            Ok(PairRun {
+                local_dist,
+                iter_done,
+                last_ckpt,
+                outcome: outcome.ok_or_else(|| {
+                    EngineError::Worker(format!("worker {q} settled without an outcome"))
+                })?,
+            })
         })
-        .collect();
+        .collect::<Result<Vec<PairRun>, EngineError>>()?;
     Ok((runs, intervention))
 }
 
@@ -797,36 +790,8 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
                 // per-connection FIFO order, and flow control is the
                 // sender's credit, not a queue here.
                 if dest < co.n {
-                    co.runner
-                        .metrics
-                        .shuffle_local_bytes
-                        .add(payload.len() as u64);
                     co.send_to(dest, &ToWorker::Segment { src: q, payload });
                 }
-            }
-            ToCoord::Delta { dest, payload } => {
-                // Same lock-free routing as shuffle segments: per-link
-                // order is the connection FIFO, flow control is the
-                // sender's credit.
-                if dest < co.n {
-                    co.runner
-                        .metrics
-                        .shuffle_local_bytes
-                        .add(payload.len() as u64);
-                    co.send_to(dest, &ToWorker::Delta { src: q, payload });
-                }
-            }
-            ToCoord::DeltaStats {
-                deltas,
-                preemptions,
-                checks,
-            } => {
-                // Accumulative-mode counters are tallied worker-side and
-                // folded into the job's real registry here (the worker's
-                // local registry is a sink).
-                co.runner.metrics.deltas_sent.add(deltas);
-                co.runner.metrics.priority_preemptions.add(preemptions);
-                co.runner.metrics.termination_checks.add(checks);
             }
             ToCoord::PatchStats {
                 keys,
@@ -863,58 +828,21 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
                     co.send_to(src, &ToWorker::Credit { dest: q });
                 }
             }
-            ToCoord::BarrierArrive => {
+            ToCoord::Gather { part } => {
                 let mut st = co.state.lock();
-                st.arrivals += 1;
-                if st.arrivals == co.n {
-                    st.arrivals = 0;
-                    for p in 0..co.n {
-                        co.send_to(p, &ToWorker::BarrierRelease);
-                    }
-                }
-            }
-            ToCoord::Broadcast { payload } => {
-                let mut st = co.state.lock();
-                co.runner
-                    .metrics
-                    .broadcast_bytes
-                    .add(payload.len() as u64 * (co.n as u64 - 1));
-                st.bcast[q] = Some(payload);
-                if st.bcast.iter().all(Option::is_some) {
-                    // Task order: slot p holds pair p's part.
-                    let parts: Vec<Bytes> = st
-                        .bcast
-                        .iter_mut()
-                        .map(|slot| slot.take().expect("all broadcast parts present"))
-                        .collect();
+                st.gather[q] = Some(part);
+                if st.gather.iter().all(Option::is_some) {
+                    // Task order: slot p holds pair p's part. What the
+                    // parts mean (nothing, state, a vote) is the pair
+                    // loop's business.
+                    let parts: Vec<Bytes> = st.gather.iter_mut().filter_map(Option::take).collect();
                     for p in 0..co.n {
                         co.send_to(
                             p,
-                            &ToWorker::BroadcastAll {
+                            &ToWorker::GatherAll {
                                 parts: parts.clone(),
                             },
                         );
-                    }
-                }
-            }
-            ToCoord::Distance { d, has_prev } => {
-                let mut st = co.state.lock();
-                st.dists[q] = Some((d, has_prev));
-                if st.dists.iter().all(Option::is_some) {
-                    // The same task-ordered float sum every thread
-                    // computes in-process: q = 0..n, so the result is
-                    // bit-identical.
-                    let mut total = 0.0f64;
-                    let mut any_prev = false;
-                    for slot in st.dists.iter_mut() {
-                        let (ds, hs) = slot.take().expect("all distances present");
-                        if hs {
-                            any_prev = true;
-                            total += ds;
-                        }
-                    }
-                    for p in 0..co.n {
-                        co.send_to(p, &ToWorker::DistanceTotal { total, any_prev });
                     }
                 }
             }
@@ -923,36 +851,37 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
                 busy_secs,
                 d,
                 has_prev,
+                counts,
             } => {
-                co.board.beat(q, iteration, busy_secs);
+                // The pair loop counted on the worker's registry; this
+                // is the delivery into the run's.
+                co.runner.metrics.add_values(&counts);
+                // One record per completed iteration, in order: the
+                // trailing report before an outcome (iteration 0) and
+                // anything a faulty peer replays deliver counts only.
                 let mut st = co.state.lock();
-                st.local_dist[q].push((d, has_prev));
-                st.iter_done[q].push(co.started.elapsed());
+                if iteration == co.epoch + st.local_dist[q].len() + 1 {
+                    co.board.beat(q, iteration, busy_secs);
+                    st.local_dist[q].push((d, has_prev));
+                    st.iter_done[q].push(co.started.elapsed());
+                }
             }
             ToCoord::Ckpt {
                 iteration,
                 payload,
                 hist,
             } => {
-                co.runner.metrics.checkpoint_bytes.add(payload.len() as u64);
-                let dir = snapshot_dir(co.output_dir, iteration);
                 // The worker ships only its generation-local history;
-                // prepend the committed prefix so the sidecar covers
-                // iterations 1..=iteration, like the thread backend's.
-                let full: Vec<(f64, bool)> = co.seed_dist[q].iter().copied().chain(hist).collect();
-                let mut ck = TaskClock::default();
-                let res = co
-                    .runner
-                    .dfs
-                    .put_atomic(&part_path(&dir, q), payload, NodeId(0), &mut ck)
-                    .and_then(|()| {
-                        co.runner.dfs.put_atomic(
-                            &hist_path(&dir, q),
-                            full.to_bytes(),
-                            NodeId(0),
-                            &mut ck,
-                        )
-                    });
+                // the committed prefix completes the sidecar.
+                let res = persist_checkpoint(
+                    &co.runner.dfs,
+                    co.output_dir,
+                    q,
+                    iteration,
+                    payload,
+                    &co.seed_dist[q],
+                    &hist,
+                );
                 let mut st = co.state.lock();
                 match res {
                     Ok(()) => {
@@ -969,22 +898,15 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
                     }
                 }
             }
-            ToCoord::ReadPart { dir, part } => {
-                let mut clock = TaskClock::default();
-                match co
-                    .runner
-                    .dfs
-                    .read(&part_path(&dir, part), NodeId(0), &mut clock)
-                {
-                    Ok(payload) => co.send_to(q, &ToWorker::PartData { payload }),
-                    Err(e) => co.send_to(
-                        q,
-                        &ToWorker::PartErr {
-                            message: e.to_string(),
-                        },
-                    ),
-                }
-            }
+            ToCoord::ReadPart { dir, part } => match read_part_raw(&co.runner.dfs, &dir, part) {
+                Ok(payload) => co.send_to(q, &ToWorker::PartData { payload }),
+                Err(e) => co.send_to(
+                    q,
+                    &ToWorker::PartErr {
+                        message: e.to_string(),
+                    },
+                ),
+            },
             ToCoord::Outcome(wire) => {
                 let outcome = wire_to_outcome(wire);
                 let finished = matches!(outcome, RunOutcome::Finished { .. });
@@ -1004,7 +926,8 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
                 // timeline and retag the node from the pair's current
                 // placement (the worker does not know where it runs).
                 // The samples IterEnd takes read this registry's
-                // counters — the worker's own registry is a sink. A
+                // counters, which the iteration's Beat — always ahead of
+                // its batch — has already brought up to date. A
                 // malformed batch is dropped: losing it is never fatal.
                 if let Ok(events) = imr_trace::decode_events(&payload) {
                     for mut ev in events {
@@ -1195,13 +1118,25 @@ struct RemoteEnv {
     /// coordinator's observer has no sink, so nothing is buffered,
     /// encoded or sent.
     events: Option<Vec<TraceEvent>>,
+    /// The process-local registry the pair loop counts on; every report
+    /// ships its increments and clears it.
+    metrics: MetricsHandle,
 }
 
 impl RemoteEnv {
+    /// Everything counted since the previous report, in
+    /// `MetricsSnapshot::values()` order. Only the loop's thread touches
+    /// the registry, so snapshot-then-clear loses nothing.
+    fn take_counts(&self) -> Vec<u64> {
+        let counts = self.metrics.snapshot().values().to_vec();
+        self.metrics.reset_all();
+        counts
+    }
+
     /// Ship buffered events to the coordinator (best-effort). Called
-    /// once per iteration (from `beat`) and before the outcome frame,
-    /// so in-order delivery puts every batch ahead of the worker's
-    /// terminal status.
+    /// from `beat` — once per iteration and once before the outcome
+    /// frame — so in-order delivery puts every batch ahead of the
+    /// worker's terminal status.
     fn flush_events(&mut self) {
         if let Some(events) = self.events.as_mut().filter(|e| !e.is_empty()) {
             let batch = imr_trace::encode_events(events);
@@ -1224,14 +1159,8 @@ impl PairEnv for RemoteEnv {
     fn is_poisoned(&self) -> bool {
         self.conn.is_poisoned()
     }
-    fn barrier_wait(&mut self) -> Result<(), Closed> {
-        self.conn.barrier_wait()
-    }
-    fn exchange_broadcast(&mut self, mine: Bytes) -> Result<Vec<Bytes>, Closed> {
-        self.conn.exchange_broadcast(mine)
-    }
-    fn exchange_distance(&mut self, d: f64, has_prev: bool) -> Result<(f64, bool), Closed> {
-        self.conn.exchange_distance(d, has_prev)
+    fn allgather(&mut self, mine: Bytes) -> Result<Vec<Bytes>, Closed> {
+        self.conn.allgather(mine)
     }
     fn read_part(&mut self, dir: &str, part: usize) -> Result<Bytes, EnvFail> {
         self.conn.read_part(dir, part).map_err(|e| match e {
@@ -1250,17 +1179,11 @@ impl PairEnv for RemoteEnv {
             .map_err(|_| EnvFail::Closed)
     }
     fn beat(&mut self, iteration: usize, busy_secs: f64, d: f64, has_prev: bool) {
+        // Counts ahead of the events: the IterEnd in this iteration's
+        // batch samples the coordinator's registry.
+        let counts = self.take_counts();
+        self.conn.beat(iteration, busy_secs, d, has_prev, counts);
         self.flush_events();
-        self.conn.beat(iteration, busy_secs, d, has_prev);
-    }
-    fn send_delta(&mut self, dest: usize, seg: Bytes) -> Result<(), Closed> {
-        self.conn.send_delta(dest, seg)
-    }
-    fn recv_delta(&mut self, src: usize) -> Result<Bytes, Closed> {
-        self.conn.recv_delta(src)
-    }
-    fn delta_stats(&mut self, deltas: u64, preemptions: u64, checks: u64) {
-        self.conn.send_delta_stats(deltas, preemptions, checks);
     }
     fn patch_verify(&mut self, raw: &Bytes, keys: usize) -> Result<(), EnvFail> {
         // Block for the coordinator's patch announcement (sent right
@@ -1348,43 +1271,26 @@ fn serve_inner<J: IterativeJob>(
     let (conn, setup) =
         WorkerConn::connect_with_policy(addr, pair, generation, job_id, HANDOFF_BUFFER, &policy)
             .map_err(|e| format!("pair {pair}: connect/handshake failed: {e}"))?;
-    let cfg = PairCfg {
-        n: setup.num_tasks,
-        one2all: setup.one2all,
-        sync: setup.sync,
-        threshold: setup.distance_threshold,
-        max_iters: setup.max_iterations,
-        checkpoint_interval: setup.checkpoint_interval,
-        num_state_parts: setup.num_state_parts,
-        accumulative: setup.accumulative,
-        delta_batch: setup.delta_batch,
-        check_every: setup.check_every,
-        incremental: setup.incremental,
-    };
-    let dirs = PairDirs {
-        state_dir: setup.state_dir.clone(),
-        static_dir: setup.static_dir.clone(),
-        output_dir: setup.output_dir.clone(),
-    };
-    let plan = PairPlan {
-        kills: setup.kills.clone(),
-        hangs: setup.hangs.clone(),
-        delays: setup.delays.clone(),
-        speed: setup.speed,
-        crash_after: setup.crash_after,
-    };
-    // Data-path metrics are counted by the coordinator; the worker's
-    // local registry is a sink.
+    let WorkerSetup {
+        epoch,
+        observed,
+        cfg,
+        dirs,
+        plan,
+        ..
+    } = setup;
+    // The loop counts here; `RemoteEnv` ships the increments.
     let metrics: MetricsHandle = Arc::new(Metrics::default());
     let started = Instant::now();
     let mut env = RemoteEnv {
         conn,
         generation: generation.saturating_sub(1) as u32,
-        events: setup.observed.then(Vec::new),
+        events: observed.then(Vec::new),
+        metrics: Arc::clone(&metrics),
     };
     let mut local_dist: Vec<(f64, bool)> = Vec::new();
     let mut iter_done: Vec<Duration> = Vec::new();
-    let mut last_ckpt = setup.epoch;
+    let mut last_ckpt = epoch;
     let loop_fn: RemoteLoop<J> = if cfg.accumulative {
         match accum {
             Some(f) => f,
@@ -1414,7 +1320,7 @@ fn serve_inner<J: IterativeJob>(
             cfg: &cfg,
             dirs: &dirs,
             plan: &plan,
-            epoch: setup.epoch,
+            epoch,
             metrics: &metrics,
             env: &mut env,
             started,
@@ -1462,22 +1368,18 @@ fn serve_inner<J: IterativeJob>(
             message: e.to_string(),
             payload: Bytes::new(),
         },
-        Err(payload) => {
-            // Same panic surfacing as the thread backend.
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "panicked".to_owned());
-            WireOutcome {
-                kind: OutcomeKind::Error,
-                at_iteration: 0,
-                message: format!("pair {pair} panicked: {msg}"),
-                payload: Bytes::new(),
-            }
-        }
+        // Same panic surfacing as the thread backend.
+        Err(payload) => WireOutcome {
+            kind: OutcomeKind::Error,
+            at_iteration: 0,
+            message: panic_message(pair, payload),
+            payload: Bytes::new(),
+        },
     };
-    env.flush_events();
+    // One more report for what the loop counted and emitted after its
+    // last heartbeat (a checkpoint, a termination check): iteration 0
+    // marks it counts-only.
+    env.beat(0, 0.0, 0.0, false);
     env.conn.send_outcome(wire);
     // Dropping the connection flushes and shuts the socket down: the
     // coordinator sees the outcome frame, then EOF.

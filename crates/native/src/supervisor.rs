@@ -12,7 +12,7 @@
 use crate::monitor::Intervention;
 use crate::pair::{PairOutcome, PairPlan};
 use bytes::Bytes;
-use imapreduce::{FaultEvent, IterConfig, IterOutcome, IterativeJob, Observer, RunCtl};
+use imapreduce::{fold_votes, FaultEvent, IterConfig, IterOutcome, IterativeJob, Observer, RunCtl};
 use imr_dfs::{hist_path, migration_marker, resume_epoch, snapshot_dir, snapshot_epochs, Dfs};
 use imr_mapreduce::io::{delete_dir, part_path};
 use imr_mapreduce::EngineError;
@@ -261,7 +261,14 @@ pub(crate) fn supervise<J: IterativeJob>(
             started,
             seed_dist: &committed_dist,
         })?;
-        assert_eq!(runs.len(), n, "backend returned a partial generation");
+        // What a backend reports is only as trustworthy as its workers:
+        // a malformed generation is a typed error, never a panic.
+        if runs.len() != n {
+            return Err(EngineError::Worker(format!(
+                "backend returned {} pair runs for {n} pairs",
+                runs.len()
+            )));
+        }
         // A service-level abort poisons the generation from outside;
         // surface it as a distinct error before triage would otherwise
         // treat the aborted pairs as vanished workers and retry.
@@ -320,6 +327,12 @@ pub(crate) fn supervise<J: IterativeJob>(
         // completed: async skew means a fast pair may have
         // checkpointed an iteration its slowest peer never reached.
         let new_epoch = runs.iter().map(|r| r.last_ckpt).min().unwrap_or(epoch);
+        if new_epoch < epoch {
+            return Err(EngineError::Worker(format!(
+                "a pair reported checkpoint epoch {new_epoch}, below the epoch {epoch} \
+                 its generation started from"
+            )));
+        }
         let now_ns = started.elapsed().as_nanos() as u64;
         // Consume each scripted event that fired (a node-level event
         // hosting several pairs fires once per event, as in the
@@ -550,35 +563,35 @@ pub(crate) fn supervise<J: IterativeJob>(
             } => {
                 if q == 0 {
                     iterations = it;
-                } else {
-                    assert_eq!(
-                        iterations, it,
-                        "workers disagreed on the termination iteration"
-                    );
+                } else if it != iterations {
+                    return Err(EngineError::Worker(format!(
+                        "workers disagreed on the termination iteration: \
+                         pair 0 stopped at {iterations}, pair {q} at {it}"
+                    )));
                 }
                 final_parts.push(decode_pairs(final_data)?);
                 committed_dist[q].extend(r.local_dist);
                 committed_done[q].extend(r.iter_done);
+                // The stitch below indexes both by iteration.
+                if committed_dist[q].len() != iterations || committed_done[q].len() != iterations {
+                    return Err(EngineError::Worker(format!(
+                        "pair {q} finished at iteration {iterations} but reported {} \
+                         distance and {} completion records",
+                        committed_dist[q].len(),
+                        committed_done[q].len()
+                    )));
+                }
             }
             _ => unreachable!("non-finished run survived triage"),
         }
     }
-    debug_assert!(committed_dist.iter().all(|v| v.len() == iterations));
 
-    // Global per-iteration distance: the same task-ordered float
-    // sum the simulation engine's master computes.
+    // Global per-iteration distance: the same task-ordered fold the
+    // pairs voted with and the simulation engine's master computes.
     let mut distances = Vec::new();
     if cfg.termination.distance_threshold.is_some() {
         for i in 0..iterations {
-            let mut total = 0.0f64;
-            let mut any_prev = false;
-            for q in 0..n {
-                let (d, has_prev) = committed_dist[q][i];
-                if has_prev {
-                    any_prev = true;
-                    total += d;
-                }
-            }
+            let (total, any_prev) = fold_votes(committed_dist.iter().map(|dist| dist[i]));
             distances.push(if any_prev { total } else { f64::INFINITY });
         }
     }
@@ -626,4 +639,121 @@ pub(crate) fn supervise<J: IterativeJob>(
         migrations,
         recoveries,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use imapreduce::{Emitter, StateInput};
+    use imr_simcluster::{ClusterSpec, Metrics};
+    use std::sync::Arc;
+
+    struct Keep;
+    impl IterativeJob for Keep {
+        type K = u32;
+        type S = f64;
+        type T = ();
+        fn map(&self, k: &u32, s: StateInput<'_, u32, f64>, _t: &(), out: &mut Emitter<u32, f64>) {
+            out.emit(*k, *s.one());
+        }
+        fn reduce(&self, _k: &u32, values: Vec<f64>) -> f64 {
+            values.into_iter().sum()
+        }
+    }
+
+    /// A pair that claims to have finished at `iterations`, backed by
+    /// `records` per-iteration distance and completion records.
+    fn finished(q: u32, iterations: usize, records: usize) -> PairRun {
+        PairRun {
+            local_dist: vec![(0.5, true); records],
+            iter_done: vec![Duration::from_millis(1); records],
+            last_ckpt: 0,
+            outcome: RunOutcome::Finished {
+                final_data: imr_records::encode_pairs(&[(q, 1.0f64)]),
+                iterations,
+            },
+        }
+    }
+
+    /// A pair whose worker vanished after checkpointing `last_ckpt`.
+    fn vanished(last_ckpt: usize) -> PairRun {
+        PairRun {
+            local_dist: vec![(0.5, true); last_ckpt],
+            iter_done: vec![Duration::from_millis(1); last_ckpt],
+            last_ckpt,
+            outcome: RunOutcome::Aborted,
+        }
+    }
+
+    /// Drives `supervise` over two pairs with a backend that returns the
+    /// scripted `generations` verbatim, one per call, as a TCP
+    /// coordinator relaying whatever its workers reported would.
+    fn supervise_fake(
+        generations: Vec<Vec<PairRun>>,
+    ) -> Result<IterOutcome<u32, f64>, EngineError> {
+        let metrics: MetricsHandle = Arc::new(Metrics::default());
+        let dfs = Dfs::new(Arc::new(ClusterSpec::local(2)), Arc::clone(&metrics), 1);
+        let cfg = IterConfig::new("fake", 2, 3).with_distance_threshold(1e-9);
+        let mut generations = generations.into_iter();
+        supervise::<Keep>(
+            &dfs,
+            &metrics,
+            &cfg,
+            "/out",
+            &[],
+            "fake".to_owned(),
+            true,
+            &Observer::new(Arc::clone(&metrics)),
+            None,
+            &mut |_gen| Ok((generations.next().expect("a scripted generation"), None)),
+        )
+    }
+
+    fn worker_error(generations: Vec<Vec<PairRun>>, needle: &str) {
+        match supervise_fake(generations) {
+            Err(EngineError::Worker(msg)) => assert!(msg.contains(needle), "{msg}"),
+            Err(other) => panic!("expected a worker error, got {other}"),
+            Ok(_) => panic!("expected a worker error, got Ok"),
+        }
+    }
+
+    #[test]
+    fn well_formed_generation_stitches() {
+        let out = supervise_fake(vec![vec![finished(0, 3, 3), finished(1, 3, 3)]]).unwrap();
+        assert_eq!(out.iterations, 3);
+        assert_eq!(out.distances, vec![1.0; 3]);
+        assert_eq!(out.final_state, vec![(0, 1.0), (1, 1.0)]);
+    }
+
+    #[test]
+    fn malformed_generations_are_worker_errors_not_panics() {
+        // A partial generation.
+        worker_error(vec![vec![finished(0, 3, 3)]], "1 pair runs for 2 pairs");
+        // Outcomes that name different termination iterations.
+        worker_error(
+            vec![vec![finished(0, 3, 3), finished(1, 2, 2)]],
+            "disagreed on the termination iteration",
+        );
+        // Fewer heartbeats than the reported iteration count: the stitch
+        // would index past the end of the pair's records.
+        worker_error(
+            vec![vec![finished(0, 3, 3), finished(1, 3, 2)]],
+            "pair 1 finished at iteration 3 but reported 2",
+        );
+        let mut short_done = finished(0, 3, 3);
+        short_done.iter_done.pop();
+        worker_error(
+            vec![vec![short_done, finished(1, 3, 3)]],
+            "2 completion records",
+        );
+        // A checkpoint report that moves backwards: the rollback after
+        // the second generation would land before its own start epoch.
+        worker_error(
+            vec![
+                vec![vanished(2), vanished(2)],
+                vec![vanished(2), vanished(1)],
+            ],
+            "checkpoint epoch 1, below the epoch 2",
+        );
+    }
 }

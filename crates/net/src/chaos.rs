@@ -12,7 +12,7 @@
 //!
 //! * **Teardown-class** (drop, bit-flip corruption, duplicate
 //!   delivery, mid-frame reset): each consumes one unit of the
-//!   schedule's shared [`budget`](ChaosConfig::budget). The wire-v2
+//!   schedule's shared [`budget`](ChaosConfig::budget). The hardened
 //!   framing ([`frame`](crate::frame)) turns every one of them into a
 //!   prompt, typed failure — a CRC/sequence mismatch, truncation, or
 //!   EOF — that tears the connection down into the supervisor's

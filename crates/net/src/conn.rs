@@ -3,9 +3,10 @@
 //! Each worker process holds exactly one persistent connection to the
 //! coordinator for the lifetime of its generation. A dedicated reader
 //! thread demultiplexes incoming frames into shared state (per-source
-//! segment queues, credit counters, barrier releases, collective
-//! results); the pair's single compute thread writes frames directly —
-//! no writer lock is needed because nothing else writes.
+//! segment queues, credit counters, the gathered parts of the current
+//! collective round, RPC replies); the pair's single compute thread
+//! writes frames directly — no writer lock is needed because nothing
+//! else writes.
 //!
 //! Backpressure: a segment may only be sent while the sender holds a
 //! credit for the destination link. Credits start at the channel
@@ -35,20 +36,14 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 struct ConnState {
-    /// Per-source queues of received shuffle segments.
+    /// Per-source queues of received segments (shuffle or delta).
     queues: Vec<VecDeque<Bytes>>,
-    /// Per-source queues of received delta segments (barrier-free
-    /// accumulative mode). A run uses either the shuffle queues or the
-    /// delta queues, never both, so delta frames share the same credit
-    /// window.
-    delta_queues: Vec<VecDeque<Bytes>>,
     /// Send credits per destination link.
     credits: Vec<usize>,
-    /// Count of barrier releases seen (workers strictly alternate
-    /// arrive/release, so a running count is sufficient).
-    releases: u64,
-    broadcast: Option<Vec<Bytes>>,
-    distance: Option<(f64, bool)>,
+    /// Every pair's part of the all-gather round we are waiting on
+    /// (pairs strictly alternate contribute/collect, so one slot is
+    /// sufficient).
+    gathered: Option<Vec<Bytes>>,
     part: Option<Result<Bytes, String>>,
     /// Incremental-mode patch expectation from the coordinator
     /// (`(bytes, digest)` of our epoch-0 warm-start part).
@@ -71,7 +66,6 @@ pub struct WorkerConn {
     writer: FrameWriter<BufWriter<TcpStream>>,
     shared: Arc<ConnShared>,
     reader: Option<JoinHandle<()>>,
-    consumed_releases: u64,
 }
 
 impl WorkerConn {
@@ -153,15 +147,12 @@ impl WorkerConn {
             }
         };
 
-        let n = setup.num_tasks;
+        let n = setup.cfg.n;
         let shared = Arc::new(ConnShared {
             state: Mutex::new(ConnState {
                 queues: (0..n).map(|_| VecDeque::new()).collect(),
-                delta_queues: (0..n).map(|_| VecDeque::new()).collect(),
                 credits: vec![buffer; n],
-                releases: 0,
-                broadcast: None,
-                distance: None,
+                gathered: None,
                 part: None,
                 patch: None,
                 poisoned: false,
@@ -177,7 +168,6 @@ impl WorkerConn {
                 writer,
                 shared,
                 reader: Some(reader),
-                consumed_releases: 0,
             },
             setup,
         ))
@@ -233,28 +223,13 @@ impl WorkerConn {
         let _ = self.wait_until(|_| None::<()>);
     }
 
-    /// One round of the global synchronization barrier. Like the
-    /// thread backend's `FaultBarrier`, a release that was already won
-    /// still counts even if poison lands afterwards.
-    pub fn barrier_wait(&mut self) -> Result<(), Closed> {
-        self.write(&ToCoord::BarrierArrive)?;
-        let target = self.consumed_releases + 1;
-        self.wait_until(|s| (s.releases >= target).then_some(()))?;
-        self.consumed_releases = target;
-        Ok(())
-    }
-
-    /// Contribute our encoded state part and receive all pairs' parts
-    /// in task order (one2all state exchange).
-    pub fn exchange_broadcast(&mut self, mine: Bytes) -> Result<Vec<Bytes>, Closed> {
-        self.write(&ToCoord::Broadcast { payload: mine })?;
-        self.wait_until(|s| s.broadcast.take())
-    }
-
-    /// Contribute our local distance and receive the task-order total.
-    pub fn exchange_distance(&mut self, d: f64, has_prev: bool) -> Result<(f64, bool), Closed> {
-        self.write(&ToCoord::Distance { d, has_prev })?;
-        self.wait_until(|s| s.distance.take())
+    /// The one collective: contribute `mine` and receive every pair's
+    /// contribution of this round in task order. Like the thread
+    /// backend's `FaultBarrier`, a round that was already won still
+    /// counts even if poison lands afterwards.
+    pub fn allgather(&mut self, mine: Bytes) -> Result<Vec<Bytes>, Closed> {
+        self.write(&ToCoord::Gather { part: mine })?;
+        self.wait_until(|s| s.gathered.take())
     }
 
     /// Read DFS file `<dir>/part-<part>` through the coordinator.
@@ -289,13 +264,23 @@ impl WorkerConn {
         })
     }
 
-    /// Publish a heartbeat for the coordinator-side progress board.
-    pub fn beat(&mut self, iteration: usize, busy_secs: f64, d: f64, has_prev: bool) {
+    /// Publish a progress report: the heartbeat for the coordinator-side
+    /// progress board plus the counter increments (`counts`, in
+    /// `MetricsSnapshot::values()` order) since the previous report.
+    pub fn beat(
+        &mut self,
+        iteration: usize,
+        busy_secs: f64,
+        d: f64,
+        has_prev: bool,
+        counts: Vec<u64>,
+    ) {
         let _ = self.write(&ToCoord::Beat {
             iteration,
             busy_secs,
             d,
             has_prev,
+            counts,
         });
     }
 
@@ -310,39 +295,6 @@ impl WorkerConn {
     /// Report our terminal status. Best-effort once poisoned.
     pub fn send_outcome(&mut self, outcome: WireOutcome) {
         let _ = self.write(&ToCoord::Outcome(outcome));
-    }
-
-    /// Send a delta segment to pair `dest` (barrier-free accumulative
-    /// mode). Same credit discipline as shuffle segments.
-    pub fn send_delta(&mut self, dest: usize, seg: Bytes) -> Result<(), Closed> {
-        self.wait_until(|s| {
-            if s.credits[dest] > 0 {
-                s.credits[dest] -= 1;
-                Some(())
-            } else {
-                None
-            }
-        })?;
-        self.write(&ToCoord::Delta { dest, payload: seg })
-    }
-
-    /// Pop the next delta segment from pair `src`, blocking until one
-    /// arrives; returns the producer's credit like [`Transport::recv`].
-    pub fn recv_delta(&mut self, src: usize) -> Result<Bytes, Closed> {
-        let seg = self.wait_until(|s| s.delta_queues[src].pop_front())?;
-        self.write(&ToCoord::Credit { src })?;
-        Ok(seg)
-    }
-
-    /// Report per-check accumulative-mode counters; the coordinator
-    /// folds them into the job's real metrics registry. Best-effort,
-    /// like heartbeats.
-    pub fn send_delta_stats(&mut self, deltas: u64, preemptions: u64, checks: u64) {
-        let _ = self.write(&ToCoord::DeltaStats {
-            deltas,
-            preemptions,
-            checks,
-        });
     }
 
     /// Block until the coordinator's incremental-mode [`ToWorker::Patch`]
@@ -409,19 +361,12 @@ fn reader_loop(mut reader: FrameReader<TcpStream>, shared: Arc<ConnShared>) {
                     state.queues[src].push_back(payload);
                 }
             }
-            ToWorker::Delta { src, payload } => {
-                if src < state.delta_queues.len() {
-                    state.delta_queues[src].push_back(payload);
-                }
-            }
             ToWorker::Credit { dest } => {
                 if dest < state.credits.len() {
                     state.credits[dest] += 1;
                 }
             }
-            ToWorker::BarrierRelease => state.releases += 1,
-            ToWorker::BroadcastAll { parts } => state.broadcast = Some(parts),
-            ToWorker::DistanceTotal { total, any_prev } => state.distance = Some((total, any_prev)),
+            ToWorker::GatherAll { parts } => state.gathered = Some(parts),
             ToWorker::PartData { payload } => state.part = Some(Ok(payload)),
             ToWorker::PartErr { message } => state.part = Some(Err(message)),
             ToWorker::Patch { bytes, digest } => state.patch = Some((bytes, digest)),

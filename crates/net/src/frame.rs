@@ -1,13 +1,16 @@
-//! Hardened length-prefixed binary framing over any byte stream
-//! (wire format v2).
+//! Hardened length-prefixed binary framing over any byte stream.
 //!
 //! Each direction of a connection starts with an 8-byte preamble —
 //! the magic `b"IMRW"` followed by the big-endian [`WIRE_VERSION`] —
 //! so mismatched peers fail fast and loudly instead of decoding
-//! garbage: a v2 reader facing a v1 peer sees a bad magic
-//! ([`NetError::Version`]), while a v1 reader facing a v2 peer reads
-//! the magic as an impossible frame length and rejects it before any
-//! allocation.
+//! garbage: a reader facing a pre-preamble (v1) peer sees a bad magic
+//! and one facing another version of the message set sees both version
+//! numbers ([`NetError::Version`] either way), while a v1 reader
+//! facing this preamble reads the magic as an impossible frame length
+//! and rejects it before any allocation. The framing itself has not
+//! changed since v2; the version moves whenever `proto.rs` retires or
+//! reshapes a message (v3: one gather, one segment class, counts in
+//! `Beat`, nested `WorkerSetup`).
 //!
 //! Frames are `[u32 BE payload length][u32 BE CRC32][payload]`. The
 //! CRC covers the direction's implicit frame sequence number (a `u64`
@@ -42,7 +45,7 @@ pub const MAX_FRAME: usize = 1 << 26;
 pub const WIRE_MAGIC: [u8; 4] = *b"IMRW";
 
 /// Wire protocol version negotiated by the preamble.
-pub const WIRE_VERSION: u32 = 2;
+pub const WIRE_VERSION: u32 = 3;
 
 /// Bytes of the per-direction preamble (magic + version).
 pub const PREAMBLE_LEN: usize = 8;
@@ -289,14 +292,17 @@ mod tests {
         let mut r = FrameReader::new(Cursor::new(buf));
         match r.expect_preamble() {
             Err(NetError::Version(msg)) => {
-                assert!(msg.contains('7') && msg.contains('2'), "got: {msg}")
+                assert!(
+                    msg.contains('7') && msg.contains(&WIRE_VERSION.to_string()),
+                    "got: {msg}"
+                )
             }
             other => panic!("expected Version error, got {other:?}"),
         }
     }
 
     #[test]
-    fn v2_preamble_read_as_v1_length_is_rejected_before_allocation() {
+    fn preamble_read_as_v1_length_is_rejected_before_allocation() {
         // The other direction of the cross-version handshake: a v1
         // reader interprets the magic as a frame length far above
         // MAX_FRAME, so it fails fast without allocating.

@@ -11,8 +11,8 @@
 //!   receivers each).
 //! * [`WorkerConn`] — the worker-process side of a hub-and-spoke TCP
 //!   topology: one persistent connection per worker process to the
-//!   coordinator, which routes shuffle segments between pairs, runs the
-//!   barrier/broadcast/distance collectives, and proxies DFS access.
+//!   coordinator, which routes segments between pairs, completes the
+//!   one all-gather collective, and proxies DFS access.
 //!   Frames are length-prefixed binary ([`frame`]), messages are
 //!   tag-byte encoded with the workspace [`imr_records::Codec`]
 //!   ([`proto`]), and per-link in-flight segments are bounded by an

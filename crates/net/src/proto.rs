@@ -2,9 +2,19 @@
 //!
 //! Every message is one frame ([`crate::frame`]); the payload is a tag
 //! byte followed by the [`Codec`]-encoded fields. Shuffle segments,
-//! broadcast parts and checkpoint bodies travel as opaque `Bytes` —
-//! already `encode_pairs`-encoded by the worker — so the coordinator
-//! routes them without knowing the job's key/state types.
+//! gather parts and checkpoint bodies travel as opaque `Bytes` —
+//! already encoded by the worker — so the coordinator routes them
+//! without knowing the job's key/state types.
+//!
+//! The contract carries one of each thing: one segment class
+//! (`Segment`, for shuffle and delta rounds alike), one collective
+//! (`Gather` → `GatherAll`: barrier, one2all exchange and termination
+//! vote are all the same task-ordered all-gather) and one progress
+//! report (`Beat`, which also delivers the worker's counter
+//! increments). Tags are never reused: a retired tag decodes to
+//! [`CodecError::Corrupt`] like any unassigned one. DESIGN.md §8 lists
+//! every variant with its sender and handler; `verify.sh drift` fails
+//! when that table and these enums differ.
 
 use bytes::{Bytes, BytesMut};
 use imr_records::{Codec, CodecError, CodecResult};
@@ -21,23 +31,30 @@ pub enum ToCoord {
         generation: u64,
         job: u64,
     },
-    /// A shuffle segment for pair `dest` (consumes one credit).
+    /// A shuffle or delta segment for pair `dest` (consumes one
+    /// credit). A run uses either map/reduce iterations or delta
+    /// rounds, never both, so one class serves both.
     Segment { dest: usize, payload: Bytes },
     /// The segment from `src` was consumed; grant its producer a credit.
     Credit { src: usize },
-    /// Arrival at the synchronization barrier.
-    BarrierArrive,
-    /// This pair's encoded state part for a one2all exchange.
-    Broadcast { payload: Bytes },
-    /// This pair's local distance contribution for termination voting.
-    Distance { d: f64, has_prev: bool },
-    /// Heartbeat after completing `iteration` (feeds the watchdog and
-    /// the coordinator-side per-iteration records used for reporting).
+    /// This pair's contribution to the next all-gather round: empty at
+    /// the synchronization barrier, the encoded state part in a
+    /// one2all exchange, the encoded `(d, has_prev)` in a termination
+    /// vote.
+    Gather { part: Bytes },
+    /// Progress report after completing `iteration`: feeds the
+    /// watchdog, the coordinator-side per-iteration records used for
+    /// reporting, and — `counts`, in `MetricsSnapshot::values()` order —
+    /// everything the worker's pair loop counted since its previous
+    /// report. Sent once more before [`ToCoord::Outcome`] with
+    /// `iteration` 0 (iterations count from 1), which delivers the
+    /// trailing counts and nothing else.
     Beat {
         iteration: usize,
         busy_secs: f64,
         d: f64,
         has_prev: bool,
+        counts: Vec<u64>,
     },
     /// Checkpoint body for `iteration`; the coordinator persists it.
     /// `hist` is this pair's generation-local distance history through
@@ -60,20 +77,6 @@ pub enum ToCoord {
     /// observer, which feeds the job trace and the telemetry registry
     /// alike. Best-effort, and only sent when [`WorkerSetup::observed`].
     Trace { payload: Bytes },
-    /// A delta segment for pair `dest` (barrier-free accumulative
-    /// mode). Delta rounds send exactly one — possibly empty — segment
-    /// to every pair per round and consume the same credit window as
-    /// shuffle segments (a run uses either shuffle or delta frames,
-    /// never both).
-    Delta { dest: usize, payload: Bytes },
-    /// Per-check accumulative-mode counter report, folded into the
-    /// coordinator's real metrics registry (`deltas_sent`,
-    /// `priority_preemptions`, `termination_checks`).
-    DeltaStats {
-        deltas: u64,
-        preemptions: u64,
-        checks: u64,
-    },
     /// Incremental-mode patch receipt: the worker decoded its epoch-0
     /// warm-start part and echoes what it saw (`keys` restored, raw
     /// `bytes` length and FNV-64 `digest`) so the coordinator can
@@ -86,16 +89,13 @@ pub enum ToCoord {
 pub enum ToWorker {
     /// First frame on every connection: the job/generation parameters.
     Setup(Box<WorkerSetup>),
-    /// A shuffle segment produced by pair `src`.
+    /// A shuffle or delta segment produced by pair `src`.
     Segment { src: usize, payload: Bytes },
     /// Pair `dest` consumed one of our segments; restore a credit.
     Credit { dest: usize },
-    /// All pairs arrived at the barrier; proceed.
-    BarrierRelease,
-    /// All pairs' broadcast parts, in task order.
-    BroadcastAll { parts: Vec<Bytes> },
-    /// The task-order sum of all pairs' distances.
-    DistanceTotal { total: f64, any_prev: bool },
+    /// Every pair's [`ToCoord::Gather`] part of one round, in task
+    /// order.
+    GatherAll { parts: Vec<Bytes> },
     /// Successful [`ToCoord::ReadPart`] response.
     PartData { payload: Bytes },
     /// Failed [`ToCoord::ReadPart`] response.
@@ -107,9 +107,6 @@ pub enum ToWorker {
     /// a rollback. Distinguished from [`ToWorker::Poison`] so recovery
     /// triage never mistakes a drained worker for a failed one.
     Drain,
-    /// A delta segment produced by pair `src` (barrier-free
-    /// accumulative mode; see [`ToCoord::Delta`]).
-    Delta { src: usize, payload: Bytes },
     /// Incremental-mode patch expectation, sent right after `Setup`
     /// when a generation starts at epoch 0 with `incremental` set: the
     /// raw `bytes` length and FNV-64 `digest` of the warm-start state
@@ -141,50 +138,80 @@ pub enum OutcomeKind {
     Error,
 }
 
-/// Job/generation parameters delivered to a worker at connect time.
-/// Mirrors the thread backend's per-pair configuration plus the DFS
-/// layout the coordinator proxies reads for.
+/// The per-pair slice of the job configuration, identical on both
+/// fabrics: the thread backend builds it in place, the TCP backend
+/// ships it in the setup frame.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PairCfg {
+    /// Number of map/reduce pairs in the job.
+    pub n: usize,
+    pub one2all: bool,
+    pub sync: bool,
+    /// Distance threshold of the termination check, if any.
+    pub threshold: Option<f64>,
+    pub max_iters: usize,
+    pub checkpoint_interval: usize,
+    /// Number of `part-*` files under the state directory (one2all
+    /// epoch-0 loads read them all).
+    pub num_state_parts: usize,
+    /// Barrier-free delta-accumulative mode (the delta loop instead of
+    /// the map/reduce iteration loop; requires an `Accumulative` job).
+    pub accumulative: bool,
+    /// Accumulative mode: pending keys applied per round (0 = all).
+    pub delta_batch: usize,
+    /// Accumulative mode: rounds between two termination checks.
+    pub check_every: usize,
+    /// Incremental mode: epoch-0 state parts are warm
+    /// `(key, (value, pending))` plans to restore, not initial state to
+    /// seed (i2MapReduce-style warm start), guarded over TCP by the
+    /// [`ToWorker::Patch`] / [`ToCoord::PatchStats`] handshake.
+    pub incremental: bool,
+}
+
+/// The DFS directory layout a pair reads from and writes to.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PairDirs {
+    pub state_dir: String,
+    pub static_dir: String,
+    pub output_dir: String,
+}
+
+/// One pair's resolved fault script and emulated node speed for one
+/// generation, derived from the pending fault events and the pair's
+/// current placement.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PairPlan {
+    /// Iterations after which this pair crashes (scripted kills).
+    pub kills: Vec<usize>,
+    /// Iterations after which this pair hangs until poisoned.
+    pub hangs: Vec<usize>,
+    /// `(iteration, millis)` scripted slowdowns during that iteration.
+    pub delays: Vec<(usize, u64)>,
+    /// Relative speed of the hosting node; below 1.0 the pair sleeps
+    /// `busy · (1/speed − 1)` per iteration to emulate slow hardware.
+    pub speed: f64,
+    /// Test hook (TCP backend): vanish — exit the process abruptly with
+    /// no outcome report — right after this iteration, emulating an
+    /// unscripted worker crash / dropped connection.
+    pub crash_after: Option<usize>,
+}
+
+/// Job/generation parameters delivered to a worker at connect time:
+/// the same three descriptions of a pair's job the thread backend
+/// hands its pair loop, plus what only a separate process needs told.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerSetup {
     /// Job tag; echoes the worker's [`ToCoord::Hello`] job id.
     pub job: u64,
-    pub num_tasks: usize,
     /// Checkpoint epoch to resume from (0 on a fresh run).
     pub epoch: usize,
-    pub one2all: bool,
-    pub sync: bool,
-    pub distance_threshold: Option<f64>,
-    pub max_iterations: usize,
-    pub checkpoint_interval: usize,
-    /// Number of `part-*` files under `state_dir`.
-    pub num_state_parts: usize,
-    pub state_dir: String,
-    pub static_dir: String,
-    pub output_dir: String,
-    /// Scripted fault plan for this pair (iterations to fail at).
-    pub kills: Vec<usize>,
-    pub hangs: Vec<usize>,
-    pub delays: Vec<(usize, u64)>,
-    /// Emulated node speed (< 1.0 stretches busy time).
-    pub speed: f64,
-    /// Test hook: exit the process abruptly (no outcome frame) after
-    /// this iteration, simulating an unscripted worker crash.
-    pub crash_after: Option<usize>,
-    /// Run the barrier-free delta-accumulative loop instead of the
-    /// map/reduce iteration loop (requires an `Accumulative` job).
-    pub accumulative: bool,
-    /// Keys processed per delta round (0 = all pending keys).
-    pub delta_batch: usize,
-    /// Delta rounds between termination checks.
-    pub check_every: usize,
-    /// Incremental warm start: epoch-0 state parts hold planned
-    /// `(key, (value, pending))` entries to restore, guarded by a
-    /// [`ToWorker::Patch`] / [`ToCoord::PatchStats`] handshake.
-    pub incremental: bool,
     /// Whether the coordinator's observer has a sink (trace ring or
     /// telemetry registry) attached; when not, the worker buffers and
     /// ships no [`ToCoord::Trace`] batches.
     pub observed: bool,
+    pub cfg: PairCfg,
+    pub dirs: PairDirs,
+    pub plan: PairPlan,
 }
 
 impl Codec for OutcomeKind {
@@ -213,105 +240,62 @@ impl Codec for OutcomeKind {
     }
 }
 
-impl Codec for WireOutcome {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.kind.encode(buf);
-        self.at_iteration.encode(buf);
-        self.message.encode(buf);
-        self.payload.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> CodecResult<Self> {
-        Ok(WireOutcome {
-            kind: OutcomeKind::decode(buf)?,
-            at_iteration: usize::decode(buf)?,
-            message: String::decode(buf)?,
-            payload: Bytes::decode(buf)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.kind.encoded_len()
-            + self.at_iteration.encoded_len()
-            + self.message.encoded_len()
-            + self.payload.encoded_len()
-    }
+/// `Codec` for a plain struct: its fields, in the order listed.
+macro_rules! struct_codec {
+    ($ty:ident { $($field:ident),+ }) => {
+        impl Codec for $ty {
+            fn encode(&self, buf: &mut BytesMut) {
+                $(self.$field.encode(buf);)+
+            }
+            fn decode(buf: &mut Bytes) -> CodecResult<Self> {
+                Ok($ty { $($field: Codec::decode(buf)?),+ })
+            }
+            fn encoded_len(&self) -> usize {
+                0 $(+ self.$field.encoded_len())+
+            }
+        }
+    };
 }
 
-impl Codec for WorkerSetup {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.job.encode(buf);
-        self.num_tasks.encode(buf);
-        self.epoch.encode(buf);
-        self.one2all.encode(buf);
-        self.sync.encode(buf);
-        self.distance_threshold.encode(buf);
-        self.max_iterations.encode(buf);
-        self.checkpoint_interval.encode(buf);
-        self.num_state_parts.encode(buf);
-        self.state_dir.encode(buf);
-        self.static_dir.encode(buf);
-        self.output_dir.encode(buf);
-        self.kills.encode(buf);
-        self.hangs.encode(buf);
-        self.delays.encode(buf);
-        self.speed.encode(buf);
-        self.crash_after.encode(buf);
-        self.accumulative.encode(buf);
-        self.delta_batch.encode(buf);
-        self.check_every.encode(buf);
-        self.incremental.encode(buf);
-        self.observed.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> CodecResult<Self> {
-        Ok(WorkerSetup {
-            job: u64::decode(buf)?,
-            num_tasks: usize::decode(buf)?,
-            epoch: usize::decode(buf)?,
-            one2all: bool::decode(buf)?,
-            sync: bool::decode(buf)?,
-            distance_threshold: Option::<f64>::decode(buf)?,
-            max_iterations: usize::decode(buf)?,
-            checkpoint_interval: usize::decode(buf)?,
-            num_state_parts: usize::decode(buf)?,
-            state_dir: String::decode(buf)?,
-            static_dir: String::decode(buf)?,
-            output_dir: String::decode(buf)?,
-            kills: Vec::<usize>::decode(buf)?,
-            hangs: Vec::<usize>::decode(buf)?,
-            delays: Vec::<(usize, u64)>::decode(buf)?,
-            speed: f64::decode(buf)?,
-            crash_after: Option::<usize>::decode(buf)?,
-            accumulative: bool::decode(buf)?,
-            delta_batch: usize::decode(buf)?,
-            check_every: usize::decode(buf)?,
-            incremental: bool::decode(buf)?,
-            observed: bool::decode(buf)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.job.encoded_len()
-            + self.num_tasks.encoded_len()
-            + self.epoch.encoded_len()
-            + self.one2all.encoded_len()
-            + self.sync.encoded_len()
-            + self.distance_threshold.encoded_len()
-            + self.max_iterations.encoded_len()
-            + self.checkpoint_interval.encoded_len()
-            + self.num_state_parts.encoded_len()
-            + self.state_dir.encoded_len()
-            + self.static_dir.encoded_len()
-            + self.output_dir.encoded_len()
-            + self.kills.encoded_len()
-            + self.hangs.encoded_len()
-            + self.delays.encoded_len()
-            + self.speed.encoded_len()
-            + self.crash_after.encoded_len()
-            + self.accumulative.encoded_len()
-            + self.delta_batch.encoded_len()
-            + self.check_every.encoded_len()
-            + self.incremental.encoded_len()
-            + self.observed.encoded_len()
-    }
-}
+struct_codec!(WireOutcome {
+    kind,
+    at_iteration,
+    message,
+    payload
+});
+struct_codec!(PairCfg {
+    n,
+    one2all,
+    sync,
+    threshold,
+    max_iters,
+    checkpoint_interval,
+    num_state_parts,
+    accumulative,
+    delta_batch,
+    check_every,
+    incremental
+});
+struct_codec!(PairDirs {
+    state_dir,
+    static_dir,
+    output_dir
+});
+struct_codec!(PairPlan {
+    kills,
+    hangs,
+    delays,
+    speed,
+    crash_after
+});
+struct_codec!(WorkerSetup {
+    job,
+    epoch,
+    observed,
+    cfg,
+    dirs,
+    plan
+});
 
 impl Codec for ToCoord {
     fn encode(&self, buf: &mut BytesMut) {
@@ -335,27 +319,23 @@ impl Codec for ToCoord {
                 2u8.encode(buf);
                 src.encode(buf);
             }
-            ToCoord::BarrierArrive => 3u8.encode(buf),
-            ToCoord::Broadcast { payload } => {
+            ToCoord::Gather { part } => {
                 4u8.encode(buf);
-                payload.encode(buf);
-            }
-            ToCoord::Distance { d, has_prev } => {
-                5u8.encode(buf);
-                d.encode(buf);
-                has_prev.encode(buf);
+                part.encode(buf);
             }
             ToCoord::Beat {
                 iteration,
                 busy_secs,
                 d,
                 has_prev,
+                counts,
             } => {
                 6u8.encode(buf);
                 iteration.encode(buf);
                 busy_secs.encode(buf);
                 d.encode(buf);
                 has_prev.encode(buf);
+                counts.encode(buf);
             }
             ToCoord::Ckpt {
                 iteration,
@@ -379,21 +359,6 @@ impl Codec for ToCoord {
             ToCoord::Trace { payload } => {
                 10u8.encode(buf);
                 payload.encode(buf);
-            }
-            ToCoord::Delta { dest, payload } => {
-                11u8.encode(buf);
-                dest.encode(buf);
-                payload.encode(buf);
-            }
-            ToCoord::DeltaStats {
-                deltas,
-                preemptions,
-                checks,
-            } => {
-                12u8.encode(buf);
-                deltas.encode(buf);
-                preemptions.encode(buf);
-                checks.encode(buf);
             }
             ToCoord::PatchStats {
                 keys,
@@ -421,19 +386,15 @@ impl Codec for ToCoord {
             2 => ToCoord::Credit {
                 src: usize::decode(buf)?,
             },
-            3 => ToCoord::BarrierArrive,
-            4 => ToCoord::Broadcast {
-                payload: Bytes::decode(buf)?,
-            },
-            5 => ToCoord::Distance {
-                d: f64::decode(buf)?,
-                has_prev: bool::decode(buf)?,
+            4 => ToCoord::Gather {
+                part: Bytes::decode(buf)?,
             },
             6 => ToCoord::Beat {
                 iteration: usize::decode(buf)?,
                 busy_secs: f64::decode(buf)?,
                 d: f64::decode(buf)?,
                 has_prev: bool::decode(buf)?,
+                counts: Vec::<u64>::decode(buf)?,
             },
             7 => ToCoord::Ckpt {
                 iteration: usize::decode(buf)?,
@@ -448,20 +409,13 @@ impl Codec for ToCoord {
             10 => ToCoord::Trace {
                 payload: Bytes::decode(buf)?,
             },
-            11 => ToCoord::Delta {
-                dest: usize::decode(buf)?,
-                payload: Bytes::decode(buf)?,
-            },
-            12 => ToCoord::DeltaStats {
-                deltas: u64::decode(buf)?,
-                preemptions: u64::decode(buf)?,
-                checks: u64::decode(buf)?,
-            },
             13 => ToCoord::PatchStats {
                 keys: u64::decode(buf)?,
                 bytes: u64::decode(buf)?,
                 digest: u64::decode(buf)?,
             },
+            // Retired, never reused: 3 BarrierArrive, 5 Distance,
+            // 11 Delta, 12 DeltaStats, 14 Telemetry.
             _ => return Err(CodecError::Corrupt("unknown ToCoord tag")),
         })
     }
@@ -474,19 +428,19 @@ impl Codec for ToCoord {
             } => pair.encoded_len() + generation.encoded_len() + job.encoded_len(),
             ToCoord::Segment { dest, payload } => dest.encoded_len() + payload.encoded_len(),
             ToCoord::Credit { src } => src.encoded_len(),
-            ToCoord::BarrierArrive => 0,
-            ToCoord::Broadcast { payload } => payload.encoded_len(),
-            ToCoord::Distance { d, has_prev } => d.encoded_len() + has_prev.encoded_len(),
+            ToCoord::Gather { part } => part.encoded_len(),
             ToCoord::Beat {
                 iteration,
                 busy_secs,
                 d,
                 has_prev,
+                counts,
             } => {
                 iteration.encoded_len()
                     + busy_secs.encoded_len()
                     + d.encoded_len()
                     + has_prev.encoded_len()
+                    + counts.encoded_len()
             }
             ToCoord::Ckpt {
                 iteration,
@@ -496,12 +450,6 @@ impl Codec for ToCoord {
             ToCoord::ReadPart { dir, part } => dir.encoded_len() + part.encoded_len(),
             ToCoord::Outcome(outcome) => outcome.encoded_len(),
             ToCoord::Trace { payload } => payload.encoded_len(),
-            ToCoord::Delta { dest, payload } => dest.encoded_len() + payload.encoded_len(),
-            ToCoord::DeltaStats {
-                deltas,
-                preemptions,
-                checks,
-            } => deltas.encoded_len() + preemptions.encoded_len() + checks.encoded_len(),
             ToCoord::PatchStats {
                 keys,
                 bytes,
@@ -527,15 +475,9 @@ impl Codec for ToWorker {
                 2u8.encode(buf);
                 dest.encode(buf);
             }
-            ToWorker::BarrierRelease => 3u8.encode(buf),
-            ToWorker::BroadcastAll { parts } => {
+            ToWorker::GatherAll { parts } => {
                 4u8.encode(buf);
                 parts.encode(buf);
-            }
-            ToWorker::DistanceTotal { total, any_prev } => {
-                5u8.encode(buf);
-                total.encode(buf);
-                any_prev.encode(buf);
             }
             ToWorker::PartData { payload } => {
                 6u8.encode(buf);
@@ -547,11 +489,6 @@ impl Codec for ToWorker {
             }
             ToWorker::Poison => 8u8.encode(buf),
             ToWorker::Drain => 9u8.encode(buf),
-            ToWorker::Delta { src, payload } => {
-                10u8.encode(buf);
-                src.encode(buf);
-                payload.encode(buf);
-            }
             ToWorker::Patch { bytes, digest } => {
                 11u8.encode(buf);
                 bytes.encode(buf);
@@ -569,13 +506,8 @@ impl Codec for ToWorker {
             2 => ToWorker::Credit {
                 dest: usize::decode(buf)?,
             },
-            3 => ToWorker::BarrierRelease,
-            4 => ToWorker::BroadcastAll {
+            4 => ToWorker::GatherAll {
                 parts: Vec::<Bytes>::decode(buf)?,
-            },
-            5 => ToWorker::DistanceTotal {
-                total: f64::decode(buf)?,
-                any_prev: bool::decode(buf)?,
             },
             6 => ToWorker::PartData {
                 payload: Bytes::decode(buf)?,
@@ -585,14 +517,12 @@ impl Codec for ToWorker {
             },
             8 => ToWorker::Poison,
             9 => ToWorker::Drain,
-            10 => ToWorker::Delta {
-                src: usize::decode(buf)?,
-                payload: Bytes::decode(buf)?,
-            },
             11 => ToWorker::Patch {
                 bytes: u64::decode(buf)?,
                 digest: u64::decode(buf)?,
             },
+            // Retired, never reused: 3 BarrierRelease, 5 DistanceTotal,
+            // 10 Delta.
             _ => return Err(CodecError::Corrupt("unknown ToWorker tag")),
         })
     }
@@ -601,16 +531,10 @@ impl Codec for ToWorker {
             ToWorker::Setup(setup) => setup.encoded_len(),
             ToWorker::Segment { src, payload } => src.encoded_len() + payload.encoded_len(),
             ToWorker::Credit { dest } => dest.encoded_len(),
-            ToWorker::BarrierRelease => 0,
-            ToWorker::BroadcastAll { parts } => parts.encoded_len(),
-            ToWorker::DistanceTotal { total, any_prev } => {
-                total.encoded_len() + any_prev.encoded_len()
-            }
+            ToWorker::GatherAll { parts } => parts.encoded_len(),
             ToWorker::PartData { payload } => payload.encoded_len(),
             ToWorker::PartErr { message } => message.encoded_len(),
-            ToWorker::Poison => 0,
-            ToWorker::Drain => 0,
-            ToWorker::Delta { src, payload } => src.encoded_len() + payload.encoded_len(),
+            ToWorker::Poison | ToWorker::Drain => 0,
             ToWorker::Patch { bytes, digest } => bytes.encoded_len() + digest.encoded_len(),
         }
     }
@@ -632,27 +556,33 @@ mod tests {
     fn sample_setup() -> WorkerSetup {
         WorkerSetup {
             job: 11,
-            num_tasks: 4,
             epoch: 6,
-            one2all: true,
-            sync: false,
-            distance_threshold: Some(1e-9),
-            max_iterations: 50,
-            checkpoint_interval: 5,
-            num_state_parts: 4,
-            state_dir: "/job/state".into(),
-            static_dir: "/job/static".into(),
-            output_dir: "/job/out".into(),
-            kills: vec![7],
-            hangs: vec![],
-            delays: vec![(3, 250)],
-            speed: 0.5,
-            crash_after: Some(9),
-            accumulative: true,
-            delta_batch: 16,
-            check_every: 3,
-            incremental: true,
             observed: true,
+            cfg: PairCfg {
+                n: 4,
+                one2all: true,
+                sync: false,
+                threshold: Some(1e-9),
+                max_iters: 50,
+                checkpoint_interval: 5,
+                num_state_parts: 4,
+                accumulative: true,
+                delta_batch: 16,
+                check_every: 3,
+                incremental: true,
+            },
+            dirs: PairDirs {
+                state_dir: "/job/state".into(),
+                static_dir: "/job/static".into(),
+                output_dir: "/job/out".into(),
+            },
+            plan: PairPlan {
+                kills: vec![7],
+                hangs: vec![],
+                delays: vec![(3, 250)],
+                speed: 0.5,
+                crash_after: Some(9),
+            },
         }
     }
 
@@ -668,19 +598,16 @@ mod tests {
             payload: Bytes::from(vec![1, 2, 3]),
         });
         round_trip(ToCoord::Credit { src: 2 });
-        round_trip(ToCoord::BarrierArrive);
-        round_trip(ToCoord::Broadcast {
-            payload: Bytes::from(vec![9; 40]),
-        });
-        round_trip(ToCoord::Distance {
-            d: 0.125,
-            has_prev: true,
+        round_trip(ToCoord::Gather { part: Bytes::new() });
+        round_trip(ToCoord::Gather {
+            part: Bytes::from(vec![9; 40]),
         });
         round_trip(ToCoord::Beat {
             iteration: 12,
             busy_secs: 0.003,
             d: f64::INFINITY,
             has_prev: false,
+            counts: vec![0, 4096, 0, u64::MAX],
         });
         round_trip(ToCoord::Ckpt {
             iteration: 10,
@@ -700,15 +627,6 @@ mod tests {
         round_trip(ToCoord::Trace {
             payload: Bytes::from(vec![7; 56]),
         });
-        round_trip(ToCoord::Delta {
-            dest: 2,
-            payload: Bytes::from(vec![4; 24]),
-        });
-        round_trip(ToCoord::DeltaStats {
-            deltas: 120,
-            preemptions: 7,
-            checks: 1,
-        });
         round_trip(ToCoord::PatchStats {
             keys: 512,
             bytes: 8192,
@@ -724,13 +642,8 @@ mod tests {
             payload: Bytes::from(vec![5; 17]),
         });
         round_trip(ToWorker::Credit { dest: 3 });
-        round_trip(ToWorker::BarrierRelease);
-        round_trip(ToWorker::BroadcastAll {
+        round_trip(ToWorker::GatherAll {
             parts: vec![Bytes::from(vec![1]), Bytes::new(), Bytes::from(vec![2, 3])],
-        });
-        round_trip(ToWorker::DistanceTotal {
-            total: 42.5,
-            any_prev: true,
         });
         round_trip(ToWorker::PartData {
             payload: Bytes::from(vec![8; 64]),
@@ -740,10 +653,6 @@ mod tests {
         });
         round_trip(ToWorker::Poison);
         round_trip(ToWorker::Drain);
-        round_trip(ToWorker::Delta {
-            src: 1,
-            payload: Bytes::new(),
-        });
         round_trip(ToWorker::Patch {
             bytes: 8192,
             digest: 0xDEAD_BEEF_CAFE_F00D,

@@ -3,8 +3,10 @@
 //! or a valid message, with no unbounded allocation.
 
 use bytes::Bytes;
-use imr_net::frame::{FrameReader, MAX_FRAME, PREAMBLE_LEN};
-use imr_net::proto::{OutcomeKind, ToCoord, ToWorker, WireOutcome, WorkerSetup};
+use imr_net::frame::{FrameReader, MAX_FRAME, PREAMBLE_LEN, WIRE_MAGIC, WIRE_VERSION};
+use imr_net::proto::{
+    OutcomeKind, PairCfg, PairDirs, PairPlan, ToCoord, ToWorker, WireOutcome, WorkerSetup,
+};
 use imr_net::NetError;
 use imr_records::Codec;
 use proptest::prelude::*;
@@ -23,19 +25,15 @@ fn every_to_coord() -> Vec<ToCoord> {
             payload: payload.clone(),
         },
         ToCoord::Credit { src: 2 },
-        ToCoord::BarrierArrive,
-        ToCoord::Broadcast {
-            payload: payload.clone(),
-        },
-        ToCoord::Distance {
-            d: 0.125,
-            has_prev: true,
+        ToCoord::Gather {
+            part: payload.clone(),
         },
         ToCoord::Beat {
             iteration: 12,
             busy_secs: 0.003,
             d: 1.5,
             has_prev: false,
+            counts: vec![0, 4096, 0, 0, 0, 111_816, 0, 7, 0, 2, u64::MAX],
         },
         ToCoord::Ckpt {
             iteration: 10,
@@ -52,15 +50,7 @@ fn every_to_coord() -> Vec<ToCoord> {
             message: "pair 1 panicked: boom".into(),
             payload: Bytes::new(),
         }),
-        ToCoord::Trace {
-            payload: payload.clone(),
-        },
-        ToCoord::Delta { dest: 2, payload },
-        ToCoord::DeltaStats {
-            deltas: 120,
-            preemptions: 7,
-            checks: 1,
-        },
+        ToCoord::Trace { payload },
         ToCoord::PatchStats {
             keys: 512,
             bytes: 8192,
@@ -75,50 +65,48 @@ fn every_to_worker() -> Vec<ToWorker> {
     vec![
         ToWorker::Setup(Box::new(WorkerSetup {
             job: 11,
-            num_tasks: 4,
             epoch: 6,
-            one2all: true,
-            sync: false,
-            distance_threshold: Some(1e-9),
-            max_iterations: 50,
-            checkpoint_interval: 5,
-            num_state_parts: 4,
-            state_dir: "/job/state".into(),
-            static_dir: "/job/static".into(),
-            output_dir: "/job/out".into(),
-            kills: vec![7],
-            hangs: vec![],
-            delays: vec![(3, 250)],
-            speed: 0.5,
-            crash_after: Some(9),
-            accumulative: true,
-            delta_batch: 16,
-            check_every: 3,
-            incremental: true,
             observed: true,
+            cfg: PairCfg {
+                n: 4,
+                one2all: true,
+                sync: false,
+                threshold: Some(1e-9),
+                max_iters: 50,
+                checkpoint_interval: 5,
+                num_state_parts: 4,
+                accumulative: true,
+                delta_batch: 16,
+                check_every: 3,
+                incremental: true,
+            },
+            dirs: PairDirs {
+                state_dir: "/job/state".into(),
+                static_dir: "/job/static".into(),
+                output_dir: "/job/out".into(),
+            },
+            plan: PairPlan {
+                kills: vec![7],
+                hangs: vec![],
+                delays: vec![(3, 250)],
+                speed: 0.5,
+                crash_after: Some(9),
+            },
         })),
         ToWorker::Segment {
             src: 0,
             payload: payload.clone(),
         },
         ToWorker::Credit { dest: 3 },
-        ToWorker::BarrierRelease,
-        ToWorker::BroadcastAll {
+        ToWorker::GatherAll {
             parts: vec![payload.clone(), Bytes::new()],
         },
-        ToWorker::DistanceTotal {
-            total: 42.5,
-            any_prev: true,
-        },
-        ToWorker::PartData {
-            payload: payload.clone(),
-        },
+        ToWorker::PartData { payload },
         ToWorker::PartErr {
             message: "block lost".into(),
         },
         ToWorker::Poison,
         ToWorker::Drain,
-        ToWorker::Delta { src: 1, payload },
         ToWorker::Patch {
             bytes: 8192,
             digest: 0xDEAD_BEEF_CAFE_F00D,
@@ -126,9 +114,21 @@ fn every_to_worker() -> Vec<ToWorker> {
     ]
 }
 
-/// The `ToCoord` tag that carried telemetry batches until the worker's
-/// events became its only observability frame.
-const RETIRED_TELEMETRY_TAG: u8 = 14;
+/// The tags each direction assigns today, in `proto.rs` declaration
+/// order. The gaps are retired tags, which are never reused.
+const TO_COORD_TAGS: [u8; 10] = [0, 1, 2, 4, 6, 7, 8, 9, 10, 13];
+const TO_WORKER_TAGS: [u8; 9] = [0, 1, 2, 4, 6, 7, 8, 9, 11];
+
+/// `ToCoord` tags that once carried a message: the barrier arrival (3),
+/// the distance vote (5), delta segments (11) and delta counters (12)
+/// until one gather, one segment class and counts-in-`Beat` replaced
+/// them, and the telemetry batch (14) until the worker's events became
+/// its only observability frame.
+const RETIRED_TO_COORD_TAGS: [u8; 5] = [3, 5, 11, 12, 14];
+
+/// `ToWorker` tags that once carried a message: the barrier release
+/// (3), the distance total (5) and delta segments (10).
+const RETIRED_TO_WORKER_TAGS: [u8; 3] = [3, 5, 10];
 
 fn decode_to_coord(frame: Vec<u8>) -> Result<ToCoord, NetError> {
     Ok(ToCoord::decode(&mut Bytes::from(frame))?)
@@ -139,32 +139,63 @@ fn decode_to_worker(frame: Vec<u8>) -> Result<ToWorker, NetError> {
 }
 
 #[test]
-fn every_variant_owns_one_tag_and_the_retired_one_stays_dead() {
+fn every_variant_owns_one_tag_and_the_retired_ones_stay_dead() {
     let coord: Vec<u8> = every_to_coord().iter().map(|m| m.to_bytes()[0]).collect();
     let worker: Vec<u8> = every_to_worker().iter().map(|m| m.to_bytes()[0]).collect();
-    assert_eq!(coord, (0..coord.len() as u8).collect::<Vec<_>>());
-    assert_eq!(worker, (0..worker.len() as u8).collect::<Vec<_>>());
-    assert!(!coord.contains(&RETIRED_TELEMETRY_TAG));
-    // A well-formed old telemetry frame (tag + length-prefixed payload)
-    // is a typed codec error, as is every tag past the live range.
-    let mut old = ToCoord::Trace {
+    assert_eq!(coord, TO_COORD_TAGS);
+    assert_eq!(worker, TO_WORKER_TAGS);
+    // A well-formed frame of the old shape behind each retired tag (a
+    // tag plus a length-prefixed payload covers the old Delta, Distance
+    // and telemetry layouts alike; the bare tag covers BarrierArrive /
+    // BarrierRelease) is a typed codec error, as is every other tag
+    // outside the live set.
+    let old_body = ToCoord::Trace {
         payload: Bytes::from(vec![3u8; 248]),
     }
     .to_bytes()
     .to_vec();
-    old[0] = RETIRED_TELEMETRY_TAG;
-    assert!(matches!(decode_to_coord(old), Err(NetError::Codec(_))));
-    for tag in coord.len() as u8..=u8::MAX {
-        assert!(matches!(
-            decode_to_coord(vec![tag]),
-            Err(NetError::Codec(_))
-        ));
+    for tag in 0..=u8::MAX {
+        let mut old = old_body.clone();
+        old[0] = tag;
+        if !TO_COORD_TAGS.contains(&tag) {
+            assert!(matches!(
+                decode_to_coord(old.clone()),
+                Err(NetError::Codec(_))
+            ));
+            assert!(matches!(
+                decode_to_coord(vec![tag]),
+                Err(NetError::Codec(_))
+            ));
+        }
+        if !TO_WORKER_TAGS.contains(&tag) {
+            assert!(matches!(decode_to_worker(old), Err(NetError::Codec(_))));
+            assert!(matches!(
+                decode_to_worker(vec![tag]),
+                Err(NetError::Codec(_))
+            ));
+        }
     }
-    for tag in worker.len() as u8..=u8::MAX {
-        assert!(matches!(
-            decode_to_worker(vec![tag]),
-            Err(NetError::Codec(_))
-        ));
+    for tag in RETIRED_TO_COORD_TAGS {
+        assert!(!TO_COORD_TAGS.contains(&tag), "ToCoord tag {tag} reused");
+    }
+    for tag in RETIRED_TO_WORKER_TAGS {
+        assert!(!TO_WORKER_TAGS.contains(&tag), "ToWorker tag {tag} reused");
+    }
+}
+
+#[test]
+fn a_version_2_preamble_is_refused_at_handshake() {
+    // A peer built before the message set shrank still frames the same
+    // way; only the preamble tells the two apart, so it must.
+    let mut old = Vec::new();
+    old.extend_from_slice(&WIRE_MAGIC);
+    old.extend_from_slice(&2u32.to_be_bytes());
+    let mut r = FrameReader::new(std::io::Cursor::new(old));
+    match r.expect_preamble() {
+        Err(NetError::Version(msg)) => {
+            assert!(msg.contains("version 2") && msg.contains(&WIRE_VERSION.to_string()))
+        }
+        other => panic!("expected a Version error, got {other:?}"),
     }
 }
 

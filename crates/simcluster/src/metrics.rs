@@ -157,6 +157,15 @@ impl Metrics {
         self.reset_all();
     }
 
+    /// Adds `increments` ([`MetricsSnapshot::values`] order) counter by
+    /// counter: how a registry kept in another process is folded into
+    /// this one.
+    pub fn add_values(&self, increments: &[u64]) {
+        for (counter, &n) in self.counters().iter().zip(increments) {
+            counter.add(n);
+        }
+    }
+
     /// A point-in-time snapshot of all counters, for reporting.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {

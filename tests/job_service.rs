@@ -4,7 +4,7 @@
 //! coordinator disconnect.
 
 use imr_jobs::{AlgoSpec, EngineSel, JobPhase, JobService, JobSpec, ResultRecord, ServiceConfig};
-use imr_net::proto::{ToCoord, ToWorker, WorkerSetup};
+use imr_net::proto::{PairCfg, PairDirs, PairPlan, ToCoord, ToWorker, WorkerSetup};
 use imr_net::{FrameReader, FrameWriter};
 use imr_records::Codec;
 use std::net::TcpListener;
@@ -307,27 +307,33 @@ fn worker_survives_coordinator_disconnect() {
 fn dummy_setup() -> WorkerSetup {
     WorkerSetup {
         job: 9,
-        num_tasks: 1,
         epoch: 0,
-        one2all: false,
-        sync: false,
-        distance_threshold: None,
-        max_iterations: 4,
-        checkpoint_interval: 0,
-        num_state_parts: 1,
-        state_dir: "/drain/in/state".into(),
-        static_dir: "/drain/in/static".into(),
-        output_dir: "/drain/out".into(),
-        kills: vec![],
-        hangs: vec![],
-        delays: vec![],
-        speed: 1.0,
-        crash_after: None,
-        accumulative: false,
-        delta_batch: 0,
-        check_every: 1,
-        incremental: false,
         observed: false,
+        cfg: PairCfg {
+            n: 1,
+            one2all: false,
+            sync: false,
+            threshold: None,
+            max_iters: 4,
+            checkpoint_interval: 0,
+            num_state_parts: 1,
+            accumulative: false,
+            delta_batch: 0,
+            check_every: 1,
+            incremental: false,
+        },
+        dirs: PairDirs {
+            state_dir: "/drain/in/state".into(),
+            static_dir: "/drain/in/static".into(),
+            output_dir: "/drain/out".into(),
+        },
+        plan: PairPlan {
+            kills: vec![],
+            hangs: vec![],
+            delays: vec![],
+            speed: 1.0,
+            crash_after: None,
+        },
     }
 }
 

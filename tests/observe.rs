@@ -180,3 +180,116 @@ fn delta_mode() {
     run_tcp(&tcp, &job, &["pagerank", &nodes], &cfg);
     assert_hists_are_the_spans("tcp", &trace, &tel, &expected);
 }
+
+/// The counters the pair loop (and the kernel under it) increments on
+/// the data path. One counting rule — the loop counts, the environment
+/// delivers — means a clean run reports the same value for each of them
+/// whichever fabric carried it.
+const DATA_PATH_COUNTERS: [&str; 10] = [
+    "map_input_records",
+    "reduce_input_records",
+    "state_handoff_bytes",
+    "shuffle_local_bytes",
+    "broadcast_bytes",
+    "checkpoint_bytes",
+    "tasks_launched",
+    "deltas_sent",
+    "priority_preemptions",
+    "termination_checks",
+];
+
+fn data_path_counters(runner: &NativeRunner) -> Vec<(&'static str, u64)> {
+    let all = runner.metrics().snapshot().named();
+    let picked: Vec<_> = all
+        .into_iter()
+        .filter(|(name, _)| DATA_PATH_COUNTERS.contains(name))
+        .collect();
+    assert_eq!(picked.len(), DATA_PATH_COUNTERS.len());
+    picked
+}
+
+/// Asserts threads == TCP on every data-path counter, and that each
+/// counter in `nonzero` moved at all (so two fabrics that both stopped
+/// counting cannot pass by agreeing on zero).
+fn assert_fabrics_count_alike(
+    label: &str,
+    chan: &NativeRunner,
+    tcp: &NativeRunner,
+    nonzero: &[&str],
+) {
+    let threads = data_path_counters(chan);
+    assert_eq!(threads, data_path_counters(tcp), "{label}: threads vs tcp");
+    for (name, value) in threads {
+        assert_eq!(
+            value > 0,
+            nonzero.contains(&name),
+            "{label}: {name} = {value}"
+        );
+    }
+}
+
+/// Clean runs of the three shapes above, without sinks: the thread
+/// run's and the TCP run's registries agree on every data-path counter.
+#[test]
+fn data_path_counters_agree_across_fabrics() {
+    let g = dataset("DBLP").unwrap().generate(0.005);
+    let cfg = IterConfig::new("sssp", 4, 6)
+        .with_sync_maps()
+        .with_checkpoint_interval(2);
+    let chan = native_runner(4);
+    sssp::run_sssp_imr(&chan, &g, 0, &cfg).unwrap();
+    let tcp = native_runner(4);
+    sssp::load_sssp_imr(&tcp, &g, 0, 4, "/s", "/t").unwrap();
+    run_tcp(&tcp, &SsspIter, &["sssp"], &cfg);
+    let one2one = [
+        "map_input_records",
+        "reduce_input_records",
+        "state_handoff_bytes",
+        "shuffle_local_bytes",
+        "checkpoint_bytes",
+        "tasks_launched",
+    ];
+    assert_fabrics_count_alike("sssp", &chan, &tcp, &one2one);
+
+    let points = generate_points(400, 5, 3, 77);
+    let cfg = IterConfig::new("km", 4, 5).with_one2all();
+    let chan = native_runner(4);
+    kmeans::run_kmeans_imr(&chan, &points, 3, &cfg, false).unwrap();
+    let tcp = native_runner(4);
+    kmeans::load_kmeans_imr(&tcp, &points, 3, 4, "/s", "/t").unwrap();
+    run_tcp(
+        &tcp,
+        &KmeansIter { combiner: false },
+        &["kmeans", "0"],
+        &cfg,
+    );
+    let one2all = [
+        "map_input_records",
+        "reduce_input_records",
+        "shuffle_local_bytes",
+        "broadcast_bytes",
+        "tasks_launched",
+    ];
+    assert_fabrics_count_alike("kmeans", &chan, &tcp, &one2all);
+
+    let g = dataset("Google").unwrap().generate(0.003);
+    let job = PageRankIter::new(g.num_nodes() as u64);
+    let nodes = g.num_nodes().to_string();
+    let cfg = IterConfig::new("prd", 4, 400)
+        .with_accumulative_mode()
+        .with_distance_threshold(1e-6)
+        .with_checkpoint_interval(1);
+    let chan = native_runner(4);
+    pagerank::run_pagerank_delta(&chan, &g, &cfg).unwrap();
+    let tcp = native_runner(4);
+    pagerank::load_pagerank_imr(&tcp, &g, 4, "/s", "/t").unwrap();
+    run_tcp(&tcp, &job, &["pagerank", &nodes], &cfg);
+    let delta = [
+        "shuffle_local_bytes",
+        "checkpoint_bytes",
+        "tasks_launched",
+        "deltas_sent",
+        "termination_checks",
+    ];
+    assert_fabrics_count_alike("delta pagerank", &chan, &tcp, &delta);
+}

@@ -10,7 +10,8 @@
 #   ./verify.sh build      # release build of the whole workspace
 #   ./verify.sh test       # debug test suite + release cross-engine suite
 #   ./verify.sh bench      # smoke-run every experiment binary at tiny size
-#   ./verify.sh drift      # verify.sh subcommands <-> CI jobs bijection
+#   ./verify.sh drift      # verify.sh subcommands <-> CI jobs bijection, and
+#                          # wire enums <-> DESIGN.md §8 message table
 #   ./verify.sh <suite>    # one row group of the SUITES table: faults,
 #                          # observe, service, delta, chaos, incremental
 #
@@ -237,8 +238,35 @@ exposition_smoke() {
 # functions (except the `all` aggregate) and the SUITES table's row
 # groups — must be invoked by .github/workflows/ci.yml, and every
 # `./verify.sh <sub>` CI invocation must name a real subcommand.
+# Likewise the wire protocol and its documentation: the variants of
+# `enum ToCoord` / `enum ToWorker` in crates/net/src/proto.rs and the
+# rows of DESIGN.md §8's two message tables must be the same lists in
+# the same order, so a frame tag cannot land (or retire) undocumented.
 # Cheap on purpose — no cargo involved — so CI runs it on every push.
+wire_variants() {
+  awk -v open="pub enum $1 {" '$0 == open { f = 1; next } f && /^}/ { f = 0 } f' \
+    crates/net/src/proto.rs | grep -o '^    [A-Z][A-Za-z]*' | tr -d ' '
+}
+
+wire_table_rows() {
+  awk -v head="| \`$1\` |" 'index($0, head) == 1 { f = 1; next } f && !/^\|/ { f = 0 } f' \
+    DESIGN.md | grep -o '^| `[A-Za-z]*`' | tr -d '|` '
+}
+
 cmd_drift() {
+  local enum code doc
+  for enum in ToCoord ToWorker; do
+    code=$(wire_variants "$enum")
+    doc=$(wire_table_rows "$enum")
+    if [ -z "$code" ] || [ "$code" != "$doc" ]; then
+      echo "drift: enum $enum (proto.rs) and its DESIGN.md §8 table differ:" >&2
+      diff <(echo "$code") <(echo "$doc") >&2 || true
+      echo "drift: left column is proto.rs, right column is DESIGN.md" >&2
+      exit 1
+    fi
+    echo "drift: $enum has $(echo "$code" | wc -l) variants, all in DESIGN.md §8"
+  done
+
   local subs jobs
   subs=$({
     grep -o '^cmd_[a-z_]*' verify.sh | sed 's/^cmd_//' | grep -v '^all$'
