@@ -12,15 +12,17 @@
 //! the configured distance threshold, no future update can change any
 //! value materially and the job stops.
 //!
-//! This module holds the engine-independent pieces: the
-//! [`Accumulative`] job contract and the per-task [`DeltaStore`] with
-//! its priority batch selection. The round/termination drivers live in
+//! This module holds the [`Accumulative`] job contract and the
+//! per-task [`DeltaStore`] with its priority batch selection; the round
+//! built from them is `kernel::{delta_out, delta_in}`. Only the
+//! exchange between the two halves and the termination check live in
 //! each engine (`engine.rs` for the simulator, `imr-native` for the
-//! thread/TCP backends) so they can reuse the engine's own collectives
-//! and checkpoint plumbing.
+//! thread/TCP backends), so they can reuse the engine's own
+//! collectives and checkpoint plumbing.
 
 use crate::api::{Emitter, IterativeJob};
 use bytes::Bytes;
+use imr_mapreduce::EngineError;
 use imr_records::{decode_pairs, encode_pairs, is_sorted_by_key, CodecResult};
 
 /// An iterative job whose state update is a delta accumulation.
@@ -254,17 +256,23 @@ impl<K: imr_records::Key, S: imr_records::Value> DeltaStore<K, S> {
 /// Partition emitted deltas into `n` per-destination segments, each
 /// key-sorted with duplicate keys pre-merged by ⊕ — one segment per
 /// peer, every round, so receivers can merge with a single sorted walk
-/// and the wire carries each key at most once per round.
-pub fn partition_deltas<J: Accumulative>(
+/// and the wire carries each key at most once per round. A job whose
+/// `partition` names a destination that does not exist is a
+/// [`EngineError::Config`].
+pub(crate) fn partition_deltas<J: Accumulative>(
     job: &J,
     emitted: Vec<(J::K, J::S)>,
     n: usize,
-) -> Vec<Vec<(J::K, J::S)>> {
+) -> Result<Vec<Vec<(J::K, J::S)>>, EngineError> {
     let mut dests: Vec<Vec<(J::K, J::S)>> = (0..n).map(|_| Vec::new()).collect();
     for (k, d) in emitted {
         let p = job.partition(&k, n);
-        assert!(p < n, "partition function returned {p} for {n} parts");
-        dests[p].push((k, d));
+        let Some(dest) = dests.get_mut(p) else {
+            return Err(EngineError::Config(format!(
+                "partition function returned {p} for {n} parts"
+            )));
+        };
+        dest.push((k, d));
     }
     for dest in &mut dests {
         imr_records::sort_run(dest);
@@ -277,7 +285,7 @@ pub fn partition_deltas<J: Accumulative>(
         }
         *dest = merged;
     }
-    dests
+    Ok(dests)
 }
 
 #[cfg(test)]
@@ -389,7 +397,7 @@ mod tests {
     #[test]
     fn partition_deltas_sorts_and_premerges() {
         let emitted = vec![(3u32, 1.0), (1, 2.0), (3, 4.0), (0, 8.0)];
-        let dests = partition_deltas(&HalfFwd, emitted, 2);
+        let dests = partition_deltas(&HalfFwd, emitted, 2).unwrap();
         assert_eq!(dests[0], vec![(0, 8.0)]);
         assert_eq!(dests[1], vec![(1, 2.0), (3, 5.0)]);
     }

@@ -203,10 +203,6 @@ pub struct IterConfig {
     /// Shuffle fabric for the native backend (ignored by the
     /// simulation engine, which models its own network).
     pub transport: TransportKind,
-    /// How many trailing trace events the flight recorder dumps to a
-    /// DFS artifact when a rollback or migration fires (only relevant
-    /// when the runner carries a trace buffer).
-    pub flight_window: usize,
     /// Resume a previously interrupted run from the newest complete
     /// checkpoint snapshot under the output directory instead of
     /// starting at iteration 0. Used by the job service to pick an
@@ -274,7 +270,6 @@ impl IterConfig {
             load_balance: None,
             watchdog: None,
             transport: TransportKind::Channel,
-            flight_window: 64,
             resume: false,
             accumulative: false,
             delta_batch: 0,
@@ -295,12 +290,6 @@ impl IterConfig {
     /// coordinator links.
     pub fn with_chaos(mut self, chaos: ChaosConfig) -> Self {
         self.chaos = Some(chaos);
-        self
-    }
-
-    /// Sets the flight-recorder window (trailing events per dump).
-    pub fn with_flight_window(mut self, events: usize) -> Self {
-        self.flight_window = events;
         self
     }
 
@@ -571,13 +560,6 @@ mod tests {
         assert_eq!(c.checkpoint_interval, 3);
         assert!(c.load_balance.is_some());
         assert!(!c.effective_sync());
-    }
-
-    #[test]
-    fn flight_window_defaults_and_overrides() {
-        assert_eq!(IterConfig::new("sssp", 2, 3).flight_window, 64);
-        let c = IterConfig::new("sssp", 2, 3).with_flight_window(256);
-        assert_eq!(c.flight_window, 256);
     }
 
     #[test]

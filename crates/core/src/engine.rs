@@ -15,7 +15,9 @@
 
 use crate::api::{IterativeJob, Mapping};
 use crate::config::{FailureEvent, FaultEvent, IterConfig};
-use crate::kernel::{check_co_partitioned, fold_votes, map_side, reduce_side, MapState};
+use crate::kernel::{
+    check_co_partitioned, delta_in, delta_out, fold_votes, map_side, reduce_side, MapState,
+};
 use crate::observe::Observer;
 use crate::store::{check_inputs, check_slots};
 use bytes::Bytes;
@@ -120,16 +122,10 @@ impl IterativeRunner {
             .emit(event.tagged(tag.node, tag.pair, tag.iter, tag.generation));
     }
 
-    /// Dump the trailing `window` events to the DFS flight-recorder
+    /// Dump the trailing trace window to the DFS flight-recorder
     /// artifact `seq` for this run (no-op without a trace ring).
-    fn flight_dump(
-        &self,
-        output_dir: &str,
-        seq: usize,
-        window: usize,
-        node: NodeId,
-    ) -> Result<(), EngineError> {
-        let Some(lines) = self.observer.flight_lines(window) else {
+    fn flight_dump(&self, output_dir: &str, seq: usize, node: NodeId) -> Result<(), EngineError> {
+        let Some(lines) = self.observer.flight_lines() else {
             return Ok(());
         };
         let mut off_path = TaskClock::default();
@@ -632,7 +628,7 @@ impl IterativeRunner {
                     })
                     .len() as u64;
                 }
-                self.flight_dump(output_dir, flight_seq, cfg.flight_window, dump_node)?;
+                self.flight_dump(output_dir, flight_seq, dump_node)?;
                 flight_seq += 1;
                 generation += 1;
                 report.iteration_done.truncate(ckpt.iter);
@@ -698,7 +694,7 @@ impl IterativeRunner {
         output_dir: &str,
         faults: &[FaultEvent],
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        use crate::accum::{partition_deltas, DeltaStore};
+        use crate::accum::DeltaStore;
 
         cfg.validate(faults)?;
         if !cfg.accumulative {
@@ -765,36 +761,26 @@ impl IterativeRunner {
             }
             for _round in 0..cfg.check_every {
                 // ---- Round phase A: select, apply, extract, send -----
-                let mut outgoing: Vec<Vec<Vec<(J::K, J::S)>>> = Vec::with_capacity(n);
-                let mut seg_bytes: Vec<Vec<u64>> = Vec::with_capacity(n);
+                let mut outgoing: Vec<Vec<Bytes>> = Vec::with_capacity(n);
                 let mut send_done: Vec<VInstant> = Vec::with_capacity(n);
                 for p in 0..n {
                     let node = assignment[p];
                     let speed = self.cluster.speed(node);
                     let mut clock = TaskClock::starting_at(now[p]);
                     let round_start = clock.now();
-                    let batch = stores[p].select_batch(job, &static_store[p], cfg.delta_batch);
-                    let emitted = batch.emitted.len() as u64;
-                    clock.advance(cost.compute_time(batch.applied as u64 + emitted, 0, speed));
-                    let dests = partition_deltas(job, batch.emitted, n);
-                    let sent: u64 = dests.iter().map(|d| d.len() as u64).sum();
-                    self.metrics.deltas_sent.add(sent);
-                    self.metrics.priority_preemptions.add(batch.deferred as u64);
-                    let mut bytes_row = Vec::with_capacity(n);
-                    let mut spill = 0u64;
-                    for dest in &dests {
-                        clock.advance(cost.sort_time(dest.len() as u64, speed));
-                        let b = encode_pairs(dest).len() as u64;
-                        spill += b;
-                        bytes_row.push(b);
+                    let (store, stat) = (&mut stores[p], &static_store[p]);
+                    let out = delta_out(job, store, stat, n, cfg.delta_batch, &self.metrics)?;
+                    clock.advance(cost.compute_time(out.applied + out.emitted, 0, speed));
+                    for &records in &out.records {
+                        clock.advance(cost.sort_time(records, speed));
                     }
+                    let spill: u64 = out.segments.iter().map(|seg| seg.len() as u64).sum();
                     clock.advance(cost.serde_per_byte * spill);
                     let at = tag(node, p, check, generation);
-                    let round = TraceKind::DeltaRound { deltas: sent };
+                    let round = TraceKind::DeltaRound { deltas: out.sent() };
                     self.event(round, round_start, clock.now(), at);
                     send_done.push(clock.now());
-                    outgoing.push(dests);
-                    seg_bytes.push(bytes_row);
+                    outgoing.push(out.segments);
                 }
                 // ---- Round phase B: receive from every peer, merge in
                 // source order (the only order the native round protocol
@@ -803,13 +789,9 @@ impl IterativeRunner {
                     let node = assignment[q];
                     let speed = self.cluster.speed(node);
                     let mut clock = TaskClock::default();
-                    let sizes = seg_bytes.iter().map(|row| row[q]);
-                    let merge_start =
-                        self.shuffle_barrier(sizes, q, &send_done, &assignment, &mut clock);
-                    let mut merged = 0u64;
-                    for p in 0..n {
-                        merged += stores[q].merge_segment(job, &outgoing[p][q]) as u64;
-                    }
+                    let (inbound, merge_start) =
+                        self.fetch_segments(&outgoing, q, &send_done, &assignment, &mut clock);
+                    let merged = delta_in(job, &mut stores[q], inbound)?;
                     clock.advance(cost.compute_time(merged, 0, speed));
                     let at = tag(node, q, check, generation);
                     self.event(TraceKind::DeltaMerge, merge_start, clock.now(), at);
@@ -920,37 +902,24 @@ impl IterativeRunner {
         Ok((all, total))
     }
 
-    /// The shuffle fetch of reduce task `q`: its segment from every map
-    /// task, in task order, behind [`Self::shuffle_barrier`].
+    /// The shuffle fetch of task `q`: its segment from every task `p`,
+    /// in task order, each sent at `sent_at[p]`. Moves `clock` to the
+    /// last arrival (the shuffle barrier), then charges deserialising
+    /// what arrived. Returns the segments and the instant the barrier
+    /// cleared.
     pub(crate) fn fetch_segments(
         &self,
         segments: &[Vec<Bytes>],
         q: usize,
-        map_done: &[VInstant],
+        sent_at: &[VInstant],
         assignment: &[NodeId],
         clock: &mut TaskClock,
     ) -> (Vec<Bytes>, VInstant) {
         let inbound: Vec<Bytes> = segments.iter().map(|from| from[q].clone()).collect();
-        let sizes = inbound.iter().map(|seg| seg.len() as u64);
-        let work_start = self.shuffle_barrier(sizes, q, map_done, assignment, clock);
-        (inbound, work_start)
-    }
-
-    /// Task `q` receives `sizes[p]` bytes from every task `p`, sent at
-    /// `sent_at[p]`: moves `clock` to the last arrival (the shuffle
-    /// barrier), then charges deserialising what arrived. Returns the
-    /// instant the barrier cleared.
-    fn shuffle_barrier(
-        &self,
-        sizes: impl Iterator<Item = u64>,
-        q: usize,
-        sent_at: &[VInstant],
-        assignment: &[NodeId],
-        clock: &mut TaskClock,
-    ) -> VInstant {
         let node = assignment[q];
         let mut fetched = 0u64;
-        for (p, bytes) in sizes.enumerate() {
+        for (p, seg) in inbound.iter().enumerate() {
+            let bytes = seg.len() as u64;
             fetched += bytes;
             clock.merge(sent_at[p] + self.cluster.transfer_time(assignment[p], node, bytes));
             if assignment[p] == node {
@@ -961,7 +930,7 @@ impl IterativeRunner {
         }
         let cleared = clock.now();
         clock.advance(self.cluster.cost.serde_per_byte * fetched);
-        cleared
+        (inbound, cleared)
     }
 
     /// One2all hand-off: reduce `q` ships `bytes[q]` to every map task

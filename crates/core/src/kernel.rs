@@ -11,11 +11,18 @@
 //! functions; each supplies only its own clock (through the
 //! [`ShuffleCost`] hook), transport and supervision. Cross-engine
 //! bit-identity therefore follows from shared code.
+//!
+//! The barrier-free accumulative mode's ⊕ delta round (DESIGN.md §11)
+//! is likewise one definition in two halves around the exchange:
+//! [`delta_out`] selects, applies, extracts, partitions and encodes one
+//! segment per peer; [`delta_in`] decodes and merges what every peer
+//! sent, in source order. Both report the counts a cost model charges.
 
+use crate::accum::{partition_deltas, Accumulative, DeltaStore};
 use crate::api::{Emitter, IterativeJob, StateInput};
 use bytes::Bytes;
 use imr_mapreduce::EngineError;
-use imr_records::{shuffle_in, shuffle_out, ShuffleCost};
+use imr_records::{decode_pairs, encode_pairs, shuffle_in, shuffle_out, ShuffleCost};
 use imr_simcluster::Metrics;
 
 /// The state a pair's map task consumes this iteration.
@@ -218,6 +225,70 @@ pub fn distance_sorted<J: IterativeJob>(
         }
     }
     total
+}
+
+/// What [`delta_out`] produced.
+pub struct DeltaOutput {
+    /// One encoded delta segment per destination pair: key-sorted, with
+    /// duplicate keys pre-merged by ⊕, possibly empty.
+    pub segments: Vec<Bytes>,
+    /// Records in each segment (what a cost model sorts).
+    pub records: Vec<u64>,
+    /// Keys whose pending delta was applied this round.
+    pub applied: u64,
+    /// Deltas those applications emitted, before pre-merging.
+    pub emitted: u64,
+}
+
+impl DeltaOutput {
+    /// Deltas on the wire this round, over all destinations.
+    pub fn sent(&self) -> u64 {
+        self.records.iter().sum()
+    }
+}
+
+/// First half of one ⊕ delta round on one pair: applies the up-to-
+/// `batch` highest-priority pending deltas of `store` against the
+/// co-partitioned `stat` (0 = all pending), routes what they emit to
+/// `n` destinations and encodes one segment per peer — every peer,
+/// every round, so the send-all/recv-all exchange cannot deadlock.
+/// Counts `deltas_sent` and `priority_preemptions`.
+pub fn delta_out<J: Accumulative>(
+    job: &J,
+    store: &mut DeltaStore<J::K, J::S>,
+    stat: &[(J::K, J::T)],
+    n: usize,
+    batch: usize,
+    metrics: &Metrics,
+) -> Result<DeltaOutput, EngineError> {
+    let batch = store.select_batch(job, stat, batch);
+    let emitted = batch.emitted.len() as u64;
+    let dests = partition_deltas(job, batch.emitted, n)?;
+    let out = DeltaOutput {
+        segments: dests.iter().map(|dest| encode_pairs(dest)).collect(),
+        records: dests.iter().map(|dest| dest.len() as u64).collect(),
+        applied: batch.applied as u64,
+        emitted,
+    };
+    metrics.deltas_sent.add(out.sent());
+    metrics.priority_preemptions.add(batch.deferred as u64);
+    Ok(out)
+}
+
+/// Second half of the round: folds the segment received from every
+/// peer into `store`'s pending deltas, in source order (`segments[p]`
+/// came from pair `p`). Returns the number of deltas merged.
+pub fn delta_in<J: Accumulative>(
+    job: &J,
+    store: &mut DeltaStore<J::K, J::S>,
+    segments: Vec<Bytes>,
+) -> Result<u64, EngineError> {
+    let mut merged = 0u64;
+    for seg in segments {
+        let pairs: Vec<(J::K, J::S)> = decode_pairs(seg)?;
+        merged += store.merge_segment(job, &pairs) as u64;
+    }
+    Ok(merged)
 }
 
 /// Folds the pairs' termination votes — one `(local distance, had a

@@ -78,7 +78,7 @@ mod multiphase;
 mod observe;
 mod store;
 
-pub use accum::{partition_deltas, Accumulative, BatchOutcome, DeltaStore};
+pub use accum::{Accumulative, BatchOutcome, DeltaStore};
 pub use api::{Emitter, IterativeJob, Mapping, StateInput};
 pub use aux::{run_with_aux, AuxOutcome, AuxPhase};
 pub use config::{
@@ -92,8 +92,8 @@ pub use incremental::{
 };
 pub use iter_engine::IterEngine;
 pub use kernel::{
-    carry_forward, check_co_partitioned, distance_sorted, fold_votes, map_side, reduce_side,
-    MapOutput, MapState, ReduceOutput,
+    carry_forward, check_co_partitioned, delta_in, delta_out, distance_sorted, fold_votes,
+    map_side, reduce_side, DeltaOutput, MapOutput, MapState, ReduceOutput,
 };
 pub use multiphase::{run_two_phase, PhaseJob, TwoPhaseConfig, TwoPhaseOutcome};
 pub use observe::{phase_of, Observer};

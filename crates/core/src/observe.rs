@@ -40,6 +40,10 @@ pub fn phase_of(kind: TraceKind) -> Option<Phase> {
     }
 }
 
+/// How many trailing trace events the flight recorder dumps to a DFS
+/// artifact when a rollback or migration fires.
+const FLIGHT_WINDOW: usize = 64;
+
 /// A run's optional trace ring and optional telemetry registry behind
 /// one [`emit`](Observer::emit).
 #[derive(Clone)]
@@ -108,11 +112,11 @@ impl Observer {
         }
     }
 
-    /// The trailing `window` events as flight-recorder lines, when a
-    /// trace ring is attached.
-    pub fn flight_lines(&self, window: usize) -> Option<String> {
+    /// The trailing `FLIGHT_WINDOW` events as flight-recorder lines,
+    /// when a trace ring is attached.
+    pub fn flight_lines(&self) -> Option<String> {
         let trace = self.trace.as_ref()?;
-        Some(imr_trace::flight_lines(&trace.tail(window)))
+        Some(imr_trace::flight_lines(&trace.tail(FLIGHT_WINDOW)))
     }
 }
 

@@ -8,7 +8,7 @@
 
 use crate::name::{BlockId, FileMeta, NameNode};
 use bytes::Bytes;
-use imr_simcluster::{ClusterSpec, MetricsHandle, NodeId, TaskClock, VDuration};
+use imr_simcluster::{ClusterSpec, MetricsHandle, NodeId, TaskClock};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
@@ -296,11 +296,6 @@ impl Dfs {
         inner.stores[node.index()].clear();
     }
 
-    /// Brings a failed node back (empty, as after re-imaging).
-    pub fn recover_node(&self, node: NodeId) {
-        self.inner.write().dead[node.index()] = false;
-    }
-
     /// Locality map: for each block of `path`, the nodes holding a live
     /// replica. The baseline engine's scheduler uses this to place map
     /// tasks near their splits.
@@ -324,24 +319,12 @@ impl Dfs {
             })
             .collect())
     }
-
-    /// Total time the cost model charges to write `bytes` with this
-    /// DFS's replication (used by engines for estimates in reports).
-    pub fn estimated_write_time(&self, bytes: u64) -> VDuration {
-        let repl = self.inner.read().name.replication();
-        let disk = self.spec.cost.disk_time(bytes);
-        if repl > 1 {
-            disk + self.spec.cost.remote_transfer_time(bytes)
-        } else {
-            disk
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imr_simcluster::Metrics;
+    use imr_simcluster::{Metrics, VDuration};
 
     fn dfs(n: usize, repl: usize, block: u64) -> Dfs {
         Dfs::with_block_size(

@@ -475,11 +475,6 @@ impl JobService {
         }
     }
 
-    /// Whether [`JobService::kill`] has been called.
-    pub fn is_killed(&self) -> bool {
-        self.killed.load(Ordering::Acquire)
-    }
-
     /// Catalog snapshot, id-ordered.
     pub fn status(&self) -> Vec<JobStatus> {
         let st = self.state.lock();

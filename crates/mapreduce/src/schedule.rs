@@ -101,11 +101,6 @@ impl SlotPool {
             .min()
             .expect("empty slot pool")
     }
-
-    /// Removes `node`'s slots (node failure / task migration source).
-    pub fn drain_node(&mut self, node: NodeId) {
-        self.free[node.index()].clear();
-    }
 }
 
 #[cfg(test)]
@@ -156,18 +151,6 @@ mod tests {
         let pool = SlotPool::new(&spec, false, VInstant::EPOCH);
         let (_, start) = pool.place(at(42), &[]);
         assert_eq!(start, at(42));
-    }
-
-    #[test]
-    fn drained_node_is_never_chosen() {
-        let spec = ClusterSpec::local(2);
-        let mut pool = SlotPool::new(&spec, true, VInstant::EPOCH);
-        pool.drain_node(NodeId(0));
-        for _ in 0..5 {
-            let (node, start) = pool.place(VInstant::EPOCH, &[NodeId(0)]);
-            assert_eq!(node, NodeId(1));
-            pool.occupy(node, start + VDuration::from_secs(1));
-        }
     }
 
     #[test]

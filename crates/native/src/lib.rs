@@ -35,9 +35,17 @@
 //!   collective; every pair folds the same votes in task order
 //!   (`imapreduce::fold_votes`), so all pairs reach the same verdict and
 //!   stop at the same iteration without a master round-trip.
+//! * **One report path** (§3.4.2) — a pair tells the rest of the job
+//!   about itself in exactly one way: a completion report per
+//!   iteration, its checkpoints, and how it ended. One fabric-independent
+//!   `Generation` (`generation.rs`) receives them — called directly by a
+//!   worker thread, on frame arrival by the TCP coordinator — and is
+//!   the only place the per-pair history, checkpoint progress and
+//!   outcomes the supervisor decides from are kept.
 //! * **Checkpointing and rollback** (§3.4.1) — every
 //!   `cfg.checkpoint_interval` iterations each pair atomically snapshots
-//!   its reduce-side state to the DFS (`<out>/_ckpt/iter-NNNN/part-*`).
+//!   its reduce-side state to the DFS (`<out>/_ckpt/iter-NNNN/part-*`,
+//!   with the distance history so far in a `_hist-*` sidecar).
 //!   Scripted kill faults make the pairs hosted on the named node exit
 //!   at the exact scripted iteration; the generation supervisor detects
 //!   the dead generation, rolls every pair back to the last checkpoint
@@ -101,6 +109,7 @@
 #![warn(missing_docs)]
 
 pub mod fault;
+mod generation;
 mod monitor;
 mod pair;
 pub mod remote;
@@ -108,6 +117,7 @@ mod supervisor;
 
 use bytes::Bytes;
 use fault::FaultBarrier;
+use generation::Generation;
 use imapreduce::{
     check_inputs, FailureEvent, FaultEvent, IterConfig, IterEngine, IterOutcome, IterativeJob,
     Mapping, Observer, RunCtl, TransportKind,
@@ -119,17 +129,16 @@ use imr_net::{ChannelLink, ChannelMesh, Closed, Transport};
 use imr_simcluster::MetricsHandle;
 use imr_telemetry::{Gauge, TelemetryHandle};
 use imr_trace::{TraceEvent, TraceHandle, TraceKind};
-use monitor::{monitor_loop, BalancePlan, Intervention, ProgressBoard};
+use monitor::Intervention;
 use pair::{
-    delta_loop, pair_cfg, pair_loop, panic_message, persist_checkpoint, read_part_raw, EnvFail,
-    PairCtx, PairDirs, PairEnv, PairOutcome,
+    delta_loop, pair_cfg, pair_loop, panic_message, read_part_raw, EnvFail, PairCtx, PairDirs,
+    PairEnv, PairOutcome,
 };
 use parking_lot::Mutex;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::thread;
 use std::time::Duration;
-use supervisor::{supervise, GenInput, PairRun, RunOutcome};
+use supervisor::{supervise, GenInput, PairRun};
 
 /// The worker-thread body `run_threaded` drives: either `pair_loop`
 /// (map/reduce iterations) or `delta_loop` (barrier-free accumulative
@@ -340,61 +349,29 @@ impl NativeRunner {
             static_dir: static_dir.to_owned(),
             output_dir: output_dir.to_owned(),
         };
-        let monitor_enabled = cfg.watchdog.is_some() || cfg.load_balance.is_some();
-        let cluster = self.dfs.cluster();
 
         let mut run_gen =
             |gen: GenInput<'_>| -> Result<(Vec<PairRun>, Option<Intervention>), EngineError> {
-                let GenInput {
-                    epoch,
-                    plans,
-                    assignment,
-                    migrations_done,
-                    generation,
-                    started,
-                    seed_dist,
-                } = gen;
                 // Fresh links and rally points: the previous generation's
                 // links are disconnected and its barrier poisoned.
                 let links = ChannelMesh::links(n, HANDOFF_BUFFER);
                 let slots: Vec<Mutex<Option<Bytes>>> = (0..n).map(|_| Mutex::new(None)).collect();
                 let barrier = FaultBarrier::new(n);
-                let board = ProgressBoard::new(n, epoch);
-                let workers_done = AtomicBool::new(false);
+                let generation = Generation::new(&self.dfs, &self.metrics, cfg, output_dir, gen);
 
-                let (runs, intervention) = thread::scope(|scope| {
-                    // The monitor shares the generation's scope: it watches
-                    // the board and kills the generation through the same
-                    // barrier the workers rally on.
-                    let monitor_handle = if monitor_enabled {
-                        let board = &board;
-                        let barrier = &barrier;
-                        let workers_done = &workers_done;
-                        let metrics = &self.metrics;
-                        let watchdog = cfg.watchdog;
-                        let lb = cfg.load_balance;
-                        Some(scope.spawn(move || {
-                            let balance = lb.map(|lb| BalancePlan {
-                                cluster,
-                                assignment,
-                                deviation: lb.deviation,
-                                remaining: (lb.max_migrations as u64)
-                                    .saturating_sub(migrations_done)
-                                    as usize,
-                            });
-                            monitor_loop(board, barrier, workers_done, watchdog, balance, metrics)
-                        }))
-                    } else {
-                        None
-                    };
+                // The monitor shares the generation's scope: it watches
+                // the board and kills the generation through the same
+                // barrier the workers rally on.
+                let ((), intervention) = generation.watched(&barrier, |scope| {
+                    // Shared by reference with every thread spawned below.
+                    let (slots, barrier, generation) = (&slots, &barrier, &generation);
+                    let (pair_cfg, dirs) = (&pair_cfg, &dirs);
                     // Abort watcher: the job service's cancellation
                     // token kills the generation through the same
                     // poisoned barrier a watchdog stall uses.
                     if let Some(ctl) = self.ctl.clone() {
-                        let barrier = &barrier;
-                        let workers_done = &workers_done;
                         scope.spawn(move || {
-                            while !workers_done.load(Ordering::Acquire) {
+                            while !generation.is_done() {
                                 if ctl.is_aborted() {
                                     barrier.poison();
                                     break;
@@ -406,30 +383,17 @@ impl NativeRunner {
 
                     let mut handles = Vec::with_capacity(n);
                     for (q, link) in links.into_iter().enumerate() {
-                        let plan = &plans[q];
-                        let slots = &slots;
-                        let barrier = &barrier;
-                        let board = &board;
-                        let dfs = &self.dfs;
-                        let metrics = &self.metrics;
-                        let pair_cfg = &pair_cfg;
-                        let dirs = &dirs;
                         handles.push(scope.spawn(move || {
-                            let mut local_dist: Vec<(f64, bool)> = Vec::new();
-                            let mut iter_done: Vec<Duration> = Vec::new();
-                            let mut last_ckpt = epoch;
                             let mut env = ThreadEnv {
                                 q,
-                                dfs,
+                                dfs: &self.dfs,
                                 link,
                                 slots,
                                 barrier,
-                                board,
-                                output_dir: &dirs.output_dir,
-                                node: assignment[q].index() as u32,
                                 generation,
+                                node: gen.assignment[q].index() as u32,
+                                generation_no: gen.generation,
                                 observer: &self.observer,
-                                seed: &seed_dist[q],
                             };
                             let result = catch_unwind(AssertUnwindSafe(|| {
                                 loop_fn(PairCtx {
@@ -437,53 +401,34 @@ impl NativeRunner {
                                     job,
                                     cfg: pair_cfg,
                                     dirs,
-                                    plan,
-                                    epoch,
-                                    metrics,
+                                    plan: &gen.plans[q],
+                                    epoch: gen.epoch,
+                                    metrics: &self.metrics,
                                     env: &mut env,
-                                    started,
-                                    local_dist: &mut local_dist,
-                                    iter_done: &mut iter_done,
-                                    last_ckpt: &mut last_ckpt,
+                                    started: gen.started,
                                 })
                             }));
                             // Disconnect this pair's links first so blocked
                             // peers unwind, exactly as the old inline worker
                             // did by returning (dropping its channels).
                             drop(env);
-                            let outcome = match result {
-                                Ok(Ok(outcome)) => RunOutcome::from(outcome),
-                                Ok(Err(e)) => RunOutcome::Error(e),
-                                // A panic in job code: surface it as an
-                                // engine error instead of hanging peers.
-                                Err(payload) => RunOutcome::Error(EngineError::Worker(
-                                    panic_message(q, payload),
-                                )),
-                            };
-                            board.mark_exited(q);
-                            if !matches!(outcome, RunOutcome::Finished { .. }) {
+                            // A panic in job code: surface it as an engine
+                            // error instead of hanging peers.
+                            let outcome = result.unwrap_or_else(|payload| {
+                                Err(EngineError::Worker(panic_message(q, payload)))
+                            });
+                            if generation.settle(q, outcome) {
                                 // Wake any peer rallying at the barrier; the
                                 // link drops above already woke the rest.
                                 barrier.poison();
                             }
-                            PairRun {
-                                local_dist,
-                                iter_done,
-                                last_ckpt,
-                                outcome,
-                            }
                         }));
                     }
-                    let runs: Vec<PairRun> = handles
-                        .into_iter()
-                        .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                        .collect();
-                    workers_done.store(true, Ordering::Release);
-                    let intervention = monitor_handle
-                        .and_then(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-                    (runs, intervention)
+                    for handle in handles {
+                        handle.join().unwrap_or_else(|e| resume_unwind(e));
+                    }
                 });
-                Ok((runs, intervention))
+                Ok((generation.into_runs()?, intervention))
             };
 
         supervise::<J>(
@@ -541,27 +486,23 @@ impl IterEngine for NativeRunner {
 
 /// The in-process environment: channels for the segments, shared slots
 /// under the fault barrier for the all-gather, direct DFS access for
-/// loads and checkpoints, and the generation's progress board for
-/// heartbeats. The loop's `metrics` handle is the run's registry itself,
-/// so there is nothing to deliver.
+/// loads, and the generation itself for reports and checkpoints. The
+/// loop's `metrics` handle is the run's registry itself, so there is
+/// nothing to deliver.
 struct ThreadEnv<'a> {
     q: usize,
     dfs: &'a Dfs,
     link: ChannelLink,
     slots: &'a [Mutex<Option<Bytes>>],
     barrier: &'a FaultBarrier,
-    board: &'a ProgressBoard,
-    output_dir: &'a str,
+    /// Where this pair's reports are recorded.
+    generation: &'a Generation<'a>,
     /// Index of the node hosting this pair (trace tag).
     node: u32,
     /// Current generation number (trace tag).
-    generation: u32,
+    generation_no: u32,
     /// The run's observability sink.
     observer: &'a Observer,
-    /// This pair's committed distance history from earlier generations,
-    /// prepended to the generation-local history in every checkpoint
-    /// sidecar so the sidecar covers iterations `1..=it`.
-    seed: &'a [(f64, bool)],
 }
 
 impl Transport for ThreadEnv<'_> {
@@ -596,29 +537,13 @@ impl PairEnv for ThreadEnv<'_> {
         Ok(read_part_raw(self.dfs, dir, part)?)
     }
 
-    fn write_checkpoint(
-        &mut self,
-        iteration: usize,
-        payload: Bytes,
-        hist: &[(f64, bool)],
-    ) -> Result<(), EnvFail> {
-        persist_checkpoint(
-            self.dfs,
-            self.output_dir,
-            self.q,
-            iteration,
-            payload,
-            self.seed,
-            hist,
-        )?;
-        self.board.mark_ckpt(self.q, iteration);
-        Ok(())
+    fn write_checkpoint(&mut self, iteration: usize, payload: Bytes) -> Result<(), EnvFail> {
+        Ok(self.generation.checkpoint(self.q, iteration, payload)?)
     }
 
-    fn beat(&mut self, iteration: usize, busy_secs: f64, _d: f64, _has_prev: bool) {
-        // The thread backend reads the worker's distance vectors
-        // directly; only the heartbeat matters here.
-        self.board.beat(self.q, iteration, busy_secs);
+    fn beat(&mut self, iteration: usize, busy_secs: f64, d: f64, has_prev: bool) {
+        self.generation
+            .beat(self.q, iteration, busy_secs, d, has_prev);
     }
 
     fn hang(&mut self) {
@@ -633,7 +558,7 @@ impl PairEnv for ThreadEnv<'_> {
         }
         self.observer.emit(TraceEvent {
             node: self.node,
-            generation: self.generation,
+            generation: self.generation_no,
             ..event
         });
     }
@@ -933,6 +858,65 @@ mod tests {
             )
             .unwrap();
         expect_config(&native, 2, "keys diverged at pair 0");
+    }
+
+    /// Accumulative job whose every applied delta is sent to a key
+    /// that `partition` routes to a pair that does not exist.
+    struct Stray;
+    impl IterativeJob for Stray {
+        type K = u32;
+        type S = f64;
+        type T = ();
+        fn map(&self, k: &u32, s: StateInput<'_, u32, f64>, _t: &(), out: &mut Emitter<u32, f64>) {
+            out.emit(*k, *s.one());
+        }
+        fn reduce(&self, _k: &u32, values: Vec<f64>) -> f64 {
+            values.into_iter().sum()
+        }
+        fn partition(&self, key: &u32, n: usize) -> usize {
+            if *key >= 1000 {
+                n
+            } else {
+                Halve.partition(key, n)
+            }
+        }
+    }
+    impl imapreduce::Accumulative for Stray {
+        fn identity(&self) -> f64 {
+            0.0
+        }
+        fn combine_delta(&self, a: &f64, b: &f64) -> f64 {
+            a + b
+        }
+        fn seed(&self, _k: &u32, loaded: &f64) -> (f64, f64) {
+            (0.0, *loaded)
+        }
+        fn extract(&self, k: &u32, delta: &f64, _t: &(), out: &mut Emitter<u32, f64>) {
+            out.emit(k + 1000, *delta);
+        }
+        fn progress(&self, _k: &u32, _v: &f64, d: &f64) -> f64 {
+            d.abs()
+        }
+    }
+
+    #[test]
+    fn delta_partition_out_of_range_is_a_config_error_on_sim_and_threads() {
+        fn check(engine: &impl IterEngine) {
+            load_halve(engine.dfs(), 2);
+            let cfg = IterConfig::new("stray", 2, 4)
+                .with_distance_threshold(1e-9)
+                .with_accumulative_mode();
+            match engine.run_accumulative(&Stray, &cfg, "/state", "/static", "/out", &[]) {
+                Err(EngineError::Config(msg)) => {
+                    assert!(msg.contains("returned 2 for 2 parts"), "{msg}")
+                }
+                Err(other) => panic!("expected a configuration error, got {other}"),
+                Ok(_) => panic!("expected a configuration error, got Ok"),
+            }
+        }
+        let (native, sim) = fixtures(2);
+        check(&sim);
+        check(&native);
     }
 
     #[test]

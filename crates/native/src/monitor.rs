@@ -49,7 +49,8 @@ struct Cell {
 }
 
 /// One generation's shared heartbeat board: lock-free, one cell per
-/// pair, written only by the owning worker and read by the monitor.
+/// pair, written only through the generation's report handlers
+/// (`generation.rs`) and read by the monitor.
 pub(crate) struct ProgressBoard {
     started: Instant,
     epoch: usize,
@@ -100,6 +101,14 @@ impl ProgressBoard {
         self.cells[q]
             .last_ckpt
             .store(epoch as u64, Ordering::Release);
+    }
+
+    /// The last iteration whose snapshot worker `q` fully wrote (the
+    /// generation's start epoch if it wrote none) — the one copy of a
+    /// pair's checkpoint progress, read by the balancer while the
+    /// generation runs and by the supervisor's rollback once it is over.
+    pub(crate) fn last_ckpt(&self, q: usize) -> usize {
+        self.cells[q].last_ckpt.load(Ordering::Acquire) as usize
     }
 
     /// Worker `q` returned; it no longer counts as active.

@@ -5,19 +5,29 @@
 //! side and the reduce side are the core crate's iteration kernel
 //! (`imapreduce::map_side` / `reduce_side`), the same two functions the
 //! simulation engine calls, driven here with the no-op cost hook `()`.
-//! This module owns what is native about the loop: wall-clock spans,
-//! the blocking shuffle, heartbeats, checkpoints, scripted faults —
-//! and every data-path counter: the loop counts, the environment only
-//! delivers. All interaction with the rest of the job goes through the
-//! [`PairEnv`] trait, which carries one of each thing: one segment
-//! class (the inherited [`Transport`], for shuffle and delta rounds
-//! alike), one collective ([`PairEnv::allgather`] — the barrier, the
-//! one2all exchange and the termination vote are the same task-ordered
+//! Likewise the ⊕ delta round of the accumulative mode
+//! (`imapreduce::delta_out` / `delta_in`). This module owns what is
+//! native about the loop: wall-clock spans, the blocking shuffle,
+//! heartbeats, checkpoints, scripted faults — and every data-path
+//! counter: the loop counts, the environment only delivers. All
+//! interaction with the rest of the job goes through the [`PairEnv`]
+//! trait, which carries one of each thing: one segment class (the
+//! inherited [`Transport`], for shuffle and delta rounds alike), one
+//! collective ([`PairEnv::allgather`] — the barrier, the one2all
+//! exchange and the termination vote are the same task-ordered
 //! all-gather of different payloads), DFS access for loads and
 //! checkpoints, one heartbeat, the hang primitive and one event sink.
 //! So the exact same loop runs on a thread over channels and shared
 //! slots, or in a separate OS process over a TCP connection to the
 //! coordinator.
+//!
+//! The loop reports, it does not record: each iteration's
+//! `(distance, had a previous snapshot)` leaves through
+//! [`PairEnv::beat`] and each snapshot through
+//! [`PairEnv::write_checkpoint`], and the generation on the other side
+//! (`generation.rs`) keeps the per-iteration history, the completion
+//! stamps and the checkpoint progress the supervisor decides from. All
+//! the loop hands back itself is its [`PairOutcome`].
 //!
 //! Determinism note: collective payloads cross [`PairEnv`] as codec
 //! bytes. The workspace codec is lossless (f64 travels as its full
@@ -28,13 +38,13 @@
 
 use bytes::Bytes;
 use imapreduce::{
-    check_co_partitioned, fold_votes, map_side, reduce_side, IterConfig, IterativeJob, MapState,
-    Mapping,
+    check_co_partitioned, delta_in, delta_out, fold_votes, map_side, reduce_side, IterConfig,
+    IterativeJob, MapState, Mapping,
 };
-use imr_dfs::{hist_path, snapshot_dir, Dfs, DfsError};
+use imr_dfs::{snapshot_dir, Dfs, DfsError};
 use imr_mapreduce::io::part_path;
 use imr_mapreduce::EngineError;
-pub(crate) use imr_net::proto::{PairCfg, PairDirs, PairPlan};
+pub(crate) use imr_net::proto::{PairCfg, PairDirs, PairOutcome, PairPlan};
 use imr_net::{Closed, Transport};
 use imr_records::{decode_pairs, encode_pairs, sort_run, Codec, CodecError};
 use imr_simcluster::{MetricsHandle, NodeId, TaskClock};
@@ -57,29 +67,6 @@ pub(crate) fn pair_cfg(cfg: &IterConfig, num_state_parts: usize) -> PairCfg {
         check_every: cfg.check_every,
         incremental: cfg.incremental,
     }
-}
-
-/// How one pair's generation ended. `Finished` carries the pair's
-/// final partition already encoded, so the variant crosses the process
-/// boundary unchanged.
-pub(crate) enum PairOutcome {
-    /// Ran to termination; carries the encoded final partition (sorted)
-    /// and the absolute iteration the job stopped at.
-    Finished {
-        final_data: Bytes,
-        iterations: usize,
-    },
-    /// A scripted kill fired right after completing this iteration.
-    Induced { at_iteration: usize },
-    /// A scripted hang fired after this iteration; the pair went silent
-    /// until the generation was poisoned.
-    Stalled { at_iteration: usize },
-    /// A peer died first: the transport closed or the generation was
-    /// poisoned under us.
-    Aborted,
-    /// The crash hook fired: the caller must terminate the process
-    /// abruptly, without reporting any outcome.
-    Vanish,
 }
 
 /// Environment-side failure for DFS-backed operations: either the
@@ -125,23 +112,16 @@ pub(crate) trait PairEnv: Transport {
     fn allgather(&mut self, mine: Bytes) -> Result<Vec<Bytes>, Closed>;
     /// Read the raw bytes of `<dir>/part-<part>`.
     fn read_part(&mut self, dir: &str, part: usize) -> Result<Bytes, EnvFail>;
-    /// Persist the encoded snapshot of `iteration` atomically, together
-    /// with this pair's generation-local distance history through
-    /// `iteration` (the environment prepends any committed prefix from
-    /// earlier generations before persisting, so a freshly restarted
-    /// coordinator can rebuild full per-iteration records on resume).
-    fn write_checkpoint(
-        &mut self,
-        iteration: usize,
-        payload: Bytes,
-        hist: &[(f64, bool)],
-    ) -> Result<(), EnvFail>;
-    /// Publish a heartbeat for the watchdog/balancer after completing
-    /// `iteration`. Carries the iteration's local distance sample so
-    /// the coordinator side can rebuild per-iteration records for pairs
-    /// whose process dies before reporting (the thread backend ignores
-    /// those fields — it reads the worker's vectors directly). The TCP
-    /// environment also delivers, in the same frame, what the loop
+    /// Persist the encoded snapshot of `iteration` atomically, next to
+    /// the distance history through `iteration` the generation has
+    /// recorded from this pair's [`PairEnv::beat`]s (so a freshly
+    /// restarted coordinator can rebuild full per-iteration records on
+    /// resume). Always follows the beat of the same iteration.
+    fn write_checkpoint(&mut self, iteration: usize, payload: Bytes) -> Result<(), EnvFail>;
+    /// Report the completion of `iteration`: the heartbeat the
+    /// watchdog/balancer keys on, and the iteration's local distance
+    /// sample, which the generation appends to this pair's record. The
+    /// TCP environment also delivers, in the same frame, what the loop
     /// counted on the worker's registry since the previous beat.
     fn beat(&mut self, iteration: usize, busy_secs: f64, d: f64, has_prev: bool);
     /// Go silent until the generation is poisoned (scripted hang).
@@ -170,27 +150,6 @@ pub(crate) fn read_part_raw(dfs: &Dfs, dir: &str, part: usize) -> Result<Bytes, 
     dfs.read(&part_path(dir, part), NodeId(0), &mut TaskClock::default())
 }
 
-/// Persists pair `q`'s snapshot of `iteration` and, next to it, the
-/// distance-history sidecar covering iterations `1..=iteration`: the
-/// committed prefix from earlier generations (`seed`) followed by the
-/// generation-local `hist`. Both writes are atomic, part first, so a
-/// sidecar never describes a snapshot that is not there.
-pub(crate) fn persist_checkpoint(
-    dfs: &Dfs,
-    output_dir: &str,
-    q: usize,
-    iteration: usize,
-    payload: Bytes,
-    seed: &[(f64, bool)],
-    hist: &[(f64, bool)],
-) -> Result<(), DfsError> {
-    let dir = snapshot_dir(output_dir, iteration);
-    let mut ck = TaskClock::default();
-    dfs.put_atomic(&part_path(&dir, q), payload, NodeId(0), &mut ck)?;
-    let full: Vec<(f64, bool)> = seed.iter().chain(hist).copied().collect();
-    dfs.put_atomic(&hist_path(&dir, q), full.to_bytes(), NodeId(0), &mut ck)
-}
-
 /// What a panic in job code said, for the worker error that replaces it
 /// (so peers unwind instead of hanging).
 pub(crate) fn panic_message(q: usize, payload: Box<dyn std::any::Any + Send>) -> String {
@@ -203,8 +162,7 @@ pub(crate) fn panic_message(q: usize, payload: Box<dyn std::any::Any + Send>) ->
 }
 
 /// Everything one generation of one pair's loop runs against: its
-/// identity and configuration, the environment, and the per-iteration
-/// records it leaves behind for the supervisor.
+/// identity and configuration, and the environment it reports to.
 pub(crate) struct PairCtx<'a, J, E> {
     pub q: usize,
     pub job: &'a J,
@@ -217,12 +175,6 @@ pub(crate) struct PairCtx<'a, J, E> {
     pub env: &'a mut E,
     /// The run's start instant; trace stamps are nanoseconds since it.
     pub started: Instant,
-    /// `(local distance, had previous snapshot)` per completed iteration.
-    pub local_dist: &'a mut Vec<(f64, bool)>,
-    /// Offset from `started` at which each completed iteration ended.
-    pub iter_done: &'a mut Vec<Duration>,
-    /// Last iteration whose snapshot this pair fully wrote.
-    pub last_ckpt: &'a mut usize,
 }
 
 /// The scaffolding `pair_loop` and `delta_loop` share around their
@@ -304,12 +256,9 @@ impl<J, E: PairEnv> PairCtx<'_, J, E> {
     }
 
     /// Ends iteration `it`: IterEnd event (which the observer samples
-    /// on), heartbeat.
+    /// on), then the completion report.
     fn end_iter(&mut self, it: usize, effective_busy: f64, d: f64, has_prev: bool) {
-        let end = self.started.elapsed();
-        self.iter_done.push(end);
-        let end_ns = end.as_nanos() as u64;
-        self.span(TraceKind::IterEnd, it, end_ns, end_ns);
+        self.mark(TraceKind::IterEnd, it);
         self.env.beat(it, effective_busy, d, has_prev);
     }
 
@@ -330,8 +279,7 @@ impl<J, E: PairEnv> PairCtx<'_, J, E> {
         let payload = snapshot();
         self.metrics.checkpoint_bytes.add(payload.len() as u64);
         let write_start_ns = self.now_ns();
-        self.env.write_checkpoint(it, payload, self.local_dist)?;
-        *self.last_ckpt = it;
+        self.env.write_checkpoint(it, payload)?;
         let written_ns = self.now_ns();
         let checkpoint = TraceKind::Checkpoint { epoch: it as u64 };
         self.span(checkpoint, it, write_start_ns, written_ns);
@@ -456,7 +404,6 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
         let reduced = reduce_side(job, inbound, prev, one2all, measure, ctx.metrics, &mut ())?;
         let (d, has_prev) = (reduced.distance, reduced.has_prev);
         let new_state = reduced.state;
-        ctx.local_dist.push((d, has_prev));
         busy += reduce_start.elapsed();
 
         // The emulated stretch is compute time on the slow node, so it
@@ -553,7 +500,7 @@ pub(crate) fn delta_loop<J: imapreduce::Accumulative, E: PairEnv>(
 fn delta_checks<J: imapreduce::Accumulative, E: PairEnv>(
     ctx: &mut PairCtx<'_, J, E>,
 ) -> Result<PairOutcome, EnvFail> {
-    use imapreduce::{partition_deltas, DeltaStore};
+    use imapreduce::DeltaStore;
 
     let (q, job, cfg, dirs) = (ctx.q, ctx.job, ctx.cfg, ctx.dirs);
     let n = cfg.n;
@@ -591,18 +538,13 @@ fn delta_checks<J: imapreduce::Accumulative, E: PairEnv>(
             // ---- Round phase A: select, apply, extract, send ---------
             let round_start_ns = ctx.now_ns();
             let work_start = Instant::now();
-            let batch = store.select_batch(job, &stat, cfg.delta_batch);
-            let dests = partition_deltas(job, batch.emitted, n);
-            let sent: u64 = dests.iter().map(|d| d.len() as u64).sum();
-            ctx.metrics.deltas_sent.add(sent);
-            ctx.metrics.priority_preemptions.add(batch.deferred as u64);
-            let segs: Vec<Bytes> = dests.iter().map(|dest| encode_pairs(dest)).collect();
+            let out = delta_out(job, &mut store, &stat, n, cfg.delta_batch, ctx.metrics)?;
             busy += work_start.elapsed();
             let round_end_ns = ctx.now_ns();
-            let round = TraceKind::DeltaRound { deltas: sent };
+            let round = TraceKind::DeltaRound { deltas: out.sent() };
             ctx.span(round, check, round_start_ns, round_end_ns);
             // Sends sit outside the busy span (back-pressure, not load).
-            for (dest, seg) in segs.into_iter().enumerate() {
+            for (dest, seg) in out.segments.into_iter().enumerate() {
                 ctx.metrics.shuffle_local_bytes.add(seg.len() as u64);
                 ctx.env.send(dest, seg)?;
             }
@@ -613,10 +555,7 @@ fn delta_checks<J: imapreduce::Accumulative, E: PairEnv>(
                 raw_segs.push(ctx.env.recv(src)?);
             }
             let merge_start_ns = ctx.now_ns();
-            for seg in raw_segs {
-                let pairs: Vec<(J::K, J::S)> = decode_pairs(seg)?;
-                store.merge_segment(job, &pairs);
-            }
+            delta_in(job, &mut store, raw_segs)?;
             let merge_end_ns = ctx.now_ns();
             busy += Duration::from_nanos(merge_end_ns - merge_start_ns);
             ctx.span(TraceKind::DeltaMerge, check, merge_start_ns, merge_end_ns);
@@ -624,7 +563,6 @@ fn delta_checks<J: imapreduce::Accumulative, E: PairEnv>(
 
         // ---- Global accumulated-progress termination check -----------
         let local = store.pending_progress(job);
-        ctx.local_dist.push((local, true));
         let effective_busy = ctx.stretch(check, busy);
         let progress_bits = local.to_bits();
         ctx.mark(TraceKind::TerminationCheck { progress_bits }, check);

@@ -34,25 +34,35 @@
 //!   returns the credit through the coordinator when it pops the
 //!   segment. Credits start at [`HANDOFF_BUFFER`], giving the same
 //!   bounded hand-off as the bounded channels.
+//! * **The hub routes, the generation records**: the coordinator owns
+//!   what is about connections — segment and credit forwarding, the
+//!   gather slots, which connections reached EOF, and putting poison on
+//!   the wire. What a pair *reports* (`Beat`, `Ckpt`, `Outcome`, and the
+//!   EOF that stands in for a missing outcome) goes straight to the
+//!   same [`Generation`] handlers a worker thread calls, so per-pair
+//!   history, checkpoint progress and outcomes exist once.
 //! * **Reconnect-with-replay recovery**: a generation that dies (a
 //!   scripted kill, a watchdog-detected hang, a vanished process, a
 //!   migration) is torn down — poison frames, a teardown grace, then
 //!   SIGKILL — and the shared supervisor respawns fresh processes that
 //!   reconnect and replay from the last checkpoint epoch. The
-//!   coordinator's record of checkpoint progress is authoritative:
-//!   checkpoint frames are delivered in-order before the worker's EOF,
-//!   so a worker that dies right after checkpointing never loses it.
+//!   generation's record of checkpoint progress is authoritative:
+//!   a checkpoint frame is delivered in order — after the beat of its
+//!   iteration, before the worker's EOF — so a worker that dies right
+//!   after checkpointing never loses it, and the history persisted next
+//!   to the snapshot is the one already recorded from its beats.
 //! * **The DFS stays in the supervisor**: the in-memory DFS cannot be
 //!   shared across processes, so workers load partitions via `ReadPart`
 //!   RPCs and ship checkpoint bodies for the coordinator to persist.
 
 use crate::fault::FaultBarrier;
-use crate::monitor::{monitor_loop, BalancePlan, Intervention, ProgressBoard};
+use crate::generation::Generation;
+use crate::monitor::Intervention;
 use crate::pair::{
-    delta_loop, pair_cfg, pair_loop, panic_message, persist_checkpoint, read_part_raw, EnvFail,
-    PairCfg, PairCtx, PairDirs, PairEnv, PairOutcome, PairPlan,
+    delta_loop, pair_cfg, pair_loop, panic_message, read_part_raw, EnvFail, PairCfg, PairCtx,
+    PairDirs, PairEnv, PairOutcome, PairPlan,
 };
-use crate::supervisor::{supervise, GenInput, PairRun, RunOutcome};
+use crate::supervisor::{supervise, GenInput, PairRun};
 use crate::{NativeRunner, HANDOFF_BUFFER};
 use bytes::Bytes;
 use imapreduce::{
@@ -63,7 +73,7 @@ use imr_mapreduce::io::num_parts;
 use imr_mapreduce::EngineError;
 use imr_net::chaos::{ChaosDirection, ChaosState, ChaosStream, DIR_INBOUND, DIR_OUTBOUND};
 use imr_net::frame::{FrameReader, FrameWriter, HEADER_LEN};
-use imr_net::proto::{OutcomeKind, ToCoord, ToWorker, WireOutcome, WorkerSetup};
+use imr_net::proto::{ToCoord, ToWorker, WorkerSetup};
 use imr_net::{Closed, FrameAction, NetError, NetPolicy, Transport, WorkerConn};
 use imr_records::Codec;
 use imr_simcluster::{Metrics, MetricsHandle, NodeId, TaskClock};
@@ -74,7 +84,6 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -350,22 +359,15 @@ fn patch_digest(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Shared coordinator state for one generation.
+/// What the hub itself keeps for one generation; everything a pair
+/// reports is recorded by the [`Generation`].
 struct CoordState {
     /// Contributions to the all-gather round in flight, one slot per
     /// pair (a pair cannot contribute to the next round before this one
     /// completes, so one round's worth of slots is sufficient).
     gather: Vec<Option<Bytes>>,
-    /// First terminal outcome recorded per pair (never overwritten).
-    outcomes: Vec<Option<RunOutcome>>,
     /// The pair's connection reached EOF — nothing more will arrive.
     settled: Vec<bool>,
-    /// Per-iteration distance samples rebuilt from heartbeats.
-    local_dist: Vec<Vec<(f64, bool)>>,
-    /// Per-iteration completion offsets rebuilt from heartbeats.
-    iter_done: Vec<Vec<Duration>>,
-    /// Authoritative checkpoint progress (frames arrive before EOF).
-    last_ckpt: Vec<usize>,
     poisoned: bool,
 }
 
@@ -426,14 +428,12 @@ struct Coordinator<'a> {
     n: usize,
     state: Mutex<CoordState>,
     writers: Vec<Mutex<CoordLink>>,
-    board: ProgressBoard,
+    /// Where `Beat`, `Ckpt` and `Outcome` frames are recorded.
+    generation: Generation<'a>,
     /// One-participant poison latch shared with the monitor thread: it
     /// plays the role the generation barrier plays in-process.
     latch: FaultBarrier,
     runner: &'a NativeRunner,
-    output_dir: &'a str,
-    /// Checkpoint epoch this generation resumed from.
-    epoch: usize,
     started: Instant,
     /// Current pair→node placement, used to retag worker trace events
     /// with the node hosting the pair.
@@ -443,11 +443,6 @@ struct Coordinator<'a> {
     /// worker-relative trace timestamps are rebased by this offset onto
     /// the coordinator's timeline.
     trace_offset: u64,
-    /// Per-pair committed distance history from earlier generations,
-    /// prepended to a worker's shipped history when persisting the
-    /// checkpoint sidecar (workers only know their generation-local
-    /// entries).
-    seed_dist: &'a [Vec<(f64, bool)>],
     /// Expected `(bytes, digest)` of each pair's warm-start state part
     /// in an incremental run: announced to workers at epoch 0 and
     /// checked against their [`ToCoord::PatchStats`] echo. `None`
@@ -484,6 +479,14 @@ impl Coordinator<'_> {
         }
     }
 
+    /// Records pair `q`'s terminal outcome; anything but a finish tears
+    /// the generation down.
+    fn settle(&self, q: usize, outcome: Result<PairOutcome, EngineError>) {
+        if self.generation.settle(q, outcome) {
+            self.poison_locked(&mut self.state.lock());
+        }
+    }
+
     /// Like [`Coordinator::poison_locked`] but with [`ToWorker::Drain`]
     /// frames: workers unwind the same way, then exit successfully
     /// instead of reporting an abort. Used for service-requested
@@ -496,23 +499,6 @@ impl Coordinator<'_> {
                 self.send_ctl(q, &ToWorker::Drain);
             }
         }
-    }
-}
-
-fn wire_to_outcome(wire: WireOutcome) -> RunOutcome {
-    match wire.kind {
-        OutcomeKind::Finished => RunOutcome::Finished {
-            final_data: wire.payload,
-            iterations: wire.at_iteration,
-        },
-        OutcomeKind::Induced => RunOutcome::Induced {
-            at_iteration: wire.at_iteration,
-        },
-        OutcomeKind::Stalled => RunOutcome::Stalled {
-            at_iteration: wire.at_iteration,
-        },
-        OutcomeKind::Aborted => RunOutcome::Aborted,
-        OutcomeKind::Error => RunOutcome::Error(EngineError::Worker(wire.message)),
     }
 }
 
@@ -602,23 +588,16 @@ fn run_generation(
         n,
         state: Mutex::new(CoordState {
             gather: vec![None; n],
-            outcomes: (0..n).map(|_| None).collect(),
             settled: vec![false; n],
-            local_dist: vec![Vec::new(); n],
-            iter_done: vec![Vec::new(); n],
-            last_ckpt: vec![epoch; n],
             poisoned: false,
         }),
         writers,
-        board: ProgressBoard::new(n, epoch),
+        generation: Generation::new(&runner.dfs, &runner.metrics, cfg, &dirs.output_dir, gen),
         latch: FaultBarrier::new(1),
         runner,
-        output_dir: &dirs.output_dir,
-        epoch,
         started: gen.started,
         assignment: gen.assignment,
         trace_offset,
-        seed_dist: gen.seed_dist,
         patches,
     };
 
@@ -650,42 +629,12 @@ fn run_generation(
         }
     }
 
-    let monitor_enabled = cfg.watchdog.is_some() || cfg.load_balance.is_some();
-    let workers_done = AtomicBool::new(false);
-
     // ---- Hub: readers + monitor + teardown clock -------------------
-    let intervention = thread::scope(|scope| {
+    let ((), intervention) = co.generation.watched(&co.latch, |scope| {
         for (q, reader) in readers.into_iter().enumerate() {
             let co = &co;
             scope.spawn(move || reader_loop(co, q, reader));
         }
-        let monitor_handle = if monitor_enabled {
-            let co = &co;
-            let workers_done = &workers_done;
-            let watchdog = cfg.watchdog;
-            let lb = cfg.load_balance;
-            let cluster = runner.dfs.cluster();
-            let assignment = gen.assignment;
-            let migrations_done = gen.migrations_done;
-            Some(scope.spawn(move || {
-                let balance = lb.map(|lb| BalancePlan {
-                    cluster,
-                    assignment,
-                    deviation: lb.deviation,
-                    remaining: (lb.max_migrations as u64).saturating_sub(migrations_done) as usize,
-                });
-                monitor_loop(
-                    &co.board,
-                    &co.latch,
-                    workers_done,
-                    watchdog,
-                    balance,
-                    &runner.metrics,
-                )
-            }))
-        } else {
-            None
-        };
 
         let mut poisoned_at: Option<Instant> = None;
         let mut killed = false;
@@ -722,8 +671,6 @@ fn run_generation(
             }
             thread::sleep(TICK);
         }
-        workers_done.store(true, Ordering::Release);
-        monitor_handle.and_then(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
     });
 
     for child in children.iter_mut() {
@@ -739,26 +686,7 @@ fn run_generation(
             .add(state.drain_injections());
     }
 
-    let state = co.state.into_inner();
-    let runs = state
-        .outcomes
-        .into_iter()
-        .zip(state.local_dist)
-        .zip(state.iter_done)
-        .zip(state.last_ckpt)
-        .enumerate()
-        .map(|(q, (((outcome, local_dist), iter_done), last_ckpt))| {
-            Ok(PairRun {
-                local_dist,
-                iter_done,
-                last_ckpt,
-                outcome: outcome.ok_or_else(|| {
-                    EngineError::Worker(format!("worker {q} settled without an outcome"))
-                })?,
-            })
-        })
-        .collect::<Result<Vec<PairRun>, EngineError>>()?;
-    Ok((runs, intervention))
+    Ok((co.generation.into_runs()?, intervention))
 }
 
 /// Per-connection coordinator reader: demultiplexes one worker's
@@ -805,22 +733,16 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
                 // write: the fixpoint it would converge from is not the
                 // one the planner produced.
                 let expected = co.patches.and_then(|p| p.get(q)).copied();
-                match expected {
-                    Some((eb, ed)) if eb == bytes && ed == digest => {}
-                    _ => {
-                        let mut st = co.state.lock();
-                        if st.outcomes[q].is_none() {
-                            let want = expected.map_or_else(
-                                || "no patch was announced".to_owned(),
-                                |(eb, ed)| format!("announced {eb} bytes, digest {ed:#018x}"),
-                            );
-                            st.outcomes[q] = Some(RunOutcome::Error(EngineError::Worker(format!(
-                                "pair {q}: warm-start patch mismatch: worker loaded {keys} \
-                                 keys, {bytes} bytes, digest {digest:#018x}; {want}"
-                            ))));
-                        }
-                        co.poison_locked(&mut st);
-                    }
+                if expected != Some((bytes, digest)) {
+                    let want = expected.map_or_else(
+                        || "no patch was announced".to_owned(),
+                        |(eb, ed)| format!("announced {eb} bytes, digest {ed:#018x}"),
+                    );
+                    let mismatch = EngineError::Worker(format!(
+                        "pair {q}: warm-start patch mismatch: worker loaded {keys} \
+                         keys, {bytes} bytes, digest {digest:#018x}; {want}"
+                    ));
+                    co.settle(q, Err(mismatch));
                 }
             }
             ToCoord::Credit { src } => {
@@ -854,48 +776,16 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
                 counts,
             } => {
                 // The pair loop counted on the worker's registry; this
-                // is the delivery into the run's.
+                // is the delivery into the run's. The trailing report
+                // before an outcome (iteration 0) delivers counts only.
                 co.runner.metrics.add_values(&counts);
-                // One record per completed iteration, in order: the
-                // trailing report before an outcome (iteration 0) and
-                // anything a faulty peer replays deliver counts only.
-                let mut st = co.state.lock();
-                if iteration == co.epoch + st.local_dist[q].len() + 1 {
-                    co.board.beat(q, iteration, busy_secs);
-                    st.local_dist[q].push((d, has_prev));
-                    st.iter_done[q].push(co.started.elapsed());
-                }
+                co.generation.beat(q, iteration, busy_secs, d, has_prev);
             }
-            ToCoord::Ckpt {
-                iteration,
-                payload,
-                hist,
-            } => {
-                // The worker ships only its generation-local history;
-                // the committed prefix completes the sidecar.
-                let res = persist_checkpoint(
-                    &co.runner.dfs,
-                    co.output_dir,
-                    q,
-                    iteration,
-                    payload,
-                    &co.seed_dist[q],
-                    &hist,
-                );
-                let mut st = co.state.lock();
-                match res {
-                    Ok(()) => {
-                        st.last_ckpt[q] = iteration;
-                        co.board.mark_ckpt(q, iteration);
-                    }
-                    Err(e) => {
-                        // A storage failure is fatal, exactly as it is
-                        // for an in-process checkpoint write.
-                        if st.outcomes[q].is_none() {
-                            st.outcomes[q] = Some(RunOutcome::Error(e.into()));
-                        }
-                        co.poison_locked(&mut st);
-                    }
+            ToCoord::Ckpt { iteration, payload } => {
+                // A failed write is fatal, exactly as it is for an
+                // in-process checkpoint.
+                if let Err(e) = co.generation.checkpoint(q, iteration, payload) {
+                    co.settle(q, Err(e));
                 }
             }
             ToCoord::ReadPart { dir, part } => match read_part_raw(&co.runner.dfs, &dir, part) {
@@ -907,18 +797,7 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
                     },
                 ),
             },
-            ToCoord::Outcome(wire) => {
-                let outcome = wire_to_outcome(wire);
-                let finished = matches!(outcome, RunOutcome::Finished { .. });
-                co.board.mark_exited(q);
-                let mut st = co.state.lock();
-                if st.outcomes[q].is_none() {
-                    st.outcomes[q] = Some(outcome);
-                }
-                if !finished {
-                    co.poison_locked(&mut st);
-                }
-            }
+            ToCoord::Outcome(outcome) => co.settle(q, outcome.map_err(EngineError::Worker)),
             ToCoord::Trace { payload } => {
                 // Replay the worker's batch through the run's observer,
                 // exactly as if the pair had emitted here: rebase
@@ -941,16 +820,11 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
             ToCoord::Hello { .. } => {} // consumed during accept
         }
     }
-    co.board.mark_exited(q);
-    let mut st = co.state.lock();
-    st.settled[q] = true;
-    if st.outcomes[q].is_none() {
-        // The connection dropped with no outcome frame: the process
-        // vanished. Recoverable — the supervisor replays from the last
-        // checkpoint (with a no-progress backstop).
-        st.outcomes[q] = Some(RunOutcome::Aborted);
-        co.poison_locked(&mut st);
-    }
+    // A connection that dropped with no outcome frame means the process
+    // vanished. Recoverable — the supervisor replays from the last
+    // checkpoint (with a no-progress backstop).
+    co.settle(q, Ok(PairOutcome::Aborted));
+    co.state.lock().settled[q] = true;
 }
 
 /// Accepts and validates `n` worker connections for `generation`.
@@ -1168,15 +1042,8 @@ impl PairEnv for RemoteEnv {
             other => EnvFail::Error(other.into()),
         })
     }
-    fn write_checkpoint(
-        &mut self,
-        iteration: usize,
-        payload: Bytes,
-        hist: &[(f64, bool)],
-    ) -> Result<(), EnvFail> {
-        self.conn
-            .write_checkpoint(iteration, payload, hist.to_vec())
-            .map_err(|_| EnvFail::Closed)
+    fn write_checkpoint(&mut self, iteration: usize, payload: Bytes) -> Result<(), EnvFail> {
+        Ok(self.conn.write_checkpoint(iteration, payload)?)
     }
     fn beat(&mut self, iteration: usize, busy_secs: f64, d: f64, has_prev: bool) {
         // Counts ahead of the events: the IterEnd in this iteration's
@@ -1288,9 +1155,6 @@ fn serve_inner<J: IterativeJob>(
         events: observed.then(Vec::new),
         metrics: Arc::clone(&metrics),
     };
-    let mut local_dist: Vec<(f64, bool)> = Vec::new();
-    let mut iter_done: Vec<Duration> = Vec::new();
-    let mut last_ckpt = epoch;
     let loop_fn: RemoteLoop<J> = if cfg.accumulative {
         match accum {
             Some(f) => f,
@@ -1298,15 +1162,10 @@ fn serve_inner<J: IterativeJob>(
                 // The coordinator asked for the delta loop but this
                 // entry point serves a plain iterative job; report the
                 // mismatch as an outcome so the supervisor fails fast.
-                env.conn.send_outcome(WireOutcome {
-                    kind: OutcomeKind::Error,
-                    at_iteration: 0,
-                    message: format!(
-                        "pair {pair}: accumulative mode requested but the worker \
-                         serves this job through serve_worker (use serve_worker_accum)"
-                    ),
-                    payload: Bytes::new(),
-                });
+                env.conn.send_outcome(Err(format!(
+                    "pair {pair}: accumulative mode requested but the worker \
+                     serves this job through serve_worker (use serve_worker_accum)"
+                )));
                 return Ok(());
             }
         }
@@ -1324,63 +1183,24 @@ fn serve_inner<J: IterativeJob>(
             metrics: &metrics,
             env: &mut env,
             started,
-            local_dist: &mut local_dist,
-            iter_done: &mut iter_done,
-            last_ckpt: &mut last_ckpt,
         })
     }));
-    let wire = match result {
+    let outcome = match result {
         Ok(Ok(PairOutcome::Vanish)) => std::process::exit(0),
         // An orderly drain: the coordinator asked the fleet to shut
         // down. No outcome frame — the abort is policy, and the clean
         // exit status is the whole point of the drain protocol.
         Ok(Ok(PairOutcome::Aborted)) if env.conn.is_drained() => return Ok(()),
-        Ok(Ok(PairOutcome::Finished {
-            final_data,
-            iterations,
-        })) => WireOutcome {
-            kind: OutcomeKind::Finished,
-            at_iteration: iterations,
-            message: String::new(),
-            payload: final_data,
-        },
-        Ok(Ok(PairOutcome::Induced { at_iteration })) => WireOutcome {
-            kind: OutcomeKind::Induced,
-            at_iteration,
-            message: String::new(),
-            payload: Bytes::new(),
-        },
-        Ok(Ok(PairOutcome::Stalled { at_iteration })) => WireOutcome {
-            kind: OutcomeKind::Stalled,
-            at_iteration,
-            message: String::new(),
-            payload: Bytes::new(),
-        },
-        Ok(Ok(PairOutcome::Aborted)) => WireOutcome {
-            kind: OutcomeKind::Aborted,
-            at_iteration: 0,
-            message: String::new(),
-            payload: Bytes::new(),
-        },
-        Ok(Err(e)) => WireOutcome {
-            kind: OutcomeKind::Error,
-            at_iteration: 0,
-            message: e.to_string(),
-            payload: Bytes::new(),
-        },
+        // Only the message of a real failure crosses the wire.
+        Ok(outcome) => outcome.map_err(|e| e.to_string()),
         // Same panic surfacing as the thread backend.
-        Err(payload) => WireOutcome {
-            kind: OutcomeKind::Error,
-            at_iteration: 0,
-            message: panic_message(pair, payload),
-            payload: Bytes::new(),
-        },
+        Err(payload) => Err(panic_message(pair, payload)),
     };
     // One more report for what the loop counted and emitted after its
     // last heartbeat (a checkpoint, a termination check): iteration 0
     // marks it counts-only.
     env.beat(0, 0.0, 0.0, false);
-    env.conn.send_outcome(wire);
+    env.conn.send_outcome(outcome);
     // Dropping the connection flushes and shuts the socket down: the
     // coordinator sees the outcome frame, then EOF.
     Ok(())

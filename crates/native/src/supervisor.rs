@@ -8,6 +8,14 @@
 //! committed history or rolls everything back to the last checkpoint
 //! epoch completed by all pairs and goes again (§3.4.1), re-placing
 //! pairs first when the monitor asked for a migration (§3.4.2).
+//!
+//! Both backends hand back the same thing — the [`PairRun`]s their
+//! `Generation` recorded from the pairs' reports, each ending in what
+//! the pair loop itself returned — so there is one view of an outcome
+//! here and one recovery arm: scripted kills and hangs are consumed by
+//! one loop, and a generation that died with nothing scripted (a
+//! watchdog stall or a vanished worker) goes through one retry path
+//! with one no-progress backstop.
 
 use crate::monitor::Intervention;
 use crate::pair::{PairOutcome, PairPlan};
@@ -21,51 +29,6 @@ use imr_simcluster::{MetricsHandle, NodeId, RunReport, TaskClock, VDuration, VIn
 use imr_trace::{TraceEvent, TraceKind, COORD};
 use std::time::{Duration, Instant};
 
-/// Supervisor-level view of how one pair's generation ended: the
-/// backend-neutral [`PairOutcome`] plus the errors a backend synthesizes
-/// itself (worker panics, process-level failures).
-pub(crate) enum RunOutcome {
-    /// See [`PairOutcome::Finished`]; `final_data` is still encoded.
-    Finished {
-        final_data: Bytes,
-        iterations: usize,
-    },
-    /// A scripted kill fired after this iteration.
-    Induced { at_iteration: usize },
-    /// A scripted hang fired after this iteration.
-    Stalled { at_iteration: usize },
-    /// The pair aborted because a peer died or the generation was
-    /// poisoned — including a worker process that vanished without
-    /// reporting (connection drop), which the TCP backend treats as an
-    /// unscripted-but-recoverable fault.
-    Aborted,
-    /// A real failure: DFS, codec, or a panic inside job code.
-    Error(EngineError),
-}
-
-impl From<PairOutcome> for RunOutcome {
-    fn from(outcome: PairOutcome) -> Self {
-        match outcome {
-            PairOutcome::Finished {
-                final_data,
-                iterations,
-            } => RunOutcome::Finished {
-                final_data,
-                iterations,
-            },
-            PairOutcome::Induced { at_iteration } => RunOutcome::Induced { at_iteration },
-            PairOutcome::Stalled { at_iteration } => RunOutcome::Stalled { at_iteration },
-            PairOutcome::Aborted => RunOutcome::Aborted,
-            // The crash hook is translated to an abrupt process exit by
-            // the worker binary; inside a backend that keeps the pair
-            // in-process it would be a scripting error.
-            PairOutcome::Vanish => RunOutcome::Error(EngineError::Worker(
-                "crash hook fired on an in-process backend".into(),
-            )),
-        }
-    }
-}
-
 /// Everything one pair hands back to the supervisor for one generation.
 pub(crate) struct PairRun {
     /// Per-iteration `(local_distance, had_previous_snapshot)`, one
@@ -77,10 +40,14 @@ pub(crate) struct PairRun {
     /// The last iteration whose snapshot this pair fully wrote to the
     /// DFS (the generation's start epoch if it wrote none).
     pub last_ckpt: usize,
-    pub outcome: RunOutcome,
+    /// What the pair loop returned: how the pair's generation ended, or
+    /// a real failure (DFS, codec, a panic inside job code) — typed on
+    /// the thread backend, flattened to a worker error by the wire.
+    pub outcome: Result<PairOutcome, EngineError>,
 }
 
 /// What the supervisor hands the backend to execute one generation.
+#[derive(Clone, Copy)]
 pub(crate) struct GenInput<'a> {
     /// Checkpoint epoch this generation resumes from.
     pub epoch: usize,
@@ -99,9 +66,9 @@ pub(crate) struct GenInput<'a> {
     /// generations.
     pub started: Instant,
     /// Per-pair committed distance history (iterations `1..=epoch`),
-    /// which the backend prepends to a pair's generation-local history
-    /// when persisting the checkpoint sidecar — so the sidecar always
-    /// holds the full history from iteration 1.
+    /// which the generation prepends to the history it records when
+    /// persisting a checkpoint sidecar — so the sidecar always holds
+    /// the full history from iteration 1.
     pub seed_dist: &'a [Vec<(f64, bool)>],
 }
 
@@ -252,7 +219,7 @@ pub(crate) fn supervise<J: IterativeJob>(
             })
             .collect();
 
-        let (runs, intervention) = run_gen(GenInput {
+        let (mut runs, intervention) = run_gen(GenInput {
             epoch,
             plans: &plans,
             assignment: &assignment,
@@ -277,46 +244,41 @@ pub(crate) fn supervise<J: IterativeJob>(
         }
 
         // ---- Triage ------------------------------------------------
-        let fired_kills: Vec<(usize, usize)> = runs
-            .iter()
-            .enumerate()
-            .filter_map(|(q, r)| match r.outcome {
-                RunOutcome::Induced { at_iteration } => Some((q, at_iteration)),
-                _ => None,
-            })
-            .collect();
-        let fired_hangs: Vec<(usize, usize)> = runs
-            .iter()
-            .enumerate()
-            .filter_map(|(q, r)| match r.outcome {
-                RunOutcome::Stalled { at_iteration } => Some((q, at_iteration)),
-                _ => None,
-            })
-            .collect();
         // Real errors abort the run even when a failure also fired:
         // replaying a DFS or codec failure would only repeat it.
-        if runs
+        if let Some(failed) = runs
             .iter()
-            .any(|r| matches!(r.outcome, RunOutcome::Error(_)))
+            .position(|r| matches!(r.outcome, Err(_) | Ok(PairOutcome::Vanish)))
         {
-            for r in runs {
-                if let RunOutcome::Error(e) = r.outcome {
-                    return Err(e);
-                }
-            }
-            unreachable!("error outcome vanished");
+            return Err(match runs.swap_remove(failed).outcome {
+                Err(e) => e,
+                // The crash hook ends a worker process without a
+                // report; a pair that reports it is still running.
+                Ok(_) => EngineError::Worker("crash hook fired on a pair that kept running".into()),
+            });
         }
+        // Scripted events that fired, as `(hang?, pair, iteration)`:
+        // kills first, then hangs, each in pair order.
+        let mut fired: Vec<(bool, usize, usize)> = runs
+            .iter()
+            .enumerate()
+            .filter_map(|(q, r)| match r.outcome {
+                Ok(PairOutcome::Induced { at_iteration }) => Some((false, q, at_iteration)),
+                Ok(PairOutcome::Stalled { at_iteration }) => Some((true, q, at_iteration)),
+                _ => None,
+            })
+            .collect();
+        fired.sort_by_key(|&(hang, ..)| hang);
         let any_aborted = runs
             .iter()
-            .any(|r| matches!(r.outcome, RunOutcome::Aborted));
-        let scripted_fired = !fired_kills.is_empty() || !fired_hangs.is_empty();
-        if !scripted_fired && !any_aborted {
+            .any(|r| matches!(r.outcome, Ok(PairOutcome::Aborted)));
+        if fired.is_empty() && !any_aborted {
             // Every pair finished. A monitor intervention that lost
             // the race against termination is ignored: the job is
             // done, there is nothing to roll back.
             break runs;
         }
-        if !scripted_fired && intervention.is_none() && !recovers_unscripted {
+        if fired.is_empty() && intervention.is_none() && !recovers_unscripted {
             return Err(EngineError::Worker(
                 "a worker aborted with no scripted failure and no error".into(),
             ));
@@ -334,191 +296,94 @@ pub(crate) fn supervise<J: IterativeJob>(
             )));
         }
         let now_ns = started.elapsed().as_nanos() as u64;
+        let emit = |kind: TraceKind, node: u32, pair: u32, iteration: usize| {
+            let event = TraceEvent::new(kind).at(now_ns);
+            observer.emit(event.tagged(node, pair, iteration as u32, generation));
+        };
+        let rollback = TraceKind::Rollback {
+            epoch: new_epoch as u64,
+        };
         // Consume each scripted event that fired (a node-level event
         // hosting several pairs fires once per event, as in the
         // simulation engine's one-recovery-per-event accounting).
-        for &(q, at) in &fired_kills {
+        for &(hang, q, at) in &fired {
             if let Some(pos) = pending.iter().position(|f| {
-                matches!(f, FaultEvent::Kill { .. })
+                matches!(f, FaultEvent::Hang { .. }) == hang
                     && f.node() == assignment[q]
                     && f.at_iteration() == at
             }) {
                 pending.remove(pos);
                 recoveries += 1;
                 metrics.recoveries.add(1);
-                observer.emit(
-                    TraceEvent::new(TraceKind::Rollback {
-                        epoch: new_epoch as u64,
-                    })
-                    .at(now_ns)
-                    .tagged(
-                        assignment[q].index() as u32,
-                        COORD,
-                        at as u32,
-                        generation,
-                    ),
-                );
-            }
-        }
-        for &(q, at) in &fired_hangs {
-            if let Some(pos) = pending.iter().position(|f| {
-                matches!(f, FaultEvent::Hang { .. })
-                    && f.node() == assignment[q]
-                    && f.at_iteration() == at
-            }) {
-                pending.remove(pos);
-                recoveries += 1;
-                metrics.recoveries.add(1);
-                let tag_node = assignment[q].index() as u32;
-                observer.emit(
-                    TraceEvent::new(TraceKind::StallDetected)
-                        .at(now_ns)
-                        .tagged(tag_node, COORD, at as u32, generation),
-                );
-                observer.emit(
-                    TraceEvent::new(TraceKind::Rollback {
-                        epoch: new_epoch as u64,
-                    })
-                    .at(now_ns)
-                    .tagged(tag_node, COORD, at as u32, generation),
-                );
+                let node = assignment[q].index() as u32;
+                if hang {
+                    emit(TraceKind::StallDetected, node, COORD, at);
+                }
+                emit(rollback, node, COORD, at);
             }
         }
 
-        if scripted_fired {
-            stall_retries = 0;
-        } else {
-            match intervention {
-                Some(Intervention::Migrate { pair, to }) => {
-                    // §3.4.2: migration is a rollback under a new
-                    // placement. The monitor only fires once every
-                    // pair checkpointed past `epoch`, so `new_epoch`
-                    // strictly advances and repeated migrations
-                    // cannot livelock the job.
-                    migrations += 1;
-                    metrics.migrations.add(1);
-                    observer.emit(
-                        TraceEvent::new(TraceKind::Migration {
-                            from: assignment[pair].index() as u32,
-                            to: to.index() as u32,
-                        })
-                        .at(now_ns)
-                        .tagged(
-                            assignment[pair].index() as u32,
-                            pair as u32,
-                            new_epoch as u32,
-                            generation,
-                        ),
-                    );
-                    assignment[pair] = to;
-                    let mut ck = TaskClock::default();
-                    dfs.put_atomic(
-                        &migration_marker(output_dir, migrations, new_epoch),
-                        Bytes::from_static(b"migrated"),
-                        to,
-                        &mut ck,
-                    )?;
+        match intervention {
+            _ if !fired.is_empty() => stall_retries = 0,
+            Some(Intervention::Migrate { pair, to }) => {
+                // §3.4.2: migration is a rollback under a new
+                // placement. The monitor only fires once every
+                // pair checkpointed past `epoch`, so `new_epoch`
+                // strictly advances and repeated migrations
+                // cannot livelock the job.
+                migrations += 1;
+                metrics.migrations.add(1);
+                let from = assignment[pair].index() as u32;
+                let to_node = to.index() as u32;
+                let migration = TraceKind::Migration { from, to: to_node };
+                emit(migration, from, pair as u32, new_epoch);
+                assignment[pair] = to;
+                let mut ck = TaskClock::default();
+                dfs.put_atomic(
+                    &migration_marker(output_dir, migrations, new_epoch),
+                    Bytes::from_static(b"migrated"),
+                    to,
+                    &mut ck,
+                )?;
+                stall_retries = 0;
+            }
+            unscripted => {
+                // Nothing scripted fired: the watchdog declared a pair
+                // stalled, or (only with `recovers_unscripted`) a worker
+                // process vanished — crash or dropped connection. Retry
+                // from the last checkpoint, but give up if it persists
+                // with no progress (a wedged pair would stall every
+                // generation at the same epoch forever).
+                let stalled = match unscripted {
+                    Some(Intervention::Stall { pair }) => Some(pair),
+                    _ => None,
+                };
+                if new_epoch > epoch {
                     stall_retries = 0;
-                }
-                Some(Intervention::Stall { pair }) => {
-                    // An unscripted stall: retry from the last
-                    // checkpoint, but give up if it persists with no
-                    // progress (a wedged pair would stall every
-                    // generation at the same epoch forever).
-                    if new_epoch > epoch {
-                        stall_retries = 0;
-                    } else {
-                        stall_retries += 1;
-                        if stall_retries >= cfg.net.retry_budget {
-                            metrics.retries_exhausted.add(1);
-                            return Err(EngineError::Worker(format!(
-                                "watchdog declared pair {pair} stalled with no \
-                                 checkpoint progress and the retry budget \
-                                 ({}) is exhausted; giving up",
-                                cfg.net.retry_budget
-                            )));
-                        }
+                } else {
+                    stall_retries += 1;
+                    if stall_retries >= cfg.net.retry_budget {
+                        metrics.retries_exhausted.add(1);
+                        let cause = match stalled {
+                            Some(pair) => format!("watchdog declared pair {pair} stalled"),
+                            None => "workers kept vanishing".to_owned(),
+                        };
+                        return Err(EngineError::Worker(format!(
+                            "{cause} with no checkpoint progress and the retry budget \
+                             ({}) is exhausted; giving up",
+                            cfg.net.retry_budget
+                        )));
                     }
-                    recoveries += 1;
-                    metrics.recoveries.add(1);
-                    observer.emit(
-                        TraceEvent::new(TraceKind::Retry {
-                            attempt: stall_retries as u64,
-                        })
-                        .at(now_ns)
-                        .tagged(
-                            COORD,
-                            COORD,
-                            new_epoch as u32,
-                            generation,
-                        ),
-                    );
-                    let tag_node = assignment[pair].index() as u32;
-                    observer.emit(TraceEvent::new(TraceKind::StallDetected).at(now_ns).tagged(
-                        tag_node,
-                        COORD,
-                        new_epoch as u32,
-                        generation,
-                    ));
-                    observer.emit(
-                        TraceEvent::new(TraceKind::Rollback {
-                            epoch: new_epoch as u64,
-                        })
-                        .at(now_ns)
-                        .tagged(
-                            tag_node,
-                            COORD,
-                            new_epoch as u32,
-                            generation,
-                        ),
-                    );
                 }
-                None => {
-                    // Only reachable with `recovers_unscripted`: a
-                    // worker process vanished (crash or dropped
-                    // connection) with nothing scripted. Same retry +
-                    // no-progress backstop as a watchdog stall.
-                    if new_epoch > epoch {
-                        stall_retries = 0;
-                    } else {
-                        stall_retries += 1;
-                        if stall_retries >= cfg.net.retry_budget {
-                            metrics.retries_exhausted.add(1);
-                            return Err(EngineError::Worker(format!(
-                                "workers kept vanishing with no checkpoint \
-                                 progress and the retry budget ({}) is \
-                                 exhausted; giving up",
-                                cfg.net.retry_budget
-                            )));
-                        }
-                    }
-                    recoveries += 1;
-                    metrics.recoveries.add(1);
-                    observer.emit(
-                        TraceEvent::new(TraceKind::Retry {
-                            attempt: stall_retries as u64,
-                        })
-                        .at(now_ns)
-                        .tagged(
-                            COORD,
-                            COORD,
-                            new_epoch as u32,
-                            generation,
-                        ),
-                    );
-                    observer.emit(
-                        TraceEvent::new(TraceKind::Rollback {
-                            epoch: new_epoch as u64,
-                        })
-                        .at(now_ns)
-                        .tagged(
-                            COORD,
-                            COORD,
-                            new_epoch as u32,
-                            generation,
-                        ),
-                    );
+                recoveries += 1;
+                metrics.recoveries.add(1);
+                let attempt = stall_retries as u64;
+                emit(TraceKind::Retry { attempt }, COORD, COORD, new_epoch);
+                let node = stalled.map_or(COORD, |pair| assignment[pair].index() as u32);
+                if stalled.is_some() {
+                    emit(TraceKind::StallDetected, node, COORD, new_epoch);
                 }
+                emit(rollback, node, COORD, new_epoch);
             }
         }
         // Flight recorder: on every rollback (recovery or migration),
@@ -526,7 +391,7 @@ pub(crate) fn supervise<J: IterativeJob>(
         // events leading up to the incident survive the respawn. The
         // Rollback/Migration events above are recorded first, so the
         // artifact always contains the incident itself.
-        if let Some(lines) = observer.flight_lines(cfg.flight_window) {
+        if let Some(lines) = observer.flight_lines() {
             let mut ck = TaskClock::default();
             dfs.put_atomic(
                 &imr_trace::flight_path(output_dir, flight_seq),
@@ -557,10 +422,10 @@ pub(crate) fn supervise<J: IterativeJob>(
     let mut final_parts: Vec<Vec<(J::K, J::S)>> = Vec::with_capacity(n);
     for (q, r) in final_runs.into_iter().enumerate() {
         match r.outcome {
-            RunOutcome::Finished {
+            Ok(PairOutcome::Finished {
                 final_data,
                 iterations: it,
-            } => {
+            }) => {
                 if q == 0 {
                     iterations = it;
                 } else if it != iterations {
@@ -668,10 +533,10 @@ mod tests {
             local_dist: vec![(0.5, true); records],
             iter_done: vec![Duration::from_millis(1); records],
             last_ckpt: 0,
-            outcome: RunOutcome::Finished {
+            outcome: Ok(PairOutcome::Finished {
                 final_data: imr_records::encode_pairs(&[(q, 1.0f64)]),
                 iterations,
-            },
+            }),
         }
     }
 
@@ -681,21 +546,39 @@ mod tests {
             local_dist: vec![(0.5, true); last_ckpt],
             iter_done: vec![Duration::from_millis(1); last_ckpt],
             last_ckpt,
-            outcome: RunOutcome::Aborted,
+            outcome: Ok(PairOutcome::Aborted),
         }
     }
 
+    /// What one scripted run left behind.
+    struct Fake {
+        result: Result<IterOutcome<u32, f64>, EngineError>,
+        /// Generations the backend was asked to run.
+        generations_run: usize,
+        metrics: imr_simcluster::MetricsSnapshot,
+        /// Names of the supervisor's events, in emission order.
+        events: Vec<&'static str>,
+    }
+
     /// Drives `supervise` over two pairs with a backend that returns the
-    /// scripted `generations` verbatim, one per call, as a TCP
-    /// coordinator relaying whatever its workers reported would.
-    fn supervise_fake(
-        generations: Vec<Vec<PairRun>>,
-    ) -> Result<IterOutcome<u32, f64>, EngineError> {
+    /// scripted generations verbatim, one per call, as a TCP
+    /// coordinator relaying whatever its workers reported (and its
+    /// monitor decided) would. The retry budget is 3.
+    fn supervise_scripted(generations: Vec<(Vec<PairRun>, Option<Intervention>)>) -> Fake {
         let metrics: MetricsHandle = Arc::new(Metrics::default());
         let dfs = Dfs::new(Arc::new(ClusterSpec::local(2)), Arc::clone(&metrics), 1);
-        let cfg = IterConfig::new("fake", 2, 3).with_distance_threshold(1e-9);
+        let cfg = IterConfig::new("fake", 2, 3)
+            .with_distance_threshold(1e-9)
+            .with_net_policy(imapreduce::NetPolicy {
+                retry_budget: 3,
+                ..Default::default()
+            });
+        let trace = Arc::new(imr_trace::TraceBuffer::with_capacity(64));
+        let mut observer = Observer::new(Arc::clone(&metrics));
+        observer.attach_trace(Arc::clone(&trace));
         let mut generations = generations.into_iter();
-        supervise::<Keep>(
+        let mut generations_run = 0;
+        let result = supervise::<Keep>(
             &dfs,
             &metrics,
             &cfg,
@@ -703,10 +586,25 @@ mod tests {
             &[],
             "fake".to_owned(),
             true,
-            &Observer::new(Arc::clone(&metrics)),
+            &observer,
             None,
-            &mut |_gen| Ok((generations.next().expect("a scripted generation"), None)),
-        )
+            &mut |_gen| {
+                generations_run += 1;
+                Ok(generations.next().expect("a scripted generation"))
+            },
+        );
+        Fake {
+            result,
+            generations_run,
+            metrics: metrics.snapshot(),
+            events: trace.snapshot().iter().map(|e| e.kind.name()).collect(),
+        }
+    }
+
+    fn supervise_fake(
+        generations: Vec<Vec<PairRun>>,
+    ) -> Result<IterOutcome<u32, f64>, EngineError> {
+        supervise_scripted(generations.into_iter().map(|runs| (runs, None)).collect()).result
     }
 
     fn worker_error(generations: Vec<Vec<PairRun>>, needle: &str) {
@@ -755,5 +653,55 @@ mod tests {
             ],
             "checkpoint epoch 1, below the epoch 2",
         );
+    }
+
+    #[test]
+    fn no_progress_retries_stop_at_the_budget_whatever_the_cause() {
+        // The same generation over and over, never checkpointing past
+        // epoch 0: once because the watchdog keeps declaring pair 1
+        // stalled, once because workers keep vanishing.
+        let causes = [
+            (Some(Intervention::Stall { pair: 1 }), "pair 1 stalled"),
+            (None, "workers kept vanishing"),
+        ];
+        for (intervention, cause) in causes {
+            let stuck = || (vec![vanished(0), vanished(0)], intervention);
+            let fake = supervise_scripted(vec![stuck(), stuck(), stuck()]);
+            match fake.result {
+                Err(EngineError::Worker(msg)) => {
+                    assert!(
+                        msg.contains(cause) && msg.contains("retry budget (3)"),
+                        "{msg}"
+                    )
+                }
+                Err(other) => panic!("expected a worker error, got {other}"),
+                Ok(_) => panic!("expected a worker error, got Ok"),
+            }
+            // `retry_budget` generations ran; the first two were retried,
+            // the third exhausted the budget.
+            assert_eq!(fake.generations_run, 3);
+            assert_eq!(fake.metrics.retries_exhausted, 1);
+            assert_eq!(fake.metrics.recoveries, 2);
+            let retried: &[&str] = match intervention {
+                Some(_) => &["Retry", "StallDetected", "Rollback"],
+                None => &["Retry", "Rollback"],
+            };
+            assert_eq!(fake.events, [retried, retried].concat(), "{cause}");
+        }
+    }
+
+    #[test]
+    fn checkpoint_progress_resets_the_no_progress_count() {
+        // Workers vanish four generations running, but each generation
+        // checkpoints one epoch further than the last: never "no
+        // progress", so the budget of 3 is not what ends the run.
+        let fake = supervise_scripted(vec![
+            (vec![vanished(1), vanished(1)], None),
+            (vec![vanished(2), vanished(2)], None),
+            (vec![vanished(2), vanished(2)], None),
+            (vec![finished(0, 3, 1), finished(1, 3, 1)], None),
+        ]);
+        assert_eq!(fake.result.unwrap().recoveries, 3);
+        assert_eq!(fake.metrics.retries_exhausted, 0);
     }
 }

@@ -23,7 +23,7 @@
 
 use crate::frame::{FrameReader, FrameWriter};
 use crate::policy::NetPolicy;
-use crate::proto::{ToCoord, ToWorker, WireOutcome, WorkerSetup};
+use crate::proto::{PairOutcome, ToCoord, ToWorker, WorkerSetup};
 use crate::transport::{Closed, Transport};
 use crate::NetError;
 use bytes::Bytes;
@@ -69,18 +69,6 @@ pub struct WorkerConn {
 }
 
 impl WorkerConn {
-    /// [`WorkerConn::connect_with_policy`] under the default
-    /// [`NetPolicy`].
-    pub fn connect(
-        addr: impl ToSocketAddrs,
-        pair: usize,
-        generation: u64,
-        job: u64,
-        buffer: usize,
-    ) -> Result<(WorkerConn, WorkerSetup), NetError> {
-        WorkerConn::connect_with_policy(addr, pair, generation, job, buffer, &NetPolicy::default())
-    }
-
     /// Connect to the coordinator, introduce ourselves as `pair` of
     /// `generation` running `job`, and wait for the [`WorkerSetup`]
     /// frame. `buffer` is the per-link credit allowance (the channel
@@ -246,22 +234,14 @@ impl WorkerConn {
         }
     }
 
-    /// Ship a checkpoint body plus the distance history through
-    /// `iteration`; the coordinator persists both atomically.
-    /// Fire-and-forget: in-order delivery means the coordinator sees it
-    /// before our EOF, so its record of our checkpoint progress is
-    /// authoritative even if we die right after sending.
-    pub fn write_checkpoint(
-        &mut self,
-        iteration: usize,
-        payload: Bytes,
-        hist: Vec<(f64, bool)>,
-    ) -> Result<(), Closed> {
-        self.write(&ToCoord::Ckpt {
-            iteration,
-            payload,
-            hist,
-        })
+    /// Ship the checkpoint body of `iteration`; the coordinator
+    /// persists it atomically next to the distance history it recorded
+    /// from our heartbeats. Fire-and-forget: in-order delivery means the
+    /// coordinator sees it after the beat of `iteration` and before our
+    /// EOF, so its record of our checkpoint progress is authoritative
+    /// even if we die right after sending.
+    pub fn write_checkpoint(&mut self, iteration: usize, payload: Bytes) -> Result<(), Closed> {
+        self.write(&ToCoord::Ckpt { iteration, payload })
     }
 
     /// Publish a progress report: the heartbeat for the coordinator-side
@@ -293,7 +273,7 @@ impl WorkerConn {
     }
 
     /// Report our terminal status. Best-effort once poisoned.
-    pub fn send_outcome(&mut self, outcome: WireOutcome) {
+    pub fn send_outcome(&mut self, outcome: Result<PairOutcome, String>) {
         let _ = self.write(&ToCoord::Outcome(outcome));
     }
 

@@ -11,7 +11,10 @@
 //! (`Gather` → `GatherAll`: barrier, one2all exchange and termination
 //! vote are all the same task-ordered all-gather) and one progress
 //! report (`Beat`, which also delivers the worker's counter
-//! increments). Tags are never reused: a retired tag decodes to
+//! increments, and from which the coordinator keeps the distance
+//! history a `Ckpt` is persisted with) and one outcome type
+//! ([`PairOutcome`], what the pair loop returns on either fabric).
+//! Tags are never reused: a retired tag decodes to
 //! [`CodecError::Corrupt`] like any unassigned one. DESIGN.md §8 lists
 //! every variant with its sender and handler; `verify.sh drift` fails
 //! when that table and these enums differ.
@@ -56,20 +59,15 @@ pub enum ToCoord {
         has_prev: bool,
         counts: Vec<u64>,
     },
-    /// Checkpoint body for `iteration`; the coordinator persists it.
-    /// `hist` is this pair's generation-local distance history through
-    /// `iteration` (`(d, has_prev)` per completed iteration), persisted
-    /// next to the snapshot so a restarted coordinator can rebuild the
-    /// per-iteration records a durable resume needs.
-    Ckpt {
-        iteration: usize,
-        payload: Bytes,
-        hist: Vec<(f64, bool)>,
-    },
+    /// Checkpoint body for `iteration`; the coordinator persists it
+    /// together with the distance history it has recorded from this
+    /// pair's `Beat`s, which precede the checkpoint on the connection.
+    Ckpt { iteration: usize, payload: Bytes },
     /// Ask the coordinator to read DFS file `<dir>/part-<part>`.
     ReadPart { dir: String, part: usize },
-    /// Terminal status of this worker process.
-    Outcome(WireOutcome),
+    /// Terminal status of this worker process: what its pair loop
+    /// returned, a real failure flattened to its message.
+    Outcome(Result<PairOutcome, String>),
     /// A batch of `imr_trace` events (56-byte records, see
     /// `imr_trace::encode_events`), timestamped on the worker's clock —
     /// the worker's whole observability output. The coordinator rebases
@@ -116,26 +114,30 @@ pub enum ToWorker {
     Patch { bytes: u64, digest: u64 },
 }
 
-/// Terminal worker status carried by [`ToCoord::Outcome`].
+/// How one pair's generation ended — what the pair loop returns on
+/// either fabric, what [`ToCoord::Outcome`] carries and what the
+/// supervisor triages. `Finished` carries the pair's final partition
+/// already encoded, so the variant crosses the process boundary
+/// unchanged.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WireOutcome {
-    pub kind: OutcomeKind,
-    pub at_iteration: usize,
-    /// Human-readable failure detail (empty unless `kind` is `Error`).
-    pub message: String,
-    /// Encoded final state (empty unless `kind` is `Finished`).
-    pub payload: Bytes,
-}
-
-/// Discriminant for [`WireOutcome`]; mirrors the supervisor's
-/// per-pair outcome triage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OutcomeKind {
-    Finished,
-    Induced,
-    Stalled,
+pub enum PairOutcome {
+    /// Ran to termination; carries the encoded final partition (sorted)
+    /// and the absolute iteration the job stopped at.
+    Finished {
+        final_data: Bytes,
+        iterations: usize,
+    },
+    /// A scripted kill fired right after completing this iteration.
+    Induced { at_iteration: usize },
+    /// A scripted hang fired after this iteration; the pair went silent
+    /// until the generation was poisoned.
+    Stalled { at_iteration: usize },
+    /// A peer died first: the transport closed or the generation was
+    /// poisoned under us.
     Aborted,
-    Error,
+    /// The crash hook fired: the worker process must terminate
+    /// abruptly, without reporting any outcome.
+    Vanish,
 }
 
 /// The per-pair slice of the job configuration, identical on both
@@ -214,30 +216,38 @@ pub struct WorkerSetup {
     pub plan: PairPlan,
 }
 
-impl Codec for OutcomeKind {
-    fn encode(&self, buf: &mut BytesMut) {
-        let tag: u8 = match self {
-            OutcomeKind::Finished => 0,
-            OutcomeKind::Induced => 1,
-            OutcomeKind::Stalled => 2,
-            OutcomeKind::Aborted => 3,
-            OutcomeKind::Error => 4,
-        };
-        tag.encode(buf);
+/// The wire form of [`ToCoord::Outcome`], one flat record for every
+/// ending: `(tag, iteration, bytes)`, where `bytes` is the final
+/// partition of a finish or the text of a failure.
+fn outcome_parts(outcome: &Result<PairOutcome, String>) -> (u8, usize, Bytes) {
+    match outcome {
+        Ok(PairOutcome::Finished {
+            final_data,
+            iterations,
+        }) => (0, *iterations, final_data.clone()),
+        Ok(PairOutcome::Induced { at_iteration }) => (1, *at_iteration, Bytes::new()),
+        Ok(PairOutcome::Stalled { at_iteration }) => (2, *at_iteration, Bytes::new()),
+        Ok(PairOutcome::Aborted) => (3, 0, Bytes::new()),
+        Ok(PairOutcome::Vanish) => (4, 0, Bytes::new()),
+        Err(message) => (5, 0, Bytes::from(message.clone().into_bytes())),
     }
-    fn decode(buf: &mut Bytes) -> CodecResult<Self> {
-        Ok(match u8::decode(buf)? {
-            0 => OutcomeKind::Finished,
-            1 => OutcomeKind::Induced,
-            2 => OutcomeKind::Stalled,
-            3 => OutcomeKind::Aborted,
-            4 => OutcomeKind::Error,
-            _ => return Err(CodecError::Corrupt("unknown outcome kind")),
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        1
-    }
+}
+
+fn outcome_from_parts(
+    (tag, at_iteration, bytes): (u8, usize, Bytes),
+) -> CodecResult<Result<PairOutcome, String>> {
+    Ok(match tag {
+        0 => Ok(PairOutcome::Finished {
+            final_data: bytes,
+            iterations: at_iteration,
+        }),
+        1 => Ok(PairOutcome::Induced { at_iteration }),
+        2 => Ok(PairOutcome::Stalled { at_iteration }),
+        3 => Ok(PairOutcome::Aborted),
+        4 => Ok(PairOutcome::Vanish),
+        5 => Err(String::from_utf8_lossy(&bytes).into_owned()),
+        _ => return Err(CodecError::Corrupt("unknown outcome tag")),
+    })
 }
 
 /// `Codec` for a plain struct: its fields, in the order listed.
@@ -257,12 +267,6 @@ macro_rules! struct_codec {
     };
 }
 
-struct_codec!(WireOutcome {
-    kind,
-    at_iteration,
-    message,
-    payload
-});
 struct_codec!(PairCfg {
     n,
     one2all,
@@ -337,15 +341,10 @@ impl Codec for ToCoord {
                 has_prev.encode(buf);
                 counts.encode(buf);
             }
-            ToCoord::Ckpt {
-                iteration,
-                payload,
-                hist,
-            } => {
+            ToCoord::Ckpt { iteration, payload } => {
                 7u8.encode(buf);
                 iteration.encode(buf);
                 payload.encode(buf);
-                hist.encode(buf);
             }
             ToCoord::ReadPart { dir, part } => {
                 8u8.encode(buf);
@@ -354,7 +353,7 @@ impl Codec for ToCoord {
             }
             ToCoord::Outcome(outcome) => {
                 9u8.encode(buf);
-                outcome.encode(buf);
+                outcome_parts(outcome).encode(buf);
             }
             ToCoord::Trace { payload } => {
                 10u8.encode(buf);
@@ -399,13 +398,12 @@ impl Codec for ToCoord {
             7 => ToCoord::Ckpt {
                 iteration: usize::decode(buf)?,
                 payload: Bytes::decode(buf)?,
-                hist: Vec::<(f64, bool)>::decode(buf)?,
             },
             8 => ToCoord::ReadPart {
                 dir: String::decode(buf)?,
                 part: usize::decode(buf)?,
             },
-            9 => ToCoord::Outcome(WireOutcome::decode(buf)?),
+            9 => ToCoord::Outcome(outcome_from_parts(Codec::decode(buf)?)?),
             10 => ToCoord::Trace {
                 payload: Bytes::decode(buf)?,
             },
@@ -442,13 +440,9 @@ impl Codec for ToCoord {
                     + has_prev.encoded_len()
                     + counts.encoded_len()
             }
-            ToCoord::Ckpt {
-                iteration,
-                payload,
-                hist,
-            } => iteration.encoded_len() + payload.encoded_len() + hist.encoded_len(),
+            ToCoord::Ckpt { iteration, payload } => iteration.encoded_len() + payload.encoded_len(),
             ToCoord::ReadPart { dir, part } => dir.encoded_len() + part.encoded_len(),
-            ToCoord::Outcome(outcome) => outcome.encoded_len(),
+            ToCoord::Outcome(outcome) => outcome_parts(outcome).encoded_len(),
             ToCoord::Trace { payload } => payload.encoded_len(),
             ToCoord::PatchStats {
                 keys,
@@ -612,18 +606,24 @@ mod tests {
         round_trip(ToCoord::Ckpt {
             iteration: 10,
             payload: Bytes::from(vec![0; 128]),
-            hist: vec![(1.5, false), (0.25, true)],
         });
         round_trip(ToCoord::ReadPart {
             dir: "/job/static".into(),
             part: 3,
         });
-        round_trip(ToCoord::Outcome(WireOutcome {
-            kind: OutcomeKind::Error,
-            at_iteration: 4,
-            message: "pair 1 panicked: boom".into(),
-            payload: Bytes::new(),
-        }));
+        round_trip(ToCoord::Outcome(Err("pair 1 panicked: boom".into())));
+        for outcome in [
+            PairOutcome::Finished {
+                final_data: Bytes::from(vec![4; 24]),
+                iterations: 9,
+            },
+            PairOutcome::Induced { at_iteration: 4 },
+            PairOutcome::Stalled { at_iteration: 5 },
+            PairOutcome::Aborted,
+            PairOutcome::Vanish,
+        ] {
+            round_trip(ToCoord::Outcome(Ok(outcome)));
+        }
         round_trip(ToCoord::Trace {
             payload: Bytes::from(vec![7; 56]),
         });
@@ -665,7 +665,8 @@ mod tests {
         assert!(ToCoord::decode(&mut buf).is_err());
         let mut buf = Bytes::from(vec![250u8]);
         assert!(ToWorker::decode(&mut buf).is_err());
-        let mut buf = Bytes::from(vec![99u8]);
-        assert!(OutcomeKind::decode(&mut buf).is_err());
+        // An outcome record with a tag no ending owns.
+        let mut buf = Bytes::from(vec![9u8, 99, 0, 0]);
+        assert!(ToCoord::decode(&mut buf).is_err());
     }
 }

@@ -4,9 +4,7 @@
 
 use bytes::Bytes;
 use imr_net::frame::{FrameReader, MAX_FRAME, PREAMBLE_LEN, WIRE_MAGIC, WIRE_VERSION};
-use imr_net::proto::{
-    OutcomeKind, PairCfg, PairDirs, PairPlan, ToCoord, ToWorker, WireOutcome, WorkerSetup,
-};
+use imr_net::proto::{PairCfg, PairDirs, PairOutcome, PairPlan, ToCoord, ToWorker, WorkerSetup};
 use imr_net::NetError;
 use imr_records::Codec;
 use proptest::prelude::*;
@@ -38,18 +36,15 @@ fn every_to_coord() -> Vec<ToCoord> {
         ToCoord::Ckpt {
             iteration: 10,
             payload: payload.clone(),
-            hist: vec![(1.5, false), (0.25, true)],
         },
         ToCoord::ReadPart {
             dir: "/job/static".into(),
             part: 3,
         },
-        ToCoord::Outcome(WireOutcome {
-            kind: OutcomeKind::Error,
-            at_iteration: 4,
-            message: "pair 1 panicked: boom".into(),
-            payload: Bytes::new(),
-        }),
+        ToCoord::Outcome(Ok(PairOutcome::Finished {
+            final_data: payload.clone(),
+            iterations: 4,
+        })),
         ToCoord::Trace { payload },
         ToCoord::PatchStats {
             keys: 512,
@@ -185,17 +180,21 @@ fn every_variant_owns_one_tag_and_the_retired_ones_stay_dead() {
 
 #[test]
 fn a_version_2_preamble_is_refused_at_handshake() {
-    // A peer built before the message set shrank still frames the same
-    // way; only the preamble tells the two apart, so it must.
-    let mut old = Vec::new();
-    old.extend_from_slice(&WIRE_MAGIC);
-    old.extend_from_slice(&2u32.to_be_bytes());
-    let mut r = FrameReader::new(std::io::Cursor::new(old));
-    match r.expect_preamble() {
-        Err(NetError::Version(msg)) => {
-            assert!(msg.contains("version 2") && msg.contains(&WIRE_VERSION.to_string()))
+    // A peer built before the message set shrank (v2) or before `Ckpt`
+    // and `Outcome` were reshaped (v3) still frames the same way; only
+    // the preamble tells them apart, so it must.
+    for version in [2u32, 3] {
+        let mut old = Vec::new();
+        old.extend_from_slice(&WIRE_MAGIC);
+        old.extend_from_slice(&version.to_be_bytes());
+        let mut r = FrameReader::new(std::io::Cursor::new(old));
+        match r.expect_preamble() {
+            Err(NetError::Version(msg)) => assert!(
+                msg.contains(&format!("version {version}"))
+                    && msg.contains(&WIRE_VERSION.to_string())
+            ),
+            other => panic!("expected a Version error, got {other:?}"),
         }
-        other => panic!("expected a Version error, got {other:?}"),
     }
 }
 

@@ -28,76 +28,128 @@ impl Counter {
     }
 }
 
-/// All counters tracked by the simulation, shared via [`MetricsHandle`].
-#[derive(Debug, Default)]
-pub struct Metrics {
+/// Declares the counter schema once. The [`Metrics`] registry, its
+/// plain-data [`MetricsSnapshot`], [`COUNTER_NAMES`] and every
+/// whole-registry operation are generated from the one field list
+/// below, so they agree on the counters and their order by
+/// construction.
+macro_rules! counter_schema {
+    ($($(#[$doc:meta])* $name:ident,)+) => {
+        /// All counters tracked by the simulation, shared via
+        /// [`MetricsHandle`].
+        #[derive(Debug, Default)]
+        pub struct Metrics {
+            $($(#[$doc])* pub $name: Counter,)+
+        }
+
+        /// Counter names in [`Metrics`] declaration order — the schema
+        /// shared by [`MetricsSnapshot::values`], telemetry sampling and
+        /// reporting.
+        pub const COUNTER_NAMES: [&str; COUNTERS] = [$(stringify!($name)),+];
+
+        /// How many counters the schema declares.
+        const COUNTERS: usize = [$(stringify!($name)),+].len();
+
+        /// Plain-data copy of the counters at one instant. Fields mirror
+        /// [`Metrics`] one-to-one.
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $($(#[$doc])* pub $name: u64,)+
+        }
+
+        impl Metrics {
+            /// Every counter in declaration order, for the
+            /// whole-registry operations.
+            fn counters(&self) -> [&Counter; COUNTERS] {
+                [$(&self.$name),+]
+            }
+
+            /// A point-in-time snapshot of all counters, for reporting.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot { $($name: self.$name.get()),+ }
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// Counter values in [`COUNTER_NAMES`] order.
+            pub fn values(&self) -> [u64; COUNTERS] {
+                [$(self.$name),+]
+            }
+
+            /// Field-wise `self - earlier` (saturating): the counters
+            /// one run added on a shared registry, given snapshots taken
+            /// before and after it.
+            pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot { $($name: self.$name.saturating_sub(earlier.$name)),+ }
+            }
+        }
+    };
+}
+
+counter_schema! {
     /// Bytes moved map→reduce across the network (remote shuffle only).
-    pub shuffle_remote_bytes: Counter,
+    shuffle_remote_bytes,
     /// Bytes moved map→reduce on the same worker.
-    pub shuffle_local_bytes: Counter,
+    shuffle_local_bytes,
     /// Bytes read remotely from the distributed file system.
-    pub dfs_read_bytes: Counter,
+    dfs_read_bytes,
     /// Bytes read from a node-local DFS replica. Still moves through
     /// the DataNode protocol (no short-circuit reads in 2011 Hadoop),
     /// so Fig. 11's exchanged-bytes metric includes it.
-    pub dfs_local_read_bytes: Counter,
+    dfs_local_read_bytes,
     /// Bytes written to the distributed file system (incl. replication).
-    pub dfs_write_bytes: Counter,
+    dfs_write_bytes,
     /// Bytes passed reduce→map over iMapReduce's persistent connections.
-    pub state_handoff_bytes: Counter,
+    state_handoff_bytes,
     /// Bytes broadcast reduce→all-maps (one2all mapping).
-    pub broadcast_bytes: Counter,
+    broadcast_bytes,
     /// Bytes written by checkpointing.
-    pub checkpoint_bytes: Counter,
+    checkpoint_bytes,
     /// MapReduce jobs launched (every Hadoop iteration is ≥1 job).
-    pub jobs_launched: Counter,
+    jobs_launched,
     /// Task attempts launched (persistent tasks count once).
-    pub tasks_launched: Counter,
+    tasks_launched,
     /// Task migrations performed by load balancing.
-    pub migrations: Counter,
+    migrations,
     /// Stalled workers declared failed by the watchdog (hang faults on
     /// the native backend, modelled stall detection on the simulator).
-    pub stalls_detected: Counter,
+    stalls_detected,
     /// Failure recoveries performed (checkpoint rollback + respawn).
-    pub recoveries: Counter,
+    recoveries,
     /// Records passed through user map functions.
-    pub map_input_records: Counter,
+    map_input_records,
     /// Records passed through user reduce functions.
-    pub reduce_input_records: Counter,
+    reduce_input_records,
     /// Delta pairs propagated between tasks under the barrier-free
     /// accumulative mode (Maiter-style delta shuffle).
-    pub deltas_sent: Counter,
+    deltas_sent,
     /// Pending keys deferred past a full priority batch under the
     /// accumulative mode's largest-delta-first scheduler.
-    pub priority_preemptions: Counter,
+    priority_preemptions,
     /// Global accumulated-progress termination checks performed under
     /// the accumulative mode.
-    pub termination_checks: Counter,
+    termination_checks,
     /// Frames that failed their wire integrity check (CRC/sequence
     /// mismatch: flipped bits, drops, duplicates).
-    pub corrupt_frames: Counter,
+    corrupt_frames,
     /// Worker reconnect attempts after a torn-down generation
     /// (reconnect-with-replay respawns).
-    pub reconnect_attempts: Counter,
+    reconnect_attempts,
     /// Recovery retry budgets exhausted — the supervisor gave up on a
     /// run after `NetPolicy::retry_budget` no-progress retries.
-    pub retries_exhausted: Counter,
+    retries_exhausted,
     /// Faults injected by the deterministic network-chaos layer
     /// (drops, corruptions, duplicates, resets, stalls).
-    pub chaos_injections: Counter,
+    chaos_injections,
     /// Connection attempts rejected during accept for a bad hello
     /// (wrong generation/job, out-of-range pair, garbage bytes).
-    pub hellos_rejected: Counter,
+    hellos_rejected,
 }
 
 impl Metrics {
     /// Total bytes that crossed the network for any reason.
     pub fn total_network_bytes(&self) -> u64 {
-        self.shuffle_remote_bytes.get()
-            + self.dfs_read_bytes.get()
-            + self.dfs_write_bytes.get()
-            + self.broadcast_bytes.get()
-            + self.checkpoint_bytes.get()
+        self.snapshot().total_network_bytes()
     }
 
     /// Total bytes exchanged between tasks and with the DFS — the
@@ -106,41 +158,7 @@ impl Metrics {
     /// even on one machine), all DFS replica traffic, broadcasts,
     /// reduce→map hand-offs and checkpoints.
     pub fn total_exchanged_bytes(&self) -> u64 {
-        self.total_network_bytes()
-            + self.shuffle_local_bytes.get()
-            + self.state_handoff_bytes.get()
-            + self.dfs_local_read_bytes.get()
-    }
-
-    /// Every counter in declaration order. Whole-registry operations go
-    /// through this list so a newly added counter cannot be forgotten
-    /// by one of them.
-    fn counters(&self) -> [&Counter; 23] {
-        [
-            &self.shuffle_remote_bytes,
-            &self.shuffle_local_bytes,
-            &self.dfs_read_bytes,
-            &self.dfs_local_read_bytes,
-            &self.dfs_write_bytes,
-            &self.state_handoff_bytes,
-            &self.broadcast_bytes,
-            &self.checkpoint_bytes,
-            &self.jobs_launched,
-            &self.tasks_launched,
-            &self.migrations,
-            &self.stalls_detected,
-            &self.recoveries,
-            &self.map_input_records,
-            &self.reduce_input_records,
-            &self.deltas_sent,
-            &self.priority_preemptions,
-            &self.termination_checks,
-            &self.corrupt_frames,
-            &self.reconnect_attempts,
-            &self.retries_exhausted,
-            &self.chaos_injections,
-            &self.hellos_rejected,
-        ]
+        self.snapshot().total_exchanged_bytes()
     }
 
     /// Clears every counter (between experiment runs or between the
@@ -151,12 +169,6 @@ impl Metrics {
         }
     }
 
-    /// Clears every counter. Alias of [`Metrics::reset_all`], retained
-    /// for existing call sites.
-    pub fn reset(&self) {
-        self.reset_all();
-    }
-
     /// Adds `increments` ([`MetricsSnapshot::values`] order) counter by
     /// counter: how a registry kept in another process is folded into
     /// this one.
@@ -165,158 +177,20 @@ impl Metrics {
             counter.add(n);
         }
     }
-
-    /// A point-in-time snapshot of all counters, for reporting.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            shuffle_remote_bytes: self.shuffle_remote_bytes.get(),
-            shuffle_local_bytes: self.shuffle_local_bytes.get(),
-            dfs_read_bytes: self.dfs_read_bytes.get(),
-            dfs_local_read_bytes: self.dfs_local_read_bytes.get(),
-            dfs_write_bytes: self.dfs_write_bytes.get(),
-            state_handoff_bytes: self.state_handoff_bytes.get(),
-            broadcast_bytes: self.broadcast_bytes.get(),
-            checkpoint_bytes: self.checkpoint_bytes.get(),
-            jobs_launched: self.jobs_launched.get(),
-            tasks_launched: self.tasks_launched.get(),
-            migrations: self.migrations.get(),
-            stalls_detected: self.stalls_detected.get(),
-            recoveries: self.recoveries.get(),
-            map_input_records: self.map_input_records.get(),
-            reduce_input_records: self.reduce_input_records.get(),
-            deltas_sent: self.deltas_sent.get(),
-            priority_preemptions: self.priority_preemptions.get(),
-            termination_checks: self.termination_checks.get(),
-            corrupt_frames: self.corrupt_frames.get(),
-            reconnect_attempts: self.reconnect_attempts.get(),
-            retries_exhausted: self.retries_exhausted.get(),
-            chaos_injections: self.chaos_injections.get(),
-            hellos_rejected: self.hellos_rejected.get(),
-        }
-    }
 }
 
 /// Cheaply clonable shared handle to a [`Metrics`] registry.
 pub type MetricsHandle = Arc<Metrics>;
 
-/// Counter names in [`Metrics`] declaration order — the one schema
-/// shared by [`MetricsSnapshot::values`], telemetry sampling and
-/// reporting, so a counter added to the struct without a name here (or
-/// vice versa) fails the length checks below at compile/test time.
-pub const COUNTER_NAMES: [&str; 23] = [
-    "shuffle_remote_bytes",
-    "shuffle_local_bytes",
-    "dfs_read_bytes",
-    "dfs_local_read_bytes",
-    "dfs_write_bytes",
-    "state_handoff_bytes",
-    "broadcast_bytes",
-    "checkpoint_bytes",
-    "jobs_launched",
-    "tasks_launched",
-    "migrations",
-    "stalls_detected",
-    "recoveries",
-    "map_input_records",
-    "reduce_input_records",
-    "deltas_sent",
-    "priority_preemptions",
-    "termination_checks",
-    "corrupt_frames",
-    "reconnect_attempts",
-    "retries_exhausted",
-    "chaos_injections",
-    "hellos_rejected",
-];
-
-/// Plain-data copy of the counters at one instant. Fields mirror
-/// [`Metrics`] one-to-one.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// See [`Metrics::shuffle_remote_bytes`].
-    pub shuffle_remote_bytes: u64,
-    /// See [`Metrics::shuffle_local_bytes`].
-    pub shuffle_local_bytes: u64,
-    /// See [`Metrics::dfs_read_bytes`].
-    pub dfs_read_bytes: u64,
-    /// See [`Metrics::dfs_local_read_bytes`].
-    pub dfs_local_read_bytes: u64,
-    /// See [`Metrics::dfs_write_bytes`].
-    pub dfs_write_bytes: u64,
-    /// See [`Metrics::state_handoff_bytes`].
-    pub state_handoff_bytes: u64,
-    /// See [`Metrics::broadcast_bytes`].
-    pub broadcast_bytes: u64,
-    /// See [`Metrics::checkpoint_bytes`].
-    pub checkpoint_bytes: u64,
-    /// See [`Metrics::jobs_launched`].
-    pub jobs_launched: u64,
-    /// See [`Metrics::tasks_launched`].
-    pub tasks_launched: u64,
-    /// See [`Metrics::migrations`].
-    pub migrations: u64,
-    /// See [`Metrics::stalls_detected`].
-    pub stalls_detected: u64,
-    /// See [`Metrics::recoveries`].
-    pub recoveries: u64,
-    /// See [`Metrics::map_input_records`].
-    pub map_input_records: u64,
-    /// See [`Metrics::reduce_input_records`].
-    pub reduce_input_records: u64,
-    /// See [`Metrics::deltas_sent`].
-    pub deltas_sent: u64,
-    /// See [`Metrics::priority_preemptions`].
-    pub priority_preemptions: u64,
-    /// See [`Metrics::termination_checks`].
-    pub termination_checks: u64,
-    /// See [`Metrics::corrupt_frames`].
-    pub corrupt_frames: u64,
-    /// See [`Metrics::reconnect_attempts`].
-    pub reconnect_attempts: u64,
-    /// See [`Metrics::retries_exhausted`].
-    pub retries_exhausted: u64,
-    /// See [`Metrics::chaos_injections`].
-    pub chaos_injections: u64,
-    /// See [`Metrics::hellos_rejected`].
-    pub hellos_rejected: u64,
-}
-
 impl MetricsSnapshot {
-    /// Counter values in [`COUNTER_NAMES`] order.
-    pub fn values(&self) -> [u64; 23] {
-        [
-            self.shuffle_remote_bytes,
-            self.shuffle_local_bytes,
-            self.dfs_read_bytes,
-            self.dfs_local_read_bytes,
-            self.dfs_write_bytes,
-            self.state_handoff_bytes,
-            self.broadcast_bytes,
-            self.checkpoint_bytes,
-            self.jobs_launched,
-            self.tasks_launched,
-            self.migrations,
-            self.stalls_detected,
-            self.recoveries,
-            self.map_input_records,
-            self.reduce_input_records,
-            self.deltas_sent,
-            self.priority_preemptions,
-            self.termination_checks,
-            self.corrupt_frames,
-            self.reconnect_attempts,
-            self.retries_exhausted,
-            self.chaos_injections,
-            self.hellos_rejected,
-        ]
-    }
-
     /// `(name, value)` pairs in [`COUNTER_NAMES`] order.
-    pub fn named(&self) -> [(&'static str, u64); 23] {
-        let values = self.values();
-        let mut out = [("", 0u64); 23];
-        for (slot, (name, value)) in out.iter_mut().zip(COUNTER_NAMES.iter().zip(values)) {
-            *slot = (name, value);
+    pub fn named(&self) -> [(&'static str, u64); COUNTERS] {
+        let mut out = [("", 0u64); COUNTERS];
+        for (slot, pair) in out
+            .iter_mut()
+            .zip(COUNTER_NAMES.into_iter().zip(self.values()))
+        {
+            *slot = pair;
         }
         out
     }
@@ -338,61 +212,6 @@ impl MetricsSnapshot {
             + self.state_handoff_bytes
             + self.dfs_local_read_bytes
     }
-
-    /// Field-wise `self - earlier` (saturating): the counters one run
-    /// added on a shared registry, given snapshots taken before and
-    /// after it.
-    pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            shuffle_remote_bytes: self
-                .shuffle_remote_bytes
-                .saturating_sub(earlier.shuffle_remote_bytes),
-            shuffle_local_bytes: self
-                .shuffle_local_bytes
-                .saturating_sub(earlier.shuffle_local_bytes),
-            dfs_read_bytes: self.dfs_read_bytes.saturating_sub(earlier.dfs_read_bytes),
-            dfs_local_read_bytes: self
-                .dfs_local_read_bytes
-                .saturating_sub(earlier.dfs_local_read_bytes),
-            dfs_write_bytes: self.dfs_write_bytes.saturating_sub(earlier.dfs_write_bytes),
-            state_handoff_bytes: self
-                .state_handoff_bytes
-                .saturating_sub(earlier.state_handoff_bytes),
-            broadcast_bytes: self.broadcast_bytes.saturating_sub(earlier.broadcast_bytes),
-            checkpoint_bytes: self
-                .checkpoint_bytes
-                .saturating_sub(earlier.checkpoint_bytes),
-            jobs_launched: self.jobs_launched.saturating_sub(earlier.jobs_launched),
-            tasks_launched: self.tasks_launched.saturating_sub(earlier.tasks_launched),
-            migrations: self.migrations.saturating_sub(earlier.migrations),
-            stalls_detected: self.stalls_detected.saturating_sub(earlier.stalls_detected),
-            recoveries: self.recoveries.saturating_sub(earlier.recoveries),
-            map_input_records: self
-                .map_input_records
-                .saturating_sub(earlier.map_input_records),
-            reduce_input_records: self
-                .reduce_input_records
-                .saturating_sub(earlier.reduce_input_records),
-            deltas_sent: self.deltas_sent.saturating_sub(earlier.deltas_sent),
-            priority_preemptions: self
-                .priority_preemptions
-                .saturating_sub(earlier.priority_preemptions),
-            termination_checks: self
-                .termination_checks
-                .saturating_sub(earlier.termination_checks),
-            corrupt_frames: self.corrupt_frames.saturating_sub(earlier.corrupt_frames),
-            reconnect_attempts: self
-                .reconnect_attempts
-                .saturating_sub(earlier.reconnect_attempts),
-            retries_exhausted: self
-                .retries_exhausted
-                .saturating_sub(earlier.retries_exhausted),
-            chaos_injections: self
-                .chaos_injections
-                .saturating_sub(earlier.chaos_injections),
-            hellos_rejected: self.hellos_rejected.saturating_sub(earlier.hellos_rejected),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -408,7 +227,7 @@ mod tests {
         m.dfs_read_bytes.add(7);
         assert_eq!(m.shuffle_remote_bytes.get(), 15);
         assert_eq!(m.total_network_bytes(), 22);
-        m.reset();
+        m.reset_all();
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
     }
 

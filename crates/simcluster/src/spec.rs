@@ -135,16 +135,6 @@ impl ClusterSpec {
         self.nodes[node.index()].speed
     }
 
-    /// Total map slots across the cluster.
-    pub fn total_map_slots(&self) -> usize {
-        self.nodes.iter().map(|n| n.map_slots).sum()
-    }
-
-    /// Total reduce slots across the cluster.
-    pub fn total_reduce_slots(&self) -> usize {
-        self.nodes.iter().map(|n| n.reduce_slots).sum()
-    }
-
     /// How many persistent map/reduce *pairs* `node` can host: a pair
     /// occupies one map slot and one reduce slot for the whole job
     /// (§3.2), so the node's capacity is the smaller of the two.
@@ -271,7 +261,7 @@ mod tests {
     fn presets_have_expected_shape() {
         let local = ClusterSpec::local(4);
         assert_eq!(local.len(), 4);
-        assert_eq!(local.total_map_slots(), 8);
+        assert!(local.nodes.iter().all(|n| n.map_slots == 2));
         assert_eq!(local.name, "local-4");
 
         let ec2 = ClusterSpec::ec2(20);

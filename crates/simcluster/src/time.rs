@@ -65,11 +65,6 @@ impl VDuration {
         self.0 as f64 / 1e9
     }
 
-    /// The span in fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Saturating subtraction; virtual durations never underflow.
     pub fn saturating_sub(self, rhs: VDuration) -> VDuration {
         VDuration(self.0.saturating_sub(rhs.0))

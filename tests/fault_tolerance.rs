@@ -598,3 +598,50 @@ fn dfs_survives_node_loss_with_replication() {
         assert!(!part.is_empty() || g.num_nodes() < 4);
     }
 }
+
+/// The distance history next to a snapshot is the one the generation
+/// recorded from the pairs' completion reports, whichever fabric
+/// delivered them: the same scripted kill at a checkpoint iteration
+/// leaves byte-identical snapshot parts and history sidecars behind on
+/// worker threads and on worker processes.
+#[test]
+fn kill_at_a_checkpoint_leaves_identical_snapshot_files_on_channel_and_tcp() {
+    // Threshold 0 never converges, so every iteration measures a real
+    // distance and all 8 run.
+    let cfg = IterConfig::new("sssp", 4, 8)
+        .with_checkpoint_interval(2)
+        .with_distance_threshold(0.0);
+    let kill = [FaultEvent::Kill {
+        node: NodeId(1),
+        at_iteration: 4,
+    }];
+    let channel_rt = tcp_fixture();
+    let channel = channel_rt
+        .run_faults(&SsspIter, &cfg, "/s", "/t", "/o", &kill)
+        .unwrap();
+    let tcp_rt = tcp_fixture();
+    let tcp = run_tcp(&tcp_rt, &sssp_worker(), &cfg, &kill);
+    assert_eq!((channel.recoveries, tcp.recoveries), (1, 1));
+    assert_eq!(channel.distances, tcp.distances);
+
+    let snapshot_files = |rt: &NativeRunner| {
+        let mut clock = imr_simcluster::TaskClock::default();
+        rt.dfs()
+            .list("/o/_ckpt")
+            .into_iter()
+            .map(|path| {
+                let bytes = rt.dfs().read(&path, NodeId(0), &mut clock).unwrap();
+                (path, bytes)
+            })
+            .collect::<Vec<_>>()
+    };
+    let on_channel = snapshot_files(&channel_rt);
+    // The newest epoch survives: a part and a sidecar per pair, written
+    // by the generation that resumed from the kill's checkpoint — so
+    // each sidecar is a committed prefix plus that generation's record.
+    assert_eq!(on_channel.len(), 8);
+    assert!(on_channel
+        .iter()
+        .all(|(path, bytes)| path.starts_with("/o/_ckpt/iter-0006/") && !bytes.is_empty()));
+    assert_eq!(on_channel, snapshot_files(&tcp_rt));
+}

@@ -10,8 +10,9 @@
 #   ./verify.sh build      # release build of the whole workspace
 #   ./verify.sh test       # debug test suite + release cross-engine suite
 #   ./verify.sh bench      # smoke-run every experiment binary at tiny size
-#   ./verify.sh drift      # verify.sh subcommands <-> CI jobs bijection, and
-#                          # wire enums <-> DESIGN.md §8 message table
+#   ./verify.sh drift      # verify.sh subcommands <-> CI jobs bijection,
+#                          # wire enums <-> DESIGN.md §8 message table, and
+#                          # every IterConfig builder has a caller
 #   ./verify.sh <suite>    # one row group of the SUITES table: faults,
 #                          # observe, service, delta, chaos, incremental
 #
@@ -242,6 +243,9 @@ exposition_smoke() {
 # `enum ToCoord` / `enum ToWorker` in crates/net/src/proto.rs and the
 # rows of DESIGN.md §8's two message tables must be the same lists in
 # the same order, so a frame tag cannot land (or retire) undocumented.
+# And the configuration surface: every `pub fn with_*` builder on
+# `IterConfig` must be called somewhere outside the file that declares
+# it — a knob nothing sets is one value in use, i.e. a constant.
 # Cheap on purpose — no cargo involved — so CI runs it on every push.
 wire_variants() {
   awk -v open="pub enum $1 {" '$0 == open { f = 1; next } f && /^}/ { f = 0 } f' \
@@ -266,6 +270,18 @@ cmd_drift() {
     fi
     echo "drift: $enum has $(echo "$code" | wc -l) variants, all in DESIGN.md §8"
   done
+
+  local config=crates/core/src/config.rs knob knobs=0
+  for knob in $(grep -o 'pub fn with_[a-z0-9_]*' "$config" | awk '{ print $3 }'); do
+    knobs=$((knobs + 1))
+    if ! grep -rlw --include='*.rs' "$knob" crates src tests examples benchmark/src \
+      | grep -qvx "$config"; then
+      echo "drift: IterConfig::$knob has no caller outside $config:" >&2
+      echo "drift: a knob nothing sets is a constant — delete the builder and its field" >&2
+      exit 1
+    fi
+  done
+  echo "drift: all $knobs IterConfig builders have a caller outside $config"
 
   local subs jobs
   subs=$({
