@@ -12,7 +12,7 @@ use imapreduce::{
 };
 use imr_mapreduce::io::num_parts;
 use imr_mapreduce::{EngineError, JobConfig, JobRunner, MrJob};
-use imr_records::encode_pairs;
+use imr_records::pairs_encoded_len;
 use imr_simcluster::{NodeId, RunReport, TaskClock, VInstant};
 
 /// A centroid or partial sum: `(vector, count)`.
@@ -303,7 +303,7 @@ pub fn run_kmeans_mr(
     let mut iterations = 0;
 
     for iter in 1..=max_iterations {
-        let side_bytes = encode_pairs(&centroids).len() as u64;
+        let side_bytes = pairs_encoded_len(&centroids) as u64;
         let job = KmeansMr {
             centroids: centroids.clone(),
             combiner,

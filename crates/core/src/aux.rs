@@ -18,7 +18,7 @@ use crate::engine::{merge_broadcast, IterativeRunner};
 use crate::kernel::{map_side, reduce_side, MapState};
 use crate::store::{check_parts, check_slots};
 use imr_mapreduce::{ClockCharge, EngineError};
-use imr_records::encode_pairs;
+use imr_records::pairs_encoded_len;
 use imr_simcluster::{RunReport, TaskClock, VInstant};
 
 /// The auxiliary phase: a distributed check over the main phase's
@@ -174,7 +174,7 @@ where
                 &mut ClockCharge::new(&mut clock, cost, speed),
             )?
             .state;
-            let bytes = encode_pairs(&out).len() as u64;
+            let bytes = pairs_encoded_len(&out) as u64;
             clock.advance(cost.serde_per_byte * bytes);
             let busy = clock.now().duration_since(work_start);
             clock.advance(busy * cost.straggler(iter as u64, q as u64, 2));

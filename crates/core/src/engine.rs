@@ -24,7 +24,7 @@ use bytes::Bytes;
 use imr_dfs::Dfs;
 use imr_mapreduce::io::{num_parts, part_path, read_part};
 use imr_mapreduce::{ClockCharge, EngineError};
-use imr_records::{encode_pairs, sort_run, Codec};
+use imr_records::{encode_pairs, pairs_encoded_len, sort_run, Codec};
 use imr_simcluster::{
     ClusterSpec, MetricsHandle, NodeId, RunReport, TaskClock, VDuration, VInstant,
 };
@@ -398,7 +398,7 @@ impl IterativeRunner {
                     clock.advance(cost.compute_time(new_state.len() as u64, 0, speed));
                 }
 
-                let bytes = encode_pairs(&new_state).len() as u64;
+                let bytes = pairs_encoded_len(&new_state) as u64;
                 clock.advance(cost.serde_per_byte * bytes);
                 let busy = clock.now().duration_since(work_start);
                 clock.advance(busy * cost.straggler(iter as u64, q as u64, 2));

@@ -18,7 +18,7 @@ use crate::store::{check_parts, check_slots};
 use imr_dfs::Dfs;
 use imr_mapreduce::io::{part_path, read_part};
 use imr_mapreduce::{ClockCharge, EngineError};
-use imr_records::{encode_pairs, shuffle_in, shuffle_out, sort_run, Key, Value};
+use imr_records::{pairs_encoded_len, shuffle_in, shuffle_out, sort_run, Key, Value};
 use imr_simcluster::{MetricsHandle, NodeId, RunReport, TaskClock, VInstant};
 
 /// One map-reduce phase of a multi-phase iteration.
@@ -164,7 +164,7 @@ fn run_phase<P: PhaseJob>(
             phase.map(k, s, stat, &mut emitter);
         }
         metrics.map_input_records.add(state[p].len() as u64);
-        let in_bytes = encode_pairs(&state[p]).len() as u64;
+        let in_bytes = pairs_encoded_len(&state[p]) as u64;
         let emitted = emitter.len() as u64;
         clock.advance(cost.compute_time(state[p].len() as u64 + emitted, in_bytes, speed));
 
@@ -208,7 +208,7 @@ fn run_phase<P: PhaseJob>(
         let busy = clock.now().duration_since(work_start);
         clock.advance(busy * cost.straggler(iter, q as u64, phase_tag + 1));
         // Local hand-off to the successor phase's paired map task.
-        let bytes = encode_pairs(&out).len() as u64;
+        let bytes = pairs_encoded_len(&out) as u64;
         clock.advance(cost.handoff_flush + cost.local_transfer_time(bytes));
         metrics.state_handoff_bytes.add(bytes);
         reduce_done.push(clock.now());

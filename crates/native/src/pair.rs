@@ -46,7 +46,7 @@ use imr_mapreduce::io::part_path;
 use imr_mapreduce::EngineError;
 pub(crate) use imr_net::proto::{PairCfg, PairDirs, PairOutcome, PairPlan};
 use imr_net::{Closed, Transport};
-use imr_records::{decode_pairs, encode_pairs, sort_run, Codec, CodecError};
+use imr_records::{decode_pairs, encode_pairs, pairs_encoded_len, sort_run, Codec, CodecError};
 use imr_simcluster::{MetricsHandle, NodeId, TaskClock};
 use imr_trace::{TraceEvent, TraceKind};
 use std::time::{Duration, Instant};
@@ -430,7 +430,7 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
             global = next_global;
             TraceKind::Broadcast { bytes }
         } else {
-            let bytes = encode_pairs(&new_state).len() as u64;
+            let bytes = pairs_encoded_len(&new_state) as u64;
             ctx.metrics.state_handoff_bytes.add(bytes);
             state = new_state;
             TraceKind::StateHandoff { bytes }

@@ -33,7 +33,11 @@
 //!   while it holds a credit for the destination link; the consumer
 //!   returns the credit through the coordinator when it pops the
 //!   segment. Credits start at [`HANDOFF_BUFFER`], giving the same
-//!   bounded hand-off as the bounded channels.
+//!   bounded hand-off as the bounded channels. A pair's link to itself
+//!   is a queue inside its [`WorkerConn`] under the same credit, so the
+//!   hub routes only between *processes*; a segment or credit naming a
+//!   pair the job does not have settles its sender with a typed error
+//!   instead of being dropped.
 //! * **The hub routes, the generation records**: the coordinator owns
 //!   what is about connections — segment and credit forwarding, the
 //!   gather slots, which connections reached EOF, and putting poison on
@@ -719,6 +723,8 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
                 // sender's credit, not a queue here.
                 if dest < co.n {
                     co.send_to(dest, &ToWorker::Segment { src: q, payload });
+                } else {
+                    co.settle(q, Err(no_such_pair(q, "a segment for", dest, co.n)));
                 }
             }
             ToCoord::PatchStats {
@@ -748,6 +754,8 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
             ToCoord::Credit { src } => {
                 if src < co.n {
                     co.send_to(src, &ToWorker::Credit { dest: q });
+                } else {
+                    co.settle(q, Err(no_such_pair(q, "a credit for", src, co.n)));
                 }
             }
             ToCoord::Gather { part } => {
@@ -825,6 +833,15 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
     // checkpoint (with a no-progress backstop).
     co.settle(q, Ok(PairOutcome::Aborted));
     co.state.lock().settled[q] = true;
+}
+
+/// Pair `q` addressed a frame to a pair the job does not have. Dropping
+/// it would leave the real destination blocked until a watchdog fires
+/// (or for ever without one), so it ends the run with a typed error.
+fn no_such_pair(q: usize, what: &str, index: usize, n: usize) -> EngineError {
+    EngineError::Worker(format!(
+        "pair {q} sent {what} pair {index}, but the job has {n} pairs"
+    ))
 }
 
 /// Accepts and validates `n` worker connections for `generation`.
@@ -1204,4 +1221,132 @@ fn serve_inner<J: IterativeJob>(
     // Dropping the connection flushes and shuts the socket down: the
     // coordinator sees the outcome frame, then EOF.
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use imr_dfs::Dfs;
+    use imr_simcluster::ClusterSpec;
+
+    /// Runs one two-pair generation of the hub against scripted peer
+    /// sockets; pair 0 sends `rogue` right after the handshake. Returns
+    /// how the hub settled pair 0 once both peers have seen the poison
+    /// frame the settlement must put on the wire.
+    fn settle_after(rogue: ToCoord) -> Result<PairOutcome, EngineError> {
+        let n = 2;
+        let metrics: MetricsHandle = Arc::new(Metrics::default());
+        let dfs = Dfs::new(Arc::new(ClusterSpec::local(n)), Arc::clone(&metrics), 1);
+        let runner = NativeRunner::new(dfs, metrics);
+        let cfg = IterConfig::new("rogue", n, 4).with_tcp_transport();
+        let dirs = PairDirs {
+            state_dir: "/s".into(),
+            static_dir: "/t".into(),
+            output_dir: "/o".into(),
+        };
+        let plans = vec![
+            PairPlan {
+                kills: vec![],
+                hangs: vec![],
+                delays: vec![],
+                speed: 1.0,
+                crash_after: None,
+            };
+            n
+        ];
+        let assignment = [NodeId(0), NodeId(1)];
+        let seed_dist = vec![Vec::new(); n];
+        let gen = GenInput {
+            epoch: 0,
+            plans: &plans,
+            assignment: &assignment,
+            migrations_done: 0,
+            generation: 0,
+            started: Instant::now(),
+            seed_dist: &seed_dist,
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        // Both peers say hello before the hub starts accepting, so it
+        // never waits on the processes it spawns: those only have to
+        // exist, and `true` exits at once.
+        let spec = WorkerSpec::new("true", vec![]);
+        let mut peers: Vec<_> = (0..n)
+            .map(|pair| {
+                let sock = TcpStream::connect(&addr).unwrap();
+                // A regression must fail the test, not hang it.
+                sock.set_read_timeout(Some(Duration::from_secs(20)))
+                    .unwrap();
+                let mut writer = FrameWriter::new(sock.try_clone().unwrap()).unwrap();
+                let hello = ToCoord::Hello {
+                    pair,
+                    generation: 1,
+                    job: 0,
+                };
+                writer.write(&hello.to_bytes()).unwrap();
+                (FrameReader::new(sock), writer)
+            })
+            .collect();
+        let (runs, intervention) = thread::scope(|s| {
+            let hub = s.spawn(|| {
+                run_generation(
+                    &runner,
+                    &cfg,
+                    &spec,
+                    &pair_cfg(&cfg, n),
+                    &dirs,
+                    &listener,
+                    &addr,
+                    1,
+                    &plans,
+                    None,
+                    None,
+                    gen,
+                )
+            });
+            for (reader, _) in &mut peers {
+                reader.expect_preamble().unwrap();
+                let mut first = reader.read().unwrap();
+                assert!(matches!(
+                    ToWorker::decode(&mut first).unwrap(),
+                    ToWorker::Setup(_)
+                ));
+            }
+            peers[0].1.write(&rogue.to_bytes()).unwrap();
+            for (pair, (mut reader, _writer)) in peers.drain(..).enumerate() {
+                let mut frame = reader
+                    .read()
+                    .unwrap_or_else(|e| panic!("peer {pair} saw no poison after {rogue:?}: {e}"));
+                assert_eq!(ToWorker::decode(&mut frame).unwrap(), ToWorker::Poison);
+            }
+            hub.join().unwrap().unwrap()
+        });
+        assert!(intervention.is_none());
+        assert!(matches!(runs[1].outcome, Ok(PairOutcome::Aborted)));
+        runs.into_iter().next().unwrap().outcome
+    }
+
+    #[test]
+    fn a_pair_index_outside_the_job_is_a_typed_failure_not_a_silent_drop() {
+        let segment = ToCoord::Segment {
+            dest: 2,
+            payload: Bytes::from(vec![7u8; 16]),
+        };
+        for (rogue, message) in [
+            (
+                segment,
+                "pair 0 sent a segment for pair 2, but the job has 2 pairs",
+            ),
+            (
+                ToCoord::Credit { src: 9 },
+                "pair 0 sent a credit for pair 9, but the job has 2 pairs",
+            ),
+        ] {
+            match settle_after(rogue.clone()) {
+                Err(EngineError::Worker(got)) => assert_eq!(got, message),
+                other => panic!("{rogue:?} settled as {other:?}"),
+            }
+        }
+    }
 }

@@ -15,8 +15,15 @@
 //! in-flight segments per link is bounded exactly like the bounded
 //! crossbeam channel it replaces.
 //!
-//! Any reader-side error (EOF, truncation, a `Poison` frame) marks the
-//! connection poisoned and wakes every waiter; blocked operations then
+//! The own link — this pair's segment for its own reduce task — has
+//! both ends in this process, so it is the same queue under the same
+//! credit with no frames at all: `send(own)` pushes onto the queue the
+//! reader thread would have filled and `recv(own)` returns the credit
+//! itself. The coordinator only ever sees traffic between processes.
+//!
+//! Any reader-side error (EOF, truncation, a `Poison` frame, a segment
+//! or credit naming a pair the job does not have) marks the connection
+//! poisoned and wakes every waiter; blocked operations then
 //! fail with [`Closed`], which the pair loop surfaces as an aborted
 //! generation — the same cascade the thread backend gets from
 //! channel disconnects and the poisoned barrier.
@@ -62,6 +69,8 @@ struct ConnShared {
 
 /// A worker's persistent connection to the coordinator.
 pub struct WorkerConn {
+    /// The pair this process runs: the one link that has both ends here.
+    pair: usize,
     stream: TcpStream,
     writer: FrameWriter<BufWriter<TcpStream>>,
     shared: Arc<ConnShared>,
@@ -152,6 +161,7 @@ impl WorkerConn {
         let reader = std::thread::spawn(move || reader_loop(reader, reader_shared));
         Ok((
             WorkerConn {
+                pair,
                 stream,
                 writer,
                 shared,
@@ -304,14 +314,30 @@ impl Transport for WorkerConn {
                 None
             }
         })?;
+        if dest == self.pair {
+            // Producer and consumer are this process: the segment goes
+            // straight onto the queue the reader thread would have put
+            // it on, under the same credit.
+            self.lock().queues[dest].push_back(seg);
+            return Ok(());
+        }
         self.write(&ToCoord::Segment { dest, payload: seg })
     }
 
     fn recv(&mut self, src: usize) -> Result<Bytes, Closed> {
-        let seg = self.wait_until(|s| s.queues[src].pop_front())?;
-        // Tell the producer (via the coordinator) that a buffer slot
-        // freed up.
-        self.write(&ToCoord::Credit { src })?;
+        let own = src == self.pair;
+        let seg = self.wait_until(|s| {
+            let seg = s.queues[src].pop_front()?;
+            if own {
+                s.credits[src] += 1;
+            }
+            Some(seg)
+        })?;
+        if !own {
+            // Tell the producer (via the coordinator) that a buffer
+            // slot freed up.
+            self.write(&ToCoord::Credit { src })?;
+        }
         Ok(seg)
     }
 }
@@ -336,16 +362,17 @@ fn reader_loop(mut reader: FrameReader<TcpStream>, shared: Arc<ConnShared>) {
             .lock()
             .unwrap_or_else(|poison| poison.into_inner());
         match msg {
-            ToWorker::Segment { src, payload } => {
-                if src < state.queues.len() {
-                    state.queues[src].push_back(payload);
-                }
-            }
-            ToWorker::Credit { dest } => {
-                if dest < state.credits.len() {
-                    state.credits[dest] += 1;
-                }
-            }
+            // A pair index outside the job cannot be delivered, and
+            // dropping it would leave its consumer (or producer) waiting
+            // for ever: the connection is unusable.
+            ToWorker::Segment { src, payload } => match state.queues.get_mut(src) {
+                Some(queue) => queue.push_back(payload),
+                None => state.poisoned = true,
+            },
+            ToWorker::Credit { dest } => match state.credits.get_mut(dest) {
+                Some(credit) => *credit += 1,
+                None => state.poisoned = true,
+            },
             ToWorker::GatherAll { parts } => state.gathered = Some(parts),
             ToWorker::PartData { payload } => state.part = Some(Ok(payload)),
             ToWorker::PartErr { message } => state.part = Some(Err(message)),
@@ -371,4 +398,151 @@ fn reader_loop(mut reader: FrameReader<TcpStream>, shared: Arc<ConnShared>) {
     state.poisoned = true;
     drop(state);
     shared.cv.notify_all();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::sample_setup;
+    use std::net::TcpListener;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::thread;
+    use std::time::Duration;
+
+    /// The coordinator's half of a scripted connection.
+    struct Scripted {
+        reader: FrameReader<TcpStream>,
+        writer: FrameWriter<TcpStream>,
+    }
+
+    impl Scripted {
+        fn send(&mut self, msg: &ToWorker) {
+            self.writer.write(&msg.to_bytes()).unwrap();
+        }
+
+        /// The next frame the worker wrote, or `None` at a clean EOF.
+        fn next(&mut self) -> Option<ToCoord> {
+            match self.reader.read() {
+                Ok(mut frame) => Some(ToCoord::decode(&mut frame).unwrap()),
+                Err(NetError::Closed) => None,
+                Err(e) => panic!("scripted coordinator read failed: {e}"),
+            }
+        }
+    }
+
+    /// Connects a [`WorkerConn`] for `pair` of an `n`-pair job to an
+    /// in-process scripted coordinator, which has consumed the hello
+    /// and answered with the setup frame.
+    fn connect(pair: usize, n: usize, buffer: usize) -> (WorkerConn, Scripted) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let coordinator = thread::spawn(move || {
+            let (sock, _) = listener.accept().unwrap();
+            // A regression must fail the test, not hang it.
+            sock.set_read_timeout(Some(Duration::from_secs(20)))
+                .unwrap();
+            let mut reader = FrameReader::new(sock.try_clone().unwrap());
+            let mut writer = FrameWriter::new(sock).unwrap();
+            reader.expect_preamble().unwrap();
+            let mut hello = reader.read().unwrap();
+            assert_eq!(
+                ToCoord::decode(&mut hello).unwrap(),
+                ToCoord::Hello {
+                    pair,
+                    generation: 1,
+                    job: 0
+                }
+            );
+            let mut setup = sample_setup();
+            setup.cfg.n = n;
+            writer
+                .write(&ToWorker::Setup(Box::new(setup)).to_bytes())
+                .unwrap();
+            Scripted { reader, writer }
+        });
+        let (conn, setup) =
+            WorkerConn::connect_with_policy(addr, pair, 1, 0, buffer, &NetPolicy::default())
+                .unwrap();
+        assert_eq!(setup.cfg.n, n);
+        (conn, coordinator.join().unwrap())
+    }
+
+    fn seg(tag: u8) -> Bytes {
+        Bytes::from(vec![tag; 5])
+    }
+
+    #[test]
+    fn the_own_link_puts_no_frame_on_the_socket() {
+        let (own, peer) = (0, 1);
+        let (mut conn, mut coord) = connect(own, 2, 1);
+        // With one credit, each round only works if `recv` returned the
+        // credit `send` took — locally, since the coordinator is silent.
+        for round in 0..3 {
+            conn.send(own, seg(round)).unwrap();
+            assert_eq!(conn.recv(own).unwrap(), seg(round));
+        }
+        conn.send(peer, seg(9)).unwrap();
+        drop(conn);
+        assert_eq!(
+            coord.next(),
+            Some(ToCoord::Segment {
+                dest: peer,
+                payload: seg(9)
+            })
+        );
+        assert_eq!(coord.next(), None, "one frame after the hello, no more");
+    }
+
+    #[test]
+    fn the_own_link_is_fifo() {
+        let (mut conn, _coord) = connect(1, 2, 2);
+        conn.send(1, seg(1)).unwrap();
+        conn.send(1, seg(2)).unwrap();
+        assert_eq!(conn.recv(1).unwrap(), seg(1));
+        conn.send(1, seg(3)).unwrap();
+        assert_eq!(conn.recv(1).unwrap(), seg(2));
+        assert_eq!(conn.recv(1).unwrap(), seg(3));
+    }
+
+    #[test]
+    fn an_own_send_past_the_credit_blocks_until_poison_and_keeps_what_was_sent() {
+        let (mut conn, mut coord) = connect(0, 2, 1);
+        conn.send(0, seg(1)).unwrap();
+        let returned = AtomicBool::new(false);
+        thread::scope(|s| {
+            let blocked = s.spawn(|| {
+                let result = conn.send(0, seg(2));
+                returned.store(true, Ordering::Release);
+                result
+            });
+            thread::sleep(Duration::from_millis(100));
+            assert!(
+                !returned.load(Ordering::Acquire),
+                "a second un-received own send must wait for its credit"
+            );
+            coord.send(&ToWorker::Poison);
+            assert_eq!(blocked.join().unwrap(), Err(Closed));
+        });
+        // Drain-first: the segment that was sent is still delivered.
+        assert_eq!(conn.recv(0).unwrap(), seg(1));
+        assert_eq!(conn.recv(0), Err(Closed));
+    }
+
+    #[test]
+    fn a_pair_index_outside_the_job_poisons_the_connection() {
+        for rogue in [
+            ToWorker::Segment {
+                src: 2,
+                payload: seg(7),
+            },
+            ToWorker::Credit { dest: 2 },
+        ] {
+            let (mut conn, mut coord) = connect(0, 2, 1);
+            coord.send(&rogue);
+            // Nothing will ever arrive from pair 1: without the poison
+            // this waits for ever.
+            assert_eq!(conn.recv(1), Err(Closed), "after {rogue:?}");
+            assert!(conn.is_poisoned());
+        }
+    }
 }

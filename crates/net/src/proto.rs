@@ -534,6 +534,42 @@ impl Codec for ToWorker {
     }
 }
 
+/// A setup frame with every field away from its default, shared by
+/// this crate's unit tests.
+#[cfg(test)]
+pub(crate) fn sample_setup() -> WorkerSetup {
+    WorkerSetup {
+        job: 11,
+        epoch: 6,
+        observed: true,
+        cfg: PairCfg {
+            n: 4,
+            one2all: true,
+            sync: false,
+            threshold: Some(1e-9),
+            max_iters: 50,
+            checkpoint_interval: 5,
+            num_state_parts: 4,
+            accumulative: true,
+            delta_batch: 16,
+            check_every: 3,
+            incremental: true,
+        },
+        dirs: PairDirs {
+            state_dir: "/job/state".into(),
+            static_dir: "/job/static".into(),
+            output_dir: "/job/out".into(),
+        },
+        plan: PairPlan {
+            kills: vec![7],
+            hangs: vec![],
+            delays: vec![(3, 250)],
+            speed: 0.5,
+            crash_after: Some(9),
+        },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,39 +581,6 @@ mod tests {
         let decoded = T::decode(&mut buf).unwrap();
         assert!(buf.is_empty(), "trailing bytes after {decoded:?}");
         assert_eq!(decoded, msg);
-    }
-
-    fn sample_setup() -> WorkerSetup {
-        WorkerSetup {
-            job: 11,
-            epoch: 6,
-            observed: true,
-            cfg: PairCfg {
-                n: 4,
-                one2all: true,
-                sync: false,
-                threshold: Some(1e-9),
-                max_iters: 50,
-                checkpoint_interval: 5,
-                num_state_parts: 4,
-                accumulative: true,
-                delta_batch: 16,
-                check_every: 3,
-                incremental: true,
-            },
-            dirs: PairDirs {
-                state_dir: "/job/state".into(),
-                static_dir: "/job/static".into(),
-                output_dir: "/job/out".into(),
-            },
-            plan: PairPlan {
-                kills: vec![7],
-                hangs: vec![],
-                delays: vec![(3, 250)],
-                speed: 0.5,
-                crash_after: Some(9),
-            },
-        }
     }
 
     #[test]

@@ -349,13 +349,17 @@ impl<A: Codec, B: Codec, C: Codec> Codec for (A, B, C) {
     }
 }
 
-/// Encodes a slice of key/value pairs into one contiguous segment.
-pub fn encode_pairs<K: Codec, V: Codec>(pairs: &[(K, V)]) -> Bytes {
-    let total: usize = pairs
+/// The length of [`encode_pairs`]`(pairs)`, without encoding anything.
+pub fn pairs_encoded_len<K: Codec, V: Codec>(pairs: &[(K, V)]) -> usize {
+    pairs
         .iter()
         .map(|(k, v)| k.encoded_len() + v.encoded_len())
-        .sum();
-    let mut buf = BytesMut::with_capacity(total);
+        .sum()
+}
+
+/// Encodes a slice of key/value pairs into one contiguous segment.
+pub fn encode_pairs<K: Codec, V: Codec>(pairs: &[(K, V)]) -> Bytes {
+    let mut buf = BytesMut::with_capacity(pairs_encoded_len(pairs));
     for (k, v) in pairs {
         k.encode(&mut buf);
         v.encode(&mut buf);

@@ -25,7 +25,9 @@ mod partition;
 mod shuffle;
 mod sorted;
 
-pub use codec::{decode_pairs, encode_pairs, Codec, CodecError, CodecResult, Key, Value};
+pub use codec::{
+    decode_pairs, encode_pairs, pairs_encoded_len, Codec, CodecError, CodecResult, Key, Value,
+};
 pub use partition::{Fnv1a, HashPartitioner, ModPartitioner, PairPartitioner, Partitioner};
 pub use shuffle::{shuffle_in, shuffle_out, ShuffleCost, ShuffleOut};
 pub use sorted::{group_sorted, is_sorted_by_key, merge_runs, sort_run};
@@ -46,6 +48,14 @@ mod proptests {
                 prop_assert_eq!(a.0, b.0);
                 prop_assert!(a.1 == b.1 || (a.1.is_nan() && b.1.is_nan()));
             }
+        }
+
+        /// Counting a segment's bytes agrees with encoding it, for
+        /// variable-width keys and values.
+        #[test]
+        fn pairs_encoded_len_is_the_encoded_length(pairs in proptest::collection::vec(
+            (any::<u64>(), proptest::collection::vec(any::<u16>(), 0..6)), 0..100)) {
+            prop_assert_eq!(pairs_encoded_len(&pairs), encode_pairs(&pairs).len());
         }
 
         /// Merging sorted runs yields a sorted permutation of the input.

@@ -9,7 +9,8 @@
 #   ./verify.sh lint       # clippy, warnings denied
 #   ./verify.sh build      # release build of the whole workspace
 #   ./verify.sh test       # debug test suite + release cross-engine suite
-#   ./verify.sh bench      # smoke-run every experiment binary at tiny size
+#   ./verify.sh bench      # smoke-run every experiment binary at tiny size,
+#                          # then benchmark/run.sh --quick (must be correct)
 #   ./verify.sh drift      # verify.sh subcommands <-> CI jobs bijection,
 #                          # wire enums <-> DESIGN.md §8 message table, and
 #                          # every IterConfig builder has a caller
@@ -18,7 +19,8 @@
 #
 # Performance is not judged here: `benchmark/run.sh` (declared in
 # BENCHMARK.json) is the perf baseline; `bench` only proves the
-# experiment binaries still run and emit well-formed artifacts.
+# experiment binaries still run and emit well-formed artifacts, and that
+# the benchmark itself still builds, runs and verifies its outputs.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -153,6 +155,16 @@ cmd_bench() {
   [ "$n" -ge "${#bins[@]}" ] \
     || { echo "bench-smoke: expected >=${#bins[@]} artifacts, got $n" >&2; exit 1; }
   echo "bench-smoke: $n artifacts, all keys present"
+  # The benchmark the perf gate runs (BENCHMARK.json), at smoke size: a
+  # change that breaks the surface benchmark/src/adapter.rs pins, a
+  # workload's self-check or a cross-engine state digest fails here
+  # instead of at the gate. The last stdout line is the suite's result.
+  local result
+  result=$(timeout 900 bash benchmark/run.sh --quick 2> "$out/benchmark.log" | tail -n 1) \
+    || { echo "bench-smoke: benchmark/run.sh --quick failed" >&2; tail -n 20 "$out/benchmark.log" >&2; exit 1; }
+  jq -e '.correct == true and .digests_equal == true' <<< "$result" > /dev/null \
+    || { echo "bench-smoke: benchmark/run.sh --quick: not correct / digests differ: $result" >&2; exit 1; }
+  echo "bench-smoke: benchmark/run.sh --quick correct, digests equal"
 }
 
 smoke_observe() {
