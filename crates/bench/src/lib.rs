@@ -1,12 +1,15 @@
 //! # imr-bench — the experiment harness
 //!
 //! One binary per table/figure of the paper (`table1`, `table2`,
-//! `fig4` … `fig14`, `fig16`, `fig18`, `fig20`, and `all`). Each prints
-//! the paper-style series, annotates measured-vs-paper ratios, and
-//! drops a JSON artifact under `results/`.
+//! `fig4` … `fig14`, `fig16`, `fig18`, `fig20`, and `all`), plus
+//! `ablation` and `trace_timeline`. Each prints the paper-style series,
+//! annotates measured-vs-paper ratios, and drops a JSON artifact under
+//! `results/`.
 //!
 //! Everything runs on the deterministic virtual-time cluster; real
-//! seconds on the host are unrelated to the reported virtual seconds.
+//! seconds on the host are unrelated to the reported virtual seconds
+//! and are measured elsewhere — by `benchmark/` at the repository root,
+//! and only there.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,8 +1,8 @@
-//! Repetition hygiene for shared metrics registries (regression for
-//! the `native_recovery` binary, which reuses one runner across its
-//! whole sweep): without `Metrics::reset_all` between repetitions the
-//! fault counters accumulate and every repetition after the first
-//! reports inflated numbers.
+//! Repetition hygiene for shared metrics registries (regression for a
+//! harness that reuses one runner across its whole sweep): without
+//! `Metrics::reset_all` between repetitions the fault counters
+//! accumulate and every repetition after the first reports inflated
+//! numbers.
 
 use imapreduce::{FailureEvent, IterConfig};
 use imr_algorithms::pagerank::{self, PageRankIter};

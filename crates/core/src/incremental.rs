@@ -207,7 +207,8 @@ pub trait Incremental: Accumulative<K = u32> {
 
     /// The `⊕`-inverse of a delta, when `⊕` is a group operation
     /// (`Some(-d)` for `+`), or `None` for idempotent lattices (min).
-    /// Must be `Some` for all deltas or `None` for all deltas.
+    /// Must be `Some` for all deltas or `None` for all deltas; a job
+    /// that mixes them gets an error from [`plan_incremental`].
     fn invert(&self, delta: &Self::S) -> Option<Self::S>;
 
     /// Bitwise / semantic equality of two state values. Provided as a
@@ -262,6 +263,8 @@ fn patch_one<J: Incremental>(
     key: u32,
     op: &GraphDeltaOp,
 ) -> PatchEffect {
+    // Unreachable: every caller passes a key it just found in `statics`
+    // (the RemoveNode in-edge scan, the `contains_key(&src)` guards).
     let stat = statics.get_mut(&key).expect("patch target must exist");
     if !out.inserted.contains(&key) && !out.old_statics.contains_key(&key) {
         out.old_statics.insert(key, stat.clone());
@@ -320,6 +323,8 @@ pub fn apply_delta<J: Incremental>(
                         out.worsening_ops += 1;
                     }
                 }
+                // Unreachable: `contains_key(&node)` held on entry to this
+                // arm and the patches above touch other keys only.
                 let stat = statics.remove(&node).expect("checked above");
                 if out.inserted.remove(&node) {
                     // Inserted and removed within the same delta: the
@@ -381,6 +386,27 @@ fn extract_with<J: Incremental>(job: &J, stat: &J::T, k: u32, v: &J::S) -> Vec<(
     em.into_pairs()
 }
 
+// Push the ⊕-inverse of every delta key `k` emitted from `stat` at
+// value `v`: the retraction of a changed or removed row under group ⊕.
+fn retract<J: Incremental>(
+    job: &J,
+    stat: &J::T,
+    k: u32,
+    v: &J::S,
+    out: &mut Vec<(u32, J::S)>,
+) -> Result<(), String> {
+    for (t, d) in extract_with(job, stat, k, v) {
+        let inv = job.invert(&d).ok_or_else(|| {
+            format!(
+                "Incremental::invert is Some for the identity but None for a delta \
+                 key {k} emits to key {t}: it must be Some for all deltas or None for all"
+            )
+        })?;
+        out.push((t, inv));
+    }
+    Ok(())
+}
+
 /// Compute the affected-key warm-start plan for re-converging from a
 /// previous fixpoint after `delta` mutates the graph.
 ///
@@ -434,16 +460,14 @@ pub fn plan_incremental<J: Incremental>(
         // Group ⊕: inject (new emissions − old emissions) per changed
         // row; retract removed rows entirely.
         for (u, old_stat) in &applied.old_statics {
+            // Unreachable: `old_statics` only holds keys that pre-date the
+            // delta (in `values` by the co-keyed check above), and
+            // RemoveNode strips a key from it, so `values` still has `u`.
             let v = values
                 .get(u)
                 .or_else(|| removed_values.get(u))
                 .expect("changed key has a previous value");
-            for (t, d) in extract_with(job, old_stat, *u, v) {
-                let inv = job
-                    .invert(&d)
-                    .expect("invertible job must invert every delta");
-                emissions.push((t, inv));
-            }
+            retract(job, old_stat, *u, v, &mut emissions)?;
             if values.contains_key(u) {
                 emissions.extend(extract_with(job, &statics[u], *u, v));
             }
@@ -452,13 +476,7 @@ pub fn plan_incremental<J: Incremental>(
             if applied.old_statics.contains_key(r) {
                 continue; // already retracted above
             }
-            let v = &removed_values[r];
-            for (t, d) in extract_with(job, old_stat, *r, v) {
-                let inv = job
-                    .invert(&d)
-                    .expect("invertible job must invert every delta");
-                emissions.push((t, inv));
-            }
+            retract(job, old_stat, *r, &removed_values[r], &mut emissions)?;
         }
     } else {
         // Idempotent min-like ⊕: deltas cannot be retracted. Reset any
@@ -473,6 +491,7 @@ pub fn plan_incremental<J: Incremental>(
         // Seeds from changed rows: old emissions that witnessed the
         // target and are no longer reproduced by the new row.
         for (u, old_stat) in &applied.old_statics {
+            // Unreachable, as in the invertible arm above.
             let v = values
                 .get(u)
                 .or_else(|| removed_values.get(u))
@@ -813,8 +832,13 @@ mod tests {
     }
 
     /// Toy invertible job: each node forwards half its delta along
-    /// each out-edge; ⊕ = +.
-    struct ToySum;
+    /// each out-edge; ⊕ = +. With `inverts_identity_only` it breaks the
+    /// [`Incremental::invert`] contract: `Some` for the identity, `None`
+    /// for every other delta.
+    #[derive(Default)]
+    struct ToySum {
+        inverts_identity_only: bool,
+    }
 
     impl IterativeJob for ToySum {
         type K = u32;
@@ -889,7 +913,7 @@ mod tests {
             stat.clone()
         }
         fn invert(&self, delta: &f64) -> Option<f64> {
-            Some(-delta)
+            (!self.inverts_identity_only || *delta == 0.0).then_some(-delta)
         }
         fn state_eq(&self, a: &f64, b: &f64) -> bool {
             a == b
@@ -1124,7 +1148,7 @@ mod tests {
 
     #[test]
     fn invertible_plan_injects_signed_corrections() {
-        let job = ToySum;
+        let job = ToySum::default();
         let statics: Vec<(u32, Vec<u32>)> = vec![(0, vec![1, 2]), (1, vec![2]), (2, vec![])];
         let values: Vec<(u32, f64)> = vec![(0, 1.0), (1, 1.25), (2, 1.875)];
         let mut delta = GraphDelta::new();
@@ -1142,6 +1166,25 @@ mod tests {
         // Values are kept.
         assert_eq!(entry(1).0, 1.25);
         assert_eq!(entry(2).0, 1.875);
+    }
+
+    #[test]
+    fn plan_rejects_a_job_that_inverts_only_the_identity() {
+        let job = ToySum {
+            inverts_identity_only: true,
+        };
+        let statics: Vec<(u32, Vec<u32>)> = vec![(0, vec![1, 2]), (1, vec![2]), (2, vec![])];
+        let values: Vec<(u32, f64)> = vec![(0, 1.0), (1, 1.25), (2, 1.875)];
+        // Key 0's old emissions are retracted as a changed row by the
+        // first delta and as a removed row by the second.
+        for delta in [
+            GraphDelta::new().remove_edge(0, 2).clone(),
+            GraphDelta::new().remove_node(0).clone(),
+        ] {
+            let err = plan_incremental(&job, &values, &statics, &delta, 1).unwrap_err();
+            assert!(err.contains("Incremental::invert"), "{err}");
+            assert!(err.contains("key 0 emits to key 1"), "{err}");
+        }
     }
 
     #[test]

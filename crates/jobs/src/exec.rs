@@ -84,9 +84,10 @@ impl Codec for ResultRecord {
     }
 }
 
-/// Each key's state is halved every iteration — the deterministic
-/// micro-job (same computation the `imr-worker` catalog resolves for
-/// `"halve"`, so TCP-engine jobs agree with the coordinator).
+/// Each key's state is halved every iteration; the distance is the
+/// summed absolute change. The deterministic micro-job — the
+/// `imr-worker` catalog resolves `"halve"` to this same type, so
+/// TCP-engine jobs agree with the coordinator.
 pub struct Halve;
 
 impl IterativeJob for Halve {

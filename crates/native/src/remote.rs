@@ -288,26 +288,6 @@ impl NativeRunner {
             .filter(|c| c.is_active())
             .map(|c| ChaosState::new(c.budget));
 
-        // Optional live exposition endpoint: with telemetry attached
-        // and `IMR_TELEMETRY_ADDR` set, serve this run's registry over
-        // HTTP for the duration of the run. A failed bind only costs
-        // the endpoint — telemetry is never fatal.
-        let _tel_server = match (
-            std::env::var("IMR_TELEMETRY_ADDR"),
-            self.observer.telemetry(),
-        ) {
-            (Ok(addr), Some(tel)) if !addr.is_empty() => {
-                let tel = Arc::clone(tel);
-                let job_id = spec.job;
-                let provider: imr_telemetry::Provider =
-                    Arc::new(move || imr_telemetry::Exposition {
-                        jobs: vec![imr_telemetry::JobStats::from_telemetry(job_id, &tel)],
-                    });
-                imr_telemetry::TelemetryServer::start(&addr, provider).ok()
-            }
-            _ => None,
-        };
-
         let mut generation_no: u64 = 0;
         let mut crash_pending = spec.crash;
         let mut run_gen =

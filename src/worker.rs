@@ -4,8 +4,8 @@
 //! map/reduce pair; each process must resolve the *same* job the
 //! coordinator is running from its argv and call
 //! [`imr_native::serve_worker`]. This module is that resolution step,
-//! shared by the `imr-worker` binary, the integration tests and the
-//! transport bench so they all speak the same catalog.
+//! shared by the `imr-worker` binary and the integration tests, so they
+//! all speak the same catalog.
 //!
 //! Worker argv: `<addr> <pair> <generation> <job-id> <job> [params...]`
 //! where `<job-id>` is the coordinator's numeric job tag (0 outside the
@@ -22,35 +22,13 @@
 //! runs them in either the map/reduce loop or the barrier-free delta
 //! loop — the coordinator's setup frame picks the mode.
 
-use imapreduce::{Emitter, IterativeJob, StateInput};
 use imr_algorithms::concomp::ConCompIter;
 use imr_algorithms::kmeans::KmeansIter;
 use imr_algorithms::pagerank::PageRankIter;
 use imr_algorithms::sssp::SsspIter;
 use imr_native::{serve_worker, serve_worker_accum};
 
-/// Each key's state is halved every iteration; the distance is the
-/// summed absolute change. A minimal deterministic job for exercising
-/// the transports themselves.
-pub struct Halve;
-
-impl IterativeJob for Halve {
-    type K = u32;
-    type S = f64;
-    type T = ();
-
-    fn map(&self, k: &u32, s: StateInput<'_, u32, f64>, _t: &(), out: &mut Emitter<u32, f64>) {
-        out.emit(*k, s.one() / 2.0);
-    }
-
-    fn reduce(&self, _k: &u32, values: Vec<f64>) -> f64 {
-        values.into_iter().sum()
-    }
-
-    fn distance(&self, _k: &u32, prev: &f64, cur: &f64) -> f64 {
-        (prev - cur).abs()
-    }
-}
+pub use imr_jobs::Halve;
 
 /// Parses worker argv
 /// (`<addr> <pair> <generation> <job-id> <job> [params...]`), resolves

@@ -8,6 +8,7 @@
 //! through the shared checkpoint/rollback supervisor to a bit-identical
 //! outcome.
 
+use imapreduce::IterOutcome;
 use imapreduce::{EngineError, FaultEvent, GraphDelta, IterConfig, IterEngine, PatchStats};
 use imr_algorithms::concomp::ConCompIter;
 use imr_algorithms::incremental::{
@@ -19,6 +20,7 @@ use imr_algorithms::sssp::SsspInc;
 use imr_algorithms::testutil::{imr_runner, native_runner};
 use imr_graph::dataset;
 use imr_native::WorkerSpec;
+use imr_simcluster::MetricsSnapshot;
 use imr_simcluster::NodeId;
 use std::collections::BTreeMap;
 
@@ -98,6 +100,15 @@ fn sssp_delta(
     delta
 }
 
+/// The work one accumulative run did on the sim, in the two counts that
+/// repeat exactly: `(termination-check epochs, delta pairs sent)`. The
+/// runner's registry is cumulative, so the deltas are the difference to
+/// the snapshot taken `before` the run (the default for a fresh runner).
+fn work<S>(outcome: &IterOutcome<u32, S>, before: &MetricsSnapshot) -> (usize, u64) {
+    let sent = outcome.report.metrics.delta(before).deltas_sent;
+    (outcome.iterations, sent)
+}
+
 /// SSSP: all three engines produce the same incremental fixpoint, the
 /// same patch stats, and exactly the cold recompute on the mutated
 /// graph.
@@ -114,6 +125,7 @@ fn incremental_sssp_equivalent_across_engines_and_to_cold() {
     let sim = imr_runner(3);
     let (cold0, fix) = converge_and_preserve(&sim, &job, &base, &cfg, "/i").unwrap();
     let delta = sssp_delta(&base, &cold0.final_state, source, g.num_nodes() as u32);
+    let before = sim.metrics().snapshot();
     let a = run_incremental_ns(&sim, &job, &cfg, &fix, "/i", &delta).unwrap();
 
     let nat = native_runner(3);
@@ -148,6 +160,12 @@ fn incremental_sssp_equivalent_across_engines_and_to_cold() {
     let patched = patched_statics(&job, &base, &delta).unwrap();
     let cold = converge_cold(&imr_runner(3), &job, &patched, &cfg, "/cold").unwrap();
     assert_eq!(a.outcome.final_state, cold.final_state);
+
+    // Re-converging from the preserved fixpoint is less work than
+    // recomputing: fewer check epochs and fewer deltas shuffled.
+    let warm = work(&a.outcome, &before);
+    let cold = work(&cold, &MetricsSnapshot::default());
+    assert!(warm.0 < cold.0 && warm.1 < cold.1, "{warm:?} vs {cold:?}");
 }
 
 /// PageRank (invertible ⊕): engines agree bit-for-bit with each other;
@@ -173,6 +191,7 @@ fn incremental_pagerank_equivalent_across_engines_and_to_cold() {
 
     let sim = imr_runner(3);
     let (_, fix) = converge_and_preserve(&sim, &job, &base, &cfg, "/i").unwrap();
+    let before = sim.metrics().snapshot();
     let a = run_incremental_ns(&sim, &job, &cfg, &fix, "/i", &delta).unwrap();
 
     let nat = native_runner(3);
@@ -211,6 +230,11 @@ fn incremental_pagerank_equivalent_across_engines_and_to_cold() {
     let cold = converge_cold(&imr_runner(3), &job, &patched, &cfg, "/cold").unwrap();
     let gap = max_abs_diff(&a.outcome.final_state, &cold.final_state);
     assert!(gap < 1e-8, "incremental vs cold gap {gap}");
+
+    // Injecting the corrections is less work than recomputing.
+    let warm = work(&a.outcome, &before);
+    let cold = work(&cold, &MetricsSnapshot::default());
+    assert!(warm.0 < cold.0 && warm.1 < cold.1, "{warm:?} vs {cold:?}");
 }
 
 /// Connected components: a component split (edge removal) plus a merge
@@ -234,6 +258,7 @@ fn incremental_concomp_equivalent_across_engines_and_to_cold() {
 
     let sim = imr_runner(3);
     let (_, fix) = converge_and_preserve(&sim, &job, &base, &cfg, "/i").unwrap();
+    let before = sim.metrics().snapshot();
     let a = run_incremental_ns(&sim, &job, &cfg, &fix, "/i", &delta).unwrap();
 
     let nat = native_runner(3);
@@ -266,6 +291,12 @@ fn incremental_concomp_equivalent_across_engines_and_to_cold() {
     let patched = patched_statics(&job, &base, &delta).unwrap();
     let cold = converge_cold(&imr_runner(3), &job, &patched, &cfg, "/cold").unwrap();
     assert_eq!(a.outcome.final_state, cold.final_state);
+
+    // This delta splits a component, so nearly every key is reset and
+    // the warm run has almost the cold run's work to do — but never more.
+    let warm = work(&a.outcome, &before);
+    let cold = work(&cold, &MetricsSnapshot::default());
+    assert!(warm.0 <= cold.0 && warm.1 <= cold.1, "{warm:?} vs {cold:?}");
 }
 
 /// A worsening delta big enough that the incremental run does real

@@ -2,6 +2,9 @@
 //! mode, each telemetry phase histogram holds exactly the trace spans
 //! `imapreduce::phase_of` maps to it — same count, same summed
 //! duration — because both are fed from the same emitted event.
+//!
+//! And the stream stays small: a pair emits a fixed handful of events
+//! per iteration, the same number on every engine.
 
 use imapreduce::{phase_of, IterConfig, IterativeJob};
 use imr_algorithms::kmeans::{self, KmeansIter};
@@ -12,6 +15,7 @@ use imr_graph::{dataset, generate_points};
 use imr_native::{NativeRunner, WorkerSpec};
 use imr_telemetry::{Phase, Telemetry, TelemetryHandle, PHASES};
 use imr_trace::{TraceBuffer, TraceHandle};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A fresh trace ring and telemetry registry for one run.
@@ -51,6 +55,24 @@ fn assert_hists_are_the_spans(
     }
 }
 
+/// The event budget: how many events one pair emits for one iteration,
+/// as the set of distinct per-(pair, iteration) counts in the run — a
+/// map/reduce iteration is `IterStart`, map, reduce, hand-off, barrier
+/// wait, `IterEnd` (6); a delta round has no barrier (5); either gains
+/// one `Checkpoint` span when it writes one. This is "cheap enough to
+/// leave on" in a form that can fail: the counts repeat exactly on every
+/// engine, whereas a wall-clock overhead ratio at this scale resolves
+/// nothing. A span per record or per segment instead of per phase, or
+/// an event outside any pair's iteration, changes the set.
+fn assert_event_budget(label: &str, trace: &TraceHandle, budget: &[usize]) {
+    let mut emitted: BTreeMap<(u32, u32), usize> = BTreeMap::new();
+    for e in trace.snapshot() {
+        *emitted.entry((e.task, e.iteration)).or_default() += 1;
+    }
+    let counts: BTreeSet<usize> = emitted.into_values().collect();
+    assert_eq!(counts, budget.iter().copied().collect(), "{label}: budget");
+}
+
 /// Runs `job` from `/s`, `/t` over worker processes with both sinks
 /// attached to the coordinator.
 fn run_tcp<J: IterativeJob>(tcp: &NativeRunner, job: &J, job_args: &[&str], cfg: &IterConfig) {
@@ -86,6 +108,7 @@ fn sync_one2one_with_checkpoints() {
         .with_telemetry(Arc::clone(&tel));
     sssp::run_sssp_imr(&sim, &g, 0, &cfg).unwrap();
     assert_hists_are_the_spans("sim", &trace, &tel, &all);
+    assert_event_budget("sim", &trace, &[6, 7]);
 
     let (trace, tel) = sinks();
     let chan = native_runner(4)
@@ -93,6 +116,7 @@ fn sync_one2one_with_checkpoints() {
         .with_telemetry(Arc::clone(&tel));
     sssp::run_sssp_imr(&chan, &g, 0, &cfg).unwrap();
     assert_hists_are_the_spans("threads", &trace, &tel, &all);
+    assert_event_budget("threads", &trace, &[6, 7]);
 
     let (trace, tel) = sinks();
     let tcp = native_runner(4)
@@ -101,6 +125,7 @@ fn sync_one2one_with_checkpoints() {
     sssp::load_sssp_imr(&tcp, &g, 0, 4, "/s", "/t").unwrap();
     run_tcp(&tcp, &SsspIter, &["sssp"], &cfg);
     assert_hists_are_the_spans("tcp", &trace, &tel, &all);
+    assert_event_budget("tcp", &trace, &[6, 7]);
 }
 
 /// K-means: one2all broadcast (so the hand-off span is `Broadcast`),
@@ -122,6 +147,7 @@ fn one2all_broadcast() {
         .with_telemetry(Arc::clone(&tel));
     kmeans::run_kmeans_imr(&sim, &points, 3, &cfg, false).unwrap();
     assert_hists_are_the_spans("sim", &trace, &tel, &expected);
+    assert_event_budget("sim", &trace, &[6]);
 
     let (trace, tel) = sinks();
     let chan = native_runner(4)
@@ -129,6 +155,7 @@ fn one2all_broadcast() {
         .with_telemetry(Arc::clone(&tel));
     kmeans::run_kmeans_imr(&chan, &points, 3, &cfg, false).unwrap();
     assert_hists_are_the_spans("threads", &trace, &tel, &expected);
+    assert_event_budget("threads", &trace, &[6]);
 
     let (trace, tel) = sinks();
     let tcp = native_runner(4)
@@ -142,6 +169,7 @@ fn one2all_broadcast() {
         &cfg,
     );
     assert_hists_are_the_spans("tcp", &trace, &tel, &expected);
+    assert_event_budget("tcp", &trace, &[6]);
 }
 
 /// Delta-accumulative PageRank: the round's two halves (`DeltaRound`,
@@ -164,6 +192,7 @@ fn delta_mode() {
         .with_telemetry(Arc::clone(&tel));
     pagerank::run_pagerank_delta(&sim, &g, &cfg).unwrap();
     assert_hists_are_the_spans("sim", &trace, &tel, &expected);
+    assert_event_budget("sim", &trace, &[5, 6]);
 
     let (trace, tel) = sinks();
     let chan = native_runner(4)
@@ -171,6 +200,7 @@ fn delta_mode() {
         .with_telemetry(Arc::clone(&tel));
     pagerank::run_pagerank_delta(&chan, &g, &cfg).unwrap();
     assert_hists_are_the_spans("threads", &trace, &tel, &expected);
+    assert_event_budget("threads", &trace, &[5, 6]);
 
     let (trace, tel) = sinks();
     let tcp = native_runner(4)
@@ -179,6 +209,7 @@ fn delta_mode() {
     pagerank::load_pagerank_imr(&tcp, &g, 4, "/s", "/t").unwrap();
     run_tcp(&tcp, &job, &["pagerank", &nodes], &cfg);
     assert_hists_are_the_spans("tcp", &trace, &tel, &expected);
+    assert_event_budget("tcp", &trace, &[5, 6]);
 }
 
 /// The counters the pair loop (and the kernel under it) increments on

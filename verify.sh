@@ -12,8 +12,9 @@
 #   ./verify.sh bench      # smoke-run every experiment binary at tiny size,
 #                          # then benchmark/run.sh --quick (must be correct)
 #   ./verify.sh drift      # verify.sh subcommands <-> CI jobs bijection,
-#                          # wire enums <-> DESIGN.md §8 message table, and
-#                          # every IterConfig builder has a caller
+#                          # wire enums <-> DESIGN.md §8 message table,
+#                          # every IterConfig builder has a caller, and
+#                          # bench bins <-> BENCH_BINS <-> results/*.json
 #   ./verify.sh <suite>    # one row group of the SUITES table: faults,
 #                          # observe, service, delta, chaos, incremental
 #
@@ -112,6 +113,15 @@ run_suite() {
   echo "$name: suites passed"
 }
 
+# The experiment binaries `bench` smoke-runs: everything under
+# crates/bench/src/bin except `all` (the same figures again) and
+# `trace_timeline` (smoked by `observe`). `drift` holds this list, that
+# directory and the committed results/ to each other.
+BENCH_BINS=(
+  table1 table2 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
+  fig13 fig14 fig16 fig18 fig20 ablation
+)
+
 # Smoke-run each experiment binary at tiny scale into a scratch
 # directory, then check every emitted results/*.json carries the keys
 # the plotting/readme tooling relies on.
@@ -123,23 +133,10 @@ cmd_bench() {
   # The RETURN trap would fire again for the caller's return (where the
   # local is gone), so it removes itself after cleaning up.
   trap 'rm -rf "${out:-}"; trap - RETURN' RETURN
-  local bins=(
-    table1 table2 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-    fig13 fig14 fig16 fig18 fig20 ablation
-    native_scaling native_recovery native_balance native_transport
-    native_delta native_chaos native_incremental jobs_throughput
-  )
-  local flags
-  for bin in "${bins[@]}"; do
+  local bin
+  for bin in "${BENCH_BINS[@]}"; do
     echo "bench-smoke: $bin"
-    case "$bin" in
-      # The balancer asserts an observed migration, which needs enough
-      # compute per iteration to register on the busy EWMA; run it at
-      # its default size instead of the tiny smoke size.
-      native_balance) flags=(--scale 0.02 --iters 12) ;;
-      *) flags=(--scale 0.002 --iters 2) ;;
-    esac
-    timeout 600 "target/release/$bin" "${flags[@]}" --out "$out" > /dev/null
+    timeout 600 "target/release/$bin" --scale 0.002 --iters 2 --out "$out" > /dev/null
   done
   local n=0
   for json in "$out"/results/*.json; do
@@ -152,8 +149,8 @@ cmd_bench() {
         || { echo "bench-smoke: $json is missing $key" >&2; exit 1; }
     done
   done
-  [ "$n" -ge "${#bins[@]}" ] \
-    || { echo "bench-smoke: expected >=${#bins[@]} artifacts, got $n" >&2; exit 1; }
+  [ "$n" -ge "${#BENCH_BINS[@]}" ] \
+    || { echo "bench-smoke: expected >=${#BENCH_BINS[@]} artifacts, got $n" >&2; exit 1; }
   echo "bench-smoke: $n artifacts, all keys present"
   # The benchmark the perf gate runs (BENCHMARK.json), at smoke size: a
   # change that breaks the surface benchmark/src/adapter.rs pins, a
@@ -200,19 +197,21 @@ smoke_service() {
   timeout 600 target/release/imr-jobs submit > /dev/null
 }
 
-# A live exposition smoke: a 20-job jobs_throughput batch runs with the
-# embedded HTTP endpoint enabled while curl scrapes /metrics (the
-# Prometheus text must parse and carry the expected families) and
-# imr-stat renders one snapshot from the same endpoint.
+# A live exposition smoke: a job-service session (the invocation README
+# "Watching live jobs" documents; the batch is sized by scale alone to
+# stay live for a few seconds) runs with the embedded HTTP endpoint
+# enabled while curl scrapes /metrics (the Prometheus text must parse
+# and carry the expected families) and imr-stat renders one snapshot
+# from the same endpoint.
 exposition_smoke() {
-  cargo build --release -p imr-bench --bin jobs_throughput
-  cargo build --release --bin imr-stat
+  cargo build --release --bin imr-jobs --bin imr-worker --bin imr-stat
   local out addr bg ok i fam
   out=$(mktemp -d)
   trap 'rm -rf "${out:-}"; trap - RETURN' RETURN
   addr="127.0.0.1:9642"
-  IMR_TELEMETRY_ADDR="$addr" timeout 600 target/release/jobs_throughput \
-    --scale 0.8333 --iters 2500 --out "$out" > "$out/jobs.log" 2>&1 &
+  IMR_TELEMETRY_ADDR="$addr" timeout 600 target/release/imr-jobs submit \
+    halve:threads:1500000 pagerank:threads:150000 sssp:sim:150000 halve:tcp:24 \
+    halve:threads:1500000 pagerank:sim:150000 > "$out/jobs.log" 2>&1 &
   bg=$!
   ok=""
   for i in $(seq 1 600); do
@@ -225,7 +224,7 @@ exposition_smoke() {
     sleep 0.05
   done
   wait "$bg" \
-    || { echo "telemetry: jobs_throughput failed" >&2; cat "$out/jobs.log" >&2; exit 1; }
+    || { echo "telemetry: imr-jobs submit failed" >&2; cat "$out/jobs.log" >&2; exit 1; }
   [ -n "$ok" ] \
     || { echo "telemetry: no scrape landed while the batch was live" >&2; exit 1; }
   for fam in imr_samples_total imr_iteration imr_iteration_rate imr_queue_len \
@@ -258,6 +257,9 @@ exposition_smoke() {
 # And the configuration surface: every `pub fn with_*` builder on
 # `IterConfig` must be called somewhere outside the file that declares
 # it — a knob nothing sets is one value in use, i.e. a constant.
+# And the measurement surface: `bench` smoke-runs exactly the bins that
+# exist, and results/ holds only what those bins (and `all`'s jacobi
+# extra) emit — virtual-time artifacts; wall-clock belongs to benchmark/.
 # Cheap on purpose — no cargo involved — so CI runs it on every push.
 wire_variants() {
   awk -v open="pub enum $1 {" '$0 == open { f = 1; next } f && /^}/ { f = 0 } f' \
@@ -294,6 +296,18 @@ cmd_drift() {
     fi
   done
   echo "drift: all $knobs IterConfig builders have a caller outside $config"
+
+  local listed stray
+  listed=$(printf '%s\n' "${BENCH_BINS[@]}" | sort)
+  if ! diff <(echo "$listed") \
+    <(ls crates/bench/src/bin | sed 's/\.rs$//' | grep -vx -e all -e trace_timeline | sort) >&2; then
+    echo "drift: BENCH_BINS (left) and crates/bench/src/bin (right) differ" >&2
+    exit 1
+  fi
+  stray=$(ls results | sed 's/\.json$//' | grep -vxF -e jacobi -e "$listed" || true)
+  [ -z "$stray" ] \
+    || { echo "drift: results/ holds artifacts no kept bin emits: $(paste -sd' ' <<< "$stray")" >&2; exit 1; }
+  echo "drift: bench smoke-runs all ${#BENCH_BINS[@]} experiment bins; results/ holds only their artifacts"
 
   local subs jobs
   subs=$({
