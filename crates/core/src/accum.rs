@@ -23,7 +23,9 @@
 use crate::api::{Emitter, IterativeJob};
 use bytes::Bytes;
 use imr_mapreduce::EngineError;
-use imr_records::{decode_pairs, encode_pairs, is_sorted_by_key, CodecResult};
+use imr_records::{
+    decode_pairs, encode_pairs, is_sorted_by_key, CodecResult, PairCursor, ShuffleScratch,
+};
 
 /// An iterative job whose state update is a delta accumulation.
 ///
@@ -149,15 +151,35 @@ impl<K: imr_records::Key, S: imr_records::Value> DeltaStore<K, S> {
     where
         J: Accumulative<K = K, S = S>,
     {
+        pairs.iter().filter(|(k, d)| self.fold(job, k, d)).count()
+    }
+
+    /// [`merge_segment`](Self::merge_segment) straight off an encoded
+    /// segment's decode cursor.
+    pub fn merge_encoded<J>(&mut self, job: &J, segment: Bytes) -> CodecResult<usize>
+    where
+        J: Accumulative<K = K, S = S>,
+    {
         let mut applied = 0;
-        for (k, d) in pairs {
-            if let Ok(i) = self.entries.binary_search_by(|(ek, _)| ek.cmp(k)) {
-                let (_, (_, delta)) = &mut self.entries[i];
-                *delta = job.combine_delta(delta, d);
-                applied += 1;
-            }
+        for pair in PairCursor::new(segment) {
+            let (k, d) = pair?;
+            applied += usize::from(self.fold(job, &k, &d));
         }
-        applied
+        Ok(applied)
+    }
+
+    /// ⊕-folds one delta into its key's pending delta; false for a key
+    /// this task does not own.
+    fn fold<J>(&mut self, job: &J, k: &K, d: &S) -> bool
+    where
+        J: Accumulative<K = K, S = S>,
+    {
+        let Ok(i) = self.entries.binary_search_by(|(ek, _)| ek.cmp(k)) else {
+            return false;
+        };
+        let (_, (_, delta)) = &mut self.entries[i];
+        *delta = job.combine_delta(delta, d);
+        true
     }
 
     /// Run one priority round: pick the up-to-`batch` pending keys with
@@ -264,28 +286,24 @@ pub(crate) fn partition_deltas<J: Accumulative>(
     emitted: Vec<(J::K, J::S)>,
     n: usize,
 ) -> Result<Vec<Vec<(J::K, J::S)>>, EngineError> {
-    let mut dests: Vec<Vec<(J::K, J::S)>> = (0..n).map(|_| Vec::new()).collect();
-    for (k, d) in emitted {
-        let p = job.partition(&k, n);
-        let Some(dest) = dests.get_mut(p) else {
-            return Err(EngineError::Config(format!(
-                "partition function returned {p} for {n} parts"
-            )));
-        };
-        dest.push((k, d));
-    }
-    for dest in &mut dests {
-        imr_records::sort_run(dest);
-        let mut merged: Vec<(J::K, J::S)> = Vec::with_capacity(dest.len());
-        for (k, d) in dest.drain(..) {
+    // Sort indices, not records, and ⊕-fold by gathering through them:
+    // the only copy made is the pre-merged output itself.
+    let mut routes = ShuffleScratch::default();
+    routes.route(&emitted, n, |k, n| job.partition(k, n))?;
+    let premerge = |dest| {
+        // Grown, not pre-sized: a destination receives many deltas for
+        // few keys, and room for every delta outweighs the index buffers.
+        let mut merged: Vec<(J::K, J::S)> = Vec::new();
+        for i in routes.order(dest) {
+            let (k, d) = &emitted[i];
             match merged.last_mut() {
-                Some((lk, ld)) if *lk == k => *ld = job.combine_delta(ld, &d),
-                _ => merged.push((k, d)),
+                Some((lk, ld)) if lk == k => *ld = job.combine_delta(ld, d),
+                _ => merged.push((k.clone(), d.clone())),
             }
         }
-        *dest = merged;
-    }
-    Ok(dests)
+        merged
+    };
+    Ok((0..n).map(premerge).collect())
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 use crate::api::{IterativeJob, Mapping};
 use crate::config::IterConfig;
 use crate::engine::{merge_broadcast, IterativeRunner};
-use crate::kernel::{map_side, reduce_side, MapState};
+use crate::kernel::{reduce_side, MapScratch, MapState};
 use crate::store::{check_parts, check_slots};
 use imr_mapreduce::{ClockCharge, EngineError};
 use imr_records::pairs_encoded_len;
@@ -124,6 +124,7 @@ where
     let mut stop_signal: Option<VInstant> = None;
     let mut last_reduce_done = vec![job_start; n];
     let mut final_out: Vec<Vec<(J::K, J::S)>> = vec![Vec::new(); n];
+    let mut map_scratch = MapScratch::default();
 
     for iter in 1..=cfg.termination.max_iterations {
         // ---- Map phase (synchronous, one2all) -------------------------
@@ -133,7 +134,7 @@ where
         for p in 0..n {
             let speed = runner.cluster().speed(assignment[p]);
             let mut clock = TaskClock::starting_at(gate);
-            let out = map_side(
+            let out = map_scratch.map_side(
                 job,
                 MapState::Broadcast(&global_state),
                 &static_store[p],

@@ -16,7 +16,7 @@
 use crate::api::{IterativeJob, Mapping};
 use crate::config::{FailureEvent, FaultEvent, IterConfig};
 use crate::kernel::{
-    check_co_partitioned, delta_in, delta_out, fold_votes, map_side, reduce_side, MapState,
+    check_co_partitioned, delta_in, delta_out, fold_votes, reduce_side, MapScratch, MapState,
 };
 use crate::observe::Observer;
 use crate::store::{check_inputs, check_slots};
@@ -300,6 +300,9 @@ impl IterativeRunner {
         // numbered per run.
         let mut generation = 0u32;
         let mut flight_seq = 0usize;
+        // Pairs run one after another here, so one set of map-side
+        // buffers serves them all for the whole run.
+        let mut map_scratch = MapScratch::default();
 
         while iter <= max_iters {
             // Per-pair busy time this iteration (compute only, no
@@ -328,7 +331,7 @@ impl IterativeRunner {
                 } else {
                     MapState::Own(&state_store[p])
                 };
-                let out = map_side(
+                let out = map_scratch.map_side(
                     job,
                     input,
                     &static_store[p],
@@ -886,7 +889,7 @@ impl IterativeRunner {
     /// Launch-time load of the full one2all state: every part of
     /// `state_dir`, concatenated and key-sorted. Returns the records and
     /// their total encoded size; only the DFS reads are charged.
-    pub(crate) fn load_broadcast_state<K: Codec + Ord, S: Codec>(
+    pub(crate) fn load_broadcast_state<K: Codec + Ord + Clone, S: Codec + Clone>(
         &self,
         state_dir: &str,
         node: NodeId,
@@ -963,7 +966,7 @@ impl IterativeRunner {
     /// The final output dump (once, at termination; Fig. 1b): pair `q`
     /// commits `parts[q]` to `output_dir` starting at `starts[q]`.
     /// Returns the key-sorted union and when the last commit landed.
-    pub(crate) fn dump_final<K: Codec + Ord, S: Codec>(
+    pub(crate) fn dump_final<K: Codec + Ord + Clone, S: Codec + Clone>(
         &self,
         output_dir: &str,
         parts: Vec<Vec<(K, S)>>,
@@ -1132,7 +1135,9 @@ impl IterativeRunner {
 
 /// The one2all state every map task receives: the reduce outputs
 /// concatenated in task order, then key-sorted (stable).
-pub(crate) fn merge_broadcast<K: Ord + Clone, S: Clone>(outs: &[Vec<(K, S)>]) -> Vec<(K, S)> {
+pub(crate) fn merge_broadcast<K: Codec + Ord + Clone, S: Clone>(
+    outs: &[Vec<(K, S)>],
+) -> Vec<(K, S)> {
     let mut global: Vec<(K, S)> = outs.iter().flatten().cloned().collect();
     sort_run(&mut global);
     global

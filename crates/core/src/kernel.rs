@@ -1,29 +1,53 @@
 //! The iteration kernel: what one persistent map/reduce pair computes
 //! in one iteration, written once.
 //!
-//! [`map_side`] joins the pair's state with its static partition, runs
-//! the user map and hands the output to the shuffle kernel
-//! ([`imr_records::shuffle_out`]); [`reduce_side`] merges the pair's
-//! inbound segments ([`imr_records::shuffle_in`]), runs the user reduce,
-//! carries forward keys that received nothing and measures the distance
-//! to the previous snapshot. The simulation engine, the native pair loop
-//! (threads and TCP) and the auxiliary-phase runner all call these two
-//! functions; each supplies only its own clock (through the
-//! [`ShuffleCost`] hook), transport and supervision. Cross-engine
-//! bit-identity therefore follows from shared code.
+//! [`MapScratch::map_side`] joins the pair's state with its static
+//! partition, runs the user map and hands the output to the shuffle
+//! kernel ([`imr_records::ShuffleScratch::shuffle_out`]);
+//! [`reduce_side`] merges the pair's inbound segments
+//! ([`imr_records::shuffle_in`]), runs the user reduce, carries forward
+//! keys that received nothing and measures the distance to the previous
+//! snapshot. The simulation engine, the native pair loop (threads and
+//! TCP) and the auxiliary-phase runner all call these two functions;
+//! each supplies only its own clock (through the [`ShuffleCost`] hook),
+//! transport and supervision. Cross-engine bit-identity therefore
+//! follows from shared code.
+//!
+//! A pair is persistent, so its buffers are too: the emit buffer and the
+//! shuffle's index buffers live in the [`MapScratch`] the loop owns and
+//! are emptied, not reallocated, between iterations. The reduce side
+//! needs none — it streams each reduced key straight into the next
+//! state.
 //!
 //! The barrier-free accumulative mode's ⊕ delta round (DESIGN.md §11)
 //! is likewise one definition in two halves around the exchange:
 //! [`delta_out`] selects, applies, extracts, partitions and encodes one
-//! segment per peer; [`delta_in`] decodes and merges what every peer
-//! sent, in source order. Both report the counts a cost model charges.
+//! segment per peer; [`delta_in`] merges what every peer sent, in
+//! source order, straight off each segment's decode cursor. Both report the counts a cost model charges.
 
 use crate::accum::{partition_deltas, Accumulative, DeltaStore};
 use crate::api::{Emitter, IterativeJob, StateInput};
 use bytes::Bytes;
 use imr_mapreduce::EngineError;
-use imr_records::{decode_pairs, encode_pairs, shuffle_in, shuffle_out, ShuffleCost};
+use imr_records::{encode_pairs, shuffle_in, Key, ShuffleCost, ShuffleScratch, Value};
 use imr_simcluster::Metrics;
+
+/// What a pair's map side keeps between iterations: the buffer the user
+/// map emits into and the shuffle's index buffers. Both are empty
+/// between calls; what persists is their capacity.
+pub struct MapScratch<K, S> {
+    emitter: Emitter<K, S>,
+    shuffle: ShuffleScratch,
+}
+
+impl<K, S> Default for MapScratch<K, S> {
+    fn default() -> Self {
+        MapScratch {
+            emitter: Emitter::new(),
+            shuffle: ShuffleScratch::default(),
+        }
+    }
+}
 
 /// The state a pair's map task consumes this iteration.
 #[derive(Clone, Copy)]
@@ -59,11 +83,68 @@ pub struct ReduceOutput<K, S> {
     pub records: u64,
 }
 
-/// Map side of one iteration of pair `pair`: the sorted state/static
-/// join (§3.2.2), the user map, then partition → sort → combine →
-/// encode into `n` segments. A state partition that does not line up
-/// key for key with the static partition is a [`EngineError::Config`]:
-/// the inputs were not co-partitioned.
+impl<K: Key, S: Value> MapScratch<K, S> {
+    /// Map side of one iteration of pair `pair`: the sorted state/static
+    /// join (§3.2.2), the user map, then partition → sort → combine →
+    /// encode into `n` segments. A state partition that does not line up
+    /// key for key with the static partition, or a `partition` that
+    /// names a destination outside `0..n`, is a [`EngineError::Config`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn map_side<J: IterativeJob<K = K, S = S>>(
+        &mut self,
+        job: &J,
+        state: MapState<'_, K, S>,
+        stat: &[(K, J::T)],
+        n: usize,
+        pair: usize,
+        metrics: &Metrics,
+        cost: &mut impl ShuffleCost,
+    ) -> Result<MapOutput, EngineError> {
+        let emitter = &mut self.emitter;
+        // A failed call may have left emits behind.
+        emitter.pairs_mut().clear();
+        match state {
+            MapState::Broadcast(global) => {
+                for (k, t) in stat {
+                    job.map(k, StateInput::All(global), t, emitter);
+                }
+            }
+            MapState::Own(state) => {
+                check_co_partitioned(pair, state.len(), stat.len())?;
+                for ((ks, s), (kt, t)) in state.iter().zip(stat) {
+                    if ks != kt {
+                        return Err(EngineError::Config(format!(
+                            "state/static keys diverged at pair {pair}"
+                        )));
+                    }
+                    job.map(ks, StateInput::One(s), t, emitter);
+                }
+            }
+        }
+        let records_in = stat.len() as u64;
+        metrics.map_input_records.add(records_in);
+        let emitted = emitter.len() as u64;
+        let combiner = job
+            .has_combiner()
+            .then_some(|k: &K, vals| job.combine(k, vals));
+        let out = self.shuffle.shuffle_out(
+            emitter.pairs_mut(),
+            n,
+            |k, n| job.partition(k, n),
+            combiner,
+            cost,
+        )?;
+        Ok(MapOutput {
+            segments: out.segments,
+            spill_bytes: out.bytes,
+            records_in,
+            emitted,
+        })
+    }
+}
+
+/// [`MapScratch::map_side`] with buffers of its own, for a caller that
+/// runs the map side once.
 pub fn map_side<J: IterativeJob>(
     job: &J,
     state: MapState<'_, J::K, J::S>,
@@ -73,44 +154,7 @@ pub fn map_side<J: IterativeJob>(
     metrics: &Metrics,
     cost: &mut impl ShuffleCost,
 ) -> Result<MapOutput, EngineError> {
-    let mut emitter = Emitter::new();
-    match state {
-        MapState::Broadcast(global) => {
-            for (k, t) in stat {
-                job.map(k, StateInput::All(global), t, &mut emitter);
-            }
-        }
-        MapState::Own(state) => {
-            check_co_partitioned(pair, state.len(), stat.len())?;
-            for ((ks, s), (kt, t)) in state.iter().zip(stat) {
-                if ks != kt {
-                    return Err(EngineError::Config(format!(
-                        "state/static keys diverged at pair {pair}"
-                    )));
-                }
-                job.map(ks, StateInput::One(s), t, &mut emitter);
-            }
-        }
-    }
-    let records_in = stat.len() as u64;
-    metrics.map_input_records.add(records_in);
-    let emitted = emitter.len() as u64;
-    let combiner = job
-        .has_combiner()
-        .then_some(|k: &J::K, vals| job.combine(k, vals));
-    let out = shuffle_out(
-        emitter.into_pairs(),
-        n,
-        |k, n| job.partition(k, n),
-        combiner,
-        cost,
-    );
-    Ok(MapOutput {
-        segments: out.segments,
-        spill_bytes: out.bytes,
-        records_in,
-        emitted,
-    })
+    MapScratch::default().map_side(job, state, stat, n, pair, metrics, cost)
 }
 
 /// A pair's state and static partitions must hold the same keys; a
@@ -147,21 +191,21 @@ pub fn reduce_side<J: IterativeJob>(
     metrics: &Metrics,
     cost: &mut impl ShuffleCost,
 ) -> Result<ReduceOutput<J::K, J::S>, EngineError> {
-    let mut reduced: Vec<(J::K, J::S)> = Vec::new();
+    // Under one2one every reduced key is merged with the carried-forward
+    // previous state as it is produced; one2all keeps only what the
+    // reducers produce.
+    let carried: &[(J::K, J::S)] = if one2all { &[] } else { prev.unwrap_or(&[]) };
+    let mut next = CarryForward::over(carried);
     let records = shuffle_in(
         segments,
         |k, vals| {
             let s = job.reduce(&k, vals);
-            reduced.push((k, s));
+            next.push(k, s);
         },
         cost,
     )?;
     metrics.reduce_input_records.add(records);
-    let state = if one2all {
-        reduced
-    } else {
-        carry_forward(reduced, prev.unwrap_or(&[]))
-    };
+    let state = next.finish();
     let (distance, has_prev) = match prev {
         Some(prev) if measure => (distance_sorted(job, prev, &state), true),
         _ => (0.0, false),
@@ -174,6 +218,41 @@ pub fn reduce_side<J: IterativeJob>(
     })
 }
 
+/// A sorted merge of reduce output, pushed key by key, with the sorted
+/// previous state: keys the reducers did not produce keep their old
+/// value.
+struct CarryForward<'a, K, S> {
+    previous: &'a [(K, S)],
+    out: Vec<(K, S)>,
+}
+
+impl<'a, K: Ord + Clone, S: Clone> CarryForward<'a, K, S> {
+    fn over(previous: &'a [(K, S)]) -> Self {
+        CarryForward {
+            previous,
+            out: Vec::with_capacity(previous.len()),
+        }
+    }
+
+    /// Adds the next reduced key (keys arrive ascending), after the
+    /// previous keys below it.
+    fn push(&mut self, k: K, s: S) {
+        let below = self.previous.iter().take_while(|(pk, _)| *pk < k).count();
+        let (carried, rest) = self.previous.split_at(below);
+        self.out.extend_from_slice(carried);
+        self.previous = match rest.first() {
+            Some((pk, _)) if *pk == k => &rest[1..],
+            _ => rest,
+        };
+        self.out.push((k, s));
+    }
+
+    fn finish(mut self) -> Vec<(K, S)> {
+        self.out.extend_from_slice(self.previous);
+        self.out
+    }
+}
+
 /// Merges reduce output with the carried-forward previous state: keys
 /// absent from `reduced` keep their old value. Both inputs are sorted;
 /// output is sorted.
@@ -181,28 +260,11 @@ pub fn carry_forward<K: Ord + Clone, S: Clone>(
     reduced: Vec<(K, S)>,
     previous: &[(K, S)],
 ) -> Vec<(K, S)> {
-    let mut out = Vec::with_capacity(previous.len().max(reduced.len()));
-    let mut prev = previous.iter().peekable();
+    let mut next = CarryForward::over(previous);
     for (k, s) in reduced {
-        while let Some((pk, ps)) = prev.peek() {
-            if *pk < k {
-                out.push((pk.clone(), ps.clone()));
-                prev.next();
-            } else {
-                break;
-            }
-        }
-        if let Some((pk, _)) = prev.peek() {
-            if *pk == k {
-                prev.next();
-            }
-        }
-        out.push((k, s));
+        next.push(k, s);
     }
-    for (pk, ps) in prev {
-        out.push((pk.clone(), ps.clone()));
-    }
-    out
+    next.finish()
 }
 
 /// Sums the job's per-key distance over two sorted snapshots (keys
@@ -285,8 +347,7 @@ pub fn delta_in<J: Accumulative>(
 ) -> Result<u64, EngineError> {
     let mut merged = 0u64;
     for seg in segments {
-        let pairs: Vec<(J::K, J::S)> = decode_pairs(seg)?;
-        merged += store.merge_segment(job, &pairs) as u64;
+        merged += store.merge_encoded(job, seg)? as u64;
     }
     Ok(merged)
 }

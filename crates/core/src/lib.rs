@@ -93,7 +93,7 @@ pub use incremental::{
 pub use iter_engine::IterEngine;
 pub use kernel::{
     carry_forward, check_co_partitioned, delta_in, delta_out, distance_sorted, fold_votes,
-    map_side, reduce_side, DeltaOutput, MapOutput, MapState, ReduceOutput,
+    map_side, reduce_side, DeltaOutput, MapOutput, MapScratch, MapState, ReduceOutput,
 };
 pub use multiphase::{run_two_phase, PhaseJob, TwoPhaseConfig, TwoPhaseOutcome};
 pub use observe::{phase_of, Observer};

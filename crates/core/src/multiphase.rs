@@ -18,7 +18,7 @@ use crate::store::{check_parts, check_slots};
 use imr_dfs::Dfs;
 use imr_mapreduce::io::{part_path, read_part};
 use imr_mapreduce::{ClockCharge, EngineError};
-use imr_records::{pairs_encoded_len, shuffle_in, shuffle_out, sort_run, Key, Value};
+use imr_records::{pairs_encoded_len, shuffle_in, sort_run, Key, ShuffleScratch, Value};
 use imr_simcluster::{MetricsHandle, NodeId, RunReport, TaskClock, VInstant};
 
 /// One map-reduce phase of a multi-phase iteration.
@@ -149,13 +149,14 @@ fn run_phase<P: PhaseJob>(
 
     let mut map_done = Vec::with_capacity(n);
     let mut segments = Vec::with_capacity(n);
+    let mut emitter = Emitter::new();
+    let mut scratch = ShuffleScratch::default();
     for p in 0..n {
         let node = assignment[p];
         let speed = runner.cluster().speed(node);
         let start = if sync { gate } else { activations[p] };
         let mut clock = TaskClock::starting_at(start);
 
-        let mut emitter = Emitter::new();
         for (k, s) in &state[p] {
             let stat = statics[p]
                 .binary_search_by(|(sk, _)| sk.cmp(k))
@@ -171,13 +172,13 @@ fn run_phase<P: PhaseJob>(
         // No combiner between phases: the user functions arrive as
         // closures because a `PhaseJob` is not an `IterativeJob`.
         let no_combiner = None::<fn(&P::MidK, Vec<P::Mid>) -> Vec<P::Mid>>;
-        let spilled = shuffle_out(
-            emitter.into_pairs(),
+        let spilled = scratch.shuffle_out(
+            emitter.pairs_mut(),
             n,
             |k, n| phase.partition_mid(k, n),
             no_combiner,
             &mut ClockCharge::new(&mut clock, cost, speed),
-        );
+        )?;
         clock.advance(cost.serde_per_byte * spilled.bytes);
         clock.advance(cost.disk_time(spilled.bytes));
         let busy = clock.now().duration_since(start);

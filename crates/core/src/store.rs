@@ -20,7 +20,7 @@ use imr_simcluster::TaskClock;
 /// Duplicate keys are rejected: iMapReduce's data model is keyed
 /// records (one state record and one static record per key), and a
 /// duplicate would silently corrupt the sorted join.
-pub fn partition_sorted<K: Ord + Clone + std::fmt::Debug, V>(
+pub fn partition_sorted<K: Codec + Ord + Clone + std::fmt::Debug, V: Clone>(
     pairs: Vec<(K, V)>,
     n: usize,
     partition: impl Fn(&K, usize) -> usize,
@@ -55,7 +55,7 @@ pub fn load_partitioned<K, V>(
 ) -> Result<(), DfsError>
 where
     K: Codec + Ord + Clone + std::fmt::Debug,
-    V: Codec,
+    V: Codec + Clone,
 {
     let parts = partition_sorted(pairs, n, partition).map_err(DfsError::BlockLost)?;
     write_parts(dfs, dir, &parts, clock)

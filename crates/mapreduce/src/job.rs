@@ -34,6 +34,12 @@ impl<K, V> Emitter<K, V> {
     pub fn into_pairs(self) -> Vec<(K, V)> {
         self.pairs
     }
+
+    /// The emitted pairs in order, for a shuffle that drains them and
+    /// leaves the buffer to the next iteration's emits.
+    pub fn pairs_mut(&mut self) -> &mut Vec<(K, V)> {
+        &mut self.pairs
+    }
 }
 
 impl<K, V> Default for Emitter<K, V> {

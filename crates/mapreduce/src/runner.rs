@@ -8,7 +8,7 @@ use crate::job::{Emitter, JobConfig, JobCounters, MrJob};
 use crate::schedule::SlotPool;
 use bytes::Bytes;
 use imr_dfs::{Dfs, DfsError};
-use imr_records::{encode_pairs, shuffle_in, shuffle_out, CodecError};
+use imr_records::{encode_pairs, shuffle_in, CodecError, ShuffleError, ShuffleScratch};
 use imr_simcluster::{ClusterSpec, MetricsHandle, NodeId, TaskClock, VInstant};
 use std::fmt;
 use std::sync::Arc;
@@ -53,6 +53,12 @@ impl From<DfsError> for EngineError {
 impl From<CodecError> for EngineError {
     fn from(e: CodecError) -> Self {
         EngineError::Codec(e)
+    }
+}
+
+impl From<ShuffleError> for EngineError {
+    fn from(e: ShuffleError) -> Self {
+        EngineError::Config(e.to_string())
     }
 }
 
@@ -167,6 +173,7 @@ impl JobRunner {
         let mut map_nodes = Vec::with_capacity(m);
         let mut map_done = Vec::with_capacity(m);
         let mut map_parts: Vec<Vec<Bytes>> = Vec::with_capacity(m);
+        let mut scratch = ShuffleScratch::default();
 
         for (dir, i) in &splits {
             let i = *i;
@@ -204,7 +211,7 @@ impl JobRunner {
             let records_in = input.len() as u64;
             counters.map_input_records += records_in;
             self.metrics.map_input_records.add(records_in);
-            let raw_out = emitter.into_pairs();
+            let mut raw_out = emitter.into_pairs();
             counters.map_output_records += raw_out.len() as u64;
             // Map-side cost covers both consuming the input records and
             // producing the output records (collect/partition path).
@@ -214,13 +221,13 @@ impl JobRunner {
             let combiner = job
                 .has_combiner()
                 .then_some(|k: &J::MidK, vals| job.combine(k, vals));
-            let spilled = shuffle_out(
-                raw_out,
+            let spilled = scratch.shuffle_out(
+                &mut raw_out,
                 r,
                 |k, r| job.partition(k, r),
                 combiner,
                 &mut ClockCharge::new(&mut clock, cost, speed),
-            );
+            )?;
             counters.shuffle_records += spilled.records;
             let spill_bytes = spilled.bytes;
             counters.shuffle_bytes += spill_bytes;

@@ -89,8 +89,10 @@
 //! cross-engine test suite pins this down per algorithm, per transport,
 //! with and without injected faults and migrations.
 //!
-//! `eager_handoff` is accepted and ignored: it only shapes the
-//! virtual-time cost model, never the data path. Recovery here needs a
+//! `eager_handoff` is refused with a configuration error: on the
+//! simulator it shapes the virtual-time cost model only, and its native
+//! form (§3.3: reduce *k* feeding map *k + 1* key by key) does not exist
+//! yet, so here the knob would silently do nothing. Recovery needs a
 //! DFS snapshot to reload (there is no in-memory iteration-0 snapshot),
 //! so kill/hang faults or load balancing with `checkpoint_interval == 0`
 //! are rejected up front by the shared `IterConfig::validate` with the
@@ -256,7 +258,7 @@ impl NativeRunner {
         output_dir: &str,
         faults: &[FaultEvent],
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        cfg.validate(faults)?;
+        validate(cfg, faults)?;
         if cfg.accumulative {
             return Err(EngineError::Config(
                 "cfg.accumulative is set: use run_accumulative for barrier-free \
@@ -299,7 +301,7 @@ impl NativeRunner {
         output_dir: &str,
         faults: &[FaultEvent],
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        cfg.validate(faults)?;
+        validate(cfg, faults)?;
         if !cfg.accumulative {
             return Err(EngineError::Config(
                 "run_accumulative needs cfg.with_accumulative_mode()".into(),
@@ -452,6 +454,20 @@ impl NativeRunner {
             "iMapReduce native".to_owned()
         }
     }
+}
+
+/// [`IterConfig::validate`], plus what only the native engines refuse.
+pub(crate) fn validate(cfg: &IterConfig, faults: &[FaultEvent]) -> Result<(), EngineError> {
+    cfg.validate(faults)?;
+    if cfg.eager_handoff {
+        return Err(EngineError::Config(
+            "eager_handoff is sim-only: it shapes the simulator's virtual-time \
+             hand-off cost, and the native engines have no eager reduce->map \
+             fusion yet, so here it would silently do nothing"
+                .into(),
+        ));
+    }
+    Ok(())
 }
 
 impl IterEngine for NativeRunner {
@@ -1190,5 +1206,77 @@ mod tests {
             EngineError::Worker(msg) => assert!(msg.contains("panicked"), "{msg}"),
             other => panic!("expected a worker error, got {other}"),
         }
+    }
+
+    #[test]
+    fn a_partition_out_of_range_is_a_config_error_on_sim_and_threads() {
+        /// Routes the keys it was loaded with correctly, and the keys it
+        /// emits to a pair that does not exist.
+        struct Stray;
+        impl IterativeJob for Stray {
+            type K = u32;
+            type S = f64;
+            type T = ();
+            fn map(
+                &self,
+                k: &u32,
+                s: StateInput<'_, u32, f64>,
+                _t: &(),
+                out: &mut Emitter<u32, f64>,
+            ) {
+                out.emit(*k + 1000, *s.one());
+            }
+            fn reduce(&self, _k: &u32, values: Vec<f64>) -> f64 {
+                values.into_iter().sum()
+            }
+            fn partition(&self, k: &u32, n: usize) -> usize {
+                if *k >= 1000 {
+                    n
+                } else {
+                    *k as usize % n
+                }
+            }
+        }
+        fn load(dfs: &Dfs) {
+            let mut clock = TaskClock::default();
+            let route = |k: &u32, m: usize| Stray.partition(k, m);
+            let state: Vec<(u32, f64)> = (0..64).map(|k| (k, 1.0)).collect();
+            let statics: Vec<(u32, ())> = (0..64).map(|k| (k, ())).collect();
+            load_partitioned(dfs, "/state", state, 2, route, &mut clock).unwrap();
+            load_partitioned(dfs, "/static", statics, 2, route, &mut clock).unwrap();
+        }
+        let (native, sim) = fixtures(2);
+        load(native.dfs());
+        load(sim.dfs());
+        let cfg = IterConfig::new("stray", 2, 3);
+        let on_sim = sim.run(&Stray, &cfg, "/state", "/static", "/out", &[]);
+        let on_threads = native.run(&Stray, &cfg, "/state", "/static", "/out", &[]);
+        for (engine, result) in [("sim", on_sim), ("threads", on_threads)] {
+            match result {
+                Err(EngineError::Config(msg)) => assert!(
+                    msg.contains("partition function returned 2 for 2 parts"),
+                    "{engine}: {msg}"
+                ),
+                Err(other) => panic!("{engine}: expected a Config error, got {other}"),
+                Ok(_) => panic!("{engine}: expected a Config error, got a result"),
+            }
+        }
+    }
+
+    #[test]
+    fn eager_handoff_is_refused_on_both_native_fabrics() {
+        let (native, _) = fixtures(2);
+        load_halve(native.dfs(), 2);
+        let refused = |result: Result<IterOutcome<u32, f64>, EngineError>| match result {
+            Err(EngineError::Config(msg)) => assert!(msg.contains("sim-only"), "{msg}"),
+            Err(other) => panic!("expected a Config error, got {other}"),
+            Ok(_) => panic!("eager_handoff ran on a native engine"),
+        };
+        let cfg = IterConfig::new("halve", 2, 2).with_eager_handoff();
+        refused(native.run(&Halve, &cfg, "/state", "/static", "/out", &[]));
+        // Validation comes before any worker is spawned.
+        let spec = remote::WorkerSpec::new("/nonexistent/imr-worker", vec![]);
+        let cfg = cfg.with_tcp_transport();
+        refused(native.run_remote(&Halve, &spec, &cfg, "/state", "/static", "/out", &[]));
     }
 }

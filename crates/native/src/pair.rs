@@ -3,9 +3,9 @@
 //!
 //! What a pair computes each iteration is not written here: the map
 //! side and the reduce side are the core crate's iteration kernel
-//! (`imapreduce::map_side` / `reduce_side`), the same two functions the
-//! simulation engine calls, driven here with the no-op cost hook `()`.
-//! Likewise the ⊕ delta round of the accumulative mode
+//! (`imapreduce::MapScratch::map_side` / `reduce_side`), the same two
+//! functions the simulation engine calls, driven here with the no-op
+//! cost hook `()`. Likewise the ⊕ delta round of the accumulative mode
 //! (`imapreduce::delta_out` / `delta_in`). This module owns what is
 //! native about the loop: wall-clock spans, the blocking shuffle,
 //! heartbeats, checkpoints, scripted faults — and every data-path
@@ -38,8 +38,8 @@
 
 use bytes::Bytes;
 use imapreduce::{
-    check_co_partitioned, delta_in, delta_out, fold_votes, map_side, reduce_side, IterConfig,
-    IterativeJob, MapState, Mapping,
+    check_co_partitioned, delta_in, delta_out, fold_votes, reduce_side, IterConfig, IterativeJob,
+    MapScratch, MapState, Mapping,
 };
 use imr_dfs::{snapshot_dir, Dfs, DfsError};
 use imr_mapreduce::io::part_path;
@@ -346,6 +346,10 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
     let mut state: Vec<(J::K, J::S)> = Vec::new();
     let mut global: Vec<(J::K, J::S)> = Vec::new();
     let mut prev_out: Option<Vec<(J::K, J::S)>> = None;
+    // The pair is persistent and so are its map-side buffers: sized by
+    // the first iteration, emptied — not freed — by every later one,
+    // gone with the generation.
+    let mut map_scratch = MapScratch::default();
     if one2all {
         // Every map task holds the full (small) broadcast state. In a
         // snapshot, part i is pair i's reduce output at the epoch
@@ -375,7 +379,7 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
         } else {
             MapState::Own(&state)
         };
-        let mapped = map_side(job, input, &stat, n, q, ctx.metrics, &mut ())?;
+        let mapped = map_scratch.map_side(job, input, &stat, n, q, ctx.metrics, &mut ())?;
         let mut busy = map_start.elapsed();
         let map_end_ns = ctx.now_ns();
         ctx.span(TraceKind::MapPhase, it, iter_start_ns, map_end_ns);

@@ -213,7 +213,7 @@ impl NativeRunner {
                 "run_remote_incremental requires IterConfig::with_incremental_mode".into(),
             ));
         }
-        cfg.validate(faults)?;
+        crate::validate(cfg, faults)?;
         let mut clock = TaskClock::default();
         let stats = prepare_incremental(
             job,
@@ -256,7 +256,7 @@ impl NativeRunner {
         faults: &[FaultEvent],
         patches: Option<Vec<(u64, u64)>>,
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        cfg.validate(faults)?;
+        crate::validate(cfg, faults)?;
         if cfg.transport != TransportKind::Tcp {
             return Err(EngineError::Config(
                 "run_remote needs cfg.with_tcp_transport(); for the in-process \

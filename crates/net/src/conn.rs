@@ -71,6 +71,8 @@ struct ConnShared {
 pub struct WorkerConn {
     /// The pair this process runs: the one link that has both ends here.
     pair: usize,
+    /// Credits per link when nothing is in flight.
+    allowance: usize,
     stream: TcpStream,
     writer: FrameWriter<BufWriter<TcpStream>>,
     shared: Arc<ConnShared>,
@@ -162,6 +164,7 @@ impl WorkerConn {
         Ok((
             WorkerConn {
                 pair,
+                allowance: buffer,
                 stream,
                 writer,
                 shared,
@@ -283,7 +286,19 @@ impl WorkerConn {
     }
 
     /// Report our terminal status. Best-effort once poisoned.
+    ///
+    /// First waits until the credit of every segment this pair sent is
+    /// back (peers take all of them — send-all / recv-all — unless the
+    /// generation is poisoned, which ends the wait). Past that point
+    /// the coordinator has nothing left to forward here, so the socket
+    /// closes with no unread data. Closing with unread data resets the
+    /// connection instead, and a reset discards the outcome frame still
+    /// queued behind it: the coordinator would take a finished worker
+    /// for a vanished one and replay the run.
     pub fn send_outcome(&mut self, outcome: Result<PairOutcome, String>) {
+        let allowance = self.allowance;
+        let all_back = |s: &mut ConnState| s.credits.iter().all(|&c| c == allowance).then_some(());
+        let _ = self.wait_until(all_back);
         let _ = self.write(&ToCoord::Outcome(outcome));
     }
 
@@ -526,6 +541,47 @@ mod tests {
         // Drain-first: the segment that was sent is still delivered.
         assert_eq!(conn.recv(0).unwrap(), seg(1));
         assert_eq!(conn.recv(0), Err(Closed));
+    }
+
+    #[test]
+    fn an_outcome_waits_for_the_credits_of_the_segments_sent() {
+        let (own, peer) = (0, 1);
+        let (mut conn, mut coord) = connect(own, 2, 2);
+        conn.send(peer, seg(1)).unwrap();
+        let finished = || {
+            Ok(PairOutcome::Finished {
+                final_data: seg(2),
+                iterations: 1,
+            })
+        };
+        let sent = AtomicBool::new(false);
+        thread::scope(|s| {
+            s.spawn(|| {
+                conn.send_outcome(finished());
+                sent.store(true, Ordering::Release);
+            });
+            assert!(matches!(coord.next(), Some(ToCoord::Segment { .. })));
+            thread::sleep(Duration::from_millis(100));
+            assert!(
+                !sent.load(Ordering::Acquire),
+                "the peer has not taken the segment: its credit is still on its way here"
+            );
+            coord.send(&ToWorker::Credit { dest: peer });
+            assert_eq!(coord.next(), Some(ToCoord::Outcome(finished())));
+        });
+        drop(conn);
+        assert_eq!(coord.next(), None);
+
+        // A poisoned generation returns no credits: the outcome goes out.
+        let (mut conn, mut coord) = connect(own, 2, 2);
+        conn.send(peer, seg(1)).unwrap();
+        coord.send(&ToWorker::Poison);
+        conn.send_outcome(Ok(PairOutcome::Aborted));
+        assert!(matches!(coord.next(), Some(ToCoord::Segment { .. })));
+        assert_eq!(
+            coord.next(),
+            Some(ToCoord::Outcome(Ok(PairOutcome::Aborted)))
+        );
     }
 
     #[test]

@@ -47,6 +47,15 @@ pub trait Codec: Sized {
     /// Exact number of bytes [`encode`](Codec::encode) will append.
     fn encoded_len(&self) -> usize;
 
+    /// The key as an unsigned integer whose numeric order is the type's
+    /// `Ord` order, for key types that have one (the unsigned integers
+    /// return themselves). The sort kernel orders such keys by digits
+    /// instead of by comparisons; `None`, the default, always compares.
+    #[inline]
+    fn radix_key(&self) -> Option<u64> {
+        None
+    }
+
     /// Convenience: encodes into a fresh buffer.
     fn to_bytes(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.encoded_len());
@@ -64,6 +73,7 @@ impl<T: Codec + Ord + core::hash::Hash + Clone + Send + Sync + 'static> Key for 
 pub trait Value: Codec + Clone + Send + Sync + 'static {}
 impl<T: Codec + Clone + Send + Sync + 'static> Value for T {}
 
+#[inline]
 fn need(buf: &Bytes, n: usize) -> CodecResult<()> {
     if buf.remaining() < n {
         Err(CodecError::UnexpectedEof)
@@ -74,6 +84,7 @@ fn need(buf: &Bytes, n: usize) -> CodecResult<()> {
 
 /// LEB128-style varint, as Hadoop's `VIntWritable` family does for
 /// compactness on skewed graph data.
+#[inline]
 fn encode_varint(mut v: u64, buf: &mut BytesMut) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -86,6 +97,7 @@ fn encode_varint(mut v: u64, buf: &mut BytesMut) {
     }
 }
 
+#[inline]
 fn decode_varint(buf: &mut Bytes) -> CodecResult<u64> {
     let mut v: u64 = 0;
     for shift in (0..64).step_by(7) {
@@ -99,6 +111,7 @@ fn decode_varint(buf: &mut Bytes) -> CodecResult<u64> {
     Err(CodecError::Corrupt("varint longer than 10 bytes"))
 }
 
+#[inline]
 fn varint_len(v: u64) -> usize {
     if v == 0 {
         1
@@ -110,15 +123,22 @@ fn varint_len(v: u64) -> usize {
 macro_rules! impl_varint_codec {
     ($($t:ty),*) => {$(
         impl Codec for $t {
+            #[inline]
             fn encode(&self, buf: &mut BytesMut) {
                 encode_varint(u64::from(*self), buf);
             }
+            #[inline]
             fn decode(buf: &mut Bytes) -> CodecResult<Self> {
                 let v = decode_varint(buf)?;
                 <$t>::try_from(v).map_err(|_| CodecError::Corrupt("varint out of range"))
             }
+            #[inline]
             fn encoded_len(&self) -> usize {
                 varint_len(u64::from(*self))
+            }
+            #[inline]
+            fn radix_key(&self) -> Option<u64> {
+                Some(u64::from(*self))
             }
         }
     )*};
@@ -132,88 +152,116 @@ impl_varint_codec!(u8, u16, u64);
 // communication-volume results (adjacency lists are the static data
 // whose shuffling iMapReduce eliminates).
 impl Codec for u32 {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u32(*self);
     }
+    #[inline]
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
         need(buf, 4)?;
         Ok(buf.get_u32())
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         4
+    }
+    #[inline]
+    fn radix_key(&self) -> Option<u64> {
+        Some(u64::from(*self))
     }
 }
 
 impl Codec for usize {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         encode_varint(*self as u64, buf);
     }
+    #[inline]
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
         let v = decode_varint(buf)?;
         usize::try_from(v).map_err(|_| CodecError::Corrupt("usize out of range"))
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         varint_len(*self as u64)
+    }
+    #[inline]
+    fn radix_key(&self) -> Option<u64> {
+        Some(*self as u64)
     }
 }
 
 impl Codec for i64 {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         // Zigzag so small negatives stay small.
         encode_varint(((self << 1) ^ (self >> 63)) as u64, buf);
     }
+    #[inline]
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
         let v = decode_varint(buf)?;
         Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         varint_len(((self << 1) ^ (self >> 63)) as u64)
     }
 }
 
 impl Codec for i32 {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         i64::from(*self).encode(buf);
     }
+    #[inline]
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
         let v = i64::decode(buf)?;
         i32::try_from(v).map_err(|_| CodecError::Corrupt("i32 out of range"))
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         i64::from(*self).encoded_len()
     }
 }
 
 impl Codec for f64 {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_f64(*self);
     }
+    #[inline]
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
         need(buf, 8)?;
         Ok(buf.get_f64())
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         8
     }
 }
 
 impl Codec for f32 {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_f32(*self);
     }
+    #[inline]
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
         need(buf, 4)?;
         Ok(buf.get_f32())
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         4
     }
 }
 
 impl Codec for bool {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u8(u8::from(*self));
     }
+    #[inline]
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
         need(buf, 1)?;
         match buf.get_u8() {
@@ -222,44 +270,53 @@ impl Codec for bool {
             _ => Err(CodecError::Corrupt("bool discriminant")),
         }
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         1
     }
 }
 
 impl Codec for () {
+    #[inline]
     fn encode(&self, _buf: &mut BytesMut) {}
+    #[inline]
     fn decode(_buf: &mut Bytes) -> CodecResult<Self> {
         Ok(())
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         0
     }
 }
 
 impl Codec for String {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         encode_varint(self.len() as u64, buf);
         buf.put_slice(self.as_bytes());
     }
+    #[inline]
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
         let len = decode_varint(buf)? as usize;
         need(buf, len)?;
         let raw = buf.split_to(len);
         String::from_utf8(raw.to_vec()).map_err(|_| CodecError::Corrupt("invalid utf-8"))
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         varint_len(self.len() as u64) + self.len()
     }
 }
 
 impl<T: Codec> Codec for Vec<T> {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         encode_varint(self.len() as u64, buf);
         for item in self {
             item.encode(buf);
         }
     }
+    #[inline]
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
         let len = decode_varint(buf)? as usize;
         // Guard against corrupt length prefixes asking for absurd
@@ -273,6 +330,7 @@ impl<T: Codec> Codec for Vec<T> {
         }
         Ok(out)
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         varint_len(self.len() as u64) + self.iter().map(Codec::encoded_len).sum::<usize>()
     }
@@ -284,22 +342,26 @@ impl<T: Codec> Codec for Vec<T> {
 // self-delimiting; decoding is zero-copy (a sub-view of the source
 // buffer).
 impl Codec for Bytes {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         encode_varint(self.len() as u64, buf);
         buf.put_slice(self);
     }
+    #[inline]
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
         let len = usize::try_from(decode_varint(buf)?)
             .map_err(|_| CodecError::Corrupt("bytes length out of range"))?;
         need(buf, len)?;
         Ok(buf.split_to(len))
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         varint_len(self.len() as u64) + self.len()
     }
 }
 
 impl<T: Codec> Codec for Option<T> {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         match self {
             None => buf.put_u8(0),
@@ -309,6 +371,7 @@ impl<T: Codec> Codec for Option<T> {
             }
         }
     }
+    #[inline]
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
         need(buf, 1)?;
         match buf.get_u8() {
@@ -317,33 +380,40 @@ impl<T: Codec> Codec for Option<T> {
             _ => Err(CodecError::Corrupt("option discriminant")),
         }
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         1 + self.as_ref().map_or(0, Codec::encoded_len)
     }
 }
 
 impl<A: Codec, B: Codec> Codec for (A, B) {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         self.0.encode(buf);
         self.1.encode(buf);
     }
+    #[inline]
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
         Ok((A::decode(buf)?, B::decode(buf)?))
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         self.0.encoded_len() + self.1.encoded_len()
     }
 }
 
 impl<A: Codec, B: Codec, C: Codec> Codec for (A, B, C) {
+    #[inline]
     fn encode(&self, buf: &mut BytesMut) {
         self.0.encode(buf);
         self.1.encode(buf);
         self.2.encode(buf);
     }
+    #[inline]
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
         Ok((A::decode(buf)?, B::decode(buf)?, C::decode(buf)?))
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         self.0.encoded_len() + self.1.encoded_len() + self.2.encoded_len()
     }
@@ -368,14 +438,42 @@ pub fn encode_pairs<K: Codec, V: Codec>(pairs: &[(K, V)]) -> Bytes {
 }
 
 /// Decodes a segment produced by [`encode_pairs`] back into pairs.
-pub fn decode_pairs<K: Codec, V: Codec>(mut buf: Bytes) -> CodecResult<Vec<(K, V)>> {
-    let mut out = Vec::new();
-    while buf.has_remaining() {
-        let k = K::decode(&mut buf)?;
-        let v = V::decode(&mut buf)?;
-        out.push((k, v));
+pub fn decode_pairs<K: Codec, V: Codec>(buf: Bytes) -> CodecResult<Vec<(K, V)>> {
+    PairCursor::new(buf).collect()
+}
+
+/// A decode cursor over a segment produced by [`encode_pairs`]: yields
+/// the pairs one at a time, in segment order, without materialising
+/// them. Ends after the first error.
+pub struct PairCursor<K, V> {
+    buf: Bytes,
+    pairs: core::marker::PhantomData<fn() -> (K, V)>,
+}
+
+impl<K, V> PairCursor<K, V> {
+    /// A cursor at the start of `segment`.
+    pub fn new(segment: Bytes) -> Self {
+        PairCursor {
+            buf: segment,
+            pairs: core::marker::PhantomData,
+        }
     }
-    Ok(out)
+}
+
+impl<K: Codec, V: Codec> Iterator for PairCursor<K, V> {
+    type Item = CodecResult<(K, V)>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        if !self.buf.has_remaining() {
+            return None;
+        }
+        let pair = K::decode(&mut self.buf).and_then(|k| Ok((k, V::decode(&mut self.buf)?)));
+        if pair.is_err() {
+            self.buf = Bytes::new();
+        }
+        Some(pair)
+    }
 }
 
 #[cfg(test)]

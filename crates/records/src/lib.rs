@@ -26,16 +26,36 @@ mod shuffle;
 mod sorted;
 
 pub use codec::{
-    decode_pairs, encode_pairs, pairs_encoded_len, Codec, CodecError, CodecResult, Key, Value,
+    decode_pairs, encode_pairs, pairs_encoded_len, Codec, CodecError, CodecResult, Key, PairCursor,
+    Value,
 };
 pub use partition::{Fnv1a, HashPartitioner, ModPartitioner, PairPartitioner, Partitioner};
-pub use shuffle::{shuffle_in, shuffle_out, ShuffleCost, ShuffleOut};
+pub use shuffle::{shuffle_in, shuffle_out, ShuffleCost, ShuffleError, ShuffleOut, ShuffleScratch};
 pub use sorted::{group_sorted, is_sorted_by_key, merge_runs, sort_run};
 
 #[cfg(test)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    /// `sort_run` against the standard library's stable sort, each key
+    /// carrying its arrival index so equal keys stay distinguishable.
+    fn sorts_like_the_stable_sort<K: Key + std::fmt::Debug>(keys: impl Iterator<Item = K>) {
+        let mut run: Vec<(K, usize)> = keys.enumerate().map(|(i, k)| (k, i)).collect();
+        let mut want = run.clone();
+        want.sort_by(|a, b| a.0.cmp(&b.0));
+        sort_run(&mut run);
+        assert_eq!(run, want);
+    }
+
+    /// Records the reduce charges a shuffle makes, in order.
+    #[derive(Default)]
+    struct ReduceCalls(Vec<u64>);
+    impl ShuffleCost for ReduceCalls {
+        fn reduced(&mut self, values: u64) {
+            self.0.push(values);
+        }
+    }
 
     proptest! {
         /// Codec round-trip: any pair list survives encode/decode.
@@ -118,6 +138,91 @@ mod proptests {
             }
             got.sort();
             prop_assert_eq!(got, want.into_iter().collect::<Vec<_>>());
+        }
+
+        /// The digit sort is the stable comparison sort: every unsigned
+        /// key type, runs on both sides of the short-run cutoff, narrow
+        /// key ranges (duplicates) and wide ones (three digit passes),
+        /// `u64` keys below, across and above 2^32 — and keys that never
+        /// pack still sort.
+        #[test]
+        fn sort_run_is_the_stable_sort(
+            raw in proptest::collection::vec(any::<u64>(), 0..1400),
+            modulus in 1u64..700,
+        ) {
+            let narrow = |r: &u64| r % modulus;
+            sorts_like_the_stable_sort(raw.iter().map(|r| narrow(r) as u8));
+            sorts_like_the_stable_sort(raw.iter().map(|r| narrow(r) as u16));
+            sorts_like_the_stable_sort(raw.iter().map(|r| narrow(r) as u32));
+            sorts_like_the_stable_sort(raw.iter().map(|r| *r as u32));
+            sorts_like_the_stable_sort(raw.iter().map(|r| narrow(r) as usize));
+            for base in [0, (1 << 32) - modulus / 2, 1 << 32, u64::MAX - modulus] {
+                sorts_like_the_stable_sort(raw.iter().map(|r| base + narrow(r)));
+            }
+            sorts_like_the_stable_sort(raw.iter().map(|r| format!("k{}", narrow(r))));
+            sorts_like_the_stable_sort(raw.iter().map(|r| (narrow(r) as u32 % 7, (r >> 32) as u32 % 5)));
+        }
+
+        /// The streaming reduce side is the materialised one: merging
+        /// straight off the decode cursors hands out the groups, value
+        /// orders, record count and cost charges of decode → stable sort
+        /// in source order → group, with any number of sources, empty
+        /// ones included. A segment cut anywhere but between two records
+        /// is an error, never a panic.
+        #[test]
+        fn shuffle_in_streams_what_decode_merge_group_materialised(
+            mut runs in proptest::collection::vec(
+                proptest::collection::vec((0u64..40, any::<u32>()), 0..60), 0..7),
+            pick in any::<usize>(),
+        ) {
+            for run in &mut runs {
+                run.sort_by_key(|&(k, _)| k);
+            }
+            let segments: Vec<_> = runs.iter().map(|run| encode_pairs(run)).collect();
+
+            let mut all: Vec<(u64, u32)> = runs.iter().flatten().copied().collect();
+            all.sort_by_key(|&(k, _)| k);
+            let mut want: Vec<(u64, Vec<u32>)> = Vec::new();
+            for (k, v) in all {
+                match want.last_mut() {
+                    Some((open, values)) if *open == k => values.push(v),
+                    _ => want.push((k, vec![v])),
+                }
+            }
+            let decoded: Vec<Vec<(u64, u32)>> =
+                segments.iter().map(|seg| decode_pairs(seg.clone()).unwrap()).collect();
+            prop_assert_eq!(&group_sorted(merge_runs(decoded)), &want);
+
+            let mut got = Vec::new();
+            let mut calls = ReduceCalls::default();
+            let records =
+                shuffle_in(segments.clone(), |k, values| got.push((k, values)), &mut calls).unwrap();
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(records, runs.iter().map(|run| run.len() as u64).sum::<u64>());
+            prop_assert_eq!(calls.0, want.iter().map(|(_, vs)| vs.len() as u64).collect::<Vec<_>>());
+
+            if let Some(victim) = pick.checked_rem(runs.len()) {
+                let mut boundary = 0;
+                let mut boundaries = vec![0];
+                for (k, v) in &runs[victim] {
+                    boundary += k.encoded_len() + v.encoded_len();
+                    boundaries.push(boundary);
+                }
+                for cut in 0..segments[victim].len() {
+                    let mut cut_segments = segments.clone();
+                    cut_segments[victim] = segments[victim].slice(..cut);
+                    let mut merged = 0u64;
+                    let result =
+                        shuffle_in(cut_segments, |_: u64, values: Vec<u32>| merged += values.len() as u64, &mut ());
+                    match boundaries.iter().position(|&b| b == cut) {
+                        Some(kept) => {
+                            let lost = (runs[victim].len() - kept) as u64;
+                            prop_assert_eq!(result, Ok(records - lost));
+                        }
+                        None => prop_assert!(result.is_err(), "cut {cut} of source {victim}"),
+                    }
+                }
+            }
         }
 
         /// group_sorted preserves multiplicity.

@@ -28,9 +28,11 @@ impl Default for Fnv1a {
 }
 
 impl Hasher for Fnv1a {
+    #[inline]
     fn finish(&self) -> u64 {
         self.0
     }
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
@@ -45,6 +47,7 @@ impl Hasher for Fnv1a {
 pub struct HashPartitioner;
 
 impl<K: Key> Partitioner<K> for HashPartitioner {
+    #[inline]
     fn partition(&self, key: &K, n: usize) -> usize {
         assert!(n > 0, "cannot partition into zero parts");
         let mut buf = BytesMut::with_capacity(key.encoded_len());
@@ -62,6 +65,7 @@ impl<K: Key> Partitioner<K> for HashPartitioner {
 pub struct ModPartitioner;
 
 impl Partitioner<u32> for ModPartitioner {
+    #[inline]
     fn partition(&self, key: &u32, n: usize) -> usize {
         assert!(n > 0, "cannot partition into zero parts");
         (*key as usize) % n
@@ -69,6 +73,7 @@ impl Partitioner<u32> for ModPartitioner {
 }
 
 impl Partitioner<u64> for ModPartitioner {
+    #[inline]
     fn partition(&self, key: &u64, n: usize) -> usize {
         assert!(n > 0, "cannot partition into zero parts");
         (*key % n as u64) as usize
@@ -82,6 +87,7 @@ impl Partitioner<u64> for ModPartitioner {
 pub struct PairPartitioner;
 
 impl Partitioner<(u32, u32)> for PairPartitioner {
+    #[inline]
     fn partition(&self, key: &(u32, u32), n: usize) -> usize {
         assert!(n > 0, "cannot partition into zero parts");
         let mixed = (u64::from(key.0) << 32) | u64::from(key.1);

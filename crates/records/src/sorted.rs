@@ -1,83 +1,252 @@
-//! Sorted-run utilities: the sort/spill/merge machinery both engines
-//! use between map output and reduce input.
+//! Sorted-run utilities: the sort / merge / group machinery every
+//! engine uses between map output and reduce input.
+//!
+//! Sorting is an *argsort*: [`sort_words`] orders packed
+//! `key << 32 | index` words, and callers gather their records through
+//! the resulting indices. Indices are distinct, so ascending word order
+//! is key order with ties in index order — the stable order — however
+//! the words were sorted. Integer keys below 2³² pack (see
+//! [`Codec::radix_key`]) and long runs of them are ordered by digits;
+//! everything else is ordered by comparison.
+//!
+//! Merging and grouping are one pass ([`merge_groups`]) over any source
+//! of records: a k-way merge, ties broken by run index, that hands out
+//! the `(key, values)` groups a reduce function receives.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::codec::Codec;
+use std::convert::Infallible;
+
+/// Runs shorter than this are ordered by comparing words: the digit
+/// histograms cost more to clear and scan than so few records to sort.
+pub(crate) const RADIX_MIN_LEN: usize = 512;
+
+/// The widest radix digit: 2048 counters stay in the L1 cache.
+const MAX_DIGIT_BITS: u32 = 11;
+
+/// Packs a record's sort word: the key in the high half when it is an
+/// integer below 2³², the record's index in the low half. `None` for
+/// every other key.
+#[inline]
+pub(crate) fn pack_word<K: Codec>(key: &K, index: u32) -> Option<u64> {
+    match key.radix_key() {
+        Some(k) if k <= u64::from(u32::MAX) => Some(k << 32 | u64::from(index)),
+        _ => None,
+    }
+}
+
+/// The record index a sort word carries.
+#[inline]
+pub(crate) fn word_index(word: u64) -> usize {
+    (word & u64::from(u32::MAX)) as usize
+}
+
+/// Sorts packed `key << 32 | index` words ascending. The words arrive
+/// in ascending index order (both callers build them by enumeration).
+/// `tmp` is scratch: its contents are overwritten, and the two vectors
+/// may trade buffers.
+///
+/// Long runs take a least-significant-digit radix sort over the key bits
+/// that differ between some two keys — bits every key shares sort
+/// nothing — cut into equal digits of at most 11 bits: 17-bit node ids
+/// that share their partition's residue sort in two 8-bit passes. Short
+/// runs compare words.
+pub(crate) fn sort_words(words: &mut Vec<u64>, tmp: &mut Vec<u64>) {
+    if words.len() < RADIX_MIN_LEN {
+        words.sort_unstable();
+        return;
+    }
+    let (mut any, mut all) = (0u64, u64::MAX);
+    for &w in words.iter() {
+        any |= w;
+        all &= w;
+    }
+    let varying = (any ^ all) >> 32;
+    if varying == 0 {
+        return;
+    }
+    let low = varying.trailing_zeros();
+    let bits = u64::BITS - varying.leading_zeros() - low;
+    let width = bits.div_ceil(bits.div_ceil(MAX_DIGIT_BITS));
+    let mask = (1u64 << width) - 1;
+    tmp.clear();
+    tmp.resize(words.len(), 0);
+    let mut offsets = [0usize; 1 << MAX_DIGIT_BITS];
+    for shift in (32 + low..32 + low + bits).step_by(width as usize) {
+        if (varying >> (shift - 32)) & mask == 0 {
+            continue;
+        }
+        let offsets = &mut offsets[..1 << width];
+        offsets.fill(0);
+        for &w in words.iter() {
+            offsets[((w >> shift) & mask) as usize] += 1;
+        }
+        let mut start = 0;
+        for slot in offsets.iter_mut() {
+            let count = *slot;
+            *slot = start;
+            start += count;
+        }
+        // Ascending source order within a digit: each pass is stable.
+        for &w in words.iter() {
+            let slot = &mut offsets[((w >> shift) & mask) as usize];
+            tmp[*slot] = w;
+            *slot += 1;
+        }
+        std::mem::swap(words, tmp);
+    }
+}
 
 /// Sorts key/value pairs by key (stable, so equal keys keep their
 /// arrival order, matching Hadoop's stable merge of map outputs).
-pub fn sort_run<K: Ord, V>(run: &mut [(K, V)]) {
-    run.sort_by(|a, b| a.0.cmp(&b.0));
+///
+/// Takes the same digit sort as the shuffle kernel when the keys pack
+/// and the records can be gathered by a plain copy; compares otherwise.
+pub fn sort_run<K: Codec + Ord + Clone, V: Clone>(run: &mut [(K, V)]) {
+    if let Some(mut words) = pack_run(run) {
+        sort_words(&mut words, &mut Vec::new());
+        let sorted: Vec<(K, V)> = words.iter().map(|&w| run[word_index(w)].clone()).collect();
+        run.clone_from_slice(&sorted);
+    } else {
+        run.sort_by(|a, b| a.0.cmp(&b.0));
+    }
+}
+
+/// The sort words of `run`, if it is worth sorting by digits: long
+/// enough, every key packs, and a record clones without owning anything
+/// (so the gather is a copy, not an allocation per record).
+fn pack_run<K: Codec, V>(run: &[(K, V)]) -> Option<Vec<u64>> {
+    if run.len() < RADIX_MIN_LEN
+        || run.len() > u32::MAX as usize
+        || std::mem::needs_drop::<(K, V)>()
+    {
+        return None;
+    }
+    run.iter()
+        .enumerate()
+        .map(|(i, (k, _))| pack_word(k, i as u32))
+        .collect()
+}
+
+/// K-way merges key-sorted `runs` — decoded vectors, or cursors still
+/// decoding their segments — and hands `emit` every key group, in
+/// key order, with its values in a `Vec` of their own: run by run
+/// (ties between runs are broken by run index), each run's in its own
+/// order — the view a reduce function receives. Returns the number of
+/// records merged.
+///
+/// The frontier is a binary min-heap of run indices ordered by (head
+/// key, run index). A run is drained for as long as it continues the
+/// open key, so the heap is touched once per (key, run), not per record,
+/// and a record's key is never copied.
+///
+/// A group's values are gathered in one buffer the merge keeps and
+/// handed over in a `Vec` of exactly their number: one allocation per
+/// key and never a regrowth. A `Vec` grown in place costs a `realloc`
+/// per doubling, and `realloc` — unlike the allocator's per-thread
+/// fast path — takes the lock of the arena that owns the block; with a
+/// recycled block that another reduce thread's arena owns, every key of
+/// every pair then queues on one lock for as long as the job runs.
+pub(crate) fn merge_groups<K: Ord, V, E>(
+    mut runs: Vec<impl Iterator<Item = Result<(K, V), E>>>,
+    mut emit: impl FnMut(K, Vec<V>),
+) -> Result<u64, E> {
+    let mut heads: Vec<Option<(K, V)>> = Vec::with_capacity(runs.len());
+    for run in &mut runs {
+        heads.push(run.next().transpose()?);
+    }
+    let mut heap: Vec<usize> = (0..runs.len()).filter(|&r| heads[r].is_some()).collect();
+    for root in (0..heap.len() / 2).rev() {
+        sift_down(&mut heap, &heads, root);
+    }
+    let mut records = 0u64;
+    let mut gathered: Vec<V> = Vec::new();
+    while let Some((key, first)) = heap.first().and_then(|&top| heads[top].take()) {
+        gathered.push(first);
+        // The heap yields the runs holding `key` in run order.
+        while let Some(&run) = heap.first() {
+            heads[run] = loop {
+                match runs[run].next().transpose()? {
+                    Some((k, v)) if k == key => gathered.push(v),
+                    next => break next,
+                }
+            };
+            if heads[run].is_none() {
+                heap.swap_remove(0);
+            }
+            sift_down(&mut heap, &heads, 0);
+            let Some(head) = heap.first().map(|&next| &mut heads[next]) else {
+                break;
+            };
+            match head.take() {
+                Some((k, v)) if k == key => gathered.push(v),
+                other => {
+                    *head = other;
+                    break;
+                }
+            }
+        }
+        records += gathered.len() as u64;
+        let mut values = Vec::with_capacity(gathered.len());
+        values.append(&mut gathered);
+        emit(key, values);
+    }
+    Ok(records)
+}
+
+/// Restores the heap order below `at`. Every index in `heap` names a
+/// run whose head is present.
+#[inline]
+fn sift_down<K: Ord, V>(heap: &mut [usize], heads: &[Option<(K, V)>], mut at: usize) {
+    let before = |a: usize, b: usize| match (&heads[a], &heads[b]) {
+        (Some((ka, _)), Some((kb, _))) => (ka, a) < (kb, b),
+        _ => false,
+    };
+    loop {
+        let left = 2 * at + 1;
+        if left >= heap.len() {
+            return;
+        }
+        let right = left + 1;
+        let child = if right < heap.len() && before(heap[right], heap[left]) {
+            right
+        } else {
+            left
+        };
+        if !before(heap[child], heap[at]) {
+            return;
+        }
+        heap.swap(at, child);
+        at = child;
+    }
+}
+
+/// A decoded run as [`merge_groups`] takes it.
+fn infallible<K, V>(run: Vec<(K, V)>) -> impl Iterator<Item = Result<(K, V), Infallible>> {
+    run.into_iter().map(Ok)
 }
 
 /// K-way merges several key-sorted runs into one key-sorted stream.
 ///
 /// Ties are broken by run index, preserving the run order — reducers in
 /// Hadoop see map outputs for the same key ordered by map task id.
-pub fn merge_runs<K: Ord, V>(runs: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
-    // Heap entries carry the value but compare only on (key, run index),
-    // so `V` needs no `Ord` bound.
-    struct Entry<K, V> {
-        key: K,
-        run: usize,
-        value: V,
+pub fn merge_runs<K: Ord + Clone, V>(runs: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
+    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    let runs = runs.into_iter().map(infallible).collect();
+    let flatten = |k: K, values: Vec<V>| out.extend(values.into_iter().map(|v| (k.clone(), v)));
+    match merge_groups(runs, flatten) {
+        Ok(_) => out,
+        Err(never) => match never {},
     }
-    impl<K: Ord, V> PartialEq for Entry<K, V> {
-        fn eq(&self, other: &Self) -> bool {
-            self.key == other.key && self.run == other.run
-        }
-    }
-    impl<K: Ord, V> Eq for Entry<K, V> {}
-    impl<K: Ord, V> PartialOrd for Entry<K, V> {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl<K: Ord, V> Ord for Entry<K, V> {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.key.cmp(&other.key).then(self.run.cmp(&other.run))
-        }
-    }
-
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut sources: Vec<std::vec::IntoIter<(K, V)>> =
-        runs.into_iter().map(Vec::into_iter).collect();
-    let mut heap: BinaryHeap<Reverse<Entry<K, V>>> = BinaryHeap::with_capacity(sources.len());
-
-    for (idx, src) in sources.iter_mut().enumerate() {
-        if let Some((k, v)) = src.next() {
-            heap.push(Reverse(Entry {
-                key: k,
-                run: idx,
-                value: v,
-            }));
-        }
-    }
-    while let Some(Reverse(entry)) = heap.pop() {
-        out.push((entry.key, entry.value));
-        if let Some((nk, nv)) = sources[entry.run].next() {
-            heap.push(Reverse(Entry {
-                key: nk,
-                run: entry.run,
-                value: nv,
-            }));
-        }
-    }
-    out
 }
 
 /// Groups a key-sorted stream into `(key, values)` groups — the view a
 /// reduce function receives.
 pub fn group_sorted<K: Ord + Clone, V>(sorted: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
     let mut out: Vec<(K, Vec<V>)> = Vec::new();
-    for (k, v) in sorted {
-        match out.last_mut() {
-            Some((last_k, vals)) if *last_k == k => vals.push(v),
-            _ => out.push((k, vec![v])),
-        }
+    match merge_groups(vec![infallible(sorted)], |k, values| out.push((k, values))) {
+        Ok(_) => out,
+        Err(never) => match never {},
     }
-    out
 }
 
 /// Verifies a run is key-sorted; used by debug assertions and tests.
@@ -143,6 +312,28 @@ mod tests {
                 (3, vec!['d', 'e', 'f'])
             ]
         );
+    }
+
+    #[test]
+    fn a_group_is_handed_over_in_a_vec_of_exactly_its_size() {
+        // Groups of 1, 5, 300 and 2 values spread over three runs: no
+        // group's `Vec` was grown, whatever the size of the one before.
+        let run = |keys: &[(u32, usize)]| -> Vec<(u32, usize)> {
+            let values = |&(k, n): &(u32, usize)| (0..n).map(move |v| (k, v));
+            keys.iter().flat_map(values).collect()
+        };
+        let runs = vec![
+            run(&[(1, 1), (2, 2), (3, 100)]),
+            run(&[(2, 3), (3, 150), (4, 1)]),
+            run(&[(3, 50), (4, 1)]),
+        ];
+        let mut sizes = Vec::new();
+        let merged = merge_groups(runs.into_iter().map(infallible).collect(), |k, values| {
+            assert_eq!(values.capacity(), values.len(), "key {k}");
+            sizes.push(values.len());
+        });
+        assert_eq!(merged, Ok(308));
+        assert_eq!(sizes, [1, 5, 300, 2]);
     }
 
     #[test]

@@ -1,0 +1,87 @@
+//! "Allocation-light" as a number that can fail: what one more
+//! iteration of the native pair loop asks the allocator for, against
+//! the bytes that iteration shuffles.
+//!
+//! A persistent pair keeps its emit buffer and its shuffle's index
+//! buffers, merges straight off the decode cursors and streams reduced
+//! keys into the next state, so an iteration should allocate little
+//! beyond what its contract forces: the segments themselves, the one
+//! `Vec<V>` per key the `reduce` signature takes by value, and the new
+//! state (≈ 2 × the shuffle bytes). A loop that re-grows an emit
+//! buffer from empty, copies segments to freeze them, or materialises
+//! decoded, merged and grouped copies allocates 12–15 ×.
+//!
+//! This file is its own test crate so that the counting allocator — the
+//! one `unsafe` in the repository — stays out of the libraries, and it
+//! holds one test so that nothing else allocates while it counts.
+
+use imapreduce::IterConfig;
+use imr_algorithms::pagerank::run_pagerank_imr;
+use imr_algorithms::testutil::native_runner;
+use imr_graph::{generate_graph, pagerank_degree_dist};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Bytes requested from the allocator so far, on every thread. A
+/// reallocation counts its whole new size: it may move the block.
+static REQUESTED: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// whose contract is the one the caller upholds; the counter is a
+// statistic that no allocation depends on.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const PAIRS: usize = 2;
+
+/// Runs `iters` PageRank iterations on `PAIRS` native pairs; returns the
+/// bytes the whole run (load included) requested and the bytes it
+/// shuffled.
+fn run(iters: usize) -> (u64, u64) {
+    let graph = generate_graph(20_000, 140_000, pagerank_degree_dist(), 7);
+    let runner = native_runner(PAIRS);
+    let cfg = IterConfig::new("pr", PAIRS, iters);
+    let before = REQUESTED.load(Ordering::Relaxed);
+    let out = run_pagerank_imr(&runner, &graph, &cfg).expect("pagerank runs");
+    let requested = REQUESTED.load(Ordering::Relaxed) - before;
+    assert_eq!(out.iterations, iters);
+    (requested, runner.metrics().shuffle_local_bytes.get())
+}
+
+#[test]
+fn an_extra_iteration_allocates_at_most_four_times_what_it_shuffles() {
+    let (short, _) = run(5);
+    let (long, shuffled) = run(10);
+    let extra_iterations = (5 * PAIRS) as u64;
+    let allocated = (long - short) / extra_iterations;
+    let shuffled = shuffled / (10 * PAIRS) as u64;
+    let ratio = allocated as f64 / shuffled as f64;
+    println!(
+        "per pair and iteration: {allocated} bytes allocated, {shuffled} shuffled: {ratio:.2}x"
+    );
+    assert!(
+        ratio <= 4.0,
+        "one more iteration allocates {allocated} bytes per pair for {shuffled} shuffled \
+         ({ratio:.2}x, budget 4x)"
+    );
+}

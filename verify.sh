@@ -13,8 +13,9 @@
 #                          # then benchmark/run.sh --quick (must be correct)
 #   ./verify.sh drift      # verify.sh subcommands <-> CI jobs bijection,
 #                          # wire enums <-> DESIGN.md §8 message table,
-#                          # every IterConfig builder has a caller, and
-#                          # bench bins <-> BENCH_BINS <-> results/*.json
+#                          # every IterConfig builder has a caller,
+#                          # bench bins <-> BENCH_BINS <-> results/*.json,
+#                          # and BENCH_*.json rows <-> BENCHMARK.json (needs jq)
 #   ./verify.sh <suite>    # one row group of the SUITES table: faults,
 #                          # observe, service, delta, chaos, incremental
 #
@@ -259,7 +260,8 @@ exposition_smoke() {
 # it — a knob nothing sets is one value in use, i.e. a constant.
 # And the measurement surface: `bench` smoke-runs exactly the bins that
 # exist, and results/ holds only what those bins (and `all`'s jacobi
-# extra) emit — virtual-time artifacts; wall-clock belongs to benchmark/.
+# extra) emit — virtual-time artifacts; wall-clock belongs to benchmark/,
+# and what it read for each perf PR is committed as BENCH_<date>.json.
 # Cheap on purpose — no cargo involved — so CI runs it on every push.
 wire_variants() {
   awk -v open="pub enum $1 {" '$0 == open { f = 1; next } f && /^}/ { f = 0 } f' \
@@ -308,6 +310,22 @@ cmd_drift() {
   [ -z "$stray" ] \
     || { echo "drift: results/ holds artifacts no kept bin emits: $(paste -sd' ' <<< "$stray")" >&2; exit 1; }
   echo "drift: bench smoke-runs all ${#BENCH_BINS[@]} experiment bins; results/ holds only their artifacts"
+
+  # The committed perf trajectory: every BENCH_*.json at the root is a
+  # table of rows, each naming a workload and a metric BENCHMARK.json
+  # declares — a renamed metric cannot leave an orphaned history behind.
+  local bench known unknown benches=0
+  known=$(jq -r '.workloads[].name, .end_to_end[].name, .per_layer[].name' BENCHMARK.json)
+  for bench in BENCH_*.json; do
+    [ -e "$bench" ] || continue
+    benches=$((benches + 1))
+    jq -e '.rows | type == "array" and length > 0' "$bench" > /dev/null 2>&1 \
+      || { echo "drift: $bench is not a JSON table of {workload, metric, …} rows" >&2; exit 1; }
+    unknown=$(jq -r '.rows[] | .workload, .metric' "$bench" | sort -u | grep -vxF -e "$known" || true)
+    [ -z "$unknown" ] \
+      || { echo "drift: $bench names what BENCHMARK.json does not declare: $(paste -sd' ' <<< "$unknown")" >&2; exit 1; }
+  done
+  echo "drift: $benches committed BENCH_*.json name only declared workloads and metrics"
 
   local subs jobs
   subs=$({
