@@ -97,7 +97,7 @@ pub fn run_jacobi_imr(
     load_partitioned(
         runner.dfs(),
         "/jac/static",
-        system.to_vec(),
+        system,
         cfg.num_tasks,
         |k, n| job.partition(k, n),
         &mut clock,

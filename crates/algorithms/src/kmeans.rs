@@ -128,7 +128,7 @@ pub fn load_kmeans_imr(
     load_partitioned(
         runner.dfs(),
         static_dir,
-        points.to_vec(),
+        points,
         num_tasks,
         |key, n| job.partition(key, n),
         &mut clock,
@@ -293,7 +293,7 @@ pub fn run_kmeans_mr(
 ) -> Result<KmeansMrOutcome, EngineError> {
     let points_dir = "/km-mr/points";
     let mut clock = TaskClock::default();
-    runner.load_input(points_dir, points.to_vec(), num_tasks, &mut clock)?;
+    runner.load_input(points_dir, points, num_tasks, &mut clock)?;
     let mut centroids = initial_centroids(points, k);
     let mut now = VInstant::EPOCH;
     let mut report = RunReport {

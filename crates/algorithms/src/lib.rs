@@ -19,7 +19,6 @@
 //! | [`matpower`] | Matrix power | §5.2, Fig. 18 | two-phase |
 //! | [`jacobi`] | Jacobi iteration | §5.1 | one2all, sync |
 //! | [`concomp`] | Connected components (HashMin) | §2.2's graph class | one2one, async |
-//! | [`rwr`] | Random walk with restart | §1's cited applications [2, 23, 36] | one2one, async |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +29,6 @@ pub mod jacobi;
 pub mod kmeans;
 pub mod matpower;
 pub mod pagerank;
-pub mod rwr;
 pub mod sssp;
 pub mod testutil;
 

@@ -101,8 +101,17 @@ pub trait IterativeJob: Send + Sync {
         false
     }
 
-    /// The map-side combiner (same contract as the reducer's fold, but
-    /// partial).
+    /// The map-side combiner: a partial reduce of one key's values.
+    ///
+    /// It may run any number of times per key and map task, each time
+    /// on consecutive values of the key in emission order, the key's
+    /// previous combine output first; what it returns for the last run
+    /// is shuffled. The map side combines as the map emits (a run is
+    /// combined once it holds 64 values, or twice its previous output),
+    /// so no buffer of the whole map output exists. A left fold — every
+    /// combiner shipped here — gives the bit-identical result of one call
+    /// on all of the key's values (`imr-records`'
+    /// `combine_runs_is_group_then_combine` holds it).
     fn combine(&self, _key: &Self::K, values: Vec<Self::S>) -> Vec<Self::S> {
         values
     }

@@ -244,7 +244,9 @@ pub struct AppliedDelta<T> {
     /// changed (first-change snapshot; inserted keys are excluded).
     pub old_statics: BTreeMap<u32, T>,
     /// Pre-delta static data of removed keys that existed before the
-    /// delta (insert-then-remove within one delta leaves no entry).
+    /// delta (insert-then-remove within one delta leaves no entry; a
+    /// removed key inserted again is in `inserted` too, and its old row
+    /// is still retracted).
     pub removed: BTreeMap<u32, T>,
     /// Keys inserted by the delta and still alive at the end of it.
     pub inserted: BTreeSet<u32>,
@@ -297,9 +299,11 @@ pub fn apply_delta<J: Incremental>(
                 if statics.contains_key(&node) {
                     return Err(format!("InsertNode {node}: node already exists"));
                 }
+                // A node removed earlier in this delta keeps its entry
+                // in `removed`: the re-inserted node starts empty, so the
+                // old row's emissions must still be retracted.
                 statics.insert(node, job.empty_static());
                 out.inserted.insert(node);
-                out.removed.remove(&node);
             }
             GraphDeltaOp::RemoveNode { node } => {
                 if !statics.contains_key(&node) {
@@ -1089,6 +1093,32 @@ mod tests {
         assert!(applied.removed.is_empty());
         assert!(applied.inserted.is_empty());
         assert!(!statics.contains_key(&9));
+    }
+
+    #[test]
+    fn a_node_removed_and_reinserted_by_one_delta_retracts_its_old_row() {
+        let job = ToySum::default();
+        let statics: Vec<(u32, Vec<u32>)> = vec![(0, vec![1, 2]), (1, vec![2]), (2, vec![])];
+        let values: Vec<(u32, f64)> = vec![(0, 1.0), (1, 1.25), (2, 1.875)];
+        let mut delta = GraphDelta::new();
+        delta.remove_node(0);
+        delta.insert_node(0);
+        let mut store: BTreeMap<u32, Vec<u32>> = statics.iter().cloned().collect();
+        let applied = apply_delta(&job, &mut store, &delta).unwrap();
+        assert_eq!(applied.removed[&0], vec![1, 2]);
+        assert_eq!(applied.inserted, BTreeSet::from([0]));
+        assert!(store[&0].is_empty());
+
+        let plan = plan_incremental(&job, &values, &statics, &delta, 1).unwrap();
+        let part = &plan.state_parts[0];
+        let entry = |k: u32| part.iter().find(|(key, _)| *key == k).unwrap().1;
+        // Old row 0 sent 0.25 to each of {1, 2}; the node that replaces
+        // it has no edges, so both shares are retracted.
+        assert_eq!(entry(1), (1.25, -0.25));
+        assert_eq!(entry(2), (1.875, -0.25));
+        // Node 0 itself restarts from its seed.
+        assert_eq!(entry(0), (0.0, 1.0));
+        assert_eq!((plan.stats.removed, plan.stats.inserted), (1, 1));
     }
 
     #[test]

@@ -13,11 +13,14 @@
 //! transport and supervision. Cross-engine bit-identity therefore
 //! follows from shared code.
 //!
-//! A pair is persistent, so its buffers are too: the emit buffer and the
-//! shuffle's index buffers live in the [`MapScratch`] the loop owns and
-//! are emptied, not reallocated, between iterations. The reduce side
-//! needs none — it streams each reduced key straight into the next
-//! state.
+//! A pair is persistent, so its buffers are too: the emit buffer, the
+//! shuffle's index buffers and the combiner's key table live in the
+//! [`MapScratch`] the loop owns and are emptied, not reallocated,
+//! between iterations. With a combiner the emit buffer never holds more
+//! than one map call's output: it is drained into per-key runs
+//! ([`imr_records::CombineRuns`]) that are combined as they fill. The
+//! reduce side needs no buffer — it streams each reduced key straight
+//! into the next state.
 //!
 //! The barrier-free accumulative mode's ⊕ delta round (DESIGN.md §11)
 //! is likewise one definition in two halves around the exchange:
@@ -29,15 +32,16 @@ use crate::accum::{partition_deltas, Accumulative, DeltaStore};
 use crate::api::{Emitter, IterativeJob, StateInput};
 use bytes::Bytes;
 use imr_mapreduce::EngineError;
-use imr_records::{encode_pairs, shuffle_in, Key, ShuffleCost, ShuffleScratch, Value};
+use imr_records::{encode_pairs, shuffle_in, CombineRuns, Key, ShuffleCost, ShuffleScratch, Value};
 use imr_simcluster::Metrics;
 
 /// What a pair's map side keeps between iterations: the buffer the user
-/// map emits into and the shuffle's index buffers. Both are empty
-/// between calls; what persists is their capacity.
+/// map emits into, the shuffle's index buffers and the combiner's runs.
+/// All are empty between calls; what persists is their capacity.
 pub struct MapScratch<K, S> {
     emitter: Emitter<K, S>,
     shuffle: ShuffleScratch,
+    runs: CombineRuns<K, S>,
 }
 
 impl<K, S> Default for MapScratch<K, S> {
@@ -45,6 +49,7 @@ impl<K, S> Default for MapScratch<K, S> {
         MapScratch {
             emitter: Emitter::new(),
             shuffle: ShuffleScratch::default(),
+            runs: CombineRuns::default(),
         }
     }
 }
@@ -86,9 +91,11 @@ pub struct ReduceOutput<K, S> {
 impl<K: Key, S: Value> MapScratch<K, S> {
     /// Map side of one iteration of pair `pair`: the sorted state/static
     /// join (§3.2.2), the user map, then partition → sort → combine →
-    /// encode into `n` segments. A state partition that does not line up
-    /// key for key with the static partition, or a `partition` that
-    /// names a destination outside `0..n`, is a [`EngineError::Config`].
+    /// encode into `n` segments — with a combiner, each map call's output
+    /// joins its keys' runs before the next call. A state partition that
+    /// does not line up key for key with the static partition, or a
+    /// `partition` that names a destination outside `0..n`, is a
+    /// [`EngineError::Config`].
     #[allow(clippy::too_many_arguments)]
     pub fn map_side<J: IterativeJob<K = K, S = S>>(
         &mut self,
@@ -100,13 +107,27 @@ impl<K: Key, S: Value> MapScratch<K, S> {
         metrics: &Metrics,
         cost: &mut impl ShuffleCost,
     ) -> Result<MapOutput, EngineError> {
-        let emitter = &mut self.emitter;
-        // A failed call may have left emits behind.
+        let MapScratch {
+            emitter,
+            shuffle,
+            runs,
+        } = self;
+        // A failed call may have left emits or runs behind.
         emitter.pairs_mut().clear();
+        runs.clear();
+        let combiner = job.has_combiner();
+        let mut combine = |k: &K, values| job.combine(k, values);
+        let mut emitted = 0u64;
+        let mut collect = |emitter: &mut Emitter<K, S>| {
+            if combiner {
+                emitted += runs.absorb(emitter.pairs_mut(), &mut combine);
+            }
+        };
         match state {
             MapState::Broadcast(global) => {
                 for (k, t) in stat {
                     job.map(k, StateInput::All(global), t, emitter);
+                    collect(emitter);
                 }
             }
             MapState::Own(state) => {
@@ -118,22 +139,19 @@ impl<K: Key, S: Value> MapScratch<K, S> {
                         )));
                     }
                     job.map(ks, StateInput::One(s), t, emitter);
+                    collect(emitter);
                 }
             }
         }
         let records_in = stat.len() as u64;
         metrics.map_input_records.add(records_in);
-        let emitted = emitter.len() as u64;
-        let combiner = job
-            .has_combiner()
-            .then_some(|k: &K, vals| job.combine(k, vals));
-        let out = self.shuffle.shuffle_out(
-            emitter.pairs_mut(),
-            n,
-            |k, n| job.partition(k, n),
-            combiner,
-            cost,
-        )?;
+        let partition = |k: &K, n| job.partition(k, n);
+        let out = if combiner {
+            runs.finish(shuffle, n, partition, &mut combine, cost)?
+        } else {
+            emitted = emitter.len() as u64;
+            shuffle.shuffle_out(emitter.pairs_mut(), n, partition, cost)?
+        };
         Ok(MapOutput {
             segments: out.segments,
             spill_bytes: out.bytes,

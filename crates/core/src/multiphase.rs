@@ -169,14 +169,10 @@ fn run_phase<P: PhaseJob>(
         let emitted = emitter.len() as u64;
         clock.advance(cost.compute_time(state[p].len() as u64 + emitted, in_bytes, speed));
 
-        // No combiner between phases: the user functions arrive as
-        // closures because a `PhaseJob` is not an `IterativeJob`.
-        let no_combiner = None::<fn(&P::MidK, Vec<P::Mid>) -> Vec<P::Mid>>;
         let spilled = scratch.shuffle_out(
             emitter.pairs_mut(),
             n,
             |k, n| phase.partition_mid(k, n),
-            no_combiner,
             &mut ClockCharge::new(&mut clock, cost, speed),
         )?;
         clock.advance(cost.serde_per_byte * spilled.bytes);

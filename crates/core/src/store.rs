@@ -10,55 +10,87 @@
 use crate::api::Mapping;
 use crate::config::IterConfig;
 use imr_dfs::{Dfs, DfsError};
-use imr_mapreduce::io::{num_parts, part_path, write_parts};
+use imr_mapreduce::io::{num_parts, part_path, write_encoded_parts};
 use imr_mapreduce::EngineError;
-use imr_records::{sort_run, Codec};
+use imr_records::{Codec, ShuffleScratch};
 use imr_simcluster::TaskClock;
+use std::fmt::Debug;
 
-/// Partitions `pairs` into `n` key-sorted parts using `partition`.
-///
-/// Duplicate keys are rejected: iMapReduce's data model is keyed
+/// Routes `pairs` to `n` parts with `partition` and sorts each part by
+/// key, without moving a record (the map side's
+/// [`ShuffleScratch::route`]). Zero parts, a part index outside `0..n`
+/// and a duplicate key are errors: iMapReduce's data model is keyed
 /// records (one state record and one static record per key), and a
 /// duplicate would silently corrupt the sorted join.
-pub fn partition_sorted<K: Codec + Ord + Clone + std::fmt::Debug, V: Clone>(
+fn route_parts<K: Codec + Ord + Debug, V>(
+    pairs: &[(K, V)],
+    n: usize,
+    partition: impl Fn(&K, usize) -> usize,
+) -> Result<ShuffleScratch, String> {
+    if n == 0 {
+        return Err("cannot partition into zero parts".into());
+    }
+    let mut scratch = ShuffleScratch::default();
+    scratch
+        .route(pairs, n, partition)
+        .map_err(|e| e.to_string())?;
+    for p in 0..n {
+        let order = scratch.order(p);
+        if let Some((i, _)) = order
+            .clone()
+            .zip(order.skip(1))
+            .find(|&(a, b)| pairs[a].0 == pairs[b].0)
+        {
+            return Err(format!("duplicate key {:?} in input", pairs[i].0));
+        }
+    }
+    Ok(scratch)
+}
+
+/// Partitions `pairs` into `n` key-sorted parts using `partition`.
+/// Zero parts, a part index outside `0..n` and duplicate keys are
+/// rejected.
+pub fn partition_sorted<K: Codec + Ord + Debug, V>(
     pairs: Vec<(K, V)>,
     n: usize,
     partition: impl Fn(&K, usize) -> usize,
 ) -> Result<Vec<Vec<(K, V)>>, String> {
-    assert!(n > 0, "cannot partition into zero parts");
-    let mut parts: Vec<Vec<(K, V)>> = (0..n).map(|_| Vec::new()).collect();
-    for (k, v) in pairs {
-        let p = partition(&k, n);
-        assert!(p < n, "partition function returned {p} for {n} parts");
-        parts[p].push((k, v));
-    }
-    for part in &mut parts {
-        sort_run(part);
-        for w in part.windows(2) {
-            if w[0].0 == w[1].0 {
-                return Err(format!("duplicate key {:?} in input", w[0].0));
-            }
-        }
-    }
-    Ok(parts)
+    let scratch = route_parts(&pairs, n, partition)?;
+    // Each index is in exactly one part's order, so every take finds
+    // its record.
+    let mut records: Vec<Option<(K, V)>> = pairs.into_iter().map(Some).collect();
+    Ok((0..n)
+        .map(|p| {
+            let order = scratch.order(p);
+            let mut part = Vec::with_capacity(order.len());
+            part.extend(order.filter_map(|i| records[i].take()));
+            part
+        })
+        .collect())
 }
 
 /// Partitions `pairs` and writes them as `<dir>/part-XXXXX` files,
-/// charging `clock` for the load.
+/// charging `clock` for the load. Each part is encoded straight from
+/// `pairs` through the sorted indices: the input is never copied. Zero
+/// parts, a `partition` outside `0..n` and a duplicate key are
+/// [`EngineError::Config`].
 pub fn load_partitioned<K, V>(
     dfs: &Dfs,
     dir: &str,
-    pairs: Vec<(K, V)>,
+    pairs: impl AsRef<[(K, V)]>,
     n: usize,
     partition: impl Fn(&K, usize) -> usize,
     clock: &mut TaskClock,
-) -> Result<(), DfsError>
+) -> Result<(), EngineError>
 where
-    K: Codec + Ord + Clone + std::fmt::Debug,
-    V: Codec + Clone,
+    K: Codec + Ord + Debug,
+    V: Codec,
 {
-    let parts = partition_sorted(pairs, n, partition).map_err(DfsError::BlockLost)?;
-    write_parts(dfs, dir, &parts, clock)
+    let pairs = pairs.as_ref();
+    let scratch = route_parts(pairs, n, partition)
+        .map_err(|e| EngineError::Config(format!("loading {dir}: {e}")))?;
+    let parts = (0..n).map(|p| scratch.encode(pairs, p));
+    Ok(write_encoded_parts(dfs, dir, parts, clock)?)
 }
 
 /// Encoded size of part `i` of `dir` (for cost accounting without a
@@ -138,6 +170,30 @@ mod tests {
     fn duplicate_keys_are_rejected() {
         let pairs = vec![(1u32, 'a'), (1, 'b')];
         assert!(partition_sorted(pairs, 2, |k, n| ModPartitioner.partition(k, n)).is_err());
+    }
+
+    #[test]
+    fn a_bad_partition_at_load_time_is_a_config_error() {
+        let fs = dfs();
+        let mut clock = TaskClock::default();
+        let pairs: Vec<(u32, f64)> = (0..20).map(|i| (i, f64::from(i))).collect();
+        let err = load_partitioned(
+            &fs,
+            "/bad",
+            pairs.clone(),
+            3,
+            |k, _| *k as usize % 4,
+            &mut clock,
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(err.contains("invalid configuration"), "{err}");
+        assert!(err.contains("returned 3 for 3 parts"), "{err}");
+        let err = load_partitioned(&fs, "/none", pairs, 0, |k, n| *k as usize % n, &mut clock)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("zero parts"), "{err}");
+        assert_eq!(num_parts(&fs, "/bad") + num_parts(&fs, "/none"), 0);
     }
 
     #[test]

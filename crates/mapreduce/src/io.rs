@@ -8,6 +8,7 @@ use bytes::Bytes;
 use imr_dfs::{Dfs, DfsError};
 use imr_records::{decode_pairs, encode_pairs, Codec};
 use imr_simcluster::{NodeId, TaskClock};
+use std::ops::Range;
 
 /// The DFS path of part `i` inside `dir`.
 pub fn part_path(dir: &str, i: usize) -> String {
@@ -20,21 +21,33 @@ pub fn num_parts(dfs: &Dfs, dir: &str) -> usize {
     dfs.list(&prefix).len()
 }
 
-/// Writes `parts[i]` as part `i` of `dir`, spreading the writes
-/// round-robin over the cluster nodes (as a distributed loader would).
-/// Charges the provided clock for the slowest node's writes, which is
-/// when the dataset is fully available.
+/// Writes `parts[i]` as part `i` of `dir`: [`write_encoded_parts`] of
+/// their encodings.
 pub fn write_parts<K: Codec, V: Codec>(
     dfs: &Dfs,
     dir: &str,
     parts: &[Vec<(K, V)>],
     clock: &mut TaskClock,
 ) -> Result<(), DfsError> {
+    write_encoded_parts(dfs, dir, parts.iter().map(|part| encode_pairs(part)), clock)
+}
+
+/// Writes the `i`-th encoded segment of `parts` as part `i` of `dir`,
+/// spreading the writes round-robin over the cluster nodes (as a
+/// distributed loader would). Each segment is taken as it is written,
+/// so a lazy `parts` holds one encoding at a time. Charges the provided
+/// clock for the slowest node's writes, which is when the dataset is
+/// fully available.
+pub fn write_encoded_parts(
+    dfs: &Dfs,
+    dir: &str,
+    parts: impl IntoIterator<Item = Bytes>,
+    clock: &mut TaskClock,
+) -> Result<(), DfsError> {
     let n = dfs.cluster().len();
     let mut node_clocks: Vec<TaskClock> = vec![TaskClock::starting_at(clock.now()); n];
-    for (i, part) in parts.iter().enumerate() {
+    for (i, payload) in parts.into_iter().enumerate() {
         let node = NodeId((i % n) as u32);
-        let payload = encode_pairs(part);
         dfs.write(
             &part_path(dir, i),
             payload,
@@ -87,16 +100,17 @@ pub fn delete_dir(dfs: &Dfs, dir: &str) {
 /// co-partitioned; use a partitioner for that.
 pub fn split_contiguous<K, V>(pairs: Vec<(K, V)>, n: usize) -> Vec<Vec<(K, V)>> {
     assert!(n > 0, "cannot split into zero parts");
-    let total = pairs.len();
-    let per = total.div_ceil(n).max(1);
-    let mut parts: Vec<Vec<(K, V)>> = Vec::with_capacity(n);
     let mut it = pairs.into_iter();
-    for _ in 0..n {
-        let chunk: Vec<(K, V)> = it.by_ref().take(per).collect();
-        parts.push(chunk);
-    }
-    debug_assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), total);
-    parts
+    contiguous_ranges(it.len(), n)
+        .map(|part| it.by_ref().take(part.len()).collect())
+        .collect()
+}
+
+/// The index ranges of [`split_contiguous`]'s `n` parts of `len`
+/// records: chunks of `⌈len / n⌉` (at least one), trailing parts empty.
+pub(crate) fn contiguous_ranges(len: usize, n: usize) -> impl Iterator<Item = Range<usize>> {
+    let per = len.div_ceil(n.max(1)).max(1);
+    (0..n).map(move |i| (i * per).min(len)..((i + 1) * per).min(len))
 }
 
 #[cfg(test)]

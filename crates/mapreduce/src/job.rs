@@ -89,6 +89,12 @@ pub trait MrJob: Send + Sync {
     /// before shuffle (Hadoop `Combiner`). Only called when
     /// [`has_combiner`](MrJob::has_combiner) is true. Default keeps
     /// values unchanged.
+    ///
+    /// As in Hadoop, it may run any number of times per key and map
+    /// task: each call sees consecutive values of the key in emission
+    /// order, its previous output first (the contract
+    /// `IterativeJob::combine` states and `imr_records::CombineRuns`
+    /// implements).
     fn combine(&self, _key: &Self::MidK, values: Vec<Self::MidV>) -> Vec<Self::MidV> {
         values
     }

@@ -3,12 +3,14 @@
 //! DFS output commit.
 
 use crate::charge::ClockCharge;
-use crate::io::{num_parts, part_path, read_part, write_parts};
+use crate::io::{contiguous_ranges, num_parts, part_path, read_part, write_encoded_parts};
 use crate::job::{Emitter, JobConfig, JobCounters, MrJob};
 use crate::schedule::SlotPool;
 use bytes::Bytes;
 use imr_dfs::{Dfs, DfsError};
-use imr_records::{encode_pairs, shuffle_in, CodecError, ShuffleError, ShuffleScratch};
+use imr_records::{
+    encode_pairs, shuffle_in, CodecError, CombineRuns, ShuffleError, ShuffleScratch,
+};
 use imr_simcluster::{ClusterSpec, MetricsHandle, NodeId, TaskClock, VInstant};
 use std::fmt;
 use std::sync::Arc;
@@ -174,6 +176,7 @@ impl JobRunner {
         let mut map_done = Vec::with_capacity(m);
         let mut map_parts: Vec<Vec<Bytes>> = Vec::with_capacity(m);
         let mut scratch = ShuffleScratch::default();
+        let mut runs = CombineRuns::default();
 
         for (dir, i) in &splits {
             let i = *i;
@@ -203,31 +206,36 @@ impl JobRunner {
             let input: Vec<(J::InK, J::InV)> = read_part(&self.dfs, dir, i, node, &mut clock)?;
             clock.advance(cost.serde_per_byte * in_bytes);
 
-            // User map function over every record.
+            // User map function over every record; with a combiner,
+            // each call's output joins its keys' runs before the next.
+            let combiner = job.has_combiner();
+            let mut combine = |k: &J::MidK, values| job.combine(k, values);
             let mut emitter = Emitter::new();
+            let mut emitted = 0u64;
             for (k, v) in &input {
                 job.map(k, v, &mut emitter);
+                if combiner {
+                    emitted += runs.absorb(emitter.pairs_mut(), &mut combine);
+                }
             }
+            let mut raw_out = emitter.into_pairs();
+            emitted += raw_out.len() as u64;
             let records_in = input.len() as u64;
             counters.map_input_records += records_in;
             self.metrics.map_input_records.add(records_in);
-            let mut raw_out = emitter.into_pairs();
-            counters.map_output_records += raw_out.len() as u64;
+            counters.map_output_records += emitted;
             // Map-side cost covers both consuming the input records and
             // producing the output records (collect/partition path).
-            clock.advance(cost.compute_time(records_in + raw_out.len() as u64, in_bytes, speed));
+            clock.advance(cost.compute_time(records_in + emitted, in_bytes, speed));
 
             // Partition, sort, (combine), encode, spill.
-            let combiner = job
-                .has_combiner()
-                .then_some(|k: &J::MidK, vals| job.combine(k, vals));
-            let spilled = scratch.shuffle_out(
-                &mut raw_out,
-                r,
-                |k, r| job.partition(k, r),
-                combiner,
-                &mut ClockCharge::new(&mut clock, cost, speed),
-            )?;
+            let partition = |k: &J::MidK, r| job.partition(k, r);
+            let mut charge = ClockCharge::new(&mut clock, cost, speed);
+            let spilled = if combiner {
+                runs.finish(&mut scratch, r, partition, &mut combine, &mut charge)?
+            } else {
+                scratch.shuffle_out(&mut raw_out, r, partition, &mut charge)?
+            };
             counters.shuffle_records += spilled.records;
             let spill_bytes = spilled.bytes;
             counters.shuffle_bytes += spill_bytes;
@@ -386,17 +394,24 @@ impl JobRunner {
         })
     }
 
-    /// Loads a typed dataset onto the DFS as `n_parts` parts under
-    /// `dir`, charging the load to `clock`.
+    /// Loads a typed dataset onto the DFS as `n_parts` parts of
+    /// contiguous records under `dir`, charging the load to `clock`.
+    /// Each part is encoded straight from `pairs`; nothing is copied.
     pub fn load_input<K: imr_records::Codec, V: imr_records::Codec>(
         &self,
         dir: &str,
-        pairs: Vec<(K, V)>,
+        pairs: impl AsRef<[(K, V)]>,
         n_parts: usize,
         clock: &mut TaskClock,
     ) -> Result<(), EngineError> {
-        let parts = crate::io::split_contiguous(pairs, n_parts);
-        write_parts(&self.dfs, dir, &parts, clock)?;
+        if n_parts == 0 {
+            return Err(EngineError::Config(format!(
+                "cannot split {dir} into zero parts"
+            )));
+        }
+        let pairs = pairs.as_ref();
+        let parts = contiguous_ranges(pairs.len(), n_parts).map(|part| encode_pairs(&pairs[part]));
+        write_encoded_parts(&self.dfs, dir, parts, clock)?;
         Ok(())
     }
 }

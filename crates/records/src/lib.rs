@@ -30,7 +30,9 @@ pub use codec::{
     Value,
 };
 pub use partition::{Fnv1a, HashPartitioner, ModPartitioner, PairPartitioner, Partitioner};
-pub use shuffle::{shuffle_in, shuffle_out, ShuffleCost, ShuffleError, ShuffleOut, ShuffleScratch};
+pub use shuffle::{
+    shuffle_in, shuffle_out, CombineRuns, ShuffleCost, ShuffleError, ShuffleOut, ShuffleScratch,
+};
 pub use sorted::{group_sorted, is_sorted_by_key, merge_runs, sort_run};
 
 #[cfg(test)]
@@ -55,6 +57,89 @@ mod proptests {
         fn reduced(&mut self, values: u64) {
             self.0.push(values);
         }
+    }
+
+    /// Records every map-side charge a shuffle makes, in order.
+    #[derive(Default, Debug, PartialEq)]
+    struct MapCharges(Vec<(&'static str, u64)>);
+    impl ShuffleCost for MapCharges {
+        fn sorted(&mut self, records: u64) {
+            self.0.push(("sorted", records));
+        }
+        fn combined(&mut self, values: u64) {
+            self.0.push(("combined", values));
+        }
+    }
+
+    /// The map side with a combiner as it was before combining moved
+    /// into the map loop: route every record, sort each destination
+    /// stably, then one combine call on all of each key's values.
+    fn group_then_combine<V: Value>(
+        pairs: &[(u32, V)],
+        n: usize,
+        route: impl Fn(&u32, usize) -> usize,
+        mut combine: impl FnMut(&u32, Vec<V>) -> Vec<V>,
+        cost: &mut MapCharges,
+    ) -> Vec<bytes::Bytes> {
+        let mut dests: Vec<Vec<(u32, V)>> = vec![Vec::new(); n];
+        for (k, v) in pairs {
+            dests[route(k, n)].push((*k, v.clone()));
+        }
+        for dest in &mut dests {
+            dest.sort_by_key(|&(k, _)| k);
+            cost.sorted(dest.len() as u64);
+        }
+        let mut segments = Vec::new();
+        for dest in dests {
+            let mut combined = Vec::new();
+            for (k, values) in group_sorted(dest) {
+                cost.combined(values.len() as u64);
+                combined.extend(combine(&k, values).into_iter().map(|v| (k, v)));
+            }
+            segments.push(encode_pairs(&combined));
+        }
+        segments
+    }
+
+    /// The streaming map side on the same input, absorbed `chunk`
+    /// records at a time (a map call's worth); returns the segments and,
+    /// per key, its value count and the combine calls it received.
+    fn combine_runs<V: Value>(
+        pairs: &[(u32, V)],
+        chunk: usize,
+        n: usize,
+        route: impl Fn(&u32, usize) -> usize,
+        mut combine: impl FnMut(&u32, Vec<V>) -> Vec<V>,
+        cost: &mut MapCharges,
+    ) -> (Vec<bytes::Bytes>, Vec<(u64, u64)>) {
+        let mut calls: std::collections::BTreeMap<u32, u64> = Default::default();
+        let mut counted = |k: &u32, values: Vec<V>| {
+            *calls.entry(*k).or_default() += 1;
+            combine(k, values)
+        };
+        let mut runs = CombineRuns::default();
+        for batch in pairs.chunks(chunk) {
+            prop_assert_eq!(
+                runs.absorb(&mut batch.to_vec(), &mut counted),
+                batch.len() as u64
+            );
+        }
+        let out = runs
+            .finish(&mut ShuffleScratch::default(), n, route, &mut counted, cost)
+            .unwrap();
+        let mut per_key: std::collections::BTreeMap<u32, u64> = Default::default();
+        for (k, _) in pairs {
+            *per_key.entry(*k).or_default() += 1;
+        }
+        let calls = per_key
+            .iter()
+            .map(|(k, &values)| (values, calls[k]))
+            .collect();
+        assert_eq!(
+            out.bytes,
+            out.segments.iter().map(|s| s.len() as u64).sum::<u64>()
+        );
+        (out.segments, calls)
     }
 
     proptest! {
@@ -138,6 +223,48 @@ mod proptests {
             }
             got.sort();
             prop_assert_eq!(got, want.into_iter().collect::<Vec<_>>());
+        }
+
+        /// Combining as the map emits is group-then-combine: with keys of
+        /// up to a few thousand values, so every run is combined many
+        /// times, absorbed a few records at a time. A left-fold `f64` sum
+        /// gives bit-identical segments — the previous output must come
+        /// first in a run, or the additions round differently — and the
+        /// cost hook sees the identical call sequence. A concatenating
+        /// and an identity combiner give the same values in the same
+        /// order, and the identity combiner, whose output never shrinks,
+        /// runs at most 2·log₂(n) + 2 times on a key of n values.
+        #[test]
+        fn combine_runs_is_group_then_combine(
+            raw in proptest::collection::vec((any::<u32>(), -1e6..1e6), 0..3000),
+            keys in 1u32..8,
+            n in 1usize..6,
+            chunk in 1usize..8,
+        ) {
+            let route = |k: &u32, n: usize| (k.wrapping_mul(0x9E37_79B9) >> 7) as usize % n;
+            let sums: Vec<(u32, f64)> = raw.iter().map(|&(k, v)| (k % keys, v)).collect();
+            let sum = |_: &u32, values: Vec<f64>| vec![values.into_iter().sum::<f64>()];
+            let (mut want_cost, mut got_cost) = (MapCharges::default(), MapCharges::default());
+            let want = group_then_combine(&sums, n, route, sum, &mut want_cost);
+            let (got, _) = combine_runs(&sums, chunk, n, route, sum, &mut got_cost);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(&got_cost, &want_cost);
+
+            let lists: Vec<(u32, Vec<u32>)> =
+                raw.iter().map(|&(k, _)| (k % keys, vec![k])).collect();
+            let concat = |_: &u32, values: Vec<Vec<u32>>| vec![values.concat()];
+            let identity = |_: &u32, values: Vec<Vec<u32>>| values;
+            let want = group_then_combine(&lists, n, route, concat, &mut MapCharges::default());
+            let (got, _) = combine_runs(&lists, chunk, n, route, concat, &mut MapCharges::default());
+            prop_assert_eq!(&got, &want);
+            let want = group_then_combine(&lists, n, route, identity, &mut MapCharges::default());
+            let (got, calls) =
+                combine_runs(&lists, chunk, n, route, identity, &mut MapCharges::default());
+            prop_assert_eq!(&got, &want);
+            for (values, calls) in calls {
+                let bound = 2.0 * (values as f64).log2() + 2.0;
+                prop_assert!(calls as f64 <= bound, "{calls} calls on {values} values");
+            }
         }
 
         /// The digit sort is the stable comparison sort: every unsigned

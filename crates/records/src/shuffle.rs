@@ -2,7 +2,8 @@
 //! reduce input that every engine drives.
 //!
 //! [`ShuffleScratch::shuffle_out`] is the map side (partition → sort →
-//! optional combine → encode, one segment per destination);
+//! encode, one segment per destination), and [`CombineRuns`] the map
+//! side of a job with a combiner, which combines as the map emits;
 //! [`shuffle_in`] is the reduce side (k-way merge straight off the
 //! segments' decode cursors → group → reduce). The user functions arrive
 //! as closures, so the baseline `MrJob`, the iterative `IterativeJob`
@@ -11,15 +12,18 @@
 //! a run — is decided here and nowhere else.
 //!
 //! The map side never moves a record to sort it: it routes and sorts
-//! *indices* ([`ShuffleScratch::route`]) and encodes, combines or ⊕-folds
-//! by gathering through them. The index buffers belong to the caller's
-//! [`ShuffleScratch`], which a persistent task keeps for as long as it
-//! lives, so iteration *k + 1* allocates none of them again.
+//! *indices* ([`ShuffleScratch::route`]) and encodes or ⊕-folds by
+//! gathering through them; with a combiner it sorts only the distinct
+//! keys, whose values it has already combined. The index buffers belong
+//! to the caller's [`ShuffleScratch`], which a persistent task keeps for
+//! as long as it lives, so iteration *k + 1* allocates none of them
+//! again.
 
-use crate::codec::{encode_pairs, CodecResult, Key, PairCursor, Value};
+use crate::codec::{Codec, CodecResult, Key, PairCursor, Value};
 use crate::sorted::{merge_groups, pack_word, sort_words, word_index};
 use bytes::{Bytes, BytesMut};
 use core::fmt;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Cost hook: told how much work the kernel just did, in the units the
 /// simulated cost model charges. The native engines pass `()`, which
@@ -27,7 +31,8 @@ use core::fmt;
 pub trait ShuffleCost {
     /// A run of `records` map-output records was sorted.
     fn sorted(&mut self, _records: u64) {}
-    /// One combiner call consumed `values` values.
+    /// A key's `values` map-output values were combined (charged once
+    /// per key and map side, however many combine calls that took).
     fn combined(&mut self, _values: u64) {}
     /// One reduce call consumed `values` values.
     fn reduced(&mut self, _values: u64) {}
@@ -75,6 +80,14 @@ pub struct ShuffleOut {
 }
 
 impl ShuffleOut {
+    fn with_capacity(n: usize) -> Self {
+        ShuffleOut {
+            segments: Vec::with_capacity(n),
+            records: 0,
+            bytes: 0,
+        }
+    }
+
     fn push(&mut self, segment: Bytes, records: usize) {
         self.records += records as u64;
         self.bytes += segment.len() as u64;
@@ -93,8 +106,6 @@ pub struct ShuffleScratch {
     words: Vec<Vec<u64>>,
     /// The radix sort's second buffer.
     tmp: Vec<u64>,
-    /// Combiner path: the key group each record belongs to.
-    group_of: Vec<u32>,
 }
 
 impl ShuffleScratch {
@@ -102,7 +113,7 @@ impl ShuffleScratch {
     /// destination's records by key, stably, without moving them:
     /// afterwards [`order`](Self::order) walks a destination's records in
     /// (key, emission) order.
-    pub fn route<K: Key, V>(
+    pub fn route<K: Codec + Ord, V>(
         &mut self,
         pairs: &[(K, V)],
         n: usize,
@@ -161,83 +172,199 @@ impl ShuffleScratch {
     }
 
     /// Map side: routes `pairs` to `n` destinations with `partition`,
-    /// sorts each destination's records by key (stable), folds each key
-    /// group through `combine` if there is one, and encodes one segment
-    /// per destination. `pairs` is left empty, its capacity kept.
+    /// sorts each destination's records by key (stable) and encodes one
+    /// segment per destination. `pairs` is left empty, its capacity kept.
     pub fn shuffle_out<K: Key, V: Value>(
         &mut self,
         pairs: &mut Vec<(K, V)>,
         n: usize,
         partition: impl Fn(&K, usize) -> usize,
-        combine: Option<impl FnMut(&K, Vec<V>) -> Vec<V>>,
         cost: &mut impl ShuffleCost,
     ) -> Result<ShuffleOut, ShuffleError> {
         self.route(pairs, n, partition)?;
-        let mut out = ShuffleOut {
-            segments: Vec::with_capacity(n),
-            records: 0,
-            bytes: 0,
-        };
-        let Some(mut combine) = combine else {
-            for dest in 0..n {
-                let run = self.order(dest).map(|i| &pairs[i]);
-                cost.sorted(run.len() as u64);
-                let len = run
-                    .clone()
-                    .map(|(k, v)| k.encoded_len() + v.encoded_len())
-                    .sum();
-                let mut buf = BytesMut::with_capacity(len);
-                for (k, v) in run.clone() {
+        let mut out = ShuffleOut::with_capacity(n);
+        for dest in 0..n {
+            let records = self.order(dest).len();
+            cost.sorted(records as u64);
+            out.push(self.encode(pairs, dest), records);
+        }
+        pairs.clear();
+        Ok(out)
+    }
+
+    /// Encodes the records the last [`route`](Self::route) of `pairs`
+    /// sent to `dest`, in (key, emission) order, into one segment.
+    pub fn encode<K: Codec, V: Codec>(&self, pairs: &[(K, V)], dest: usize) -> Bytes {
+        let run = self.order(dest).map(|i| &pairs[i]);
+        let len = run
+            .clone()
+            .map(|(k, v)| k.encoded_len() + v.encoded_len())
+            .sum();
+        let mut buf = BytesMut::with_capacity(len);
+        for (k, v) in run {
+            k.encode(&mut buf);
+            v.encode(&mut buf);
+        }
+        buf.freeze()
+    }
+}
+
+/// The fewest values a key's run collects before it is combined: enough
+/// to amortise the call, few enough that the values a map just emitted
+/// are still in cache when the combiner consumes and frees them.
+const MIN_RUN: usize = 64;
+
+/// The map side of a job with a combiner: per key, the run of values
+/// the map has emitted and the combiner has not yet consumed.
+///
+/// [`absorb`](Self::absorb) appends each emitted value to its key's run
+/// and combines a run as soon as it holds `max(64, 2 × the length of the
+/// key's last combine output)` values, that output first — Hadoop's
+/// spill-and-combine with a spill per key small enough to stay in
+/// cache. A reducing combiner holds one value per key between calls, a
+/// non-reducing one combines each value O(log n) times, and the map
+/// output is never buffered whole. [`finish`](Self::finish) combines
+/// what is left and encodes the keys, sorted, one segment per
+/// destination.
+///
+/// This is the contract `combine` is written to: it may run any number
+/// of times per key, each time on consecutive values of the key in
+/// emission order, its previous output first. For a left fold — every
+/// combiner shipped here — the segments are bit-identical to combining
+/// each key's values once, and the cost charges are those of doing so
+/// (`combine_runs_is_group_then_combine` holds both).
+#[derive(Debug)]
+pub struct CombineRuns<K, V> {
+    /// Key → its run's index in `runs`.
+    slot: HashMap<K, usize>,
+    /// One run per distinct key, in first-emission order.
+    runs: Vec<(K, Run<V>)>,
+}
+
+#[derive(Debug)]
+struct Run<V> {
+    /// The key's last combine output, then the values emitted since.
+    values: Vec<V>,
+    /// How many of `values` are the last combine output.
+    carried: usize,
+    /// Values the key was emitted with, in total.
+    emitted: u64,
+}
+
+impl<K, V> Default for CombineRuns<K, V> {
+    fn default() -> Self {
+        CombineRuns {
+            slot: HashMap::new(),
+            runs: Vec::new(),
+        }
+    }
+}
+
+impl<K: Key, V: Value> CombineRuns<K, V> {
+    /// Drops every run (what a failed map side may have left behind);
+    /// the table's capacity is kept.
+    pub fn clear(&mut self) {
+        self.slot.clear();
+        self.runs.clear();
+    }
+
+    /// Moves `pairs` into their keys' runs, in order, combining each run
+    /// that fills up; returns how many pairs it moved. `pairs` is left
+    /// empty, its capacity kept.
+    pub fn absorb(
+        &mut self,
+        pairs: &mut Vec<(K, V)>,
+        combine: &mut impl FnMut(&K, Vec<V>) -> Vec<V>,
+    ) -> u64 {
+        let absorbed = pairs.len() as u64;
+        for (k, v) in pairs.drain(..) {
+            let fresh = self.runs.len();
+            let i = match self.slot.entry(k) {
+                Entry::Occupied(slot) => *slot.get(),
+                Entry::Vacant(slot) => {
+                    let run = Run {
+                        values: Vec::new(),
+                        carried: 0,
+                        emitted: 0,
+                    };
+                    self.runs.push((slot.key().clone(), run));
+                    *slot.insert(fresh)
+                }
+            };
+            let (k, run) = &mut self.runs[i];
+            run.values.push(v);
+            run.emitted += 1;
+            if run.values.len() >= MIN_RUN.max(2 * run.carried) {
+                let out = combine(k, std::mem::take(&mut run.values));
+                // The next run is allocated once, at the size that
+                // triggers its combine.
+                run.carried = out.len();
+                run.values = Vec::with_capacity(MIN_RUN.max(2 * out.len()));
+                run.values.extend(out);
+            }
+        }
+        absorbed
+    }
+
+    /// Combines every run that holds values its last combine did not
+    /// see, routes the keys to `n` destinations with `partition` and
+    /// encodes one segment per destination: keys ascending, each key's
+    /// combined values in their order. Charges `cost` as combining each
+    /// key's values once would: the records emitted to each destination
+    /// sorted, then one combine of all its values per key. Leaves no run
+    /// behind.
+    pub fn finish(
+        &mut self,
+        scratch: &mut ShuffleScratch,
+        n: usize,
+        partition: impl Fn(&K, usize) -> usize,
+        combine: &mut impl FnMut(&K, Vec<V>) -> Vec<V>,
+        cost: &mut impl ShuffleCost,
+    ) -> Result<ShuffleOut, ShuffleError> {
+        self.slot.clear();
+        for (k, run) in &mut self.runs {
+            if run.values.len() > run.carried {
+                run.values = combine(k, std::mem::take(&mut run.values));
+            }
+        }
+        let out = self.encode(scratch, n, partition, cost);
+        self.runs.clear();
+        out
+    }
+
+    fn encode(
+        &self,
+        scratch: &mut ShuffleScratch,
+        n: usize,
+        partition: impl Fn(&K, usize) -> usize,
+        cost: &mut impl ShuffleCost,
+    ) -> Result<ShuffleOut, ShuffleError> {
+        let runs = &self.runs;
+        scratch.route(runs, n, partition)?;
+        for dest in 0..n {
+            cost.sorted(scratch.order(dest).map(|i| runs[i].1.emitted).sum());
+        }
+        let mut out = ShuffleOut::with_capacity(n);
+        for dest in 0..n {
+            let keys = scratch.order(dest).map(|i| &runs[i]);
+            let len = keys
+                .clone()
+                .map(|(k, run)| {
+                    let values: usize = run.values.iter().map(Codec::encoded_len).sum();
+                    run.values.len() * k.encoded_len() + values
+                })
+                .sum();
+            let mut buf = BytesMut::with_capacity(len);
+            let mut records = 0;
+            for (k, run) in keys {
+                cost.combined(run.emitted);
+                for v in &run.values {
                     k.encode(&mut buf);
                     v.encode(&mut buf);
                 }
-                out.push(buf.freeze(), run.len());
+                records += run.values.len();
             }
-            pairs.clear();
-            return Ok(out);
-        };
-
-        // A combiner takes its values by value. Number the key groups in
-        // (destination, key) order, then hand the records out in emission
-        // order — within a group that *is* the sorted order — so each
-        // value moves once, into a `Vec` of exactly its group's size.
-        self.group_of.clear();
-        self.group_of.resize(pairs.len(), 0);
-        let mut sizes: Vec<(K, usize)> = Vec::new();
-        let mut groups_before = Vec::with_capacity(n + 1);
-        for words in &self.words {
-            cost.sorted(words.len() as u64);
-            groups_before.push(sizes.len());
-            let mut opened = false;
-            for i in indices(words) {
-                let key = &pairs[i].0;
-                match sizes.last_mut() {
-                    Some((open, size)) if opened && open == key => *size += 1,
-                    _ => sizes.push((key.clone(), 1)),
-                }
-                opened = true;
-                self.group_of[i] = (sizes.len() - 1) as u32;
-            }
-        }
-        groups_before.push(sizes.len());
-        let mut groups: Vec<(K, Vec<V>)> = sizes
-            .into_iter()
-            .map(|(k, size)| (k, Vec::with_capacity(size)))
-            .collect();
-        for ((_, v), &group) in pairs.drain(..).zip(&self.group_of) {
-            groups[group as usize].1.push(v);
-        }
-        let mut groups = groups.into_iter();
-        for dest in 0..n {
-            let mut combined = Vec::new();
-            let in_dest = groups_before[dest + 1] - groups_before[dest];
-            for (k, values) in groups.by_ref().take(in_dest) {
-                cost.combined(values.len() as u64);
-                for v in combine(&k, values) {
-                    combined.push((k.clone(), v));
-                }
-            }
-            out.push(encode_pairs(&combined), combined.len());
+            out.push(buf.freeze(), records);
         }
         Ok(out)
     }
@@ -248,11 +375,13 @@ fn indices(words: &[u64]) -> impl ExactSizeIterator<Item = usize> + Clone + '_ {
     words.iter().map(|&w| word_index(w))
 }
 
-/// [`ShuffleScratch::shuffle_out`] for a caller with nothing to keep
-/// between calls: fresh index buffers, `pairs` consumed.
+/// The map side for a caller with nothing to keep between calls: fresh
+/// buffers, `pairs` consumed. With a combiner, every pair is absorbed
+/// into [`CombineRuns`] and the runs finished; without, it is
+/// [`ShuffleScratch::shuffle_out`].
 ///
 /// # Panics
-/// Where the method returns a [`ShuffleError`].
+/// Where those return a [`ShuffleError`].
 pub fn shuffle_out<K: Key, V: Value>(
     mut pairs: Vec<(K, V)>,
     n: usize,
@@ -260,7 +389,16 @@ pub fn shuffle_out<K: Key, V: Value>(
     combine: Option<impl FnMut(&K, Vec<V>) -> Vec<V>>,
     cost: &mut impl ShuffleCost,
 ) -> ShuffleOut {
-    match ShuffleScratch::default().shuffle_out(&mut pairs, n, partition, combine, cost) {
+    let mut scratch = ShuffleScratch::default();
+    let out = match combine {
+        Some(mut combine) => {
+            let mut runs = CombineRuns::default();
+            runs.absorb(&mut pairs, &mut combine);
+            runs.finish(&mut scratch, n, partition, &mut combine, cost)
+        }
+        None => scratch.shuffle_out(&mut pairs, n, partition, cost),
+    };
+    match out {
         Ok(out) => out,
         Err(e) => panic!("{e}"),
     }

@@ -55,6 +55,13 @@ pub(crate) fn sort_words(words: &mut Vec<u64>, tmp: &mut Vec<u64>) {
         words.sort_unstable();
         return;
     }
+    // Input generated in key order (every loader's, a broadcast state
+    // reassembled from sorted parts) needs one compare pass, not the
+    // digit passes and their second buffer. Unsorted input leaves the
+    // pass at its first descent.
+    if words.windows(2).all(|w| w[0] < w[1]) {
+        return;
+    }
     let (mut any, mut all) = (0u64, u64::MAX);
     for &w in words.iter() {
         any |= w;

@@ -15,7 +15,8 @@
 #                          # wire enums <-> DESIGN.md §8 message table,
 #                          # every IterConfig builder has a caller,
 #                          # bench bins <-> BENCH_BINS <-> results/*.json,
-#                          # and BENCH_*.json rows <-> BENCHMARK.json (needs jq)
+#                          # BENCH_*.json rows <-> BENCHMARK.json (needs jq),
+#                          # and the newest CHANGES.md entry <= 6000 bytes
 #   ./verify.sh <suite>    # one row group of the SUITES table: faults,
 #                          # observe, service, delta, chaos, incremental
 #
@@ -326,6 +327,15 @@ cmd_drift() {
       || { echo "drift: $bench names what BENCHMARK.json does not declare: $(paste -sd' ' <<< "$unknown")" >&2; exit 1; }
   done
   echo "drift: $benches committed BENCH_*.json name only declared workloads and metrics"
+
+  # CHANGES.md keeps each PR's claim, rows and left-outs; run logs
+  # belong in the PR body. The newest entry — its last `- ` item with
+  # any continuation lines — must fit in 6000 bytes.
+  local newest
+  newest=$(awk '/^- / { entry = "" } { entry = entry $0 "\n" } END { printf "%s", entry }' CHANGES.md | wc -c)
+  [ "$newest" -le 6000 ] \
+    || { echo "drift: the newest CHANGES.md entry is $newest bytes (limit 6000): keep the claim, the rows and the left-outs" >&2; exit 1; }
+  echo "drift: the newest CHANGES.md entry is $newest bytes (limit 6000)"
 
   local subs jobs
   subs=$({
