@@ -40,8 +40,8 @@ impl IterativeJob for ConCompIter {
         }
     }
 
-    fn reduce(&self, _k: &u32, values: Vec<u32>) -> u32 {
-        values.into_iter().min().expect("at least the self label")
+    fn fold(&self, _k: &u32, acc: &mut u32, v: u32) {
+        *acc = (*acc).min(v);
     }
 
     fn distance(&self, _k: &u32, prev: &u32, cur: &u32) -> f64 {

@@ -40,9 +40,10 @@ impl IterativeJob for JacobiIter {
         out.emit(*i, (b - acc) / aii);
     }
 
-    fn reduce(&self, _i: &u32, values: Vec<f64>) -> f64 {
-        debug_assert_eq!(values.len(), 1);
-        values[0]
+    /// Each unknown receives exactly one value, its update: the first
+    /// value is the state, and a second one is never folded in.
+    fn fold(&self, _i: &u32, _acc: &mut f64, _v: f64) {
+        debug_assert!(false, "one value per unknown");
     }
 
     fn distance(&self, _k: &u32, prev: &f64, cur: &f64) -> f64 {

@@ -2,9 +2,9 @@
 //! on both engines, with optional Combiner and the §5.3 auxiliary
 //! convergence-detection phase.
 //!
-//! State values carry `(vector, count)` so the map side can emit
-//! points, the combiner can emit partial sums, and the reduce can fold
-//! either into the new centroid mean.
+//! State values carry `(vector, count)`: the map emits a point with
+//! count 1, `fold` adds vectors and counts (on the map side too, with
+//! the combiner), and `finish` divides the sum into the centroid.
 
 use imapreduce::{
     load_partitioned, run_with_aux, AuxOutcome, AuxPhase, Emitter, IterConfig, IterEngine,
@@ -24,11 +24,13 @@ fn dist2(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Index of the nearest centroid (ties broken by lower centroid id).
+/// Distances order by `total_cmp`: a point with a NaN coordinate is the
+/// same NaN away from every centroid and joins the lowest id.
 fn nearest(point: &[f64], centroids: &[(u32, KmState)]) -> u32 {
     centroids
         .iter()
         .map(|(cid, (c, _))| (*cid, dist2(point, c)))
-        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)))
+        .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
         .expect("at least one centroid")
         .0
 }
@@ -60,21 +62,16 @@ impl IterativeJob for KmeansIter {
         out.emit(cid, (point.clone(), 1));
     }
 
-    fn reduce(&self, _cid: &u32, values: Vec<KmState>) -> KmState {
-        let mut total = 0u64;
-        let mut sum: Vec<f64> = Vec::new();
-        for (v, c) in values {
-            if sum.is_empty() {
-                sum = v;
-            } else {
-                for (s, x) in sum.iter_mut().zip(&v) {
-                    *s += x;
-                }
-            }
-            total += c;
+    fn fold(&self, _cid: &u32, (sum, total): &mut KmState, (v, c): KmState) {
+        for (s, x) in sum.iter_mut().zip(&v) {
+            *s += x;
         }
-        let mean: Vec<f64> = sum.iter().map(|s| s / total as f64).collect();
-        (mean, 1)
+        *total += c;
+    }
+
+    fn finish(&self, _cid: &u32, (mut sum, total): KmState) -> KmState {
+        sum.iter_mut().for_each(|s| *s /= total as f64);
+        (sum, 1)
     }
 
     fn distance(&self, _k: &u32, prev: &KmState, cur: &KmState) -> f64 {
@@ -84,26 +81,24 @@ impl IterativeJob for KmeansIter {
     fn has_combiner(&self) -> bool {
         self.combiner
     }
+}
 
-    fn combine(&self, _key: &u32, values: Vec<KmState>) -> Vec<KmState> {
-        let mut total = 0u64;
-        let mut sum: Vec<f64> = Vec::new();
-        for (v, c) in values {
-            if sum.is_empty() {
-                sum = v;
-            } else {
-                for (s, x) in sum.iter_mut().zip(&v) {
-                    *s += x;
-                }
-            }
-            total += c;
-        }
-        vec![(sum, total)]
+/// `k` centroids need `k` points to start from, and at least one.
+fn check_k(points: &[(u32, Vec<f64>)], k: usize) -> Result<(), EngineError> {
+    if k == 0 || k > points.len() {
+        return Err(EngineError::Config(format!(
+            "k-means needs 1 <= k <= {} (the number of points), got k = {k}",
+            points.len()
+        )));
     }
+    Ok(())
 }
 
 /// Initial centroids: the first `k` points, exactly reproducible by
 /// the sequential reference.
+///
+/// # Panics
+/// Unless `1 <= k <= points.len()`; the loaders check that first.
 pub fn initial_centroids(points: &[(u32, Vec<f64>)], k: usize) -> Vec<(u32, KmState)> {
     assert!(k >= 1 && k <= points.len());
     (0..k as u32)
@@ -112,7 +107,8 @@ pub fn initial_centroids(points: &[(u32, Vec<f64>)], k: usize) -> Vec<(u32, KmSt
 }
 
 /// Loads points (static) and initial centroids (state) for the
-/// iMapReduce job.
+/// iMapReduce job. A `k` of 0 or above the number of points is a
+/// [`EngineError::Config`].
 pub fn load_kmeans_imr(
     runner: &impl IterEngine,
     points: &[(u32, Vec<f64>)],
@@ -121,6 +117,7 @@ pub fn load_kmeans_imr(
     state_dir: &str,
     static_dir: &str,
 ) -> Result<(), EngineError> {
+    check_k(points, k)?;
     let mut clock = TaskClock::default();
     let centroids = initial_centroids(points, k);
     load_partitioned(runner.dfs(), state_dir, centroids, 1, |_, _| 0, &mut clock)?;
@@ -241,28 +238,22 @@ impl MrJob for KmeansMr {
     }
 
     fn reduce(&self, cid: &u32, values: Vec<KmState>, out: &mut Emitter<u32, KmState>) {
-        let mut total = 0u64;
-        let mut sum: Vec<f64> = Vec::new();
-        for (v, c) in values {
-            if sum.is_empty() {
-                sum = v;
-            } else {
-                for (s, x) in sum.iter_mut().zip(&v) {
-                    *s += x;
-                }
-            }
-            total += c;
+        let job = KmeansIter {
+            combiner: self.combiner,
+        };
+        let mut values = values.into_iter();
+        if let Some(mut acc) = values.next() {
+            values.for_each(|v| job.fold(cid, &mut acc, v));
+            out.emit(*cid, job.finish(cid, acc));
         }
-        let mean: Vec<f64> = sum.iter().map(|s| s / total as f64).collect();
-        out.emit(*cid, (mean, 1));
     }
 
     fn has_combiner(&self) -> bool {
         self.combiner
     }
 
-    fn combine(&self, _key: &u32, values: Vec<KmState>) -> Vec<KmState> {
-        KmeansIter { combiner: true }.combine(_key, values)
+    fn combine(&self, cid: &u32, acc: &mut KmState, v: KmState) {
+        KmeansIter { combiner: true }.fold(cid, acc, v)
     }
 }
 
@@ -291,6 +282,7 @@ pub fn run_kmeans_mr(
     combiner: bool,
     convergence_threshold: Option<f64>,
 ) -> Result<KmeansMrOutcome, EngineError> {
+    check_k(points, k)?;
     let points_dir = "/km-mr/points";
     let mut clock = TaskClock::default();
     runner.load_input(points_dir, points, num_tasks, &mut clock)?;
@@ -497,6 +489,32 @@ mod tests {
         assert!(out.iterations < 30);
         let expect = reference_kmeans(&pts, 4, out.iterations);
         assert_centroids_close(&out.final_state, &expect);
+    }
+
+    #[test]
+    fn a_nan_coordinate_joins_the_lowest_centroid_instead_of_panicking() {
+        let centroids = vec![(0, (vec![0.0, 0.0], 1)), (1, (vec![5.0, 5.0], 1))];
+        assert_eq!(nearest(&[f64::NAN, 4.0], &centroids), 0);
+        assert_eq!(nearest(&[4.0, 4.0], &centroids), 1);
+        let mut pts = data();
+        pts[7].1[1] = f64::NAN;
+        let cfg = IterConfig::new("km", 2, 3).with_one2all();
+        let out = run_kmeans_imr(&imr_runner(2), &pts, 4, &cfg, true).unwrap();
+        assert_eq!(out.iterations, 3);
+    }
+
+    #[test]
+    fn a_k_the_points_cannot_seed_is_a_config_error() {
+        let pts = data();
+        for k in [0, pts.len() + 1] {
+            let load = load_kmeans_imr(&imr_runner(2), &pts, k, 2, "/s", "/t");
+            assert!(
+                matches!(load, Err(EngineError::Config(_))),
+                "k = {k}: {load:?}"
+            );
+            let baseline = run_kmeans_mr(&mr_runner(2), &pts, k, 2, 1, false, None);
+            assert!(matches!(baseline, Err(EngineError::Config(_))), "k = {k}");
+        }
     }
 
     #[test]

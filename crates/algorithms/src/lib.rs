@@ -35,13 +35,55 @@ pub mod testutil;
 #[cfg(test)]
 mod proptests {
     use crate::testutil::{imr_runner, mr_runner};
-    use crate::{pagerank, sssp};
-    use imapreduce::IterConfig;
+    use crate::{concomp, pagerank, sssp};
+    use imapreduce::{Accumulative, IterConfig, IterativeJob};
     use imr_graph::{
         generate_graph, generate_weighted_graph, pagerank_degree_dist, sssp_degree_dist,
         sssp_weight_dist,
     };
     use proptest::prelude::*;
+
+    /// A float from raw bits, or one of the values a fold must not
+    /// mistreat: ±0, ±∞ and NaN.
+    fn float(pick: u8, bits: u64) -> f64 {
+        match pick % 8 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::INFINITY,
+            3 => f64::NEG_INFINITY,
+            4 => f64::NAN,
+            _ => f64::from_bits(bits),
+        }
+    }
+
+    /// Folds `b` into `a` with the job's `fold`.
+    fn fold<J: IterativeJob<K = u32>>(job: &J, mut a: J::S, b: J::S) -> J::S {
+        job.fold(&0, &mut a, b);
+        a
+    }
+
+    proptest! {
+        /// ⊕ is the fold: for each job with both, folding `b` into `a`
+        /// gives `combine_delta(a, b)` bit for bit — signed zeros,
+        /// infinities and NaN included. This is what lets the two
+        /// become one operator.
+        #[test]
+        fn fold_is_the_accumulative_oplus(
+            (pa, a) in (any::<u8>(), any::<u64>()),
+            (pb, b) in (any::<u8>(), any::<u64>()),
+        ) {
+            let (a, b) = (float(pa, a), float(pb, b));
+            let pr = pagerank::PageRankIter::new(100);
+            prop_assert_eq!(fold(&pr, a, b).to_bits(), pr.combine_delta(&a, &b).to_bits());
+            let sp = sssp::SsspIter;
+            prop_assert_eq!(fold(&sp, a, b).to_bits(), sp.combine_delta(&a, &b).to_bits());
+            let inc = sssp::SsspInc { source: 0 };
+            prop_assert_eq!(fold(&inc, a, b).to_bits(), inc.combine_delta(&a, &b).to_bits());
+            let (la, lb) = (a.to_bits() as u32, b.to_bits() as u32);
+            let cc = concomp::ConCompIter;
+            prop_assert_eq!(fold(&cc, la, lb), cc.combine_delta(&la, &lb));
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]

@@ -68,8 +68,8 @@ impl IterativeJob for PageRankIter {
         }
     }
 
-    fn reduce(&self, _k: &u32, values: Vec<f64>) -> f64 {
-        values.into_iter().sum()
+    fn fold(&self, _k: &u32, acc: &mut f64, v: f64) {
+        *acc += v;
     }
 
     /// Manhattan distance (Fig. 3 line 6).

@@ -54,8 +54,8 @@ impl IterativeJob for SsspIter {
         }
     }
 
-    fn reduce(&self, _k: &u32, values: Vec<f64>) -> f64 {
-        values.into_iter().fold(f64::INFINITY, f64::min)
+    fn fold(&self, _k: &u32, acc: &mut f64, v: f64) {
+        *acc = acc.min(v);
     }
 
     fn distance(&self, _k: &u32, prev: &f64, cur: &f64) -> f64 {
@@ -140,8 +140,8 @@ impl IterativeJob for SsspInc {
         SsspIter.map(k, state, adj, out)
     }
 
-    fn reduce(&self, k: &u32, values: Vec<f64>) -> f64 {
-        SsspIter.reduce(k, values)
+    fn fold(&self, k: &u32, acc: &mut f64, v: f64) {
+        SsspIter.fold(k, acc, v)
     }
 
     fn distance(&self, k: &u32, prev: &f64, cur: &f64) -> f64 {

@@ -321,8 +321,8 @@ mod tests {
         fn map(&self, k: &u32, s: StateInput<'_, u32, f64>, _t: &(), out: &mut Emitter<u32, f64>) {
             out.emit(*k, *s.one());
         }
-        fn reduce(&self, _k: &u32, values: Vec<f64>) -> f64 {
-            values.into_iter().sum()
+        fn fold(&self, _k: &u32, acc: &mut f64, v: f64) {
+            *acc += v;
         }
         fn partition(&self, key: &u32, n: usize) -> usize {
             *key as usize % n

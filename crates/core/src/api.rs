@@ -7,7 +7,10 @@
 //!   iterated *state* record with the locally-held *static* record of
 //!   the same key before every map invocation;
 //! * `reduce(Key, StateValue)` — consumes only state values and
-//!   produces the key's next state;
+//!   produces the key's next state. Here it is a fold: [`IterativeJob::fold`]
+//!   folds each value into the key's accumulator as the shuffle delivers
+//!   it, and [`IterativeJob::finish`] turns the accumulator into the
+//!   state;
 //! * `distance(Key, PrevState, CurrState)` — the per-key contribution
 //!   to the global distance used for threshold-based termination.
 
@@ -84,9 +87,40 @@ pub trait IterativeJob: Send + Sync {
         out: &mut Emitter<Self::K, Self::S>,
     );
 
-    /// The reduce function: folds the shuffled state values for `key`
-    /// into the key's next state.
-    fn reduce(&self, key: &Self::K, values: Vec<Self::S>) -> Self::S;
+    /// The reduce function, as a left fold: folds `value` into `acc`,
+    /// the accumulator of the state values `key` received so far.
+    ///
+    /// The contract, on both sides of the shuffle: a key's first value
+    /// seeds `acc` (it is never folded into an identity), and every later
+    /// one is folded in, in order. On the reduce side that order is merge
+    /// order — source pair by source pair in task order, each pair's
+    /// values in emission order; on the map side of a job with a
+    /// combiner it is emission order. `imr-records`' proptests
+    /// `shuffle_in_is_group_then_fold` and `fold_table_is_group_then_fold`
+    /// hold the kernel to it, bit for bit.
+    fn fold(&self, key: &Self::K, acc: &mut Self::S, value: Self::S);
+
+    /// Turns a key's accumulator, once every value is folded in, into
+    /// its next state (K-means divides its sum here). Runs on the reduce
+    /// side only. Defaults to the accumulator itself.
+    fn finish(&self, _key: &Self::K, acc: Self::S) -> Self::S {
+        acc
+    }
+
+    /// The whole reduce over a materialised list: [`fold`](Self::fold)
+    /// in list order, then [`finish`](Self::finish). No engine calls it;
+    /// it serves callers that hold a key's values in a `Vec`.
+    ///
+    /// # Panics
+    /// On an empty `values`: a key with no value has no state.
+    fn reduce(&self, key: &Self::K, values: Vec<Self::S>) -> Self::S {
+        let mut values = values.into_iter();
+        let mut acc = values.next().expect("reduce needs at least one value");
+        for value in values {
+            self.fold(key, &mut acc, value);
+        }
+        self.finish(key, acc)
+    }
 
     /// Per-key distance between consecutive iterations, accumulated
     /// into the global termination metric (paper `distance()`); only
@@ -95,25 +129,13 @@ pub trait IterativeJob: Send + Sync {
         0.0
     }
 
-    /// Whether a map-side combiner runs before the shuffle (used by the
-    /// paper's K-means-with-Combiner experiment).
+    /// Whether the map side folds each key's values with
+    /// [`fold`](Self::fold) before the shuffle (the paper's
+    /// K-means-with-Combiner experiment), so one value per key and map
+    /// task crosses it. Off by default: for floating-point state a
+    /// map-side fold changes the order of the additions.
     fn has_combiner(&self) -> bool {
         false
-    }
-
-    /// The map-side combiner: a partial reduce of one key's values.
-    ///
-    /// It may run any number of times per key and map task, each time
-    /// on consecutive values of the key in emission order, the key's
-    /// previous combine output first; what it returns for the last run
-    /// is shuffled. The map side combines as the map emits (a run is
-    /// combined once it holds 64 values, or twice its previous output),
-    /// so no buffer of the whole map output exists. A left fold — every
-    /// combiner shipped here — gives the bit-identical result of one call
-    /// on all of the key's values (`imr-records`'
-    /// `combine_runs_is_group_then_combine` holds it).
-    fn combine(&self, _key: &Self::K, values: Vec<Self::S>) -> Vec<Self::S> {
-        values
     }
 
     /// Routes keys to the `n` map/reduce task pairs. The same function
@@ -142,8 +164,8 @@ mod tests {
         ) {
             out.emit(*k, *state.one());
         }
-        fn reduce(&self, _k: &u32, values: Vec<f64>) -> f64 {
-            values.into_iter().sum()
+        fn fold(&self, _k: &u32, acc: &mut f64, v: f64) {
+            *acc += v;
         }
     }
 
@@ -177,7 +199,7 @@ mod tests {
     fn defaults_are_inert() {
         let j = Noop;
         assert!(!j.has_combiner());
-        assert_eq!(j.combine(&1, vec![1.0, 2.0]), vec![1.0, 2.0]);
+        assert_eq!(j.finish(&1, 2.0), 2.0);
         assert_eq!(j.distance(&1, &1.0, &2.0), 0.0);
         assert!(j.partition(&7, 4) < 4);
     }

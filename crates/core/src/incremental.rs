@@ -858,8 +858,8 @@ mod tests {
         ) {
             unreachable!("accumulative path only")
         }
-        fn reduce(&self, _k: &u32, values: Vec<f64>) -> f64 {
-            values.into_iter().sum()
+        fn fold(&self, _k: &u32, acc: &mut f64, v: f64) {
+            *acc += v;
         }
     }
 
@@ -943,8 +943,8 @@ mod tests {
         ) {
             unreachable!("accumulative path only")
         }
-        fn reduce(&self, _k: &u32, values: Vec<f64>) -> f64 {
-            values.into_iter().fold(f64::INFINITY, f64::min)
+        fn fold(&self, _k: &u32, acc: &mut f64, v: f64) {
+            *acc = acc.min(v);
         }
     }
 

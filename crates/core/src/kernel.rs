@@ -4,8 +4,9 @@
 //! [`MapScratch::map_side`] joins the pair's state with its static
 //! partition, runs the user map and hands the output to the shuffle
 //! kernel ([`imr_records::ShuffleScratch::shuffle_out`]);
-//! [`reduce_side`] merges the pair's inbound segments
-//! ([`imr_records::shuffle_in`]), runs the user reduce, carries forward
+//! [`reduce_side`] merges the pair's inbound segments, folding each value
+//! into its key's accumulator with the user `fold` as it arrives
+//! ([`imr_records::shuffle_in`]), finishes each key, carries forward
 //! keys that received nothing and measures the distance to the previous
 //! snapshot. The simulation engine, the native pair loop (threads and
 //! TCP) and the auxiliary-phase runner all call these two functions;
@@ -17,10 +18,10 @@
 //! shuffle's index buffers and the combiner's key table live in the
 //! [`MapScratch`] the loop owns and are emptied, not reallocated,
 //! between iterations. With a combiner the emit buffer never holds more
-//! than one map call's output: it is drained into per-key runs
-//! ([`imr_records::CombineRuns`]) that are combined as they fill. The
-//! reduce side needs no buffer — it streams each reduced key straight
-//! into the next state.
+//! than one map call's output: it is drained into one accumulator per
+//! key ([`imr_records::FoldTable`]), each value folded in as it comes.
+//! The reduce side needs no buffer either — one accumulator for the
+//! open key, each finished key streamed straight into the next state.
 //!
 //! The barrier-free accumulative mode's ⊕ delta round (DESIGN.md §11)
 //! is likewise one definition in two halves around the exchange:
@@ -32,16 +33,17 @@ use crate::accum::{partition_deltas, Accumulative, DeltaStore};
 use crate::api::{Emitter, IterativeJob, StateInput};
 use bytes::Bytes;
 use imr_mapreduce::EngineError;
-use imr_records::{encode_pairs, shuffle_in, CombineRuns, Key, ShuffleCost, ShuffleScratch, Value};
+use imr_records::{encode_pairs, shuffle_in, FoldTable, Key, ShuffleCost, ShuffleScratch, Value};
 use imr_simcluster::Metrics;
 
 /// What a pair's map side keeps between iterations: the buffer the user
-/// map emits into, the shuffle's index buffers and the combiner's runs.
-/// All are empty between calls; what persists is their capacity.
+/// map emits into, the shuffle's index buffers and the combiner's
+/// accumulators. All are empty between calls; what persists is their
+/// capacity.
 pub struct MapScratch<K, S> {
     emitter: Emitter<K, S>,
     shuffle: ShuffleScratch,
-    runs: CombineRuns<K, S>,
+    table: FoldTable<K, S>,
 }
 
 impl<K, S> Default for MapScratch<K, S> {
@@ -49,7 +51,7 @@ impl<K, S> Default for MapScratch<K, S> {
         MapScratch {
             emitter: Emitter::new(),
             shuffle: ShuffleScratch::default(),
-            runs: CombineRuns::default(),
+            table: FoldTable::default(),
         }
     }
 }
@@ -64,7 +66,7 @@ pub enum MapState<'a, K, S> {
     Broadcast(&'a [(K, S)]),
 }
 
-/// What [`map_side`] produced.
+/// What [`MapScratch::map_side`] produced.
 pub struct MapOutput {
     /// One encoded shuffle segment per destination pair.
     pub segments: Vec<Bytes>,
@@ -90,9 +92,9 @@ pub struct ReduceOutput<K, S> {
 
 impl<K: Key, S: Value> MapScratch<K, S> {
     /// Map side of one iteration of pair `pair`: the sorted state/static
-    /// join (§3.2.2), the user map, then partition → sort → combine →
-    /// encode into `n` segments — with a combiner, each map call's output
-    /// joins its keys' runs before the next call. A state partition that
+    /// join (§3.2.2), the user map, then partition → sort → encode into
+    /// `n` segments — with a combiner, each map call's output is folded
+    /// into its keys' accumulators before the next call. A state partition that
     /// does not line up key for key with the static partition, or a
     /// `partition` that names a destination outside `0..n`, is a
     /// [`EngineError::Config`].
@@ -110,17 +112,17 @@ impl<K: Key, S: Value> MapScratch<K, S> {
         let MapScratch {
             emitter,
             shuffle,
-            runs,
+            table,
         } = self;
-        // A failed call may have left emits or runs behind.
+        // A failed call may have left emits or accumulators behind.
         emitter.pairs_mut().clear();
-        runs.clear();
+        table.clear();
         let combiner = job.has_combiner();
-        let mut combine = |k: &K, values| job.combine(k, values);
+        let mut fold = |k: &K, acc: &mut S, v| job.fold(k, acc, v);
         let mut emitted = 0u64;
         let mut collect = |emitter: &mut Emitter<K, S>| {
             if combiner {
-                emitted += runs.absorb(emitter.pairs_mut(), &mut combine);
+                emitted += table.absorb(emitter.pairs_mut(), &mut fold);
             }
         };
         match state {
@@ -147,7 +149,7 @@ impl<K: Key, S: Value> MapScratch<K, S> {
         metrics.map_input_records.add(records_in);
         let partition = |k: &K, n| job.partition(k, n);
         let out = if combiner {
-            runs.finish(shuffle, n, partition, &mut combine, cost)?
+            table.finish(shuffle, n, partition, cost)?
         } else {
             emitted = emitter.len() as u64;
             shuffle.shuffle_out(emitter.pairs_mut(), n, partition, cost)?
@@ -159,20 +161,6 @@ impl<K: Key, S: Value> MapScratch<K, S> {
             emitted,
         })
     }
-}
-
-/// [`MapScratch::map_side`] with buffers of its own, for a caller that
-/// runs the map side once.
-pub fn map_side<J: IterativeJob>(
-    job: &J,
-    state: MapState<'_, J::K, J::S>,
-    stat: &[(J::K, J::T)],
-    n: usize,
-    pair: usize,
-    metrics: &Metrics,
-    cost: &mut impl ShuffleCost,
-) -> Result<MapOutput, EngineError> {
-    MapScratch::default().map_side(job, state, stat, n, pair, metrics, cost)
 }
 
 /// A pair's state and static partitions must hold the same keys; a
@@ -192,7 +180,8 @@ pub fn check_co_partitioned(
 }
 
 /// Reduce side of one iteration: merges `segments` (one per source
-/// pair, in task order), reduces every key group, and — under one2one —
+/// pair, in task order), folding each key's values with the job's
+/// `fold` as they arrive and finishing each key, and — under one2one —
 /// carries forward from `prev` the keys that received no value. When
 /// `measure` is set and `prev` exists, also sums the job's per-key
 /// distance from `prev` to the new state (§3.1.2).
@@ -216,8 +205,9 @@ pub fn reduce_side<J: IterativeJob>(
     let mut next = CarryForward::over(carried);
     let records = shuffle_in(
         segments,
-        |k, vals| {
-            let s = job.reduce(&k, vals);
+        |k, acc, v| job.fold(k, acc, v),
+        |k, acc| {
+            let s = job.finish(&k, acc);
             next.push(k, s);
         },
         cost,

@@ -35,8 +35,8 @@
 //!     fn map(&self, k: &u32, s: StateInput<'_, u32, f64>, _t: &(), out: &mut Emitter<u32, f64>) {
 //!         out.emit(*k, s.one() / 2.0);
 //!     }
-//!     fn reduce(&self, _k: &u32, values: Vec<f64>) -> f64 {
-//!         values.into_iter().sum()
+//!     fn fold(&self, _k: &u32, acc: &mut f64, v: f64) {
+//!         *acc += v;
 //!     }
 //! }
 //!
@@ -93,7 +93,7 @@ pub use incremental::{
 pub use iter_engine::IterEngine;
 pub use kernel::{
     carry_forward, check_co_partitioned, delta_in, delta_out, distance_sorted, fold_votes,
-    map_side, reduce_side, DeltaOutput, MapOutput, MapScratch, MapState, ReduceOutput,
+    reduce_side, DeltaOutput, MapOutput, MapScratch, MapState, ReduceOutput,
 };
 pub use multiphase::{run_two_phase, PhaseJob, TwoPhaseConfig, TwoPhaseOutcome};
 pub use observe::{phase_of, Observer};

@@ -18,7 +18,7 @@ use crate::store::{check_parts, check_slots};
 use imr_dfs::Dfs;
 use imr_mapreduce::io::{part_path, read_part};
 use imr_mapreduce::{ClockCharge, EngineError};
-use imr_records::{pairs_encoded_len, shuffle_in, sort_run, Key, ShuffleScratch, Value};
+use imr_records::{pairs_encoded_len, shuffle_in_groups, sort_run, Key, ShuffleScratch, Value};
 use imr_simcluster::{MetricsHandle, NodeId, RunReport, TaskClock, VInstant};
 
 /// One map-reduce phase of a multi-phase iteration.
@@ -192,7 +192,7 @@ fn run_phase<P: PhaseJob>(
             runner.fetch_segments(&segments, q, &map_done, assignment, &mut clock);
         let mut out = Vec::new();
         let mut charge = ClockCharge::new(&mut clock, cost, speed);
-        let total = shuffle_in(
+        let total = shuffle_in_groups(
             inbound,
             |k, vals| {
                 let s = phase.reduce(&k, vals);

@@ -29,9 +29,10 @@ impl IterativeJob for Relax {
     fn map(&self, k: &u32, s: StateInput<'_, u32, f64>, t: &f64, out: &mut Emitter<u32, f64>) {
         out.emit(*k, (s.one() + t) / 2.0);
     }
-    fn reduce(&self, _k: &u32, values: Vec<f64>) -> f64 {
-        let n = values.len() as f64;
-        values.into_iter().sum::<f64>() / n
+    /// Each key receives exactly one value, its own: the mean is that
+    /// value, and a second one is never folded in.
+    fn fold(&self, _k: &u32, _acc: &mut f64, _v: f64) {
+        debug_assert!(false, "one value per key");
     }
     fn distance(&self, _k: &u32, prev: &f64, cur: &f64) -> f64 {
         (prev - cur).abs()
@@ -384,34 +385,38 @@ fn key_diverged_state_part_is_a_config_error() {
 // ---------------------------------------------------------------------
 // one2all: a miniature K-means-like job. Keys 0..k are "centroid ids";
 // static records are points; each map assigns its points to the nearest
-// centroid and the reduce averages.
+// centroid and the reduce sums positions and counts, then averages.
 // ---------------------------------------------------------------------
 
 struct MiniKmeans;
 impl IterativeJob for MiniKmeans {
     type K = u32; // centroid id
-    type S = f64; // centroid position (1-D)
+    type S = (f64, u64); // centroid position (1-D), points summed into it
     type T = f64; // point position (static, keyed by point id)
     fn map(
         &self,
         _pid: &u32,
-        state: StateInput<'_, u32, f64>,
+        state: StateInput<'_, u32, (f64, u64)>,
         point: &f64,
-        out: &mut Emitter<u32, f64>,
+        out: &mut Emitter<u32, (f64, u64)>,
     ) {
         let centroids = state.all();
         let (best, _) = centroids
             .iter()
-            .map(|(cid, c)| (*cid, (c - point).abs()))
+            .map(|(cid, (c, _))| (*cid, (c - point).abs()))
             .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)))
             .expect("at least one centroid");
-        out.emit(best, *point);
+        out.emit(best, (*point, 1));
     }
-    fn reduce(&self, _cid: &u32, values: Vec<f64>) -> f64 {
-        values.iter().sum::<f64>() / values.len() as f64
+    fn fold(&self, _cid: &u32, acc: &mut (f64, u64), (v, n): (f64, u64)) {
+        acc.0 += v;
+        acc.1 += n;
     }
-    fn distance(&self, _k: &u32, prev: &f64, cur: &f64) -> f64 {
-        (prev - cur).abs()
+    fn finish(&self, _cid: &u32, (sum, n): (f64, u64)) -> (f64, u64) {
+        (sum / n as f64, 1)
+    }
+    fn distance(&self, _k: &u32, prev: &(f64, u64), cur: &(f64, u64)) -> f64 {
+        (prev.0 - cur.0).abs()
     }
 }
 
@@ -423,7 +428,7 @@ fn load_kmeans(r: &IterativeRunner, tasks: usize) {
         points.push((i, f64::from(i % 5)));
         points.push((100 + i, 100.0 + f64::from(i % 5)));
     }
-    let centroids: Vec<(u32, f64)> = vec![(0, 10.0), (1, 60.0)];
+    let centroids: Vec<(u32, (f64, u64))> = vec![(0, (10.0, 1)), (1, (60.0, 1))];
     let job = MiniKmeans;
     load_partitioned(
         r.dfs(),
@@ -451,8 +456,8 @@ fn one2all_kmeans_converges_to_cluster_means() {
     let mut finals = out.final_state.clone();
     finals.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
     assert_eq!(finals.len(), 2);
-    assert!((finals[0].1 - 2.0).abs() < 1e-9, "{:?}", finals);
-    assert!((finals[1].1 - 102.0).abs() < 1e-9, "{:?}", finals);
+    assert!((finals[0].1 .0 - 2.0).abs() < 1e-9, "{:?}", finals);
+    assert!((finals[1].1 .0 - 102.0).abs() < 1e-9, "{:?}", finals);
     // Broadcast traffic exists under one2all on a multi-node cluster.
     assert!(out.report.metrics.broadcast_bytes > 0);
 }
@@ -553,12 +558,12 @@ fn two_phase_chain_doubles_values_each_iteration() {
 struct StableCentroids {
     eps: f64,
 }
-impl AuxPhase<u32, f64> for StableCentroids {
-    fn partial(&self, prev: &[(u32, f64)], cur: &[(u32, f64)]) -> f64 {
+impl AuxPhase<u32, (f64, u64)> for StableCentroids {
+    fn partial(&self, prev: &[(u32, (f64, u64))], cur: &[(u32, (f64, u64))]) -> f64 {
         let mut moved = 0.0;
-        for (k, c) in cur {
+        for (k, (c, _)) in cur {
             if let Ok(i) = prev.binary_search_by(|(pk, _)| pk.cmp(k)) {
-                moved += (prev[i].1 - c).abs();
+                moved += (prev[i].1 .0 - c).abs();
             } else {
                 moved += 1.0;
             }
@@ -582,8 +587,8 @@ fn auxiliary_phase_detects_convergence() {
     assert!(out.aux_values.last().unwrap() < &1e-9);
     let mut finals = out.final_state.clone();
     finals.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-    assert!((finals[0].1 - 2.0).abs() < 1e-9);
-    assert!((finals[1].1 - 102.0).abs() < 1e-9);
+    assert!((finals[0].1 .0 - 2.0).abs() < 1e-9);
+    assert!((finals[1].1 .0 - 102.0).abs() < 1e-9);
 }
 
 #[test]

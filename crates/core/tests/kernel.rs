@@ -1,16 +1,18 @@
-//! The iteration kernel against a naive oracle: `map_side → reduce_side`
-//! over arbitrary small inputs must produce, for every key, the same
-//! values in the same order as a `BTreeMap` group-by over the map
-//! output taken in source-pair order — the merge tie-break the
+//! The iteration kernel against a naive oracle: `MapScratch::map_side →
+//! reduce_side` over arbitrary small inputs must produce, for every key,
+//! the same values in the same order as a `BTreeMap` group-by over the
+//! map output taken in source-pair order — the merge tie-break the
 //! cross-engine suites depend on.
 
-use imapreduce::{map_side, reduce_side, Emitter, EngineError, IterativeJob, MapState, StateInput};
+use imapreduce::{
+    reduce_side, Emitter, EngineError, IterativeJob, MapScratch, MapState, StateInput,
+};
 use imr_simcluster::Metrics;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 /// Every key forwards a tagged value to each of its static targets; the
-/// reducer concatenates what it receives, so a key's next state spells
+/// fold concatenates what it receives, so a key's next state spells
 /// out exactly which values reached it and in which order.
 struct Trace {
     combiner: bool,
@@ -35,17 +37,14 @@ impl IterativeJob for Trace {
             out.emit(*dst, vec![k * 1000 + i as u32 * 10 + salt]);
         }
     }
-    fn reduce(&self, _k: &u32, values: Vec<Vec<u32>>) -> Vec<u32> {
-        values.concat()
+    fn fold(&self, _k: &u32, acc: &mut Vec<u32>, v: Vec<u32>) {
+        acc.extend(v);
     }
     fn distance(&self, _k: &u32, prev: &Vec<u32>, cur: &Vec<u32>) -> f64 {
         prev.len().abs_diff(cur.len()) as f64
     }
     fn has_combiner(&self) -> bool {
         self.combiner
-    }
-    fn combine(&self, _k: &u32, values: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
-        vec![values.concat()]
     }
     fn partition(&self, k: &u32, n: usize) -> usize {
         *k as usize % n
@@ -115,7 +114,7 @@ proptest! {
 
         let mut segments = Vec::new();
         for p in 0..n {
-            let out = map_side(&job, MapState::Own(&state[p]), &stat[p], n, p, &metrics, &mut ())
+            let out = MapScratch::default().map_side(&job, MapState::Own(&state[p]), &stat[p], n, p, &metrics, &mut ())
                 .unwrap();
             prop_assert_eq!(out.segments.len(), n);
             prop_assert_eq!(out.records_in, stat[p].len() as u64);
@@ -162,7 +161,7 @@ proptest! {
         let mut segments = Vec::new();
         for (p, part) in stat.iter().enumerate() {
             let input = MapState::Broadcast(&global);
-            segments.push(map_side(&job, input, part, n, p, &metrics, &mut ()).unwrap().segments);
+            segments.push(MapScratch::default().map_side(&job, input, part, n, p, &metrics, &mut ()).unwrap().segments);
         }
         let expected = oracle(&stat, |_, _| global.len() as u32);
 
@@ -190,7 +189,15 @@ fn a_state_part_that_does_not_line_up_with_its_static_part_is_a_config_error() {
         (vec![(1, vec![]), (5, vec![])], "keys diverged at pair 3"),
     ];
     for (state, needle) in cases {
-        match map_side(&job, MapState::Own(&state), &stat, 2, 3, &metrics, &mut ()) {
+        match MapScratch::default().map_side(
+            &job,
+            MapState::Own(&state),
+            &stat,
+            2,
+            3,
+            &metrics,
+            &mut (),
+        ) {
             Err(EngineError::Config(msg)) => assert!(msg.contains(needle), "{msg}"),
             Err(other) => panic!("expected a Config error, got {other}"),
             Ok(_) => panic!("expected a Config error, got Ok"),

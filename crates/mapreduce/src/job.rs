@@ -85,18 +85,19 @@ pub trait MrJob: Send + Sync {
         false
     }
 
-    /// Map-side combiner: local aggregation over one key's values
-    /// before shuffle (Hadoop `Combiner`). Only called when
-    /// [`has_combiner`](MrJob::has_combiner) is true. Default keeps
-    /// values unchanged.
+    /// Map-side combiner (Hadoop `Combiner`) as a left fold: folds
+    /// `value` into `acc`, the key's accumulator in this map task. The
+    /// key's first value seeds `acc`; every later one is folded in, in
+    /// emission order, and one value per key and map task is shuffled
+    /// (the contract `IterativeJob::fold` states and
+    /// `imr_records::FoldTable` implements). Only called when
+    /// [`has_combiner`](MrJob::has_combiner) is true.
     ///
-    /// As in Hadoop, it may run any number of times per key and map
-    /// task: each call sees consecutive values of the key in emission
-    /// order, its previous output first (the contract
-    /// `IterativeJob::combine` states and `imr_records::CombineRuns`
-    /// implements).
-    fn combine(&self, _key: &Self::MidK, values: Vec<Self::MidV>) -> Vec<Self::MidV> {
-        values
+    /// # Panics
+    /// The default panics: a job that turns the combiner on must say how
+    /// it folds.
+    fn combine(&self, _key: &Self::MidK, _acc: &mut Self::MidV, _value: Self::MidV) {
+        unimplemented!("has_combiner() is true but combine() is not implemented")
     }
 
     /// Routes an intermediate key to one of `n` reduce partitions.
@@ -191,8 +192,8 @@ mod tests {
             true
         }
 
-        fn combine(&self, _key: &String, values: Vec<u64>) -> Vec<u64> {
-            vec![values.into_iter().sum()]
+        fn combine(&self, _key: &String, acc: &mut u64, v: u64) {
+            *acc += v;
         }
     }
 
@@ -211,7 +212,11 @@ mod tests {
     #[test]
     fn combiner_contract() {
         assert!(WordCount.has_combiner());
-        assert_eq!(WordCount.combine(&"a".into(), vec![1, 1, 1]), vec![3]);
+        let mut acc = 1;
+        for v in [1, 1] {
+            WordCount.combine(&"a".into(), &mut acc, v);
+        }
+        assert_eq!(acc, 3);
     }
 
     #[test]

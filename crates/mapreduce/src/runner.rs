@@ -9,7 +9,7 @@ use crate::schedule::SlotPool;
 use bytes::Bytes;
 use imr_dfs::{Dfs, DfsError};
 use imr_records::{
-    encode_pairs, shuffle_in, CodecError, CombineRuns, ShuffleError, ShuffleScratch,
+    encode_pairs, shuffle_in_groups, CodecError, FoldTable, ShuffleError, ShuffleScratch,
 };
 use imr_simcluster::{ClusterSpec, MetricsHandle, NodeId, TaskClock, VInstant};
 use std::fmt;
@@ -176,7 +176,7 @@ impl JobRunner {
         let mut map_done = Vec::with_capacity(m);
         let mut map_parts: Vec<Vec<Bytes>> = Vec::with_capacity(m);
         let mut scratch = ShuffleScratch::default();
-        let mut runs = CombineRuns::default();
+        let mut table = FoldTable::default();
 
         for (dir, i) in &splits {
             let i = *i;
@@ -207,15 +207,16 @@ impl JobRunner {
             clock.advance(cost.serde_per_byte * in_bytes);
 
             // User map function over every record; with a combiner,
-            // each call's output joins its keys' runs before the next.
+            // each call's output is folded into its keys' accumulators
+            // before the next.
             let combiner = job.has_combiner();
-            let mut combine = |k: &J::MidK, values| job.combine(k, values);
+            let mut combine = |k: &J::MidK, acc: &mut J::MidV, v| job.combine(k, acc, v);
             let mut emitter = Emitter::new();
             let mut emitted = 0u64;
             for (k, v) in &input {
                 job.map(k, v, &mut emitter);
                 if combiner {
-                    emitted += runs.absorb(emitter.pairs_mut(), &mut combine);
+                    emitted += table.absorb(emitter.pairs_mut(), &mut combine);
                 }
             }
             let mut raw_out = emitter.into_pairs();
@@ -232,7 +233,7 @@ impl JobRunner {
             let partition = |k: &J::MidK, r| job.partition(k, r);
             let mut charge = ClockCharge::new(&mut clock, cost, speed);
             let spilled = if combiner {
-                runs.finish(&mut scratch, r, partition, &mut combine, &mut charge)?
+                table.finish(&mut scratch, r, partition, &mut charge)?
             } else {
                 scratch.shuffle_out(&mut raw_out, r, partition, &mut charge)?
             };
@@ -323,7 +324,7 @@ impl JobRunner {
             let mut emitter = Emitter::new();
             let mut groups = 0u64;
             let mut charge = ClockCharge::new(&mut clock, cost, speed);
-            let total_rec = shuffle_in(
+            let total_rec = shuffle_in_groups(
                 segments,
                 |k: J::MidK, vals| {
                     groups += 1;

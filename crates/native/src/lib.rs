@@ -82,10 +82,11 @@
 //! Determinism: every data-path step (partition fill order, stable
 //! sorts, run merging in task order, carry-forward, task-ordered float
 //! accumulation) is the simulation engine's — both call the same
-//! iteration kernel, `imapreduce::map_side` / `reduce_side` — so for the
-//! same job, inputs and configuration the backends produce identical
-//! `final_state`, `iterations` and `distances` — only the `report`
-//! timeline differs (wall-clock here, virtual time there). The
+//! iteration kernel, `imapreduce::MapScratch::map_side` /
+//! `reduce_side` — so for the same job, inputs and configuration the
+//! backends produce identical `final_state`, `iterations` and
+//! `distances` — only the `report` timeline differs (wall-clock here,
+//! virtual time there). The
 //! cross-engine test suite pins this down per algorithm, per transport,
 //! with and without injected faults and migrations.
 //!
@@ -601,8 +602,8 @@ mod tests {
         fn map(&self, k: &u32, s: StateInput<'_, u32, f64>, _t: &(), out: &mut Emitter<u32, f64>) {
             out.emit(*k, s.one() / 2.0);
         }
-        fn reduce(&self, _k: &u32, values: Vec<f64>) -> f64 {
-            values.into_iter().sum()
+        fn fold(&self, _k: &u32, acc: &mut f64, v: f64) {
+            *acc += v;
         }
         fn distance(&self, _k: &u32, prev: &f64, cur: &f64) -> f64 {
             (prev - cur).abs()
@@ -621,8 +622,10 @@ mod tests {
             let mean: f64 = all.iter().map(|&(_, v)| v).sum::<f64>() / all.len() as f64;
             out.emit(*k % 4, mean + 1.0);
         }
-        fn reduce(&self, _k: &u32, values: Vec<f64>) -> f64 {
-            values.iter().sum::<f64>() / values.len() as f64
+        /// Every proposal for a key is the same value, so their running
+        /// mean is that value.
+        fn fold(&self, _k: &u32, acc: &mut f64, v: f64) {
+            *acc = (*acc + v) / 2.0;
         }
     }
 
@@ -886,8 +889,8 @@ mod tests {
         fn map(&self, k: &u32, s: StateInput<'_, u32, f64>, _t: &(), out: &mut Emitter<u32, f64>) {
             out.emit(*k, *s.one());
         }
-        fn reduce(&self, _k: &u32, values: Vec<f64>) -> f64 {
-            values.into_iter().sum()
+        fn fold(&self, _k: &u32, acc: &mut f64, v: f64) {
+            *acc += v;
         }
         fn partition(&self, key: &u32, n: usize) -> usize {
             if *key >= 1000 {
@@ -1126,8 +1129,8 @@ mod tests {
             }
             out.emit(*k, x);
         }
-        fn reduce(&self, _k: &u32, values: Vec<f64>) -> f64 {
-            values.into_iter().sum()
+        fn fold(&self, _k: &u32, acc: &mut f64, v: f64) {
+            *acc += v;
         }
     }
 
@@ -1191,9 +1194,12 @@ mod tests {
             ) {
                 out.emit(*k, *s.one());
             }
-            fn reduce(&self, k: &u32, values: Vec<f64>) -> f64 {
+            fn fold(&self, _k: &u32, acc: &mut f64, v: f64) {
+                *acc += v;
+            }
+            fn finish(&self, k: &u32, acc: f64) -> f64 {
                 assert!(*k != 7, "bomb triggered");
-                values.into_iter().sum()
+                acc
             }
         }
         let (native, _) = fixtures(2);
@@ -1226,8 +1232,8 @@ mod tests {
             ) {
                 out.emit(*k + 1000, *s.one());
             }
-            fn reduce(&self, _k: &u32, values: Vec<f64>) -> f64 {
-                values.into_iter().sum()
+            fn fold(&self, _k: &u32, acc: &mut f64, v: f64) {
+                *acc += v;
             }
             fn partition(&self, k: &u32, n: usize) -> usize {
                 if *k >= 1000 {

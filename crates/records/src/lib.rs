@@ -10,8 +10,8 @@
 //!   partitioning plus the paper's modulo node-id partitioning;
 //! * sorted-run utilities ([`sort_run`], [`merge_runs`],
 //!   [`group_sorted`]) and, over them, the shuffle kernel
-//!   ([`shuffle_out`], [`shuffle_in`]) — the one sort/combine/encode →
-//!   decode/merge/group/reduce path every engine drives.
+//!   ([`ShuffleScratch`], [`FoldTable`], [`shuffle_in`]) — the one
+//!   sort/fold/encode → decode/merge/fold path every engine drives.
 //!
 //! The state/static join of paper §3.2.2 is not here: both streams are
 //! co-partitioned and key-sorted, so it is a lockstep zip, done (and
@@ -31,7 +31,7 @@ pub use codec::{
 };
 pub use partition::{Fnv1a, HashPartitioner, ModPartitioner, PairPartitioner, Partitioner};
 pub use shuffle::{
-    shuffle_in, shuffle_out, CombineRuns, ShuffleCost, ShuffleError, ShuffleOut, ShuffleScratch,
+    shuffle_in, shuffle_in_groups, FoldTable, ShuffleCost, ShuffleError, ShuffleOut, ShuffleScratch,
 };
 pub use sorted::{group_sorted, is_sorted_by_key, merge_runs, sort_run};
 
@@ -71,14 +71,25 @@ mod proptests {
         }
     }
 
-    /// The map side with a combiner as it was before combining moved
-    /// into the map loop: route every record, sort each destination
-    /// stably, then one combine call on all of each key's values.
-    fn group_then_combine<V: Value>(
+    /// A key's values folded once, in order: the first seeds the
+    /// accumulator, each later one is folded in.
+    fn left_fold<V>(values: Vec<V>, fold: impl Fn(&mut V, V)) -> V {
+        let mut values = values.into_iter();
+        let mut acc = values.next().expect("a group has a value");
+        for v in values {
+            fold(&mut acc, v);
+        }
+        acc
+    }
+
+    /// The map side with a combiner, materialised: route every record,
+    /// sort each destination stably, then fold all of each key's values
+    /// once, in emission order.
+    fn group_then_fold<V: Value>(
         pairs: &[(u32, V)],
         n: usize,
         route: impl Fn(&u32, usize) -> usize,
-        mut combine: impl FnMut(&u32, Vec<V>) -> Vec<V>,
+        fold: impl Fn(&mut V, V),
         cost: &mut MapCharges,
     ) -> Vec<bytes::Bytes> {
         let mut dests: Vec<Vec<(u32, V)>> = vec![Vec::new(); n];
@@ -91,55 +102,89 @@ mod proptests {
         }
         let mut segments = Vec::new();
         for dest in dests {
-            let mut combined = Vec::new();
+            let mut folded = Vec::new();
             for (k, values) in group_sorted(dest) {
                 cost.combined(values.len() as u64);
-                combined.extend(combine(&k, values).into_iter().map(|v| (k, v)));
+                folded.push((k, left_fold(values, &fold)));
             }
-            segments.push(encode_pairs(&combined));
+            segments.push(encode_pairs(&folded));
         }
         segments
     }
 
     /// The streaming map side on the same input, absorbed `chunk`
-    /// records at a time (a map call's worth); returns the segments and,
-    /// per key, its value count and the combine calls it received.
-    fn combine_runs<V: Value>(
+    /// records at a time (a map call's worth).
+    fn fold_table<V: Value>(
         pairs: &[(u32, V)],
         chunk: usize,
         n: usize,
         route: impl Fn(&u32, usize) -> usize,
-        mut combine: impl FnMut(&u32, Vec<V>) -> Vec<V>,
+        fold: impl Fn(&mut V, V),
         cost: &mut MapCharges,
-    ) -> (Vec<bytes::Bytes>, Vec<(u64, u64)>) {
-        let mut calls: std::collections::BTreeMap<u32, u64> = Default::default();
-        let mut counted = |k: &u32, values: Vec<V>| {
-            *calls.entry(*k).or_default() += 1;
-            combine(k, values)
-        };
-        let mut runs = CombineRuns::default();
+    ) -> Vec<bytes::Bytes> {
+        let mut table = FoldTable::default();
+        let mut fold = |_: &u32, acc: &mut V, v: V| fold(acc, v);
         for batch in pairs.chunks(chunk) {
-            prop_assert_eq!(
-                runs.absorb(&mut batch.to_vec(), &mut counted),
+            assert_eq!(
+                table.absorb(&mut batch.to_vec(), &mut fold),
                 batch.len() as u64
             );
         }
-        let out = runs
-            .finish(&mut ShuffleScratch::default(), n, route, &mut counted, cost)
+        let out = table
+            .finish(&mut ShuffleScratch::default(), n, route, cost)
             .unwrap();
-        let mut per_key: std::collections::BTreeMap<u32, u64> = Default::default();
-        for (k, _) in pairs {
-            *per_key.entry(*k).or_default() += 1;
-        }
-        let calls = per_key
-            .iter()
-            .map(|(k, &values)| (values, calls[k]))
-            .collect();
         assert_eq!(
             out.bytes,
             out.segments.iter().map(|s| s.len() as u64).sum::<u64>()
         );
-        (out.segments, calls)
+        out.segments
+    }
+
+    /// `v`, or a signed zero for one `pick` in four each.
+    fn signed_zero_or(pick: u8, v: f64) -> f64 {
+        match pick % 8 {
+            0 | 1 => 0.0,
+            2 | 3 => -0.0,
+            _ => v,
+        }
+    }
+
+    /// The reduce side, materialised: decode every segment, stable-sort
+    /// all records by key in source order, group, and fold each key's
+    /// values once, in that order.
+    fn decode_group_fold<V: Value>(
+        segments: &[bytes::Bytes],
+        fold: impl Fn(&mut V, V),
+    ) -> Vec<(u64, V)> {
+        let mut all: Vec<(u64, V)> = Vec::new();
+        for seg in segments {
+            all.extend(decode_pairs::<u64, V>(seg.clone()).unwrap());
+        }
+        all.sort_by_key(|&(k, _)| k);
+        let mut groups: Vec<(u64, Vec<V>)> = Vec::new();
+        for (k, v) in all {
+            match groups.last_mut() {
+                Some((open, values)) if *open == k => values.push(v),
+                _ => groups.push((k, vec![v])),
+            }
+        }
+        groups
+            .into_iter()
+            .map(|(k, values)| (k, left_fold(values, &fold)))
+            .collect()
+    }
+
+    /// [`shuffle_in`] with `fold`, collecting each key's accumulator.
+    fn fold_in<V: Value>(segments: &[bytes::Bytes], fold: impl Fn(&mut V, V)) -> Vec<(u64, V)> {
+        let mut got = Vec::new();
+        shuffle_in(
+            segments.to_vec(),
+            |_: &u64, acc: &mut V, v| fold(acc, v),
+            |k, acc| got.push((k, acc)),
+            &mut (),
+        )
+        .unwrap();
+        got
     }
 
     proptest! {
@@ -197,17 +242,24 @@ mod proptests {
             combine in any::<bool>(),
         ) {
             let route = |k: &u32, n: usize| *k as usize % n;
-            // The combiner folds a mapper's values for one key into one
-            // list value, so order stays observable either way.
-            let combiner = combine.then_some(|_: &u32, vals: Vec<Vec<u32>>| vec![vals.concat()]);
+            // The fold concatenates a key's list values, so order stays
+            // observable on both sides of the shuffle.
+            let mut concat = |_: &u32, acc: &mut Vec<u32>, v: Vec<u32>| acc.extend(v);
             let mut segments = Vec::new();
             let mut want: std::collections::BTreeMap<u32, Vec<u32>> = Default::default();
             for pairs in &mappers {
                 for (k, v) in pairs {
                     want.entry(*k).or_default().push(*v);
                 }
-                let lifted = pairs.iter().map(|&(k, v)| (k, vec![v])).collect();
-                let out = shuffle_out(lifted, n, route, combiner, &mut ());
+                let mut lifted = pairs.iter().map(|&(k, v)| (k, vec![v])).collect();
+                let mut scratch = ShuffleScratch::default();
+                let out = if combine {
+                    let mut table = FoldTable::default();
+                    table.absorb(&mut lifted, &mut concat);
+                    table.finish(&mut scratch, n, route, &mut ()).unwrap()
+                } else {
+                    scratch.shuffle_out(&mut lifted, n, route, &mut ()).unwrap()
+                };
                 prop_assert_eq!(out.segments.len(), n);
                 prop_assert_eq!(out.bytes, out.segments.iter().map(|s| s.len() as u64).sum::<u64>());
                 segments.push(out.segments);
@@ -216,8 +268,7 @@ mod proptests {
             for q in 0..n {
                 let inbound = segments.iter().map(|from| from[q].clone()).collect();
                 let before = got.len();
-                shuffle_in(inbound, |k: u32, vals: Vec<Vec<u32>>| got.push((k, vals.concat())), &mut ())
-                    .unwrap();
+                shuffle_in(inbound, &mut concat, |k, vals| got.push((k, vals)), &mut ()).unwrap();
                 prop_assert!(got[before..].iter().all(|(k, _)| route(k, n) == q));
                 prop_assert!(got[before..].windows(2).all(|w| w[0].0 < w[1].0));
             }
@@ -225,46 +276,90 @@ mod proptests {
             prop_assert_eq!(got, want.into_iter().collect::<Vec<_>>());
         }
 
-        /// Combining as the map emits is group-then-combine: with keys of
-        /// up to a few thousand values, so every run is combined many
-        /// times, absorbed a few records at a time. A left-fold `f64` sum
-        /// gives bit-identical segments — the previous output must come
-        /// first in a run, or the additions round differently — and the
-        /// cost hook sees the identical call sequence. A concatenating
-        /// and an identity combiner give the same values in the same
-        /// order, and the identity combiner, whose output never shrinks,
-        /// runs at most 2·log₂(n) + 2 times on a key of n values.
+        /// The map-side table is group-then-fold: each key's values
+        /// folded once, in emission order, absorbed a few records at a
+        /// time. A left-fold `f64` sum — signed zeros included, as seeds
+        /// and as later values — gives bit-identical segments, and the
+        /// cost hook sees the identical call sequence; a concatenating
+        /// fold, whose result spells out the order it saw, gives
+        /// identical segments too.
         #[test]
-        fn combine_runs_is_group_then_combine(
-            raw in proptest::collection::vec((any::<u32>(), -1e6..1e6), 0..3000),
+        fn fold_table_is_group_then_fold(
+            raw in proptest::collection::vec((any::<u32>(), any::<u8>(), -1e6..1e6), 0..3000),
             keys in 1u32..8,
             n in 1usize..6,
             chunk in 1usize..8,
         ) {
             let route = |k: &u32, n: usize| (k.wrapping_mul(0x9E37_79B9) >> 7) as usize % n;
-            let sums: Vec<(u32, f64)> = raw.iter().map(|&(k, v)| (k % keys, v)).collect();
-            let sum = |_: &u32, values: Vec<f64>| vec![values.into_iter().sum::<f64>()];
+            let sums: Vec<(u32, f64)> =
+                raw.iter().map(|&(k, pick, v)| (k % keys, signed_zero_or(pick, v))).collect();
+            let sum = |acc: &mut f64, v: f64| *acc += v;
             let (mut want_cost, mut got_cost) = (MapCharges::default(), MapCharges::default());
-            let want = group_then_combine(&sums, n, route, sum, &mut want_cost);
-            let (got, _) = combine_runs(&sums, chunk, n, route, sum, &mut got_cost);
+            let want = group_then_fold(&sums, n, route, sum, &mut want_cost);
+            let got = fold_table(&sums, chunk, n, route, sum, &mut got_cost);
             prop_assert_eq!(&got, &want);
             prop_assert_eq!(&got_cost, &want_cost);
 
             let lists: Vec<(u32, Vec<u32>)> =
-                raw.iter().map(|&(k, _)| (k % keys, vec![k])).collect();
-            let concat = |_: &u32, values: Vec<Vec<u32>>| vec![values.concat()];
-            let identity = |_: &u32, values: Vec<Vec<u32>>| values;
-            let want = group_then_combine(&lists, n, route, concat, &mut MapCharges::default());
-            let (got, _) = combine_runs(&lists, chunk, n, route, concat, &mut MapCharges::default());
+                raw.iter().enumerate().map(|(i, &(k, ..))| (k % keys, vec![i as u32])).collect();
+            let concat = |acc: &mut Vec<u32>, v: Vec<u32>| acc.extend(v);
+            let want = group_then_fold(&lists, n, route, concat, &mut MapCharges::default());
+            let got = fold_table(&lists, chunk, n, route, concat, &mut MapCharges::default());
             prop_assert_eq!(&got, &want);
-            let want = group_then_combine(&lists, n, route, identity, &mut MapCharges::default());
-            let (got, calls) =
-                combine_runs(&lists, chunk, n, route, identity, &mut MapCharges::default());
-            prop_assert_eq!(&got, &want);
-            for (values, calls) in calls {
-                let bound = 2.0 * (values as f64).log2() + 2.0;
-                prop_assert!(calls as f64 <= bound, "{calls} calls on {values} values");
+        }
+
+        /// The reduce side is group-then-fold: folding straight off the
+        /// decode cursors gives, per key, the bit-identical result of
+        /// folding the key's values once in merge order — source by
+        /// source, emission order within one — for an `f64` sum with
+        /// signed zeros and for an order-revealing concatenation; and it
+        /// charges each key's value count in key order.
+        #[test]
+        fn shuffle_in_is_group_then_fold(
+            runs in proptest::collection::vec(
+                proptest::collection::vec((0u64..40, any::<u8>(), -1e6..1e6), 0..60), 0..7),
+        ) {
+            let mut runs: Vec<Vec<(u64, f64)>> = runs
+                .iter()
+                .map(|run| run.iter().map(|&(k, pick, v)| (k, signed_zero_or(pick, v))).collect())
+                .collect();
+            for run in &mut runs {
+                run.sort_by_key(|&(k, _)| k);
             }
+            let sum = |acc: &mut f64, v: f64| *acc += v;
+            let segments: Vec<_> = runs.iter().map(|run| encode_pairs(run)).collect();
+            let bits = |folded: Vec<(u64, f64)>| -> Vec<(u64, u64)> {
+                folded.into_iter().map(|(k, v)| (k, v.to_bits())).collect()
+            };
+            let want = decode_group_fold(&segments, sum);
+            prop_assert_eq!(bits(fold_in(&segments, sum)), bits(want.clone()));
+
+            let mut calls = ReduceCalls::default();
+            let records = shuffle_in(
+                segments.clone(),
+                |_: &u64, acc: &mut f64, v| *acc += v,
+                |_, _| {},
+                &mut calls,
+            )
+            .unwrap();
+            prop_assert_eq!(records, runs.iter().map(|run| run.len() as u64).sum::<u64>());
+            let mut counts: std::collections::BTreeMap<u64, u64> = Default::default();
+            for (k, _) in runs.iter().flatten() {
+                *counts.entry(*k).or_default() += 1;
+            }
+            prop_assert_eq!(calls.0, counts.into_values().collect::<Vec<_>>());
+
+            let tagged: Vec<Vec<(u64, Vec<u32>)>> = runs
+                .iter()
+                .enumerate()
+                .map(|(r, run)| {
+                    let tag = |(i, &(k, _)): (usize, &(u64, f64))| (k, vec![(r * 100 + i) as u32]);
+                    run.iter().enumerate().map(tag).collect()
+                })
+                .collect();
+            let segments: Vec<_> = tagged.iter().map(|run| encode_pairs(run)).collect();
+            let concat = |acc: &mut Vec<u32>, v: Vec<u32>| acc.extend(v);
+            prop_assert_eq!(fold_in(&segments, concat), decode_group_fold(&segments, concat));
         }
 
         /// The digit sort is the stable comparison sort: every unsigned
@@ -323,7 +418,7 @@ mod proptests {
             let mut got = Vec::new();
             let mut calls = ReduceCalls::default();
             let records =
-                shuffle_in(segments.clone(), |k, values| got.push((k, values)), &mut calls).unwrap();
+                shuffle_in_groups(segments.clone(), |k, values| got.push((k, values)), &mut calls).unwrap();
             prop_assert_eq!(&got, &want);
             prop_assert_eq!(records, runs.iter().map(|run| run.len() as u64).sum::<u64>());
             prop_assert_eq!(calls.0, want.iter().map(|(_, vs)| vs.len() as u64).collect::<Vec<_>>());
@@ -340,7 +435,7 @@ mod proptests {
                     cut_segments[victim] = segments[victim].slice(..cut);
                     let mut merged = 0u64;
                     let result =
-                        shuffle_in(cut_segments, |_: u64, values: Vec<u32>| merged += values.len() as u64, &mut ());
+                        shuffle_in_groups(cut_segments, |_: u64, values: Vec<u32>| merged += values.len() as u64, &mut ());
                     match boundaries.iter().position(|&b| b == cut) {
                         Some(kept) => {
                             let lost = (runs[victim].len() - kept) as u64;

@@ -2,25 +2,28 @@
 //! reduce input that every engine drives.
 //!
 //! [`ShuffleScratch::shuffle_out`] is the map side (partition → sort →
-//! encode, one segment per destination), and [`CombineRuns`] the map
-//! side of a job with a combiner, which combines as the map emits;
-//! [`shuffle_in`] is the reduce side (k-way merge straight off the
-//! segments' decode cursors → group → reduce). The user functions arrive
-//! as closures, so the baseline `MrJob`, the iterative `IterativeJob`
-//! and the multi-phase `PhaseJob` all run this code, and the value order
-//! a reducer sees for one key — source run first, emission order within
-//! a run — is decided here and nowhere else.
+//! encode, one segment per destination), and [`FoldTable`] the map side
+//! of a job with a combiner, which folds each value into its key's
+//! accumulator as the map emits; [`shuffle_in`] is the reduce side
+//! (k-way merge straight off the segments' decode cursors, each value
+//! folded into its key's accumulator as it arrives), and
+//! [`shuffle_in_groups`] the same merge for a reducer that takes a
+//! key's values whole. The user functions arrive as closures, so the
+//! baseline `MrJob`, the iterative `IterativeJob` and the multi-phase
+//! `PhaseJob` all run this code, and the order a key's values are
+//! folded or listed in — source run first, emission order within a run
+//! — is decided here and nowhere else.
 //!
 //! The map side never moves a record to sort it: it routes and sorts
 //! *indices* ([`ShuffleScratch::route`]) and encodes or ⊕-folds by
 //! gathering through them; with a combiner it sorts only the distinct
-//! keys, whose values it has already combined. The index buffers belong
+//! keys, whose values it has already folded. The index buffers belong
 //! to the caller's [`ShuffleScratch`], which a persistent task keeps for
 //! as long as it lives, so iteration *k + 1* allocates none of them
 //! again.
 
 use crate::codec::{Codec, CodecResult, Key, PairCursor, Value};
-use crate::sorted::{merge_groups, pack_word, sort_words, word_index};
+use crate::sorted::{merge, merge_groups, pack_word, sort_words, word_index, Group};
 use bytes::{Bytes, BytesMut};
 use core::fmt;
 use std::collections::hash_map::{Entry, HashMap};
@@ -31,10 +34,10 @@ use std::collections::hash_map::{Entry, HashMap};
 pub trait ShuffleCost {
     /// A run of `records` map-output records was sorted.
     fn sorted(&mut self, _records: u64) {}
-    /// A key's `values` map-output values were combined (charged once
-    /// per key and map side, however many combine calls that took).
+    /// A key's `values` map-output values were folded into one (charged
+    /// once per key and map side).
     fn combined(&mut self, _values: u64) {}
-    /// One reduce call consumed `values` values.
+    /// A key's `values` values were reduced.
     fn reduced(&mut self, _values: u64) {}
 }
 
@@ -209,126 +212,83 @@ impl ShuffleScratch {
     }
 }
 
-/// The fewest values a key's run collects before it is combined: enough
-/// to amortise the call, few enough that the values a map just emitted
-/// are still in cache when the combiner consumes and frees them.
-const MIN_RUN: usize = 64;
-
-/// The map side of a job with a combiner: per key, the run of values
-/// the map has emitted and the combiner has not yet consumed.
+/// The map side of a job with a combiner: one accumulator per distinct
+/// key, in first-emission order.
 ///
-/// [`absorb`](Self::absorb) appends each emitted value to its key's run
-/// and combines a run as soon as it holds `max(64, 2 × the length of the
-/// key's last combine output)` values, that output first — Hadoop's
-/// spill-and-combine with a spill per key small enough to stay in
-/// cache. A reducing combiner holds one value per key between calls, a
-/// non-reducing one combines each value O(log n) times, and the map
-/// output is never buffered whole. [`finish`](Self::finish) combines
-/// what is left and encodes the keys, sorted, one segment per
-/// destination.
-///
-/// This is the contract `combine` is written to: it may run any number
-/// of times per key, each time on consecutive values of the key in
-/// emission order, its previous output first. For a left fold — every
-/// combiner shipped here — the segments are bit-identical to combining
-/// each key's values once, and the cost charges are those of doing so
-/// (`combine_runs_is_group_then_combine` holds both).
+/// [`absorb`](Self::absorb) folds each emitted value into its key's
+/// accumulator as the map emits — the key's first value seeds it, every
+/// later one is folded in, in emission order — so the map output is
+/// never buffered and the table holds as many values as there are
+/// distinct keys (16 for K-means). [`finish`](Self::finish) encodes the
+/// keys, sorted, one segment per destination, and charges the cost hook
+/// as grouping all of a key's values and combining them once would
+/// (`fold_table_is_group_then_fold` holds both).
 #[derive(Debug)]
-pub struct CombineRuns<K, V> {
-    /// Key → its run's index in `runs`.
+pub struct FoldTable<K, V> {
+    /// Key → its index in `accs`.
     slot: HashMap<K, usize>,
-    /// One run per distinct key, in first-emission order.
-    runs: Vec<(K, Run<V>)>,
+    /// One accumulator per distinct key.
+    accs: Vec<(K, V)>,
+    /// Per accumulator, how many values were folded into it.
+    emitted: Vec<u64>,
 }
 
-#[derive(Debug)]
-struct Run<V> {
-    /// The key's last combine output, then the values emitted since.
-    values: Vec<V>,
-    /// How many of `values` are the last combine output.
-    carried: usize,
-    /// Values the key was emitted with, in total.
-    emitted: u64,
-}
-
-impl<K, V> Default for CombineRuns<K, V> {
+impl<K, V> Default for FoldTable<K, V> {
     fn default() -> Self {
-        CombineRuns {
+        FoldTable {
             slot: HashMap::new(),
-            runs: Vec::new(),
+            accs: Vec::new(),
+            emitted: Vec::new(),
         }
     }
 }
 
-impl<K: Key, V: Value> CombineRuns<K, V> {
-    /// Drops every run (what a failed map side may have left behind);
-    /// the table's capacity is kept.
+impl<K: Key, V: Value> FoldTable<K, V> {
+    /// Drops every accumulator (what a failed map side may have left
+    /// behind); the table's capacity is kept.
     pub fn clear(&mut self) {
         self.slot.clear();
-        self.runs.clear();
+        self.accs.clear();
+        self.emitted.clear();
     }
 
-    /// Moves `pairs` into their keys' runs, in order, combining each run
-    /// that fills up; returns how many pairs it moved. `pairs` is left
-    /// empty, its capacity kept.
-    pub fn absorb(
-        &mut self,
-        pairs: &mut Vec<(K, V)>,
-        combine: &mut impl FnMut(&K, Vec<V>) -> Vec<V>,
-    ) -> u64 {
+    /// Folds `pairs`, in order, into their keys' accumulators; returns
+    /// how many pairs it folded. `pairs` is left empty, its capacity
+    /// kept.
+    pub fn absorb(&mut self, pairs: &mut Vec<(K, V)>, fold: &mut impl FnMut(&K, &mut V, V)) -> u64 {
         let absorbed = pairs.len() as u64;
         for (k, v) in pairs.drain(..) {
-            let fresh = self.runs.len();
-            let i = match self.slot.entry(k) {
-                Entry::Occupied(slot) => *slot.get(),
-                Entry::Vacant(slot) => {
-                    let run = Run {
-                        values: Vec::new(),
-                        carried: 0,
-                        emitted: 0,
-                    };
-                    self.runs.push((slot.key().clone(), run));
-                    *slot.insert(fresh)
+            match self.slot.entry(k) {
+                Entry::Occupied(slot) => {
+                    let i = *slot.get();
+                    let (k, acc) = &mut self.accs[i];
+                    fold(k, acc, v);
+                    self.emitted[i] += 1;
                 }
-            };
-            let (k, run) = &mut self.runs[i];
-            run.values.push(v);
-            run.emitted += 1;
-            if run.values.len() >= MIN_RUN.max(2 * run.carried) {
-                let out = combine(k, std::mem::take(&mut run.values));
-                // The next run is allocated once, at the size that
-                // triggers its combine.
-                run.carried = out.len();
-                run.values = Vec::with_capacity(MIN_RUN.max(2 * out.len()));
-                run.values.extend(out);
+                Entry::Vacant(slot) => {
+                    self.accs.push((slot.key().clone(), v));
+                    self.emitted.push(1);
+                    slot.insert(self.accs.len() - 1);
+                }
             }
         }
         absorbed
     }
 
-    /// Combines every run that holds values its last combine did not
-    /// see, routes the keys to `n` destinations with `partition` and
-    /// encodes one segment per destination: keys ascending, each key's
-    /// combined values in their order. Charges `cost` as combining each
-    /// key's values once would: the records emitted to each destination
-    /// sorted, then one combine of all its values per key. Leaves no run
-    /// behind.
+    /// Routes the keys to `n` destinations with `partition` and encodes
+    /// one segment per destination: keys ascending, one record each.
+    /// Charges `cost` as folding each key's values once would: the
+    /// records emitted to each destination sorted, then one combine of
+    /// all its values per key. Leaves the table empty.
     pub fn finish(
         &mut self,
         scratch: &mut ShuffleScratch,
         n: usize,
         partition: impl Fn(&K, usize) -> usize,
-        combine: &mut impl FnMut(&K, Vec<V>) -> Vec<V>,
         cost: &mut impl ShuffleCost,
     ) -> Result<ShuffleOut, ShuffleError> {
-        self.slot.clear();
-        for (k, run) in &mut self.runs {
-            if run.values.len() > run.carried {
-                run.values = combine(k, std::mem::take(&mut run.values));
-            }
-        }
         let out = self.encode(scratch, n, partition, cost);
-        self.runs.clear();
+        self.clear();
         out
     }
 
@@ -339,32 +299,16 @@ impl<K: Key, V: Value> CombineRuns<K, V> {
         partition: impl Fn(&K, usize) -> usize,
         cost: &mut impl ShuffleCost,
     ) -> Result<ShuffleOut, ShuffleError> {
-        let runs = &self.runs;
-        scratch.route(runs, n, partition)?;
+        scratch.route(&self.accs, n, partition)?;
         for dest in 0..n {
-            cost.sorted(scratch.order(dest).map(|i| runs[i].1.emitted).sum());
+            cost.sorted(scratch.order(dest).map(|i| self.emitted[i]).sum());
         }
         let mut out = ShuffleOut::with_capacity(n);
         for dest in 0..n {
-            let keys = scratch.order(dest).map(|i| &runs[i]);
-            let len = keys
-                .clone()
-                .map(|(k, run)| {
-                    let values: usize = run.values.iter().map(Codec::encoded_len).sum();
-                    run.values.len() * k.encoded_len() + values
-                })
-                .sum();
-            let mut buf = BytesMut::with_capacity(len);
-            let mut records = 0;
-            for (k, run) in keys {
-                cost.combined(run.emitted);
-                for v in &run.values {
-                    k.encode(&mut buf);
-                    v.encode(&mut buf);
-                }
-                records += run.values.len();
-            }
-            out.push(buf.freeze(), records);
+            scratch
+                .order(dest)
+                .for_each(|i| cost.combined(self.emitted[i]));
+            out.push(scratch.encode(&self.accs, dest), scratch.order(dest).len());
         }
         Ok(out)
     }
@@ -375,49 +319,62 @@ fn indices(words: &[u64]) -> impl ExactSizeIterator<Item = usize> + Clone + '_ {
     words.iter().map(|&w| word_index(w))
 }
 
-/// The map side for a caller with nothing to keep between calls: fresh
-/// buffers, `pairs` consumed. With a combiner, every pair is absorbed
-/// into [`CombineRuns`] and the runs finished; without, it is
-/// [`ShuffleScratch::shuffle_out`].
-///
-/// # Panics
-/// Where those return a [`ShuffleError`].
-pub fn shuffle_out<K: Key, V: Value>(
-    mut pairs: Vec<(K, V)>,
-    n: usize,
-    partition: impl Fn(&K, usize) -> usize,
-    combine: Option<impl FnMut(&K, Vec<V>) -> Vec<V>>,
+/// Reduce side: merges one key-sorted segment per source straight off
+/// the decode cursors and folds each key's values into one accumulator
+/// as they arrive — the first value seeds it, every later one goes
+/// through `fold`, source by source (ties keep source order), each
+/// source's in emission order — then hands `done` each key with its
+/// accumulator, in key order. Returns the number of records merged. A
+/// truncated or corrupt segment is an error, possibly after some keys
+/// were done.
+pub fn shuffle_in<K: Key, V: Value>(
+    segments: Vec<Bytes>,
+    fold: impl FnMut(&K, &mut V, V),
+    done: impl FnMut(K, V),
     cost: &mut impl ShuffleCost,
-) -> ShuffleOut {
-    let mut scratch = ShuffleScratch::default();
-    let out = match combine {
-        Some(mut combine) => {
-            let mut runs = CombineRuns::default();
-            runs.absorb(&mut pairs, &mut combine);
-            runs.finish(&mut scratch, n, partition, &mut combine, cost)
-        }
-        None => scratch.shuffle_out(&mut pairs, n, partition, cost),
-    };
-    match out {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
+) -> CodecResult<u64> {
+    struct Fold<'c, F, D, C> {
+        fold: F,
+        done: D,
+        cost: &'c mut C,
     }
+    impl<K, V, F, D, C> Group<K, V> for Fold<'_, F, D, C>
+    where
+        F: FnMut(&K, &mut V, V),
+        D: FnMut(K, V),
+        C: ShuffleCost,
+    {
+        type Acc = V;
+        fn open(&mut self, first: V) -> V {
+            first
+        }
+        #[inline]
+        fn add(&mut self, key: &K, acc: &mut V, value: V) {
+            (self.fold)(key, acc, value);
+        }
+        fn close(&mut self, key: K, acc: V, values: u64) {
+            self.cost.reduced(values);
+            (self.done)(key, acc);
+        }
+    }
+    merge(cursors(segments), &mut Fold { fold, done, cost })
 }
 
-/// Reduce side: merges one key-sorted segment per source straight off
-/// the decode cursors (ties keep source order, then emission order) and
-/// hands every key group to `reduce` in key order, each with a `Vec` of
-/// exactly its values. Returns the number of records merged. A
-/// truncated or corrupt segment is an error, possibly after some groups
-/// were reduced.
-pub fn shuffle_in<K: Key, V: Value>(
+/// [`shuffle_in`] for a reducer that takes a key's values whole (a
+/// baseline `MrJob`, a multi-phase `PhaseJob`): hands every key group
+/// to `reduce` in key order, each with a `Vec` of exactly its values in
+/// merge order.
+pub fn shuffle_in_groups<K: Key, V: Value>(
     segments: Vec<Bytes>,
     mut reduce: impl FnMut(K, Vec<V>),
     cost: &mut impl ShuffleCost,
 ) -> CodecResult<u64> {
-    let cursors = segments.into_iter().map(PairCursor::new).collect();
-    merge_groups(cursors, |k, values| {
+    merge_groups(cursors(segments), |k, values| {
         cost.reduced(values.len() as u64);
         reduce(k, values);
     })
+}
+
+fn cursors<K: Key, V: Value>(segments: Vec<Bytes>) -> Vec<PairCursor<K, V>> {
+    segments.into_iter().map(PairCursor::new).collect()
 }

@@ -9,9 +9,10 @@
 //! [`Codec::radix_key`]) and long runs of them are ordered by digits;
 //! everything else is ordered by comparison.
 //!
-//! Merging and grouping are one pass ([`merge_groups`]) over any source
-//! of records: a k-way merge, ties broken by run index, that hands out
-//! the `(key, values)` groups a reduce function receives.
+//! Merging and grouping are one pass ([`merge`]) over any source of
+//! records: a k-way merge, ties broken by run index, that hands each
+//! key's values, in order, to a [`Group`] — a fold into one accumulator
+//! per key, or a `Vec` per key for a reducer that takes them whole.
 
 use crate::codec::Codec;
 use std::convert::Infallible;
@@ -134,28 +135,34 @@ fn pack_run<K: Codec, V>(run: &[(K, V)]) -> Option<Vec<u64>> {
         .collect()
 }
 
+/// What a k-way merge does with each key's values as it meets them.
+/// The merge calls [`open`](Self::open) with a key's first value,
+/// [`add`](Self::add) with each further one in merge order, and
+/// [`close`](Self::close) once the key's last value has been added.
+pub(crate) trait Group<K, V> {
+    /// What is kept for the open key.
+    type Acc;
+    /// The key's first value.
+    fn open(&mut self, first: V) -> Self::Acc;
+    /// A further value of the open key.
+    fn add(&mut self, key: &K, acc: &mut Self::Acc, value: V);
+    /// The key is complete: `values` values were merged into `acc`.
+    fn close(&mut self, key: K, acc: Self::Acc, values: u64);
+}
+
 /// K-way merges key-sorted `runs` — decoded vectors, or cursors still
-/// decoding their segments — and hands `emit` every key group, in
-/// key order, with its values in a `Vec` of their own: run by run
-/// (ties between runs are broken by run index), each run's in its own
-/// order — the view a reduce function receives. Returns the number of
-/// records merged.
+/// decoding their segments — and hands every key's values to `group`
+/// in key order: run by run (ties between runs are broken by run
+/// index), each run's in its own order. Returns the number of records
+/// merged. On an error, the open key is dropped unclosed.
 ///
 /// The frontier is a binary min-heap of run indices ordered by (head
 /// key, run index). A run is drained for as long as it continues the
 /// open key, so the heap is touched once per (key, run), not per record,
 /// and a record's key is never copied.
-///
-/// A group's values are gathered in one buffer the merge keeps and
-/// handed over in a `Vec` of exactly their number: one allocation per
-/// key and never a regrowth. A `Vec` grown in place costs a `realloc`
-/// per doubling, and `realloc` — unlike the allocator's per-thread
-/// fast path — takes the lock of the arena that owns the block; with a
-/// recycled block that another reduce thread's arena owns, every key of
-/// every pair then queues on one lock for as long as the job runs.
-pub(crate) fn merge_groups<K: Ord, V, E>(
+pub(crate) fn merge<K: Ord, V, E>(
     mut runs: Vec<impl Iterator<Item = Result<(K, V), E>>>,
-    mut emit: impl FnMut(K, Vec<V>),
+    group: &mut impl Group<K, V>,
 ) -> Result<u64, E> {
     let mut heads: Vec<Option<(K, V)>> = Vec::with_capacity(runs.len());
     for run in &mut runs {
@@ -166,14 +173,17 @@ pub(crate) fn merge_groups<K: Ord, V, E>(
         sift_down(&mut heap, &heads, root);
     }
     let mut records = 0u64;
-    let mut gathered: Vec<V> = Vec::new();
     while let Some((key, first)) = heap.first().and_then(|&top| heads[top].take()) {
-        gathered.push(first);
+        let mut acc = group.open(first);
+        let mut values = 1u64;
         // The heap yields the runs holding `key` in run order.
         while let Some(&run) = heap.first() {
             heads[run] = loop {
                 match runs[run].next().transpose()? {
-                    Some((k, v)) if k == key => gathered.push(v),
+                    Some((k, v)) if k == key => {
+                        group.add(&key, &mut acc, v);
+                        values += 1;
+                    }
                     next => break next,
                 }
             };
@@ -185,19 +195,56 @@ pub(crate) fn merge_groups<K: Ord, V, E>(
                 break;
             };
             match head.take() {
-                Some((k, v)) if k == key => gathered.push(v),
+                Some((k, v)) if k == key => {
+                    group.add(&key, &mut acc, v);
+                    values += 1;
+                }
                 other => {
                     *head = other;
                     break;
                 }
             }
         }
-        records += gathered.len() as u64;
-        let mut values = Vec::with_capacity(gathered.len());
-        values.append(&mut gathered);
-        emit(key, values);
+        records += values;
+        group.close(key, acc, values);
     }
     Ok(records)
+}
+
+/// [`merge`] for a consumer that takes a key's values whole: `emit`
+/// gets every key with a `Vec` of its values, in merge order.
+///
+/// The values are gathered in one buffer the merge keeps and handed
+/// over in a `Vec` of exactly their number: one allocation per key and
+/// never a regrowth. A `Vec` grown in place costs a `realloc` per
+/// doubling, and `realloc` — unlike the allocator's per-thread fast
+/// path — takes the lock of the arena that owns the block; with a
+/// recycled block that another reduce thread's arena owns, every key of
+/// every pair then queues on one lock for as long as the job runs.
+pub(crate) fn merge_groups<K: Ord, V, E>(
+    runs: Vec<impl Iterator<Item = Result<(K, V), E>>>,
+    emit: impl FnMut(K, Vec<V>),
+) -> Result<u64, E> {
+    struct Gather<V, F> {
+        values: Vec<V>,
+        emit: F,
+    }
+    impl<K, V, F: FnMut(K, Vec<V>)> Group<K, V> for Gather<V, F> {
+        type Acc = ();
+        fn open(&mut self, first: V) {
+            self.values.push(first);
+        }
+        fn add(&mut self, _: &K, _: &mut (), value: V) {
+            self.values.push(value);
+        }
+        fn close(&mut self, key: K, _: (), _: u64) {
+            let mut values = Vec::with_capacity(self.values.len());
+            values.append(&mut self.values);
+            (self.emit)(key, values);
+        }
+    }
+    let values = Vec::new();
+    merge(runs, &mut Gather { values, emit })
 }
 
 /// Restores the heap order below `at`. Every index in `heap` names a

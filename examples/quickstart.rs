@@ -44,8 +44,8 @@ impl IterativeJob for PageRank {
         }
     }
 
-    fn reduce(&self, _k: &u32, values: Vec<f64>) -> f64 {
-        values.into_iter().sum()
+    fn fold(&self, _k: &u32, acc: &mut f64, v: f64) {
+        *acc += v;
     }
 
     fn distance(&self, _k: &u32, prev: &f64, cur: &f64) -> f64 {

@@ -5,7 +5,7 @@
 //! Each map task holds its static partition once (paper §3.2). What an
 //! iteration adds on top should be small and independent of the data:
 //! the map side folds each emitted point into its centroid's partial
-//! sum as it goes (`imr_records::CombineRuns`), so it keeps 16 partial
+//! sum as it goes (`imr_records::FoldTable`), so it keeps 16 partial
 //! sums per pair, not a buffer of every emitted point with its cloned
 //! coordinates, a sorted index over them and a table of per-centroid
 //! groups — which is ≈ 2.5 × the encoded static data.
@@ -96,8 +96,12 @@ impl IterativeJob for MarksPostLoad {
         self.0.map(pid, state, point, out);
     }
 
-    fn reduce(&self, cid: &u32, values: Vec<KmState>) -> KmState {
-        self.0.reduce(cid, values)
+    fn fold(&self, cid: &u32, acc: &mut KmState, v: KmState) {
+        self.0.fold(cid, acc, v)
+    }
+
+    fn finish(&self, cid: &u32, acc: KmState) -> KmState {
+        self.0.finish(cid, acc)
     }
 
     fn distance(&self, cid: &u32, prev: &KmState, cur: &KmState) -> f64 {
@@ -106,10 +110,6 @@ impl IterativeJob for MarksPostLoad {
 
     fn has_combiner(&self) -> bool {
         self.0.has_combiner()
-    }
-
-    fn combine(&self, cid: &u32, values: Vec<KmState>) -> Vec<KmState> {
-        self.0.combine(cid, values)
     }
 
     fn partition(&self, cid: &u32, n: usize) -> usize {

@@ -10,7 +10,9 @@
 #   ./verify.sh build      # release build of the whole workspace
 #   ./verify.sh test       # debug test suite + release cross-engine suite
 #   ./verify.sh bench      # smoke-run every experiment binary at tiny size,
-#                          # then benchmark/run.sh --quick (must be correct)
+#                          # rerun --bin all and --bin ablation at default
+#                          # scale and diff against results/, then
+#                          # benchmark/run.sh --quick (must be correct)
 #   ./verify.sh drift      # verify.sh subcommands <-> CI jobs bijection,
 #                          # wire enums <-> DESIGN.md §8 message table,
 #                          # every IterConfig builder has a caller,
@@ -125,8 +127,9 @@ BENCH_BINS=(
 )
 
 # Smoke-run each experiment binary at tiny scale into a scratch
-# directory, then check every emitted results/*.json carries the keys
-# the plotting/readme tooling relies on.
+# directory, check every emitted results/*.json carries the keys the
+# plotting/readme tooling relies on, then regenerate results/ at default
+# scale and require it byte-identical to the committed files.
 cmd_bench() {
   [ "$#" -eq 0 ] || { echo "bench: takes no flags (got $1)" >&2; exit 2; }
   cargo build --release --workspace
@@ -154,6 +157,13 @@ cmd_bench() {
   [ "$n" -ge "${#BENCH_BINS[@]}" ] \
     || { echo "bench-smoke: expected >=${#BENCH_BINS[@]} artifacts, got $n" >&2; exit 1; }
   echo "bench-smoke: $n artifacts, all keys present"
+  # The committed results/ are what the bins emit at default scale, byte
+  # for byte: EXPERIMENTS.md's tables are read off them.
+  timeout 600 target/release/all --out "$out/repro" > /dev/null
+  timeout 600 target/release/ablation --out "$out/repro" > /dev/null
+  diff -r results "$out/repro/results" \
+    || { echo "bench-repro: results/ differs from what --bin all and --bin ablation emit" >&2; exit 1; }
+  echo "bench-repro: results/ reproduced byte for byte"
   # The benchmark the perf gate runs (BENCHMARK.json), at smoke size: a
   # change that breaks the surface benchmark/src/adapter.rs pins, a
   # workload's self-check or a cross-engine state digest fails here
