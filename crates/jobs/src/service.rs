@@ -382,6 +382,11 @@ impl JobService {
         if spec.tasks == 0 {
             return Err(EngineError::Config("a job needs at least one task".into()));
         }
+        if spec.max_iters == 0 {
+            return Err(EngineError::Config(
+                "a job needs at least one iteration".into(),
+            ));
+        }
         if spec.tasks > self.cfg.slots {
             return Err(EngineError::Config(format!(
                 "job wants {} task slots but the fleet has {}",
@@ -760,6 +765,19 @@ mod tests {
         assert!(s.submit(poison_sim).is_err());
         let tcp = JobSpec::new("t", AlgoSpec::Halve, EngineSel::Tcp, 1);
         assert!(s.submit(tcp).is_err(), "no worker binary configured");
+    }
+
+    /// A zero-iteration spec is a configuration error at the door, not
+    /// an attempt that panics in `IterConfig::new` and is retried.
+    #[test]
+    fn submit_rejects_zero_iterations() {
+        let s = svc(2);
+        let none = JobSpec::new("none", AlgoSpec::Halve, EngineSel::Sim, 1).with_max_iters(0);
+        match s.submit(none) {
+            Err(EngineError::Config(msg)) => assert!(msg.contains("iteration"), "{msg}"),
+            other => panic!("expected a Config error, got {other:?}"),
+        }
+        assert!(s.status().is_empty(), "nothing was journaled or queued");
     }
 
     #[test]

@@ -539,11 +539,13 @@ impl PairEnv for ThreadEnv<'_> {
     fn allgather(&mut self, mine: Bytes) -> Result<Vec<Bytes>, Closed> {
         *self.slots[self.q].lock() = Some(mine);
         self.barrier.wait().map_err(|_| Closed)?;
+        // Every pair fills its slot before the rally, so none is empty
+        // here; were one empty, the gather fails like a poisoned rally.
         let parts: Vec<Bytes> = self
             .slots
             .iter()
-            .map(|slot| slot.lock().clone().expect("gather slot filled"))
-            .collect();
+            .map(|slot| slot.lock().clone().ok_or(Closed))
+            .collect::<Result<_, _>>()?;
         // Second rally: nobody may overwrite a slot until every pair
         // has read all of them.
         self.barrier.wait().map_err(|_| Closed)?;

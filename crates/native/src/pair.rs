@@ -475,7 +475,10 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
     // Only reachable when the epoch already sits at max_iters (a
     // failure scripted for the final iteration never fires, so the
     // loop above always terminates through the done-check).
-    unreachable!("pair {q} left the iteration loop without finishing");
+    Err(EngineError::Worker(format!(
+        "pair {q} left the iteration loop without finishing"
+    ))
+    .into())
 }
 
 /// The barrier-free delta-accumulative loop (Maiter-style), sharing
@@ -508,9 +511,11 @@ fn delta_checks<J: imapreduce::Accumulative, E: PairEnv>(
 
     let (q, job, cfg, dirs) = (ctx.q, ctx.job, ctx.cfg, ctx.dirs);
     let n = cfg.n;
-    let eps = cfg
-        .threshold
-        .expect("validate: accumulative mode needs a threshold");
+    let Some(eps) = cfg.threshold else {
+        return Err(
+            EngineError::Config("accumulative mode needs a distance threshold".into()).into(),
+        );
+    };
     ctx.metrics.tasks_launched.add(2);
 
     // ---- One-time load: static partition + delta store ---------------
@@ -588,5 +593,5 @@ fn delta_checks<J: imapreduce::Accumulative, E: PairEnv>(
         }
     }
 
-    unreachable!("pair {q} left the check loop without finishing");
+    Err(EngineError::Worker(format!("pair {q} left the check loop without finishing")).into())
 }

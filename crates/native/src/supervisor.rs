@@ -204,13 +204,13 @@ pub(crate) fn supervise<J: IterativeJob>(
                     delays: delays
                         .iter()
                         .filter(|f| f.node() == node)
-                        .map(|f| match *f {
+                        .filter_map(|f| match *f {
                             FaultEvent::Delay {
                                 at_iteration,
                                 millis,
                                 ..
-                            } => (at_iteration, millis),
-                            _ => unreachable!("delays hold only Delay events"),
+                            } => Some((at_iteration, millis)),
+                            _ => None,
                         })
                         .collect(),
                     speed: cluster.speed(node),
@@ -447,7 +447,11 @@ pub(crate) fn supervise<J: IterativeJob>(
                     )));
                 }
             }
-            _ => unreachable!("non-finished run survived triage"),
+            _ => {
+                return Err(EngineError::Worker(format!(
+                    "pair {q} survived triage without finishing"
+                )))
+            }
         }
     }
 

@@ -24,6 +24,8 @@
 //! and respawns worker processes, which open fresh connections tagged
 //! with the new generation number.
 
+#![deny(unsafe_code)]
+
 pub mod chaos;
 pub mod conn;
 pub mod crc;

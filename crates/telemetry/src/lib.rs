@@ -25,6 +25,8 @@
 //! here and takes the sample on `IterEnd` — on TCP the workers ship
 //! only events and the coordinator's observer does the same.
 
+#![forbid(unsafe_code)]
+
 mod expo;
 mod hist;
 mod series;

@@ -2,6 +2,9 @@
 //!
 //! Re-exports the member crates so integration tests and examples can use
 //! a single dependency root.
+
+#![forbid(unsafe_code)]
+
 pub use imapreduce as core;
 pub use imr_algorithms as algorithms;
 pub use imr_dfs as dfs;

@@ -18,7 +18,9 @@
 #                          # every IterConfig builder has a caller,
 #                          # bench bins <-> BENCH_BINS <-> results/*.json,
 #                          # BENCH_*.json rows <-> BENCHMARK.json (needs jq),
-#                          # and the newest CHANGES.md entry <= 6000 bytes
+#                          # the newest CHANGES.md entry <= 6000 bytes,
+#                          # one `unsafe` site (crc.rs) and no unannotated
+#                          # panic site in imr-net / imr-native
 #   ./verify.sh <suite>    # one row group of the SUITES table: faults,
 #                          # observe, service, delta, chaos, incremental
 #
@@ -284,6 +286,37 @@ wire_table_rows() {
     DESIGN.md | grep -o '^| `[A-Za-z]*`' | tr -d '|` '
 }
 
+# Rust code with string literals and `//` comments blanked, printed as
+# `file:line:code`. `skip_tests=1` drops `#[cfg(test)]` items (tracked
+# by brace depth). A code line directly under `//` comment lines that
+# contain `unreachable:`, or carrying that comment itself, is printed
+# with an `@` before its code: an annotated panic site.
+rust_code() {
+  awk -v skip_tests="$1" '
+    FNR == 1 { skip = 0; ann = 0 }
+    {
+      code = $0
+      gsub(/"([^"\\]|\\.)*"/, "\"\"", code)
+      sub(/\/\/.*/, "", code)
+    }
+    code ~ /^[ \t]*$/ { if ($0 ~ /\/\/ unreachable:/) ann = 1; next }
+    skip_tests && code ~ /^[ \t]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
+    skip {
+      t = code; n = gsub(/\{/, "", t)
+      t = code; m = gsub(/\}/, "", t)
+      depth += n - m
+      if (n > 0) opened = 1
+      if ((opened && depth <= 0) || (!opened && code ~ /;/)) skip = 0
+      next
+    }
+    {
+      mark = (ann || $0 ~ /\/\/ unreachable:/) ? "@" : ""
+      print FILENAME ":" FNR ":" mark code
+      ann = 0
+    }
+  ' "${@:2}"
+}
+
 cmd_drift() {
   local enum code doc
   for enum in ToCoord ToWorker; do
@@ -346,6 +379,47 @@ cmd_drift() {
   [ "$newest" -le 6000 ] \
     || { echo "drift: the newest CHANGES.md entry is $newest bytes (limit 6000): keep the claim, the rows and the left-outs" >&2; exit 1; }
   echo "drift: the newest CHANGES.md entry is $newest bytes (limit 6000)"
+
+  # `unsafe` stays confined: the one call into the folded CRC kernel
+  # after CPU feature detection (crates/net/src/crc.rs), plus the
+  # counting allocators of two test binaries, whose `GlobalAlloc` impl
+  # the trait makes `unsafe` by definition. Every other library crate
+  # root forbids `unsafe_code`; imr-net denies it and allows it once.
+  local root unsafe_sites stray_unsafe allows
+  for root in crates/*/src/lib.rs src/lib.rs; do
+    if [ "$root" = crates/net/src/lib.rs ]; then
+      grep -qx '#!\[deny(unsafe_code)\]' "$root" \
+        || { echo "drift: $root lacks #![deny(unsafe_code)]" >&2; exit 1; }
+    else
+      grep -qx '#!\[forbid(unsafe_code)\]' "$root" \
+        || { echo "drift: $root lacks #![forbid(unsafe_code)]" >&2; exit 1; }
+    fi
+  done
+  unsafe_sites=$(rust_code 0 $(find crates src tests -name '*.rs' | sort) \
+    | grep -E ':@?.*(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)' || true)
+  stray_unsafe=$(grep -v '^crates/net/src/crc\.rs:' <<< "$unsafe_sites" \
+    | grep -Ev '^tests/[a-z_]+\.rs:[0-9]+:[[:space:]]*unsafe (impl GlobalAlloc for|fn (alloc|alloc_zeroed|dealloc|realloc)\()' \
+    || true)
+  [ -z "$stray_unsafe" ] \
+    || { echo "drift: unsafe outside the CRC kernel's one call site:" >&2; echo "$stray_unsafe" >&2; exit 1; }
+  [ "$(grep -c '^crates/net/src/crc\.rs:' <<< "$unsafe_sites")" -eq 1 ] \
+    || { echo "drift: crates/net/src/crc.rs must hold exactly one unsafe site:" >&2; grep '^crates/net/src/crc\.rs:' <<< "$unsafe_sites" >&2; exit 1; }
+  allows=$(grep -rn --include='*.rs' 'allow(unsafe_code)' crates src tests || true)
+  [ "$(wc -l <<< "$allows")" -eq 1 ] && grep -q '^crates/net/src/crc\.rs:' <<< "$allows" \
+    || { echo "drift: allow(unsafe_code) must appear once, in crates/net/src/crc.rs:" >&2; echo "$allows" >&2; exit 1; }
+  echo "drift: one unsafe site (crates/net/src/crc.rs); every other library root forbids unsafe_code"
+
+  # No panic on the TCP path: outside #[cfg(test)], every unwrap,
+  # expect, assert, unreachable!, panic!, todo! or unimplemented! in
+  # imr-net and imr-native carries `// unreachable: <proof>` on its line
+  # or in the comment lines directly above it.
+  local panics
+  panics=$(rust_code 1 $(find crates/net/src crates/native/src -name '*.rs' | sort) \
+    | grep -E '^[^:]+:[0-9]+:[^@].*(\.unwrap\(\)|\.expect\(|(^|[^A-Za-z0-9_])((debug_)?assert(_eq|_ne)?|unreachable|panic|todo|unimplemented)!)' \
+    || true)
+  [ -z "$panics" ] \
+    || { echo "drift: unannotated panic sites in imr-net / imr-native (add a typed error or // unreachable: <proof>):" >&2; echo "$panics" >&2; exit 1; }
+  echo "drift: every panic site outside tests in imr-net and imr-native is annotated"
 
   local subs jobs
   subs=$({
