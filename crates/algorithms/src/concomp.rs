@@ -63,10 +63,6 @@ impl Accumulative for ConCompIter {
         u32::MAX
     }
 
-    fn combine_delta(&self, a: &u32, b: &u32) -> u32 {
-        (*a).min(*b)
-    }
-
     fn seed(&self, _k: &u32, loaded: &u32) -> (u32, u32) {
         (u32::MAX, *loaded)
     }

@@ -94,10 +94,6 @@ impl Accumulative for PageRankIter {
         0.0
     }
 
-    fn combine_delta(&self, a: &f64, b: &f64) -> f64 {
-        a + b
-    }
-
     fn seed(&self, _k: &u32, _loaded: &f64) -> (f64, f64) {
         (0.0, (1.0 - self.damping) / self.num_nodes as f64)
     }

@@ -87,10 +87,6 @@ impl Accumulative for SsspIter {
         f64::INFINITY
     }
 
-    fn combine_delta(&self, a: &f64, b: &f64) -> f64 {
-        a.min(*b)
-    }
-
     fn seed(&self, _k: &u32, loaded: &f64) -> (f64, f64) {
         (f64::INFINITY, *loaded)
     }
@@ -156,10 +152,6 @@ impl IterativeJob for SsspInc {
 impl Accumulative for SsspInc {
     fn identity(&self) -> f64 {
         SsspIter.identity()
-    }
-
-    fn combine_delta(&self, a: &f64, b: &f64) -> f64 {
-        SsspIter.combine_delta(a, b)
     }
 
     fn seed(&self, k: &u32, loaded: &f64) -> (f64, f64) {

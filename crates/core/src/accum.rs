@@ -1,7 +1,7 @@
 //! Barrier-free delta-accumulative execution (Maiter-style).
 //!
 //! The synchronous and §3.3 asynchronous engines both re-shuffle every
-//! key's *full* state each iteration. For algorithms whose update is an
+//! key's *full* state each iteration. For algorithms whose fold is an
 //! associative + commutative operator ⊕ (PageRank's `+`, SSSP's `min`),
 //! a task can instead keep a per-key `(value, delta)` pair, fold
 //! arriving deltas into the pending delta with ⊕, and propagate only
@@ -13,27 +13,26 @@
 //! value materially and the job stops.
 //!
 //! This module holds the [`Accumulative`] job contract and the
-//! per-task [`DeltaStore`] with its priority batch selection; the round
-//! built from them is `kernel::{delta_out, delta_in}`. Only the
-//! exchange between the two halves and the termination check live in
-//! each engine (`engine.rs` for the simulator, `imr-native` for the
-//! thread/TCP backends), so they can reuse the engine's own
-//! collectives and checkpoint plumbing.
+//! per-task [`DeltaStore`] with its priority batch selection. ⊕ is the
+//! job's [`IterativeJob::fold`], so a delta round is the iteration
+//! kernel's shuffle with `extract` as the map: `MapScratch::delta_out`
+//! and `kernel::delta_in`. Only the exchange between the two halves
+//! and the termination check live in each engine (`engine.rs` for the
+//! simulator, `imr-native` for the thread/TCP backends), so they can
+//! reuse the engine's own collectives and checkpoint plumbing.
 
 use crate::api::{Emitter, IterativeJob};
 use bytes::Bytes;
-use imr_mapreduce::EngineError;
-use imr_records::{
-    decode_pairs, encode_pairs, is_sorted_by_key, CodecResult, PairCursor, ShuffleScratch,
-};
+use imr_records::{decode_pairs, encode_pairs, CodecError, CodecResult};
 
 /// An iterative job whose state update is a delta accumulation.
 ///
 /// The contract: for every key, the fixpoint state is
-/// `value ⊕ delta₁ ⊕ delta₂ ⊕ …` where ⊕
-/// ([`combine_delta`](Accumulative::combine_delta)) is associative and
-/// commutative with identity [`identity`](Accumulative::identity), and
-/// applying a delta to a key produces new deltas for its neighbours via
+/// `value ⊕ delta₁ ⊕ delta₂ ⊕ …` where ⊕ is the job's
+/// [`fold`](IterativeJob::fold) — `fold(k, a, b)` sets `a` to `a ⊕ b` —
+/// associative and commutative with identity
+/// [`identity`](Accumulative::identity), and applying a delta to a key
+/// produces new deltas for its neighbours via
 /// [`extract`](Accumulative::extract). Because ⊕ is order-insensitive,
 /// deltas may arrive in any order — and in particular without any
 /// barrier between "iterations" — and still converge to the same
@@ -42,10 +41,6 @@ pub trait Accumulative: IterativeJob {
     /// The identity element of ⊕ (`0` for `+`, `+∞` for `min`). A key
     /// whose pending delta is the identity has nothing to propagate.
     fn identity(&self) -> Self::S;
-
-    /// The accumulation operator ⊕: associative, commutative, with
-    /// [`identity`](Accumulative::identity) as identity element.
-    fn combine_delta(&self, a: &Self::S, b: &Self::S) -> Self::S;
 
     /// Split a key's loaded initial state into the starting
     /// `(value, delta)` pair. The starting delta carries the key's
@@ -72,12 +67,9 @@ pub trait Accumulative: IterativeJob {
     fn progress(&self, key: &Self::K, value: &Self::S, delta: &Self::S) -> f64;
 }
 
-/// What one priority round produced on one task.
+/// What one priority round did on one task.
 #[derive(Debug)]
-pub struct BatchOutcome<K, S> {
-    /// Deltas emitted by [`Accumulative::extract`], in emission order
-    /// (not yet partitioned or ⊕-merged).
-    pub emitted: Vec<(K, S)>,
+pub struct BatchOutcome {
     /// Keys whose pending delta was applied this round.
     pub applied: usize,
     /// Pending keys deferred to a later round by the batch limit — the
@@ -87,37 +79,41 @@ pub struct BatchOutcome<K, S> {
 
 /// One task's per-key `(value, delta)` state under accumulative mode.
 ///
-/// Entries stay key-sorted and co-partitioned with the task's static
-/// part (same keys, same order), so delta application can walk the two
-/// slices in lock step. Deltas for keys this task does not own are
-/// dropped on merge: the partition function routes every emitted delta
-/// to the owning task, so a foreign key is a partitioning bug upstream
-/// and cannot be applied meaningfully here.
+/// Entries are sorted by strictly ascending key — every constructor
+/// checks it — and the engines check at load that they hold the task's
+/// static keys, in order, so delta application walks the two slices in
+/// lock step and a round's arriving deltas are merged in one sorted
+/// walk. Deltas for keys this task does not own are dropped on merge:
+/// the partition function routes every emitted delta to the owning
+/// task, so a foreign key is a partitioning bug upstream and cannot be
+/// applied meaningfully here.
 #[derive(Debug, Clone)]
 pub struct DeltaStore<K, S> {
-    entries: Vec<(K, (S, S))>,
+    /// The receive half of a round folds into these; keys never change.
+    pub(crate) entries: Vec<(K, (S, S))>,
 }
 
 impl<K: imr_records::Key, S: imr_records::Value> DeltaStore<K, S> {
-    /// Seed a store from the key-sorted initial state part.
-    pub fn seed<J>(job: &J, loaded: &[(K, S)]) -> DeltaStore<K, S>
+    /// Seed a store from the initial state part; keys that are not
+    /// strictly ascending are an error.
+    pub fn seed<J>(job: &J, loaded: &[(K, S)]) -> CodecResult<DeltaStore<K, S>>
     where
         J: Accumulative<K = K, S = S>,
     {
-        debug_assert!(is_sorted_by_key(loaded));
-        DeltaStore {
-            entries: loaded
-                .iter()
-                .map(|(k, s)| (k.clone(), job.seed(k, s)))
-                .collect(),
-        }
+        let seeded = loaded.iter().map(|(k, s)| (k.clone(), job.seed(k, s)));
+        DeltaStore::restore(seeded.collect())
     }
 
     /// Rebuild a store from checkpointed `(key, (value, delta))`
-    /// entries (see [`DeltaStore::encode`]).
-    pub fn restore(entries: Vec<(K, (S, S))>) -> DeltaStore<K, S> {
-        debug_assert!(is_sorted_by_key(&entries));
-        DeltaStore { entries }
+    /// entries (see [`DeltaStore::encode`]). Keys that are not strictly
+    /// ascending are an error.
+    pub fn restore(entries: Vec<(K, (S, S))>) -> CodecResult<DeltaStore<K, S>> {
+        if entries.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return Err(CodecError::Corrupt(
+                "delta store keys not strictly ascending",
+            ));
+        }
+        Ok(DeltaStore { entries })
     }
 
     /// Number of keys this task owns.
@@ -140,54 +136,18 @@ impl<K: imr_records::Key, S: imr_records::Value> DeltaStore<K, S> {
         encode_pairs(&self.entries)
     }
 
-    /// Decode a checkpoint part written by [`DeltaStore::encode`].
+    /// Decode a checkpoint part written by [`DeltaStore::encode`]; an
+    /// unsorted or duplicate-key part is an error.
     pub fn decode(bytes: Bytes) -> CodecResult<DeltaStore<K, S>> {
-        Ok(DeltaStore::restore(decode_pairs(bytes)?))
-    }
-
-    /// Fold a received delta segment into the pending deltas with ⊕.
-    /// Returns the number of deltas applied (foreign keys are skipped).
-    pub fn merge_segment<J>(&mut self, job: &J, pairs: &[(K, S)]) -> usize
-    where
-        J: Accumulative<K = K, S = S>,
-    {
-        pairs.iter().filter(|(k, d)| self.fold(job, k, d)).count()
-    }
-
-    /// [`merge_segment`](Self::merge_segment) straight off an encoded
-    /// segment's decode cursor.
-    pub fn merge_encoded<J>(&mut self, job: &J, segment: Bytes) -> CodecResult<usize>
-    where
-        J: Accumulative<K = K, S = S>,
-    {
-        let mut applied = 0;
-        for pair in PairCursor::new(segment) {
-            let (k, d) = pair?;
-            applied += usize::from(self.fold(job, &k, &d));
-        }
-        Ok(applied)
-    }
-
-    /// ⊕-folds one delta into its key's pending delta; false for a key
-    /// this task does not own.
-    fn fold<J>(&mut self, job: &J, k: &K, d: &S) -> bool
-    where
-        J: Accumulative<K = K, S = S>,
-    {
-        let Ok(i) = self.entries.binary_search_by(|(ek, _)| ek.cmp(k)) else {
-            return false;
-        };
-        let (_, (_, delta)) = &mut self.entries[i];
-        *delta = job.combine_delta(delta, d);
-        true
+        DeltaStore::restore(decode_pairs(bytes)?)
     }
 
     /// Run one priority round: pick the up-to-`batch` pending keys with
     /// the largest [`Accumulative::progress`] (ties broken by ascending
     /// key index; `batch == 0` selects all pending keys), fold each
     /// selected key's delta into its value, extract the induced deltas
-    /// against the co-partitioned static slice, and reset the key's
-    /// delta to the identity.
+    /// into `out` against the key-aligned static slice, and reset the
+    /// key's delta to the identity.
     ///
     /// Selected keys are *processed* in ascending key order — the
     /// priority only chooses membership; ⊕-commutativity makes the
@@ -198,15 +158,11 @@ impl<K: imr_records::Key, S: imr_records::Value> DeltaStore<K, S> {
         job: &J,
         stat: &[(K, J::T)],
         batch: usize,
-    ) -> BatchOutcome<K, S>
+        out: &mut Emitter<K, S>,
+    ) -> BatchOutcome
     where
         J: Accumulative<K = K, S = S>,
     {
-        assert_eq!(
-            self.entries.len(),
-            stat.len(),
-            "delta store and static part must be co-partitioned"
-        );
         let mut pending: Vec<(f64, usize)> = self
             .entries
             .iter()
@@ -230,16 +186,13 @@ impl<K: imr_records::Key, S: imr_records::Value> DeltaStore<K, S> {
         let mut chosen: Vec<usize> = pending[..take].iter().map(|&(_, i)| i).collect();
         chosen.sort_unstable();
 
-        let mut out = Emitter::new();
         for i in chosen {
             let (k, (v, d)) = &mut self.entries[i];
-            debug_assert!(*k == stat[i].0, "static part not aligned with state");
             let applied = std::mem::replace(d, job.identity());
-            *v = job.combine_delta(v, &applied);
-            job.extract(k, &applied, &stat[i].1, &mut out);
+            job.fold(k, v, applied.clone());
+            job.extract(k, &applied, &stat[i].1, out);
         }
         BatchOutcome {
-            emitted: out.into_pairs(),
             applied: take,
             deferred: total - take,
         }
@@ -267,49 +220,22 @@ impl<K: imr_records::Key, S: imr_records::Value> DeltaStore<K, S> {
     {
         self.entries
             .into_iter()
-            .map(|(k, (v, d))| {
-                let folded = job.combine_delta(&v, &d);
-                (k, folded)
+            .map(|(k, (mut v, d))| {
+                job.fold(&k, &mut v, d);
+                (k, v)
             })
             .collect()
     }
-}
-
-/// Partition emitted deltas into `n` per-destination segments, each
-/// key-sorted with duplicate keys pre-merged by ⊕ — one segment per
-/// peer, every round, so receivers can merge with a single sorted walk
-/// and the wire carries each key at most once per round. A job whose
-/// `partition` names a destination that does not exist is a
-/// [`EngineError::Config`].
-pub(crate) fn partition_deltas<J: Accumulative>(
-    job: &J,
-    emitted: Vec<(J::K, J::S)>,
-    n: usize,
-) -> Result<Vec<Vec<(J::K, J::S)>>, EngineError> {
-    // Sort indices, not records, and ⊕-fold by gathering through them:
-    // the only copy made is the pre-merged output itself.
-    let mut routes = ShuffleScratch::default();
-    routes.route(&emitted, n, |k, n| job.partition(k, n))?;
-    let premerge = |dest| {
-        // Grown, not pre-sized: a destination receives many deltas for
-        // few keys, and room for every delta outweighs the index buffers.
-        let mut merged: Vec<(J::K, J::S)> = Vec::new();
-        for i in routes.order(dest) {
-            let (k, d) = &emitted[i];
-            match merged.last_mut() {
-                Some((lk, ld)) if lk == k => *ld = job.combine_delta(ld, d),
-                _ => merged.push((k.clone(), d.clone())),
-            }
-        }
-        merged
-    };
-    Ok((0..n).map(premerge).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::StateInput;
+    use crate::kernel::{delta_in, MapScratch};
+    use imr_records::ShuffleScratch;
+    use imr_simcluster::Metrics;
+    use std::collections::btree_map::{BTreeMap, Entry};
 
     /// Toy accumulative job: ⊕ = `+` over f64, each applied delta
     /// forwards half of itself to `key + 1` (mod 4).
@@ -332,9 +258,6 @@ mod tests {
         fn identity(&self) -> f64 {
             0.0
         }
-        fn combine_delta(&self, a: &f64, b: &f64) -> f64 {
-            a + b
-        }
         fn seed(&self, _k: &u32, loaded: &f64) -> (f64, f64) {
             (0.0, *loaded)
         }
@@ -348,7 +271,7 @@ mod tests {
 
     fn seeded() -> DeltaStore<u32, f64> {
         let loaded: Vec<(u32, f64)> = vec![(0, 8.0), (1, 4.0), (2, 2.0), (3, 0.0)];
-        DeltaStore::seed(&HalfFwd, &loaded)
+        DeltaStore::seed(&HalfFwd, &loaded).unwrap()
     }
 
     fn stat() -> Vec<(u32, ())> {
@@ -366,12 +289,13 @@ mod tests {
     #[test]
     fn batch_prefers_largest_delta_and_defers_rest() {
         let mut store = seeded();
-        let out = store.select_batch(&HalfFwd, &stat(), 2);
+        let mut emitted = Emitter::new();
+        let out = store.select_batch(&HalfFwd, &stat(), 2, &mut emitted);
         // Keys 0 (delta 8) and 1 (delta 4) win; key 2 (delta 2) defers;
         // key 3 has identity delta and is not pending at all.
         assert_eq!(out.applied, 2);
         assert_eq!(out.deferred, 1);
-        assert_eq!(out.emitted, vec![(1, 4.0), (2, 2.0)]);
+        assert_eq!(emitted.into_pairs(), vec![(1, 4.0), (2, 2.0)]);
         assert_eq!(store.entries()[0], (0, (8.0, 0.0)));
         assert_eq!(store.entries()[1], (1, (4.0, 0.0)));
         assert_eq!(store.entries()[2], (2, (0.0, 2.0)));
@@ -380,42 +304,71 @@ mod tests {
     #[test]
     fn batch_zero_takes_every_pending_key() {
         let mut store = seeded();
-        let out = store.select_batch(&HalfFwd, &stat(), 0);
+        let out = store.select_batch(&HalfFwd, &stat(), 0, &mut Emitter::new());
         assert_eq!(out.applied, 3);
         assert_eq!(out.deferred, 0);
+    }
+
+    /// One encoded delta segment.
+    fn segment(pairs: &[(u32, f64)]) -> Bytes {
+        encode_pairs(pairs)
     }
 
     #[test]
     fn merge_folds_with_oplus_and_skips_foreign_keys() {
         let mut store = seeded();
-        let applied = store.merge_segment(&HalfFwd, &[(1, 1.0), (1, 2.0), (9, 5.0)]);
+        let inbound = vec![segment(&[(1, 1.0), (1, 2.0), (9, 5.0)])];
+        let applied = delta_in(&HalfFwd, &mut store, inbound).unwrap();
         assert_eq!(applied, 2);
         assert_eq!(store.entries()[1], (1, (0.0, 7.0)));
     }
 
     #[test]
     fn arrival_order_does_not_change_the_store() {
+        // Segments are key-sorted; what varies is which source sent what.
         let mut a = seeded();
         let mut b = seeded();
-        a.merge_segment(&HalfFwd, &[(0, 1.0), (2, 3.0)]);
-        a.merge_segment(&HalfFwd, &[(0, 2.0)]);
-        b.merge_segment(&HalfFwd, &[(0, 2.0)]);
-        b.merge_segment(&HalfFwd, &[(2, 3.0), (0, 1.0)]);
+        let inbound = vec![segment(&[(0, 1.0), (2, 3.0)]), segment(&[(0, 2.0)])];
+        delta_in(&HalfFwd, &mut a, inbound).unwrap();
+        let inbound = vec![segment(&[(0, 2.0)]), segment(&[(0, 1.0), (2, 3.0)])];
+        delta_in(&HalfFwd, &mut b, inbound).unwrap();
         assert_eq!(a.entries(), b.entries());
     }
 
     #[test]
     fn checkpoint_round_trips() {
         let mut store = seeded();
-        store.select_batch(&HalfFwd, &stat(), 1);
+        store.select_batch(&HalfFwd, &stat(), 1, &mut Emitter::new());
         let restored: DeltaStore<u32, f64> = DeltaStore::decode(store.encode()).unwrap();
         assert_eq!(restored.entries(), store.entries());
     }
 
     #[test]
+    fn unsorted_or_duplicate_keys_are_a_decode_error() {
+        let unsorted = encode_pairs(&[(2u32, (0.0, 1.0)), (1, (0.0, 1.0))]);
+        let duplicate = encode_pairs(&[(1u32, (0.0, 1.0)), (1, (0.0, 2.0))]);
+        for part in [unsorted, duplicate] {
+            let decoded = DeltaStore::<u32, f64>::decode(part);
+            assert!(
+                matches!(decoded, Err(CodecError::Corrupt(_))),
+                "{decoded:?}"
+            );
+        }
+    }
+
+    #[test]
     fn partition_deltas_sorts_and_premerges() {
         let emitted = vec![(3u32, 1.0), (1, 2.0), (3, 4.0), (0, 8.0)];
-        let dests = partition_deltas(&HalfFwd, emitted, 2).unwrap();
+        let partition = |k: &u32, n| HalfFwd.partition(k, n);
+        let fold = |k: &u32, acc: &mut f64, v| HalfFwd.fold(k, acc, v);
+        let out = ShuffleScratch::default()
+            .shuffle_folded(&mut emitted.clone(), 2, partition, fold, &mut ())
+            .unwrap();
+        let dests: Vec<Vec<(u32, f64)>> = out
+            .segments
+            .into_iter()
+            .map(|seg| decode_pairs(seg).unwrap())
+            .collect();
         assert_eq!(dests[0], vec![(0, 8.0)]);
         assert_eq!(dests[1], vec![(1, 2.0), (3, 5.0)]);
     }
@@ -423,12 +376,154 @@ mod tests {
     #[test]
     fn final_values_fold_pending_deltas() {
         let mut store = seeded();
-        let out = store.select_batch(&HalfFwd, &stat(), 0);
         // Route the emitted deltas back (single-task topology), leaving
         // them *pending*; final_values must fold them into the values.
-        store.merge_segment(&HalfFwd, &out.emitted);
+        let metrics = Metrics::default();
+        let out = MapScratch::default()
+            .delta_out(&HalfFwd, &mut store, &stat(), 1, 0, &metrics, &mut ())
+            .unwrap();
+        delta_in(&HalfFwd, &mut store, out.segments).unwrap();
         let finals = store.final_values(&HalfFwd);
         assert_eq!(finals[1], (1, 4.0 + 4.0)); // own 4 + half of key 0's 8
         assert_eq!(finals[3], (3, 1.0)); // half of key 2's 2
+    }
+
+    /// Accumulative job whose fold reveals its order: ⊕ is f64 `+` over
+    /// values of mixed magnitude, and each key's static row is the list
+    /// of deltas its extract emits.
+    #[derive(Clone, Copy)]
+    struct Ordered;
+    impl IterativeJob for Ordered {
+        type K = u32;
+        type S = f64;
+        type T = Vec<(u32, f64)>;
+        fn map(
+            &self,
+            _: &u32,
+            _: StateInput<'_, u32, f64>,
+            _: &Self::T,
+            _: &mut Emitter<u32, f64>,
+        ) {
+        }
+        fn fold(&self, _k: &u32, acc: &mut f64, v: f64) {
+            *acc += v;
+        }
+        fn partition(&self, key: &u32, n: usize) -> usize {
+            *key as usize % n
+        }
+    }
+    impl Accumulative for Ordered {
+        fn identity(&self) -> f64 {
+            0.0
+        }
+        fn seed(&self, _k: &u32, loaded: &f64) -> (f64, f64) {
+            (0.0, *loaded)
+        }
+        fn extract(&self, _k: &u32, _delta: &f64, row: &Self::T, out: &mut Emitter<u32, f64>) {
+            for &(t, d) in row {
+                out.emit(t, d);
+            }
+        }
+        fn progress(&self, _k: &u32, _v: &f64, d: &f64) -> f64 {
+            d.abs()
+        }
+    }
+
+    /// The ⊕ order of a round, materialised: each source's deltas are
+    /// routed stably and left-folded per key in emission order, then
+    /// every key's pending delta is folded with the sources in pair
+    /// order. Holds for 1–4 pairs, with a batch limit so that pending
+    /// deltas survive the send half.
+    #[test]
+    fn delta_round_is_premerge_then_source_order_fold() {
+        const KEYS: u32 = 24;
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        // A 53-bit mantissa at a magnitude within 1e±4: sums round.
+        let mut value = || {
+            let r = next();
+            let sign = if r & 1 == 0 { 1.0 } else { -1.0 };
+            let mantissa = (r >> 11) as f64 / (1u64 << 53) as f64;
+            sign * mantissa * 10f64.powi((r % 9) as i32 - 4)
+        };
+        let keys: Vec<(u32, f64, Vec<(u32, f64)>)> = (0..KEYS)
+            .map(|k| {
+                let pending = value();
+                let row = (0..6)
+                    .map(|_| ((value().to_bits() % 24) as u32, value()))
+                    .collect();
+                (k, pending, row)
+            })
+            .collect();
+        let job = Ordered;
+        let metrics = Metrics::default();
+        for n in 1..=4usize {
+            let owned = |p: usize| keys.iter().filter(move |(k, ..)| job.partition(k, n) == p);
+            let loaded = |p| owned(p).map(|&(k, d, _)| (k, d)).collect::<Vec<_>>();
+            let stat = |p| {
+                owned(p)
+                    .map(|(k, _, r)| (*k, r.clone()))
+                    .collect::<Vec<_>>()
+            };
+            let mut stores: Vec<_> = (0..n)
+                .map(|p| DeltaStore::seed(&job, &loaded(p)).unwrap())
+                .collect();
+            // Half of each pair's keys apply; the rest keep pending.
+            let batch = KEYS as usize / n / 2;
+
+            // Reference: apply on a copy, then fold by hand.
+            let mut expected = Vec::with_capacity(n);
+            let mut premerged: Vec<Vec<BTreeMap<u32, f64>>> = Vec::with_capacity(n);
+            for (p, store) in stores.iter().enumerate() {
+                let mut applied = store.clone();
+                let mut em = Emitter::new();
+                applied.select_batch(&job, &stat(p), batch, &mut em);
+                let mut per_dest = vec![BTreeMap::new(); n];
+                for (k, d) in em.into_pairs() {
+                    match per_dest[job.partition(&k, n)].entry(k) {
+                        Entry::Vacant(first) => _ = first.insert(d),
+                        Entry::Occupied(mut acc) => job.fold(&k, acc.get_mut(), d),
+                    }
+                }
+                premerged.push(per_dest);
+                expected.push(applied);
+            }
+            for (q, store) in expected.iter_mut().enumerate() {
+                for (k, (_, pending)) in &mut store.entries {
+                    for src in &premerged {
+                        if let Some(&d) = src[q].get(k) {
+                            job.fold(k, pending, d);
+                        }
+                    }
+                }
+            }
+
+            // The round as the engines run it.
+            let mut outgoing = Vec::with_capacity(n);
+            for (p, store) in stores.iter_mut().enumerate() {
+                let out = MapScratch::default()
+                    .delta_out(&job, store, &stat(p), n, batch, &metrics, &mut ())
+                    .unwrap();
+                for (q, seg) in out.segments.iter().enumerate() {
+                    let sent: Vec<(u32, f64)> = premerged[p][q].clone().into_iter().collect();
+                    assert_eq!(decode_pairs::<u32, f64>(seg.clone()).unwrap(), sent);
+                }
+                outgoing.push(out.segments);
+            }
+            for (q, store) in stores.iter_mut().enumerate() {
+                let inbound = outgoing.iter().map(|segs| segs[q].clone()).collect();
+                delta_in(&job, store, inbound).unwrap();
+                let bits = |s: &DeltaStore<u32, f64>| -> Vec<(u32, u64, u64)> {
+                    let entry = |(k, (v, d)): &(u32, (f64, f64))| (*k, v.to_bits(), d.to_bits());
+                    s.entries().iter().map(entry).collect()
+                };
+                assert_eq!(bits(store), bits(&expected[q]), "{n} pairs, pair {q}");
+            }
+        }
     }
 }

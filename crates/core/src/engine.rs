@@ -15,9 +15,7 @@
 
 use crate::api::{IterativeJob, Mapping};
 use crate::config::{FailureEvent, FaultEvent, IterConfig};
-use crate::kernel::{
-    check_co_partitioned, delta_in, delta_out, fold_votes, reduce_side, MapScratch, MapState,
-};
+use crate::kernel::{check_aligned, delta_in, fold_votes, reduce_side, MapScratch, MapState};
 use crate::observe::Observer;
 use crate::store::{check_inputs, check_slots};
 use bytes::Bytes;
@@ -721,6 +719,8 @@ impl IterativeRunner {
         let assignment: Vec<NodeId> = self.cluster.assign_pairs(n);
         let mut static_store: Vec<Vec<(J::K, J::T)>> = Vec::with_capacity(n);
         let mut stores: Vec<DeltaStore<J::K, J::S>> = Vec::with_capacity(n);
+        let mut scratch: Vec<MapScratch<J::K, J::S>> =
+            (0..n).map(|_| MapScratch::default()).collect();
         let mut now: Vec<VInstant> = Vec::with_capacity(n);
         for p in 0..n {
             let node = assignment[p];
@@ -732,12 +732,12 @@ impl IterativeRunner {
             let store = if cfg.incremental {
                 // Warm start: the state part already holds the planned
                 // (key, (value, pending)) entries — decode, don't seed.
-                DeltaStore::restore(read_part(&self.dfs, state_dir, p, node, &mut clock)?)
+                DeltaStore::restore(read_part(&self.dfs, state_dir, p, node, &mut clock)?)?
             } else {
                 let st: Vec<(J::K, J::S)> = read_part(&self.dfs, state_dir, p, node, &mut clock)?;
-                DeltaStore::seed(job, &st)
+                DeltaStore::seed(job, &st)?
             };
-            check_co_partitioned(p, store.len(), stat.len())?;
+            check_aligned(p, store.entries(), &stat)?;
             clock.advance(cost.serde_per_byte * bytes);
             stores.push(store);
             static_store.push(stat);
@@ -772,15 +772,13 @@ impl IterativeRunner {
                     let mut clock = TaskClock::starting_at(now[p]);
                     let round_start = clock.now();
                     let (store, stat) = (&mut stores[p], &static_store[p]);
-                    let out = delta_out(job, store, stat, n, cfg.delta_batch, &self.metrics)?;
+                    let charge = &mut ClockCharge::new(&mut clock, cost, speed);
+                    let (batch, metrics) = (cfg.delta_batch, &self.metrics);
+                    let out = scratch[p].delta_out(job, store, stat, n, batch, metrics, charge)?;
                     clock.advance(cost.compute_time(out.applied + out.emitted, 0, speed));
-                    for &records in &out.records {
-                        clock.advance(cost.sort_time(records, speed));
-                    }
-                    let spill: u64 = out.segments.iter().map(|seg| seg.len() as u64).sum();
-                    clock.advance(cost.serde_per_byte * spill);
+                    clock.advance(cost.serde_per_byte * out.bytes);
                     let at = tag(node, p, check, generation);
-                    let round = TraceKind::DeltaRound { deltas: out.sent() };
+                    let round = TraceKind::DeltaRound { deltas: out.sent };
                     self.event(round, round_start, clock.now(), at);
                     send_done.push(clock.now());
                     outgoing.push(out.segments);

@@ -488,8 +488,16 @@ pub fn plan_incremental<J: Incremental>(
         // the delta changed or removed, close transitively, then
         // re-extract boundary emissions so reset keys rebuild from
         // surviving paths.
-        let achieves = |v: &J::S, d: &J::S| -> bool {
-            job.state_eq(&job.combine_delta(v, d), v) && job.state_eq(&job.combine_delta(d, v), d)
+        // `t`'s converged value `v` was witnessed by the emission `d`
+        // when `v ⊕ d = v` and `d ⊕ v = d` (⊕ is the job's fold).
+        let achieves = |t: u32, d: &J::S| -> bool {
+            let Some(v) = values.get(&t) else {
+                return false;
+            };
+            let (mut vd, mut dv) = (v.clone(), d.clone());
+            job.fold(&t, &mut vd, d.clone());
+            job.fold(&t, &mut dv, v.clone());
+            job.state_eq(&vd, v) && job.state_eq(&dv, d)
         };
         let mut queue: Vec<u32> = Vec::new();
         // Seeds from changed rows: old emissions that witnessed the
@@ -506,11 +514,10 @@ pub fn plan_incremental<J: Incremental>(
                 Vec::new()
             };
             for (t, d) in extract_with(job, old_stat, *u, v) {
-                let Some(vt) = values.get(&t) else { continue };
-                if !achieves(vt, &d) {
+                if !achieves(t, &d) {
                     continue;
                 }
-                let still = new_em.iter().any(|(t2, d2)| *t2 == t && achieves(vt, d2));
+                let still = new_em.iter().any(|(t2, d2)| *t2 == t && achieves(t, d2));
                 if !still && reset.insert(t) {
                     queue.push(t);
                 }
@@ -523,8 +530,7 @@ pub fn plan_incremental<J: Incremental>(
             }
             let v = &removed_values[r];
             for (t, d) in extract_with(job, old_stat, *r, v) {
-                let Some(vt) = values.get(&t) else { continue };
-                if achieves(vt, &d) && reset.insert(t) {
+                if achieves(t, &d) && reset.insert(t) {
                     queue.push(t);
                 }
             }
@@ -538,8 +544,7 @@ pub fn plan_incremental<J: Incremental>(
                 if reset.contains(&t) {
                     continue;
                 }
-                let Some(vt) = values.get(&t) else { continue };
-                if achieves(vt, &d) {
+                if achieves(t, &d) {
                     reset.insert(t);
                     queue.push(t);
                 }
@@ -579,11 +584,11 @@ pub fn plan_incremental<J: Incremental>(
     let mut corrections = 0usize;
     for (t, d) in emissions {
         if let Some((_, pending)) = entries.get_mut(&t) {
-            *pending = job.combine_delta(pending, &d);
+            job.fold(&t, pending, d);
             corrections += 1;
         }
-        // Emissions to removed keys are dropped, matching the engine's
-        // merge_segment behaviour for foreign keys.
+        // Emissions to removed keys are dropped, as the engines' delta
+        // merge drops deltas for foreign keys.
     }
 
     let stats = PatchStats {
@@ -867,9 +872,6 @@ mod tests {
         fn identity(&self) -> f64 {
             0.0
         }
-        fn combine_delta(&self, a: &f64, b: &f64) -> f64 {
-            a + b
-        }
         fn seed(&self, _k: &u32, _loaded: &f64) -> (f64, f64) {
             (0.0, 1.0)
         }
@@ -951,9 +953,6 @@ mod tests {
     impl Accumulative for ToyMin {
         fn identity(&self) -> f64 {
             f64::INFINITY
-        }
-        fn combine_delta(&self, a: &f64, b: &f64) -> f64 {
-            a.min(*b)
         }
         fn seed(&self, k: &u32, _loaded: &f64) -> (f64, f64) {
             if *k == self.source {

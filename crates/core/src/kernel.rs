@@ -24,22 +24,27 @@
 //! open key, each finished key streamed straight into the next state.
 //!
 //! The barrier-free accumulative mode's ⊕ delta round (DESIGN.md §11)
-//! is likewise one definition in two halves around the exchange:
-//! [`delta_out`] selects, applies, extracts, partitions and encodes one
-//! segment per peer; [`delta_in`] merges what every peer sent, in
-//! source order, straight off each segment's decode cursor. Both report the counts a cost model charges.
+//! is the same kernel with `extract` as the map and `fold` as ⊕, in two
+//! halves around the exchange: [`MapScratch::delta_out`] selects and
+//! applies pending deltas, extracts into the pair's emit buffer, routes
+//! with its index buffers and encodes one segment per peer, folding
+//! equal keys as it goes ([`ShuffleScratch::shuffle_folded`]);
+//! [`delta_in`] merges what every peer sent, straight off the decode
+//! cursors, into the key-sorted store in one walk
+//! ([`imr_records::merge_into`]). Both report the counts a cost model
+//! charges.
 
-use crate::accum::{partition_deltas, Accumulative, DeltaStore};
+use crate::accum::{Accumulative, DeltaStore};
 use crate::api::{Emitter, IterativeJob, StateInput};
 use bytes::Bytes;
 use imr_mapreduce::EngineError;
-use imr_records::{encode_pairs, shuffle_in, FoldTable, Key, ShuffleCost, ShuffleScratch, Value};
+use imr_records::{merge_into, shuffle_in, FoldTable, Key, ShuffleCost, ShuffleScratch, Value};
 use imr_simcluster::Metrics;
 
-/// What a pair's map side keeps between iterations: the buffer the user
-/// map emits into, the shuffle's index buffers and the combiner's
-/// accumulators. All are empty between calls; what persists is their
-/// capacity.
+/// What a pair's map side keeps between iterations (or delta rounds):
+/// the buffer the user map emits into, the shuffle's index buffers and
+/// the combiner's accumulators. All are empty between calls; what
+/// persists is their capacity.
 pub struct MapScratch<K, S> {
     emitter: Emitter<K, S>,
     shuffle: ShuffleScratch,
@@ -133,14 +138,9 @@ impl<K: Key, S: Value> MapScratch<K, S> {
                 }
             }
             MapState::Own(state) => {
-                check_co_partitioned(pair, state.len(), stat.len())?;
-                for ((ks, s), (kt, t)) in state.iter().zip(stat) {
-                    if ks != kt {
-                        return Err(EngineError::Config(format!(
-                            "state/static keys diverged at pair {pair}"
-                        )));
-                    }
-                    job.map(ks, StateInput::One(s), t, emitter);
+                check_aligned(pair, state, stat)?;
+                for ((k, s), (_, t)) in state.iter().zip(stat) {
+                    job.map(k, StateInput::One(s), t, emitter);
                     collect(emitter);
                 }
             }
@@ -161,22 +161,71 @@ impl<K: Key, S: Value> MapScratch<K, S> {
             emitted,
         })
     }
+
+    /// First half of one ⊕ delta round on one pair: applies the up-to-
+    /// `batch` highest-priority pending deltas of `store` against the
+    /// key-aligned `stat` (0 = all pending), extracting into the emit
+    /// buffer; routes what they emit to `n` destinations and encodes one
+    /// segment per peer — every peer, every round, so the send-all /
+    /// recv-all exchange cannot deadlock — each key once, its deltas
+    /// folded in emission order. Counts `deltas_sent` and
+    /// `priority_preemptions`; charges `cost` a sort of each segment. A
+    /// `partition` that names a destination outside `0..n` is a
+    /// [`EngineError::Config`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn delta_out<J: Accumulative<K = K, S = S>>(
+        &mut self,
+        job: &J,
+        store: &mut DeltaStore<K, S>,
+        stat: &[(K, J::T)],
+        n: usize,
+        batch: usize,
+        metrics: &Metrics,
+        cost: &mut impl ShuffleCost,
+    ) -> Result<DeltaOutput, EngineError> {
+        let MapScratch {
+            emitter, shuffle, ..
+        } = self;
+        // A failed call may have left emits behind.
+        emitter.pairs_mut().clear();
+        let batch = store.select_batch(job, stat, batch, emitter);
+        let emitted = emitter.len() as u64;
+        let partition = |k: &K, n| job.partition(k, n);
+        let fold = |k: &K, acc: &mut S, d| job.fold(k, acc, d);
+        let out = shuffle.shuffle_folded(emitter.pairs_mut(), n, partition, fold, cost)?;
+        metrics.deltas_sent.add(out.records);
+        metrics.priority_preemptions.add(batch.deferred as u64);
+        Ok(DeltaOutput {
+            segments: out.segments,
+            bytes: out.bytes,
+            sent: out.records,
+            applied: batch.applied as u64,
+            emitted,
+        })
+    }
 }
 
-/// A pair's state and static partitions must hold the same keys; a
-/// length mismatch means the inputs were partitioned differently.
-pub fn check_co_partitioned(
+/// A pair's state and static partitions must hold the same keys in the
+/// same order; a length mismatch means the inputs were partitioned
+/// differently.
+pub fn check_aligned<K: Eq, S, T>(
     pair: usize,
-    state_records: usize,
-    static_records: usize,
+    state: &[(K, S)],
+    stat: &[(K, T)],
 ) -> Result<(), EngineError> {
-    if state_records == static_records {
-        return Ok(());
+    let (state_records, static_records) = (state.len(), stat.len());
+    if state_records != static_records {
+        return Err(EngineError::Config(format!(
+            "state/static co-partitioning broken at pair {pair}: \
+             {state_records} state records vs {static_records} static records"
+        )));
     }
-    Err(EngineError::Config(format!(
-        "state/static co-partitioning broken at pair {pair}: \
-         {state_records} state records vs {static_records} static records"
-    )))
+    if state.iter().zip(stat).any(|((ks, _), (kt, _))| ks != kt) {
+        return Err(EngineError::Config(format!(
+            "state/static keys diverged at pair {pair}"
+        )));
+    }
+    Ok(())
 }
 
 /// Reduce side of one iteration: merges `segments` (one per source
@@ -297,67 +346,33 @@ pub fn distance_sorted<J: IterativeJob>(
     total
 }
 
-/// What [`delta_out`] produced.
+/// What [`MapScratch::delta_out`] produced.
 pub struct DeltaOutput {
     /// One encoded delta segment per destination pair: key-sorted, with
     /// duplicate keys pre-merged by ⊕, possibly empty.
     pub segments: Vec<Bytes>,
-    /// Records in each segment (what a cost model sorts).
-    pub records: Vec<u64>,
+    /// Total encoded size of the segments.
+    pub bytes: u64,
+    /// Deltas on the wire this round, over all destinations.
+    pub sent: u64,
     /// Keys whose pending delta was applied this round.
     pub applied: u64,
     /// Deltas those applications emitted, before pre-merging.
     pub emitted: u64,
 }
 
-impl DeltaOutput {
-    /// Deltas on the wire this round, over all destinations.
-    pub fn sent(&self) -> u64 {
-        self.records.iter().sum()
-    }
-}
-
-/// First half of one ⊕ delta round on one pair: applies the up-to-
-/// `batch` highest-priority pending deltas of `store` against the
-/// co-partitioned `stat` (0 = all pending), routes what they emit to
-/// `n` destinations and encodes one segment per peer — every peer,
-/// every round, so the send-all/recv-all exchange cannot deadlock.
-/// Counts `deltas_sent` and `priority_preemptions`.
-pub fn delta_out<J: Accumulative>(
-    job: &J,
-    store: &mut DeltaStore<J::K, J::S>,
-    stat: &[(J::K, J::T)],
-    n: usize,
-    batch: usize,
-    metrics: &Metrics,
-) -> Result<DeltaOutput, EngineError> {
-    let batch = store.select_batch(job, stat, batch);
-    let emitted = batch.emitted.len() as u64;
-    let dests = partition_deltas(job, batch.emitted, n)?;
-    let out = DeltaOutput {
-        segments: dests.iter().map(|dest| encode_pairs(dest)).collect(),
-        records: dests.iter().map(|dest| dest.len() as u64).collect(),
-        applied: batch.applied as u64,
-        emitted,
-    };
-    metrics.deltas_sent.add(out.sent());
-    metrics.priority_preemptions.add(batch.deferred as u64);
-    Ok(out)
-}
-
 /// Second half of the round: folds the segment received from every
-/// peer into `store`'s pending deltas, in source order (`segments[p]`
-/// came from pair `p`). Returns the number of deltas merged.
+/// peer into `store`'s pending deltas in one sorted walk — per key,
+/// pending ⊕ the delta from pair 0 ⊕ the delta from pair 1 …
+/// (`segments[p]` came from pair `p`). Deltas for keys the store does
+/// not hold are skipped. Returns the number of deltas merged.
 pub fn delta_in<J: Accumulative>(
     job: &J,
     store: &mut DeltaStore<J::K, J::S>,
     segments: Vec<Bytes>,
 ) -> Result<u64, EngineError> {
-    let mut merged = 0u64;
-    for seg in segments {
-        merged += store.merge_encoded(job, seg)? as u64;
-    }
-    Ok(merged)
+    let fold = |k: &J::K, (_, pending): &mut (J::S, J::S), d| job.fold(k, pending, d);
+    Ok(merge_into(segments, &mut store.entries, fold)?)
 }
 
 /// Folds the pairs' termination votes — one `(local distance, had a

@@ -906,9 +906,6 @@ mod tests {
         fn identity(&self) -> f64 {
             0.0
         }
-        fn combine_delta(&self, a: &f64, b: &f64) -> f64 {
-            a + b
-        }
         fn seed(&self, _k: &u32, loaded: &f64) -> (f64, f64) {
             (0.0, *loaded)
         }
@@ -930,6 +927,42 @@ mod tests {
             match engine.run_accumulative(&Stray, &cfg, "/state", "/static", "/out", &[]) {
                 Err(EngineError::Config(msg)) => {
                     assert!(msg.contains("returned 2 for 2 parts"), "{msg}")
+                }
+                Err(other) => panic!("expected a configuration error, got {other}"),
+                Ok(_) => panic!("expected a configuration error, got Ok"),
+            }
+        }
+        let (native, sim) = fixtures(2);
+        check(&sim);
+        check(&native);
+    }
+
+    #[test]
+    fn delta_key_divergence_is_a_config_error_on_sim_and_threads() {
+        fn check(engine: &impl IterEngine) {
+            load_halve(engine.dfs(), 2);
+            // Same record count, but pair 0's last state key is one its
+            // static partition does not hold.
+            let mut clock = TaskClock::default();
+            let mut part: Vec<(u32, f64)> =
+                imr_mapreduce::io::read_part(engine.dfs(), "/state", 0, NodeId(0), &mut clock)
+                    .unwrap();
+            part.last_mut().unwrap().0 += 1000;
+            let bytes = imr_records::encode_pairs(&part);
+            let path = part_path("/state", 0);
+            engine
+                .dfs()
+                .put_atomic(&path, bytes, NodeId(0), &mut clock)
+                .unwrap();
+            let cfg = IterConfig::new("stray", 2, 4)
+                .with_distance_threshold(1e-9)
+                .with_accumulative_mode();
+            match engine.run_accumulative(&Stray, &cfg, "/state", "/static", "/out", &[]) {
+                Err(EngineError::Config(msg)) => {
+                    assert!(
+                        msg.contains("state/static keys diverged at pair 0"),
+                        "{msg}"
+                    )
                 }
                 Err(other) => panic!("expected a configuration error, got {other}"),
                 Ok(_) => panic!("expected a configuration error, got Ok"),

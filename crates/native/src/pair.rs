@@ -6,9 +6,9 @@
 //! (`imapreduce::MapScratch::map_side` / `reduce_side`), the same two
 //! functions the simulation engine calls, driven here with the no-op
 //! cost hook `()`. Likewise the ⊕ delta round of the accumulative mode
-//! (`imapreduce::delta_out` / `delta_in`). This module owns what is
-//! native about the loop: wall-clock spans, the blocking shuffle,
-//! heartbeats, checkpoints, scripted faults — and every data-path
+//! (`imapreduce::MapScratch::delta_out` / `delta_in`). This module
+//! owns what is native about the loop: wall-clock spans, the blocking
+//! shuffle, heartbeats, checkpoints, scripted faults — and every data-path
 //! counter: the loop counts, the environment only delivers. All
 //! interaction with the rest of the job goes through the [`PairEnv`]
 //! trait, which carries one of each thing: one segment class (the
@@ -38,8 +38,8 @@
 
 use bytes::Bytes;
 use imapreduce::{
-    check_co_partitioned, delta_in, delta_out, fold_votes, reduce_side, IterConfig, IterativeJob,
-    MapScratch, MapState, Mapping,
+    check_aligned, delta_in, fold_votes, reduce_side, IterConfig, IterativeJob, MapScratch,
+    MapState, Mapping,
 };
 use imr_dfs::{snapshot_dir, Dfs, DfsError};
 use imr_mapreduce::io::part_path;
@@ -533,11 +533,12 @@ fn delta_checks<J: imapreduce::Accumulative, E: PairEnv>(
         let raw = ctx.env.read_part(&dirs.state_dir, q)?;
         let entries = decode_pairs::<J::K, (J::S, J::S)>(raw.clone())?;
         ctx.env.patch_verify(&raw, entries.len())?;
-        DeltaStore::restore(entries)
+        DeltaStore::restore(entries)?
     } else {
-        DeltaStore::seed(job, &ctx.load::<J::K, J::S>(&dirs.state_dir, q)?)
+        DeltaStore::seed(job, &ctx.load::<J::K, J::S>(&dirs.state_dir, q)?)?
     };
-    check_co_partitioned(q, store.len(), stat.len())?;
+    check_aligned(q, store.entries(), &stat)?;
+    let mut scratch = MapScratch::default();
 
     for check in (ctx.epoch + 1)..=cfg.max_iters {
         ctx.begin_iter(check)?;
@@ -547,10 +548,11 @@ fn delta_checks<J: imapreduce::Accumulative, E: PairEnv>(
             // ---- Round phase A: select, apply, extract, send ---------
             let round_start_ns = ctx.now_ns();
             let work_start = Instant::now();
-            let out = delta_out(job, &mut store, &stat, n, cfg.delta_batch, ctx.metrics)?;
+            let (batch, metrics) = (cfg.delta_batch, ctx.metrics);
+            let out = scratch.delta_out(job, &mut store, &stat, n, batch, metrics, &mut ())?;
             busy += work_start.elapsed();
             let round_end_ns = ctx.now_ns();
-            let round = TraceKind::DeltaRound { deltas: out.sent() };
+            let round = TraceKind::DeltaRound { deltas: out.sent };
             ctx.span(round, check, round_start_ns, round_end_ns);
             // Sends sit outside the busy span (back-pressure, not load).
             for (dest, seg) in out.segments.into_iter().enumerate() {

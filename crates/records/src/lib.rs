@@ -31,7 +31,8 @@ pub use codec::{
 };
 pub use partition::{Fnv1a, HashPartitioner, ModPartitioner, PairPartitioner, Partitioner};
 pub use shuffle::{
-    shuffle_in, shuffle_in_groups, FoldTable, ShuffleCost, ShuffleError, ShuffleOut, ShuffleScratch,
+    merge_into, shuffle_in, shuffle_in_groups, FoldTable, ShuffleCost, ShuffleError, ShuffleOut,
+    ShuffleScratch,
 };
 pub use sorted::{group_sorted, is_sorted_by_key, merge_runs, sort_run};
 

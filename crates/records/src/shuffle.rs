@@ -8,14 +8,18 @@
 //! (k-way merge straight off the segments' decode cursors, each value
 //! folded into its key's accumulator as it arrives), and
 //! [`shuffle_in_groups`] the same merge for a reducer that takes a
-//! key's values whole. The user functions arrive as closures, so the
-//! baseline `MrJob`, the iterative `IterativeJob` and the multi-phase
-//! `PhaseJob` all run this code, and the order a key's values are
-//! folded or listed in — source run first, emission order within a run
-//! — is decided here and nowhere else.
+//! key's values whole. A delta round (the accumulative mode) runs the
+//! same two halves: [`ShuffleScratch::shuffle_folded`] pre-merges each
+//! destination's equal keys as it encodes them, and [`merge_into`]
+//! folds every arriving value into its key's entry of a key-sorted
+//! table. The user functions arrive as closures, so the baseline
+//! `MrJob`, the iterative `IterativeJob` and the multi-phase `PhaseJob`
+//! all run this code, and the order a key's values are folded or listed
+//! in — source run first, emission order within a run — is decided here
+//! and nowhere else.
 //!
 //! The map side never moves a record to sort it: it routes and sorts
-//! *indices* ([`ShuffleScratch::route`]) and encodes or ⊕-folds by
+//! *indices* ([`ShuffleScratch::route`]) and encodes or folds by
 //! gathering through them; with a combiner it sorts only the distinct
 //! keys, whose values it has already folded. The index buffers belong
 //! to the caller's [`ShuffleScratch`], which a persistent task keeps for
@@ -130,8 +134,7 @@ impl ShuffleScratch {
         if self.words.iter().all(|words| words.capacity() == 0) {
             // First use: size the buffers exactly, by a counting pass.
             // Grown side by side by doubling they leave behind as much
-            // garbage as they keep, and a caller that builds a scratch
-            // per call (a delta round) would pay that every time.
+            // garbage as they keep.
             let mut counts = vec![0usize; n];
             for (k, _) in pairs {
                 if let Some(count) = counts.get_mut(partition(k, n)) {
@@ -209,6 +212,46 @@ impl ShuffleScratch {
             v.encode(&mut buf);
         }
         buf.freeze()
+    }
+
+    /// Map side of a delta round: [`shuffle_out`](Self::shuffle_out),
+    /// except that each run of equal keys is folded — in (key, emission)
+    /// order, the first value seeding the key's accumulator — and
+    /// encoded as one record. Charges `cost` a sort of each
+    /// destination's folded records.
+    pub fn shuffle_folded<K: Key, V: Value>(
+        &mut self,
+        pairs: &mut Vec<(K, V)>,
+        n: usize,
+        partition: impl Fn(&K, usize) -> usize,
+        mut fold: impl FnMut(&K, &mut V, V),
+        cost: &mut impl ShuffleCost,
+    ) -> Result<ShuffleOut, ShuffleError> {
+        self.route(pairs, n, partition)?;
+        let mut out = ShuffleOut::with_capacity(n);
+        for dest in 0..n {
+            let mut run = self.order(dest).map(|i| &pairs[i]).peekable();
+            // One record per key; room for each with its first value,
+            // exact when the values encode at a fixed width.
+            let mut last = None;
+            let firsts = run.clone().filter(|(k, _)| last.replace(k) != Some(k));
+            let size =
+                |(keys, len), (k, v): &(K, V)| (keys + 1, len + k.encoded_len() + v.encoded_len());
+            let (records, len) = firsts.fold((0, 0), size);
+            let mut buf = BytesMut::with_capacity(len);
+            while let Some((k, first)) = run.next() {
+                let mut acc = first.clone();
+                while let Some((_, v)) = run.next_if(|(next, _)| next == k) {
+                    fold(k, &mut acc, v.clone());
+                }
+                k.encode(&mut buf);
+                acc.encode(&mut buf);
+            }
+            cost.sorted(records as u64);
+            out.push(buf.freeze(), records);
+        }
+        pairs.clear();
+        Ok(out)
     }
 }
 
@@ -345,7 +388,7 @@ pub fn shuffle_in<K: Key, V: Value>(
         C: ShuffleCost,
     {
         type Acc = V;
-        fn open(&mut self, first: V) -> V {
+        fn open(&mut self, _: &K, first: V) -> V {
             first
         }
         #[inline]
@@ -373,6 +416,47 @@ pub fn shuffle_in_groups<K: Key, V: Value>(
         cost.reduced(values.len() as u64);
         reduce(k, values);
     })
+}
+
+/// Receive side of a delta round: merges one key-sorted segment per
+/// source straight off the decode cursors into `entries`, a table
+/// sorted by strictly ascending key, walking the two in lockstep. Each
+/// value is folded into the entry that holds its key, source by source
+/// (ties keep source order), each source's in its own order; values for
+/// keys `entries` lacks are skipped. Returns the number of values
+/// folded. A truncated or corrupt segment is an error, possibly after
+/// some values were folded.
+pub fn merge_into<K: Key, V: Value, E>(
+    segments: Vec<Bytes>,
+    entries: &mut [(K, E)],
+    fold: impl FnMut(&K, &mut E, V),
+) -> CodecResult<u64> {
+    /// The table; the index of its first key not below the open one;
+    /// the fold; the values folded so far.
+    struct Lockstep<'e, K, E, F>(&'e mut [(K, E)], usize, F, u64);
+    impl<K: Ord, V, E, F: FnMut(&K, &mut E, V)> Group<K, V> for Lockstep<'_, K, E, F> {
+        /// The open key's entry; `None` for a key the table lacks.
+        type Acc = Option<usize>;
+        fn open(&mut self, key: &K, first: V) -> Option<usize> {
+            let Lockstep(entries, at, ..) = self;
+            *at += entries[*at..].iter().take_while(|(k, _)| k < key).count();
+            let mut acc = entries.get(*at).filter(|(k, _)| k == key).map(|_| *at);
+            self.add(key, &mut acc, first);
+            acc
+        }
+        #[inline]
+        fn add(&mut self, key: &K, acc: &mut Option<usize>, value: V) {
+            if let Some(i) = *acc {
+                (self.2)(key, &mut self.0[i].1, value);
+            }
+        }
+        fn close(&mut self, _: K, acc: Option<usize>, values: u64) {
+            self.3 += if acc.is_some() { values } else { 0 };
+        }
+    }
+    let mut walk = Lockstep(entries, 0, fold, 0);
+    merge(cursors(segments), &mut walk)?;
+    Ok(walk.3)
 }
 
 fn cursors<K: Key, V: Value>(segments: Vec<Bytes>) -> Vec<PairCursor<K, V>> {

@@ -136,14 +136,14 @@ fn pack_run<K: Codec, V>(run: &[(K, V)]) -> Option<Vec<u64>> {
 }
 
 /// What a k-way merge does with each key's values as it meets them.
-/// The merge calls [`open`](Self::open) with a key's first value,
+/// The merge calls [`open`](Self::open) with a key and its first value,
 /// [`add`](Self::add) with each further one in merge order, and
 /// [`close`](Self::close) once the key's last value has been added.
 pub(crate) trait Group<K, V> {
     /// What is kept for the open key.
     type Acc;
-    /// The key's first value.
-    fn open(&mut self, first: V) -> Self::Acc;
+    /// A key and its first value.
+    fn open(&mut self, key: &K, first: V) -> Self::Acc;
     /// A further value of the open key.
     fn add(&mut self, key: &K, acc: &mut Self::Acc, value: V);
     /// The key is complete: `values` values were merged into `acc`.
@@ -174,7 +174,7 @@ pub(crate) fn merge<K: Ord, V, E>(
     }
     let mut records = 0u64;
     while let Some((key, first)) = heap.first().and_then(|&top| heads[top].take()) {
-        let mut acc = group.open(first);
+        let mut acc = group.open(&key, first);
         let mut values = 1u64;
         // The heap yields the runs holding `key` in run order.
         while let Some(&run) = heap.first() {
@@ -231,7 +231,7 @@ pub(crate) fn merge_groups<K: Ord, V, E>(
     }
     impl<K, V, F: FnMut(K, Vec<V>)> Group<K, V> for Gather<V, F> {
         type Acc = ();
-        fn open(&mut self, first: V) {
+        fn open(&mut self, _: &K, first: V) {
             self.values.push(first);
         }
         fn add(&mut self, _: &K, _: &mut (), value: V) {

@@ -12,12 +12,17 @@
 //! buffer from empty, copies segments to freeze them, or materialises
 //! decoded, merged and grouped copies allocates 12–15 ×.
 //!
+//! A delta round (the accumulative mode) is held to a budget of its
+//! own, in bytes allocated per delta sent: the segments cost 12 bytes a
+//! delta on this graph, and the round's persistent emit and index
+//! buffers cost nothing after the first round.
+//!
 //! This file is its own test crate so that the counting allocator — the
 //! one `unsafe` in the repository — stays out of the libraries, and it
 //! holds one test so that nothing else allocates while it counts.
 
 use imapreduce::IterConfig;
-use imr_algorithms::pagerank::run_pagerank_imr;
+use imr_algorithms::pagerank::{run_pagerank_delta, run_pagerank_imr};
 use imr_algorithms::testutil::native_runner;
 use imr_graph::{generate_graph, pagerank_degree_dist};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -55,6 +60,9 @@ static ALLOCATOR: Counting = Counting;
 
 const PAIRS: usize = 2;
 
+/// Bytes one more delta check may allocate per delta it sends.
+const DELTA_BUDGET: f64 = 80.0;
+
 /// Runs `iters` PageRank iterations on `PAIRS` native pairs; returns the
 /// bytes the whole run (load included) requested and the bytes it
 /// shuffled.
@@ -67,6 +75,22 @@ fn run(iters: usize) -> (u64, u64) {
     let requested = REQUESTED.load(Ordering::Relaxed) - before;
     assert_eq!(out.iterations, iters);
     (requested, runner.metrics().shuffle_local_bytes.get())
+}
+
+/// Runs `checks` delta-accumulative PageRank checks (one round each) on
+/// the same graph and pairs; returns the bytes the whole run requested
+/// and the deltas it sent.
+fn run_delta(checks: usize) -> (u64, u64) {
+    let graph = generate_graph(20_000, 140_000, pagerank_degree_dist(), 7);
+    let runner = native_runner(PAIRS);
+    let cfg = IterConfig::new("prd", PAIRS, checks)
+        .with_distance_threshold(1e-12)
+        .with_accumulative_mode();
+    let before = REQUESTED.load(Ordering::Relaxed);
+    let out = run_pagerank_delta(&runner, &graph, &cfg).expect("delta pagerank runs");
+    let requested = REQUESTED.load(Ordering::Relaxed) - before;
+    assert_eq!(out.iterations, checks);
+    (requested, runner.metrics().deltas_sent.get())
 }
 
 #[test]
@@ -84,5 +108,15 @@ fn an_extra_iteration_allocates_at_most_1_3_times_what_it_shuffles() {
         ratio <= 1.3,
         "one more iteration allocates {allocated} bytes per pair for {shuffled} shuffled \
          ({ratio:.2}x, budget 1.3x)"
+    );
+
+    let (short, sent_short) = run_delta(5);
+    let (long, sent_long) = run_delta(10);
+    let per_delta = (long - short) as f64 / (sent_long - sent_short) as f64;
+    println!("delta rounds: {per_delta:.1} bytes allocated per delta sent");
+    assert!(
+        per_delta <= DELTA_BUDGET,
+        "five more delta checks allocate {per_delta:.1} bytes per delta sent \
+         (budget {DELTA_BUDGET})"
     );
 }
