@@ -1,73 +1,25 @@
-//! Runs every table and figure in sequence (micro scales by default so
-//! the whole sweep finishes in minutes on one core). Pass `--scale` to
-//! override all figure scales at once.
+//! Runs the paper's evaluation: every entry of
+//! [`imr_bench::EXPERIMENTS`] in order, or the one `--only <id>`
+//! names. `--scale` / `--iters` override every entry's defaults.
+//!
+//! Usage: `cargo run -p imr-bench --release --bin all -- [--only <id>]
+//! [--scale <f>] [--iters <n>] [--out <dir>]`
 
-use imr_bench::{experiments, BenchOpts};
-use imr_graph::Workload;
+use imr_bench::{BenchOpts, EXPERIMENTS};
 
 fn main() {
     let opts = BenchOpts::from_args();
     let t0 = std::time::Instant::now();
-
-    experiments::table_datasets("table1", &imr_graph::sssp_datasets(), opts.scale_or(0.01))
-        .emit(&opts.out_root);
-    experiments::table_datasets(
-        "table2",
-        &imr_graph::pagerank_datasets(),
-        opts.scale_or(0.01),
-    )
-    .emit(&opts.out_root);
-    experiments::fig_sssp_local("fig4", "DBLP", opts.scale_or(0.05), opts.iters_or(16))
-        .emit(&opts.out_root);
-    experiments::fig_sssp_local("fig5", "Facebook", opts.scale_or(0.02), opts.iters_or(16))
-        .emit(&opts.out_root);
-    experiments::fig_pagerank_local("fig6", "Google", opts.scale_or(0.02), opts.iters_or(20))
-        .emit(&opts.out_root);
-    experiments::fig_pagerank_local("fig7", "Berk-Stan", opts.scale_or(0.02), opts.iters_or(20))
-        .emit(&opts.out_root);
-    experiments::fig_synthetic_sizes(
-        "fig8",
-        Workload::Sssp,
-        opts.scale_or(0.004),
-        opts.iters_or(10),
-    )
-    .emit(&opts.out_root);
-    experiments::fig_synthetic_sizes(
-        "fig9",
-        Workload::PageRank,
-        opts.scale_or(0.004),
-        opts.iters_or(10),
-    )
-    .emit(&opts.out_root);
-    experiments::fig_factors(opts.scale_or(0.004), opts.iters_or(10)).emit(&opts.out_root);
-    experiments::fig_comm_cost(opts.scale_or(0.002), opts.iters_or(10)).emit(&opts.out_root);
-    experiments::fig_scaling(
-        "fig12",
-        Workload::Sssp,
-        opts.scale_or(0.002),
-        opts.iters_or(10),
-    )
-    .emit(&opts.out_root);
-    experiments::fig_scaling(
-        "fig13",
-        Workload::PageRank,
-        opts.scale_or(0.002),
-        opts.iters_or(10),
-    )
-    .emit(&opts.out_root);
-    experiments::fig_parallel_efficiency(opts.scale_or(0.001), opts.iters_or(10))
-        .emit(&opts.out_root);
-    let km_n = (359_347.0 * opts.scale_or(0.01)) as usize;
-    experiments::fig_kmeans(km_n.max(100), 24, 10, opts.iters_or(10)).emit(&opts.out_root);
-    let mp = (1000.0 * opts.scale_or(0.12)) as usize;
-    experiments::fig_matpower(mp.max(8), opts.iters_or(5)).emit(&opts.out_root);
-    let kc_n = (359_347.0 * opts.scale_or(0.005)) as usize;
-    experiments::fig_kmeans_convergence(kc_n.max(100), 24, 10, opts.iters_or(12))
-        .emit(&opts.out_root);
-    experiments::fig_jacobi(2_000, 8, opts.iters_or(30)).emit(&opts.out_root);
-
+    for e in EXPERIMENTS {
+        if opts.only.as_deref().is_some_and(|id| id != e.id) {
+            continue;
+        }
+        let scale = opts.scale.unwrap_or(e.scale);
+        let iters = opts.iters.unwrap_or(e.iters);
+        (e.run)(e.id, scale, iters).emit(&opts.out_root);
+    }
     eprintln!(
-        "all experiments done in {:.1}s (host time)",
+        "experiments done in {:.1}s (host time)",
         t0.elapsed().as_secs_f64()
     );
 }

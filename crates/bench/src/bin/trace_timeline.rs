@@ -47,8 +47,12 @@ fn traced_runner(scale: f64) -> (IterativeRunner, TraceHandle, TelemetryHandle) 
 
 fn main() {
     let opts = BenchOpts::from_args();
-    let scale = opts.scale_or(0.02);
-    let iters = opts.iters_or(8);
+    if opts.only.is_some() {
+        eprintln!("trace_timeline runs no EXPERIMENTS entry: --only does not apply");
+        std::process::exit(2);
+    }
+    let scale = opts.scale.unwrap_or(0.02);
+    let iters = opts.iters.unwrap_or(8);
 
     let g = dataset("PageRank-s").unwrap().generate(scale);
     println!(

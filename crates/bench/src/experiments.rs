@@ -2,13 +2,27 @@
 //! builds fresh substrate instances (cluster, DFS, metrics), runs the
 //! engines, and returns a [`FigureResult`] with the same series the
 //! paper plots.
+//!
+//! The SSSP/PageRank comparisons (Figs. 4–14) hold the job fixed and
+//! vary only the engine: every one of them runs its workload through
+//! `run_mr` (the Hadoop-style baseline chain) and `run_imr`
+//! (iMapReduce), the only two places that tell the two jobs apart.
 
 use crate::result::{final_y, report_metrics, FigureResult};
-use imapreduce::IterConfig;
+use imapreduce::{IterConfig, IterativeRunner, LoadBalance};
 use imr_algorithms::testutil::{imr_runner_on, mr_runner_on};
 use imr_algorithms::{jacobi, kmeans, matpower, pagerank, sssp};
-use imr_graph::{dataset, generate_matrix, generate_points, DatasetSpec, Graph};
+use imr_graph::{dataset, generate_matrix, generate_points, DatasetSpec, Graph, Workload};
+use imr_mapreduce::{CheckSpec, JobRunner};
 use imr_simcluster::{ClusterSpec, MetricsSnapshot, RunReport};
+
+/// Users in the paper's Last.fm data set.
+const LASTFM_USERS: f64 = 359_347.0;
+
+/// How many Last.fm users Figs. 16 and 20 sample at `scale`.
+pub fn lastfm_sample(scale: f64) -> usize {
+    ((LASTFM_USERS * scale) as usize).max(100)
+}
 
 /// Named running-time curves, one per engine variant.
 type Curves = Vec<(String, Vec<(f64, f64)>)>;
@@ -24,68 +38,114 @@ fn curve(report: &RunReport) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// The four running-time curves of Figs. 4–7 for SSSP on one dataset.
-fn sssp_four_curves(
+/// The paper's name for a workload's algorithm.
+fn algo(w: Workload) -> &'static str {
+    match w {
+        Workload::Sssp => "SSSP",
+        Workload::PageRank => "PageRank",
+    }
+}
+
+/// How far a key's value moved between two iterations of either
+/// graph job (state is `(value, adjacency)`).
+fn moved<A>(_k: &u32, prev: &(f64, A), cur: &(f64, A)) -> f64 {
+    (prev.0 - cur.0).abs()
+}
+
+/// The Hadoop-style baseline: `iters` chained MapReduce jobs of
+/// workload `w` on `mr`, each re-reading the static data. With
+/// `check`, every iteration also runs the termination-check job a
+/// Hadoop user needs (iMapReduce's check is built in), so Fig. 11
+/// charges the baseline for its communication too.
+fn run_mr(
+    w: Workload,
+    mr: &JobRunner,
+    g: &Graph,
+    tasks: usize,
+    iters: usize,
+    check: bool,
+) -> RunReport {
+    let out = match w {
+        Workload::Sssp => {
+            let check = check.then(|| CheckSpec::new(moved, -1.0));
+            sssp::run_sssp_mr(mr, g, 0, tasks, iters, check.as_ref())
+        }
+        Workload::PageRank => {
+            let check = check.then(|| CheckSpec::new(moved, -1.0));
+            pagerank::run_pagerank_mr(mr, g, tasks, iters, check.as_ref())
+        }
+    };
+    out.unwrap().report
+}
+
+/// iMapReduce running workload `w` on `imr` with persistent tasks;
+/// with `sync`, each map waits for the whole previous iteration.
+fn run_imr(
+    w: Workload,
+    imr: &IterativeRunner,
+    g: &Graph,
+    tasks: usize,
+    iters: usize,
+    sync: bool,
+) -> RunReport {
+    let name = match w {
+        Workload::Sssp => "sssp",
+        Workload::PageRank => "pr",
+    };
+    let mut cfg = IterConfig::new(name, tasks, iters);
+    if sync {
+        cfg = cfg.with_sync_maps();
+    }
+    let out = match w {
+        Workload::Sssp => sssp::run_sssp_imr(imr, g, 0, &cfg),
+        Workload::PageRank => pagerank::run_pagerank_imr(imr, g, &cfg),
+    };
+    out.unwrap().report
+}
+
+/// The four running-time curves of Figs. 4–7 and 10 for workload `w`
+/// on one graph, plus the iMapReduce run's metrics.
+fn four_curves(
+    w: Workload,
     g: &Graph,
     cluster: &ClusterSpec,
     tasks: usize,
     iters: usize,
 ) -> (Curves, MetricsSnapshot) {
-    let mut out = Vec::new();
-    // MapReduce.
-    let mr = mr_runner_on(cluster.clone());
-    let r = sssp::run_sssp_mr(&mr, g, 0, tasks, iters, None).unwrap();
-    out.push(("MapReduce".to_string(), curve(&r.report)));
-    // MapReduce excluding init.
-    let mut mr2 = mr_runner_on(cluster.clone());
-    mr2.charge_init = false;
-    let r = sssp::run_sssp_mr(&mr2, g, 0, tasks, iters, None).unwrap();
-    out.push(("MapReduce (ex. init.)".to_string(), curve(&r.report)));
-    // iMapReduce with synchronous maps.
-    let imr_sync = imr_runner_on(cluster.clone());
-    let cfg = IterConfig::new("sssp", tasks, iters).with_sync_maps();
-    let r = sssp::run_sssp_imr(&imr_sync, g, 0, &cfg).unwrap();
-    out.push(("iMapReduce (sync.)".to_string(), curve(&r.report)));
-    // iMapReduce.
-    let imr = imr_runner_on(cluster.clone());
-    let cfg = IterConfig::new("sssp", tasks, iters);
-    let r = sssp::run_sssp_imr(&imr, g, 0, &cfg).unwrap();
-    out.push(("iMapReduce".to_string(), curve(&r.report)));
-    (out, r.report.metrics)
+    let mr = run_mr(w, &mr_runner_on(cluster.clone()), g, tasks, iters, false);
+    let mut ex_init = mr_runner_on(cluster.clone());
+    ex_init.charge_init = false;
+    let ex = run_mr(w, &ex_init, g, tasks, iters, false);
+    let sync = run_imr(w, &imr_runner_on(cluster.clone()), g, tasks, iters, true);
+    let imr = run_imr(w, &imr_runner_on(cluster.clone()), g, tasks, iters, false);
+    let curves = vec![
+        ("MapReduce".to_string(), curve(&mr)),
+        ("MapReduce (ex. init.)".to_string(), curve(&ex)),
+        ("iMapReduce (sync.)".to_string(), curve(&sync)),
+        ("iMapReduce".to_string(), curve(&imr)),
+    ];
+    (curves, imr.metrics)
 }
 
-/// The four running-time curves for PageRank on one dataset.
-fn pagerank_four_curves(
+/// Total running times of both engines on `w`, `tasks` pairs on
+/// `cluster`, plus the iMapReduce run's metrics.
+fn both_totals(
+    w: Workload,
     g: &Graph,
     cluster: &ClusterSpec,
     tasks: usize,
     iters: usize,
-) -> (Curves, MetricsSnapshot) {
-    let mut out = Vec::new();
-    let mr = mr_runner_on(cluster.clone());
-    let r = pagerank::run_pagerank_mr(&mr, g, tasks, iters, None).unwrap();
-    out.push(("MapReduce".to_string(), curve(&r.report)));
-    let mut mr2 = mr_runner_on(cluster.clone());
-    mr2.charge_init = false;
-    let r = pagerank::run_pagerank_mr(&mr2, g, tasks, iters, None).unwrap();
-    out.push(("MapReduce (ex. init.)".to_string(), curve(&r.report)));
-    let imr_sync = imr_runner_on(cluster.clone());
-    let cfg = IterConfig::new("pr", tasks, iters).with_sync_maps();
-    let r = pagerank::run_pagerank_imr(&imr_sync, g, &cfg).unwrap();
-    out.push(("iMapReduce (sync.)".to_string(), curve(&r.report)));
-    let imr = imr_runner_on(cluster.clone());
-    let cfg = IterConfig::new("pr", tasks, iters);
-    let r = pagerank::run_pagerank_imr(&imr, g, &cfg).unwrap();
-    out.push(("iMapReduce".to_string(), curve(&r.report)));
-    (out, r.report.metrics)
+) -> (f64, f64, MetricsSnapshot) {
+    let a = run_mr(w, &mr_runner_on(cluster.clone()), g, tasks, iters, false);
+    let b = run_imr(w, &imr_runner_on(cluster.clone()), g, tasks, iters, false);
+    (
+        a.finished.as_secs_f64(),
+        b.finished.as_secs_f64(),
+        b.metrics,
+    )
 }
 
-fn iteration_figure(
-    id: &str,
-    title: &str,
-    curves: Vec<(String, Vec<(f64, f64)>)>,
-    paper_note: &str,
-) -> FigureResult {
+fn iteration_figure(id: &str, title: &str, curves: Curves, paper_note: &str) -> FigureResult {
     let mut fig = FigureResult::new(id, title, "iterations", "time (s)");
     for (label, points) in curves {
         fig.push_series(label, points);
@@ -110,39 +170,32 @@ fn iteration_figure(
     fig
 }
 
-/// Figs. 4 & 5 — SSSP on the DBLP-like / Facebook-like graphs,
-/// local 4-node cluster, four curves.
-pub fn fig_sssp_local(id: &str, dataset_name: &str, scale: f64, iters: usize) -> FigureResult {
+/// Figs. 4–7 — SSSP on the DBLP-like / Facebook-like graphs and
+/// PageRank on the Google-like / Berk-Stan-like webgraphs (the data
+/// set picks the workload), local 4-node cluster, four curves.
+pub fn fig_local(id: &str, dataset_name: &str, scale: f64, iters: usize) -> FigureResult {
     let ds = dataset(dataset_name).expect("dataset");
     let g = ds.generate(scale);
     let cluster = ClusterSpec::local(4).with_sample_scale(scale);
-    let (curves, metrics) = sssp_four_curves(&g, &cluster, 4, iters);
+    let (curves, metrics) = four_curves(ds.workload, &g, &cluster, 4, iters);
+    let (kind, paper) = match ds.workload {
+        Workload::Sssp => (
+            "graph",
+            "paper: 2-3x speedup; ~20% saved by one-time init, ~15% by async maps, ~20% by no static shuffle",
+        ),
+        Workload::PageRank => (
+            "webgraph",
+            "paper: ~2x speedup; ~10% init, ~30% static shuffle, ~10% async",
+        ),
+    };
     let mut fig = iteration_figure(
         id,
-        &format!("SSSP on {dataset_name}-like graph (local-4, scale {scale})"),
+        &format!(
+            "{} on {dataset_name}-like {kind} (local-4, scale {scale})",
+            algo(ds.workload)
+        ),
         curves,
-        "paper: 2-3x speedup; ~20% saved by one-time init, ~15% by async maps, ~20% by no static shuffle",
-    );
-    fig.note(format!(
-        "graph: {} nodes, {} edges",
-        g.num_nodes(),
-        g.num_edges()
-    ));
-    report_metrics(&mut fig, "iMapReduce", &metrics);
-    fig
-}
-
-/// Figs. 6 & 7 — PageRank on the Google-like / Berk-Stan-like graphs.
-pub fn fig_pagerank_local(id: &str, dataset_name: &str, scale: f64, iters: usize) -> FigureResult {
-    let ds = dataset(dataset_name).expect("dataset");
-    let g = ds.generate(scale);
-    let cluster = ClusterSpec::local(4).with_sample_scale(scale);
-    let (curves, metrics) = pagerank_four_curves(&g, &cluster, 4, iters);
-    let mut fig = iteration_figure(
-        id,
-        &format!("PageRank on {dataset_name}-like webgraph (local-4, scale {scale})"),
-        curves,
-        "paper: ~2x speedup; ~10% init, ~30% static shuffle, ~10% async",
+        paper,
     );
     fig.note(format!(
         "graph: {} nodes, {} edges",
@@ -155,26 +208,20 @@ pub fn fig_pagerank_local(id: &str, dataset_name: &str, scale: f64, iters: usize
 
 /// Figs. 8 & 9 — total running time on the synthetic s/m/l graphs,
 /// EC2-20, MapReduce vs iMapReduce bars.
-pub fn fig_synthetic_sizes(
-    id: &str,
-    workload: imr_graph::Workload,
-    scale: f64,
-    iters: usize,
-) -> FigureResult {
+pub fn fig_synthetic_sizes(id: &str, workload: Workload, scale: f64, iters: usize) -> FigureResult {
     let (names, paper_ratios, title) = match workload {
-        imr_graph::Workload::Sssp => (
+        Workload::Sssp => (
             ["SSSP-s", "SSSP-m", "SSSP-l"],
             [23.2, 37.0, 38.6],
             "SSSP running time on synthetic graphs (EC2-20)",
         ),
-        imr_graph::Workload::PageRank => (
+        Workload::PageRank => (
             ["PageRank-s", "PageRank-m", "PageRank-l"],
             [44.0, 60.0, 60.0],
             "PageRank running time on synthetic graphs (EC2-20)",
         ),
     };
     let cluster = ClusterSpec::ec2(20).with_sample_scale(scale);
-    let tasks = 20;
     let mut fig = FigureResult::new(
         id,
         format!("{title}, scale {scale}"),
@@ -187,32 +234,8 @@ pub fn fig_synthetic_sizes(
     for (i, name) in names.iter().enumerate() {
         let g = dataset(name).unwrap().generate(scale);
         let x = (i + 1) as f64;
-        let (mr_t, imr_t) = match workload {
-            imr_graph::Workload::Sssp => {
-                let mr = mr_runner_on(cluster.clone());
-                let a = sssp::run_sssp_mr(&mr, &g, 0, tasks, iters, None).unwrap();
-                let imr = imr_runner_on(cluster.clone());
-                let cfg = IterConfig::new("sssp", tasks, iters);
-                let b = sssp::run_sssp_imr(&imr, &g, 0, &cfg).unwrap();
-                metrics = b.report.metrics;
-                (
-                    a.report.finished.as_secs_f64(),
-                    b.report.finished.as_secs_f64(),
-                )
-            }
-            imr_graph::Workload::PageRank => {
-                let mr = mr_runner_on(cluster.clone());
-                let a = pagerank::run_pagerank_mr(&mr, &g, tasks, iters, None).unwrap();
-                let imr = imr_runner_on(cluster.clone());
-                let cfg = IterConfig::new("pr", tasks, iters);
-                let b = pagerank::run_pagerank_imr(&imr, &g, &cfg).unwrap();
-                metrics = b.report.metrics;
-                (
-                    a.report.finished.as_secs_f64(),
-                    b.report.finished.as_secs_f64(),
-                )
-            }
-        };
+        let (mr_t, imr_t, m) = both_totals(workload, &g, &cluster, 20, iters);
+        metrics = m;
         mr_pts.push((x, mr_t));
         imr_pts.push((x, imr_t));
         fig.note(format!(
@@ -233,7 +256,6 @@ pub fn fig_synthetic_sizes(
 /// three factors, on SSSP-m and PageRank-m (EC2-20, 10 iterations).
 pub fn fig_factors(scale: f64, iters: usize) -> FigureResult {
     let cluster = ClusterSpec::ec2(20).with_sample_scale(scale);
-    let tasks = 20;
     let mut fig = FigureResult::new(
         "fig10",
         format!("Factor decomposition of running-time reduction (EC2-20, scale {scale})"),
@@ -244,12 +266,10 @@ pub fn fig_factors(scale: f64, iters: usize) -> FigureResult {
     let mut static_pts = Vec::new();
     let mut async_pts = Vec::new();
     for (i, name) in ["SSSP-m", "PageRank-m"].iter().enumerate() {
-        let g = dataset(name).unwrap().generate(scale);
+        let ds = dataset(name).unwrap();
+        let g = ds.generate(scale);
         let x = (i + 1) as f64;
-        let (curves, metrics) = match i {
-            0 => sssp_four_curves(&g, &cluster, tasks, iters),
-            _ => pagerank_four_curves(&g, &cluster, tasks, iters),
-        };
+        let (curves, metrics) = four_curves(ds.workload, &g, &cluster, 20, iters);
         report_metrics(&mut fig, &format!("iMapReduce {name}"), &metrics);
         let total: std::collections::HashMap<&str, f64> = curves
             .iter()
@@ -284,7 +304,6 @@ pub fn fig_factors(scale: f64, iters: usize) -> FigureResult {
 /// Fig. 11 — total communication cost on SSSP-l and PageRank-l.
 pub fn fig_comm_cost(scale: f64, iters: usize) -> FigureResult {
     let cluster = ClusterSpec::ec2(20).with_sample_scale(scale);
-    let tasks = 20;
     let mut fig = FigureResult::new(
         "fig11",
         format!("Total communication cost (EC2-20, scale {scale})"),
@@ -294,51 +313,22 @@ pub fn fig_comm_cost(scale: f64, iters: usize) -> FigureResult {
     let mut mr_pts = Vec::new();
     let mut imr_pts = Vec::new();
     for (i, name) in ["SSSP-l", "PageRank-l"].iter().enumerate() {
-        let g = dataset(name).unwrap().generate(scale);
+        let ds = dataset(name).unwrap();
+        let g = ds.generate(scale);
         let x = (i + 1) as f64;
-        // The Hadoop user needs a per-iteration termination-check job
-        // (iMapReduce's check is built in), so the baseline pays for it
-        // in communication too.
-        let (mr_bytes, imr_bytes, metrics) = if i == 0 {
-            let check = imr_mapreduce::CheckSpec::new(
-                |_k: &u32, prev: &sssp::DistAdj, cur: &sssp::DistAdj| (prev.0 - cur.0).abs(),
-                -1.0,
-            );
-            let mr = mr_runner_on(cluster.clone());
-            let a = sssp::run_sssp_mr(&mr, &g, 0, tasks, iters, Some(&check)).unwrap();
-            let imr = imr_runner_on(cluster.clone());
-            let cfg = IterConfig::new("sssp", tasks, iters);
-            let b = sssp::run_sssp_imr(&imr, &g, 0, &cfg).unwrap();
-            (
-                a.report.metrics.total_exchanged_bytes(),
-                b.report.metrics.total_exchanged_bytes(),
-                b.report.metrics,
-            )
-        } else {
-            let check = imr_mapreduce::CheckSpec::new(
-                |_k: &u32, prev: &pagerank::RankAdj, cur: &pagerank::RankAdj| {
-                    (prev.0 - cur.0).abs()
-                },
-                -1.0,
-            );
-            let mr = mr_runner_on(cluster.clone());
-            let a = pagerank::run_pagerank_mr(&mr, &g, tasks, iters, Some(&check)).unwrap();
-            let imr = imr_runner_on(cluster.clone());
-            let cfg = IterConfig::new("pr", tasks, iters);
-            let b = pagerank::run_pagerank_imr(&imr, &g, &cfg).unwrap();
-            (
-                a.report.metrics.total_exchanged_bytes(),
-                b.report.metrics.total_exchanged_bytes(),
-                b.report.metrics,
-            )
-        };
+        let mr = mr_runner_on(cluster.clone());
+        let a = run_mr(ds.workload, &mr, &g, 20, iters, true);
+        let imr = imr_runner_on(cluster.clone());
+        let b = run_imr(ds.workload, &imr, &g, 20, iters, false);
+        let mr_bytes = a.metrics.total_exchanged_bytes();
+        let imr_bytes = b.metrics.total_exchanged_bytes();
         mr_pts.push((x, mr_bytes as f64));
         imr_pts.push((x, imr_bytes as f64));
         fig.note(format!(
             "{name}: iMapReduce exchanges {:.1}% of MapReduce's bytes (paper: ~12%)",
             100.0 * imr_bytes as f64 / mr_bytes as f64
         ));
-        report_metrics(&mut fig, &format!("iMapReduce {name}"), &metrics);
+        report_metrics(&mut fig, &format!("iMapReduce {name}"), &b.metrics);
     }
     fig.push_series("MapReduce", mr_pts);
     fig.push_series("iMapReduce", imr_pts);
@@ -348,18 +338,13 @@ pub fn fig_comm_cost(scale: f64, iters: usize) -> FigureResult {
 /// Figs. 12 & 13 — scaling the EC2 cluster from 20 to 80 instances on
 /// the large synthetic graphs; the plotted quantity is the running
 /// time of both engines plus their ratio.
-pub fn fig_scaling(
-    id: &str,
-    workload: imr_graph::Workload,
-    scale: f64,
-    iters: usize,
-) -> FigureResult {
+pub fn fig_scaling(id: &str, workload: Workload, scale: f64, iters: usize) -> FigureResult {
     let (name, paper_note) = match workload {
-        imr_graph::Workload::Sssp => (
+        Workload::Sssp => (
             "SSSP-l",
             "paper: ratio improves ~8% from 20 to 80 instances",
         ),
-        imr_graph::Workload::PageRank => (
+        Workload::PageRank => (
             "PageRank-l",
             "paper: ratio improves ~7% from 20 to 80 instances",
         ),
@@ -377,33 +362,8 @@ pub fn fig_scaling(
     let mut metrics = MetricsSnapshot::default();
     for n in [20usize, 50, 80] {
         let cluster = ClusterSpec::ec2(n).with_sample_scale(scale);
-        let tasks = n;
-        let (a, b) = match workload {
-            imr_graph::Workload::Sssp => {
-                let mr = mr_runner_on(cluster.clone());
-                let a = sssp::run_sssp_mr(&mr, &g, 0, tasks, iters, None).unwrap();
-                let imr = imr_runner_on(cluster.clone());
-                let cfg = IterConfig::new("sssp", tasks, iters);
-                let b = sssp::run_sssp_imr(&imr, &g, 0, &cfg).unwrap();
-                metrics = b.report.metrics;
-                (
-                    a.report.finished.as_secs_f64(),
-                    b.report.finished.as_secs_f64(),
-                )
-            }
-            imr_graph::Workload::PageRank => {
-                let mr = mr_runner_on(cluster.clone());
-                let a = pagerank::run_pagerank_mr(&mr, &g, tasks, iters, None).unwrap();
-                let imr = imr_runner_on(cluster.clone());
-                let cfg = IterConfig::new("pr", tasks, iters);
-                let b = pagerank::run_pagerank_imr(&imr, &g, &cfg).unwrap();
-                metrics = b.report.metrics;
-                (
-                    a.report.finished.as_secs_f64(),
-                    b.report.finished.as_secs_f64(),
-                )
-            }
-        };
+        let (a, b, m) = both_totals(workload, &g, &cluster, n, iters);
+        metrics = m;
         mr_pts.push((n as f64, a));
         imr_pts.push((n as f64, b));
         ratio_pts.push((n as f64, b / a));
@@ -429,71 +389,20 @@ pub fn fig_parallel_efficiency(scale: f64, iters: usize) -> FigureResult {
         "EC2 instances",
         "parallel efficiency",
     );
-    for (algo, name) in [("SSSP", "SSSP-l"), ("PageRank", "PageRank-l")] {
-        let g = dataset(name).unwrap().generate(scale);
+    for name in ["SSSP-l", "PageRank-l"] {
+        let ds = dataset(name).unwrap();
+        let (w, algo) = (ds.workload, algo(ds.workload));
+        let g = ds.generate(scale);
         // T*: single instance, partition number one, no communication.
-        let t_star_mr = {
-            let mr = mr_runner_on(ClusterSpec::single().with_sample_scale(scale));
-            if algo == "SSSP" {
-                sssp::run_sssp_mr(&mr, &g, 0, 1, iters, None)
-                    .unwrap()
-                    .report
-                    .finished
-                    .as_secs_f64()
-            } else {
-                pagerank::run_pagerank_mr(&mr, &g, 1, iters, None)
-                    .unwrap()
-                    .report
-                    .finished
-                    .as_secs_f64()
-            }
-        };
-        let t_star_imr = {
-            let imr = imr_runner_on(ClusterSpec::single().with_sample_scale(scale));
-            if algo == "SSSP" {
-                let cfg = IterConfig::new("sssp", 1, iters);
-                sssp::run_sssp_imr(&imr, &g, 0, &cfg)
-                    .unwrap()
-                    .report
-                    .finished
-                    .as_secs_f64()
-            } else {
-                let cfg = IterConfig::new("pr", 1, iters);
-                pagerank::run_pagerank_imr(&imr, &g, &cfg)
-                    .unwrap()
-                    .report
-                    .finished
-                    .as_secs_f64()
-            }
-        };
+        let single = ClusterSpec::single().with_sample_scale(scale);
+        let (t_star_mr, t_star_imr, _) = both_totals(w, &g, &single, 1, iters);
         let mut mr_pts = Vec::new();
         let mut imr_pts = Vec::new();
         let mut metrics = MetricsSnapshot::default();
         for n in [20usize, 50, 80] {
             let cluster = ClusterSpec::ec2(n).with_sample_scale(scale);
-            let (tn_mr, tn_imr) = if algo == "SSSP" {
-                let mr = mr_runner_on(cluster.clone());
-                let a = sssp::run_sssp_mr(&mr, &g, 0, n, iters, None).unwrap();
-                let imr = imr_runner_on(cluster.clone());
-                let cfg = IterConfig::new("sssp", n, iters);
-                let b = sssp::run_sssp_imr(&imr, &g, 0, &cfg).unwrap();
-                metrics = b.report.metrics;
-                (
-                    a.report.finished.as_secs_f64(),
-                    b.report.finished.as_secs_f64(),
-                )
-            } else {
-                let mr = mr_runner_on(cluster.clone());
-                let a = pagerank::run_pagerank_mr(&mr, &g, n, iters, None).unwrap();
-                let imr = imr_runner_on(cluster.clone());
-                let cfg = IterConfig::new("pr", n, iters);
-                let b = pagerank::run_pagerank_imr(&imr, &g, &cfg).unwrap();
-                metrics = b.report.metrics;
-                (
-                    a.report.finished.as_secs_f64(),
-                    b.report.finished.as_secs_f64(),
-                )
-            };
+            let (tn_mr, tn_imr, m) = both_totals(w, &g, &cluster, n, iters);
+            metrics = m;
             mr_pts.push((n as f64, t_star_mr / (tn_mr * n as f64)));
             imr_pts.push((n as f64, t_star_imr / (tn_imr * n as f64)));
         }
@@ -518,7 +427,7 @@ pub fn fig_parallel_efficiency(scale: f64, iters: usize) -> FigureResult {
 pub fn fig_kmeans(points_n: usize, dim: usize, k: usize, iters: usize) -> FigureResult {
     let points = generate_points(points_n, dim, k, 21);
     // Sample-scale compensation against the paper's 359,347 users.
-    let sample = (points_n as f64 / 359_347.0).min(1.0);
+    let sample = (points_n as f64 / LASTFM_USERS).min(1.0);
     let cluster = ClusterSpec::local(4).with_sample_scale(sample);
     let tasks = 4;
     let mut fig = FigureResult::new(
@@ -607,7 +516,7 @@ pub fn fig_kmeans_convergence(
     max_iters: usize,
 ) -> FigureResult {
     let points = generate_points(points_n, dim, k, 22);
-    let sample = (points_n as f64 / 359_347.0).min(1.0);
+    let sample = (points_n as f64 / LASTFM_USERS).min(1.0);
     let cluster = ClusterSpec::local(4).with_sample_scale(sample);
     let tasks = 4;
     let threshold = 1e-6;
@@ -686,5 +595,118 @@ pub fn fig_jacobi(n: usize, per_row: usize, iters: usize) -> FigureResult {
         jacobi::residual(&system, &x)
     ));
     report_metrics(&mut fig, "iMapReduce", &out.report.metrics);
+    fig
+}
+
+/// Ablation over iMapReduce's design choices (the knobs DESIGN.md
+/// calls out): asynchronous vs synchronous maps, eager vs batched
+/// reduce→map hand-off, checkpoint interval, migration-based load
+/// balancing on a heterogeneous cluster (DBLP-like SSSP), and the
+/// map-side Combiner (K-means, one2all).
+pub fn ablation(scale: f64, iters: usize) -> FigureResult {
+    let g = dataset("DBLP").unwrap().generate(scale);
+    let mut fig = FigureResult::new(
+        "ablation",
+        format!("Design-choice ablations (DBLP-like SSSP, scale {scale}, {iters} iters)"),
+        "variant index",
+        "total time (s)",
+    );
+
+    let run = |label: &str, cfg: IterConfig, spec: ClusterSpec| {
+        let r = imr_runner_on(spec);
+        sssp::load_sssp_imr(&r, &g, 0, cfg.num_tasks, "/a/state", "/a/static").unwrap();
+        let out = r
+            .run(
+                &sssp::SsspIter,
+                &cfg,
+                "/a/state",
+                "/a/static",
+                "/a/out",
+                &[],
+            )
+            .unwrap();
+        (
+            label.to_owned(),
+            out.report.finished.as_secs_f64(),
+            out.report.metrics,
+        )
+    };
+
+    let local = || ClusterSpec::local(4).with_sample_scale(scale);
+    let mut rows = vec![
+        run(
+            "baseline (async, batched handoff, ckpt=5)",
+            IterConfig::new("s", 4, iters),
+            local(),
+        ),
+        run(
+            "sync maps",
+            IterConfig::new("s", 4, iters).with_sync_maps(),
+            local(),
+        ),
+        run(
+            "eager handoff",
+            IterConfig::new("s", 4, iters).with_eager_handoff(),
+            local(),
+        ),
+        run(
+            "checkpoint every iteration",
+            IterConfig::new("s", 4, iters).with_checkpoint_interval(1),
+            local(),
+        ),
+        run(
+            "no checkpointing",
+            IterConfig::new("s", 4, iters).with_checkpoint_interval(0),
+            local(),
+        ),
+    ];
+
+    // Load balancing on a cluster with one crippled worker.
+    let mut hetero = local();
+    hetero.nodes[0].speed = 0.3;
+    rows.push(run(
+        "heterogeneous, no load balancing",
+        IterConfig::new("s", 4, iters).with_checkpoint_interval(1),
+        hetero.clone(),
+    ));
+    rows.push(run(
+        "heterogeneous, load balancing on",
+        IterConfig::new("s", 4, iters)
+            .with_checkpoint_interval(1)
+            .with_load_balance(LoadBalance {
+                deviation: 0.3,
+                max_migrations: 2,
+            }),
+        hetero,
+    ));
+
+    // Combiner ablation lives on the K-means side (one2all).
+    let points = generate_points((LASTFM_USERS * scale) as usize, 24, 10, 21);
+    for (label, combiner) in [("k-means, no combiner", false), ("k-means, combiner", true)] {
+        let r = imr_runner_on(local());
+        let cfg = IterConfig::new("km", 4, 10).with_one2all();
+        let out = kmeans::run_kmeans_imr(&r, &points, 10, &cfg, combiner).unwrap();
+        rows.push((
+            label.to_owned(),
+            out.report.finished.as_secs_f64(),
+            out.report.metrics,
+        ));
+    }
+
+    for (i, (label, t, _)) in rows.iter().enumerate() {
+        fig.note(format!("[{}] {label}: {t:.1}s", i + 1));
+    }
+    if let Some((label, _, m)) = rows
+        .iter()
+        .find(|(label, _, _)| label.contains("load balancing on"))
+    {
+        report_metrics(&mut fig, label, m);
+    }
+    let points_xy = rows
+        .iter()
+        .enumerate()
+        .map(|(i, (_, t, _))| ((i + 1) as f64, *t))
+        .collect();
+    fig.push_series("total time", points_xy);
     fig
 }

@@ -204,7 +204,7 @@ pub fn final_y(points: &[(f64, f64)]) -> f64 {
     points.last().map(|p| p.1).unwrap_or(f64::NAN)
 }
 
-/// Appends the uniform fault-counter note every experiment binary
+/// Appends the uniform fault-counter note every experiment
 /// carries in its JSON artifact: migrations, stall detections, and
 /// recoveries observed by the run labelled `label`. Figures whose runs
 /// share a metrics registry should pass a

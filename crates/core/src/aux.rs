@@ -70,9 +70,17 @@ where
     J: IterativeJob,
     A: AuxPhase<J::K, J::S>,
 {
+    cfg.validate(&[])?;
     if cfg.mapping != Mapping::One2All {
         return Err(EngineError::Config(
             "auxiliary phases are supported for one2all (K-means-like) jobs".into(),
+        ));
+    }
+    if cfg.resume || cfg.load_balance.is_some() {
+        return Err(EngineError::Config(
+            "the auxiliary-phase runner has no durable snapshot to resume from \
+             and never migrates pairs: resume and load_balance do not apply"
+                .into(),
         ));
     }
     let n = cfg.num_tasks;

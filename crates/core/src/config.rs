@@ -343,7 +343,8 @@ impl IterConfig {
     }
 
     /// Resumes from the newest complete snapshot under the output
-    /// directory (if any) instead of restarting at iteration 0.
+    /// directory (if any) instead of restarting at iteration 0. Native
+    /// engines only: the simulator refuses it with a `Config` error.
     pub fn with_resume(mut self) -> Self {
         self.resume = true;
         self

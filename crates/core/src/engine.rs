@@ -208,6 +208,13 @@ impl IterativeRunner {
                     .into(),
             ));
         }
+        if cfg.resume {
+            return Err(EngineError::Config(
+                "resume is native-only: the simulator restarts from iteration 0 \
+                 in virtual time and has no durable snapshot to resume from"
+                    .into(),
+            ));
+        }
         let n = cfg.num_tasks;
         check_slots(n, self.pair_capacity())?;
         check_inputs(&self.dfs, cfg, state_dir, static_dir)?;
@@ -549,9 +556,13 @@ impl IterativeRunner {
                     // failed only after `stall_timeout` of silence.
                     FaultEvent::Hang { .. } => {
                         self.metrics.stalls_detected.add(1);
+                        // unreachable: validate() refuses a Hang fault
+                        // when cfg.watchdog is None.
                         let wd = cfg.watchdog.expect("validate: hang requires watchdog");
                         decision_time + VDuration::from_secs_f64(wd.stall_timeout.as_secs_f64())
                     }
+                    // unreachable: `partition` above sends every Delay to
+                    // `delays`, never to `pending_failures`.
                     FaultEvent::Delay { .. } => unreachable!("delays never pend"),
                 };
                 recoveries += 1;
@@ -747,6 +758,8 @@ impl IterativeRunner {
         let eps = cfg
             .termination
             .distance_threshold
+            // unreachable: validate() refuses accumulative mode without a
+            // distance_threshold, and run_accumulative validates first.
             .expect("validate: accumulative mode needs a threshold");
         let max_checks = cfg.termination.max_iterations;
         let mut report = RunReport {

@@ -616,3 +616,46 @@ fn aux_phase_is_cheaper_than_a_sequential_check_would_be() {
     let b = plain.report.finished.as_secs_f64();
     assert!((a - b).abs() / b < 0.01, "aux added {a} vs {b}");
 }
+
+/// The simulator refuses a knob it would ignore: `run_faults` has no
+/// durable snapshot to resume from, and the auxiliary-phase runner
+/// validates its config and neither resumes nor migrates pairs.
+#[test]
+fn sim_refuses_knobs_it_would_ignore() {
+    let r = runner_on(ClusterSpec::local(4));
+    load_relax(&r, 16, 4);
+    let cfg = IterConfig::new("relax", 4, 3)
+        .with_checkpoint_interval(1)
+        .with_resume();
+    let out = r.run(&Relax, &cfg, "/state", "/static", "/out", &[]);
+    assert!(
+        matches!(&out, Err(EngineError::Config(msg)) if msg.contains("resume")),
+        "resume ran on the simulator: ok = {}",
+        out.is_ok()
+    );
+
+    let r = runner_on(ClusterSpec::local(4));
+    load_kmeans(&r, 4);
+    let aux = StableCentroids { eps: 1e-9 };
+    let base = || {
+        IterConfig::new("kmeans-aux", 4, 3)
+            .with_one2all()
+            .with_checkpoint_interval(1)
+    };
+    let lb = LoadBalance {
+        deviation: 0.3,
+        max_migrations: 1,
+    };
+    for (cfg, needle) in [
+        (base().with_load_balance(lb), "load_balance"),
+        (base().with_resume(), "resume"),
+        (base().with_accumulative_mode(), "accumulative"),
+    ] {
+        let out = run_with_aux(&r, &MiniKmeans, &aux, &cfg, "/centroids", "/points", "/out");
+        assert!(
+            matches!(&out, Err(EngineError::Config(msg)) if msg.contains(needle)),
+            "{needle}: run_with_aux did not refuse it (ok = {})",
+            out.is_ok()
+        );
+    }
+}

@@ -1,6 +1,7 @@
 //! The durable job catalog: every job's spec, lifecycle metadata and
-//! dead-letter record live in the DFS under a service namespace, so the
-//! catalog — not the coordinator process — is the source of truth.
+//! dead-letter record live in the DFS under the service namespace
+//! [`NS`], so the catalog — not the coordinator process — is the source
+//! of truth.
 //!
 //! Layout under a namespace root `ns`:
 //!
@@ -153,6 +154,10 @@ impl Codec for DlqEntry {
         self.id.encoded_len() + self.attempts.encoded_len() + self.reason.encoded_len()
     }
 }
+
+/// The DFS namespace root all of the service's catalog state lives
+/// under.
+pub const NS: &str = "/svc";
 
 fn job_dir(ns: &str, id: JobId) -> String {
     format!("{}/jobs/job-{id:05}", ns.trim_end_matches('/'))

@@ -8,7 +8,7 @@
 //! the final state with the workspace codec, which is what makes
 //! "resumed run equals uninterrupted run" checkable bit-for-bit.
 
-use crate::catalog::{self, JobId};
+use crate::catalog::{self, JobId, NS};
 use crate::spec::{AlgoSpec, EngineSel, JobSpec};
 use bytes::{Bytes, BytesMut};
 use imapreduce::{
@@ -44,8 +44,6 @@ pub struct ExecCtx {
     pub cluster: Arc<ClusterSpec>,
     /// Shared metrics registry.
     pub metrics: MetricsHandle,
-    /// Service namespace root in the DFS.
-    pub ns: String,
     /// Worker binary for TCP-engine jobs.
     pub worker_bin: Option<PathBuf>,
     /// Chaos schedule applied to TCP-engine attempts (`None` = clean).
@@ -121,9 +119,9 @@ pub fn run_job(
     trace: TraceHandle,
     telemetry: TelemetryHandle,
 ) -> Result<ResultRecord, EngineError> {
-    let state = catalog::state_dir(&ctx.ns, id);
-    let stat = catalog::static_dir(&ctx.ns, id);
-    let out = catalog::output_dir(&ctx.ns, id);
+    let state = catalog::state_dir(NS, id);
+    let stat = catalog::static_dir(NS, id);
+    let out = catalog::output_dir(NS, id);
     ensure_input(ctx, spec, &state, &stat)?;
     let cfg = build_cfg(spec, resume, ctx.chaos);
     match spec.algo {

@@ -17,7 +17,7 @@
 //! resume set, restarting from their newest complete checkpoint
 //! snapshot instead of iteration zero.
 
-use crate::catalog::{self, DlqEntry, JobId, JobMeta, JobPhase};
+use crate::catalog::{self, DlqEntry, JobId, JobMeta, JobPhase, NS};
 use crate::exec::{self, ExecCtx, ResultRecord};
 use crate::queue::AdmissionQueue;
 use crate::spec::{AlgoSpec, EngineSel, JobSpec};
@@ -118,8 +118,6 @@ fn next_report(
 /// Service-level configuration.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// DFS namespace root all catalog state lives under.
-    pub ns: String,
     /// Task slots on the shared fleet; a job occupies `spec.tasks` of
     /// them while running.
     pub slots: usize,
@@ -143,7 +141,6 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            ns: "/svc".into(),
             slots: 4,
             nodes: 4,
             worker_bin: None,
@@ -173,12 +170,6 @@ impl ServiceConfig {
     /// Sets the worker binary TCP-engine jobs are served by.
     pub fn with_worker_bin(mut self, bin: impl Into<PathBuf>) -> Self {
         self.worker_bin = Some(bin.into());
-        self
-    }
-
-    /// Sets the DFS namespace root.
-    pub fn with_ns(mut self, ns: impl Into<String>) -> Self {
-        self.ns = ns.into();
         self
     }
 
@@ -304,7 +295,7 @@ impl JobService {
         }
     }
 
-    /// Rebuilds a service from the journal under `cfg.ns`: finished
+    /// Rebuilds a service from the journal under `catalog::NS`: finished
     /// jobs come back as history, queued jobs re-enter the queue, and
     /// jobs that were running when the previous coordinator died are
     /// requeued with durable resume set.
@@ -315,16 +306,14 @@ impl JobService {
         cfg: ServiceConfig,
     ) -> Result<Self, EngineError> {
         let svc = Self::attach(dfs, cluster, metrics, cfg);
-        let listing = svc
-            .dfs
-            .list(&format!("{}/jobs/", svc.cfg.ns.trim_end_matches('/')));
-        let ids = catalog::scan_job_ids(&listing, &svc.cfg.ns);
+        let listing = svc.dfs.list(&format!("{NS}/jobs/"));
+        let ids = catalog::scan_job_ids(&listing, NS);
         let mut requeued = Vec::new();
         {
             let mut st = svc.state.lock();
             for id in ids {
-                let spec = svc.read_decoded::<JobSpec>(&catalog::spec_path(&svc.cfg.ns, id))?;
-                let mut meta = svc.read_decoded::<JobMeta>(&catalog::meta_path(&svc.cfg.ns, id))?;
+                let spec = svc.read_decoded::<JobSpec>(&catalog::spec_path(NS, id))?;
+                let mut meta = svc.read_decoded::<JobMeta>(&catalog::meta_path(NS, id))?;
                 if meta.id != id {
                     return Err(EngineError::Config(format!(
                         "catalog corrupt: meta for job {id} names job {}",
@@ -424,7 +413,7 @@ impl JobService {
         };
         let mut clock = TaskClock::default();
         self.dfs.put_atomic(
-            &catalog::spec_path(&self.cfg.ns, id),
+            &catalog::spec_path(NS, id),
             spec.to_bytes(),
             NodeId(0),
             &mut clock,
@@ -499,7 +488,7 @@ impl JobService {
 
     /// A completed job's journaled result, if present.
     pub fn result(&self, id: JobId) -> Result<Option<ResultRecord>, EngineError> {
-        let path = catalog::result_path(&self.cfg.ns, id);
+        let path = catalog::result_path(NS, id);
         if !self.dfs.exists(&path) {
             return Ok(None);
         }
@@ -510,7 +499,7 @@ impl JobService {
     /// Reads the DFS, so it sees dead letters from previous
     /// incarnations of the coordinator too.
     pub fn dlq(&self) -> Result<Vec<DlqEntry>, EngineError> {
-        let prefix = format!("{}/dlq/", self.cfg.ns.trim_end_matches('/'));
+        let prefix = format!("{NS}/dlq/");
         let mut entries = Vec::new();
         for path in self.dfs.list(&prefix) {
             if path.ends_with("/entry") {
@@ -523,7 +512,7 @@ impl JobService {
 
     /// A dead-lettered job's flight-recorder artifact (JSONL), if any.
     pub fn dlq_flight(&self, id: JobId) -> Result<Option<String>, EngineError> {
-        let path = catalog::dlq_flight_path(&self.cfg.ns, id);
+        let path = catalog::dlq_flight_path(NS, id);
         if !self.dfs.exists(&path) {
             return Ok(None);
         }
@@ -568,7 +557,6 @@ impl JobService {
             dfs: self.dfs.clone(),
             cluster: Arc::clone(&self.cluster),
             metrics: Arc::clone(&self.metrics),
-            ns: self.cfg.ns.clone(),
             worker_bin: self.cfg.worker_bin.clone(),
             chaos: self.cfg.chaos,
         }
@@ -693,7 +681,7 @@ impl JobService {
             Outcome::Completed(meta, rec) => {
                 let mut clock = TaskClock::default();
                 self.dfs.put_atomic(
-                    &catalog::result_path(&self.cfg.ns, id),
+                    &catalog::result_path(NS, id),
                     rec.to_bytes(),
                     NodeId(0),
                     &mut clock,
@@ -710,7 +698,7 @@ impl JobService {
                 };
                 let mut clock = TaskClock::default();
                 self.dfs.put_atomic(
-                    &catalog::dlq_entry_path(&self.cfg.ns, id),
+                    &catalog::dlq_entry_path(NS, id),
                     entry.to_bytes(),
                     NodeId(0),
                     &mut clock,
@@ -719,7 +707,7 @@ impl JobService {
                 // a retry-exhausted job never got that far, so the
                 // service captures the trailing window itself.
                 self.dfs.put_atomic(
-                    &catalog::dlq_flight_path(&self.cfg.ns, id),
+                    &catalog::dlq_flight_path(NS, id),
                     Bytes::from(flight_lines(&tail).into_bytes()),
                     NodeId(0),
                     &mut clock,
@@ -733,7 +721,7 @@ impl JobService {
     fn journal_meta(&self, meta: &JobMeta) -> Result<(), EngineError> {
         let mut clock = TaskClock::default();
         self.dfs.put_atomic(
-            &catalog::meta_path(&self.cfg.ns, meta.id),
+            &catalog::meta_path(NS, meta.id),
             meta.to_bytes(),
             NodeId(0),
             &mut clock,

@@ -9,26 +9,26 @@
 #   ./verify.sh lint       # clippy, warnings denied
 #   ./verify.sh build      # release build of the whole workspace
 #   ./verify.sh test       # debug test suite + release cross-engine suite
-#   ./verify.sh bench      # smoke-run every experiment binary at tiny size,
-#                          # rerun --bin all and --bin ablation at default
-#                          # scale and diff against results/, then
+#   ./verify.sh bench      # smoke-run every experiment (--bin all) at tiny
+#                          # size, rerun it at default scale and diff
+#                          # against results/, then
 #                          # benchmark/run.sh --quick (must be correct)
 #   ./verify.sh drift      # verify.sh subcommands <-> CI jobs bijection,
 #                          # wire enums <-> DESIGN.md §8 message table,
 #                          # every IterConfig builder has a caller,
-#                          # bench bins <-> BENCH_BINS <-> results/*.json,
+#                          # imr-bench's EXPERIMENTS ids <-> results/*.json,
 #                          # BENCH_*.json rows <-> BENCHMARK.json (needs jq),
 #                          # the newest CHANGES.md entry <= 6000 bytes,
 #                          # one `unsafe` site (crc.rs) and no unannotated
-#                          # panic site in imr-net / imr-native or in the
-#                          # core and shuffle kernels (accum, kernel,
-#                          # shuffle, sorted, codec)
+#                          # panic site in imr-net / imr-native, the sim
+#                          # driver (engine, aux) or the core and shuffle
+#                          # kernels (accum, kernel, shuffle, sorted, codec)
 #   ./verify.sh <suite>    # one row group of the SUITES table: faults,
 #                          # observe, service, delta, chaos, incremental
 #
 # Performance is not judged here: `benchmark/run.sh` (declared in
 # BENCHMARK.json) is the perf baseline; `bench` only proves the
-# experiment binaries still run and emit well-formed artifacts, and that
+# experiments still run and emit well-formed artifacts, and that
 # the benchmark itself still builds, runs and verifies its outputs.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -121,19 +121,19 @@ run_suite() {
   echo "$name: suites passed"
 }
 
-# The experiment binaries `bench` smoke-runs: everything under
-# crates/bench/src/bin except `all` (the same figures again) and
-# `trace_timeline` (smoked by `observe`). `drift` holds this list, that
-# directory and the committed results/ to each other.
-BENCH_BINS=(
-  table1 table2 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-  fig13 fig14 fig16 fig18 fig20 ablation
-)
+# The ids of imr-bench's EXPERIMENTS table (crates/bench/src/lib.rs),
+# one per line: the one list of the paper's experiments. `all` runs
+# them; `drift` holds them and the committed results/ to each other.
+experiment_ids() {
+  awk '/^pub const EXPERIMENTS/ { f = 1; next } f && /^\];/ { f = 0 } f' crates/bench/src/lib.rs \
+    | sed -n 's/^    row("\([a-z0-9_]*\)".*/\1/p'
+}
 
-# Smoke-run each experiment binary at tiny scale into a scratch
-# directory, check every emitted results/*.json carries the keys the
-# plotting/readme tooling relies on, then regenerate results/ at default
-# scale and require it byte-identical to the committed files.
+# Smoke-run every experiment at tiny scale into a scratch directory,
+# check it emits exactly the committed results/ set and that every
+# artifact carries the keys the plotting/readme tooling relies on, then
+# regenerate results/ at default scale and require it byte-identical to
+# the committed files.
 cmd_bench() {
   [ "$#" -eq 0 ] || { echo "bench: takes no flags (got $1)" >&2; exit 2; }
   cargo build --release --workspace
@@ -142,13 +142,12 @@ cmd_bench() {
   # The RETURN trap would fire again for the caller's return (where the
   # local is gone), so it removes itself after cleaning up.
   trap 'rm -rf "${out:-}"; trap - RETURN' RETURN
-  local bin
-  for bin in "${BENCH_BINS[@]}"; do
-    echo "bench-smoke: $bin"
-    timeout 600 "target/release/$bin" --scale 0.002 --iters 2 --out "$out" > /dev/null
-  done
+  echo "bench-smoke: all --scale 0.002 --iters 2"
+  timeout 600 target/release/all --scale 0.002 --iters 2 --out "$out/smoke" > /dev/null
+  diff <(ls results) <(ls "$out/smoke/results") >&2 \
+    || { echo "bench-smoke: committed results/ (left) and the artifacts all emits (right) differ" >&2; exit 1; }
   local n=0
-  for json in "$out"/results/*.json; do
+  for json in "$out"/smoke/results/*.json; do
     n=$((n + 1))
     # A bin that emits malformed JSON must fail the run here, loudly.
     jq empty "$json" 2> /dev/null \
@@ -158,15 +157,12 @@ cmd_bench() {
         || { echo "bench-smoke: $json is missing $key" >&2; exit 1; }
     done
   done
-  [ "$n" -ge "${#BENCH_BINS[@]}" ] \
-    || { echo "bench-smoke: expected >=${#BENCH_BINS[@]} artifacts, got $n" >&2; exit 1; }
   echo "bench-smoke: $n artifacts, all keys present"
-  # The committed results/ are what the bins emit at default scale, byte
+  # The committed results/ are what `all` emits at default scale, byte
   # for byte: EXPERIMENTS.md's tables are read off them.
   timeout 600 target/release/all --out "$out/repro" > /dev/null
-  timeout 600 target/release/ablation --out "$out/repro" > /dev/null
   diff -r results "$out/repro/results" \
-    || { echo "bench-repro: results/ differs from what --bin all and --bin ablation emit" >&2; exit 1; }
+    || { echo "bench-repro: results/ differs from what --bin all emits" >&2; exit 1; }
   echo "bench-repro: results/ reproduced byte for byte"
   # The benchmark the perf gate runs (BENCHMARK.json), at smoke size: a
   # change that breaks the surface benchmark/src/adapter.rs pins, a
@@ -273,10 +269,10 @@ exposition_smoke() {
 # And the configuration surface: every `pub fn with_*` builder on
 # `IterConfig` must be called somewhere outside the file that declares
 # it — a knob nothing sets is one value in use, i.e. a constant.
-# And the measurement surface: `bench` smoke-runs exactly the bins that
-# exist, and results/ holds only what those bins (and `all`'s jacobi
-# extra) emit — virtual-time artifacts; wall-clock belongs to benchmark/,
-# and what it read for each perf PR is committed as BENCH_<date>.json.
+# And the measurement surface: results/ holds exactly one artifact per
+# id of imr-bench's EXPERIMENTS table — virtual-time artifacts;
+# wall-clock belongs to benchmark/, and what it read for each perf PR is
+# committed as BENCH_<date>.json.
 # Cheap on purpose — no cargo involved — so CI runs it on every push.
 wire_variants() {
   awk -v open="pub enum $1 {" '$0 == open { f = 1; next } f && /^}/ { f = 0 } f' \
@@ -345,17 +341,13 @@ cmd_drift() {
   done
   echo "drift: all $knobs IterConfig builders have a caller outside $config"
 
-  local listed stray
-  listed=$(printf '%s\n' "${BENCH_BINS[@]}" | sort)
-  if ! diff <(echo "$listed") \
-    <(ls crates/bench/src/bin | sed 's/\.rs$//' | grep -vx -e all -e trace_timeline | sort) >&2; then
-    echo "drift: BENCH_BINS (left) and crates/bench/src/bin (right) differ" >&2
+  local ids
+  ids=$(experiment_ids | sort)
+  if [ -z "$ids" ] || ! diff <(echo "$ids") <(ls results | sed 's/\.json$//' | sort) >&2; then
+    echo "drift: EXPERIMENTS ids in crates/bench/src/lib.rs (left) and results/*.json (right) differ" >&2
     exit 1
   fi
-  stray=$(ls results | sed 's/\.json$//' | grep -vxF -e jacobi -e "$listed" || true)
-  [ -z "$stray" ] \
-    || { echo "drift: results/ holds artifacts no kept bin emits: $(paste -sd' ' <<< "$stray")" >&2; exit 1; }
-  echo "drift: bench smoke-runs all ${#BENCH_BINS[@]} experiment bins; results/ holds only their artifacts"
+  echo "drift: results/ holds exactly the $(echo "$ids" | wc -l) EXPERIMENTS artifacts"
 
   # The committed perf trajectory: every BENCH_*.json at the root is a
   # table of rows, each naming a workload and a metric BENCHMARK.json
@@ -413,19 +405,20 @@ cmd_drift() {
 
   # No panic on the TCP path: outside #[cfg(test)], every unwrap,
   # expect, assert, unreachable!, panic!, todo! or unimplemented! in
-  # imr-net, imr-native, the iteration kernel and delta store
+  # imr-net, imr-native, the sim driver (crates/core/src/{engine,aux}.rs),
+  # the iteration kernel and delta store
   # (crates/core/src/{accum,kernel}.rs) and the shuffle kernel
   # (crates/records/src/{shuffle,sorted,codec}.rs) carries
   # `// unreachable: <proof>` on its line or in the comment lines
   # directly above it.
   local panics
   panics=$(rust_code 1 $(find crates/net/src crates/native/src -name '*.rs' | sort) \
-      crates/core/src/{accum,kernel}.rs crates/records/src/{shuffle,sorted,codec}.rs \
+      crates/core/src/{accum,aux,engine,kernel}.rs crates/records/src/{shuffle,sorted,codec}.rs \
     | grep -E '^[^:]+:[0-9]+:[^@].*(\.unwrap\(\)|\.expect\(|(^|[^A-Za-z0-9_])((debug_)?assert(_eq|_ne)?|unreachable|panic|todo|unimplemented)!)' \
     || true)
   [ -z "$panics" ] \
     || { echo "drift: unannotated panic sites on the data path (add a typed error or // unreachable: <proof>):" >&2; echo "$panics" >&2; exit 1; }
-  echo "drift: every panic site outside tests in imr-net, imr-native and the core and shuffle kernels is annotated"
+  echo "drift: every panic site outside tests in imr-net, imr-native, the sim driver and the core and shuffle kernels is annotated"
 
   local subs jobs
   subs=$({
