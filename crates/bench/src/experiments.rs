@@ -531,7 +531,11 @@ pub fn fig_kmeans_convergence(
         kmeans::run_kmeans_mr(&mr, &points, k, tasks, max_iters, false, Some(threshold)).unwrap();
     fig.push_series("MapReduce", curve(&a.report));
     let imr = imr_runner_on(cluster.clone());
-    let cfg = IterConfig::new("km", tasks, max_iters).with_one2all();
+    // Fig. 20 compares convergence detection, not fault tolerance:
+    // neither side writes snapshots.
+    let cfg = IterConfig::new("km", tasks, max_iters)
+        .with_one2all()
+        .with_checkpoint_interval(0);
     let b = kmeans::run_kmeans_imr_aux(&imr, &points, k, &cfg, threshold).unwrap();
     fig.push_series("iMapReduce", curve(&b.report));
     fig.note(format!(

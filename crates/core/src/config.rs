@@ -200,8 +200,8 @@ pub struct IterConfig {
     pub load_balance: Option<LoadBalance>,
     /// Optional supervisor watchdog for unscripted-stall detection.
     pub watchdog: Option<WatchdogConfig>,
-    /// Shuffle fabric for the native backend (ignored by the
-    /// simulation engine, which models its own network).
+    /// Shuffle fabric for the native backend. The simulation engine
+    /// models its own network and refuses `Tcp` with a `Config` error.
     pub transport: TransportKind,
     /// Resume a previously interrupted run from the newest complete
     /// checkpoint snapshot under the output directory instead of

@@ -11,10 +11,13 @@
 //! The loop also implements the paper's runtime support: per-iteration
 //! termination checks merged at the master (§3.1.2), checkpoint-based
 //! fault tolerance with rollback (§3.4.1), and migration-based load
-//! balancing (§3.4.2).
+//! balancing (§3.4.2). The same loop runs the auxiliary phase of §5.3
+//! (`run_with_aux`) as one more step of each iteration, in parallel
+//! with the hand-off; it is written nowhere else.
 
 use crate::api::{IterativeJob, Mapping};
-use crate::config::{FailureEvent, FaultEvent, IterConfig};
+use crate::aux::AuxPhase;
+use crate::config::{FailureEvent, FaultEvent, IterConfig, TransportKind};
 use crate::kernel::{check_aligned, delta_in, fold_votes, reduce_side, MapScratch, MapState};
 use crate::observe::Observer;
 use crate::store::{check_inputs, check_slots};
@@ -200,7 +203,26 @@ impl IterativeRunner {
         output_dir: &str,
         faults: &[FaultEvent],
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
+        let dirs = [state_dir, static_dir, output_dir];
+        Ok(self.drive(job, cfg, dirs, faults, None)?.0)
+    }
+
+    /// The one iteration loop behind [`IterativeRunner::run_faults`] and
+    /// [`run_with_aux`](crate::run_with_aux). `dirs` are the state,
+    /// static and output directories. With `Some(aux)` (one2all only)
+    /// the auxiliary phase of §5.3 runs as one more step of each
+    /// iteration, off the critical path, and its stop signal ends the
+    /// run; the aux totals come back next to the outcome.
+    pub(crate) fn drive<J: IterativeJob>(
+        &self,
+        job: &J,
+        cfg: &IterConfig,
+        [state_dir, static_dir, output_dir]: [&str; 3],
+        faults: &[FaultEvent],
+        aux: Option<&dyn AuxPhase<J::K, J::S>>,
+    ) -> Result<(IterOutcome<J::K, J::S>, Vec<f64>), EngineError> {
         cfg.validate(faults)?;
+        refuse_tcp(cfg)?;
         if cfg.accumulative {
             return Err(EngineError::Config(
                 "cfg.accumulative is set: use run_accumulative for barrier-free \
@@ -216,11 +238,14 @@ impl IterativeRunner {
             ));
         }
         let n = cfg.num_tasks;
-        check_slots(n, self.pair_capacity())?;
+        // The aux tasks take n more pair slots and 2n more task launches.
+        let aux_tasks = if aux.is_some() { n } else { 0 };
+        check_slots(n + aux_tasks, self.pair_capacity())?;
         check_inputs(&self.dfs, cfg, state_dir, static_dir)?;
         let cost = &self.cluster.cost;
         let one2all = cfg.mapping == Mapping::One2All;
         self.metrics.jobs_launched.add(1);
+        self.metrics.tasks_launched.add(2 * aux_tasks as u64);
 
         // ---- One-time initialization (persistent task launch + load) --
         let job_start = VInstant::EPOCH + cost.job_setup;
@@ -287,6 +312,7 @@ impl IterativeRunner {
             ..RunReport::default()
         };
         let mut distances: Vec<f64> = Vec::new();
+        let mut aux_values: Vec<f64> = Vec::new();
         // Kills and hangs are consumed once recovery handles them;
         // delays stay scripted for the whole run so a rolled-back
         // iteration replays them identically (determinism).
@@ -439,6 +465,32 @@ impl IterativeRunner {
             report.iteration_done.push(iter_done);
             last_reduce_done.clone_from(&reduce_done);
 
+            // ---- Auxiliary phase (§5.3), in parallel -----------------
+            // Aux map q reads reduce q's buffered output locally at
+            // reduce_done[q] and ships one partial to the aux reducer on
+            // pair 0's node, which sums them and broadcasts the stop
+            // signal. From iteration 2 on: iteration 1 has no snapshot.
+            let mut stop_signal = None;
+            if let Some(aux) = aux.filter(|_| prev_out.iter().all(Option::is_some)) {
+                let mut aux_reduce = TaskClock::default();
+                let mut total = 0.0;
+                for q in 0..n {
+                    let mut clock = TaskClock::starting_at(reduce_done[q]);
+                    let (prev, cur) = (prev_out[q].as_deref().unwrap_or(&[]), &new_states[q]);
+                    total += aux.partial(prev, cur);
+                    let records = (prev.len() + cur.len()) as u64;
+                    let speed = self.cluster.speed(assignment[q]);
+                    clock.advance(cost.compute_time(records, new_state_bytes[q], speed));
+                    let ship = self.cluster.transfer_time(assignment[q], assignment[0], 16);
+                    aux_reduce.merge(clock.now() + ship);
+                }
+                aux_reduce.advance(cost.compute_time(n as u64, 0, 1.0));
+                aux_values.push(total);
+                if aux.should_terminate(total) {
+                    stop_signal = Some(aux_reduce.now() + cost.net_latency);
+                }
+            }
+
             // ---- State hand-off back to the map side -----------------
             if one2all {
                 // Broadcast: every reduce ships its output to all map
@@ -491,7 +543,7 @@ impl IterativeRunner {
             }
 
             // ---- Master: termination check ---------------------------
-            decision_time = iter_done + cost.net_latency;
+            decision_time = stop_signal.unwrap_or(iter_done + cost.net_latency);
             let (iter_distance, any_prev) = fold_votes(votes);
             if cfg.termination.distance_threshold.is_some() {
                 distances.push(if any_prev {
@@ -504,7 +556,7 @@ impl IterativeRunner {
                 Some(eps) => any_prev && iter_distance < eps,
                 None => false,
             };
-            let done = converged || iter == max_iters;
+            let done = converged || stop_signal.is_some() || iter == max_iters;
 
             // ---- Checkpointing (parallel with computation) -----------
             if !done && cfg.checkpoint_interval > 0 && iter.is_multiple_of(cfg.checkpoint_interval)
@@ -645,6 +697,7 @@ impl IterativeRunner {
                 generation += 1;
                 report.iteration_done.truncate(ckpt.iter);
                 distances.truncate(ckpt.iter);
+                aux_values.truncate(ckpt.iter.saturating_sub(1));
                 iter = ckpt.iter + 1;
                 continue;
             }
@@ -671,14 +724,15 @@ impl IterativeRunner {
         report.finished = finished;
         report.metrics = self.metrics.snapshot();
 
-        Ok(IterOutcome {
+        let outcome = IterOutcome {
             report,
             final_state,
             iterations,
             distances,
             migrations,
             recoveries,
-        })
+        };
+        Ok((outcome, aux_values))
     }
 
     /// Runs an [`Accumulative`](crate::Accumulative) job in the
@@ -709,6 +763,7 @@ impl IterativeRunner {
         use crate::accum::DeltaStore;
 
         cfg.validate(faults)?;
+        refuse_tcp(cfg)?;
         if !cfg.accumulative {
             return Err(EngineError::Config(
                 "run_accumulative needs cfg.with_accumulative_mode()".into(),
@@ -882,7 +937,7 @@ impl IterativeRunner {
     /// Launch-time load of a part a pair keeps on its local store: DFS
     /// read, decode and the one-time sort, charged to `clock`. Returns
     /// the records and their encoded size.
-    pub(crate) fn load_sorted_part<K: Codec, V: Codec>(
+    fn load_sorted_part<K: Codec, V: Codec>(
         &self,
         dir: &str,
         p: usize,
@@ -900,7 +955,7 @@ impl IterativeRunner {
     /// Launch-time load of the full one2all state: every part of
     /// `state_dir`, concatenated and key-sorted. Returns the records and
     /// their total encoded size; only the DFS reads are charged.
-    pub(crate) fn load_broadcast_state<K: Codec + Ord + Clone, S: Codec + Clone>(
+    fn load_broadcast_state<K: Codec + Ord + Clone, S: Codec + Clone>(
         &self,
         state_dir: &str,
         node: NodeId,
@@ -950,7 +1005,7 @@ impl IterativeRunner {
     /// One2all hand-off: reduce `q` ships `bytes[q]` to every map task
     /// once done; map `p`'s next activation is the barrier over all the
     /// broadcasts it receives.
-    pub(crate) fn broadcast_gates(
+    fn broadcast_gates(
         &self,
         reduce_done: &[VInstant],
         bytes: &[u64],
@@ -1144,11 +1199,22 @@ impl IterativeRunner {
     }
 }
 
+/// The simulator models its own network: a run configured for the
+/// native TCP fabric would silently simulate something else.
+fn refuse_tcp(cfg: &IterConfig) -> Result<(), EngineError> {
+    if cfg.transport == TransportKind::Tcp {
+        return Err(EngineError::Config(
+            "the simulation engine models its own network: with_tcp_transport \
+             (and chaos, which needs it) applies to the native backend only"
+                .into(),
+        ));
+    }
+    Ok(())
+}
+
 /// The one2all state every map task receives: the reduce outputs
 /// concatenated in task order, then key-sorted (stable).
-pub(crate) fn merge_broadcast<K: Codec + Ord + Clone, S: Clone>(
-    outs: &[Vec<(K, S)>],
-) -> Vec<(K, S)> {
+fn merge_broadcast<K: Codec + Ord + Clone, S: Clone>(outs: &[Vec<(K, S)>]) -> Vec<(K, S)> {
     let mut global: Vec<(K, S)> = outs.iter().flatten().cloned().collect();
     sort_run(&mut global);
     global

@@ -265,7 +265,7 @@ fn patch_one<J: Incremental>(
     key: u32,
     op: &GraphDeltaOp,
 ) -> PatchEffect {
-    // Unreachable: every caller passes a key it just found in `statics`
+    // unreachable: every caller passes a key it just found in `statics`
     // (the RemoveNode in-edge scan, the `contains_key(&src)` guards).
     let stat = statics.get_mut(&key).expect("patch target must exist");
     if !out.inserted.contains(&key) && !out.old_statics.contains_key(&key) {
@@ -327,7 +327,7 @@ pub fn apply_delta<J: Incremental>(
                         out.worsening_ops += 1;
                     }
                 }
-                // Unreachable: `contains_key(&node)` held on entry to this
+                // unreachable: `contains_key(&node)` held on entry to this
                 // arm and the patches above touch other keys only.
                 let stat = statics.remove(&node).expect("checked above");
                 if out.inserted.remove(&node) {
@@ -464,12 +464,12 @@ pub fn plan_incremental<J: Incremental>(
         // Group ⊕: inject (new emissions − old emissions) per changed
         // row; retract removed rows entirely.
         for (u, old_stat) in &applied.old_statics {
-            // Unreachable: `old_statics` only holds keys that pre-date the
-            // delta (in `values` by the co-keyed check above), and
-            // RemoveNode strips a key from it, so `values` still has `u`.
             let v = values
                 .get(u)
                 .or_else(|| removed_values.get(u))
+                // unreachable: `old_statics` only holds keys that pre-date
+                // the delta (in `values` by the co-keyed check above), and
+                // RemoveNode strips a key from it, so `values` still has `u`.
                 .expect("changed key has a previous value");
             retract(job, old_stat, *u, v, &mut emissions)?;
             if values.contains_key(u) {
@@ -503,10 +503,10 @@ pub fn plan_incremental<J: Incremental>(
         // Seeds from changed rows: old emissions that witnessed the
         // target and are no longer reproduced by the new row.
         for (u, old_stat) in &applied.old_statics {
-            // Unreachable, as in the invertible arm above.
             let v = values
                 .get(u)
                 .or_else(|| removed_values.get(u))
+                // unreachable: as in the invertible arm above.
                 .expect("changed key has a previous value");
             let new_em: Vec<(u32, J::S)> = if values.contains_key(u) {
                 extract_with(job, &statics[u], *u, v)

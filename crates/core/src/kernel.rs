@@ -8,10 +8,10 @@
 //! into its key's accumulator with the user `fold` as it arrives
 //! ([`imr_records::shuffle_in`]), finishes each key, carries forward
 //! keys that received nothing and measures the distance to the previous
-//! snapshot. The simulation engine, the native pair loop (threads and
-//! TCP) and the auxiliary-phase runner all call these two functions;
-//! each supplies only its own clock (through the [`ShuffleCost`] hook),
-//! transport and supervision. Cross-engine bit-identity therefore
+//! snapshot. The simulation engine's one iteration loop (which also
+//! drives the auxiliary phase) and the native pair loop (threads and
+//! TCP) both call these two functions; each supplies only its own
+//! clock (through the [`ShuffleCost`] hook), transport and supervision. Cross-engine bit-identity therefore
 //! follows from shared code.
 //!
 //! A pair is persistent, so its buffers are too: the emit buffer, the

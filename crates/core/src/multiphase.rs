@@ -77,19 +77,17 @@ pub struct TwoPhaseConfig {
     /// Fixed number of iterations (the paper's multi-phase example
     /// terminates by iteration count).
     pub max_iterations: usize,
-    /// Force synchronous map activation between phases.
-    pub sync_maps: bool,
 }
 
 impl TwoPhaseConfig {
-    /// A two-phase config with async maps.
+    /// A two-phase config; each map task activates as soon as its own
+    /// predecessor reduce task is done. `run_two_phase` refuses zero
+    /// tasks or zero iterations.
     pub fn new(name: impl Into<String>, num_tasks: usize, max_iterations: usize) -> Self {
-        assert!(num_tasks > 0 && max_iterations > 0);
         TwoPhaseConfig {
             name: name.into(),
             num_tasks,
             max_iterations,
-            sync_maps: false,
         }
     }
 }
@@ -141,12 +139,9 @@ fn run_phase<P: PhaseJob>(
     activations: &[VInstant],
     state: &[Vec<(P::InK, P::InS)>],
     statics: &[Vec<(P::InK, P::T)>],
-    sync: bool,
     metrics: &MetricsHandle,
 ) -> Result<(Vec<Vec<(P::MidK, P::OutS)>>, Vec<VInstant>), EngineError> {
     let cost = &runner.cluster().cost;
-    let gate = activations.iter().copied().max().unwrap_or(VInstant::EPOCH);
-
     let mut map_done = Vec::with_capacity(n);
     let mut segments = Vec::with_capacity(n);
     let mut emitter = Emitter::new();
@@ -154,7 +149,7 @@ fn run_phase<P: PhaseJob>(
     for p in 0..n {
         let node = assignment[p];
         let speed = runner.cluster().speed(node);
-        let start = if sync { gate } else { activations[p] };
+        let start = activations[p];
         let mut clock = TaskClock::starting_at(start);
 
         for (k, s) in &state[p] {
@@ -235,6 +230,12 @@ where
     P1: PhaseJob,
     P2: PhaseJob<InK = P1::MidK, InS = P1::OutS, MidK = P1::InK, OutS = P1::InS>,
 {
+    if cfg.num_tasks == 0 || cfg.max_iterations == 0 {
+        return Err(EngineError::Config(format!(
+            "two-phase job {}: num_tasks ({}) and max_iterations ({}) must be positive",
+            cfg.name, cfg.num_tasks, cfg.max_iterations
+        )));
+    }
     let n = cfg.num_tasks;
     // Two phases need 2 * num_tasks persistent pairs worth of slots.
     check_slots(2 * n, runner.pair_capacity())?;
@@ -284,7 +285,6 @@ where
             &activations,
             &state1,
             &statics1,
-            cfg.sync_maps,
             &metrics,
         )?;
         let (next_state, done) = run_phase(
@@ -297,7 +297,6 @@ where
             &mid_done,
             &mid_state,
             &statics2,
-            cfg.sync_maps,
             &metrics,
         )?;
         // Re-partition phase-2 output by phase-1's input partitioner

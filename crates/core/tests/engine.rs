@@ -659,3 +659,111 @@ fn sim_refuses_knobs_it_would_ignore() {
         );
     }
 }
+
+/// Two runs of MiniKmeans on fresh runners: a plain `run` and a
+/// `run_with_aux` whose aux phase never fires, both with `cfg` and
+/// both traced.
+#[allow(clippy::type_complexity)]
+fn plain_and_idle_aux(
+    cfg: &IterConfig,
+) -> (
+    imapreduce::IterOutcome<u32, (f64, u64)>,
+    imapreduce::AuxOutcome<u32, (f64, u64)>,
+    [Vec<imr_trace::TraceEvent>; 2],
+) {
+    let traces = [(); 2].map(|_| Arc::new(imr_trace::TraceBuffer::with_capacity(1 << 12)));
+    let r = runner_on(ClusterSpec::local(4)).with_trace(Arc::clone(&traces[0]));
+    load_kmeans(&r, 4);
+    let plain = r
+        .run(&MiniKmeans, cfg, "/centroids", "/points", "/o1", &[])
+        .unwrap();
+    let r = runner_on(ClusterSpec::local(4)).with_trace(Arc::clone(&traces[1]));
+    load_kmeans(&r, 4);
+    let aux = StableCentroids { eps: -1.0 }; // never terminates via aux
+    let with_aux =
+        run_with_aux(&r, &MiniKmeans, &aux, cfg, "/centroids", "/points", "/o2").unwrap();
+    (plain, with_aux, traces.map(|t| t.snapshot()))
+}
+
+/// The auxiliary phase is a step of the one loop, off the critical
+/// path: a run whose aux phase never fires is the plain run, instant
+/// for instant.
+#[test]
+fn idle_aux_phase_leaves_the_timeline_untouched() {
+    let cfg = IterConfig::new("kmeans", 4, 6).with_one2all();
+    let (plain, with_aux, _) = plain_and_idle_aux(&cfg);
+    assert_eq!(with_aux.report.iteration_done, plain.report.iteration_done);
+    assert_eq!(with_aux.report.finished, plain.report.finished);
+    assert_eq!(with_aux.final_state, plain.final_state);
+    assert_eq!(
+        with_aux.aux_values.len(),
+        5,
+        "one total per iteration from 2 on"
+    );
+}
+
+/// An aux run emits what the one loop emits: the plain run's event
+/// kinds for every pair and iteration, nothing fewer, nothing extra.
+#[test]
+fn aux_run_emits_the_plain_runs_trace() {
+    let cfg = IterConfig::new("kmeans", 4, 6).with_one2all();
+    let (_, _, [plain, with_aux]) = plain_and_idle_aux(&cfg);
+    let kinds = imr_trace::canonical_kinds(&with_aux);
+    assert!(!kinds.is_empty(), "the aux run emitted no events");
+    assert_eq!(kinds, imr_trace::canonical_kinds(&plain));
+}
+
+/// An aux run honours `checkpoint_interval` like every other run.
+#[test]
+fn aux_run_checkpoints() {
+    let cfg = IterConfig::new("kmeans", 4, 4)
+        .with_one2all()
+        .with_checkpoint_interval(1);
+    let (plain, with_aux, _) = plain_and_idle_aux(&cfg);
+    assert!(with_aux.report.metrics.checkpoint_bytes > 0);
+    assert_eq!(
+        with_aux.report.metrics.checkpoint_bytes,
+        plain.report.metrics.checkpoint_bytes
+    );
+}
+
+/// The simulator models its own network: a run configured for the
+/// native TCP fabric (and so for chaos, which needs it) is refused,
+/// not silently simulated over channels.
+#[test]
+fn sim_refuses_the_tcp_transport() {
+    let r = runner_on(ClusterSpec::local(4));
+    load_relax(&r, 16, 4);
+    let cfg = IterConfig::new("relax", 4, 3).with_tcp_transport();
+    let out = r.run(&Relax, &cfg, "/state", "/static", "/out", &[]);
+    assert_config_error(out, "with_tcp_transport");
+
+    let r = runner_on(ClusterSpec::local(4));
+    load_kmeans(&r, 4);
+    let aux = StableCentroids { eps: 1e-9 };
+    let cfg = IterConfig::new("kmeans-aux", 4, 3)
+        .with_one2all()
+        .with_tcp_transport();
+    let out = run_with_aux(&r, &MiniKmeans, &aux, &cfg, "/centroids", "/points", "/out");
+    assert_config_error(out, "with_tcp_transport");
+}
+
+/// `TwoPhaseConfig`'s fields are public, so `run_two_phase` itself
+/// refuses an empty job instead of reporting zero iterations.
+#[test]
+fn two_phase_refuses_zero_tasks_or_iterations() {
+    let r = runner_on(ClusterSpec::local(4));
+    let mut clock = TaskClock::default();
+    let state: Vec<((u32, u32), f64)> = (0..4u32).map(|g| ((g, 0), 1.0)).collect();
+    let partition = |k: &(u32, u32), n| Gather.partition_in(k, n);
+    load_partitioned(r.dfs(), "/state", state, 2, partition, &mut clock).unwrap();
+    let run = |cfg: &TwoPhaseConfig| {
+        run_two_phase(&r, &Gather, &Scatter, cfg, "/state", None, None, "/out")
+    };
+    let mut cfg = TwoPhaseConfig::new("x", 2, 1);
+    cfg.max_iterations = 0;
+    assert_config_error(run(&cfg), "max_iterations");
+    let mut cfg = TwoPhaseConfig::new("x", 2, 1);
+    cfg.num_tasks = 0;
+    assert_config_error(run(&cfg), "num_tasks");
+}

@@ -21,8 +21,9 @@
 #                          # the newest CHANGES.md entry <= 6000 bytes,
 #                          # one `unsafe` site (crc.rs) and no unannotated
 #                          # panic site in imr-net / imr-native, the sim
-#                          # driver (engine, aux) or the core and shuffle
-#                          # kernels (accum, kernel, shuffle, sorted, codec)
+#                          # drivers (engine, aux, multiphase, incremental)
+#                          # or the core and shuffle kernels (accum,
+#                          # kernel, shuffle, sorted, codec)
 #   ./verify.sh <suite>    # one row group of the SUITES table: faults,
 #                          # observe, service, delta, chaos, incremental
 #
@@ -406,19 +407,21 @@ cmd_drift() {
   # No panic on the TCP path: outside #[cfg(test)], every unwrap,
   # expect, assert, unreachable!, panic!, todo! or unimplemented! in
   # imr-net, imr-native, the sim driver (crates/core/src/{engine,aux}.rs),
-  # the iteration kernel and delta store
-  # (crates/core/src/{accum,kernel}.rs) and the shuffle kernel
+  # the two-phase and incremental drivers
+  # (crates/core/src/{multiphase,incremental}.rs), the iteration kernel
+  # and delta store (crates/core/src/{accum,kernel}.rs) and the shuffle kernel
   # (crates/records/src/{shuffle,sorted,codec}.rs) carries
   # `// unreachable: <proof>` on its line or in the comment lines
   # directly above it.
   local panics
   panics=$(rust_code 1 $(find crates/net/src crates/native/src -name '*.rs' | sort) \
-      crates/core/src/{accum,aux,engine,kernel}.rs crates/records/src/{shuffle,sorted,codec}.rs \
+      crates/core/src/{accum,aux,engine,incremental,kernel,multiphase}.rs \
+      crates/records/src/{shuffle,sorted,codec}.rs \
     | grep -E '^[^:]+:[0-9]+:[^@].*(\.unwrap\(\)|\.expect\(|(^|[^A-Za-z0-9_])((debug_)?assert(_eq|_ne)?|unreachable|panic|todo|unimplemented)!)' \
     || true)
   [ -z "$panics" ] \
     || { echo "drift: unannotated panic sites on the data path (add a typed error or // unreachable: <proof>):" >&2; echo "$panics" >&2; exit 1; }
-  echo "drift: every panic site outside tests in imr-net, imr-native, the sim driver and the core and shuffle kernels is annotated"
+  echo "drift: every panic site outside tests in imr-net, imr-native, the sim drivers and the core and shuffle kernels is annotated"
 
   local subs jobs
   subs=$({
