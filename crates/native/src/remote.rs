@@ -36,8 +36,15 @@
 //!   bounded hand-off as the bounded channels. A pair's link to itself
 //!   is a queue inside its [`WorkerConn`] under the same credit, so the
 //!   hub routes only between *processes*; a segment or credit naming a
-//!   pair the job does not have settles its sender with a typed error
-//!   instead of being dropped.
+//!   pair the job does not have, or its own sender, settles that sender
+//!   with a typed error instead of being dropped or looped back.
+//! * **A forward copies nothing**: a segment leaves the hub framed from
+//!   the very buffer it was read into (`ToWorker::parts` borrows the
+//!   payload; one CRC streams over head and payload), and once written
+//!   that buffer is the spare the link's next segment is read into
+//!   ([`FrameReader::read_into`]), so a steady run neither copies a
+//!   segment nor faults in fresh pages for one. Every other frame the
+//!   hub writes is framed from its parts too.
 //! * **The hub routes, the generation records**: the coordinator owns
 //!   what is about connections — segment and credit forwarding, the
 //!   gather slots, which connections reached EOF, and putting poison on
@@ -76,7 +83,7 @@ use imapreduce::{
 use imr_mapreduce::io::num_parts;
 use imr_mapreduce::EngineError;
 use imr_net::chaos::{ChaosDirection, ChaosState, ChaosStream, DIR_INBOUND, DIR_OUTBOUND};
-use imr_net::frame::{FrameReader, FrameWriter, HEADER_LEN};
+use imr_net::frame::{reclaim, FrameReader, FrameWriter, Parts, HEADER_LEN};
 use imr_net::proto::{ToCoord, ToWorker, WorkerSetup};
 use imr_net::{Closed, FrameAction, NetError, NetPolicy, Transport, WorkerConn};
 use imr_records::Codec;
@@ -365,16 +372,17 @@ struct CoordLink {
 }
 
 impl CoordLink {
-    /// Writes one frame, letting the chaos schedule (if any, and unless
-    /// the frame is teardown control traffic) damage it first.
-    fn send(&mut self, payload: &[u8], control: bool) -> Result<(), NetError> {
+    /// Writes one frame from its parts, letting the chaos schedule (if
+    /// any, and unless the frame is teardown control traffic) damage it
+    /// first. Only a damaged frame is built contiguously.
+    fn send(&mut self, parts: &Parts<'_>, control: bool) -> Result<(), NetError> {
         let action = match (&mut self.chaos, control) {
-            (Some(dir), false) => dir.frame_action(HEADER_LEN + payload.len()),
+            (Some(dir), false) => dir.frame_action(HEADER_LEN + parts.len()),
             _ => FrameAction::Deliver,
         };
         match action {
             FrameAction::Deliver => {
-                self.writer.write(payload)?;
+                self.writer.write_parts(parts)?;
                 self.writer.get_mut().flush()?;
             }
             FrameAction::Drop => {
@@ -383,19 +391,19 @@ impl CoordLink {
                 self.writer.skip();
             }
             FrameAction::Corrupt { bit } => {
-                let mut encoded = self.writer.encode_next(payload)?;
+                let mut encoded = self.writer.encode_next(&parts.concat())?;
                 encoded[bit / 8] ^= 1 << (bit % 8);
                 self.writer.get_mut().write_all(&encoded)?;
                 self.writer.get_mut().flush()?;
             }
             FrameAction::Duplicate => {
-                let encoded = self.writer.encode_next(payload)?;
+                let encoded = self.writer.encode_next(&parts.concat())?;
                 self.writer.get_mut().write_all(&encoded)?;
                 self.writer.get_mut().write_all(&encoded)?;
                 self.writer.get_mut().flush()?;
             }
             FrameAction::Reset { cut } => {
-                let encoded = self.writer.encode_next(payload)?;
+                let encoded = self.writer.encode_next(&parts.concat())?;
                 let cut = cut.min(encoded.len().saturating_sub(1));
                 self.writer.get_mut().write_all(&encoded[..cut])?;
                 self.writer.get_mut().flush()?;
@@ -439,14 +447,14 @@ impl Coordinator<'_> {
     /// EOF, so write errors are ignored here. Subject to chaos when the
     /// link carries a schedule.
     fn send_to(&self, q: usize, msg: &ToWorker) {
-        let _ = self.writers[q].lock().send(&msg.to_bytes(), false);
+        let _ = self.writers[q].lock().send(&msg.parts(), false);
     }
 
     /// Like [`Coordinator::send_to`] but never chaos-damaged: poison
     /// and drain frames are the teardown path itself, so injecting
     /// faults into them would stall the recovery they trigger.
     fn send_ctl(&self, q: usize, msg: &ToWorker) {
-        let _ = self.writers[q].lock().send(&msg.to_bytes(), true);
+        let _ = self.writers[q].lock().send(&msg.parts(), true);
     }
 
     /// Poisons the generation (idempotent): latch for the monitor,
@@ -678,9 +686,14 @@ fn run_generation(
 /// vanished — synthesized as a recoverable abort. A failed integrity
 /// check ([`NetError::Corrupt`]) is counted and traced, then tears the
 /// connection down the same way — never decoded.
+///
+/// A segment is forwarded from the frame it arrived in, and once that
+/// frame is written on, its buffer is the spare this link's next
+/// segment is read into; the pair's outcome (or EOF) drops it.
 fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStream<TcpStream>>) {
+    let mut spare = None;
     loop {
-        let msg = match reader.read() {
+        let msg = match reader.read_into(&mut spare) {
             Ok(mut frame) => match ToCoord::decode(&mut frame) {
                 Ok(msg) => msg,
                 Err(_) => break,
@@ -701,10 +714,20 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
                 // Routed without the state lock: per-link order is the
                 // per-connection FIFO order, and flow control is the
                 // sender's credit, not a queue here.
-                if dest < co.n {
-                    co.send_to(dest, &ToWorker::Segment { src: q, payload });
-                } else {
-                    co.settle(q, Err(no_such_pair(q, "a segment for", dest, co.n)));
+                match misaddressed(q, "a segment for", dest, co.n) {
+                    None => {
+                        co.send_to(
+                            dest,
+                            &ToWorker::Segment {
+                                src: q,
+                                payload: payload.clone(),
+                            },
+                        );
+                        // The message went with the statement: the
+                        // frame's buffer is ours alone again.
+                        spare = reclaim(payload);
+                    }
+                    Some(e) => co.settle(q, Err(e)),
                 }
             }
             ToCoord::PatchStats {
@@ -731,13 +754,10 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
                     co.settle(q, Err(mismatch));
                 }
             }
-            ToCoord::Credit { src } => {
-                if src < co.n {
-                    co.send_to(src, &ToWorker::Credit { dest: q });
-                } else {
-                    co.settle(q, Err(no_such_pair(q, "a credit for", src, co.n)));
-                }
-            }
+            ToCoord::Credit { src } => match misaddressed(q, "a credit for", src, co.n) {
+                None => co.send_to(src, &ToWorker::Credit { dest: q }),
+                Some(e) => co.settle(q, Err(e)),
+            },
             ToCoord::Gather { part } => {
                 let mut st = co.state.lock();
                 st.gather[q] = Some(part);
@@ -785,7 +805,10 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
                     },
                 ),
             },
-            ToCoord::Outcome(outcome) => co.settle(q, outcome.map_err(EngineError::Worker)),
+            ToCoord::Outcome(outcome) => {
+                spare = None;
+                co.settle(q, outcome.map_err(EngineError::Worker));
+            }
             ToCoord::Trace { payload } => {
                 // Replay the worker's batch through the run's observer,
                 // exactly as if the pair had emitted here: rebase
@@ -815,13 +838,23 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
     co.state.lock().settled[q] = true;
 }
 
-/// Pair `q` addressed a frame to a pair the job does not have. Dropping
-/// it would leave the real destination blocked until a watchdog fires
-/// (or for ever without one), so it ends the run with a typed error.
-fn no_such_pair(q: usize, what: &str, index: usize, n: usize) -> EngineError {
-    EngineError::Worker(format!(
-        "pair {q} sent {what} pair {index}, but the job has {n} pairs"
-    ))
+/// The typed error for pair `q` addressing a frame to a pair the job
+/// does not have, or to itself, if it did. Dropping such a frame would
+/// leave the real destination blocked until a watchdog fires (or for
+/// ever without one); forwarding a self-addressed one would feed the
+/// pair's own queue a stray segment or mint an extra own-link credit —
+/// a wrong answer, not a failure. So either ends the run.
+fn misaddressed(q: usize, what: &str, index: usize, n: usize) -> Option<EngineError> {
+    let why = if index >= n {
+        format!("but the job has {n} pairs")
+    } else if index == q {
+        "but a pair's own link never crosses the wire".to_owned()
+    } else {
+        return None;
+    };
+    Some(EngineError::Worker(format!(
+        "pair {q} sent {what} pair {index}, {why}"
+    )))
 }
 
 /// Accepts and validates `n` worker connections for `generation`.
@@ -1321,6 +1354,29 @@ mod tests {
             (
                 ToCoord::Credit { src: 9 },
                 "pair 0 sent a credit for pair 9, but the job has 2 pairs",
+            ),
+        ] {
+            match settle_after(rogue.clone()) {
+                Err(EngineError::Worker(got)) => assert_eq!(got, message),
+                other => panic!("{rogue:?} settled as {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_self_addressed_segment_or_credit_is_a_typed_failure_not_a_forward() {
+        let segment = ToCoord::Segment {
+            dest: 0,
+            payload: Bytes::from(vec![7u8; 16]),
+        };
+        for (rogue, message) in [
+            (
+                segment,
+                "pair 0 sent a segment for pair 0, but a pair's own link never crosses the wire",
+            ),
+            (
+                ToCoord::Credit { src: 0 },
+                "pair 0 sent a credit for pair 0, but a pair's own link never crosses the wire",
             ),
         ] {
             match settle_after(rogue.clone()) {

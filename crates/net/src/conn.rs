@@ -21,14 +21,25 @@
 //! reader thread would have filled and `recv(own)` returns the credit
 //! itself. The coordinator only ever sees traffic between processes.
 //!
+//! Every frame is written from its parts ([`ToCoord::parts`]): a
+//! segment goes onto the socket from the allocation the shuffle kernel
+//! encoded it into, never copied into a message first. Once written,
+//! that allocation is ours alone again, and it becomes the reader's
+//! spare ([`FrameReader::read_into`]): the next large frame from the
+//! coordinator — typically the peer's segment of the next round — is
+//! read into it rather than into fresh memory the allocator must fault
+//! in. The connection keeps at most two such buffers (one with the
+//! reader, one waiting for it) and drops them with itself.
+//!
 //! Any reader-side error (EOF, truncation, a `Poison` frame, a segment
-//! or credit naming a pair the job does not have) marks the connection
+//! or credit naming a pair the job does not have, or naming this pair
+//! itself — its own link never crosses the wire) marks the connection
 //! poisoned and wakes every waiter; blocked operations then
 //! fail with [`Closed`], which the pair loop surfaces as an aborted
 //! generation — the same cascade the thread backend gets from
 //! channel disconnects and the poisoned barrier.
 
-use crate::frame::{FrameReader, FrameWriter};
+use crate::frame::{reclaim, FrameReader, FrameWriter};
 use crate::policy::NetPolicy;
 use crate::proto::{PairOutcome, ToCoord, ToWorker, WorkerSetup};
 use crate::transport::{Closed, Transport};
@@ -55,6 +66,8 @@ struct ConnState {
     /// Incremental-mode patch expectation from the coordinator
     /// (`(bytes, digest)` of our epoch-0 warm-start part).
     patch: Option<(u64, u64)>,
+    /// A sent segment's buffer, waiting to become the reader's spare.
+    spare: Option<Vec<u8>>,
     poisoned: bool,
     /// The coordinator asked for an orderly shutdown ([`ToWorker::Drain`]).
     /// Implies `poisoned` so every waiter unwinds, but lets the worker
@@ -124,7 +137,7 @@ impl WorkerConn {
             generation,
             job,
         };
-        writer.write(&hello.to_bytes())?;
+        writer.write_parts(&hello.parts())?;
         writer.get_mut().flush()?;
 
         // The setup frame always comes first; guard the handshake with
@@ -154,13 +167,14 @@ impl WorkerConn {
                 gathered: None,
                 part: None,
                 patch: None,
+                spare: None,
                 poisoned: false,
                 drained: false,
             }),
             cv: Condvar::new(),
         });
         let reader_shared = Arc::clone(&shared);
-        let reader = std::thread::spawn(move || reader_loop(reader, reader_shared));
+        let reader = std::thread::spawn(move || reader_loop(reader, pair, reader_shared));
         Ok((
             WorkerConn {
                 pair,
@@ -176,7 +190,7 @@ impl WorkerConn {
 
     fn write(&mut self, msg: &ToCoord) -> Result<(), Closed> {
         self.writer
-            .write(&msg.to_bytes())
+            .write_parts(&msg.parts())
             .and_then(|()| self.writer.get_mut().flush().map_err(NetError::from))
             .map_err(|_| Closed)
     }
@@ -336,7 +350,17 @@ impl Transport for WorkerConn {
             self.lock().queues[dest].push_back(seg);
             return Ok(());
         }
-        self.write(&ToCoord::Segment { dest, payload: seg })
+        self.write(&ToCoord::Segment {
+            dest,
+            payload: seg.clone(),
+        })?;
+        // Written, and the message gone with its handle: the segment's
+        // allocation is ours alone again, and takes the reader's next
+        // large frame.
+        if let Some(buf) = reclaim(seg) {
+            self.lock().spare.get_or_insert(buf);
+        }
+        Ok(())
     }
 
     fn recv(&mut self, src: usize) -> Result<Bytes, Closed> {
@@ -367,9 +391,10 @@ impl Drop for WorkerConn {
     }
 }
 
-fn reader_loop(mut reader: FrameReader<TcpStream>, shared: Arc<ConnShared>) {
+fn reader_loop(mut reader: FrameReader<TcpStream>, pair: usize, shared: Arc<ConnShared>) {
+    let mut spare = None;
     while let Ok(msg) = reader
-        .read()
+        .read_into(&mut spare)
         .and_then(|mut b| Ok(ToWorker::decode(&mut b)?))
     {
         let mut state = shared
@@ -379,14 +404,17 @@ fn reader_loop(mut reader: FrameReader<TcpStream>, shared: Arc<ConnShared>) {
         match msg {
             // A pair index outside the job cannot be delivered, and
             // dropping it would leave its consumer (or producer) waiting
-            // for ever: the connection is unusable.
+            // for ever: the connection is unusable. So is one naming
+            // this pair: its own link never crosses the wire, and taking
+            // the frame would feed the own queue a stray segment or mint
+            // an extra own-link credit.
             ToWorker::Segment { src, payload } => match state.queues.get_mut(src) {
-                Some(queue) => queue.push_back(payload),
-                None => state.poisoned = true,
+                Some(queue) if src != pair => queue.push_back(payload),
+                _ => state.poisoned = true,
             },
             ToWorker::Credit { dest } => match state.credits.get_mut(dest) {
-                Some(credit) => *credit += 1,
-                None => state.poisoned = true,
+                Some(credit) if dest != pair => *credit += 1,
+                _ => state.poisoned = true,
             },
             ToWorker::GatherAll { parts } => state.gathered = Some(parts),
             ToWorker::PartData { payload } => state.part = Some(Ok(payload)),
@@ -403,6 +431,9 @@ fn reader_loop(mut reader: FrameReader<TcpStream>, shared: Arc<ConnShared>) {
             }
             ToWorker::Setup(_) => {}
         }
+        if spare.is_none() {
+            spare = state.spare.take();
+        }
         drop(state);
         shared.cv.notify_all();
     }
@@ -418,6 +449,7 @@ fn reader_loop(mut reader: FrameReader<TcpStream>, shared: Arc<ConnShared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::SPARE_FLOOR;
     use crate::proto::sample_setup;
     use std::net::TcpListener;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -600,5 +632,52 @@ mod tests {
             assert_eq!(conn.recv(1), Err(Closed), "after {rogue:?}");
             assert!(conn.is_poisoned());
         }
+    }
+
+    #[test]
+    fn a_frame_naming_this_pair_poisons_the_connection() {
+        for rogue in [
+            ToWorker::Segment {
+                src: 0,
+                payload: seg(7),
+            },
+            ToWorker::Credit { dest: 0 },
+        ] {
+            let (mut conn, mut coord) = connect(0, 2, 1);
+            coord.send(&rogue);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !conn.is_poisoned() && Instant::now() < deadline {
+                thread::sleep(Duration::from_millis(5));
+            }
+            assert!(conn.is_poisoned(), "{rogue:?} was taken");
+            // Neither a stray segment on the own queue nor an extra
+            // own-link credit: one send fits the one credit, no more.
+            conn.send(0, seg(1)).unwrap();
+            assert_eq!(conn.send(0, seg(2)), Err(Closed), "after {rogue:?}");
+            assert_eq!(conn.recv(0).unwrap(), seg(1));
+            assert_eq!(conn.recv(0), Err(Closed), "after {rogue:?}");
+        }
+    }
+
+    #[test]
+    fn the_next_large_frame_lands_in_the_segment_last_sent() {
+        let (own, peer) = (0, 1);
+        let (mut conn, mut coord) = connect(own, 2, 1);
+        let sent = Bytes::from(vec![1u8; 2 * SPARE_FLOOR]);
+        let at = sent.as_ptr();
+        conn.send(peer, sent).unwrap();
+        assert!(matches!(coord.next(), Some(ToCoord::Segment { .. })));
+        // One round: the peer took the segment, its credit comes back.
+        coord.send(&ToWorker::Credit { dest: peer });
+        let reply = Bytes::from(vec![2u8; 2 * SPARE_FLOOR - 16]);
+        coord.send(&ToWorker::Segment {
+            src: peer,
+            payload: reply.clone(),
+        });
+        let got = conn.recv(peer).unwrap();
+        assert_eq!(got, reply);
+        // The frame is read whole into the spare; the payload follows
+        // the head: tag, source and a three-byte length.
+        assert_eq!(got.as_ptr(), at.wrapping_add(5), "not the sent allocation");
     }
 }

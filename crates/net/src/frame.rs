@@ -33,10 +33,18 @@
 //! A corrupt connection is torn down by the caller and flows into the
 //! supervisor's reconnect-with-replay path; framing never resyncs
 //! in-stream.
+//!
+//! No payload is copied on its way through: a message is framed from
+//! its [`Parts`] — scalar fields encoded into a small head, bulk bytes
+//! borrowed where they lie — with one CRC streamed over the pieces, and
+//! a frame of at least [`SPARE_FLOOR`] bytes is read straight into a
+//! recycled buffer ([`FrameReader::read_into`], fed by [`reclaim`])
+//! instead of memory just handed back to the OS.
 
 use crate::crc::Crc32;
 use crate::NetError;
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
+use imr_records::Codec;
 use std::io::{ErrorKind, Read, Write};
 
 /// Maximum payload size accepted on the wire (64 MiB).
@@ -54,6 +62,11 @@ pub const PREAMBLE_LEN: usize = 8;
 /// Bytes of the per-frame header (length + CRC).
 pub const HEADER_LEN: usize = 8;
 
+/// The smallest payload [`FrameReader::read_into`] reads into a spare
+/// buffer. Anything smaller gets a buffer of its own: a heartbeat must
+/// never pin a multi-megabyte spare.
+pub const SPARE_FLOOR: usize = 64 << 10;
+
 /// The 8-byte preamble a sender opens its direction with.
 pub fn preamble() -> [u8; PREAMBLE_LEN] {
     let mut p = [0u8; PREAMBLE_LEN];
@@ -64,10 +77,83 @@ pub fn preamble() -> [u8; PREAMBLE_LEN] {
 
 /// The CRC a frame with sequence number `seq` and `payload` carries.
 pub fn frame_crc(seq: u64, payload: &[u8]) -> u32 {
-    Crc32::new()
-        .update(&seq.to_be_bytes())
-        .update(payload)
+    pieces_crc(seq, &[payload])
+}
+
+/// [`frame_crc`] of the payload the concatenated `pieces` form.
+fn pieces_crc(seq: u64, pieces: &[&[u8]]) -> u32 {
+    pieces
+        .iter()
+        .fold(Crc32::new().update(&seq.to_be_bytes()), |crc, p| {
+            crc.update(p)
+        })
         .finish()
+}
+
+/// One frame's payload in pieces: the encoded scalar fields in a head,
+/// and each bulk field borrowed, spliced in where its length prefix in
+/// the head ends. [`FrameWriter::write_parts`] sends exactly the bytes
+/// [`Parts::concat`] would hold, without building them.
+#[derive(Default)]
+pub struct Parts<'a> {
+    head: BytesMut,
+    /// `(head offset, bytes)`, in offset order.
+    bulk: Vec<(usize, &'a [u8])>,
+}
+
+impl<'a> Parts<'a> {
+    /// Appends `value`'s encoding to the head.
+    pub fn put<T: Codec>(&mut self, value: &T) -> &mut Self {
+        value.encode(&mut self.head);
+        self
+    }
+
+    /// Appends `bytes` as a `Bytes` field — its length into the head,
+    /// the bytes themselves by reference.
+    pub fn bulk(&mut self, bytes: &'a [u8]) -> &mut Self {
+        bytes.len().encode(&mut self.head);
+        self.bulk.push((self.head.len(), bytes));
+        self
+    }
+
+    /// Payload length.
+    pub fn len(&self) -> usize {
+        self.head.len() + self.bulk.iter().map(|(_, b)| b.len()).sum::<usize>()
+    }
+
+    /// True for an empty payload.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The payload's pieces in wire order (empty ones left out).
+    pub fn pieces(&self) -> Vec<&[u8]> {
+        let mut pieces = Vec::with_capacity(2 * self.bulk.len() + 1);
+        let mut from = 0;
+        for &(at, bytes) in &self.bulk {
+            pieces.push(&self.head[from..at]);
+            pieces.push(bytes);
+            from = at;
+        }
+        pieces.push(&self.head[from..]);
+        pieces.retain(|p| !p.is_empty());
+        pieces
+    }
+
+    /// The payload as one buffer — a copy only a chaos-damaged frame
+    /// needs.
+    pub fn concat(&self) -> Vec<u8> {
+        self.pieces().concat()
+    }
+}
+
+/// The allocation behind `bytes`, emptied, as a spare for
+/// [`FrameReader::read_into`] — if no other handle shares it and it is
+/// large enough to take a frame a spare is offered for.
+pub fn reclaim(mut bytes: Bytes) -> Option<Vec<u8>> {
+    bytes.clear();
+    let buf = Vec::from(bytes.try_into_mut().ok()?);
+    (buf.capacity() >= SPARE_FLOOR).then_some(buf)
 }
 
 /// Encodes one complete frame (header + payload) for sequence number
@@ -101,14 +187,27 @@ impl<W: Write> FrameWriter<W> {
 
     /// Writes one frame. The caller flushes.
     pub fn write(&mut self, payload: &[u8]) -> Result<(), NetError> {
-        if payload.len() > MAX_FRAME {
-            return Err(NetError::FrameTooLarge(payload.len()));
+        self.write_pieces(&[payload])
+    }
+
+    /// Writes one frame from its parts, with no copy of their bytes.
+    /// The caller flushes.
+    pub fn write_parts(&mut self, parts: &Parts<'_>) -> Result<(), NetError> {
+        self.write_pieces(&parts.pieces())
+    }
+
+    fn write_pieces(&mut self, pieces: &[&[u8]]) -> Result<(), NetError> {
+        let len: usize = pieces.iter().map(|p| p.len()).sum();
+        if len > MAX_FRAME {
+            return Err(NetError::FrameTooLarge(len));
         }
-        self.inner
-            .write_all(&(payload.len() as u32).to_be_bytes())?;
-        self.inner
-            .write_all(&frame_crc(self.seq, payload).to_be_bytes())?;
-        self.inner.write_all(payload)?;
+        let mut header = [0u8; HEADER_LEN];
+        header[..4].copy_from_slice(&(len as u32).to_be_bytes());
+        header[4..].copy_from_slice(&pieces_crc(self.seq, pieces).to_be_bytes());
+        self.inner.write_all(&header)?;
+        for piece in pieces {
+            self.inner.write_all(piece)?;
+        }
         self.seq += 1;
         Ok(())
     }
@@ -204,6 +303,19 @@ impl<R: Read> FrameReader<R> {
     /// Reads one frame, blocking until it is complete, and verifies
     /// its CRC against the expected sequence number.
     pub fn read(&mut self) -> Result<Bytes, NetError> {
+        self.read_into(&mut None)
+    }
+
+    /// [`FrameReader::read`], with a spare buffer on offer: a payload of
+    /// at least [`SPARE_FLOOR`] bytes takes `spare`, leaving it `None`.
+    /// It lands in the spare when it fits; a spare too small is dropped
+    /// before the frame's own buffer is allocated, so the allocator can
+    /// hand its memory straight back — a peer's segment is often a few
+    /// bytes longer than the sent one whose buffer is on offer. A
+    /// smaller frame gets a buffer of its own and leaves `spare` alone.
+    /// Either way the body is read straight into spare capacity, never
+    /// zero-filled first.
+    pub fn read_into(&mut self, spare: &mut Option<Vec<u8>>) -> Result<Bytes, NetError> {
         let mut header = [0u8; HEADER_LEN];
         read_full(&mut self.inner, &mut header, "frame header")?;
         let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
@@ -211,14 +323,26 @@ impl<R: Read> FrameReader<R> {
         if len > MAX_FRAME {
             return Err(NetError::FrameTooLarge(len));
         }
-        let mut payload = vec![0u8; len];
-        self.inner.read_exact(&mut payload).map_err(|e| {
-            if e.kind() == ErrorKind::UnexpectedEof {
-                NetError::Io("connection truncated inside frame body".into())
-            } else {
-                NetError::Io(e.to_string())
+        let mut payload = match spare.take_if(|_| len >= SPARE_FLOOR) {
+            Some(mut buf) if buf.capacity() >= len => {
+                buf.clear();
+                buf
             }
-        })?;
+            short => {
+                // Released first, so its memory can serve this frame.
+                drop(short);
+                Vec::with_capacity(len)
+            }
+        };
+        (&mut self.inner)
+            .take(len as u64)
+            .read_to_end(&mut payload)
+            .map_err(|e| NetError::Io(e.to_string()))?;
+        if payload.len() < len {
+            return Err(NetError::Io(
+                "connection truncated inside frame body".into(),
+            ));
+        }
         let seq = self.seq;
         if frame_crc(seq, &payload) != wire_crc {
             return Err(NetError::Corrupt { seq });
@@ -482,5 +606,145 @@ mod tests {
         assert_eq!(seq, 1);
         let mut r2 = FrameReader::from_parts(cursor, seq);
         assert_eq!(r2.read().unwrap().as_slice(), b"two");
+    }
+
+    /// A head with two bulk fields spliced in, one of them large.
+    fn sample_parts<'a>(small: &'a [u8], large: &'a [u8]) -> Parts<'a> {
+        let mut parts = Parts::default();
+        parts
+            .put(&4u8)
+            .put(&2usize)
+            .bulk(small)
+            .put(&7u64)
+            .bulk(large);
+        parts
+    }
+
+    #[test]
+    fn a_frame_from_parts_is_the_frame_of_their_concatenation() {
+        let large = vec![0xC3u8; 3 * SPARE_FLOOR];
+        let parts = sample_parts(b"tiny", &large);
+        let whole = parts.concat();
+        assert_eq!(parts.len(), whole.len());
+        let mut from_parts = FrameWriter::new(Vec::new()).unwrap();
+        let mut from_whole = FrameWriter::new(Vec::new()).unwrap();
+        let mut chaos = FrameWriter::new(Vec::new()).unwrap();
+        for _ in 0..3 {
+            from_parts.write_parts(&parts).unwrap();
+            from_whole.write(&whole).unwrap();
+            // What the chaos injector damages: the same parts, joined.
+            let encoded = chaos.encode_next(&parts.concat()).unwrap();
+            chaos.get_mut().extend_from_slice(&encoded);
+        }
+        assert_eq!(from_parts.seq(), 3);
+        assert_eq!(chaos.seq(), 3);
+        let wire = std::mem::take(from_parts.get_mut());
+        assert!(wire == *from_whole.get_mut(), "parts vs concatenation");
+        assert!(wire == *chaos.get_mut(), "parts vs encode_next");
+        let crc = u32::from_be_bytes(wire[PREAMBLE_LEN + 4..PREAMBLE_LEN + 8].try_into().unwrap());
+        assert_eq!(crc, frame_crc(0, &whole));
+        let mut r = FrameReader::new(Cursor::new(wire));
+        r.expect_preamble().unwrap();
+        for _ in 0..3 {
+            assert!(r.read().unwrap() == whole);
+        }
+    }
+
+    #[test]
+    fn an_oversized_frame_from_parts_is_rejected_unsent() {
+        let huge = vec![0u8; MAX_FRAME];
+        let mut w = FrameWriter::new(Vec::new()).unwrap();
+        let parts = sample_parts(b"", &huge);
+        assert!(matches!(
+            w.write_parts(&parts),
+            Err(NetError::FrameTooLarge(_))
+        ));
+        assert_eq!(w.seq(), 0);
+        assert_eq!(w.get_mut().len(), PREAMBLE_LEN);
+    }
+
+    /// A reader over `payloads`, each written as one frame.
+    fn reader_of(payloads: &[Vec<u8>]) -> FrameReader<Cursor<Vec<u8>>> {
+        let slices: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+        round_trip_setup(&slices)
+    }
+
+    #[test]
+    fn a_large_frame_lands_in_the_spare() {
+        let payload = vec![0x11u8; SPARE_FLOOR];
+        let mut r = reader_of(&[payload.clone(), payload.clone()]);
+        let spare = Vec::with_capacity(SPARE_FLOOR + 10);
+        let at = spare.as_ptr();
+        let mut spare = Some(spare);
+        let got = r.read_into(&mut spare).unwrap();
+        assert!(got == payload);
+        assert_eq!(got.as_ptr(), at, "read into the spare's allocation");
+        assert!(spare.is_none(), "the frame took the spare");
+        // A spare that is too small is released for the frame's own.
+        let mut short = Some(vec![0x44u8; SPARE_FLOOR - 1]);
+        assert!(r.read_into(&mut short).unwrap() == payload);
+        assert!(short.is_none(), "a large frame takes the spare");
+    }
+
+    #[test]
+    fn a_small_frame_leaves_the_spare_where_it_is() {
+        let mut r = reader_of(&[b"beat".to_vec(), vec![0x22u8; SPARE_FLOOR - 1]]);
+        let mut spare = Some(Vec::with_capacity(4 * SPARE_FLOOR));
+        let at = spare.as_ref().map(|s| s.as_ptr());
+        assert_eq!(r.read_into(&mut spare).unwrap().as_slice(), b"beat");
+        let below_floor = r.read_into(&mut spare).unwrap();
+        assert_eq!(below_floor.len(), SPARE_FLOOR - 1);
+        assert_ne!(Some(below_floor.as_ptr()), at);
+        assert_eq!(spare.as_ref().map(|s| s.as_ptr()), at, "spare untouched");
+    }
+
+    #[test]
+    fn a_hostile_length_fails_before_touching_the_spare() {
+        for len in [MAX_FRAME as u32 + 1, u32::MAX] {
+            let mut w = FrameWriter::new(Vec::new()).unwrap();
+            w.write(b"x").unwrap();
+            let mut buf = std::mem::take(w.get_mut());
+            buf[PREAMBLE_LEN..PREAMBLE_LEN + 4].copy_from_slice(&len.to_be_bytes());
+            let mut r = FrameReader::new(Cursor::new(buf));
+            r.expect_preamble().unwrap();
+            let mut spare = Some(Vec::with_capacity(SPARE_FLOOR));
+            match r.read_into(&mut spare) {
+                Err(NetError::FrameTooLarge(got)) => assert_eq!(got, len as usize),
+                other => panic!("expected FrameTooLarge, got {other:?}"),
+            }
+            assert_eq!(spare.map(|s| s.capacity()), Some(SPARE_FLOOR));
+        }
+    }
+
+    #[test]
+    fn a_truncated_body_read_into_a_spare_is_not_a_clean_close() {
+        let mut w = FrameWriter::new(Vec::new()).unwrap();
+        w.write(&vec![0x33u8; SPARE_FLOOR]).unwrap();
+        let mut buf = std::mem::take(w.get_mut());
+        buf.truncate(buf.len() - 1);
+        let mut r = FrameReader::new(Cursor::new(buf));
+        r.expect_preamble().unwrap();
+        match r.read_into(&mut Some(Vec::with_capacity(SPARE_FLOOR))) {
+            Err(NetError::Io(msg)) => assert!(msg.contains("frame body")),
+            other => panic!("expected Io truncation, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn only_a_large_unshared_buffer_is_reclaimed() {
+        let big = Bytes::from(vec![1u8; SPARE_FLOOR]);
+        let at = big.as_ptr();
+        let view = big.slice(5..);
+        drop(big);
+        let buf = reclaim(view).expect("unique and large");
+        assert!(buf.is_empty());
+        assert_eq!(buf.as_ptr(), at);
+        assert!(buf.capacity() >= SPARE_FLOOR);
+
+        let shared = Bytes::from(vec![1u8; SPARE_FLOOR]);
+        let other = shared.clone();
+        assert!(reclaim(shared).is_none(), "another handle still reads it");
+        assert!(reclaim(other).is_some());
+        assert!(reclaim(Bytes::from(vec![1u8; SPARE_FLOOR - 1])).is_none());
     }
 }

@@ -4,7 +4,11 @@
 //! byte followed by the [`Codec`]-encoded fields. Shuffle segments,
 //! gather parts and checkpoint bodies travel as opaque `Bytes` —
 //! already encoded by the worker — so the coordinator routes them
-//! without knowing the job's key/state types.
+//! without knowing the job's key/state types. Each enum encodes once,
+//! as [`Parts`] (`ToCoord::parts`, `ToWorker::parts`): scalar fields
+//! into a small head, those `Bytes` borrowed, so the frame writer sends
+//! a segment from its own allocation and never copies it into a
+//! message buffer.
 //!
 //! The contract carries one of each thing: one segment class
 //! (`Segment`, for shuffle and delta rounds alike), one collective
@@ -19,6 +23,7 @@
 //! every variant with its sender and handler; `verify.sh drift` fails
 //! when that table and these enums differ.
 
+use crate::frame::Parts;
 use bytes::{Bytes, BytesMut};
 use imr_records::{Codec, CodecError, CodecResult};
 
@@ -219,17 +224,17 @@ pub struct WorkerSetup {
 /// The wire form of [`ToCoord::Outcome`], one flat record for every
 /// ending: `(tag, iteration, bytes)`, where `bytes` is the final
 /// partition of a finish or the text of a failure.
-fn outcome_parts(outcome: &Result<PairOutcome, String>) -> (u8, usize, Bytes) {
+fn outcome_parts(outcome: &Result<PairOutcome, String>) -> (u8, usize, &[u8]) {
     match outcome {
         Ok(PairOutcome::Finished {
             final_data,
             iterations,
-        }) => (0, *iterations, final_data.clone()),
-        Ok(PairOutcome::Induced { at_iteration }) => (1, *at_iteration, Bytes::new()),
-        Ok(PairOutcome::Stalled { at_iteration }) => (2, *at_iteration, Bytes::new()),
-        Ok(PairOutcome::Aborted) => (3, 0, Bytes::new()),
-        Ok(PairOutcome::Vanish) => (4, 0, Bytes::new()),
-        Err(message) => (5, 0, Bytes::from(message.clone().into_bytes())),
+        }) => (0, *iterations, final_data),
+        Ok(PairOutcome::Induced { at_iteration }) => (1, *at_iteration, &[]),
+        Ok(PairOutcome::Stalled { at_iteration }) => (2, *at_iteration, &[]),
+        Ok(PairOutcome::Aborted) => (3, 0, &[]),
+        Ok(PairOutcome::Vanish) => (4, 0, &[]),
+        Err(message) => (5, 0, message.as_bytes()),
     }
 }
 
@@ -301,74 +306,58 @@ struct_codec!(WorkerSetup {
     plan
 });
 
-impl Codec for ToCoord {
-    fn encode(&self, buf: &mut BytesMut) {
+impl ToCoord {
+    /// This message's frame payload for [`FrameWriter::write_parts`]:
+    /// a tag byte and the scalar fields encoded, every bulk field
+    /// borrowed. The one encoder of the message; [`Codec::encode`]
+    /// concatenates it.
+    ///
+    /// [`FrameWriter::write_parts`]: crate::frame::FrameWriter::write_parts
+    pub fn parts(&self) -> Parts<'_> {
+        let mut p = Parts::default();
         match self {
             ToCoord::Hello {
                 pair,
                 generation,
                 job,
-            } => {
-                0u8.encode(buf);
-                pair.encode(buf);
-                generation.encode(buf);
-                job.encode(buf);
-            }
-            ToCoord::Segment { dest, payload } => {
-                1u8.encode(buf);
-                dest.encode(buf);
-                payload.encode(buf);
-            }
-            ToCoord::Credit { src } => {
-                2u8.encode(buf);
-                src.encode(buf);
-            }
-            ToCoord::Gather { part } => {
-                4u8.encode(buf);
-                part.encode(buf);
-            }
+            } => p.put(&0u8).put(pair).put(generation).put(job),
+            ToCoord::Segment { dest, payload } => p.put(&1u8).put(dest).bulk(payload),
+            ToCoord::Credit { src } => p.put(&2u8).put(src),
+            ToCoord::Gather { part } => p.put(&4u8).bulk(part),
             ToCoord::Beat {
                 iteration,
                 busy_secs,
                 d,
                 has_prev,
                 counts,
-            } => {
-                6u8.encode(buf);
-                iteration.encode(buf);
-                busy_secs.encode(buf);
-                d.encode(buf);
-                has_prev.encode(buf);
-                counts.encode(buf);
-            }
-            ToCoord::Ckpt { iteration, payload } => {
-                7u8.encode(buf);
-                iteration.encode(buf);
-                payload.encode(buf);
-            }
-            ToCoord::ReadPart { dir, part } => {
-                8u8.encode(buf);
-                dir.encode(buf);
-                part.encode(buf);
-            }
+            } => p
+                .put(&6u8)
+                .put(iteration)
+                .put(busy_secs)
+                .put(d)
+                .put(has_prev)
+                .put(counts),
+            ToCoord::Ckpt { iteration, payload } => p.put(&7u8).put(iteration).bulk(payload),
+            ToCoord::ReadPart { dir, part } => p.put(&8u8).put(dir).put(part),
             ToCoord::Outcome(outcome) => {
-                9u8.encode(buf);
-                outcome_parts(outcome).encode(buf);
+                let (tag, iteration, bytes) = outcome_parts(outcome);
+                p.put(&9u8).put(&tag).put(&iteration).bulk(bytes)
             }
-            ToCoord::Trace { payload } => {
-                10u8.encode(buf);
-                payload.encode(buf);
-            }
+            ToCoord::Trace { payload } => p.put(&10u8).bulk(payload),
             ToCoord::PatchStats {
                 keys,
                 bytes,
                 digest,
-            } => {
-                13u8.encode(buf);
-                keys.encode(buf);
-                bytes.encode(buf);
-                digest.encode(buf);
-            }
+            } => p.put(&13u8).put(keys).put(bytes).put(digest),
+        };
+        p
+    }
+}
+
+impl Codec for ToCoord {
+    fn encode(&self, buf: &mut BytesMut) {
+        for piece in self.parts().pieces() {
+            buf.extend_from_slice(piece);
         }
     }
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
@@ -418,76 +407,42 @@ impl Codec for ToCoord {
         })
     }
     fn encoded_len(&self) -> usize {
-        1 + match self {
-            ToCoord::Hello {
-                pair,
-                generation,
-                job,
-            } => pair.encoded_len() + generation.encoded_len() + job.encoded_len(),
-            ToCoord::Segment { dest, payload } => dest.encoded_len() + payload.encoded_len(),
-            ToCoord::Credit { src } => src.encoded_len(),
-            ToCoord::Gather { part } => part.encoded_len(),
-            ToCoord::Beat {
-                iteration,
-                busy_secs,
-                d,
-                has_prev,
-                counts,
-            } => {
-                iteration.encoded_len()
-                    + busy_secs.encoded_len()
-                    + d.encoded_len()
-                    + has_prev.encoded_len()
-                    + counts.encoded_len()
+        self.parts().len()
+    }
+}
+
+impl ToWorker {
+    /// This message's frame payload for [`FrameWriter::write_parts`],
+    /// as [`ToCoord::parts`] is for the other direction.
+    ///
+    /// [`FrameWriter::write_parts`]: crate::frame::FrameWriter::write_parts
+    pub fn parts(&self) -> Parts<'_> {
+        let mut p = Parts::default();
+        match self {
+            ToWorker::Setup(setup) => p.put(&0u8).put(setup.as_ref()),
+            ToWorker::Segment { src, payload } => p.put(&1u8).put(src).bulk(payload),
+            ToWorker::Credit { dest } => p.put(&2u8).put(dest),
+            ToWorker::GatherAll { parts } => {
+                p.put(&4u8).put(&parts.len());
+                for part in parts {
+                    p.bulk(part);
+                }
+                &mut p
             }
-            ToCoord::Ckpt { iteration, payload } => iteration.encoded_len() + payload.encoded_len(),
-            ToCoord::ReadPart { dir, part } => dir.encoded_len() + part.encoded_len(),
-            ToCoord::Outcome(outcome) => outcome_parts(outcome).encoded_len(),
-            ToCoord::Trace { payload } => payload.encoded_len(),
-            ToCoord::PatchStats {
-                keys,
-                bytes,
-                digest,
-            } => keys.encoded_len() + bytes.encoded_len() + digest.encoded_len(),
-        }
+            ToWorker::PartData { payload } => p.put(&6u8).bulk(payload),
+            ToWorker::PartErr { message } => p.put(&7u8).put(message),
+            ToWorker::Poison => p.put(&8u8),
+            ToWorker::Drain => p.put(&9u8),
+            ToWorker::Patch { bytes, digest } => p.put(&11u8).put(bytes).put(digest),
+        };
+        p
     }
 }
 
 impl Codec for ToWorker {
     fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            ToWorker::Setup(setup) => {
-                0u8.encode(buf);
-                setup.encode(buf);
-            }
-            ToWorker::Segment { src, payload } => {
-                1u8.encode(buf);
-                src.encode(buf);
-                payload.encode(buf);
-            }
-            ToWorker::Credit { dest } => {
-                2u8.encode(buf);
-                dest.encode(buf);
-            }
-            ToWorker::GatherAll { parts } => {
-                4u8.encode(buf);
-                parts.encode(buf);
-            }
-            ToWorker::PartData { payload } => {
-                6u8.encode(buf);
-                payload.encode(buf);
-            }
-            ToWorker::PartErr { message } => {
-                7u8.encode(buf);
-                message.encode(buf);
-            }
-            ToWorker::Poison => 8u8.encode(buf),
-            ToWorker::Drain => 9u8.encode(buf),
-            ToWorker::Patch { bytes, digest } => {
-                11u8.encode(buf);
-                bytes.encode(buf);
-                digest.encode(buf);
-            }
+        for piece in self.parts().pieces() {
+            buf.extend_from_slice(piece);
         }
     }
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
@@ -521,16 +476,7 @@ impl Codec for ToWorker {
         })
     }
     fn encoded_len(&self) -> usize {
-        1 + match self {
-            ToWorker::Setup(setup) => setup.encoded_len(),
-            ToWorker::Segment { src, payload } => src.encoded_len() + payload.encoded_len(),
-            ToWorker::Credit { dest } => dest.encoded_len(),
-            ToWorker::GatherAll { parts } => parts.encoded_len(),
-            ToWorker::PartData { payload } => payload.encoded_len(),
-            ToWorker::PartErr { message } => message.encoded_len(),
-            ToWorker::Poison | ToWorker::Drain => 0,
-            ToWorker::Patch { bytes, digest } => bytes.encoded_len() + digest.encoded_len(),
-        }
+        self.parts().len()
     }
 }
 

@@ -423,6 +423,20 @@ cmd_drift() {
     || { echo "drift: unannotated panic sites on the data path (add a typed error or // unreachable: <proof>):" >&2; echo "$panics" >&2; exit 1; }
   echo "drift: every panic site outside tests in imr-net, imr-native, the sim drivers and the core and shuffle kernels is annotated"
 
+  # One send path on the TCP data path: every frame is written from its
+  # parts (`FrameWriter::write_parts`), bulk bytes borrowed, so outside
+  # #[cfg(test)] no `ToCoord` / `ToWorker` is copied into a buffer by
+  # `.to_bytes()` — neither one named on the line nor a variable the
+  # code binds to either type (`msg: &ToCoord`, `let m = ToWorker::…`).
+  local tcp_code names copies
+  tcp_code=$(rust_code 1 $(find crates/net/src crates/native/src -name '*.rs' | sort))
+  names=$(grep -oE '[a-z_][a-z0-9_]* *: *&?(mut )?To(Coord|Worker)([^A-Za-z0-9_]|$)|let (mut )?[a-z_][a-z0-9_]* *= *To(Coord|Worker)::' <<< "$tcp_code" \
+    | sed -E 's/^let (mut )?//; s/[ :=].*//' | sort -u | paste -sd'|' || true)
+  copies=$(grep -E "To(Coord|Worker)[^;]*\.to_bytes\(\)${names:+|(^|[^A-Za-z0-9_.])($names)\.to_bytes\(\)}" <<< "$tcp_code" || true)
+  [ -z "$copies" ] \
+    || { echo "drift: a wire message copied by .to_bytes() instead of framed from its parts:" >&2; echo "$copies" >&2; exit 1; }
+  echo "drift: every ToCoord/ToWorker frame outside tests is written from its parts"
+
   local subs jobs
   subs=$({
     grep -o '^cmd_[a-z_]*' verify.sh | sed 's/^cmd_//' | grep -v '^all$'
