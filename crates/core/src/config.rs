@@ -395,6 +395,12 @@ impl IterConfig {
     /// [`EngineError::Config`] everywhere instead of an engine-specific
     /// panic, deadlock, or silent fallback:
     ///
+    /// * a job needs at least one task pair and one iteration (the
+    ///   fields are public, so [`IterConfig::new`]'s asserts can be
+    ///   bypassed);
+    /// * a knob no engine would read is refused, not ignored:
+    ///   `delta_batch` and `check_every` outside accumulative mode,
+    ///   `eager_handoff` under one2all;
     /// * kills and hangs need `checkpoint_interval > 0` — recovery
     ///   replays from a checkpoint epoch;
     /// * load balancing needs `checkpoint_interval > 0` — migration
@@ -405,6 +411,13 @@ impl IterConfig {
     /// Delay faults alone are fine without checkpoints: a delayed pair
     /// still completes.
     pub fn validate(&self, faults: &[FaultEvent]) -> Result<(), EngineError> {
+        if self.num_tasks == 0 || self.termination.max_iterations == 0 {
+            return Err(EngineError::Config(format!(
+                "a job needs at least one task pair and one iteration, got num_tasks = {} \
+                 and max_iterations = {}",
+                self.num_tasks, self.termination.max_iterations
+            )));
+        }
         if self.incremental && !self.accumulative {
             return Err(EngineError::Config(
                 "incremental mode requires accumulative mode: warm-start \
@@ -462,6 +475,20 @@ impl IterConfig {
                         .into(),
                 ));
             }
+        }
+        if !self.accumulative && (self.delta_batch != 0 || self.check_every != 1) {
+            return Err(EngineError::Config(
+                "delta_batch and check_every shape accumulative mode's delta rounds: \
+                 without with_accumulative_mode no engine reads them"
+                    .into(),
+            ));
+        }
+        if self.eager_handoff && self.mapping == Mapping::One2All {
+            return Err(EngineError::Config(
+                "eager_handoff streams a pair's state to its own map task: one2all \
+                 broadcasts every reduce output to every map instead"
+                    .into(),
+            ));
         }
         let needs_recovery = faults
             .iter()

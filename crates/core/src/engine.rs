@@ -14,18 +14,27 @@
 //! balancing (§3.4.2). The same loop runs the auxiliary phase of §5.3
 //! (`run_with_aux`) as one more step of each iteration, in parallel
 //! with the hand-off; it is written nowhere else.
+//!
+//! A checkpoint is the DFS snapshot and nothing else: part `q` is pair
+//! `q`'s reduce-side state, in the layout the native pair loop writes
+//! (the carried-forward partition under one2one, the pair's own reduce
+//! output under one2all). A rollback — a failure or a migration —
+//! reloads every pair's state from those bytes, or from the job's input
+//! at epoch 0, with the loader the launch uses.
 
 use crate::api::{IterativeJob, Mapping};
 use crate::aux::AuxPhase;
 use crate::config::{FailureEvent, FaultEvent, IterConfig, TransportKind};
-use crate::kernel::{check_aligned, delta_in, fold_votes, reduce_side, MapScratch, MapState};
+use crate::kernel::{
+    check_aligned, delta_in, fold_votes, merge_broadcast, reduce_side, MapScratch, MapState,
+};
 use crate::observe::Observer;
 use crate::store::{check_inputs, check_slots};
 use bytes::Bytes;
 use imr_dfs::Dfs;
 use imr_mapreduce::io::{num_parts, part_path, read_part};
 use imr_mapreduce::{ClockCharge, EngineError};
-use imr_records::{encode_pairs, pairs_encoded_len, sort_run, Codec};
+use imr_records::{encode_pairs, pairs_encoded_len, sort_run, Codec, Key, Value};
 use imr_simcluster::{
     ClusterSpec, MetricsHandle, NodeId, RunReport, TaskClock, VDuration, VInstant,
 };
@@ -79,13 +88,17 @@ fn tag(node: NodeId, pair: usize, iter: usize, generation: u32) -> Tag {
     }
 }
 
-/// Checkpoint snapshot kept by the master for rollback.
-struct Checkpoint<K, S> {
-    iter: usize,
-    state: Vec<Vec<(K, S)>>,
-    global_state: Vec<(K, S)>,
-    prev_out: Vec<Option<Vec<(K, S)>>>,
-    dfs_dir: Option<String>,
+/// What every pair holds between iterations, as the one loader
+/// ([`IterativeRunner::load_states`]) produces it at launch and on every
+/// rollback.
+struct PairStates<K, S> {
+    /// Pair `q`'s reduce-side state, part `q` of a snapshot: its
+    /// partition under one2one, its last reduce output under one2all.
+    own: Vec<Vec<(K, S)>>,
+    /// One2all: the broadcast state every map task reads.
+    global: Vec<(K, S)>,
+    /// Encoded size of the state each pair's map reads.
+    bytes: Vec<u64>,
 }
 
 impl IterativeRunner {
@@ -255,57 +268,41 @@ impl IterativeRunner {
 
         let mut static_store: Vec<Vec<(J::K, J::T)>> = Vec::with_capacity(n);
         let mut static_bytes: Vec<u64> = Vec::with_capacity(n);
-        let mut state_store: Vec<Vec<(J::K, J::S)>> = Vec::with_capacity(n);
-        let mut state_bytes: Vec<u64> = Vec::with_capacity(n);
-        let mut state_ready: Vec<VInstant> = Vec::with_capacity(n);
-        let mut global_state: Vec<(J::K, J::S)> = Vec::new();
-
+        let mut clocks: Vec<TaskClock> = Vec::with_capacity(n);
         for p in 0..n {
-            let node = assignment[p];
             let mut clock = TaskClock::starting_at(job_start);
             // The pair's two persistent tasks launch concurrently.
             clock.advance(cost.task_launch);
             self.metrics.tasks_launched.add(2);
-
-            let (stat, sbytes) = self.load_sorted_part(static_dir, p, node, &mut clock)?;
+            let (stat, sbytes) = self.load_sorted_part(static_dir, p, assignment[p], &mut clock)?;
             static_store.push(stat);
             static_bytes.push(sbytes);
-
-            if one2all {
-                // Every map task loads the full (small) initial state.
-                let (all, total) = self.load_broadcast_state(state_dir, node, &mut clock)?;
-                clock.advance(cost.serde_per_byte * total);
-                if p == 0 {
-                    global_state = all;
-                }
-                state_store.push(Vec::new());
-                state_bytes.push(total);
-            } else {
-                let (st, bytes) = self.load_sorted_part(state_dir, p, node, &mut clock)?;
-                state_store.push(st);
-                state_bytes.push(bytes);
-            }
-            state_ready.push(clock.now());
+            clocks.push(clock);
         }
+        let state_dirs = [state_dir, output_dir];
+        let PairStates {
+            own: mut state_store,
+            global: mut global_state,
+            bytes: mut state_bytes,
+        } = self.load_states(state_dirs, 0, one2all, &assignment, &mut clocks)?;
+        // The one-time decode of the state, and its sort under one2one.
+        for (p, clock) in clocks.iter_mut().enumerate() {
+            clock.advance(cost.serde_per_byte * state_bytes[p]);
+            if !one2all {
+                let speed = self.cluster.speed(assignment[p]);
+                clock.advance(cost.sort_time(state_store[p].len() as u64, speed));
+            }
+        }
+        let mut state_ready: Vec<VInstant> = clocks.iter().map(TaskClock::now).collect();
 
         // With eager hand-off, `state_ready` is when the map may START
         // consuming the chunked stream; `state_complete` is when the
         // last chunk exists — the map cannot finish before it.
         let mut state_complete: Vec<VInstant> = state_ready.clone();
 
-        // Previous reduce outputs (for distance under one2all and as
-        // the "two consecutive iterations" snapshot of §3.1.2).
-        let mut prev_out: Vec<Option<Vec<(J::K, J::S)>>> = vec![None; n];
-
-        // Checkpoint 0: the initial data (recovery with no later
-        // checkpoint restarts the iterative process from scratch).
-        let mut ckpt = Checkpoint {
-            iter: 0,
-            state: state_store.clone(),
-            global_state: global_state.clone(),
-            prev_out: prev_out.clone(),
-            dfs_dir: None,
-        };
+        // The epoch a rollback returns to: the latest checkpoint, or 0
+        // (the job's input: the iterative process restarts from scratch).
+        let mut epoch = 0usize;
 
         let mut report = RunReport {
             label: self.label(cfg),
@@ -410,11 +407,9 @@ impl IterativeRunner {
                 // Merge, reduce, carry forward keys that received no
                 // value (one2one only) and measure the local distance
                 // vs the previous snapshot (§3.1.2): the shared kernel.
-                let prev: Option<&[(J::K, J::S)]> = if one2all {
-                    prev_out[q].as_deref()
-                } else {
-                    Some(&state_store[q])
-                };
+                // Under one2all the previous snapshot is the pair's last
+                // reduce output, which iteration 1 does not have.
+                let prev = (!one2all || iter > 1).then_some(state_store[q].as_slice());
                 let mut charge = ClockCharge::new(&mut clock, cost, speed);
                 let out = reduce_side(
                     job,
@@ -471,12 +466,12 @@ impl IterativeRunner {
             // pair 0's node, which sums them and broadcasts the stop
             // signal. From iteration 2 on: iteration 1 has no snapshot.
             let mut stop_signal = None;
-            if let Some(aux) = aux.filter(|_| prev_out.iter().all(Option::is_some)) {
+            if let Some(aux) = aux.filter(|_| iter > 1) {
                 let mut aux_reduce = TaskClock::default();
                 let mut total = 0.0;
                 for q in 0..n {
                     let mut clock = TaskClock::starting_at(reduce_done[q]);
-                    let (prev, cur) = (prev_out[q].as_deref().unwrap_or(&[]), &new_states[q]);
+                    let (prev, cur) = (&state_store[q], &new_states[q]);
                     total += aux.partial(prev, cur);
                     let records = (prev.len() + cur.len()) as u64;
                     let speed = self.cluster.speed(assignment[q]);
@@ -510,7 +505,6 @@ impl IterativeRunner {
                     self.end_iteration(TraceKind::Broadcast { bytes }, reduce_done[q], sent, at);
                 }
                 global_state = merge_broadcast(&new_states);
-                prev_out = new_states.into_iter().map(Some).collect();
             } else {
                 for q in 0..n {
                     // Persistent local socket to the paired map task.
@@ -538,9 +532,8 @@ impl IterativeRunner {
                         at,
                     );
                 }
-                prev_out = state_store.iter().cloned().map(Some).collect();
-                state_store = new_states;
             }
+            state_store = new_states;
 
             // ---- Master: termination check ---------------------------
             decision_time = stop_signal.unwrap_or(iter_done + cost.net_latency);
@@ -561,40 +554,28 @@ impl IterativeRunner {
             // ---- Checkpointing (parallel with computation) -----------
             if !done && cfg.checkpoint_interval > 0 && iter.is_multiple_of(cfg.checkpoint_interval)
             {
-                // Under one2all part 0 carries the whole broadcast state.
-                let payloads = state_store.iter().enumerate().map(|(q, part)| {
-                    encode_pairs(if one2all && q == 0 {
-                        &global_state
-                    } else {
-                        part
-                    })
-                });
-                let dir = self.write_checkpoint(
+                let payloads = state_store.iter().map(|part| encode_pairs(part));
+                self.write_checkpoint(
                     output_dir,
                     iter,
                     payloads,
-                    ckpt.dfs_dir.take(),
+                    epoch,
                     &assignment,
                     iter_done,
                     generation,
                 )?;
-                ckpt = Checkpoint {
-                    iter,
-                    state: state_store.clone(),
-                    global_state: global_state.clone(),
-                    prev_out: prev_out.clone(),
-                    dfs_dir: Some(dir),
-                };
+                epoch = iter;
             }
             if done {
                 break;
             }
 
             // ---- Failure injection + recovery, load balancing --------
-            // Either way every pair rolls back to the latest checkpoint;
-            // `rolled_back` carries when they may resume and which node
-            // writes the flight-recorder dump.
-            let mut rolled_back: Option<(VInstant, NodeId)> = None;
+            // Either way pairs are relaunched and then every pair rolls
+            // back to the latest checkpoint; `rolled_back` carries when
+            // the rollback began, when the relaunches are done and which
+            // node writes the flight-recorder dump.
+            let mut rolled_back: Option<(VInstant, VInstant, NodeId)> = None;
             if let Some(pos) = pending_failures
                 .iter()
                 .position(|f| f.at_iteration() == iter)
@@ -627,18 +608,19 @@ impl IterativeRunner {
                 if matches!(fault, FaultEvent::Hang { .. }) {
                     self.event(TraceKind::StallDetected, decision_time, decision_time, at);
                 }
-                let epoch = ckpt.iter as u64;
-                self.event(TraceKind::Rollback { epoch }, detected_at, detected_at, at);
-                let recover_at = self.recover_from_failure::<J>(
+                let rollback = TraceKind::Rollback {
+                    epoch: epoch as u64,
+                };
+                self.event(rollback, detected_at, detected_at, at);
+                let relaunched = self.recover_from_failure::<J>(
                     fault.node(),
                     detected_at,
                     &mut assignment,
-                    &ckpt,
                     static_dir,
                     &mut static_store,
                     &mut static_bytes,
                 )?;
-                rolled_back = Some((recover_at, assignment[0]));
+                rolled_back = Some((detected_at, relaunched, assignment[0]));
             } else if let Some(lb) = cfg
                 .load_balance
                 .filter(|lb| migrations < lb.max_migrations as u64 && n > 1)
@@ -652,7 +634,7 @@ impl IterativeRunner {
                     self.metrics.migrations.add(1);
                     // Record the migration epoch next to the snapshots
                     // (post-mortem parity with native).
-                    let marker = imr_dfs::migration_marker(output_dir, migrations, ckpt.iter);
+                    let marker = imr_dfs::migration_marker(output_dir, migrations, epoch);
                     let mut off_path = TaskClock::default();
                     self.dfs.put_atomic(
                         &marker,
@@ -666,7 +648,7 @@ impl IterativeRunner {
                     };
                     let at = tag(assignment[slow_pair], slow_pair, iter, generation);
                     self.event(migration, decision_time, decision_time, at);
-                    let recover_at = self.migrate_pair::<J>(
+                    let relaunched = self.migrate_pair::<J>(
                         slow_pair,
                         fast_node,
                         decision_time,
@@ -675,30 +657,32 @@ impl IterativeRunner {
                         &mut static_store,
                         &mut static_bytes,
                     )?;
-                    rolled_back = Some((recover_at, fast_node));
+                    rolled_back = Some((decision_time, relaunched, fast_node));
                 }
             }
-            if let Some((recover_at, dump_node)) = rolled_back {
-                state_store = ckpt.state.clone();
-                global_state = ckpt.global_state.clone();
-                prev_out = ckpt.prev_out.clone();
-                for p in 0..n {
-                    state_ready[p] = recover_at;
-                    state_complete[p] = recover_at;
-                    state_bytes[p] = encode_pairs(if one2all {
-                        &global_state
-                    } else {
-                        &state_store[p]
-                    })
-                    .len() as u64;
-                }
+            if let Some((began, relaunched, dump_node)) = rolled_back {
+                // Every pair reloads its state as at launch, each on its
+                // own clock from when the rollback began; all resume
+                // once the last reload and relaunch are done.
+                let mut clocks = vec![TaskClock::starting_at(began); n];
+                PairStates {
+                    own: state_store,
+                    global: global_state,
+                    bytes: state_bytes,
+                } = self.load_states(state_dirs, epoch, one2all, &assignment, &mut clocks)?;
+                let resume = clocks
+                    .iter()
+                    .map(TaskClock::now)
+                    .fold(relaunched, VInstant::max);
+                state_ready.fill(resume);
+                state_complete.fill(resume);
                 self.flight_dump(output_dir, flight_seq, dump_node)?;
                 flight_seq += 1;
                 generation += 1;
-                report.iteration_done.truncate(ckpt.iter);
-                distances.truncate(ckpt.iter);
-                aux_values.truncate(ckpt.iter.saturating_sub(1));
-                iter = ckpt.iter + 1;
+                report.iteration_done.truncate(epoch);
+                distances.truncate(epoch);
+                aux_values.truncate(epoch.saturating_sub(1));
+                iter = epoch + 1;
                 continue;
             }
 
@@ -712,15 +696,8 @@ impl IterativeRunner {
             .iter()
             .map(|done| (*done).max(decision_time))
             .collect();
-        let parts = if one2all {
-            prev_out
-                .into_iter()
-                .map(Option::unwrap_or_default)
-                .collect()
-        } else {
-            state_store
-        };
-        let (final_state, finished) = self.dump_final(output_dir, parts, &assignment, &starts)?;
+        let (final_state, finished) =
+            self.dump_final(output_dir, state_store, &assignment, &starts)?;
         report.finished = finished;
         report.metrics = self.metrics.snapshot();
 
@@ -822,7 +799,7 @@ impl IterativeRunner {
             ..RunReport::default()
         };
         let mut distances: Vec<f64> = Vec::new();
-        let mut last_snapshot: Option<String> = None;
+        let mut last_snapshot = 0usize;
         let generation = 0u32;
 
         for check in 1..=max_checks {
@@ -890,16 +867,16 @@ impl IterativeRunner {
             if !done && cfg.checkpoint_interval > 0 && check.is_multiple_of(cfg.checkpoint_interval)
             {
                 let payloads = stores.iter().map(DeltaStore::encode);
-                let dir = self.write_checkpoint(
+                self.write_checkpoint(
                     output_dir,
                     check,
                     payloads,
-                    last_snapshot.take(),
+                    last_snapshot,
                     &assignment,
                     decision,
                     generation,
                 )?;
-                last_snapshot = Some(dir);
+                last_snapshot = check;
             }
             if done {
                 break;
@@ -952,23 +929,53 @@ impl IterativeRunner {
         Ok((part, bytes))
     }
 
-    /// Launch-time load of the full one2all state: every part of
-    /// `state_dir`, concatenated and key-sorted. Returns the records and
-    /// their total encoded size; only the DFS reads are charged.
-    fn load_broadcast_state<K: Codec + Ord + Clone, S: Codec + Clone>(
+    /// The one loader of pair state, at launch and on every rollback:
+    /// from the job's state directory (`[state_dir, output_dir]`) at
+    /// `epoch` 0, from the snapshot of `epoch` after it, pair `p`
+    /// reading on `clocks[p]`. Under one2one pair `p` reads part `p`.
+    /// Under one2all every pair reads every part and merges them as the
+    /// hand-off does, keeping part `p` as its own: in a snapshot that is
+    /// its last reduce output, and at epoch 0 the reduce side does not
+    /// read it. Only the DFS reads are charged.
+    fn load_states<K: Key, S: Value>(
         &self,
-        state_dir: &str,
-        node: NodeId,
-        clock: &mut TaskClock,
-    ) -> Result<(Vec<(K, S)>, u64), EngineError> {
-        let mut all: Vec<(K, S)> = Vec::new();
-        let mut total = 0u64;
-        for i in 0..num_parts(&self.dfs, state_dir) {
-            all.extend(read_part::<K, S>(&self.dfs, state_dir, i, node, clock)?);
-            total += self.dfs.len(&part_path(state_dir, i))?;
+        [state_dir, output_dir]: [&str; 2],
+        epoch: usize,
+        one2all: bool,
+        assignment: &[NodeId],
+        clocks: &mut [TaskClock],
+    ) -> Result<PairStates<K, S>, EngineError> {
+        let dir = match epoch {
+            0 => state_dir.to_owned(),
+            _ => imr_dfs::snapshot_dir(output_dir, epoch),
+        };
+        let n = assignment.len();
+        let mut states = PairStates {
+            own: Vec::with_capacity(n),
+            global: Vec::new(),
+            bytes: Vec::with_capacity(n),
+        };
+        for (p, clock) in clocks.iter_mut().enumerate() {
+            let parts = if one2all {
+                0..num_parts(&self.dfs, &dir)
+            } else {
+                p..p + 1
+            };
+            let mine = p - parts.start;
+            let mut read: Vec<Vec<(K, S)>> = Vec::with_capacity(parts.len());
+            let mut bytes = 0u64;
+            for i in parts {
+                read.push(read_part(&self.dfs, &dir, i, assignment[p], clock)?);
+                bytes += self.dfs.len(&part_path(&dir, i))?;
+            }
+            if one2all {
+                states.global = merge_broadcast(&read);
+            }
+            let own = read.into_iter().nth(mine).unwrap_or_default();
+            states.own.push(own);
+            states.bytes.push(bytes);
         }
-        sort_run(&mut all);
-        Ok((all, total))
+        Ok(states)
     }
 
     /// The shuffle fetch of task `q`: its segment from every task `p`,
@@ -1057,21 +1064,21 @@ impl IterativeRunner {
     }
 
     /// Writes checkpoint `epoch` — one part per pair, atomically — and
-    /// retires the `previous` snapshot directory. The paper performs
-    /// checkpointing in parallel with the iterative process, so the
-    /// writes go to throwaway clocks: they cost bytes (counted) but no
-    /// critical-path time. Returns the new snapshot directory.
+    /// retires the snapshot of the `previous` epoch (0: none). The paper
+    /// performs checkpointing in parallel with the iterative process, so
+    /// the writes go to throwaway clocks: they cost bytes (counted) but
+    /// no critical-path time.
     #[allow(clippy::too_many_arguments)]
     fn write_checkpoint(
         &self,
         output_dir: &str,
         epoch: usize,
         payloads: impl Iterator<Item = Bytes>,
-        previous: Option<String>,
+        previous: usize,
         assignment: &[NodeId],
         at: VInstant,
         generation: u32,
-    ) -> Result<String, EngineError> {
+    ) -> Result<(), EngineError> {
         let dir = imr_dfs::snapshot_dir(output_dir, epoch);
         let checkpoint = TraceKind::Checkpoint {
             epoch: epoch as u64,
@@ -1093,10 +1100,10 @@ impl IterativeRunner {
                 tag(assignment[q], q, epoch, generation),
             );
         }
-        if let Some(old) = previous {
-            imr_mapreduce::io::delete_dir(&self.dfs, &old);
+        if previous > 0 {
+            imr_mapreduce::io::delete_dir(&self.dfs, &imr_dfs::snapshot_dir(output_dir, previous));
         }
-        Ok(dir)
+        Ok(())
     }
 
     /// Ends pair `at.pair`'s iteration: the hand-off span (`handoff`,
@@ -1109,15 +1116,13 @@ impl IterativeRunner {
 
     /// Handles a worker failure: marks the node dead in the DFS,
     /// reassigns its pairs to surviving nodes with spare capacity and
-    /// charges the relaunch + static reload. Returns the instant all
-    /// tasks may resume from the checkpoint.
-    #[allow(clippy::too_many_arguments)]
+    /// charges the relaunch + static reload. Returns the instant the
+    /// relaunched pairs are up; the state reload is the rollback's.
     fn recover_from_failure<J: IterativeJob>(
         &self,
         dead: NodeId,
         detected_at: VInstant,
         assignment: &mut [NodeId],
-        ckpt: &Checkpoint<J::K, J::S>,
         static_dir: &str,
         static_store: &mut [Vec<(J::K, J::T)>],
         static_bytes: &mut [u64],
@@ -1131,8 +1136,6 @@ impl IterativeRunner {
         let mut resume = detected_at;
         for p in 0..n {
             if assignment[p] != dead {
-                // Survivors roll back: reload checkpointed state from
-                // DFS (paper §3.4.2 rollback), charged below uniformly.
                 continue;
             }
             // Pick the fastest surviving node with spare pair capacity.
@@ -1161,16 +1164,6 @@ impl IterativeRunner {
                 static_bytes,
             )?;
             resume = resume.max(relaunched);
-        }
-        // Rolled-back tasks (all of them) reload the checkpointed state
-        // from DFS; charge the slowest reload.
-        if let Some(dir) = &ckpt.dfs_dir {
-            for p in 0..n {
-                let mut clock = TaskClock::starting_at(detected_at);
-                let _: Vec<(J::K, J::S)> =
-                    read_part(&self.dfs, dir, p, assignment[p], &mut clock).unwrap_or_default();
-                resume = resume.max(clock.now());
-            }
         }
         Ok(resume)
     }
@@ -1210,12 +1203,4 @@ fn refuse_tcp(cfg: &IterConfig) -> Result<(), EngineError> {
         ));
     }
     Ok(())
-}
-
-/// The one2all state every map task receives: the reduce outputs
-/// concatenated in task order, then key-sorted (stable).
-fn merge_broadcast<K: Codec + Ord + Clone, S: Clone>(outs: &[Vec<(K, S)>]) -> Vec<(K, S)> {
-    let mut global: Vec<(K, S)> = outs.iter().flatten().cloned().collect();
-    sort_run(&mut global);
-    global
 }

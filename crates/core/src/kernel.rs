@@ -12,7 +12,9 @@
 //! drives the auxiliary phase) and the native pair loop (threads and
 //! TCP) both call these two functions; each supplies only its own
 //! clock (through the [`ShuffleCost`] hook), transport and supervision. Cross-engine bit-identity therefore
-//! follows from shared code.
+//! follows from shared code. Under one2all, [`merge_broadcast`] is the
+//! one reassembly of the broadcast state from the pairs' reduce outputs,
+//! at every hand-off and every restore from a snapshot.
 //!
 //! A pair is persistent, so its buffers are too: the emit buffer, the
 //! shuffle's index buffers and the combiner's key table live in the
@@ -38,7 +40,9 @@ use crate::accum::{Accumulative, DeltaStore};
 use crate::api::{Emitter, IterativeJob, StateInput};
 use bytes::Bytes;
 use imr_mapreduce::EngineError;
-use imr_records::{merge_into, shuffle_in, FoldTable, Key, ShuffleCost, ShuffleScratch, Value};
+use imr_records::{
+    merge_into, shuffle_in, sort_run, FoldTable, Key, ShuffleCost, ShuffleScratch, Value,
+};
 use imr_simcluster::Metrics;
 
 /// What a pair's map side keeps between iterations (or delta rounds):
@@ -273,6 +277,16 @@ pub fn reduce_side<J: IterativeJob>(
         has_prev,
         records,
     })
+}
+
+/// The one2all state every map task reads: the pairs' reduce outputs
+/// (`outs[q]` from pair `q`) concatenated in task order, then stably
+/// key-sorted. The one definition of that reassembly: both engines'
+/// hand-offs and restores call it, so the broadcast state cannot differ.
+pub fn merge_broadcast<K: Key, S: Value>(outs: &[Vec<(K, S)>]) -> Vec<(K, S)> {
+    let mut global: Vec<(K, S)> = outs.iter().flatten().cloned().collect();
+    sort_run(&mut global);
+    global
 }
 
 /// A sorted merge of reduce output, pushed key by key, with the sorted

@@ -92,8 +92,8 @@ pub use incremental::{
 };
 pub use iter_engine::IterEngine;
 pub use kernel::{
-    carry_forward, check_aligned, delta_in, distance_sorted, fold_votes, reduce_side, DeltaOutput,
-    MapOutput, MapScratch, MapState, ReduceOutput,
+    carry_forward, check_aligned, delta_in, distance_sorted, fold_votes, merge_broadcast,
+    reduce_side, DeltaOutput, MapOutput, MapScratch, MapState, ReduceOutput,
 };
 pub use multiphase::{run_two_phase, PhaseJob, TwoPhaseConfig, TwoPhaseOutcome};
 pub use observe::{phase_of, Observer};

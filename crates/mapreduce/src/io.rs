@@ -4,6 +4,7 @@
 //! per task that produced it — exactly Hadoop's output layout. Each part
 //! is a contiguous segment of encoded key/value pairs.
 
+use crate::EngineError;
 use bytes::Bytes;
 use imr_dfs::{Dfs, DfsError};
 use imr_records::{decode_pairs, encode_pairs, Codec};
@@ -60,16 +61,18 @@ pub fn write_encoded_parts(
 }
 
 /// Reads and decodes one part. The read is charged to `clock` from the
-/// perspective of `reader`.
+/// perspective of `reader`. A part that does not decode is
+/// [`EngineError::Codec`], as on the native engines: its blocks were
+/// read, so nothing was lost.
 pub fn read_part<K: Codec, V: Codec>(
     dfs: &Dfs,
     dir: &str,
     i: usize,
     reader: NodeId,
     clock: &mut TaskClock,
-) -> Result<Vec<(K, V)>, DfsError> {
+) -> Result<Vec<(K, V)>, EngineError> {
     let raw: Bytes = dfs.read(&part_path(dir, i), reader, clock)?;
-    decode_pairs(raw).map_err(|e| DfsError::BlockLost(format!("{}: {e}", part_path(dir, i))))
+    Ok(decode_pairs(raw)?)
 }
 
 /// Reads every part of a dataset into one vector (small datasets,
@@ -79,7 +82,7 @@ pub fn read_all<K: Codec, V: Codec>(
     dir: &str,
     reader: NodeId,
     clock: &mut TaskClock,
-) -> Result<Vec<(K, V)>, DfsError> {
+) -> Result<Vec<(K, V)>, EngineError> {
     let mut out = Vec::new();
     for i in 0..num_parts(dfs, dir) {
         out.extend(read_part(dfs, dir, i, reader, clock)?);

@@ -37,7 +37,7 @@ impl FaultBarrier {
     /// A barrier rallying `n` participants per round.
     pub fn new(n: usize) -> Self {
         // unreachable: callers pass 1 or the job's pair count, which
-        // `IterConfig::new` asserts is positive before any engine runs.
+        // `IterConfig::validate` refuses at 0 before any engine runs.
         assert!(n > 0, "a barrier needs at least one participant");
         FaultBarrier {
             state: Mutex::new(BarrierState {

@@ -38,15 +38,15 @@
 
 use bytes::Bytes;
 use imapreduce::{
-    check_aligned, delta_in, fold_votes, reduce_side, IterConfig, IterativeJob, MapScratch,
-    MapState, Mapping,
+    check_aligned, delta_in, fold_votes, merge_broadcast, reduce_side, IterConfig, IterativeJob,
+    MapScratch, MapState, Mapping,
 };
 use imr_dfs::{snapshot_dir, Dfs, DfsError};
 use imr_mapreduce::io::part_path;
 use imr_mapreduce::EngineError;
 pub(crate) use imr_net::proto::{PairCfg, PairDirs, PairOutcome, PairPlan};
 use imr_net::{Closed, Transport};
-use imr_records::{decode_pairs, encode_pairs, pairs_encoded_len, sort_run, Codec, CodecError};
+use imr_records::{decode_pairs, encode_pairs, pairs_encoded_len, Codec, CodecError};
 use imr_simcluster::{MetricsHandle, NodeId, TaskClock};
 use imr_trace::{TraceEvent, TraceKind};
 use std::time::{Duration, Instant};
@@ -343,29 +343,27 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
     } else {
         (snapshot_dir(&dirs.output_dir, ctx.epoch), n)
     };
-    let mut state: Vec<(J::K, J::S)> = Vec::new();
-    let mut global: Vec<(J::K, J::S)> = Vec::new();
-    let mut prev_out: Option<Vec<(J::K, J::S)>> = None;
+    // `state` is the pair's reduce-side state, its part of a snapshot:
+    // its partition under one2one, its last reduce output under
+    // one2all, where every map task also holds the full (small)
+    // broadcast state `global`. In a snapshot part i is pair i's reduce
+    // output, and the broadcast state is merged from them exactly as the
+    // live hand-off merges it; at epoch 0 part q is input, which the
+    // reduce side does not read.
+    let (mut state, mut global): (Vec<(J::K, J::S)>, _) = if one2all {
+        let mut outs = Vec::with_capacity(parts);
+        for i in 0..parts {
+            outs.push(ctx.load(&source, i)?);
+        }
+        let global = merge_broadcast(&outs);
+        (outs.into_iter().nth(q).unwrap_or_default(), global)
+    } else {
+        (ctx.load(&source, q)?, Vec::new())
+    };
     // The pair is persistent and so are its map-side buffers: sized by
     // the first iteration, emptied — not freed — by every later one,
     // gone with the generation.
     let mut map_scratch = MapScratch::default();
-    if one2all {
-        // Every map task holds the full (small) broadcast state. In a
-        // snapshot, part i is pair i's reduce output at the epoch
-        // iteration; the broadcast state is their task-ordered
-        // concatenation, exactly as the live hand-off rebuilds it.
-        for i in 0..parts {
-            let part: Vec<(J::K, J::S)> = ctx.load(&source, i)?;
-            if ctx.epoch > 0 && i == q {
-                prev_out = Some(part.clone());
-            }
-            global.extend(part);
-        }
-        sort_run(&mut global);
-    } else {
-        state = ctx.load(&source, q)?;
-    }
 
     for it in (ctx.epoch + 1)..=cfg.max_iters {
         let iter_start_ns = ctx.begin_iter(it)?;
@@ -399,11 +397,9 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
         }
         let reduce_start_ns = ctx.now_ns();
         let reduce_start = Instant::now();
-        let prev: Option<&[(J::K, J::S)]> = if one2all {
-            prev_out.as_deref()
-        } else {
-            Some(&state)
-        };
+        // Under one2all the previous snapshot is the pair's last reduce
+        // output, which iteration 1 does not have.
+        let prev = (!one2all || it > 1).then_some(state.as_slice());
         let measure = cfg.threshold.is_some();
         let reduced = reduce_side(job, inbound, prev, one2all, measure, ctx.metrics, &mut ())?;
         let (d, has_prev) = (reduced.distance, reduced.has_prev);
@@ -422,23 +418,18 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
             let payload = encode_pairs(&new_state);
             let bytes = payload.len() as u64;
             ctx.metrics.broadcast_bytes.add(bytes * (n as u64 - 1));
-            let parts = ctx.env.allgather(payload)?;
-            // Task-ordered concatenation + stable sort: identical to
-            // the simulation engine's broadcast reassembly.
-            let mut next_global: Vec<(J::K, J::S)> = Vec::new();
-            for part in parts {
-                next_global.extend(decode_pairs::<J::K, J::S>(part)?);
+            let mut outs = Vec::with_capacity(n);
+            for part in ctx.env.allgather(payload)? {
+                outs.push(decode_pairs(part)?);
             }
-            sort_run(&mut next_global);
-            prev_out = Some(new_state);
-            global = next_global;
+            global = merge_broadcast(&outs);
             TraceKind::Broadcast { bytes }
         } else {
             let bytes = pairs_encoded_len(&new_state) as u64;
             ctx.metrics.state_handoff_bytes.add(bytes);
-            state = new_state;
             TraceKind::StateHandoff { bytes }
         };
+        state = new_state;
         let handoff_end_ns = ctx.now_ns();
         ctx.span(handoff, it, reduce_end_ns, handoff_end_ns);
         ctx.end_iter(it, effective_busy, d, has_prev);
@@ -452,18 +443,12 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
         let done = converged || it == cfg.max_iters;
 
         // The pair's snapshot is its reduce-side state at the end of
-        // iteration `it`: the carried-forward partition under one2one,
-        // the pair's own reduce output under one2all (the broadcast
-        // state is reassembled from all parts on reload).
-        let snapshot: &[(J::K, J::S)] = if one2all {
-            prev_out.as_deref().unwrap_or_default()
-        } else {
-            &state
-        };
-        ctx.checkpoint(it, done, || encode_pairs(snapshot))?;
+        // iteration `it` (the broadcast state is merged from all parts
+        // on reload).
+        ctx.checkpoint(it, done, || encode_pairs(&state))?;
         if done {
             return Ok(PairOutcome::Finished {
-                final_data: encode_pairs(snapshot),
+                final_data: encode_pairs(&state),
                 iterations: it,
             });
         }

@@ -419,7 +419,8 @@ pub(crate) fn supervise<J: IterativeJob>(
 
     // ---- Stitch the surviving generation onto committed history --
     let mut iterations = 0usize;
-    let mut final_parts: Vec<Vec<(J::K, J::S)>> = Vec::with_capacity(n);
+    let mut final_parts: Vec<Bytes> = Vec::with_capacity(n);
+    let mut final_state: Vec<(J::K, J::S)> = Vec::new();
     for (q, r) in final_runs.into_iter().enumerate() {
         match r.outcome {
             Ok(PairOutcome::Finished {
@@ -434,7 +435,8 @@ pub(crate) fn supervise<J: IterativeJob>(
                          pair 0 stopped at {iterations}, pair {q} at {it}"
                     )));
                 }
-                final_parts.push(decode_pairs(final_data)?);
+                final_state.extend(decode_pairs::<J::K, J::S>(final_data.clone())?);
+                final_parts.push(final_data);
                 committed_dist[q].extend(r.local_dist);
                 committed_done[q].extend(r.iter_done);
                 // The stitch below indexes both by iteration.
@@ -474,13 +476,11 @@ pub(crate) fn supervise<J: IterativeJob>(
         }
     }
 
-    // Final output dump (once, at termination).
-    let mut final_state: Vec<(J::K, J::S)> = Vec::new();
-    for (q, data) in final_parts.iter().enumerate() {
-        let payload = imr_records::encode_pairs(data);
+    // Final output dump (once, at termination): the bytes each pair
+    // returned.
+    for (q, data) in final_parts.into_iter().enumerate() {
         let mut clock = TaskClock::default();
-        dfs.put(&part_path(output_dir, q), payload, NodeId(0), &mut clock)?;
-        final_state.extend(data.iter().cloned());
+        dfs.put(&part_path(output_dir, q), data, NodeId(0), &mut clock)?;
     }
     sort_run(&mut final_state);
 

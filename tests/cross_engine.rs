@@ -779,3 +779,163 @@ fn bigger_clusters_run_faster() {
         prev_mr = t_mr;
     }
 }
+
+/// Every part of the newest snapshot (`/o/_ckpt/**/part-*`), by path.
+fn snapshot_parts(runner: &impl IterEngine) -> Vec<(String, Vec<u8>)> {
+    let mut clock = TaskClock::default();
+    runner
+        .dfs()
+        .list("/o/_ckpt")
+        .into_iter()
+        .filter(|path| {
+            path.rsplit('/')
+                .next()
+                .is_some_and(|f| f.starts_with("part-"))
+        })
+        .map(|path| {
+            let bytes = runner.dfs().read(&path, NodeId(0), &mut clock).unwrap();
+            (path, bytes.to_vec())
+        })
+        .collect()
+}
+
+/// The simulator and the threads engine leave the same snapshot behind,
+/// byte for byte: part q is pair q's reduce-side state on both — its own
+/// reduce output under one2all (K-means), its partition under one2one
+/// (SSSP) — so a rollback on either engine restarts from the same bytes.
+#[test]
+fn snapshot_parts_are_byte_identical_across_engines() {
+    let points = generate_points(400, 5, 3, 77);
+    let cfg = IterConfig::new("km", 4, 5)
+        .with_one2all()
+        .with_checkpoint_interval(2);
+    let (sim, nat) = (imr_runner(4), native_runner(4));
+    kmeans_run(&sim, &points, &cfg, &[]);
+    kmeans_run(&nat, &points, &cfg, &[]);
+    let parts = snapshot_parts(&sim);
+    assert_eq!(parts.len(), 4);
+    assert!(parts
+        .iter()
+        .all(|(path, _)| path.starts_with("/o/_ckpt/iter-0004/")));
+    // One centroid per reduce output, not the whole state in part 0.
+    assert_eq!(
+        parts.iter().filter(|(_, bytes)| !bytes.is_empty()).count(),
+        3
+    );
+    assert_eq!(parts, snapshot_parts(&nat), "one2all snapshots differ");
+
+    let g = dataset("DBLP").unwrap().generate(0.003);
+    let cfg = IterConfig::new("sssp", 4, 5).with_checkpoint_interval(2);
+    let (sim, nat) = (imr_runner(4), native_runner(4));
+    sssp_run(&sim, &g, &cfg, &[]);
+    sssp_run(&nat, &g, &cfg, &[]);
+    let parts = snapshot_parts(&sim);
+    assert_eq!(parts.len(), 4);
+    assert_eq!(parts, snapshot_parts(&nat), "one2one snapshots differ");
+}
+
+/// The error a run of `cfg` ends in, over a small SSSP input loaded for
+/// two pairs; with `corrupt`, the first state part is 3 bytes of
+/// garbage.
+fn sssp_error(runner: &impl IterEngine, cfg: &IterConfig, corrupt: bool) -> EngineError {
+    let g = dataset("DBLP").unwrap().generate(0.003);
+    sssp::load_sssp_imr(runner, &g, 0, 2, "/s", "/t").unwrap();
+    if corrupt {
+        let garbage = bytes::Bytes::from_static(&[0xff; 3]);
+        let mut clock = TaskClock::default();
+        runner
+            .dfs()
+            .put("/s/part-00000", garbage, NodeId(0), &mut clock)
+            .unwrap();
+    }
+    match runner.run(&SsspIter, cfg, "/s", "/t", "/o", &[]) {
+        Ok(out) => panic!("{} ran {} iterations", cfg.name, out.iterations),
+        Err(e) => e,
+    }
+}
+
+/// The `Config` message a run of `cfg` is refused with, on the
+/// simulator and on the threads engine.
+fn config_refusals(cfg: &IterConfig) -> [String; 2] {
+    [
+        sssp_error(&imr_runner(4), cfg, false),
+        sssp_error(&native_runner(4), cfg, false),
+    ]
+    .map(|err| match err {
+        EngineError::Config(msg) => msg,
+        other => panic!(
+            "{}: expected a configuration error, got {other:?}",
+            cfg.name
+        ),
+    })
+}
+
+/// `num_tasks` and `max_iterations` are public fields, so a zero can
+/// get past `IterConfig::new`; both engines refuse it before running.
+#[test]
+fn zero_pairs_or_zero_iterations_is_a_config_error_on_both_engines() {
+    let mut no_pairs = IterConfig::new("no pairs", 2, 3);
+    no_pairs.num_tasks = 0;
+    let mut no_iterations = IterConfig::new("no iterations", 2, 3);
+    no_iterations.termination.max_iterations = 0;
+    for cfg in [no_pairs, no_iterations] {
+        for msg in config_refusals(&cfg) {
+            assert!(
+                msg.contains("at least one task pair and one iteration"),
+                "{msg}"
+            );
+        }
+    }
+}
+
+/// A knob no engine would read is refused, not ignored: the delta-round
+/// knobs outside accumulative mode, and eager hand-off under one2all.
+#[test]
+fn knobs_an_engine_would_ignore_are_config_errors_on_both_engines() {
+    let base = IterConfig::new("sssp", 2, 3);
+    for cfg in [
+        base.clone().with_delta_batch(8),
+        base.clone().with_check_every(2),
+    ] {
+        for msg in config_refusals(&cfg) {
+            assert!(msg.contains("with_accumulative_mode"), "{msg}");
+        }
+    }
+    let cfg = IterConfig::new("km", 2, 3)
+        .with_one2all()
+        .with_eager_handoff();
+    for err in [
+        kmeans_error(&imr_runner(4), &cfg),
+        kmeans_error(&native_runner(4), &cfg),
+    ] {
+        assert!(
+            matches!(&err, EngineError::Config(msg) if msg.contains("one2all")),
+            "{err:?}"
+        );
+    }
+}
+
+/// The error a run of `cfg` ends in, over a small K-means input loaded
+/// for two pairs.
+fn kmeans_error(runner: &impl IterEngine, cfg: &IterConfig) -> EngineError {
+    let points = generate_points(60, 3, 2, 5);
+    kmeans::load_kmeans_imr(runner, &points, 3, 2, "/s", "/t").unwrap();
+    let job = KmeansIter { combiner: false };
+    match runner.run(&job, cfg, "/s", "/t", "/o", &[]) {
+        Ok(out) => panic!("{} ran {} iterations", cfg.name, out.iterations),
+        Err(e) => e,
+    }
+}
+
+/// A state part that does not decode is a codec error on every engine,
+/// not a lost block: its bytes were read.
+#[test]
+fn a_corrupt_state_part_is_a_codec_error_on_both_engines() {
+    let cfg = IterConfig::new("sssp", 2, 3);
+    for err in [
+        sssp_error(&imr_runner(4), &cfg, true),
+        sssp_error(&native_runner(4), &cfg, true),
+    ] {
+        assert!(matches!(err, EngineError::Codec(_)), "{err:?}");
+    }
+}
