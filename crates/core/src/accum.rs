@@ -16,10 +16,10 @@
 //! per-task [`DeltaStore`] with its priority batch selection. ⊕ is the
 //! job's [`IterativeJob::fold`], so a delta round is the iteration
 //! kernel's shuffle with `extract` as the map: `MapScratch::delta_out`
-//! and `kernel::delta_in`. Only the exchange between the two halves
-//! and the termination check live in each engine (`engine.rs` for the
-//! simulator, `imr-native` for the thread/TCP backends), so they can
-//! reuse the engine's own collectives and checkpoint plumbing.
+//! and `kernel::delta_in`. The exchange between the two halves and the
+//! termination check are the pair loop's `delta_loop` (`pair.rs`), which
+//! every engine runs over its own `PairEnv`: its collective, checkpoint
+//! plumbing and clock.
 
 use crate::api::{Emitter, IterativeJob};
 use bytes::Bytes;

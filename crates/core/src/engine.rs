@@ -15,6 +15,10 @@
 //! (`run_with_aux`) as one more step of each iteration, in parallel
 //! with the hand-off; it is written nowhere else.
 //!
+//! The barrier-free delta mode (`run_accumulative`) has no loop here: it
+//! runs the native backends' `delta_loop` (`pair.rs`), one thread per
+//! pair, on the virtual-clock `SimEnv` (`sim_env.rs`).
+//!
 //! A checkpoint is the DFS snapshot and nothing else: part `q` is pair
 //! `q`'s reduce-side state, in the layout the native pair loop writes
 //! (the carried-forward partition under one2one, the pair's own reduce
@@ -25,10 +29,9 @@
 use crate::api::{IterativeJob, Mapping};
 use crate::aux::AuxPhase;
 use crate::config::{FailureEvent, FaultEvent, IterConfig, TransportKind};
-use crate::kernel::{
-    check_aligned, delta_in, fold_votes, merge_broadcast, reduce_side, MapScratch, MapState,
-};
+use crate::kernel::{fold_votes, merge_broadcast, reduce_side, MapScratch, MapState};
 use crate::observe::Observer;
+use crate::sim_env::Turns;
 use crate::store::{check_inputs, check_slots};
 use bytes::Bytes;
 use imr_dfs::Dfs;
@@ -63,10 +66,10 @@ pub struct IterOutcome<K, S> {
 /// Executes [`IterativeJob`]s over one simulated cluster + DFS.
 #[derive(Clone)]
 pub struct IterativeRunner {
-    cluster: Arc<ClusterSpec>,
-    dfs: Dfs,
-    metrics: MetricsHandle,
-    observer: Observer,
+    pub(crate) cluster: Arc<ClusterSpec>,
+    pub(crate) dfs: Dfs,
+    pub(crate) metrics: MetricsHandle,
+    pub(crate) observer: Observer,
 }
 
 /// Trace coordinates of an event: where and when in the run it happened.
@@ -715,13 +718,11 @@ impl IterativeRunner {
     /// Runs an [`Accumulative`](crate::Accumulative) job in the
     /// barrier-free delta-accumulative mode on the simulated cluster.
     ///
-    /// The simulator executes the mode as deterministic lock-step
-    /// rounds in virtual time: each round every task applies its
-    /// highest-priority pending deltas, exchanges exactly one (possibly
-    /// empty) delta segment with every peer, and merges received
-    /// segments in source order. That data flow is identical to the
-    /// native backends' round protocol, so `final_state`, `distances`
-    /// and the canonical trace-kind sequence match across engines, and
+    /// The simulator runs the native backends' loop — core's
+    /// [`delta_loop`](crate::pair::delta_loop), one thread per pair — on
+    /// virtual clocks, the pairs taking turns in a fixed order
+    /// (`sim_env.rs`). So `final_state`, `distances` and the canonical
+    /// trace-kind sequence match across engines by construction, and
     /// repeated simulated runs are bit-reproducible.
     ///
     /// `iterations` counts termination-check epochs (`cfg.check_every`
@@ -737,8 +738,6 @@ impl IterativeRunner {
         output_dir: &str,
         faults: &[FaultEvent],
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        use crate::accum::DeltaStore;
-
         cfg.validate(faults)?;
         refuse_tcp(cfg)?;
         if !cfg.accumulative {
@@ -751,156 +750,10 @@ impl IterativeRunner {
                 "fault injection under accumulative mode requires the native backend".into(),
             ));
         }
-        let n = cfg.num_tasks;
-        check_slots(n, self.pair_capacity())?;
+        check_slots(cfg.num_tasks, self.pair_capacity())?;
         check_inputs(&self.dfs, cfg, state_dir, static_dir)?;
-        let cost = &self.cluster.cost;
         self.metrics.jobs_launched.add(1);
-
-        // ---- One-time initialization: load + seed the delta stores ---
-        let job_start = VInstant::EPOCH + cost.job_setup;
-        let assignment: Vec<NodeId> = self.cluster.assign_pairs(n);
-        let mut static_store: Vec<Vec<(J::K, J::T)>> = Vec::with_capacity(n);
-        let mut stores: Vec<DeltaStore<J::K, J::S>> = Vec::with_capacity(n);
-        let mut scratch: Vec<MapScratch<J::K, J::S>> =
-            (0..n).map(|_| MapScratch::default()).collect();
-        let mut now: Vec<VInstant> = Vec::with_capacity(n);
-        for p in 0..n {
-            let node = assignment[p];
-            let mut clock = TaskClock::starting_at(job_start);
-            clock.advance(cost.task_launch);
-            self.metrics.tasks_launched.add(2);
-            let (stat, _) = self.load_sorted_part::<J::K, J::T>(static_dir, p, node, &mut clock)?;
-            let bytes = self.dfs.len(&part_path(state_dir, p))?;
-            let store = if cfg.incremental {
-                // Warm start: the state part already holds the planned
-                // (key, (value, pending)) entries — decode, don't seed.
-                DeltaStore::restore(read_part(&self.dfs, state_dir, p, node, &mut clock)?)?
-            } else {
-                let st: Vec<(J::K, J::S)> = read_part(&self.dfs, state_dir, p, node, &mut clock)?;
-                DeltaStore::seed(job, &st)?
-            };
-            check_aligned(p, store.entries(), &stat)?;
-            clock.advance(cost.serde_per_byte * bytes);
-            stores.push(store);
-            static_store.push(stat);
-            now.push(clock.now());
-        }
-
-        let eps = cfg
-            .termination
-            .distance_threshold
-            // unreachable: validate() refuses accumulative mode without a
-            // distance_threshold, and run_accumulative validates first.
-            .expect("validate: accumulative mode needs a threshold");
-        let max_checks = cfg.termination.max_iterations;
-        let mut report = RunReport {
-            label: "iMapReduce (delta)".to_owned(),
-            ..RunReport::default()
-        };
-        let mut distances: Vec<f64> = Vec::new();
-        let mut last_snapshot = 0usize;
-        let generation = 0u32;
-
-        for check in 1..=max_checks {
-            for p in 0..n {
-                let at = tag(assignment[p], p, check, generation);
-                self.event(TraceKind::IterStart, now[p], now[p], at);
-            }
-            for _round in 0..cfg.check_every {
-                // ---- Round phase A: select, apply, extract, send -----
-                let mut outgoing: Vec<Vec<Bytes>> = Vec::with_capacity(n);
-                let mut send_done: Vec<VInstant> = Vec::with_capacity(n);
-                for p in 0..n {
-                    let node = assignment[p];
-                    let speed = self.cluster.speed(node);
-                    let mut clock = TaskClock::starting_at(now[p]);
-                    let round_start = clock.now();
-                    let (store, stat) = (&mut stores[p], &static_store[p]);
-                    let charge = &mut ClockCharge::new(&mut clock, cost, speed);
-                    let (batch, metrics) = (cfg.delta_batch, &self.metrics);
-                    let out = scratch[p].delta_out(job, store, stat, n, batch, metrics, charge)?;
-                    clock.advance(cost.compute_time(out.applied + out.emitted, 0, speed));
-                    clock.advance(cost.serde_per_byte * out.bytes);
-                    let at = tag(node, p, check, generation);
-                    let round = TraceKind::DeltaRound { deltas: out.sent };
-                    self.event(round, round_start, clock.now(), at);
-                    send_done.push(clock.now());
-                    outgoing.push(out.segments);
-                }
-                // ---- Round phase B: receive from every peer, merge in
-                // source order (the only order the native round protocol
-                // guarantees) ------------------------------------------
-                for q in 0..n {
-                    let node = assignment[q];
-                    let speed = self.cluster.speed(node);
-                    let mut clock = TaskClock::default();
-                    let (inbound, merge_start) =
-                        self.fetch_segments(&outgoing, q, &send_done, &assignment, &mut clock);
-                    let merged = delta_in(job, &mut stores[q], inbound)?;
-                    clock.advance(cost.compute_time(merged, 0, speed));
-                    let at = tag(node, q, check, generation);
-                    self.event(TraceKind::DeltaMerge, merge_start, clock.now(), at);
-                    now[q] = clock.now();
-                }
-            }
-
-            // ---- Global accumulated-progress termination check -------
-            let locals: Vec<f64> = stores.iter().map(|s| s.pending_progress(job)).collect();
-            let total: f64 = locals.iter().sum();
-            self.metrics.termination_checks.add(n as u64);
-            let decision = now.iter().copied().max().unwrap_or(job_start) + cost.net_latency;
-            for q in 0..n {
-                let at = tag(assignment[q], q, check, generation);
-                let progress_bits = locals[q].to_bits();
-                let termination = TraceKind::TerminationCheck { progress_bits };
-                self.event(termination, decision, decision, at);
-                self.event(TraceKind::IterEnd, decision, decision, at);
-                now[q] = decision;
-            }
-            report.iteration_done.push(decision);
-            distances.push(total);
-            let converged = total < eps;
-            let done = converged || check == max_checks;
-
-            // ---- Checkpointing (parallel with computation) -----------
-            if !done && cfg.checkpoint_interval > 0 && check.is_multiple_of(cfg.checkpoint_interval)
-            {
-                let payloads = stores.iter().map(DeltaStore::encode);
-                self.write_checkpoint(
-                    output_dir,
-                    check,
-                    payloads,
-                    last_snapshot,
-                    &assignment,
-                    decision,
-                    generation,
-                )?;
-                last_snapshot = check;
-            }
-            if done {
-                break;
-            }
-        }
-
-        let iterations = report.iteration_done.len();
-
-        // ---- Final output dump: fold any residual (sub-threshold)
-        // pending deltas into the values so the output is the fixpoint
-        // the detector certified ----------------------------------------
-        let parts = stores.into_iter().map(|s| s.final_values(job)).collect();
-        let (final_state, finished) = self.dump_final(output_dir, parts, &assignment, &now)?;
-        report.finished = finished;
-        report.metrics = self.metrics.snapshot();
-
-        Ok(IterOutcome {
-            report,
-            final_state,
-            iterations,
-            distances,
-            migrations: 0,
-            recoveries: 0,
-        })
+        Turns::run_delta(self, job, cfg, [state_dir, static_dir, output_dir])
     }
 
     fn label(&self, cfg: &IterConfig) -> String {
@@ -995,18 +848,25 @@ impl IterativeRunner {
         let node = assignment[q];
         let mut fetched = 0u64;
         for (p, seg) in inbound.iter().enumerate() {
-            let bytes = seg.len() as u64;
-            fetched += bytes;
-            clock.merge(sent_at[p] + self.cluster.transfer_time(assignment[p], node, bytes));
-            if assignment[p] == node {
-                self.metrics.shuffle_local_bytes.add(bytes);
-            } else {
-                self.metrics.shuffle_remote_bytes.add(bytes);
-            }
+            fetched += seg.len() as u64;
+            clock.merge(self.arrival(sent_at[p], assignment[p], node, seg.len() as u64));
         }
         let cleared = clock.now();
         clock.advance(self.cluster.cost.serde_per_byte * fetched);
         (inbound, cleared)
+    }
+
+    /// When a segment of `bytes` sent at `sent` from node `from` lands on
+    /// node `to`; counts it as local or remote shuffle traffic.
+    pub(crate) fn arrival(&self, sent: VInstant, from: NodeId, to: NodeId, bytes: u64) -> VInstant {
+        let metrics = &self.metrics;
+        let traffic = if from == to {
+            &metrics.shuffle_local_bytes
+        } else {
+            &metrics.shuffle_remote_bytes
+        };
+        traffic.add(bytes);
+        sent + self.cluster.transfer_time(from, to, bytes)
     }
 
     /// One2all hand-off: reduce `q` ships `bytes[q]` to every map task

@@ -8,13 +8,14 @@
 //! into its key's accumulator with the user `fold` as it arrives
 //! ([`imr_records::shuffle_in`]), finishes each key, carries forward
 //! keys that received nothing and measures the distance to the previous
-//! snapshot. The simulation engine's one iteration loop (which also
-//! drives the auxiliary phase) and the native pair loop (threads and
-//! TCP) both call these two functions; each supplies only its own
-//! clock (through the [`ShuffleCost`] hook), transport and supervision. Cross-engine bit-identity therefore
-//! follows from shared code. Under one2all, [`merge_broadcast`] is the
-//! one reassembly of the broadcast state from the pairs' reduce outputs,
-//! at every hand-off and every restore from a snapshot.
+//! snapshot. The simulation engine's map/reduce loop (which also
+//! drives the auxiliary phase) and the pair loop (threads and TCP) both
+//! call these two functions; each supplies only its own clock (through
+//! the [`ShuffleCost`] hook), transport and supervision. Cross-engine
+//! bit-identity therefore follows from shared code. Under one2all,
+//! [`merge_broadcast`] is the one reassembly of the broadcast state from
+//! the pairs' reduce outputs, at every hand-off and every restore from a
+//! snapshot.
 //!
 //! A pair is persistent, so its buffers are too: the emit buffer, the
 //! shuffle's index buffers and the combiner's key table live in the
@@ -30,11 +31,12 @@
 //! halves around the exchange: [`MapScratch::delta_out`] selects and
 //! applies pending deltas, extracts into the pair's emit buffer, routes
 //! with its index buffers and encodes one segment per peer, folding
-//! equal keys as it goes ([`ShuffleScratch::shuffle_folded`]);
-//! [`delta_in`] merges what every peer sent, straight off the decode
-//! cursors, into the key-sorted store in one walk
-//! ([`imr_records::merge_into`]). Both report the counts a cost model
-//! charges.
+//! equal keys as it goes ([`ShuffleScratch::shuffle_folded`]), and
+//! charges the hook for it; [`delta_in`] merges what every peer sent,
+//! straight off the decode cursors, into the key-sorted store in one
+//! walk ([`imr_records::merge_into`]) and returns how many deltas it
+//! merged. Only the pair loop's `delta_loop` calls them, on every
+//! engine (the simulator's through its virtual-clock `SimEnv`).
 
 use crate::accum::{Accumulative, DeltaStore};
 use crate::api::{Emitter, IterativeJob, StateInput};
@@ -173,7 +175,8 @@ impl<K: Key, S: Value> MapScratch<K, S> {
     /// segment per peer — every peer, every round, so the send-all /
     /// recv-all exchange cannot deadlock — each key once, its deltas
     /// folded in emission order. Counts `deltas_sent` and
-    /// `priority_preemptions`; charges `cost` a sort of each segment. A
+    /// `priority_preemptions`; charges `cost` a sort of each segment,
+    /// then the applied and emitted records and the encoded bytes. A
     /// `partition` that names a destination outside `0..n` is a
     /// [`EngineError::Config`].
     #[allow(clippy::too_many_arguments)]
@@ -197,6 +200,7 @@ impl<K: Key, S: Value> MapScratch<K, S> {
         let partition = |k: &K, n| job.partition(k, n);
         let fold = |k: &K, acc: &mut S, d| job.fold(k, acc, d);
         let out = shuffle.shuffle_folded(emitter.pairs_mut(), n, partition, fold, cost)?;
+        cost.processed(batch.applied as u64 + emitted, out.bytes);
         metrics.deltas_sent.add(out.records);
         metrics.priority_preemptions.add(batch.deferred as u64);
         Ok(DeltaOutput {

@@ -76,6 +76,9 @@ mod iter_engine;
 mod kernel;
 mod multiphase;
 mod observe;
+#[doc(hidden)]
+pub mod pair;
+mod sim_env;
 mod store;
 
 pub use accum::{Accumulative, BatchOutcome, DeltaStore};

@@ -767,3 +767,156 @@ fn two_phase_refuses_zero_tasks_or_iterations() {
     cfg.num_tasks = 0;
     assert_config_error(run(&cfg), "num_tasks");
 }
+
+/// Unit-weight shortest paths from key 0 over a fixed sparse graph
+/// (`k → k+1`, `k → 3k+1`, mod the key count), ⊕ = min: the smallest
+/// delta-accumulative job with segments in flight between pairs. It
+/// notes every thread its map or extract runs on.
+#[derive(Default)]
+struct Hops {
+    threads: std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+    /// A key whose delta application panics.
+    panics_at: Option<u32>,
+}
+impl Hops {
+    fn note_thread(&self) {
+        self.threads
+            .lock()
+            .unwrap()
+            .insert(std::thread::current().id());
+    }
+}
+impl IterativeJob for Hops {
+    type K = u32;
+    type S = f64;
+    type T = Vec<u32>; // out-neighbours
+    fn map(&self, k: &u32, s: StateInput<'_, u32, f64>, t: &Vec<u32>, out: &mut Emitter<u32, f64>) {
+        self.note_thread();
+        out.emit(*k, *s.one());
+        for &v in t {
+            out.emit(v, s.one() + 1.0);
+        }
+    }
+    fn fold(&self, _k: &u32, acc: &mut f64, v: f64) {
+        *acc = acc.min(v);
+    }
+}
+impl imapreduce::Accumulative for Hops {
+    fn identity(&self) -> f64 {
+        f64::INFINITY
+    }
+    fn seed(&self, _k: &u32, loaded: &f64) -> (f64, f64) {
+        (f64::INFINITY, *loaded)
+    }
+    fn extract(&self, k: &u32, delta: &f64, t: &Vec<u32>, out: &mut Emitter<u32, f64>) {
+        self.note_thread();
+        assert_ne!(self.panics_at, Some(*k), "extract at key {k}");
+        for &v in t {
+            out.emit(v, delta + 1.0);
+        }
+    }
+    fn progress(&self, _k: &u32, value: &f64, delta: &f64) -> f64 {
+        (value.min(1e9) - delta.min(1e9)).max(0.0)
+    }
+}
+
+/// A 64-key `Hops` graph, partitioned for `tasks` pairs.
+fn load_hops(r: &IterativeRunner, tasks: usize) {
+    let keys = 64u32;
+    let state: Vec<(u32, f64)> = (0..keys)
+        .map(|k| (k, if k == 0 { 0.0 } else { f64::INFINITY }))
+        .collect();
+    let statics: Vec<(u32, Vec<u32>)> = (0..keys)
+        .map(|k| (k, vec![(k + 1) % keys, (3 * k + 1) % keys]))
+        .collect();
+    let mut clock = TaskClock::default();
+    let partition = |k: &u32, n| Hops::default().partition(k, n);
+    load_partitioned(r.dfs(), "/state", state, tasks, partition, &mut clock).unwrap();
+    load_partitioned(r.dfs(), "/static", statics, tasks, partition, &mut clock).unwrap();
+}
+
+/// The simulator's delta-mode timeline, pinned in virtual nanoseconds:
+/// a 2-pair, 2-node `Hops` run with a checkpoint after every check. A
+/// change to where a delta round, a check or the final dump charges
+/// time moves these numbers.
+#[test]
+fn delta_sim_timeline_is_pinned() {
+    let r = runner_on(ClusterSpec::local(2));
+    load_hops(&r, 2);
+    let cfg = IterConfig::new("hops", 2, 50)
+        .with_accumulative_mode()
+        .with_distance_threshold(0.5)
+        .with_checkpoint_interval(1);
+    let out = r
+        .run_accumulative(&Hops::default(), &cfg, "/state", "/static", "/out", &[])
+        .unwrap();
+    let done: Vec<u64> = out
+        .report
+        .iteration_done
+        .iter()
+        .map(|t| t.as_nanos())
+        .collect();
+    let pinned = [
+        4_017_362_696,
+        4_018_433_388,
+        4_019_575_372,
+        4_020_860_540,
+        4_022_361_234,
+        4_024_132_054,
+        4_026_123_854,
+        4_028_043_462,
+        4_029_472_264,
+    ];
+    assert_eq!(done, pinned);
+    assert_eq!(out.report.finished.as_nanos(), 4_038_114_536);
+}
+
+/// The simulator runs a delta job as one thread per pair, each running
+/// the pair loop, and a map/reduce job on the caller's thread alone.
+#[test]
+fn sim_delta_runs_one_thread_per_pair_and_map_reduce_none() {
+    for tasks in [1usize, 3] {
+        let r = runner_on(ClusterSpec::local(4));
+        load_hops(&r, tasks);
+        let job = Hops::default();
+        let cfg = IterConfig::new("hops", tasks, 50)
+            .with_accumulative_mode()
+            .with_distance_threshold(0.5);
+        r.run_accumulative(&job, &cfg, "/state", "/static", "/out", &[])
+            .unwrap();
+        let threads = job.threads.into_inner().unwrap();
+        assert_eq!(threads.len(), tasks, "one pair thread per task");
+        assert!(!threads.contains(&std::thread::current().id()));
+
+        let job = Hops::default();
+        let cfg = IterConfig::new("hops", tasks, 5);
+        r.run(&job, &cfg, "/state", "/static", "/mr-out", &[])
+            .unwrap();
+        let threads = job.threads.into_inner().unwrap();
+        assert_eq!(threads.len(), 1, "map/reduce runs on the caller's thread");
+        assert!(threads.contains(&std::thread::current().id()));
+    }
+}
+
+/// A pair whose job code panics ends the simulated delta run with a
+/// worker error; its peers, blocked on its segments, unwind instead of
+/// waiting for a turn that never comes.
+#[test]
+fn a_panicking_delta_job_is_a_worker_error_not_a_hang() {
+    let r = runner_on(ClusterSpec::local(4));
+    load_hops(&r, 3);
+    let job = Hops {
+        panics_at: Some(4),
+        ..Hops::default()
+    };
+    let cfg = IterConfig::new("hops", 3, 50)
+        .with_accumulative_mode()
+        .with_distance_threshold(0.5);
+    match r.run_accumulative(&job, &cfg, "/state", "/static", "/out", &[]) {
+        Err(EngineError::Worker(msg)) => assert!(msg.contains("extract at key 4"), "{msg}"),
+        other => panic!(
+            "expected a worker error, got {:?}",
+            other.map(|o| o.iterations)
+        ),
+    }
+}

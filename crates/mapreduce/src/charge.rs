@@ -43,4 +43,9 @@ impl ShuffleCost for ClockCharge<'_> {
         self.clock
             .advance(self.cost.compute_time(values.div_ceil(3), 0, self.speed));
     }
+    fn processed(&mut self, records: u64, bytes: u64) {
+        self.clock
+            .advance(self.cost.compute_time(records, 0, self.speed));
+        self.clock.advance(self.cost.serde_per_byte * bytes);
+    }
 }

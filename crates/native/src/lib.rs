@@ -114,13 +114,16 @@
 pub mod fault;
 mod generation;
 mod monitor;
-mod pair;
 pub mod remote;
 mod supervisor;
 
 use bytes::Bytes;
 use fault::FaultBarrier;
 use generation::Generation;
+use imapreduce::pair::{
+    self, delta_loop, pair_cfg, pair_loop, panic_message, read_part_raw, EnvFail, PairCtx,
+    PairDirs, PairEnv, PairOutcome,
+};
 use imapreduce::{
     check_inputs, FailureEvent, FaultEvent, IterConfig, IterEngine, IterOutcome, IterativeJob,
     Mapping, Observer, RunCtl, TransportKind,
@@ -133,14 +136,10 @@ use imr_simcluster::MetricsHandle;
 use imr_telemetry::{Gauge, TelemetryHandle};
 use imr_trace::{TraceEvent, TraceHandle, TraceKind};
 use monitor::Intervention;
-use pair::{
-    delta_loop, pair_cfg, pair_loop, panic_message, read_part_raw, EnvFail, PairCtx, PairDirs,
-    PairEnv, PairOutcome,
-};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use supervisor::{supervise, GenInput, PairRun};
 
 /// The worker-thread body `run_threaded` drives: either `pair_loop`
@@ -397,6 +396,8 @@ impl NativeRunner {
                                 node: gen.assignment[q].index() as u32,
                                 generation_no: gen.generation,
                                 observer: &self.observer,
+                                metrics: &self.metrics,
+                                started: gen.started,
                             };
                             let result = catch_unwind(AssertUnwindSafe(|| {
                                 loop_fn(PairCtx {
@@ -408,7 +409,6 @@ impl NativeRunner {
                                     epoch: gen.epoch,
                                     metrics: &self.metrics,
                                     env: &mut env,
-                                    started: gen.started,
                                 })
                             }));
                             // Disconnect this pair's links first so blocked
@@ -505,7 +505,8 @@ impl IterEngine for NativeRunner {
 /// under the fault barrier for the all-gather, direct DFS access for
 /// loads, and the generation itself for reports and checkpoints. The
 /// loop's `metrics` handle is the run's registry itself, so there is
-/// nothing to deliver.
+/// nothing to deliver. Its clock is the wall clock, and the kernel's
+/// work costs nothing beyond itself.
 struct ThreadEnv<'a> {
     q: usize,
     dfs: &'a Dfs,
@@ -520,10 +521,15 @@ struct ThreadEnv<'a> {
     generation_no: u32,
     /// The run's observability sink.
     observer: &'a Observer,
+    /// The run's registry; every segment is local on one host.
+    metrics: &'a MetricsHandle,
+    /// The run's start instant; trace stamps are nanoseconds since it.
+    started: Instant,
 }
 
 impl Transport for ThreadEnv<'_> {
     fn send(&mut self, dest: usize, seg: Bytes) -> Result<(), Closed> {
+        self.metrics.shuffle_local_bytes.add(seg.len() as u64);
         self.link.send(dest, seg)
     }
     fn recv(&mut self, src: usize) -> Result<Bytes, Closed> {
@@ -532,6 +538,17 @@ impl Transport for ThreadEnv<'_> {
 }
 
 impl PairEnv for ThreadEnv<'_> {
+    type Cost<'c>
+        = ()
+    where
+        Self: 'c;
+
+    fn now_ns(&self) -> u64 {
+        self.started.elapsed().as_nanos() as u64
+    }
+
+    fn cost(&mut self) {}
+
     fn is_poisoned(&self) -> bool {
         self.barrier.is_poisoned()
     }

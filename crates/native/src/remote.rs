@@ -776,6 +776,13 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
                     }
                 }
             }
+            // A busy time the balancer cannot order (NaN, ±∞), or a
+            // negative one, is a broken worker, not a load sample: it
+            // must not reach the monitor's EWMA and `pick_migration`.
+            ToCoord::Beat { busy_secs, .. } if !(busy_secs.is_finite() && busy_secs >= 0.0) => {
+                let why = format!("pair {q} reported a busy time of {busy_secs} s");
+                co.settle(q, Err(EngineError::Worker(why)));
+            }
             ToCoord::Beat {
                 iteration,
                 busy_secs,
@@ -1025,6 +1032,8 @@ struct RemoteEnv {
     /// The process-local registry the pair loop counts on; every report
     /// ships its increments and clears it.
     metrics: MetricsHandle,
+    /// The worker's start instant; trace stamps are nanoseconds since it.
+    started: Instant,
 }
 
 impl RemoteEnv {
@@ -1052,6 +1061,8 @@ impl RemoteEnv {
 
 impl Transport for RemoteEnv {
     fn send(&mut self, dest: usize, seg: Bytes) -> Result<(), Closed> {
+        // Every segment is local: the worker processes share one host.
+        self.metrics.shuffle_local_bytes.add(seg.len() as u64);
         self.conn.send(dest, seg)
     }
     fn recv(&mut self, src: usize) -> Result<Bytes, Closed> {
@@ -1060,6 +1071,11 @@ impl Transport for RemoteEnv {
 }
 
 impl PairEnv for RemoteEnv {
+    type Cost<'c> = ();
+    fn now_ns(&self) -> u64 {
+        self.started.elapsed().as_nanos() as u64
+    }
+    fn cost(&mut self) {}
     fn is_poisoned(&self) -> bool {
         self.conn.is_poisoned()
     }
@@ -1178,12 +1194,12 @@ fn serve_inner<J: IterativeJob>(
     } = setup;
     // The loop counts here; `RemoteEnv` ships the increments.
     let metrics: MetricsHandle = Arc::new(Metrics::default());
-    let started = Instant::now();
     let mut env = RemoteEnv {
         conn,
         generation: generation.saturating_sub(1) as u32,
         events: observed.then(Vec::new),
         metrics: Arc::clone(&metrics),
+        started: Instant::now(),
     };
     let loop_fn: RemoteLoop<J> = if cfg.accumulative {
         match accum {
@@ -1212,7 +1228,6 @@ fn serve_inner<J: IterativeJob>(
             epoch,
             metrics: &metrics,
             env: &mut env,
-            started,
         })
     }));
     let outcome = match result {
@@ -1359,6 +1374,25 @@ mod tests {
             match settle_after(rogue.clone()) {
                 Err(EngineError::Worker(got)) => assert_eq!(got, message),
                 other => panic!("{rogue:?} settled as {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_beat_whose_busy_time_is_not_a_load_is_a_typed_failure() {
+        for busy_secs in [f64::NAN, f64::INFINITY, -1.0] {
+            let beat = ToCoord::Beat {
+                iteration: 1,
+                busy_secs,
+                d: 0.0,
+                has_prev: false,
+                counts: Vec::new(),
+            };
+            match settle_after(beat) {
+                Err(EngineError::Worker(got)) => {
+                    assert_eq!(got, format!("pair 0 reported a busy time of {busy_secs} s"))
+                }
+                other => panic!("busy_secs {busy_secs} settled as {other:?}"),
             }
         }
     }

@@ -43,6 +43,10 @@ pub trait ShuffleCost {
     fn combined(&mut self, _values: u64) {}
     /// A key's `values` values were reduced.
     fn reduced(&mut self, _values: u64) {}
+    /// Job code ran over `records` records and `bytes` bytes went
+    /// through the codec, beyond the sorts and folds above (a delta
+    /// round's apply, extract and encode; its decode and merge).
+    fn processed(&mut self, _records: u64, _bytes: u64) {}
 }
 
 impl ShuffleCost for () {}

@@ -207,7 +207,7 @@ impl ClusterSpec {
         if active.len() < 2 {
             return None;
         }
-        active.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+        active.sort_by(|a, b| a.1.total_cmp(&b.1));
         let avg = if active.len() > 2 {
             let inner = &active[1..active.len() - 1];
             inner.iter().map(|(_, t)| t).sum::<f64>() / inner.len() as f64
@@ -229,8 +229,7 @@ impl ClusterSpec {
             .filter(|nid| per_node[nid.index()] < self.node_pair_capacity(*nid))
             .min_by(|a, b| {
                 node_time[a.index()]
-                    .partial_cmp(&node_time[b.index()])
-                    .unwrap()
+                    .total_cmp(&node_time[b.index()])
                     .then(a.0.cmp(&b.0))
             })?;
         // Migrating onto a slower node never helps.

@@ -753,6 +753,49 @@ fn delta_sim_is_bit_reproducible_across_runs() {
     }
 }
 
+/// Everything the simulator emits in delta mode is bit-reproducible,
+/// not just the outcome: two fresh runs with a checkpoint after every
+/// check and both observability sinks attached record the same trace
+/// (kinds, tags and stamps, in ring order), the same telemetry series
+/// and histograms, and the same counters, DFS traffic included. The
+/// pairs run on threads; their fixed turn order is what this holds.
+#[test]
+fn delta_sim_observables_are_bit_reproducible() {
+    let g = dataset("Google").unwrap().generate(0.003);
+    for (batch, every) in [(0usize, 1usize), (64, 2)] {
+        let cfg = IterConfig::new("prd", 4, 400)
+            .with_accumulative_mode()
+            .with_distance_threshold(1e-10)
+            .with_delta_batch(batch)
+            .with_check_every(every)
+            .with_checkpoint_interval(1);
+        let run = || {
+            let trace = std::sync::Arc::new(imr_trace::TraceBuffer::with_capacity(1 << 16));
+            let tel = std::sync::Arc::new(imr_telemetry::Telemetry::default());
+            let runner = imr_runner(4)
+                .with_trace(std::sync::Arc::clone(&trace))
+                .with_telemetry(std::sync::Arc::clone(&tel));
+            let out = pagerank::run_pagerank_delta(&runner, &g, &cfg).unwrap();
+            let events = trace.snapshot();
+            (out, events, tel.samples(), tel.hist_snapshots())
+        };
+        let (a, a_events, a_series, a_hists) = run();
+        let (b, b_events, b_series, b_hists) = run();
+        let label = format!("batch={batch} every={every}");
+        assert_same_outcome(&label, &a, &b);
+        assert!(a.iterations > 1, "{label}: a check must checkpoint");
+        assert!(!a_events.is_empty() && !a_series.is_empty(), "{label}");
+        assert_eq!(a_events, b_events, "{label}: traces diverge");
+        assert_eq!(a_series, b_series, "{label}: telemetry series diverge");
+        assert_eq!(a_hists, b_hists, "{label}: phase histograms diverge");
+        assert_eq!(a.report.metrics, b.report.metrics, "{label}: counters");
+        assert!(
+            a.report.metrics.dfs_write_bytes > 0,
+            "{label}: no DFS writes"
+        );
+    }
+}
+
 #[test]
 fn bigger_clusters_run_faster() {
     // The scaling claim (Figs. 12-13) end to end: more EC2 instances,

@@ -411,7 +411,9 @@ cmd_drift() {
   # imr-net, imr-native, the sim driver (crates/core/src/{engine,aux}.rs),
   # the two-phase and incremental drivers
   # (crates/core/src/{multiphase,incremental}.rs), the iteration kernel
-  # and delta store (crates/core/src/{accum,kernel}.rs), the input checks,
+  # and delta store (crates/core/src/{accum,kernel}.rs), the pair loop
+  # every engine runs and the simulator's turn-taking environment for it
+  # (crates/core/src/{pair,sim_env}.rs), the input checks,
   # observer, engine trait and run control both engines share
   # (crates/core/src/{store,observe,iter_engine,ctl}.rs), the DFS facade
   # and the snapshot naming a rollback reads
@@ -421,14 +423,14 @@ cmd_drift() {
   # directly above it.
   local panics
   panics=$(rust_code 1 $(find crates/net/src crates/native/src -name '*.rs' | sort) \
-      crates/core/src/{accum,aux,ctl,engine,incremental,iter_engine,kernel,multiphase,observe,store}.rs \
+      crates/core/src/{accum,aux,ctl,engine,incremental,iter_engine,kernel,multiphase,observe,pair,sim_env,store}.rs \
       crates/dfs/src/{lib,snapshot}.rs \
       crates/records/src/{shuffle,sorted,codec}.rs \
     | grep -E '^[^:]+:[0-9]+:[^@].*(\.unwrap\(\)|\.expect\(|(^|[^A-Za-z0-9_])((debug_)?assert(_eq|_ne)?|unreachable|panic|todo|unimplemented)!)' \
     || true)
   [ -z "$panics" ] \
     || { echo "drift: unannotated panic sites on the data path (add a typed error or // unreachable: <proof>):" >&2; echo "$panics" >&2; exit 1; }
-  echo "drift: every panic site outside tests in imr-net, imr-native, the sim drivers, the core and shuffle kernels, core's shared surface and the DFS snapshot path is annotated"
+  echo "drift: every panic site outside tests in imr-net, imr-native, the sim drivers, the core and shuffle kernels, the pair loop and its sim environment, core's shared surface and the DFS snapshot path is annotated"
 
   # One send path on the TCP data path: every frame is written from its
   # parts (`FrameWriter::write_parts`), bulk bytes borrowed, so outside
