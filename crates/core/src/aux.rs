@@ -9,8 +9,10 @@
 //! termination signal takes effect when it reaches the main phase's
 //! map tasks.
 //!
-//! The phase is a step of the simulator's one iteration loop
-//! (`IterativeRunner::run_faults`), not a loop of its own: this module
+//! The phase is a step of the pair loop (`pair.rs`), not a loop of its
+//! own: every pair sums the partials of every reduce partition from the
+//! broadcast parts it already receives, and the simulator's master
+//! clocks the phase off the critical path (`sim_env.rs`). This module
 //! holds only its surface. The baseline comparison (Fig. 20) is a
 //! Hadoop user running the same detection as an extra synchronous
 //! MapReduce job between iterations.
@@ -83,7 +85,7 @@ where
         ));
     }
     let dirs = [state_dir, static_dir, output_dir];
-    let (out, aux_values) = runner.drive(job, cfg, dirs, &[], Some(aux))?;
+    let (out, aux_values) = runner.map_reduce(job, cfg, dirs, &[], Some(aux))?;
     Ok(AuxOutcome {
         report: out.report,
         final_state: out.final_state,

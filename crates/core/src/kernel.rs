@@ -8,10 +8,9 @@
 //! into its key's accumulator with the user `fold` as it arrives
 //! ([`imr_records::shuffle_in`]), finishes each key, carries forward
 //! keys that received nothing and measures the distance to the previous
-//! snapshot. The simulation engine's map/reduce loop (which also
-//! drives the auxiliary phase) and the pair loop (threads and TCP) both
-//! call these two functions; each supplies only its own clock (through
-//! the [`ShuffleCost`] hook), transport and supervision. Cross-engine
+//! snapshot. Only the pair loop calls these two functions, on every
+//! engine; each engine supplies only its own clock (through the
+//! [`ShuffleCost`] hook), transport and supervision. Cross-engine
 //! bit-identity therefore follows from shared code. Under one2all,
 //! [`merge_broadcast`] is the one reassembly of the broadcast state from
 //! the pairs' reduce outputs, at every hand-off and every restore from a
@@ -241,7 +240,8 @@ pub fn check_aligned<K: Eq, S, T>(
 /// `fold` as they arrive and finishing each key, and — under one2one —
 /// carries forward from `prev` the keys that received no value. When
 /// `measure` is set and `prev` exists, also sums the job's per-key
-/// distance from `prev` to the new state (§3.1.2).
+/// distance from `prev` to the new state (§3.1.2). Charges `cost` the
+/// merge and the distance pass.
 ///
 /// `prev` is the pair's current state under one2one, and its previous
 /// reduce output (if any) under one2all, where the state space is
@@ -260,6 +260,7 @@ pub fn reduce_side<J: IterativeJob>(
     // reducers produce.
     let carried: &[(J::K, J::S)] = if one2all { &[] } else { prev.unwrap_or(&[]) };
     let mut next = CarryForward::over(carried);
+    let runs = segments.len();
     let records = shuffle_in(
         segments,
         |k, acc, v| job.fold(k, acc, v),
@@ -269,10 +270,15 @@ pub fn reduce_side<J: IterativeJob>(
         },
         cost,
     )?;
+    cost.merged(records, runs);
     metrics.reduce_input_records.add(records);
     let state = next.finish();
     let (distance, has_prev) = match prev {
-        Some(prev) if measure => (distance_sorted(job, prev, &state), true),
+        Some(prev) if measure => {
+            // The distance pass runs job code over every new record.
+            cost.processed(state.len() as u64, 0);
+            (distance_sorted(job, prev, &state), true)
+        }
         _ => (0.0, false),
     };
     Ok(ReduceOutput {

@@ -18,7 +18,10 @@ use crate::store::{check_parts, check_slots};
 use imr_dfs::Dfs;
 use imr_mapreduce::io::{part_path, read_part};
 use imr_mapreduce::{ClockCharge, EngineError};
-use imr_records::{pairs_encoded_len, shuffle_in_groups, sort_run, Key, ShuffleScratch, Value};
+use imr_records::{
+    encode_pairs, pairs_encoded_len, shuffle_in_groups, sort_run, Key, ShuffleCost, ShuffleScratch,
+    Value,
+};
 use imr_simcluster::{MetricsHandle, NodeId, RunReport, TaskClock, VInstant};
 
 /// One map-reduce phase of a multi-phase iteration.
@@ -320,8 +323,9 @@ where
     }
 
     // ---- Final dump ---------------------------------------------------
+    let parts = state1.iter().map(|part| encode_pairs(part)).collect();
     let (final_state, finished) =
-        runner.dump_final(output_dir, state1, &assignment, &activations)?;
+        runner.dump_final(output_dir, parts, &assignment, &activations)?;
     report.finished = finished;
     report.metrics = metrics.snapshot();
     Ok(TwoPhaseOutcome {

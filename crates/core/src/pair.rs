@@ -18,9 +18,14 @@
 //! ([`PairEnv::allgather`] — the barrier, the one2all exchange and the
 //! termination vote are the same task-ordered all-gather of different
 //! payloads), DFS access for loads and checkpoints, one heartbeat, the
-//! hang primitive and one event sink. So the exact same loop runs on a
-//! thread over channels and shared slots, in a separate OS process over
-//! a TCP connection to the coordinator, or on a virtual clock.
+//! hang primitive, one event sink, and two phase hooks
+//! ([`PairEnv::stretch`] at the end of the map and of the reduce,
+//! [`PairEnv::handed_off`] after the hand-off) where an environment
+//! charges what a phase costs beyond the kernel: natively a slow node's
+//! sleep, on the simulator stragglers, delays and the hand-off's
+//! transfer. So the exact same loop runs on a thread over channels and
+//! shared slots, in a separate OS process over a TCP connection to the
+//! coordinator, or on a virtual clock.
 //!
 //! The loop reports, it does not record: each iteration's
 //! `(distance, had a previous snapshot)` leaves through
@@ -41,6 +46,7 @@
 
 use crate::accum::{Accumulative, DeltaStore};
 use crate::api::{IterativeJob, Mapping};
+use crate::aux::AuxPhase;
 use crate::config::IterConfig;
 use crate::kernel::{
     check_aligned, delta_in, fold_votes, merge_broadcast, reduce_side, MapScratch, MapState,
@@ -53,6 +59,7 @@ pub use imr_net::proto::{PairCfg, PairDirs, PairOutcome, PairPlan};
 use imr_net::{Closed, Transport};
 use imr_records::{decode_pairs, encode_pairs, pairs_encoded_len, Codec, CodecError, ShuffleCost};
 use imr_simcluster::{MetricsHandle, NodeId, TaskClock};
+pub use imr_telemetry::Phase;
 use imr_trace::{TraceEvent, TraceKind};
 use std::time::Duration;
 
@@ -157,6 +164,40 @@ pub trait PairEnv: Transport {
     fn patch_verify(&mut self, _raw: &Bytes, _keys: usize) -> Result<(), EnvFail> {
         Ok(())
     }
+    /// The end of `phase` (map or reduce) of iteration `it`, after the
+    /// pair computed for `busy` so far this iteration: applies the pair's
+    /// emulated slowdown and returns `busy`, stretched — the load the
+    /// heartbeat reports, which the balancer and watchdog key on. By
+    /// default only the reduce phase sleeps, so the slowdown lands inside
+    /// its span: a node speed below 1.0 stretches the iteration's busy
+    /// time proportionally (heterogeneous hardware), and a scripted delay
+    /// adds its pause.
+    fn stretch(&mut self, phase: Phase, it: usize, busy: Duration, plan: &PairPlan) -> Duration {
+        if phase != Phase::Reduce {
+            return busy;
+        }
+        let mut stretched = busy;
+        if plan.speed < 1.0 {
+            let extra = Duration::from_secs_f64(busy.as_secs_f64() * (1.0 / plan.speed - 1.0));
+            std::thread::sleep(extra);
+            stretched += extra;
+        }
+        for &(at, millis) in &plan.delays {
+            if at == it {
+                let pause = Duration::from_millis(millis);
+                std::thread::sleep(pause);
+                stretched += pause;
+            }
+        }
+        stretched
+    }
+    /// The reduce side of iteration `it` handed its new state, `bytes`
+    /// encoded, back to the map side: returns when the state left the
+    /// reduce task ([`PairEnv::now_ns`] time), where the hand-off span
+    /// ends. By default, now.
+    fn handed_off(&mut self, _it: usize, _bytes: u64) -> u64 {
+        self.now_ns()
+    }
 }
 
 // ---- What both environments do the same way, written once ----------
@@ -179,7 +220,7 @@ pub fn panic_message(q: usize, payload: Box<dyn std::any::Any + Send>) -> String
 
 /// Everything one generation of one pair's loop runs against: its
 /// identity and configuration, and the environment it reports to.
-pub struct PairCtx<'a, J, E> {
+pub struct PairCtx<'a, J: IterativeJob, E> {
     pub q: usize,
     pub job: &'a J,
     pub cfg: &'a PairCfg,
@@ -188,12 +229,15 @@ pub struct PairCtx<'a, J, E> {
     /// Checkpoint epoch this generation resumes from (0 = job input).
     pub epoch: usize,
     pub metrics: &'a MetricsHandle,
+    /// The auxiliary phase of §5.3 (one2all only), a step of every
+    /// iteration from the second on.
+    pub aux: Option<&'a dyn AuxPhase<J::K, J::S>>,
     pub env: &'a mut E,
 }
 
 /// The scaffolding `pair_loop` and `delta_loop` share around their
 /// different per-iteration bodies.
-impl<J, E: PairEnv> PairCtx<'_, J, E> {
+impl<J: IterativeJob, E: PairEnv> PairCtx<'_, J, E> {
     fn now_ns(&self) -> u64 {
         self.env.now_ns()
     }
@@ -235,28 +279,6 @@ impl<J, E: PairEnv> PairCtx<'_, J, E> {
         Ok(self.mark(TraceKind::IterStart, it))
     }
 
-    /// Emulated slowdowns: a node speed below 1.0 stretches this pair's
-    /// compute time proportionally (heterogeneous hardware); a scripted
-    /// Delay adds a fixed pause at its iteration. Returns the stretched
-    /// busy seconds the heartbeat reports, so the balancer and watchdog
-    /// see the load the slow node would show.
-    fn stretch(&self, it: usize, busy: Duration) -> f64 {
-        let mut effective_busy = busy.as_secs_f64();
-        if self.plan.speed < 1.0 {
-            let extra = busy.as_secs_f64() * (1.0 / self.plan.speed - 1.0);
-            std::thread::sleep(Duration::from_secs_f64(extra));
-            effective_busy += extra;
-        }
-        for &(at, millis) in &self.plan.delays {
-            if at == it {
-                let pause = Duration::from_millis(millis);
-                std::thread::sleep(pause);
-                effective_busy += pause.as_secs_f64();
-            }
-        }
-        effective_busy
-    }
-
     /// The termination vote (§3.1.2): gathers every pair's local
     /// `(distance, had a previous snapshot)` and folds them in task
     /// order. Every pair computes the same sum over the same bytes, so
@@ -269,17 +291,17 @@ impl<J, E: PairEnv> PairCtx<'_, J, E> {
         Ok(fold_votes(votes))
     }
 
-    /// Ends iteration `it`: IterEnd event (which the observer samples
-    /// on), then the completion report.
-    fn end_iter(&mut self, it: usize, effective_busy: f64, d: f64, has_prev: bool) {
-        self.mark(TraceKind::IterEnd, it);
-        self.env.beat(it, effective_busy, d, has_prev);
+    /// Ends iteration `it` at `end_ns`: IterEnd event (which the
+    /// observer samples on), then the completion report.
+    fn end_iter(&mut self, it: usize, end_ns: u64, busy: Duration, d: f64, has_prev: bool) {
+        self.span(TraceKind::IterEnd, it, end_ns, end_ns);
+        self.env.beat(it, busy.as_secs_f64(), d, has_prev);
     }
 
     /// Checkpointing (§3.4.1): persists `snapshot()` after iteration
-    /// `it` when the interval says so — never on the final iteration,
-    /// the same gating as the simulation engine. Written atomically, so
-    /// a crash mid-checkpoint leaves the previous epoch intact.
+    /// `it` when the interval says so — never on the final iteration.
+    /// Written atomically, so a crash mid-checkpoint leaves the previous
+    /// epoch intact.
     fn checkpoint(
         &mut self,
         it: usize,
@@ -300,9 +322,9 @@ impl<J, E: PairEnv> PairCtx<'_, J, E> {
         Ok(())
     }
 
-    /// Scripted faults, at the same decision point as the simulation
-    /// engine: a pair dies right after completing iteration `it`, never
-    /// on the final iteration (the caller's done-check fires first). A
+    /// Scripted faults, at one decision point on every engine: a pair
+    /// dies right after completing iteration `it`, never on the final
+    /// iteration (the caller's done-check fires first). A
     /// kill exits immediately; a crash hook exits *abruptly* (no outcome
     /// report — the caller terminates the process); a hang goes silent —
     /// links held open, no heartbeats — until the watchdog poisons the
@@ -354,6 +376,7 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
     let stat: Vec<(J::K, J::T)> = ctx.load(&dirs.static_dir, q)?;
     // The join walks it in key order: sorted once, at load (§3.2.2).
     ctx.env.cost().sorted(stat.len() as u64);
+    let static_bytes = pairs_encoded_len(&stat) as u64;
     let (source, parts) = if ctx.epoch == 0 {
         (dirs.state_dir.clone(), cfg.num_state_parts)
     } else {
@@ -365,17 +388,21 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
     // broadcast state `global`. In a snapshot part i is pair i's reduce
     // output, and the broadcast state is merged from them exactly as the
     // live hand-off merges it; at epoch 0 part q is input, which the
-    // reduce side does not read.
-    let (mut state, mut global): (Vec<(J::K, J::S)>, _) = if one2all {
-        let mut outs = Vec::with_capacity(parts);
+    // reduce side does not read. `state_bytes` is the encoded size of
+    // the state the map reads.
+    let mut outs: Vec<Vec<(J::K, J::S)>> = Vec::new();
+    let (mut state, mut global) = if one2all {
         for i in 0..parts {
             outs.push(ctx.load(&source, i)?);
         }
         let global = merge_broadcast(&outs);
-        (outs.into_iter().nth(q).unwrap_or_default(), global)
+        (outs.get(q).cloned().unwrap_or_default(), global)
     } else {
-        (ctx.load(&source, q)?, Vec::new())
+        let state = ctx.load(&source, q)?;
+        ctx.env.cost().sorted(state.len() as u64);
+        (state, Vec::new())
     };
+    let mut state_bytes = pairs_encoded_len(if one2all { &global } else { &state }) as u64;
     // The pair is persistent and so are its map-side buffers: sized by
     // the first iteration, emptied — not freed — by every later one,
     // gone with the generation.
@@ -392,10 +419,14 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
         };
         let metrics = ctx.metrics;
         let mapped = map_scratch.map_side(job, input, &stat, n, q, metrics, &mut ctx.env.cost())?;
-        let map_end_ns = ctx.now_ns();
+        let records = mapped.records_in + mapped.emitted;
+        let read = state_bytes + static_bytes;
+        ctx.env.cost().mapped(records, read, mapped.spill_bytes);
         // Busy time = compute only (map + reduce spans), excluding
         // shuffle blocking — the load signal §3.4.2's balancer keys on.
-        let mut busy = map_end_ns - iter_start_ns;
+        let busy = Duration::from_nanos(ctx.now_ns() - iter_start_ns);
+        let mut busy = ctx.env.stretch(Phase::Map, it, busy, ctx.plan);
+        let map_end_ns = ctx.now_ns();
         ctx.span(TraceKind::MapPhase, it, iter_start_ns, map_end_ns);
         // Sends sit outside the busy span: a blocked send is
         // back-pressure from a slow consumer, not this pair's load.
@@ -411,6 +442,8 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
             inbound.push(ctx.env.recv(src)?);
         }
         let reduce_start_ns = ctx.now_ns();
+        let fetched = inbound.iter().map(|seg| seg.len() as u64).sum();
+        ctx.env.cost().processed(0, fetched);
         // Under one2all the previous snapshot is the pair's last reduce
         // output, which iteration 1 does not have.
         let prev = (!one2all || it > 1).then_some(state.as_slice());
@@ -426,35 +459,45 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
         )?;
         let (d, has_prev) = (reduced.distance, reduced.has_prev);
         let new_state = reduced.state;
-        busy += ctx.now_ns() - reduce_start_ns;
-
-        // The emulated stretch is compute time on the slow node, so it
-        // lands inside the reduce span — mirroring the simulation
-        // engine, whose cost model stretches the reduce work directly.
-        let effective_busy = ctx.stretch(it, Duration::from_nanos(busy));
+        // Encoding it for the hand-off is reduce work too.
+        let bytes = pairs_encoded_len(&new_state) as u64;
+        ctx.env.cost().processed(0, bytes);
+        busy += Duration::from_nanos(ctx.now_ns() - reduce_start_ns);
+        let busy = ctx.env.stretch(Phase::Reduce, it, busy, ctx.plan);
         let reduce_end_ns = ctx.now_ns();
         ctx.span(TraceKind::ReducePhase, it, reduce_start_ns, reduce_end_ns);
 
         // ---- State hand-off back to the map side ---------------------
+        let mut stop = false;
         let handoff = if one2all {
-            let payload = encode_pairs(&new_state);
-            let bytes = payload.len() as u64;
             ctx.metrics.broadcast_bytes.add(bytes * (n as u64 - 1));
-            let mut outs = Vec::with_capacity(n);
-            for part in ctx.env.allgather(payload)? {
+            let prev_outs = std::mem::take(&mut outs);
+            state_bytes = 0;
+            for part in ctx.env.allgather(encode_pairs(&new_state))? {
+                state_bytes += part.len() as u64;
                 outs.push(decode_pairs(part)?);
             }
             global = merge_broadcast(&outs);
+            // ---- Auxiliary phase (§5.3): every pair sums the partials
+            // of every reduce partition, in task order, so all reach
+            // the same verdict. Iteration 1 has no previous output.
+            if let Some(aux) = ctx.aux.filter(|_| it > 1) {
+                let mut total = 0.0;
+                for (prev, cur) in prev_outs.iter().zip(&outs) {
+                    total += aux.partial(prev, cur);
+                }
+                stop = aux.should_terminate(total);
+            }
             TraceKind::Broadcast { bytes }
         } else {
-            let bytes = pairs_encoded_len(&new_state) as u64;
             ctx.metrics.state_handoff_bytes.add(bytes);
+            state_bytes = bytes;
             TraceKind::StateHandoff { bytes }
         };
         state = new_state;
-        let handoff_end_ns = ctx.now_ns();
+        let handoff_end_ns = ctx.env.handed_off(it, bytes);
         ctx.span(handoff, it, reduce_end_ns, handoff_end_ns);
-        ctx.end_iter(it, effective_busy, d, has_prev);
+        ctx.end_iter(it, handoff_end_ns, busy, d, has_prev);
 
         // ---- Termination check (§3.1.2) ------------------------------
         let mut converged = false;
@@ -462,7 +505,7 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
             let (total, any_prev) = ctx.vote(d, has_prev)?;
             converged = any_prev && total < eps;
         }
-        let done = converged || it == cfg.max_iters;
+        let done = converged || stop || it == cfg.max_iters;
 
         // The pair's snapshot is its reduce-side state at the end of
         // iteration `it` (the broadcast state is merged from all parts
@@ -590,10 +633,11 @@ fn delta_checks<J: Accumulative, E: PairEnv>(
 
         // ---- Global accumulated-progress termination check -----------
         let local = store.pending_progress(job);
-        let effective_busy = ctx.stretch(check, Duration::from_nanos(busy));
+        let busy = Duration::from_nanos(busy);
+        let busy = ctx.env.stretch(Phase::Reduce, check, busy, ctx.plan);
         let progress_bits = local.to_bits();
-        ctx.mark(TraceKind::TerminationCheck { progress_bits }, check);
-        ctx.end_iter(check, effective_busy, local, true);
+        let check_ns = ctx.mark(TraceKind::TerminationCheck { progress_bits }, check);
+        ctx.end_iter(check, check_ns, busy, local, true);
         ctx.metrics.termination_checks.add(1);
         let (total, _any_prev) = ctx.vote(local, true)?;
         let done = total < eps || check == cfg.max_iters;

@@ -1,43 +1,63 @@
 //! The simulator's [`PairEnv`]: the pair loop, stepped on a virtual
 //! clock — the native backends' running scheme, but sequential.
 //!
-//! Every pair runs core's loop on a thread of its own, one at a time: a
-//! pair holds the turn until it would block — on a segment not yet
-//! sent, or at a collective — and then hands it to the lowest-numbered
-//! pair that can go on. So every DFS operation, counter increment and
-//! event happens in one order on every run, whatever the OS scheduler
-//! does: DFS replica placement rotates on a global block counter, and
-//! the observer samples the counters at each `IterEnd`. When no pair
-//! can go on and not all are done, the run is deadlocked: the board is
+//! Every simulated run is core's loop — `pair_loop` for a map/reduce
+//! job, `delta_loop` in the delta mode — on a thread per pair, one at a
+//! time: a pair holds the turn until it would block — on a segment not
+//! yet sent, at a collective, or, in a run that may roll back, after
+//! reporting an iteration the others have not finished — and then wakes
+//! the lowest-numbered pair that can go on, and only that one. So every counter increment and event
+//! happens in one order on every run, whatever the OS scheduler does:
+//! the observer samples the counters at each `IterEnd`. When no pair can
+//! go on and not all are done, the run is deadlocked: the board is
 //! poisoned and every pair unwinds.
 //!
-//! Time is the pair's [`TaskClock`]. The kernel charges its work to it
-//! through the [`PairEnv::cost`] hook; `send` stamps a segment with the
-//! sender's instant, and `recv` moves the clock to its arrival (plus
-//! the cluster's transfer time) and counts it local or remote; an
-//! all-gather returns one network latency after the last contribution;
-//! a DFS read charges the read and the decode; checkpoints are written
-//! off the critical path, and the last part of an epoch retires the
-//! epoch before it. The master decides a check one network latency
-//! after the last pair's report, on the votes folded in task order.
+//! Time is the pair's [`TaskClock`]. The kernel and the loop charge
+//! their work to it through the [`PairEnv::cost`] hook; `send` stamps a
+//! segment with the sender's instant, and `recv` moves the clock to its
+//! arrival (plus the cluster's transfer time) and counts it local or
+//! remote; a DFS read charges the read and the decode. The loop's phase
+//! hooks carry the rest of the map/reduce cost model: `stretch` charges
+//! each phase's straggler slowdown and a scripted delay, and holds an
+//! eager hand-off's map until its input is complete; `handed_off`
+//! charges the one2one flush and local transfer, and moves the clock to
+//! when the next map may start. Of the all-gathers, the barrier releases
+//! at the last arrival, the one2all broadcast once every part has
+//! crossed the network, and the termination vote of a map/reduce run
+//! releases at once — no map waits for the master's decision — while a
+//! delta check waits one network latency after the last report.
+//!
+//! The board plays the master (§3.1.2): once every pair has reported
+//! iteration k, it records when the iteration ended, folds the votes,
+//! runs the auxiliary phase's clock (§5.3), and decides whether the run
+//! stops, or a failure (§3.4.1) or a migration (§3.4.2) rolls it back.
+//! A rollback poisons the generation: the pairs write their snapshots of
+//! k and unwind, and the next generation starts from the latest complete
+//! epoch. Only a moved pair is relaunched and rereads its static part;
+//! the board reloads every pair's state part from the DFS on its behalf,
+//! and the pairs resume together once the last reload is done.
+//! Checkpoint parts are held until their epoch is complete, then written
+//! in pair order, retiring the epoch before.
 
-use crate::accum::Accumulative;
-use crate::config::IterConfig;
+use crate::api::IterativeJob;
+use crate::aux::AuxPhase;
+use crate::config::{FaultEvent, IterConfig};
 use crate::engine::{IterOutcome, IterativeRunner};
 use crate::kernel::fold_votes;
-use crate::pair::{delta_loop, pair_cfg, panic_message, EnvFail, PairCtx, PairDirs, PairEnv};
-use crate::pair::{PairOutcome, PairPlan};
+use crate::pair::{pair_cfg, panic_message, EnvFail, PairCtx, PairEnv};
+use crate::pair::{PairCfg, PairDirs, PairOutcome, PairPlan, Phase};
 use bytes::Bytes;
-use imr_dfs::snapshot_dir;
+use imr_dfs::{migration_marker, snapshot_dir};
 use imr_mapreduce::io::{delete_dir, num_parts, part_path};
 use imr_mapreduce::{ClockCharge, EngineError};
 use imr_net::{Closed, Transport};
-use imr_records::{decode_pairs, sort_run};
-use imr_simcluster::{NodeId, RunReport, TaskClock, VInstant};
-use imr_trace::TraceEvent;
-use std::collections::VecDeque;
+use imr_records::{pairs_encoded_len, Codec};
+use imr_simcluster::{NodeId, RunReport, TaskClock, VDuration, VInstant};
+use imr_trace::{flight_path, TraceEvent, TraceKind, COORD};
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// What a pair waits for before it can go on.
 #[derive(Clone, Copy, Default, PartialEq)]
@@ -49,6 +69,8 @@ enum Wait {
     Recv(usize),
     /// Every pair's next contribution to the collective.
     Gather,
+    /// Every pair's report of this iteration.
+    Beat(usize),
     Done,
 }
 
@@ -56,7 +78,33 @@ enum Wait {
 const SEGMENTS: usize = 0;
 const GATHER: usize = 1;
 
-/// What the pairs share: the turn, the links, and what they report.
+/// The collective a pair's next all-gather is.
+#[derive(Clone, Copy, PartialEq)]
+enum Gather {
+    Barrier,
+    Broadcast,
+    Vote,
+}
+
+/// What one pair reported of one iteration.
+#[derive(Clone, Copy)]
+struct Beat {
+    /// When its reduce (in the delta mode: its check) ended.
+    at: VInstant,
+    busy: f64,
+    d: f64,
+    has_prev: bool,
+}
+
+/// Why the master ended a generation.
+enum Rollback {
+    Fault(FaultEvent),
+    /// Load balancing moves this pair to this node.
+    Migrate(usize, NodeId),
+}
+
+/// What the pairs share: the turn, the links, what they report, and the
+/// master's view of the run.
 #[derive(Default)]
 struct Board {
     turn: usize,
@@ -64,11 +112,33 @@ struct Board {
     poisoned: bool,
     /// `links[kind][dest][src]`: what is in flight, with its send instant.
     links: [Vec<Vec<VecDeque<(Bytes, VInstant)>>>; 2],
-    /// Per pair, one `(instant, distance, had a previous snapshot)` beat
-    /// per check.
-    beats: Vec<Vec<(VInstant, f64, bool)>>,
-    /// Parts written of the newest checkpoint epoch, and the epoch before.
-    checkpoint: (usize, usize),
+    /// Per pair, its report of every iteration not rolled back.
+    beats: Vec<Vec<Beat>>,
+    /// Pair 0's aux total, verdict, and the records and encoded bytes
+    /// each partial read, of every iteration from the second.
+    aux: Vec<(f64, bool, Vec<(u64, u64)>)>,
+    aux_read: Vec<(u64, u64)>,
+    /// The parts of the checkpoint epoch being written.
+    staged: Vec<Option<Bytes>>,
+    /// The latest complete checkpoint epoch (0: the job's input).
+    epoch: usize,
+    generation: u32,
+    assignment: Vec<NodeId>,
+    /// Kills and hangs not yet recovered from, by iteration.
+    pending: Vec<FaultEvent>,
+    /// Parts a pair reads without charge, by path: every pair's static
+    /// part as it read it (only a relaunch rereads it), and the state
+    /// parts the master reloaded (a snapshot's path names its epoch, so
+    /// an earlier rollback's are never read again).
+    held: HashMap<String, Bytes>,
+    // ---- The master's record --------------------------------------------
+    iteration_done: Vec<VInstant>,
+    distances: Vec<f64>,
+    /// When the master decided the last iteration.
+    decided: VInstant,
+    rollback: Option<Rollback>,
+    migrations: u64,
+    recoveries: u64,
 }
 
 impl Board {
@@ -77,6 +147,7 @@ impl Board {
             Wait::Turn => true,
             Wait::Recv(src) => !self.links[SEGMENTS][q][src].is_empty(),
             Wait::Gather => self.links[GATHER][q].iter().all(|link| !link.is_empty()),
+            Wait::Beat(it) => self.beats.iter().all(|beats| beats.len() >= it),
             Wait::Done => false,
         }
     }
@@ -93,20 +164,66 @@ impl Board {
     }
 }
 
-/// A simulated delta run: pair `q` on node `assignment[q]`, the pairs
-/// taking turns.
+/// A simulated run: `cfg.num_tasks` pairs on the cluster, taking turns,
+/// for as many generations as rollbacks need.
 pub(crate) struct Turns<'r> {
     runner: &'r IterativeRunner,
-    assignment: Vec<NodeId>,
+    cfg: &'r IterConfig,
+    pair_cfg: PairCfg,
     dirs: PairDirs,
+    /// Scripted slowdowns: they replay with every rolled-back iteration.
+    delays: Vec<FaultEvent>,
+    /// Whether a rollback can happen: the static parts are kept, and no
+    /// pair goes past an iteration before the master decided it.
+    rollbacks: bool,
     board: Mutex<Board>,
-    handed: Condvar,
+    /// One per pair: a hand-over wakes the pair it hands the turn to.
+    handed: Vec<Condvar>,
 }
 
-impl Turns<'_> {
+impl<'r> Turns<'r> {
+    fn new(
+        runner: &'r IterativeRunner,
+        cfg: &'r IterConfig,
+        dirs: [&str; 3],
+        faults: &[FaultEvent],
+    ) -> Self {
+        let n = cfg.num_tasks;
+        let [state_dir, static_dir, output_dir] = dirs.map(str::to_owned);
+        let (delays, mut pending): (Vec<FaultEvent>, Vec<FaultEvent>) = faults
+            .iter()
+            .partition(|f| matches!(f, FaultEvent::Delay { .. }));
+        pending.sort_by_key(|f| f.at_iteration());
+        let board = Board {
+            beats: vec![Vec::new(); n],
+            assignment: runner.cluster.assign_pairs(n),
+            pending,
+            ..Board::default()
+        };
+        Turns {
+            runner,
+            cfg,
+            pair_cfg: pair_cfg(cfg, num_parts(&runner.dfs, &state_dir)),
+            dirs: PairDirs {
+                state_dir,
+                static_dir,
+                output_dir,
+            },
+            delays,
+            rollbacks: !faults.is_empty() || cfg.load_balance.is_some(),
+            board: Mutex::new(board),
+            handed: (0..n).map(|_| Condvar::new()).collect(),
+        }
+    }
+
     fn lock(&self) -> MutexGuard<'_, Board> {
         // Only a panic inside this module could poison the mutex.
         self.board.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn hand_over(&self, board: &mut Board) {
+        board.hand_over();
+        self.handed[board.turn].notify_one();
     }
 
     /// Blocks pair `q` until it holds the turn with `wait` satisfied,
@@ -116,12 +233,10 @@ impl Turns<'_> {
         let mut board = self.lock();
         board.waits[q] = wait;
         if board.turn == q && (wait == Wait::Gather || !board.ready(q, wait)) {
-            board.hand_over();
-            self.handed.notify_all();
+            self.hand_over(&mut board);
         }
         while board.turn != q {
-            board = self
-                .handed
+            board = self.handed[q]
                 .wait(board)
                 .unwrap_or_else(PoisonError::into_inner);
         }
@@ -132,133 +247,395 @@ impl Turns<'_> {
         }
     }
 
-    /// Runs `job`'s delta loop on the simulated cluster from the state,
-    /// static and output directories `dirs`: `cfg.num_tasks` pair
-    /// threads taking turns, each committing its final values as its
-    /// loop encoded them (Fig. 1b).
-    pub(crate) fn run_delta<J: Accumulative>(
-        runner: &IterativeRunner,
-        job: &J,
-        cfg: &IterConfig,
-        dirs: [&str; 3],
-    ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        let n = cfg.num_tasks;
-        let cost = &runner.cluster.cost;
-        let launched = VInstant::EPOCH + cost.job_setup + cost.task_launch;
-        let [state_dir, static_dir, output_dir] = dirs.map(str::to_owned);
-        let pair_cfg = &pair_cfg(cfg, num_parts(&runner.dfs, &state_dir));
-        let links = vec![vec![VecDeque::new(); n]; n];
-        let board = Board {
-            waits: vec![Wait::Turn; n],
-            links: [links.clone(), links],
-            beats: vec![Vec::new(); n],
-            ..Board::default()
+    /// What a pair on `node` is scripted to do: the kills and hangs not
+    /// yet recovered from and the slowdowns of its node. Its speed is the
+    /// cost model's.
+    fn plan(&self, board: &Board, node: NodeId) -> PairPlan {
+        let at = |hang: bool| {
+            let on_node = board.pending.iter().filter(|f| f.node() == node);
+            let kind = on_node.filter(|f| matches!(f, FaultEvent::Hang { .. }) == hang);
+            kind.map(|f| f.at_iteration()).collect()
         };
-        let turns = &Turns {
-            runner,
-            assignment: runner.cluster.assign_pairs(n),
-            dirs: PairDirs {
-                state_dir,
-                static_dir,
-                output_dir,
-            },
-            board: Mutex::new(board),
-            handed: Condvar::new(),
-        };
-        let plan = &PairPlan {
-            kills: vec![],
-            hangs: vec![],
-            delays: vec![],
+        let delays = self.delays.iter().filter(|f| f.node() == node);
+        let delays = delays.filter_map(|f| match *f {
+            FaultEvent::Delay {
+                at_iteration,
+                millis,
+                ..
+            } => Some((at_iteration, millis)),
+            _ => None,
+        });
+        PairPlan {
+            kills: at(false),
+            hangs: at(true),
+            delays: delays.collect(),
             speed: 1.0,
             crash_after: None,
-        };
-        let pair = |q| {
-            let clock = TaskClock::starting_at(launched);
-            let mut env = SimEnv { turns, q, clock };
-            drop(turns.take_turn(q, Wait::Turn));
-            let (dirs, metrics) = (&turns.dirs, &runner.metrics);
+        }
+    }
+
+    /// Runs one generation of `pair_fn` (core's `pair_loop` or
+    /// `delta_loop`) from the board's epoch, every pair's clock starting
+    /// at `start`. Returns each pair's outcome; the first real failure,
+    /// in pair order, is the generation's.
+    fn generation<J, F>(
+        &self,
+        job: &J,
+        pair_fn: &F,
+        aux: Option<&dyn AuxPhase<J::K, J::S>>,
+        start: VInstant,
+    ) -> Result<Vec<PairOutcome>, EngineError>
+    where
+        J: IterativeJob,
+        F: Fn(PairCtx<'_, J, SimEnv<'_>>) -> Result<PairOutcome, EngineError> + Sync,
+    {
+        let mut board = self.lock();
+        let (nodes, n) = (board.assignment.clone(), board.assignment.len());
+        let links = vec![vec![VecDeque::new(); n]; n];
+        board.links = [links.clone(), links];
+        board.waits = vec![Wait::Turn; n];
+        (board.turn, board.poisoned) = (0, false);
+        let plans: Vec<PairPlan> = nodes.iter().map(|&node| self.plan(&board, node)).collect();
+        let (epoch, generation) = (board.epoch, board.generation);
+        drop(board);
+        // Pair 0 hands the master its aux partials (every pair sums the
+        // same ones).
+        let tap = aux.map(|aux| AuxTap(aux, self));
+        let pair = |q: usize| {
+            let mut env = SimEnv {
+                turns: self,
+                q,
+                nodes: &nodes,
+                generation,
+                clock: TaskClock::starting_at(start),
+                reload: (generation > 0).then(TaskClock::default),
+                gather: Gather::Barrier,
+                complete: VInstant::EPOCH,
+                map_busy: Duration::ZERO,
+                work_start: VInstant::EPOCH,
+                reduce_done: start,
+            };
+            drop(self.take_turn(q, Wait::Turn));
+            let aux = match &tap {
+                Some(tap) if q == 0 => Some(tap as &dyn AuxPhase<J::K, J::S>),
+                _ => aux,
+            };
             let ctx = PairCtx {
                 q,
                 job,
-                cfg: pair_cfg,
-                dirs,
-                plan,
-                epoch: 0,
-                metrics,
+                cfg: &self.pair_cfg,
+                dirs: &self.dirs,
+                plan: &plans[q],
+                epoch,
+                metrics: &self.runner.metrics,
+                aux,
                 env: &mut env,
             };
-            let mut outcome = catch_unwind(AssertUnwindSafe(|| delta_loop(ctx)))
+            let outcome = catch_unwind(AssertUnwindSafe(|| pair_fn(ctx)))
                 .unwrap_or_else(|panic| Err(EngineError::Worker(panic_message(q, panic))));
-            if let Ok(PairOutcome::Finished { final_data, .. }) = &outcome {
-                let (path, data) = (part_path(&dirs.output_dir, q), final_data.clone());
-                if let Err(e) = runner.dfs.put(&path, data, env.node(), &mut env.clock) {
-                    outcome = Err(e.into());
-                }
-            }
-            let mut board = turns.lock();
+            let mut board = self.lock();
             board.waits[q] = Wait::Done;
             board.poisoned |= !matches!(outcome, Ok(PairOutcome::Finished { .. }));
-            board.hand_over();
-            turns.handed.notify_all();
-            outcome.map(|outcome| (outcome, env.clock.now()))
+            self.hand_over(&mut board);
+            outcome
         };
-        let ends: Vec<_> = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let pairs: Vec<_> = (0..n).map(|q| scope.spawn(move || pair(q))).collect();
             let joined = pairs.into_iter().map(|pair| pair.join());
             joined
                 .map(|end| end.unwrap_or_else(|panic| resume_unwind(panic)))
                 .collect()
-        });
+        })
+    }
 
-        // The first real failure, in pair order, is the run's.
-        let (mut final_state, mut finished) = (Vec::new(), VInstant::EPOCH);
-        let ends = ends.into_iter().collect::<Result<Vec<_>, _>>()?;
-        for (q, (outcome, end)) in ends.into_iter().enumerate() {
+    /// Runs `job` on the simulated cluster — `pair_fn` is core's
+    /// `pair_loop`, with the auxiliary phase `aux` if given, or its
+    /// `delta_loop` — through every rollback the faults and the load
+    /// balancer cause; then commits each pair's final state once the
+    /// master has decided the last iteration (Fig. 1b).
+    pub(crate) fn run<J, F>(
+        runner: &IterativeRunner,
+        job: &J,
+        cfg: &IterConfig,
+        dirs: [&str; 3],
+        (faults, aux): (&[FaultEvent], Option<&dyn AuxPhase<J::K, J::S>>),
+        pair_fn: F,
+    ) -> Result<(IterOutcome<J::K, J::S>, Vec<f64>), EngineError>
+    where
+        J: IterativeJob,
+        F: Fn(PairCtx<'_, J, SimEnv<'_>>) -> Result<PairOutcome, EngineError> + Sync,
+    {
+        let turns = Turns::new(runner, cfg, dirs, faults);
+        let cost = &runner.cluster.cost;
+        let mut start = VInstant::EPOCH + cost.job_setup + cost.task_launch;
+        let ends = loop {
+            let ends = turns.generation(job, &pair_fn, aux, start)?;
+            let mut board = turns.lock();
+            match board.rollback.take() {
+                Some(rollback) => start = turns.roll_back(&mut board, rollback)?,
+                None => break ends,
+            }
+        };
+        let mut finals = Vec::with_capacity(ends.len());
+        for (q, outcome) in ends.into_iter().enumerate() {
             let PairOutcome::Finished { final_data, .. } = outcome else {
                 return Err(EngineError::Worker(format!("pair {q} ended {outcome:?}")));
             };
-            final_state.extend(decode_pairs(final_data)?);
-            finished = finished.max(end);
+            finals.push(final_data);
         }
-        sort_run(&mut final_state);
-        let mut report = RunReport {
-            label: "iMapReduce (delta)".to_owned(),
+        let mut board = turns.lock();
+        let board = &mut *board;
+        let last = |beats: &Vec<Beat>| beats.last().map_or(VInstant::EPOCH, |beat| beat.at);
+        let starts: Vec<VInstant> = (board.beats.iter())
+            .map(|beats| last(beats).max(board.decided))
+            .collect();
+        let output_dir = &turns.dirs.output_dir;
+        let (final_state, finished) =
+            runner.dump_final(output_dir, finals, &board.assignment, &starts)?;
+        let report = RunReport {
+            label: runner.label(cfg),
+            iteration_done: std::mem::take(&mut board.iteration_done),
             finished,
-            ..RunReport::default()
+            metrics: runner.metrics.snapshot(),
         };
-        let mut distances = Vec::new();
-        let beats = &turns.lock().beats;
-        for check in 0..beats.iter().map(Vec::len).min().unwrap_or(0) {
-            let beats = beats.iter().map(|pair| pair[check]);
-            let last = beats
-                .clone()
-                .map(|(at, ..)| at)
-                .fold(VInstant::EPOCH, VInstant::max);
-            report.iteration_done.push(last + cost.net_latency);
-            distances.push(fold_votes(beats.map(|(_, d, has_prev)| (d, has_prev))).0);
-        }
-        report.metrics = runner.metrics.snapshot();
-        Ok(IterOutcome {
+        let outcome = IterOutcome {
+            iterations: report.iteration_done.len(),
             report,
             final_state,
-            iterations: distances.len(),
-            distances,
-            migrations: 0,
-            recoveries: 0,
-        })
+            distances: std::mem::take(&mut board.distances),
+            migrations: board.migrations,
+            recoveries: board.recoveries,
+        };
+        Ok((
+            outcome,
+            board.aux.iter().map(|(total, ..)| *total).collect(),
+        ))
+    }
+
+    /// The master, once every pair has reported iteration `k`: the
+    /// iteration ended with the last reduce; the decision comes one
+    /// network latency later — or when the auxiliary phase's stop signal
+    /// reaches the maps. Unless the run is done, a kill or hang scripted
+    /// for `k`, or else a migration the balancer picks from the reported
+    /// loads, poisons the generation.
+    fn decide(&self, board: &mut Board, k: usize) {
+        let (cluster, n) = (&self.runner.cluster, board.assignment.len());
+        let cost = &cluster.cost;
+        let beats: Vec<Beat> = board.beats.iter().map(|beats| beats[k - 1]).collect();
+        let done_at = beats.iter().map(|b| b.at).max().unwrap_or_default();
+        let (total, any_prev) = fold_votes(beats.iter().map(|b| (b.d, b.has_prev)));
+        let threshold = self.cfg.termination.distance_threshold;
+        let distance = if any_prev { total } else { f64::INFINITY };
+        board.distances.extend(threshold.map(|_| distance));
+        // Aux map q reads reduce q's output locally once it is done and
+        // ships one partial to the aux reducer on pair 0's node, which
+        // sums them and broadcasts the stop signal.
+        let mut stop = None;
+        if let Some((_, verdict, read)) = board.aux.get(k.wrapping_sub(2)).cloned() {
+            let mut aux_reduce = TaskClock::default();
+            for (q, ((records, bytes), beat)) in read.into_iter().zip(&beats).enumerate() {
+                let (node, aux_reducer) = (board.assignment[q], board.assignment[0]);
+                let mut clock = TaskClock::starting_at(beat.at);
+                clock.advance(cost.compute_time(records, bytes, cluster.speed(node)));
+                aux_reduce.merge(clock.now() + cluster.transfer_time(node, aux_reducer, 16));
+            }
+            aux_reduce.advance(cost.compute_time(n as u64, 0, 1.0));
+            stop = verdict.then(|| aux_reduce.now() + cost.net_latency);
+        }
+        board.decided = stop.unwrap_or(done_at + cost.net_latency);
+        // A delta check ends when the master decides it.
+        let delta = self.pair_cfg.accumulative;
+        (board.iteration_done).push(if delta { board.decided } else { done_at });
+        let converged = threshold.is_some_and(|eps| any_prev && total < eps);
+        if converged || stop.is_some() || k == self.cfg.termination.max_iterations {
+            return;
+        }
+        if let Some(pos) = board.pending.iter().position(|f| f.at_iteration() == k) {
+            board.rollback = Some(Rollback::Fault(board.pending.remove(pos)));
+        } else if let Some(lb) = self
+            .cfg
+            .load_balance
+            .filter(|lb| board.migrations < lb.max_migrations as u64 && n > 1)
+        {
+            let busy: Vec<f64> = beats.iter().map(|b| b.busy).collect();
+            let moved = cluster.pick_migration(&board.assignment, &busy, lb.deviation);
+            board.rollback = moved.map(|(pair, node)| Rollback::Migrate(pair, node));
+        }
+        board.poisoned |= board.rollback.is_some();
+    }
+
+    /// A master-side event at instant `at`.
+    fn event(&self, kind: TraceKind, at: VInstant, node: NodeId, pair: u32, k: usize, g: u32) {
+        let event = TraceEvent::new(kind).spanning(at.as_nanos(), at.as_nanos());
+        let event = event.tagged(node.index() as u32, pair, k as u32, g);
+        self.runner.observer.emit(event);
+    }
+
+    /// Rolls the run back to the latest complete epoch after the master
+    /// poisoned a generation for `rollback`: a failed node's pairs move
+    /// to the fastest surviving nodes with a free slot (§3.4.1), or the
+    /// slow pair moves to the fast node (§3.4.2); each moved pair is
+    /// relaunched there and rereads its static part, while every pair's
+    /// state part is reloaded from when the rollback began. Returns when
+    /// the pairs resume: the last reload or relaunch.
+    fn roll_back(&self, board: &mut Board, rollback: Rollback) -> Result<VInstant, EngineError> {
+        let (runner, epoch) = (self.runner, board.epoch);
+        let (cluster, dfs, metrics) = (&runner.cluster, &runner.dfs, &runner.metrics);
+        let (k, g, decided) = (board.iteration_done.len(), board.generation, board.decided);
+        let output_dir = &self.dirs.output_dir;
+        let mut moved = Vec::new();
+        let (began, dump_node) = match rollback {
+            Rollback::Fault(fault) => {
+                let (dead, mut began) = (fault.node(), decided);
+                if let FaultEvent::Hang { .. } = fault {
+                    // A hung pair never exits: the watchdog declares it
+                    // failed only after `stall_timeout` of silence.
+                    metrics.stalls_detected.add(1);
+                    self.event(TraceKind::StallDetected, decided, dead, COORD, k, g);
+                    // unreachable: validate() refuses a Hang fault when
+                    // cfg.watchdog is None.
+                    let wd = self.cfg.watchdog.expect("validate: hang requires watchdog");
+                    began = decided + VDuration::from_secs_f64(wd.stall_timeout.as_secs_f64());
+                }
+                board.recoveries += 1;
+                metrics.recoveries.add(1);
+                let epoch = epoch as u64;
+                self.event(TraceKind::Rollback { epoch }, began, dead, COORD, k, g);
+                dfs.fail_node(dead);
+                let mut hosted = vec![0usize; cluster.len()];
+                for node in board.assignment.iter().filter(|node| **node != dead) {
+                    hosted[node.index()] += 1;
+                }
+                for p in 0..board.assignment.len() {
+                    if board.assignment[p] != dead {
+                        continue;
+                    }
+                    // The fastest surviving node with a free pair slot.
+                    let free = |id: &NodeId| {
+                        *id != dead && hosted[id.index()] < cluster.node_pair_capacity(*id)
+                    };
+                    let speed = |id: &NodeId| cluster.speed(*id);
+                    let faster =
+                        |a: &NodeId, b: &NodeId| speed(a).total_cmp(&speed(b)).then(b.0.cmp(&a.0));
+                    let Some(node) = cluster.node_ids().filter(free).max_by(faster) else {
+                        return Err(EngineError::Config(format!(
+                            "no surviving node has a free pair slot to host pair {p} after {dead:?} failed"
+                        )));
+                    };
+                    hosted[node.index()] += 1;
+                    board.assignment[p] = node;
+                    moved.push(p);
+                }
+                (began, board.assignment[0])
+            }
+            Rollback::Migrate(slow, fast) => {
+                board.migrations += 1;
+                metrics.migrations.add(1);
+                // Record the migration epoch next to the snapshots
+                // (post-mortem parity with native).
+                let marker = migration_marker(output_dir, board.migrations, epoch);
+                let migrated = Bytes::from_static(b"migrated");
+                dfs.put_atomic(&marker, migrated, fast, &mut TaskClock::default())?;
+                let from = board.assignment[slow];
+                let to = fast.index() as u32;
+                let migration = TraceKind::Migration {
+                    from: from.index() as u32,
+                    to,
+                };
+                self.event(migration, decided, from, slow as u32, k, g);
+                board.assignment[slow] = fast;
+                moved.push(slow);
+                (decided, fast)
+            }
+        };
+        // A moved pair is relaunched and rereads its static part.
+        let mut resume = began;
+        for p in moved {
+            let mut clock = TaskClock::starting_at(began + cluster.cost.task_launch);
+            let path = part_path(&self.dirs.static_dir, p);
+            let raw = dfs.read(&path, board.assignment[p], &mut clock)?;
+            board.held.insert(path, raw);
+            resume = resume.max(clock.now());
+        }
+        let dir = match epoch {
+            0 => self.dirs.state_dir.clone(),
+            _ => snapshot_dir(output_dir, epoch),
+        };
+        let (parts, one2all) = (num_parts(dfs, &dir), self.pair_cfg.one2all);
+        for (p, &node) in board.assignment.iter().enumerate() {
+            let mut clock = TaskClock::starting_at(began);
+            let own = if one2all { 0..parts } else { p..p + 1 };
+            for path in own.map(|i| part_path(&dir, i)) {
+                let raw = dfs.read(&path, node, &mut clock)?;
+                board.held.insert(path, raw);
+            }
+            resume = resume.max(clock.now());
+        }
+        // The trailing trace window, dumped to the DFS for post-mortems.
+        if let Some(lines) = runner.observer.flight_lines() {
+            let (path, lines) = (flight_path(output_dir, g as usize), lines.into_bytes());
+            dfs.put_atomic(&path, lines.into(), dump_node, &mut TaskClock::default())?;
+        }
+        board.generation += 1;
+        board.iteration_done.truncate(epoch);
+        board.distances.truncate(epoch);
+        board.aux.truncate(epoch.saturating_sub(1));
+        for beats in &mut board.beats {
+            beats.truncate(epoch);
+        }
+        board.staged.clear();
+        Ok(resume)
     }
 }
 
-/// One pair's view of a [`Turns`] run.
-struct SimEnv<'t, 'r> {
-    turns: &'t Turns<'r>,
-    q: usize,
-    clock: TaskClock,
+/// Pair 0's view of the auxiliary phase: it reports what the master
+/// needs to clock the phase — how many records each partial read, the
+/// total and the verdict.
+struct AuxTap<'t, K, S>(&'t dyn AuxPhase<K, S>, &'t Turns<'t>);
+
+impl<K: Codec, S: Codec> AuxPhase<K, S> for AuxTap<'_, K, S> {
+    fn partial(&self, prev: &[(K, S)], cur: &[(K, S)]) -> f64 {
+        let read = (
+            (prev.len() + cur.len()) as u64,
+            pairs_encoded_len(cur) as u64,
+        );
+        self.1.lock().aux_read.push(read);
+        self.0.partial(prev, cur)
+    }
+
+    fn should_terminate(&self, total: f64) -> bool {
+        let verdict = self.0.should_terminate(total);
+        let mut board = self.1.lock();
+        let read = std::mem::take(&mut board.aux_read);
+        board.aux.push((total, verdict, read));
+        verdict
+    }
 }
 
-impl SimEnv<'_, '_> {
+/// One pair's view of a [`Turns`] generation.
+pub(crate) struct SimEnv<'t> {
+    turns: &'t Turns<'t>,
+    q: usize,
+    /// Where each pair runs in this generation.
+    nodes: &'t [NodeId],
+    generation: u32,
+    clock: TaskClock,
+    /// A relaunched generation's load is the master's: until the pair's
+    /// first event, what its load charges goes here.
+    reload: Option<TaskClock>,
+    gather: Gather,
+    /// When the next map's input is complete.
+    complete: VInstant,
+    /// This iteration's stretched map busy time.
+    map_busy: Duration,
+    /// When this iteration's reduce work started and ended.
+    work_start: VInstant,
+    reduce_done: VInstant,
+}
+
+impl SimEnv<'_> {
     fn node(&self) -> NodeId {
-        self.turns.assignment[self.q]
+        self.nodes[self.q]
     }
 
     /// Puts `part` in flight to pair `dest`, stamped with this instant.
@@ -268,7 +645,7 @@ impl SimEnv<'_, '_> {
     }
 }
 
-impl Transport for SimEnv<'_, '_> {
+impl Transport for SimEnv<'_> {
     fn send(&mut self, dest: usize, seg: Bytes) -> Result<(), Closed> {
         self.post(SEGMENTS, dest, seg);
         Ok(())
@@ -280,17 +657,14 @@ impl Transport for SimEnv<'_, '_> {
             .pop_front()
             .ok_or(Closed)?;
         drop(board);
-        let from = self.turns.assignment[src];
-        let arrival = self
-            .turns
-            .runner
-            .arrival(sent, from, self.node(), seg.len() as u64);
+        let arrival =
+            (self.turns.runner).arrival(sent, self.nodes[src], self.node(), seg.len() as u64);
         self.clock.merge(arrival);
         Ok(seg)
     }
 }
 
-impl PairEnv for SimEnv<'_, '_> {
+impl PairEnv for SimEnv<'_> {
     type Cost<'c>
         = ClockCharge<'c>
     where
@@ -302,8 +676,9 @@ impl PairEnv for SimEnv<'_, '_> {
 
     fn cost(&mut self) -> ClockCharge<'_> {
         let cluster = &self.turns.runner.cluster;
-        let speed = cluster.speed(self.node());
-        ClockCharge::new(&mut self.clock, &cluster.cost, speed)
+        let speed = cluster.speed(self.nodes[self.q]);
+        let clock = self.reload.as_mut().unwrap_or(&mut self.clock);
+        ClockCharge::new(clock, &cluster.cost, speed)
     }
 
     fn is_poisoned(&self) -> bool {
@@ -311,61 +686,176 @@ impl PairEnv for SimEnv<'_, '_> {
     }
 
     fn allgather(&mut self, mine: Bytes) -> Result<Vec<Bytes>, Closed> {
-        for dest in 0..self.turns.assignment.len() {
+        for dest in 0..self.nodes.len() {
             self.post(GATHER, dest, mine.clone());
         }
         let mut board = self.turns.take_turn(self.q, Wait::Gather)?;
         let links = board.links[GATHER][self.q].iter_mut();
         let parts: Vec<_> = links.filter_map(VecDeque::pop_front).collect();
         drop(board);
-        let last = parts
+        let (cluster, gather) = (&self.turns.runner.cluster, self.gather);
+        let arrival = |src: usize, (part, at): &(Bytes, VInstant)| match gather {
+            // Every reduce ships its output to every map task.
+            Gather::Broadcast => {
+                let transfer =
+                    cluster.transfer_time(self.nodes[src], self.node(), part.len() as u64);
+                *at + cluster.cost.handoff_flush + transfer
+            }
+            _ => *at,
+        };
+        let arrivals = parts
             .iter()
-            .map(|(_, at)| *at)
-            .fold(VInstant::EPOCH, VInstant::max);
-        self.clock
-            .merge(last + self.turns.runner.cluster.cost.net_latency);
+            .enumerate()
+            .map(|(src, part)| arrival(src, part));
+        let release = arrivals.max().unwrap_or_default();
+        match gather {
+            Gather::Vote if !self.turns.pair_cfg.accumulative => {}
+            Gather::Vote => drop(self.clock.merge(release + cluster.cost.net_latency)),
+            _ => drop(self.clock.merge(release)),
+        }
+        if gather == Gather::Vote {
+            self.gather = Gather::Barrier;
+        }
         Ok(parts.into_iter().map(|(part, _)| part).collect())
     }
 
     fn read_part(&mut self, dir: &str, part: usize) -> Result<Bytes, EnvFail> {
-        let (runner, node) = (self.turns.runner, self.node());
-        let raw = runner
-            .dfs
-            .read(&part_path(dir, part), node, &mut self.clock)?;
-        self.clock
-            .advance(runner.cluster.cost.serde_per_byte * raw.len() as u64);
+        let path = part_path(dir, part);
+        if let Some(raw) = self.turns.lock().held.get(&path) {
+            return Ok(raw.clone());
+        }
+        let runner = self.turns.runner;
+        let raw = runner.dfs.read(&path, self.node(), &mut self.clock)?;
+        let cost = &runner.cluster.cost;
+        self.clock.advance(cost.serde_per_byte * raw.len() as u64);
+        if dir == self.turns.dirs.static_dir && self.turns.rollbacks {
+            self.turns.lock().held.insert(path, raw.clone());
+        }
         Ok(raw)
     }
 
+    /// Holds the part until its epoch is complete, then writes every
+    /// part off the critical path and retires the epoch before. The loop
+    /// counted the payload; the run counts what the DFS replicated.
     fn write_checkpoint(&mut self, iteration: usize, payload: Bytes) -> Result<(), EnvFail> {
-        let (dfs, output_dir) = (&self.turns.runner.dfs, &self.turns.dirs.output_dir);
-        let path = part_path(&snapshot_dir(output_dir, iteration), self.q);
-        dfs.put_atomic(&path, payload, self.node(), &mut TaskClock::default())?;
+        // No pair writes epoch k + 1 before every pair wrote epoch k: it
+        // cannot report k + 1 before them.
         let mut board = self.turns.lock();
-        let (written, previous) = board.checkpoint;
-        board.checkpoint = (written + 1, previous);
-        if written + 1 == self.turns.assignment.len() {
-            if previous > 0 {
-                delete_dir(dfs, &snapshot_dir(output_dir, previous));
-            }
-            board.checkpoint = (0, iteration);
+        board.staged.resize(self.nodes.len(), None);
+        board.staged[self.q] = Some(payload);
+        if board.staged.iter().any(Option::is_none) {
+            return Ok(());
         }
+        let (runner, output_dir) = (self.turns.runner, &self.turns.dirs.output_dir);
+        let (dfs, metrics) = (&runner.dfs, &runner.metrics);
+        let dir = snapshot_dir(output_dir, iteration);
+        for (p, payload) in std::mem::take(&mut board.staged)
+            .into_iter()
+            .flatten()
+            .enumerate()
+        {
+            let (before, len) = (metrics.dfs_write_bytes.get(), payload.len() as u64);
+            let path = part_path(&dir, p);
+            dfs.put_atomic(&path, payload, self.nodes[p], &mut TaskClock::default())?;
+            let written = metrics.dfs_write_bytes.get() - before;
+            metrics.checkpoint_bytes.add(written.saturating_sub(len));
+        }
+        if board.epoch > 0 {
+            delete_dir(dfs, &snapshot_dir(output_dir, board.epoch));
+        }
+        board.epoch = iteration;
         Ok(())
     }
 
-    fn beat(&mut self, _iteration: usize, _busy_secs: f64, d: f64, has_prev: bool) {
-        let now = self.clock.now();
-        self.turns.lock().beats[self.q].push((now, d, has_prev));
+    /// Reports iteration `it` to the master. When the master may roll
+    /// the run back, the pair then waits until every pair has reported
+    /// `it`: no pair goes past an iteration the master has not decided.
+    fn beat(&mut self, it: usize, busy_secs: f64, d: f64, has_prev: bool) {
+        let beat = Beat {
+            at: self.reduce_done,
+            busy: busy_secs,
+            d,
+            has_prev,
+        };
+        let cfg = &self.turns.pair_cfg;
+        if cfg.accumulative || cfg.threshold.is_some() {
+            self.gather = Gather::Vote;
+        }
+        let mut board = self.turns.lock();
+        board.beats[self.q].push(beat);
+        if board.ready(self.q, Wait::Beat(it)) {
+            self.turns.decide(&mut board, it);
+        }
+        drop(board);
+        if self.turns.rollbacks {
+            drop(self.turns.take_turn(self.q, Wait::Beat(it)));
+        }
     }
 
-    /// The simulator scripts no faults; a hang would never end.
+    /// The master poisoned the generation at this iteration's last beat.
     fn hang(&mut self) {}
 
     fn emit(&mut self, event: TraceEvent) {
-        let node = self.node().index() as u32;
-        self.turns
-            .runner
-            .observer
-            .emit(TraceEvent { node, ..event });
+        self.reload = None;
+        let (node, generation) = (self.node().index() as u32, self.generation);
+        let event = TraceEvent {
+            node,
+            generation,
+            ..event
+        };
+        self.turns.runner.observer.emit(event);
+    }
+
+    /// Charges the phase's straggler slowdown (and, to the reduce, a
+    /// scripted delay); the delta mode charges none.
+    fn stretch(&mut self, phase: Phase, it: usize, busy: Duration, plan: &PairPlan) -> Duration {
+        if self.turns.pair_cfg.accumulative {
+            self.reduce_done = self.clock.now();
+            return busy;
+        }
+        let cost = &self.turns.runner.cluster.cost;
+        let (id, own) = match phase {
+            Phase::Map => (1, busy),
+            _ => (2, busy - self.map_busy),
+        };
+        let start = VInstant::from_nanos(self.clock.now().as_nanos() - own.as_nanos() as u64);
+        let own = self.clock.now().duration_since(start);
+        self.clock
+            .advance(own * cost.straggler(it as u64, self.q as u64, id));
+        let delays = plan.delays.iter().filter(|&&(at, _)| at == it);
+        for &(_, millis) in delays.filter(|_| phase == Phase::Reduce) {
+            self.clock.advance(VDuration::from_millis(millis));
+        }
+        let stretched = Duration::from_nanos(self.clock.now().duration_since(start).as_nanos());
+        if phase == Phase::Map {
+            self.map_busy = stretched;
+            // Pipelined consumption cannot outrun its producer.
+            self.clock.merge(self.complete);
+            return stretched;
+        }
+        (self.work_start, self.reduce_done) = (start, self.clock.now());
+        self.gather = Gather::Broadcast;
+        self.map_busy + stretched
+    }
+
+    /// One2one: the new state goes over a persistent local socket to the
+    /// paired map task, which starts once it has all of it — or, with
+    /// the eager hand-off, at the first buffer flush after the reduce
+    /// cleared its shuffle barrier (§3.3). One2all: the broadcast gather
+    /// already waited for every part.
+    fn handed_off(&mut self, _it: usize, bytes: u64) -> u64 {
+        let cost = &self.turns.runner.cluster.cost;
+        let sent = self.reduce_done + cost.handoff_flush;
+        self.gather = Gather::Barrier;
+        if self.turns.pair_cfg.one2all {
+            return sent.as_nanos();
+        }
+        self.complete = sent + cost.local_transfer_time(bytes);
+        let ready = match self.turns.cfg.eager_handoff {
+            true => self.work_start + cost.handoff_flush,
+            false => self.complete,
+        };
+        self.clock = TaskClock::starting_at(ready);
+        self.complete.as_nanos()
     }
 }

@@ -871,10 +871,11 @@ fn delta_sim_timeline_is_pinned() {
     assert_eq!(out.report.finished.as_nanos(), 4_038_114_536);
 }
 
-/// The simulator runs a delta job as one thread per pair, each running
-/// the pair loop, and a map/reduce job on the caller's thread alone.
+/// The simulator runs a delta job and a map/reduce job alike: one
+/// thread per pair, each running the pair loop, none of them the
+/// caller's.
 #[test]
-fn sim_delta_runs_one_thread_per_pair_and_map_reduce_none() {
+fn sim_runs_one_thread_per_pair_in_both_modes() {
     for tasks in [1usize, 3] {
         let r = runner_on(ClusterSpec::local(4));
         load_hops(&r, tasks);
@@ -893,8 +894,8 @@ fn sim_delta_runs_one_thread_per_pair_and_map_reduce_none() {
         r.run(&job, &cfg, "/state", "/static", "/mr-out", &[])
             .unwrap();
         let threads = job.threads.into_inner().unwrap();
-        assert_eq!(threads.len(), 1, "map/reduce runs on the caller's thread");
-        assert!(threads.contains(&std::thread::current().id()));
+        assert_eq!(threads.len(), tasks, "one pair thread per task");
+        assert!(!threads.contains(&std::thread::current().id()));
     }
 }
 
@@ -919,4 +920,60 @@ fn a_panicking_delta_job_is_a_worker_error_not_a_hang() {
             other.map(|o| o.iterations)
         ),
     }
+}
+
+/// The simulator's map/reduce timeline, pinned in virtual nanoseconds,
+/// the sibling of `delta_sim_timeline_is_pinned`: a 2-pair, 2-node
+/// `Hops` run — async one2one with the eager hand-off, a checkpoint
+/// every 2 iterations, a delay and a kill — and a 2-pair one2all
+/// `MiniKmeans` run of 4 iterations. A change to where a phase, a
+/// hand-off, the master's decision, a rollback or the final dump
+/// charges time moves these numbers.
+#[test]
+fn mapreduce_sim_timeline_is_pinned() {
+    let nanos = |done: &[imr_simcluster::VInstant]| -> Vec<u64> {
+        done.iter().map(|t| t.as_nanos()).collect()
+    };
+    let r = runner_on(ClusterSpec::local(2));
+    load_hops(&r, 2);
+    let cfg = IterConfig::new("hops", 2, 8)
+        .with_eager_handoff()
+        .with_checkpoint_interval(2);
+    let faults = [
+        imapreduce::FaultEvent::Delay {
+            node: NodeId(1),
+            at_iteration: 3,
+            millis: 700,
+        },
+        imapreduce::FaultEvent::Kill {
+            node: NodeId(0),
+            at_iteration: 5,
+        },
+    ];
+    let out = r
+        .run_faults(&Hops::default(), &cfg, "/state", "/static", "/out", &faults)
+        .unwrap();
+    assert_eq!(out.recoveries, 1);
+    let pinned_one2one = [
+        4_029_008_384,
+        4_053_803_797,
+        4_767_837_265,
+        4_769_652_436,
+        5_802_754_307,
+        5_829_856_741,
+        5_844_803_578,
+        5_866_889_550,
+    ];
+    assert_eq!(nanos(&out.report.iteration_done), pinned_one2one);
+    assert_eq!(out.report.finished.as_nanos(), 5_876_031_822);
+
+    let r = runner_on(ClusterSpec::local(2));
+    load_kmeans(&r, 2);
+    let cfg = IterConfig::new("kmeans", 2, 4).with_one2all();
+    let out = r
+        .run(&MiniKmeans, &cfg, "/centroids", "/points", "/out", &[])
+        .unwrap();
+    let pinned_one2all = [4_025_563_181, 4_048_791_403, 4_062_782_969, 4_074_374_454];
+    assert_eq!(nanos(&out.report.iteration_done), pinned_one2all);
+    assert_eq!(out.report.finished.as_nanos(), 4_083_379_271);
 }

@@ -17,16 +17,6 @@ impl<'a> ClockCharge<'a> {
     pub fn new(clock: &'a mut TaskClock, cost: &'a CostModel, speed: f64) -> Self {
         ClockCharge { clock, cost, speed }
     }
-
-    /// Charges a k-way merge of `records` records from `runs` sorted
-    /// runs: `records · log2(runs)` comparisons.
-    pub fn merged(&mut self, records: u64, runs: usize) {
-        if runs > 1 {
-            let cmps = records as f64 * (runs as f64).log2();
-            self.clock
-                .advance(self.cost.sort_per_cmp * cmps.round() as u64 * (1.0 / self.speed));
-        }
-    }
 }
 
 impl ShuffleCost for ClockCharge<'_> {
@@ -47,5 +37,21 @@ impl ShuffleCost for ClockCharge<'_> {
         self.clock
             .advance(self.cost.compute_time(records, 0, self.speed));
         self.clock.advance(self.cost.serde_per_byte * bytes);
+    }
+    /// A k-way merge: `records · log2(runs)` comparisons.
+    fn merged(&mut self, records: u64, runs: usize) {
+        if runs > 1 {
+            let cmps = records as f64 * (runs as f64).log2();
+            self.clock
+                .advance(self.cost.sort_per_cmp * cmps.round() as u64 * (1.0 / self.speed));
+        }
+    }
+    /// iMapReduce keeps intermediate data in files (§6).
+    fn mapped(&mut self, records: u64, bytes: u64, spilled: u64) {
+        let cost = self.cost;
+        self.clock
+            .advance(cost.compute_time(records, bytes, self.speed));
+        self.clock.advance(cost.serde_per_byte * spilled);
+        self.clock.advance(cost.disk_time(spilled));
     }
 }

@@ -9,7 +9,8 @@ use crate::schedule::SlotPool;
 use bytes::Bytes;
 use imr_dfs::{Dfs, DfsError};
 use imr_records::{
-    encode_pairs, shuffle_in_groups, CodecError, FoldTable, ShuffleError, ShuffleScratch,
+    encode_pairs, shuffle_in_groups, CodecError, FoldTable, ShuffleCost, ShuffleError,
+    ShuffleScratch,
 };
 use imr_simcluster::{ClusterSpec, MetricsHandle, NodeId, TaskClock, VInstant};
 use std::fmt;

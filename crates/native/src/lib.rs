@@ -408,6 +408,7 @@ impl NativeRunner {
                                     plan: &gen.plans[q],
                                     epoch: gen.epoch,
                                     metrics: &self.metrics,
+                                    aux: None,
                                     env: &mut env,
                                 })
                             }));

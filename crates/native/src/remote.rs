@@ -1227,6 +1227,7 @@ fn serve_inner<J: IterativeJob>(
             plan: &plan,
             epoch,
             metrics: &metrics,
+            aux: None,
             env: &mut env,
         })
     }));

@@ -47,6 +47,12 @@ pub trait ShuffleCost {
     /// through the codec, beyond the sorts and folds above (a delta
     /// round's apply, extract and encode; its decode and merge).
     fn processed(&mut self, _records: u64, _bytes: u64) {}
+    /// `records` records arrived as `runs` sorted runs and were merged.
+    fn merged(&mut self, _records: u64, _runs: usize) {}
+    /// The user map consumed and emitted `records` records in all,
+    /// reading `bytes` bytes of state and static data, and its `spilled`
+    /// bytes of output were serialised and written to disk.
+    fn mapped(&mut self, _records: u64, _bytes: u64, _spilled: u64) {}
 }
 
 impl ShuffleCost for () {}

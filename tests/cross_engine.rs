@@ -982,3 +982,55 @@ fn a_corrupt_state_part_is_a_codec_error_on_both_engines() {
         assert!(matches!(err, EngineError::Codec(_)), "{err:?}");
     }
 }
+
+/// SSSP whose reduce-side `finish` panics at one key.
+struct FinishPanicsAt(u32);
+
+impl imapreduce::IterativeJob for FinishPanicsAt {
+    type K = u32;
+    type S = f64;
+    type T = sssp::Adj;
+    fn map(
+        &self,
+        k: &u32,
+        state: imapreduce::StateInput<'_, u32, f64>,
+        adj: &sssp::Adj,
+        out: &mut imapreduce::Emitter<u32, f64>,
+    ) {
+        SsspIter.map(k, state, adj, out);
+    }
+    fn fold(&self, k: &u32, acc: &mut f64, v: f64) {
+        SsspIter.fold(k, acc, v);
+    }
+    fn finish(&self, k: &u32, acc: f64) -> f64 {
+        assert_ne!(*k, self.0, "finish at key {k}");
+        acc
+    }
+}
+
+/// The error a run of `FinishPanicsAt(1)` ends with on `runner`.
+fn panicking_run(runner: &impl IterEngine) -> EngineError {
+    let g = dataset("DBLP").unwrap().generate(0.003);
+    sssp::load_sssp_imr(runner, &g, 0, 2, "/s", "/t").unwrap();
+    let cfg = IterConfig::new("sssp", 2, 3);
+    match runner.run(&FinishPanicsAt(1), &cfg, "/s", "/t", "/o", &[]) {
+        Ok(out) => panic!("the job ran {} iterations", out.iterations),
+        Err(e) => e,
+    }
+}
+
+/// Job code that panics is a worker error on both engines: the pair
+/// that ran it fails, its peers unwind, and the caller gets an error —
+/// its own thread never runs job code.
+#[test]
+fn a_panicking_job_is_a_worker_error_on_both_engines() {
+    for err in [
+        panicking_run(&imr_runner(4)),
+        panicking_run(&native_runner(4)),
+    ] {
+        assert!(
+            matches!(&err, EngineError::Worker(msg) if msg.contains("finish at key 1")),
+            "{err:?}"
+        );
+    }
+}

@@ -25,7 +25,10 @@
 #                          # the core and shuffle kernels (accum, kernel,
 #                          # shuffle, sorted, codec), core's store, observe,
 #                          # iter_engine and ctl, or the DFS facade and
-#                          # snapshot naming (dfs lib, snapshot)
+#                          # snapshot naming (dfs lib, snapshot), and the
+#                          # iteration kernel (map_side, reduce_side,
+#                          # delta_out, delta_in) called from the pair loop
+#                          # (crates/core/src/pair.rs) alone
 #   ./verify.sh <suite>    # one row group of the SUITES table: faults,
 #                          # observe, service, delta, chaos, incremental
 #
@@ -445,6 +448,18 @@ cmd_drift() {
   [ -z "$copies" ] \
     || { echo "drift: a wire message copied by .to_bytes() instead of framed from its parts:" >&2; echo "$copies" >&2; exit 1; }
   echo "drift: every ToCoord/ToWorker frame outside tests is written from its parts"
+
+  # One loop around the kernel: outside #[cfg(test)], the iteration
+  # kernel's halves are called from the pair loop and nowhere else, so
+  # every engine — threads, TCP and the simulator — runs the same loop.
+  local kernel_calls
+  kernel_calls=$(rust_code 1 $(find crates/*/src src -name '*.rs' | sort) \
+    | grep -E '(^|[^A-Za-z0-9_])(map_side|reduce_side|delta_out|delta_in)\(' \
+    | grep -Ev '(^|[^A-Za-z0-9_])fn (map_side|reduce_side|delta_out|delta_in)\(' \
+    | grep -v '^crates/core/src/pair\.rs:' || true)
+  [ -z "$kernel_calls" ] \
+    || { echo "drift: the iteration kernel is called outside the pair loop (crates/core/src/pair.rs):" >&2; echo "$kernel_calls" >&2; exit 1; }
+  echo "drift: map_side, reduce_side, delta_out and delta_in are called from the pair loop alone"
 
   local subs jobs
   subs=$({
