@@ -12,10 +12,13 @@
 //! loop (`pair.rs`) — `pair_loop` for `run`, `run_faults` and
 //! `run_with_aux`, `delta_loop` for `run_accumulative` — one thread per
 //! pair on the virtual-clock `SimEnv` (`sim_env.rs`), the same loop the
-//! native backends run. The simulator's side of the paper's runtime
-//! support is there too: the master's termination check (§3.1.2),
-//! checkpoint rollback after a failure (§3.4.1), migration-based load
-//! balancing (§3.4.2) and the clock of the auxiliary phase (§5.3).
+//! native backends run, under the same master: core's `supervise`
+//! (`supervise.rs`) triages every generation, rolls the run back after
+//! a failure (§3.4.1) or for a migration (§3.4.2) and assembles the
+//! report, for every engine. `sim_env.rs` keeps what a virtual clock
+//! needs of it — when the master decided (§3.1.2), what a relaunch and a
+//! reload cost, where a dead node's pairs go — and the clock of the
+//! auxiliary phase (§5.3).
 //! This module keeps the runner, its refusals, and the helpers the
 //! two-phase driver (`multiphase.rs`) shares.
 
@@ -30,7 +33,6 @@ use bytes::Bytes;
 use imr_dfs::Dfs;
 use imr_mapreduce::io::part_path;
 use imr_mapreduce::EngineError;
-use imr_records::{decode_pairs, sort_run, Key, Value};
 use imr_simcluster::{ClusterSpec, MetricsHandle, NodeId, RunReport, TaskClock, VInstant};
 use imr_telemetry::TelemetryHandle;
 use imr_trace::TraceHandle;
@@ -190,7 +192,6 @@ impl IterativeRunner {
         let aux_tasks = if aux.is_some() { cfg.num_tasks } else { 0 };
         check_slots(cfg.num_tasks + aux_tasks, self.pair_capacity())?;
         check_inputs(&self.dfs, cfg, state_dir, static_dir)?;
-        self.metrics.jobs_launched.add(1);
         self.metrics.tasks_launched.add(2 * aux_tasks as u64);
         let dirs = [state_dir, static_dir, output_dir];
         Turns::run(self, job, cfg, dirs, (faults, aux), |ctx| pair_loop(ctx))
@@ -233,7 +234,6 @@ impl IterativeRunner {
         }
         check_slots(cfg.num_tasks, self.pair_capacity())?;
         check_inputs(&self.dfs, cfg, state_dir, static_dir)?;
-        self.metrics.jobs_launched.add(1);
         let dirs = [state_dir, static_dir, output_dir];
         Ok(Turns::run(self, job, cfg, dirs, (&[], None), |ctx| delta_loop(ctx))?.0)
     }
@@ -288,27 +288,22 @@ impl IterativeRunner {
 
     /// The final output dump (once, at termination; Fig. 1b): pair `q`
     /// commits the encoded `parts[q]` to `output_dir` starting at
-    /// `starts[q]`. Returns the key-sorted union and when the last
-    /// commit landed.
-    pub(crate) fn dump_final<K: Key, S: Value>(
+    /// `starts[q]`. Returns when the last commit landed.
+    pub(crate) fn dump_final(
         &self,
         output_dir: &str,
         parts: Vec<Bytes>,
         assignment: &[NodeId],
         starts: &[VInstant],
-    ) -> Result<(Vec<(K, S)>, VInstant), EngineError> {
+    ) -> Result<VInstant, EngineError> {
         let mut finished = VInstant::EPOCH;
-        let mut final_state: Vec<(K, S)> = Vec::new();
         for (q, data) in parts.into_iter().enumerate() {
             let mut clock = TaskClock::starting_at(starts[q]);
-            let path = part_path(output_dir, q);
             self.dfs
-                .put(&path, data.clone(), assignment[q], &mut clock)?;
+                .put(&part_path(output_dir, q), data, assignment[q], &mut clock)?;
             finished = finished.max(clock.now());
-            final_state.extend(decode_pairs(data)?);
         }
-        sort_run(&mut final_state);
-        Ok((final_state, finished))
+        Ok(finished)
     }
 }
 

@@ -80,6 +80,8 @@ mod observe;
 pub mod pair;
 mod sim_env;
 mod store;
+#[doc(hidden)]
+pub mod supervise;
 
 pub use accum::{Accumulative, BatchOutcome, DeltaStore};
 pub use api::{Emitter, IterativeJob, Mapping, StateInput};

@@ -324,9 +324,9 @@ where
 
     // ---- Final dump ---------------------------------------------------
     let parts = state1.iter().map(|part| encode_pairs(part)).collect();
-    let (final_state, finished) =
-        runner.dump_final(output_dir, parts, &assignment, &activations)?;
-    report.finished = finished;
+    report.finished = runner.dump_final(output_dir, parts, &assignment, &activations)?;
+    let mut final_state: Vec<_> = state1.into_iter().flatten().collect();
+    sort_run(&mut final_state);
     report.metrics = metrics.snapshot();
     Ok(TwoPhaseOutcome {
         report,

@@ -27,17 +27,22 @@
 //! releases at once — no map waits for the master's decision — while a
 //! delta check waits one network latency after the last report.
 //!
-//! The board plays the master (§3.1.2): once every pair has reported
-//! iteration k, it records when the iteration ended, folds the votes,
-//! runs the auxiliary phase's clock (§5.3), and decides whether the run
-//! stops, or a failure (§3.4.1) or a migration (§3.4.2) rolls it back.
-//! A rollback poisons the generation: the pairs write their snapshots of
-//! k and unwind, and the next generation starts from the latest complete
-//! epoch. Only a moved pair is relaunched and rereads its static part;
-//! the board reloads every pair's state part from the DFS on its behalf,
-//! and the pairs resume together once the last reload is done.
-//! Checkpoint parts are held until their epoch is complete, then written
-//! in pair order, retiring the epoch before.
+//! The master is core's `supervise`, as on the native engines; [`Turns`]
+//! is the simulator's generation runner, as the channel mesh and the TCP
+//! hub are natively, and its board keeps what a virtual clock needs of
+//! the master (§3.1.2): once every pair has reported iteration k, it
+//! records when the iteration ended and when the master decided it,
+//! runs the auxiliary phase's clock (§5.3), and poisons the generation
+//! when a pair's plan kills or hangs at k (§3.4.1) or the balancer picks
+//! a migration from the reported loads (§3.4.2). The pairs then write
+//! their snapshots of k and unwind. Before the next generation the board
+//! charges the relaunch: only a pair `supervise` moved — off a failed
+//! node, to the fastest surviving node with a free slot, or to where the
+//! balancer sent it — is relaunched and rereads its static part; every
+//! pair's state part is reloaded from the DFS on its behalf, and the
+//! pairs resume together once the last reload is done. Checkpoint parts
+//! are held until their epoch is complete, then written in pair order,
+//! retiring the epoch before.
 
 use crate::api::IterativeJob;
 use crate::aux::AuxPhase;
@@ -46,18 +51,19 @@ use crate::engine::{IterOutcome, IterativeRunner};
 use crate::kernel::fold_votes;
 use crate::pair::{pair_cfg, panic_message, EnvFail, PairCtx, PairEnv};
 use crate::pair::{PairCfg, PairDirs, PairOutcome, PairPlan, Phase};
+use crate::supervise::{supervise, Fleet, GenInput, GenRuns, Intervention, PairRun};
 use bytes::Bytes;
-use imr_dfs::{migration_marker, snapshot_dir};
+use imr_dfs::{snapshot_dir, Dfs};
 use imr_mapreduce::io::{delete_dir, num_parts, part_path};
 use imr_mapreduce::{ClockCharge, EngineError};
 use imr_net::{Closed, Transport};
 use imr_records::{pairs_encoded_len, Codec};
-use imr_simcluster::{NodeId, RunReport, TaskClock, VDuration, VInstant};
-use imr_trace::{flight_path, TraceEvent, TraceKind, COORD};
+use imr_simcluster::{NodeId, TaskClock, VDuration, VInstant};
+use imr_trace::TraceEvent;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// What a pair waits for before it can go on.
 #[derive(Clone, Copy, Default, PartialEq)]
@@ -96,15 +102,8 @@ struct Beat {
     has_prev: bool,
 }
 
-/// Why the master ended a generation.
-enum Rollback {
-    Fault(FaultEvent),
-    /// Load balancing moves this pair to this node.
-    Migrate(usize, NodeId),
-}
-
 /// What the pairs share: the turn, the links, what they report, and the
-/// master's view of the run.
+/// master's clock.
 #[derive(Default)]
 struct Board {
     turn: usize,
@@ -122,23 +121,26 @@ struct Board {
     staged: Vec<Option<Bytes>>,
     /// The latest complete checkpoint epoch (0: the job's input).
     epoch: usize,
-    generation: u32,
-    assignment: Vec<NodeId>,
-    /// Kills and hangs not yet recovered from, by iteration.
-    pending: Vec<FaultEvent>,
     /// Parts a pair reads without charge, by path: every pair's static
     /// part as it read it (only a relaunch rereads it), and the state
     /// parts the master reloaded (a snapshot's path names its epoch, so
     /// an earlier rollback's are never read again).
     held: HashMap<String, Bytes>,
-    // ---- The master's record --------------------------------------------
+    // ---- The generation, as `supervise` launched it ----------------------
+    assignment: Vec<NodeId>,
+    plans: Vec<PairPlan>,
+    migrations_done: u64,
+    // ---- The master's clock ----------------------------------------------
+    /// When each iteration ended: its last reduce, or in the delta mode
+    /// the decision.
     iteration_done: Vec<VInstant>,
-    distances: Vec<f64>,
     /// When the master decided the last iteration.
     decided: VInstant,
-    rollback: Option<Rollback>,
-    migrations: u64,
-    recoveries: u64,
+    /// The generation was poisoned for a scripted hang: the watchdog
+    /// declares it only after `stall_timeout` of silence.
+    stalled: bool,
+    /// The migration the balancer picked at the last decision.
+    intervention: Option<Intervention>,
 }
 
 impl Board {
@@ -164,21 +166,28 @@ impl Board {
     }
 }
 
-/// A simulated run: `cfg.num_tasks` pairs on the cluster, taking turns,
-/// for as many generations as rollbacks need.
+/// The simulator's generation runner: `cfg.num_tasks` pairs on the
+/// cluster, taking turns.
 pub(crate) struct Turns<'r> {
     runner: &'r IterativeRunner,
     cfg: &'r IterConfig,
     pair_cfg: PairCfg,
     dirs: PairDirs,
-    /// Scripted slowdowns: they replay with every rolled-back iteration.
-    delays: Vec<FaultEvent>,
     /// Whether a rollback can happen: the static parts are kept, and no
     /// pair goes past an iteration before the master decided it.
     rollbacks: bool,
     board: Mutex<Board>,
     /// One per pair: a hand-over wakes the pair it hands the turn to.
     handed: Vec<Condvar>,
+}
+
+/// A simulated run as `supervise` drives it: one generation of
+/// `pair_fn` (core's `pair_loop` or `delta_loop`) per call.
+struct Sim<'t, J: IterativeJob, F> {
+    turns: &'t Turns<'t>,
+    job: &'t J,
+    pair_fn: F,
+    aux: Option<&'t dyn AuxPhase<J::K, J::S>>,
 }
 
 impl<'r> Turns<'r> {
@@ -188,18 +197,7 @@ impl<'r> Turns<'r> {
         dirs: [&str; 3],
         faults: &[FaultEvent],
     ) -> Self {
-        let n = cfg.num_tasks;
         let [state_dir, static_dir, output_dir] = dirs.map(str::to_owned);
-        let (delays, mut pending): (Vec<FaultEvent>, Vec<FaultEvent>) = faults
-            .iter()
-            .partition(|f| matches!(f, FaultEvent::Delay { .. }));
-        pending.sort_by_key(|f| f.at_iteration());
-        let board = Board {
-            beats: vec![Vec::new(); n],
-            assignment: runner.cluster.assign_pairs(n),
-            pending,
-            ..Board::default()
-        };
         Turns {
             runner,
             cfg,
@@ -209,10 +207,9 @@ impl<'r> Turns<'r> {
                 static_dir,
                 output_dir,
             },
-            delays,
             rollbacks: !faults.is_empty() || cfg.load_balance.is_some(),
-            board: Mutex::new(board),
-            handed: (0..n).map(|_| Condvar::new()).collect(),
+            board: Mutex::default(),
+            handed: (0..cfg.num_tasks).map(|_| Condvar::new()).collect(),
         }
     }
 
@@ -247,56 +244,125 @@ impl<'r> Turns<'r> {
         }
     }
 
-    /// What a pair on `node` is scripted to do: the kills and hangs not
-    /// yet recovered from and the slowdowns of its node. Its speed is the
-    /// cost model's.
-    fn plan(&self, board: &Board, node: NodeId) -> PairPlan {
-        let at = |hang: bool| {
-            let on_node = board.pending.iter().filter(|f| f.node() == node);
-            let kind = on_node.filter(|f| matches!(f, FaultEvent::Hang { .. }) == hang);
-            kind.map(|f| f.at_iteration()).collect()
+    /// Runs `job` on the simulated cluster — `pair_fn` is core's
+    /// `pair_loop`, with the auxiliary phase `aux` if given, or its
+    /// `delta_loop` — under the one master, through every rollback the
+    /// faults and the load balancer cause. Returns the outcome and the
+    /// aux totals.
+    pub(crate) fn run<J, F>(
+        runner: &IterativeRunner,
+        job: &J,
+        cfg: &IterConfig,
+        dirs: [&str; 3],
+        (faults, aux): (&[FaultEvent], Option<&dyn AuxPhase<J::K, J::S>>),
+        pair_fn: F,
+    ) -> Result<(IterOutcome<J::K, J::S>, Vec<f64>), EngineError>
+    where
+        J: IterativeJob,
+        F: Fn(PairCtx<'_, J, SimEnv<'_>>) -> Result<PairOutcome, EngineError> + Sync,
+    {
+        let turns = Turns::new(runner, cfg, dirs, faults);
+        let (metrics, output_dir) = (&runner.metrics, &turns.dirs.output_dir);
+        let mut sim = Sim {
+            turns: &turns,
+            job,
+            pair_fn,
+            aux,
         };
-        let delays = self.delays.iter().filter(|f| f.node() == node);
-        let delays = delays.filter_map(|f| match *f {
-            FaultEvent::Delay {
-                at_iteration,
-                millis,
-                ..
-            } => Some((at_iteration, millis)),
-            _ => None,
-        });
-        PairPlan {
-            kills: at(false),
-            hangs: at(true),
-            delays: delays.collect(),
-            speed: 1.0,
-            crash_after: None,
-        }
+        let outcome = supervise::<J>(
+            &runner.dfs,
+            &runner.cluster,
+            metrics,
+            cfg,
+            output_dir,
+            faults,
+            runner.label(cfg),
+            false,
+            &runner.observer,
+            None,
+            &mut sim,
+        )?;
+        let aux = turns.lock().aux.iter().map(|(total, ..)| *total).collect();
+        Ok((outcome, aux))
     }
 
-    /// Runs one generation of `pair_fn` (core's `pair_loop` or
-    /// `delta_loop`) from the board's epoch, every pair's clock starting
-    /// at `start`. Returns each pair's outcome; the first real failure,
-    /// in pair order, is the generation's.
+    /// Sets the board up for generation `gen`; returns when its pairs
+    /// start. The first starts after job setup and task launch. A later
+    /// one follows a rollback, which began when the master decided — or,
+    /// after a hang, `stall_timeout` later: each pair `supervise` moved
+    /// is relaunched on its new node and rereads its static part, and
+    /// every pair's state part is reloaded from the epoch; the pairs
+    /// resume once the last of these is done.
+    fn relaunch(&self, gen: &GenInput<'_>) -> Result<VInstant, EngineError> {
+        let (cluster, dfs, epoch) = (&self.runner.cluster, &self.runner.dfs, gen.epoch);
+        let mut board = self.lock();
+        let board = &mut *board;
+        let before = std::mem::replace(&mut board.assignment, gen.assignment.to_vec());
+        board.plans = gen.plans.to_vec();
+        board.migrations_done = gen.migrations_done;
+        board.iteration_done.truncate(epoch);
+        board.aux.truncate(epoch.saturating_sub(1));
+        board.beats.resize(gen.assignment.len(), Vec::new());
+        board
+            .beats
+            .iter_mut()
+            .for_each(|beats| beats.truncate(epoch));
+        board.staged.clear();
+        if gen.generation == 0 {
+            return Ok(VInstant::EPOCH + cluster.cost.job_setup + cluster.cost.task_launch);
+        }
+        // A hung pair is declared failed only after `stall_timeout` of
+        // silence.
+        let hung = std::mem::take(&mut board.stalled).then_some(self.cfg.watchdog);
+        let timeout = hung
+            .flatten()
+            .map_or(0.0, |wd| wd.stall_timeout.as_secs_f64());
+        let began = board.decided + VDuration::from_secs_f64(timeout);
+        let mut resume = began;
+        for p in (0..before.len()).filter(|&p| before[p] != board.assignment[p]) {
+            let mut clock = TaskClock::starting_at(began + cluster.cost.task_launch);
+            let path = part_path(&self.dirs.static_dir, p);
+            let raw = dfs.read(&path, board.assignment[p], &mut clock)?;
+            board.held.insert(path, raw);
+            resume = resume.max(clock.now());
+        }
+        let dir = match epoch {
+            0 => self.dirs.state_dir.clone(),
+            _ => snapshot_dir(&self.dirs.output_dir, epoch),
+        };
+        let (parts, one2all) = (num_parts(dfs, &dir), self.pair_cfg.one2all);
+        for (p, &node) in board.assignment.iter().enumerate() {
+            let mut clock = TaskClock::starting_at(began);
+            let own = if one2all { 0..parts } else { p..p + 1 };
+            for path in own.map(|i| part_path(&dir, i)) {
+                let raw = dfs.read(&path, node, &mut clock)?;
+                board.held.insert(path, raw);
+            }
+            resume = resume.max(clock.now());
+        }
+        Ok(resume)
+    }
+
+    /// Runs generation `gen` of `pair_fn`, every pair's clock starting
+    /// at `start`. Returns what each pair's loop returned.
     fn generation<J, F>(
         &self,
         job: &J,
         pair_fn: &F,
         aux: Option<&dyn AuxPhase<J::K, J::S>>,
+        gen: &GenInput<'_>,
         start: VInstant,
-    ) -> Result<Vec<PairOutcome>, EngineError>
+    ) -> Vec<Result<PairOutcome, EngineError>>
     where
         J: IterativeJob,
         F: Fn(PairCtx<'_, J, SimEnv<'_>>) -> Result<PairOutcome, EngineError> + Sync,
     {
+        let (nodes, n) = (gen.assignment, gen.assignment.len());
         let mut board = self.lock();
-        let (nodes, n) = (board.assignment.clone(), board.assignment.len());
         let links = vec![vec![VecDeque::new(); n]; n];
         board.links = [links.clone(), links];
         board.waits = vec![Wait::Turn; n];
         (board.turn, board.poisoned) = (0, false);
-        let plans: Vec<PairPlan> = nodes.iter().map(|&node| self.plan(&board, node)).collect();
-        let (epoch, generation) = (board.epoch, board.generation);
         drop(board);
         // Pair 0 hands the master its aux partials (every pair sums the
         // same ones).
@@ -305,10 +371,10 @@ impl<'r> Turns<'r> {
             let mut env = SimEnv {
                 turns: self,
                 q,
-                nodes: &nodes,
-                generation,
+                nodes,
+                generation: gen.generation,
                 clock: TaskClock::starting_at(start),
-                reload: (generation > 0).then(TaskClock::default),
+                reload: (gen.generation > 0).then(TaskClock::default),
                 gather: Gather::Barrier,
                 complete: VInstant::EPOCH,
                 map_busy: Duration::ZERO,
@@ -325,8 +391,8 @@ impl<'r> Turns<'r> {
                 job,
                 cfg: &self.pair_cfg,
                 dirs: &self.dirs,
-                plan: &plans[q],
-                epoch,
+                plan: &gen.plans[q],
+                epoch: gen.epoch,
                 metrics: &self.runner.metrics,
                 aux,
                 env: &mut env,
@@ -348,76 +414,12 @@ impl<'r> Turns<'r> {
         })
     }
 
-    /// Runs `job` on the simulated cluster — `pair_fn` is core's
-    /// `pair_loop`, with the auxiliary phase `aux` if given, or its
-    /// `delta_loop` — through every rollback the faults and the load
-    /// balancer cause; then commits each pair's final state once the
-    /// master has decided the last iteration (Fig. 1b).
-    pub(crate) fn run<J, F>(
-        runner: &IterativeRunner,
-        job: &J,
-        cfg: &IterConfig,
-        dirs: [&str; 3],
-        (faults, aux): (&[FaultEvent], Option<&dyn AuxPhase<J::K, J::S>>),
-        pair_fn: F,
-    ) -> Result<(IterOutcome<J::K, J::S>, Vec<f64>), EngineError>
-    where
-        J: IterativeJob,
-        F: Fn(PairCtx<'_, J, SimEnv<'_>>) -> Result<PairOutcome, EngineError> + Sync,
-    {
-        let turns = Turns::new(runner, cfg, dirs, faults);
-        let cost = &runner.cluster.cost;
-        let mut start = VInstant::EPOCH + cost.job_setup + cost.task_launch;
-        let ends = loop {
-            let ends = turns.generation(job, &pair_fn, aux, start)?;
-            let mut board = turns.lock();
-            match board.rollback.take() {
-                Some(rollback) => start = turns.roll_back(&mut board, rollback)?,
-                None => break ends,
-            }
-        };
-        let mut finals = Vec::with_capacity(ends.len());
-        for (q, outcome) in ends.into_iter().enumerate() {
-            let PairOutcome::Finished { final_data, .. } = outcome else {
-                return Err(EngineError::Worker(format!("pair {q} ended {outcome:?}")));
-            };
-            finals.push(final_data);
-        }
-        let mut board = turns.lock();
-        let board = &mut *board;
-        let last = |beats: &Vec<Beat>| beats.last().map_or(VInstant::EPOCH, |beat| beat.at);
-        let starts: Vec<VInstant> = (board.beats.iter())
-            .map(|beats| last(beats).max(board.decided))
-            .collect();
-        let output_dir = &turns.dirs.output_dir;
-        let (final_state, finished) =
-            runner.dump_final(output_dir, finals, &board.assignment, &starts)?;
-        let report = RunReport {
-            label: runner.label(cfg),
-            iteration_done: std::mem::take(&mut board.iteration_done),
-            finished,
-            metrics: runner.metrics.snapshot(),
-        };
-        let outcome = IterOutcome {
-            iterations: report.iteration_done.len(),
-            report,
-            final_state,
-            distances: std::mem::take(&mut board.distances),
-            migrations: board.migrations,
-            recoveries: board.recoveries,
-        };
-        Ok((
-            outcome,
-            board.aux.iter().map(|(total, ..)| *total).collect(),
-        ))
-    }
-
-    /// The master, once every pair has reported iteration `k`: the
+    /// The master's view once every pair has reported iteration `k`: the
     /// iteration ended with the last reduce; the decision comes one
     /// network latency later — or when the auxiliary phase's stop signal
-    /// reaches the maps. Unless the run is done, a kill or hang scripted
-    /// for `k`, or else a migration the balancer picks from the reported
-    /// loads, poisons the generation.
+    /// reaches the maps. Unless the run is done, a pair's plan that kills
+    /// or hangs at `k`, or else a migration the balancer picks from the
+    /// reported loads, poisons the generation.
     fn decide(&self, board: &mut Board, k: usize) {
         let (cluster, n) = (&self.runner.cluster, board.assignment.len());
         let cost = &cluster.cost;
@@ -425,8 +427,6 @@ impl<'r> Turns<'r> {
         let done_at = beats.iter().map(|b| b.at).max().unwrap_or_default();
         let (total, any_prev) = fold_votes(beats.iter().map(|b| (b.d, b.has_prev)));
         let threshold = self.cfg.termination.distance_threshold;
-        let distance = if any_prev { total } else { f64::INFINITY };
-        board.distances.extend(threshold.map(|_| distance));
         // Aux map q reads reduce q's output locally once it is done and
         // ships one partial to the aux reducer on pair 0's node, which
         // sums them and broadcasts the stop signal.
@@ -450,141 +450,102 @@ impl<'r> Turns<'r> {
         if converged || stop.is_some() || k == self.cfg.termination.max_iterations {
             return;
         }
-        if let Some(pos) = board.pending.iter().position(|f| f.at_iteration() == k) {
-            board.rollback = Some(Rollback::Fault(board.pending.remove(pos)));
-        } else if let Some(lb) = self
-            .cfg
-            .load_balance
-            .filter(|lb| board.migrations < lb.max_migrations as u64 && n > 1)
+        let plans = &board.plans;
+        board.stalled = plans.iter().any(|plan| plan.hangs.contains(&k));
+        if board.stalled || plans.iter().any(|plan| plan.kills.contains(&k)) {
+            // The native watchdog counts the hang it detects.
+            if board.stalled {
+                self.runner.metrics.stalls_detected.add(1);
+            }
+            board.poisoned = true;
+        } else if let Some(lb) = (self.cfg.load_balance)
+            .filter(|lb| board.migrations_done < lb.max_migrations as u64 && n > 1)
         {
             let busy: Vec<f64> = beats.iter().map(|b| b.busy).collect();
             let moved = cluster.pick_migration(&board.assignment, &busy, lb.deviation);
-            board.rollback = moved.map(|(pair, node)| Rollback::Migrate(pair, node));
+            board.intervention = moved.map(|(pair, to)| Intervention::Migrate { pair, to });
+            board.poisoned |= board.intervention.is_some();
         }
-        board.poisoned |= board.rollback.is_some();
+    }
+}
+
+impl<J, F> Fleet for Sim<'_, J, F>
+where
+    J: IterativeJob,
+    F: Fn(PairCtx<'_, J, SimEnv<'_>>) -> Result<PairOutcome, EngineError> + Sync,
+{
+    /// Each pair's run, as the master reads it: its votes, the board's
+    /// instant of each iteration, the board's epoch and how its loop
+    /// ended.
+    fn run_gen(&mut self, gen: GenInput<'_>) -> Result<GenRuns, EngineError> {
+        let (turns, epoch) = (self.turns, gen.epoch);
+        let start = turns.relaunch(&gen)?;
+        let ends = turns.generation(self.job, &self.pair_fn, self.aux, &gen, start);
+        let mut board = turns.lock();
+        let done = board.iteration_done.get(epoch..).unwrap_or_default();
+        let runs = (ends.into_iter().zip(&board.beats)).map(|(outcome, beats)| {
+            let beats = beats.get(epoch..).unwrap_or_default();
+            let done = done.iter().take(beats.len());
+            PairRun {
+                local_dist: beats.iter().map(|b| (b.d, b.has_prev)).collect(),
+                iter_done: done.map(|at| Duration::from_nanos(at.as_nanos())).collect(),
+                last_ckpt: board.epoch,
+                outcome,
+            }
+        });
+        Ok((runs.collect(), board.intervention.take()))
     }
 
-    /// A master-side event at instant `at`.
-    fn event(&self, kind: TraceKind, at: VInstant, node: NodeId, pair: u32, k: usize, g: u32) {
-        let event = TraceEvent::new(kind).spanning(at.as_nanos(), at.as_nanos());
-        let event = event.tagged(node.index() as u32, pair, k as u32, g);
-        self.runner.observer.emit(event);
+    /// The master acts at its last decision.
+    fn now_ns(&self, _started: Instant) -> u64 {
+        self.turns.lock().decided.as_nanos()
     }
 
-    /// Rolls the run back to the latest complete epoch after the master
-    /// poisoned a generation for `rollback`: a failed node's pairs move
-    /// to the fastest surviving nodes with a free slot (§3.4.1), or the
-    /// slow pair moves to the fast node (§3.4.2); each moved pair is
-    /// relaunched there and rereads its static part, while every pair's
-    /// state part is reloaded from when the rollback began. Returns when
-    /// the pairs resume: the last reload or relaunch.
-    fn roll_back(&self, board: &mut Board, rollback: Rollback) -> Result<VInstant, EngineError> {
-        let (runner, epoch) = (self.runner, board.epoch);
-        let (cluster, dfs, metrics) = (&runner.cluster, &runner.dfs, &runner.metrics);
-        let (k, g, decided) = (board.iteration_done.len(), board.generation, board.decided);
-        let output_dir = &self.dirs.output_dir;
-        let mut moved = Vec::new();
-        let (began, dump_node) = match rollback {
-            Rollback::Fault(fault) => {
-                let (dead, mut began) = (fault.node(), decided);
-                if let FaultEvent::Hang { .. } = fault {
-                    // A hung pair never exits: the watchdog declares it
-                    // failed only after `stall_timeout` of silence.
-                    metrics.stalls_detected.add(1);
-                    self.event(TraceKind::StallDetected, decided, dead, COORD, k, g);
-                    // unreachable: validate() refuses a Hang fault when
-                    // cfg.watchdog is None.
-                    let wd = self.cfg.watchdog.expect("validate: hang requires watchdog");
-                    began = decided + VDuration::from_secs_f64(wd.stall_timeout.as_secs_f64());
-                }
-                board.recoveries += 1;
-                metrics.recoveries.add(1);
-                let epoch = epoch as u64;
-                self.event(TraceKind::Rollback { epoch }, began, dead, COORD, k, g);
-                dfs.fail_node(dead);
-                let mut hosted = vec![0usize; cluster.len()];
-                for node in board.assignment.iter().filter(|node| **node != dead) {
-                    hosted[node.index()] += 1;
-                }
-                for p in 0..board.assignment.len() {
-                    if board.assignment[p] != dead {
-                        continue;
-                    }
-                    // The fastest surviving node with a free pair slot.
-                    let free = |id: &NodeId| {
-                        *id != dead && hosted[id.index()] < cluster.node_pair_capacity(*id)
-                    };
-                    let speed = |id: &NodeId| cluster.speed(*id);
-                    let faster =
-                        |a: &NodeId, b: &NodeId| speed(a).total_cmp(&speed(b)).then(b.0.cmp(&a.0));
-                    let Some(node) = cluster.node_ids().filter(free).max_by(faster) else {
-                        return Err(EngineError::Config(format!(
-                            "no surviving node has a free pair slot to host pair {p} after {dead:?} failed"
-                        )));
-                    };
-                    hosted[node.index()] += 1;
-                    board.assignment[p] = node;
-                    moved.push(p);
-                }
-                (began, board.assignment[0])
+    /// A failed node (§3.4.1): the DFS loses it, and each pair it hosted
+    /// moves to the fastest surviving node with a free pair slot.
+    fn relocate(&mut self, assignment: &mut [NodeId], dead: NodeId) -> Result<(), EngineError> {
+        let cluster = &self.turns.runner.cluster;
+        self.turns.runner.dfs.fail_node(dead);
+        let mut hosted = vec![0usize; cluster.len()];
+        for node in assignment.iter().filter(|node| **node != dead) {
+            hosted[node.index()] += 1;
+        }
+        for p in 0..assignment.len() {
+            if assignment[p] != dead {
+                continue;
             }
-            Rollback::Migrate(slow, fast) => {
-                board.migrations += 1;
-                metrics.migrations.add(1);
-                // Record the migration epoch next to the snapshots
-                // (post-mortem parity with native).
-                let marker = migration_marker(output_dir, board.migrations, epoch);
-                let migrated = Bytes::from_static(b"migrated");
-                dfs.put_atomic(&marker, migrated, fast, &mut TaskClock::default())?;
-                let from = board.assignment[slow];
-                let to = fast.index() as u32;
-                let migration = TraceKind::Migration {
-                    from: from.index() as u32,
-                    to,
-                };
-                self.event(migration, decided, from, slow as u32, k, g);
-                board.assignment[slow] = fast;
-                moved.push(slow);
-                (decided, fast)
-            }
-        };
-        // A moved pair is relaunched and rereads its static part.
-        let mut resume = began;
-        for p in moved {
-            let mut clock = TaskClock::starting_at(began + cluster.cost.task_launch);
-            let path = part_path(&self.dirs.static_dir, p);
-            let raw = dfs.read(&path, board.assignment[p], &mut clock)?;
-            board.held.insert(path, raw);
-            resume = resume.max(clock.now());
+            let free =
+                |id: &NodeId| *id != dead && hosted[id.index()] < cluster.node_pair_capacity(*id);
+            let speed = |id: &NodeId| cluster.speed(*id);
+            let faster = |a: &NodeId, b: &NodeId| speed(a).total_cmp(&speed(b)).then(b.0.cmp(&a.0));
+            let Some(node) = cluster.node_ids().filter(free).max_by(faster) else {
+                return Err(EngineError::Config(format!(
+                    "no surviving node has a free pair slot to host pair {p} after {dead:?} failed"
+                )));
+            };
+            hosted[node.index()] += 1;
+            assignment[p] = node;
         }
-        let dir = match epoch {
-            0 => self.dirs.state_dir.clone(),
-            _ => snapshot_dir(output_dir, epoch),
-        };
-        let (parts, one2all) = (num_parts(dfs, &dir), self.pair_cfg.one2all);
-        for (p, &node) in board.assignment.iter().enumerate() {
-            let mut clock = TaskClock::starting_at(began);
-            let own = if one2all { 0..parts } else { p..p + 1 };
-            for path in own.map(|i| part_path(&dir, i)) {
-                let raw = dfs.read(&path, node, &mut clock)?;
-                board.held.insert(path, raw);
-            }
-            resume = resume.max(clock.now());
-        }
-        // The trailing trace window, dumped to the DFS for post-mortems.
-        if let Some(lines) = runner.observer.flight_lines() {
-            let (path, lines) = (flight_path(output_dir, g as usize), lines.into_bytes());
-            dfs.put_atomic(&path, lines.into(), dump_node, &mut TaskClock::default())?;
-        }
-        board.generation += 1;
-        board.iteration_done.truncate(epoch);
-        board.distances.truncate(epoch);
-        board.aux.truncate(epoch.saturating_sub(1));
-        for beats in &mut board.beats {
-            beats.truncate(epoch);
-        }
-        board.staged.clear();
-        Ok(resume)
+        Ok(())
+    }
+
+    /// Each pair commits its final state once it is done and the master
+    /// has decided the last iteration (Fig. 1b).
+    fn commit(
+        &mut self,
+        _dfs: &Dfs,
+        output_dir: &str,
+        parts: Vec<Bytes>,
+        _started: Instant,
+    ) -> Result<VInstant, EngineError> {
+        let (board, runner) = (self.turns.lock(), self.turns.runner);
+        let last = |beats: &Vec<Beat>| beats.last().map_or(VInstant::EPOCH, |beat| beat.at);
+        let starts = board
+            .beats
+            .iter()
+            .map(|beats| last(beats).max(board.decided));
+        let starts: Vec<VInstant> = starts.collect();
+        runner.dump_final(output_dir, parts, &board.assignment, &starts)
     }
 }
 

@@ -16,10 +16,10 @@
 //! [`PairRun`]s by [`into_runs`](Generation::into_runs).
 
 use crate::fault::FaultBarrier;
-use crate::monitor::{monitor_loop, BalancePlan, Intervention, ProgressBoard};
+use crate::monitor::{monitor_loop, BalancePlan, ProgressBoard};
 use crate::pair::PairOutcome;
-use crate::supervisor::{GenInput, PairRun};
 use bytes::Bytes;
+use imapreduce::supervise::{GenInput, Intervention, PairRun};
 use imapreduce::IterConfig;
 use imr_dfs::{hist_path, snapshot_dir, Dfs, DfsError};
 use imr_mapreduce::io::part_path;

@@ -115,7 +115,6 @@ pub mod fault;
 mod generation;
 mod monitor;
 pub mod remote;
-mod supervisor;
 
 use bytes::Bytes;
 use fault::FaultBarrier;
@@ -124,6 +123,7 @@ use imapreduce::pair::{
     self, delta_loop, pair_cfg, pair_loop, panic_message, read_part_raw, EnvFail, PairCtx,
     PairDirs, PairEnv, PairOutcome,
 };
+use imapreduce::supervise::{supervise, GenInput, GenRuns};
 use imapreduce::{
     check_inputs, FailureEvent, FaultEvent, IterConfig, IterEngine, IterOutcome, IterativeJob,
     Mapping, Observer, RunCtl, TransportKind,
@@ -135,12 +135,10 @@ use imr_net::{ChannelLink, ChannelMesh, Closed, Transport};
 use imr_simcluster::MetricsHandle;
 use imr_telemetry::{Gauge, TelemetryHandle};
 use imr_trace::{TraceEvent, TraceHandle, TraceKind};
-use monitor::Intervention;
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::thread;
 use std::time::{Duration, Instant};
-use supervisor::{supervise, GenInput, PairRun};
 
 /// The worker-thread body `run_threaded` drives: either `pair_loop`
 /// (map/reduce iterations) or `delta_loop` (barrier-free accumulative
@@ -352,91 +350,91 @@ impl NativeRunner {
             output_dir: output_dir.to_owned(),
         };
 
-        let mut run_gen =
-            |gen: GenInput<'_>| -> Result<(Vec<PairRun>, Option<Intervention>), EngineError> {
-                // Fresh links and rally points: the previous generation's
-                // links are disconnected and its barrier poisoned.
-                let links = ChannelMesh::links(n, HANDOFF_BUFFER);
-                let slots: Vec<Mutex<Option<Bytes>>> = (0..n).map(|_| Mutex::new(None)).collect();
-                let barrier = FaultBarrier::new(n);
-                let generation = Generation::new(&self.dfs, &self.metrics, cfg, output_dir, gen);
+        let mut run_gen = |gen: GenInput<'_>| -> Result<GenRuns, EngineError> {
+            // Fresh links and rally points: the previous generation's
+            // links are disconnected and its barrier poisoned.
+            let links = ChannelMesh::links(n, HANDOFF_BUFFER);
+            let slots: Vec<Mutex<Option<Bytes>>> = (0..n).map(|_| Mutex::new(None)).collect();
+            let barrier = FaultBarrier::new(n);
+            let generation = Generation::new(&self.dfs, &self.metrics, cfg, output_dir, gen);
 
-                // The monitor shares the generation's scope: it watches
-                // the board and kills the generation through the same
-                // barrier the workers rally on.
-                let ((), intervention) = generation.watched(&barrier, |scope| {
-                    // Shared by reference with every thread spawned below.
-                    let (slots, barrier, generation) = (&slots, &barrier, &generation);
-                    let (pair_cfg, dirs) = (&pair_cfg, &dirs);
-                    // Abort watcher: the job service's cancellation
-                    // token kills the generation through the same
-                    // poisoned barrier a watchdog stall uses.
-                    if let Some(ctl) = self.ctl.clone() {
-                        scope.spawn(move || {
-                            while !generation.is_done() {
-                                if ctl.is_aborted() {
-                                    barrier.poison();
-                                    break;
-                                }
-                                thread::sleep(Duration::from_millis(2));
-                            }
-                        });
-                    }
-
-                    let mut handles = Vec::with_capacity(n);
-                    for (q, link) in links.into_iter().enumerate() {
-                        handles.push(scope.spawn(move || {
-                            let mut env = ThreadEnv {
-                                q,
-                                dfs: &self.dfs,
-                                link,
-                                slots,
-                                barrier,
-                                generation,
-                                node: gen.assignment[q].index() as u32,
-                                generation_no: gen.generation,
-                                observer: &self.observer,
-                                metrics: &self.metrics,
-                                started: gen.started,
-                            };
-                            let result = catch_unwind(AssertUnwindSafe(|| {
-                                loop_fn(PairCtx {
-                                    q,
-                                    job,
-                                    cfg: pair_cfg,
-                                    dirs,
-                                    plan: &gen.plans[q],
-                                    epoch: gen.epoch,
-                                    metrics: &self.metrics,
-                                    aux: None,
-                                    env: &mut env,
-                                })
-                            }));
-                            // Disconnect this pair's links first so blocked
-                            // peers unwind, exactly as the old inline worker
-                            // did by returning (dropping its channels).
-                            drop(env);
-                            // A panic in job code: surface it as an engine
-                            // error instead of hanging peers.
-                            let outcome = result.unwrap_or_else(|payload| {
-                                Err(EngineError::Worker(panic_message(q, payload)))
-                            });
-                            if generation.settle(q, outcome) {
-                                // Wake any peer rallying at the barrier; the
-                                // link drops above already woke the rest.
+            // The monitor shares the generation's scope: it watches
+            // the board and kills the generation through the same
+            // barrier the workers rally on.
+            let ((), intervention) = generation.watched(&barrier, |scope| {
+                // Shared by reference with every thread spawned below.
+                let (slots, barrier, generation) = (&slots, &barrier, &generation);
+                let (pair_cfg, dirs) = (&pair_cfg, &dirs);
+                // Abort watcher: the job service's cancellation
+                // token kills the generation through the same
+                // poisoned barrier a watchdog stall uses.
+                if let Some(ctl) = self.ctl.clone() {
+                    scope.spawn(move || {
+                        while !generation.is_done() {
+                            if ctl.is_aborted() {
                                 barrier.poison();
+                                break;
                             }
+                            thread::sleep(Duration::from_millis(2));
+                        }
+                    });
+                }
+
+                let mut handles = Vec::with_capacity(n);
+                for (q, link) in links.into_iter().enumerate() {
+                    handles.push(scope.spawn(move || {
+                        let mut env = ThreadEnv {
+                            q,
+                            dfs: &self.dfs,
+                            link,
+                            slots,
+                            barrier,
+                            generation,
+                            node: gen.assignment[q].index() as u32,
+                            generation_no: gen.generation,
+                            observer: &self.observer,
+                            metrics: &self.metrics,
+                            started: gen.started,
+                        };
+                        let result = catch_unwind(AssertUnwindSafe(|| {
+                            loop_fn(PairCtx {
+                                q,
+                                job,
+                                cfg: pair_cfg,
+                                dirs,
+                                plan: &gen.plans[q],
+                                epoch: gen.epoch,
+                                metrics: &self.metrics,
+                                aux: None,
+                                env: &mut env,
+                            })
                         }));
-                    }
-                    for handle in handles {
-                        handle.join().unwrap_or_else(|e| resume_unwind(e));
-                    }
-                });
-                Ok((generation.into_runs()?, intervention))
-            };
+                        // Disconnect this pair's links first so blocked
+                        // peers unwind, exactly as the old inline worker
+                        // did by returning (dropping its channels).
+                        drop(env);
+                        // A panic in job code: surface it as an engine
+                        // error instead of hanging peers.
+                        let outcome = result.unwrap_or_else(|payload| {
+                            Err(EngineError::Worker(panic_message(q, payload)))
+                        });
+                        if generation.settle(q, outcome) {
+                            // Wake any peer rallying at the barrier; the
+                            // link drops above already woke the rest.
+                            barrier.poison();
+                        }
+                    }));
+                }
+                for handle in handles {
+                    handle.join().unwrap_or_else(|e| resume_unwind(e));
+                }
+            });
+            Ok((generation.into_runs()?, intervention))
+        };
 
         supervise::<J>(
             &self.dfs,
+            self.dfs.cluster(),
             &self.metrics,
             cfg,
             output_dir,

@@ -22,6 +22,7 @@
 //!   node at the next respawn.
 
 use crate::fault::FaultBarrier;
+use imapreduce::supervise::Intervention;
 use imapreduce::WatchdogConfig;
 use imr_simcluster::{ClusterSpec, MetricsHandle, NodeId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -115,24 +116,6 @@ impl ProgressBoard {
     pub(crate) fn mark_exited(&self, q: usize) {
         self.cells[q].exited.store(true, Ordering::Release);
     }
-}
-
-/// What the monitor decided before the generation died.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Intervention {
-    /// The watchdog declared `pair` stalled and poisoned the barrier.
-    Stall {
-        /// The least-advanced active pair at detection time.
-        pair: usize,
-    },
-    /// The balancer decided to migrate `pair` onto node `to` and
-    /// poisoned the barrier to force a rollback under the new placement.
-    Migrate {
-        /// The pair leaving the overloaded node.
-        pair: usize,
-        /// Its new host.
-        to: NodeId,
-    },
 }
 
 /// Load-balancing inputs for one generation.

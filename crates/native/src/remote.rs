@@ -68,14 +68,13 @@
 
 use crate::fault::FaultBarrier;
 use crate::generation::Generation;
-use crate::monitor::Intervention;
 use crate::pair::{
     delta_loop, pair_cfg, pair_loop, panic_message, read_part_raw, EnvFail, PairCfg, PairCtx,
     PairDirs, PairEnv, PairOutcome, PairPlan,
 };
-use crate::supervisor::{supervise, GenInput, PairRun};
 use crate::{NativeRunner, HANDOFF_BUFFER};
 use bytes::Bytes;
+use imapreduce::supervise::{supervise, GenInput, GenRuns};
 use imapreduce::{
     check_inputs, prepare_incremental, FaultEvent, FixpointStore, GraphDelta, Incremental,
     IncrementalOutcome, IterConfig, IterOutcome, IterativeJob, TransportKind,
@@ -297,32 +296,32 @@ impl NativeRunner {
 
         let mut generation_no: u64 = 0;
         let mut crash_pending = spec.crash;
-        let mut run_gen =
-            |gen: GenInput<'_>| -> Result<(Vec<PairRun>, Option<Intervention>), EngineError> {
-                generation_no += 1;
-                // Arm the crash hook once; the respawn replays cleanly.
-                let mut plans: Vec<PairPlan> = gen.plans.to_vec();
-                if let Some((pair, after)) = crash_pending.take() {
-                    plans[pair].crash_after = Some(after);
-                }
-                run_generation(
-                    self,
-                    cfg,
-                    spec,
-                    &pair_cfg,
-                    &dirs,
-                    &listener,
-                    &addr,
-                    generation_no,
-                    &plans,
-                    chaos_state.as_ref(),
-                    patches.as_deref(),
-                    gen,
-                )
-            };
+        let mut run_gen = |gen: GenInput<'_>| -> Result<GenRuns, EngineError> {
+            generation_no += 1;
+            // Arm the crash hook once; the respawn replays cleanly.
+            let mut plans: Vec<PairPlan> = gen.plans.to_vec();
+            if let Some((pair, after)) = crash_pending.take() {
+                plans[pair].crash_after = Some(after);
+            }
+            run_generation(
+                self,
+                cfg,
+                spec,
+                &pair_cfg,
+                &dirs,
+                &listener,
+                &addr,
+                generation_no,
+                &plans,
+                chaos_state.as_ref(),
+                patches.as_deref(),
+                gen,
+            )
+        };
 
         supervise::<J>(
             &self.dfs,
+            self.dfs.cluster(),
             &self.metrics,
             cfg,
             output_dir,
@@ -510,7 +509,7 @@ fn run_generation(
     chaos_state: Option<&Arc<ChaosState>>,
     patches: Option<&[(u64, u64)]>,
     gen: GenInput<'_>,
-) -> Result<(Vec<PairRun>, Option<Intervention>), EngineError> {
+) -> Result<GenRuns, EngineError> {
     let n = plans.len();
     let epoch = gen.epoch;
     let policy = &cfg.net;

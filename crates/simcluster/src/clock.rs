@@ -51,33 +51,6 @@ impl TaskClock {
     }
 }
 
-/// A message timestamp: when the payload becomes usable at the receiver.
-///
-/// Constructed by the sender as `send_time + transfer_cost` and merged
-/// into the receiver's [`TaskClock`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Stamped<T> {
-    /// Virtual instant at which the payload is available at the receiver.
-    pub arrival: VInstant,
-    /// The payload itself.
-    pub payload: T,
-}
-
-impl<T> Stamped<T> {
-    /// Stamps `payload` as arriving at `arrival`.
-    pub fn new(arrival: VInstant, payload: T) -> Self {
-        Stamped { arrival, payload }
-    }
-
-    /// Maps the payload, preserving the timestamp.
-    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Stamped<U> {
-        Stamped {
-            arrival: self.arrival,
-            payload: f(self.payload),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,14 +81,6 @@ mod tests {
         let arrivals = [3u64, 7, 5].map(|s| VInstant::EPOCH + VDuration::from_secs(s));
         let t = c.barrier(arrivals);
         assert_eq!(t, VInstant::EPOCH + VDuration::from_secs(7));
-    }
-
-    #[test]
-    fn stamped_map_preserves_arrival() {
-        let s = Stamped::new(VInstant::EPOCH + VDuration::from_secs(2), 21u32);
-        let s2 = s.map(|v| v * 2);
-        assert_eq!(s2.payload, 42);
-        assert_eq!(s2.arrival, VInstant::EPOCH + VDuration::from_secs(2));
     }
 
     #[test]

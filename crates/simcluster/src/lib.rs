@@ -6,7 +6,7 @@
 //!
 //! * [`VInstant`]/[`VDuration`] — an exact, integer-nanosecond virtual
 //!   timeline;
-//! * [`TaskClock`]/[`Stamped`] — Lamport-style per-task clocks that make
+//! * [`TaskClock`] — Lamport-style per-task clocks that make
 //!   the timeline a pure function of the dataflow, independent of host
 //!   scheduling;
 //! * [`CostModel`] — calibrated Hadoop-era cost constants (job setup,
@@ -28,7 +28,7 @@ mod spec;
 mod time;
 mod timeline;
 
-pub use clock::{Stamped, TaskClock};
+pub use clock::TaskClock;
 pub use cost::{jitter_u01, CostModel};
 pub use metrics::{Counter, Metrics, MetricsHandle, MetricsSnapshot, COUNTER_NAMES};
 pub use spec::{ClusterSpec, NodeId, NodeSpec};

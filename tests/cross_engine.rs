@@ -1034,3 +1034,52 @@ fn a_panicking_job_is_a_worker_error_on_both_engines() {
         );
     }
 }
+
+/// A scripted kill on node 3 of `local(4)`, which hosts neither of two
+/// pairs (`assign_pairs` puts them on nodes 0 and 1), fires nowhere: no
+/// pair dies, nothing rolls back, and the result is the clean run's.
+#[test]
+fn a_fault_on_a_node_that_hosts_no_pair_fires_nowhere_on_both_engines() {
+    let g = dataset("DBLP").unwrap().generate(0.003);
+    let cfg = IterConfig::new("sssp", 2, 6).with_checkpoint_interval(2);
+    let kill = [FailureEvent {
+        node: NodeId(3),
+        at_iteration: 3,
+    }];
+    let sim = [&[][..], &kill].map(|failures| sssp_run(&imr_runner(4), &g, &cfg, failures));
+    let threads = [&[][..], &kill].map(|failures| sssp_run(&native_runner(4), &g, &cfg, failures));
+    for (engine, [clean, killed]) in [("sim", sim), ("threads", threads)] {
+        assert_eq!(killed.recoveries, 0, "{engine}");
+        assert_eq!(killed.final_state, clean.final_state, "{engine}");
+        assert_eq!(killed.iterations, clean.iterations, "{engine}");
+    }
+}
+
+/// A fault naming a node the cluster does not have is refused before
+/// any pair runs, with the same typed error on every engine.
+#[test]
+fn a_fault_on_a_node_the_cluster_lacks_is_a_config_error_on_both_engines() {
+    let g = dataset("DBLP").unwrap().generate(0.003);
+    let cfg = IterConfig::new("sssp", 2, 6).with_checkpoint_interval(2);
+    let kill = [FailureEvent {
+        node: NodeId(9),
+        at_iteration: 3,
+    }];
+    let refused = |engine: &str, result: Result<IterOutcome<u32, f64>, EngineError>| match result {
+        Err(EngineError::Config(msg)) => assert!(msg.contains("NodeId(9)"), "{engine}: {msg}"),
+        Err(other) => panic!("{engine}: expected a configuration error, got {other}"),
+        Ok(out) => panic!(
+            "{engine}: expected a configuration error, got Ok ({} recoveries)",
+            out.recoveries
+        ),
+    };
+    let sim = imr_runner(4);
+    sssp::load_sssp_imr(&sim, &g, 0, 2, "/s", "/t").unwrap();
+    refused("sim", sim.run(&SsspIter, &cfg, "/s", "/t", "/o", &kill));
+    let threads = native_runner(4);
+    sssp::load_sssp_imr(&threads, &g, 0, 2, "/s", "/t").unwrap();
+    refused(
+        "threads",
+        threads.run(&SsspIter, &cfg, "/s", "/t", "/o", &kill),
+    );
+}

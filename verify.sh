@@ -24,11 +24,15 @@
 #                          # drivers (engine, aux, multiphase, incremental),
 #                          # the core and shuffle kernels (accum, kernel,
 #                          # shuffle, sorted, codec), core's store, observe,
-#                          # iter_engine and ctl, or the DFS facade and
+#                          # iter_engine, ctl and supervise, or the DFS facade and
 #                          # snapshot naming (dfs lib, snapshot), and the
 #                          # iteration kernel (map_side, reduce_side,
 #                          # delta_out, delta_in) called from the pair loop
-#                          # (crates/core/src/pair.rs) alone
+#                          # (crates/core/src/pair.rs) alone, and a
+#                          # rollback recorded (migration_marker,
+#                          # flight_path, recoveries.add, migrations.add)
+#                          # by the master (crates/core/src/supervise.rs)
+#                          # alone
 #   ./verify.sh <suite>    # one row group of the SUITES table: faults,
 #                          # observe, service, delta, chaos, incremental
 #
@@ -416,7 +420,8 @@ cmd_drift() {
   # (crates/core/src/{multiphase,incremental}.rs), the iteration kernel
   # and delta store (crates/core/src/{accum,kernel}.rs), the pair loop
   # every engine runs and the simulator's turn-taking environment for it
-  # (crates/core/src/{pair,sim_env}.rs), the input checks,
+  # (crates/core/src/{pair,sim_env}.rs), the master every engine
+  # recovers through (crates/core/src/supervise.rs), the input checks,
   # observer, engine trait and run control both engines share
   # (crates/core/src/{store,observe,iter_engine,ctl}.rs), the DFS facade
   # and the snapshot naming a rollback reads
@@ -426,14 +431,14 @@ cmd_drift() {
   # directly above it.
   local panics
   panics=$(rust_code 1 $(find crates/net/src crates/native/src -name '*.rs' | sort) \
-      crates/core/src/{accum,aux,ctl,engine,incremental,iter_engine,kernel,multiphase,observe,pair,sim_env,store}.rs \
+      crates/core/src/{accum,aux,ctl,engine,incremental,iter_engine,kernel,multiphase,observe,pair,sim_env,store,supervise}.rs \
       crates/dfs/src/{lib,snapshot}.rs \
       crates/records/src/{shuffle,sorted,codec}.rs \
     | grep -E '^[^:]+:[0-9]+:[^@].*(\.unwrap\(\)|\.expect\(|(^|[^A-Za-z0-9_])((debug_)?assert(_eq|_ne)?|unreachable|panic|todo|unimplemented)!)' \
     || true)
   [ -z "$panics" ] \
     || { echo "drift: unannotated panic sites on the data path (add a typed error or // unreachable: <proof>):" >&2; echo "$panics" >&2; exit 1; }
-  echo "drift: every panic site outside tests in imr-net, imr-native, the sim drivers, the core and shuffle kernels, the pair loop and its sim environment, core's shared surface and the DFS snapshot path is annotated"
+  echo "drift: every panic site outside tests in imr-net, imr-native, the sim drivers, the core and shuffle kernels, the pair loop and its sim environment, the master, core's shared surface and the DFS snapshot path is annotated"
 
   # One send path on the TCP data path: every frame is written from its
   # parts (`FrameWriter::write_parts`), bulk bytes borrowed, so outside
@@ -460,6 +465,19 @@ cmd_drift() {
   [ -z "$kernel_calls" ] \
     || { echo "drift: the iteration kernel is called outside the pair loop (crates/core/src/pair.rs):" >&2; echo "$kernel_calls" >&2; exit 1; }
   echo "drift: map_side, reduce_side, delta_out and delta_in are called from the pair loop alone"
+
+  # One master: outside #[cfg(test)], the incident record of a rollback
+  # (the migration marker, the flight dump) and the recovery and
+  # migration counts are written by `supervise` and nowhere else, so
+  # every engine — threads, TCP and the simulator — recovers through it.
+  local master_calls
+  master_calls=$(rust_code 1 $(find crates/*/src src -name '*.rs' | sort) \
+    | grep -E '(^|[^A-Za-z0-9_])(migration_marker|flight_path)\(|recoveries\.add\(|migrations\.add\(' \
+    | grep -Ev '(^|[^A-Za-z0-9_])fn (migration_marker|flight_path)\(' \
+    | grep -v '^crates/core/src/supervise\.rs:' || true)
+  [ -z "$master_calls" ] \
+    || { echo "drift: a rollback is recorded outside the master (crates/core/src/supervise.rs):" >&2; echo "$master_calls" >&2; exit 1; }
+  echo "drift: migration_marker, flight_path, recoveries.add and migrations.add are called from supervise alone"
 
   local subs jobs
   subs=$({
