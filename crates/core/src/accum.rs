@@ -153,6 +153,14 @@ impl<K: imr_records::Key, S: imr_records::Value> DeltaStore<K, S> {
     /// priority only chooses membership; ⊕-commutativity makes the
     /// application order irrelevant to the result, and a fixed order
     /// keeps the emitted stream deterministic.
+    ///
+    /// The keys are applied in one index-order walk over the store and
+    /// `stat`. A batch that takes every pending key (the default
+    /// `batch == 0`, under which a dense workload such as PageRank
+    /// applies nearly the whole store each round) ranks nothing; a
+    /// smaller one finds the last key it takes with a linear-time
+    /// selection, and the walk applies exactly the keys that rank at or
+    /// above it.
     pub fn select_batch<J>(
         &mut self,
         job: &J,
@@ -163,38 +171,44 @@ impl<K: imr_records::Key, S: imr_records::Value> DeltaStore<K, S> {
     where
         J: Accumulative<K = K, S = S>,
     {
-        let mut pending: Vec<(f64, usize)> = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, (k, (v, d)))| {
-                let score = job.progress(k, v, d);
-                (score > 0.0).then_some((score, i))
-            })
-            .collect();
-        let total = pending.len();
-        let take = if batch == 0 { total } else { batch.min(total) };
-        // Largest score first, ties by ascending index: sort the whole
-        // pending set (it is small relative to the store for sparse
-        // workloads) then keep the head, re-sorted by index for the
-        // deterministic application sweep.
-        pending.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
-        let mut chosen: Vec<usize> = pending[..take].iter().map(|&(_, i)| i).collect();
-        chosen.sort_unstable();
+        let score = |(k, (v, d)): &(K, (S, S))| job.progress(k, v, d);
+        // Largest score first, ties by ascending index. Only scores
+        // above 0.0 are ranked, so there is no NaN: a total order.
+        let rank = |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
+        let total = match batch {
+            0 => None,
+            _ => Some(self.entries.iter().filter(|e| score(e) > 0.0).count()),
+        };
+        // The last key the batch takes, when it cannot take them all.
+        let cut = match total {
+            Some(total) if batch < total => {
+                let mut pending: Vec<(f64, usize)> = self
+                    .entries
+                    .iter()
+                    .enumerate()
+                    .map(|(i, e)| (score(e), i))
+                    .filter(|&(s, _)| s > 0.0)
+                    .collect();
+                Some(*pending.select_nth_unstable_by(batch - 1, rank).1)
+            }
+            _ => None,
+        };
 
-        for i in chosen {
-            let (k, (v, d)) = &mut self.entries[i];
-            let applied = std::mem::replace(d, job.identity());
-            job.fold(k, v, applied.clone());
-            job.extract(k, &applied, &stat[i].1, out);
+        let mut applied = 0;
+        for ((i, entry), (_, t)) in self.entries.iter_mut().enumerate().zip(stat) {
+            let s = score(entry);
+            let taken = s > 0.0 && cut.is_none_or(|c| rank(&(s, i), &c).is_le());
+            if taken {
+                let (k, (v, d)) = entry;
+                let delta = std::mem::replace(d, job.identity());
+                job.fold(k, v, delta.clone());
+                job.extract(k, &delta, t, out);
+                applied += 1;
+            }
         }
         BatchOutcome {
-            applied: take,
-            deferred: total - take,
+            applied,
+            deferred: total.map_or(0, |total| total - applied),
         }
     }
 
@@ -524,6 +538,64 @@ mod tests {
                 };
                 assert_eq!(bits(store), bits(&expected[q]), "{n} pairs, pair {q}");
             }
+        }
+    }
+
+    /// The batch as a full score sort picks it: every pending key
+    /// ranked, the first `batch` kept, applied in index order.
+    fn select_by_sort(
+        store: &mut DeltaStore<u32, f64>,
+        stat: &[(u32, Vec<(u32, f64)>)],
+        batch: usize,
+        out: &mut Emitter<u32, f64>,
+    ) -> (usize, usize) {
+        let job = Ordered;
+        let mut pending: Vec<(f64, usize)> = (store.entries.iter().enumerate())
+            .map(|(i, (k, (v, d)))| (job.progress(k, v, d), i))
+            .filter(|&(s, _)| s > 0.0)
+            .collect();
+        pending.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
+        let take = if batch == 0 {
+            pending.len()
+        } else {
+            batch.min(pending.len())
+        };
+        let mut chosen: Vec<usize> = pending[..take].iter().map(|&(_, i)| i).collect();
+        chosen.sort_unstable();
+        for i in chosen {
+            let (k, (v, d)) = &mut store.entries[i];
+            let delta = std::mem::replace(d, 0.0);
+            job.fold(k, v, delta);
+            job.extract(k, &delta, &stat[i].1, out);
+        }
+        (take, pending.len() - take)
+    }
+
+    #[test]
+    fn the_cut_takes_what_a_full_sort_takes() {
+        // Ten pending keys ranked by |delta|: five tied at 5, two at 3,
+        // two at 2, one at 1; keys 3 and 8 hold the identity.
+        let deltas = [
+            3.0, -5.0, 5.0, 0.0, 2.0, 5.0, 1.0, -5.0, 0.0, -2.0, 5.0, 3.0,
+        ];
+        let loaded: Vec<(u32, f64)> = (0..).zip(deltas).collect();
+        // Each applied key emits its own key: the stream is the order
+        // of application.
+        let stat: Vec<(u32, Vec<(u32, f64)>)> = (0..12).map(|k| (k, vec![(k, 1.0)])).collect();
+        let bits = |s: &DeltaStore<u32, f64>| -> Vec<(u32, u64, u64)> {
+            let entry = |(k, (v, d)): &(u32, (f64, f64))| (*k, v.to_bits(), d.to_bits());
+            s.entries().iter().map(entry).collect()
+        };
+        // 3 and 6 cut inside a tie; 9, 10 and 11 straddle the pending count.
+        for batch in [0, 1, 3, 6, 9, 10, 11] {
+            let mut cut = DeltaStore::seed(&Ordered, &loaded).unwrap();
+            let mut sorted = cut.clone();
+            let (mut by_cut, mut by_sort) = (Emitter::new(), Emitter::new());
+            let outcome = cut.select_batch(&Ordered, &stat, batch, &mut by_cut);
+            let want = select_by_sort(&mut sorted, &stat, batch, &mut by_sort);
+            assert_eq!((outcome.applied, outcome.deferred), want, "batch {batch}");
+            assert_eq!(bits(&cut), bits(&sorted), "batch {batch}");
+            assert_eq!(by_cut.into_pairs(), by_sort.into_pairs(), "batch {batch}");
         }
     }
 }

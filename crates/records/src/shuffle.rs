@@ -123,6 +123,9 @@ pub struct ShuffleScratch {
     words: Vec<Vec<u64>>,
     /// The radix sort's second buffer.
     tmp: Vec<u64>,
+    /// A delta round's folded records for one destination, before they
+    /// are copied out as its segment.
+    folded: BytesMut,
 }
 
 impl ShuffleScratch {
@@ -227,7 +230,9 @@ impl ShuffleScratch {
     /// Map side of a delta round: [`shuffle_out`](Self::shuffle_out),
     /// except that each run of equal keys is folded — in (key, emission)
     /// order, the first value seeding the key's accumulator — and
-    /// encoded as one record. Charges `cost` a sort of each
+    /// encoded as one record. Each destination is folded and encoded in
+    /// one walk into the scratch's own buffer, whose exact bytes are
+    /// then copied out as the segment. Charges `cost` a sort of each
     /// destination's folded records.
     pub fn shuffle_folded<K: Key, V: Value>(
         &mut self,
@@ -238,27 +243,23 @@ impl ShuffleScratch {
         cost: &mut impl ShuffleCost,
     ) -> Result<ShuffleOut, ShuffleError> {
         self.route(pairs, n, partition)?;
+        let ShuffleScratch { words, folded, .. } = self;
         let mut out = ShuffleOut::with_capacity(n);
-        for dest in 0..n {
-            let mut run = self.order(dest).map(|i| &pairs[i]).peekable();
-            // One record per key; room for each with its first value,
-            // exact when the values encode at a fixed width.
-            let mut last = None;
-            let firsts = run.clone().filter(|(k, _)| last.replace(k) != Some(k));
-            let size =
-                |(keys, len), (k, v): &(K, V)| (keys + 1, len + k.encoded_len() + v.encoded_len());
-            let (records, len) = firsts.fold((0, 0), size);
-            let mut buf = BytesMut::with_capacity(len);
+        for words in words.iter() {
+            let mut run = indices(words).map(|i| &pairs[i]).peekable();
+            folded.clear();
+            let mut records = 0;
             while let Some((k, first)) = run.next() {
                 let mut acc = first.clone();
                 while let Some((_, v)) = run.next_if(|(next, _)| next == k) {
                     fold(k, &mut acc, v.clone());
                 }
-                k.encode(&mut buf);
-                acc.encode(&mut buf);
+                k.encode(folded);
+                acc.encode(folded);
+                records += 1;
             }
             cost.sorted(records as u64);
-            out.push(buf.freeze(), records);
+            out.push(Bytes::from(folded.to_vec()), records);
         }
         pairs.clear();
         Ok(out)
@@ -471,4 +472,74 @@ pub fn merge_into<K: Key, V: Value, E>(
 
 fn cursors<K: Key, V: Value>(segments: Vec<Bytes>) -> Vec<PairCursor<K, V>> {
     segments.into_iter().map(PairCursor::new).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::encode_pairs;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// Varint-encoded keys and values (`u64`, zigzag `i64`) spanning
+    /// one to ten bytes each, so a segment's length is its content's.
+    fn records(len: usize, mut seed: u64) -> Vec<(u64, i64)> {
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        (0..len)
+            .map(|_| {
+                // About three records a key, so runs fold.
+                let base = next() % (len as u64 / 3);
+                let value = (next() as i64) >> (next() % 64);
+                (base << (base * 7 % 57), value)
+            })
+            .collect()
+    }
+
+    fn fold(_: &u64, acc: &mut i64, v: i64) {
+        *acc = acc.wrapping_add(v);
+    }
+
+    fn partition(k: &u64, n: usize) -> usize {
+        (k % n as u64) as usize
+    }
+
+    /// Group-then-left-fold per destination, encoded key-ascending.
+    fn expected(pairs: &[(u64, i64)], n: usize) -> Vec<Bytes> {
+        let mut dests = vec![BTreeMap::new(); n];
+        for &(k, v) in pairs {
+            dests[partition(&k, n)]
+                .entry(k)
+                .and_modify(|acc| fold(&k, acc, v))
+                .or_insert(v);
+        }
+        let encode = |d: BTreeMap<u64, i64>| encode_pairs(&d.into_iter().collect::<Vec<_>>());
+        dests.into_iter().map(encode).collect()
+    }
+
+    #[test]
+    fn a_kept_scratch_folds_like_a_fresh_one() {
+        let mut kept = ShuffleScratch::default();
+        // Large first, then smaller on fewer destinations: a byte the
+        // first call left in the scratch would lengthen a segment.
+        for (len, n, seed) in [(600, 3, 0x9e37_79b9), (40, 2, 0x2545_f491)] {
+            let pairs = records(len, seed);
+            let by_kept = kept
+                .shuffle_folded(&mut pairs.clone(), n, partition, fold, &mut ())
+                .expect("routes");
+            let by_fresh = ShuffleScratch::default()
+                .shuffle_folded(&mut pairs.clone(), n, partition, fold, &mut ())
+                .expect("routes");
+            let want = expected(&pairs, n);
+            assert_eq!(by_kept.segments, want, "{len} records, {n} destinations");
+            assert_eq!(by_fresh.segments, want);
+            let distinct = pairs.iter().map(|(k, _)| k).collect::<BTreeSet<_>>().len();
+            assert_eq!(by_kept.records, distinct as u64);
+            let bytes = want.iter().map(Bytes::len).sum::<usize>();
+            assert_eq!(by_kept.bytes, bytes as u64);
+        }
+    }
 }

@@ -19,6 +19,7 @@
 #                          # imr-bench's EXPERIMENTS ids <-> results/*.json,
 #                          # BENCH_*.json rows <-> BENCHMARK.json (needs jq),
 #                          # the newest CHANGES.md entry <= 6000 bytes,
+#                          # every file a code scan names exists,
 #                          # one `unsafe` site (crc.rs) and no unannotated
 #                          # panic site in imr-net / imr-native, the sim
 #                          # drivers (engine, aux, multiphase, incremental),
@@ -298,8 +299,16 @@ wire_table_rows() {
 # `file:line:code`. `skip_tests=1` drops `#[cfg(test)]` items (tracked
 # by brace depth). A code line directly under `//` comment lines that
 # contain `unreachable:`, or carrying that comment itself, is printed
-# with an `@` before its code: an annotated panic site.
+# with an `@` before its code: an annotated panic site. A named file
+# that does not exist fails the call (awk would only warn and scan the
+# rest), so a renamed file cannot drop out of a scan unnoticed; callers
+# keep that status by filtering inside `{ …; }` (`grep || true` there
+# forgives only an empty match).
 rust_code() {
+  local file
+  for file in "${@:2}"; do
+    [ -f "$file" ] || { echo "drift: $file is named for a scan but does not exist" >&2; return 1; }
+  done
   awk -v skip_tests="$1" '
     FNR == 1 { skip = 0; ann = 0 }
     {
@@ -400,7 +409,7 @@ cmd_drift() {
     fi
   done
   unsafe_sites=$(rust_code 0 $(find crates src tests -name '*.rs' | sort) \
-    | grep -E ':@?.*(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)' || true)
+    | { grep -E ':@?.*(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)' || true; })
   stray_unsafe=$(grep -v '^crates/net/src/crc\.rs:' <<< "$unsafe_sites" \
     | grep -Ev '^tests/[a-z_]+\.rs:[0-9]+:[[:space:]]*unsafe (impl GlobalAlloc for|fn (alloc|alloc_zeroed|dealloc|realloc)\()' \
     || true)
@@ -434,8 +443,8 @@ cmd_drift() {
       crates/core/src/{accum,aux,ctl,engine,incremental,iter_engine,kernel,multiphase,observe,pair,sim_env,store,supervise}.rs \
       crates/dfs/src/{lib,snapshot}.rs \
       crates/records/src/{shuffle,sorted,codec}.rs \
-    | grep -E '^[^:]+:[0-9]+:[^@].*(\.unwrap\(\)|\.expect\(|(^|[^A-Za-z0-9_])((debug_)?assert(_eq|_ne)?|unreachable|panic|todo|unimplemented)!)' \
-    || true)
+    | { grep -E '^[^:]+:[0-9]+:[^@].*(\.unwrap\(\)|\.expect\(|(^|[^A-Za-z0-9_])((debug_)?assert(_eq|_ne)?|unreachable|panic|todo|unimplemented)!)' \
+      || true; })
   [ -z "$panics" ] \
     || { echo "drift: unannotated panic sites on the data path (add a typed error or // unreachable: <proof>):" >&2; echo "$panics" >&2; exit 1; }
   echo "drift: every panic site outside tests in imr-net, imr-native, the sim drivers, the core and shuffle kernels, the pair loop and its sim environment, the master, core's shared surface and the DFS snapshot path is annotated"
@@ -459,9 +468,9 @@ cmd_drift() {
   # every engine — threads, TCP and the simulator — runs the same loop.
   local kernel_calls
   kernel_calls=$(rust_code 1 $(find crates/*/src src -name '*.rs' | sort) \
-    | grep -E '(^|[^A-Za-z0-9_])(map_side|reduce_side|delta_out|delta_in)\(' \
-    | grep -Ev '(^|[^A-Za-z0-9_])fn (map_side|reduce_side|delta_out|delta_in)\(' \
-    | grep -v '^crates/core/src/pair\.rs:' || true)
+    | { grep -E '(^|[^A-Za-z0-9_])(map_side|reduce_side|delta_out|delta_in)\(' \
+      | grep -Ev '(^|[^A-Za-z0-9_])fn (map_side|reduce_side|delta_out|delta_in)\(' \
+      | grep -v '^crates/core/src/pair\.rs:' || true; })
   [ -z "$kernel_calls" ] \
     || { echo "drift: the iteration kernel is called outside the pair loop (crates/core/src/pair.rs):" >&2; echo "$kernel_calls" >&2; exit 1; }
   echo "drift: map_side, reduce_side, delta_out and delta_in are called from the pair loop alone"
@@ -472,9 +481,9 @@ cmd_drift() {
   # every engine — threads, TCP and the simulator — recovers through it.
   local master_calls
   master_calls=$(rust_code 1 $(find crates/*/src src -name '*.rs' | sort) \
-    | grep -E '(^|[^A-Za-z0-9_])(migration_marker|flight_path)\(|recoveries\.add\(|migrations\.add\(' \
-    | grep -Ev '(^|[^A-Za-z0-9_])fn (migration_marker|flight_path)\(' \
-    | grep -v '^crates/core/src/supervise\.rs:' || true)
+    | { grep -E '(^|[^A-Za-z0-9_])(migration_marker|flight_path)\(|recoveries\.add\(|migrations\.add\(' \
+      | grep -Ev '(^|[^A-Za-z0-9_])fn (migration_marker|flight_path)\(' \
+      | grep -v '^crates/core/src/supervise\.rs:' || true; })
   [ -z "$master_calls" ] \
     || { echo "drift: a rollback is recorded outside the master (crates/core/src/supervise.rs):" >&2; echo "$master_calls" >&2; exit 1; }
   echo "drift: migration_marker, flight_path, recoveries.add and migrations.add are called from supervise alone"
