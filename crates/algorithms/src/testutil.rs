@@ -3,7 +3,7 @@
 use imapreduce::IterativeRunner;
 use imr_dfs::Dfs;
 use imr_mapreduce::JobRunner;
-use imr_native::NativeRunner;
+use imr_native::{NativeRunner, WorkerSpec};
 use imr_simcluster::{ClusterSpec, Metrics, MetricsHandle};
 use std::sync::Arc;
 
@@ -52,4 +52,13 @@ pub fn mr_runner_on(spec: ClusterSpec) -> JobRunner {
     let metrics: MetricsHandle = Arc::new(Metrics::default());
     let dfs = Dfs::with_block_size(Arc::clone(&spec), Arc::clone(&metrics), 3, TEST_BLOCK);
     JobRunner::new(spec, dfs, metrics)
+}
+
+/// A native runner over a fresh local `n`-node DFS whose pairs run as
+/// `bin` worker processes over TCP, each launched with `job_args` to
+/// resolve the job (configs it runs must set
+/// `IterConfig::with_tcp_transport`).
+pub fn tcp_runner(n: usize, bin: &str, job_args: &[&str]) -> NativeRunner {
+    let args = job_args.iter().map(|s| (*s).to_owned()).collect();
+    native_runner(n).with_workers(WorkerSpec::new(bin, args))
 }

@@ -9,7 +9,7 @@
 //! (iMapReduce), the only two places that tell the two jobs apart.
 
 use crate::result::{final_y, report_metrics, FigureResult};
-use imapreduce::{IterConfig, IterativeRunner, LoadBalance};
+use imapreduce::{IterConfig, IterEngine, IterativeRunner, LoadBalance};
 use imr_algorithms::testutil::{imr_runner_on, mr_runner_on};
 use imr_algorithms::{jacobi, kmeans, matpower, pagerank, sssp};
 use imr_graph::{dataset, generate_matrix, generate_points, DatasetSpec, Graph, Workload};

@@ -165,8 +165,8 @@ pub enum TransportKind {
     Channel,
     /// Length-prefixed frames over persistent localhost TCP
     /// connections, with each pair in its own OS process and the
-    /// supervisor acting as coordinator. Requires the multi-process
-    /// entry point (`NativeRunner::run_remote`).
+    /// supervisor acting as coordinator. Requires a native runner with
+    /// worker processes attached (`NativeRunner::with_workers`).
     Tcp,
 }
 

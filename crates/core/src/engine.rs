@@ -24,7 +24,8 @@
 
 use crate::api::{IterativeJob, Mapping};
 use crate::aux::AuxPhase;
-use crate::config::{FailureEvent, FaultEvent, IterConfig, TransportKind};
+use crate::config::{FaultEvent, IterConfig, TransportKind};
+use crate::iter_engine::IterEngine;
 use crate::observe::Observer;
 use crate::pair::{delta_loop, pair_loop};
 use crate::sim_env::Turns;
@@ -115,50 +116,8 @@ impl IterativeRunner {
         self.cluster.pair_capacity()
     }
 
-    /// Runs `job` to termination.
-    ///
-    /// * `state_dir` — `mapred.iterjob.statepath`: initial state parts,
-    ///   partitioned with the job's partition function;
-    /// * `static_dir` — `mapred.iterjob.staticpath`: static data parts,
-    ///   co-partitioned with the state;
-    /// * `output_dir` — final state parts are committed here;
-    /// * `failures` — scripted worker failures (kills) to inject. For
-    ///   delay/hang faults use [`IterativeRunner::run_faults`].
-    pub fn run<J: IterativeJob>(
-        &self,
-        job: &J,
-        cfg: &IterConfig,
-        state_dir: &str,
-        static_dir: &str,
-        output_dir: &str,
-        failures: &[FailureEvent],
-    ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        let faults: Vec<FaultEvent> = failures.iter().map(|&f| f.into()).collect();
-        self.run_faults(job, cfg, state_dir, static_dir, output_dir, &faults)
-    }
-
-    /// Runs `job` to termination under a generalized fault schedule
-    /// ([`FaultEvent`]): kills recover through checkpoint rollback as in
-    /// [`IterativeRunner::run`], delays charge lost processing time on
-    /// the affected node's pairs, and hangs model watchdog detection —
-    /// the stalled pair is declared failed only after the configured
-    /// `stall_timeout` of virtual-time silence, then recovered the same
-    /// way a kill is.
-    pub fn run_faults<J: IterativeJob>(
-        &self,
-        job: &J,
-        cfg: &IterConfig,
-        state_dir: &str,
-        static_dir: &str,
-        output_dir: &str,
-        faults: &[FaultEvent],
-    ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        let dirs = [state_dir, static_dir, output_dir];
-        Ok(self.map_reduce(job, cfg, dirs, faults, None)?.0)
-    }
-
-    /// The refusals and launch accounting behind
-    /// [`IterativeRunner::run_faults`] and
+    /// The refusals and launch accounting behind the simulator's
+    /// [`IterEngine::run_faults`] and
     /// [`run_with_aux`](crate::run_with_aux), then the run. `dirs` are
     /// the state, static and output directories. With `Some(aux)`
     /// (one2all only) the auxiliary phase of §5.3 runs as one more step
@@ -195,47 +154,6 @@ impl IterativeRunner {
         self.metrics.tasks_launched.add(2 * aux_tasks as u64);
         let dirs = [state_dir, static_dir, output_dir];
         Turns::run(self, job, cfg, dirs, (faults, aux), |ctx| pair_loop(ctx))
-    }
-
-    /// Runs an [`Accumulative`](crate::Accumulative) job in the
-    /// barrier-free delta-accumulative mode on the simulated cluster.
-    ///
-    /// Like every simulated run, this is the native backends' loop —
-    /// here core's [`delta_loop`](crate::pair::delta_loop), one thread
-    /// per pair — on virtual clocks, the pairs taking turns in a fixed
-    /// order (`sim_env.rs`). So `final_state`, `distances` and the canonical
-    /// trace-kind sequence match across engines by construction, and
-    /// repeated simulated runs are bit-reproducible.
-    ///
-    /// `iterations` counts termination-check epochs (`cfg.check_every`
-    /// rounds each). Fault injection is rejected here — the mode's
-    /// recovery path is supervised re-execution, exercised on the
-    /// native backends.
-    pub fn run_accumulative<J: crate::Accumulative>(
-        &self,
-        job: &J,
-        cfg: &IterConfig,
-        state_dir: &str,
-        static_dir: &str,
-        output_dir: &str,
-        faults: &[FaultEvent],
-    ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        cfg.validate(faults)?;
-        refuse_tcp(cfg)?;
-        if !cfg.accumulative {
-            return Err(EngineError::Config(
-                "run_accumulative needs cfg.with_accumulative_mode()".into(),
-            ));
-        }
-        if !faults.is_empty() {
-            return Err(EngineError::Config(
-                "fault injection under accumulative mode requires the native backend".into(),
-            ));
-        }
-        check_slots(cfg.num_tasks, self.pair_capacity())?;
-        check_inputs(&self.dfs, cfg, state_dir, static_dir)?;
-        let dirs = [state_dir, static_dir, output_dir];
-        Ok(Turns::run(self, job, cfg, dirs, (&[], None), |ctx| delta_loop(ctx))?.0)
     }
 
     pub(crate) fn label(&self, cfg: &IterConfig) -> String {
@@ -304,6 +222,65 @@ impl IterativeRunner {
             finished = finished.max(clock.now());
         }
         Ok(finished)
+    }
+}
+
+/// The simulated cluster behind the one engine trait: `run_faults`
+/// is core's [`pair_loop`] and `run_accumulative` its [`delta_loop`],
+/// one thread per pair, the pairs taking turns in a fixed order on
+/// virtual clocks (`sim_env.rs`). So `final_state`, `distances` and the
+/// canonical trace-kind sequence match the native engines' by
+/// construction, and repeated simulated runs are bit-reproducible.
+impl IterEngine for IterativeRunner {
+    fn dfs(&self) -> &Dfs {
+        &self.dfs
+    }
+
+    /// Kills recover through checkpoint rollback, delays charge lost
+    /// processing time on the affected node's pairs, and hangs model
+    /// watchdog detection: the stalled pair is declared failed only
+    /// after the configured `stall_timeout` of virtual-time silence,
+    /// then recovered the same way a kill is.
+    fn run_faults<J: IterativeJob>(
+        &self,
+        job: &J,
+        cfg: &IterConfig,
+        state_dir: &str,
+        static_dir: &str,
+        output_dir: &str,
+        faults: &[FaultEvent],
+    ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
+        let dirs = [state_dir, static_dir, output_dir];
+        Ok(self.map_reduce(job, cfg, dirs, faults, None)?.0)
+    }
+
+    /// Fault injection is rejected here: the mode's recovery path is
+    /// supervised re-execution, exercised on the native backends.
+    fn run_accumulative<J: crate::Accumulative>(
+        &self,
+        job: &J,
+        cfg: &IterConfig,
+        state_dir: &str,
+        static_dir: &str,
+        output_dir: &str,
+        faults: &[FaultEvent],
+    ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
+        cfg.validate(faults)?;
+        refuse_tcp(cfg)?;
+        if !cfg.accumulative {
+            return Err(EngineError::Config(
+                "run_accumulative needs cfg.with_accumulative_mode()".into(),
+            ));
+        }
+        if !faults.is_empty() {
+            return Err(EngineError::Config(
+                "fault injection under accumulative mode requires the native backend".into(),
+            ));
+        }
+        check_slots(cfg.num_tasks, self.pair_capacity())?;
+        check_inputs(&self.dfs, cfg, state_dir, static_dir)?;
+        let dirs = [state_dir, static_dir, output_dir];
+        Ok(Turns::run(self, job, cfg, dirs, (&[], None), |ctx| delta_loop(ctx))?.0)
     }
 }
 

@@ -1,20 +1,22 @@
-//! The execution-backend abstraction shared by the virtual-time
-//! simulation engine and the native multi-threaded engine.
+//! The execution-backend abstraction every engine implements: the
+//! virtual-time simulator and the native engine on either fabric.
 //!
 //! An [`IterEngine`] executes [`IterativeJob`]s: same programming model
 //! (persistent map/reduce pairs, state/static separation, one2one or
 //! one2all state routing, distance-based termination), different
-//! substrate. [`IterativeRunner`] interprets the job on a simulated
-//! cluster under a deterministic cost model; `imr-native`'s
-//! `NativeRunner` executes it on real OS threads in wall-clock time.
-//! Both consume the same partitioned DFS inputs and, for the same job
-//! and configuration, produce identical `final_state`, `iterations`
-//! and `distances` — a property the cross-engine tests pin down.
+//! substrate. [`IterativeRunner`](crate::IterativeRunner) interprets the
+//! job on a simulated cluster under a deterministic cost model;
+//! `imr-native`'s `NativeRunner` executes it in wall-clock time, on OS
+//! threads or, with worker processes attached, over localhost TCP — the
+//! transport is `cfg.transport`, the same call either way. Every engine
+//! consumes the same partitioned DFS inputs and, for the same job and
+//! configuration, produces identical `final_state`, `iterations` and
+//! `distances` — a property the cross-engine tests pin down.
 
 use crate::accum::Accumulative;
 use crate::api::IterativeJob;
 use crate::config::{FailureEvent, FaultEvent, IterConfig};
-use crate::engine::{IterOutcome, IterativeRunner};
+use crate::engine::IterOutcome;
 use crate::incremental::{
     prepare_incremental, FixpointStore, GraphDelta, Incremental, IncrementalOutcome,
 };
@@ -140,35 +142,5 @@ pub trait IterEngine {
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
         let faults: Vec<FaultEvent> = failures.iter().map(|&f| f.into()).collect();
         self.run_faults(job, cfg, state_dir, static_dir, output_dir, &faults)
-    }
-}
-
-impl IterEngine for IterativeRunner {
-    fn dfs(&self) -> &Dfs {
-        IterativeRunner::dfs(self)
-    }
-
-    fn run_faults<J: IterativeJob>(
-        &self,
-        job: &J,
-        cfg: &IterConfig,
-        state_dir: &str,
-        static_dir: &str,
-        output_dir: &str,
-        faults: &[FaultEvent],
-    ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        IterativeRunner::run_faults(self, job, cfg, state_dir, static_dir, output_dir, faults)
-    }
-
-    fn run_accumulative<J: Accumulative>(
-        &self,
-        job: &J,
-        cfg: &IterConfig,
-        state_dir: &str,
-        static_dir: &str,
-        output_dir: &str,
-        faults: &[FaultEvent],
-    ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        IterativeRunner::run_accumulative(self, job, cfg, state_dir, static_dir, output_dir, faults)
     }
 }

@@ -21,7 +21,7 @@
 //! with rollback, and migration-based load balancing.
 //!
 //! ```
-//! use imapreduce::{Emitter, IterConfig, IterativeJob, IterativeRunner, StateInput};
+//! use imapreduce::{Emitter, IterConfig, IterEngine, IterativeJob, IterativeRunner, StateInput};
 //! use imr_dfs::Dfs;
 //! use imr_simcluster::{ClusterSpec, Metrics, TaskClock};
 //! use std::sync::Arc;

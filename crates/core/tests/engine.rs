@@ -5,7 +5,8 @@
 
 use imapreduce::{
     load_partitioned, run_two_phase, run_with_aux, AuxPhase, Emitter, EngineError, FailureEvent,
-    IterConfig, IterativeJob, IterativeRunner, LoadBalance, PhaseJob, StateInput, TwoPhaseConfig,
+    IterConfig, IterEngine, IterativeJob, IterativeRunner, LoadBalance, PhaseJob, StateInput,
+    TwoPhaseConfig,
 };
 use imr_dfs::Dfs;
 use imr_simcluster::{ClusterSpec, Metrics, MetricsHandle, NodeId, TaskClock};

@@ -12,8 +12,8 @@ use crate::catalog::{self, JobId, NS};
 use crate::spec::{AlgoSpec, EngineSel, JobSpec};
 use bytes::{Bytes, BytesMut};
 use imapreduce::{
-    load_partitioned, ChaosConfig, Emitter, EngineError, IterConfig, IterativeJob, IterativeRunner,
-    NetPolicy, RunCtl, StateInput, WatchdogConfig,
+    load_partitioned, ChaosConfig, Emitter, EngineError, IterConfig, IterEngine, IterativeJob,
+    IterativeRunner, NetPolicy, RunCtl, StateInput, WatchdogConfig,
 };
 use imr_algorithms::kmeans::{load_kmeans_imr, KmeansIter};
 use imr_algorithms::pagerank::{load_pagerank_imr, PageRankIter};
@@ -287,23 +287,18 @@ fn dispatch<J: IterativeJob>(
             .with_telemetry(telemetry);
             runner.run_faults(job, cfg, state_dir, static_dir, output_dir, &[])?
         }
-        EngineSel::Threads => {
-            let runner = NativeRunner::new(ctx.dfs.clone(), ctx.metrics.clone())
+        EngineSel::Threads | EngineSel::Tcp => {
+            let mut runner = NativeRunner::new(ctx.dfs.clone(), ctx.metrics.clone())
                 .with_trace(trace)
                 .with_telemetry(telemetry)
                 .with_ctl(ctl);
+            if spec.engine == EngineSel::Tcp {
+                let bin = ctx.worker_bin.clone().ok_or_else(|| {
+                    EngineError::Config("TCP-engine jobs need a configured worker binary".into())
+                })?;
+                runner = runner.with_workers(WorkerSpec::new(bin, worker_args(spec)).with_job(id));
+            }
             runner.run_faults(job, cfg, state_dir, static_dir, output_dir, &[])?
-        }
-        EngineSel::Tcp => {
-            let bin = ctx.worker_bin.clone().ok_or_else(|| {
-                EngineError::Config("TCP-engine jobs need a configured worker binary".into())
-            })?;
-            let wspec = WorkerSpec::new(bin, worker_args(spec)).with_job(id);
-            let runner = NativeRunner::new(ctx.dfs.clone(), ctx.metrics.clone())
-                .with_trace(trace)
-                .with_telemetry(telemetry)
-                .with_ctl(ctl);
-            runner.run_remote(job, &wspec, cfg, state_dir, static_dir, output_dir, &[])?
         }
     };
     Ok(ResultRecord {

@@ -71,10 +71,10 @@ impl AlgoSpec {
 pub enum EngineSel {
     /// The virtual-time simulation engine (`IterativeRunner`).
     Sim,
-    /// The native thread backend (`NativeRunner::run_faults`).
+    /// The native engine on worker threads (`NativeRunner`).
     Threads,
-    /// The native multi-process TCP backend
-    /// (`NativeRunner::run_remote`); needs a worker binary.
+    /// The native engine on worker processes over TCP
+    /// (`NativeRunner::with_workers`); needs a worker binary.
     Tcp,
 }
 

@@ -6,9 +6,10 @@
 //! either as threads in this process (the default
 //! [`TransportKind::Channel`] fabric) or as separate OS processes
 //! connected to a coordinator over localhost TCP
-//! ([`TransportKind::Tcp`], via [`NativeRunner::run_remote`] — see the
-//! [`remote`] module). The paper's mechanisms map onto native
-//! primitives:
+//! ([`TransportKind::Tcp`], with the processes attached by
+//! [`NativeRunner::with_workers`] — see the [`remote`] module). Both are
+//! one [`IterEngine`]: the transport is the config's, the call is the
+//! same. The paper's mechanisms map onto native primitives:
 //!
 //! * **Persistent reduce→map connections** (§3.3) — the
 //!   `imr_net::Transport` trait: one bounded FIFO link per
@@ -120,13 +121,13 @@ use bytes::Bytes;
 use fault::FaultBarrier;
 use generation::Generation;
 use imapreduce::pair::{
-    self, delta_loop, pair_cfg, pair_loop, panic_message, read_part_raw, EnvFail, PairCtx,
+    self, delta_loop, pair_cfg, pair_loop, panic_message, read_part_raw, EnvFail, PairCfg, PairCtx,
     PairDirs, PairEnv, PairOutcome,
 };
 use imapreduce::supervise::{supervise, GenInput, GenRuns};
 use imapreduce::{
-    check_inputs, FailureEvent, FaultEvent, IterConfig, IterEngine, IterOutcome, IterativeJob,
-    Mapping, Observer, RunCtl, TransportKind,
+    check_inputs, Accumulative, FailureEvent, FaultEvent, IterConfig, IterEngine, IterOutcome,
+    IterativeJob, Mapping, Observer, RunCtl, TransportKind,
 };
 use imr_dfs::Dfs;
 use imr_mapreduce::io::num_parts;
@@ -155,8 +156,9 @@ pub use remote::{serve_worker, serve_worker_accum, WorkerSpec};
 /// enforces the same bound with per-link send credits.
 pub const HANDOFF_BUFFER: usize = 1;
 
-/// Executes [`IterativeJob`]s on OS threads (or, via
-/// [`NativeRunner::run_remote`], OS processes) in wall-clock time.
+/// Executes [`IterativeJob`]s in wall-clock time, on OS threads or —
+/// with worker processes attached ([`NativeRunner::with_workers`]) — on
+/// one OS process per pair over localhost TCP.
 ///
 /// Data enters and leaves through the same [`Dfs`] the simulation
 /// engine uses (its virtual clocks are bookkeeping only here), so
@@ -167,6 +169,8 @@ pub struct NativeRunner {
     metrics: MetricsHandle,
     observer: Observer,
     ctl: Option<RunCtl>,
+    /// How to launch the worker processes a TCP run needs.
+    workers: Option<WorkerSpec>,
 }
 
 impl NativeRunner {
@@ -177,6 +181,7 @@ impl NativeRunner {
             observer: Observer::new(std::sync::Arc::clone(&metrics)),
             metrics,
             ctl: None,
+            workers: None,
         }
     }
 
@@ -207,6 +212,15 @@ impl NativeRunner {
         self
     }
 
+    /// Attaches the worker processes a [`TransportKind::Tcp`] run
+    /// spawns, one per pair (see the [`remote`] module). A TCP config
+    /// without them, or a channel config with them, is a
+    /// [`EngineError::Config`] on every entry point.
+    pub fn with_workers(mut self, spec: WorkerSpec) -> Self {
+        self.workers = Some(spec);
+        self
+    }
+
     /// The DFS this runner reads and writes.
     pub fn dfs(&self) -> &Dfs {
         &self.dfs
@@ -217,14 +231,8 @@ impl NativeRunner {
         &self.metrics
     }
 
-    /// Runs `job` to termination on `cfg.num_tasks` worker threads.
-    /// Arguments mirror [`IterativeRunner::run`]. Scripted `failures`
-    /// are injected deterministically (see [`FailureEvent`]) and
-    /// recovered from DFS checkpoints; they require
-    /// `cfg.checkpoint_interval > 0`. For delay/hang faults use
-    /// [`NativeRunner::run_faults`].
-    ///
-    /// [`IterativeRunner::run`]: imapreduce::IterativeRunner::run
+    /// [`IterEngine::run`], kept only for `benchmark/src/adapter.rs`;
+    /// deleted once the adapter calls the trait (ROADMAP item 17, step 3).
     pub fn run<J: IterativeJob>(
         &self,
         job: &J,
@@ -234,20 +242,13 @@ impl NativeRunner {
         output_dir: &str,
         failures: &[FailureEvent],
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        let faults: Vec<FaultEvent> = failures.iter().map(|&f| f.into()).collect();
-        self.run_faults(job, cfg, state_dir, static_dir, output_dir, &faults)
+        IterEngine::run(self, job, cfg, state_dir, static_dir, output_dir, failures)
     }
 
-    /// Runs `job` to termination under a generalized fault schedule
-    /// ([`FaultEvent`]) with the full self-healing runtime active:
-    /// scripted kills exit their pairs, scripted delays slow them,
-    /// scripted hangs wedge them for the watchdog
-    /// (`IterConfig::with_watchdog`) to detect, and §3.4.2 load
-    /// balancing (`IterConfig::with_load_balance`) migrates pairs off
-    /// emulated slow nodes at checkpoint epochs. All recovery and
-    /// migration is rollback-and-respawn from DFS snapshots, so the
-    /// result is bit-identical to an undisturbed run.
-    pub fn run_faults<J: IterativeJob>(
+    /// [`IterEngine::run_accumulative`], kept only for
+    /// `benchmark/src/adapter.rs`; deleted once the adapter calls the
+    /// trait (ROADMAP item 17, step 3).
+    pub fn run_accumulative<J: Accumulative>(
         &self,
         job: &J,
         cfg: &IterConfig,
@@ -256,65 +257,85 @@ impl NativeRunner {
         output_dir: &str,
         faults: &[FaultEvent],
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
+        IterEngine::run_accumulative(self, job, cfg, state_dir, static_dir, output_dir, faults)
+    }
+
+    /// [`IterEngine::run_faults`] on this runner with `spec`'s workers
+    /// attached, kept only for `benchmark/src/adapter.rs`; deleted once
+    /// the adapter calls the trait (ROADMAP item 17, step 3).
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_remote<J: IterativeJob>(
+        &self,
+        job: &J,
+        spec: &WorkerSpec,
+        cfg: &IterConfig,
+        state_dir: &str,
+        static_dir: &str,
+        output_dir: &str,
+        faults: &[FaultEvent],
+    ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
+        let runner = self.clone().with_workers(spec.clone());
+        IterEngine::run_faults(&runner, job, cfg, state_dir, static_dir, output_dir, faults)
+    }
+
+    /// The one entry behind every mode and fabric: the shared
+    /// refusals, then worker threads over channels or worker processes
+    /// over TCP, as `cfg.transport` says. `accumulative` is the mode the
+    /// caller's loop runs; `loop_fn` is that loop for the thread fabric
+    /// (a worker process picks it from its setup frame).
+    #[allow(clippy::too_many_arguments)]
+    fn dispatch<J: IterativeJob>(
+        &self,
+        job: &J,
+        cfg: &IterConfig,
+        [state_dir, static_dir, output_dir]: [&str; 3],
+        faults: &[FaultEvent],
+        accumulative: bool,
+        loop_fn: ThreadLoop<J>,
+        label: String,
+    ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
         validate(cfg, faults)?;
-        if cfg.accumulative {
-            return Err(EngineError::Config(
+        if cfg.accumulative != accumulative {
+            let why = if accumulative {
+                "run_accumulative needs cfg.with_accumulative_mode()"
+            } else {
                 "cfg.accumulative is set: use run_accumulative for barrier-free \
                  delta-accumulative execution"
-                    .into(),
-            ));
+            };
+            return Err(EngineError::Config(why.into()));
         }
-        self.run_threaded(
-            job,
-            cfg,
-            state_dir,
-            static_dir,
-            output_dir,
-            faults,
-            |ctx| pair_loop(ctx),
-            self.label(cfg),
-        )
-    }
-
-    /// Runs an [`Accumulative`](imapreduce::Accumulative) job in the
-    /// barrier-free delta-accumulative mode on worker threads
-    /// (`cfg.accumulative` must be set). Tasks keep per-key
-    /// `(value, delta)` stores, propagate only non-identity deltas in
-    /// lock-step rounds, and terminate through the global
-    /// accumulated-progress detector. The full fault-tolerance runtime
-    /// applies unchanged: scripted kills/hangs and watchdog detection
-    /// recover by rolling every pair back to the last
-    /// `(key, (value, delta))` snapshot all pairs completed.
-    ///
-    /// For [`TransportKind::Tcp`] use [`NativeRunner::run_remote`] with
-    /// a worker binary that routes the job through
-    /// [`remote::serve_worker_accum`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_accumulative<J: imapreduce::Accumulative>(
-        &self,
-        job: &J,
-        cfg: &IterConfig,
-        state_dir: &str,
-        static_dir: &str,
-        output_dir: &str,
-        faults: &[FaultEvent],
-    ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        validate(cfg, faults)?;
-        if !cfg.accumulative {
-            return Err(EngineError::Config(
-                "run_accumulative needs cfg.with_accumulative_mode()".into(),
-            ));
+        let spec = match (cfg.transport, &self.workers) {
+            (TransportKind::Channel, None) => None,
+            (TransportKind::Tcp, Some(spec)) => Some(spec),
+            (TransportKind::Tcp, None) => {
+                return Err(EngineError::Config(
+                    "transport Tcp needs worker processes: attach them with \
+                     NativeRunner::with_workers"
+                        .into(),
+                ))
+            }
+            (TransportKind::Channel, Some(_)) => {
+                return Err(EngineError::Config(
+                    "worker processes are attached (NativeRunner::with_workers) but the \
+                     config keeps the channel fabric: set IterConfig::with_tcp_transport"
+                        .into(),
+                ))
+            }
+        };
+        check_inputs(&self.dfs, cfg, state_dir, static_dir)?;
+        let pair_cfg = pair_cfg(cfg, num_parts(&self.dfs, state_dir));
+        let dirs = PairDirs {
+            state_dir: state_dir.to_owned(),
+            static_dir: static_dir.to_owned(),
+            output_dir: output_dir.to_owned(),
+        };
+        match spec {
+            None => self.run_threaded(job, cfg, &pair_cfg, &dirs, faults, loop_fn, label),
+            Some(spec) => {
+                let label = format!("{label} [tcp]");
+                self.run_processes::<J>(spec, cfg, &pair_cfg, &dirs, faults, label)
+            }
         }
-        self.run_threaded(
-            job,
-            cfg,
-            state_dir,
-            static_dir,
-            output_dir,
-            faults,
-            |ctx| delta_loop(ctx),
-            "iMapReduce native (delta)".to_owned(),
-        )
     }
 
     /// The shared thread-backend generation harness: spawns one worker
@@ -326,37 +347,20 @@ impl NativeRunner {
         &self,
         job: &J,
         cfg: &IterConfig,
-        state_dir: &str,
-        static_dir: &str,
-        output_dir: &str,
+        pair_cfg: &PairCfg,
+        dirs: &PairDirs,
         faults: &[FaultEvent],
         loop_fn: ThreadLoop<J>,
         label: String,
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        if cfg.transport == TransportKind::Tcp {
-            return Err(EngineError::Config(
-                "transport Tcp needs worker processes: use NativeRunner::run_remote \
-                 with a worker binary"
-                    .into(),
-            ));
-        }
-        check_inputs(&self.dfs, cfg, state_dir, static_dir)?;
         let n = cfg.num_tasks;
-        let num_state_parts = num_parts(&self.dfs, state_dir);
-        let pair_cfg = pair_cfg(cfg, num_state_parts);
-        let dirs = PairDirs {
-            state_dir: state_dir.to_owned(),
-            static_dir: static_dir.to_owned(),
-            output_dir: output_dir.to_owned(),
-        };
-
         let mut run_gen = |gen: GenInput<'_>| -> Result<GenRuns, EngineError> {
             // Fresh links and rally points: the previous generation's
             // links are disconnected and its barrier poisoned.
             let links = ChannelMesh::links(n, HANDOFF_BUFFER);
             let slots: Vec<Mutex<Option<Bytes>>> = (0..n).map(|_| Mutex::new(None)).collect();
             let barrier = FaultBarrier::new(n);
-            let generation = Generation::new(&self.dfs, &self.metrics, cfg, output_dir, gen);
+            let generation = Generation::new(&self.dfs, &self.metrics, cfg, &dirs.output_dir, gen);
 
             // The monitor shares the generation's scope: it watches
             // the board and kills the generation through the same
@@ -364,7 +368,6 @@ impl NativeRunner {
             let ((), intervention) = generation.watched(&barrier, |scope| {
                 // Shared by reference with every thread spawned below.
                 let (slots, barrier, generation) = (&slots, &barrier, &generation);
-                let (pair_cfg, dirs) = (&pair_cfg, &dirs);
                 // Abort watcher: the job service's cancellation
                 // token kills the generation through the same
                 // poisoned barrier a watchdog stall uses.
@@ -437,7 +440,7 @@ impl NativeRunner {
             self.dfs.cluster(),
             &self.metrics,
             cfg,
-            output_dir,
+            &dirs.output_dir,
             faults,
             label,
             false,
@@ -470,6 +473,16 @@ pub(crate) fn validate(cfg: &IterConfig, faults: &[FaultEvent]) -> Result<(), En
     Ok(())
 }
 
+/// The native engine behind the one trait: each method runs its loop
+/// through [`NativeRunner::dispatch`], on threads or worker processes
+/// as `cfg.transport` says. Faults of every kind recover from DFS
+/// checkpoints: scripted kills exit their pairs, delays slow them,
+/// hangs wedge them for the watchdog (`IterConfig::with_watchdog`) to
+/// detect, §3.4.2 load balancing (`IterConfig::with_load_balance`)
+/// migrates pairs off emulated slow nodes, and over TCP a worker
+/// process that dies without a scripted cause is a recoverable fault
+/// too. Every recovery is rollback-and-respawn, so the result is
+/// bit-identical to an undisturbed run.
 impl IterEngine for NativeRunner {
     fn dfs(&self) -> &Dfs {
         &self.dfs
@@ -484,10 +497,15 @@ impl IterEngine for NativeRunner {
         output_dir: &str,
         faults: &[FaultEvent],
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        NativeRunner::run_faults(self, job, cfg, state_dir, static_dir, output_dir, faults)
+        let dirs = [state_dir, static_dir, output_dir];
+        let label = self.label(cfg);
+        self.dispatch(job, cfg, dirs, faults, false, |ctx| pair_loop(ctx), label)
     }
 
-    fn run_accumulative<J: imapreduce::Accumulative>(
+    /// Over TCP, an incremental config's warm-start parts are announced
+    /// to the workers and checked (see [`remote`]); a worker binary must
+    /// route the job through [`remote::serve_worker_accum`].
+    fn run_accumulative<J: Accumulative>(
         &self,
         job: &J,
         cfg: &IterConfig,
@@ -496,7 +514,9 @@ impl IterEngine for NativeRunner {
         output_dir: &str,
         faults: &[FaultEvent],
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        NativeRunner::run_accumulative(self, job, cfg, state_dir, static_dir, output_dir, faults)
+        let dirs = [state_dir, static_dir, output_dir];
+        let label = "iMapReduce native (delta)".to_owned();
+        self.dispatch(job, cfg, dirs, faults, true, |ctx| delta_loop(ctx), label)
     }
 }
 
@@ -856,7 +876,7 @@ mod tests {
             .run(&Halve, &cfg, "/state", "/static", "/out", &[])
             .unwrap_err();
         match err {
-            EngineError::Config(msg) => assert!(msg.contains("run_remote"), "{msg}"),
+            EngineError::Config(msg) => assert!(msg.contains("with_workers"), "{msg}"),
             other => panic!("expected a configuration error, got {other}"),
         }
     }
@@ -1332,8 +1352,12 @@ mod tests {
         let cfg = IterConfig::new("halve", 2, 2).with_eager_handoff();
         refused(native.run(&Halve, &cfg, "/state", "/static", "/out", &[]));
         // Validation comes before any worker is spawned.
-        let spec = remote::WorkerSpec::new("/nonexistent/imr-worker", vec![]);
+        let spec = WorkerSpec::new("/nonexistent/imr-worker", vec![]);
         let cfg = cfg.with_tcp_transport();
-        refused(native.run_remote(&Halve, &spec, &cfg, "/state", "/static", "/out", &[]));
+        refused(
+            native
+                .with_workers(spec)
+                .run(&Halve, &cfg, "/state", "/static", "/out", &[]),
+        );
     }
 }

@@ -3,9 +3,10 @@
 //!
 //! The paper's workers are separate JVM processes holding persistent
 //! socket connections (§3.2); this module is the equivalent deployment
-//! shape for the native backend. [`NativeRunner::run_remote`] plays the
+//! shape for the native backend. A [`NativeRunner`] with a [`WorkerSpec`]
+//! attached (`NativeRunner::with_workers`) and a TCP config plays the
 //! master: it binds a localhost listener, spawns one worker process per
-//! pair from a [`WorkerSpec`], and serves as the hub of a star topology
+//! pair from the spec, and serves as the hub of a star topology
 //! — every worker holds exactly one persistent connection to the
 //! coordinator for its whole generation, and segments, credits, the
 //! all-gather collective, heartbeats, checkpoint bodies and DFS reads
@@ -65,28 +66,33 @@
 //! * **The DFS stays in the supervisor**: the in-memory DFS cannot be
 //!   shared across processes, so workers load partitions via `ReadPart`
 //!   RPCs and ship checkpoint bodies for the coordinator to persist.
+//! * **Warm starts are checked, not trusted**: under
+//!   `cfg.incremental` the supervisor's planner wrote the warm
+//!   `(value, pending)` parts, so the coordinator announces each part's
+//!   size and FNV-64 digest in a [`ToWorker::Patch`] frame right after
+//!   setup, and every worker echoes what it actually decoded as
+//!   [`ToCoord::PatchStats`]. A mismatch on either side fails the run
+//!   instead of silently converging from the wrong fixpoint. Replays
+//!   from a checkpoint skip the exchange (the snapshot is already
+//!   post-patch); replays from epoch 0 repeat it.
 
 use crate::fault::FaultBarrier;
 use crate::generation::Generation;
 use crate::pair::{
-    delta_loop, pair_cfg, pair_loop, panic_message, read_part_raw, EnvFail, PairCfg, PairCtx,
-    PairDirs, PairEnv, PairOutcome, PairPlan,
+    delta_loop, pair_loop, panic_message, read_part_raw, EnvFail, PairCfg, PairCtx, PairDirs,
+    PairEnv, PairOutcome, PairPlan,
 };
 use crate::{NativeRunner, HANDOFF_BUFFER};
 use bytes::Bytes;
 use imapreduce::supervise::{supervise, GenInput, GenRuns};
-use imapreduce::{
-    check_inputs, prepare_incremental, FaultEvent, FixpointStore, GraphDelta, Incremental,
-    IncrementalOutcome, IterConfig, IterOutcome, IterativeJob, TransportKind,
-};
-use imr_mapreduce::io::num_parts;
+use imapreduce::{FaultEvent, IterConfig, IterOutcome, IterativeJob};
 use imr_mapreduce::EngineError;
 use imr_net::chaos::{ChaosDirection, ChaosState, ChaosStream, DIR_INBOUND, DIR_OUTBOUND};
 use imr_net::frame::{reclaim, FrameReader, FrameWriter, Parts, HEADER_LEN};
 use imr_net::proto::{ToCoord, ToWorker, WorkerSetup};
 use imr_net::{Closed, FrameAction, NetError, NetPolicy, Transport, WorkerConn};
 use imr_records::Codec;
-use imr_simcluster::{Metrics, MetricsHandle, NodeId, TaskClock};
+use imr_simcluster::{Metrics, MetricsHandle, NodeId};
 use imr_trace::{TraceEvent, TraceKind, COORD};
 use parking_lot::Mutex;
 use std::io::{BufWriter, Write};
@@ -102,7 +108,8 @@ use std::time::{Duration, Instant};
 /// deadlines live in [`NetPolicy`] (`cfg.net`).
 const TICK: Duration = Duration::from_millis(2);
 
-/// How to launch worker processes for [`NativeRunner::run_remote`].
+/// How to launch the worker processes of a TCP run
+/// ([`NativeRunner::with_workers`]).
 #[derive(Debug, Clone)]
 pub struct WorkerSpec {
     /// Path to the worker binary (typically `imr-worker`, or the test
@@ -152,130 +159,31 @@ impl WorkerSpec {
 }
 
 impl NativeRunner {
-    /// Runs `job` to termination with every map/reduce pair in its own
-    /// OS process, connected to this supervisor over localhost TCP.
-    /// Requires `cfg.transport == TransportKind::Tcp`
-    /// (`IterConfig::with_tcp_transport`). `job` must describe the same
-    /// computation the worker binary resolves from `spec.job_args` —
-    /// the coordinator uses it only to decode the final output.
-    ///
-    /// Fault semantics, recovery, migration and determinism match
-    /// [`NativeRunner::run_faults`] exactly; additionally a worker
-    /// process that dies *without* a scripted cause (crash, kill -9,
-    /// dropped connection) is detected as a recoverable fault and the
-    /// job replays from the last checkpoint.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_remote<J: IterativeJob>(
+    /// Runs the job the worker binary resolves from `spec.job_args`
+    /// with every map/reduce pair in its own OS process, connected to
+    /// this supervisor over localhost TCP. The caller has made the
+    /// shared refusals; the job type only decodes the final output.
+    pub(crate) fn run_processes<J: IterativeJob>(
         &self,
-        job: &J,
         spec: &WorkerSpec,
         cfg: &IterConfig,
-        state_dir: &str,
-        static_dir: &str,
-        output_dir: &str,
+        pair_cfg: &PairCfg,
+        dirs: &PairDirs,
         faults: &[FaultEvent],
+        label: String,
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        self.run_remote_inner(
-            job, spec, cfg, state_dir, static_dir, output_dir, faults, None,
-        )
-    }
-
-    /// Re-converges `job` from a preserved fixpoint after `delta`
-    /// mutates the graph, with every pair in its own OS process (the
-    /// TCP flavor of [`IterEngine::run_incremental`]; `cfg.incremental`
-    /// and `cfg.accumulative` must both be set, plus
-    /// `cfg.with_tcp_transport()`).
-    ///
-    /// The incremental plan is computed in the supervisor
-    /// ([`prepare_incremental`]); workers cannot be trusted to have
-    /// loaded the right warm start blindly, so the coordinator
-    /// announces each warm state part's size and FNV-64 digest in a
-    /// [`ToWorker::Patch`] frame right after setup, and every worker
-    /// echoes what it actually decoded as [`ToCoord::PatchStats`]. A
-    /// mismatch on either side fails the run instead of silently
-    /// converging from the wrong fixpoint. Kills, hangs and chaos
-    /// recover exactly as in [`NativeRunner::run_remote`]: replays from
-    /// a checkpoint skip the patch exchange (the snapshot is already
-    /// post-patch), replays from epoch 0 repeat it.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_remote_incremental<J>(
-        &self,
-        job: &J,
-        spec: &WorkerSpec,
-        cfg: &IterConfig,
-        fix: &FixpointStore,
-        prev_static_dir: &str,
-        delta: &GraphDelta,
-        state_dir: &str,
-        static_dir: &str,
-        output_dir: &str,
-        faults: &[FaultEvent],
-    ) -> Result<IncrementalOutcome<J::S>, EngineError>
-    where
-        J: Incremental,
-    {
-        if !cfg.incremental {
-            return Err(EngineError::Config(
-                "run_remote_incremental requires IterConfig::with_incremental_mode".into(),
-            ));
-        }
-        crate::validate(cfg, faults)?;
-        let mut clock = TaskClock::default();
-        let stats = prepare_incremental(
-            job,
-            &self.dfs,
-            fix,
-            prev_static_dir,
-            delta,
-            cfg.num_tasks,
-            state_dir,
-            static_dir,
-            &mut clock,
-        )?;
-        let mut patches = Vec::with_capacity(cfg.num_tasks);
-        for q in 0..cfg.num_tasks {
-            let raw = read_part_raw(&self.dfs, state_dir, q)?;
-            patches.push((raw.len() as u64, patch_digest(&raw)));
-        }
-        let outcome = self.run_remote_inner(
-            job,
-            spec,
-            cfg,
-            state_dir,
-            static_dir,
-            output_dir,
-            faults,
-            Some(patches),
-        )?;
-        Ok(IncrementalOutcome { outcome, stats })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_remote_inner<J: IterativeJob>(
-        &self,
-        _job: &J,
-        spec: &WorkerSpec,
-        cfg: &IterConfig,
-        state_dir: &str,
-        static_dir: &str,
-        output_dir: &str,
-        faults: &[FaultEvent],
-        patches: Option<Vec<(u64, u64)>>,
-    ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        crate::validate(cfg, faults)?;
-        if cfg.transport != TransportKind::Tcp {
-            return Err(EngineError::Config(
-                "run_remote needs cfg.with_tcp_transport(); for the in-process \
-                 channel fabric use run_faults"
-                    .into(),
-            ));
-        }
-        check_inputs(&self.dfs, cfg, state_dir, static_dir)?;
-        let pair_cfg = pair_cfg(cfg, num_parts(&self.dfs, state_dir));
-        let dirs = PairDirs {
-            state_dir: state_dir.to_owned(),
-            static_dir: static_dir.to_owned(),
-            output_dir: output_dir.to_owned(),
+        // The `(bytes, digest)` of each warm-start part the workers must
+        // prove they loaded: every incremental run has them, whichever
+        // entry point planned the parts.
+        let patches = if cfg.incremental {
+            let mut patches = Vec::with_capacity(cfg.num_tasks);
+            for q in 0..cfg.num_tasks {
+                let raw = read_part_raw(&self.dfs, &dirs.state_dir, q)?;
+                patches.push((raw.len() as u64, patch_digest(&raw)));
+            }
+            Some(patches)
+        } else {
+            None
         };
 
         let listener = TcpListener::bind("127.0.0.1:0")
@@ -307,8 +215,8 @@ impl NativeRunner {
                 self,
                 cfg,
                 spec,
-                &pair_cfg,
-                &dirs,
+                pair_cfg,
+                dirs,
                 &listener,
                 &addr,
                 generation_no,
@@ -324,9 +232,9 @@ impl NativeRunner {
             self.dfs.cluster(),
             &self.metrics,
             cfg,
-            output_dir,
+            &dirs.output_dir,
             faults,
-            format!("{} [tcp]", self.label(cfg)),
+            label,
             true,
             &self.observer,
             self.ctl.as_ref(),
@@ -1254,6 +1162,7 @@ fn serve_inner<J: IterativeJob>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pair::pair_cfg;
     use imr_dfs::Dfs;
     use imr_simcluster::ClusterSpec;
 

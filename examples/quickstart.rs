@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use imapreduce::{
-    load_partitioned, Emitter, IterConfig, IterativeJob, IterativeRunner, StateInput,
+    load_partitioned, Emitter, IterConfig, IterEngine, IterativeJob, IterativeRunner, StateInput,
 };
 use imr_dfs::Dfs;
 use imr_graph::{generate_graph, pagerank_degree_dist};

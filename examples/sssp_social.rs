@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example sssp_social`
 
-use imapreduce::{FailureEvent, IterConfig};
+use imapreduce::{FailureEvent, IterConfig, IterEngine};
 use imr_algorithms::sssp::{self, SsspIter};
 use imr_algorithms::testutil::imr_runner_on;
 use imr_graph::dataset;

@@ -1,8 +1,9 @@
 //! Worker-process entry point for the TCP multi-process backend.
 //!
-//! Spawned by `NativeRunner::run_remote`, one process per map/reduce
-//! pair: `imr-worker <addr> <pair> <generation> <job-id> <job>
-//! [params...]`. See `imapreduce_suite::worker` for the job catalog.
+//! Spawned by a TCP run of a `NativeRunner` with workers attached
+//! (`NativeRunner::with_workers`), one process per map/reduce pair:
+//! `imr-worker <addr> <pair> <generation> <job-id> <job> [params...]`.
+//! See `imapreduce_suite::worker` for the job catalog.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -1,8 +1,9 @@
 //! The worker-process job catalog for the TCP multi-process backend.
 //!
-//! [`imr_native::NativeRunner::run_remote`] spawns one OS process per
-//! map/reduce pair; each process must resolve the *same* job the
-//! coordinator is running from its argv and call
+//! A TCP run of an [`imr_native::NativeRunner`] — a TCP config on a
+//! runner with workers attached (`NativeRunner::with_workers`) — spawns
+//! one OS process per map/reduce pair; each process must resolve the
+//! *same* job the coordinator is running from its argv and call
 //! [`imr_native::serve_worker`]. This module is that resolution step,
 //! shared by the `imr-worker` binary and the integration tests, so they
 //! all speak the same catalog.

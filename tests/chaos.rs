@@ -8,23 +8,15 @@
 
 use imapreduce::{ChaosConfig, IterConfig, IterOutcome, NetPolicy, WatchdogConfig};
 use imr_algorithms::concomp::{self, ConCompIter};
-use imr_algorithms::kmeans::{self, KmeansIter};
-use imr_algorithms::pagerank::{self, PageRankIter};
-use imr_algorithms::sssp::{self, SsspIter};
-use imr_algorithms::testutil::native_runner;
+use imr_algorithms::testutil::tcp_runner;
+use imr_algorithms::{kmeans, pagerank, sssp};
 use imr_graph::{dataset, generate_points};
 use imr_jobs::{AlgoSpec, EngineSel, JobPhase, JobService, JobSpec, ServiceConfig};
 use imr_mapreduce::EngineError;
-use imr_native::WorkerSpec;
 use std::time::Duration;
 
-/// A spec launching this package's `imr-worker` binary with `job_args`.
-fn worker_spec(job_args: &[&str]) -> WorkerSpec {
-    WorkerSpec::new(
-        env!("CARGO_BIN_EXE_imr-worker"),
-        job_args.iter().map(|s| (*s).to_owned()).collect(),
-    )
-}
+/// This package's worker binary.
+const WORKER: &str = env!("CARGO_BIN_EXE_imr-worker");
 
 /// Snappy deadlines for tests: the retry budget (10) outlasts the
 /// chaos teardown budget (3) by a wide margin, so every schedule below
@@ -90,34 +82,11 @@ fn chaos_sssp_sync_and_async_match_clean() {
         if sync {
             cfg = cfg.with_sync_maps();
         }
-        let clean_rt = native_runner(4);
-        sssp::load_sssp_imr(&clean_rt, &g, 0, 2, "/s", "/t").unwrap();
-        let clean = clean_rt
-            .run_remote(
-                &SsspIter,
-                &worker_spec(&["sssp"]),
-                &cfg,
-                "/s",
-                "/t",
-                "/o",
-                &[],
-            )
-            .unwrap();
+        let clean = sssp::run_sssp_imr(&tcp_runner(4, WORKER, &["sssp"]), &g, 0, &cfg).unwrap();
 
         let chaos_cfg = chaotic(cfg, 11 + sync as u64);
-        let chaos_rt = native_runner(4);
-        sssp::load_sssp_imr(&chaos_rt, &g, 0, 2, "/s", "/t").unwrap();
-        let chaos = chaos_rt
-            .run_remote(
-                &SsspIter,
-                &worker_spec(&["sssp"]),
-                &chaos_cfg,
-                "/s",
-                "/t",
-                "/o",
-                &[],
-            )
-            .unwrap();
+        let chaos_rt = tcp_runner(4, WORKER, &["sssp"]);
+        let chaos = sssp::run_sssp_imr(&chaos_rt, &g, 0, &chaos_cfg).unwrap();
         assert_same(&format!("sssp sync={sync}"), &clean, &chaos);
         let m = chaos_rt.metrics().snapshot();
         assert!(
@@ -136,36 +105,12 @@ fn chaos_pagerank_matches_clean_and_counts_faults() {
         .with_tcp_transport()
         .with_checkpoint_interval(2)
         .with_net_policy(test_policy());
-    let job = PageRankIter::new(g.num_nodes() as u64);
     let nodes = g.num_nodes().to_string();
+    let tcp = || tcp_runner(4, WORKER, &["pagerank", &nodes]);
 
-    let clean_rt = native_runner(4);
-    pagerank::load_pagerank_imr(&clean_rt, &g, 2, "/s", "/t").unwrap();
-    let clean = clean_rt
-        .run_remote(
-            &job,
-            &worker_spec(&["pagerank", &nodes]),
-            &cfg,
-            "/s",
-            "/t",
-            "/o",
-            &[],
-        )
-        .unwrap();
-
-    let chaos_rt = native_runner(4);
-    pagerank::load_pagerank_imr(&chaos_rt, &g, 2, "/s", "/t").unwrap();
-    let chaos = chaos_rt
-        .run_remote(
-            &job,
-            &worker_spec(&["pagerank", &nodes]),
-            &chaotic(cfg, 23),
-            "/s",
-            "/t",
-            "/o",
-            &[],
-        )
-        .unwrap();
+    let clean = pagerank::run_pagerank_imr(&tcp(), &g, &cfg).unwrap();
+    let chaos_rt = tcp();
+    let chaos = pagerank::run_pagerank_imr(&chaos_rt, &g, &chaotic(cfg, 23)).unwrap();
     assert_same("pagerank", &clean, &chaos);
     let m = chaos_rt.metrics().snapshot();
     assert!(m.chaos_injections > 0, "schedule must inject");
@@ -184,33 +129,13 @@ fn chaos_concomp_matches_clean() {
         .with_checkpoint_interval(2)
         .with_net_policy(test_policy());
 
-    let clean_rt = native_runner(4);
-    concomp::load_concomp_imr(&clean_rt, &g, 2, "/s", "/t").unwrap();
-    let clean = clean_rt
-        .run_remote(
-            &ConCompIter,
-            &worker_spec(&["concomp"]),
-            &cfg,
-            "/s",
-            "/t",
-            "/o",
-            &[],
-        )
-        .unwrap();
-
-    let chaos_rt = native_runner(4);
-    concomp::load_concomp_imr(&chaos_rt, &g, 2, "/s", "/t").unwrap();
-    let chaos = chaos_rt
-        .run_remote(
-            &ConCompIter,
-            &worker_spec(&["concomp"]),
-            &chaotic(cfg, 37),
-            "/s",
-            "/t",
-            "/o",
-            &[],
-        )
-        .unwrap();
+    let run = |cfg: &IterConfig| {
+        let rt = tcp_runner(4, WORKER, &["concomp"]);
+        concomp::load_concomp_imr(&rt, &g, 2, "/s", "/t").unwrap();
+        rt.run(&ConCompIter, cfg, "/s", "/t", "/o", &[]).unwrap()
+    };
+    let clean = run(&cfg);
+    let chaos = run(&chaotic(cfg, 37));
     assert_same("concomp", &clean, &chaos);
 }
 
@@ -224,35 +149,12 @@ fn chaos_kmeans_one2all_matches_clean() {
         .with_tcp_transport()
         .with_checkpoint_interval(2)
         .with_net_policy(test_policy());
-    let job = KmeansIter { combiner: false };
-
-    let clean_rt = native_runner(4);
-    kmeans::load_kmeans_imr(&clean_rt, &points, 3, 2, "/s", "/t").unwrap();
-    let clean = clean_rt
-        .run_remote(
-            &job,
-            &worker_spec(&["kmeans", "0"]),
-            &cfg,
-            "/s",
-            "/t",
-            "/o",
-            &[],
-        )
-        .unwrap();
-
-    let chaos_rt = native_runner(4);
-    kmeans::load_kmeans_imr(&chaos_rt, &points, 3, 2, "/s", "/t").unwrap();
-    let chaos = chaos_rt
-        .run_remote(
-            &job,
-            &worker_spec(&["kmeans", "0"]),
-            &chaotic(cfg, 53),
-            "/s",
-            "/t",
-            "/o",
-            &[],
-        )
-        .unwrap();
+    let run = |cfg: &IterConfig| {
+        let tcp = tcp_runner(4, WORKER, &["kmeans", "0"]);
+        kmeans::run_kmeans_imr(&tcp, &points, 3, cfg, false).unwrap()
+    };
+    let clean = run(&cfg);
+    let chaos = run(&chaotic(cfg, 53));
     assert_same("kmeans", &clean, &chaos);
 }
 
@@ -268,36 +170,11 @@ fn chaos_delta_pagerank_matches_clean() {
         .with_tcp_transport()
         .with_checkpoint_interval(2)
         .with_net_policy(test_policy());
-    let job = PageRankIter::new(g.num_nodes() as u64);
     let nodes = g.num_nodes().to_string();
+    let tcp = || tcp_runner(4, WORKER, &["pagerank", &nodes]);
 
-    let clean_rt = native_runner(4);
-    pagerank::load_pagerank_imr(&clean_rt, &g, 2, "/s", "/t").unwrap();
-    let clean = clean_rt
-        .run_remote(
-            &job,
-            &worker_spec(&["pagerank", &nodes]),
-            &cfg,
-            "/s",
-            "/t",
-            "/o",
-            &[],
-        )
-        .unwrap();
-
-    let chaos_rt = native_runner(4);
-    pagerank::load_pagerank_imr(&chaos_rt, &g, 2, "/s", "/t").unwrap();
-    let chaos = chaos_rt
-        .run_remote(
-            &job,
-            &worker_spec(&["pagerank", &nodes]),
-            &chaotic(cfg, 71),
-            "/s",
-            "/t",
-            "/o",
-            &[],
-        )
-        .unwrap();
+    let clean = pagerank::run_pagerank_delta(&tcp(), &g, &cfg).unwrap();
+    let chaos = pagerank::run_pagerank_delta(&tcp(), &g, &chaotic(cfg, 71)).unwrap();
     assert_same("delta pagerank", &clean, &chaos);
 }
 
@@ -327,19 +204,8 @@ fn chaos_budget_exhaustion_is_a_typed_error() {
             stall_timeout: Duration::from_millis(500),
         })
         .with_chaos(endless);
-    let rt = native_runner(4);
-    sssp::load_sssp_imr(&rt, &g, 0, 2, "/s", "/t").unwrap();
-    let err = rt
-        .run_remote(
-            &SsspIter,
-            &worker_spec(&["sssp"]),
-            &cfg,
-            "/s",
-            "/t",
-            "/o",
-            &[],
-        )
-        .unwrap_err();
+    let rt = tcp_runner(4, WORKER, &["sssp"]);
+    let err = sssp::run_sssp_imr(&rt, &g, 0, &cfg).unwrap_err();
     match err {
         EngineError::Worker(msg) => {
             assert!(msg.contains("retry budget"), "untyped failure: {msg}")

@@ -8,12 +8,12 @@ use imr_algorithms::kmeans::{KmState, KmeansIter};
 use imr_algorithms::pagerank::PageRankIter;
 use imr_algorithms::sssp::SsspIter;
 use imr_algorithms::testutil::{
-    imr_runner, imr_runner_on, mr_runner, native_runner, native_runner_on,
+    imr_runner, imr_runner_on, mr_runner, native_runner, native_runner_on, tcp_runner,
 };
 use imr_algorithms::{concomp, jacobi, kmeans, matpower, pagerank, sssp};
 use imr_graph::{dataset, generate_matrix, generate_points, Graph};
 use imr_mapreduce::EngineError;
-use imr_native::{NativeRunner, WorkerSpec};
+use imr_native::NativeRunner;
 use imr_simcluster::{ClusterSpec, NodeId, TaskClock};
 use std::time::Duration;
 
@@ -418,14 +418,9 @@ fn native_kmeans_migration_is_bit_identical_to_migration_free() {
     assert_eq!(balanced.iterations, plain.iterations);
 }
 
-/// A spec launching this package's `imr-worker` binary with `job_args`
-/// (the job catalog lives in `imapreduce_suite::worker`).
-fn worker_spec(job_args: &[&str]) -> WorkerSpec {
-    WorkerSpec::new(
-        env!("CARGO_BIN_EXE_imr-worker"),
-        job_args.iter().map(|s| (*s).to_owned()).collect(),
-    )
-}
+/// This package's worker binary (the job catalog lives in
+/// `imapreduce_suite::worker`).
+const WORKER: &str = env!("CARGO_BIN_EXE_imr-worker");
 
 /// SSSP over genuinely separate worker OS processes (TCP transport):
 /// bit-identical to the in-process channel fabric, the virtual-time
@@ -446,19 +441,8 @@ fn tcp_sssp_matches_channel_sim_and_reference() {
             let a = sssp::run_sssp_imr(&sim, &g, 0, &cfg).unwrap();
             let nat = native_runner(4);
             let b = sssp::run_sssp_imr(&nat, &g, 0, &cfg).unwrap();
-            let tcp_rt = native_runner(4);
-            sssp::load_sssp_imr(&tcp_rt, &g, 0, tasks, "/s", "/t").unwrap();
-            let c = tcp_rt
-                .run_remote(
-                    &SsspIter,
-                    &worker_spec(&["sssp"]),
-                    &cfg.clone().with_tcp_transport(),
-                    "/s",
-                    "/t",
-                    "/o",
-                    &[],
-                )
-                .unwrap();
+            let tcp = tcp_runner(4, WORKER, &["sssp"]);
+            let c = sssp::run_sssp_imr(&tcp, &g, 0, &cfg.clone().with_tcp_transport()).unwrap();
             assert_eq!(a.final_state, c.final_state, "tasks={tasks} sync={sync}");
             assert_eq!(b.final_state, c.final_state, "tasks={tasks} sync={sync}");
             assert_eq!(a.iterations, c.iterations);
@@ -492,19 +476,9 @@ fn tcp_pagerank_matches_channel_and_sim() {
             let a = pagerank::run_pagerank_imr(&sim, &g, &cfg).unwrap();
             let nat = native_runner(4);
             let b = pagerank::run_pagerank_imr(&nat, &g, &cfg).unwrap();
-            let tcp_rt = native_runner(4);
-            pagerank::load_pagerank_imr(&tcp_rt, &g, tasks, "/s", "/t").unwrap();
-            let c = tcp_rt
-                .run_remote(
-                    &PageRankIter::new(g.num_nodes() as u64),
-                    &worker_spec(&["pagerank", &nodes]),
-                    &cfg.clone().with_tcp_transport(),
-                    "/s",
-                    "/t",
-                    "/o",
-                    &[],
-                )
-                .unwrap();
+            let tcp = tcp_runner(4, WORKER, &["pagerank", &nodes]);
+            let c =
+                pagerank::run_pagerank_imr(&tcp, &g, &cfg.clone().with_tcp_transport()).unwrap();
             assert_eq!(a.final_state, c.final_state, "tasks={tasks} sync={sync}");
             assert_eq!(b.final_state, c.final_state, "tasks={tasks} sync={sync}");
             assert_eq!(a.iterations, c.iterations);
@@ -527,19 +501,9 @@ fn tcp_kmeans_matches_channel_and_sim() {
         let a = kmeans::run_kmeans_imr(&sim, &points, 3, &cfg, false).unwrap();
         let nat = native_runner(4);
         let b = kmeans::run_kmeans_imr(&nat, &points, 3, &cfg, false).unwrap();
-        let tcp_rt = native_runner(4);
-        kmeans::load_kmeans_imr(&tcp_rt, &points, 3, tasks, "/s", "/t").unwrap();
-        let c = tcp_rt
-            .run_remote(
-                &KmeansIter { combiner: false },
-                &worker_spec(&["kmeans", "0"]),
-                &cfg.clone().with_tcp_transport(),
-                "/s",
-                "/t",
-                "/o",
-                &[],
-            )
-            .unwrap();
+        let tcp = tcp_runner(4, WORKER, &["kmeans", "0"]);
+        let tcp_cfg = cfg.clone().with_tcp_transport();
+        let c = kmeans::run_kmeans_imr(&tcp, &points, 3, &tcp_cfg, false).unwrap();
         assert_eq!(a.final_state, c.final_state, "tasks={tasks}");
         assert_eq!(b.final_state, c.final_state, "tasks={tasks}");
         assert_eq!(a.iterations, c.iterations);
@@ -555,45 +519,24 @@ fn tcp_termination_matches_channel_and_sim() {
     let cfg = IterConfig::new("sssp", 3, 64).with_distance_threshold(1e-12);
     let sim = imr_runner(3);
     let a = sssp::run_sssp_imr(&sim, &g, 0, &cfg).unwrap();
-    let tcp_rt = native_runner(3);
-    sssp::load_sssp_imr(&tcp_rt, &g, 0, 3, "/s", "/t").unwrap();
-    let b = tcp_rt
-        .run_remote(
-            &SsspIter,
-            &worker_spec(&["sssp"]),
-            &cfg.clone().with_tcp_transport(),
-            "/s",
-            "/t",
-            "/o",
-            &[],
-        )
-        .unwrap();
+    let tcp = tcp_runner(3, WORKER, &["sssp"]);
+    let b = sssp::run_sssp_imr(&tcp, &g, 0, &cfg.clone().with_tcp_transport()).unwrap();
     assert!(a.iterations < 64, "converged before the cap");
     assert_eq!(a.iterations, b.iterations);
     assert_eq!(a.distances, b.distances);
     assert_eq!(a.final_state, b.final_state);
 }
 
-/// The transport flag is validated on both entry points: run_remote
-/// refuses a channel-transport config (and run_faults refuses a TCP
-/// one, covered in the native crate's tests).
+/// The transport flag and the runner must agree: a runner with worker
+/// processes attached refuses a channel-transport config (and one
+/// without them refuses a TCP config, covered in the native crate's
+/// tests).
 #[test]
 fn run_remote_rejects_channel_transport_config() {
     let g = dataset("DBLP").unwrap().generate(0.003);
-    let rt = native_runner(4);
-    sssp::load_sssp_imr(&rt, &g, 0, 2, "/s", "/t").unwrap();
+    let tcp = tcp_runner(4, WORKER, &["sssp"]);
     let cfg = IterConfig::new("sssp", 2, 2);
-    let err = rt
-        .run_remote(
-            &SsspIter,
-            &worker_spec(&["sssp"]),
-            &cfg,
-            "/s",
-            "/t",
-            "/o",
-            &[],
-        )
-        .unwrap_err();
+    let err = sssp::run_sssp_imr(&tcp, &g, 0, &cfg).unwrap_err();
     match err {
         EngineError::Config(msg) => assert!(msg.contains("with_tcp_transport"), "{msg}"),
         other => panic!("expected a configuration error, got {other}"),
@@ -631,19 +574,8 @@ fn delta_pagerank_bounded_by_sync_fixpoint_on_all_engines() {
             .with_distance_threshold(eps);
         let a = pagerank::run_pagerank_delta(&imr_runner(4), &g, &cfg).unwrap();
         let b = pagerank::run_pagerank_delta(&native_runner(4), &g, &cfg).unwrap();
-        let tcp_rt = native_runner(4);
-        pagerank::load_pagerank_imr(&tcp_rt, &g, tasks, "/s", "/t").unwrap();
-        let c = tcp_rt
-            .run_remote(
-                &PageRankIter::new(g.num_nodes() as u64),
-                &worker_spec(&["pagerank", &nodes]),
-                &cfg.clone().with_tcp_transport(),
-                "/s",
-                "/t",
-                "/o",
-                &[],
-            )
-            .unwrap();
+        let tcp = tcp_runner(4, WORKER, &["pagerank", &nodes]);
+        let c = pagerank::run_pagerank_delta(&tcp, &g, &cfg.clone().with_tcp_transport()).unwrap();
         assert_same_outcome(&format!("sim vs native, tasks={tasks}"), &a, &b);
         assert_same_outcome(&format!("sim vs tcp, tasks={tasks}"), &a, &c);
         assert!(a.iterations < 400, "detector must fire before the cap");
@@ -670,19 +602,8 @@ fn delta_sssp_matches_dijkstra_on_all_engines() {
             .with_distance_threshold(1e-9);
         let a = sssp::run_sssp_delta(&imr_runner(4), &g, 0, &cfg).unwrap();
         let b = sssp::run_sssp_delta(&native_runner(4), &g, 0, &cfg).unwrap();
-        let tcp_rt = native_runner(4);
-        sssp::load_sssp_imr(&tcp_rt, &g, 0, tasks, "/s", "/t").unwrap();
-        let c = tcp_rt
-            .run_remote(
-                &SsspIter,
-                &worker_spec(&["sssp"]),
-                &cfg.clone().with_tcp_transport(),
-                "/s",
-                "/t",
-                "/o",
-                &[],
-            )
-            .unwrap();
+        let tcp = tcp_runner(4, WORKER, &["sssp"]);
+        let c = sssp::run_sssp_delta(&tcp, &g, 0, &cfg.clone().with_tcp_transport()).unwrap();
         assert_same_outcome(&format!("sim vs native, tasks={tasks}"), &a, &b);
         assert_same_outcome(&format!("sim vs tcp, tasks={tasks}"), &a, &c);
         assert!(a.iterations < 400, "detector must fire before the cap");
@@ -706,22 +627,14 @@ fn delta_concomp_matches_sync_fixpoint_on_all_engines() {
     for tasks in [1usize, 4] {
         let a = concomp::run_concomp_delta(&imr_runner(4), &g, tasks, 200).unwrap();
         let b = concomp::run_concomp_delta(&native_runner(4), &g, tasks, 200).unwrap();
-        let tcp_rt = native_runner(4);
-        concomp::load_concomp_imr(&tcp_rt, &g, tasks, "/s", "/t").unwrap();
+        let tcp = tcp_runner(4, WORKER, &["concomp"]);
+        concomp::load_concomp_imr(&tcp, &g, tasks, "/s", "/t").unwrap();
         let cfg = IterConfig::new("ccd", tasks, 200)
             .with_accumulative_mode()
             .with_distance_threshold(0.5)
             .with_tcp_transport();
-        let c = tcp_rt
-            .run_remote(
-                &ConCompIter,
-                &worker_spec(&["concomp"]),
-                &cfg,
-                "/s",
-                "/t",
-                "/o",
-                &[],
-            )
+        let c = tcp
+            .run_accumulative(&ConCompIter, &cfg, "/s", "/t", "/o", &[])
             .unwrap();
         assert_same_outcome(&format!("sim vs native, tasks={tasks}"), &a, &b);
         assert_same_outcome(&format!("sim vs tcp, tasks={tasks}"), &a, &c);

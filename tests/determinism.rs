@@ -2,7 +2,7 @@
 //! inputs — identical across repeated runs, engines included — and the
 //! metrics snapshots match exactly.
 
-use imapreduce::{FaultEvent, IterConfig, WatchdogConfig};
+use imapreduce::{FaultEvent, IterConfig, IterEngine, WatchdogConfig};
 use imr_algorithms::pagerank::PageRankIter;
 use imr_algorithms::testutil::{imr_runner_on, mr_runner_on};
 use imr_algorithms::{pagerank, sssp};

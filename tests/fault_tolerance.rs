@@ -3,16 +3,18 @@
 //! on the simulation engine *and* on the native threaded backend, which
 //! injects the same `FailureEvent` scripts into real worker threads.
 
-use imapreduce::{FailureEvent, FaultEvent, IterConfig, LoadBalance, WatchdogConfig};
+use imapreduce::{
+    FailureEvent, FaultEvent, IterConfig, IterEngine, IterOutcome, LoadBalance, WatchdogConfig,
+};
 use imr_algorithms::sssp::{self, SsspIter};
-use imr_algorithms::testutil::{imr_runner_on, native_runner};
+use imr_algorithms::testutil::{imr_runner_on, native_runner, tcp_runner};
 use imr_graph::dataset;
 use imr_mapreduce::EngineError;
 use imr_native::{NativeRunner, WorkerSpec};
 use imr_simcluster::{ClusterSpec, NodeId};
 use std::time::Duration;
 
-fn run_with_failures(failures: &[FailureEvent], ckpt: usize) -> imapreduce::IterOutcome<u32, f64> {
+fn run_with_failures(failures: &[FailureEvent], ckpt: usize) -> IterOutcome<u32, f64> {
     let g = dataset("DBLP").unwrap().generate(0.003);
     let runner = imr_runner_on(ClusterSpec::local(4));
     sssp::load_sssp_imr(&runner, &g, 0, 4, "/s", "/t").unwrap();
@@ -25,17 +27,10 @@ fn run_with_failures(failures: &[FailureEvent], ckpt: usize) -> imapreduce::Iter
 /// The same SSSP scenario on the native threaded backend: a fresh
 /// runner per run, real worker threads, scripted failures injected at
 /// exact (pair, iteration) points.
-fn run_native_with_failures(
-    failures: &[FailureEvent],
-    ckpt: usize,
-) -> imapreduce::IterOutcome<u32, f64> {
-    let g = dataset("DBLP").unwrap().generate(0.003);
-    let runner = native_runner(4);
-    sssp::load_sssp_imr(&runner, &g, 0, 4, "/s", "/t").unwrap();
+fn run_native_with_failures(failures: &[FailureEvent], ckpt: usize) -> IterOutcome<u32, f64> {
     let cfg = IterConfig::new("sssp", 4, 8).with_checkpoint_interval(ckpt);
-    runner
-        .run(&SsspIter, &cfg, "/s", "/t", "/o", failures)
-        .unwrap()
+    let faults: Vec<FaultEvent> = failures.iter().map(|&f| f.into()).collect();
+    run_sssp(&native_runner(4), &cfg, &faults)
 }
 
 #[test]
@@ -347,35 +342,20 @@ fn delays_do_not_trip_the_watchdog_on_either_engine() {
     assert_eq!(nat.iterations, sim.iterations);
 }
 
-/// A spec launching the `imr-worker` binary on the SSSP job.
-fn sssp_worker() -> WorkerSpec {
-    WorkerSpec::new(env!("CARGO_BIN_EXE_imr-worker"), vec!["sssp".to_owned()])
-}
+/// This package's worker binary.
+const WORKER: &str = env!("CARGO_BIN_EXE_imr-worker");
 
-/// A fresh native runner with the DBLP SSSP fixture loaded for 4 tasks.
-fn tcp_fixture() -> NativeRunner {
-    let g = dataset("DBLP").unwrap().generate(0.003);
-    let runner = native_runner(4);
-    sssp::load_sssp_imr(&runner, &g, 0, 4, "/s", "/t").unwrap();
-    runner
-}
-
-fn run_tcp(
+/// Loads the DBLP SSSP fixture for 4 tasks into `runner` and runs it
+/// under `cfg` and `faults`.
+fn run_sssp(
     runner: &NativeRunner,
-    spec: &WorkerSpec,
     cfg: &IterConfig,
     faults: &[FaultEvent],
-) -> imapreduce::IterOutcome<u32, f64> {
+) -> IterOutcome<u32, f64> {
+    let g = dataset("DBLP").unwrap().generate(0.003);
+    sssp::load_sssp_imr(runner, &g, 0, 4, "/s", "/t").unwrap();
     runner
-        .run_remote(
-            &SsspIter,
-            spec,
-            &cfg.clone().with_tcp_transport(),
-            "/s",
-            "/t",
-            "/o",
-            faults,
-        )
+        .run_faults(&SsspIter, cfg, "/s", "/t", "/o", faults)
         .unwrap()
 }
 
@@ -386,13 +366,15 @@ fn run_tcp(
 /// run under the same script.
 #[test]
 fn tcp_kill_recovers_bit_identically_to_clean_and_channel() {
-    let cfg = IterConfig::new("sssp", 4, 8).with_checkpoint_interval(2);
+    let cfg = IterConfig::new("sssp", 4, 8)
+        .with_checkpoint_interval(2)
+        .with_tcp_transport();
     let kill = [FaultEvent::Kill {
         node: NodeId(1),
         at_iteration: 4,
     }];
-    let clean = run_tcp(&tcp_fixture(), &sssp_worker(), &cfg, &[]);
-    let killed = run_tcp(&tcp_fixture(), &sssp_worker(), &cfg, &kill);
+    let clean = run_sssp(&tcp_runner(4, WORKER, &["sssp"]), &cfg, &[]);
+    let killed = run_sssp(&tcp_runner(4, WORKER, &["sssp"]), &cfg, &kill);
     let channel = run_native_with_failures(
         &[FailureEvent {
             node: NodeId(1),
@@ -417,21 +399,18 @@ fn tcp_hang_recovers_via_watchdog_bit_identically() {
     // which is real wall-clock on the TCP backend.
     let cfg = IterConfig::new("sssp", 4, 8)
         .with_checkpoint_interval(2)
+        .with_tcp_transport()
         .with_watchdog(WatchdogConfig {
             poll: Duration::from_millis(5),
             stall_timeout: Duration::from_secs(2),
         });
-    let clean = run_tcp(&tcp_fixture(), &sssp_worker(), &cfg, &[]);
-    let hung_rt = tcp_fixture();
-    let hung = run_tcp(
-        &hung_rt,
-        &sssp_worker(),
-        &cfg,
-        &[FaultEvent::Hang {
-            node: NodeId(2),
-            at_iteration: 4,
-        }],
-    );
+    let clean = run_sssp(&tcp_runner(4, WORKER, &["sssp"]), &cfg, &[]);
+    let hung_rt = tcp_runner(4, WORKER, &["sssp"]);
+    let hang = [FaultEvent::Hang {
+        node: NodeId(2),
+        at_iteration: 4,
+    }];
+    let hung = run_sssp(&hung_rt, &cfg, &hang);
     assert_eq!(hung.recoveries, 1);
     assert_eq!(hung_rt.metrics().stalls_detected.get(), 1);
     assert_eq!(clean.final_state, hung.final_state);
@@ -444,9 +423,12 @@ fn tcp_hang_recovers_via_watchdog_bit_identically() {
 /// result must match the clean run exactly.
 #[test]
 fn tcp_unscripted_worker_crash_recovers_exactly() {
-    let cfg = IterConfig::new("sssp", 4, 8).with_checkpoint_interval(2);
-    let clean = run_tcp(&tcp_fixture(), &sssp_worker(), &cfg, &[]);
-    let crashed = run_tcp(&tcp_fixture(), &sssp_worker().with_crash(1, 4), &cfg, &[]);
+    let cfg = IterConfig::new("sssp", 4, 8)
+        .with_checkpoint_interval(2)
+        .with_tcp_transport();
+    let clean = run_sssp(&tcp_runner(4, WORKER, &["sssp"]), &cfg, &[]);
+    let crashing = WorkerSpec::new(WORKER, vec!["sssp".to_owned()]).with_crash(1, 4);
+    let crashed = run_sssp(&native_runner(4).with_workers(crashing), &cfg, &[]);
     assert_eq!(crashed.recoveries, 1);
     assert_eq!(clean.final_state, crashed.final_state);
     assert_eq!(clean.iterations, crashed.iterations);
@@ -477,37 +459,25 @@ fn run_delta_faulted(
     g: &imr_graph::Graph,
     faults: &[FaultEvent],
     tcp: bool,
-) -> (imapreduce::IterOutcome<u32, f64>, usize, Option<String>) {
+) -> (IterOutcome<u32, f64>, usize, Option<String>) {
     use imr_algorithms::pagerank::{self, PageRankIter};
     use imr_trace::{TraceBuffer, TraceKind};
     use std::sync::Arc;
 
     let trace = Arc::new(TraceBuffer::with_capacity(1 << 16));
-    let runner = native_runner(4).with_trace(Arc::clone(&trace));
+    let nodes = g.num_nodes().to_string();
+    let (runner, cfg) = if tcp {
+        let runner = tcp_runner(4, WORKER, &["pagerank", &nodes]);
+        (runner, delta_cfg().with_tcp_transport())
+    } else {
+        (native_runner(4), delta_cfg())
+    };
+    let runner = runner.with_trace(Arc::clone(&trace));
     pagerank::load_pagerank_imr(&runner, g, 4, "/s", "/t").unwrap();
     let job = PageRankIter::new(g.num_nodes() as u64);
-    let out = if tcp {
-        let nodes = g.num_nodes().to_string();
-        let spec = WorkerSpec::new(
-            env!("CARGO_BIN_EXE_imr-worker"),
-            vec!["pagerank".to_owned(), nodes],
-        );
-        runner
-            .run_remote(
-                &job,
-                &spec,
-                &delta_cfg().with_tcp_transport(),
-                "/s",
-                "/t",
-                "/o",
-                faults,
-            )
-            .unwrap()
-    } else {
-        runner
-            .run_accumulative(&job, &delta_cfg(), "/s", "/t", "/o", faults)
-            .unwrap()
-    };
+    let out = runner
+        .run_accumulative(&job, &cfg, "/s", "/t", "/o", faults)
+        .unwrap();
     let rollbacks = trace
         .snapshot()
         .iter()
@@ -615,12 +585,10 @@ fn kill_at_a_checkpoint_leaves_identical_snapshot_files_on_channel_and_tcp() {
         node: NodeId(1),
         at_iteration: 4,
     }];
-    let channel_rt = tcp_fixture();
-    let channel = channel_rt
-        .run_faults(&SsspIter, &cfg, "/s", "/t", "/o", &kill)
-        .unwrap();
-    let tcp_rt = tcp_fixture();
-    let tcp = run_tcp(&tcp_rt, &sssp_worker(), &cfg, &kill);
+    let channel_rt = native_runner(4);
+    let channel = run_sssp(&channel_rt, &cfg, &kill);
+    let tcp_rt = tcp_runner(4, WORKER, &["sssp"]);
+    let tcp = run_sssp(&tcp_rt, &cfg.with_tcp_transport(), &kill);
     assert_eq!((channel.recoveries, tcp.recoveries), (1, 1));
     assert_eq!(channel.distances, tcp.distances);
 

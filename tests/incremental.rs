@@ -17,20 +17,18 @@ use imr_algorithms::incremental::{
 };
 use imr_algorithms::pagerank::PageRankIter;
 use imr_algorithms::sssp::SsspInc;
-use imr_algorithms::testutil::{imr_runner, native_runner};
+use imr_algorithms::testutil::{imr_runner, native_runner, tcp_runner};
 use imr_graph::dataset;
 use imr_native::WorkerSpec;
 use imr_simcluster::MetricsSnapshot;
 use imr_simcluster::NodeId;
 use std::collections::BTreeMap;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
-/// A spec launching this package's `imr-worker` binary with `job_args`.
-fn worker_spec(job_args: &[&str]) -> WorkerSpec {
-    WorkerSpec::new(
-        env!("CARGO_BIN_EXE_imr-worker"),
-        job_args.iter().map(|s| (*s).to_owned()).collect(),
-    )
-}
+/// This package's worker binary (the job catalog lives in
+/// `imapreduce_suite::worker`).
+const WORKER: &str = env!("CARGO_BIN_EXE_imr-worker");
 
 /// The node reaching the most others — the only interesting SSSP
 /// source on a sparse directed sample (node 0 may have no out-edges).
@@ -132,23 +130,10 @@ fn incremental_sssp_equivalent_across_engines_and_to_cold() {
     let (_, fix_n) = converge_and_preserve(&nat, &job, &base, &cfg, "/i").unwrap();
     let b = run_incremental_ns(&nat, &job, &cfg, &fix_n, "/i", &delta).unwrap();
 
-    let tcp = native_runner(3);
-    let (_, fix_t) = converge_and_preserve(&tcp, &job, &base, &cfg, "/i").unwrap();
-    let d = inc_dirs("/i");
-    let c = tcp
-        .run_remote_incremental(
-            &job,
-            &worker_spec(&["sssp"]),
-            &cfg.clone().with_incremental_mode().with_tcp_transport(),
-            &fix_t,
-            &d.static_,
-            &delta,
-            &d.inc_state,
-            &d.inc_static,
-            &d.inc_out,
-            &[],
-        )
-        .unwrap();
+    let tcp_cfg = cfg.clone().with_tcp_transport();
+    let tcp = tcp_runner(3, WORKER, &["sssp"]);
+    let (_, fix_t) = converge_and_preserve(&tcp, &job, &base, &tcp_cfg, "/i").unwrap();
+    let c = run_incremental_ns(&tcp, &job, &tcp_cfg, &fix_t, "/i", &delta).unwrap();
 
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.stats, c.stats);
@@ -198,23 +183,10 @@ fn incremental_pagerank_equivalent_across_engines_and_to_cold() {
     let (_, fix_n) = converge_and_preserve(&nat, &job, &base, &cfg, "/i").unwrap();
     let b = run_incremental_ns(&nat, &job, &cfg, &fix_n, "/i", &delta).unwrap();
 
-    let tcp = native_runner(3);
-    let (_, fix_t) = converge_and_preserve(&tcp, &job, &base, &cfg, "/i").unwrap();
-    let d = inc_dirs("/i");
-    let c = tcp
-        .run_remote_incremental(
-            &job,
-            &worker_spec(&["pagerank", &nodes]),
-            &cfg.clone().with_incremental_mode().with_tcp_transport(),
-            &fix_t,
-            &d.static_,
-            &delta,
-            &d.inc_state,
-            &d.inc_static,
-            &d.inc_out,
-            &[],
-        )
-        .unwrap();
+    let tcp_cfg = cfg.clone().with_tcp_transport();
+    let tcp = tcp_runner(3, WORKER, &["pagerank", &nodes]);
+    let (_, fix_t) = converge_and_preserve(&tcp, &job, &base, &tcp_cfg, "/i").unwrap();
+    let c = run_incremental_ns(&tcp, &job, &tcp_cfg, &fix_t, "/i", &delta).unwrap();
 
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.stats, c.stats);
@@ -265,23 +237,10 @@ fn incremental_concomp_equivalent_across_engines_and_to_cold() {
     let (_, fix_n) = converge_and_preserve(&nat, &job, &base, &cfg, "/i").unwrap();
     let b = run_incremental_ns(&nat, &job, &cfg, &fix_n, "/i", &delta).unwrap();
 
-    let tcp = native_runner(3);
-    let (_, fix_t) = converge_and_preserve(&tcp, &job, &base, &cfg, "/i").unwrap();
-    let d = inc_dirs("/i");
-    let c = tcp
-        .run_remote_incremental(
-            &job,
-            &worker_spec(&["concomp"]),
-            &cfg.clone().with_incremental_mode().with_tcp_transport(),
-            &fix_t,
-            &d.static_,
-            &delta,
-            &d.inc_state,
-            &d.inc_static,
-            &d.inc_out,
-            &[],
-        )
-        .unwrap();
+    let tcp_cfg = cfg.clone().with_tcp_transport();
+    let tcp = tcp_runner(3, WORKER, &["concomp"]);
+    let (_, fix_t) = converge_and_preserve(&tcp, &job, &base, &tcp_cfg, "/i").unwrap();
+    let c = run_incremental_ns(&tcp, &job, &tcp_cfg, &fix_t, "/i", &delta).unwrap();
 
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.stats, c.stats);
@@ -350,31 +309,22 @@ fn incremental_kill_replays_bit_identically_on_channel_and_tcp() {
 
     for tcp in [false, true] {
         let label = if tcp { "tcp" } else { "channel" };
+        let cfg = if tcp {
+            cfg.clone().with_tcp_transport()
+        } else {
+            cfg.clone()
+        };
+        let inc_cfg = cfg.clone().with_incremental_mode();
         let mut results = Vec::new();
         for faults in [&[] as &[FaultEvent], &kill] {
-            let r = native_runner(4);
+            let r = if tcp {
+                tcp_runner(4, WORKER, &["sssp"])
+            } else {
+                native_runner(4)
+            };
             let (_, fix) = converge_and_preserve(&r, &job, &base, &cfg, "/i").unwrap();
-            let inc_cfg = if tcp {
-                cfg.clone().with_incremental_mode().with_tcp_transport()
-            } else {
-                cfg.clone().with_incremental_mode()
-            };
-            let out = if tcp {
-                r.run_remote_incremental(
-                    &job,
-                    &worker_spec(&["sssp"]),
-                    &inc_cfg,
-                    &fix,
-                    &d.static_,
-                    &delta,
-                    &d.inc_state,
-                    &d.inc_static,
-                    &d.inc_out,
-                    faults,
-                )
-                .unwrap()
-            } else {
-                r.run_incremental(
+            let out = r
+                .run_incremental(
                     &job,
                     &inc_cfg,
                     &fix,
@@ -385,8 +335,7 @@ fn incremental_kill_replays_bit_identically_on_channel_and_tcp() {
                     &d.inc_out,
                     faults,
                 )
-                .unwrap()
-            };
+                .unwrap();
             results.push(out);
         }
         let (clean, killed) = (&results[0], &results[1]);
@@ -402,6 +351,47 @@ fn incremental_kill_replays_bit_identically_on_channel_and_tcp() {
         );
         assert_eq!(clean.outcome.distances, killed.outcome.distances, "{label}");
     }
+}
+
+/// An incremental config reaching TCP through `run_accumulative`, over
+/// the warm parts the planner wrote: the coordinator announces the
+/// warm-start patches whenever the config is incremental, whatever the
+/// entry point, so no worker waits for a `Patch` frame that never comes.
+/// The run returns within a bounded wait, bit-identical to threads.
+#[test]
+fn tcp_accumulative_on_warm_parts_returns_and_matches_threads() {
+    let g = dataset("DBLP").unwrap().generate(0.004);
+    let source = best_source(&g);
+    let job = SsspInc { source };
+    let base = weighted_statics(&g);
+    let cfg = IterConfig::new("iwarm", 3, 300)
+        .with_accumulative_mode()
+        .with_distance_threshold(1e-9);
+    let nat = native_runner(3);
+    let (cold, fix) = converge_and_preserve(&nat, &job, &base, &cfg, "/i").unwrap();
+    let delta = sssp_delta(&base, &cold.final_state, source, g.num_nodes() as u32);
+    // Plans the warm parts into `/i/inc-*`, then converges from them.
+    let want = run_incremental_ns(&nat, &job, &cfg, &fix, "/i", &delta).unwrap();
+
+    // The same DFS, the same warm parts, worker processes.
+    let tcp = nat.with_workers(WorkerSpec::new(WORKER, vec!["sssp".to_owned()]));
+    let tcp_cfg = cfg.with_incremental_mode().with_tcp_transport();
+    let d = inc_dirs("/i");
+    let (done, finished) = mpsc::channel();
+    let run = std::thread::spawn(move || {
+        let out = tcp.run_accumulative(&job, &tcp_cfg, &d.inc_state, &d.inc_static, "/i/tcp", &[]);
+        let _ = done.send(());
+        out
+    });
+    let waited = finished.recv_timeout(Duration::from_secs(90));
+    assert_ne!(
+        waited,
+        Err(RecvTimeoutError::Timeout),
+        "the TCP run on warm parts hung"
+    );
+    let got = run.join().expect("the TCP run panicked").unwrap();
+    assert_eq!(got.final_state, want.outcome.final_state);
+    assert_eq!(got.distances, want.outcome.distances);
 }
 
 /// Configuration and input validation: incremental mode requires

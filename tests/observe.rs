@@ -6,13 +6,11 @@
 //! And the stream stays small: a pair emits a fixed handful of events
 //! per iteration, the same number on every engine.
 
-use imapreduce::{phase_of, IterConfig, IterativeJob};
-use imr_algorithms::kmeans::{self, KmeansIter};
-use imr_algorithms::pagerank::{self, PageRankIter};
-use imr_algorithms::sssp::{self, SsspIter};
-use imr_algorithms::testutil::{imr_runner, native_runner};
+use imapreduce::{phase_of, IterConfig};
+use imr_algorithms::testutil::{imr_runner, native_runner, tcp_runner};
+use imr_algorithms::{kmeans, pagerank, sssp};
 use imr_graph::{dataset, generate_points};
-use imr_native::{NativeRunner, WorkerSpec};
+use imr_native::NativeRunner;
 use imr_telemetry::{Phase, Telemetry, TelemetryHandle, PHASES};
 use imr_trace::{TraceBuffer, TraceHandle};
 use std::collections::{BTreeMap, BTreeSet};
@@ -73,24 +71,8 @@ fn assert_event_budget(label: &str, trace: &TraceHandle, budget: &[usize]) {
     assert_eq!(counts, budget.iter().copied().collect(), "{label}: budget");
 }
 
-/// Runs `job` from `/s`, `/t` over worker processes with both sinks
-/// attached to the coordinator.
-fn run_tcp<J: IterativeJob>(tcp: &NativeRunner, job: &J, job_args: &[&str], cfg: &IterConfig) {
-    let spec = WorkerSpec::new(
-        env!("CARGO_BIN_EXE_imr-worker"),
-        job_args.iter().map(|s| (*s).to_owned()).collect(),
-    );
-    tcp.run_remote(
-        job,
-        &spec,
-        &cfg.clone().with_tcp_transport(),
-        "/s",
-        "/t",
-        "/o",
-        &[],
-    )
-    .unwrap();
-}
+/// This package's worker binary.
+const WORKER: &str = env!("CARGO_BIN_EXE_imr-worker");
 
 /// Synchronous one2one SSSP with a checkpoint every 2 of 6 iterations:
 /// all five phases occur.
@@ -119,11 +101,10 @@ fn sync_one2one_with_checkpoints() {
     assert_event_budget("threads", &trace, &[6, 7]);
 
     let (trace, tel) = sinks();
-    let tcp = native_runner(4)
+    let tcp = tcp_runner(4, WORKER, &["sssp"])
         .with_trace(Arc::clone(&trace))
         .with_telemetry(Arc::clone(&tel));
-    sssp::load_sssp_imr(&tcp, &g, 0, 4, "/s", "/t").unwrap();
-    run_tcp(&tcp, &SsspIter, &["sssp"], &cfg);
+    sssp::run_sssp_imr(&tcp, &g, 0, &cfg.with_tcp_transport()).unwrap();
     assert_hists_are_the_spans("tcp", &trace, &tel, &all);
     assert_event_budget("tcp", &trace, &[6, 7]);
 }
@@ -158,16 +139,10 @@ fn one2all_broadcast() {
     assert_event_budget("threads", &trace, &[6]);
 
     let (trace, tel) = sinks();
-    let tcp = native_runner(4)
+    let tcp = tcp_runner(4, WORKER, &["kmeans", "0"])
         .with_trace(Arc::clone(&trace))
         .with_telemetry(Arc::clone(&tel));
-    kmeans::load_kmeans_imr(&tcp, &points, 3, 4, "/s", "/t").unwrap();
-    run_tcp(
-        &tcp,
-        &KmeansIter { combiner: false },
-        &["kmeans", "0"],
-        &cfg,
-    );
+    kmeans::run_kmeans_imr(&tcp, &points, 3, &cfg.with_tcp_transport(), false).unwrap();
     assert_hists_are_the_spans("tcp", &trace, &tel, &expected);
     assert_event_budget("tcp", &trace, &[6]);
 }
@@ -178,7 +153,6 @@ fn one2all_broadcast() {
 #[test]
 fn delta_mode() {
     let g = dataset("Google").unwrap().generate(0.003);
-    let job = PageRankIter::new(g.num_nodes() as u64);
     let nodes = g.num_nodes().to_string();
     let cfg = IterConfig::new("prd", 4, 400)
         .with_accumulative_mode()
@@ -203,11 +177,10 @@ fn delta_mode() {
     assert_event_budget("threads", &trace, &[5, 6]);
 
     let (trace, tel) = sinks();
-    let tcp = native_runner(4)
+    let tcp = tcp_runner(4, WORKER, &["pagerank", &nodes])
         .with_trace(Arc::clone(&trace))
         .with_telemetry(Arc::clone(&tel));
-    pagerank::load_pagerank_imr(&tcp, &g, 4, "/s", "/t").unwrap();
-    run_tcp(&tcp, &job, &["pagerank", &nodes], &cfg);
+    pagerank::run_pagerank_delta(&tcp, &g, &cfg.with_tcp_transport()).unwrap();
     assert_hists_are_the_spans("tcp", &trace, &tel, &expected);
     assert_event_budget("tcp", &trace, &[5, 6]);
 }
@@ -269,9 +242,8 @@ fn data_path_counters_agree_across_fabrics() {
         .with_checkpoint_interval(2);
     let chan = native_runner(4);
     sssp::run_sssp_imr(&chan, &g, 0, &cfg).unwrap();
-    let tcp = native_runner(4);
-    sssp::load_sssp_imr(&tcp, &g, 0, 4, "/s", "/t").unwrap();
-    run_tcp(&tcp, &SsspIter, &["sssp"], &cfg);
+    let tcp = tcp_runner(4, WORKER, &["sssp"]);
+    sssp::run_sssp_imr(&tcp, &g, 0, &cfg.with_tcp_transport()).unwrap();
     let one2one = [
         "map_input_records",
         "reduce_input_records",
@@ -286,14 +258,8 @@ fn data_path_counters_agree_across_fabrics() {
     let cfg = IterConfig::new("km", 4, 5).with_one2all();
     let chan = native_runner(4);
     kmeans::run_kmeans_imr(&chan, &points, 3, &cfg, false).unwrap();
-    let tcp = native_runner(4);
-    kmeans::load_kmeans_imr(&tcp, &points, 3, 4, "/s", "/t").unwrap();
-    run_tcp(
-        &tcp,
-        &KmeansIter { combiner: false },
-        &["kmeans", "0"],
-        &cfg,
-    );
+    let tcp = tcp_runner(4, WORKER, &["kmeans", "0"]);
+    kmeans::run_kmeans_imr(&tcp, &points, 3, &cfg.with_tcp_transport(), false).unwrap();
     let one2all = [
         "map_input_records",
         "reduce_input_records",
@@ -304,7 +270,6 @@ fn data_path_counters_agree_across_fabrics() {
     assert_fabrics_count_alike("kmeans", &chan, &tcp, &one2all);
 
     let g = dataset("Google").unwrap().generate(0.003);
-    let job = PageRankIter::new(g.num_nodes() as u64);
     let nodes = g.num_nodes().to_string();
     let cfg = IterConfig::new("prd", 4, 400)
         .with_accumulative_mode()
@@ -312,9 +277,8 @@ fn data_path_counters_agree_across_fabrics() {
         .with_checkpoint_interval(1);
     let chan = native_runner(4);
     pagerank::run_pagerank_delta(&chan, &g, &cfg).unwrap();
-    let tcp = native_runner(4);
-    pagerank::load_pagerank_imr(&tcp, &g, 4, "/s", "/t").unwrap();
-    run_tcp(&tcp, &job, &["pagerank", &nodes], &cfg);
+    let tcp = tcp_runner(4, WORKER, &["pagerank", &nodes]);
+    pagerank::run_pagerank_delta(&tcp, &g, &cfg.with_tcp_transport()).unwrap();
     let delta = [
         "shuffle_local_bytes",
         "checkpoint_bytes",

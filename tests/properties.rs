@@ -1,7 +1,7 @@
 //! Workspace-level property tests: cross-crate invariants on random
 //! inputs.
 
-use imapreduce::{FailureEvent, FaultEvent, IterConfig, WatchdogConfig};
+use imapreduce::{FailureEvent, FaultEvent, IterConfig, IterEngine, WatchdogConfig};
 use imr_algorithms::sssp::SsspIter;
 use imr_algorithms::testutil::{imr_runner, native_runner};
 use imr_algorithms::{pagerank, sssp};
@@ -365,7 +365,7 @@ proptest! {
 /// each step preserving its converged output as the fixpoint the next
 /// step starts from. Returns the last step's outcome.
 fn chain_incremental(
-    runner: &impl imapreduce::IterEngine,
+    runner: &impl IterEngine,
     job: &imr_algorithms::sssp::SsspInc,
     base: &std::collections::BTreeMap<u32, imr_algorithms::sssp::Adj>,
     deltas: &[imapreduce::GraphDelta],
@@ -412,7 +412,7 @@ fn chain_incremental(
 /// transport, and the sim refuses fault scripts in delta mode.
 #[test]
 fn delta_validation_rejects_unsupported_combos_on_every_engine() {
-    use imapreduce::{EngineError, IterEngine};
+    use imapreduce::EngineError;
     use imr_algorithms::sssp::SsspIter;
 
     let g = generate_weighted_graph(24, 72, sssp_degree_dist(), sssp_weight_dist(), 7);
@@ -435,7 +435,7 @@ fn delta_validation_rejects_unsupported_combos_on_every_engine() {
         "use run_accumulative",
     );
     expect_config(
-        IterEngine::run_accumulative(&sim, &SsspIter, &plain, "/s", "/t", "/o", &[]),
+        sim.run_accumulative(&SsspIter, &plain, "/s", "/t", "/o", &[]),
         "with_accumulative_mode",
     );
     let kill = [FaultEvent::Kill {
@@ -443,7 +443,7 @@ fn delta_validation_rejects_unsupported_combos_on_every_engine() {
         at_iteration: 1,
     }];
     expect_config(
-        IterEngine::run_accumulative(&sim, &SsspIter, &acc, "/s", "/t", "/o", &kill),
+        sim.run_accumulative(&SsspIter, &acc, "/s", "/t", "/o", &kill),
         "native backend",
     );
 
@@ -470,7 +470,7 @@ fn delta_validation_rejects_unsupported_combos_on_every_engine() {
             "/o",
             &[],
         ),
-        "run_remote",
+        "with_workers",
     );
 
     // Config-level combos are rejected before any engine is involved.

@@ -3,24 +3,16 @@
 //! the cumulative per-phase observation counts, and a kill/rollback
 //! leaves exactly one generation gap in each worker's series.
 
-use imapreduce::{FaultEvent, IterConfig};
+use imapreduce::{FaultEvent, IterConfig, IterEngine};
 use imr_algorithms::sssp::{self, SsspIter};
-use imr_algorithms::testutil::{imr_runner, native_runner};
+use imr_algorithms::testutil::{imr_runner, native_runner, tcp_runner};
 use imr_graph::dataset;
-use imr_native::WorkerSpec;
 use imr_simcluster::NodeId;
 use imr_telemetry::{Phase, Sample, Telemetry, TelemetryHandle};
 use std::sync::Arc;
 
 fn handle() -> TelemetryHandle {
     Arc::new(Telemetry::default())
-}
-
-fn worker_spec(job_args: &[&str]) -> WorkerSpec {
-    WorkerSpec::new(
-        env!("CARGO_BIN_EXE_imr-worker"),
-        job_args.iter().map(|s| (*s).to_owned()).collect(),
-    )
 }
 
 /// Virtual-time stamps make the sim series part of the deterministic
@@ -66,18 +58,9 @@ fn engines_agree_on_cumulative_phase_counts() {
     sssp::run_sssp_imr(&chan, &g, 0, &cfg).unwrap();
 
     let tcp_tel = handle();
-    let tcp = native_runner(4).with_telemetry(Arc::clone(&tcp_tel));
-    sssp::load_sssp_imr(&tcp, &g, 0, 4, "/s", "/t").unwrap();
-    tcp.run_remote(
-        &SsspIter,
-        &worker_spec(&["sssp"]),
-        &cfg.clone().with_tcp_transport(),
-        "/s",
-        "/t",
-        "/o",
-        &[],
-    )
-    .unwrap();
+    let tcp = tcp_runner(4, env!("CARGO_BIN_EXE_imr-worker"), &["sssp"])
+        .with_telemetry(Arc::clone(&tcp_tel));
+    sssp::run_sssp_imr(&tcp, &g, 0, &cfg.clone().with_tcp_transport()).unwrap();
 
     for (label, tel) in [("sim", &sim_tel), ("channel", &chan_tel), ("tcp", &tcp_tel)] {
         let samples = tel.samples();

@@ -7,9 +7,8 @@
 use imapreduce::{FailureEvent, IterConfig, IterEngine};
 use imr_algorithms::pagerank;
 use imr_algorithms::sssp::{self, SsspIter};
-use imr_algorithms::testutil::{imr_runner, imr_runner_on, native_runner};
+use imr_algorithms::testutil::{imr_runner, imr_runner_on, native_runner, tcp_runner};
 use imr_graph::dataset;
-use imr_native::WorkerSpec;
 use imr_simcluster::{ClusterSpec, NodeId, TaskClock};
 use imr_trace::{canonical_kinds, TraceBuffer, TraceHandle, TraceKind, TraceReport};
 use std::sync::Arc;
@@ -18,12 +17,8 @@ fn handle() -> TraceHandle {
     Arc::new(TraceBuffer::with_capacity(1 << 14))
 }
 
-fn worker_spec(job_args: &[&str]) -> WorkerSpec {
-    WorkerSpec::new(
-        env!("CARGO_BIN_EXE_imr-worker"),
-        job_args.iter().map(|s| (*s).to_owned()).collect(),
-    )
-}
+/// This package's worker binary.
+const WORKER: &str = env!("CARGO_BIN_EXE_imr-worker");
 
 /// The determinism satellite: SSSP, 4 tasks, synchronous maps, a
 /// checkpoint every 2 of 6 iterations — the *ordered event-type
@@ -46,19 +41,8 @@ fn canonical_trace_is_identical_across_all_three_engines() {
     let b = sssp::run_sssp_imr(&chan, &g, 0, &cfg).unwrap();
 
     let tcp_trace = handle();
-    let tcp = native_runner(4).with_trace(Arc::clone(&tcp_trace));
-    sssp::load_sssp_imr(&tcp, &g, 0, 4, "/s", "/t").unwrap();
-    let c = tcp
-        .run_remote(
-            &SsspIter,
-            &worker_spec(&["sssp"]),
-            &cfg.clone().with_tcp_transport(),
-            "/s",
-            "/t",
-            "/o",
-            &[],
-        )
-        .unwrap();
+    let tcp = tcp_runner(4, WORKER, &["sssp"]).with_trace(Arc::clone(&tcp_trace));
+    let c = sssp::run_sssp_imr(&tcp, &g, 0, &cfg.clone().with_tcp_transport()).unwrap();
 
     // Results agree (the engines' existing contract) …
     assert_eq!(a.final_state, b.final_state);
@@ -197,18 +181,8 @@ fn tcp_trace_merges_worker_events_with_node_tags() {
     let g = dataset("DBLP").unwrap().generate(0.004);
     let cfg = IterConfig::new("sssp", 2, 4).with_tcp_transport();
     let trace = handle();
-    let tcp = native_runner(4).with_trace(Arc::clone(&trace));
-    sssp::load_sssp_imr(&tcp, &g, 0, 2, "/s", "/t").unwrap();
-    tcp.run_remote(
-        &SsspIter,
-        &worker_spec(&["sssp"]),
-        &cfg,
-        "/s",
-        "/t",
-        "/o",
-        &[],
-    )
-    .unwrap();
+    let tcp = tcp_runner(4, WORKER, &["sssp"]).with_trace(Arc::clone(&trace));
+    sssp::run_sssp_imr(&tcp, &g, 0, &cfg).unwrap();
     let events = trace.snapshot();
     let maps: Vec<_> = events
         .iter()

@@ -33,7 +33,11 @@
 #                          # rollback recorded (migration_marker,
 #                          # flight_path, recoveries.add, migrations.add)
 #                          # by the master (crates/core/src/supervise.rs)
-#                          # alone
+#                          # alone, and TCP reached through IterEngine
+#                          # (no run_remote_incremental anywhere, no
+#                          # `.run_remote(` call outside
+#                          # benchmark/src/adapter.rs, no `pub fn run*`
+#                          # in `impl IterativeRunner`)
 #   ./verify.sh <suite>    # one row group of the SUITES table: faults,
 #                          # observe, service, delta, chaos, incremental
 #
@@ -487,6 +491,27 @@ cmd_drift() {
   [ -z "$master_calls" ] \
     || { echo "drift: a rollback is recorded outside the master (crates/core/src/supervise.rs):" >&2; echo "$master_calls" >&2; exit 1; }
   echo "drift: migration_marker, flight_path, recoveries.add and migrations.add are called from supervise alone"
+
+  # One engine trait for every fabric: TCP is a NativeRunner with
+  # worker processes attached (`with_workers`) behind `IterEngine`, so
+  # the incremental fork of the TCP entry stays gone, `.run_remote(` —
+  # a delegate kept only for the benchmark's pinned surface — is called
+  # from benchmark/src/adapter.rs alone, and the simulator's runner has
+  # no inherent `run*` beside its trait impl.
+  local rust_files fork remote_calls inherent
+  rust_files=$(find crates src tests examples benchmark/src -name '*.rs' | sort)
+  fork=$(grep -n 'run_remote_incremental' $rust_files README.md DESIGN.md || true)
+  [ -z "$fork" ] \
+    || { echo "drift: run_remote_incremental is named (IterEngine::run_incremental covers TCP):" >&2; echo "$fork" >&2; exit 1; }
+  remote_calls=$(rust_code 0 $rust_files \
+    | { grep -E '\.run_remote\(' | grep -v '^benchmark/src/adapter\.rs:' || true; })
+  [ -z "$remote_calls" ] \
+    || { echo "drift: .run_remote( called outside benchmark/src/adapter.rs (attach workers with NativeRunner::with_workers and call IterEngine):" >&2; echo "$remote_calls" >&2; exit 1; }
+  inherent=$(rust_code 1 crates/core/src/*.rs \
+    | awk -F: '$3 ~ /^impl IterativeRunner \{/ { f = 1; next } f && $3 ~ /^\}/ { f = 0 } f && $3 ~ /pub fn run/')
+  [ -z "$inherent" ] \
+    || { echo "drift: impl IterativeRunner defines an inherent run* (the simulator runs through its IterEngine impl):" >&2; echo "$inherent" >&2; exit 1; }
+  echo "drift: TCP is reached through IterEngine: no run_remote_incremental, .run_remote( from the adapter alone, no inherent IterativeRunner::run*"
 
   local subs jobs
   subs=$({
