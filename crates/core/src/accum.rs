@@ -22,6 +22,7 @@
 //! plumbing and clock.
 
 use crate::api::{Emitter, IterativeJob};
+use crate::static_part::StaticPart;
 use bytes::Bytes;
 use imr_records::{decode_pairs, encode_pairs, CodecError, CodecResult};
 
@@ -80,13 +81,14 @@ pub struct BatchOutcome {
 /// One task's per-key `(value, delta)` state under accumulative mode.
 ///
 /// Entries are sorted by strictly ascending key — every constructor
-/// checks it — and the engines check at load that they hold the task's
-/// static keys, in order, so delta application walks the two slices in
-/// lock step and a round's arriving deltas are merged in one sorted
-/// walk. Deltas for keys this task does not own are dropped on merge:
-/// the partition function routes every emitted delta to the owning
-/// task, so a foreign key is a partitioning bug upstream and cannot be
-/// applied meaningfully here.
+/// checks it — and the engines check, as they load the task's static
+/// part ([`StaticPart::load_aligned`]), that it holds the same keys in
+/// the same order, so delta application reads the static record of
+/// entry `i` as record `i`, and a round's arriving deltas are merged in
+/// one sorted walk. Deltas for keys this task does not own are dropped
+/// on merge: the partition function routes every emitted delta to the
+/// owning task, so a foreign key is a partitioning bug upstream and
+/// cannot be applied meaningfully here.
 #[derive(Debug, Clone)]
 pub struct DeltaStore<K, S> {
     /// The receive half of a round folds into these; keys never change.
@@ -146,28 +148,30 @@ impl<K: imr_records::Key, S: imr_records::Value> DeltaStore<K, S> {
     /// the largest [`Accumulative::progress`] (ties broken by ascending
     /// key index; `batch == 0` selects all pending keys), fold each
     /// selected key's delta into its value, extract the induced deltas
-    /// into `out` against the key-aligned static slice, and reset the
-    /// key's delta to the identity.
+    /// into `out` against the key-aligned static part, and reset the
+    /// key's delta to the identity. A static record that does not
+    /// decode is an error.
     ///
     /// Selected keys are *processed* in ascending key order — the
     /// priority only chooses membership; ⊕-commutativity makes the
     /// application order irrelevant to the result, and a fixed order
     /// keeps the emitted stream deterministic.
     ///
-    /// The keys are applied in one index-order walk over the store and
-    /// `stat`. A batch that takes every pending key (the default
-    /// `batch == 0`, under which a dense workload such as PageRank
-    /// applies nearly the whole store each round) ranks nothing; a
-    /// smaller one finds the last key it takes with a linear-time
-    /// selection, and the walk applies exactly the keys that rank at or
-    /// above it.
+    /// The keys are applied in one index-order walk over the store,
+    /// which reads the static value of each key it applies and skips the
+    /// rest ([`StaticPart::values`]). A batch that takes every pending
+    /// key (the default `batch == 0`, under which a dense workload such
+    /// as PageRank applies nearly the whole store each round) ranks
+    /// nothing; a smaller one finds the last key it takes with a
+    /// linear-time selection, and the walk applies exactly the keys that
+    /// rank at or above it.
     pub fn select_batch<J>(
         &mut self,
         job: &J,
-        stat: &[(K, J::T)],
+        stat: &mut StaticPart<K, J::T>,
         batch: usize,
         out: &mut Emitter<K, S>,
-    ) -> BatchOutcome
+    ) -> CodecResult<BatchOutcome>
     where
         J: Accumulative<K = K, S = S>,
     {
@@ -195,10 +199,12 @@ impl<K: imr_records::Key, S: imr_records::Value> DeltaStore<K, S> {
         };
 
         let mut applied = 0;
-        for ((i, entry), (_, t)) in self.entries.iter_mut().enumerate().zip(stat) {
+        let mut values = stat.values();
+        for (i, entry) in self.entries.iter_mut().enumerate() {
             let s = score(entry);
             let taken = s > 0.0 && cut.is_none_or(|c| rank(&(s, i), &c).is_le());
             if taken {
+                let t = values.at(i)?;
                 let (k, (v, d)) = entry;
                 let delta = std::mem::replace(d, job.identity());
                 job.fold(k, v, delta.clone());
@@ -206,10 +212,10 @@ impl<K: imr_records::Key, S: imr_records::Value> DeltaStore<K, S> {
                 applied += 1;
             }
         }
-        BatchOutcome {
+        Ok(BatchOutcome {
             applied,
             deferred: total.map_or(0, |total| total - applied),
-        }
+        })
     }
 
     /// This task's accumulated pending progress — its local term of the
@@ -288,8 +294,10 @@ mod tests {
         DeltaStore::seed(&HalfFwd, &loaded).unwrap()
     }
 
-    fn stat() -> Vec<(u32, ())> {
-        (0..4).map(|k| (k, ())).collect()
+    fn stat() -> StaticPart<u32, ()> {
+        let rows: Vec<(u32, ())> = (0..4).map(|k| (k, ())).collect();
+        let keys = rows.iter().map(|(k, _)| k);
+        StaticPart::load_aligned(0, encode_pairs(&rows), keys).unwrap()
     }
 
     #[test]
@@ -304,7 +312,9 @@ mod tests {
     fn batch_prefers_largest_delta_and_defers_rest() {
         let mut store = seeded();
         let mut emitted = Emitter::new();
-        let out = store.select_batch(&HalfFwd, &stat(), 2, &mut emitted);
+        let out = store
+            .select_batch(&HalfFwd, &mut stat(), 2, &mut emitted)
+            .unwrap();
         // Keys 0 (delta 8) and 1 (delta 4) win; key 2 (delta 2) defers;
         // key 3 has identity delta and is not pending at all.
         assert_eq!(out.applied, 2);
@@ -318,7 +328,9 @@ mod tests {
     #[test]
     fn batch_zero_takes_every_pending_key() {
         let mut store = seeded();
-        let out = store.select_batch(&HalfFwd, &stat(), 0, &mut Emitter::new());
+        let out = store
+            .select_batch(&HalfFwd, &mut stat(), 0, &mut Emitter::new())
+            .unwrap();
         assert_eq!(out.applied, 3);
         assert_eq!(out.deferred, 0);
     }
@@ -352,7 +364,9 @@ mod tests {
     #[test]
     fn checkpoint_round_trips() {
         let mut store = seeded();
-        store.select_batch(&HalfFwd, &stat(), 1, &mut Emitter::new());
+        store
+            .select_batch(&HalfFwd, &mut stat(), 1, &mut Emitter::new())
+            .unwrap();
         let restored: DeltaStore<u32, f64> = DeltaStore::decode(store.encode()).unwrap();
         assert_eq!(restored.entries(), store.entries());
     }
@@ -394,7 +408,7 @@ mod tests {
         // them *pending*; final_values must fold them into the values.
         let metrics = Metrics::default();
         let out = MapScratch::default()
-            .delta_out(&HalfFwd, &mut store, &stat(), 1, 0, &metrics, &mut ())
+            .delta_out(&HalfFwd, &mut store, &mut stat(), 1, 0, &metrics, &mut ())
             .unwrap();
         delta_in(&HalfFwd, &mut store, out.segments).unwrap();
         let finals = store.final_values(&HalfFwd);
@@ -480,9 +494,9 @@ mod tests {
             let owned = |p: usize| keys.iter().filter(move |(k, ..)| job.partition(k, n) == p);
             let loaded = |p| owned(p).map(|&(k, d, _)| (k, d)).collect::<Vec<_>>();
             let stat = |p| {
-                owned(p)
-                    .map(|(k, _, r)| (*k, r.clone()))
-                    .collect::<Vec<_>>()
+                let rows: Vec<_> = owned(p).map(|(k, _, r)| (*k, r.clone())).collect();
+                let keys = rows.iter().map(|(k, _)| k);
+                StaticPart::load_aligned(p, encode_pairs(&rows), keys).unwrap()
             };
             let mut stores: Vec<_> = (0..n)
                 .map(|p| DeltaStore::seed(&job, &loaded(p)).unwrap())
@@ -496,7 +510,9 @@ mod tests {
             for (p, store) in stores.iter().enumerate() {
                 let mut applied = store.clone();
                 let mut em = Emitter::new();
-                applied.select_batch(&job, &stat(p), batch, &mut em);
+                applied
+                    .select_batch(&job, &mut stat(p), batch, &mut em)
+                    .unwrap();
                 let mut per_dest = vec![BTreeMap::new(); n];
                 for (k, d) in em.into_pairs() {
                     match per_dest[job.partition(&k, n)].entry(k) {
@@ -521,7 +537,7 @@ mod tests {
             let mut outgoing = Vec::with_capacity(n);
             for (p, store) in stores.iter_mut().enumerate() {
                 let out = MapScratch::default()
-                    .delta_out(&job, store, &stat(p), n, batch, &metrics, &mut ())
+                    .delta_out(&job, store, &mut stat(p), n, batch, &metrics, &mut ())
                     .unwrap();
                 for (q, seg) in out.segments.iter().enumerate() {
                     let sent: Vec<(u32, f64)> = premerged[p][q].clone().into_iter().collect();
@@ -591,7 +607,11 @@ mod tests {
             let mut cut = DeltaStore::seed(&Ordered, &loaded).unwrap();
             let mut sorted = cut.clone();
             let (mut by_cut, mut by_sort) = (Emitter::new(), Emitter::new());
-            let outcome = cut.select_batch(&Ordered, &stat, batch, &mut by_cut);
+            let keys = stat.iter().map(|(k, _)| k);
+            let part = &mut StaticPart::load_aligned(0, encode_pairs(&stat), keys).unwrap();
+            let outcome = cut
+                .select_batch(&Ordered, part, batch, &mut by_cut)
+                .unwrap();
             let want = select_by_sort(&mut sorted, &stat, batch, &mut by_sort);
             assert_eq!((outcome.applied, outcome.deferred), want, "batch {batch}");
             assert_eq!(bits(&cut), bits(&sorted), "batch {batch}");

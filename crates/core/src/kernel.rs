@@ -39,6 +39,7 @@
 
 use crate::accum::{Accumulative, DeltaStore};
 use crate::api::{Emitter, IterativeJob, StateInput};
+use crate::static_part::{check_counts, diverged_at, StaticPart};
 use bytes::Bytes;
 use imr_mapreduce::EngineError;
 use imr_records::{
@@ -102,18 +103,19 @@ pub struct ReduceOutput<K, S> {
 
 impl<K: Key, S: Value> MapScratch<K, S> {
     /// Map side of one iteration of pair `pair`: the sorted state/static
-    /// join (§3.2.2), the user map, then partition → sort → encode into
-    /// `n` segments — with a combiner, each map call's output is folded
-    /// into its keys' accumulators before the next call. A state partition that
-    /// does not line up key for key with the static partition, or a
-    /// `partition` that names a destination outside `0..n`, is a
-    /// [`EngineError::Config`].
+    /// join (§3.2.2), each static record decoded just before its map
+    /// call, the user map, then partition → sort → encode into `n`
+    /// segments — with a combiner, each map call's output is folded
+    /// into its keys' accumulators before the next call. A state
+    /// partition that does not line up key for key with the static
+    /// partition, or a `partition` that names a destination outside
+    /// `0..n`, is a [`EngineError::Config`].
     #[allow(clippy::too_many_arguments)]
     pub fn map_side<J: IterativeJob<K = K, S = S>>(
         &mut self,
         job: &J,
         state: MapState<'_, K, S>,
-        stat: &[(K, J::T)],
+        stat: &mut StaticPart<K, J::T>,
         n: usize,
         pair: usize,
         metrics: &Metrics,
@@ -130,27 +132,50 @@ impl<K: Key, S: Value> MapScratch<K, S> {
         let combiner = job.has_combiner();
         let mut fold = |k: &K, acc: &mut S, v| job.fold(k, acc, v);
         let mut emitted = 0u64;
+        let records_in = stat.len() as u64;
+        // Without a combiner the emit buffer takes the whole map output.
+        // Grown by doubling on the pair's first map side it would leave
+        // behind as much garbage as it keeps, so once a sixteenth of the
+        // records are mapped it is sized for all of them, extrapolated,
+        // with an eighth to spare.
+        let first = !combiner && emitter.pairs_mut().capacity() == 0;
+        let size_at = first.then(|| (records_in as usize).div_ceil(16));
+        let mut calls = 0;
         let mut collect = |emitter: &mut Emitter<K, S>| {
             if combiner {
                 emitted += table.absorb(emitter.pairs_mut(), &mut fold);
+                return;
+            }
+            calls += 1;
+            if Some(calls) == size_at {
+                let so_far = emitter.len();
+                let all = so_far.saturating_mul(records_in as usize) / calls;
+                let pairs = emitter.pairs_mut();
+                pairs.reserve_exact((all + all / 8).saturating_sub(so_far));
             }
         };
+        let mut records = stat.records();
         match state {
             MapState::Broadcast(global) => {
-                for (k, t) in stat {
+                while let Some(record) = records.next() {
+                    let (k, t) = record?;
                     job.map(k, StateInput::All(global), t, emitter);
                     collect(emitter);
                 }
             }
             MapState::Own(state) => {
-                check_aligned(pair, state, stat)?;
-                for ((k, s), (_, t)) in state.iter().zip(stat) {
+                check_counts(pair, state.len(), records_in as usize)?;
+                for (ks, s) in state {
+                    let Some(record) = records.next() else { break };
+                    let (k, t) = record?;
+                    if k != ks {
+                        return Err(diverged_at(pair));
+                    }
                     job.map(k, StateInput::One(s), t, emitter);
                     collect(emitter);
                 }
             }
         }
-        let records_in = stat.len() as u64;
         metrics.map_input_records.add(records_in);
         let partition = |k: &K, n| job.partition(k, n);
         let out = if combiner {
@@ -169,7 +194,8 @@ impl<K: Key, S: Value> MapScratch<K, S> {
 
     /// First half of one ⊕ delta round on one pair: applies the up-to-
     /// `batch` highest-priority pending deltas of `store` against the
-    /// key-aligned `stat` (0 = all pending), extracting into the emit
+    /// key-aligned `stat` (0 = all pending), each applied key's static
+    /// record decoded just before its extract, extracting into the emit
     /// buffer; routes what they emit to `n` destinations and encodes one
     /// segment per peer — every peer, every round, so the send-all /
     /// recv-all exchange cannot deadlock — each key once, its deltas
@@ -183,7 +209,7 @@ impl<K: Key, S: Value> MapScratch<K, S> {
         &mut self,
         job: &J,
         store: &mut DeltaStore<K, S>,
-        stat: &[(K, J::T)],
+        stat: &mut StaticPart<K, J::T>,
         n: usize,
         batch: usize,
         metrics: &Metrics,
@@ -194,7 +220,7 @@ impl<K: Key, S: Value> MapScratch<K, S> {
         } = self;
         // A failed call may have left emits behind.
         emitter.pairs_mut().clear();
-        let batch = store.select_batch(job, stat, batch, emitter);
+        let batch = store.select_batch(job, stat, batch, emitter)?;
         let emitted = emitter.len() as u64;
         let partition = |k: &K, n| job.partition(k, n);
         let fold = |k: &K, acc: &mut S, d| job.fold(k, acc, d);
@@ -210,29 +236,6 @@ impl<K: Key, S: Value> MapScratch<K, S> {
             emitted,
         })
     }
-}
-
-/// A pair's state and static partitions must hold the same keys in the
-/// same order; a length mismatch means the inputs were partitioned
-/// differently.
-pub fn check_aligned<K: Eq, S, T>(
-    pair: usize,
-    state: &[(K, S)],
-    stat: &[(K, T)],
-) -> Result<(), EngineError> {
-    let (state_records, static_records) = (state.len(), stat.len());
-    if state_records != static_records {
-        return Err(EngineError::Config(format!(
-            "state/static co-partitioning broken at pair {pair}: \
-             {state_records} state records vs {static_records} static records"
-        )));
-    }
-    if state.iter().zip(stat).any(|((ks, _), (kt, _))| ks != kt) {
-        return Err(EngineError::Config(format!(
-            "state/static keys diverged at pair {pair}"
-        )));
-    }
-    Ok(())
 }
 
 /// Reduce side of one iteration: merges `segments` (one per source

@@ -79,6 +79,7 @@ mod observe;
 #[doc(hidden)]
 pub mod pair;
 mod sim_env;
+mod static_part;
 mod store;
 #[doc(hidden)]
 pub mod supervise;
@@ -97,11 +98,12 @@ pub use incremental::{
 };
 pub use iter_engine::IterEngine;
 pub use kernel::{
-    carry_forward, check_aligned, delta_in, distance_sorted, fold_votes, merge_broadcast,
-    reduce_side, DeltaOutput, MapOutput, MapScratch, MapState, ReduceOutput,
+    carry_forward, delta_in, distance_sorted, fold_votes, merge_broadcast, reduce_side,
+    DeltaOutput, MapOutput, MapScratch, MapState, ReduceOutput,
 };
 pub use multiphase::{run_two_phase, PhaseJob, TwoPhaseConfig, TwoPhaseOutcome};
 pub use observe::{phase_of, Observer};
+pub use static_part::{Records, StaticPart, Values};
 pub use store::{check_inputs, load_partitioned, part_len, partition_sorted};
 
 // Re-export the engine error type jobs see.

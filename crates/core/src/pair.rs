@@ -48,9 +48,8 @@ use crate::accum::{Accumulative, DeltaStore};
 use crate::api::{IterativeJob, Mapping};
 use crate::aux::AuxPhase;
 use crate::config::IterConfig;
-use crate::kernel::{
-    check_aligned, delta_in, fold_votes, merge_broadcast, reduce_side, MapScratch, MapState,
-};
+use crate::kernel::{delta_in, fold_votes, merge_broadcast, reduce_side, MapScratch, MapState};
+use crate::static_part::StaticPart;
 use bytes::Bytes;
 use imr_dfs::{snapshot_dir, Dfs, DfsError};
 use imr_mapreduce::io::part_path;
@@ -255,7 +254,8 @@ impl<J: IterativeJob, E: PairEnv> PairCtx<'_, J, E> {
         self.env.emit(event.tagged(0, self.q as u32, it as u32, 0));
     }
 
-    /// Reads and decodes `<dir>/part-<part>`.
+    /// Reads and decodes `<dir>/part-<part>` of a state directory (the
+    /// static part is held as read: [`StaticPart`]).
     fn load<K: Codec, V: Codec>(&mut self, dir: &str, part: usize) -> Result<Vec<(K, V)>, EnvFail> {
         Ok(decode_pairs(self.env.read_part(dir, part)?)?)
     }
@@ -372,11 +372,13 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
 
     // ---- One-time load: static partition + state at this epoch -------
     // Epoch 0 is the job's initial input; epoch e > 0 is the snapshot
-    // the pairs wrote at the end of iteration e (one part per pair).
-    let stat: Vec<(J::K, J::T)> = ctx.load(&dirs.static_dir, q)?;
+    // the pairs wrote at the end of iteration e (one part per pair). The
+    // static part stays the bytes it was read as; each record is decoded
+    // just before its map call.
+    let mut stat = StaticPart::load(ctx.env.read_part(&dirs.static_dir, q)?)?;
     // The join walks it in key order: sorted once, at load (§3.2.2).
     ctx.env.cost().sorted(stat.len() as u64);
-    let static_bytes = pairs_encoded_len(&stat) as u64;
+    let static_bytes = stat.encoded_len() as u64;
     let (source, parts) = if ctx.epoch == 0 {
         (dirs.state_dir.clone(), cfg.num_state_parts)
     } else {
@@ -418,7 +420,8 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
             MapState::Own(&state)
         };
         let metrics = ctx.metrics;
-        let mapped = map_scratch.map_side(job, input, &stat, n, q, metrics, &mut ctx.env.cost())?;
+        let mapped =
+            map_scratch.map_side(job, input, &mut stat, n, q, metrics, &mut ctx.env.cost())?;
         let records = mapped.records_in + mapped.emitted;
         let read = state_bytes + static_bytes;
         ctx.env.cost().mapped(records, read, mapped.spill_bytes);
@@ -569,10 +572,9 @@ fn delta_checks<J: Accumulative, E: PairEnv>(
     // ---- One-time load: static partition + delta store ---------------
     // Epoch 0 seeds the store from the initial state part; epoch e > 0
     // restores the full `(key, (value, delta))` snapshot written at
-    // check `e`.
-    let stat: Vec<(J::K, J::T)> = ctx.load(&dirs.static_dir, q)?;
-    // The join walks it in key order: sorted once, at load (§3.2.2).
-    ctx.env.cost().sorted(stat.len() as u64);
+    // check `e`. The static part is read first and walked once the
+    // store's keys are known: the walk checks that they line up.
+    let static_raw = ctx.env.read_part(&dirs.static_dir, q)?;
     let mut store: DeltaStore<J::K, J::S> = if ctx.epoch > 0 {
         let snap = snapshot_dir(&dirs.output_dir, ctx.epoch);
         DeltaStore::decode(ctx.env.read_part(&snap, q)?)?
@@ -587,7 +589,10 @@ fn delta_checks<J: Accumulative, E: PairEnv>(
     } else {
         DeltaStore::seed(job, &ctx.load::<J::K, J::S>(&dirs.state_dir, q)?)?
     };
-    check_aligned(q, store.entries(), &stat)?;
+    let keys = store.entries().iter().map(|(k, _)| k);
+    let mut stat = StaticPart::load_aligned(q, static_raw, keys)?;
+    // The join walks it in key order: sorted once, at load (§3.2.2).
+    ctx.env.cost().sorted(stat.len() as u64);
     let mut scratch = MapScratch::default();
 
     for check in (ctx.epoch + 1)..=cfg.max_iters {
@@ -601,7 +606,7 @@ fn delta_checks<J: Accumulative, E: PairEnv>(
             let out = scratch.delta_out(
                 job,
                 &mut store,
-                &stat,
+                &mut stat,
                 n,
                 batch,
                 metrics,

@@ -5,8 +5,9 @@
 //! cross-engine suites depend on.
 
 use imapreduce::{
-    reduce_side, Emitter, EngineError, IterativeJob, MapScratch, MapState, StateInput,
+    reduce_side, Emitter, EngineError, IterativeJob, MapScratch, MapState, StateInput, StaticPart,
 };
+use imr_records::encode_pairs;
 use imr_simcluster::Metrics;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -114,7 +115,7 @@ proptest! {
 
         let mut segments = Vec::new();
         for p in 0..n {
-            let out = MapScratch::default().map_side(&job, MapState::Own(&state[p]), &stat[p], n, p, &metrics, &mut ())
+            let out = MapScratch::default().map_side(&job, MapState::Own(&state[p]), &mut StaticPart::load(encode_pairs(&stat[p])).unwrap(), n, p, &metrics, &mut ())
                 .unwrap();
             prop_assert_eq!(out.segments.len(), n);
             prop_assert_eq!(out.records_in, stat[p].len() as u64);
@@ -161,7 +162,7 @@ proptest! {
         let mut segments = Vec::new();
         for (p, part) in stat.iter().enumerate() {
             let input = MapState::Broadcast(&global);
-            segments.push(MapScratch::default().map_side(&job, input, part, n, p, &metrics, &mut ()).unwrap().segments);
+            segments.push(MapScratch::default().map_side(&job, input, &mut StaticPart::load(encode_pairs(part)).unwrap(), n, p, &metrics, &mut ()).unwrap().segments);
         }
         let expected = oracle(&stat, |_, _| global.len() as u32);
 
@@ -192,7 +193,7 @@ fn a_state_part_that_does_not_line_up_with_its_static_part_is_a_config_error() {
         match MapScratch::default().map_side(
             &job,
             MapState::Own(&state),
-            &stat,
+            &mut StaticPart::load(encode_pairs::<u32, Vec<u32>>(&stat)).unwrap(),
             2,
             3,
             &metrics,

@@ -147,6 +147,9 @@ impl Dfs {
     /// Reads a whole file from the replica set, preferring a replica
     /// local to `reader`. Remote block bytes are counted as network
     /// traffic and charged at network speed; local blocks at disk speed.
+    /// A file held in one block — every file up to the block size — is
+    /// that block's bytes, shared, not copied; a longer one is its
+    /// blocks concatenated into a fresh buffer.
     pub fn read(
         &self,
         path: &str,
@@ -159,7 +162,8 @@ impl Dfs {
             .file(path)
             .ok_or_else(|| DfsError::NotFound(path.to_owned()))?
             .clone();
-        let mut out = bytes::BytesMut::with_capacity(meta.len as usize);
+        let whole = meta.blocks.len() == 1;
+        let mut out = bytes::BytesMut::with_capacity(if whole { 0 } else { meta.len as usize });
         for block in &meta.blocks {
             let replicas = inner.name.locations(*block);
             let live: Vec<NodeId> = replicas
@@ -186,6 +190,9 @@ impl Dfs {
                 self.metrics.dfs_read_bytes.add(chunk_len);
             } else {
                 self.metrics.dfs_local_read_bytes.add(chunk_len);
+            }
+            if whole {
+                return Ok(chunk);
             }
             out.extend_from_slice(&chunk);
         }
@@ -381,6 +388,49 @@ mod tests {
         );
         fs.read("/f", NodeId(1), &mut clock).unwrap();
         assert_eq!(metrics.dfs_read_bytes.get(), 5_000);
+    }
+
+    #[test]
+    fn a_one_block_read_shares_the_block_and_charges_as_a_copy_did() {
+        let metrics = Arc::new(Metrics::default());
+        let fs = Dfs::with_block_size(
+            Arc::new(ClusterSpec::local(2)),
+            Arc::clone(&metrics),
+            1,
+            1 << 10,
+        );
+        let cost = fs.cluster().cost.clone();
+        let data = Bytes::from((0..1000u32).map(|i| i as u8).collect::<Vec<_>>());
+        fs.write("/one", data.clone(), NodeId(0), &mut TaskClock::default())
+            .unwrap();
+        let (mut local, mut remote) = (TaskClock::default(), TaskClock::default());
+        let near = fs.read("/one", NodeId(0), &mut local).unwrap();
+        let far = fs.read("/one", NodeId(1), &mut remote).unwrap();
+        for back in [&near, &far] {
+            assert_eq!(*back, data);
+            assert_eq!(back.as_ptr(), data.as_ptr(), "the read copied the block");
+        }
+        let disk = cost.disk_time(1000);
+        assert_eq!(local.now().since_epoch(), disk);
+        assert_eq!(
+            remote.now().since_epoch(),
+            disk + cost.remote_transfer_time(1000)
+        );
+        assert_eq!(metrics.dfs_local_read_bytes.get(), 1000);
+        assert_eq!(metrics.dfs_read_bytes.get(), 1000);
+
+        // Three blocks: concatenated into a buffer of the reader's own,
+        // each block charged.
+        let long = Bytes::from((0..2500u32).map(|i| (i % 251) as u8).collect::<Vec<_>>());
+        fs.write("/three", long.clone(), NodeId(0), &mut TaskClock::default())
+            .unwrap();
+        let mut clock = TaskClock::default();
+        let back = fs.read("/three", NodeId(0), &mut clock).unwrap();
+        assert_eq!(back, long);
+        assert_ne!(back.as_ptr(), long.as_ptr());
+        let blocks = cost.disk_time(1024) + cost.disk_time(1024) + cost.disk_time(452);
+        assert_eq!(clock.now().since_epoch(), blocks);
+        assert_eq!(metrics.dfs_local_read_bytes.get(), 1000 + 2500);
     }
 
     #[test]

@@ -44,6 +44,28 @@ pub trait Codec: Sized {
     /// Reads one value from the front of `buf`, consuming its bytes.
     fn decode(buf: &mut Bytes) -> CodecResult<Self>;
 
+    /// [`decode`](Codec::decode) into `slot`, reusing what it owns: a
+    /// reader that decodes record after record into one slot allocates
+    /// only when a record outgrows it. Leaves `slot` equal to what
+    /// `decode` returns and consumes the same bytes; on an error `slot`
+    /// holds an unspecified value.
+    #[inline]
+    fn decode_into(buf: &mut Bytes, slot: &mut Self) -> CodecResult<()> {
+        *slot = Self::decode(buf)?;
+        Ok(())
+    }
+
+    /// Appends `n` values read from the front of `buf` to `out`: the
+    /// elements of an encoded `Vec<Self>`. Fixed-width types read them
+    /// in one slice walk.
+    #[inline]
+    fn decode_many(buf: &mut Bytes, n: usize, out: &mut Vec<Self>) -> CodecResult<()> {
+        for _ in 0..n {
+            out.push(Self::decode(buf)?);
+        }
+        Ok(())
+    }
+
     /// Exact number of bytes [`encode`](Codec::encode) will append.
     fn encoded_len(&self) -> usize;
 
@@ -82,6 +104,34 @@ fn need(buf: &Bytes, n: usize) -> CodecResult<()> {
     }
 }
 
+/// Consumes the next `W` bytes of `buf`.
+#[inline]
+fn take<const W: usize>(buf: &mut Bytes) -> CodecResult<[u8; W]> {
+    let bytes = *buf
+        .chunk()
+        .first_chunk::<W>()
+        .ok_or(CodecError::UnexpectedEof)?;
+    buf.advance(W);
+    Ok(bytes)
+}
+
+/// Appends the `n` big-endian `W`-byte values at the front of `buf` to
+/// `out`, converted by `from`, in one slice walk.
+#[inline]
+fn decode_fixed<T, const W: usize>(
+    buf: &mut Bytes,
+    n: usize,
+    out: &mut Vec<T>,
+    from: impl Fn([u8; W]) -> T,
+) -> CodecResult<()> {
+    let len = n.saturating_mul(W);
+    need(buf, len)?;
+    let (words, _) = buf.chunk()[..len].as_chunks::<W>();
+    out.extend(words.iter().map(|&w| from(w)));
+    buf.advance(len);
+    Ok(())
+}
+
 /// LEB128-style varint, as Hadoop's `VIntWritable` family does for
 /// compactness on skewed graph data.
 #[inline]
@@ -99,6 +149,11 @@ fn encode_varint(mut v: u64, buf: &mut BytesMut) {
 
 #[inline]
 fn decode_varint(buf: &mut Bytes) -> CodecResult<u64> {
+    // One byte — a small length or id — is the common case.
+    if let Some(&byte) = buf.chunk().first().filter(|&&b| b & 0x80 == 0) {
+        buf.advance(1);
+        return Ok(u64::from(byte));
+    }
     let mut v: u64 = 0;
     for shift in (0..64).step_by(7) {
         need(buf, 1)?;
@@ -158,8 +213,11 @@ impl Codec for u32 {
     }
     #[inline]
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
-        need(buf, 4)?;
-        Ok(buf.get_u32())
+        Ok(u32::from_be_bytes(take(buf)?))
+    }
+    #[inline]
+    fn decode_many(buf: &mut Bytes, n: usize, out: &mut Vec<Self>) -> CodecResult<()> {
+        decode_fixed(buf, n, out, u32::from_be_bytes)
     }
     #[inline]
     fn encoded_len(&self) -> usize {
@@ -231,8 +289,11 @@ impl Codec for f64 {
     }
     #[inline]
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
-        need(buf, 8)?;
-        Ok(buf.get_f64())
+        Ok(f64::from_bits(u64::from_be_bytes(take(buf)?)))
+    }
+    #[inline]
+    fn decode_many(buf: &mut Bytes, n: usize, out: &mut Vec<Self>) -> CodecResult<()> {
+        decode_fixed(buf, n, out, |w| f64::from_bits(u64::from_be_bytes(w)))
     }
     #[inline]
     fn encoded_len(&self) -> usize {
@@ -247,8 +308,11 @@ impl Codec for f32 {
     }
     #[inline]
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
-        need(buf, 4)?;
-        Ok(buf.get_f32())
+        Ok(f32::from_bits(u32::from_be_bytes(take(buf)?)))
+    }
+    #[inline]
+    fn decode_many(buf: &mut Bytes, n: usize, out: &mut Vec<Self>) -> CodecResult<()> {
+        decode_fixed(buf, n, out, |w| f32::from_bits(u32::from_be_bytes(w)))
     }
     #[inline]
     fn encoded_len(&self) -> usize {
@@ -303,9 +367,30 @@ impl Codec for String {
         String::from_utf8(raw.to_vec()).map_err(|_| CodecError::Corrupt("invalid utf-8"))
     }
     #[inline]
+    fn decode_into(buf: &mut Bytes, slot: &mut Self) -> CodecResult<()> {
+        let len = decode_varint(buf)? as usize;
+        need(buf, len)?;
+        let raw = buf.split_to(len);
+        let text = std::str::from_utf8(&raw).map_err(|_| CodecError::Corrupt("invalid utf-8"))?;
+        slot.clear();
+        slot.push_str(text);
+        Ok(())
+    }
+    #[inline]
     fn encoded_len(&self) -> usize {
         varint_len(self.len() as u64) + self.len()
     }
+}
+
+/// A `Vec`'s length prefix. Guards against corrupt prefixes asking for
+/// absurd allocations; elements are at least self-delimiting.
+#[inline]
+fn decode_vec_len(buf: &mut Bytes) -> CodecResult<usize> {
+    let len = decode_varint(buf)? as usize;
+    if len > buf.remaining().saturating_mul(8).max(1024) {
+        return Err(CodecError::Corrupt("vec length prefix too large"));
+    }
+    Ok(len)
 }
 
 impl<T: Codec> Codec for Vec<T> {
@@ -318,17 +403,18 @@ impl<T: Codec> Codec for Vec<T> {
     }
     #[inline]
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
-        let len = decode_varint(buf)? as usize;
-        // Guard against corrupt length prefixes asking for absurd
-        // allocations; elements are at least self-delimiting.
-        if len > buf.remaining().saturating_mul(8).max(1024) {
-            return Err(CodecError::Corrupt("vec length prefix too large"));
-        }
+        let len = decode_vec_len(buf)?;
         let mut out = Vec::with_capacity(len.min(1 << 20));
-        for _ in 0..len {
-            out.push(T::decode(buf)?);
-        }
+        T::decode_many(buf, len, &mut out)?;
         Ok(out)
+    }
+    /// Keeps the slot's capacity: cleared, then refilled.
+    #[inline]
+    fn decode_into(buf: &mut Bytes, slot: &mut Self) -> CodecResult<()> {
+        let len = decode_vec_len(buf)?;
+        slot.clear();
+        slot.reserve(len.min(1 << 20));
+        T::decode_many(buf, len, slot)
     }
     #[inline]
     fn encoded_len(&self) -> usize {
@@ -381,6 +467,17 @@ impl<T: Codec> Codec for Option<T> {
         }
     }
     #[inline]
+    fn decode_into(buf: &mut Bytes, slot: &mut Self) -> CodecResult<()> {
+        need(buf, 1)?;
+        match (buf.get_u8(), slot) {
+            (0, slot) => *slot = None,
+            (1, Some(v)) => T::decode_into(buf, v)?,
+            (1, slot) => *slot = Some(T::decode(buf)?),
+            _ => return Err(CodecError::Corrupt("option discriminant")),
+        }
+        Ok(())
+    }
+    #[inline]
     fn encoded_len(&self) -> usize {
         1 + self.as_ref().map_or(0, Codec::encoded_len)
     }
@@ -395,6 +492,11 @@ impl<A: Codec, B: Codec> Codec for (A, B) {
     #[inline]
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
         Ok((A::decode(buf)?, B::decode(buf)?))
+    }
+    #[inline]
+    fn decode_into(buf: &mut Bytes, slot: &mut Self) -> CodecResult<()> {
+        A::decode_into(buf, &mut slot.0)?;
+        B::decode_into(buf, &mut slot.1)
     }
     #[inline]
     fn encoded_len(&self) -> usize {
@@ -412,6 +514,12 @@ impl<A: Codec, B: Codec, C: Codec> Codec for (A, B, C) {
     #[inline]
     fn decode(buf: &mut Bytes) -> CodecResult<Self> {
         Ok((A::decode(buf)?, B::decode(buf)?, C::decode(buf)?))
+    }
+    #[inline]
+    fn decode_into(buf: &mut Bytes, slot: &mut Self) -> CodecResult<()> {
+        A::decode_into(buf, &mut slot.0)?;
+        B::decode_into(buf, &mut slot.1)?;
+        C::decode_into(buf, &mut slot.2)
     }
     #[inline]
     fn encoded_len(&self) -> usize {
@@ -572,12 +680,107 @@ mod tests {
         assert_eq!(back, pairs);
     }
 
+    /// `decode_into` over a slot pre-filled with `longer`, then with
+    /// `shorter`, leaves exactly `decode`'s value, consumes exactly its
+    /// bytes, and fails with its error on every truncation.
+    fn decode_into_agrees<T: Codec + PartialEq + fmt::Debug + Clone>(v: T, longer: T, shorter: T) {
+        let mut buf = BytesMut::new();
+        v.encode(&mut buf);
+        buf.put_u8(0xab);
+        let (src, whole) = (buf.freeze(), v.encoded_len());
+        for prefilled in [longer, shorter] {
+            let (mut by_decode, mut by_into) = (src.clone(), src.clone());
+            let mut slot = prefilled.clone();
+            let want = T::decode(&mut by_decode).expect("decode");
+            T::decode_into(&mut by_into, &mut slot).expect("decode_into");
+            assert_eq!(slot, want, "over {prefilled:?}");
+            assert_eq!(want, v);
+            assert_eq!(by_into.remaining(), by_decode.remaining(), "{v:?}");
+            assert_eq!(by_into.remaining(), 1, "{v:?}");
+            for cut in 0..whole {
+                let (mut a, mut b) = (src.slice(..cut), src.slice(..cut));
+                let mut slot = prefilled.clone();
+                let want = T::decode(&mut a).err();
+                assert!(want.is_some(), "{v:?} cut at {cut} decodes");
+                assert_eq!(
+                    T::decode_into(&mut b, &mut slot).err(),
+                    want,
+                    "{v:?} cut at {cut}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn decode_into_is_decode_over_any_slot() {
+        decode_into_agrees(200u8, 1, 0);
+        decode_into_agrees(300u16, u16::MAX, 0);
+        decode_into_agrees(7u32, u32::MAX, 0);
+        decode_into_agrees(1u64 << 40, u64::MAX, 0);
+        decode_into_agrees(9usize, usize::MAX, 0);
+        decode_into_agrees(-5i64, i64::MIN, 0);
+        decode_into_agrees(-5i32, i32::MAX, 0);
+        decode_into_agrees(-1.5f64, f64::MAX, 0.0);
+        decode_into_agrees(2.5f32, f32::MIN, 0.0);
+        decode_into_agrees(true, false, false);
+        decode_into_agrees((), (), ());
+        decode_into_agrees("kmeans".to_owned(), "a longer string".into(), "k".into());
+        decode_into_agrees(
+            Bytes::from(vec![1, 2, 3]),
+            Bytes::from(vec![9; 8]),
+            Bytes::new(),
+        );
+        // K-means' point, PageRank's adjacency, SSSP's `Adj`.
+        decode_into_agrees(vec![0.5f64, -2.0, 1e300], vec![7.0; 9], vec![1.0]);
+        decode_into_agrees(vec![3u32, 1, 4, 1, 5], vec![0; 12], Vec::new());
+        decode_into_agrees(
+            vec![(1u32, 0.5f32), (9, 2.0)],
+            vec![(0, 0.0); 5],
+            Vec::new(),
+        );
+        // Jacobi's `Row`.
+        decode_into_agrees(
+            (vec![(1u32, 0.25f64), (3, -1.0)], 4.0f64, 1.0f64),
+            (vec![(0, 0.0); 6], 0.0, 0.0),
+            (Vec::new(), 1.0, 2.0),
+        );
+        decode_into_agrees(Some(vec![1u32, 2]), Some(vec![0; 7]), None);
+        decode_into_agrees(None, Some(vec![1u32, 2]), None);
+        decode_into_agrees(
+            vec!["a".to_owned(), "bc".into()],
+            vec!["x".into(); 3],
+            Vec::new(),
+        );
+        decode_into_agrees(
+            (42u32, vec![1.0f64; 8]),
+            (0, vec![0.0; 16]),
+            (1, Vec::new()),
+        );
+    }
+
+    #[test]
+    fn fixed_width_vectors_decode_like_their_elements() {
+        let xs: Vec<f64> = (0..20).map(|i| f64::from(i) * -0.75).collect();
+        let mut buf = xs.to_bytes();
+        assert_eq!(decode_varint(&mut buf), Ok(20));
+        let one_by_one: Vec<f64> = (0..20).map(|_| f64::decode(&mut buf).unwrap()).collect();
+        assert_eq!(one_by_one, xs);
+        assert_eq!(Vec::<f64>::decode(&mut xs.to_bytes()), Ok(xs));
+        let ids: Vec<u32> = (0..9).map(|i| i * 0x0101_0101).collect();
+        assert_eq!(Vec::<u32>::decode(&mut ids.to_bytes()), Ok(ids));
+        let fs = vec![1.5f32, -0.0, f32::MAX];
+        assert_eq!(Vec::<f32>::decode(&mut fs.to_bytes()), Ok(fs));
+    }
+
     #[test]
     fn invalid_utf8_string_is_an_error() {
         let mut buf = BytesMut::new();
         encode_varint(2, &mut buf);
         buf.put_slice(&[0xff, 0xfe]);
-        let mut bytes = buf.freeze();
-        assert!(String::decode(&mut bytes).is_err());
+        let bytes = buf.freeze();
+        assert!(String::decode(&mut bytes.clone()).is_err());
+        let mut slot = String::from("kept");
+        let err = String::decode_into(&mut bytes.clone(), &mut slot);
+        assert_eq!(err, Err(CodecError::Corrupt("invalid utf-8")));
     }
 }

@@ -123,9 +123,9 @@ pub struct ShuffleScratch {
     words: Vec<Vec<u64>>,
     /// The radix sort's second buffer.
     tmp: Vec<u64>,
-    /// A delta round's folded records for one destination, before they
-    /// are copied out as its segment.
-    folded: BytesMut,
+    /// Per destination, the length of the last delta-round segment: the
+    /// room the next one starts with.
+    rooms: Vec<usize>,
 }
 
 impl ShuffleScratch {
@@ -231,8 +231,9 @@ impl ShuffleScratch {
     /// except that each run of equal keys is folded — in (key, emission)
     /// order, the first value seeding the key's accumulator — and
     /// encoded as one record. Each destination is folded and encoded in
-    /// one walk into the scratch's own buffer, whose exact bytes are
-    /// then copied out as the segment. Charges `cost` a sort of each
+    /// one walk into a buffer that is then frozen into its segment,
+    /// uncopied, and starts with room for as many bytes as the
+    /// destination's previous segment. Charges `cost` a sort of each
     /// destination's folded records.
     pub fn shuffle_folded<K: Key, V: Value>(
         &mut self,
@@ -243,23 +244,25 @@ impl ShuffleScratch {
         cost: &mut impl ShuffleCost,
     ) -> Result<ShuffleOut, ShuffleError> {
         self.route(pairs, n, partition)?;
-        let ShuffleScratch { words, folded, .. } = self;
+        let ShuffleScratch { words, rooms, .. } = self;
+        rooms.resize(n, 0);
         let mut out = ShuffleOut::with_capacity(n);
-        for words in words.iter() {
+        for (words, room) in words.iter().zip(rooms.iter_mut()) {
             let mut run = indices(words).map(|i| &pairs[i]).peekable();
-            folded.clear();
+            let mut segment = BytesMut::with_capacity(*room);
             let mut records = 0;
             while let Some((k, first)) = run.next() {
                 let mut acc = first.clone();
                 while let Some((_, v)) = run.next_if(|(next, _)| next == k) {
                     fold(k, &mut acc, v.clone());
                 }
-                k.encode(folded);
-                acc.encode(folded);
+                k.encode(&mut segment);
+                acc.encode(&mut segment);
                 records += 1;
             }
             cost.sorted(records as u64);
-            out.push(Bytes::from(folded.to_vec()), records);
+            *room = segment.len();
+            out.push(segment.freeze(), records);
         }
         pairs.clear();
         Ok(out)

@@ -2,6 +2,7 @@
 //! the same generated data and must agree with each other and with the
 //! sequential references.
 
+use bytes::Bytes;
 use imapreduce::{FailureEvent, IterConfig, IterEngine, IterOutcome, LoadBalance, WatchdogConfig};
 use imr_algorithms::concomp::ConCompIter;
 use imr_algorithms::kmeans::{KmState, KmeansIter};
@@ -12,8 +13,10 @@ use imr_algorithms::testutil::{
 };
 use imr_algorithms::{concomp, jacobi, kmeans, matpower, pagerank, sssp};
 use imr_graph::{dataset, generate_matrix, generate_points, Graph};
+use imr_mapreduce::io::part_path;
 use imr_mapreduce::EngineError;
 use imr_native::NativeRunner;
+use imr_records::{decode_pairs, encode_pairs};
 use imr_simcluster::{ClusterSpec, NodeId, TaskClock};
 use std::time::Duration;
 
@@ -995,4 +998,87 @@ fn a_fault_on_a_node_the_cluster_lacks_is_a_config_error_on_both_engines() {
         "threads",
         threads.run(&SsspIter, &cfg, "/s", "/t", "/o", &kill),
     );
+}
+
+/// What a test does to a static part's bytes.
+type Spoil = fn(Bytes) -> Bytes;
+
+/// Loads PageRank's parts for two pairs, rewrites pair 1's static part
+/// with `spoil`, and runs the job in the mode `cfg` names: the error it
+/// must end in.
+fn spoiled_run(runner: &impl IterEngine, g: &Graph, cfg: &IterConfig, spoil: Spoil) -> EngineError {
+    let dfs = runner.dfs();
+    pagerank::load_pagerank_imr(runner, g, 2, "/bad/state", "/bad/static").unwrap();
+    let path = part_path("/bad/static", 1);
+    let raw = dfs
+        .read(&path, NodeId(0), &mut TaskClock::default())
+        .unwrap();
+    dfs.put(&path, spoil(raw), NodeId(0), &mut TaskClock::default())
+        .unwrap();
+    let job = PageRankIter::new(g.num_nodes() as u64);
+    let (state, stat, out) = ("/bad/state", "/bad/static", "/bad/out");
+    let result = if cfg.accumulative {
+        runner.run_accumulative(&job, cfg, state, stat, out, &[])
+    } else {
+        runner.run(&job, cfg, state, stat, out, &[])
+    };
+    match result {
+        Err(e) => e,
+        Ok(out) => panic!("a spoiled static part ran {} iterations", out.iterations),
+    }
+}
+
+/// A static part cut short inside a record, and one whose keys are out
+/// of line with the state's, are typed errors on the simulator, the
+/// thread fabric and TCP worker processes, in the map/reduce loop and
+/// the delta loop alike — never a panic or a hang.
+#[test]
+fn a_spoiled_static_part_is_a_typed_error_on_every_engine() {
+    let g = dataset("Google").unwrap().generate(0.003);
+    let nodes = g.num_nodes().to_string();
+    let truncate = |raw: Bytes| raw.slice(..raw.len() - 3);
+    let misalign = |raw: Bytes| {
+        let mut rows: Vec<(u32, Vec<u32>)> = decode_pairs(raw).unwrap();
+        rows.last_mut().unwrap().0 = u32::MAX;
+        encode_pairs(&rows)
+    };
+    let cases: [(&str, Spoil, &str); 2] = [
+        ("truncated", truncate, "unexpected end of record stream"),
+        (
+            "misaligned",
+            misalign,
+            "state/static keys diverged at pair 1",
+        ),
+    ];
+    for (what, spoil, needle) in cases {
+        for delta in [false, true] {
+            let mut cfg = IterConfig::new("spoiled", 2, 3);
+            if delta {
+                cfg = cfg.with_accumulative_mode().with_distance_threshold(1e-9);
+            }
+            let sim = spoiled_run(&imr_runner(2), &g, &cfg, spoil);
+            let threads = spoiled_run(&native_runner(2), &g, &cfg, spoil);
+            let tcp_cfg = cfg.clone().with_tcp_transport();
+            let tcp = tcp_runner(2, WORKER, &["pagerank", &nodes]);
+            let tcp = spoiled_run(&tcp, &g, &tcp_cfg, spoil);
+            for (engine, err) in [("sim", &sim), ("threads", &threads), ("tcp", &tcp)] {
+                let msg = err.to_string();
+                assert!(
+                    msg.contains(needle),
+                    "{what}, delta={delta}, {engine}: {msg}"
+                );
+                assert!(
+                    !msg.contains("panicked"),
+                    "{what}, delta={delta}, {engine}: {msg}"
+                );
+            }
+            for (engine, err) in [("sim", sim), ("threads", threads)] {
+                let typed = match what {
+                    "truncated" => matches!(err, EngineError::Codec(_)),
+                    _ => matches!(err, EngineError::Config(_)),
+                };
+                assert!(typed, "{what}, delta={delta}, {engine}: {err:?}");
+            }
+        }
+    }
 }

@@ -10,17 +10,27 @@
 //! coordinates, a sorted index over them and a table of per-centroid
 //! groups — which is ≈ 2.5 × the encoded static data.
 //!
+//! The load itself is held to a budget too: from just before the run
+//! to the first map call, the live heap may rise by the pairs' state and
+//! buffers — each pair holds its static part as the encoded bytes the
+//! DFS already holds (`imapreduce::StaticPart`) — not by a read copy or
+//! a decoded copy of the records. The budget leaves room for four bytes
+//! of offset per record, which a delta-mode part keeps.
+//!
 //! This file is its own test crate so that the counting allocator — an
 //! `unsafe` impl, kept out of the libraries — stays here, and it holds
 //! one test so that nothing else allocates while it counts.
 
 use imapreduce::{Emitter, IterConfig, IterativeJob, StateInput};
 use imr_algorithms::kmeans::{load_kmeans_imr, KmState, KmeansIter};
-use imr_algorithms::testutil::native_runner;
+use imr_dfs::Dfs;
 use imr_graph::generate_points;
 use imr_mapreduce::io::part_path;
+use imr_native::NativeRunner;
+use imr_simcluster::{ClusterSpec, Metrics, MetricsHandle};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Bytes allocated and not yet freed, on every thread.
 static LIVE: AtomicU64 = AtomicU64::new(0);
@@ -66,9 +76,11 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// Set until the first map call of the run; that call records the
-/// post-load level and restarts the high-water mark from it.
+/// load's high-water mark and the post-load level, and restarts the
+/// high-water mark from the latter.
 static ARMED: AtomicBool = AtomicBool::new(false);
 static POST_LOAD: AtomicU64 = AtomicU64::new(0);
+static LOAD_HIGH: AtomicU64 = AtomicU64::new(0);
 
 /// K-means with the combiner, marking the moment the first map runs.
 /// One2all maps are synchronous: no pair maps before every pair has
@@ -89,6 +101,7 @@ impl IterativeJob for MarksPostLoad {
         out: &mut Emitter<u32, KmState>,
     ) {
         if ARMED.swap(false, Ordering::SeqCst) {
+            LOAD_HIGH.store(HIGH.load(Ordering::SeqCst), Ordering::SeqCst);
             let live = LIVE.load(Ordering::SeqCst);
             POST_LOAD.store(live, Ordering::SeqCst);
             HIGH.store(live, Ordering::SeqCst);
@@ -119,10 +132,18 @@ impl IterativeJob for MarksPostLoad {
 
 const PAIRS: usize = 2;
 
+/// How far the load may lift the live heap, as a multiple of the
+/// encoded static bytes.
+const LOAD_BUDGET: f64 = 0.1;
+
 #[test]
 fn iterations_lift_the_live_heap_by_at_most_a_quarter_of_the_static_data() {
     let points = generate_points(40_000, 8, 16, 5);
-    let runner = native_runner(PAIRS);
+    // At the default block size each part is one block, as in a
+    // deployment: the DFS hands a pair the block it holds.
+    let spec = Arc::new(ClusterSpec::local(PAIRS));
+    let metrics: MetricsHandle = Arc::new(Metrics::default());
+    let runner = NativeRunner::new(Dfs::new(spec, Arc::clone(&metrics), 3), metrics);
     load_kmeans_imr(&runner, &points, 16, PAIRS, "/km/state", "/km/static").expect("loads");
     let encoded: u64 = (0..PAIRS)
         .map(|p| runner.dfs().len(&part_path("/km/static", p)).expect("part"))
@@ -130,6 +151,8 @@ fn iterations_lift_the_live_heap_by_at_most_a_quarter_of_the_static_data() {
 
     let cfg = IterConfig::new("km", PAIRS, 3).with_one2all();
     let job = MarksPostLoad(KmeansIter { combiner: true });
+    let pre_run = LIVE.load(Ordering::SeqCst);
+    HIGH.store(pre_run, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
     let out = runner
         .run(&job, &cfg, "/km/state", "/km/static", "/km/out", &[])
@@ -147,5 +170,17 @@ fn iterations_lift_the_live_heap_by_at_most_a_quarter_of_the_static_data() {
         4 * lift <= encoded,
         "iterations lift the live heap {lift} bytes above the post-load level: \
          {ratio:.2}x the {encoded} encoded static bytes (budget 0.25x)"
+    );
+
+    let load = LOAD_HIGH.load(Ordering::SeqCst).saturating_sub(pre_run);
+    let load_ratio = load as f64 / encoded as f64;
+    println!(
+        "live heap high-water during the load, above the pre-run level: {load} bytes, \
+         {load_ratio:.3}x the {encoded} encoded static bytes"
+    );
+    assert!(
+        load_ratio <= LOAD_BUDGET,
+        "loading lifts the live heap {load} bytes above the pre-run level: \
+         {load_ratio:.2}x the {encoded} encoded static bytes (budget {LOAD_BUDGET}x)"
     );
 }

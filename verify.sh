@@ -24,12 +24,14 @@
 #                          # panic site in imr-net / imr-native, the sim
 #                          # drivers (engine, aux, multiphase, incremental),
 #                          # the core and shuffle kernels (accum, kernel,
-#                          # shuffle, sorted, codec), core's store, observe,
+#                          # static_part, shuffle, sorted, codec), core's store, observe,
 #                          # iter_engine, ctl and supervise, or the DFS facade and
 #                          # snapshot naming (dfs lib, snapshot), and the
 #                          # iteration kernel (map_side, reduce_side,
 #                          # delta_out, delta_in) called from the pair loop
-#                          # (crates/core/src/pair.rs) alone, and a
+#                          # (crates/core/src/pair.rs) alone, the
+#                          # static dir read in pair.rs through
+#                          # StaticPart alone (no ctx.load of it), and a
 #                          # rollback recorded (migration_marker,
 #                          # flight_path, recoveries.add, migrations.add)
 #                          # by the master (crates/core/src/supervise.rs)
@@ -431,7 +433,8 @@ cmd_drift() {
   # imr-net, imr-native, the sim driver (crates/core/src/{engine,aux}.rs),
   # the two-phase and incremental drivers
   # (crates/core/src/{multiphase,incremental}.rs), the iteration kernel
-  # and delta store (crates/core/src/{accum,kernel}.rs), the pair loop
+  # and delta store (crates/core/src/{accum,kernel}.rs), the static part
+  # both loops read in place (crates/core/src/static_part.rs), the pair loop
   # every engine runs and the simulator's turn-taking environment for it
   # (crates/core/src/{pair,sim_env}.rs), the master every engine
   # recovers through (crates/core/src/supervise.rs), the input checks,
@@ -444,7 +447,7 @@ cmd_drift() {
   # directly above it.
   local panics
   panics=$(rust_code 1 $(find crates/net/src crates/native/src -name '*.rs' | sort) \
-      crates/core/src/{accum,aux,ctl,engine,incremental,iter_engine,kernel,multiphase,observe,pair,sim_env,store,supervise}.rs \
+      crates/core/src/{accum,aux,ctl,engine,incremental,iter_engine,kernel,multiphase,observe,pair,sim_env,static_part,store,supervise}.rs \
       crates/dfs/src/{lib,snapshot}.rs \
       crates/records/src/{shuffle,sorted,codec}.rs \
     | { grep -E '^[^:]+:[0-9]+:[^@].*(\.unwrap\(\)|\.expect\(|(^|[^A-Za-z0-9_])((debug_)?assert(_eq|_ne)?|unreachable|panic|todo|unimplemented)!)' \
@@ -478,6 +481,17 @@ cmd_drift() {
   [ -z "$kernel_calls" ] \
     || { echo "drift: the iteration kernel is called outside the pair loop (crates/core/src/pair.rs):" >&2; echo "$kernel_calls" >&2; exit 1; }
   echo "drift: map_side, reduce_side, delta_out and delta_in are called from the pair loop alone"
+
+  # The static part lives once, in place: the pair loop reads the
+  # static dir into a `StaticPart` (the bytes it read, decoded one
+  # record per map or extract call), never into a decoded `Vec` through
+  # `PairCtx::load`.
+  local static_loads
+  static_loads=$(rust_code 1 crates/core/src/pair.rs \
+    | { grep -E 'ctx\.load(::<[^>]*>)?\(&dirs\.static_dir' || true; })
+  [ -z "$static_loads" ] \
+    || { echo "drift: the pair loop decodes its static part through ctx.load (hold it as a StaticPart):" >&2; echo "$static_loads" >&2; exit 1; }
+  echo "drift: the pair loop reads its static part through StaticPart alone"
 
   # One master: outside #[cfg(test)], the incident record of a rollback
   # (the migration marker, the flight dump) and the recovery and
