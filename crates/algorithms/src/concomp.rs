@@ -169,42 +169,31 @@ pub fn load_concomp_imr(
     Ok(())
 }
 
-/// Runs connected components under iMapReduce, terminating when no
-/// label changes (distance threshold below one label flip).
+/// Runs connected components under iMapReduce; with a distance
+/// threshold below one label flip (0.5) it stops once no label changes.
 pub fn run_concomp_imr(
     runner: &impl IterEngine,
     graph: &Graph,
-    num_tasks: usize,
-    max_iterations: usize,
+    cfg: &IterConfig,
 ) -> Result<IterOutcome<u32, u32>, EngineError> {
-    load_concomp_imr(runner, graph, num_tasks, "/cc/state", "/cc/static")?;
-    let cfg = IterConfig::new("concomp", num_tasks, max_iterations).with_distance_threshold(0.5);
-    runner.run(
-        &ConCompIter,
-        &cfg,
-        "/cc/state",
-        "/cc/static",
-        "/cc/out",
-        &[],
-    )
+    load_concomp_imr(runner, graph, cfg.num_tasks, "/cc/state", "/cc/static")?;
+    runner.run(&ConCompIter, cfg, "/cc/state", "/cc/static", "/cc/out", &[])
 }
 
-/// Runs connected components in barrier-free delta-accumulative mode:
-/// labels propagate as `min` deltas and the detector stops when no
-/// pending label improvement remains anywhere.
+/// Runs connected components in barrier-free delta-accumulative mode
+/// (`cfg` must carry `with_accumulative_mode()` and a distance
+/// threshold): labels propagate as `min` deltas and, below one label
+/// flip (0.5), the detector stops when no pending label improvement
+/// remains anywhere.
 pub fn run_concomp_delta(
     runner: &impl IterEngine,
     graph: &Graph,
-    num_tasks: usize,
-    max_checks: usize,
+    cfg: &IterConfig,
 ) -> Result<IterOutcome<u32, u32>, EngineError> {
-    load_concomp_imr(runner, graph, num_tasks, "/ccd/state", "/ccd/static")?;
-    let cfg = IterConfig::new("concomp-delta", num_tasks, max_checks)
-        .with_accumulative_mode()
-        .with_distance_threshold(0.5);
+    load_concomp_imr(runner, graph, cfg.num_tasks, "/ccd/state", "/ccd/static")?;
     runner.run_accumulative(
         &ConCompIter,
-        &cfg,
+        cfg,
         "/ccd/state",
         "/ccd/static",
         "/ccd/out",
@@ -241,11 +230,17 @@ mod tests {
     use crate::testutil::imr_runner;
     use imr_graph::{generate_graph, pagerank_degree_dist, Graph};
 
+    /// `tasks` pairs, up to `iters` iterations, stopping once no label
+    /// changes.
+    fn cfg(tasks: usize, iters: usize) -> IterConfig {
+        IterConfig::new("concomp", tasks, iters).with_distance_threshold(0.5)
+    }
+
     #[test]
     fn labels_converge_to_min_reachable_ancestor() {
         let g = generate_graph(200, 900, pagerank_degree_dist(), 15);
         let r = imr_runner(4);
-        let out = run_concomp_imr(&r, &g, 4, 100).unwrap();
+        let out = run_concomp_imr(&r, &g, &cfg(4, 100)).unwrap();
         assert!(out.iterations < 100, "should reach a fixed point");
         let expect = reference_concomp(&g, 200);
         for (k, l) in &out.final_state {
@@ -257,9 +252,9 @@ mod tests {
     fn accumulative_labels_match_the_sync_fixpoint() {
         let g = generate_graph(200, 900, pagerank_degree_dist(), 15);
         let r = imr_runner(4);
-        let sync = run_concomp_imr(&r, &g, 4, 100).unwrap();
+        let sync = run_concomp_imr(&r, &g, &cfg(4, 100)).unwrap();
         let rd = imr_runner(4);
-        let delta = run_concomp_delta(&rd, &g, 4, 100).unwrap();
+        let delta = run_concomp_delta(&rd, &g, &cfg(4, 100).with_accumulative_mode()).unwrap();
         assert!(delta.iterations < 100, "should reach a fixed point");
         assert_eq!(sync.final_state, delta.final_state);
     }
@@ -269,7 +264,7 @@ mod tests {
         // 0 <-> 1 <-> 2 <-> 3: one component, min label 0.
         let g = Graph::from_adjacency(vec![vec![1], vec![0, 2], vec![1, 3], vec![2]]);
         let r = imr_runner(2);
-        let out = run_concomp_imr(&r, &g, 2, 20).unwrap();
+        let out = run_concomp_imr(&r, &g, &cfg(2, 20)).unwrap();
         assert!(
             out.final_state.iter().all(|&(_, l)| l == 0),
             "{:?}",
@@ -282,7 +277,7 @@ mod tests {
         // {0,1} and {2,3} disconnected.
         let g = Graph::from_adjacency(vec![vec![1], vec![0], vec![3], vec![2]]);
         let r = imr_runner(2);
-        let out = run_concomp_imr(&r, &g, 2, 20).unwrap();
+        let out = run_concomp_imr(&r, &g, &cfg(2, 20)).unwrap();
         assert_eq!(out.final_state, vec![(0, 0), (1, 0), (2, 2), (3, 2)]);
     }
 }

@@ -966,7 +966,7 @@ fn mapreduce_sim_timeline_is_pinned() {
         5_866_889_550,
     ];
     assert_eq!(nanos(&out.report.iteration_done), pinned_one2one);
-    assert_eq!(out.report.finished.as_nanos(), 5_876_031_822);
+    assert_eq!(out.report.finished.as_nanos(), 5_875_394_350);
 
     let r = runner_on(ClusterSpec::local(2));
     load_kmeans(&r, 2);

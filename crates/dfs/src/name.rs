@@ -21,7 +21,7 @@ pub struct FileMeta {
 /// Deterministic placement: the first replica lands on the writer's node
 /// (HDFS's write-locality rule) and the remaining replicas are assigned
 /// round-robin over the other nodes, rotated by block id so replicas
-/// spread evenly.
+/// spread evenly. A failed node gets no replica.
 #[derive(Debug)]
 pub struct NameNode {
     files: BTreeMap<String, FileMeta>,
@@ -29,6 +29,7 @@ pub struct NameNode {
     next_block: u64,
     cluster_size: usize,
     replication: usize,
+    dead: Vec<bool>,
 }
 
 impl NameNode {
@@ -42,6 +43,7 @@ impl NameNode {
             next_block: 0,
             cluster_size,
             replication: replication.clamp(1, cluster_size),
+            dead: vec![false; cluster_size],
         }
     }
 
@@ -51,22 +53,29 @@ impl NameNode {
     }
 
     /// Allocates a fresh block written by `writer`, returning its id and
-    /// chosen replica locations (writer first).
+    /// chosen replica locations (writer first, unless it failed).
     pub fn allocate_block(&mut self, writer: NodeId) -> (BlockId, Vec<NodeId>) {
         let id = BlockId(self.next_block);
         self.next_block += 1;
         let mut nodes = Vec::with_capacity(self.replication);
-        nodes.push(writer);
-        let mut cursor = (id.0 as usize + writer.index() + 1) % self.cluster_size;
-        while nodes.len() < self.replication {
-            let candidate = NodeId(cursor as u32);
-            if !nodes.contains(&candidate) {
-                nodes.push(candidate);
-            }
-            cursor = (cursor + 1) % self.cluster_size;
+        if !self.dead[writer.index()] {
+            nodes.push(writer);
         }
+        self.fill(&mut nodes, id.0 as usize + writer.index() + 1);
         self.replicas.insert(id, nodes.clone());
         (id, nodes)
+    }
+
+    /// Adds live nodes to `nodes`, round-robin from node `cursor` (mod
+    /// the cluster size), until it holds the replication factor or every
+    /// live node.
+    fn fill(&self, nodes: &mut Vec<NodeId>, cursor: usize) {
+        for i in (cursor..cursor + self.cluster_size).map(|c| c % self.cluster_size) {
+            let candidate = NodeId(i as u32);
+            if nodes.len() < self.replication && !self.dead[i] && !nodes.contains(&candidate) {
+                nodes.push(candidate);
+            }
+        }
     }
 
     /// Records a completed file.
@@ -113,6 +122,7 @@ impl NameNode {
     /// Drops every replica hosted on `node` (node failure). Returns the
     /// blocks that lost their last replica.
     pub fn fail_node(&mut self, node: NodeId) -> Vec<BlockId> {
+        self.dead[node.index()] = true;
         let mut lost = Vec::new();
         for (block, nodes) in &mut self.replicas {
             nodes.retain(|&n| n != node);
@@ -121,6 +131,23 @@ impl NameNode {
             }
         }
         lost
+    }
+
+    /// HDFS's re-replication: every block that kept a live replica gets
+    /// new ones on live nodes until it holds the replication factor or
+    /// every live node. Returns each copy to make as `(block, from, to)`.
+    pub fn re_replicate(&mut self) -> Vec<(BlockId, NodeId, NodeId)> {
+        let mut replicas = std::mem::take(&mut self.replicas);
+        let mut copies = Vec::new();
+        for (block, nodes) in &mut replicas {
+            let (Some(&from), held) = (nodes.first(), nodes.len()) else {
+                continue;
+            };
+            self.fill(nodes, block.0 as usize + 1);
+            copies.extend(nodes[held..].iter().map(|&to| (*block, from, to)));
+        }
+        self.replicas = replicas;
+        copies
     }
 
     /// All paths with the given prefix, in lexicographic order.
@@ -187,6 +214,28 @@ mod tests {
         assert_eq!(nodes, vec![NodeId(0)]);
         let lost = nn.fail_node(NodeId(0));
         assert_eq!(lost, vec![b]);
+    }
+
+    #[test]
+    fn a_failed_node_gets_no_replica_and_re_replication_restores_the_factor() {
+        let mut nn = NameNode::new(4, 3);
+        let (b, before) = nn.allocate_block(NodeId(0));
+        assert!(nn.fail_node(NodeId(0)).is_empty());
+        assert_eq!(nn.locations(b).len(), 2);
+        let copies = nn.re_replicate();
+        assert_eq!(copies.len(), 1);
+        assert_eq!(nn.locations(b).len(), 3);
+        assert!(!nn.locations(b).contains(&NodeId(0)));
+        assert_eq!(copies[0].1, before[1]);
+        // Written on the failed node, a block lands on live nodes only.
+        let (_, nodes) = nn.allocate_block(NodeId(0));
+        assert_eq!(nodes.len(), 3);
+        assert!(!nodes.contains(&NodeId(0)));
+        // With one live node left, it holds every surviving block.
+        nn.fail_node(NodeId(1));
+        nn.fail_node(NodeId(2));
+        nn.re_replicate();
+        assert_eq!(nn.locations(b), [NodeId(3)]);
     }
 
     #[test]

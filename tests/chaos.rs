@@ -7,9 +7,8 @@
 //! yield a typed error, never a hang or a panic.
 
 use imapreduce::{ChaosConfig, IterConfig, IterOutcome, NetPolicy, WatchdogConfig};
-use imr_algorithms::concomp::{self, ConCompIter};
 use imr_algorithms::testutil::tcp_runner;
-use imr_algorithms::{kmeans, pagerank, sssp};
+use imr_algorithms::{concomp, kmeans, pagerank, sssp};
 use imr_graph::{dataset, generate_points};
 use imr_jobs::{AlgoSpec, EngineSel, JobPhase, JobService, JobSpec, ServiceConfig};
 use imr_mapreduce::EngineError;
@@ -131,8 +130,7 @@ fn chaos_concomp_matches_clean() {
 
     let run = |cfg: &IterConfig| {
         let rt = tcp_runner(4, WORKER, &["concomp"]);
-        concomp::load_concomp_imr(&rt, &g, 2, "/s", "/t").unwrap();
-        rt.run(&ConCompIter, cfg, "/s", "/t", "/o", &[]).unwrap()
+        concomp::run_concomp_imr(&rt, &g, cfg).unwrap()
     };
     let clean = run(&cfg);
     let chaos = run(&chaotic(cfg, 37));

@@ -1,17 +1,30 @@
 //! Workspace-level property tests: cross-crate invariants on random
 //! inputs.
 
-use imapreduce::{FailureEvent, FaultEvent, IterConfig, IterEngine, WatchdogConfig};
+use imapreduce::{FailureEvent, FaultEvent, IterConfig, IterEngine, IterOutcome, WatchdogConfig};
 use imr_algorithms::sssp::SsspIter;
 use imr_algorithms::testutil::{imr_runner, native_runner};
 use imr_algorithms::{pagerank, sssp};
 use imr_graph::{
     generate_graph, generate_weighted_graph, pagerank_degree_dist, sssp_degree_dist,
-    sssp_weight_dist,
+    sssp_weight_dist, Graph,
 };
 use imr_simcluster::NodeId;
 use proptest::prelude::*;
 use std::time::Duration;
+
+/// Loads SSSP from node 0 of `g` and runs it on `runner` under `faults`.
+fn sssp_faulted(
+    runner: &impl IterEngine,
+    g: &Graph,
+    cfg: &IterConfig,
+    faults: &[FaultEvent],
+) -> IterOutcome<u32, f64> {
+    sssp::load_sssp_imr(runner, g, 0, cfg.num_tasks, "/s", "/t").unwrap();
+    runner
+        .run_faults(&SsspIter, cfg, "/s", "/t", "/o", faults)
+        .unwrap()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -145,10 +158,13 @@ proptest! {
         }
     }
 
-    /// Mixed kill/hang schedules on the native backend: killed pairs
+    /// Mixed kill/hang schedules on the native backend and the
+    /// simulator, with and without a distance threshold: killed pairs
     /// are detected instantly, hung pairs only through the watchdog's
     /// stall timeout — and recovery from either (including both in the
-    /// same generation) leaves the run bit-identical to a clean one.
+    /// same generation) leaves the run bit-identical to a clean one, and
+    /// the simulator's run bit-identical to the threads' one, recoveries
+    /// and migrations included.
     #[test]
     fn native_mixed_kill_hang_schedules_are_invisible(
         seed in any::<u64>(),
@@ -169,26 +185,35 @@ proptest! {
         // the watchdog path at least once.
         faults.push(FaultEvent::Hang { node: NodeId(1), at_iteration: 3 });
 
-        let cfg = IterConfig::new("sssp", 4, iters)
-            .with_checkpoint_interval(2)
-            .with_watchdog(WatchdogConfig {
-                poll: Duration::from_millis(5),
-                stall_timeout: Duration::from_millis(150),
-            });
-        let failed = {
-            let r = native_runner(4);
-            sssp::load_sssp_imr(&r, &g, 0, 4, "/s", "/t").unwrap();
-            r.run_faults(&SsspIter, &cfg, "/s", "/t", "/o", &faults).unwrap()
-        };
-        let clean = {
-            let r = native_runner(4);
-            sssp::load_sssp_imr(&r, &g, 0, 4, "/s", "/t").unwrap();
-            r.run(&SsspIter, &cfg, "/s", "/t", "/o", &[]).unwrap()
-        };
-        prop_assert!(failed.recoveries >= 1, "forced hang never fired");
-        prop_assert_eq!(&failed.final_state, &clean.final_state);
-        prop_assert_eq!(failed.iterations, clean.iterations);
-        prop_assert_eq!(&failed.distances, &clean.distances);
+        for threshold in [None, Some(1e-9)] {
+            let mut cfg = IterConfig::new("sssp", 4, iters)
+                .with_checkpoint_interval(2)
+                .with_watchdog(WatchdogConfig {
+                    poll: Duration::from_millis(5),
+                    stall_timeout: Duration::from_millis(150),
+                });
+            if let Some(eps) = threshold {
+                cfg = cfg.with_distance_threshold(eps);
+            }
+            let failed = sssp_faulted(&native_runner(4), &g, &cfg, &faults);
+            let clean = sssp_faulted(&native_runner(4), &g, &cfg, &[]);
+            // Under a threshold the run may converge before the hang.
+            if threshold.is_none() {
+                prop_assert!(failed.recoveries >= 1, "forced hang never fired");
+            }
+            prop_assert_eq!(&failed.final_state, &clean.final_state);
+            prop_assert_eq!(failed.iterations, clean.iterations);
+            prop_assert_eq!(&failed.distances, &clean.distances);
+            let sim = sssp_faulted(&imr_runner(4), &g, &cfg, &faults);
+            let bits = |out: &IterOutcome<u32, f64>| -> Vec<u64> {
+                out.distances.iter().map(|d| d.to_bits()).collect()
+            };
+            prop_assert_eq!(&sim.final_state, &failed.final_state);
+            prop_assert_eq!(sim.iterations, failed.iterations);
+            prop_assert_eq!(bits(&sim), bits(&failed));
+            prop_assert_eq!(sim.recoveries, failed.recoveries);
+            prop_assert_eq!(sim.migrations, failed.migrations);
+        }
     }
 
     /// Sync-mode native runs are deterministic: two runs over the same
@@ -408,8 +433,8 @@ fn chain_incremental(
 /// Every engine rejects the unsupported accumulative combinations with
 /// a configuration error instead of running: the map/reduce entry
 /// points refuse an accumulative config, `run_accumulative` refuses a
-/// non-accumulative one, the in-process entry refuses the TCP
-/// transport, and the sim refuses fault scripts in delta mode.
+/// non-accumulative one, and the in-process entry refuses the TCP
+/// transport.
 #[test]
 fn delta_validation_rejects_unsupported_combos_on_every_engine() {
     use imapreduce::EngineError;
@@ -437,14 +462,6 @@ fn delta_validation_rejects_unsupported_combos_on_every_engine() {
     expect_config(
         sim.run_accumulative(&SsspIter, &plain, "/s", "/t", "/o", &[]),
         "with_accumulative_mode",
-    );
-    let kill = [FaultEvent::Kill {
-        node: NodeId(0),
-        at_iteration: 1,
-    }];
-    expect_config(
-        sim.run_accumulative(&SsspIter, &acc, "/s", "/t", "/o", &kill),
-        "native backend",
     );
 
     let nat = native_runner(2);
