@@ -52,7 +52,7 @@ mod proptests {
                 prop_assert_eq!(fs.read("/p", NodeId(reader), &mut rc).unwrap(), payload.clone());
             }
             // Fail the writer; with replication >= 2 data must survive.
-            fs.fail_node(NodeId(0));
+            fs.fail_node(NodeId(0), &mut clock);
             let mut rc = TaskClock::default();
             let read = fs.read("/p", NodeId(1), &mut rc);
             if repl.min(nodes) >= 2 || payload.is_empty() {

@@ -260,6 +260,7 @@ mod tests {
                 epoch: 2,
                 plans: &[],
                 assignment: &self.assignment,
+                failed: &[],
                 migrations_done: 0,
                 generation: 1,
                 started: Instant::now(),

@@ -1197,6 +1197,7 @@ mod tests {
             epoch: 0,
             plans: &plans,
             assignment: &assignment,
+            failed: &[],
             migrations_done: 0,
             generation: 0,
             started: Instant::now(),

@@ -560,7 +560,9 @@ fn dfs_survives_node_loss_with_replication() {
     let g = dataset("DBLP").unwrap().generate(0.002);
     let runner = imr_runner_on(ClusterSpec::local(4));
     sssp::load_sssp_imr(&runner, &g, 0, 4, "/s", "/t").unwrap();
-    runner.dfs().fail_node(NodeId(0));
+    runner
+        .dfs()
+        .fail_node(NodeId(0), &mut imr_simcluster::TaskClock::default());
     for p in 0..4 {
         let mut clock = imr_simcluster::TaskClock::default();
         let part: Vec<(u32, sssp::Adj)> =
