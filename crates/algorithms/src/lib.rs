@@ -2,8 +2,8 @@
 //!
 //! Every algorithm the paper measures, each in three forms:
 //!
-//! 1. an **iMapReduce** job ([`imapreduce::IterativeJob`] /
-//!    [`imapreduce::PhaseJob`]),
+//! 1. an **iMapReduce** job ([`imapreduce::IterativeJob`], matrix
+//!    power's of two phases),
 //! 2. a **baseline Hadoop** implementation
 //!    ([`imr_mapreduce::MrJob`] chains, with the exact inefficiencies
 //!    §2.2 describes — bundled state+static values, per-iteration jobs,
@@ -16,7 +16,7 @@
 //! | [`sssp`] | Single-Source Shortest Path | §2.1.1, Figs. 4–5, 8, 12 | one2one, async |
 //! | [`pagerank`] | PageRank | §2.1.2, Figs. 6–7, 9, 13 | one2one, async |
 //! | [`kmeans`] | K-means (+Combiner, +aux detection) | §5.1, §5.3, Figs. 16, 20 | one2all, sync |
-//! | [`matpower`] | Matrix power | §5.2, Fig. 18 | two-phase |
+//! | [`matpower`] | Matrix power | §5.2, Fig. 18 | one2one, two phases |
 //! | [`jacobi`] | Jacobi iteration | §5.1 | one2all, sync |
 //! | [`concomp`] | Connected components (HashMin) | §2.2's graph class | one2one, async |
 

@@ -1,22 +1,27 @@
 //! Matrix power computation (paper §5.2) — the two-phase-per-iteration
-//! workload. Each iteration multiplies the static matrix `M` into the
-//! iterated matrix `N` (`N ← M·N`), expressed as two chained map-reduce
-//! phases exactly as the paper describes:
+//! workload. Each multiplication multiplies the static matrix `M` into
+//! the iterated matrix `N` (`N ← M·N`), expressed as two chained
+//! map-reduce phases exactly as the paper describes:
 //!
-//! * Phase 1 groups `N`'s cells into rows keyed by the join index `j`;
-//! * Phase 2 joins row `j` of `N` with the static column `j` of `M`,
+//! * phase 0 groups `N`'s cells into rows keyed by the join index `j`;
+//! * phase 1 joins row `j` of `N` with the static column `j` of `M`,
 //!   emits all partial products keyed `(i, k)`, and sums them.
+//!
+//! Under iMapReduce the two phases are one phased [`IterativeJob`]
+//! ([`MatPowerIter`], two phases), so a multiplication is two iterations
+//! of the pair loop every engine runs, with its checkpoints, faults and
+//! migrations.
 //!
 //! The baseline is the textbook Hadoop two-job matrix multiply [29],
 //! re-reading and re-shuffling the tagged cells of *both* matrices in
 //! every iteration.
 
 use imapreduce::{
-    load_partitioned, run_two_phase, Emitter, IterativeRunner, PhaseJob, TwoPhaseConfig,
-    TwoPhaseOutcome,
+    load_partitioned, Emitter, FaultEvent, IterConfig, IterEngine, IterOutcome, IterativeJob,
+    StateInput,
 };
 use imr_mapreduce::{EngineError, JobConfig, JobRunner, MrJob};
-use imr_records::{PairPartitioner, Partitioner};
+use imr_records::{HashPartitioner, PairPartitioner, Partitioner};
 use imr_simcluster::{NodeId, RunReport, TaskClock, VInstant};
 
 /// A dense matrix as nested rows.
@@ -26,70 +31,104 @@ pub type Dense = Vec<Vec<f64>>;
 pub type Cell = (u32, u32);
 
 // ---------------------------------------------------------------------
-// iMapReduce implementation: two chained phases
+// iMapReduce implementation: one job of two phases
 // ---------------------------------------------------------------------
 
-/// Phase 1: gather `N`'s cells `((j, k), v)` into rows keyed by `j`.
+/// A key of [`MatPowerIter`]: cell `(i, Some(k))` of `N`, or row
+/// `(j, None)` of it.
+pub type MpKey = (u32, Option<u32>);
+
+/// A key's state: a cell's value, or a row's `(column, value)` entries.
+/// A cell's entries stay empty and a row's value zero.
+pub type MpState = (f64, Vec<(u32, f64)>);
+
+/// `N ← M·N` as one job of two phases. Phase 0 maps each cell `(j, k)`
+/// of `N` to row `j`, whose reduce folds the pieces into the row and
+/// sorts it; phase 1 joins row `j` with its static column `j` of `M`
+/// and emits every partial product to its cell, whose reduce sums them.
+/// The static record of a cell (phase 0) is an empty list.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MpGather;
+pub struct MatPowerIter;
 
-impl PhaseJob for MpGather {
-    type InK = Cell;
-    type InS = f64;
-    type MidK = u32;
-    type Mid = (u32, f64);
-    type OutS = Vec<(u32, f64)>;
-    type T = ();
-
-    fn map(&self, key: &Cell, v: &f64, _t: Option<&()>, out: &mut Emitter<u32, (u32, f64)>) {
-        out.emit(key.0, (key.1, *v));
-    }
-
-    fn reduce(&self, _j: &u32, mut values: Vec<(u32, f64)>) -> Vec<(u32, f64)> {
-        values.sort_by_key(|&(k, _)| k);
-        values
-    }
-
-    fn partition_in(&self, key: &Cell, n: usize) -> usize {
-        PairPartitioner.partition(key, n)
-    }
-}
-
-/// Phase 2: multiply static column `j` of `M` with row `j` of `N` and
-/// sum partial products per `(i, k)`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MpMultiply;
-
-impl PhaseJob for MpMultiply {
-    type InK = u32;
-    type InS = Vec<(u32, f64)>;
-    type MidK = Cell;
-    type Mid = f64;
-    type OutS = f64;
-    type T = Vec<(u32, f64)>; // column j of M: (i, m_ij)
+impl IterativeJob for MatPowerIter {
+    type K = MpKey;
+    type S = MpState;
+    type T = Vec<(u32, f64)>;
 
     fn map(
         &self,
-        _j: &u32,
-        row: &Vec<(u32, f64)>,
-        col: Option<&Vec<(u32, f64)>>,
-        out: &mut Emitter<Cell, f64>,
+        key: &MpKey,
+        state: StateInput<'_, MpKey, MpState>,
+        col: &Vec<(u32, f64)>,
+        out: &mut Emitter<MpKey, MpState>,
     ) {
-        let Some(col) = col else { return };
-        for &(i, mij) in col {
-            for &(k, njk) in row {
-                out.emit((i, k), mij * njk);
+        let (value, row) = state.one();
+        match *key {
+            (j, Some(k)) => out.emit((j, None), (0.0, vec![(k, *value)])),
+            (_, None) => {
+                for &(i, mij) in col {
+                    for &(k, njk) in row {
+                        out.emit((i, Some(k)), (mij * njk, Vec::new()));
+                    }
+                }
             }
         }
     }
 
-    fn reduce(&self, _ik: &Cell, values: Vec<f64>) -> f64 {
-        values.into_iter().sum()
+    fn fold(&self, _key: &MpKey, acc: &mut MpState, (value, entries): MpState) {
+        acc.0 += value;
+        acc.1.extend(entries);
     }
 
-    fn partition_mid(&self, key: &Cell, n: usize) -> usize {
-        PairPartitioner.partition(key, n)
+    fn finish(&self, _key: &MpKey, mut acc: MpState) -> MpState {
+        acc.1.sort_by_key(|&(k, _)| k);
+        acc
     }
+
+    fn partition(&self, key: &MpKey, n: usize) -> usize {
+        match *key {
+            (i, Some(k)) => PairPartitioner.partition(&(i, k), n),
+            (j, None) => HashPartitioner.partition(&j, n),
+        }
+    }
+
+    fn phases(&self) -> usize {
+        2
+    }
+}
+
+/// Writes [`MatPowerIter`]'s input for `num_tasks` pairs, with `N = M`:
+/// the cells of `N` to `state_dir`, and to `static_dir` an empty list
+/// per cell for phase 0 (parts `0..n`) and column `j` of `M` per row
+/// `j` for phase 1 (parts `n..2n`).
+pub fn load_matpower_imr(
+    runner: &impl IterEngine,
+    m: &Dense,
+    num_tasks: usize,
+    state_dir: &str,
+    static_dir: &str,
+) -> Result<(), EngineError> {
+    let job = MatPowerIter;
+    let mut clock = TaskClock::default();
+    let state: Vec<(MpKey, MpState)> = cells(m)
+        .into_iter()
+        .map(|((i, k), v)| ((i, Some(k)), (v, Vec::new())))
+        .collect();
+    let statics: Vec<(MpKey, Vec<(u32, f64)>)> = (state.iter())
+        .map(|(cell, _)| (*cell, Vec::new()))
+        .chain(columns(m).into_iter().map(|(j, col)| ((j, None), col)))
+        .collect();
+    let part = |k: &MpKey, n| job.partition(k, n);
+    load_partitioned(runner.dfs(), state_dir, state, num_tasks, part, &mut clock)?;
+    let phase_part = |k: &MpKey, _| usize::from(k.1.is_none()) * num_tasks + part(k, num_tasks);
+    load_partitioned(
+        runner.dfs(),
+        static_dir,
+        statics,
+        2 * num_tasks,
+        phase_part,
+        &mut clock,
+    )
 }
 
 /// Cells of a dense matrix.
@@ -119,44 +158,57 @@ pub fn columns(m: &Dense) -> Vec<(u32, Vec<(u32, f64)>)> {
         .collect()
 }
 
-/// Runs `iterations` matrix multiplications under iMapReduce,
-/// computing `M^(iterations+1)` (the state starts at `N = M`).
+/// Runs `iterations` matrix multiplications under iMapReduce on
+/// `runner`, computing `M^(iterations+1)` (the state starts at `N = M`):
+/// [`run_matpower_faults`] with a plain configuration and no fault.
 pub fn run_matpower_imr(
-    runner: &IterativeRunner,
+    runner: &impl IterEngine,
     m: &Dense,
     num_tasks: usize,
     iterations: usize,
-) -> Result<TwoPhaseOutcome<Cell, f64>, EngineError> {
-    let mut clock = TaskClock::default();
-    let p1 = MpGather;
-    let p2 = MpMultiply;
-    load_partitioned(
-        runner.dfs(),
-        "/mp/state",
-        cells(m),
-        num_tasks,
-        |k, n| p1.partition_in(k, n),
-        &mut clock,
-    )?;
-    load_partitioned(
-        runner.dfs(),
-        "/mp/cols",
-        columns(m),
-        num_tasks,
-        |k, n| p2.partition_in(k, n),
-        &mut clock,
-    )?;
-    let cfg = TwoPhaseConfig::new("matpower", num_tasks, iterations);
-    run_two_phase(
-        runner,
-        &p1,
-        &p2,
-        &cfg,
-        "/mp/state",
-        None,
-        Some("/mp/cols"),
-        "/mp/out",
-    )
+) -> Result<IterOutcome<Cell, f64>, EngineError> {
+    let cfg = IterConfig::new("matpower", num_tasks, iterations);
+    run_matpower_faults(runner, m, &cfg, &[])
+}
+
+/// Runs `cfg.termination.max_iterations` matrix multiplications under
+/// iMapReduce on `runner`, computing `M^(multiplications+1)` (the state
+/// starts at `N = M`). Each multiplication is two iterations of the
+/// pair loop, so `cfg`'s checkpoint interval and the iterations
+/// `faults` name count phases: a fault at an odd iteration lands
+/// mid-multiplication. The outcome counts multiplications — its
+/// iterations, distances and timeline keep every second iteration —
+/// and holds the cells of the result, sorted.
+pub fn run_matpower_faults(
+    runner: &impl IterEngine,
+    m: &Dense,
+    cfg: &IterConfig,
+    faults: &[FaultEvent],
+) -> Result<IterOutcome<Cell, f64>, EngineError> {
+    let job = MatPowerIter;
+    load_matpower_imr(runner, m, cfg.num_tasks, "/mp/state", "/mp/static")?;
+    let mut phased = cfg.clone();
+    phased.termination.max_iterations *= job.phases();
+    let out = runner.run_faults(&job, &phased, "/mp/state", "/mp/static", "/mp/out", faults)?;
+    // A multiplication ends with its second phase.
+    fn rounds<T>(every: Vec<T>) -> Vec<T> {
+        every.into_iter().skip(1).step_by(2).collect()
+    }
+    let report = RunReport {
+        iteration_done: rounds(out.report.iteration_done),
+        ..out.report
+    };
+    let final_state = (out.final_state.into_iter())
+        .filter_map(|((i, k), (v, _))| Some(((i, k?), v)))
+        .collect();
+    Ok(IterOutcome {
+        report,
+        final_state,
+        iterations: out.iterations / job.phases(),
+        distances: rounds(out.distances),
+        migrations: out.migrations,
+        recoveries: out.recoveries,
+    })
 }
 
 // ---------------------------------------------------------------------

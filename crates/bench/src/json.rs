@@ -1,9 +1,8 @@
-//! Minimal JSON reader/writer for the `results/` artifacts.
+//! Minimal JSON writer for the `results/` artifacts.
 //!
 //! The harness only needs to serialize its own [`FigureResult`]
-//! structure and read it back, so a tiny self-contained implementation
-//! replaces the `serde_json` dependency: a [`Value`] tree, a pretty
-//! printer, and a recursive-descent parser for the standard grammar.
+//! structure, so a tiny self-contained implementation replaces the
+//! `serde_json` dependency: a [`Value`] tree and a pretty printer.
 //!
 //! [`FigureResult`]: crate::FigureResult
 
@@ -29,38 +28,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// The string payload, if this is a `String`.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a `Number`.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an `Array`.
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// A member of an `Object` by key.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(map) => map.get(key),
-            _ => None,
-        }
-    }
-
     /// Pretty-prints with two-space indentation (the layout
     /// `serde_json::to_string_pretty` produced for these artifacts).
     pub fn to_string_pretty(&self) -> String {
@@ -154,236 +121,50 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// A parse failure, with a byte offset into the input.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// What was wrong.
-    pub message: String,
-    /// Byte offset where it was detected.
-    pub offset: usize,
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "JSON parse error at byte {}: {}",
-            self.offset, self.message
-        )
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// Parses a complete JSON document.
-pub fn from_str(text: &str) -> Result<Value, ParseError> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(err("trailing characters", pos));
-    }
-    Ok(value)
-}
-
-fn err(message: &str, offset: usize) -> ParseError {
-    ParseError {
-        message: message.to_string(),
-        offset,
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), ParseError> {
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&byte) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(err(&format!("expected '{}'", byte as char), *pos))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Value::String(parse_string(bytes, pos)?)),
-        Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
-        Some(_) => parse_number(bytes, pos),
-        None => Err(err("unexpected end of input", *pos)),
-    }
-}
-
-fn parse_keyword(
-    bytes: &[u8],
-    pos: &mut usize,
-    word: &str,
-    value: Value,
-) -> Result<Value, ParseError> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(err(&format!("expected '{word}'"), *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| err("bad utf-8", start))?;
-    text.parse::<f64>()
-        .map(Value::Number)
-        .map_err(|_| err("invalid number", start))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(err("unterminated string", *pos)),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| err("bad \\u escape", *pos))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err("bad \\u escape", *pos))?;
-                        // Surrogate pairs are not emitted by our writer;
-                        // map lone surrogates to the replacement char.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(err("bad escape", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Copy one UTF-8 scalar (1–4 bytes).
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| err("bad utf-8", *pos))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Array(items));
-            }
-            _ => return Err(err("expected ',' or ']'", *pos)),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
-    expect(bytes, pos, b'{')?;
-    let mut map = BTreeMap::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Object(map));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        map.insert(key, value);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Object(map));
-            }
-            _ => return Err(err("expected ',' or '}'", *pos)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The writer's exact bytes: sorted keys, two-space nesting, empty
+    /// containers inline, escapes, whole numbers with `.0`, and `null`
+    /// for a non-finite number.
     #[test]
-    fn round_trips_nested_documents() {
+    fn writes_golden_text() {
         let mut obj = BTreeMap::new();
-        obj.insert("id".to_string(), Value::String("fig\"4\"\n".to_string()));
+        obj.insert(
+            "id".to_string(),
+            Value::String("fig\"4\"\n\t\u{1}".to_string()),
+        );
         obj.insert(
             "points".to_string(),
             Value::Array(vec![
                 Value::Array(vec![Value::Number(1.0), Value::Number(2.5)]),
-                Value::Array(vec![Value::Number(-3.0), Value::Number(0.125)]),
+                Value::Array(vec![Value::Number(-3.0), Value::Number(f64::NAN)]),
             ]),
         );
         obj.insert("empty".to_string(), Value::Array(vec![]));
+        obj.insert("none".to_string(), Value::Object(BTreeMap::new()));
         obj.insert("flag".to_string(), Value::Bool(true));
         obj.insert("nothing".to_string(), Value::Null);
-        let doc = Value::Object(obj);
-        let text = doc.to_string_pretty();
-        assert_eq!(from_str(&text).unwrap(), doc);
-    }
-
-    #[test]
-    fn parses_plain_json() {
-        let v = from_str(r#"{ "a": [1, 2.5e1, -3], "b": "x\ty" }"#).unwrap();
-        let a = v.get("a").and_then(Value::as_array).unwrap();
-        assert_eq!(a[1].as_f64(), Some(25.0));
-        assert_eq!(v.get("b").and_then(Value::as_str), Some("x\ty"));
-    }
-
-    #[test]
-    fn rejects_malformed_input() {
-        assert!(from_str("{").is_err());
-        assert!(from_str("[1, ]").is_err());
-        assert!(from_str("{} extra").is_err());
-        assert!(from_str("\"open").is_err());
+        obj.insert("big".to_string(), Value::Number(1e20));
+        let golden = r#"{
+  "big": 100000000000000000000,
+  "empty": [],
+  "flag": true,
+  "id": "fig\"4\"\n\t\u0001",
+  "none": {},
+  "nothing": null,
+  "points": [
+    [
+      1.0,
+      2.5
+    ],
+    [
+      -3.0,
+      null
+    ]
+  ]
+}"#;
+        assert_eq!(Value::Object(obj).to_string_pretty(), golden);
     }
 }

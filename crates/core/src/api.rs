@@ -144,6 +144,17 @@ pub trait IterativeJob: Send + Sync {
     fn partition(&self, key: &Self::K, n: usize) -> usize {
         HashPartitioner.partition(key, n)
     }
+
+    /// How many map/reduce phases one round of the algorithm chains
+    /// (§5.2: matrix power has two). Each phase is one iteration of the
+    /// pair loop: iteration `it` maps against phase `(it − 1) mod
+    /// phases`'s static data — part `phase · n + q` of the static
+    /// directory for pair `q` of `n` — and a phased job's reduce carries
+    /// nothing forward and measures no distance, so a phase's state is
+    /// exactly what its reduce produced. One by default.
+    fn phases(&self) -> usize {
+        1
+    }
 }
 
 #[cfg(test)]

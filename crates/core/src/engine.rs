@@ -22,8 +22,8 @@
 //! relaunch and a reload cost — the failed node's DFS disks, and the
 //! clock of the auxiliary phase (§5.3).
 //! This module keeps the runner, its one entry with the simulator's
-//! refusals, and the helpers the two-phase driver (`multiphase.rs`)
-//! shares.
+//! refusals, and the helpers `sim_env.rs` charges a segment's arrival
+//! and the final dump with.
 
 use crate::api::{IterativeJob, Mapping};
 use crate::aux::AuxPhase;
@@ -161,7 +161,7 @@ impl IterativeRunner {
         // The aux tasks take n more pair slots and 2n more task launches.
         let aux_tasks = if aux.is_some() { cfg.num_tasks } else { 0 };
         check_slots(cfg.num_tasks + aux_tasks, self.pair_capacity())?;
-        check_inputs(&self.dfs, cfg, dirs[0], dirs[1])?;
+        check_inputs(&self.dfs, cfg, job.phases(), dirs[0], dirs[1])?;
         self.metrics.tasks_launched.add(2 * aux_tasks as u64);
         Turns::run(self, job, cfg, dirs, (faults, aux), pair_fn)
     }
@@ -174,31 +174,6 @@ impl IterativeRunner {
         } else {
             "iMapReduce".to_owned()
         }
-    }
-
-    /// The shuffle fetch of task `q`: its segment from every task `p`,
-    /// in task order, each sent at `sent_at[p]`. Moves `clock` to the
-    /// last arrival (the shuffle barrier), then charges deserialising
-    /// what arrived. Returns the segments and the instant the barrier
-    /// cleared.
-    pub(crate) fn fetch_segments(
-        &self,
-        segments: &[Vec<Bytes>],
-        q: usize,
-        sent_at: &[VInstant],
-        assignment: &[NodeId],
-        clock: &mut TaskClock,
-    ) -> (Vec<Bytes>, VInstant) {
-        let inbound: Vec<Bytes> = segments.iter().map(|from| from[q].clone()).collect();
-        let node = assignment[q];
-        let mut fetched = 0u64;
-        for (p, seg) in inbound.iter().enumerate() {
-            fetched += seg.len() as u64;
-            clock.merge(self.arrival(sent_at[p], assignment[p], node, seg.len() as u64));
-        }
-        let cleared = clock.now();
-        clock.advance(self.cluster.cost.serde_per_byte * fetched);
-        (inbound, cleared)
     }
 
     /// When a segment of `bytes` sent at `sent` from node `from` lands on

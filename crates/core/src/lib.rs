@@ -15,7 +15,7 @@
 //!    start the next iteration without waiting for all reducers.
 //!
 //! Extensions of §5 are included: one2all broadcast ([`Mapping`]),
-//! multi-phase iterations ([`run_two_phase`]), and auxiliary
+//! multi-phase iterations ([`IterativeJob::phases`]), and auxiliary
 //! convergence-detection phases ([`AuxPhase`]). Runtime support:
 //! distance/max-iteration termination, checkpoint-based fault tolerance
 //! with rollback, and migration-based load balancing.
@@ -74,7 +74,6 @@ mod engine;
 mod incremental;
 mod iter_engine;
 mod kernel;
-mod multiphase;
 mod observe;
 #[doc(hidden)]
 pub mod pair;
@@ -101,7 +100,6 @@ pub use kernel::{
     carry_forward, delta_in, distance_sorted, fold_votes, merge_broadcast, reduce_side,
     DeltaOutput, MapOutput, MapScratch, MapState, ReduceOutput,
 };
-pub use multiphase::{run_two_phase, PhaseJob, TwoPhaseConfig, TwoPhaseOutcome};
 pub use observe::{phase_of, Observer};
 pub use static_part::{Records, StaticPart, Values};
 pub use store::{check_inputs, load_partitioned, part_len, partition_sorted};

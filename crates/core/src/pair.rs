@@ -370,15 +370,20 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
     let (n, one2all) = (cfg.n, cfg.one2all);
     ctx.metrics.tasks_launched.add(2);
 
-    // ---- One-time load: static partition + state at this epoch -------
+    // ---- One-time load: static partitions + state at this epoch ------
     // Epoch 0 is the job's initial input; epoch e > 0 is the snapshot
-    // the pairs wrote at the end of iteration e (one part per pair). The
+    // the pairs wrote at the end of iteration e (one part per pair). A
     // static part stays the bytes it was read as; each record is decoded
-    // just before its map call.
-    let mut stat = StaticPart::load(ctx.env.read_part(&dirs.static_dir, q)?)?;
-    // The join walks it in key order: sorted once, at load (§3.2.2).
-    ctx.env.cost().sorted(stat.len() as u64);
-    let static_bytes = stat.encoded_len() as u64;
+    // just before its map call. A job of several phases holds one part
+    // per phase: phase p's is part p·n + q.
+    let phases = job.phases();
+    let mut stats = Vec::with_capacity(phases);
+    for phase in 0..phases {
+        let stat = StaticPart::load(ctx.env.read_part(&dirs.static_dir, phase * n + q)?)?;
+        // The join walks it in key order: sorted once, at load (§3.2.2).
+        ctx.env.cost().sorted(stat.len() as u64);
+        stats.push(stat);
+    }
     let (source, parts) = if ctx.epoch == 0 {
         (dirs.state_dir.clone(), cfg.num_state_parts)
     } else {
@@ -419,9 +424,9 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
         } else {
             MapState::Own(&state)
         };
-        let metrics = ctx.metrics;
-        let mapped =
-            map_scratch.map_side(job, input, &mut stat, n, q, metrics, &mut ctx.env.cost())?;
+        let (metrics, stat) = (ctx.metrics, &mut stats[(it - 1) % phases]);
+        let static_bytes = stat.encoded_len() as u64;
+        let mapped = map_scratch.map_side(job, input, stat, n, q, metrics, &mut ctx.env.cost())?;
         let records = mapped.records_in + mapped.emitted;
         let read = state_bytes + static_bytes;
         ctx.env.cost().mapped(records, read, mapped.spill_bytes);
@@ -448,8 +453,9 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
         let fetched = inbound.iter().map(|seg| seg.len() as u64).sum();
         ctx.env.cost().processed(0, fetched);
         // Under one2all the previous snapshot is the pair's last reduce
-        // output, which iteration 1 does not have.
-        let prev = (!one2all || it > 1).then_some(state.as_slice());
+        // output, which iteration 1 does not have; a phased job's state
+        // is only what this phase's reduce produces.
+        let prev = (phases == 1 && (!one2all || it > 1)).then_some(state.as_slice());
         let measure = cfg.threshold.is_some();
         let reduced = reduce_side(
             job,

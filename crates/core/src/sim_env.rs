@@ -42,9 +42,9 @@
 //! service — the simulator's model of a failed node — and charges the
 //! relaunch: only a pair `supervise` moved — off a failed node, or to
 //! where the balancer sent it — is relaunched and rereads its static
-//! part; every pair's state part is reloaded from the DFS on its behalf,
-//! and the pairs resume together once the last reload and the DFS's
-//! re-replication are done. Checkpoint parts are held until their epoch
+//! parts (one per phase); every pair's state part is reloaded from the
+//! DFS on its behalf, and the pairs resume together once the last reload
+//! and the DFS's re-replication are done. Checkpoint parts are held until their epoch
 //! is complete, then written in pair order, retiring the epoch before.
 
 use crate::api::IterativeJob;
@@ -131,6 +131,8 @@ struct Board {
     held: HashMap<String, Bytes>,
     // ---- The generation, as `supervise` launched it ----------------------
     assignment: Vec<NodeId>,
+    /// The nodes out of service, which the balancer never targets.
+    down: Vec<NodeId>,
     plans: Vec<PairPlan>,
     migrations_done: u64,
     // ---- The master's clock ----------------------------------------------
@@ -179,6 +181,8 @@ pub(crate) struct Turns<'r> {
     /// Whether a rollback can happen: the static parts are kept, and no
     /// pair goes past an iteration before the master decided it.
     rollbacks: bool,
+    /// The job's phases: a pair holds one static part per phase.
+    phases: usize,
     board: Mutex<Board>,
     /// One per pair: a hand-over wakes the pair it hands the turn to.
     handed: Vec<Condvar>,
@@ -199,6 +203,7 @@ impl<'r> Turns<'r> {
         cfg: &'r IterConfig,
         dirs: [&str; 3],
         faults: &[FaultEvent],
+        phases: usize,
     ) -> Self {
         let [state_dir, static_dir, output_dir] = dirs.map(str::to_owned);
         Turns {
@@ -211,6 +216,7 @@ impl<'r> Turns<'r> {
                 output_dir,
             },
             rollbacks: !faults.is_empty() || cfg.load_balance.is_some(),
+            phases,
             board: Mutex::default(),
             handed: (0..cfg.num_tasks).map(|_| Condvar::new()).collect(),
         }
@@ -264,7 +270,7 @@ impl<'r> Turns<'r> {
         J: IterativeJob,
         F: Fn(PairCtx<'_, J, SimEnv<'_>>) -> Result<PairOutcome, EngineError> + Sync,
     {
-        let turns = Turns::new(runner, cfg, dirs, faults);
+        let turns = Turns::new(runner, cfg, dirs, faults, job.phases());
         let (metrics, output_dir) = (&runner.metrics, &turns.dirs.output_dir);
         let mut sim = Sim {
             turns: &turns,
@@ -293,7 +299,7 @@ impl<'r> Turns<'r> {
     /// start. The first starts after job setup and task launch. A later
     /// one follows a rollback, which began when the master decided — or,
     /// after a hang, `stall_timeout` later: each pair `supervise` moved
-    /// is relaunched on its new node and rereads its static part, and
+    /// is relaunched on its new node and rereads its static parts, and
     /// every pair's state part is reloaded from the epoch; the pairs
     /// resume once the last of these is done.
     fn relaunch(&self, gen: &GenInput<'_>) -> Result<VInstant, EngineError> {
@@ -302,6 +308,7 @@ impl<'r> Turns<'r> {
         let board = &mut *board;
         let before = std::mem::replace(&mut board.assignment, gen.assignment.to_vec());
         board.plans = gen.plans.to_vec();
+        board.down = gen.down.to_vec();
         board.migrations_done = gen.migrations_done;
         board.iteration_done.truncate(epoch);
         board.aux.truncate(epoch.saturating_sub(1));
@@ -330,11 +337,14 @@ impl<'r> Turns<'r> {
             dfs.fail_node(node, &mut clock);
             resume = resume.max(clock.now());
         }
-        for p in (0..before.len()).filter(|&p| before[p] != board.assignment[p]) {
+        let n = before.len();
+        for p in (0..n).filter(|&p| before[p] != board.assignment[p]) {
             let mut clock = TaskClock::starting_at(began + cluster.cost.task_launch);
-            let path = part_path(&self.dirs.static_dir, p);
-            let raw = dfs.read(&path, board.assignment[p], &mut clock)?;
-            board.held.insert(path, raw);
+            for phase in 0..self.phases {
+                let path = part_path(&self.dirs.static_dir, phase * n + p);
+                let raw = dfs.read(&path, board.assignment[p], &mut clock)?;
+                board.held.insert(path, raw);
+            }
             resume = resume.max(clock.now());
         }
         let dir = match epoch {
@@ -472,7 +482,8 @@ impl<'r> Turns<'r> {
             .filter(|lb| !faulted && board.migrations_done < lb.max_migrations as u64 && n > 1)
         {
             let busy: Vec<f64> = beats.iter().map(|b| b.busy).collect();
-            let moved = cluster.pick_migration(&board.assignment, &busy, lb.deviation);
+            let (at, down) = (&board.assignment, &board.down);
+            let moved = cluster.pick_migration(at, &busy, lb.deviation, down);
             board.intervention = moved.map(|(pair, to)| Intervention::Migrate { pair, to });
             board.poisoned |= board.intervention.is_some();
         }

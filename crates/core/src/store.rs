@@ -100,29 +100,59 @@ pub fn part_len(dfs: &Dfs, dir: &str, i: usize) -> Result<u64, DfsError> {
 }
 
 /// Rejects a dataset directory that is not split into exactly `n` parts
-/// (one per persistent pair).
-pub(crate) fn check_parts(dfs: &Dfs, dir: &str, n: usize, what: &str) -> Result<(), EngineError> {
+/// (`rule` says why that many).
+fn check_parts(dfs: &Dfs, dir: &str, n: usize, what: &str, rule: &str) -> Result<(), EngineError> {
     let found = num_parts(dfs, dir);
     if found == n {
         return Ok(());
     }
     Err(EngineError::Config(format!(
-        "{what} {dir} has {found} parts: it must be pre-partitioned into num_tasks = {n} parts"
+        "{what} {dir} has {found} parts: it must be pre-partitioned into {rule} = {n} parts"
     )))
 }
 
-/// The input check every engine runs before launching pairs: the static
-/// data has one part per pair and, under one2one, so does the state
-/// (one2all state may be split any way — every map loads all of it).
+/// The input check every engine runs before launching pairs, for a job
+/// of `phases` phases ([`IterativeJob::phases`](crate::IterativeJob::phases)):
+/// the static data has one part per pair and phase and, under one2one,
+/// the state one part per pair (one2all state may be split any way —
+/// every map loads all of it). A phased job runs one2one, by iteration
+/// count, on the map/reduce loop, for whole rounds of phases: each
+/// phase's state is only what its reduce produced, so there is no
+/// broadcast state, no distance and no delta store across a phase.
 pub fn check_inputs(
     dfs: &Dfs,
     cfg: &IterConfig,
+    phases: usize,
     state_dir: &str,
     static_dir: &str,
 ) -> Result<(), EngineError> {
-    check_parts(dfs, static_dir, cfg.num_tasks, "static data")?;
+    let refusal = match phases {
+        0 => Some("a job needs at least one phase"),
+        1 => None,
+        _ if cfg.accumulative => Some("accumulative mode runs a single phase"),
+        _ if cfg.mapping == Mapping::One2All => Some("it needs one2one mapping"),
+        _ if cfg.termination.distance_threshold.is_some() => {
+            Some("it ends by iteration count, not by a distance threshold")
+        }
+        _ if !cfg.termination.max_iterations.is_multiple_of(phases) => {
+            Some("max_iterations must be a whole number of rounds of phases")
+        }
+        _ => None,
+    };
+    if let Some(why) = refusal {
+        return Err(EngineError::Config(format!(
+            "a job of {phases} phases: {why}"
+        )));
+    }
+    let n = cfg.num_tasks;
+    let rule = if phases == 1 {
+        "num_tasks"
+    } else {
+        "phases × num_tasks"
+    };
+    check_parts(dfs, static_dir, phases * n, "static data", rule)?;
     if cfg.mapping == Mapping::One2One {
-        check_parts(dfs, state_dir, cfg.num_tasks, "one2one state")?;
+        check_parts(dfs, state_dir, n, "one2one state", "num_tasks")?;
     }
     Ok(())
 }

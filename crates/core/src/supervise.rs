@@ -19,9 +19,10 @@
 //! backstop. A scripted fault takes effect in one place on every engine:
 //! the failing pair's own `Induced` or `Stalled` exit, which poisons its
 //! generation. The master then moves the failed node's pairs by the one
-//! relocation rule ([`ClusterSpec::relocate`]), or restarts the node in
-//! place when no other node has a free slot, and tells the next
-//! generation which nodes stay down ([`GenInput::failed`]) — natively a
+//! relocation rule ([`ClusterSpec::relocate`]) onto nodes still in
+//! service, or restarts the node in place when none has a free slot, and
+//! tells the next generation which nodes went down ([`GenInput::failed`])
+//! and which are down ([`GenInput::down`]) — natively a
 //! node is a label, so only the pair's emulated speed and the faults that
 //! later hit it change; the simulator fails those nodes' DFS disks. What
 //! stays per engine is what its clock needs: when the master acts
@@ -82,6 +83,10 @@ pub struct GenInput<'a> {
     /// pairs elsewhere. The simulator fails their DFS disks; natively a
     /// node is a label and this is ignored.
     pub failed: &'a [NodeId],
+    /// Every node out of service: `failed` and those earlier rollbacks
+    /// left down. No pair is placed on one, and the balancer moves none
+    /// there.
+    pub down: &'a [NodeId],
     /// Migrations already performed (bounds the balancer's budget).
     pub migrations_done: u64,
     /// Zero-based generation number (incremented after every rollback);
@@ -268,8 +273,9 @@ pub fn supervise<J: IterativeJob>(
     // workers) with no checkpoint progress — the backstop against
     // retrying a persistent failure forever.
     let mut stall_retries = 0u32;
-    // The nodes the last rollback took out of service.
-    let mut failed: Vec<NodeId> = Vec::new();
+    // The nodes the last rollback took out of service, and every node
+    // still out of service.
+    let (mut failed, mut down): (Vec<NodeId>, Vec<NodeId>) = Default::default();
 
     // ---- Generation loop: run until a generation survives --------
     let final_runs: Vec<PairRun> = loop {
@@ -304,6 +310,7 @@ pub fn supervise<J: IterativeJob>(
             plans: &plans,
             assignment: &assignment,
             failed: &failed,
+            down: &down,
             migrations_done: migrations,
             generation,
             started,
@@ -404,10 +411,13 @@ pub fn supervise<J: IterativeJob>(
                 emit(rollback, node, COORD, at);
             }
         }
-        cluster.relocate(&mut assignment, &dead);
+        // A failed node's pairs avoid every node still out of service.
+        down.extend(&dead);
+        cluster.relocate(&mut assignment, &down);
         // A node still hosting a pair had nowhere to send it and is
         // restarted; the rest stay down.
-        dead.retain(|node| !assignment.contains(node));
+        down.retain(|node| !assignment.contains(node));
+        dead.retain(|node| down.contains(node));
         failed = dead;
 
         match intervention {

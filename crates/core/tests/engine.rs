@@ -1,12 +1,11 @@
 //! Engine-level integration tests for the iMapReduce runtime: timing
 //! semantics (async vs sync), persistence effects, fault tolerance,
-//! load balancing, one2all broadcast, two-phase chains and the
+//! load balancing, one2all broadcast, jobs of two phases and the
 //! auxiliary phase.
 
 use imapreduce::{
-    load_partitioned, run_two_phase, run_with_aux, AuxPhase, Emitter, EngineError, FailureEvent,
-    IterConfig, IterEngine, IterativeJob, IterativeRunner, LoadBalance, PhaseJob, StateInput,
-    TwoPhaseConfig,
+    load_partitioned, run_with_aux, AuxPhase, Emitter, EngineError, FailureEvent, IterConfig,
+    IterEngine, IterativeJob, IterativeRunner, LoadBalance, StateInput,
 };
 use imr_dfs::Dfs;
 use imr_simcluster::{ClusterSpec, Metrics, MetricsHandle, NodeId, TaskClock};
@@ -464,50 +463,49 @@ fn one2all_kmeans_converges_to_cluster_means() {
 }
 
 // ---------------------------------------------------------------------
-// Two-phase: iterated doubling through a two-step pipeline. Phase 1
-// regroups scalar records into per-group vectors; phase 2 scales each
-// element and re-emits scalars. One iteration doubles every value.
+// Two phases: iterated doubling through a two-step pipeline. Phase 0
+// regroups scalar records `(group, Some(member))` into per-group vectors
+// `(group, None)`; phase 1 scales each element by its group's static
+// multiplier and re-emits scalars. One round of both doubles every value.
 // ---------------------------------------------------------------------
 
-struct Gather;
-impl PhaseJob for Gather {
-    type InK = (u32, u32); // (group, member)
-    type InS = f64;
-    type MidK = u32; // group
-    type Mid = (u32, f64);
-    type OutS = Vec<(u32, f64)>;
-    type T = ();
-    fn map(&self, key: &(u32, u32), s: &f64, _t: Option<&()>, out: &mut Emitter<u32, (u32, f64)>) {
-        out.emit(key.0, (key.1, *s));
-    }
-    fn reduce(&self, _k: &u32, mut values: Vec<(u32, f64)>) -> Vec<(u32, f64)> {
-        values.sort_by_key(|&(m, _)| m);
-        values
-    }
-}
+/// A member `(group, Some(member))` or a group `(group, None)`.
+type Member = (u32, Option<u32>);
+/// A member's value, or a group's `(member, value)` list.
+type Piece = (f64, Vec<(u32, f64)>);
 
-struct Scatter;
-impl PhaseJob for Scatter {
-    type InK = u32;
-    type InS = Vec<(u32, f64)>;
-    type MidK = (u32, u32);
-    type Mid = f64;
-    type OutS = f64;
-    type T = f64; // per-group multiplier (static)
+struct Doubling;
+impl IterativeJob for Doubling {
+    type K = Member;
+    type S = Piece;
+    type T = f64; // phase 1: the group's multiplier (phase 0 reads none)
     fn map(
         &self,
-        group: &u32,
-        members: &Vec<(u32, f64)>,
-        mult: Option<&f64>,
-        out: &mut Emitter<(u32, u32), f64>,
+        key: &Member,
+        s: StateInput<'_, Member, Piece>,
+        mult: &f64,
+        out: &mut Emitter<Member, Piece>,
     ) {
-        let m = mult.copied().unwrap_or(1.0);
-        for (member, v) in members {
-            out.emit((*group, *member), v * m);
+        let (v, members) = s.one();
+        match *key {
+            (group, Some(member)) => out.emit((group, None), (0.0, vec![(member, *v)])),
+            (group, None) => {
+                for (member, v) in members {
+                    out.emit((group, Some(*member)), (v * mult, Vec::new()));
+                }
+            }
         }
     }
-    fn reduce(&self, _k: &(u32, u32), values: Vec<f64>) -> f64 {
-        values.into_iter().sum()
+    fn fold(&self, _k: &Member, acc: &mut Piece, value: Piece) {
+        acc.0 += value.0;
+        acc.1.extend(value.1);
+    }
+    fn finish(&self, _k: &Member, mut acc: Piece) -> Piece {
+        acc.1.sort_by_key(|&(m, _)| m);
+        acc
+    }
+    fn phases(&self) -> usize {
+        2
     }
 }
 
@@ -515,41 +513,29 @@ impl PhaseJob for Scatter {
 fn two_phase_chain_doubles_values_each_iteration() {
     let r = runner_on(ClusterSpec::local(4));
     let mut clock = TaskClock::default();
-    let state: Vec<((u32, u32), f64)> = (0..4)
-        .flat_map(|g| (0..3).map(move |m| ((g, m), 1.0)))
+    let state: Vec<(Member, Piece)> = (0..4)
+        .flat_map(|g| (0..3).map(move |m| ((g, Some(m)), (1.0, Vec::new()))))
         .collect();
-    let multipliers: Vec<(u32, f64)> = (0..4).map(|g| (g, 2.0)).collect();
-    let p1 = Gather;
-    let p2 = Scatter;
-    load_partitioned(
-        r.dfs(),
-        "/state",
-        state,
-        2,
-        |k, n| p1.partition_in(k, n),
-        &mut clock,
-    )
-    .unwrap();
-    load_partitioned(
-        r.dfs(),
-        "/mult",
-        multipliers,
-        2,
-        |k, n| p2.partition_in(k, n),
-        &mut clock,
-    )
-    .unwrap();
+    // Phase 0's static records are the members', phase 1's the groups'.
+    let statics = (state.iter().map(|(k, _)| (*k, 0.0))).chain((0..4).map(|g| ((g, None), 2.0)));
+    let statics: Vec<(Member, f64)> = statics.collect();
+    let job = Doubling;
+    let partition = |k: &Member, n| job.partition(k, n);
+    load_partitioned(r.dfs(), "/state", state, 2, partition, &mut clock).unwrap();
+    let phase_part = |k: &Member, _| usize::from(k.1.is_none()) * 2 + partition(k, 2);
+    load_partitioned(r.dfs(), "/mult", statics, 4, phase_part, &mut clock).unwrap();
 
-    let cfg = TwoPhaseConfig::new("double", 2, 3);
-    let out = run_two_phase(&r, &p1, &p2, &cfg, "/state", None, Some("/mult"), "/out").unwrap();
-    assert_eq!(out.iterations, 3);
+    let rounds = 3;
+    let cfg = IterConfig::new("double", 2, 2 * rounds);
+    let out = r.run(&job, &cfg, "/state", "/mult", "/out", &[]).unwrap();
+    assert_eq!(out.iterations, 2 * rounds);
     assert_eq!(out.final_state.len(), 12);
     assert!(
-        out.final_state.iter().all(|&(_, v)| v == 8.0),
+        out.final_state.iter().all(|(_, (v, _))| *v == 8.0),
         "{:?}",
         out.final_state
     );
-    assert_eq!(out.report.iterations(), 3);
+    assert_eq!(out.report.iterations(), 2 * rounds);
 }
 
 // ---------------------------------------------------------------------
@@ -747,26 +733,6 @@ fn sim_refuses_the_tcp_transport() {
         .with_tcp_transport();
     let out = run_with_aux(&r, &MiniKmeans, &aux, &cfg, "/centroids", "/points", "/out");
     assert_config_error(out, "with_tcp_transport");
-}
-
-/// `TwoPhaseConfig`'s fields are public, so `run_two_phase` itself
-/// refuses an empty job instead of reporting zero iterations.
-#[test]
-fn two_phase_refuses_zero_tasks_or_iterations() {
-    let r = runner_on(ClusterSpec::local(4));
-    let mut clock = TaskClock::default();
-    let state: Vec<((u32, u32), f64)> = (0..4u32).map(|g| ((g, 0), 1.0)).collect();
-    let partition = |k: &(u32, u32), n| Gather.partition_in(k, n);
-    load_partitioned(r.dfs(), "/state", state, 2, partition, &mut clock).unwrap();
-    let run = |cfg: &TwoPhaseConfig| {
-        run_two_phase(&r, &Gather, &Scatter, cfg, "/state", None, None, "/out")
-    };
-    let mut cfg = TwoPhaseConfig::new("x", 2, 1);
-    cfg.max_iterations = 0;
-    assert_config_error(run(&cfg), "max_iterations");
-    let mut cfg = TwoPhaseConfig::new("x", 2, 1);
-    cfg.num_tasks = 0;
-    assert_config_error(run(&cfg), "num_tasks");
 }
 
 /// Unit-weight shortest paths from key 0 over a fixed sparse graph

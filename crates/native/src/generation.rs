@@ -159,6 +159,7 @@ impl<'a> Generation<'a> {
                     let balance = self.cfg.load_balance.map(|lb| BalancePlan {
                         cluster: self.dfs.cluster(),
                         assignment: self.input.assignment,
+                        down: self.input.down,
                         deviation: lb.deviation,
                         remaining: (lb.max_migrations as u64)
                             .saturating_sub(self.input.migrations_done)
@@ -261,6 +262,7 @@ mod tests {
                 plans: &[],
                 assignment: &self.assignment,
                 failed: &[],
+                down: &[],
                 migrations_done: 0,
                 generation: 1,
                 started: Instant::now(),

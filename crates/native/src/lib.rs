@@ -322,7 +322,7 @@ impl NativeRunner {
                 ))
             }
         };
-        check_inputs(&self.dfs, cfg, state_dir, static_dir)?;
+        check_inputs(&self.dfs, cfg, job.phases(), state_dir, static_dir)?;
         let pair_cfg = pair_cfg(cfg, num_parts(&self.dfs, state_dir));
         let dirs = PairDirs {
             state_dir: state_dir.to_owned(),

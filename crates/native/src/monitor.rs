@@ -124,6 +124,8 @@ pub(crate) struct BalancePlan<'a> {
     pub cluster: &'a ClusterSpec,
     /// Current pair→node placement.
     pub assignment: &'a [NodeId],
+    /// Nodes out of service, never a migration target.
+    pub down: &'a [NodeId],
     /// `LoadBalance::deviation` threshold.
     pub deviation: f64,
     /// Migrations still allowed (`max_migrations` minus those done).
@@ -221,7 +223,7 @@ fn pick_native_migration(board: &ProgressBoard, plan: &BalancePlan<'_>) -> Optio
         busy.push(f64::from_bits(cell.busy_ewma_bits.load(Ordering::Relaxed)));
     }
     plan.cluster
-        .pick_migration(plan.assignment, &busy, plan.deviation)
+        .pick_migration(plan.assignment, &busy, plan.deviation, plan.down)
 }
 
 #[cfg(test)]
@@ -275,6 +277,7 @@ mod tests {
         let plan = BalancePlan {
             cluster: &spec,
             assignment: &assignment,
+            down: &[],
             deviation: 0.3,
             remaining: 1,
         };

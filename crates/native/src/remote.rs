@@ -1198,6 +1198,7 @@ mod tests {
             plans: &plans,
             assignment: &assignment,
             failed: &[],
+            down: &[],
             migrations_done: 0,
             generation: 0,
             started: Instant::now(),

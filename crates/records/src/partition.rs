@@ -81,8 +81,8 @@ impl Partitioner<u64> for ModPartitioner {
 }
 
 /// Partitioner for composite `(row, col)` matrix keys: hashes both
-/// coordinates. Used by the two-phase matrix-power job where phase-2
-/// keys are `(i, k)` pairs.
+/// coordinates. The matrix-power job partitions its cell keys `(i, k)`
+/// with it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PairPartitioner;
 

@@ -13,10 +13,9 @@
 //! destination's equal keys as it encodes them, and [`merge_into`]
 //! folds every arriving value into its key's entry of a key-sorted
 //! table. The user functions arrive as closures, so the baseline
-//! `MrJob`, the iterative `IterativeJob` and the multi-phase `PhaseJob`
-//! all run this code, and the order a key's values are folded or listed
-//! in — source run first, emission order within a run — is decided here
-//! and nowhere else.
+//! `MrJob` and the iterative `IterativeJob` both run this code, and the
+//! order a key's values are folded or listed in — source run first,
+//! emission order within a run — is decided here and nowhere else.
 //!
 //! The map side never moves a record to sort it: it routes and sorts
 //! *indices* ([`ShuffleScratch::route`]) and encodes or folds by
@@ -417,8 +416,8 @@ pub fn shuffle_in<K: Key, V: Value>(
     merge(cursors(segments), &mut Fold { fold, done, cost })
 }
 
-/// [`shuffle_in`] for a reducer that takes a key's values whole (a
-/// baseline `MrJob`, a multi-phase `PhaseJob`): hands every key group
+/// [`shuffle_in`] for a reducer that takes a key's values whole (the
+/// baseline `MrJob`): hands every key group
 /// to `reduce` in key order, each with a `Vec` of exactly its values in
 /// merge order.
 pub fn shuffle_in_groups<K: Key, V: Value>(

@@ -175,11 +175,11 @@ impl ClusterSpec {
     }
 
     /// The paper's §3.4.1 relocation rule, shared by every engine: each
-    /// pair `assignment` puts on a node in `failed` (the nodes one
-    /// rollback lost) moves, in pair order, to the fastest node outside
-    /// `failed` with a free pair slot, ties going to the lowest id. A
-    /// pair no such node has room for stays where it is: its node is
-    /// restarted.
+    /// pair `assignment` puts on a node in `failed` (the nodes out of
+    /// service: those this rollback lost and those earlier ones left
+    /// down) moves, in pair order, to the fastest node outside `failed`
+    /// with a free pair slot, ties going to the lowest id. A pair no
+    /// such node has room for stays where it is: its node is restarted.
     pub fn relocate(&self, assignment: &mut [NodeId], failed: &[NodeId]) {
         let mut hosted = vec![0usize; self.len()];
         for node in assignment.iter() {
@@ -210,12 +210,14 @@ impl ClusterSpec {
     ///
     /// `pair_busy[q]` is pair `q`'s per-iteration busy time: virtual
     /// seconds on the simulation engine, a wall-clock EWMA on the
-    /// native backend. The rule itself is substrate-agnostic.
+    /// native backend. The rule itself is substrate-agnostic. A node in
+    /// `down` (out of service after a failure) is never a target.
     pub fn pick_migration(
         &self,
         assignment: &[NodeId],
         pair_busy: &[f64],
         deviation: f64,
+        down: &[NodeId],
     ) -> Option<(usize, NodeId)> {
         let mut node_time = vec![0.0f64; self.len()];
         let mut node_pairs: Vec<Vec<usize>> = vec![Vec::new(); self.len()];
@@ -250,7 +252,7 @@ impl ClusterSpec {
         }
         let target = self
             .node_ids()
-            .filter(|nid| nid.index() != slowest_node)
+            .filter(|nid| nid.index() != slowest_node && !down.contains(nid))
             .filter(|nid| per_node[nid.index()] < self.node_pair_capacity(*nid))
             .min_by(|a, b| {
                 node_time[a.index()]
@@ -331,7 +333,7 @@ mod tests {
         let assignment: Vec<NodeId> = (0..4).map(NodeId).collect();
         let busy = [5.0, 1.0, 1.0, 1.1];
         let (pair, target) = spec
-            .pick_migration(&assignment, &busy, 0.3)
+            .pick_migration(&assignment, &busy, 0.3, &[])
             .expect("imbalance above threshold must migrate");
         assert_eq!(pair, 0);
         // Least-loaded faster node (node1, load 1.0).
@@ -344,7 +346,7 @@ mod tests {
         let assignment: Vec<NodeId> = (0..4).map(NodeId).collect();
         // 10% over the trimmed mean: below a 25% deviation threshold.
         let busy = [1.1, 1.0, 1.0, 1.0];
-        assert_eq!(spec.pick_migration(&assignment, &busy, 0.25), None);
+        assert_eq!(spec.pick_migration(&assignment, &busy, 0.25, &[]), None);
     }
 
     #[test]
@@ -372,12 +374,25 @@ mod tests {
     }
 
     #[test]
+    fn pick_migration_never_targets_a_node_out_of_service() {
+        let mut spec = ClusterSpec::local(4);
+        spec.nodes[0].speed = 0.2;
+        // Node 3 is idle because a failure emptied it: out of service.
+        let assignment = vec![NodeId(0), NodeId(1), NodeId(2)];
+        let busy = [5.0, 1.0, 1.0];
+        let idle = spec.pick_migration(&assignment, &busy, 0.3, &[]);
+        assert_eq!(idle, Some((0, NodeId(3))));
+        let down = spec.pick_migration(&assignment, &busy, 0.3, &[NodeId(3)]);
+        assert_eq!(down, Some((0, NodeId(1))));
+    }
+
+    #[test]
     fn pick_migration_never_targets_a_slower_node() {
         let mut spec = ClusterSpec::local(2);
         spec.nodes[0].speed = 0.5;
         spec.nodes[1].speed = 0.4; // even slower than the straggler
         let assignment = vec![NodeId(0), NodeId(1)];
         let busy = [10.0, 1.0];
-        assert_eq!(spec.pick_migration(&assignment, &busy, 0.1), None);
+        assert_eq!(spec.pick_migration(&assignment, &busy, 0.1, &[]), None);
     }
 }

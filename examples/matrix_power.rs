@@ -1,6 +1,8 @@
 //! Matrix power computation (paper §5.2) — an iteration that needs two
 //! chained map-reduce phases (`job1.addSuccessor(job2)`), run on both
-//! engines and verified against a dense reference.
+//! engines and verified against a dense reference. Under iMapReduce the
+//! two phases are one job of two phases: each multiplication is two
+//! iterations of the pair loop.
 //!
 //! Run with: `cargo run --release --example matrix_power`
 
@@ -15,7 +17,8 @@ fn main() {
     let m = generate_matrix(size, 3);
     println!("computing M^{} for a {size}x{size} matrix", iterations + 1);
 
-    // iMapReduce: two persistent phases per pair, local hand-offs.
+    // iMapReduce: persistent pairs that alternate the gather and the
+    // multiply phase, each pair holding the static part of both.
     let imr = imr_runner_on(ClusterSpec::local(4));
     let a = matpower::run_matpower_imr(&imr, &m, 2, iterations).expect("imr");
     println!(

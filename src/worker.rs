@@ -17,6 +17,7 @@
 //! * `pagerank <num_nodes>` — PageRank over `num_nodes` nodes
 //! * `kmeans <0|1>` — K-means, with (`1`) or without (`0`) the combiner
 //! * `concomp` — connected components by HashMin label propagation
+//! * `matpower` — matrix power, a job of two phases (one2one)
 //!
 //! Accumulative-capable jobs (`sssp`, `pagerank`, `concomp`) are served
 //! through [`imr_native::serve_worker_accum`], so the same worker binary
@@ -25,6 +26,7 @@
 
 use imr_algorithms::concomp::ConCompIter;
 use imr_algorithms::kmeans::KmeansIter;
+use imr_algorithms::matpower::MatPowerIter;
 use imr_algorithms::pagerank::PageRankIter;
 use imr_algorithms::sssp::SsspIter;
 use imr_native::{serve_worker, serve_worker_accum};
@@ -59,6 +61,7 @@ pub fn serve_from_args(args: &[String]) -> Result<(), String> {
             serve_worker_accum(&PageRankIter::new(n), addr, pair, generation, job_id)
         }
         "concomp" => serve_worker_accum(&ConCompIter, addr, pair, generation, job_id),
+        "matpower" => serve_worker(&MatPowerIter, addr, pair, generation, job_id),
         "kmeans" => {
             let combiner = params.first().is_some_and(|p| p == "1");
             serve_worker(&KmeansIter { combiner }, addr, pair, generation, job_id)

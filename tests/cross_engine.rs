@@ -4,8 +4,8 @@
 
 use bytes::Bytes;
 use imapreduce::{
-    Accumulative, FailureEvent, FaultEvent, IterConfig, IterEngine, IterOutcome, LoadBalance,
-    WatchdogConfig,
+    Accumulative, Emitter, FailureEvent, FaultEvent, IterConfig, IterEngine, IterOutcome,
+    IterativeJob, LoadBalance, StateInput, WatchdogConfig,
 };
 use imr_algorithms::concomp::ConCompIter;
 use imr_algorithms::kmeans::{KmState, KmeansIter};
@@ -24,6 +24,8 @@ use imr_mapreduce::EngineError;
 use imr_native::NativeRunner;
 use imr_records::{decode_pairs, encode_pairs};
 use imr_simcluster::{ClusterSpec, NodeId, TaskClock};
+use imr_trace::{TraceBuffer, TraceHandle, COORD};
+use std::sync::Arc;
 use std::time::Duration;
 
 #[test]
@@ -101,6 +103,44 @@ fn matpower_engines_agree() {
         let e = expect[*i as usize][*k as usize];
         assert!((v - e).abs() < 1e-9 * e.abs().max(1.0));
         assert!((w - e).abs() < 1e-9 * e.abs().max(1.0));
+    }
+}
+
+/// Matrix power is one job of two phases on the pair loop every engine
+/// runs: with a checkpoint after every phase, a clean run, a kill after
+/// a gather iteration (mid-multiplication) and a kill after a multiply
+/// iteration (a multiplication boundary) each end in the simulator's
+/// clean cells and multiplication count, bit for bit, on the simulator,
+/// worker threads and TCP worker processes — and those cells are M⁴.
+#[test]
+fn matpower_is_one_phased_job_on_every_engine_through_kills() {
+    let m = generate_matrix(12, 5);
+    let expect = matpower::reference_matpower(&m, 3);
+    let cfg = IterConfig::new("matpower", 2, 3).with_checkpoint_interval(1);
+    let tcp_cfg = cfg.clone().with_tcp_transport();
+    let run = |engine: &str, faults: &[FaultEvent]| {
+        let out = match engine {
+            "sim" => matpower::run_matpower_faults(&imr_runner(4), &m, &cfg, faults),
+            "threads" => matpower::run_matpower_faults(&native_runner(4), &m, &cfg, faults),
+            _ => {
+                let tcp = tcp_runner(4, WORKER, &["matpower"]);
+                matpower::run_matpower_faults(&tcp, &m, &tcp_cfg, faults)
+            }
+        };
+        let out = out.unwrap_or_else(|e| panic!("{engine} under {faults:?}: {e}"));
+        (out.final_state, out.iterations, out.recoveries)
+    };
+    let (clean, iterations, _) = run("sim", &[]);
+    assert_eq!((clean.len(), iterations), (144, 3));
+    for ((i, k), v) in &clean {
+        let e = expect[*i as usize][*k as usize];
+        assert!((v - e).abs() <= 1e-9 * e.abs(), "({i},{k}): {v} vs {e}");
+    }
+    for faults in [&[][..], &[kill(0, 3)], &[kill(0, 4)]] {
+        for engine in ["sim", "threads", "tcp"] {
+            let want = (clean.clone(), 3, faults.len() as u64);
+            assert!(run(engine, faults) == want, "{engine} under {faults:?}");
+        }
     }
 }
 
@@ -877,6 +917,92 @@ fn knobs_an_engine_would_ignore_are_config_errors_on_both_engines() {
     }
 }
 
+/// SSSP declared a job of two phases, to run where a phased job may not.
+struct TwoPhaseSssp;
+
+impl IterativeJob for TwoPhaseSssp {
+    type K = u32;
+    type S = f64;
+    type T = <SsspIter as IterativeJob>::T;
+    fn map(&self, k: &u32, s: StateInput<'_, u32, f64>, t: &Self::T, out: &mut Emitter<u32, f64>) {
+        SsspIter.map(k, s, t, out);
+    }
+    fn fold(&self, k: &u32, acc: &mut f64, v: f64) {
+        SsspIter.fold(k, acc, v);
+    }
+    fn phases(&self) -> usize {
+        2
+    }
+}
+
+impl Accumulative for TwoPhaseSssp {
+    fn identity(&self) -> f64 {
+        SsspIter.identity()
+    }
+    fn seed(&self, k: &u32, loaded: &f64) -> (f64, f64) {
+        SsspIter.seed(k, loaded)
+    }
+    fn extract(&self, k: &u32, delta: &f64, t: &Self::T, out: &mut Emitter<u32, f64>) {
+        SsspIter.extract(k, delta, t, out);
+    }
+    fn progress(&self, k: &u32, value: &f64, delta: &f64) -> f64 {
+        SsspIter.progress(k, value, delta)
+    }
+}
+
+/// A job of two phases is refused under one2all, with a distance
+/// threshold, in the delta mode, for a part of a round of phases, and
+/// over a static directory that does not hold two parts per pair — with the same `Config` message on the
+/// simulator, worker threads and TCP worker processes.
+#[test]
+fn a_phased_job_outside_its_contract_is_the_same_config_error_on_every_engine() {
+    let g = dataset("DBLP").unwrap().generate(0.003);
+    let base = IterConfig::new("phased", 2, 4);
+    let cases = [
+        (base.clone().with_one2all(), "one2one"),
+        (
+            base.clone().with_distance_threshold(1e-9),
+            "distance threshold",
+        ),
+        (
+            base.clone()
+                .with_accumulative_mode()
+                .with_distance_threshold(1e-9),
+            "accumulative mode runs a single phase",
+        ),
+        (IterConfig::new("phased", 2, 3), "whole number of rounds"),
+        (base, "phases × num_tasks = 4 parts"),
+    ];
+    for (cfg, needle) in cases {
+        let tcp = tcp_runner(4, WORKER, &["sssp"]);
+        let tcp_cfg = cfg.clone().with_tcp_transport();
+        let errors = [
+            phased_error(&imr_runner(4), &g, &cfg),
+            phased_error(&native_runner(4), &g, &cfg),
+            phased_error(&tcp, &g, &tcp_cfg),
+        ];
+        let msgs = errors.map(|err| match err {
+            EngineError::Config(msg) => msg,
+            other => panic!("{needle}: expected a configuration error, got {other:?}"),
+        });
+        assert!(msgs[0].contains(needle), "{}", msgs[0]);
+        assert!(msgs.iter().all(|msg| *msg == msgs[0]), "{msgs:?}");
+    }
+}
+
+/// The error [`TwoPhaseSssp`] on `g`, loaded for two pairs, ends in.
+fn phased_error(runner: &impl IterEngine, g: &Graph, cfg: &IterConfig) -> EngineError {
+    sssp::load_sssp_imr(runner, g, 0, 2, "/s", "/t").unwrap();
+    let out = match cfg.accumulative {
+        true => runner.run_accumulative(&TwoPhaseSssp, cfg, "/s", "/t", "/o", &[]),
+        false => runner.run_faults(&TwoPhaseSssp, cfg, "/s", "/t", "/o", &[]),
+    };
+    match out {
+        Ok(out) => panic!("{} ran {} iterations", cfg.name, out.iterations),
+        Err(e) => e,
+    }
+}
+
 /// The error a run of `cfg` ends in, over a small K-means input loaded
 /// for two pairs.
 fn kmeans_error(runner: &impl IterEngine, cfg: &IterConfig) -> EngineError {
@@ -1150,6 +1276,50 @@ fn a_second_kill_on_a_failed_node_fires_nowhere_on_every_engine() {
         &[kill(0, 3), kill(0, 5)],
         1,
     );
+}
+
+/// A failed node stays out of service across rollbacks: the hangs on
+/// nodes 0 and 1 after iteration 3 move their pairs onto nodes 2 and 3,
+/// which fills both, so the hang on node 2 after iteration 4 finds no
+/// free slot on a node in service and restarts node 2 in place, rather
+/// than sending its pairs to the failed node 0. On every engine the run
+/// recovers three times to the clean result, and no pair of a later
+/// generation runs on node 0 or 1.
+#[test]
+fn a_failed_node_gets_no_pair_back_on_every_engine() {
+    let g = generate_weighted_graph(400, 1600, sssp_degree_dist(), sssp_weight_dist(), 7);
+    let cfg = IterConfig::new("sssp", 4, 8)
+        .with_checkpoint_interval(2)
+        .with_watchdog(fault_watchdog());
+    let faults = [hang(0, 3), hang(1, 3), hang(2, 4)];
+    let input = Input::Sssp(&g);
+    assert_fault_contract(4, &SsspIter, input, &cfg, &faults, 3);
+    let traces: [TraceHandle; 3] =
+        std::array::from_fn(|_| Arc::new(TraceBuffer::with_capacity(1 << 14)));
+    let sim = imr_runner(4).with_trace(Arc::clone(&traces[0]));
+    run_faulted(&sim, &SsspIter, input, &cfg, &faults).unwrap();
+    let threads = native_runner(4).with_trace(Arc::clone(&traces[1]));
+    run_faulted(&threads, &SsspIter, input, &cfg, &faults).unwrap();
+    let tcp = tcp_runner(4, WORKER, &["sssp"]).with_trace(Arc::clone(&traces[2]));
+    let tcp_cfg = cfg.clone().with_tcp_transport();
+    run_faulted(&tcp, &SsspIter, input, &tcp_cfg, &faults).unwrap();
+    for (engine, trace) in ["sim", "threads", "tcp"].into_iter().zip(&traces) {
+        let events = trace.snapshot();
+        let pairs = || {
+            events
+                .iter()
+                .filter(|e| e.task != COORD && e.generation > 0)
+        };
+        assert!(
+            pairs().any(|e| e.generation == 2),
+            "{engine}: no third generation"
+        );
+        let placed: Vec<u32> = pairs().map(|e| e.node).filter(|&node| node < 2).collect();
+        assert!(
+            placed.is_empty(),
+            "{engine}: pairs on failed nodes {placed:?}"
+        );
+    }
 }
 
 /// A kill on the only node leaves its pairs no other slot: the node is

@@ -22,7 +22,7 @@
 #                          # every file a code scan names exists,
 #                          # one `unsafe` site (crc.rs) and no unannotated
 #                          # panic site in imr-net / imr-native, the sim
-#                          # drivers (engine, aux, multiphase, incremental),
+#                          # drivers (engine, aux, incremental),
 #                          # the core and shuffle kernels (accum, kernel,
 #                          # static_part, shuffle, sorted, codec), core's store, observe,
 #                          # iter_engine, ctl and supervise, or the DFS facade and
@@ -43,7 +43,10 @@
 #                          # (no run_remote_incremental anywhere, no
 #                          # `.run_remote(` call outside
 #                          # benchmark/src/adapter.rs, no `pub fn run*`
-#                          # in `impl IterativeRunner`)
+#                          # in `impl IterativeRunner`), and one
+#                          # iteration for jobs of any number of phases
+#                          # (no fetch_segments, PhaseJob or run_two_phase
+#                          # named under crates/*/src, src or examples)
 #   ./verify.sh <suite>    # one row group of the SUITES table: faults,
 #                          # observe, service, delta, chaos, incremental
 #
@@ -435,8 +438,7 @@ cmd_drift() {
   # No panic on the TCP path: outside #[cfg(test)], every unwrap,
   # expect, assert, unreachable!, panic!, todo! or unimplemented! in
   # imr-net, imr-native, the sim driver (crates/core/src/{engine,aux}.rs),
-  # the two-phase and incremental drivers
-  # (crates/core/src/{multiphase,incremental}.rs), the iteration kernel
+  # the incremental driver (crates/core/src/incremental.rs), the iteration kernel
   # and delta store (crates/core/src/{accum,kernel}.rs), the static part
   # both loops read in place (crates/core/src/static_part.rs), the pair loop
   # every engine runs and the simulator's turn-taking environment for it
@@ -451,7 +453,7 @@ cmd_drift() {
   # directly above it.
   local panics
   panics=$(rust_code 1 $(find crates/net/src crates/native/src -name '*.rs' | sort) \
-      crates/core/src/{accum,aux,ctl,engine,incremental,iter_engine,kernel,multiphase,observe,pair,sim_env,static_part,store,supervise}.rs \
+      crates/core/src/{accum,aux,ctl,engine,incremental,iter_engine,kernel,observe,pair,sim_env,static_part,store,supervise}.rs \
       crates/dfs/src/{lib,snapshot}.rs \
       crates/records/src/{shuffle,sorted,codec}.rs \
     | { grep -E '^[^:]+:[0-9]+:[^@].*(\.unwrap\(\)|\.expect\(|(^|[^A-Za-z0-9_])((debug_)?assert(_eq|_ne)?|unreachable|panic|todo|unimplemented)!)' \
@@ -547,6 +549,16 @@ cmd_drift() {
   [ -z "$inherent" ] \
     || { echo "drift: impl IterativeRunner defines an inherent run* (the simulator runs through its IterEngine impl):" >&2; echo "$inherent" >&2; exit 1; }
   echo "drift: TCP is reached through IterEngine: no run_remote_incremental, .run_remote( from the adapter alone, no inherent IterativeRunner::run*"
+
+  # One iteration for every job: a job of several phases runs one phase
+  # per iteration of the pair loop (`IterativeJob::phases`), so the
+  # simulator-only phase-major loop and its names stay gone.
+  local phase_fork
+  phase_fork=$(grep -nE '(^|[^A-Za-z0-9_])(fetch_segments|PhaseJob|run_two_phase)([^A-Za-z0-9_]|$)' \
+    $(find crates/*/src src examples -name '*.rs' | sort) || true)
+  [ -z "$phase_fork" ] \
+    || { echo "drift: a second phase loop is named (a phased job is an IterativeJob with phases() > 1):" >&2; echo "$phase_fork" >&2; exit 1; }
+  echo "drift: no fetch_segments, PhaseJob or run_two_phase: phases run on the one pair loop"
 
   local subs jobs
   subs=$({
