@@ -252,10 +252,9 @@ pub struct IterConfig {
 
 impl IterConfig {
     /// A one2one async config with `num_tasks` pairs and a fixed
-    /// iteration count — the common graph-algorithm setup.
+    /// iteration count — the common graph-algorithm setup. Zero pairs or
+    /// zero iterations is a `Config` error at [`IterConfig::validate`].
     pub fn new(name: impl Into<String>, num_tasks: usize, max_iterations: usize) -> Self {
-        assert!(num_tasks > 0, "need at least one task pair");
-        assert!(max_iterations > 0, "need at least one iteration");
         IterConfig {
             name: name.into(),
             num_tasks,
@@ -843,14 +842,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one task")]
     fn zero_tasks_rejected() {
-        let _ = IterConfig::new("bad", 0, 1);
+        let cfg = IterConfig::new("bad", 0, 1);
+        assert!(is_config_err(cfg.validate(&[]), "at least one task pair"));
     }
 
     #[test]
-    #[should_panic(expected = "at least one iteration")]
     fn zero_iterations_rejected() {
-        let _ = IterConfig::new("bad", 1, 0);
+        let cfg = IterConfig::new("bad", 1, 0);
+        assert!(is_config_err(cfg.validate(&[]), "one iteration"));
     }
 }

@@ -739,22 +739,6 @@ impl FixpointStore {
         out.sort_by_key(|&(k, _)| k);
         Ok(out)
     }
-
-    /// Look up one key's value at `iteration` — the `(k, iteration)`
-    /// fine-grain access path.
-    pub fn lookup<S: Value>(
-        &self,
-        dfs: &Dfs,
-        iteration: usize,
-        key: u32,
-        clock: &mut TaskClock,
-    ) -> Result<Option<S>, EngineError> {
-        Ok(self
-            .load::<S>(dfs, iteration, clock)?
-            .into_iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v))
-    }
 }
 
 /// Result of an incremental run: the engine outcome plus what the
@@ -1250,8 +1234,6 @@ mod tests {
         assert_eq!(fix.preserve(&fs, 7, "/out", &mut clock).unwrap(), 1);
         assert_eq!(fix.latest(&fs, &mut clock).unwrap(), Some((7, 1)));
         assert_eq!(fix.load::<f64>(&fs, 7, &mut clock).unwrap(), pairs);
-        assert_eq!(fix.lookup::<f64>(&fs, 7, 1, &mut clock).unwrap(), Some(1.5));
-        assert_eq!(fix.lookup::<f64>(&fs, 7, 9, &mut clock).unwrap(), None);
         // Preserving a later iteration updates `latest`.
         let pairs2: Vec<(u32, f64)> = vec![(0, 0.25), (1, 1.25)];
         fs.put_atomic(

@@ -144,7 +144,8 @@ pub trait PairEnv: Transport {
     /// watchdog/balancer keys on, and the iteration's local distance
     /// sample, which the generation appends to this pair's record. The
     /// TCP environment also delivers, in the same frame, what the loop
-    /// counted on the worker's registry since the previous beat.
+    /// counted on the worker's registry and the events it emitted since
+    /// the previous beat.
     fn beat(&mut self, iteration: usize, busy_secs: f64, d: f64, has_prev: bool);
     /// Go silent until the generation is poisoned (scripted hang).
     fn hang(&mut self);
@@ -154,15 +155,6 @@ pub trait PairEnv: Transport {
     /// generation tags and hands the event to the run's
     /// [`Observer`](crate::Observer) (directly, or by way of the coordinator).
     fn emit(&mut self, event: TraceEvent);
-    /// Verify the epoch-0 warm-start patch part against the
-    /// coordinator's expectation (incremental mode). The thread backend
-    /// shares memory with the coordinator, so nothing can diverge and
-    /// the default is a no-op; the TCP environment overrides this to
-    /// wait for the `Patch` frame, compare length + digest, and echo a
-    /// `PatchStats` frame back.
-    fn patch_verify(&mut self, _raw: &Bytes, _keys: usize) -> Result<(), EnvFail> {
-        Ok(())
-    }
     /// The end of `phase` (map or reduce) of iteration `it`, after the
     /// pair computed for `busy` so far this iteration: applies the pair's
     /// emulated slowdown and returns `busy`, stretched — the load the
@@ -586,12 +578,8 @@ fn delta_checks<J: Accumulative, E: PairEnv>(
         DeltaStore::decode(ctx.env.read_part(&snap, q)?)?
     } else if cfg.incremental {
         // Warm start: the part holds the planner's
-        // (key, (value, pending)) entries. Verify against the
-        // coordinator's Patch expectation before restoring.
-        let raw = ctx.env.read_part(&dirs.state_dir, q)?;
-        let entries = decode_pairs::<J::K, (J::S, J::S)>(raw.clone())?;
-        ctx.env.patch_verify(&raw, entries.len())?;
-        DeltaStore::restore(entries)?
+        // (key, (value, pending)) entries, read like any other part.
+        DeltaStore::restore(ctx.load::<J::K, (J::S, J::S)>(&dirs.state_dir, q)?)?
     } else {
         DeltaStore::seed(job, &ctx.load::<J::K, J::S>(&dirs.state_dir, q)?)?
     };

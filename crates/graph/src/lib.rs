@@ -5,15 +5,16 @@
 //!   parameters (plus K-means point clouds and dense matrices for the
 //!   §5 experiments);
 //! * [`catalog`] — the ten data-set rows of Tables 1 and 2,
-//!   regenerable at any scale;
-//! * [`io`] — the text formats iMapReduce "supports automatically".
+//!   regenerable at any scale.
+//!
+//! Graphs are generated in memory and reach the engines as record
+//! parts on the DFS; no text format is read or written.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod catalog;
 pub mod gen;
-pub mod io;
 mod types;
 
 pub use catalog::{dataset, pagerank_datasets, sssp_datasets, DatasetSpec, Workload};
@@ -30,16 +31,6 @@ mod proptests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// Text round-trip holds for arbitrary small adjacency shapes.
-        #[test]
-        fn text_round_trip(adj in proptest::collection::vec(
-            proptest::collection::btree_set(0u32..40, 0..8), 1..40)) {
-            let lists: Vec<Vec<u32>> = adj.into_iter().map(|s| s.into_iter().collect()).collect();
-            let g = Graph::from_adjacency(lists);
-            let back = io::parse_text(&io::write_text(&g)).unwrap();
-            prop_assert_eq!(back, g);
-        }
 
         /// Generated graphs are structurally sound for any seed.
         #[test]

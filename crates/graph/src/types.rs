@@ -121,14 +121,6 @@ impl Graph {
         }
         total
     }
-
-    /// Total out-degree histogram helper: maximum out-degree.
-    pub fn max_out_degree(&self) -> usize {
-        (0..self.num_nodes() as u32)
-            .map(|u| self.out_degree(u))
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Minimal varint length helper mirroring `imr-records`' encoding, kept
@@ -160,7 +152,6 @@ mod tests {
         assert_eq!(g.out_degree(0), 2);
         assert_eq!(g.out_degree(3), 0);
         assert_eq!(g.neighbors(0), &[1, 2]);
-        assert_eq!(g.max_out_degree(), 2);
         assert!(!g.is_weighted());
     }
 

@@ -284,6 +284,7 @@ fn dispatch<J: IterativeJob>(
                 ctx.dfs.clone(),
                 ctx.metrics.clone(),
             )
+            .with_trace(trace)
             .with_telemetry(telemetry);
             runner.run_faults(job, cfg, state_dir, static_dir, output_dir, &[])?
         }

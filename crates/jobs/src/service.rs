@@ -527,8 +527,7 @@ impl JobService {
         self.state.lock().completion_order.clone()
     }
 
-    /// Every job's trace stream, for
-    /// [`chrome_trace_json_jobs`](imr_trace::chrome_trace_json_jobs).
+    /// Every job's trace stream, id-ordered.
     pub fn job_traces(&self) -> Vec<(u64, Vec<TraceEvent>)> {
         let st = self.state.lock();
         st.catalog
@@ -787,6 +786,37 @@ mod tests {
         assert_eq!(rec.iterations, 3);
         assert!(!rec.state.is_empty());
         assert!(s.dlq().unwrap().is_empty());
+    }
+
+    /// A simulator job records into its own trace ring like a native
+    /// one: one `IterEnd` per pair per iteration.
+    #[test]
+    fn sim_job_records_its_trace() {
+        let s = svc(4);
+        let id = s
+            .submit(
+                JobSpec::new("halve-sim-trace", AlgoSpec::Halve, EngineSel::Sim, 7)
+                    .with_scale(16)
+                    .with_tasks(2)
+                    .with_max_iters(3),
+            )
+            .unwrap();
+        s.run_until_idle().unwrap();
+        let traces = s.job_traces();
+        let (_, events) = traces
+            .iter()
+            .find(|(job, _)| *job == id)
+            .expect("the job has a trace entry");
+        let mut ends: Vec<(u32, u32)> = events
+            .iter()
+            .filter(|e| e.kind == imr_trace::TraceKind::IterEnd)
+            .map(|e| (e.task, e.iteration))
+            .collect();
+        ends.sort_unstable();
+        let want: Vec<(u32, u32)> = (0..2)
+            .flat_map(|t| (1..=3).map(move |it| (t, it)))
+            .collect();
+        assert_eq!(ends, want);
     }
 
     #[test]

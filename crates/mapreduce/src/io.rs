@@ -98,19 +98,9 @@ pub fn delete_dir(dfs: &Dfs, dir: &str) {
     }
 }
 
-/// Splits `pairs` into `n` parts by round-robin chunks of contiguous
-/// records — the layout a sequential loader produces. Keys are *not*
-/// co-partitioned; use a partitioner for that.
-pub fn split_contiguous<K, V>(pairs: Vec<(K, V)>, n: usize) -> Vec<Vec<(K, V)>> {
-    assert!(n > 0, "cannot split into zero parts");
-    let mut it = pairs.into_iter();
-    contiguous_ranges(it.len(), n)
-        .map(|part| it.by_ref().take(part.len()).collect())
-        .collect()
-}
-
-/// The index ranges of [`split_contiguous`]'s `n` parts of `len`
-/// records: chunks of `⌈len / n⌉` (at least one), trailing parts empty.
+/// The index ranges of `n` parts of `len` contiguous records — the
+/// layout a sequential loader produces (keys are *not* co-partitioned):
+/// chunks of `⌈len / n⌉` (at least one), trailing parts empty.
 pub(crate) fn contiguous_ranges(len: usize, n: usize) -> impl Iterator<Item = Range<usize>> {
     let per = len.div_ceil(n.max(1)).max(1);
     (0..n).map(move |i| (i * per).min(len)..((i + 1) * per).min(len))
@@ -155,20 +145,6 @@ mod tests {
         write_parts(&fs, "/tmp/x", &parts, &mut clock).unwrap();
         delete_dir(&fs, "/tmp/x");
         assert_eq!(num_parts(&fs, "/tmp/x"), 0);
-    }
-
-    #[test]
-    fn split_contiguous_covers_everything() {
-        let pairs: Vec<(u32, u32)> = (0..10).map(|i| (i, i)).collect();
-        let parts = split_contiguous(pairs.clone(), 3);
-        assert_eq!(parts.len(), 3);
-        let flat: Vec<(u32, u32)> = parts.into_iter().flatten().collect();
-        assert_eq!(flat, pairs);
-        // More parts than records: trailing parts are empty.
-        let parts = split_contiguous(vec![(1u32, 1u32)], 4);
-        assert_eq!(parts.len(), 4);
-        assert_eq!(parts[0], vec![(1, 1)]);
-        assert!(parts[1..].iter().all(Vec::is_empty));
     }
 
     #[test]

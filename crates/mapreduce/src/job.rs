@@ -114,9 +114,6 @@ pub struct JobConfig {
     pub name: String,
     /// Number of reduce tasks (and thus output partitions).
     pub num_reduces: usize,
-    /// Launch a speculative duplicate attempt for each task and keep the
-    /// earlier finisher (Hadoop's speculative execution [40]).
-    pub speculative: bool,
     /// Bytes of side input (Hadoop distributed cache) each map task
     /// loads at start — e.g. the current centroid file in the baseline
     /// K-means implementation. Charged as a remote DFS read per task.
@@ -130,15 +127,8 @@ impl JobConfig {
         JobConfig {
             name: name.into(),
             num_reduces,
-            speculative: false,
             side_input_bytes: 0,
         }
-    }
-
-    /// Enables speculative execution.
-    pub fn with_speculative(mut self) -> Self {
-        self.speculative = true;
-        self
     }
 
     /// Sets the per-map-task side-input (distributed cache) size.

@@ -6,8 +6,8 @@
 //!
 //! * [`MrJob`] — the `Mapper`/`Reducer`/`Combiner` contract;
 //! * [`JobRunner`] — one-job execution: job setup, slot-scheduled map
-//!   wave (with locality preference and optional speculative
-//!   execution), sort/spill/combine, shuffle, reduce wave, DFS commit;
+//!   wave (with locality preference), sort/spill/combine, shuffle,
+//!   reduce wave, DFS commit;
 //! * [`run_iterative`] — the client-side driver loop that chains one
 //!   job per iteration plus an optional per-iteration termination-check
 //!   job, reproducing all three §2.2 limitations.

@@ -249,37 +249,8 @@ impl JobRunner {
             // Deterministic straggler slowdown (JVM/GC/OS noise).
             let busy = clock.now().duration_since(start);
             clock.advance(busy * cost.straggler(job_ordinal, map_done.len() as u64, 1));
-            let mut done = clock.now();
+            let done = clock.now();
             map_pool.occupy(node, done);
-
-            // Speculative execution: a duplicate attempt on the next
-            // earliest slot; the earlier finisher wins. The attempt's
-            // virtual duration is re-derived for the alternate node
-            // (different speed, non-local read).
-            if conf.speculative {
-                if let Some((alt_node, alt_start)) = map_pool.place_excluding(job_start, node) {
-                    self.metrics.tasks_launched.add(1);
-                    let alt_speed = self.cluster.speed(alt_node);
-                    let mut alt = TaskClock::starting_at(alt_start);
-                    if self.charge_init {
-                        alt.advance(cost.task_launch);
-                    }
-                    alt.advance(cost.disk_time(in_bytes));
-                    alt.advance(cost.remote_transfer_time(in_bytes));
-                    alt.advance(cost.serde_per_byte * in_bytes);
-                    alt.advance(cost.compute_time(
-                        records_in + counters.shuffle_records,
-                        in_bytes,
-                        alt_speed,
-                    ));
-                    alt.advance(cost.sort_time(counters.shuffle_records, alt_speed));
-                    alt.advance(cost.disk_time(spill_bytes));
-                    if alt.now() < done {
-                        done = alt.now();
-                        map_pool.occupy(alt_node, done);
-                    }
-                }
-            }
 
             map_nodes.push(node);
             map_done.push(done);
@@ -350,38 +321,8 @@ impl JobRunner {
             // Deterministic straggler slowdown over the post-barrier work.
             let busy = clock.now().duration_since(work_start);
             clock.advance(busy * cost.straggler(job_ordinal, p as u64, 2));
-            let mut done = clock.now();
+            let done = clock.now();
             reduce_pool.occupy(node, done);
-
-            // Reduce-side speculative execution: a duplicate attempt on
-            // the next earliest slot. Its post-barrier work is the
-            // primary's, rescaled by the relative node speed (the
-            // straggler draw belongs to the attempt, so the duplicate
-            // gets its own).
-            if conf.speculative {
-                if let Some((alt_node, alt_start)) = reduce_pool.place_excluding(job_start, node) {
-                    self.metrics.tasks_launched.add(1);
-                    let alt_speed = self.cluster.speed(alt_node);
-                    let mut alt = TaskClock::starting_at(alt_start);
-                    if self.charge_init {
-                        alt.advance(cost.task_launch);
-                    }
-                    let alt_arrivals: Vec<VInstant> = (0..m)
-                        .map(|i| {
-                            let bytes = map_parts[i][p].len() as u64;
-                            map_done[i] + self.cluster.transfer_time(map_nodes[i], alt_node, bytes)
-                        })
-                        .collect();
-                    alt.barrier(alt_arrivals);
-                    let scaled = busy * (speed / alt_speed);
-                    alt.advance(scaled);
-                    alt.advance(scaled * cost.straggler(job_ordinal, p as u64, 3));
-                    if alt.now() < done {
-                        done = alt.now();
-                        reduce_pool.occupy(alt_node, done);
-                    }
-                }
-            }
             reduce_done.push(done);
             output_parts.push((node, out_pairs));
         }
@@ -582,59 +523,5 @@ mod tests {
         assert!(res.counters.shuffle_bytes > 0);
         let m = r.metrics().snapshot();
         assert!(m.shuffle_remote_bytes + m.shuffle_local_bytes >= res.counters.shuffle_bytes);
-    }
-
-    #[test]
-    fn speculative_execution_rescues_straggler_nodes() {
-        // One crippled node, one healthy node, ample slots: the task
-        // that lands on the straggler should be overtaken by its
-        // speculative duplicate on the healthy node.
-        // Two independent runners (same topology) so both runs are job
-        // #1 and face identical straggler draws: a paired comparison.
-        let make = || {
-            let mut topo = ClusterSpec::local(2);
-            topo.nodes[0].speed = 0.05;
-            topo.nodes[1].speed = 1.0;
-            let spec = Arc::new(topo);
-            let metrics: MetricsHandle = Arc::new(Metrics::default());
-            let dfs = Dfs::with_block_size(Arc::clone(&spec), Arc::clone(&metrics), 2, 1 << 20);
-            let r = JobRunner::new(Arc::clone(&spec), dfs, metrics);
-            let input: Vec<(u32, String)> = (0..5_000)
-                .map(|i| (i, format!("word{} x y z", i % 13)))
-                .collect();
-            let mut clock = TaskClock::default();
-            r.load_input("/in", input, 2, &mut clock).unwrap();
-            (r, clock.now())
-        };
-
-        let (r1, t1) = make();
-        let plain = r1
-            .run(&WordCount, &JobConfig::new("wc", 1), "/in", "/o", t1)
-            .unwrap();
-        let (r2, t2) = make();
-        let spec_run = r2
-            .run(
-                &WordCount,
-                &JobConfig::new("wc", 1).with_speculative(),
-                "/in",
-                "/o",
-                t2,
-            )
-            .unwrap();
-        let plain_span = plain.finished.duration_since(plain.submitted);
-        let spec_span = spec_run.finished.duration_since(spec_run.submitted);
-        assert!(
-            spec_span < plain_span,
-            "speculation did not help: {spec_span} vs {plain_span}"
-        );
-        // Results are identical either way.
-        let mut c = TaskClock::default();
-        let mut a: Vec<(String, u64)> =
-            crate::io::read_all(r1.dfs(), "/o", NodeId(0), &mut c).unwrap();
-        let mut b: Vec<(String, u64)> =
-            crate::io::read_all(r2.dfs(), "/o", NodeId(0), &mut c).unwrap();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
     }
 }

@@ -57,31 +57,6 @@ impl SlotPool {
         (node, start)
     }
 
-    /// As [`place`](Self::place) but never chooses `exclude` — used for
-    /// speculative duplicate attempts, which must run on a different
-    /// worker than the primary.
-    pub fn place_excluding(&self, ready: VInstant, exclude: NodeId) -> Option<(NodeId, VInstant)> {
-        let mut best: Option<(VInstant, NodeId)> = None;
-        for (n, slots) in self.free.iter().enumerate() {
-            let node = NodeId(n as u32);
-            if node == exclude {
-                continue;
-            }
-            let Some(&slot_free) = slots.iter().min() else {
-                continue;
-            };
-            let start = slot_free.max(ready);
-            let better = match &best {
-                None => true,
-                Some((bs, bn)) => (start, node.0) < (*bs, bn.0),
-            };
-            if better {
-                best = Some((start, node));
-            }
-        }
-        best.map(|(start, node)| (node, start))
-    }
-
     /// Marks the earliest-free slot of `node` busy until `until`.
     pub fn occupy(&mut self, node: NodeId, until: VInstant) {
         let slots = &mut self.free[node.index()];
@@ -90,16 +65,6 @@ impl SlotPool {
             .min()
             .expect("occupying a node with no slots");
         *slot = until;
-    }
-
-    /// Earliest instant any slot in the pool is free.
-    pub fn earliest_free(&self) -> VInstant {
-        self.free
-            .iter()
-            .flatten()
-            .copied()
-            .min()
-            .expect("empty slot pool")
     }
 }
 
@@ -151,25 +116,5 @@ mod tests {
         let pool = SlotPool::new(&spec, false, VInstant::EPOCH);
         let (_, start) = pool.place(at(42), &[]);
         assert_eq!(start, at(42));
-    }
-
-    #[test]
-    fn place_excluding_skips_the_primary() {
-        let spec = ClusterSpec::local(2);
-        let pool = SlotPool::new(&spec, true, VInstant::EPOCH);
-        let (node, _) = pool.place_excluding(VInstant::EPOCH, NodeId(0)).unwrap();
-        assert_eq!(node, NodeId(1));
-        let single = SlotPool::new(&ClusterSpec::local(1), true, VInstant::EPOCH);
-        assert!(single.place_excluding(VInstant::EPOCH, NodeId(0)).is_none());
-    }
-
-    #[test]
-    fn earliest_free_tracks_occupancy() {
-        let spec = ClusterSpec::local(1);
-        let mut pool = SlotPool::new(&spec, true, VInstant::EPOCH);
-        assert_eq!(pool.earliest_free(), VInstant::EPOCH);
-        pool.occupy(NodeId(0), at(5));
-        pool.occupy(NodeId(0), at(9));
-        assert_eq!(pool.earliest_free(), at(5));
     }
 }

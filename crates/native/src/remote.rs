@@ -25,11 +25,12 @@
 //!   pair loop itself, so results are bit-identical across transports.
 //! * **The pair loop counts, the environment delivers**: a worker's
 //!   loop increments a process-local registry exactly as a thread's
-//!   loop increments the run's; every `Beat` (and one trailing report
-//!   before the outcome) ships the increments, which the coordinator
-//!   adds to the run's registry. The coordinator itself counts only
-//!   what it alone can see: corrupt frames, reconnects, rejected hellos
-//!   and chaos injections.
+//!   loop increments the run's, and buffers the trace events it emits;
+//!   every `Beat` (and one trailing report before the outcome) ships
+//!   both, and the coordinator adds the increments to the run's
+//!   registry, then replays the events through the run's observer. The
+//!   coordinator itself counts only what it alone can see: corrupt
+//!   frames, reconnects, rejected hellos and chaos injections.
 //! * **Credit-based backpressure**: a worker may only send a segment
 //!   while it holds a credit for the destination link; the consumer
 //!   returns the credit through the coordinator when it pops the
@@ -64,17 +65,10 @@
 //!   after checkpointing never loses it, and the history persisted next
 //!   to the snapshot is the one already recorded from its beats.
 //! * **The DFS stays in the supervisor**: the in-memory DFS cannot be
-//!   shared across processes, so workers load partitions via `ReadPart`
-//!   RPCs and ship checkpoint bodies for the coordinator to persist.
-//! * **Warm starts are checked, not trusted**: under
-//!   `cfg.incremental` the supervisor's planner wrote the warm
-//!   `(value, pending)` parts, so the coordinator announces each part's
-//!   size and FNV-64 digest in a [`ToWorker::Patch`] frame right after
-//!   setup, and every worker echoes what it actually decoded as
-//!   [`ToCoord::PatchStats`]. A mismatch on either side fails the run
-//!   instead of silently converging from the wrong fixpoint. Replays
-//!   from a checkpoint skip the exchange (the snapshot is already
-//!   post-patch); replays from epoch 0 repeat it.
+//!   shared across processes, so workers load partitions — static,
+//!   state, checkpoint and warm-start parts alike — via `ReadPart`
+//!   RPCs, each answered by one CRC-guarded `PartData` frame, and ship
+//!   checkpoint bodies for the coordinator to persist.
 
 use crate::fault::FaultBarrier;
 use crate::generation::Generation;
@@ -172,20 +166,6 @@ impl NativeRunner {
         faults: &[FaultEvent],
         label: String,
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        // The `(bytes, digest)` of each warm-start part the workers must
-        // prove they loaded: every incremental run has them, whichever
-        // entry point planned the parts.
-        let patches = if cfg.incremental {
-            let mut patches = Vec::with_capacity(cfg.num_tasks);
-            for q in 0..cfg.num_tasks {
-                let raw = read_part_raw(&self.dfs, &dirs.state_dir, q)?;
-                patches.push((raw.len() as u64, patch_digest(&raw)));
-            }
-            Some(patches)
-        } else {
-            None
-        };
-
         let listener = TcpListener::bind("127.0.0.1:0")
             .and_then(|l| l.set_nonblocking(true).map(|()| l))
             .map_err(|e| EngineError::Worker(format!("coordinator bind failed: {e}")))?;
@@ -222,7 +202,6 @@ impl NativeRunner {
                 generation_no,
                 &plans,
                 chaos_state.as_ref(),
-                patches.as_deref(),
                 gen,
             )
         };
@@ -241,20 +220,6 @@ impl NativeRunner {
             &mut run_gen,
         )
     }
-}
-
-/// FNV-1a 64-bit digest of a warm-start state part's encoded bytes.
-/// Both halves of the patch handshake compute it — the coordinator over
-/// the part it planned, the worker over the part it decoded — so any
-/// divergence (truncated read, stale part, routing error) surfaces as a
-/// digest mismatch before the run converges from the wrong bytes.
-fn patch_digest(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// What the hub itself keeps for one generation; everything a pair
@@ -342,11 +307,6 @@ struct Coordinator<'a> {
     /// worker-relative trace timestamps are rebased by this offset onto
     /// the coordinator's timeline.
     trace_offset: u64,
-    /// Expected `(bytes, digest)` of each pair's warm-start state part
-    /// in an incremental run: announced to workers at epoch 0 and
-    /// checked against their [`ToCoord::PatchStats`] echo. `None`
-    /// outside incremental runs, where any echo is a protocol error.
-    patches: Option<&'a [(u64, u64)]>,
 }
 
 impl Coordinator<'_> {
@@ -415,7 +375,6 @@ fn run_generation(
     generation: u64,
     plans: &[PairPlan],
     chaos_state: Option<&Arc<ChaosState>>,
-    patches: Option<&[(u64, u64)]>,
     gen: GenInput<'_>,
 ) -> Result<GenRuns, EngineError> {
     let n = plans.len();
@@ -497,7 +456,6 @@ fn run_generation(
         started: gen.started,
         assignment: gen.assignment,
         trace_offset,
-        patches,
     };
 
     // First frame on every connection: the job/generation parameters.
@@ -513,19 +471,6 @@ fn run_generation(
                 plan: plan.clone(),
             })),
         );
-    }
-
-    // Warm-start integrity: at epoch 0 of an incremental run each pair
-    // loads a freshly planned `(value, pending)` part, so the
-    // coordinator announces the part's size and digest right after the
-    // setup frame. Replays from a checkpoint (epoch > 0) restore the
-    // snapshot instead and never consume a patch frame.
-    if epoch == 0 {
-        if let Some(patches) = patches {
-            for (q, &(bytes, digest)) in patches.iter().enumerate().take(n) {
-                co.send_to(q, &ToWorker::Patch { bytes, digest });
-            }
-        }
     }
 
     // ---- Hub: readers + monitor + teardown clock -------------------
@@ -637,30 +582,6 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
                     Some(e) => co.settle(q, Err(e)),
                 }
             }
-            ToCoord::PatchStats {
-                keys,
-                bytes,
-                digest,
-            } => {
-                // The worker's proof that it restored the announced
-                // warm-start part. A mismatched echo (or an echo outside
-                // an incremental run) means the worker warm-started from
-                // the wrong bytes — fatal, like a failed checkpoint
-                // write: the fixpoint it would converge from is not the
-                // one the planner produced.
-                let expected = co.patches.and_then(|p| p.get(q)).copied();
-                if expected != Some((bytes, digest)) {
-                    let want = expected.map_or_else(
-                        || "no patch was announced".to_owned(),
-                        |(eb, ed)| format!("announced {eb} bytes, digest {ed:#018x}"),
-                    );
-                    let mismatch = EngineError::Worker(format!(
-                        "pair {q}: warm-start patch mismatch: worker loaded {keys} \
-                         keys, {bytes} bytes, digest {digest:#018x}; {want}"
-                    ));
-                    co.settle(q, Err(mismatch));
-                }
-            }
             ToCoord::Credit { src } => match misaddressed(q, "a credit for", src, co.n) {
                 None => co.send_to(src, &ToWorker::Credit { dest: q }),
                 Some(e) => co.settle(q, Err(e)),
@@ -696,12 +617,30 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
                 d,
                 has_prev,
                 counts,
+                events,
             } => {
                 // The pair loop counted on the worker's registry; this
                 // is the delivery into the run's. The trailing report
-                // before an outcome (iteration 0) delivers counts only.
+                // before an outcome (iteration 0) delivers counts and
+                // events only.
                 co.runner.metrics.add_values(&counts);
                 co.generation.beat(q, iteration, busy_secs, d, has_prev);
+                // Then the events, replayed through the run's observer
+                // exactly as if the pair had emitted here: rebased from
+                // the worker's clock onto the coordinator's timeline and
+                // retagged with the node of the pair's current placement
+                // (the worker does not know where it runs). The samples
+                // an IterEnd takes read the registry the counts above
+                // just brought up to date. A malformed batch is
+                // dropped: losing it is never fatal.
+                if let Ok(events) = imr_trace::decode_events(&events) {
+                    for mut ev in events {
+                        ev.node = co.assignment[q].index() as u32;
+                        ev.start_nanos = ev.start_nanos.saturating_add(co.trace_offset);
+                        ev.end_nanos = ev.end_nanos.saturating_add(co.trace_offset);
+                        co.runner.observer.emit(ev);
+                    }
+                }
             }
             ToCoord::Ckpt { iteration, payload } => {
                 // A failed write is fatal, exactly as it is for an
@@ -722,25 +661,6 @@ fn reader_loop(co: &Coordinator<'_>, q: usize, mut reader: FrameReader<ChaosStre
             ToCoord::Outcome(outcome) => {
                 spare = None;
                 co.settle(q, outcome.map_err(EngineError::Worker));
-            }
-            ToCoord::Trace { payload } => {
-                // Replay the worker's batch through the run's observer,
-                // exactly as if the pair had emitted here: rebase
-                // worker-relative timestamps onto the coordinator's
-                // timeline and retag the node from the pair's current
-                // placement (the worker does not know where it runs).
-                // The samples IterEnd takes read this registry's
-                // counters, which the iteration's Beat — always ahead of
-                // its batch — has already brought up to date. A
-                // malformed batch is dropped: losing it is never fatal.
-                if let Ok(events) = imr_trace::decode_events(&payload) {
-                    for mut ev in events {
-                        ev.node = co.assignment[q].index() as u32;
-                        ev.start_nanos = ev.start_nanos.saturating_add(co.trace_offset);
-                        ev.end_nanos = ev.end_nanos.saturating_add(co.trace_offset);
-                        co.runner.observer.emit(ev);
-                    }
-                }
             }
             ToCoord::Hello { .. } => {} // consumed during accept
         }
@@ -932,7 +852,7 @@ struct RemoteEnv {
     /// Zero-based trace generation tag (the wire generation is
     /// one-based).
     generation: u32,
-    /// Events buffered since the last flush; `None` when the
+    /// Events buffered since the last report; `None` when the
     /// coordinator's observer has no sink, so nothing is buffered,
     /// encoded or sent.
     events: Option<Vec<TraceEvent>>,
@@ -951,18 +871,6 @@ impl RemoteEnv {
         let counts = self.metrics.snapshot().values().to_vec();
         self.metrics.reset_all();
         counts
-    }
-
-    /// Ship buffered events to the coordinator (best-effort). Called
-    /// from `beat` — once per iteration and once before the outcome
-    /// frame — so in-order delivery puts every batch ahead of the
-    /// worker's terminal status.
-    fn flush_events(&mut self) {
-        if let Some(events) = self.events.as_mut().filter(|e| !e.is_empty()) {
-            let batch = imr_trace::encode_events(events);
-            events.clear();
-            self.conn.send_trace(Bytes::from(batch));
-        }
     }
 }
 
@@ -999,29 +907,20 @@ impl PairEnv for RemoteEnv {
         Ok(self.conn.write_checkpoint(iteration, payload)?)
     }
     fn beat(&mut self, iteration: usize, busy_secs: f64, d: f64, has_prev: bool) {
-        // Counts ahead of the events: the IterEnd in this iteration's
-        // batch samples the coordinator's registry.
+        // One report per iteration (and one before the outcome frame),
+        // so in-order delivery puts every event ahead of the worker's
+        // terminal status.
         let counts = self.take_counts();
-        self.conn.beat(iteration, busy_secs, d, has_prev, counts);
-        self.flush_events();
-    }
-    fn patch_verify(&mut self, raw: &Bytes, keys: usize) -> Result<(), EnvFail> {
-        // Block for the coordinator's patch announcement (sent right
-        // after setup at epoch 0), prove the loaded bytes match it,
-        // then echo what was decoded so the coordinator can
-        // double-check from its side.
-        let (bytes, digest) = self.conn.wait_patch().map_err(|_| EnvFail::Closed)?;
-        let local = patch_digest(raw);
-        if bytes != raw.len() as u64 || digest != local {
-            return Err(EnvFail::Error(EngineError::Worker(format!(
-                "warm-start patch mismatch: coordinator announced {bytes} bytes \
-                 (digest {digest:#018x}), worker loaded {} bytes (digest {local:#018x})",
-                raw.len()
-            ))));
-        }
+        let events = match self.events.as_mut().filter(|e| !e.is_empty()) {
+            Some(events) => {
+                let batch = imr_trace::encode_events(events);
+                events.clear();
+                Bytes::from(batch)
+            }
+            None => Bytes::new(),
+        };
         self.conn
-            .send_patch_stats(keys as u64, raw.len() as u64, local);
-        Ok(())
+            .beat(iteration, busy_secs, d, has_prev, counts, events);
     }
     fn hang(&mut self) {
         self.conn.block_until_poisoned();
@@ -1240,7 +1139,6 @@ mod tests {
                     1,
                     &plans,
                     None,
-                    None,
                     gen,
                 )
             });
@@ -1298,6 +1196,7 @@ mod tests {
                 d: 0.0,
                 has_prev: false,
                 counts: Vec::new(),
+                events: Bytes::new(),
             };
             match settle_after(beat) {
                 Err(EngineError::Worker(got)) => {

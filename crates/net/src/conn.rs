@@ -63,9 +63,6 @@ struct ConnState {
     /// sufficient).
     gathered: Option<Vec<Bytes>>,
     part: Option<Result<Bytes, String>>,
-    /// Incremental-mode patch expectation from the coordinator
-    /// (`(bytes, digest)` of our epoch-0 warm-start part).
-    patch: Option<(u64, u64)>,
     /// A sent segment's buffer, waiting to become the reader's spare.
     spare: Option<Vec<u8>>,
     poisoned: bool,
@@ -166,7 +163,6 @@ impl WorkerConn {
                 credits: vec![buffer; n],
                 gathered: None,
                 part: None,
-                patch: None,
                 spare: None,
                 poisoned: false,
                 drained: false,
@@ -273,7 +269,11 @@ impl WorkerConn {
 
     /// Publish a progress report: the heartbeat for the coordinator-side
     /// progress board plus the counter increments (`counts`, in
-    /// `MetricsSnapshot::values()` order) since the previous report.
+    /// `MetricsSnapshot::values()` order) and the encoded trace events
+    /// (`events`, see `imr_trace::encode_events`) since the previous
+    /// report. Best-effort: a report lost on a dying connection is
+    /// acceptable, and in-order delivery means one sent before the
+    /// outcome frame always precedes it.
     pub fn beat(
         &mut self,
         iteration: usize,
@@ -281,6 +281,7 @@ impl WorkerConn {
         d: f64,
         has_prev: bool,
         counts: Vec<u64>,
+        events: Bytes,
     ) {
         let _ = self.write(&ToCoord::Beat {
             iteration,
@@ -288,15 +289,8 @@ impl WorkerConn {
             d,
             has_prev,
             counts,
+            events,
         });
-    }
-
-    /// Ship a batch of encoded trace events (see
-    /// `imr_trace::encode_events`). Best-effort, like heartbeats: trace
-    /// loss on a dying connection is acceptable, and in-order delivery
-    /// means a batch sent before the outcome frame always precedes it.
-    pub fn send_trace(&mut self, payload: Bytes) {
-        let _ = self.write(&ToCoord::Trace { payload });
     }
 
     /// Report our terminal status. Best-effort once poisoned.
@@ -314,22 +308,6 @@ impl WorkerConn {
         let all_back = |s: &mut ConnState| s.credits.iter().all(|&c| c == allowance).then_some(());
         let _ = self.wait_until(all_back);
         let _ = self.write(&ToCoord::Outcome(outcome));
-    }
-
-    /// Block until the coordinator's incremental-mode [`ToWorker::Patch`]
-    /// expectation arrives; returns its `(bytes, digest)`.
-    pub fn wait_patch(&mut self) -> Result<(u64, u64), Closed> {
-        self.wait_until(|s| s.patch.take())
-    }
-
-    /// Echo what we actually restored from the warm-start part so the
-    /// coordinator can verify the plan arrived intact.
-    pub fn send_patch_stats(&mut self, keys: u64, bytes: u64, digest: u64) {
-        let _ = self.write(&ToCoord::PatchStats {
-            keys,
-            bytes,
-            digest,
-        });
     }
 }
 
@@ -419,7 +397,6 @@ fn reader_loop(mut reader: FrameReader<TcpStream>, pair: usize, shared: Arc<Conn
             ToWorker::GatherAll { parts } => state.gathered = Some(parts),
             ToWorker::PartData { payload } => state.part = Some(Ok(payload)),
             ToWorker::PartErr { message } => state.part = Some(Err(message)),
-            ToWorker::Patch { bytes, digest } => state.patch = Some((bytes, digest)),
             ToWorker::Poison => {
                 state.poisoned = true;
                 // Keep reading so the coordinator's writes never block

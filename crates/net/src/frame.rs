@@ -11,7 +11,8 @@
 //! changed since v2; the version moves whenever `proto.rs` retires or
 //! reshapes a message (v3: one gather, one segment class, counts in
 //! `Beat`, nested `WorkerSetup`; v4: `Ckpt` without history, `Outcome`
-//! carrying the pair loop's own result).
+//! carrying the pair loop's own result; v5: trace events in `Beat`, no
+//! warm-start `Patch` / `PatchStats`).
 //!
 //! Frames are `[u32 BE payload length][u32 BE CRC32][payload]`. The
 //! CRC covers the direction's implicit frame sequence number (a `u64`
@@ -54,7 +55,7 @@ pub const MAX_FRAME: usize = 1 << 26;
 pub const WIRE_MAGIC: [u8; 4] = *b"IMRW";
 
 /// Wire protocol version negotiated by the preamble.
-pub const WIRE_VERSION: u32 = 4;
+pub const WIRE_VERSION: u32 = 5;
 
 /// Bytes of the per-direction preamble (magic + version).
 pub const PREAMBLE_LEN: usize = 8;

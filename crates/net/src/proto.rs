@@ -15,8 +15,8 @@
 //! (`Gather` → `GatherAll`: barrier, one2all exchange and termination
 //! vote are all the same task-ordered all-gather) and one progress
 //! report (`Beat`, which also delivers the worker's counter
-//! increments, and from which the coordinator keeps the distance
-//! history a `Ckpt` is persisted with) and one outcome type
+//! increments and trace events, and from which the coordinator keeps
+//! the distance history a `Ckpt` is persisted with) and one outcome type
 //! ([`PairOutcome`], what the pair loop returns on either fabric).
 //! Tags are never reused: a retired tag decodes to
 //! [`CodecError::Corrupt`] like any unassigned one. DESIGN.md §8 lists
@@ -54,15 +54,22 @@ pub enum ToCoord {
     /// watchdog, the coordinator-side per-iteration records used for
     /// reporting, and — `counts`, in `MetricsSnapshot::values()` order —
     /// everything the worker's pair loop counted since its previous
-    /// report. Sent once more before [`ToCoord::Outcome`] with
-    /// `iteration` 0 (iterations count from 1), which delivers the
-    /// trailing counts and nothing else.
+    /// report. `events` is the batch of `imr_trace` events (56-byte
+    /// records, see `imr_trace::encode_events`) the pair emitted since
+    /// then, timestamped on the worker's clock: the worker's whole
+    /// observability output, which the coordinator rebases onto its
+    /// own timeline and replays through the run's observer after the
+    /// counts. Empty unless [`WorkerSetup::observed`]. Sent once more
+    /// before [`ToCoord::Outcome`] with `iteration` 0 (iterations count
+    /// from 1), which delivers the trailing counts and events and
+    /// nothing else.
     Beat {
         iteration: usize,
         busy_secs: f64,
         d: f64,
         has_prev: bool,
         counts: Vec<u64>,
+        events: Bytes,
     },
     /// Checkpoint body for `iteration`; the coordinator persists it
     /// together with the distance history it has recorded from this
@@ -73,18 +80,6 @@ pub enum ToCoord {
     /// Terminal status of this worker process: what its pair loop
     /// returned, a real failure flattened to its message.
     Outcome(Result<PairOutcome, String>),
-    /// A batch of `imr_trace` events (56-byte records, see
-    /// `imr_trace::encode_events`), timestamped on the worker's clock —
-    /// the worker's whole observability output. The coordinator rebases
-    /// them onto its own timeline and replays them through the run's
-    /// observer, which feeds the job trace and the telemetry registry
-    /// alike. Best-effort, and only sent when [`WorkerSetup::observed`].
-    Trace { payload: Bytes },
-    /// Incremental-mode patch receipt: the worker decoded its epoch-0
-    /// warm-start part and echoes what it saw (`keys` restored, raw
-    /// `bytes` length and FNV-64 `digest`) so the coordinator can
-    /// verify the plan arrived intact (see [`ToWorker::Patch`]).
-    PatchStats { keys: u64, bytes: u64, digest: u64 },
 }
 
 /// Messages sent from the coordinator to a worker process.
@@ -110,13 +105,6 @@ pub enum ToWorker {
     /// a rollback. Distinguished from [`ToWorker::Poison`] so recovery
     /// triage never mistakes a drained worker for a failed one.
     Drain,
-    /// Incremental-mode patch expectation, sent right after `Setup`
-    /// when a generation starts at epoch 0 with `incremental` set: the
-    /// raw `bytes` length and FNV-64 `digest` of the warm-start state
-    /// part the coordinator planned for this pair. The worker compares
-    /// them against what it actually read before restoring its store
-    /// and replies with [`ToCoord::PatchStats`].
-    Patch { bytes: u64, digest: u64 },
 }
 
 /// How one pair's generation ended — what the pair loop returns on
@@ -170,8 +158,9 @@ pub struct PairCfg {
     pub check_every: usize,
     /// Incremental mode: epoch-0 state parts are warm
     /// `(key, (value, pending))` plans to restore, not initial state to
-    /// seed (i2MapReduce-style warm start), guarded over TCP by the
-    /// [`ToWorker::Patch`] / [`ToCoord::PatchStats`] handshake.
+    /// seed (i2MapReduce-style warm start). A warm part reaches a
+    /// worker like every other part, `ReadPart` → `PartData`, guarded
+    /// by the frame's CRC.
     pub incremental: bool,
 }
 
@@ -213,8 +202,8 @@ pub struct WorkerSetup {
     /// Checkpoint epoch to resume from (0 on a fresh run).
     pub epoch: usize,
     /// Whether the coordinator's observer has a sink (trace ring or
-    /// telemetry registry) attached; when not, the worker buffers and
-    /// ships no [`ToCoord::Trace`] batches.
+    /// telemetry registry) attached; when not, the worker buffers no
+    /// trace events and its [`ToCoord::Beat`]s carry none.
     pub observed: bool,
     pub cfg: PairCfg,
     pub dirs: PairDirs,
@@ -330,25 +319,21 @@ impl ToCoord {
                 d,
                 has_prev,
                 counts,
+                events,
             } => p
                 .put(&6u8)
                 .put(iteration)
                 .put(busy_secs)
                 .put(d)
                 .put(has_prev)
-                .put(counts),
+                .put(counts)
+                .bulk(events),
             ToCoord::Ckpt { iteration, payload } => p.put(&7u8).put(iteration).bulk(payload),
             ToCoord::ReadPart { dir, part } => p.put(&8u8).put(dir).put(part),
             ToCoord::Outcome(outcome) => {
                 let (tag, iteration, bytes) = outcome_parts(outcome);
                 p.put(&9u8).put(&tag).put(&iteration).bulk(bytes)
             }
-            ToCoord::Trace { payload } => p.put(&10u8).bulk(payload),
-            ToCoord::PatchStats {
-                keys,
-                bytes,
-                digest,
-            } => p.put(&13u8).put(keys).put(bytes).put(digest),
         };
         p
     }
@@ -383,6 +368,7 @@ impl Codec for ToCoord {
                 d: f64::decode(buf)?,
                 has_prev: bool::decode(buf)?,
                 counts: Vec::<u64>::decode(buf)?,
+                events: Bytes::decode(buf)?,
             },
             7 => ToCoord::Ckpt {
                 iteration: usize::decode(buf)?,
@@ -393,16 +379,9 @@ impl Codec for ToCoord {
                 part: usize::decode(buf)?,
             },
             9 => ToCoord::Outcome(outcome_from_parts(Codec::decode(buf)?)?),
-            10 => ToCoord::Trace {
-                payload: Bytes::decode(buf)?,
-            },
-            13 => ToCoord::PatchStats {
-                keys: u64::decode(buf)?,
-                bytes: u64::decode(buf)?,
-                digest: u64::decode(buf)?,
-            },
             // Retired, never reused: 3 BarrierArrive, 5 Distance,
-            // 11 Delta, 12 DeltaStats, 14 Telemetry.
+            // 10 Trace, 11 Delta, 12 DeltaStats, 13 PatchStats,
+            // 14 Telemetry.
             _ => return Err(CodecError::Corrupt("unknown ToCoord tag")),
         })
     }
@@ -433,7 +412,6 @@ impl ToWorker {
             ToWorker::PartErr { message } => p.put(&7u8).put(message),
             ToWorker::Poison => p.put(&8u8),
             ToWorker::Drain => p.put(&9u8),
-            ToWorker::Patch { bytes, digest } => p.put(&11u8).put(bytes).put(digest),
         };
         p
     }
@@ -466,12 +444,8 @@ impl Codec for ToWorker {
             },
             8 => ToWorker::Poison,
             9 => ToWorker::Drain,
-            11 => ToWorker::Patch {
-                bytes: u64::decode(buf)?,
-                digest: u64::decode(buf)?,
-            },
             // Retired, never reused: 3 BarrierRelease, 5 DistanceTotal,
-            // 10 Delta.
+            // 10 Delta, 11 Patch.
             _ => return Err(CodecError::Corrupt("unknown ToWorker tag")),
         })
     }
@@ -551,6 +525,15 @@ mod tests {
             d: f64::INFINITY,
             has_prev: false,
             counts: vec![0, 4096, 0, u64::MAX],
+            events: Bytes::new(),
+        });
+        round_trip(ToCoord::Beat {
+            iteration: 0,
+            busy_secs: 0.0,
+            d: 0.5,
+            has_prev: true,
+            counts: vec![],
+            events: Bytes::from(vec![7; 56]),
         });
         round_trip(ToCoord::Ckpt {
             iteration: 10,
@@ -573,14 +556,6 @@ mod tests {
         ] {
             round_trip(ToCoord::Outcome(Ok(outcome)));
         }
-        round_trip(ToCoord::Trace {
-            payload: Bytes::from(vec![7; 56]),
-        });
-        round_trip(ToCoord::PatchStats {
-            keys: 512,
-            bytes: 8192,
-            digest: 0xDEAD_BEEF_CAFE_F00D,
-        });
     }
 
     #[test]
@@ -602,10 +577,6 @@ mod tests {
         });
         round_trip(ToWorker::Poison);
         round_trip(ToWorker::Drain);
-        round_trip(ToWorker::Patch {
-            bytes: 8192,
-            digest: 0xDEAD_BEEF_CAFE_F00D,
-        });
     }
 
     #[test]

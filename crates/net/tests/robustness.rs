@@ -32,6 +32,7 @@ fn every_to_coord() -> Vec<ToCoord> {
             d: 1.5,
             has_prev: false,
             counts: vec![0, 4096, 0, 0, 0, 111_816, 0, 7, 0, 2, u64::MAX],
+            events: payload.clone(),
         },
         ToCoord::Ckpt {
             iteration: 10,
@@ -42,15 +43,9 @@ fn every_to_coord() -> Vec<ToCoord> {
             part: 3,
         },
         ToCoord::Outcome(Ok(PairOutcome::Finished {
-            final_data: payload.clone(),
+            final_data: payload,
             iterations: 4,
         })),
-        ToCoord::Trace { payload },
-        ToCoord::PatchStats {
-            keys: 512,
-            bytes: 8192,
-            digest: 0xDEAD_BEEF_CAFE_F00D,
-        },
     ]
 }
 
@@ -102,28 +97,26 @@ fn every_to_worker() -> Vec<ToWorker> {
         },
         ToWorker::Poison,
         ToWorker::Drain,
-        ToWorker::Patch {
-            bytes: 8192,
-            digest: 0xDEAD_BEEF_CAFE_F00D,
-        },
     ]
 }
 
 /// The tags each direction assigns today, in `proto.rs` declaration
 /// order. The gaps are retired tags, which are never reused.
-const TO_COORD_TAGS: [u8; 10] = [0, 1, 2, 4, 6, 7, 8, 9, 10, 13];
-const TO_WORKER_TAGS: [u8; 9] = [0, 1, 2, 4, 6, 7, 8, 9, 11];
+const TO_COORD_TAGS: [u8; 8] = [0, 1, 2, 4, 6, 7, 8, 9];
+const TO_WORKER_TAGS: [u8; 8] = [0, 1, 2, 4, 6, 7, 8, 9];
 
 /// `ToCoord` tags that once carried a message: the barrier arrival (3),
 /// the distance vote (5), delta segments (11) and delta counters (12)
 /// until one gather, one segment class and counts-in-`Beat` replaced
-/// them, and the telemetry batch (14) until the worker's events became
-/// its only observability frame.
-const RETIRED_TO_COORD_TAGS: [u8; 5] = [3, 5, 11, 12, 14];
+/// them, the telemetry batch (14) until the worker's events became
+/// its only observability frame, the trace batch (10) until those
+/// events rode in `Beat`, and the warm-start patch receipt (13).
+const RETIRED_TO_COORD_TAGS: [u8; 7] = [3, 5, 10, 11, 12, 13, 14];
 
 /// `ToWorker` tags that once carried a message: the barrier release
-/// (3), the distance total (5) and delta segments (10).
-const RETIRED_TO_WORKER_TAGS: [u8; 3] = [3, 5, 10];
+/// (3), the distance total (5), delta segments (10) and the warm-start
+/// patch expectation (11).
+const RETIRED_TO_WORKER_TAGS: [u8; 4] = [3, 5, 10, 11];
 
 fn decode_to_coord(frame: Vec<u8>) -> Result<ToCoord, NetError> {
     Ok(ToCoord::decode(&mut Bytes::from(frame))?)
@@ -144,11 +137,8 @@ fn every_variant_owns_one_tag_and_the_retired_ones_stay_dead() {
     // and telemetry layouts alike; the bare tag covers BarrierArrive /
     // BarrierRelease) is a typed codec error, as is every other tag
     // outside the live set.
-    let old_body = ToCoord::Trace {
-        payload: Bytes::from(vec![3u8; 248]),
-    }
-    .to_bytes()
-    .to_vec();
+    let mut old_body = vec![0u8];
+    old_body.extend_from_slice(&Bytes::from(vec![3u8; 248]).to_bytes());
     for tag in 0..=u8::MAX {
         let mut old = old_body.clone();
         old[0] = tag;
@@ -180,10 +170,11 @@ fn every_variant_owns_one_tag_and_the_retired_ones_stay_dead() {
 
 #[test]
 fn a_version_2_preamble_is_refused_at_handshake() {
-    // A peer built before the message set shrank (v2) or before `Ckpt`
-    // and `Outcome` were reshaped (v3) still frames the same way; only
-    // the preamble tells them apart, so it must.
-    for version in [2u32, 3] {
+    // A peer built before the message set shrank (v2), before `Ckpt`
+    // and `Outcome` were reshaped (v3) or before `Beat` carried the
+    // trace events (v4) still frames the same way; only the preamble
+    // tells them apart, so it must.
+    for version in [2u32, 3, 4] {
         let mut old = Vec::new();
         old.extend_from_slice(&WIRE_MAGIC);
         old.extend_from_slice(&version.to_be_bytes());

@@ -24,18 +24,6 @@ impl RunReport {
         self.iteration_done.len()
     }
 
-    /// Total virtual running time of the job.
-    pub fn total_time(&self) -> VDuration {
-        self.finished.since_epoch()
-    }
-
-    /// Cumulative time at the end of iteration `i` (1-based), matching
-    /// the x-axis of the paper's Figs. 4–7.
-    pub fn time_at_iteration(&self, i: usize) -> Option<VDuration> {
-        assert!(i >= 1, "iterations are 1-based");
-        self.iteration_done.get(i - 1).map(|t| t.since_epoch())
-    }
-
     /// The per-iteration spans (iteration k end minus iteration k−1 end).
     pub fn iteration_spans(&self) -> Vec<VDuration> {
         let mut prev = VInstant::EPOCH;
@@ -71,8 +59,6 @@ mod tests {
     fn cumulative_and_span_views_agree() {
         let r = report();
         assert_eq!(r.iterations(), 3);
-        assert_eq!(r.time_at_iteration(2), Some(VDuration::from_secs(18)));
-        assert_eq!(r.time_at_iteration(4), None);
         let spans = r.iteration_spans();
         assert_eq!(
             spans,
@@ -82,12 +68,5 @@ mod tests {
                 VDuration::from_secs(12)
             ]
         );
-        assert_eq!(r.total_time(), VDuration::from_secs(31));
-    }
-
-    #[test]
-    #[should_panic(expected = "1-based")]
-    fn iteration_zero_is_rejected() {
-        let _ = report().time_at_iteration(0);
     }
 }

@@ -15,39 +15,14 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
         if i > 0 {
             out.push(',');
         }
-        write_event(&mut out, event, ids(event.node));
+        write_event(&mut out, event);
     }
     out.push_str("]}");
     out
 }
 
-/// Render several jobs' trace streams into one merged Chrome timeline:
-/// each job becomes its own process group (`pid` = job id, labelled via
-/// a `process_name` metadata event) with the pair tasks as threads, so
-/// a multi-job service run can be inspected as one picture while the
-/// per-job streams stay visually isolated. The node tag is not rendered
-/// in this view — the job id takes its slot.
-pub fn chrome_trace_json_jobs(jobs: &[(u64, Vec<TraceEvent>)]) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    for (i, (job, events)) in jobs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{job},\
-             \"args\":{{\"name\":\"job {job}\"}}}}"
-        );
-        for event in events {
-            out.push(',');
-            write_event(&mut out, event, *job as i64);
-        }
-    }
-    out.push_str("]}");
-    out
-}
-
-fn write_event(out: &mut String, event: &TraceEvent, pid: i64) {
+fn write_event(out: &mut String, event: &TraceEvent) {
+    let pid = ids(event.node);
     let ts = event.start_nanos as f64 / 1_000.0;
     let tid = ids(event.task);
     if event.end_nanos > event.start_nanos {
@@ -177,30 +152,6 @@ mod tests {
         assert_eq!(text.lines().count(), 2);
         assert!(text.contains("\"kind\":\"Rollback\""));
         assert!(text.contains("\"epoch\":4"));
-    }
-
-    #[test]
-    fn multi_job_timeline_groups_by_job_id() {
-        let jobs = vec![
-            (
-                3u64,
-                vec![TraceEvent::new(TraceKind::MapPhase)
-                    .spanning(1_000, 2_000)
-                    .tagged(0, 1, 1, 0)],
-            ),
-            (
-                7u64,
-                vec![TraceEvent::new(TraceKind::Rollback { epoch: 2 }).at(5_000)],
-            ),
-        ];
-        let json = chrome_trace_json_jobs(&jobs);
-        assert!(json.contains("\"name\":\"process_name\""));
-        assert!(json.contains("\"name\":\"job 3\""));
-        assert!(json.contains("\"name\":\"job 7\""));
-        assert!(json.contains("\"pid\":3"));
-        assert!(json.contains("\"pid\":7"));
-        assert!(json.contains("\"name\":\"MapPhase\""));
-        assert!(json.contains("\"name\":\"Rollback\""));
     }
 
     #[test]

@@ -28,7 +28,7 @@ mod report;
 mod ring;
 
 pub use codec::{decode_events, encode_events};
-pub use emit::{chrome_trace_json, chrome_trace_json_jobs, flight_lines, flight_path};
+pub use emit::{chrome_trace_json, flight_lines, flight_path};
 pub use report::{async_overlap_score, canonical_kinds, PhaseStats, TraceReport};
 pub use ring::TraceBuffer;
 

@@ -6,12 +6,21 @@
 //! checkpoint — and a schedule that outlasts the retry budget must
 //! yield a typed error, never a hang or a panic.
 
-use imapreduce::{ChaosConfig, IterConfig, IterOutcome, NetPolicy, WatchdogConfig};
-use imr_algorithms::testutil::tcp_runner;
+use imapreduce::{
+    ChaosConfig, FaultEvent, GraphDelta, IterConfig, IterEngine, IterOutcome, NetPolicy,
+    WatchdogConfig,
+};
+use imr_algorithms::incremental::{
+    converge_and_preserve, inc_dirs, run_incremental_ns, weighted_statics,
+};
+use imr_algorithms::sssp::SsspInc;
+use imr_algorithms::testutil::{native_runner, tcp_runner};
 use imr_algorithms::{concomp, kmeans, pagerank, sssp};
 use imr_graph::{dataset, generate_points};
 use imr_jobs::{AlgoSpec, EngineSel, JobPhase, JobService, JobSpec, ServiceConfig};
 use imr_mapreduce::EngineError;
+use imr_native::WorkerSpec;
+use imr_simcluster::NodeId;
 use std::time::Duration;
 
 /// This package's worker binary.
@@ -174,6 +183,68 @@ fn chaos_delta_pagerank_matches_clean() {
     let clean = pagerank::run_pagerank_delta(&tcp(), &g, &cfg).unwrap();
     let chaos = pagerank::run_pagerank_delta(&tcp(), &g, &chaotic(cfg, 71)).unwrap();
     assert_same("delta pagerank", &clean, &chaos);
+}
+
+/// A warm start under chaos: an incremental SSSP re-convergence over
+/// TCP with frames corrupted and dropped on the coordinator links, and
+/// a kill at check 1 that replays from the warm parts. A warm part
+/// reaches a worker like every other part (`ReadPart` → `PartData`),
+/// so the frame CRC alone guards it: the run equals the clean thread
+/// run bit for bit.
+#[test]
+fn chaos_incremental_sssp_warm_start_matches_clean_threads() {
+    let g = dataset("DBLP").unwrap().generate(0.004);
+    // Cutting every other out-edge of the widest node resets the keys
+    // reached through them, so re-convergence takes several checks and
+    // the kill at check 1 lands mid-run.
+    let source = (0..g.num_nodes() as u32)
+        .max_by_key(|&u| g.out_degree(u))
+        .unwrap();
+    let job = SsspInc { source };
+    let base = weighted_statics(&g);
+    let mut delta = GraphDelta::new();
+    for &v in g.neighbors(source).iter().step_by(2) {
+        delta.remove_edge(source, v);
+    }
+    let cfg = IterConfig::new("inc-chaos", 2, 300)
+        .with_accumulative_mode()
+        .with_distance_threshold(1e-9)
+        .with_checkpoint_interval(2);
+
+    let threads = native_runner(2);
+    let (_, fix) = converge_and_preserve(&threads, &job, &base, &cfg, "/i").unwrap();
+    let clean = run_incremental_ns(&threads, &job, &cfg, &fix, "/i", &delta).unwrap();
+
+    // The same cold fixpoint, then the warm run in worker processes.
+    let tcp = native_runner(2);
+    let (_, fix) = converge_and_preserve(&tcp, &job, &base, &cfg, "/i").unwrap();
+    let tcp = tcp.with_workers(WorkerSpec::new(WORKER, vec!["sssp".to_owned()]));
+    let inc_cfg = chaotic(cfg.with_tcp_transport(), 89).with_incremental_mode();
+    let kill = [FaultEvent::Kill {
+        node: NodeId(1),
+        at_iteration: 1,
+    }];
+    let d = inc_dirs("/i");
+    let warm = tcp
+        .run_incremental(
+            &job,
+            &inc_cfg,
+            &fix,
+            &d.static_,
+            &delta,
+            &d.inc_state,
+            &d.inc_static,
+            &d.inc_out,
+            &kill,
+        )
+        .unwrap();
+    assert!(warm.outcome.recoveries >= 1, "the kill never fired");
+    assert!(
+        tcp.metrics().snapshot().chaos_injections > 0,
+        "schedule must inject"
+    );
+    assert_eq!(clean.stats, warm.stats);
+    assert_same("incremental sssp", &clean.outcome, &warm.outcome);
 }
 
 /// A schedule that outlasts the retry budget (unbounded teardown

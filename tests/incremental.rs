@@ -287,8 +287,8 @@ fn heavy_sssp_delta(
 /// the warm-start parts (epoch 0, before any checkpoint commits), so
 /// the recovered run is bit-identical to a clean incremental run —
 /// same fixpoint, same check count, same progress trace, same patch
-/// stats. On TCP the replay generation re-announces and re-verifies
-/// the warm-part digests.
+/// stats. On TCP the replay generation rereads the warm parts like
+/// any other part.
 #[test]
 fn incremental_kill_replays_bit_identically_on_channel_and_tcp() {
     let g = dataset("DBLP").unwrap().generate(0.004);
@@ -354,9 +354,8 @@ fn incremental_kill_replays_bit_identically_on_channel_and_tcp() {
 }
 
 /// An incremental config reaching TCP through `run_accumulative`, over
-/// the warm parts the planner wrote: the coordinator announces the
-/// warm-start patches whenever the config is incremental, whatever the
-/// entry point, so no worker waits for a `Patch` frame that never comes.
+/// the warm parts the planner wrote: a warm part reaches a worker like
+/// every other part, by `ReadPart`, whatever entry point planned it.
 /// The run returns within a bounded wait, bit-identical to threads.
 #[test]
 fn tcp_accumulative_on_warm_parts_returns_and_matches_threads() {

@@ -22,7 +22,8 @@
 #                          # every file a code scan names exists,
 #                          # one `unsafe` site (crc.rs) and no unannotated
 #                          # panic site in imr-net / imr-native, the sim
-#                          # drivers (engine, aux, incremental),
+#                          # drivers (engine, aux, incremental), core's
+#                          # config,
 #                          # the core and shuffle kernels (accum, kernel,
 #                          # static_part, shuffle, sorted, codec), core's store, observe,
 #                          # iter_engine, ctl and supervise, or the DFS facade and
@@ -46,7 +47,13 @@
 #                          # in `impl IterativeRunner`), and one
 #                          # iteration for jobs of any number of phases
 #                          # (no fetch_segments, PhaseJob or run_two_phase
-#                          # named under crates/*/src, src or examples)
+#                          # named under crates/*/src, src or examples),
+#                          # every ToCoord/ToWorker variant constructed
+#                          # outside proto.rs and tests (a tag nothing
+#                          # sends fails), and no patch_verify, send_trace,
+#                          # speculative or parse_text under crates/*/src,
+#                          # src or examples (nor PatchStats in imr-net /
+#                          # imr-native)
 #   ./verify.sh <suite>    # one row group of the SUITES table: faults,
 #                          # observe, service, delta, chaos, incremental
 #
@@ -438,7 +445,8 @@ cmd_drift() {
   # No panic on the TCP path: outside #[cfg(test)], every unwrap,
   # expect, assert, unreachable!, panic!, todo! or unimplemented! in
   # imr-net, imr-native, the sim driver (crates/core/src/{engine,aux}.rs),
-  # the incremental driver (crates/core/src/incremental.rs), the iteration kernel
+  # the incremental driver (crates/core/src/incremental.rs), the
+  # configuration and its checks (crates/core/src/config.rs), the iteration kernel
   # and delta store (crates/core/src/{accum,kernel}.rs), the static part
   # both loops read in place (crates/core/src/static_part.rs), the pair loop
   # every engine runs and the simulator's turn-taking environment for it
@@ -453,7 +461,7 @@ cmd_drift() {
   # directly above it.
   local panics
   panics=$(rust_code 1 $(find crates/net/src crates/native/src -name '*.rs' | sort) \
-      crates/core/src/{accum,aux,ctl,engine,incremental,iter_engine,kernel,observe,pair,sim_env,static_part,store,supervise}.rs \
+      crates/core/src/{accum,aux,config,ctl,engine,incremental,iter_engine,kernel,observe,pair,sim_env,static_part,store,supervise}.rs \
       crates/dfs/src/{lib,snapshot}.rs \
       crates/records/src/{shuffle,sorted,codec}.rs \
     | { grep -E '^[^:]+:[0-9]+:[^@].*(\.unwrap\(\)|\.expect\(|(^|[^A-Za-z0-9_])((debug_)?assert(_eq|_ne)?|unreachable|panic|todo|unimplemented)!)' \
@@ -559,6 +567,49 @@ cmd_drift() {
   [ -z "$phase_fork" ] \
     || { echo "drift: a second phase loop is named (a phased job is an IterativeJob with phases() > 1):" >&2; echo "$phase_fork" >&2; exit 1; }
   echo "drift: no fetch_segments, PhaseJob or run_two_phase: phases run on the one pair loop"
+
+  # Every frame tag is sent: each `ToCoord` / `ToWorker` variant is
+  # constructed somewhere outside proto.rs and outside #[cfg(test)].
+  # An occurrence is a pattern, not a construction, when what follows
+  # it (and its braced or parenthesised fields) is `=>`, a match guard,
+  # an or-pattern or a `let` binding's `=`; a variant with no other
+  # occurrence is a tag nothing sends, and its decoder a dead end.
+  local wire_code variant unsent=""
+  wire_code=$(rust_code 1 $(find crates/*/src src -name '*.rs' ! -path crates/net/src/proto.rs | sort) \
+    | sed -E 's/^[^:]+:[0-9]+:@?//')
+  for enum in ToCoord ToWorker; do
+    for variant in $(wire_variants "$enum"); do
+      perl -0777 -ne '
+        BEGIN { ($e, $v) = splice @ARGV, 0, 2 }
+        while (/\b\Q$e\E::\Q$v\E\b\s*(?&b)?\s*(?:\)\s*)*(?<next>=>|if\b|\||=(?![=>])|)
+                (?(DEFINE)(?<b>\{(?:[^{}]++|(?&b))*\}|\((?:[^()]++|(?&b))*\)))/gx) {
+          exit 0 if $+{next} eq "";
+        }
+        exit 1;
+      ' "$enum" "$variant" <<< "$wire_code" || unsent="$unsent $enum::$variant"
+    done
+  done
+  [ -z "$unsent" ] \
+    || { echo "drift: wire variants nothing outside proto.rs and tests constructs (retire the tag):$unsent" >&2; exit 1; }
+  echo "drift: every ToCoord and ToWorker variant is constructed outside proto.rs and tests"
+
+  # What nothing consumed stays deleted: the warm-start digest exchange
+  # (a warm part is guarded by the PartData frame's CRC like every
+  # part), the separate trace frame (events ride in `Beat`), the
+  # baseline's speculative execution and the graph text formats. Code
+  # only: a comment may name a retired tag. Core's
+  # `incremental::PatchStats` (the planner's counters) is another type,
+  # so that name is scanned in the wire crates only.
+  local tombstones
+  tombstones=$({
+    rust_code 0 $(find crates/*/src src examples -name '*.rs' | sort) \
+      | grep -E '^[^:]+:[0-9]+:.*(patch_verify|send_trace|speculative|parse_text)'
+    rust_code 0 $(find crates/net/src crates/native/src -name '*.rs' | sort) \
+      | grep -E '^[^:]+:[0-9]+:.*(^|[^A-Za-z0-9_])PatchStats([^A-Za-z0-9_]|$)'
+  } || true)
+  [ -z "$tombstones" ] \
+    || { echo "drift: a deleted surface is named again (patch_verify, PatchStats, send_trace, speculative, parse_text):" >&2; echo "$tombstones" >&2; exit 1; }
+  echo "drift: no patch_verify, PatchStats (wire), send_trace, speculative or parse_text"
 
   local subs jobs
   subs=$({
