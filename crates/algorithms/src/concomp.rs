@@ -9,8 +9,8 @@
 //! symmetric, all labels converge to the component's minimum id.
 
 use imapreduce::{
-    load_partitioned, Accumulative, Emitter, GraphDeltaOp, Incremental, IterConfig, IterEngine,
-    IterOutcome, IterativeJob, PatchEffect, StateInput,
+    load_partitioned, Accumulative, Delta, Emitter, GraphDeltaOp, Incremental, IterConfig,
+    IterEngine, IterOutcome, IterativeJob, PatchEffect, StateInput,
 };
 use imr_graph::Graph;
 use imr_mapreduce::EngineError;
@@ -188,7 +188,7 @@ pub fn run_concomp_imr(
 pub fn run_concomp_delta(
     runner: &impl IterEngine,
     graph: &Graph,
-    cfg: &IterConfig,
+    cfg: &IterConfig<Delta>,
 ) -> Result<IterOutcome<u32, u32>, EngineError> {
     load_concomp_imr(runner, graph, cfg.num_tasks, "/ccd/state", "/ccd/static")?;
     runner.run_accumulative(

@@ -21,8 +21,8 @@
 use std::collections::BTreeMap;
 
 use imapreduce::{
-    apply_delta, load_partitioned, FixpointStore, GraphDelta, Incremental, IncrementalOutcome,
-    IterConfig, IterEngine, IterOutcome,
+    apply_delta, load_partitioned, Delta, FixpointStore, GraphDelta, Incremental,
+    IncrementalOutcome, IterConfig, IterEngine, IterOutcome,
 };
 use imr_graph::Graph;
 use imr_mapreduce::EngineError;
@@ -122,13 +122,12 @@ pub fn load_incremental<J: Incremental>(
 
 /// Cold accumulative convergence on an adjacency map: load under
 /// `{ns}/state` / `{ns}/static`, run to the fixpoint, output under
-/// `{ns}/out`. `cfg` must carry `with_accumulative_mode()` (and **not**
-/// `with_incremental_mode()` — cold inputs are plain per-key values).
+/// `{ns}/out`, in the delta mode (cold inputs are plain per-key values).
 pub fn converge_cold<J: Incremental>(
     runner: &impl IterEngine,
     job: &J,
     statics: &BTreeMap<u32, J::T>,
-    cfg: &IterConfig,
+    cfg: &IterConfig<Delta>,
     ns: &str,
 ) -> Result<IterOutcome<u32, J::S>, EngineError> {
     let d = inc_dirs(ns);
@@ -143,7 +142,7 @@ pub fn converge_and_preserve<J: Incremental>(
     runner: &impl IterEngine,
     job: &J,
     statics: &BTreeMap<u32, J::T>,
-    cfg: &IterConfig,
+    cfg: &IterConfig<Delta>,
     ns: &str,
 ) -> Result<(IterOutcome<u32, J::S>, FixpointStore), EngineError> {
     let outcome = converge_cold(runner, job, statics, cfg, ns)?;
@@ -155,21 +154,20 @@ pub fn converge_and_preserve<J: Incremental>(
 }
 
 /// Re-converge from the namespace's preserved fixpoint after `delta`
-/// mutates the graph. `cfg` is the same base accumulative config used
-/// for the cold converge; the incremental flag is added here.
+/// mutates the graph. `cfg` is the same delta-mode config used for the
+/// cold converge; `run_incremental` turns the warm start on.
 pub fn run_incremental_ns<J: Incremental>(
     runner: &impl IterEngine,
     job: &J,
-    cfg: &IterConfig,
+    cfg: &IterConfig<Delta>,
     fix: &FixpointStore,
     ns: &str,
     delta: &GraphDelta,
 ) -> Result<IncrementalOutcome<J::S>, EngineError> {
     let d = inc_dirs(ns);
-    let inc_cfg = cfg.clone().with_incremental_mode();
     runner.run_incremental(
         job,
-        &inc_cfg,
+        cfg,
         fix,
         &d.static_,
         delta,
@@ -214,7 +212,7 @@ mod tests {
         sssp_weight_dist,
     };
 
-    fn sssp_cfg() -> IterConfig {
+    fn sssp_cfg() -> IterConfig<Delta> {
         IterConfig::new("inc-sssp", 3, 300)
             .with_accumulative_mode()
             .with_distance_threshold(1e-9)

@@ -87,7 +87,7 @@ pub fn run_jacobi_imr(
     cfg: &IterConfig,
 ) -> Result<IterOutcome<u32, f64>, EngineError> {
     assert_eq!(
-        cfg.mapping,
+        cfg.mode.mapping,
         imapreduce::Mapping::One2All,
         "Jacobi needs one2all"
     );

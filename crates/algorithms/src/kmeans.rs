@@ -142,7 +142,7 @@ pub fn run_kmeans_imr(
     combiner: bool,
 ) -> Result<IterOutcome<u32, KmState>, EngineError> {
     assert_eq!(
-        cfg.mapping,
+        cfg.mode.mapping,
         imapreduce::Mapping::One2All,
         "K-means needs one2all"
     );

@@ -8,8 +8,8 @@
 //! formulation (no dangling redistribution).
 
 use imapreduce::{
-    load_partitioned, Accumulative, Emitter, GraphDeltaOp, Incremental, IterConfig, IterEngine,
-    IterOutcome, IterativeJob, PatchEffect, StateInput,
+    load_partitioned, Accumulative, Delta, Emitter, GraphDeltaOp, Incremental, IterConfig,
+    IterEngine, IterOutcome, IterativeJob, PatchEffect, StateInput,
 };
 use imr_graph::Graph;
 use imr_mapreduce::{
@@ -225,7 +225,7 @@ pub fn run_pagerank_imr(
 pub fn run_pagerank_delta(
     runner: &impl IterEngine,
     graph: &Graph,
-    cfg: &IterConfig,
+    cfg: &IterConfig<Delta>,
 ) -> Result<IterOutcome<u32, f64>, EngineError> {
     load_pagerank_imr(runner, graph, cfg.num_tasks, "/prd/state", "/prd/static")?;
     let job = PageRankIter::new(graph.num_nodes() as u64);

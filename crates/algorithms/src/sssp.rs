@@ -6,8 +6,8 @@
 //! outgoing edge weight; every node keeps the minimum it has seen.
 
 use imapreduce::{
-    load_partitioned, Accumulative, Emitter, GraphDeltaOp, Incremental, IterConfig, IterEngine,
-    IterOutcome, IterativeJob, PatchEffect, StateInput,
+    load_partitioned, Accumulative, Delta, Emitter, GraphDeltaOp, Incremental, IterConfig,
+    IterEngine, IterOutcome, IterativeJob, PatchEffect, StateInput,
 };
 use imr_graph::Graph;
 use imr_mapreduce::{
@@ -305,7 +305,7 @@ pub fn run_sssp_delta(
     runner: &impl IterEngine,
     graph: &Graph,
     source: u32,
-    cfg: &IterConfig,
+    cfg: &IterConfig<Delta>,
 ) -> Result<IterOutcome<u32, f64>, EngineError> {
     load_sssp_imr(
         runner,

@@ -56,8 +56,7 @@ pub fn mr_runner_on(spec: ClusterSpec) -> JobRunner {
 
 /// A native runner over a fresh local `n`-node DFS whose pairs run as
 /// `bin` worker processes over TCP, each launched with `job_args` to
-/// resolve the job (configs it runs must set
-/// `IterConfig::with_tcp_transport`).
+/// resolve the job.
 pub fn tcp_runner(n: usize, bin: &str, job_args: &[&str]) -> NativeRunner {
     let args = job_args.iter().map(|s| (*s).to_owned()).collect();
     native_runner(n).with_workers(WorkerSpec::new(bin, args))

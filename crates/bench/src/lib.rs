@@ -123,9 +123,8 @@ impl BenchOpts {
                 }
                 "--iters" => {
                     let v = value()?;
-                    let n = v
-                        .parse()
-                        .map_err(|_| format!("--iters {v:?} is not a count"))?;
+                    let n = v.parse().ok().filter(|&n: &usize| n > 0);
+                    let n = n.ok_or_else(|| format!("--iters {v:?} is not a positive count"))?;
                     opts.iters = Some(n);
                 }
                 "--out" => opts.out_root = PathBuf::from(value()?),
@@ -206,6 +205,7 @@ mod tests {
             ["--scale", "nan"],
             ["--iters", "2.5"],
             ["--iters", "-3"],
+            ["--iters", "0"],
         ] {
             let err = parse(&args).unwrap_err();
             assert!(err.starts_with(args[0]), "{args:?}: {err}");

@@ -20,10 +20,11 @@ use imr_records::{HashPartitioner, Key, Partitioner, Value};
 /// How reduce output maps back onto map input (paper §5.1): the default
 /// one-to-one correspondence of graph algorithms, or the one-to-all
 /// broadcast "K-means-like" algorithms need.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Mapping {
     /// Each reduce task feeds exactly its paired map task
     /// (`mapred.iterjob.mapping = one2one`).
+    #[default]
     One2One,
     /// Every reduce task broadcasts its output to all map tasks
     /// (`mapred.iterjob.mapping = one2all`). Forces synchronous maps.

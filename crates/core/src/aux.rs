@@ -75,12 +75,12 @@ where
     J: IterativeJob,
     A: AuxPhase<J::K, J::S>,
 {
-    if cfg.mapping != Mapping::One2All {
+    if cfg.mode.mapping != Mapping::One2All {
         return Err(EngineError::Config(
             "auxiliary phases are supported for one2all (K-means-like) jobs".into(),
         ));
     }
-    if cfg.load_balance.is_some() {
+    if cfg.mode.load_balance.is_some() {
         return Err(EngineError::Config(
             "the auxiliary phase never migrates pairs: load_balance does not apply".into(),
         ));

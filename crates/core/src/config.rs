@@ -5,6 +5,7 @@ use crate::api::Mapping;
 use imr_mapreduce::EngineError;
 use imr_net::{ChaosConfig, NetPolicy};
 use imr_simcluster::NodeId;
+use std::fmt;
 use std::time::Duration;
 
 /// Termination rule (paper §3.1.2): a fixed iteration cap, optionally
@@ -152,35 +153,62 @@ impl Default for WatchdogConfig {
     }
 }
 
-/// Which shuffle fabric the native backend runs the reduce→map
-/// connections over (paper §3.2's persistent socket connections).
-///
-/// Both transports present the same `Transport` contract — per-link
-/// FIFO order and a bounded number of in-flight segments — so a job
-/// produces bit-identical results on either.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransportKind {
-    /// In-process bounded channels between worker threads (default).
-    #[default]
-    Channel,
-    /// Length-prefixed frames over persistent localhost TCP
-    /// connections, with each pair in its own OS process and the
-    /// supervisor acting as coordinator. Requires a native runner with
-    /// worker processes attached (`NativeRunner::with_workers`).
-    Tcp,
-}
-
-/// Full configuration of one iMapReduce job.
+/// Full configuration of one iMapReduce job: the fields every mode
+/// shares, plus `mode`, the knobs of its execution mode — [`Iterative`]
+/// (the default) or [`Delta`]. Each `run_*` entry takes its own mode's
+/// config, so a knob of the other mode cannot be set. The engines read
+/// a config of either mode as `IterConfig<dyn Mode>`.
 #[derive(Debug, Clone)]
-pub struct IterConfig {
+pub struct IterConfig<M: ?Sized = Iterative> {
     /// Job name (used in DFS paths and reports).
     pub name: String,
     /// Number of persistent map/reduce task pairs. Must not exceed the
     /// cluster's task slots (§3.1.1 requires every persistent task to
     /// hold a slot for the whole run).
     pub num_tasks: usize,
-    /// Termination rule.
+    /// Termination rule. The delta mode counts termination checks and
+    /// needs a threshold (its accumulated-progress detector).
     pub termination: Termination,
+    /// Dump reduce-side state to DFS every this many iterations
+    /// (checkpointing, §3.4.1). 0 disables checkpointing.
+    pub checkpoint_interval: usize,
+    /// Optional supervisor watchdog for unscripted-stall detection.
+    pub watchdog: Option<WatchdogConfig>,
+    /// Unified network policy for the TCP backend: connect/handshake
+    /// deadlines, teardown grace, the supervisor's no-progress retry
+    /// budget and the worker connect loop's jittered exponential
+    /// backoff. The coordinator exports it to spawned workers via
+    /// `IMR_NET_*` environment variables so the whole fleet agrees.
+    pub net: NetPolicy,
+    /// Deterministic network-chaos injection on the coordinator's TCP
+    /// links (seeded frame drops/corruption/duplicates/resets and read
+    /// stalls with a shared fault budget). `None` leaves the wire
+    /// clean. Needs a wire — a `NativeRunner` with worker processes
+    /// attached; the simulator and worker threads refuse it — and,
+    /// when active, checkpointing and a watchdog (see
+    /// [`IterConfig::validate`]).
+    pub chaos: Option<ChaosConfig>,
+    /// The execution mode's own knobs.
+    pub mode: M,
+}
+
+/// An execution mode: [`Iterative`] or [`Delta`]. The engines read the
+/// mode of a config through these two views.
+pub trait Mode: fmt::Debug + Send + Sync {
+    /// The map/reduce iteration's knobs; `None` in the delta mode.
+    fn iterative(&self) -> Option<&Iterative> {
+        None
+    }
+    /// The delta mode's knobs; `None` in the iterative mode.
+    fn delta(&self) -> Option<&Delta> {
+        None
+    }
+}
+
+/// The paper's map/reduce iteration (§3): the knobs of `run`,
+/// `run_faults` and `run_with_aux`.
+#[derive(Debug, Clone, Default)]
+pub struct Iterative {
     /// one2one (graph algorithms) or one2all (K-means-like broadcast).
     pub mapping: Mapping,
     /// `mapred.iterjob.sync` — force synchronous map execution (map
@@ -193,16 +221,8 @@ pub struct IterConfig {
     /// letting the map's sorted join start right after the reduce's
     /// shuffle barrier instead of after its last record. one2one only.
     pub eager_handoff: bool,
-    /// Dump reduce-side state to DFS every this many iterations
-    /// (checkpointing, §3.4.1). 0 disables checkpointing.
-    pub checkpoint_interval: usize,
     /// Optional migration-based load balancing.
     pub load_balance: Option<LoadBalance>,
-    /// Optional supervisor watchdog for unscripted-stall detection.
-    pub watchdog: Option<WatchdogConfig>,
-    /// Shuffle fabric for the native backend. The simulation engine
-    /// models its own network and refuses `Tcp` with a `Config` error.
-    pub transport: TransportKind,
     /// Resume a previously interrupted run from the newest complete
     /// checkpoint snapshot under the output directory instead of
     /// starting at iteration 0. Used by the job service to pick an
@@ -210,44 +230,51 @@ pub struct IterConfig {
     /// `checkpoint_interval > 0` and is a no-op when no snapshot
     /// exists yet.
     pub resume: bool,
-    /// Barrier-free delta-accumulative execution (Maiter-style): every
-    /// task keeps a per-key `(value, delta)` store, propagates only
-    /// non-identity deltas, and schedules work by largest-pending-delta
-    /// priority. Requires an [`Accumulative`](crate::Accumulative) job
-    /// and the `run_accumulative` entry point; termination is the
-    /// accumulated-progress detector, so a `distance_threshold` is
-    /// mandatory. One2one only; incompatible with `sync_maps`,
-    /// `eager_handoff`, load balancing and `resume`.
-    pub accumulative: bool,
-    /// Accumulative mode: how many pending keys one task applies per
-    /// round, picked largest-progress-first. `0` (the default) applies
-    /// every pending key; a smaller batch defers the rest and counts
-    /// them as `priority_preemptions`.
-    pub delta_batch: usize,
-    /// Accumulative mode: rounds of delta propagation between two
-    /// global accumulated-progress termination checks. The check epoch
-    /// is the mode's unit of supervision — heartbeats, checkpoints and
+}
+
+impl Iterative {
+    /// Whether maps effectively run synchronously (explicit flag or
+    /// implied by one2all).
+    pub fn effective_sync(&self) -> bool {
+        self.sync_maps || self.mapping == Mapping::One2All
+    }
+}
+
+impl Mode for Iterative {
+    fn iterative(&self) -> Option<&Iterative> {
+        Some(self)
+    }
+}
+
+/// Barrier-free delta-accumulative execution (Maiter-style): every task
+/// keeps a per-key `(value, delta)` store, propagates only non-identity
+/// deltas and schedules work by largest-pending-delta priority — the
+/// knobs of `run_accumulative` and `run_incremental`, which take an
+/// [`Accumulative`](crate::Accumulative) job. Incremental
+/// re-convergence (i2MapReduce-style, DESIGN.md §13) is this mode with
+/// a warm start, which only `run_incremental` turns on.
+#[derive(Debug, Clone)]
+pub struct Delta {
+    /// How many pending keys one task applies per round, picked
+    /// largest-progress-first. `0` (the default) applies every pending
+    /// key; a smaller batch defers the rest and counts them as
+    /// `priority_preemptions`.
+    pub batch: usize,
+    /// Rounds of delta propagation between two global
+    /// accumulated-progress termination checks. The check epoch is the
+    /// mode's unit of supervision — heartbeats, checkpoints and
     /// `max_iterations` all count checks. Must be at least 1.
     pub check_every: usize,
-    /// Incremental re-convergence (i2MapReduce-style, DESIGN.md §13):
-    /// the state parts hold a warm `(key, (value, pending))` plan
-    /// produced by [`plan_incremental`](crate::plan_incremental) from a
-    /// preserved fixpoint plus a [`GraphDelta`](crate::GraphDelta), and
-    /// every engine decodes them directly instead of seeding from
-    /// scratch. Requires `accumulative`.
-    pub incremental: bool,
-    /// Unified network policy for the TCP backend: connect/handshake
-    /// deadlines, teardown grace, the supervisor's no-progress retry
-    /// budget and the worker connect loop's jittered exponential
-    /// backoff. The coordinator exports it to spawned workers via
-    /// `IMR_NET_*` environment variables so the whole fleet agrees.
-    pub net: NetPolicy,
-    /// Deterministic network-chaos injection on the coordinator's TCP
-    /// links (seeded frame drops/corruption/duplicates/resets and read
-    /// stalls with a shared fault budget). `None` leaves the wire
-    /// clean. Requires the TCP transport, checkpointing and a watchdog
-    /// — see [`IterConfig::validate`].
-    pub chaos: Option<ChaosConfig>,
+    /// The state parts hold a warm `(key, (value, pending))` plan
+    /// produced by [`plan_incremental`](crate::plan_incremental), which
+    /// every engine decodes instead of seeding from scratch.
+    pub(crate) warm: bool,
+}
+
+impl Mode for Delta {
+    fn delta(&self) -> Option<&Delta> {
+        Some(self)
+    }
 }
 
 impl IterConfig {
@@ -262,23 +289,90 @@ impl IterConfig {
                 max_iterations,
                 distance_threshold: None,
             },
-            mapping: Mapping::One2One,
-            sync_maps: false,
-            eager_handoff: false,
             checkpoint_interval: 5,
-            load_balance: None,
             watchdog: None,
-            transport: TransportKind::Channel,
-            resume: false,
-            accumulative: false,
-            delta_batch: 0,
-            check_every: 1,
-            incremental: false,
             net: NetPolicy::default(),
             chaos: None,
+            mode: Iterative::default(),
         }
     }
 
+    /// Enables eager chunked reduce→map hand-off (§3.3 buffer).
+    pub fn with_eager_handoff(mut self) -> Self {
+        self.mode.eager_handoff = true;
+        self
+    }
+
+    /// Switches to one2all broadcast mapping (implies synchronous maps).
+    pub fn with_one2all(mut self) -> Self {
+        self.mode.mapping = Mapping::One2All;
+        self.mode.sync_maps = true;
+        self
+    }
+
+    /// Forces synchronous map execution (the paper's sync. variant).
+    pub fn with_sync_maps(mut self) -> Self {
+        self.mode.sync_maps = true;
+        self
+    }
+
+    /// Enables load balancing with the given policy.
+    pub fn with_load_balance(mut self, lb: LoadBalance) -> Self {
+        self.mode.load_balance = Some(lb);
+        self
+    }
+
+    /// Resumes from the newest complete snapshot under the output
+    /// directory (if any) instead of restarting at iteration 0. Native
+    /// engines only: the simulator refuses it with a `Config` error.
+    pub fn with_resume(mut self) -> Self {
+        self.mode.resume = true;
+        self
+    }
+
+    /// Switches to barrier-free delta-accumulative execution
+    /// (Maiter-style), for `run_accumulative` and `run_incremental`. The
+    /// shared fields carry over; the delta mode starts from its
+    /// defaults (every pending key per round, a check every round) and
+    /// the iterative knobs are dropped. Its termination is the
+    /// accumulated-progress detector, so a distance threshold is
+    /// required.
+    ///
+    /// A knob of the iterative mode cannot be set on the result:
+    ///
+    /// ```compile_fail
+    /// # use imapreduce::IterConfig;
+    /// IterConfig::new("x", 2, 5).with_accumulative_mode().with_one2all();
+    /// ```
+    ///
+    /// and `run_accumulative` takes no iterative config:
+    ///
+    /// ```compile_fail
+    /// # use imapreduce::{Accumulative, IterConfig, IterEngine};
+    /// fn delta_run<E: IterEngine, J: Accumulative>(engine: &E, job: &J) {
+    ///     let cfg = IterConfig::new("x", 2, 5).with_distance_threshold(1e-9);
+    ///     let _ = engine.run_accumulative(job, &cfg, "/s", "/t", "/o", &[]);
+    /// }
+    /// ```
+    pub fn with_accumulative_mode(self) -> IterConfig<Delta> {
+        IterConfig {
+            name: self.name,
+            num_tasks: self.num_tasks,
+            termination: self.termination,
+            checkpoint_interval: self.checkpoint_interval,
+            watchdog: self.watchdog,
+            net: self.net,
+            chaos: self.chaos,
+            mode: Delta {
+                batch: 0,
+                check_every: 1,
+                warm: false,
+            },
+        }
+    }
+}
+
+impl<M> IterConfig<M> {
     /// Sets the unified network policy for the TCP backend.
     pub fn with_net_policy(mut self, net: NetPolicy) -> Self {
         self.net = net;
@@ -292,28 +386,9 @@ impl IterConfig {
         self
     }
 
-    /// Enables eager chunked reduce→map hand-off (§3.3 buffer).
-    pub fn with_eager_handoff(mut self) -> Self {
-        self.eager_handoff = true;
-        self
-    }
-
     /// Sets a distance threshold (`disthresh`).
     pub fn with_distance_threshold(mut self, eps: f64) -> Self {
         self.termination.distance_threshold = Some(eps);
-        self
-    }
-
-    /// Switches to one2all broadcast mapping (implies synchronous maps).
-    pub fn with_one2all(mut self) -> Self {
-        self.mapping = Mapping::One2All;
-        self.sync_maps = true;
-        self
-    }
-
-    /// Forces synchronous map execution (the paper's sync. variant).
-    pub fn with_sync_maps(mut self) -> Self {
-        self.sync_maps = true;
         self
     }
 
@@ -323,83 +398,48 @@ impl IterConfig {
         self
     }
 
-    /// Enables load balancing with the given policy.
-    pub fn with_load_balance(mut self, lb: LoadBalance) -> Self {
-        self.load_balance = Some(lb);
-        self
-    }
-
     /// Enables the supervisor watchdog with the given policy.
     pub fn with_watchdog(mut self, wd: WatchdogConfig) -> Self {
         self.watchdog = Some(wd);
         self
     }
 
-    /// Selects the TCP multi-process shuffle fabric.
-    pub fn with_tcp_transport(mut self) -> Self {
-        self.transport = TransportKind::Tcp;
+    /// The identity: a `NativeRunner` with worker processes attached
+    /// is the TCP runner. Kept only for `benchmark/src/adapter.rs`;
+    /// deleted when the adapter moves onto the mode configs (ROADMAP
+    /// item 1(j)).
+    pub fn with_tcp_transport(self) -> Self {
         self
     }
+}
 
-    /// Resumes from the newest complete snapshot under the output
-    /// directory (if any) instead of restarting at iteration 0. Native
-    /// engines only: the simulator refuses it with a `Config` error.
-    pub fn with_resume(mut self) -> Self {
-        self.resume = true;
-        self
-    }
-
-    /// Switches to barrier-free delta-accumulative execution
-    /// (Maiter-style). Requires an `Accumulative` job, the
-    /// `run_accumulative` entry point and a distance threshold (the
-    /// accumulated-progress termination detector).
-    pub fn with_accumulative_mode(mut self) -> Self {
-        self.accumulative = true;
-        self
-    }
-
-    /// Accumulative mode: apply at most `batch` pending keys per round,
+impl IterConfig<Delta> {
+    /// Applies at most `batch` pending keys per round,
     /// largest-progress-first (0 = all pending keys).
     pub fn with_delta_batch(mut self, batch: usize) -> Self {
-        self.delta_batch = batch;
+        self.mode.batch = batch;
         self
     }
 
-    /// Accumulative mode: run `rounds` delta-propagation rounds between
-    /// two global termination checks.
+    /// Runs `rounds` delta-propagation rounds between two global
+    /// termination checks.
     pub fn with_check_every(mut self, rounds: usize) -> Self {
-        self.check_every = rounds;
+        self.mode.check_every = rounds;
         self
     }
+}
 
-    /// Incremental re-convergence from a preserved fixpoint: the state
-    /// parts carry a warm `(value, pending)` plan (see
-    /// [`plan_incremental`](crate::plan_incremental)) and engines
-    /// decode them instead of seeding. Implies nothing else — combine
-    /// with [`with_accumulative_mode`](IterConfig::with_accumulative_mode),
-    /// which it requires.
-    pub fn with_incremental_mode(mut self) -> Self {
-        self.incremental = true;
-        self
-    }
-
-    /// Whether maps effectively run synchronously (explicit flag or
-    /// implied by one2all).
-    pub fn effective_sync(&self) -> bool {
-        self.sync_maps || self.mapping == Mapping::One2All
-    }
-
-    /// Checks this configuration against a fault schedule. Both engines
-    /// call this before starting, so a bad combination is the same
+impl<M: Mode + ?Sized> IterConfig<M> {
+    /// Checks this configuration against a fault schedule. Every engine
+    /// calls this before starting, so a bad value is the same
     /// [`EngineError::Config`] everywhere instead of an engine-specific
     /// panic, deadlock, or silent fallback:
     ///
-    /// * a job needs at least one task pair and one iteration (the
-    ///   fields are public, so [`IterConfig::new`]'s asserts can be
-    ///   bypassed);
-    /// * a knob no engine would read is refused, not ignored:
-    ///   `delta_batch` and `check_every` outside accumulative mode,
-    ///   `eager_handoff` under one2all;
+    /// * a job needs at least one task pair and one iteration;
+    /// * the delta mode needs a distance threshold and
+    ///   `check_every >= 1`;
+    /// * eager hand-off is refused under one2all, which has no paired
+    ///   hand-off to stream;
     /// * kills and hangs need `checkpoint_interval > 0` — recovery
     ///   replays from a checkpoint epoch;
     /// * load balancing needs `checkpoint_interval > 0` — migration
@@ -417,49 +457,7 @@ impl IterConfig {
                 self.num_tasks, self.termination.max_iterations
             )));
         }
-        if self.incremental && !self.accumulative {
-            return Err(EngineError::Config(
-                "incremental mode requires accumulative mode: warm-start \
-                 plans are (value, pending-delta) stores"
-                    .into(),
-            ));
-        }
-        if self.accumulative {
-            if self.mapping == Mapping::One2All {
-                return Err(EngineError::Config(
-                    "accumulative mode requires one2one mapping: one2all \
-                     broadcast has no per-key delta store"
-                        .into(),
-                ));
-            }
-            if self.sync_maps {
-                return Err(EngineError::Config(
-                    "accumulative mode is barrier-free: sync_maps would \
-                     reintroduce the per-iteration barrier it removes"
-                        .into(),
-                ));
-            }
-            if self.eager_handoff {
-                return Err(EngineError::Config(
-                    "accumulative mode has no reduce->map hand-off: \
-                     eager_handoff does not apply"
-                        .into(),
-                ));
-            }
-            if self.load_balance.is_some() {
-                return Err(EngineError::Config(
-                    "accumulative mode does not support load balancing yet: \
-                     the priority scheduler owns task placement"
-                        .into(),
-                ));
-            }
-            if self.resume {
-                return Err(EngineError::Config(
-                    "accumulative mode does not support durable resume: \
-                     delta-store snapshots are generation-local"
-                        .into(),
-                ));
-            }
+        if let Some(delta) = self.mode.delta() {
             if self.termination.distance_threshold.is_none() {
                 return Err(EngineError::Config(
                     "accumulative mode needs a distance_threshold: \
@@ -467,7 +465,7 @@ impl IterConfig {
                         .into(),
                 ));
             }
-            if self.check_every == 0 {
+            if delta.check_every == 0 {
                 return Err(EngineError::Config(
                     "accumulative mode needs check_every >= 1 round between \
                      termination checks"
@@ -475,14 +473,8 @@ impl IterConfig {
                 ));
             }
         }
-        if !self.accumulative && (self.delta_batch != 0 || self.check_every != 1) {
-            return Err(EngineError::Config(
-                "delta_batch and check_every shape accumulative mode's delta rounds: \
-                 without with_accumulative_mode no engine reads them"
-                    .into(),
-            ));
-        }
-        if self.eager_handoff && self.mapping == Mapping::One2All {
+        let iterative = self.mode.iterative();
+        if iterative.is_some_and(|m| m.eager_handoff && m.mapping == Mapping::One2All) {
             return Err(EngineError::Config(
                 "eager_handoff streams a pair's state to its own map task: one2all \
                  broadcasts every reduce output to every map instead"
@@ -499,7 +491,7 @@ impl IterConfig {
                     .into(),
             ));
         }
-        if let Some(lb) = &self.load_balance {
+        if let Some(lb) = iterative.and_then(|m| m.load_balance) {
             if self.checkpoint_interval == 0 {
                 return Err(EngineError::Config(
                     "load balancing requires checkpoint_interval > 0 \
@@ -521,7 +513,7 @@ impl IterConfig {
                 ));
             }
         }
-        if self.resume && self.checkpoint_interval == 0 {
+        if iterative.is_some_and(|m| m.resume) && self.checkpoint_interval == 0 {
             return Err(EngineError::Config(
                 "resume requires checkpoint_interval > 0 \
                  (there is no snapshot to resume from otherwise)"
@@ -542,13 +534,6 @@ impl IterConfig {
             chaos
                 .validate()
                 .map_err(|msg| EngineError::Config(format!("chaos config: {msg}")))?;
-            if self.transport != TransportKind::Tcp {
-                return Err(EngineError::Config(
-                    "chaos injection targets the TCP transport \
-                     (with_tcp_transport): the channel fabric has no wire"
-                        .into(),
-                ));
-            }
             if chaos.is_active() {
                 if self.checkpoint_interval == 0 {
                     return Err(EngineError::Config(
@@ -569,6 +554,21 @@ impl IterConfig {
         }
         Ok(())
     }
+
+    /// Refuses chaos on a runner without a wire (`wire` is whether
+    /// worker processes are attached): the simulator models its own
+    /// network and worker threads talk over channels, so chaos there
+    /// would silently inject nothing. The same text on every engine.
+    pub fn check_wire(&self, wire: bool) -> Result<(), EngineError> {
+        match self.chaos.is_some() && !wire {
+            true => Err(EngineError::Config(
+                "chaos injection needs a wire: attach worker processes with \
+                 NativeRunner::with_workers (the simulator and worker threads have none)"
+                    .into(),
+            )),
+            false => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -585,38 +585,29 @@ mod tests {
         assert_eq!(c.termination.max_iterations, 20);
         assert_eq!(c.termination.distance_threshold, Some(0.01));
         assert_eq!(c.checkpoint_interval, 3);
-        assert!(c.load_balance.is_some());
-        assert!(!c.effective_sync());
-    }
-
-    #[test]
-    fn transport_defaults_to_channel() {
-        let c = IterConfig::new("sssp", 2, 3);
-        assert_eq!(c.transport, TransportKind::Channel);
-        assert_eq!(TransportKind::default(), TransportKind::Channel);
-        let t = c.with_tcp_transport();
-        assert_eq!(t.transport, TransportKind::Tcp);
+        assert!(c.mode.load_balance.is_some());
+        assert!(!c.mode.effective_sync());
     }
 
     #[test]
     fn eager_handoff_flag() {
         let c = IterConfig::new("sssp", 2, 3).with_eager_handoff();
-        assert!(c.eager_handoff);
-        assert!(!IterConfig::new("sssp", 2, 3).eager_handoff);
+        assert!(c.mode.eager_handoff);
+        assert!(!IterConfig::new("sssp", 2, 3).mode.eager_handoff);
     }
 
     #[test]
     fn one2all_implies_sync() {
         let c = IterConfig::new("kmeans", 4, 10).with_one2all();
-        assert_eq!(c.mapping, Mapping::One2All);
-        assert!(c.effective_sync());
+        assert_eq!(c.mode.mapping, Mapping::One2All);
+        assert!(c.mode.effective_sync());
     }
 
     #[test]
     fn sync_flag_alone_keeps_one2one() {
         let c = IterConfig::new("sssp", 4, 10).with_sync_maps();
-        assert_eq!(c.mapping, Mapping::One2One);
-        assert!(c.effective_sync());
+        assert_eq!(c.mode.mapping, Mapping::One2One);
+        assert!(c.mode.effective_sync());
     }
 
     fn is_config_err<T>(r: Result<T, EngineError>, needle: &str) -> bool {
@@ -717,18 +708,19 @@ mod tests {
     #[test]
     fn accumulative_builders_set_fields() {
         let c = IterConfig::new("pr", 4, 50)
+            .with_checkpoint_interval(3)
             .with_accumulative_mode()
             .with_delta_batch(16)
             .with_check_every(3)
             .with_distance_threshold(1e-9);
-        assert!(c.accumulative);
-        assert_eq!(c.delta_batch, 16);
-        assert_eq!(c.check_every, 3);
+        assert_eq!(c.mode.batch, 16);
+        assert_eq!(c.mode.check_every, 3);
+        assert!(!c.mode.warm);
+        assert_eq!((c.num_tasks, c.checkpoint_interval), (4, 3));
         assert!(c.validate(&[]).is_ok());
-        let d = IterConfig::new("pr", 4, 50);
-        assert!(!d.accumulative);
-        assert_eq!(d.delta_batch, 0);
-        assert_eq!(d.check_every, 1);
+        let d = IterConfig::new("pr", 4, 50).with_accumulative_mode();
+        assert_eq!(d.mode.batch, 0);
+        assert_eq!(d.mode.check_every, 1);
     }
 
     #[test]
@@ -742,28 +734,6 @@ mod tests {
         let base = IterConfig::new("pr", 2, 5)
             .with_accumulative_mode()
             .with_distance_threshold(1e-9);
-        assert!(is_config_err(
-            base.clone().with_one2all().validate(&[]),
-            "one2one"
-        ));
-        assert!(is_config_err(
-            base.clone().with_sync_maps().validate(&[]),
-            "sync_maps"
-        ));
-        assert!(is_config_err(
-            base.clone().with_eager_handoff().validate(&[]),
-            "eager_handoff"
-        ));
-        assert!(is_config_err(
-            base.clone()
-                .with_load_balance(LoadBalance::default())
-                .validate(&[]),
-            "load balancing"
-        ));
-        assert!(is_config_err(
-            base.clone().with_resume().validate(&[]),
-            "resume"
-        ));
         assert!(is_config_err(
             base.clone().with_check_every(0).validate(&[]),
             "check_every"
@@ -785,21 +755,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_builder_sets_field_and_requires_accumulative() {
-        let c = IterConfig::new("pr", 4, 50)
-            .with_accumulative_mode()
-            .with_incremental_mode()
-            .with_distance_threshold(1e-9);
-        assert!(c.incremental);
-        assert!(c.validate(&[]).is_ok());
-        let d = IterConfig::new("pr", 4, 50);
-        assert!(!d.incremental);
-        // Incremental without accumulative is rejected on every engine.
-        let bare = IterConfig::new("pr", 4, 50).with_incremental_mode();
-        assert!(is_config_err(bare.validate(&[]), "accumulative"));
-    }
-
-    #[test]
     fn validate_rejects_bad_net_policy() {
         let mut c = IterConfig::new("sssp", 2, 3);
         c.net.retry_budget = 0;
@@ -809,33 +764,23 @@ mod tests {
     #[test]
     fn validate_chaos_requirements() {
         let chaos = ChaosConfig::seeded(7).with_drop_rate(0.05);
-        // Chaos off the TCP transport is rejected.
-        let on_channel = IterConfig::new("sssp", 2, 3).with_chaos(chaos);
-        assert!(is_config_err(on_channel.validate(&[]), "TCP"));
         // Active chaos needs checkpoints and a watchdog.
         let no_ckpt = IterConfig::new("sssp", 2, 3)
-            .with_tcp_transport()
             .with_checkpoint_interval(0)
             .with_watchdog(WatchdogConfig::default())
             .with_chaos(chaos);
         assert!(is_config_err(no_ckpt.validate(&[]), "checkpoint_interval"));
-        let no_wd = IterConfig::new("sssp", 2, 3)
-            .with_tcp_transport()
-            .with_chaos(chaos);
+        let no_wd = IterConfig::new("sssp", 2, 3).with_chaos(chaos);
         assert!(is_config_err(no_wd.validate(&[]), "watchdog"));
         // The full combination passes, as does inert chaos (all rates 0).
         let ok = IterConfig::new("sssp", 2, 3)
-            .with_tcp_transport()
             .with_watchdog(WatchdogConfig::default())
             .with_chaos(chaos);
         assert!(ok.validate(&[]).is_ok());
-        let inert = IterConfig::new("sssp", 2, 3)
-            .with_tcp_transport()
-            .with_chaos(ChaosConfig::seeded(7));
+        let inert = IterConfig::new("sssp", 2, 3).with_chaos(ChaosConfig::seeded(7));
         assert!(inert.validate(&[]).is_ok());
         // Over-the-maximum rates are caught here too.
         let too_hot = IterConfig::new("sssp", 2, 3)
-            .with_tcp_transport()
             .with_watchdog(WatchdogConfig::default())
             .with_chaos(ChaosConfig::seeded(7).with_drop_rate(0.9));
         assert!(is_config_err(too_hot.validate(&[]), "chaos"));

@@ -25,12 +25,12 @@
 //! refusals, and the helpers `sim_env.rs` charges a segment's arrival
 //! and the final dump with.
 
-use crate::api::{IterativeJob, Mapping};
+use crate::api::IterativeJob;
 use crate::aux::AuxPhase;
-use crate::config::{FaultEvent, IterConfig, TransportKind};
+use crate::config::{Delta, FaultEvent, IterConfig, Mode};
 use crate::iter_engine::IterEngine;
 use crate::observe::Observer;
-use crate::pair::{delta_loop, pair_loop, PairCtx, PairOutcome};
+use crate::pair::{delta_loop, pair_loop, PairCfg, PairCtx, PairOutcome};
 use crate::sim_env::{SimEnv, Turns};
 use crate::store::{check_inputs, check_slots};
 use bytes::Bytes;
@@ -123,16 +123,15 @@ impl IterativeRunner {
     /// [`IterEngine::run_faults`] and `run_accumulative`, and
     /// [`run_with_aux`](crate::run_with_aux): the refusals and launch
     /// accounting, then `pair_fn` (core's `pair_loop` or its
-    /// `delta_loop`; each entry checks `cfg`'s mode is its loop's) under
-    /// the one master. `dirs` are the state, static and output
-    /// directories. With `Some(aux)`
+    /// `delta_loop`, as `cfg`'s mode says) under the one master. `dirs`
+    /// are the state, static and output directories. With `Some(aux)`
     /// (one2all only) the auxiliary phase of §5.3 runs as one more step
     /// of each iteration, and its stop signal ends the run; the aux
     /// totals come back next to the outcome.
     pub(crate) fn simulate<J, F>(
         &self,
         job: &J,
-        cfg: &IterConfig,
+        cfg: &IterConfig<dyn Mode>,
         dirs: [&str; 3],
         (faults, aux): (&[FaultEvent], Option<&dyn AuxPhase<J::K, J::S>>),
         pair_fn: F,
@@ -142,16 +141,9 @@ impl IterativeRunner {
         F: Fn(PairCtx<'_, J, SimEnv<'_>>) -> Result<PairOutcome, EngineError> + Sync,
     {
         cfg.validate(faults)?;
-        if cfg.transport == TransportKind::Tcp {
-            // A run configured for the native TCP fabric would silently
-            // simulate something else.
-            return Err(EngineError::Config(
-                "the simulation engine models its own network: with_tcp_transport \
-                 (and chaos, which needs it) applies to the native backend only"
-                    .into(),
-            ));
-        }
-        if cfg.resume {
+        // The simulator models its own network: there is no wire here.
+        cfg.check_wire(false)?;
+        if cfg.mode.iterative().is_some_and(|m| m.resume) {
             return Err(EngineError::Config(
                 "resume is native-only: the simulator writes checkpoint snapshots but \
                  not the distance-history sidecar resume rebuilds the run from"
@@ -166,10 +158,10 @@ impl IterativeRunner {
         Turns::run(self, job, cfg, dirs, (faults, aux), pair_fn)
     }
 
-    pub(crate) fn label(&self, cfg: &IterConfig) -> String {
-        if cfg.accumulative {
+    pub(crate) fn label(&self, pair_cfg: &PairCfg) -> String {
+        if pair_cfg.accumulative {
             "iMapReduce (delta)".to_owned()
-        } else if cfg.mapping == Mapping::One2One && cfg.sync_maps {
+        } else if !pair_cfg.one2all && pair_cfg.sync {
             "iMapReduce (sync.)".to_owned()
         } else {
             "iMapReduce".to_owned()
@@ -235,13 +227,6 @@ impl IterEngine for IterativeRunner {
         output_dir: &str,
         faults: &[FaultEvent],
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        if cfg.accumulative {
-            return Err(EngineError::Config(
-                "cfg.accumulative is set: use run_accumulative for barrier-free \
-                 delta-accumulative execution"
-                    .into(),
-            ));
-        }
         let dirs = [state_dir, static_dir, output_dir];
         Ok(self
             .simulate(job, cfg, dirs, (faults, None), |ctx| pair_loop(ctx))?
@@ -253,17 +238,12 @@ impl IterEngine for IterativeRunner {
     fn run_accumulative<J: crate::Accumulative>(
         &self,
         job: &J,
-        cfg: &IterConfig,
+        cfg: &IterConfig<Delta>,
         state_dir: &str,
         static_dir: &str,
         output_dir: &str,
         faults: &[FaultEvent],
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
-        if !cfg.accumulative {
-            return Err(EngineError::Config(
-                "run_accumulative needs cfg.with_accumulative_mode()".into(),
-            ));
-        }
         let dirs = [state_dir, static_dir, output_dir];
         Ok(self
             .simulate(job, cfg, dirs, (faults, None), |ctx| delta_loop(ctx))?

@@ -8,14 +8,14 @@
 //! job on a simulated cluster under a deterministic cost model;
 //! `imr-native`'s `NativeRunner` executes it in wall-clock time, on OS
 //! threads or, with worker processes attached, over localhost TCP — the
-//! transport is `cfg.transport`, the same call either way. Every engine
-//! consumes the same partitioned DFS inputs and, for the same job and
-//! configuration, produces identical `final_state`, `iterations` and
-//! `distances` — a property the cross-engine tests pin down.
+//! same call either way. Every engine consumes the same partitioned DFS
+//! inputs and, for the same job and configuration, produces identical
+//! `final_state`, `iterations` and `distances` — a property the
+//! cross-engine tests pin down.
 
 use crate::accum::Accumulative;
 use crate::api::IterativeJob;
-use crate::config::{FailureEvent, FaultEvent, IterConfig};
+use crate::config::{Delta, FailureEvent, FaultEvent, IterConfig};
 use crate::engine::IterOutcome;
 use crate::incremental::{
     prepare_incremental, FixpointStore, GraphDelta, Incremental, IncrementalOutcome,
@@ -63,18 +63,19 @@ pub trait IterEngine {
     ) -> Result<IterOutcome<J::K, J::S>, EngineError>;
 
     /// Runs an [`Accumulative`] job in the barrier-free
-    /// delta-accumulative mode (`cfg.accumulative` must be set; see
+    /// delta-accumulative mode (a config of the [`Delta`] mode; see
     /// [`IterConfig::with_accumulative_mode`]). Tasks keep per-key
     /// `(value, delta)` stores, propagate only non-identity deltas,
     /// schedule work by largest-pending-delta priority, and terminate
     /// when the globally-summed pending progress drops below the
     /// distance threshold. `iterations` in the outcome counts
-    /// termination-check epochs (`cfg.check_every` rounds each), and
-    /// `distances` holds the global pending-progress sum at each check.
+    /// termination-check epochs (`cfg.mode.check_every` rounds each),
+    /// and `distances` holds the global pending-progress sum at each
+    /// check.
     fn run_accumulative<J: Accumulative>(
         &self,
         job: &J,
-        cfg: &IterConfig,
+        cfg: &IterConfig<Delta>,
         state_dir: &str,
         static_dir: &str,
         output_dir: &str,
@@ -82,14 +83,15 @@ pub trait IterEngine {
     ) -> Result<IterOutcome<J::K, J::S>, EngineError>;
 
     /// Re-converges `job` from a preserved fixpoint after `delta`
-    /// mutates the graph (i2MapReduce-style; `cfg.incremental` and
-    /// `cfg.accumulative` must both be set).
+    /// mutates the graph (i2MapReduce-style): the delta mode with a warm
+    /// start, which this method alone turns on.
     ///
     /// Loads the latest fixpoint from `fix` and the previous static
     /// parts from `prev_static_dir`, computes the affected-key plan
     /// ([`plan_incremental`](crate::plan_incremental)), writes the warm
     /// `(value, pending)` state to `state_dir` and the patched statics
-    /// to `static_dir`, then runs the accumulative engine on them.
+    /// to `static_dir`, then runs the accumulative engine on them with
+    /// the warm start on.
     /// Because the warm parts are ordinary DFS inputs, the existing
     /// checkpoint/rollback supervision applies unchanged: a kill
     /// mid-incremental-run replays to a bit-identical outcome.
@@ -97,7 +99,7 @@ pub trait IterEngine {
     fn run_incremental<J: Incremental>(
         &self,
         job: &J,
-        cfg: &IterConfig,
+        cfg: &IterConfig<Delta>,
         fix: &FixpointStore,
         prev_static_dir: &str,
         delta: &GraphDelta,
@@ -106,11 +108,8 @@ pub trait IterEngine {
         output_dir: &str,
         faults: &[FaultEvent],
     ) -> Result<IncrementalOutcome<J::S>, EngineError> {
-        if !cfg.incremental {
-            return Err(EngineError::Config(
-                "run_incremental requires IterConfig::with_incremental_mode".into(),
-            ));
-        }
+        let mut cfg = cfg.clone();
+        cfg.mode.warm = true;
         cfg.validate(faults)?;
         let mut clock = TaskClock::default();
         let stats = prepare_incremental(
@@ -124,7 +123,8 @@ pub trait IterEngine {
             static_dir,
             &mut clock,
         )?;
-        let outcome = self.run_accumulative(job, cfg, state_dir, static_dir, output_dir, faults)?;
+        let outcome =
+            self.run_accumulative(job, &cfg, state_dir, static_dir, output_dir, faults)?;
         Ok(IncrementalOutcome { outcome, stats })
     }
 

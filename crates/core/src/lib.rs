@@ -87,7 +87,8 @@ pub use accum::{Accumulative, BatchOutcome, DeltaStore};
 pub use api::{Emitter, IterativeJob, Mapping, StateInput};
 pub use aux::{run_with_aux, AuxOutcome, AuxPhase};
 pub use config::{
-    FailureEvent, FaultEvent, IterConfig, LoadBalance, Termination, TransportKind, WatchdogConfig,
+    Delta, FailureEvent, FaultEvent, IterConfig, Iterative, LoadBalance, Mode, Termination,
+    WatchdogConfig,
 };
 pub use ctl::RunCtl;
 pub use engine::{IterOutcome, IterativeRunner};

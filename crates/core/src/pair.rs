@@ -47,7 +47,7 @@
 use crate::accum::{Accumulative, DeltaStore};
 use crate::api::{IterativeJob, Mapping};
 use crate::aux::AuxPhase;
-use crate::config::IterConfig;
+use crate::config::{IterConfig, Iterative, Mode};
 use crate::kernel::{delta_in, fold_votes, merge_broadcast, reduce_side, MapScratch, MapState};
 use crate::static_part::StaticPart;
 use bytes::Bytes;
@@ -64,19 +64,20 @@ use std::time::Duration;
 
 /// The per-pair slice of `cfg`, the same on both fabrics (the TCP
 /// backend ships it in the setup frame).
-pub fn pair_cfg(cfg: &IterConfig, num_state_parts: usize) -> PairCfg {
+pub fn pair_cfg(cfg: &IterConfig<dyn Mode>, num_state_parts: usize) -> PairCfg {
+    let (iterative, delta) = (cfg.mode.iterative(), cfg.mode.delta());
     PairCfg {
         n: cfg.num_tasks,
-        one2all: cfg.mapping == Mapping::One2All,
-        sync: cfg.effective_sync(),
+        one2all: iterative.is_some_and(|m| m.mapping == Mapping::One2All),
+        sync: iterative.is_some_and(Iterative::effective_sync),
         threshold: cfg.termination.distance_threshold,
         max_iters: cfg.termination.max_iterations,
         checkpoint_interval: cfg.checkpoint_interval,
         num_state_parts,
-        accumulative: cfg.accumulative,
-        delta_batch: cfg.delta_batch,
-        check_every: cfg.check_every,
-        incremental: cfg.incremental,
+        accumulative: delta.is_some(),
+        delta_batch: delta.map_or(0, |d| d.batch),
+        check_every: delta.map_or(1, |d| d.check_every),
+        incremental: delta.is_some_and(|d| d.warm),
     }
 }
 
@@ -576,7 +577,7 @@ fn delta_checks<J: Accumulative, E: PairEnv>(
     let mut store: DeltaStore<J::K, J::S> = if ctx.epoch > 0 {
         let snap = snapshot_dir(&dirs.output_dir, ctx.epoch);
         DeltaStore::decode(ctx.env.read_part(&snap, q)?)?
-    } else if cfg.incremental {
+    } else if ctx.cfg.incremental {
         // Warm start: the part holds the planner's
         // (key, (value, pending)) entries, read like any other part.
         DeltaStore::restore(ctx.load::<J::K, (J::S, J::S)>(&dirs.state_dir, q)?)?

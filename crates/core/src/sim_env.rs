@@ -49,7 +49,7 @@
 
 use crate::api::IterativeJob;
 use crate::aux::AuxPhase;
-use crate::config::{FaultEvent, IterConfig};
+use crate::config::{FaultEvent, IterConfig, Mode};
 use crate::engine::{IterOutcome, IterativeRunner};
 use crate::kernel::fold_votes;
 use crate::pair::{pair_cfg, panic_message, EnvFail, PairCtx, PairEnv};
@@ -175,7 +175,7 @@ impl Board {
 /// cluster, taking turns.
 pub(crate) struct Turns<'r> {
     runner: &'r IterativeRunner,
-    cfg: &'r IterConfig,
+    cfg: &'r IterConfig<dyn Mode>,
     pair_cfg: PairCfg,
     dirs: PairDirs,
     /// Whether a rollback can happen: the static parts are kept, and no
@@ -200,12 +200,16 @@ struct Sim<'t, J: IterativeJob, F> {
 impl<'r> Turns<'r> {
     fn new(
         runner: &'r IterativeRunner,
-        cfg: &'r IterConfig,
+        cfg: &'r IterConfig<dyn Mode>,
         dirs: [&str; 3],
         faults: &[FaultEvent],
         phases: usize,
     ) -> Self {
         let [state_dir, static_dir, output_dir] = dirs.map(str::to_owned);
+        let balanced = cfg
+            .mode
+            .iterative()
+            .is_some_and(|m| m.load_balance.is_some());
         Turns {
             runner,
             cfg,
@@ -215,7 +219,7 @@ impl<'r> Turns<'r> {
                 static_dir,
                 output_dir,
             },
-            rollbacks: !faults.is_empty() || cfg.load_balance.is_some(),
+            rollbacks: !faults.is_empty() || balanced,
             phases,
             board: Mutex::default(),
             handed: (0..cfg.num_tasks).map(|_| Condvar::new()).collect(),
@@ -261,7 +265,7 @@ impl<'r> Turns<'r> {
     pub(crate) fn run<J, F>(
         runner: &IterativeRunner,
         job: &J,
-        cfg: &IterConfig,
+        cfg: &IterConfig<dyn Mode>,
         dirs: [&str; 3],
         (faults, aux): (&[FaultEvent], Option<&dyn AuxPhase<J::K, J::S>>),
         pair_fn: F,
@@ -285,7 +289,7 @@ impl<'r> Turns<'r> {
             cfg,
             output_dir,
             faults,
-            runner.label(cfg),
+            runner.label(&turns.pair_cfg),
             false,
             &runner.observer,
             None,
@@ -478,7 +482,7 @@ impl<'r> Turns<'r> {
             // The native watchdog counts the hang it detects.
             self.runner.metrics.stalls_detected.add(1);
         }
-        if let Some(lb) = (self.cfg.load_balance)
+        if let Some(lb) = (self.cfg.mode.iterative().and_then(|m| m.load_balance))
             .filter(|lb| !faulted && board.migrations_done < lb.max_migrations as u64 && n > 1)
         {
             let busy: Vec<f64> = beats.iter().map(|b| b.busy).collect();
@@ -731,8 +735,8 @@ impl PairEnv for SimEnv<'_> {
             d,
             has_prev,
         };
-        let cfg = &self.turns.pair_cfg;
-        if cfg.accumulative || cfg.threshold.is_some() {
+        let pair_cfg = &self.turns.pair_cfg;
+        if pair_cfg.accumulative || pair_cfg.threshold.is_some() {
             self.gather = Gather::Vote;
         }
         let mut board = self.turns.lock();
@@ -806,7 +810,13 @@ impl PairEnv for SimEnv<'_> {
             return sent.as_nanos();
         }
         self.complete = sent + cost.local_transfer_time(bytes);
-        let ready = match self.turns.cfg.eager_handoff {
+        let eager = self
+            .turns
+            .cfg
+            .mode
+            .iterative()
+            .is_some_and(|m| m.eager_handoff);
+        let ready = match eager {
             true => self.work_start + cost.handoff_flush,
             false => self.complete,
         };

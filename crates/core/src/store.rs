@@ -8,7 +8,7 @@
 //! own part onto its local store once.
 
 use crate::api::Mapping;
-use crate::config::IterConfig;
+use crate::config::{IterConfig, Mode};
 use imr_dfs::{Dfs, DfsError};
 use imr_mapreduce::io::{num_parts, part_path, write_encoded_parts};
 use imr_mapreduce::EngineError;
@@ -121,16 +121,20 @@ fn check_parts(dfs: &Dfs, dir: &str, n: usize, what: &str, rule: &str) -> Result
 /// broadcast state, no distance and no delta store across a phase.
 pub fn check_inputs(
     dfs: &Dfs,
-    cfg: &IterConfig,
+    cfg: &IterConfig<dyn Mode>,
     phases: usize,
     state_dir: &str,
     static_dir: &str,
 ) -> Result<(), EngineError> {
+    let one2all = cfg
+        .mode
+        .iterative()
+        .is_some_and(|m| m.mapping == Mapping::One2All);
     let refusal = match phases {
         0 => Some("a job needs at least one phase"),
         1 => None,
-        _ if cfg.accumulative => Some("accumulative mode runs a single phase"),
-        _ if cfg.mapping == Mapping::One2All => Some("it needs one2one mapping"),
+        _ if cfg.mode.delta().is_some() => Some("accumulative mode runs a single phase"),
+        _ if one2all => Some("it needs one2one mapping"),
         _ if cfg.termination.distance_threshold.is_some() => {
             Some("it ends by iteration count, not by a distance threshold")
         }
@@ -151,7 +155,7 @@ pub fn check_inputs(
         "phases × num_tasks"
     };
     check_parts(dfs, static_dir, phases * n, "static data", rule)?;
-    if cfg.mapping == Mapping::One2One {
+    if !one2all {
         check_parts(dfs, state_dir, n, "one2one state", "num_tasks")?;
     }
     Ok(())

@@ -32,7 +32,7 @@
 //! Not part of the public API: the module is exported for `imr-native`.
 
 use crate::api::IterativeJob;
-use crate::config::{FaultEvent, IterConfig};
+use crate::config::{FaultEvent, IterConfig, Mode};
 use crate::ctl::RunCtl;
 use crate::engine::IterOutcome;
 use crate::kernel::fold_votes;
@@ -178,7 +178,7 @@ pub fn supervise<J: IterativeJob>(
     dfs: &Dfs,
     cluster: &ClusterSpec,
     metrics: &MetricsHandle,
-    cfg: &IterConfig,
+    cfg: &IterConfig<dyn Mode>,
     output_dir: &str,
     faults: &[FaultEvent],
     label: String,
@@ -211,7 +211,9 @@ pub fn supervise<J: IterativeJob>(
     // emulated per pair. Oversubscribed clean runs (more pairs than
     // the spec has slots, e.g. the thread-scaling bench on a
     // single-node spec) fall back to modulo placement.
-    let needs_placement = !pending.is_empty() || !delays.is_empty() || cfg.load_balance.is_some();
+    let iterative = cfg.mode.iterative();
+    let balanced = iterative.is_some_and(|m| m.load_balance.is_some());
+    let needs_placement = !pending.is_empty() || !delays.is_empty() || balanced;
     let mut assignment: Vec<NodeId> = if n <= cluster.pair_capacity() {
         cluster.assign_pairs(n)
     } else {
@@ -238,7 +240,7 @@ pub fn supervise<J: IterativeJob>(
     // previous process left behind, rebuilding the committed distance
     // history from the sidecars. Wall-clock offsets from the dead
     // process are unknowable, so the resumed timeline restarts at zero.
-    if cfg.resume {
+    if iterative.is_some_and(|m| m.resume) {
         if let Some(resume_at) = resume_epoch(dfs, output_dir, n) {
             for stale in snapshot_epochs(dfs, output_dir) {
                 if stale != resume_at {

@@ -4,8 +4,8 @@
 //! auxiliary phase.
 
 use imapreduce::{
-    load_partitioned, run_with_aux, AuxPhase, Emitter, EngineError, FailureEvent, IterConfig,
-    IterEngine, IterativeJob, IterativeRunner, LoadBalance, StateInput,
+    load_partitioned, run_with_aux, AuxPhase, ChaosConfig, Emitter, EngineError, FailureEvent,
+    IterConfig, IterEngine, IterativeJob, IterativeRunner, LoadBalance, StateInput, WatchdogConfig,
 };
 use imr_dfs::Dfs;
 use imr_simcluster::{ClusterSpec, Metrics, MetricsHandle, NodeId, TaskClock};
@@ -636,7 +636,6 @@ fn sim_refuses_knobs_it_would_ignore() {
     for (cfg, needle) in [
         (base().with_load_balance(lb), "load_balance"),
         (base().with_resume(), "resume"),
-        (base().with_accumulative_mode(), "accumulative"),
     ] {
         let out = run_with_aux(&r, &MiniKmeans, &aux, &cfg, "/centroids", "/points", "/out");
         assert!(
@@ -714,25 +713,26 @@ fn aux_run_checkpoints() {
     );
 }
 
-/// The simulator models its own network: a run configured for the
-/// native TCP fabric (and so for chaos, which needs it) is refused,
-/// not silently simulated over channels.
+/// The simulator models its own network: a run configured for chaos on
+/// the TCP wire is refused, not silently simulated without it.
 #[test]
-fn sim_refuses_the_tcp_transport() {
+fn sim_refuses_chaos() {
+    let chaotic = |cfg: IterConfig| {
+        cfg.with_watchdog(WatchdogConfig::default())
+            .with_chaos(ChaosConfig::seeded(7).with_drop_rate(0.05))
+    };
     let r = runner_on(ClusterSpec::local(4));
     load_relax(&r, 16, 4);
-    let cfg = IterConfig::new("relax", 4, 3).with_tcp_transport();
+    let cfg = chaotic(IterConfig::new("relax", 4, 3));
     let out = r.run(&Relax, &cfg, "/state", "/static", "/out", &[]);
-    assert_config_error(out, "with_tcp_transport");
+    assert_config_error(out, "needs a wire");
 
     let r = runner_on(ClusterSpec::local(4));
     load_kmeans(&r, 4);
     let aux = StableCentroids { eps: 1e-9 };
-    let cfg = IterConfig::new("kmeans-aux", 4, 3)
-        .with_one2all()
-        .with_tcp_transport();
+    let cfg = chaotic(IterConfig::new("kmeans-aux", 4, 3).with_one2all());
     let out = run_with_aux(&r, &MiniKmeans, &aux, &cfg, "/centroids", "/points", "/out");
-    assert_config_error(out, "with_tcp_transport");
+    assert_config_error(out, "needs a wire");
 }
 
 /// Unit-weight shortest paths from key 0 over a fixed sparse graph

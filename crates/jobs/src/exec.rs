@@ -186,7 +186,6 @@ fn build_cfg(spec: &JobSpec, resume: bool, chaos: Option<ChaosConfig>) -> IterCo
         cfg = cfg.with_one2all();
     }
     if spec.engine == EngineSel::Tcp {
-        cfg = cfg.with_tcp_transport();
         // Chaos needs an unscripted-stall watchdog: injected faults
         // are exactly the kind of degradation only it can recover.
         if let Some(chaos) = chaos.filter(|c| c.is_active()) {
@@ -339,12 +338,12 @@ mod tests {
     #[test]
     fn resume_is_dropped_without_checkpoints_and_on_sim() {
         let spec = JobSpec::new("x", AlgoSpec::Halve, EngineSel::Threads, 1);
-        assert!(build_cfg(&spec, true, None).resume);
+        assert!(build_cfg(&spec, true, None).mode.resume);
         let no_ck = spec.clone().with_checkpoint_interval(0);
-        assert!(!build_cfg(&no_ck, true, None).resume);
+        assert!(!build_cfg(&no_ck, true, None).mode.resume);
         let mut sim = spec;
         sim.engine = EngineSel::Sim;
-        assert!(!build_cfg(&sim, true, None).resume);
+        assert!(!build_cfg(&sim, true, None).mode.resume);
     }
 
     #[test]

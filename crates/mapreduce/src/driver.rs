@@ -73,7 +73,11 @@ pub fn run_iterative<J>(
 where
     J: MrJob<InK = <J as MrJob>::OutK, InV = <J as MrJob>::OutV>,
 {
-    assert!(max_iters > 0, "need at least one iteration");
+    if max_iters == 0 {
+        return Err(EngineError::Config(
+            "an iterative MapReduce run needs at least one iteration, got max_iters = 0".into(),
+        ));
+    }
     let mut report = RunReport {
         label: if runner.charge_init {
             "MapReduce".into()
@@ -278,6 +282,16 @@ mod tests {
             run_iterative(&r, &Halver, &JobConfig::new("h", 1), "/init", "/w", 4, None).unwrap();
         let times = outcome.report.iteration_done;
         assert!(times.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn zero_iterations_is_a_config_error() {
+        let r = runner(2);
+        let mut clock = TaskClock::default();
+        r.load_input("/init", vec![(0u32, 1.0f64)], 1, &mut clock)
+            .unwrap();
+        let out = run_iterative(&r, &Halver, &JobConfig::new("h", 1), "/init", "/w", 0, None);
+        assert!(matches!(out, Err(EngineError::Config(msg)) if msg.contains("max_iters = 0")));
     }
 
     #[test]

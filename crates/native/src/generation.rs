@@ -20,7 +20,7 @@ use crate::monitor::{monitor_loop, BalancePlan, ProgressBoard};
 use crate::pair::PairOutcome;
 use bytes::Bytes;
 use imapreduce::supervise::{GenInput, Intervention, PairRun};
-use imapreduce::IterConfig;
+use imapreduce::{IterConfig, Mode};
 use imr_dfs::{hist_path, snapshot_dir, Dfs, DfsError};
 use imr_mapreduce::io::part_path;
 use imr_mapreduce::EngineError;
@@ -49,7 +49,7 @@ struct PairRecord {
 pub(crate) struct Generation<'a> {
     dfs: &'a Dfs,
     metrics: &'a MetricsHandle,
-    cfg: &'a IterConfig,
+    cfg: &'a IterConfig<dyn Mode>,
     output_dir: &'a str,
     input: GenInput<'a>,
     /// Heartbeats, checkpoint progress and exits, for the monitor.
@@ -65,7 +65,7 @@ impl<'a> Generation<'a> {
     pub(crate) fn new(
         dfs: &'a Dfs,
         metrics: &'a MetricsHandle,
-        cfg: &'a IterConfig,
+        cfg: &'a IterConfig<dyn Mode>,
         output_dir: &'a str,
         input: GenInput<'a>,
     ) -> Self {
@@ -152,11 +152,12 @@ impl<'a> Generation<'a> {
         latch: &'env FaultBarrier,
         body: impl for<'scope> FnOnce(&'scope thread::Scope<'scope, 'env>) -> R,
     ) -> (R, Option<Intervention>) {
-        let monitored = self.cfg.watchdog.is_some() || self.cfg.load_balance.is_some();
+        let load_balance = self.cfg.mode.iterative().and_then(|m| m.load_balance);
+        let monitored = self.cfg.watchdog.is_some() || load_balance.is_some();
         thread::scope(|scope| {
             let monitor = monitored.then(|| {
-                scope.spawn(|| {
-                    let balance = self.cfg.load_balance.map(|lb| BalancePlan {
+                scope.spawn(move || {
+                    let balance = load_balance.map(|lb| BalancePlan {
                         cluster: self.dfs.cluster(),
                         assignment: self.input.assignment,
                         down: self.input.down,

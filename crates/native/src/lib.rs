@@ -3,12 +3,11 @@
 //! Executes the same [`IterativeJob`] API as the virtual-time
 //! simulation engine, but in real time: one persistent map/reduce task
 //! pair (paper §3.1) per worker, living for the whole job. Workers run
-//! either as threads in this process (the default
-//! [`TransportKind::Channel`] fabric) or as separate OS processes
-//! connected to a coordinator over localhost TCP
-//! ([`TransportKind::Tcp`], with the processes attached by
+//! either as threads in this process over in-process channels (the
+//! default) or as separate OS processes connected to a coordinator over
+//! localhost TCP (with the processes attached by
 //! [`NativeRunner::with_workers`] — see the [`remote`] module). Both are
-//! one [`IterEngine`]: the transport is the config's, the call is the
+//! one [`IterEngine`]: the runner picks the fabric, the call is the
 //! same. The paper's mechanisms map onto native primitives:
 //!
 //! * **Persistent reduce→map connections** (§3.3) — the
@@ -126,8 +125,8 @@ use imapreduce::pair::{
 };
 use imapreduce::supervise::{supervise, GenInput, GenRuns};
 use imapreduce::{
-    check_inputs, Accumulative, FailureEvent, FaultEvent, IterConfig, IterEngine, IterOutcome,
-    IterativeJob, Mapping, Observer, RunCtl, TransportKind,
+    check_inputs, Accumulative, Delta, FailureEvent, FaultEvent, IterConfig, IterEngine,
+    IterOutcome, IterativeJob, Mapping, Mode, Observer, RunCtl,
 };
 use imr_dfs::Dfs;
 use imr_mapreduce::io::num_parts;
@@ -212,10 +211,9 @@ impl NativeRunner {
         self
     }
 
-    /// Attaches the worker processes a [`TransportKind::Tcp`] run
-    /// spawns, one per pair (see the [`remote`] module). A TCP config
-    /// without them, or a channel config with them, is a
-    /// [`EngineError::Config`] on every entry point.
+    /// Attaches the worker processes every run of this runner spawns,
+    /// one per pair, connected over localhost TCP (see the [`remote`]
+    /// module): a runner with workers attached is the TCP runner.
     pub fn with_workers(mut self, spec: WorkerSpec) -> Self {
         self.workers = Some(spec);
         self
@@ -251,7 +249,7 @@ impl NativeRunner {
     pub fn run_accumulative<J: Accumulative>(
         &self,
         job: &J,
-        cfg: &IterConfig,
+        cfg: &IterConfig<Delta>,
         state_dir: &str,
         static_dir: &str,
         output_dir: &str,
@@ -279,49 +277,21 @@ impl NativeRunner {
     }
 
     /// The one entry behind every mode and fabric: the shared
-    /// refusals, then worker threads over channels or worker processes
-    /// over TCP, as `cfg.transport` says. `accumulative` is the mode the
-    /// caller's loop runs; `loop_fn` is that loop for the thread fabric
-    /// (a worker process picks it from its setup frame).
-    #[allow(clippy::too_many_arguments)]
+    /// refusals, then worker threads over channels or, with workers
+    /// attached, worker processes over TCP. `loop_fn` is the loop of
+    /// `cfg`'s mode for the thread fabric (a worker process picks it
+    /// from its setup frame).
     fn dispatch<J: IterativeJob>(
         &self,
         job: &J,
-        cfg: &IterConfig,
+        cfg: &IterConfig<dyn Mode>,
         [state_dir, static_dir, output_dir]: [&str; 3],
         faults: &[FaultEvent],
-        accumulative: bool,
         loop_fn: ThreadLoop<J>,
         label: String,
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
         validate(cfg, faults)?;
-        if cfg.accumulative != accumulative {
-            let why = if accumulative {
-                "run_accumulative needs cfg.with_accumulative_mode()"
-            } else {
-                "cfg.accumulative is set: use run_accumulative for barrier-free \
-                 delta-accumulative execution"
-            };
-            return Err(EngineError::Config(why.into()));
-        }
-        let spec = match (cfg.transport, &self.workers) {
-            (TransportKind::Channel, None) => None,
-            (TransportKind::Tcp, Some(spec)) => Some(spec),
-            (TransportKind::Tcp, None) => {
-                return Err(EngineError::Config(
-                    "transport Tcp needs worker processes: attach them with \
-                     NativeRunner::with_workers"
-                        .into(),
-                ))
-            }
-            (TransportKind::Channel, Some(_)) => {
-                return Err(EngineError::Config(
-                    "worker processes are attached (NativeRunner::with_workers) but the \
-                     config keeps the channel fabric: set IterConfig::with_tcp_transport"
-                        .into(),
-                ))
-            }
-        };
+        cfg.check_wire(self.workers.is_some())?;
         check_inputs(&self.dfs, cfg, job.phases(), state_dir, static_dir)?;
         let pair_cfg = pair_cfg(cfg, num_parts(&self.dfs, state_dir));
         let dirs = PairDirs {
@@ -329,7 +299,7 @@ impl NativeRunner {
             static_dir: static_dir.to_owned(),
             output_dir: output_dir.to_owned(),
         };
-        match spec {
+        match &self.workers {
             None => self.run_threaded(job, cfg, &pair_cfg, &dirs, faults, loop_fn, label),
             Some(spec) => {
                 let label = format!("{label} [tcp]");
@@ -346,7 +316,7 @@ impl NativeRunner {
     fn run_threaded<J: IterativeJob>(
         &self,
         job: &J,
-        cfg: &IterConfig,
+        cfg: &IterConfig<dyn Mode>,
         pair_cfg: &PairCfg,
         dirs: &PairDirs,
         faults: &[FaultEvent],
@@ -451,7 +421,7 @@ impl NativeRunner {
     }
 
     fn label(&self, cfg: &IterConfig) -> String {
-        if cfg.mapping == Mapping::One2One && cfg.sync_maps {
+        if cfg.mode.mapping == Mapping::One2One && cfg.mode.sync_maps {
             "iMapReduce native (sync.)".to_owned()
         } else {
             "iMapReduce native".to_owned()
@@ -460,9 +430,12 @@ impl NativeRunner {
 }
 
 /// [`IterConfig::validate`], plus what only the native engines refuse.
-pub(crate) fn validate(cfg: &IterConfig, faults: &[FaultEvent]) -> Result<(), EngineError> {
+pub(crate) fn validate(
+    cfg: &IterConfig<dyn Mode>,
+    faults: &[FaultEvent],
+) -> Result<(), EngineError> {
     cfg.validate(faults)?;
-    if cfg.eager_handoff {
+    if cfg.mode.iterative().is_some_and(|m| m.eager_handoff) {
         return Err(EngineError::Config(
             "eager_handoff is sim-only: it shapes the simulator's virtual-time \
              hand-off cost, and the native engines have no eager reduce->map \
@@ -474,8 +447,8 @@ pub(crate) fn validate(cfg: &IterConfig, faults: &[FaultEvent]) -> Result<(), En
 }
 
 /// The native engine behind the one trait: each method runs its loop
-/// through [`NativeRunner::dispatch`], on threads or worker processes
-/// as `cfg.transport` says. Faults of every kind recover from DFS
+/// through [`NativeRunner::dispatch`], on threads or, with workers
+/// attached, worker processes. Faults of every kind recover from DFS
 /// checkpoints: scripted kills exit their pairs, delays slow them,
 /// hangs wedge them for the watchdog (`IterConfig::with_watchdog`) to
 /// detect, §3.4.2 load balancing (`IterConfig::with_load_balance`)
@@ -499,16 +472,15 @@ impl IterEngine for NativeRunner {
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
         let dirs = [state_dir, static_dir, output_dir];
         let label = self.label(cfg);
-        self.dispatch(job, cfg, dirs, faults, false, |ctx| pair_loop(ctx), label)
+        self.dispatch(job, cfg, dirs, faults, |ctx| pair_loop(ctx), label)
     }
 
-    /// Over TCP, an incremental config's warm-start parts are announced
-    /// to the workers and checked (see [`remote`]); a worker binary must
-    /// route the job through [`remote::serve_worker_accum`].
+    /// Over TCP a worker binary must route the job through
+    /// [`remote::serve_worker_accum`].
     fn run_accumulative<J: Accumulative>(
         &self,
         job: &J,
-        cfg: &IterConfig,
+        cfg: &IterConfig<Delta>,
         state_dir: &str,
         static_dir: &str,
         output_dir: &str,
@@ -516,7 +488,7 @@ impl IterEngine for NativeRunner {
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
         let dirs = [state_dir, static_dir, output_dir];
         let label = "iMapReduce native (delta)".to_owned();
-        self.dispatch(job, cfg, dirs, faults, true, |ctx| delta_loop(ctx), label)
+        self.dispatch(job, cfg, dirs, faults, |ctx| delta_loop(ctx), label)
     }
 }
 
@@ -863,20 +835,6 @@ mod tests {
             EngineError::Config(msg) => {
                 assert!(msg.contains("checkpoint_interval"), "{msg}");
             }
-            other => panic!("expected a configuration error, got {other}"),
-        }
-    }
-
-    #[test]
-    fn tcp_transport_rejected_on_the_thread_entry_point() {
-        let (native, _) = fixtures(2);
-        load_halve(native.dfs(), 2);
-        let cfg = IterConfig::new("halve", 2, 4).with_tcp_transport();
-        let err = native
-            .run(&Halve, &cfg, "/state", "/static", "/out", &[])
-            .unwrap_err();
-        match err {
-            EngineError::Config(msg) => assert!(msg.contains("with_workers"), "{msg}"),
             other => panic!("expected a configuration error, got {other}"),
         }
     }
@@ -1353,7 +1311,6 @@ mod tests {
         refused(native.run(&Halve, &cfg, "/state", "/static", "/out", &[]));
         // Validation comes before any worker is spawned.
         let spec = WorkerSpec::new("/nonexistent/imr-worker", vec![]);
-        let cfg = cfg.with_tcp_transport();
         refused(
             native
                 .with_workers(spec)

@@ -79,7 +79,7 @@ use crate::pair::{
 use crate::{NativeRunner, HANDOFF_BUFFER};
 use bytes::Bytes;
 use imapreduce::supervise::{supervise, GenInput, GenRuns};
-use imapreduce::{FaultEvent, IterConfig, IterOutcome, IterativeJob};
+use imapreduce::{FaultEvent, IterConfig, IterOutcome, IterativeJob, Mode};
 use imr_mapreduce::EngineError;
 use imr_net::chaos::{ChaosDirection, ChaosState, ChaosStream, DIR_INBOUND, DIR_OUTBOUND};
 use imr_net::frame::{reclaim, FrameReader, FrameWriter, Parts, HEADER_LEN};
@@ -160,7 +160,7 @@ impl NativeRunner {
     pub(crate) fn run_processes<J: IterativeJob>(
         &self,
         spec: &WorkerSpec,
-        cfg: &IterConfig,
+        cfg: &IterConfig<dyn Mode>,
         pair_cfg: &PairCfg,
         dirs: &PairDirs,
         faults: &[FaultEvent],
@@ -366,7 +366,7 @@ impl Coordinator<'_> {
 #[allow(clippy::too_many_arguments)]
 fn run_generation(
     runner: &NativeRunner,
-    cfg: &IterConfig,
+    cfg: &IterConfig<dyn Mode>,
     spec: &WorkerSpec,
     pair_cfg: &PairCfg,
     dirs: &PairDirs,
@@ -993,7 +993,7 @@ fn serve_inner<J: IterativeJob>(
     let WorkerSetup {
         epoch,
         observed,
-        cfg,
+        cfg: pair_cfg,
         dirs,
         plan,
         ..
@@ -1007,7 +1007,7 @@ fn serve_inner<J: IterativeJob>(
         metrics: Arc::clone(&metrics),
         started: Instant::now(),
     };
-    let loop_fn: RemoteLoop<J> = if cfg.accumulative {
+    let loop_fn: RemoteLoop<J> = if pair_cfg.accumulative {
         match accum {
             Some(f) => f,
             None => {
@@ -1028,7 +1028,7 @@ fn serve_inner<J: IterativeJob>(
         loop_fn(PairCtx {
             q: pair,
             job,
-            cfg: &cfg,
+            cfg: &pair_cfg,
             dirs: &dirs,
             plan: &plan,
             epoch,
@@ -1074,7 +1074,7 @@ mod tests {
         let metrics: MetricsHandle = Arc::new(Metrics::default());
         let dfs = Dfs::new(Arc::new(ClusterSpec::local(n)), Arc::clone(&metrics), 1);
         let runner = NativeRunner::new(dfs, metrics);
-        let cfg = IterConfig::new("rogue", n, 4).with_tcp_transport();
+        let cfg = IterConfig::new("rogue", n, 4);
         let dirs = PairDirs {
             state_dir: "/s".into(),
             static_dir: "/t".into(),

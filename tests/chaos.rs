@@ -14,7 +14,7 @@ use imr_algorithms::incremental::{
     converge_and_preserve, inc_dirs, run_incremental_ns, weighted_statics,
 };
 use imr_algorithms::sssp::SsspInc;
-use imr_algorithms::testutil::{native_runner, tcp_runner};
+use imr_algorithms::testutil::{imr_runner, native_runner, tcp_runner};
 use imr_algorithms::{concomp, kmeans, pagerank, sssp};
 use imr_graph::{dataset, generate_points};
 use imr_jobs::{AlgoSpec, EngineSel, JobPhase, JobService, JobSpec, ServiceConfig};
@@ -54,7 +54,7 @@ fn test_chaos(seed: u64) -> ChaosConfig {
 /// The shared shape of every identity test below: checkpoints to
 /// replay from, a watchdog to catch stall-shaped faults, the test
 /// policy, and the given chaos schedule.
-fn chaotic(cfg: IterConfig, seed: u64) -> IterConfig {
+fn chaotic<M>(cfg: IterConfig<M>, seed: u64) -> IterConfig<M> {
     cfg.with_checkpoint_interval(2)
         .with_net_policy(test_policy())
         .with_watchdog(WatchdogConfig {
@@ -77,6 +77,23 @@ fn assert_same<S: PartialEq + std::fmt::Debug>(
     assert_eq!(clean.distances, chaos.distances, "{label}: distances");
 }
 
+/// Chaos needs a wire: the simulator and worker threads refuse a chaos
+/// config with the same `Config` error instead of running it clean.
+#[test]
+fn chaos_without_a_wire_is_the_same_config_error_on_sim_and_threads() {
+    let g = dataset("DBLP").unwrap().generate(0.003);
+    let cfg = chaotic(IterConfig::new("sssp", 2, 4), 7);
+    let refusal = |out: Result<IterOutcome<u32, f64>, EngineError>| match out {
+        Err(EngineError::Config(msg)) => msg,
+        Err(other) => panic!("expected a Config error, got {other}"),
+        Ok(_) => panic!("chaos ran without a wire"),
+    };
+    let sim = refusal(sssp::run_sssp_imr(&imr_runner(4), &g, 0, &cfg));
+    let threads = refusal(sssp::run_sssp_imr(&native_runner(4), &g, 0, &cfg));
+    assert!(sim.contains("needs a wire"), "{sim}");
+    assert_eq!(sim, threads);
+}
+
 /// SSSP in both triggering modes: the chaotic run equals the clean
 /// run bit-for-bit and the coordinator counted its injections.
 #[test]
@@ -84,7 +101,6 @@ fn chaos_sssp_sync_and_async_match_clean() {
     let g = dataset("DBLP").unwrap().generate(0.005);
     for sync in [false, true] {
         let mut cfg = IterConfig::new("sssp-chaos", 2, 6)
-            .with_tcp_transport()
             .with_checkpoint_interval(2)
             .with_net_policy(test_policy());
         if sync {
@@ -110,7 +126,6 @@ fn chaos_sssp_sync_and_async_match_clean() {
 fn chaos_pagerank_matches_clean_and_counts_faults() {
     let g = dataset("Google").unwrap().generate(0.003);
     let cfg = IterConfig::new("pr-chaos", 2, 6)
-        .with_tcp_transport()
         .with_checkpoint_interval(2)
         .with_net_policy(test_policy());
     let nodes = g.num_nodes().to_string();
@@ -133,7 +148,6 @@ fn chaos_pagerank_matches_clean_and_counts_faults() {
 fn chaos_concomp_matches_clean() {
     let g = dataset("DBLP").unwrap().generate(0.005);
     let cfg = IterConfig::new("cc-chaos", 2, 8)
-        .with_tcp_transport()
         .with_checkpoint_interval(2)
         .with_net_policy(test_policy());
 
@@ -153,7 +167,6 @@ fn chaos_kmeans_one2all_matches_clean() {
     let points = generate_points(400, 5, 3, 77);
     let cfg = IterConfig::new("km-chaos", 2, 5)
         .with_one2all()
-        .with_tcp_transport()
         .with_checkpoint_interval(2)
         .with_net_policy(test_policy());
     let run = |cfg: &IterConfig| {
@@ -174,7 +187,6 @@ fn chaos_delta_pagerank_matches_clean() {
     let cfg = IterConfig::new("prd-chaos", 2, 400)
         .with_accumulative_mode()
         .with_distance_threshold(1e-10)
-        .with_tcp_transport()
         .with_checkpoint_interval(2)
         .with_net_policy(test_policy());
     let nodes = g.num_nodes().to_string();
@@ -219,7 +231,7 @@ fn chaos_incremental_sssp_warm_start_matches_clean_threads() {
     let tcp = native_runner(2);
     let (_, fix) = converge_and_preserve(&tcp, &job, &base, &cfg, "/i").unwrap();
     let tcp = tcp.with_workers(WorkerSpec::new(WORKER, vec!["sssp".to_owned()]));
-    let inc_cfg = chaotic(cfg.with_tcp_transport(), 89).with_incremental_mode();
+    let inc_cfg = chaotic(cfg, 89);
     let kill = [FaultEvent::Kill {
         node: NodeId(1),
         at_iteration: 1,
@@ -265,7 +277,6 @@ fn chaos_budget_exhaustion_is_a_typed_error() {
         .with_corrupt_rate(0.25)
         .with_budget(u64::MAX / 2);
     let cfg = IterConfig::new("sssp-doom", 2, 6)
-        .with_tcp_transport()
         .with_checkpoint_interval(2)
         .with_net_policy(policy)
         .with_watchdog(WatchdogConfig {

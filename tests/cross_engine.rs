@@ -4,8 +4,8 @@
 
 use bytes::Bytes;
 use imapreduce::{
-    Accumulative, Emitter, FailureEvent, FaultEvent, IterConfig, IterEngine, IterOutcome,
-    IterativeJob, LoadBalance, StateInput, WatchdogConfig,
+    Accumulative, Delta, Emitter, FailureEvent, FaultEvent, IterConfig, IterEngine, IterOutcome,
+    Iterative, IterativeJob, LoadBalance, StateInput, WatchdogConfig,
 };
 use imr_algorithms::concomp::ConCompIter;
 use imr_algorithms::kmeans::{KmState, KmeansIter};
@@ -117,14 +117,13 @@ fn matpower_is_one_phased_job_on_every_engine_through_kills() {
     let m = generate_matrix(12, 5);
     let expect = matpower::reference_matpower(&m, 3);
     let cfg = IterConfig::new("matpower", 2, 3).with_checkpoint_interval(1);
-    let tcp_cfg = cfg.clone().with_tcp_transport();
     let run = |engine: &str, faults: &[FaultEvent]| {
         let out = match engine {
             "sim" => matpower::run_matpower_faults(&imr_runner(4), &m, &cfg, faults),
             "threads" => matpower::run_matpower_faults(&native_runner(4), &m, &cfg, faults),
             _ => {
                 let tcp = tcp_runner(4, WORKER, &["matpower"]);
-                matpower::run_matpower_faults(&tcp, &m, &tcp_cfg, faults)
+                matpower::run_matpower_faults(&tcp, &m, &cfg, faults)
             }
         };
         let out = out.unwrap_or_else(|e| panic!("{engine} under {faults:?}: {e}"));
@@ -491,7 +490,7 @@ fn tcp_sssp_matches_channel_sim_and_reference() {
             let nat = native_runner(4);
             let b = sssp::run_sssp_imr(&nat, &g, 0, &cfg).unwrap();
             let tcp = tcp_runner(4, WORKER, &["sssp"]);
-            let c = sssp::run_sssp_imr(&tcp, &g, 0, &cfg.clone().with_tcp_transport()).unwrap();
+            let c = sssp::run_sssp_imr(&tcp, &g, 0, &cfg).unwrap();
             assert_eq!(a.final_state, c.final_state, "tasks={tasks} sync={sync}");
             assert_eq!(b.final_state, c.final_state, "tasks={tasks} sync={sync}");
             assert_eq!(a.iterations, c.iterations);
@@ -526,8 +525,7 @@ fn tcp_pagerank_matches_channel_and_sim() {
             let nat = native_runner(4);
             let b = pagerank::run_pagerank_imr(&nat, &g, &cfg).unwrap();
             let tcp = tcp_runner(4, WORKER, &["pagerank", &nodes]);
-            let c =
-                pagerank::run_pagerank_imr(&tcp, &g, &cfg.clone().with_tcp_transport()).unwrap();
+            let c = pagerank::run_pagerank_imr(&tcp, &g, &cfg).unwrap();
             assert_eq!(a.final_state, c.final_state, "tasks={tasks} sync={sync}");
             assert_eq!(b.final_state, c.final_state, "tasks={tasks} sync={sync}");
             assert_eq!(a.iterations, c.iterations);
@@ -551,8 +549,7 @@ fn tcp_kmeans_matches_channel_and_sim() {
         let nat = native_runner(4);
         let b = kmeans::run_kmeans_imr(&nat, &points, 3, &cfg, false).unwrap();
         let tcp = tcp_runner(4, WORKER, &["kmeans", "0"]);
-        let tcp_cfg = cfg.clone().with_tcp_transport();
-        let c = kmeans::run_kmeans_imr(&tcp, &points, 3, &tcp_cfg, false).unwrap();
+        let c = kmeans::run_kmeans_imr(&tcp, &points, 3, &cfg, false).unwrap();
         assert_eq!(a.final_state, c.final_state, "tasks={tasks}");
         assert_eq!(b.final_state, c.final_state, "tasks={tasks}");
         assert_eq!(a.iterations, c.iterations);
@@ -569,27 +566,11 @@ fn tcp_termination_matches_channel_and_sim() {
     let sim = imr_runner(3);
     let a = sssp::run_sssp_imr(&sim, &g, 0, &cfg).unwrap();
     let tcp = tcp_runner(3, WORKER, &["sssp"]);
-    let b = sssp::run_sssp_imr(&tcp, &g, 0, &cfg.clone().with_tcp_transport()).unwrap();
+    let b = sssp::run_sssp_imr(&tcp, &g, 0, &cfg).unwrap();
     assert!(a.iterations < 64, "converged before the cap");
     assert_eq!(a.iterations, b.iterations);
     assert_eq!(a.distances, b.distances);
     assert_eq!(a.final_state, b.final_state);
-}
-
-/// The transport flag and the runner must agree: a runner with worker
-/// processes attached refuses a channel-transport config (and one
-/// without them refuses a TCP config, covered in the native crate's
-/// tests).
-#[test]
-fn run_remote_rejects_channel_transport_config() {
-    let g = dataset("DBLP").unwrap().generate(0.003);
-    let tcp = tcp_runner(4, WORKER, &["sssp"]);
-    let cfg = IterConfig::new("sssp", 2, 2);
-    let err = sssp::run_sssp_imr(&tcp, &g, 0, &cfg).unwrap_err();
-    match err {
-        EngineError::Config(msg) => assert!(msg.contains("with_tcp_transport"), "{msg}"),
-        other => panic!("expected a configuration error, got {other}"),
-    }
 }
 
 /// Asserts two delta-mode outcomes are bit-identical: same values in
@@ -624,7 +605,7 @@ fn delta_pagerank_bounded_by_sync_fixpoint_on_all_engines() {
         let a = pagerank::run_pagerank_delta(&imr_runner(4), &g, &cfg).unwrap();
         let b = pagerank::run_pagerank_delta(&native_runner(4), &g, &cfg).unwrap();
         let tcp = tcp_runner(4, WORKER, &["pagerank", &nodes]);
-        let c = pagerank::run_pagerank_delta(&tcp, &g, &cfg.clone().with_tcp_transport()).unwrap();
+        let c = pagerank::run_pagerank_delta(&tcp, &g, &cfg).unwrap();
         assert_same_outcome(&format!("sim vs native, tasks={tasks}"), &a, &b);
         assert_same_outcome(&format!("sim vs tcp, tasks={tasks}"), &a, &c);
         assert!(a.iterations < 400, "detector must fire before the cap");
@@ -652,7 +633,7 @@ fn delta_sssp_matches_dijkstra_on_all_engines() {
         let a = sssp::run_sssp_delta(&imr_runner(4), &g, 0, &cfg).unwrap();
         let b = sssp::run_sssp_delta(&native_runner(4), &g, 0, &cfg).unwrap();
         let tcp = tcp_runner(4, WORKER, &["sssp"]);
-        let c = sssp::run_sssp_delta(&tcp, &g, 0, &cfg.clone().with_tcp_transport()).unwrap();
+        let c = sssp::run_sssp_delta(&tcp, &g, 0, &cfg).unwrap();
         assert_same_outcome(&format!("sim vs native, tasks={tasks}"), &a, &b);
         assert_same_outcome(&format!("sim vs tcp, tasks={tasks}"), &a, &c);
         assert!(a.iterations < 400, "detector must fire before the cap");
@@ -681,7 +662,7 @@ fn delta_concomp_matches_sync_fixpoint_on_all_engines() {
         let a = concomp::run_concomp_delta(&imr_runner(4), &g, &cfg).unwrap();
         let b = concomp::run_concomp_delta(&native_runner(4), &g, &cfg).unwrap();
         let tcp = tcp_runner(4, WORKER, &["concomp"]);
-        let c = concomp::run_concomp_delta(&tcp, &g, &cfg.clone().with_tcp_transport()).unwrap();
+        let c = concomp::run_concomp_delta(&tcp, &g, &cfg).unwrap();
         assert_same_outcome(&format!("sim vs native, tasks={tasks}"), &a, &b);
         assert_same_outcome(&format!("sim vs tcp, tasks={tasks}"), &a, &c);
         assert!(a.iterations < 200, "detector must fire before the cap");
@@ -890,19 +871,10 @@ fn zero_pairs_or_zero_iterations_is_a_config_error_on_both_engines() {
     }
 }
 
-/// A knob no engine would read is refused, not ignored: the delta-round
-/// knobs outside accumulative mode, and eager hand-off under one2all.
+/// A knob no engine would read is refused, not ignored: eager hand-off
+/// under one2all.
 #[test]
 fn knobs_an_engine_would_ignore_are_config_errors_on_both_engines() {
-    let base = IterConfig::new("sssp", 2, 3);
-    for cfg in [
-        base.clone().with_delta_batch(8),
-        base.clone().with_check_every(2),
-    ] {
-        for msg in config_refusals(&cfg) {
-            assert!(msg.contains("with_accumulative_mode"), "{msg}");
-        }
-    }
     let cfg = IterConfig::new("km", 2, 3)
         .with_one2all()
         .with_eager_handoff();
@@ -964,39 +936,73 @@ fn a_phased_job_outside_its_contract_is_the_same_config_error_on_every_engine() 
             base.clone().with_distance_threshold(1e-9),
             "distance threshold",
         ),
-        (
-            base.clone()
-                .with_accumulative_mode()
-                .with_distance_threshold(1e-9),
-            "accumulative mode runs a single phase",
-        ),
         (IterConfig::new("phased", 2, 3), "whole number of rounds"),
-        (base, "phases × num_tasks = 4 parts"),
+        (base.clone(), "phases × num_tasks = 4 parts"),
     ];
     for (cfg, needle) in cases {
-        let tcp = tcp_runner(4, WORKER, &["sssp"]);
-        let tcp_cfg = cfg.clone().with_tcp_transport();
-        let errors = [
-            phased_error(&imr_runner(4), &g, &cfg),
-            phased_error(&native_runner(4), &g, &cfg),
-            phased_error(&tcp, &g, &tcp_cfg),
-        ];
-        let msgs = errors.map(|err| match err {
-            EngineError::Config(msg) => msg,
-            other => panic!("{needle}: expected a configuration error, got {other:?}"),
-        });
-        assert!(msgs[0].contains(needle), "{}", msgs[0]);
-        assert!(msgs.iter().all(|msg| *msg == msgs[0]), "{msgs:?}");
+        assert_phased_refusal(&g, &cfg, needle);
+    }
+    let delta = base.with_accumulative_mode().with_distance_threshold(1e-9);
+    assert_phased_refusal(&g, &delta, "accumulative mode runs a single phase");
+}
+
+/// [`TwoPhaseSssp`] under `cfg` ends in the same `Config` error, naming
+/// `needle`, on the simulator, worker threads and TCP worker processes.
+fn assert_phased_refusal<M: Entry>(g: &Graph, cfg: &IterConfig<M>, needle: &str) {
+    let tcp = tcp_runner(4, WORKER, &["sssp"]);
+    let errors = [
+        phased_error(&imr_runner(4), g, cfg),
+        phased_error(&native_runner(4), g, cfg),
+        phased_error(&tcp, g, cfg),
+    ];
+    let msgs = errors.map(|err| match err {
+        EngineError::Config(msg) => msg,
+        other => panic!("{needle}: expected a configuration error, got {other:?}"),
+    });
+    assert!(msgs[0].contains(needle), "{}", msgs[0]);
+    assert!(msgs.iter().all(|msg| *msg == msgs[0]), "{msgs:?}");
+}
+
+/// The entry point of a config's mode — `run_faults` or
+/// `run_accumulative` — so one helper runs a job in either mode.
+trait Entry: Sized {
+    fn run<J: Accumulative>(
+        runner: &impl IterEngine,
+        job: &J,
+        cfg: &IterConfig<Self>,
+        dirs: [&str; 3],
+        faults: &[FaultEvent],
+    ) -> Result<IterOutcome<J::K, J::S>, EngineError>;
+}
+
+impl Entry for Iterative {
+    fn run<J: Accumulative>(
+        runner: &impl IterEngine,
+        job: &J,
+        cfg: &IterConfig,
+        [state, stat, out]: [&str; 3],
+        faults: &[FaultEvent],
+    ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
+        runner.run_faults(job, cfg, state, stat, out, faults)
+    }
+}
+
+impl Entry for Delta {
+    fn run<J: Accumulative>(
+        runner: &impl IterEngine,
+        job: &J,
+        cfg: &IterConfig<Delta>,
+        [state, stat, out]: [&str; 3],
+        faults: &[FaultEvent],
+    ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
+        runner.run_accumulative(job, cfg, state, stat, out, faults)
     }
 }
 
 /// The error [`TwoPhaseSssp`] on `g`, loaded for two pairs, ends in.
-fn phased_error(runner: &impl IterEngine, g: &Graph, cfg: &IterConfig) -> EngineError {
+fn phased_error<M: Entry>(runner: &impl IterEngine, g: &Graph, cfg: &IterConfig<M>) -> EngineError {
     sssp::load_sssp_imr(runner, g, 0, 2, "/s", "/t").unwrap();
-    let out = match cfg.accumulative {
-        true => runner.run_accumulative(&TwoPhaseSssp, cfg, "/s", "/t", "/o", &[]),
-        false => runner.run_faults(&TwoPhaseSssp, cfg, "/s", "/t", "/o", &[]),
-    };
+    let out = M::run(runner, &TwoPhaseSssp, cfg, ["/s", "/t", "/o"], &[]);
     match out {
         Ok(out) => panic!("{} ran {} iterations", cfg.name, out.iterations),
         Err(e) => e,
@@ -1128,36 +1134,33 @@ impl Input<'_> {
     }
 }
 
-/// Loads `input` and runs `job` on it under `faults`: in the delta mode
-/// when `cfg` carries it.
-fn run_faulted<J: Accumulative<K = u32>>(
+/// Loads `input` and runs `job` on it under `faults`, in `cfg`'s mode.
+fn run_faulted<J: Accumulative<K = u32>, M: Entry>(
     runner: &impl IterEngine,
     job: &J,
     input: Input<'_>,
-    cfg: &IterConfig,
+    cfg: &IterConfig<M>,
     faults: &[FaultEvent],
 ) -> Result<IterOutcome<u32, J::S>, EngineError> {
     input.load(runner, cfg.num_tasks);
-    match cfg.accumulative {
-        true => runner.run_accumulative(job, cfg, "/s", "/t", "/o", faults),
-        false => runner.run_faults(job, cfg, "/s", "/t", "/o", faults),
-    }
+    M::run(runner, job, cfg, ["/s", "/t", "/o"], faults)
 }
 
 /// The fault contract (§3.4.1) on `local(nodes)`: under `faults`, `job`
 /// on `input` ends on the simulator, worker threads and TCP worker
 /// processes alike with the clean run's final state, iteration count
 /// and distance bits, after `recoveries` recoveries and no migration.
-fn assert_fault_contract<J>(
+fn assert_fault_contract<J, M>(
     nodes: usize,
     job: &J,
     input: Input<'_>,
-    cfg: &IterConfig,
+    cfg: &IterConfig<M>,
     faults: &[FaultEvent],
     recoveries: u64,
 ) where
     J: Accumulative<K = u32>,
     J::S: PartialEq + std::fmt::Debug,
+    M: Entry,
 {
     let seen = |engine: &str, out: Result<IterOutcome<u32, J::S>, EngineError>| {
         let out = out.unwrap_or_else(|e| panic!("{engine} under {faults:?}: {e}"));
@@ -1179,7 +1182,6 @@ fn assert_fault_contract<J>(
         WORKER,
         &args.iter().map(String::as_str).collect::<Vec<_>>(),
     );
-    let tcp_cfg = cfg.clone().with_tcp_transport();
     for (engine, out) in [
         (
             "sim",
@@ -1189,7 +1191,7 @@ fn assert_fault_contract<J>(
             "threads",
             run_faulted(&native_runner(nodes), job, input, cfg, faults),
         ),
-        ("tcp", run_faulted(&tcp, job, input, &tcp_cfg, faults)),
+        ("tcp", run_faulted(&tcp, job, input, cfg, faults)),
     ] {
         assert!(seen(engine, out) == expect, "{engine} under {faults:?}");
     }
@@ -1301,8 +1303,7 @@ fn a_failed_node_gets_no_pair_back_on_every_engine() {
     let threads = native_runner(4).with_trace(Arc::clone(&traces[1]));
     run_faulted(&threads, &SsspIter, input, &cfg, &faults).unwrap();
     let tcp = tcp_runner(4, WORKER, &["sssp"]).with_trace(Arc::clone(&traces[2]));
-    let tcp_cfg = cfg.clone().with_tcp_transport();
-    run_faulted(&tcp, &SsspIter, input, &tcp_cfg, &faults).unwrap();
+    run_faulted(&tcp, &SsspIter, input, &cfg, &faults).unwrap();
     for (engine, trace) in ["sim", "threads", "tcp"].into_iter().zip(&traces) {
         let events = trace.snapshot();
         let pairs = || {
@@ -1365,9 +1366,14 @@ fn a_fault_on_a_node_the_cluster_lacks_is_a_config_error_on_both_engines() {
 type Spoil = fn(Bytes) -> Bytes;
 
 /// Loads PageRank's parts for two pairs, rewrites pair 1's static part
-/// with `spoil`, and runs the job in the mode `cfg` names: the error it
-/// must end in.
-fn spoiled_run(runner: &impl IterEngine, g: &Graph, cfg: &IterConfig, spoil: Spoil) -> EngineError {
+/// with `spoil`, and runs the job in `cfg`'s mode: the error it must end
+/// in.
+fn spoiled_run<M: Entry>(
+    runner: &impl IterEngine,
+    g: &Graph,
+    cfg: &IterConfig<M>,
+    spoil: Spoil,
+) -> EngineError {
     let dfs = runner.dfs();
     pagerank::load_pagerank_imr(runner, g, 2, "/bad/state", "/bad/static").unwrap();
     let path = part_path("/bad/static", 1);
@@ -1377,16 +1383,23 @@ fn spoiled_run(runner: &impl IterEngine, g: &Graph, cfg: &IterConfig, spoil: Spo
     dfs.put(&path, spoil(raw), NodeId(0), &mut TaskClock::default())
         .unwrap();
     let job = PageRankIter::new(g.num_nodes() as u64);
-    let (state, stat, out) = ("/bad/state", "/bad/static", "/bad/out");
-    let result = if cfg.accumulative {
-        runner.run_accumulative(&job, cfg, state, stat, out, &[])
-    } else {
-        runner.run(&job, cfg, state, stat, out, &[])
-    };
-    match result {
+    let dirs = ["/bad/state", "/bad/static", "/bad/out"];
+    match M::run(runner, &job, cfg, dirs, &[]) {
         Err(e) => e,
         Ok(out) => panic!("a spoiled static part ran {} iterations", out.iterations),
     }
+}
+
+/// [`spoiled_run`] on the simulator, worker threads and TCP worker
+/// processes.
+fn spoiled_runs<M: Entry>(g: &Graph, cfg: &IterConfig<M>, spoil: Spoil) -> [EngineError; 3] {
+    let nodes = g.num_nodes().to_string();
+    let tcp = tcp_runner(2, WORKER, &["pagerank", &nodes]);
+    [
+        spoiled_run(&imr_runner(2), g, cfg, spoil),
+        spoiled_run(&native_runner(2), g, cfg, spoil),
+        spoiled_run(&tcp, g, cfg, spoil),
+    ]
 }
 
 /// A static part cut short inside a record, and one whose keys are out
@@ -1396,7 +1409,6 @@ fn spoiled_run(runner: &impl IterEngine, g: &Graph, cfg: &IterConfig, spoil: Spo
 #[test]
 fn a_spoiled_static_part_is_a_typed_error_on_every_engine() {
     let g = dataset("Google").unwrap().generate(0.003);
-    let nodes = g.num_nodes().to_string();
     let truncate = |raw: Bytes| raw.slice(..raw.len() - 3);
     let misalign = |raw: Bytes| {
         let mut rows: Vec<(u32, Vec<u32>)> = decode_pairs(raw).unwrap();
@@ -1413,15 +1425,14 @@ fn a_spoiled_static_part_is_a_typed_error_on_every_engine() {
     ];
     for (what, spoil, needle) in cases {
         for delta in [false, true] {
-            let mut cfg = IterConfig::new("spoiled", 2, 3);
-            if delta {
-                cfg = cfg.with_accumulative_mode().with_distance_threshold(1e-9);
-            }
-            let sim = spoiled_run(&imr_runner(2), &g, &cfg, spoil);
-            let threads = spoiled_run(&native_runner(2), &g, &cfg, spoil);
-            let tcp_cfg = cfg.clone().with_tcp_transport();
-            let tcp = tcp_runner(2, WORKER, &["pagerank", &nodes]);
-            let tcp = spoiled_run(&tcp, &g, &tcp_cfg, spoil);
+            let cfg = IterConfig::new("spoiled", 2, 3);
+            let [sim, threads, tcp] = match delta {
+                false => spoiled_runs(&g, &cfg, spoil),
+                true => {
+                    let cfg = cfg.with_accumulative_mode().with_distance_threshold(1e-9);
+                    spoiled_runs(&g, &cfg, spoil)
+                }
+            };
             for (engine, err) in [("sim", &sim), ("threads", &threads), ("tcp", &tcp)] {
                 let msg = err.to_string();
                 assert!(

@@ -4,7 +4,8 @@
 //! injects the same `FailureEvent` scripts into real worker threads.
 
 use imapreduce::{
-    FailureEvent, FaultEvent, IterConfig, IterEngine, IterOutcome, LoadBalance, WatchdogConfig,
+    Delta, FailureEvent, FaultEvent, IterConfig, IterEngine, IterOutcome, LoadBalance,
+    WatchdogConfig,
 };
 use imr_algorithms::sssp::{self, SsspIter};
 use imr_algorithms::testutil::{imr_runner_on, native_runner, tcp_runner};
@@ -366,9 +367,7 @@ fn run_sssp(
 /// run under the same script.
 #[test]
 fn tcp_kill_recovers_bit_identically_to_clean_and_channel() {
-    let cfg = IterConfig::new("sssp", 4, 8)
-        .with_checkpoint_interval(2)
-        .with_tcp_transport();
+    let cfg = IterConfig::new("sssp", 4, 8).with_checkpoint_interval(2);
     let kill = [FaultEvent::Kill {
         node: NodeId(1),
         at_iteration: 4,
@@ -399,7 +398,6 @@ fn tcp_hang_recovers_via_watchdog_bit_identically() {
     // which is real wall-clock on the TCP backend.
     let cfg = IterConfig::new("sssp", 4, 8)
         .with_checkpoint_interval(2)
-        .with_tcp_transport()
         .with_watchdog(WatchdogConfig {
             poll: Duration::from_millis(5),
             stall_timeout: Duration::from_secs(2),
@@ -423,9 +421,7 @@ fn tcp_hang_recovers_via_watchdog_bit_identically() {
 /// result must match the clean run exactly.
 #[test]
 fn tcp_unscripted_worker_crash_recovers_exactly() {
-    let cfg = IterConfig::new("sssp", 4, 8)
-        .with_checkpoint_interval(2)
-        .with_tcp_transport();
+    let cfg = IterConfig::new("sssp", 4, 8).with_checkpoint_interval(2);
     let clean = run_sssp(&tcp_runner(4, WORKER, &["sssp"]), &cfg, &[]);
     let crashing = WorkerSpec::new(WORKER, vec!["sssp".to_owned()]).with_crash(1, 4);
     let crashed = run_sssp(&native_runner(4).with_workers(crashing), &cfg, &[]);
@@ -439,7 +435,7 @@ fn tcp_unscripted_worker_crash_recovers_exactly() {
 /// mode converges over dozens of termination checks at this threshold,
 /// leaving plenty of mid-propagation room for a scripted fault at
 /// check 3 with checkpoints every 2 checks.
-fn delta_cfg() -> IterConfig {
+fn delta_cfg() -> IterConfig<Delta> {
     IterConfig::new("prd", 4, 400)
         .with_accumulative_mode()
         .with_distance_threshold(1e-6)
@@ -468,7 +464,7 @@ fn run_delta_faulted(
     let nodes = g.num_nodes().to_string();
     let (runner, cfg) = if tcp {
         let runner = tcp_runner(4, WORKER, &["pagerank", &nodes]);
-        (runner, delta_cfg().with_tcp_transport())
+        (runner, delta_cfg())
     } else {
         (native_runner(4), delta_cfg())
     };
@@ -590,7 +586,7 @@ fn kill_at_a_checkpoint_leaves_identical_snapshot_files_on_channel_and_tcp() {
     let channel_rt = native_runner(4);
     let channel = run_sssp(&channel_rt, &cfg, &kill);
     let tcp_rt = tcp_runner(4, WORKER, &["sssp"]);
-    let tcp = run_sssp(&tcp_rt, &cfg.with_tcp_transport(), &kill);
+    let tcp = run_sssp(&tcp_rt, &cfg, &kill);
     assert_eq!((channel.recoveries, tcp.recoveries), (1, 1));
     assert_eq!(channel.distances, tcp.distances);
 

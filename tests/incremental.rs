@@ -130,10 +130,9 @@ fn incremental_sssp_equivalent_across_engines_and_to_cold() {
     let (_, fix_n) = converge_and_preserve(&nat, &job, &base, &cfg, "/i").unwrap();
     let b = run_incremental_ns(&nat, &job, &cfg, &fix_n, "/i", &delta).unwrap();
 
-    let tcp_cfg = cfg.clone().with_tcp_transport();
     let tcp = tcp_runner(3, WORKER, &["sssp"]);
-    let (_, fix_t) = converge_and_preserve(&tcp, &job, &base, &tcp_cfg, "/i").unwrap();
-    let c = run_incremental_ns(&tcp, &job, &tcp_cfg, &fix_t, "/i", &delta).unwrap();
+    let (_, fix_t) = converge_and_preserve(&tcp, &job, &base, &cfg, "/i").unwrap();
+    let c = run_incremental_ns(&tcp, &job, &cfg, &fix_t, "/i", &delta).unwrap();
 
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.stats, c.stats);
@@ -183,10 +182,9 @@ fn incremental_pagerank_equivalent_across_engines_and_to_cold() {
     let (_, fix_n) = converge_and_preserve(&nat, &job, &base, &cfg, "/i").unwrap();
     let b = run_incremental_ns(&nat, &job, &cfg, &fix_n, "/i", &delta).unwrap();
 
-    let tcp_cfg = cfg.clone().with_tcp_transport();
     let tcp = tcp_runner(3, WORKER, &["pagerank", &nodes]);
-    let (_, fix_t) = converge_and_preserve(&tcp, &job, &base, &tcp_cfg, "/i").unwrap();
-    let c = run_incremental_ns(&tcp, &job, &tcp_cfg, &fix_t, "/i", &delta).unwrap();
+    let (_, fix_t) = converge_and_preserve(&tcp, &job, &base, &cfg, "/i").unwrap();
+    let c = run_incremental_ns(&tcp, &job, &cfg, &fix_t, "/i", &delta).unwrap();
 
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.stats, c.stats);
@@ -237,10 +235,9 @@ fn incremental_concomp_equivalent_across_engines_and_to_cold() {
     let (_, fix_n) = converge_and_preserve(&nat, &job, &base, &cfg, "/i").unwrap();
     let b = run_incremental_ns(&nat, &job, &cfg, &fix_n, "/i", &delta).unwrap();
 
-    let tcp_cfg = cfg.clone().with_tcp_transport();
     let tcp = tcp_runner(3, WORKER, &["concomp"]);
-    let (_, fix_t) = converge_and_preserve(&tcp, &job, &base, &tcp_cfg, "/i").unwrap();
-    let c = run_incremental_ns(&tcp, &job, &tcp_cfg, &fix_t, "/i", &delta).unwrap();
+    let (_, fix_t) = converge_and_preserve(&tcp, &job, &base, &cfg, "/i").unwrap();
+    let c = run_incremental_ns(&tcp, &job, &cfg, &fix_t, "/i", &delta).unwrap();
 
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.stats, c.stats);
@@ -309,12 +306,6 @@ fn incremental_kill_replays_bit_identically_on_channel_and_tcp() {
 
     for tcp in [false, true] {
         let label = if tcp { "tcp" } else { "channel" };
-        let cfg = if tcp {
-            cfg.clone().with_tcp_transport()
-        } else {
-            cfg.clone()
-        };
-        let inc_cfg = cfg.clone().with_incremental_mode();
         let mut results = Vec::new();
         for faults in [&[] as &[FaultEvent], &kill] {
             let r = if tcp {
@@ -326,7 +317,7 @@ fn incremental_kill_replays_bit_identically_on_channel_and_tcp() {
             let out = r
                 .run_incremental(
                     &job,
-                    &inc_cfg,
+                    &cfg,
                     &fix,
                     &d.static_,
                     &delta,
@@ -353,10 +344,11 @@ fn incremental_kill_replays_bit_identically_on_channel_and_tcp() {
     }
 }
 
-/// An incremental config reaching TCP through `run_accumulative`, over
-/// the warm parts the planner wrote: a warm part reaches a worker like
-/// every other part, by `ReadPart`, whatever entry point planned it.
-/// The run returns within a bounded wait, bit-identical to threads.
+/// An incremental run reaching TCP on the DFS a thread run planned its
+/// warm parts into: the same fixpoint and delta plan the same parts,
+/// and a warm part reaches a worker like every other part, by
+/// `ReadPart`. The run returns within a bounded wait, bit-identical to
+/// threads.
 #[test]
 fn tcp_accumulative_on_warm_parts_returns_and_matches_threads() {
     let g = dataset("DBLP").unwrap().generate(0.004);
@@ -374,11 +366,20 @@ fn tcp_accumulative_on_warm_parts_returns_and_matches_threads() {
 
     // The same DFS, the same warm parts, worker processes.
     let tcp = nat.with_workers(WorkerSpec::new(WORKER, vec!["sssp".to_owned()]));
-    let tcp_cfg = cfg.with_incremental_mode().with_tcp_transport();
     let d = inc_dirs("/i");
     let (done, finished) = mpsc::channel();
     let run = std::thread::spawn(move || {
-        let out = tcp.run_accumulative(&job, &tcp_cfg, &d.inc_state, &d.inc_static, "/i/tcp", &[]);
+        let out = tcp.run_incremental(
+            &job,
+            &cfg,
+            &fix,
+            &d.static_,
+            &delta,
+            &d.inc_state,
+            &d.inc_static,
+            "/i/tcp",
+            &[],
+        );
         let _ = done.send(());
         out
     });
@@ -389,14 +390,13 @@ fn tcp_accumulative_on_warm_parts_returns_and_matches_threads() {
         "the TCP run on warm parts hung"
     );
     let got = run.join().expect("the TCP run panicked").unwrap();
-    assert_eq!(got.final_state, want.outcome.final_state);
-    assert_eq!(got.distances, want.outcome.distances);
+    assert_eq!(got.outcome.final_state, want.outcome.final_state);
+    assert_eq!(got.outcome.distances, want.outcome.distances);
 }
 
-/// Configuration and input validation: incremental mode requires
-/// accumulative mode, `run_incremental` requires the incremental flag,
-/// and malformed deltas (unknown endpoints, duplicate node inserts)
-/// are rejected with descriptive errors before any engine runs.
+/// Input validation: malformed deltas (unknown endpoints, duplicate
+/// node inserts) are rejected with descriptive errors before any engine
+/// runs.
 #[test]
 fn incremental_validation_rejects_bad_configs_and_deltas() {
     fn expect_config<T>(r: Result<T, EngineError>, needle: &str) {
@@ -407,11 +407,6 @@ fn incremental_validation_rejects_bad_configs_and_deltas() {
         }
     }
 
-    // Incremental without accumulative is a config error.
-    let bare = IterConfig::new("x", 2, 10).with_incremental_mode();
-    expect_config(bare.validate(&[]), "accumulative");
-
-    // run_incremental without the incremental flag refuses to run.
     let g = dataset("DBLP").unwrap().generate(0.003);
     let job = SsspInc { source: 0 };
     let base = weighted_statics(&g);
@@ -421,30 +416,15 @@ fn incremental_validation_rejects_bad_configs_and_deltas() {
     let r = imr_runner(2);
     let (_, fix) = converge_and_preserve(&r, &job, &base, &cfg, "/i").unwrap();
     let d = inc_dirs("/i");
-    expect_config(
-        r.run_incremental(
-            &job,
-            &cfg,
-            &fix,
-            &d.static_,
-            &GraphDelta::new(),
-            &d.inc_state,
-            &d.inc_static,
-            &d.inc_out,
-            &[],
-        ),
-        "with_incremental_mode",
-    );
 
     // Deltas naming unknown endpoints or re-inserting live nodes fail
     // with the planner's descriptive message.
-    let inc_cfg = cfg.clone().with_incremental_mode();
     let mut bad_edge = GraphDelta::new();
     bad_edge.insert_edge(0, 9_999_999, 1.0);
     expect_config(
         r.run_incremental(
             &job,
-            &inc_cfg,
+            &cfg,
             &fix,
             &d.static_,
             &bad_edge,
@@ -460,7 +440,7 @@ fn incremental_validation_rejects_bad_configs_and_deltas() {
     expect_config(
         r.run_incremental(
             &job,
-            &inc_cfg,
+            &cfg,
             &fix,
             &d.static_,
             &dup_node,
@@ -478,7 +458,7 @@ fn incremental_validation_rejects_bad_configs_and_deltas() {
     let out = r
         .run_incremental(
             &job,
-            &inc_cfg,
+            &cfg,
             &fix,
             &d.static_,
             &ok,

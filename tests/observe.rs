@@ -104,7 +104,7 @@ fn sync_one2one_with_checkpoints() {
     let tcp = tcp_runner(4, WORKER, &["sssp"])
         .with_trace(Arc::clone(&trace))
         .with_telemetry(Arc::clone(&tel));
-    sssp::run_sssp_imr(&tcp, &g, 0, &cfg.with_tcp_transport()).unwrap();
+    sssp::run_sssp_imr(&tcp, &g, 0, &cfg).unwrap();
     assert_hists_are_the_spans("tcp", &trace, &tel, &all);
     assert_event_budget("tcp", &trace, &[6, 7]);
 }
@@ -142,7 +142,7 @@ fn one2all_broadcast() {
     let tcp = tcp_runner(4, WORKER, &["kmeans", "0"])
         .with_trace(Arc::clone(&trace))
         .with_telemetry(Arc::clone(&tel));
-    kmeans::run_kmeans_imr(&tcp, &points, 3, &cfg.with_tcp_transport(), false).unwrap();
+    kmeans::run_kmeans_imr(&tcp, &points, 3, &cfg, false).unwrap();
     assert_hists_are_the_spans("tcp", &trace, &tel, &expected);
     assert_event_budget("tcp", &trace, &[6]);
 }
@@ -180,7 +180,7 @@ fn delta_mode() {
     let tcp = tcp_runner(4, WORKER, &["pagerank", &nodes])
         .with_trace(Arc::clone(&trace))
         .with_telemetry(Arc::clone(&tel));
-    pagerank::run_pagerank_delta(&tcp, &g, &cfg.with_tcp_transport()).unwrap();
+    pagerank::run_pagerank_delta(&tcp, &g, &cfg).unwrap();
     assert_hists_are_the_spans("tcp", &trace, &tel, &expected);
     assert_event_budget("tcp", &trace, &[5, 6]);
 }
@@ -243,7 +243,7 @@ fn data_path_counters_agree_across_fabrics() {
     let chan = native_runner(4);
     sssp::run_sssp_imr(&chan, &g, 0, &cfg).unwrap();
     let tcp = tcp_runner(4, WORKER, &["sssp"]);
-    sssp::run_sssp_imr(&tcp, &g, 0, &cfg.with_tcp_transport()).unwrap();
+    sssp::run_sssp_imr(&tcp, &g, 0, &cfg).unwrap();
     let one2one = [
         "map_input_records",
         "reduce_input_records",
@@ -259,7 +259,7 @@ fn data_path_counters_agree_across_fabrics() {
     let chan = native_runner(4);
     kmeans::run_kmeans_imr(&chan, &points, 3, &cfg, false).unwrap();
     let tcp = tcp_runner(4, WORKER, &["kmeans", "0"]);
-    kmeans::run_kmeans_imr(&tcp, &points, 3, &cfg.with_tcp_transport(), false).unwrap();
+    kmeans::run_kmeans_imr(&tcp, &points, 3, &cfg, false).unwrap();
     let one2all = [
         "map_input_records",
         "reduce_input_records",
@@ -278,7 +278,7 @@ fn data_path_counters_agree_across_fabrics() {
     let chan = native_runner(4);
     pagerank::run_pagerank_delta(&chan, &g, &cfg).unwrap();
     let tcp = tcp_runner(4, WORKER, &["pagerank", &nodes]);
-    pagerank::run_pagerank_delta(&tcp, &g, &cfg.with_tcp_transport()).unwrap();
+    pagerank::run_pagerank_delta(&tcp, &g, &cfg).unwrap();
     let delta = [
         "shuffle_local_bytes",
         "checkpoint_bytes",

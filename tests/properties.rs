@@ -394,7 +394,7 @@ fn chain_incremental(
     job: &imr_algorithms::sssp::SsspInc,
     base: &std::collections::BTreeMap<u32, imr_algorithms::sssp::Adj>,
     deltas: &[imapreduce::GraphDelta],
-    cfg: &IterConfig,
+    cfg: &IterConfig<imapreduce::Delta>,
 ) -> imapreduce::IterOutcome<u32, f64> {
     use imapreduce::FixpointStore;
     use imr_algorithms::incremental::{converge_and_preserve, inc_dirs};
@@ -402,7 +402,6 @@ fn chain_incremental(
 
     let (cold, mut fix) = converge_and_preserve(runner, job, base, cfg, "/chain").unwrap();
     let mut prev_static = inc_dirs("/chain").static_;
-    let inc_cfg = cfg.clone().with_incremental_mode();
     let mut clock = TaskClock::default();
     let mut last = cold;
     for (i, delta) in deltas.iter().enumerate() {
@@ -410,7 +409,7 @@ fn chain_incremental(
         let out = runner
             .run_incremental(
                 job,
-                &inc_cfg,
+                cfg,
                 &fix,
                 &prev_static,
                 delta,
@@ -430,21 +429,17 @@ fn chain_incremental(
     last
 }
 
-/// Every engine rejects the unsupported accumulative combinations with
-/// a configuration error instead of running: the map/reduce entry
-/// points refuse an accumulative config, `run_accumulative` refuses a
-/// non-accumulative one, and the in-process entry refuses the TCP
-/// transport.
+/// Every engine rejects a delta-mode config it cannot run with a
+/// configuration error instead of running: `run_accumulative` refuses
+/// one without the accumulated-progress threshold on the simulator and
+/// natively, and `check_every` 0 is refused before any engine runs.
 #[test]
 fn delta_validation_rejects_unsupported_combos_on_every_engine() {
     use imapreduce::EngineError;
     use imr_algorithms::sssp::SsspIter;
 
     let g = generate_weighted_graph(24, 72, sssp_degree_dist(), sssp_weight_dist(), 7);
-    let acc = IterConfig::new("ssspd", 2, 10)
-        .with_accumulative_mode()
-        .with_distance_threshold(1e-9);
-    let plain = IterConfig::new("sssp", 2, 10);
+    let no_threshold = IterConfig::new("ssspd", 2, 10).with_accumulative_mode();
     fn expect_config<T>(r: Result<T, EngineError>, needle: &str) {
         match r {
             Err(EngineError::Config(msg)) => assert!(msg.contains(needle), "{msg}"),
@@ -456,47 +451,23 @@ fn delta_validation_rejects_unsupported_combos_on_every_engine() {
     let sim = imr_runner(2);
     sssp::load_sssp_imr(&sim, &g, 0, 2, "/s", "/t").unwrap();
     expect_config(
-        sim.run(&SsspIter, &acc, "/s", "/t", "/o", &[]),
-        "use run_accumulative",
-    );
-    expect_config(
-        sim.run_accumulative(&SsspIter, &plain, "/s", "/t", "/o", &[]),
-        "with_accumulative_mode",
+        sim.run_accumulative(&SsspIter, &no_threshold, "/s", "/t", "/o", &[]),
+        "distance_threshold",
     );
 
     let nat = native_runner(2);
     sssp::load_sssp_imr(&nat, &g, 0, 2, "/s", "/t").unwrap();
     expect_config(
-        nat.run(&SsspIter, &acc, "/s", "/t", "/o", &[]),
-        "use run_accumulative",
-    );
-    expect_config(
-        nat.run_faults(&SsspIter, &acc, "/s", "/t", "/o", &[]),
-        "use run_accumulative",
-    );
-    expect_config(
-        nat.run_accumulative(&SsspIter, &plain, "/s", "/t", "/o", &[]),
-        "with_accumulative_mode",
-    );
-    expect_config(
-        nat.run_accumulative(
-            &SsspIter,
-            &acc.clone().with_tcp_transport(),
-            "/s",
-            "/t",
-            "/o",
-            &[],
-        ),
-        "with_workers",
+        nat.run_accumulative(&SsspIter, &no_threshold, "/s", "/t", "/o", &[]),
+        "distance_threshold",
     );
 
-    // Config-level combos are rejected before any engine is involved.
-    for bad in [
-        acc.clone().with_one2all(),
-        acc.clone().with_sync_maps(),
-        acc.clone().with_check_every(0),
-        IterConfig::new("ssspd", 2, 10).with_accumulative_mode(),
-    ] {
+    // Config-level values are rejected before any engine is involved.
+    let no_checks = no_threshold
+        .clone()
+        .with_distance_threshold(1e-9)
+        .with_check_every(0);
+    for bad in [no_checks, no_threshold] {
         expect_config(bad.validate(&[]), "accumulative");
     }
 }

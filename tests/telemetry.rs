@@ -60,7 +60,7 @@ fn engines_agree_on_cumulative_phase_counts() {
     let tcp_tel = handle();
     let tcp = tcp_runner(4, env!("CARGO_BIN_EXE_imr-worker"), &["sssp"])
         .with_telemetry(Arc::clone(&tcp_tel));
-    sssp::run_sssp_imr(&tcp, &g, 0, &cfg.clone().with_tcp_transport()).unwrap();
+    sssp::run_sssp_imr(&tcp, &g, 0, &cfg).unwrap();
 
     for (label, tel) in [("sim", &sim_tel), ("channel", &chan_tel), ("tcp", &tcp_tel)] {
         let samples = tel.samples();

@@ -42,7 +42,7 @@ fn canonical_trace_is_identical_across_all_three_engines() {
 
     let tcp_trace = handle();
     let tcp = tcp_runner(4, WORKER, &["sssp"]).with_trace(Arc::clone(&tcp_trace));
-    let c = sssp::run_sssp_imr(&tcp, &g, 0, &cfg.clone().with_tcp_transport()).unwrap();
+    let c = sssp::run_sssp_imr(&tcp, &g, 0, &cfg).unwrap();
 
     // Results agree (the engines' existing contract) …
     assert_eq!(a.final_state, b.final_state);
@@ -179,7 +179,7 @@ fn async_overlap_score_separates_sync_from_async() {
 #[test]
 fn tcp_trace_merges_worker_events_with_node_tags() {
     let g = dataset("DBLP").unwrap().generate(0.004);
-    let cfg = IterConfig::new("sssp", 2, 4).with_tcp_transport();
+    let cfg = IterConfig::new("sssp", 2, 4);
     let trace = handle();
     let tcp = tcp_runner(4, WORKER, &["sssp"]).with_trace(Arc::clone(&trace));
     sssp::run_sssp_imr(&tcp, &g, 0, &cfg).unwrap();
