@@ -232,14 +232,6 @@ pub struct Iterative {
     pub resume: bool,
 }
 
-impl Iterative {
-    /// Whether maps effectively run synchronously (explicit flag or
-    /// implied by one2all).
-    pub fn effective_sync(&self) -> bool {
-        self.sync_maps || self.mapping == Mapping::One2All
-    }
-}
-
 impl Mode for Iterative {
     fn iterative(&self) -> Option<&Iterative> {
         Some(self)
@@ -574,6 +566,12 @@ impl<M: Mode + ?Sized> IterConfig<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pair::{pair_cfg, PairMode};
+
+    /// The mode the pairs of a run of `c` run.
+    fn pair_mode(c: &IterConfig) -> PairMode {
+        pair_cfg(c, 1).mode
+    }
 
     #[test]
     fn builder_chain_sets_fields() {
@@ -586,7 +584,12 @@ mod tests {
         assert_eq!(c.termination.distance_threshold, Some(0.01));
         assert_eq!(c.checkpoint_interval, 3);
         assert!(c.mode.load_balance.is_some());
-        assert!(!c.mode.effective_sync());
+        assert_eq!(
+            pair_mode(&c),
+            PairMode::Async {
+                threshold: Some(0.01)
+            }
+        );
     }
 
     #[test]
@@ -600,14 +603,15 @@ mod tests {
     fn one2all_implies_sync() {
         let c = IterConfig::new("kmeans", 4, 10).with_one2all();
         assert_eq!(c.mode.mapping, Mapping::One2All);
-        assert!(c.mode.effective_sync());
+        // The pairs run one2all, which starts every iteration at a barrier.
+        assert!(matches!(pair_mode(&c), PairMode::One2All { .. }));
     }
 
     #[test]
     fn sync_flag_alone_keeps_one2one() {
         let c = IterConfig::new("sssp", 4, 10).with_sync_maps();
         assert_eq!(c.mode.mapping, Mapping::One2One);
-        assert!(c.mode.effective_sync());
+        assert_eq!(pair_mode(&c), PairMode::Sync { threshold: None });
     }
 
     fn is_config_err<T>(r: Result<T, EngineError>, needle: &str) -> bool {

@@ -30,7 +30,7 @@ use crate::aux::AuxPhase;
 use crate::config::{Delta, FaultEvent, IterConfig, Mode};
 use crate::iter_engine::IterEngine;
 use crate::observe::Observer;
-use crate::pair::{delta_loop, pair_loop, PairCfg, PairCtx, PairOutcome};
+use crate::pair::{delta_loop, pair_loop, PairCtx, PairOutcome};
 use crate::sim_env::{SimEnv, Turns};
 use crate::store::{check_inputs, check_slots};
 use bytes::Bytes;
@@ -156,16 +156,6 @@ impl IterativeRunner {
         check_inputs(&self.dfs, cfg, job.phases(), dirs[0], dirs[1])?;
         self.metrics.tasks_launched.add(2 * aux_tasks as u64);
         Turns::run(self, job, cfg, dirs, (faults, aux), pair_fn)
-    }
-
-    pub(crate) fn label(&self, pair_cfg: &PairCfg) -> String {
-        if pair_cfg.accumulative {
-            "iMapReduce (delta)".to_owned()
-        } else if !pair_cfg.one2all && pair_cfg.sync {
-            "iMapReduce (sync.)".to_owned()
-        } else {
-            "iMapReduce".to_owned()
-        }
     }
 
     /// When a segment of `bytes` sent at `sent` from node `from` lands on

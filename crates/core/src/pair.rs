@@ -47,14 +47,14 @@
 use crate::accum::{Accumulative, DeltaStore};
 use crate::api::{IterativeJob, Mapping};
 use crate::aux::AuxPhase;
-use crate::config::{IterConfig, Iterative, Mode};
+use crate::config::{IterConfig, Mode};
 use crate::kernel::{delta_in, fold_votes, merge_broadcast, reduce_side, MapScratch, MapState};
 use crate::static_part::StaticPart;
 use bytes::Bytes;
 use imr_dfs::{snapshot_dir, Dfs, DfsError};
 use imr_mapreduce::io::part_path;
 use imr_mapreduce::EngineError;
-pub use imr_net::proto::{PairCfg, PairDirs, PairOutcome, PairPlan};
+pub use imr_net::proto::{PairCfg, PairDirs, PairMode, PairOutcome, PairPlan};
 use imr_net::{Closed, Transport};
 use imr_records::{decode_pairs, encode_pairs, pairs_encoded_len, Codec, CodecError, ShuffleCost};
 use imr_simcluster::{MetricsHandle, NodeId, TaskClock};
@@ -62,23 +62,48 @@ pub use imr_telemetry::Phase;
 use imr_trace::{TraceEvent, TraceKind};
 use std::time::Duration;
 
-/// The per-pair slice of `cfg`, the same on both fabrics (the TCP
-/// backend ships it in the setup frame).
-pub fn pair_cfg(cfg: &IterConfig<dyn Mode>, num_state_parts: usize) -> PairCfg {
-    let (iterative, delta) = (cfg.mode.iterative(), cfg.mode.delta());
+/// The per-pair slice of a validated `cfg`, the same on both fabrics
+/// (the TCP backend ships it in the setup frame). `state_parts` is the
+/// number of `part-*` files under the state directory, which a one2all
+/// epoch-0 load reads all of.
+pub fn pair_cfg(cfg: &IterConfig<dyn Mode>, state_parts: usize) -> PairCfg {
+    let threshold = cfg.termination.distance_threshold;
+    let mode = match (cfg.mode.iterative(), cfg.mode.delta()) {
+        (_, Some(delta)) => PairMode::Delta {
+            // `validate` refuses the delta mode without a threshold; a
+            // zero one is never undercut, so the run would stop at
+            // `max_iters` as an iterative run without a threshold does.
+            eps: threshold.unwrap_or(0.0),
+            batch: delta.batch,
+            check_every: delta.check_every,
+            warm: delta.warm,
+        },
+        (Some(m), None) if m.mapping == Mapping::One2All => PairMode::One2All {
+            threshold,
+            state_parts,
+        },
+        (Some(m), None) if m.sync_maps => PairMode::Sync { threshold },
+        _ => PairMode::Async { threshold },
+    };
     PairCfg {
         n: cfg.num_tasks,
-        one2all: iterative.is_some_and(|m| m.mapping == Mapping::One2All),
-        sync: iterative.is_some_and(Iterative::effective_sync),
-        threshold: cfg.termination.distance_threshold,
         max_iters: cfg.termination.max_iterations,
         checkpoint_interval: cfg.checkpoint_interval,
-        num_state_parts,
-        accumulative: delta.is_some(),
-        delta_batch: delta.map_or(0, |d| d.batch),
-        check_every: delta.map_or(1, |d| d.check_every),
-        incremental: delta.is_some_and(|d| d.warm),
+        mode,
     }
+}
+
+/// A run's report label: the `engine`'s name, the mode's suffix
+/// (" (sync.)" for the paper's synchronous one2one variant, " (delta)"
+/// for the delta mode) and the `fabric`'s (" [tcp]" over worker
+/// processes, else empty).
+pub fn run_label(engine: &str, mode: &PairMode, fabric: &str) -> String {
+    let suffix = match mode {
+        PairMode::Sync { .. } => " (sync.)",
+        PairMode::Delta { .. } => " (delta)",
+        PairMode::Async { .. } | PairMode::One2All { .. } => "",
+    };
+    format!("{engine}{suffix}{fabric}")
 }
 
 /// Environment-side failure for DFS-backed operations: either the
@@ -262,8 +287,8 @@ impl<J: IterativeJob, E: PairEnv> PairCtx<'_, J, E> {
         if self.env.is_poisoned() {
             return Err(EnvFail::Closed);
         }
-        if self.cfg.sync {
-            // The barrier is a gather of nothing.
+        // The barrier is a gather of nothing; one2all implies it.
+        if let PairMode::Sync { .. } | PairMode::One2All { .. } = self.cfg.mode {
             let wait_start_ns = self.now_ns();
             self.env.allgather(Bytes::new())?;
             let released_ns = self.now_ns();
@@ -360,7 +385,8 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
     ctx: &mut PairCtx<'_, J, E>,
 ) -> Result<PairOutcome, EnvFail> {
     let (q, job, cfg, dirs) = (ctx.q, ctx.job, ctx.cfg, ctx.dirs);
-    let (n, one2all) = (cfg.n, cfg.one2all);
+    let (n, threshold) = (cfg.n, cfg.mode.threshold());
+    let one2all = matches!(cfg.mode, PairMode::One2All { .. });
     ctx.metrics.tasks_launched.add(2);
 
     // ---- One-time load: static partitions + state at this epoch ------
@@ -377,10 +403,10 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
         ctx.env.cost().sorted(stat.len() as u64);
         stats.push(stat);
     }
-    let (source, parts) = if ctx.epoch == 0 {
-        (dirs.state_dir.clone(), cfg.num_state_parts)
-    } else {
-        (snapshot_dir(&dirs.output_dir, ctx.epoch), n)
+    let (source, parts) = match cfg.mode {
+        _ if ctx.epoch > 0 => (snapshot_dir(&dirs.output_dir, ctx.epoch), n),
+        PairMode::One2All { state_parts, .. } => (dirs.state_dir.clone(), state_parts),
+        _ => (dirs.state_dir.clone(), n),
     };
     // `state` is the pair's reduce-side state, its part of a snapshot:
     // its partition under one2one, its last reduce output under
@@ -449,7 +475,7 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
         // output, which iteration 1 does not have; a phased job's state
         // is only what this phase's reduce produces.
         let prev = (phases == 1 && (!one2all || it > 1)).then_some(state.as_slice());
-        let measure = cfg.threshold.is_some();
+        let measure = threshold.is_some();
         let reduced = reduce_side(
             job,
             inbound,
@@ -503,7 +529,7 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
 
         // ---- Termination check (§3.1.2) ------------------------------
         let mut converged = false;
-        if let Some(eps) = cfg.threshold {
+        if let Some(eps) = threshold {
             let (total, any_prev) = ctx.vote(d, has_prev)?;
             converged = any_prev && total < eps;
         }
@@ -537,7 +563,7 @@ fn map_reduce_iterations<J: IterativeJob, E: PairEnv>(
 /// `pair_loop`'s environment contract and supervision surface.
 ///
 /// One "iteration" here is a termination-check epoch of
-/// `cfg.check_every` rounds. Each round the pair applies its
+/// the mode's `check_every` rounds. Each round the pair applies its
 /// highest-priority pending deltas, sends exactly one (possibly empty)
 /// ⊕-merged delta segment to EVERY peer — the same send-all/recv-all
 /// pattern the shuffle uses, so the buffered transport cannot deadlock
@@ -561,9 +587,17 @@ fn delta_checks<J: Accumulative, E: PairEnv>(
 ) -> Result<PairOutcome, EnvFail> {
     let (q, job, cfg, dirs) = (ctx.q, ctx.job, ctx.cfg, ctx.dirs);
     let n = cfg.n;
-    let Some(eps) = cfg.threshold else {
+    let PairMode::Delta {
+        eps,
+        batch,
+        check_every,
+        warm,
+    } = cfg.mode
+    else {
+        // unreachable: every engine hands this loop the slice of an
+        // `IterConfig<Delta>`, and a worker picks it by the mode.
         return Err(
-            EngineError::Config("accumulative mode needs a distance threshold".into()).into(),
+            EngineError::Worker(format!("pair {q}: the delta loop needs the delta mode")).into(),
         );
     };
     ctx.metrics.tasks_launched.add(2);
@@ -577,7 +611,7 @@ fn delta_checks<J: Accumulative, E: PairEnv>(
     let mut store: DeltaStore<J::K, J::S> = if ctx.epoch > 0 {
         let snap = snapshot_dir(&dirs.output_dir, ctx.epoch);
         DeltaStore::decode(ctx.env.read_part(&snap, q)?)?
-    } else if ctx.cfg.incremental {
+    } else if warm {
         // Warm start: the part holds the planner's
         // (key, (value, pending)) entries, read like any other part.
         DeltaStore::restore(ctx.load::<J::K, (J::S, J::S)>(&dirs.state_dir, q)?)?
@@ -594,10 +628,10 @@ fn delta_checks<J: Accumulative, E: PairEnv>(
         ctx.begin_iter(check)?;
         let mut busy = 0;
 
-        for _round in 0..cfg.check_every {
+        for _round in 0..check_every {
             // ---- Round phase A: select, apply, extract, send ---------
             let round_start_ns = ctx.now_ns();
-            let (batch, metrics) = (cfg.delta_batch, ctx.metrics);
+            let metrics = ctx.metrics;
             let out = scratch.delta_out(
                 job,
                 &mut store,

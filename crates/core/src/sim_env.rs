@@ -52,8 +52,8 @@ use crate::aux::AuxPhase;
 use crate::config::{FaultEvent, IterConfig, Mode};
 use crate::engine::{IterOutcome, IterativeRunner};
 use crate::kernel::fold_votes;
-use crate::pair::{pair_cfg, panic_message, EnvFail, PairCtx, PairEnv};
-use crate::pair::{PairCfg, PairDirs, PairOutcome, PairPlan, Phase};
+use crate::pair::{pair_cfg, panic_message, run_label, EnvFail, PairCtx, PairEnv};
+use crate::pair::{PairCfg, PairDirs, PairMode, PairOutcome, PairPlan, Phase};
 use crate::supervise::{supervise, Fleet, GenInput, GenRuns, Intervention, PairRun};
 use bytes::Bytes;
 use imr_dfs::{snapshot_dir, Dfs};
@@ -289,7 +289,7 @@ impl<'r> Turns<'r> {
             cfg,
             output_dir,
             faults,
-            runner.label(&turns.pair_cfg),
+            run_label("iMapReduce", &turns.pair_cfg.mode, ""),
             false,
             &runner.observer,
             None,
@@ -355,7 +355,8 @@ impl<'r> Turns<'r> {
             0 => self.dirs.state_dir.clone(),
             _ => snapshot_dir(&self.dirs.output_dir, epoch),
         };
-        let (parts, one2all) = (num_parts(dfs, &dir), self.pair_cfg.one2all);
+        let parts = num_parts(dfs, &dir);
+        let one2all = matches!(self.pair_cfg.mode, PairMode::One2All { .. });
         for (p, &node) in board.assignment.iter().enumerate() {
             let mut clock = TaskClock::starting_at(began);
             let own = if one2all { 0..parts } else { p..p + 1 };
@@ -469,7 +470,7 @@ impl<'r> Turns<'r> {
         }
         board.decided = stop.unwrap_or(done_at + cost.net_latency);
         // A delta check ends when the master decides it.
-        let delta = self.pair_cfg.accumulative;
+        let delta = matches!(self.pair_cfg.mode, PairMode::Delta { .. });
         (board.iteration_done).push(if delta { board.decided } else { done_at });
         let converged = threshold.is_some_and(|eps| any_prev && total < eps);
         if converged || stop.is_some() || k == self.cfg.termination.max_iterations {
@@ -667,7 +668,7 @@ impl PairEnv for SimEnv<'_> {
             .map(|(src, part)| arrival(src, part));
         let release = arrivals.max().unwrap_or_default();
         match gather {
-            Gather::Vote if !self.turns.pair_cfg.accumulative => {}
+            Gather::Vote if !matches!(self.turns.pair_cfg.mode, PairMode::Delta { .. }) => {}
             Gather::Vote => drop(self.clock.merge(release + cluster.cost.net_latency)),
             _ => drop(self.clock.merge(release)),
         }
@@ -735,8 +736,7 @@ impl PairEnv for SimEnv<'_> {
             d,
             has_prev,
         };
-        let pair_cfg = &self.turns.pair_cfg;
-        if pair_cfg.accumulative || pair_cfg.threshold.is_some() {
+        if self.turns.pair_cfg.mode.threshold().is_some() {
             self.gather = Gather::Vote;
         }
         let mut board = self.turns.lock();
@@ -768,7 +768,7 @@ impl PairEnv for SimEnv<'_> {
     /// Charges the phase's straggler slowdown (and, to the reduce, a
     /// scripted delay); the delta mode charges none.
     fn stretch(&mut self, phase: Phase, it: usize, busy: Duration, plan: &PairPlan) -> Duration {
-        if self.turns.pair_cfg.accumulative {
+        if let PairMode::Delta { .. } = self.turns.pair_cfg.mode {
             self.reduce_done = self.clock.now();
             return busy;
         }
@@ -806,7 +806,7 @@ impl PairEnv for SimEnv<'_> {
         let cost = &self.turns.runner.cluster.cost;
         let sent = self.reduce_done + cost.handoff_flush;
         self.gather = Gather::Barrier;
-        if self.turns.pair_cfg.one2all {
+        if let PairMode::One2All { .. } = self.turns.pair_cfg.mode {
             return sent.as_nanos();
         }
         self.complete = sent + cost.local_transfer_time(bytes);

@@ -175,7 +175,7 @@ pub fn worker_args(spec: &JobSpec) -> Vec<String> {
     }
 }
 
-fn build_cfg(spec: &JobSpec, resume: bool, chaos: Option<ChaosConfig>) -> IterConfig {
+pub(crate) fn build_cfg(spec: &JobSpec, resume: bool, chaos: Option<ChaosConfig>) -> IterConfig {
     let mut cfg = IterConfig::new(spec.name.clone(), spec.tasks, spec.max_iters)
         .with_checkpoint_interval(spec.checkpoint_interval)
         .with_net_policy(NetPolicy::from_env());
@@ -201,6 +201,22 @@ fn build_cfg(spec: &JobSpec, resume: bool, chaos: Option<ChaosConfig>) -> IterCo
         cfg = cfg.with_resume();
     }
     cfg
+}
+
+/// Refuses a scale the job's input generator cannot build an input
+/// from: a generated graph needs a node, K-means a point per center.
+pub(crate) fn check_scale(spec: &JobSpec) -> Result<(), EngineError> {
+    let least = match spec.algo {
+        AlgoSpec::Sssp | AlgoSpec::PageRank => 1,
+        AlgoSpec::Kmeans => KMEANS_K,
+        AlgoSpec::Halve | AlgoSpec::PoisonPill => 0,
+    };
+    let (algo, scale) = (spec.algo.name(), spec.input.scale);
+    if scale < least {
+        let why = format!("a {algo} job needs a scale of at least {least}, got {scale}");
+        return Err(EngineError::Config(why));
+    }
+    Ok(())
 }
 
 fn ensure_input(

@@ -368,14 +368,10 @@ impl JobService {
     /// Validates and enqueues a job: journals its spec and `Queued`
     /// meta, then admits it to the queue. Returns the catalog id.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, EngineError> {
-        if spec.tasks == 0 {
-            return Err(EngineError::Config("a job needs at least one task".into()));
-        }
-        if spec.max_iters == 0 {
-            return Err(EngineError::Config(
-                "a job needs at least one iteration".into(),
-            ));
-        }
+        // What every attempt would refuse is refused at the door: the
+        // config's rules, then a scale the input generator cannot build.
+        exec::build_cfg(&spec, false, None).validate(&[])?;
+        exec::check_scale(&spec)?;
         if spec.tasks > self.cfg.slots {
             return Err(EngineError::Config(format!(
                 "job wants {} task slots but the fleet has {}",
@@ -752,6 +748,20 @@ mod tests {
         assert!(s.submit(poison_sim).is_err());
         let tcp = JobSpec::new("t", AlgoSpec::Halve, EngineSel::Tcp, 1);
         assert!(s.submit(tcp).is_err(), "no worker binary configured");
+        // A scale the job's input generator cannot build from is refused
+        // at the door, not retried until it is dead-lettered.
+        for (algo, engine, scale) in [
+            (AlgoSpec::Sssp, EngineSel::Sim, 0),
+            (AlgoSpec::PageRank, EngineSel::Threads, 0),
+            (AlgoSpec::Kmeans, EngineSel::Sim, 1),
+        ] {
+            let spec = JobSpec::new("tiny", algo, engine, 1).with_scale(scale);
+            match s.submit(spec) {
+                Err(EngineError::Config(msg)) => assert!(msg.contains("scale"), "{msg}"),
+                other => panic!("expected a Config error, got {other:?}"),
+            }
+        }
+        assert!(s.status().is_empty(), "nothing was journaled or queued");
     }
 
     /// A zero-iteration spec is a configuration error at the door, not

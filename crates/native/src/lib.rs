@@ -120,13 +120,13 @@ use bytes::Bytes;
 use fault::FaultBarrier;
 use generation::Generation;
 use imapreduce::pair::{
-    self, delta_loop, pair_cfg, pair_loop, panic_message, read_part_raw, EnvFail, PairCfg, PairCtx,
-    PairDirs, PairEnv, PairOutcome,
+    self, delta_loop, pair_cfg, pair_loop, panic_message, read_part_raw, run_label, EnvFail,
+    PairCfg, PairCtx, PairDirs, PairEnv, PairOutcome,
 };
 use imapreduce::supervise::{supervise, GenInput, GenRuns};
 use imapreduce::{
     check_inputs, Accumulative, Delta, FailureEvent, FaultEvent, IterConfig, IterEngine,
-    IterOutcome, IterativeJob, Mapping, Mode, Observer, RunCtl,
+    IterOutcome, IterativeJob, Mode, Observer, RunCtl,
 };
 use imr_dfs::Dfs;
 use imr_mapreduce::io::num_parts;
@@ -288,7 +288,6 @@ impl NativeRunner {
         [state_dir, static_dir, output_dir]: [&str; 3],
         faults: &[FaultEvent],
         loop_fn: ThreadLoop<J>,
-        label: String,
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
         validate(cfg, faults)?;
         cfg.check_wire(self.workers.is_some())?;
@@ -299,12 +298,11 @@ impl NativeRunner {
             static_dir: static_dir.to_owned(),
             output_dir: output_dir.to_owned(),
         };
+        let fabric = if self.workers.is_some() { " [tcp]" } else { "" };
+        let label = run_label("iMapReduce native", &pair_cfg.mode, fabric);
         match &self.workers {
             None => self.run_threaded(job, cfg, &pair_cfg, &dirs, faults, loop_fn, label),
-            Some(spec) => {
-                let label = format!("{label} [tcp]");
-                self.run_processes::<J>(spec, cfg, &pair_cfg, &dirs, faults, label)
-            }
+            Some(spec) => self.run_processes::<J>(spec, cfg, &pair_cfg, &dirs, faults, label),
         }
     }
 
@@ -419,14 +417,6 @@ impl NativeRunner {
             &mut run_gen,
         )
     }
-
-    fn label(&self, cfg: &IterConfig) -> String {
-        if cfg.mode.mapping == Mapping::One2One && cfg.mode.sync_maps {
-            "iMapReduce native (sync.)".to_owned()
-        } else {
-            "iMapReduce native".to_owned()
-        }
-    }
 }
 
 /// [`IterConfig::validate`], plus what only the native engines refuse.
@@ -471,8 +461,7 @@ impl IterEngine for NativeRunner {
         faults: &[FaultEvent],
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
         let dirs = [state_dir, static_dir, output_dir];
-        let label = self.label(cfg);
-        self.dispatch(job, cfg, dirs, faults, |ctx| pair_loop(ctx), label)
+        self.dispatch(job, cfg, dirs, faults, |ctx| pair_loop(ctx))
     }
 
     /// Over TCP a worker binary must route the job through
@@ -487,8 +476,7 @@ impl IterEngine for NativeRunner {
         faults: &[FaultEvent],
     ) -> Result<IterOutcome<J::K, J::S>, EngineError> {
         let dirs = [state_dir, static_dir, output_dir];
-        let label = "iMapReduce native (delta)".to_owned();
-        self.dispatch(job, cfg, dirs, faults, |ctx| delta_loop(ctx), label)
+        self.dispatch(job, cfg, dirs, faults, |ctx| delta_loop(ctx))
     }
 }
 

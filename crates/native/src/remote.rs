@@ -74,7 +74,7 @@ use crate::fault::FaultBarrier;
 use crate::generation::Generation;
 use crate::pair::{
     delta_loop, pair_loop, panic_message, read_part_raw, EnvFail, PairCfg, PairCtx, PairDirs,
-    PairEnv, PairOutcome, PairPlan,
+    PairEnv, PairMode, PairOutcome, PairPlan,
 };
 use crate::{NativeRunner, HANDOFF_BUFFER};
 use bytes::Bytes;
@@ -317,23 +317,22 @@ impl Coordinator<'_> {
         let _ = self.writers[q].lock().send(&msg.parts(), false);
     }
 
-    /// Like [`Coordinator::send_to`] but never chaos-damaged: poison
-    /// and drain frames are the teardown path itself, so injecting
-    /// faults into them would stall the recovery they trigger.
-    fn send_ctl(&self, q: usize, msg: &ToWorker) {
-        let _ = self.writers[q].lock().send(&msg.parts(), true);
-    }
-
-    /// Poisons the generation (idempotent): latch for the monitor,
-    /// state flag for the main loop's teardown clock, poison frames so
-    /// every worker aborts at its next blocking operation. Lock order
-    /// is always state → writer.
-    fn poison_locked(&self, state: &mut CoordState) {
+    /// Tears the generation down (idempotent): latch for the monitor,
+    /// state flag for the main loop's teardown clock, and `frame` to
+    /// every worker, so each aborts at its next blocking operation —
+    /// [`ToWorker::Poison`], or [`ToWorker::Drain`] for a
+    /// service-requested shutdown, where the workers unwind the same
+    /// way and then exit successfully: the teardown is policy, not
+    /// failure. The frames are never chaos-damaged: they are the
+    /// teardown path itself, and injecting faults into them would stall
+    /// the recovery they trigger. Lock order is always state → writer.
+    fn tear_down(&self, state: &mut CoordState, frame: &ToWorker) {
         if !state.poisoned {
             state.poisoned = true;
             self.latch.poison();
-            for q in 0..self.n {
-                self.send_ctl(q, &ToWorker::Poison);
+            let parts = frame.parts();
+            for writer in &self.writers {
+                let _ = writer.lock().send(&parts, true);
             }
         }
     }
@@ -342,21 +341,7 @@ impl Coordinator<'_> {
     /// the generation down.
     fn settle(&self, q: usize, outcome: Result<PairOutcome, EngineError>) {
         if self.generation.settle(q, outcome) {
-            self.poison_locked(&mut self.state.lock());
-        }
-    }
-
-    /// Like [`Coordinator::poison_locked`] but with [`ToWorker::Drain`]
-    /// frames: workers unwind the same way, then exit successfully
-    /// instead of reporting an abort. Used for service-requested
-    /// shutdown, where the teardown is policy, not failure.
-    fn drain_locked(&self, state: &mut CoordState) {
-        if !state.poisoned {
-            state.poisoned = true;
-            self.latch.poison();
-            for q in 0..self.n {
-                self.send_ctl(q, &ToWorker::Drain);
-            }
+            self.tear_down(&mut self.state.lock(), &ToWorker::Poison);
         }
     }
 }
@@ -492,12 +477,12 @@ fn run_generation(
                 // unwind and exit cleanly, the supervisor surfaces the
                 // aborted run as a ctl error.
                 if runner.ctl.as_ref().is_some_and(|c| c.is_aborted()) {
-                    co.drain_locked(&mut st);
+                    co.tear_down(&mut st, &ToWorker::Drain);
                 }
                 // Monitor interventions poison only the latch; the main
                 // loop propagates them onto the wire.
                 if co.latch.is_poisoned() && !st.poisoned {
-                    co.poison_locked(&mut st);
+                    co.tear_down(&mut st, &ToWorker::Poison);
                 }
                 if st.poisoned && poisoned_at.is_none() {
                     poisoned_at = Some(Instant::now());
@@ -960,7 +945,7 @@ pub fn serve_worker<J: IterativeJob>(
 
 /// Like [`serve_worker`], for jobs that also implement
 /// [`Accumulative`](imapreduce::Accumulative): when the coordinator's
-/// setup frame sets `accumulative`, the worker runs the barrier-free
+/// setup frame carries the delta mode, the worker runs the barrier-free
 /// `delta_loop` instead of `pair_loop`. Worker binaries should route
 /// every accumulative-capable job through this entry point — it behaves
 /// exactly like [`serve_worker`] when the mode is off.
@@ -1007,22 +992,19 @@ fn serve_inner<J: IterativeJob>(
         metrics: Arc::clone(&metrics),
         started: Instant::now(),
     };
-    let loop_fn: RemoteLoop<J> = if pair_cfg.accumulative {
-        match accum {
-            Some(f) => f,
-            None => {
-                // The coordinator asked for the delta loop but this
-                // entry point serves a plain iterative job; report the
-                // mismatch as an outcome so the supervisor fails fast.
-                env.conn.send_outcome(Err(format!(
-                    "pair {pair}: accumulative mode requested but the worker \
-                     serves this job through serve_worker (use serve_worker_accum)"
-                )));
-                return Ok(());
-            }
+    let loop_fn: RemoteLoop<J> = match (pair_cfg.mode, accum) {
+        (PairMode::Delta { .. }, Some(f)) => f,
+        (PairMode::Delta { .. }, None) => {
+            // The coordinator asked for the delta loop but this entry
+            // point serves a plain iterative job; report the mismatch
+            // as an outcome so the supervisor fails fast.
+            env.conn.send_outcome(Err(format!(
+                "pair {pair}: accumulative mode requested but the worker \
+                 serves this job through serve_worker (use serve_worker_accum)"
+            )));
+            return Ok(());
         }
-    } else {
-        pair_loop
+        _ => pair_loop,
     };
     let result = catch_unwind(AssertUnwindSafe(|| {
         loop_fn(PairCtx {

@@ -12,7 +12,8 @@
 //! reshapes a message (v3: one gather, one segment class, counts in
 //! `Beat`, nested `WorkerSetup`; v4: `Ckpt` without history, `Outcome`
 //! carrying the pair loop's own result; v5: trace events in `Beat`, no
-//! warm-start `Patch` / `PatchStats`).
+//! warm-start `Patch` / `PatchStats`; v6: `PairCfg` carries one
+//! `PairMode` instead of mode flags).
 //!
 //! Frames are `[u32 BE payload length][u32 BE CRC32][payload]`. The
 //! CRC covers the direction's implicit frame sequence number (a `u64`
@@ -55,7 +56,7 @@ pub const MAX_FRAME: usize = 1 << 26;
 pub const WIRE_MAGIC: [u8; 4] = *b"IMRW";
 
 /// Wire protocol version negotiated by the preamble.
-pub const WIRE_VERSION: u32 = 5;
+pub const WIRE_VERSION: u32 = 6;
 
 /// Bytes of the per-direction preamble (magic + version).
 pub const PREAMBLE_LEN: usize = 8;

@@ -140,28 +140,56 @@ pub enum PairOutcome {
 pub struct PairCfg {
     /// Number of map/reduce pairs in the job.
     pub n: usize,
-    pub one2all: bool,
-    pub sync: bool,
-    /// Distance threshold of the termination check, if any.
-    pub threshold: Option<f64>,
     pub max_iters: usize,
     pub checkpoint_interval: usize,
-    /// Number of `part-*` files under the state directory (one2all
-    /// epoch-0 loads read them all).
-    pub num_state_parts: usize,
-    /// Barrier-free delta-accumulative mode (the delta loop instead of
-    /// the map/reduce iteration loop; requires an `Accumulative` job).
-    pub accumulative: bool,
-    /// Accumulative mode: pending keys applied per round (0 = all).
-    pub delta_batch: usize,
-    /// Accumulative mode: rounds between two termination checks.
-    pub check_every: usize,
-    /// Incremental mode: epoch-0 state parts are warm
-    /// `(key, (value, pending))` plans to restore, not initial state to
-    /// seed (i2MapReduce-style warm start). A warm part reaches a
-    /// worker like every other part, `ReadPart` → `PartData`, guarded
-    /// by the frame's CRC.
-    pub incremental: bool,
+    /// Which loop the pair runs, with that loop's knobs only.
+    pub mode: PairMode,
+}
+
+/// A pair's execution mode: one variant per loop shape an engine runs,
+/// so a combination no engine runs cannot be written.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PairMode {
+    /// one2one map/reduce iterations, each map starting as soon as its
+    /// own reduce hands it the new state. `threshold` is the distance
+    /// of the termination vote, if any.
+    Async { threshold: Option<f64> },
+    /// one2one, every iteration starting at a barrier (the paper's
+    /// "sync." variant).
+    Sync { threshold: Option<f64> },
+    /// one2all broadcast, synchronous by nature: an epoch-0 load reads
+    /// all `state_parts` parts of the state directory.
+    One2All {
+        threshold: Option<f64>,
+        state_parts: usize,
+    },
+    /// Barrier-free delta-accumulative rounds (the delta loop; needs an
+    /// `Accumulative` job), done once the accumulated progress falls
+    /// below `eps`: `batch` pending keys applied per round (0 = all),
+    /// `check_every` rounds per termination check. With `warm` the
+    /// epoch-0 state parts are warm `(key, (value, pending))` plans to
+    /// restore, not initial state to seed (i2MapReduce-style warm
+    /// start); a warm part reaches a worker like every other part,
+    /// `ReadPart` → `PartData`, guarded by the frame's CRC.
+    Delta {
+        eps: f64,
+        batch: usize,
+        check_every: usize,
+        warm: bool,
+    },
+}
+
+impl PairMode {
+    /// The termination vote's threshold: a map/reduce mode's distance
+    /// threshold, the delta mode's `eps`.
+    pub fn threshold(&self) -> Option<f64> {
+        match *self {
+            PairMode::Async { threshold }
+            | PairMode::Sync { threshold }
+            | PairMode::One2All { threshold, .. } => threshold,
+            PairMode::Delta { eps, .. } => Some(eps),
+        }
+    }
 }
 
 /// The DFS directory layout a pair reads from and writes to.
@@ -261,18 +289,79 @@ macro_rules! struct_codec {
     };
 }
 
+/// Decodes one tagged enum value from `$buf`: a tag byte, then the
+/// fields of that tag's variant in the order listed, each by its
+/// [`Codec`]. `$extra` arms decode what is not a plain struct variant;
+/// any other tag is [`CodecError::Corrupt`] with the message given.
+macro_rules! decode_tagged {
+    ($buf:ident, $unknown:literal, $ty:ident {
+        $($tag:literal => $var:ident { $($field:ident),* }),+ $(,)?
+    } $($extra:tt)*) => {
+        Ok(match u8::decode($buf)? {
+            $($tag => $ty::$var { $($field: Codec::decode($buf)?),* },)+
+            $($extra)*
+            _ => return Err(CodecError::Corrupt($unknown)),
+        })
+    };
+}
+
+/// `Codec` for an enum of struct variants: a tag byte, then the
+/// variant's fields in the order listed.
+macro_rules! enum_codec {
+    ($ty:ident, $unknown:literal { $($tag:literal => $var:ident { $($field:ident),+ }),+ }) => {
+        impl Codec for $ty {
+            fn encode(&self, buf: &mut BytesMut) {
+                match self {
+                    $($ty::$var { $($field),+ } => {
+                        $tag.encode(buf);
+                        $($field.encode(buf);)+
+                    })+
+                }
+            }
+            fn decode(buf: &mut Bytes) -> CodecResult<Self> {
+                decode_tagged!(buf, $unknown, $ty { $($tag => $var { $($field),+ }),+ })
+            }
+            fn encoded_len(&self) -> usize {
+                match self {
+                    $($ty::$var { $($field),+ } => $tag.encoded_len() $(+ $field.encoded_len())+,)+
+                }
+            }
+        }
+    };
+}
+
+/// `Codec` for a message enum: encoded as its [`Parts`] (the one
+/// encoder, see `ToCoord::parts`), decoded from `$buf` by
+/// [`decode_tagged`].
+macro_rules! message_codec {
+    ($ty:ident, $buf:ident, $unknown:literal { $($arms:tt)* } $($extra:tt)*) => {
+        impl Codec for $ty {
+            fn encode(&self, buf: &mut BytesMut) {
+                for piece in self.parts().pieces() {
+                    buf.extend_from_slice(piece);
+                }
+            }
+            fn decode($buf: &mut Bytes) -> CodecResult<Self> {
+                decode_tagged!($buf, $unknown, $ty { $($arms)* } $($extra)*)
+            }
+            fn encoded_len(&self) -> usize {
+                self.parts().len()
+            }
+        }
+    };
+}
+
+enum_codec!(PairMode, "unknown pair mode tag" {
+    0u8 => Async { threshold },
+    1u8 => Sync { threshold },
+    2u8 => One2All { threshold, state_parts },
+    3u8 => Delta { eps, batch, check_every, warm }
+});
 struct_codec!(PairCfg {
     n,
-    one2all,
-    sync,
-    threshold,
     max_iters,
     checkpoint_interval,
-    num_state_parts,
-    accumulative,
-    delta_batch,
-    check_every,
-    incremental
+    mode
 });
 struct_codec!(PairDirs {
     state_dir,
@@ -339,56 +428,19 @@ impl ToCoord {
     }
 }
 
-impl Codec for ToCoord {
-    fn encode(&self, buf: &mut BytesMut) {
-        for piece in self.parts().pieces() {
-            buf.extend_from_slice(piece);
-        }
-    }
-    fn decode(buf: &mut Bytes) -> CodecResult<Self> {
-        Ok(match u8::decode(buf)? {
-            0 => ToCoord::Hello {
-                pair: usize::decode(buf)?,
-                generation: u64::decode(buf)?,
-                job: u64::decode(buf)?,
-            },
-            1 => ToCoord::Segment {
-                dest: usize::decode(buf)?,
-                payload: Bytes::decode(buf)?,
-            },
-            2 => ToCoord::Credit {
-                src: usize::decode(buf)?,
-            },
-            4 => ToCoord::Gather {
-                part: Bytes::decode(buf)?,
-            },
-            6 => ToCoord::Beat {
-                iteration: usize::decode(buf)?,
-                busy_secs: f64::decode(buf)?,
-                d: f64::decode(buf)?,
-                has_prev: bool::decode(buf)?,
-                counts: Vec::<u64>::decode(buf)?,
-                events: Bytes::decode(buf)?,
-            },
-            7 => ToCoord::Ckpt {
-                iteration: usize::decode(buf)?,
-                payload: Bytes::decode(buf)?,
-            },
-            8 => ToCoord::ReadPart {
-                dir: String::decode(buf)?,
-                part: usize::decode(buf)?,
-            },
-            9 => ToCoord::Outcome(outcome_from_parts(Codec::decode(buf)?)?),
-            // Retired, never reused: 3 BarrierArrive, 5 Distance,
-            // 10 Trace, 11 Delta, 12 DeltaStats, 13 PatchStats,
-            // 14 Telemetry.
-            _ => return Err(CodecError::Corrupt("unknown ToCoord tag")),
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.parts().len()
-    }
+// Retired, never reused: 3 BarrierArrive, 5 Distance, 10 Trace,
+// 11 Delta, 12 DeltaStats, 13 PatchStats, 14 Telemetry.
+message_codec!(ToCoord, buf, "unknown ToCoord tag" {
+    0u8 => Hello { pair, generation, job },
+    1u8 => Segment { dest, payload },
+    2u8 => Credit { src },
+    4u8 => Gather { part },
+    6u8 => Beat { iteration, busy_secs, d, has_prev, counts, events },
+    7u8 => Ckpt { iteration, payload },
+    8u8 => ReadPart { dir, part },
 }
+    9u8 => ToCoord::Outcome(outcome_from_parts(Codec::decode(buf)?)?),
+);
 
 impl ToWorker {
     /// This message's frame payload for [`FrameWriter::write_parts`],
@@ -417,42 +469,19 @@ impl ToWorker {
     }
 }
 
-impl Codec for ToWorker {
-    fn encode(&self, buf: &mut BytesMut) {
-        for piece in self.parts().pieces() {
-            buf.extend_from_slice(piece);
-        }
-    }
-    fn decode(buf: &mut Bytes) -> CodecResult<Self> {
-        Ok(match u8::decode(buf)? {
-            0 => ToWorker::Setup(Box::new(WorkerSetup::decode(buf)?)),
-            1 => ToWorker::Segment {
-                src: usize::decode(buf)?,
-                payload: Bytes::decode(buf)?,
-            },
-            2 => ToWorker::Credit {
-                dest: usize::decode(buf)?,
-            },
-            4 => ToWorker::GatherAll {
-                parts: Vec::<Bytes>::decode(buf)?,
-            },
-            6 => ToWorker::PartData {
-                payload: Bytes::decode(buf)?,
-            },
-            7 => ToWorker::PartErr {
-                message: String::decode(buf)?,
-            },
-            8 => ToWorker::Poison,
-            9 => ToWorker::Drain,
-            // Retired, never reused: 3 BarrierRelease, 5 DistanceTotal,
-            // 10 Delta, 11 Patch.
-            _ => return Err(CodecError::Corrupt("unknown ToWorker tag")),
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.parts().len()
-    }
+// Retired, never reused: 3 BarrierRelease, 5 DistanceTotal, 10 Delta,
+// 11 Patch.
+message_codec!(ToWorker, buf, "unknown ToWorker tag" {
+    1u8 => Segment { src, payload },
+    2u8 => Credit { dest },
+    4u8 => GatherAll { parts },
+    6u8 => PartData { payload },
+    7u8 => PartErr { message },
 }
+    0u8 => ToWorker::Setup(Box::new(WorkerSetup::decode(buf)?)),
+    8u8 => ToWorker::Poison,
+    9u8 => ToWorker::Drain,
+);
 
 /// A setup frame with every field away from its default, shared by
 /// this crate's unit tests.
@@ -464,16 +493,14 @@ pub(crate) fn sample_setup() -> WorkerSetup {
         observed: true,
         cfg: PairCfg {
             n: 4,
-            one2all: true,
-            sync: false,
-            threshold: Some(1e-9),
             max_iters: 50,
             checkpoint_interval: 5,
-            num_state_parts: 4,
-            accumulative: true,
-            delta_batch: 16,
-            check_every: 3,
-            incremental: true,
+            mode: PairMode::Delta {
+                eps: 1e-9,
+                batch: 16,
+                check_every: 3,
+                warm: true,
+            },
         },
         dirs: PairDirs {
             state_dir: "/job/state".into(),
@@ -560,7 +587,26 @@ mod tests {
 
     #[test]
     fn to_worker_round_trips() {
-        round_trip(ToWorker::Setup(Box::new(sample_setup())));
+        for mode in [
+            PairMode::Async { threshold: None },
+            PairMode::Sync {
+                threshold: Some(0.5),
+            },
+            PairMode::One2All {
+                threshold: Some(1e-9),
+                state_parts: 4,
+            },
+            PairMode::Delta {
+                eps: 1e-9,
+                batch: 16,
+                check_every: 3,
+                warm: true,
+            },
+        ] {
+            let mut setup = sample_setup();
+            setup.cfg.mode = mode;
+            round_trip(ToWorker::Setup(Box::new(setup)));
+        }
         round_trip(ToWorker::Segment {
             src: 0,
             payload: Bytes::from(vec![5; 17]),

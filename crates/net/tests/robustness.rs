@@ -4,9 +4,11 @@
 
 use bytes::Bytes;
 use imr_net::frame::{FrameReader, MAX_FRAME, PREAMBLE_LEN, WIRE_MAGIC, WIRE_VERSION};
-use imr_net::proto::{PairCfg, PairDirs, PairOutcome, PairPlan, ToCoord, ToWorker, WorkerSetup};
+use imr_net::proto::{
+    PairCfg, PairDirs, PairMode, PairOutcome, PairPlan, ToCoord, ToWorker, WorkerSetup,
+};
 use imr_net::NetError;
-use imr_records::Codec;
+use imr_records::{Codec, CodecError};
 use proptest::prelude::*;
 
 /// One valid message per `ToCoord` variant in `proto.rs`.
@@ -59,16 +61,14 @@ fn every_to_worker() -> Vec<ToWorker> {
             observed: true,
             cfg: PairCfg {
                 n: 4,
-                one2all: true,
-                sync: false,
-                threshold: Some(1e-9),
                 max_iters: 50,
                 checkpoint_interval: 5,
-                num_state_parts: 4,
-                accumulative: true,
-                delta_batch: 16,
-                check_every: 3,
-                incremental: true,
+                mode: PairMode::Delta {
+                    eps: 1e-9,
+                    batch: 16,
+                    check_every: 3,
+                    warm: true,
+                },
             },
             dirs: PairDirs {
                 state_dir: "/job/state".into(),
@@ -171,10 +171,11 @@ fn every_variant_owns_one_tag_and_the_retired_ones_stay_dead() {
 #[test]
 fn a_version_2_preamble_is_refused_at_handshake() {
     // A peer built before the message set shrank (v2), before `Ckpt`
-    // and `Outcome` were reshaped (v3) or before `Beat` carried the
-    // trace events (v4) still frames the same way; only the preamble
-    // tells them apart, so it must.
-    for version in [2u32, 3, 4] {
+    // and `Outcome` were reshaped (v3), before `Beat` carried the
+    // trace events (v4) or before `PairCfg` carried one mode (v5)
+    // still frames the same way; only the preamble tells them apart,
+    // so it must.
+    for version in [2u32, 3, 4, 5] {
         let mut old = Vec::new();
         old.extend_from_slice(&WIRE_MAGIC);
         old.extend_from_slice(&version.to_be_bytes());
@@ -186,6 +187,29 @@ fn a_version_2_preamble_is_refused_at_handshake() {
             ),
             other => panic!("expected a Version error, got {other:?}"),
         }
+    }
+}
+
+#[test]
+fn a_setup_frame_with_an_unknown_mode_tag_is_corrupt() {
+    let Some(ToWorker::Setup(setup)) = every_to_worker().into_iter().next() else {
+        panic!("the first ToWorker sample is the setup frame");
+    };
+    // The frame up to the mode: tag, job, epoch, observed, then the
+    // config's three shared fields.
+    let cfg = &setup.cfg;
+    let head = (0u8, setup.job, (setup.epoch, setup.observed)).encoded_len()
+        + (cfg.n, cfg.max_iters, cfg.checkpoint_interval).encoded_len();
+    let mut frame = ToWorker::Setup(setup).to_bytes().to_vec();
+    assert_eq!(frame[head], 3, "the delta mode's tag");
+    // Every one-byte tag no mode owns.
+    for tag in 4..0x80 {
+        frame[head] = tag;
+        let decoded = ToWorker::decode(&mut Bytes::from(frame.clone()));
+        assert!(
+            matches!(decoded, Err(CodecError::Corrupt(_))),
+            "mode tag {tag}: {decoded:?}"
+        );
     }
 }
 

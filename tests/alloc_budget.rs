@@ -38,7 +38,7 @@ use imr_algorithms::pagerank::{run_pagerank_delta, run_pagerank_imr};
 use imr_algorithms::testutil::native_runner;
 use imr_graph::{generate_graph, pagerank_degree_dist};
 use imr_net::frame::{reclaim, FrameReader, FrameWriter};
-use imr_net::proto::{PairCfg, PairDirs, PairPlan, ToCoord, ToWorker, WorkerSetup};
+use imr_net::proto::{PairCfg, PairDirs, PairMode, PairPlan, ToCoord, ToWorker, WorkerSetup};
 use imr_net::{NetError, NetPolicy, Transport, WorkerConn};
 use imr_records::Codec;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -134,16 +134,9 @@ fn scripted_hub(listener: TcpListener) {
         observed: false,
         cfg: PairCfg {
             n: 2,
-            one2all: false,
-            sync: false,
-            threshold: None,
             max_iters: 1,
             checkpoint_interval: 0,
-            num_state_parts: 2,
-            accumulative: false,
-            delta_batch: 0,
-            check_every: 1,
-            incremental: false,
+            mode: PairMode::Async { threshold: None },
         },
         dirs: PairDirs {
             state_dir: String::new(),

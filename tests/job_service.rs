@@ -4,7 +4,7 @@
 //! coordinator disconnect.
 
 use imr_jobs::{AlgoSpec, EngineSel, JobPhase, JobService, JobSpec, ResultRecord, ServiceConfig};
-use imr_net::proto::{PairCfg, PairDirs, PairPlan, ToCoord, ToWorker, WorkerSetup};
+use imr_net::proto::{PairCfg, PairDirs, PairMode, PairPlan, ToCoord, ToWorker, WorkerSetup};
 use imr_net::{FrameReader, FrameWriter};
 use imr_records::Codec;
 use std::net::TcpListener;
@@ -311,16 +311,9 @@ fn dummy_setup() -> WorkerSetup {
         observed: false,
         cfg: PairCfg {
             n: 1,
-            one2all: false,
-            sync: false,
-            threshold: None,
             max_iters: 4,
             checkpoint_interval: 0,
-            num_state_parts: 1,
-            accumulative: false,
-            delta_batch: 0,
-            check_every: 1,
-            incremental: false,
+            mode: PairMode::Async { threshold: None },
         },
         dirs: PairDirs {
             state_dir: "/drain/in/state".into(),

@@ -55,10 +55,8 @@
 #                          # src or examples (nor PatchStats in imr-net /
 #                          # imr-native), and no TransportKind,
 #                          # with_incremental_mode, .accumulative or
-#                          # .incremental under crates/*/src, src or
-#                          # examples (PairCfg's own fields aside: not
-#                          # scanned in imr-net, read elsewhere through
-#                          # `pair_cfg` or `ctx.cfg`)
+#                          # .incremental under crates/*/src (imr-net
+#                          # included), src or examples
 #   ./verify.sh <suite>    # one row group of the SUITES table: faults,
 #                          # observe, service, delta, chaos, incremental
 #
@@ -616,25 +614,19 @@ cmd_drift() {
     || { echo "drift: a deleted surface is named again (patch_verify, PatchStats, send_trace, speculative, parse_text):" >&2; echo "$tombstones" >&2; exit 1; }
   echo "drift: no patch_verify, PatchStats (wire), send_trace, speculative or parse_text"
 
-  # A mode is a type: the delta mode is `IterConfig<Delta>`, incremental
-  # is that mode with a warm start only `run_incremental` turns on, and a
-  # runner with worker processes attached is the TCP runner, so the
-  # flags and the transport kind that once said so stay deleted. Code
-  # only. `PairCfg`, the wire form, keeps its `accumulative` and
-  # `incremental` fields: imr-net, which defines and codes it, is not
-  # scanned for them, and elsewhere they are read through a PairCfg
-  # named `pair_cfg` or a pair context's `ctx.cfg`.
+  # A mode is a type down to the wire: the delta mode is
+  # `IterConfig<Delta>`, incremental is that mode with a warm start only
+  # `run_incremental` turns on, a pair's slice carries one `PairMode`,
+  # and a runner with worker processes attached is the TCP runner, so
+  # the flags and the transport kind that once said so stay deleted.
+  # Code only, imr-net included.
   local mode_flags
-  mode_flags=$({
-    rust_code 0 $(find crates/*/src src examples -name '*.rs' | sort) \
-      | grep -E '^[^:]+:[0-9]+:.*(^|[^A-Za-z0-9_])(TransportKind|with_incremental_mode)([^A-Za-z0-9_]|$)'
-    rust_code 0 $(find crates/*/src src examples -name '*.rs' ! -path 'crates/net/*' | sort) \
-      | sed -E 's/(^|[^A-Za-z0-9_])(pair_cfg|ctx\.cfg)\.(accumulative|incremental)([^A-Za-z0-9_]|$)/\1\4/g' \
-      | grep -E '\.(accumulative|incremental)([^A-Za-z0-9_]|$)'
-  } || true)
+  mode_flags=$(rust_code 0 $(find crates/*/src src examples -name '*.rs' | sort) \
+    | grep -E '^[^:]+:[0-9]+:.*((^|[^A-Za-z0-9_])(TransportKind|with_incremental_mode)([^A-Za-z0-9_]|$)|\.(accumulative|incremental)([^A-Za-z0-9_]|$))' \
+    || true)
   [ -z "$mode_flags" ] \
-    || { echo "drift: a mode or transport flag is named again (a mode is IterConfig's type parameter; a runner with workers is the TCP runner):" >&2; echo "$mode_flags" >&2; exit 1; }
-  echo "drift: no TransportKind, with_incremental_mode, or .accumulative/.incremental outside PairCfg"
+    || { echo "drift: a mode or transport flag is named again (a mode is IterConfig's type parameter and PairCfg's PairMode; a runner with workers is the TCP runner):" >&2; echo "$mode_flags" >&2; exit 1; }
+  echo "drift: no TransportKind, with_incremental_mode, .accumulative or .incremental"
 
   local subs jobs
   subs=$({
