@@ -10,7 +10,7 @@
 
 use imapreduce::{
     load_partitioned, Accumulative, Delta, Emitter, GraphDeltaOp, Incremental, IterConfig,
-    IterEngine, IterOutcome, IterativeJob, PatchEffect, StateInput,
+    IterEngine, IterOutcome, IterativeJob, StateInput,
 };
 use imr_graph::Graph;
 use imr_mapreduce::EngineError;
@@ -93,35 +93,14 @@ impl Incremental for ConCompIter {
         key
     }
 
-    fn empty_static(&self) -> Vec<u32> {
-        Vec::new()
-    }
-
-    fn patch_static(&self, _key: u32, adj: &mut Vec<u32>, op: &GraphDeltaOp) -> PatchEffect {
+    fn patch_static(&self, _key: u32, adj: &mut Vec<u32>, op: &GraphDeltaOp) {
         match *op {
-            GraphDeltaOp::InsertEdge { dst, .. } => {
-                if adj.contains(&dst) {
-                    PatchEffect::Unchanged
-                } else {
-                    adj.push(dst);
-                    // A new edge can only carry smaller labels forward.
-                    PatchEffect::Improving
-                }
-            }
-            GraphDeltaOp::RemoveEdge { dst, .. } => {
-                let before = adj.len();
-                adj.retain(|&v| v != dst);
-                if adj.len() == before {
-                    PatchEffect::Unchanged
-                } else {
-                    PatchEffect::Worsening
-                }
-            }
-            // Unweighted workload: reweight is a documented no-op.
-            GraphDeltaOp::ReweightEdge { .. } => PatchEffect::Unchanged,
-            GraphDeltaOp::InsertNode { .. } | GraphDeltaOp::RemoveNode { .. } => {
-                PatchEffect::Unchanged
-            }
+            GraphDeltaOp::InsertEdge { dst, .. } if !adj.contains(&dst) => adj.push(dst),
+            GraphDeltaOp::RemoveEdge { dst, .. } => adj.retain(|&v| v != dst),
+            // An edge already present stays single; reweight is a no-op
+            // on an unweighted graph; apply_delta resolves node ops into
+            // edge ops.
+            _ => {}
         }
     }
 
@@ -131,10 +110,6 @@ impl Incremental for ConCompIter {
 
     fn invert(&self, _delta: &u32) -> Option<u32> {
         None
-    }
-
-    fn state_eq(&self, a: &u32, b: &u32) -> bool {
-        a == b
     }
 }
 

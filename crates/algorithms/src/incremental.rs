@@ -206,11 +206,13 @@ mod tests {
     use crate::concomp::ConCompIter;
     use crate::pagerank::PageRankIter;
     use crate::sssp::SsspInc;
-    use crate::testutil::imr_runner;
+    use crate::testutil::{imr_runner, native_runner};
+    use bytes::Bytes;
     use imr_graph::{
         generate_graph, generate_weighted_graph, pagerank_degree_dist, sssp_degree_dist,
         sssp_weight_dist,
     };
+    use imr_simcluster::NodeId;
 
     fn sssp_cfg() -> IterConfig<Delta> {
         IterConfig::new("inc-sssp", 3, 300)
@@ -330,5 +332,36 @@ mod tests {
             inc.outcome.iterations, 1,
             "no pending work: one check and done"
         );
+    }
+
+    /// A previous static part or a fixpoint part that does not decode
+    /// is `EngineError::Codec`, as every engine reports a part it read
+    /// but cannot decode.
+    #[test]
+    fn a_part_that_does_not_decode_is_a_codec_error_on_every_engine() {
+        fn check(runner: &impl IterEngine) {
+            let g = generate_weighted_graph(40, 160, sssp_degree_dist(), sssp_weight_dist(), 3);
+            let job = SsspInc { source: 0 };
+            let (dfs, cfg, d) = (runner.dfs(), sssp_cfg(), inc_dirs("/i/z"));
+            let (_, fix) =
+                converge_and_preserve(runner, &job, &weighted_statics(&g), &cfg, "/i/z").unwrap();
+            let mut clock = TaskClock::default();
+            let (it, _) = fix.latest(dfs, &mut clock).unwrap().unwrap();
+            let fix_part = format!("{}/fix-{it:05}/part-00000", d.fix);
+            let static_part = format!("{}/part-00000", d.static_);
+            for path in [static_part, fix_part] {
+                let good = dfs.read(&path, NodeId(0), &mut clock).unwrap();
+                let junk = Bytes::from_static(&[0xff]);
+                dfs.put_atomic(&path, junk, NodeId(0), &mut clock).unwrap();
+                let delta = GraphDelta::new();
+                match run_incremental_ns(runner, &job, &cfg, &fix, "/i/z", &delta) {
+                    Err(EngineError::Codec(_)) => {}
+                    other => panic!("{path}: expected a Codec error, got {other:?}"),
+                }
+                dfs.put_atomic(&path, good, NodeId(0), &mut clock).unwrap();
+            }
+        }
+        check(&imr_runner(2));
+        check(&native_runner(2));
     }
 }

@@ -9,7 +9,7 @@
 
 use imapreduce::{
     load_partitioned, Accumulative, Delta, Emitter, GraphDeltaOp, Incremental, IterConfig,
-    IterEngine, IterOutcome, IterativeJob, PatchEffect, StateInput,
+    IterEngine, IterOutcome, IterativeJob, StateInput,
 };
 use imr_graph::Graph;
 use imr_mapreduce::{
@@ -128,37 +128,14 @@ impl Incremental for PageRankIter {
         1.0 / self.num_nodes as f64
     }
 
-    fn empty_static(&self) -> Vec<u32> {
-        Vec::new()
-    }
-
-    fn patch_static(&self, _key: u32, adj: &mut Vec<u32>, op: &GraphDeltaOp) -> PatchEffect {
+    fn patch_static(&self, _key: u32, adj: &mut Vec<u32>, op: &GraphDeltaOp) {
         match *op {
-            GraphDeltaOp::InsertEdge { dst, .. } => {
-                if adj.contains(&dst) {
-                    PatchEffect::Unchanged
-                } else {
-                    adj.push(dst);
-                    // Degree changes rescale every surviving share, so
-                    // downstream ranks can move either way.
-                    PatchEffect::Worsening
-                }
-            }
-            GraphDeltaOp::RemoveEdge { dst, .. } => {
-                let before = adj.len();
-                adj.retain(|&v| v != dst);
-                if adj.len() == before {
-                    PatchEffect::Unchanged
-                } else {
-                    PatchEffect::Worsening
-                }
-            }
-            // Unweighted workload: reweight is a documented no-op.
-            GraphDeltaOp::ReweightEdge { .. } => PatchEffect::Unchanged,
-            // Node ops are resolved into edge ops by apply_delta.
-            GraphDeltaOp::InsertNode { .. } | GraphDeltaOp::RemoveNode { .. } => {
-                PatchEffect::Unchanged
-            }
+            GraphDeltaOp::InsertEdge { dst, .. } if !adj.contains(&dst) => adj.push(dst),
+            GraphDeltaOp::RemoveEdge { dst, .. } => adj.retain(|&v| v != dst),
+            // An edge already present stays single; reweight is a no-op
+            // on an unweighted graph; apply_delta resolves node ops into
+            // edge ops.
+            _ => {}
         }
     }
 
@@ -168,10 +145,6 @@ impl Incremental for PageRankIter {
 
     fn invert(&self, delta: &f64) -> Option<f64> {
         Some(-delta)
-    }
-
-    fn state_eq(&self, a: &f64, b: &f64) -> bool {
-        a == b
     }
 }
 

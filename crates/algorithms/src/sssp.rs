@@ -7,7 +7,7 @@
 
 use imapreduce::{
     load_partitioned, Accumulative, Delta, Emitter, GraphDeltaOp, Incremental, IterConfig,
-    IterEngine, IterOutcome, IterativeJob, PatchEffect, StateInput,
+    IterEngine, IterOutcome, IterativeJob, StateInput,
 };
 use imr_graph::Graph;
 use imr_mapreduce::{
@@ -176,52 +176,22 @@ impl Incremental for SsspInc {
         }
     }
 
-    fn empty_static(&self) -> Adj {
-        Vec::new()
-    }
-
-    fn patch_static(&self, _key: u32, adj: &mut Adj, op: &GraphDeltaOp) -> PatchEffect {
+    fn patch_static(&self, _key: u32, adj: &mut Adj, op: &GraphDeltaOp) {
         // Invariant kept across all workloads: at most one edge per
         // (src, dst). Inserting over an existing edge updates its
         // weight, like a reweight.
-        fn set_weight(adj: &mut Adj, dst: u32, weight: f32) -> PatchEffect {
-            let mut changed = false;
-            let mut worse = false;
-            for e in adj.iter_mut().filter(|e| e.0 == dst) {
-                if e.1 != weight {
-                    changed = true;
-                    worse |= weight > e.1;
+        match *op {
+            GraphDeltaOp::InsertEdge { dst, weight, .. } if !adj.iter().any(|e| e.0 == dst) => {
+                adj.push((dst, weight));
+            }
+            GraphDeltaOp::InsertEdge { dst, weight, .. }
+            | GraphDeltaOp::ReweightEdge { dst, weight, .. } => {
+                for e in adj.iter_mut().filter(|e| e.0 == dst) {
                     e.1 = weight;
                 }
             }
-            match (changed, worse) {
-                (false, _) => PatchEffect::Unchanged,
-                (true, false) => PatchEffect::Improving,
-                (true, true) => PatchEffect::Worsening,
-            }
-        }
-        match *op {
-            GraphDeltaOp::InsertEdge { dst, weight, .. } => {
-                if adj.iter().any(|e| e.0 == dst) {
-                    set_weight(adj, dst, weight)
-                } else {
-                    adj.push((dst, weight));
-                    PatchEffect::Improving
-                }
-            }
-            GraphDeltaOp::RemoveEdge { dst, .. } => {
-                let before = adj.len();
-                adj.retain(|e| e.0 != dst);
-                if adj.len() == before {
-                    PatchEffect::Unchanged
-                } else {
-                    PatchEffect::Worsening
-                }
-            }
-            GraphDeltaOp::ReweightEdge { dst, weight, .. } => set_weight(adj, dst, weight),
-            GraphDeltaOp::InsertNode { .. } | GraphDeltaOp::RemoveNode { .. } => {
-                PatchEffect::Unchanged
-            }
+            GraphDeltaOp::RemoveEdge { dst, .. } => adj.retain(|e| e.0 != dst),
+            GraphDeltaOp::InsertNode { .. } | GraphDeltaOp::RemoveNode { .. } => {}
         }
     }
 
@@ -231,10 +201,6 @@ impl Incremental for SsspInc {
 
     fn invert(&self, _delta: &f64) -> Option<f64> {
         None
-    }
-
-    fn state_eq(&self, a: &f64, b: &f64) -> bool {
-        a == b
     }
 }
 

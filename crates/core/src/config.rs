@@ -258,7 +258,7 @@ pub struct Delta {
     /// `max_iterations` all count checks. Must be at least 1.
     pub check_every: usize,
     /// The state parts hold a warm `(key, (value, pending))` plan
-    /// produced by [`plan_incremental`](crate::plan_incremental), which
+    /// produced by [`plan_incremental`](crate::incremental::plan_incremental), which
     /// every engine decodes instead of seeding from scratch.
     pub(crate) warm: bool,
 }

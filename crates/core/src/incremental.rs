@@ -9,10 +9,10 @@
 //!
 //! * [`GraphDelta`] / [`GraphDeltaOp`] — the delta-input API describing
 //!   a batch of graph mutations.
-//! * [`Incremental`] — the job-side extension of
-//!   [`Accumulative`](crate::Accumulative) that teaches the planner how
-//!   to patch per-key static data, enumerate emission targets, invert
-//!   deltas (for group-like `⊕` such as `+`), and compare states.
+//! * [`Incremental`] — the job-side extension of [`Accumulative`]
+//!   that teaches the planner how to reseed a key, patch per-key static
+//!   data, enumerate emission targets and invert deltas (for group-like
+//!   `⊕` such as `+`).
 //! * [`apply_delta`] — deterministic application of a delta to a static
 //!   store, shared by the incremental planner and by cold-recompute
 //!   harnesses so both paths see bit-identical static bytes.
@@ -50,7 +50,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use imr_dfs::Dfs;
-use imr_mapreduce::io::part_path;
+use imr_mapreduce::io::{num_parts, part_path, read_all, read_part};
 use imr_mapreduce::{Emitter, EngineError};
 use imr_records::{decode_pairs, encode_pairs, Value};
 use imr_simcluster::{NodeId, TaskClock};
@@ -165,41 +165,24 @@ impl GraphDelta {
     }
 }
 
-/// How a single static patch moved a key's emissions, as reported by
-/// [`Incremental::patch_static`]. Used for statistics; the planner's
-/// witness analysis detects worsening changes itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PatchEffect {
-    /// The patch did not change the key's emissions.
-    Unchanged,
-    /// The patch can only improve downstream values (e.g. a new edge
-    /// under a min lattice).
-    Improving,
-    /// The patch may invalidate downstream values (e.g. a removed edge
-    /// that was the witness for a shortest path).
-    Worsening,
-}
-
 /// Job-side support for incremental re-convergence. Extends
 /// [`Accumulative`] with the operations the affected-key planner needs.
 ///
 /// Keys are fixed to `u32` node ids — graph deltas name nodes, and all
-/// shipped graph workloads already use `u32` keys.
-pub trait Incremental: Accumulative<K = u32> {
+/// shipped graph workloads already use `u32` keys. States compare with
+/// `==` (the witness test), and `T::default()` is the static datum of a
+/// node with no edges (what `InsertNode` seeds).
+pub trait Incremental: Accumulative<K = u32, S: PartialEq, T: Default> {
     /// The state a fresh (or reset) key re-converges from. For min-like
     /// lattices this is the lattice top (`∞` / `u32::MAX` / own id);
     /// for PageRank it is the uniform prior (unused by `seed`, which
     /// derives the warm value itself).
     fn initial_state(&self, key: u32) -> Self::S;
 
-    /// The static datum of a node with no edges (what `InsertNode`
-    /// seeds).
-    fn empty_static(&self) -> Self::T;
-
     /// Apply one edge op to a key's static datum in place. Only edge
     /// ops are passed here — node ops are resolved by [`apply_delta`]
     /// into synthesized edge removals plus store insert/remove.
-    fn patch_static(&self, key: u32, stat: &mut Self::T, op: &GraphDeltaOp) -> PatchEffect;
+    fn patch_static(&self, key: u32, stat: &mut Self::T, op: &GraphDeltaOp);
 
     /// The keys this key's `extract` can emit to, given its static
     /// datum (its out-neighbours).
@@ -208,12 +191,8 @@ pub trait Incremental: Accumulative<K = u32> {
     /// The `⊕`-inverse of a delta, when `⊕` is a group operation
     /// (`Some(-d)` for `+`), or `None` for idempotent lattices (min).
     /// Must be `Some` for all deltas or `None` for all deltas; a job
-    /// that mixes them gets an error from [`plan_incremental`].
+    /// that mixes them gets an error from the planner.
     fn invert(&self, delta: &Self::S) -> Option<Self::S>;
-
-    /// Bitwise / semantic equality of two state values. Provided as a
-    /// method because record `Value`s do not require `PartialEq`.
-    fn state_eq(&self, a: &Self::S, b: &Self::S) -> bool;
 }
 
 /// Counters describing what an incremental plan touched.
@@ -250,8 +229,6 @@ pub struct AppliedDelta<T> {
     pub removed: BTreeMap<u32, T>,
     /// Keys inserted by the delta and still alive at the end of it.
     pub inserted: BTreeSet<u32>,
-    /// Ops classified [`PatchEffect::Worsening`] by the job.
-    pub worsening_ops: usize,
     /// Total ops applied.
     pub ops: usize,
 }
@@ -264,19 +241,19 @@ fn patch_one<J: Incremental>(
     out: &mut AppliedDelta<J::T>,
     key: u32,
     op: &GraphDeltaOp,
-) -> PatchEffect {
+) {
     // unreachable: every caller passes a key it just found in `statics`
     // (the RemoveNode in-edge scan, the `contains_key(&src)` guards).
     let stat = statics.get_mut(&key).expect("patch target must exist");
     if !out.inserted.contains(&key) && !out.old_statics.contains_key(&key) {
         out.old_statics.insert(key, stat.clone());
     }
-    job.patch_static(key, stat, op)
+    job.patch_static(key, stat, op);
 }
 
 /// Apply a [`GraphDelta`] to a static store in place, deterministically.
 ///
-/// Shared by [`plan_incremental`] and by cold-recompute harnesses so
+/// Shared by the incremental planner and by cold-recompute harnesses so
 /// that the incremental and cold paths produce bit-identical static
 /// bytes for every surviving key. Node removal scans the store for
 /// in-edges (`O(|V|)` per removal) and synthesizes `RemoveEdge` ops so
@@ -290,7 +267,6 @@ pub fn apply_delta<J: Incremental>(
         old_statics: BTreeMap::new(),
         removed: BTreeMap::new(),
         inserted: BTreeSet::new(),
-        worsening_ops: 0,
         ops: delta.ops.len(),
     };
     for op in &delta.ops {
@@ -302,7 +278,7 @@ pub fn apply_delta<J: Incremental>(
                 // A node removed earlier in this delta keeps its entry
                 // in `removed`: the re-inserted node starts empty, so the
                 // old row's emissions must still be retracted.
-                statics.insert(node, job.empty_static());
+                statics.insert(node, J::T::default());
                 out.inserted.insert(node);
             }
             GraphDeltaOp::RemoveNode { node } => {
@@ -316,16 +292,8 @@ pub fn apply_delta<J: Incremental>(
                     .map(|(k, _)| *k)
                     .collect();
                 for src in sources {
-                    let eff = patch_one(
-                        job,
-                        statics,
-                        &mut out,
-                        src,
-                        &GraphDeltaOp::RemoveEdge { src, dst: node },
-                    );
-                    if eff == PatchEffect::Worsening {
-                        out.worsening_ops += 1;
-                    }
+                    let op = GraphDeltaOp::RemoveEdge { src, dst: node };
+                    patch_one(job, statics, &mut out, src, &op);
                 }
                 // unreachable: `contains_key(&node)` held on entry to this
                 // arm and the patches above touch other keys only.
@@ -349,19 +317,13 @@ pub fn apply_delta<J: Incremental>(
                 if !statics.contains_key(&dst) {
                     return Err(format!("InsertEdge {src}->{dst}: dst does not exist"));
                 }
-                let eff = patch_one(job, statics, &mut out, src, op);
-                if eff == PatchEffect::Worsening {
-                    out.worsening_ops += 1;
-                }
+                patch_one(job, statics, &mut out, src, op);
             }
             GraphDeltaOp::RemoveEdge { src, dst } | GraphDeltaOp::ReweightEdge { src, dst, .. } => {
                 if !statics.contains_key(&src) {
                     return Err(format!("edge op {src}->{dst}: src does not exist"));
                 }
-                let eff = patch_one(job, statics, &mut out, src, op);
-                if eff == PatchEffect::Worsening {
-                    out.worsening_ops += 1;
-                }
+                patch_one(job, statics, &mut out, src, op);
             }
         }
     }
@@ -372,7 +334,7 @@ pub fn apply_delta<J: Incremental>(
 /// per-task `(key, (value, pending))` state entries plus the patched
 /// per-task static entries, ready for `write_parts`.
 #[derive(Debug, Clone)]
-pub struct IncrementalPlan<S, T> {
+pub(crate) struct IncrementalPlan<S, T> {
     /// Per-task warm `(key, (value, pending_delta))` entries,
     /// key-sorted within each part.
     pub state_parts: Vec<Vec<(u32, (S, S))>>,
@@ -418,7 +380,7 @@ fn retract<J: Incremental>(
 /// static data that produced them (both must cover exactly the same
 /// key set). Returns co-partitioned state/static parts for
 /// `num_tasks` map/reduce pairs.
-pub fn plan_incremental<J: Incremental>(
+pub(crate) fn plan_incremental<J: Incremental>(
     job: &J,
     prev_values: &[(u32, J::S)],
     prev_statics: &[(u32, J::T)],
@@ -497,7 +459,7 @@ pub fn plan_incremental<J: Incremental>(
             let (mut vd, mut dv) = (v.clone(), d.clone());
             job.fold(&t, &mut vd, d.clone());
             job.fold(&t, &mut dv, v.clone());
-            job.state_eq(&vd, v) && job.state_eq(&dv, d)
+            vd == *v && dv == *d
         };
         let mut queue: Vec<u32> = Vec::new();
         // Seeds from changed rows: old emissions that witnessed the
@@ -638,11 +600,6 @@ impl FixpointStore {
         Self { root: root.into() }
     }
 
-    /// DFS root of this store.
-    pub fn root(&self) -> &str {
-        &self.root
-    }
-
     fn fix_dir(&self, iteration: usize) -> String {
         format!("{}/fix-{iteration:05}", self.root)
     }
@@ -671,25 +628,16 @@ impl FixpointStore {
         output_dir: &str,
         clock: &mut TaskClock,
     ) -> Result<usize, EngineError> {
-        let mut num = 0usize;
-        loop {
-            let src = part_path(output_dir, num);
-            if !dfs.exists(&src) {
-                break;
-            }
-            let bytes = dfs.read(&src, NodeId(0), clock)?;
-            dfs.put_atomic(
-                &part_path(&self.fix_dir(iteration), num),
-                bytes,
-                NodeId(0),
-                clock,
-            )?;
-            num += 1;
-        }
+        let num = num_parts(dfs, output_dir);
         if num == 0 {
             return Err(EngineError::Config(format!(
                 "fixpoint preserve: no parts under {output_dir}"
             )));
+        }
+        for i in 0..num {
+            let bytes = dfs.read(&part_path(output_dir, i), NodeId(0), clock)?;
+            let dst = part_path(&self.fix_dir(iteration), i);
+            dfs.put_atomic(&dst, bytes, NodeId(0), clock)?;
         }
         let mut entries = self.manifest(dfs, clock)?;
         entries.retain(|(it, _)| *it != iteration as u64);
@@ -731,10 +679,7 @@ impl FixpointStore {
         let dir = self.fix_dir(iteration);
         let mut out: Vec<(u32, S)> = Vec::new();
         for i in 0..*num as usize {
-            let bytes = dfs.read(&part_path(&dir, i), NodeId(0), clock)?;
-            let pairs = decode_pairs::<u32, S>(bytes)
-                .map_err(|e| EngineError::Config(format!("corrupt fixpoint part {i}: {e}")))?;
-            out.extend(pairs);
+            out.extend(read_part(dfs, &dir, i, NodeId(0), clock)?);
         }
         out.sort_by_key(|&(k, _)| k);
         Ok(out)
@@ -756,7 +701,7 @@ pub struct IncrementalOutcome<S> {
 /// co-partitioned warm state/static parts to `state_dir`/`static_dir`.
 /// Returns the planner stats.
 #[allow(clippy::too_many_arguments)]
-pub fn prepare_incremental<J: Incremental>(
+pub(crate) fn prepare_incremental<J: Incremental>(
     job: &J,
     dfs: &Dfs,
     fix: &FixpointStore,
@@ -773,19 +718,7 @@ pub fn prepare_incremental<J: Incremental>(
         ));
     };
     let prev_values = fix.load::<J::S>(dfs, iteration, clock)?;
-    let mut prev_statics: Vec<(u32, J::T)> = Vec::new();
-    let mut part = 0usize;
-    loop {
-        let path = part_path(prev_static_dir, part);
-        if !dfs.exists(&path) {
-            break;
-        }
-        let bytes = dfs.read(&path, NodeId(0), clock)?;
-        let pairs = decode_pairs::<u32, J::T>(bytes)
-            .map_err(|e| EngineError::Config(format!("corrupt static part {part}: {e}")))?;
-        prev_statics.extend(pairs);
-        part += 1;
-    }
+    let mut prev_statics: Vec<(u32, J::T)> = read_all(dfs, prev_static_dir, NodeId(0), clock)?;
     prev_statics.sort_by_key(|&(k, _)| k);
     let plan = plan_incremental(job, &prev_values, &prev_statics, delta, num_tasks)
         .map_err(EngineError::Config)?;
@@ -877,26 +810,14 @@ mod tests {
         fn initial_state(&self, _key: u32) -> f64 {
             0.0
         }
-        fn empty_static(&self) -> Vec<u32> {
-            Vec::new()
-        }
-        fn patch_static(&self, _key: u32, stat: &mut Vec<u32>, op: &GraphDeltaOp) -> PatchEffect {
+        fn patch_static(&self, _key: u32, stat: &mut Vec<u32>, op: &GraphDeltaOp) {
             match *op {
                 GraphDeltaOp::InsertEdge { dst, .. } => {
                     let pos = stat.partition_point(|x| *x < dst);
                     stat.insert(pos, dst);
-                    PatchEffect::Improving
                 }
-                GraphDeltaOp::RemoveEdge { dst, .. } => {
-                    let before = stat.len();
-                    stat.retain(|x| *x != dst);
-                    if stat.len() != before {
-                        PatchEffect::Worsening
-                    } else {
-                        PatchEffect::Unchanged
-                    }
-                }
-                _ => PatchEffect::Unchanged,
+                GraphDeltaOp::RemoveEdge { dst, .. } => stat.retain(|x| *x != dst),
+                _ => {}
             }
         }
         fn targets(&self, stat: &Vec<u32>) -> Vec<u32> {
@@ -904,9 +825,6 @@ mod tests {
         }
         fn invert(&self, delta: &f64) -> Option<f64> {
             (!self.inverts_identity_only || *delta == 0.0).then_some(-delta)
-        }
-        fn state_eq(&self, a: &f64, b: &f64) -> bool {
-            a == b
         }
     }
 
@@ -976,45 +894,21 @@ mod tests {
                 f64::INFINITY
             }
         }
-        fn empty_static(&self) -> Vec<(u32, f32)> {
-            Vec::new()
-        }
-        fn patch_static(
-            &self,
-            _key: u32,
-            stat: &mut Vec<(u32, f32)>,
-            op: &GraphDeltaOp,
-        ) -> PatchEffect {
+        fn patch_static(&self, _key: u32, stat: &mut Vec<(u32, f32)>, op: &GraphDeltaOp) {
             match *op {
                 GraphDeltaOp::InsertEdge { dst, weight, .. } => {
                     let pos = stat.partition_point(|(d, _)| *d < dst);
                     stat.insert(pos, (dst, weight));
-                    PatchEffect::Improving
                 }
-                GraphDeltaOp::RemoveEdge { dst, .. } => {
-                    let before = stat.len();
-                    stat.retain(|(d, _)| *d != dst);
-                    if stat.len() != before {
-                        PatchEffect::Worsening
-                    } else {
-                        PatchEffect::Unchanged
-                    }
-                }
+                GraphDeltaOp::RemoveEdge { dst, .. } => stat.retain(|(d, _)| *d != dst),
                 GraphDeltaOp::ReweightEdge { dst, weight, .. } => {
-                    let mut eff = PatchEffect::Unchanged;
                     for (d, w) in stat.iter_mut() {
                         if *d == dst {
-                            if weight > *w {
-                                eff = PatchEffect::Worsening;
-                            } else if weight < *w && eff != PatchEffect::Worsening {
-                                eff = PatchEffect::Improving;
-                            }
                             *w = weight;
                         }
                     }
-                    eff
                 }
-                _ => PatchEffect::Unchanged,
+                _ => {}
             }
         }
         fn targets(&self, stat: &Vec<(u32, f32)>) -> Vec<u32> {
@@ -1022,9 +916,6 @@ mod tests {
         }
         fn invert(&self, _delta: &f64) -> Option<f64> {
             None
-        }
-        fn state_eq(&self, a: &f64, b: &f64) -> bool {
-            a == b
         }
     }
 

@@ -88,7 +88,7 @@ pub trait IterEngine {
     ///
     /// Loads the latest fixpoint from `fix` and the previous static
     /// parts from `prev_static_dir`, computes the affected-key plan
-    /// ([`plan_incremental`](crate::plan_incremental)), writes the warm
+    /// (DESIGN.md §13), writes the warm
     /// `(value, pending)` state to `state_dir` and the patched statics
     /// to `static_dir`, then runs the accumulative engine on them with
     /// the warm start on.

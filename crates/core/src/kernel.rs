@@ -296,7 +296,7 @@ pub fn reduce_side<J: IterativeJob>(
 /// (`outs[q]` from pair `q`) concatenated in task order, then stably
 /// key-sorted. The one definition of that reassembly: both engines'
 /// hand-offs and restores call it, so the broadcast state cannot differ.
-pub fn merge_broadcast<K: Key, S: Value>(outs: &[Vec<(K, S)>]) -> Vec<(K, S)> {
+pub(crate) fn merge_broadcast<K: Key, S: Value>(outs: &[Vec<(K, S)>]) -> Vec<(K, S)> {
     let mut global: Vec<(K, S)> = outs.iter().flatten().cloned().collect();
     sort_run(&mut global);
     global
@@ -337,25 +337,11 @@ impl<'a, K: Ord + Clone, S: Clone> CarryForward<'a, K, S> {
     }
 }
 
-/// Merges reduce output with the carried-forward previous state: keys
-/// absent from `reduced` keep their old value. Both inputs are sorted;
-/// output is sorted.
-pub fn carry_forward<K: Ord + Clone, S: Clone>(
-    reduced: Vec<(K, S)>,
-    previous: &[(K, S)],
-) -> Vec<(K, S)> {
-    let mut next = CarryForward::over(previous);
-    for (k, s) in reduced {
-        next.push(k, s);
-    }
-    next.finish()
-}
-
 /// Sums the job's per-key distance over two sorted snapshots (keys
 /// present in only one snapshot contribute nothing). Summation order is
 /// key order, which keeps floating-point accumulation identical across
 /// engines.
-pub fn distance_sorted<J: IterativeJob>(
+pub(crate) fn distance_sorted<J: IterativeJob>(
     job: &J,
     prev: &[(J::K, J::S)],
     cur: &[(J::K, J::S)],
@@ -393,7 +379,7 @@ pub struct DeltaOutput {
 /// pending ⊕ the delta from pair 0 ⊕ the delta from pair 1 …
 /// (`segments[p]` came from pair `p`). Deltas for keys the store does
 /// not hold are skipped. Returns the number of deltas merged.
-pub fn delta_in<J: Accumulative>(
+pub(crate) fn delta_in<J: Accumulative>(
     job: &J,
     store: &mut DeltaStore<J::K, J::S>,
     segments: Vec<Bytes>,
@@ -430,6 +416,16 @@ mod tests {
             (0.75, true)
         );
         assert_eq!(fold_votes([(9.0, false)]), (0.0, false));
+    }
+
+    // Merges `reduced` into `previous` through `CarryForward`, as the
+    // reduce side does: keys absent from `reduced` keep their old value.
+    fn carry_forward(reduced: Vec<(u32, i32)>, previous: &[(u32, i32)]) -> Vec<(u32, i32)> {
+        let mut next = CarryForward::over(previous);
+        for (k, s) in reduced {
+            next.push(k, s);
+        }
+        next.finish()
     }
 
     #[test]

@@ -83,7 +83,7 @@ mod store;
 #[doc(hidden)]
 pub mod supervise;
 
-pub use accum::{Accumulative, BatchOutcome, DeltaStore};
+pub use accum::Accumulative;
 pub use api::{Emitter, IterativeJob, Mapping, StateInput};
 pub use aux::{run_with_aux, AuxOutcome, AuxPhase};
 pub use config::{
@@ -93,17 +93,14 @@ pub use config::{
 pub use ctl::RunCtl;
 pub use engine::{IterOutcome, IterativeRunner};
 pub use incremental::{
-    apply_delta, plan_incremental, prepare_incremental, AppliedDelta, FixpointStore, GraphDelta,
-    GraphDeltaOp, Incremental, IncrementalOutcome, IncrementalPlan, PatchEffect, PatchStats,
+    apply_delta, AppliedDelta, FixpointStore, GraphDelta, GraphDeltaOp, Incremental,
+    IncrementalOutcome, PatchStats,
 };
 pub use iter_engine::IterEngine;
-pub use kernel::{
-    carry_forward, delta_in, distance_sorted, fold_votes, merge_broadcast, reduce_side,
-    DeltaOutput, MapOutput, MapScratch, MapState, ReduceOutput,
-};
+pub use kernel::{fold_votes, reduce_side, MapScratch, MapState};
 pub use observe::{phase_of, Observer};
-pub use static_part::{Records, StaticPart, Values};
-pub use store::{check_inputs, load_partitioned, part_len, partition_sorted};
+pub use static_part::StaticPart;
+pub use store::{check_inputs, load_partitioned};
 
 // Re-export the engine error type jobs see.
 pub use imr_mapreduce::EngineError;

@@ -6,7 +6,7 @@
 //! side and the reduce side are the iteration kernel
 //! ([`MapScratch::map_side`] / [`reduce_side`]), and so is the ⊕ delta
 //! round of the accumulative mode ([`MapScratch::delta_out`] /
-//! [`delta_in`]). This module owns the loop around them: spans, the
+//! `delta_in`). This module owns the loop around them: spans, the
 //! blocking shuffle, heartbeats, checkpoints, scripted faults — and the
 //! data-path counters outside the kernel's, except the shuffle's byte
 //! counts, which only the fabric can split into local and remote. All

@@ -9,8 +9,8 @@
 
 use crate::api::Mapping;
 use crate::config::{IterConfig, Mode};
-use imr_dfs::{Dfs, DfsError};
-use imr_mapreduce::io::{num_parts, part_path, write_encoded_parts};
+use imr_dfs::Dfs;
+use imr_mapreduce::io::{num_parts, write_encoded_parts};
 use imr_mapreduce::EngineError;
 use imr_records::{Codec, ShuffleScratch};
 use imr_simcluster::TaskClock;
@@ -50,7 +50,7 @@ fn route_parts<K: Codec + Ord + Debug, V>(
 /// Partitions `pairs` into `n` key-sorted parts using `partition`.
 /// Zero parts, a part index outside `0..n` and duplicate keys are
 /// rejected.
-pub fn partition_sorted<K: Codec + Ord + Debug, V>(
+pub(crate) fn partition_sorted<K: Codec + Ord + Debug, V>(
     pairs: Vec<(K, V)>,
     n: usize,
     partition: impl Fn(&K, usize) -> usize,
@@ -91,12 +91,6 @@ where
         .map_err(|e| EngineError::Config(format!("loading {dir}: {e}")))?;
     let parts = (0..n).map(|p| scratch.encode(pairs, p));
     Ok(write_encoded_parts(dfs, dir, parts, clock)?)
-}
-
-/// Encoded size of part `i` of `dir` (for cost accounting without a
-/// transfer).
-pub fn part_len(dfs: &Dfs, dir: &str, i: usize) -> Result<u64, DfsError> {
-    dfs.len(&part_path(dir, i))
 }
 
 /// Rejects a dataset directory that is not split into exactly `n` parts
@@ -175,7 +169,7 @@ pub(crate) fn check_slots(pairs: usize, capacity: usize) -> Result<(), EngineErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imr_mapreduce::io::read_part;
+    use imr_mapreduce::io::{part_path, read_part};
     use imr_records::{is_sorted_by_key, ModPartitioner, Partitioner};
     use imr_simcluster::{ClusterSpec, Metrics, NodeId};
     use std::sync::Arc;
@@ -251,7 +245,7 @@ mod tests {
             assert!(is_sorted_by_key(&part));
             assert!(part.iter().all(|(k, _)| (*k as usize) % 3 == p));
             total += part.len();
-            assert!(part_len(&fs, "/static", p).unwrap() > 0);
+            assert!(fs.len(&part_path("/static", p)).unwrap() > 0);
         }
         assert_eq!(total, 20);
     }

@@ -204,12 +204,13 @@ pub(crate) fn build_cfg(spec: &JobSpec, resume: bool, chaos: Option<ChaosConfig>
 }
 
 /// Refuses a scale the job's input generator cannot build an input
-/// from: a generated graph needs a node, K-means a point per center.
+/// from: a generated graph or a halve needs a node, K-means a point
+/// per center.
 pub(crate) fn check_scale(spec: &JobSpec) -> Result<(), EngineError> {
     let least = match spec.algo {
-        AlgoSpec::Sssp | AlgoSpec::PageRank => 1,
+        // The poison pill's warm-up is a halve.
+        AlgoSpec::Sssp | AlgoSpec::PageRank | AlgoSpec::Halve | AlgoSpec::PoisonPill => 1,
         AlgoSpec::Kmeans => KMEANS_K,
-        AlgoSpec::Halve | AlgoSpec::PoisonPill => 0,
     };
     let (algo, scale) = (spec.algo.name(), spec.input.scale);
     if scale < least {

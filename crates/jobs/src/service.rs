@@ -754,6 +754,7 @@ mod tests {
             (AlgoSpec::Sssp, EngineSel::Sim, 0),
             (AlgoSpec::PageRank, EngineSel::Threads, 0),
             (AlgoSpec::Kmeans, EngineSel::Sim, 1),
+            (AlgoSpec::Halve, EngineSel::Sim, 0),
         ] {
             let spec = JobSpec::new("tiny", algo, engine, 1).with_scale(scale);
             match s.submit(spec) {

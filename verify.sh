@@ -56,7 +56,10 @@
 #                          # imr-native), and no TransportKind,
 #                          # with_incremental_mode, .accumulative or
 #                          # .incremental under crates/*/src (imr-net
-#                          # included), src or examples
+#                          # included), src or examples, and no
+#                          # PatchEffect, worsening_ops, empty_static or
+#                          # state_eq (Incremental's four methods) under
+#                          # crates/*/src, src or examples
 #   ./verify.sh <suite>    # one row group of the SUITES table: faults,
 #                          # observe, service, delta, chaos, incremental
 #
@@ -627,6 +630,18 @@ cmd_drift() {
   [ -z "$mode_flags" ] \
     || { echo "drift: a mode or transport flag is named again (a mode is IterConfig's type parameter and PairCfg's PairMode; a runner with workers is the TCP runner):" >&2; echo "$mode_flags" >&2; exit 1; }
   echo "drift: no TransportKind, with_incremental_mode, .accumulative or .incremental"
+
+  # The incremental planner asks a job only what it reads: a patch
+  # reports nothing (its effect label fed a counter no one read), an
+  # inserted node's static datum is `T::default()`, and the witness
+  # test compares states with `==`. Code only.
+  local planner_asks
+  planner_asks=$(rust_code 0 $(find crates/*/src src examples -name '*.rs' | sort) \
+    | grep -E '^[^:]+:[0-9]+:.*(^|[^A-Za-z0-9_])(PatchEffect|worsening_ops|empty_static|state_eq)([^A-Za-z0-9_]|$)' \
+    || true)
+  [ -z "$planner_asks" ] \
+    || { echo "drift: a deleted Incremental surface is named again (Incremental is initial_state, patch_static, targets and invert over S: PartialEq, T: Default):" >&2; echo "$planner_asks" >&2; exit 1; }
+  echo "drift: no PatchEffect, worsening_ops, empty_static or state_eq"
 
   local subs jobs
   subs=$({
