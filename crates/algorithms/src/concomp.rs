@@ -56,8 +56,13 @@ impl IterativeJob for ConCompIter {
 /// Delta-accumulative HashMin: ⊕ is `min` over labels with identity
 /// `u32::MAX`, every key starts at `(u32::MAX, own-id)`, and applying a
 /// delta forwards the improved label along the out-edges. Progress is
-/// the pending label improvement, zero exactly at the propagation
-/// fixpoint.
+/// Maiter's priority for a min-propagation, `u32::MAX − pending` for a
+/// pending label below the value and zero otherwise (exactly at the
+/// propagation fixpoint): a round applies the smallest pending labels,
+/// whether or not the key has applied one before. Ranking by the
+/// improvement `value − pending` would put every key still at
+/// `u32::MAX` first, whatever label it carries, and send large labels
+/// that a smaller one soon overwrites.
 impl Accumulative for ConCompIter {
     fn identity(&self) -> u32 {
         u32::MAX
@@ -75,7 +80,7 @@ impl Accumulative for ConCompIter {
 
     fn progress(&self, _k: &u32, v: &u32, d: &u32) -> f64 {
         if d < v {
-            f64::from(v - d)
+            f64::from(u32::MAX - d)
         } else {
             0.0
         }

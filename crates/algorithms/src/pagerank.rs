@@ -433,14 +433,14 @@ mod tests {
         let cfg = IterConfig::new("prd", 2, 400)
             .with_accumulative_mode()
             .with_distance_threshold(1e-6)
-            .with_delta_batch(32)
+            .with_delta_share(2)
             .with_check_every(2);
         let out = run_pagerank_delta(&r, &g, &cfg).unwrap();
         let m = &out.report.metrics;
         assert!(m.deltas_sent > 0, "no deltas recorded");
         assert!(
             m.priority_preemptions > 0,
-            "batch 32 over 150 nodes must defer keys"
+            "half the pending keys of 150 nodes per round must defer keys"
         );
         // One detector round per task per check epoch.
         assert_eq!(m.termination_checks, 2 * out.iterations as u64);

@@ -57,7 +57,8 @@ fn counters_accumulate_without_reset_and_delta_isolates() {
 }
 
 /// One delta-accumulative PageRank repetition on per-repetition DFS
-/// directories, batched so the priority scheduler defers keys.
+/// directories, a quarter of the pending keys per round so the
+/// priority scheduler defers keys.
 fn run_delta_rep(r: &NativeRunner, rep: usize) {
     let g = dataset("PageRank-s").unwrap().generate(0.002);
     let state = format!("/prd{rep}/state");
@@ -67,7 +68,7 @@ fn run_delta_rep(r: &NativeRunner, rep: usize) {
     let cfg = IterConfig::new("prd-reset", 4, 200)
         .with_accumulative_mode()
         .with_distance_threshold(1e-6)
-        .with_delta_batch(32)
+        .with_delta_share(4)
         .with_check_every(2);
     let job = PageRankIter::new(g.num_nodes() as u64);
     r.run_accumulative(&job, &cfg, &state, &stat, &out, &[])
@@ -84,7 +85,7 @@ fn accumulative_counters_reset_between_repetitions() {
     run_delta_rep(&r, 0);
     let s1 = r.metrics().snapshot();
     assert!(s1.deltas_sent > 0, "delta rounds must count sends");
-    assert!(s1.priority_preemptions > 0, "batch 32 must defer keys");
+    assert!(s1.priority_preemptions > 0, "share 4 must defer keys");
     assert!(s1.termination_checks > 0, "detector must count checks");
 
     r.metrics().reset_all();

@@ -70,10 +70,10 @@ pub trait Accumulative: IterativeJob {
 
 /// What one priority round did on one task.
 #[derive(Debug)]
-pub struct BatchOutcome {
+pub(crate) struct BatchOutcome {
     /// Keys whose pending delta was applied this round.
     pub applied: usize,
-    /// Pending keys deferred to a later round by the batch limit — the
+    /// Pending keys deferred to a later round by the share — the
     /// per-round increment of the `priority_preemptions` counter.
     pub deferred: usize,
 }
@@ -90,7 +90,7 @@ pub struct BatchOutcome {
 /// owning task, so a foreign key is a partitioning bug upstream and
 /// cannot be applied meaningfully here.
 #[derive(Debug, Clone)]
-pub struct DeltaStore<K, S> {
+pub(crate) struct DeltaStore<K, S> {
     /// The receive half of a round folds into these; keys never change.
     pub(crate) entries: Vec<(K, (S, S))>,
 }
@@ -118,16 +118,6 @@ impl<K: imr_records::Key, S: imr_records::Value> DeltaStore<K, S> {
         Ok(DeltaStore { entries })
     }
 
-    /// Number of keys this task owns.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the task owns no keys.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// The `(key, (value, delta))` entries, key-sorted.
     pub fn entries(&self) -> &[(K, (S, S))] {
         &self.entries
@@ -144,32 +134,32 @@ impl<K: imr_records::Key, S: imr_records::Value> DeltaStore<K, S> {
         DeltaStore::restore(decode_pairs(bytes)?)
     }
 
-    /// Run one priority round: pick the up-to-`batch` pending keys with
-    /// the largest [`Accumulative::progress`] (ties broken by ascending
-    /// key index; `batch == 0` selects all pending keys), fold each
-    /// selected key's delta into its value, extract the induced deltas
-    /// into `out` against the key-aligned static part, and reset the
-    /// key's delta to the identity. A static record that does not
-    /// decode is an error.
+    /// Run one priority round: pick the ⌈pending / `share`⌉ pending
+    /// keys with the largest [`Accumulative::progress`] (ties broken by
+    /// ascending key index; `share == 1` selects every pending key),
+    /// fold each selected key's delta into its value, extract the
+    /// induced deltas into `out` against the key-aligned static part,
+    /// and reset the key's delta to the identity. A static record that
+    /// does not decode is an error.
     ///
     /// Selected keys are *processed* in ascending key order — the
     /// priority only chooses membership; ⊕-commutativity makes the
     /// application order irrelevant to the result, and a fixed order
     /// keeps the emitted stream deterministic.
     ///
-    /// The keys are applied in one index-order walk over the store,
-    /// which reads the static value of each key it applies and skips the
-    /// rest ([`StaticPart::values`]). A batch that takes every pending
-    /// key (the default `batch == 0`, under which a dense workload such
-    /// as PageRank applies nearly the whole store each round) ranks
-    /// nothing; a smaller one finds the last key it takes with a
-    /// linear-time selection, and the walk applies exactly the keys that
-    /// rank at or above it.
+    /// A share above 1 scores every key once into `rank` (a buffer the
+    /// caller keeps between rounds), whose length is the pending count,
+    /// and finds the last key the round takes with a linear-time
+    /// selection; a share of 1 ranks nothing. Then one index-order walk
+    /// over the store applies exactly the keys that rank at or above
+    /// that cut, reading the static value of each key it applies and
+    /// skipping the rest ([`StaticPart::values`]).
     pub fn select_batch<J>(
         &mut self,
         job: &J,
         stat: &mut StaticPart<K, J::T>,
-        batch: usize,
+        share: u32,
+        rank: &mut Vec<(f64, usize)>,
         out: &mut Emitter<K, S>,
     ) -> CodecResult<BatchOutcome>
     where
@@ -178,31 +168,24 @@ impl<K: imr_records::Key, S: imr_records::Value> DeltaStore<K, S> {
         let score = |(k, (v, d)): &(K, (S, S))| job.progress(k, v, d);
         // Largest score first, ties by ascending index. Only scores
         // above 0.0 are ranked, so there is no NaN: a total order.
-        let rank = |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
-        let total = match batch {
-            0 => None,
-            _ => Some(self.entries.iter().filter(|e| score(e) > 0.0).count()),
-        };
-        // The last key the batch takes, when it cannot take them all.
-        let cut = match total {
-            Some(total) if batch < total => {
-                let mut pending: Vec<(f64, usize)> = self
-                    .entries
-                    .iter()
-                    .enumerate()
-                    .map(|(i, e)| (score(e), i))
-                    .filter(|&(s, _)| s > 0.0)
-                    .collect();
-                Some(*pending.select_nth_unstable_by(batch - 1, rank).1)
-            }
-            _ => None,
-        };
+        let order = |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
+        rank.clear();
+        if share > 1 {
+            let scored = self.entries.iter().enumerate().map(|(i, e)| (score(e), i));
+            rank.extend(scored.filter(|&(s, _)| s > 0.0));
+        }
+        let pending = rank.len();
+        // `validate` refuses a share of 0; one off the wire takes all.
+        let take = pending.div_ceil(share.max(1) as usize);
+        // The last key the round takes, when it cannot take them all
+        // (then `take` is at least 1).
+        let cut = (take < pending).then(|| *rank.select_nth_unstable_by(take - 1, order).1);
 
         let mut applied = 0;
         let mut values = stat.values();
         for (i, entry) in self.entries.iter_mut().enumerate() {
             let s = score(entry);
-            let taken = s > 0.0 && cut.is_none_or(|c| rank(&(s, i), &c).is_le());
+            let taken = s > 0.0 && cut.is_none_or(|c| order(&(s, i), &c).is_le());
             if taken {
                 let t = values.at(i)?;
                 let (k, (v, d)) = entry;
@@ -214,7 +197,8 @@ impl<K: imr_records::Key, S: imr_records::Value> DeltaStore<K, S> {
         }
         Ok(BatchOutcome {
             applied,
-            deferred: total.map_or(0, |total| total - applied),
+            // A share of 1 ranked nothing and defers nothing.
+            deferred: pending.saturating_sub(applied),
         })
     }
 
@@ -303,7 +287,7 @@ mod tests {
     #[test]
     fn seed_splits_value_and_delta() {
         let store = seeded();
-        assert_eq!(store.len(), 4);
+        assert_eq!(store.entries().len(), 4);
         assert_eq!(store.entries()[0], (0, (0.0, 8.0)));
         assert!((store.pending_progress(&HalfFwd) - 14.0).abs() < 1e-12);
     }
@@ -313,9 +297,10 @@ mod tests {
         let mut store = seeded();
         let mut emitted = Emitter::new();
         let out = store
-            .select_batch(&HalfFwd, &mut stat(), 2, &mut emitted)
+            .select_batch(&HalfFwd, &mut stat(), 2, &mut Vec::new(), &mut emitted)
             .unwrap();
-        // Keys 0 (delta 8) and 1 (delta 4) win; key 2 (delta 2) defers;
+        // Share 2 of three pending keys takes two: keys 0 (delta 8) and
+        // 1 (delta 4) win; key 2 (delta 2) defers;
         // key 3 has identity delta and is not pending at all.
         assert_eq!(out.applied, 2);
         assert_eq!(out.deferred, 1);
@@ -326,11 +311,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_zero_takes_every_pending_key() {
+    fn share_one_takes_every_pending_key() {
         let mut store = seeded();
+        let mut rank = Vec::new();
         let out = store
-            .select_batch(&HalfFwd, &mut stat(), 0, &mut Emitter::new())
+            .select_batch(&HalfFwd, &mut stat(), 1, &mut rank, &mut Emitter::new())
             .unwrap();
+        assert!(rank.is_empty(), "a share of 1 ranks nothing");
         assert_eq!(out.applied, 3);
         assert_eq!(out.deferred, 0);
     }
@@ -365,7 +352,13 @@ mod tests {
     fn checkpoint_round_trips() {
         let mut store = seeded();
         store
-            .select_batch(&HalfFwd, &mut stat(), 1, &mut Emitter::new())
+            .select_batch(
+                &HalfFwd,
+                &mut stat(),
+                3,
+                &mut Vec::new(),
+                &mut Emitter::new(),
+            )
             .unwrap();
         let restored: DeltaStore<u32, f64> = DeltaStore::decode(store.encode()).unwrap();
         assert_eq!(restored.entries(), store.entries());
@@ -460,7 +453,7 @@ mod tests {
     /// The ⊕ order of a round, materialised: each source's deltas are
     /// routed stably and left-folded per key in emission order, then
     /// every key's pending delta is folded with the sources in pair
-    /// order. Holds for 1–4 pairs, with a batch limit so that pending
+    /// order. Holds for 1–4 pairs, with a share of 2 so that pending
     /// deltas survive the send half.
     #[test]
     fn delta_round_is_premerge_then_source_order_fold() {
@@ -501,8 +494,9 @@ mod tests {
             let mut stores: Vec<_> = (0..n)
                 .map(|p| DeltaStore::seed(&job, &loaded(p)).unwrap())
                 .collect();
-            // Half of each pair's keys apply; the rest keep pending.
-            let batch = KEYS as usize / n / 2;
+            // Half of each pair's pending keys apply; the rest keep
+            // pending.
+            let share = 2;
 
             // Reference: apply on a copy, then fold by hand.
             let mut expected = Vec::with_capacity(n);
@@ -511,7 +505,7 @@ mod tests {
                 let mut applied = store.clone();
                 let mut em = Emitter::new();
                 applied
-                    .select_batch(&job, &mut stat(p), batch, &mut em)
+                    .select_batch(&job, &mut stat(p), share, &mut Vec::new(), &mut em)
                     .unwrap();
                 let mut per_dest = vec![BTreeMap::new(); n];
                 for (k, d) in em.into_pairs() {
@@ -537,7 +531,7 @@ mod tests {
             let mut outgoing = Vec::with_capacity(n);
             for (p, store) in stores.iter_mut().enumerate() {
                 let out = MapScratch::default()
-                    .delta_out(&job, store, &mut stat(p), n, batch, &metrics, &mut ())
+                    .delta_out(&job, store, &mut stat(p), n, share, &metrics, &mut ())
                     .unwrap();
                 for (q, seg) in out.segments.iter().enumerate() {
                     let sent: Vec<(u32, f64)> = premerged[p][q].clone().into_iter().collect();
@@ -557,12 +551,13 @@ mod tests {
         }
     }
 
-    /// The batch as a full score sort picks it: every pending key
-    /// ranked, the first `batch` kept, applied in index order.
+    /// The round as a full score sort picks it: every pending key
+    /// ranked, the first ⌈pending / `share`⌉ kept, applied in index
+    /// order.
     fn select_by_sort(
         store: &mut DeltaStore<u32, f64>,
         stat: &[(u32, Vec<(u32, f64)>)],
-        batch: usize,
+        share: u32,
         out: &mut Emitter<u32, f64>,
     ) -> (usize, usize) {
         let job = Ordered;
@@ -571,11 +566,7 @@ mod tests {
             .filter(|&(s, _)| s > 0.0)
             .collect();
         pending.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
-        let take = if batch == 0 {
-            pending.len()
-        } else {
-            batch.min(pending.len())
-        };
+        let take = pending.len().div_ceil(share as usize);
         let mut chosen: Vec<usize> = pending[..take].iter().map(|&(_, i)| i).collect();
         chosen.sort_unstable();
         for i in chosen {
@@ -602,20 +593,24 @@ mod tests {
             let entry = |(k, (v, d)): &(u32, (f64, f64))| (*k, v.to_bits(), d.to_bits());
             s.entries().iter().map(entry).collect()
         };
-        // 3 and 6 cut inside a tie; 9, 10 and 11 straddle the pending count.
-        for batch in [0, 1, 3, 6, 9, 10, 11] {
+        // Share 1 takes all ten keys and share 2 exactly the five tied
+        // at 5; 3, 4 and 5 (4, 3 and 2 keys) cut inside that tie; 10,
+        // 11 and 64 take one key. One ranking buffer serves every round,
+        // as the pair's scratch keeps it.
+        let mut rank = Vec::new();
+        for share in [1, 2, 3, 4, 5, 10, 11, 64] {
             let mut cut = DeltaStore::seed(&Ordered, &loaded).unwrap();
             let mut sorted = cut.clone();
             let (mut by_cut, mut by_sort) = (Emitter::new(), Emitter::new());
             let keys = stat.iter().map(|(k, _)| k);
             let part = &mut StaticPart::load_aligned(0, encode_pairs(&stat), keys).unwrap();
             let outcome = cut
-                .select_batch(&Ordered, part, batch, &mut by_cut)
+                .select_batch(&Ordered, part, share, &mut rank, &mut by_cut)
                 .unwrap();
-            let want = select_by_sort(&mut sorted, &stat, batch, &mut by_sort);
-            assert_eq!((outcome.applied, outcome.deferred), want, "batch {batch}");
-            assert_eq!(bits(&cut), bits(&sorted), "batch {batch}");
-            assert_eq!(by_cut.into_pairs(), by_sort.into_pairs(), "batch {batch}");
+            let want = select_by_sort(&mut sorted, &stat, share, &mut by_sort);
+            assert_eq!((outcome.applied, outcome.deferred), want, "share {share}");
+            assert_eq!(bits(&cut), bits(&sorted), "share {share}");
+            assert_eq!(by_cut.into_pairs(), by_sort.into_pairs(), "share {share}");
         }
     }
 }

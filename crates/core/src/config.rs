@@ -247,11 +247,13 @@ impl Mode for Iterative {
 /// a warm start, which only `run_incremental` turns on.
 #[derive(Debug, Clone)]
 pub struct Delta {
-    /// How many pending keys one task applies per round, picked
-    /// largest-progress-first. `0` (the default) applies every pending
-    /// key; a smaller batch defers the rest and counts them as
-    /// `priority_preemptions`.
-    pub batch: usize,
+    /// The share of its pending keys one task applies per round: the
+    /// ⌈pending / `share`⌉ keys with the largest progress. `1` applies
+    /// every pending key; a larger share defers the rest and counts
+    /// them as `priority_preemptions`. Must be at least 1; the default,
+    /// 3, is the share EXPERIMENTS.md "priority scheduling on by
+    /// default" picks for the benchmark's delta PageRank.
+    pub share: u32,
     /// Rounds of delta propagation between two global
     /// accumulated-progress termination checks. The check epoch is the
     /// mode's unit of supervision — heartbeats, checkpoints and
@@ -325,10 +327,10 @@ impl IterConfig {
     /// Switches to barrier-free delta-accumulative execution
     /// (Maiter-style), for `run_accumulative` and `run_incremental`. The
     /// shared fields carry over; the delta mode starts from its
-    /// defaults (every pending key per round, a check every round) and
-    /// the iterative knobs are dropped. Its termination is the
-    /// accumulated-progress detector, so a distance threshold is
-    /// required.
+    /// defaults (the top third of the pending keys per round, a check
+    /// every round) and the iterative knobs are dropped. Its
+    /// termination is the accumulated-progress detector, so a distance
+    /// threshold is required.
     ///
     /// A knob of the iterative mode cannot be set on the result:
     ///
@@ -356,7 +358,7 @@ impl IterConfig {
             net: self.net,
             chaos: self.chaos,
             mode: Delta {
-                batch: 0,
+                share: 3,
                 check_every: 1,
                 warm: false,
             },
@@ -406,10 +408,11 @@ impl<M> IterConfig<M> {
 }
 
 impl IterConfig<Delta> {
-    /// Applies at most `batch` pending keys per round,
-    /// largest-progress-first (0 = all pending keys).
-    pub fn with_delta_batch(mut self, batch: usize) -> Self {
-        self.mode.batch = batch;
+    /// Applies the ⌈pending / `share`⌉ pending keys with the largest
+    /// progress per round (1 = every pending key; 0 is a `Config`
+    /// error).
+    pub fn with_delta_share(mut self, share: u32) -> Self {
+        self.mode.share = share;
         self
     }
 
@@ -428,7 +431,7 @@ impl<M: Mode + ?Sized> IterConfig<M> {
     /// panic, deadlock, or silent fallback:
     ///
     /// * a job needs at least one task pair and one iteration;
-    /// * the delta mode needs a distance threshold and
+    /// * the delta mode needs a distance threshold, `share >= 1` and
     ///   `check_every >= 1`;
     /// * eager hand-off is refused under one2all, which has no paired
     ///   hand-off to stream;
@@ -454,6 +457,13 @@ impl<M: Mode + ?Sized> IterConfig<M> {
                 return Err(EngineError::Config(
                     "accumulative mode needs a distance_threshold: \
                      termination is the accumulated-progress detector"
+                        .into(),
+                ));
+            }
+            if delta.share == 0 {
+                return Err(EngineError::Config(
+                    "accumulative mode needs a delta share >= 1: a round applies \
+                     the top 1/share of the pending keys"
                         .into(),
                 ));
             }
@@ -714,16 +724,16 @@ mod tests {
         let c = IterConfig::new("pr", 4, 50)
             .with_checkpoint_interval(3)
             .with_accumulative_mode()
-            .with_delta_batch(16)
+            .with_delta_share(16)
             .with_check_every(3)
             .with_distance_threshold(1e-9);
-        assert_eq!(c.mode.batch, 16);
+        assert_eq!(c.mode.share, 16);
         assert_eq!(c.mode.check_every, 3);
         assert!(!c.mode.warm);
         assert_eq!((c.num_tasks, c.checkpoint_interval), (4, 3));
         assert!(c.validate(&[]).is_ok());
         let d = IterConfig::new("pr", 4, 50).with_accumulative_mode();
-        assert_eq!(d.mode.batch, 0);
+        assert_eq!(d.mode.share, 3);
         assert_eq!(d.mode.check_every, 1);
     }
 
@@ -741,6 +751,10 @@ mod tests {
         assert!(is_config_err(
             base.clone().with_check_every(0).validate(&[]),
             "check_every"
+        ));
+        assert!(is_config_err(
+            base.clone().with_delta_share(0).validate(&[]),
+            "share"
         ));
         // The shared fault rules still apply under accumulative mode.
         let kill = FaultEvent::Kill {

@@ -48,13 +48,14 @@ use imr_records::{
 use imr_simcluster::Metrics;
 
 /// What a pair's map side keeps between iterations (or delta rounds):
-/// the buffer the user map emits into, the shuffle's index buffers and
-/// the combiner's accumulators. All are empty between calls; what
-/// persists is their capacity.
+/// the buffer the user map emits into, the shuffle's index buffers, the
+/// combiner's accumulators and a delta round's ranking of its pending
+/// keys. All are empty between calls; what persists is their capacity.
 pub struct MapScratch<K, S> {
     emitter: Emitter<K, S>,
     shuffle: ShuffleScratch,
     table: FoldTable<K, S>,
+    rank: Vec<(f64, usize)>,
 }
 
 impl<K, S> Default for MapScratch<K, S> {
@@ -63,6 +64,7 @@ impl<K, S> Default for MapScratch<K, S> {
             emitter: Emitter::new(),
             shuffle: ShuffleScratch::default(),
             table: FoldTable::default(),
+            rank: Vec::new(),
         }
     }
 }
@@ -125,6 +127,7 @@ impl<K: Key, S: Value> MapScratch<K, S> {
             emitter,
             shuffle,
             table,
+            ..
         } = self;
         // A failed call may have left emits or accumulators behind.
         emitter.pairs_mut().clear();
@@ -192,12 +195,13 @@ impl<K: Key, S: Value> MapScratch<K, S> {
         })
     }
 
-    /// First half of one ⊕ delta round on one pair: applies the up-to-
-    /// `batch` highest-priority pending deltas of `store` against the
-    /// key-aligned `stat` (0 = all pending), each applied key's static
-    /// record decoded just before its extract, extracting into the emit
-    /// buffer; routes what they emit to `n` destinations and encodes one
-    /// segment per peer — every peer, every round, so the send-all /
+    /// First half of one ⊕ delta round on one pair: applies the
+    /// ⌈pending / `share`⌉ highest-priority pending deltas of `store`
+    /// against the key-aligned `stat` (1 = all pending), ranked in the
+    /// kept ranking buffer, each applied key's static record decoded
+    /// just before its extract, extracting into the emit buffer; routes
+    /// what they emit to `n` destinations and encodes one segment per
+    /// peer — every peer, every round, so the send-all /
     /// recv-all exchange cannot deadlock — each key once, its deltas
     /// folded in emission order. Counts `deltas_sent` and
     /// `priority_preemptions`; charges `cost` a sort of each segment,
@@ -205,22 +209,25 @@ impl<K: Key, S: Value> MapScratch<K, S> {
     /// `partition` that names a destination outside `0..n` is a
     /// [`EngineError::Config`].
     #[allow(clippy::too_many_arguments)]
-    pub fn delta_out<J: Accumulative<K = K, S = S>>(
+    pub(crate) fn delta_out<J: Accumulative<K = K, S = S>>(
         &mut self,
         job: &J,
         store: &mut DeltaStore<K, S>,
         stat: &mut StaticPart<K, J::T>,
         n: usize,
-        batch: usize,
+        share: u32,
         metrics: &Metrics,
         cost: &mut impl ShuffleCost,
     ) -> Result<DeltaOutput, EngineError> {
         let MapScratch {
-            emitter, shuffle, ..
+            emitter,
+            shuffle,
+            rank,
+            ..
         } = self;
         // A failed call may have left emits behind.
         emitter.pairs_mut().clear();
-        let batch = store.select_batch(job, stat, batch, emitter)?;
+        let batch = store.select_batch(job, stat, share, rank, emitter)?;
         let emitted = emitter.len() as u64;
         let partition = |k: &K, n| job.partition(k, n);
         let fold = |k: &K, acc: &mut S, d| job.fold(k, acc, d);
@@ -230,10 +237,7 @@ impl<K: Key, S: Value> MapScratch<K, S> {
         metrics.priority_preemptions.add(batch.deferred as u64);
         Ok(DeltaOutput {
             segments: out.segments,
-            bytes: out.bytes,
             sent: out.records,
-            applied: batch.applied as u64,
-            emitted,
         })
     }
 }
@@ -360,18 +364,12 @@ pub(crate) fn distance_sorted<J: IterativeJob>(
 }
 
 /// What [`MapScratch::delta_out`] produced.
-pub struct DeltaOutput {
+pub(crate) struct DeltaOutput {
     /// One encoded delta segment per destination pair: key-sorted, with
     /// duplicate keys pre-merged by ⊕, possibly empty.
-    pub segments: Vec<Bytes>,
-    /// Total encoded size of the segments.
-    pub bytes: u64,
+    pub(crate) segments: Vec<Bytes>,
     /// Deltas on the wire this round, over all destinations.
-    pub sent: u64,
-    /// Keys whose pending delta was applied this round.
-    pub applied: u64,
-    /// Deltas those applications emitted, before pre-merging.
-    pub emitted: u64,
+    pub(crate) sent: u64,
 }
 
 /// Second half of the round: folds the segment received from every

@@ -5,7 +5,7 @@
 //! What a pair computes each iteration is not written here: the map
 //! side and the reduce side are the iteration kernel
 //! ([`MapScratch::map_side`] / [`reduce_side`]), and so is the ⊕ delta
-//! round of the accumulative mode ([`MapScratch::delta_out`] /
+//! round of the accumulative mode (`MapScratch::delta_out` /
 //! `delta_in`). This module owns the loop around them: spans, the
 //! blocking shuffle, heartbeats, checkpoints, scripted faults — and the
 //! data-path counters outside the kernel's, except the shuffle's byte
@@ -74,7 +74,7 @@ pub fn pair_cfg(cfg: &IterConfig<dyn Mode>, state_parts: usize) -> PairCfg {
             // zero one is never undercut, so the run would stop at
             // `max_iters` as an iterative run without a threshold does.
             eps: threshold.unwrap_or(0.0),
-            batch: delta.batch,
+            share: delta.share,
             check_every: delta.check_every,
             warm: delta.warm,
         },
@@ -589,7 +589,7 @@ fn delta_checks<J: Accumulative, E: PairEnv>(
     let n = cfg.n;
     let PairMode::Delta {
         eps,
-        batch,
+        share,
         check_every,
         warm,
     } = cfg.mode
@@ -637,7 +637,7 @@ fn delta_checks<J: Accumulative, E: PairEnv>(
                 &mut store,
                 &mut stat,
                 n,
-                batch,
+                share,
                 metrics,
                 &mut ctx.env.cost(),
             )?;

@@ -803,15 +803,16 @@ fn load_hops(r: &IterativeRunner, tasks: usize) {
 }
 
 /// The simulator's delta-mode timeline, pinned in virtual nanoseconds:
-/// a 2-pair, 2-node `Hops` run with a checkpoint after every check. A
-/// change to where a delta round, a check or the final dump charges
-/// time moves these numbers.
+/// a 2-pair, 2-node `Hops` run with a checkpoint after every check,
+/// each round applying every pending key. A change to where a delta
+/// round, a check or the final dump charges time moves these numbers.
 #[test]
 fn delta_sim_timeline_is_pinned() {
     let r = runner_on(ClusterSpec::local(2));
     load_hops(&r, 2);
     let cfg = IterConfig::new("hops", 2, 50)
         .with_accumulative_mode()
+        .with_delta_share(1)
         .with_distance_threshold(0.5)
         .with_checkpoint_interval(1);
     let out = r

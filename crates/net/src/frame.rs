@@ -13,7 +13,8 @@
 //! `Beat`, nested `WorkerSetup`; v4: `Ckpt` without history, `Outcome`
 //! carrying the pair loop's own result; v5: trace events in `Beat`, no
 //! warm-start `Patch` / `PatchStats`; v6: `PairCfg` carries one
-//! `PairMode` instead of mode flags).
+//! `PairMode` instead of mode flags; v7: `PairMode::Delta` carries a
+//! `u32` share of the pending keys instead of a key count).
 //!
 //! Frames are `[u32 BE payload length][u32 BE CRC32][payload]`. The
 //! CRC covers the direction's implicit frame sequence number (a `u64`
@@ -56,7 +57,7 @@ pub const MAX_FRAME: usize = 1 << 26;
 pub const WIRE_MAGIC: [u8; 4] = *b"IMRW";
 
 /// Wire protocol version negotiated by the preamble.
-pub const WIRE_VERSION: u32 = 6;
+pub const WIRE_VERSION: u32 = 7;
 
 /// Bytes of the per-direction preamble (magic + version).
 pub const PREAMBLE_LEN: usize = 8;
@@ -415,12 +416,12 @@ mod tests {
     fn wrong_version_reports_both_versions() {
         let mut buf = Vec::new();
         buf.extend_from_slice(&WIRE_MAGIC);
-        buf.extend_from_slice(&7u32.to_be_bytes());
+        buf.extend_from_slice(&99u32.to_be_bytes());
         let mut r = FrameReader::new(Cursor::new(buf));
         match r.expect_preamble() {
             Err(NetError::Version(msg)) => {
                 assert!(
-                    msg.contains('7') && msg.contains(&WIRE_VERSION.to_string()),
+                    msg.contains("99") && msg.contains(&WIRE_VERSION.to_string()),
                     "got: {msg}"
                 )
             }

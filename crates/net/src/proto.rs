@@ -165,15 +165,15 @@ pub enum PairMode {
     },
     /// Barrier-free delta-accumulative rounds (the delta loop; needs an
     /// `Accumulative` job), done once the accumulated progress falls
-    /// below `eps`: `batch` pending keys applied per round (0 = all),
-    /// `check_every` rounds per termination check. With `warm` the
+    /// below `eps`: the top ⌈pending / `share`⌉ pending keys applied per
+    /// round (1 = all), `check_every` rounds per termination check. With `warm` the
     /// epoch-0 state parts are warm `(key, (value, pending))` plans to
     /// restore, not initial state to seed (i2MapReduce-style warm
     /// start); a warm part reaches a worker like every other part,
     /// `ReadPart` → `PartData`, guarded by the frame's CRC.
     Delta {
         eps: f64,
-        batch: usize,
+        share: u32,
         check_every: usize,
         warm: bool,
     },
@@ -355,7 +355,7 @@ enum_codec!(PairMode, "unknown pair mode tag" {
     0u8 => Async { threshold },
     1u8 => Sync { threshold },
     2u8 => One2All { threshold, state_parts },
-    3u8 => Delta { eps, batch, check_every, warm }
+    3u8 => Delta { eps, share, check_every, warm }
 });
 struct_codec!(PairCfg {
     n,
@@ -497,7 +497,7 @@ pub(crate) fn sample_setup() -> WorkerSetup {
             checkpoint_interval: 5,
             mode: PairMode::Delta {
                 eps: 1e-9,
-                batch: 16,
+                share: 16,
                 check_every: 3,
                 warm: true,
             },
@@ -598,7 +598,7 @@ mod tests {
             },
             PairMode::Delta {
                 eps: 1e-9,
-                batch: 16,
+                share: 16,
                 check_every: 3,
                 warm: true,
             },

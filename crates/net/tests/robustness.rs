@@ -65,7 +65,7 @@ fn every_to_worker() -> Vec<ToWorker> {
                 checkpoint_interval: 5,
                 mode: PairMode::Delta {
                     eps: 1e-9,
-                    batch: 16,
+                    share: 16,
                     check_every: 3,
                     warm: true,
                 },

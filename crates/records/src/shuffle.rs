@@ -122,8 +122,8 @@ pub struct ShuffleScratch {
     words: Vec<Vec<u64>>,
     /// The radix sort's second buffer.
     tmp: Vec<u64>,
-    /// Per destination, the length of the last delta-round segment: the
-    /// room the next one starts with.
+    /// Per destination, the length of the last delta-round segment; the
+    /// next one starts with an eighth more room than that.
     rooms: Vec<usize>,
 }
 
@@ -231,9 +231,11 @@ impl ShuffleScratch {
     /// order, the first value seeding the key's accumulator — and
     /// encoded as one record. Each destination is folded and encoded in
     /// one walk into a buffer that is then frozen into its segment,
-    /// uncopied, and starts with room for as many bytes as the
-    /// destination's previous segment. Charges `cost` a sort of each
-    /// destination's folded records.
+    /// uncopied, and starts with room for an eighth more bytes than the
+    /// destination's previous segment: rounds that apply part of their
+    /// pending keys vary by a tenth or so from one to the next, and a
+    /// buffer that outgrows its room doubles. Charges `cost` a sort of
+    /// each destination's folded records.
     pub fn shuffle_folded<K: Key, V: Value>(
         &mut self,
         pairs: &mut Vec<(K, V)>,
@@ -248,7 +250,7 @@ impl ShuffleScratch {
         let mut out = ShuffleOut::with_capacity(n);
         for (words, room) in words.iter().zip(rooms.iter_mut()) {
             let mut run = indices(words).map(|i| &pairs[i]).peekable();
-            let mut segment = BytesMut::with_capacity(*room);
+            let mut segment = BytesMut::with_capacity(*room + *room / 8);
             let mut records = 0;
             while let Some((k, first)) = run.next() {
                 let mut acc = first.clone();

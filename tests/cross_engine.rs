@@ -673,22 +673,22 @@ fn delta_concomp_matches_sync_fixpoint_on_all_engines() {
 /// The sim keeps its virtual-time reproducibility contract in delta
 /// mode: two runs of the same config on fresh runners are bit-identical
 /// in values, progress traces, check counts and simulated wall-clock,
-/// including under batched priority scheduling and sparser checks.
+/// including under a partial priority share and sparser checks.
 #[test]
 fn delta_sim_is_bit_reproducible_across_runs() {
     let g = dataset("Google").unwrap().generate(0.003);
-    for (batch, every) in [(0usize, 1usize), (64, 2)] {
+    for (share, every) in [(1u32, 1usize), (10, 2)] {
         let cfg = IterConfig::new("prd", 4, 400)
             .with_accumulative_mode()
             .with_distance_threshold(1e-10)
-            .with_delta_batch(batch)
+            .with_delta_share(share)
             .with_check_every(every);
         let a = pagerank::run_pagerank_delta(&imr_runner(4), &g, &cfg).unwrap();
         let b = pagerank::run_pagerank_delta(&imr_runner(4), &g, &cfg).unwrap();
-        assert_same_outcome(&format!("batch={batch} every={every}"), &a, &b);
+        assert_same_outcome(&format!("share={share} every={every}"), &a, &b);
         assert_eq!(
             a.report.finished, b.report.finished,
-            "virtual time must be reproducible (batch={batch} every={every})"
+            "virtual time must be reproducible (share={share} every={every})"
         );
     }
 }
@@ -702,11 +702,11 @@ fn delta_sim_is_bit_reproducible_across_runs() {
 #[test]
 fn delta_sim_observables_are_bit_reproducible() {
     let g = dataset("Google").unwrap().generate(0.003);
-    for (batch, every) in [(0usize, 1usize), (64, 2)] {
+    for (share, every) in [(1u32, 1usize), (10, 2)] {
         let cfg = IterConfig::new("prd", 4, 400)
             .with_accumulative_mode()
             .with_distance_threshold(1e-10)
-            .with_delta_batch(batch)
+            .with_delta_share(share)
             .with_check_every(every)
             .with_checkpoint_interval(1);
         let run = || {
@@ -721,7 +721,7 @@ fn delta_sim_observables_are_bit_reproducible() {
         };
         let (a, a_events, a_series, a_hists) = run();
         let (b, b_events, b_series, b_hists) = run();
-        let label = format!("batch={batch} every={every}");
+        let label = format!("share={share} every={every}");
         assert_same_outcome(&label, &a, &b);
         assert!(a.iterations > 1, "{label}: a check must checkpoint");
         assert!(!a_events.is_empty() && !a_series.is_empty(), "{label}");
@@ -733,6 +733,61 @@ fn delta_sim_observables_are_bit_reproducible() {
             a.report.metrics.dfs_write_bytes > 0,
             "{label}: no DFS writes"
         );
+    }
+}
+
+/// Maiter's equivalence for PageRank: whatever share of its pending
+/// keys a round applies, the simulator, worker threads and TCP worker
+/// processes agree bit for bit per share, and every share lands within
+/// 1e-8 (L∞) of the schedule that applies every pending key. A share of
+/// 0 is the same `Config` error on all three.
+#[test]
+fn delta_pagerank_every_share_agrees_across_engines_and_with_share_one() {
+    let g = dataset("Google").unwrap().generate(0.003);
+    let nodes = g.num_nodes().to_string();
+    let tcp = || tcp_runner(4, WORKER, &["pagerank", &nodes]);
+    let cfg = |share| {
+        IterConfig::new("prd", 4, 400)
+            .with_accumulative_mode()
+            .with_distance_threshold(1e-10)
+            .with_delta_share(share)
+    };
+    let mut every_key: Option<Vec<(u32, f64)>> = None;
+    for share in [1u32, 2, 3, 8] {
+        let a = pagerank::run_pagerank_delta(&imr_runner(4), &g, &cfg(share)).unwrap();
+        let b = pagerank::run_pagerank_delta(&native_runner(4), &g, &cfg(share)).unwrap();
+        let c = pagerank::run_pagerank_delta(&tcp(), &g, &cfg(share)).unwrap();
+        assert_same_outcome(&format!("sim vs threads, share={share}"), &a, &b);
+        assert_same_outcome(&format!("sim vs tcp, share={share}"), &a, &c);
+        assert!(a.iterations < 400, "share={share}: the detector must fire");
+        let base = every_key.get_or_insert_with(|| a.final_state.clone());
+        assert_eq!(base.len(), a.final_state.len());
+        let linf = base
+            .iter()
+            .zip(&a.final_state)
+            .map(|((k1, v1), (k2, v2))| {
+                assert_eq!(k1, k2);
+                (v1 - v2).abs()
+            })
+            .fold(0.0, f64::max);
+        assert!(linf < 1e-8, "share={share}: L∞ {linf} from share 1");
+    }
+    for (engine, out) in [
+        (
+            "sim",
+            pagerank::run_pagerank_delta(&imr_runner(4), &g, &cfg(0)),
+        ),
+        (
+            "threads",
+            pagerank::run_pagerank_delta(&native_runner(4), &g, &cfg(0)),
+        ),
+        ("tcp", pagerank::run_pagerank_delta(&tcp(), &g, &cfg(0))),
+    ] {
+        match out {
+            Err(EngineError::Config(msg)) => assert!(msg.contains("share"), "{engine}: {msg}"),
+            Err(other) => panic!("{engine}: expected a Config error, got {other}"),
+            Ok(_) => panic!("{engine}: a share of 0 ran"),
+        }
     }
 }
 

@@ -208,7 +208,8 @@ fn incremental_pagerank_equivalent_across_engines_and_to_cold() {
 }
 
 /// Connected components: a component split (edge removal) plus a merge
-/// (new bridge) re-converges identically to cold on every engine.
+/// (new bridge) re-converges identically to cold on every engine, at
+/// the default share and at share 1 (every pending key per round).
 #[test]
 fn incremental_concomp_equivalent_across_engines_and_to_cold() {
     let g = dataset("DBLP").unwrap().generate(0.003);
@@ -222,37 +223,51 @@ fn incremental_concomp_equivalent_across_engines_and_to_cold() {
         .insert_edge(n - 1, n / 2, 1.0)
         .insert_node(n)
         .insert_edge(n / 3, n, 1.0);
-    let cfg = IterConfig::new("icc", 3, 200)
+    let default = IterConfig::new("icc", 3, 200)
         .with_accumulative_mode()
         .with_distance_threshold(0.5);
+    let every_key = default.clone().with_delta_share(1);
 
-    let sim = imr_runner(3);
-    let (_, fix) = converge_and_preserve(&sim, &job, &base, &cfg, "/i").unwrap();
-    let before = sim.metrics().snapshot();
-    let a = run_incremental_ns(&sim, &job, &cfg, &fix, "/i", &delta).unwrap();
+    for cfg in [default, every_key] {
+        let share = cfg.mode.share;
+        let sim = imr_runner(3);
+        let (_, fix) = converge_and_preserve(&sim, &job, &base, &cfg, "/i").unwrap();
+        let before = sim.metrics().snapshot();
+        let a = run_incremental_ns(&sim, &job, &cfg, &fix, "/i", &delta).unwrap();
 
-    let nat = native_runner(3);
-    let (_, fix_n) = converge_and_preserve(&nat, &job, &base, &cfg, "/i").unwrap();
-    let b = run_incremental_ns(&nat, &job, &cfg, &fix_n, "/i", &delta).unwrap();
+        let nat = native_runner(3);
+        let (_, fix_n) = converge_and_preserve(&nat, &job, &base, &cfg, "/i").unwrap();
+        let b = run_incremental_ns(&nat, &job, &cfg, &fix_n, "/i", &delta).unwrap();
 
-    let tcp = tcp_runner(3, WORKER, &["concomp"]);
-    let (_, fix_t) = converge_and_preserve(&tcp, &job, &base, &cfg, "/i").unwrap();
-    let c = run_incremental_ns(&tcp, &job, &cfg, &fix_t, "/i", &delta).unwrap();
+        let tcp = tcp_runner(3, WORKER, &["concomp"]);
+        let (_, fix_t) = converge_and_preserve(&tcp, &job, &base, &cfg, "/i").unwrap();
+        let c = run_incremental_ns(&tcp, &job, &cfg, &fix_t, "/i", &delta).unwrap();
 
-    assert_eq!(a.stats, b.stats);
-    assert_eq!(a.stats, c.stats);
-    assert_eq!(a.outcome.final_state, b.outcome.final_state);
-    assert_eq!(a.outcome.final_state, c.outcome.final_state);
+        assert_eq!(a.stats, b.stats, "share {share}");
+        assert_eq!(a.stats, c.stats, "share {share}");
+        assert_eq!(
+            a.outcome.final_state, b.outcome.final_state,
+            "share {share}"
+        );
+        assert_eq!(
+            a.outcome.final_state, c.outcome.final_state,
+            "share {share}"
+        );
 
-    let patched = patched_statics(&job, &base, &delta).unwrap();
-    let cold = converge_cold(&imr_runner(3), &job, &patched, &cfg, "/cold").unwrap();
-    assert_eq!(a.outcome.final_state, cold.final_state);
+        let patched = patched_statics(&job, &base, &delta).unwrap();
+        let cold = converge_cold(&imr_runner(3), &job, &patched, &cfg, "/cold").unwrap();
+        assert_eq!(a.outcome.final_state, cold.final_state, "share {share}");
 
-    // This delta splits a component, so nearly every key is reset and
-    // the warm run has almost the cold run's work to do — but never more.
-    let warm = work(&a.outcome, &before);
-    let cold = work(&cold, &MetricsSnapshot::default());
-    assert!(warm.0 <= cold.0 && warm.1 <= cold.1, "{warm:?} vs {cold:?}");
+        // This delta splits a component, so nearly every key is reset
+        // and the warm run has almost the cold run's work to do — but
+        // never more.
+        let warm = work(&a.outcome, &before);
+        let cold = work(&cold, &MetricsSnapshot::default());
+        assert!(
+            warm.0 <= cold.0 && warm.1 <= cold.1,
+            "share {share}: {warm:?} vs {cold:?}"
+        );
+    }
 }
 
 /// A worsening delta big enough that the incremental run does real

@@ -284,6 +284,7 @@ fn data_path_counters_agree_across_fabrics() {
         "checkpoint_bytes",
         "tasks_launched",
         "deltas_sent",
+        "priority_preemptions",
         "termination_checks",
     ];
     assert_fabrics_count_alike("delta pagerank", &chan, &tcp, &delta);

@@ -230,7 +230,7 @@ proptest! {
     }
 
     /// Delta-accumulative SSSP under arbitrary delta arrival orders:
-    /// random batch sizes, check cadences and task counts reshuffle
+    /// random shares, check cadences and task counts reshuffle
     /// which deltas travel when, but ⊕ = min is associative and
     /// commutative, so every schedule reaches the same Dijkstra
     /// fixpoint — and sim and native agree bit-for-bit per schedule.
@@ -238,7 +238,7 @@ proptest! {
     fn delta_schedules_converge_to_the_same_fixpoint(
         seed in any::<u64>(),
         n in 20usize..60,
-        batch in 0usize..48,
+        share in 1u32..9,
         every in 1usize..4,
         tasks in 1usize..5,
     ) {
@@ -246,7 +246,7 @@ proptest! {
         let cfg = IterConfig::new("ssspd", tasks, 200)
             .with_accumulative_mode()
             .with_distance_threshold(1e-9)
-            .with_delta_batch(batch)
+            .with_delta_share(share)
             .with_check_every(every);
         let sim = sssp::run_sssp_delta(&imr_runner(2), &g, 0, &cfg).unwrap();
         let nat = sssp::run_sssp_delta(&native_runner(2), &g, 0, &cfg).unwrap();
@@ -258,8 +258,8 @@ proptest! {
             let e = expect[*k as usize];
             prop_assert!(
                 (d - e).abs() < 1e-9 || (d.is_infinite() && e.is_infinite()),
-                "node {}: delta={} dijkstra={} batch={} every={} tasks={}",
-                k, d, e, batch, every, tasks
+                "node {}: delta={} dijkstra={} share={} every={} tasks={}",
+                k, d, e, share, every, tasks
             );
         }
     }

@@ -59,7 +59,11 @@
 #                          # included), src or examples, and no
 #                          # PatchEffect, worsening_ops, empty_static or
 #                          # state_eq (Incremental's four methods) under
-#                          # crates/*/src, src or examples
+#                          # crates/*/src, src or examples, and no
+#                          # with_delta_batch or delta_batch (a round
+#                          # applies a share of its pending keys) under
+#                          # crates/*/src, crates/*/tests, src, tests or
+#                          # examples
 #   ./verify.sh <suite>    # one row group of the SUITES table: faults,
 #                          # observe, service, delta, chaos, incremental
 #
@@ -642,6 +646,17 @@ cmd_drift() {
   [ -z "$planner_asks" ] \
     || { echo "drift: a deleted Incremental surface is named again (Incremental is initial_state, patch_static, targets and invert over S: PartialEq, T: Default):" >&2; echo "$planner_asks" >&2; exit 1; }
   echo "drift: no PatchEffect, worsening_ops, empty_static or state_eq"
+
+  # A delta round applies a share of its pending keys, not a count:
+  # the count's builder and field stay deleted. Code only, tests and
+  # examples included.
+  local key_count
+  key_count=$(rust_code 0 $(find crates/*/src crates/*/tests src tests examples -name '*.rs' | sort) \
+    | grep -E '^[^:]+:[0-9]+:.*(^|[^A-Za-z0-9_])(with_)?delta_batch([^A-Za-z0-9_]|$)' \
+    || true)
+  [ -z "$key_count" ] \
+    || { echo "drift: the delta mode's key count is named again (a round applies the top 1/share of the pending keys: with_delta_share):" >&2; echo "$key_count" >&2; exit 1; }
+  echo "drift: no with_delta_batch or delta_batch"
 
   local subs jobs
   subs=$({
