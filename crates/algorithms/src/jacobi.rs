@@ -86,11 +86,7 @@ pub fn run_jacobi_imr(
     system: &[(u32, Row)],
     cfg: &IterConfig,
 ) -> Result<IterOutcome<u32, f64>, EngineError> {
-    assert_eq!(
-        cfg.mode.mapping,
-        imapreduce::Mapping::One2All,
-        "Jacobi needs one2all"
-    );
+    crate::check_one2all(cfg, "Jacobi")?;
     let mut clock = TaskClock::default();
     let job = JacobiIter;
     let state: Vec<(u32, f64)> = (0..system.len() as u32).map(|i| (i, 0.0)).collect();
@@ -171,6 +167,14 @@ mod tests {
             "residual {}",
             residual(&system, &x)
         );
+    }
+
+    #[test]
+    fn a_one2one_config_is_a_config_error() {
+        let (system, _) = generate_system(20, 3, 4);
+        let cfg = IterConfig::new("jacobi", 2, 3);
+        let run = run_jacobi_imr(&imr_runner(2), &system, &cfg);
+        assert!(matches!(run, Err(EngineError::Config(_))), "{run:?}");
     }
 
     #[test]

@@ -141,11 +141,7 @@ pub fn run_kmeans_imr(
     cfg: &IterConfig,
     combiner: bool,
 ) -> Result<IterOutcome<u32, KmState>, EngineError> {
-    assert_eq!(
-        cfg.mode.mapping,
-        imapreduce::Mapping::One2All,
-        "K-means needs one2all"
-    );
+    crate::check_one2all(cfg, "K-means")?;
     load_kmeans_imr(runner, points, k, cfg.num_tasks, "/km/state", "/km/static")?;
     let job = KmeansIter { combiner };
     runner.run(&job, cfg, "/km/state", "/km/static", "/km/out", &[])
@@ -196,6 +192,7 @@ pub fn run_kmeans_imr_aux(
     cfg: &IterConfig,
     threshold: f64,
 ) -> Result<AuxOutcome<u32, KmState>, EngineError> {
+    crate::check_one2all(cfg, "K-means")?;
     load_kmeans_imr(runner, points, k, cfg.num_tasks, "/km/state", "/km/static")?;
     let job = KmeansIter { combiner: false };
     let aux = CentroidStability { threshold };
@@ -515,6 +512,16 @@ mod tests {
             let baseline = run_kmeans_mr(&mr_runner(2), &pts, k, 2, 1, false, None);
             assert!(matches!(baseline, Err(EngineError::Config(_))), "k = {k}");
         }
+    }
+
+    #[test]
+    fn a_one2one_config_is_a_config_error() {
+        let pts = data();
+        let cfg = IterConfig::new("km", 2, 3);
+        let run = run_kmeans_imr(&imr_runner(2), &pts, 4, &cfg, false);
+        assert!(matches!(run, Err(EngineError::Config(_))), "{run:?}");
+        let aux = run_kmeans_imr_aux(&imr_runner(2), &pts, 4, &cfg, 1e-9);
+        assert!(matches!(aux, Err(EngineError::Config(_))), "{aux:?}");
     }
 
     #[test]

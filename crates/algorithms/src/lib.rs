@@ -32,6 +32,20 @@ pub mod pagerank;
 pub mod sssp;
 pub mod testutil;
 
+/// A `Config` error unless `cfg` broadcasts the state (one2all), which
+/// `what`'s map reads whole.
+fn check_one2all(
+    cfg: &imapreduce::IterConfig,
+    what: &str,
+) -> Result<(), imr_mapreduce::EngineError> {
+    if cfg.mode.mapping != imapreduce::Mapping::One2All {
+        return Err(imr_mapreduce::EngineError::Config(format!(
+            "{what} needs the one2all mapping (`IterConfig::with_one2all`)"
+        )));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod proptests {
     use crate::testutil::{imr_runner, mr_runner};

@@ -141,7 +141,10 @@ pub trait IterativeJob: Send + Sync {
 
     /// Routes keys to the `n` map/reduce task pairs. The same function
     /// partitions the static data at load time and the state shuffle at
-    /// run time, which is what makes the local join sound (§3.2.1).
+    /// run time, which is what makes the local join sound (§3.2.1). It
+    /// is a function of its arguments alone: a map side that emits the
+    /// keys it emitted last time, index for index, reuses that routing
+    /// without calling it.
     fn partition(&self, key: &Self::K, n: usize) -> usize {
         HashPartitioner.partition(key, n)
     }

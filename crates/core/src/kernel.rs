@@ -19,7 +19,12 @@
 //! A pair is persistent, so its buffers are too: the emit buffer, the
 //! shuffle's index buffers and the combiner's key table live in the
 //! [`MapScratch`] the loop owns and are emptied, not reallocated,
-//! between iterations. With a combiner the emit buffer never holds more
+//! between iterations. The index buffers also keep their order: a map
+//! side whose emitted keys are, index for index, the last one's (a
+//! graph job's, from the second iteration on) replays that stable
+//! (key, emission) order instead of partitioning and sorting again —
+//! exact, since every key is compared, and only for the order a plain
+//! `shuffle_out` built. With a combiner the emit buffer never holds more
 //! than one map call's output: it is drained into one accumulator per
 //! key ([`imr_records::FoldTable`]), each value folded in as it comes.
 //! The reduce side needs no buffer either — one accumulator for the
@@ -50,7 +55,10 @@ use imr_simcluster::Metrics;
 /// What a pair's map side keeps between iterations (or delta rounds):
 /// the buffer the user map emits into, the shuffle's index buffers, the
 /// combiner's accumulators and a delta round's ranking of its pending
-/// keys. All are empty between calls; what persists is their capacity.
+/// keys. Between calls all but the index buffers are empty, and what
+/// persists of them is their capacity; the index buffers keep the last
+/// order `shuffle_out` built, which the next map side replays if it
+/// emits the same keys.
 pub struct MapScratch<K, S> {
     emitter: Emitter<K, S>,
     shuffle: ShuffleScratch,

@@ -2,7 +2,9 @@
 //! reduce_side` over arbitrary small inputs must produce, for every key,
 //! the same values in the same order as a `BTreeMap` group-by over the
 //! map output taken in source-pair order — the merge tie-break the
-//! cross-engine suites depend on.
+//! cross-engine suites depend on. A kept `MapScratch`, which replays its
+//! last shuffle order while the emitted keys repeat, must map exactly as
+//! a fresh one does.
 
 use imapreduce::{
     reduce_side, Emitter, EngineError, IterativeJob, MapScratch, MapState, StateInput, StaticPart,
@@ -11,6 +13,7 @@ use imr_records::encode_pairs;
 use imr_simcluster::Metrics;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Every key forwards a tagged value to each of its static targets; the
 /// fold concatenates what it receives, so a key's next state spells
@@ -203,5 +206,103 @@ fn a_state_part_that_does_not_line_up_with_its_static_part_is_a_config_error() {
             Err(other) => panic!("expected a Config error, got {other}"),
             Ok(_) => panic!("expected a Config error, got Ok"),
         }
+    }
+}
+
+/// Sends each key's id to its static targets shifted by its state, so
+/// the emitted keys change with the state while their count does not;
+/// counts its partition calls.
+#[derive(Default)]
+struct Shift {
+    partitioned: AtomicUsize,
+}
+
+impl IterativeJob for Shift {
+    type K = u32;
+    type S = u32;
+    type T = Vec<u32>;
+    fn map(
+        &self,
+        k: &u32,
+        state: StateInput<'_, u32, u32>,
+        targets: &Vec<u32>,
+        out: &mut Emitter<u32, u32>,
+    ) {
+        let shift = match state {
+            StateInput::One(s) => *s,
+            StateInput::All(_) => 0,
+        };
+        for dst in targets {
+            out.emit(dst + shift, *k);
+        }
+    }
+    fn fold(&self, _k: &u32, acc: &mut u32, v: u32) {
+        *acc = acc.wrapping_mul(31).wrapping_add(v);
+    }
+    fn distance(&self, _k: &u32, _prev: &u32, _cur: &u32) -> f64 {
+        0.0
+    }
+    fn partition(&self, k: &u32, n: usize) -> usize {
+        self.partitioned.fetch_add(1, Ordering::Relaxed);
+        *k as usize % n
+    }
+}
+
+#[test]
+fn a_kept_map_scratch_maps_like_a_fresh_one_while_the_emitted_keys_change() {
+    let job = Shift::default();
+    let metrics = Metrics::default();
+    let stat: Vec<(u32, Vec<u32>)> = (0..40u32)
+        .map(|k| (k, (0..k % 5).map(|i| (k * 7 + i * 13) % 50).collect()))
+        .collect();
+    let emits: usize = stat.iter().map(|(_, t)| t.len()).sum();
+    let states = |shift: fn(u32) -> u32| -> Vec<(u32, u32)> {
+        stat.iter().map(|(k, _)| (*k, shift(*k))).collect()
+    };
+    // (what, state, whether the kept scratch replays its last order).
+    let steps = [
+        ("first iteration", states(|_| 0), false),
+        ("same keys emitted", states(|_| 0), true),
+        ("every key shifted", states(|_| 1), false),
+        (
+            "one key's targets shifted",
+            states(|k| 1 + u32::from(k == 9)),
+            false,
+        ),
+        (
+            "the same shift again",
+            states(|k| 1 + u32::from(k == 9)),
+            true,
+        ),
+    ];
+    let mut kept = MapScratch::default();
+    for (what, state, replays) in steps {
+        let map = |scratch: &mut MapScratch<u32, u32>| {
+            let mut part = StaticPart::load(encode_pairs(&stat)).unwrap();
+            let before = job.partitioned.load(Ordering::Relaxed);
+            let out = scratch
+                .map_side(
+                    &job,
+                    MapState::Own(&state),
+                    &mut part,
+                    3,
+                    0,
+                    &metrics,
+                    &mut (),
+                )
+                .unwrap();
+            (out, job.partitioned.load(Ordering::Relaxed) - before)
+        };
+        let (by_kept, kept_calls) = map(&mut kept);
+        let (by_fresh, fresh_calls) = map(&mut MapScratch::default());
+        assert_eq!(by_kept.segments, by_fresh.segments, "{what}");
+        assert_eq!(by_kept.spill_bytes, by_fresh.spill_bytes, "{what}");
+        assert_eq!(by_kept.emitted, emits as u64, "{what}");
+        assert!(fresh_calls >= emits, "{what}");
+        assert_eq!(
+            kept_calls == 0,
+            replays,
+            "{what}: {kept_calls} partition calls"
+        );
     }
 }

@@ -73,6 +73,8 @@ pub trait Codec: Sized {
     /// `Ord` order, for key types that have one (the unsigned integers
     /// return themselves). The sort kernel orders such keys by digits
     /// instead of by comparisons; `None`, the default, always compares.
+    /// Being order-preserving it is one-to-one, which the map side's
+    /// replay relies on: equal integers mean equal keys.
     #[inline]
     fn radix_key(&self) -> Option<u64> {
         None

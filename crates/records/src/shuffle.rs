@@ -23,7 +23,12 @@
 //! keys, whose values it has already folded. The index buffers belong
 //! to the caller's [`ShuffleScratch`], which a persistent task keeps for
 //! as long as it lives, so iteration *k + 1* allocates none of them
-//! again.
+//! again. Nor does it always sort again: the order a destination's
+//! records take is the stable (key, emission) sort, or its exact
+//! replay — when a batch's keys are, index for index, the keys
+//! [`ShuffleScratch::shuffle_out`] sorted last time (a persistent
+//! PageRank pair's, whose static adjacency decides what it emits), that
+//! order is reused without calling the partition function.
 
 use crate::codec::{Codec, CodecResult, Key, PairCursor, Value};
 use crate::sorted::{merge, merge_groups, pack_word, sort_words, word_index, Group};
@@ -115,6 +120,15 @@ impl ShuffleOut {
 /// records routed there. Owned by whoever runs the map side repeatedly
 /// (a native pair for its generation, a simulated run for its length)
 /// and reused, so their capacity is paid for once.
+///
+/// One scratch serves one partition function: [`shuffle_out`]
+/// replays the order it built last time, without calling `partition`,
+/// for a batch whose keys are those of the last one, index for index —
+/// the keys decide both a record's destination and its place there.
+/// Every owner keeps this: a pair's [`ShuffleScratch`] routes only its
+/// own job's output, and a baseline run's only its job's.
+///
+/// [`shuffle_out`]: Self::shuffle_out
 #[derive(Debug, Default)]
 pub struct ShuffleScratch {
     /// Per destination: `key << 32 | index` words, or bare indices when
@@ -122,9 +136,15 @@ pub struct ShuffleScratch {
     words: Vec<Vec<u64>>,
     /// The radix sort's second buffer.
     tmp: Vec<u64>,
-    /// Per destination, the length of the last delta-round segment; the
-    /// next one starts with an eighth more room than that.
+    /// Per destination, the length of the last segment encoded there: a
+    /// replay starts with that much room, a delta-round segment with an
+    /// eighth more.
     rooms: Vec<usize>,
+    /// `(destinations, records)` of the batch the last
+    /// [`shuffle_out`](Self::shuffle_out) routed, when every key of it
+    /// packed: `words` then hold each record's key, so a batch of that
+    /// shape can be checked against them. `None` after any other route.
+    replayable: Option<(usize, usize)>,
 }
 
 impl ShuffleScratch {
@@ -138,6 +158,18 @@ impl ShuffleScratch {
         n: usize,
         partition: impl Fn(&K, usize) -> usize,
     ) -> Result<(), ShuffleError> {
+        self.sort(pairs, n, partition).map(drop)
+    }
+
+    /// [`route`](Self::route); returns whether every key packed into
+    /// its sort word.
+    fn sort<K: Codec + Ord, V>(
+        &mut self,
+        pairs: &[(K, V)],
+        n: usize,
+        partition: impl Fn(&K, usize) -> usize,
+    ) -> Result<bool, ShuffleError> {
+        self.replayable = None;
         if pairs.len() > u32::MAX as usize {
             return Err(ShuffleError::TooManyRecords(pairs.len()));
         }
@@ -179,7 +211,7 @@ impl ShuffleScratch {
                 words.sort_by(|&a, &b| pairs[a as usize].0.cmp(&pairs[b as usize].0));
             }
         }
-        Ok(())
+        Ok(packed)
     }
 
     /// The indices of the records routed to `dest` by the last
@@ -192,6 +224,18 @@ impl ShuffleScratch {
     /// Map side: routes `pairs` to `n` destinations with `partition`,
     /// sorts each destination's records by key (stable) and encodes one
     /// segment per destination. `pairs` is left empty, its capacity kept.
+    ///
+    /// A batch with the last call's `n` and record count whose every
+    /// key equals, index for index, the key the last call routed there
+    /// is not routed again: the kept order is that batch's stable
+    /// (key, emission) order exactly, so it is replayed, and `partition`
+    /// is not called. Keys are compared in the gather that encodes each
+    /// segment, into a buffer as long as the destination's last segment
+    /// (fixed-width records fit it exactly); on the first mismatch the
+    /// batch is routed afresh. Only an order this method built with
+    /// every key packed is replayed. Either way `cost` is charged a sort
+    /// of each destination's records, and the segments are the same
+    /// bytes.
     pub fn shuffle_out<K: Key, V: Value>(
         &mut self,
         pairs: &mut Vec<(K, V)>,
@@ -199,15 +243,51 @@ impl ShuffleScratch {
         partition: impl Fn(&K, usize) -> usize,
         cost: &mut impl ShuffleCost,
     ) -> Result<ShuffleOut, ShuffleError> {
-        self.route(pairs, n, partition)?;
-        let mut out = ShuffleOut::with_capacity(n);
+        let out = match self.replay(pairs, n) {
+            Some(out) => out,
+            None => {
+                let packed = self.sort(pairs, n, partition)?;
+                self.replayable = packed.then_some((n, pairs.len()));
+                let mut out = ShuffleOut::with_capacity(n);
+                for dest in 0..n {
+                    out.push(self.encode(pairs, dest), self.order(dest).len());
+                }
+                out
+            }
+        };
         for dest in 0..n {
-            let records = self.order(dest).len();
-            cost.sorted(records as u64);
-            out.push(self.encode(pairs, dest), records);
+            cost.sorted(self.order(dest).len() as u64);
         }
+        self.rooms.clear();
+        self.rooms.extend(out.segments.iter().map(Bytes::len));
         pairs.clear();
         Ok(out)
+    }
+
+    /// The segments of `pairs` in the order the last
+    /// [`shuffle_out`](Self::shuffle_out) built, if it still holds: the
+    /// batch has that call's shape and each kept word's key is the key
+    /// now at the word's index, checked as each record is encoded.
+    /// `None` when nothing is kept or a key differs.
+    fn replay<K: Codec, V: Codec>(&self, pairs: &[(K, V)], n: usize) -> Option<ShuffleOut> {
+        if self.replayable != Some((n, pairs.len())) {
+            return None;
+        }
+        let mut out = ShuffleOut::with_capacity(n);
+        for (words, &room) in self.words.iter().zip(&self.rooms) {
+            let mut segment = BytesMut::with_capacity(room);
+            for &word in words {
+                let i = word_index(word);
+                let (k, v) = pairs.get(i)?;
+                if pack_word(k, i as u32) != Some(word) {
+                    return None;
+                }
+                k.encode(&mut segment);
+                v.encode(&mut segment);
+            }
+            out.push(segment.freeze(), words.len());
+        }
+        Some(out)
     }
 
     /// Encodes the records the last [`route`](Self::route) of `pairs`
@@ -482,6 +562,7 @@ fn cursors<K: Key, V: Value>(segments: Vec<Bytes>) -> Vec<PairCursor<K, V>> {
 mod tests {
     use super::*;
     use crate::codec::encode_pairs;
+    use std::cell::Cell;
     use std::collections::{BTreeMap, BTreeSet};
 
     /// Varint-encoded keys and values (`u64`, zigzag `i64`) spanning
@@ -544,6 +625,117 @@ mod tests {
             assert_eq!(by_kept.records, distinct as u64);
             let bytes = want.iter().map(Bytes::len).sum::<usize>();
             assert_eq!(by_kept.bytes, bytes as u64);
+        }
+    }
+
+    /// Every cost call, in order.
+    #[derive(Debug, Default, PartialEq)]
+    struct CostLog(Vec<(&'static str, u64)>);
+
+    impl ShuffleCost for CostLog {
+        fn sorted(&mut self, records: u64) {
+            self.0.push(("sorted", records));
+        }
+        fn combined(&mut self, values: u64) {
+            self.0.push(("combined", values));
+        }
+    }
+
+    /// [`records`] with every key below 2³², so every key packs.
+    fn packing(len: usize, seed: u64) -> Vec<(u64, i64)> {
+        let mut pairs = records(len, seed);
+        pairs
+            .iter_mut()
+            .for_each(|(k, _)| *k &= u64::from(u32::MAX));
+        pairs
+    }
+
+    /// `pairs` with new values, the keys kept.
+    fn revalued(pairs: &[(u64, i64)]) -> Vec<(u64, i64)> {
+        pairs
+            .iter()
+            .map(|&(k, v)| (k, v.wrapping_mul(3) ^ 5))
+            .collect()
+    }
+
+    /// `pairs` with the key at `at` replaced by `key`.
+    fn rekeyed(pairs: &[(u64, i64)], at: usize, key: u64) -> Vec<(u64, i64)> {
+        let mut pairs = pairs.to_vec();
+        pairs[at].0 = key;
+        pairs
+    }
+
+    #[test]
+    fn a_kept_scratch_shuffles_like_a_fresh_one() {
+        let base = packing(600, 0x9e37_79b9);
+        let moved = rekeyed(&base, 17, base[17].0 + 1);
+        let wide = records(600, 0x2545_f491);
+        assert!(wide.iter().any(|(k, _)| *k > u64::from(u32::MAX)));
+        // (what, batch, destinations, whether the kept scratch replays).
+        let steps = [
+            ("first batch", base.clone(), 3, false),
+            ("same keys, new values", revalued(&base), 3, true),
+            ("same keys again", base.clone(), 3, true),
+            (
+                "one key changed in place",
+                rekeyed(&base, 17, base[17].0 + 3),
+                3,
+                false,
+            ),
+            (
+                "a key moved to another destination",
+                moved.clone(),
+                3,
+                false,
+            ),
+            ("the moved batch again", revalued(&moved), 3, true),
+            ("a shorter batch", moved[..599].to_vec(), 3, false),
+            ("the shorter batch again", moved[..599].to_vec(), 3, true),
+            ("fewer destinations", moved[..599].to_vec(), 2, false),
+            ("keys that do not pack", wide.clone(), 4, false),
+            ("the same unpacked keys", revalued(&wide), 4, false),
+            ("packing keys after them", base.clone(), 3, false),
+            // A fold route runs first in these two: it leaves nothing
+            // to replay.
+            ("then a fold route", base.clone(), 3, false),
+            ("then a fold table", base.clone(), 3, false),
+            ("after the fold table", revalued(&base), 3, true),
+        ];
+        let mut kept = ShuffleScratch::default();
+        for (what, pairs, n, replays) in steps {
+            if what == "then a fold route" {
+                kept.shuffle_folded(&mut pairs.clone(), n, partition, fold, &mut ())
+                    .expect("routes");
+            }
+            if what == "then a fold table" {
+                let mut table = FoldTable::default();
+                table.absorb(&mut pairs.clone(), &mut fold);
+                table
+                    .finish(&mut kept, n, partition, &mut ())
+                    .expect("routes");
+            }
+            let calls = Cell::new(0);
+            let counted = |k: &u64, n| {
+                calls.set(calls.get() + 1);
+                partition(k, n)
+            };
+            let mut kept_log = CostLog::default();
+            let mut kept_pairs = pairs.clone();
+            let by_kept = kept
+                .shuffle_out(&mut kept_pairs, n, counted, &mut kept_log)
+                .expect("routes");
+            let mut fresh_log = CostLog::default();
+            let by_fresh = ShuffleScratch::default()
+                .shuffle_out(&mut pairs.clone(), n, partition, &mut fresh_log)
+                .expect("routes");
+            assert_eq!(by_kept.segments, by_fresh.segments, "{what}");
+            assert_eq!(by_kept.records, by_fresh.records, "{what}");
+            assert_eq!(by_kept.bytes, by_fresh.bytes, "{what}");
+            assert_eq!(kept_log, fresh_log, "{what}");
+            assert_eq!(fresh_log.0.len(), n, "{what}");
+            assert!(kept_pairs.is_empty(), "{what}");
+            // A replay never asks the partition function.
+            assert_eq!(calls.get() == 0, replays, "{what}: {} calls", calls.get());
         }
     }
 }

@@ -15,6 +15,10 @@
 #                          # benchmark/run.sh --quick (must be correct)
 #   ./verify.sh drift      # verify.sh subcommands <-> CI jobs bijection,
 #                          # wire enums <-> DESIGN.md §8 message table,
+#                          # WIRE_VERSION <-> the version DESIGN.md names
+#                          # (§8's setup-frame heading and invariant row,
+#                          # §12), PairMode's codec tags <-> §8's mode-tag
+#                          # table,
 #                          # every IterConfig builder has a caller,
 #                          # imr-bench's EXPERIMENTS ids <-> results/*.json,
 #                          # BENCH_*.json rows <-> BENCHMARK.json (needs jq),
@@ -317,7 +321,7 @@ exposition_smoke() {
 # Cheap on purpose — no cargo involved — so CI runs it on every push.
 wire_variants() {
   awk -v open="pub enum $1 {" '$0 == open { f = 1; next } f && /^}/ { f = 0 } f' \
-    crates/net/src/proto.rs | grep -o '^    [A-Z][A-Za-z]*' | tr -d ' '
+    crates/net/src/proto.rs | grep -o '^    [A-Z][A-Za-z0-9]*' | tr -d ' '
 }
 
 wire_table_rows() {
@@ -377,6 +381,33 @@ cmd_drift() {
     fi
     echo "drift: $enum has $(echo "$code" | wc -l) variants, all in DESIGN.md §8"
   done
+
+  # The setup frame: the version DESIGN.md names in §8's heading, §8's
+  # invariant row and §12 is WIRE_VERSION, and §8's mode-tag table is
+  # PairMode's codec, tag for tag, in the enum's order.
+  local version pattern named
+  version=$(sed -n 's/^pub const WIRE_VERSION: u32 = \([0-9][0-9]*\);$/\1/p' crates/net/src/frame.rs)
+  for pattern in '^### The setup frame \(v[0-9]+\)' '`WIRE_VERSION` \([0-9]+\)' '`WIRE_VERSION` is [0-9]+'; do
+    named=$(grep -oE "$pattern" DESIGN.md | grep -oE '[0-9]+' | sort -u)
+    if [ -z "$version" ] || [ "$named" != "$version" ]; then
+      echo "drift: WIRE_VERSION is ${version:-missing} in crates/net/src/frame.rs;" \
+        "DESIGN.md's '$pattern' names ${named:-none}" >&2
+      exit 1
+    fi
+  done
+  echo "drift: DESIGN.md names WIRE_VERSION $version in §8's heading and table and in §12"
+  code=$(awk '/^enum_codec!\(PairMode,/ { f = 1; next } f && /^}\);/ { f = 0 } f' crates/net/src/proto.rs \
+    | sed -n 's/^ *\([0-9][0-9]*\)u8 => \([A-Za-z0-9]*\).*/\1 \2/p')
+  doc=$(awk '/^\| mode tag \| `PairMode` \|/ { f = 1; next } f && !/^\|/ { f = 0 } f' DESIGN.md \
+    | sed -n 's/^| \([0-9][0-9]*\) | `\([A-Za-z0-9]*\)` |.*/\1 \2/p')
+  if [ -z "$code" ] || [ "$code" != "$doc" ] \
+    || [ "$(wire_variants PairMode)" != "$(echo "$code" | cut -d' ' -f2)" ]; then
+    echo "drift: PairMode (enum and codec tags in proto.rs) and DESIGN.md §8's mode-tag table differ:" >&2
+    diff <(echo "$code") <(echo "$doc") >&2 || true
+    echo "drift: enum order: $(wire_variants PairMode | paste -sd' ')" >&2
+    exit 1
+  fi
+  echo "drift: PairMode's $(echo "$code" | wc -l) mode tags are DESIGN.md §8's mode-tag table"
 
   local config=crates/core/src/config.rs knob knobs=0
   for knob in $(grep -o 'pub fn with_[a-z0-9_]*' "$config" | awk '{ print $3 }'); do
