@@ -19,7 +19,7 @@
 
 use imapreduce::{IterConfig, IterativeRunner};
 use imr_algorithms::pagerank;
-use imr_bench::{report_metrics, BenchOpts, FigureResult};
+use imr_bench::{BenchOpts, FigureResult};
 use imr_dfs::Dfs;
 use imr_graph::dataset;
 use imr_simcluster::{ClusterSpec, Metrics, MetricsHandle};
@@ -81,7 +81,7 @@ fn main() {
         if sync {
             cfg = cfg.with_sync_maps();
         }
-        let out = pagerank::run_pagerank_imr(&r, &g, &cfg).expect("pagerank run");
+        pagerank::run_pagerank_imr(&r, &g, &cfg).expect("pagerank run");
         let events = trace.snapshot();
         let report = TraceReport::from_events(&events);
         println!(
@@ -136,7 +136,6 @@ fn main() {
                  chrome timeline",
                 samples.len()
             ));
-            report_metrics(&mut fig, "iMapReduce (async)", &out.report.metrics);
         }
     }
     fig.push_series("async overlap", overlap_pts);

@@ -8,7 +8,7 @@
 //! `run_mr` (the Hadoop-style baseline chain) and `run_imr`
 //! (iMapReduce), the only two places that tell the two jobs apart.
 
-use crate::result::{final_y, report_metrics, FigureResult};
+use crate::result::{final_y, FigureResult};
 use imapreduce::{IterConfig, IterEngine, IterativeRunner, LoadBalance};
 use imr_algorithms::testutil::{imr_runner_on, mr_runner_on};
 use imr_algorithms::{jacobi, kmeans, matpower, pagerank, sssp};
@@ -177,7 +177,7 @@ pub fn fig_local(id: &str, dataset_name: &str, scale: f64, iters: usize) -> Figu
     let ds = dataset(dataset_name).expect("dataset");
     let g = ds.generate(scale);
     let cluster = ClusterSpec::local(4).with_sample_scale(scale);
-    let (curves, metrics) = four_curves(ds.workload, &g, &cluster, 4, iters);
+    let (curves, _) = four_curves(ds.workload, &g, &cluster, 4, iters);
     let (kind, paper) = match ds.workload {
         Workload::Sssp => (
             "graph",
@@ -202,7 +202,6 @@ pub fn fig_local(id: &str, dataset_name: &str, scale: f64, iters: usize) -> Figu
         g.num_nodes(),
         g.num_edges()
     ));
-    report_metrics(&mut fig, "iMapReduce", &metrics);
     fig
 }
 
@@ -230,12 +229,10 @@ pub fn fig_synthetic_sizes(id: &str, workload: Workload, scale: f64, iters: usiz
     );
     let mut mr_pts = Vec::new();
     let mut imr_pts = Vec::new();
-    let mut metrics = MetricsSnapshot::default();
     for (i, name) in names.iter().enumerate() {
         let g = dataset(name).unwrap().generate(scale);
         let x = (i + 1) as f64;
-        let (mr_t, imr_t, m) = both_totals(workload, &g, &cluster, 20, iters);
-        metrics = m;
+        let (mr_t, imr_t, _) = both_totals(workload, &g, &cluster, 20, iters);
         mr_pts.push((x, mr_t));
         imr_pts.push((x, imr_t));
         fig.note(format!(
@@ -248,7 +245,6 @@ pub fn fig_synthetic_sizes(id: &str, workload: Workload, scale: f64, iters: usiz
     }
     fig.push_series("MapReduce", mr_pts);
     fig.push_series("iMapReduce", imr_pts);
-    report_metrics(&mut fig, "iMapReduce (largest dataset)", &metrics);
     fig
 }
 
@@ -269,8 +265,7 @@ pub fn fig_factors(scale: f64, iters: usize) -> FigureResult {
         let ds = dataset(name).unwrap();
         let g = ds.generate(scale);
         let x = (i + 1) as f64;
-        let (curves, metrics) = four_curves(ds.workload, &g, &cluster, 20, iters);
-        report_metrics(&mut fig, &format!("iMapReduce {name}"), &metrics);
+        let (curves, _) = four_curves(ds.workload, &g, &cluster, 20, iters);
         let total: std::collections::HashMap<&str, f64> = curves
             .iter()
             .map(|(label, pts)| (label.as_str(), final_y(pts)))
@@ -328,7 +323,6 @@ pub fn fig_comm_cost(scale: f64, iters: usize) -> FigureResult {
             "{name}: iMapReduce exchanges {:.1}% of MapReduce's bytes (paper: ~12%)",
             100.0 * imr_bytes as f64 / mr_bytes as f64
         ));
-        report_metrics(&mut fig, &format!("iMapReduce {name}"), &b.metrics);
     }
     fig.push_series("MapReduce", mr_pts);
     fig.push_series("iMapReduce", imr_pts);
@@ -359,16 +353,13 @@ pub fn fig_scaling(id: &str, workload: Workload, scale: f64, iters: usize) -> Fi
     let mut mr_pts = Vec::new();
     let mut imr_pts = Vec::new();
     let mut ratio_pts = Vec::new();
-    let mut metrics = MetricsSnapshot::default();
     for n in [20usize, 50, 80] {
         let cluster = ClusterSpec::ec2(n).with_sample_scale(scale);
-        let (a, b, m) = both_totals(workload, &g, &cluster, n, iters);
-        metrics = m;
+        let (a, b, _) = both_totals(workload, &g, &cluster, n, iters);
         mr_pts.push((n as f64, a));
         imr_pts.push((n as f64, b));
         ratio_pts.push((n as f64, b / a));
     }
-    report_metrics(&mut fig, "iMapReduce (80 instances)", &metrics);
     fig.note(format!(
         "time ratio iMapReduce/MapReduce: 20→{:.3}, 50→{:.3}, 80→{:.3}",
         ratio_pts[0].1, ratio_pts[1].1, ratio_pts[2].1
@@ -398,19 +389,12 @@ pub fn fig_parallel_efficiency(scale: f64, iters: usize) -> FigureResult {
         let (t_star_mr, t_star_imr, _) = both_totals(w, &g, &single, 1, iters);
         let mut mr_pts = Vec::new();
         let mut imr_pts = Vec::new();
-        let mut metrics = MetricsSnapshot::default();
         for n in [20usize, 50, 80] {
             let cluster = ClusterSpec::ec2(n).with_sample_scale(scale);
-            let (tn_mr, tn_imr, m) = both_totals(w, &g, &cluster, n, iters);
-            metrics = m;
+            let (tn_mr, tn_imr, _) = both_totals(w, &g, &cluster, n, iters);
             mr_pts.push((n as f64, t_star_mr / (tn_mr * n as f64)));
             imr_pts.push((n as f64, t_star_imr / (tn_imr * n as f64)));
         }
-        report_metrics(
-            &mut fig,
-            &format!("iMapReduce {algo} (80 instances)"),
-            &metrics,
-        );
         fig.note(format!(
             "{algo}: efficiency at 80 instances — MapReduce {:.3}, iMapReduce {:.3} (paper: iMapReduce consistently higher; SSSP slowdown ~60% MR vs ~43% iMR)",
             final_y(&mr_pts),
@@ -450,7 +434,6 @@ pub fn fig_kmeans(points_n: usize, dim: usize, k: usize, iters: usize) -> Figure
         "speedup iMapReduce vs MapReduce: {:.2}x (paper: ~1.2x)",
         t_mr / t_imr
     ));
-    report_metrics(&mut fig, "iMapReduce", &b.report.metrics);
 
     // Combiner variants (paper text: Hadoop 2881s→2226s = 23% less,
     // iMapReduce 2338s→1733s = 26% less).
@@ -503,7 +486,6 @@ pub fn fig_matpower(size: usize, iters: usize) -> FigureResult {
     fig.note(format!(
         "substitution: {size}x{size} matrix instead of the paper's 1000x1000 (Θ(n³) host cost)"
     ));
-    report_metrics(&mut fig, "iMapReduce", &b.report.metrics);
     fig
 }
 
@@ -544,7 +526,6 @@ pub fn fig_kmeans_convergence(
         b.iterations,
         100.0 * (1.0 - b.report.finished.as_secs_f64() / a.report.finished.as_secs_f64())
     ));
-    report_metrics(&mut fig, "iMapReduce", &b.report.metrics);
     fig
 }
 
@@ -573,8 +554,6 @@ pub fn table_datasets(id: &str, specs: &[DatasetSpec], scale: f64) -> FigureResu
         ));
     }
     fig.push_series("generated edges", pts);
-    // Tables run no engines; the uniform counter note records zeros.
-    report_metrics(&mut fig, "no runs", &MetricsSnapshot::default());
     fig
 }
 
@@ -598,7 +577,6 @@ pub fn fig_jacobi(n: usize, per_row: usize, iters: usize) -> FigureResult {
         out.iterations,
         jacobi::residual(&system, &x)
     ));
-    report_metrics(&mut fig, "iMapReduce", &out.report.metrics);
     fig
 }
 
@@ -704,7 +682,10 @@ pub fn ablation(scale: f64, iters: usize) -> FigureResult {
         .iter()
         .find(|(label, _, _)| label.contains("load balancing on"))
     {
-        report_metrics(&mut fig, label, m);
+        fig.note(format!(
+            "counts [{label}]: migrations={}, tasks_launched={}",
+            m.migrations, m.tasks_launched
+        ));
     }
     let points_xy = rows
         .iter()

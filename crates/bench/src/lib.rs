@@ -21,7 +21,7 @@ pub mod experiments;
 pub mod json;
 pub mod result;
 
-pub use result::{report_metrics, FigureResult, Series};
+pub use result::{FigureResult, Series};
 
 use experiments::*;
 use imr_graph::{
@@ -305,26 +305,7 @@ mod tests {
     #[test]
     fn tables_render_rows() {
         let fig = experiments::table_datasets("table1", &imr_graph::sssp_datasets(), 0.0005);
-        assert_eq!(fig.notes.len(), 7);
+        assert_eq!(fig.notes.len(), 5);
         assert!(fig.notes[0].contains("DBLP"));
-        assert!(fig.notes[5].contains("fault counters"));
-        assert!(fig.notes[6].contains("counters ["));
-    }
-
-    /// Every figure artifact carries the uniform fault-counter note
-    /// (migrations / stalls_detected / recoveries), satellite of the
-    /// tracing work.
-    #[test]
-    fn figures_carry_fault_counter_note() {
-        let fig = experiments::fig_matpower(8, 2);
-        let note = fig
-            .notes
-            .iter()
-            .find(|n| n.contains("fault counters"))
-            .expect("fault counter note");
-        assert!(note.contains("migrations=") && note.contains("recoveries="));
-        assert!(note.contains("corrupt_frames=") && note.contains("reconnect_attempts="));
-        assert!(note.contains("retries_exhausted="));
-        assert!(note.contains("chaos_injections=") && note.contains("hellos_rejected="));
     }
 }

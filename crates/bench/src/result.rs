@@ -166,37 +166,6 @@ pub fn final_y(points: &[(f64, f64)]) -> f64 {
     points.last().map(|p| p.1).unwrap_or(f64::NAN)
 }
 
-/// Appends the uniform fault-counter note every experiment
-/// carries in its JSON artifact: migrations, stall detections, and
-/// recoveries observed by the run labelled `label`. Figures whose runs
-/// share a metrics registry should pass a
-/// [`MetricsSnapshot::delta`](imr_simcluster::MetricsSnapshot::delta)
-/// so each label counts only its own run.
-pub fn report_metrics(fig: &mut FigureResult, label: &str, m: &imr_simcluster::MetricsSnapshot) {
-    fig.note(format!(
-        "fault counters [{label}]: migrations={}, stalls_detected={}, recoveries={}, \
-         corrupt_frames={}, reconnect_attempts={}, retries_exhausted={}, \
-         chaos_injections={}, hellos_rejected={}",
-        m.migrations,
-        m.stalls_detected,
-        m.recoveries,
-        m.corrupt_frames,
-        m.reconnect_attempts,
-        m.retries_exhausted,
-        m.chaos_injections,
-        m.hellos_rejected
-    ));
-    // Full registry dump: every counter the schema names, in schema
-    // order — the telemetry drift guard asserts this stays complete.
-    let all = m
-        .named()
-        .iter()
-        .map(|(name, value)| format!("{name}={value}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    fig.note(format!("counters [{label}]: {all}"));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,23 +181,6 @@ mod tests {
         assert!(text.contains('A') && text.contains('B'));
         assert!(text.contains("20.000"));
         assert!(text.contains("paper: B"));
-    }
-
-    #[test]
-    fn report_metrics_covers_every_schema_counter() {
-        // Drift guard: adding a counter to `Metrics` (and so to
-        // `COUNTER_NAMES`) without it reaching the bench notes is a
-        // silent observability hole — this test turns it into a red
-        // build instead.
-        let mut f = FigureResult::new("figZ", "T", "x", "y");
-        report_metrics(&mut f, "probe", &imr_simcluster::MetricsSnapshot::default());
-        let text = f.render();
-        for name in imr_simcluster::COUNTER_NAMES {
-            assert!(
-                text.contains(&format!("{name}=")),
-                "counter '{name}' missing from report_metrics output"
-            );
-        }
     }
 
     #[test]

@@ -240,8 +240,8 @@ timeline_smoke() {
     || { echo "trace-smoke: jsonl summary missing async_overlap" >&2; exit 1; }
   grep -q '"mode":"sync"' "$out/results/trace_timeline.jsonl" \
     || { echo "trace-smoke: jsonl summary missing sync mode line" >&2; exit 1; }
-  grep -q 'fault counters' "$out/results/trace_timeline.json" \
-    || { echo "trace-smoke: figure artifact missing fault counters" >&2; exit 1; }
+  grep -q '"series"' "$out/results/trace_timeline.json" \
+    || { echo "trace-smoke: figure artifact missing series" >&2; exit 1; }
   echo "trace-smoke: artifacts present, keys intact"
 }
 
