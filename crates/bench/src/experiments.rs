@@ -14,7 +14,7 @@ use imr_algorithms::testutil::{imr_runner_on, mr_runner_on};
 use imr_algorithms::{jacobi, kmeans, matpower, pagerank, sssp};
 use imr_graph::{dataset, generate_matrix, generate_points, DatasetSpec, Graph, Workload};
 use imr_mapreduce::{CheckSpec, JobRunner};
-use imr_simcluster::{ClusterSpec, MetricsSnapshot, RunReport};
+use imr_simcluster::{ClusterSpec, RunReport};
 
 /// Users in the paper's Last.fm data set.
 const LASTFM_USERS: f64 = 359_347.0;
@@ -104,45 +104,40 @@ fn run_imr(
 }
 
 /// The four running-time curves of Figs. 4–7 and 10 for workload `w`
-/// on one graph, plus the iMapReduce run's metrics.
+/// on one graph.
 fn four_curves(
     w: Workload,
     g: &Graph,
     cluster: &ClusterSpec,
     tasks: usize,
     iters: usize,
-) -> (Curves, MetricsSnapshot) {
+) -> Curves {
     let mr = run_mr(w, &mr_runner_on(cluster.clone()), g, tasks, iters, false);
     let mut ex_init = mr_runner_on(cluster.clone());
     ex_init.charge_init = false;
     let ex = run_mr(w, &ex_init, g, tasks, iters, false);
     let sync = run_imr(w, &imr_runner_on(cluster.clone()), g, tasks, iters, true);
     let imr = run_imr(w, &imr_runner_on(cluster.clone()), g, tasks, iters, false);
-    let curves = vec![
+    vec![
         ("MapReduce".to_string(), curve(&mr)),
         ("MapReduce (ex. init.)".to_string(), curve(&ex)),
         ("iMapReduce (sync.)".to_string(), curve(&sync)),
         ("iMapReduce".to_string(), curve(&imr)),
-    ];
-    (curves, imr.metrics)
+    ]
 }
 
 /// Total running times of both engines on `w`, `tasks` pairs on
-/// `cluster`, plus the iMapReduce run's metrics.
+/// `cluster`.
 fn both_totals(
     w: Workload,
     g: &Graph,
     cluster: &ClusterSpec,
     tasks: usize,
     iters: usize,
-) -> (f64, f64, MetricsSnapshot) {
+) -> (f64, f64) {
     let a = run_mr(w, &mr_runner_on(cluster.clone()), g, tasks, iters, false);
     let b = run_imr(w, &imr_runner_on(cluster.clone()), g, tasks, iters, false);
-    (
-        a.finished.as_secs_f64(),
-        b.finished.as_secs_f64(),
-        b.metrics,
-    )
+    (a.finished.as_secs_f64(), b.finished.as_secs_f64())
 }
 
 fn iteration_figure(id: &str, title: &str, curves: Curves, paper_note: &str) -> FigureResult {
@@ -177,7 +172,7 @@ pub fn fig_local(id: &str, dataset_name: &str, scale: f64, iters: usize) -> Figu
     let ds = dataset(dataset_name).expect("dataset");
     let g = ds.generate(scale);
     let cluster = ClusterSpec::local(4).with_sample_scale(scale);
-    let (curves, _) = four_curves(ds.workload, &g, &cluster, 4, iters);
+    let curves = four_curves(ds.workload, &g, &cluster, 4, iters);
     let (kind, paper) = match ds.workload {
         Workload::Sssp => (
             "graph",
@@ -232,7 +227,7 @@ pub fn fig_synthetic_sizes(id: &str, workload: Workload, scale: f64, iters: usiz
     for (i, name) in names.iter().enumerate() {
         let g = dataset(name).unwrap().generate(scale);
         let x = (i + 1) as f64;
-        let (mr_t, imr_t, _) = both_totals(workload, &g, &cluster, 20, iters);
+        let (mr_t, imr_t) = both_totals(workload, &g, &cluster, 20, iters);
         mr_pts.push((x, mr_t));
         imr_pts.push((x, imr_t));
         fig.note(format!(
@@ -265,7 +260,7 @@ pub fn fig_factors(scale: f64, iters: usize) -> FigureResult {
         let ds = dataset(name).unwrap();
         let g = ds.generate(scale);
         let x = (i + 1) as f64;
-        let (curves, _) = four_curves(ds.workload, &g, &cluster, 20, iters);
+        let curves = four_curves(ds.workload, &g, &cluster, 20, iters);
         let total: std::collections::HashMap<&str, f64> = curves
             .iter()
             .map(|(label, pts)| (label.as_str(), final_y(pts)))
@@ -355,7 +350,7 @@ pub fn fig_scaling(id: &str, workload: Workload, scale: f64, iters: usize) -> Fi
     let mut ratio_pts = Vec::new();
     for n in [20usize, 50, 80] {
         let cluster = ClusterSpec::ec2(n).with_sample_scale(scale);
-        let (a, b, _) = both_totals(workload, &g, &cluster, n, iters);
+        let (a, b) = both_totals(workload, &g, &cluster, n, iters);
         mr_pts.push((n as f64, a));
         imr_pts.push((n as f64, b));
         ratio_pts.push((n as f64, b / a));
@@ -386,12 +381,12 @@ pub fn fig_parallel_efficiency(scale: f64, iters: usize) -> FigureResult {
         let g = ds.generate(scale);
         // T*: single instance, partition number one, no communication.
         let single = ClusterSpec::single().with_sample_scale(scale);
-        let (t_star_mr, t_star_imr, _) = both_totals(w, &g, &single, 1, iters);
+        let (t_star_mr, t_star_imr) = both_totals(w, &g, &single, 1, iters);
         let mut mr_pts = Vec::new();
         let mut imr_pts = Vec::new();
         for n in [20usize, 50, 80] {
             let cluster = ClusterSpec::ec2(n).with_sample_scale(scale);
-            let (tn_mr, tn_imr, _) = both_totals(w, &g, &cluster, n, iters);
+            let (tn_mr, tn_imr) = both_totals(w, &g, &cluster, n, iters);
             mr_pts.push((n as f64, t_star_mr / (tn_mr * n as f64)));
             imr_pts.push((n as f64, t_star_imr / (tn_imr * n as f64)));
         }
@@ -594,65 +589,63 @@ pub fn ablation(scale: f64, iters: usize) -> FigureResult {
         "total time (s)",
     );
 
-    let run = |label: &str, cfg: IterConfig, spec: ClusterSpec| {
+    let run = |cfg: IterConfig, spec: ClusterSpec| {
         let r = imr_runner_on(spec);
         sssp::load_sssp_imr(&r, &g, 0, cfg.num_tasks, "/a/state", "/a/static").unwrap();
-        let out = r
-            .run(
-                &sssp::SsspIter,
-                &cfg,
-                "/a/state",
-                "/a/static",
-                "/a/out",
-                &[],
-            )
-            .unwrap();
-        (
-            label.to_owned(),
-            out.report.finished.as_secs_f64(),
-            out.report.metrics,
+        r.run(
+            &sssp::SsspIter,
+            &cfg,
+            "/a/state",
+            "/a/static",
+            "/a/out",
+            &[],
         )
+        .unwrap()
+        .report
     };
+    let secs = |cfg: IterConfig, spec: ClusterSpec| run(cfg, spec).finished.as_secs_f64();
 
     let local = || ClusterSpec::local(4).with_sample_scale(scale);
     let mut rows = vec![
-        run(
+        (
             "baseline (async, batched handoff, ckpt=5)",
-            IterConfig::new("s", 4, iters),
-            local(),
+            secs(IterConfig::new("s", 4, iters), local()),
         ),
-        run(
+        (
             "sync maps",
-            IterConfig::new("s", 4, iters).with_sync_maps(),
-            local(),
+            secs(IterConfig::new("s", 4, iters).with_sync_maps(), local()),
         ),
-        run(
+        (
             "eager handoff",
-            IterConfig::new("s", 4, iters).with_eager_handoff(),
-            local(),
+            secs(IterConfig::new("s", 4, iters).with_eager_handoff(), local()),
         ),
-        run(
+        (
             "checkpoint every iteration",
-            IterConfig::new("s", 4, iters).with_checkpoint_interval(1),
-            local(),
+            secs(
+                IterConfig::new("s", 4, iters).with_checkpoint_interval(1),
+                local(),
+            ),
         ),
-        run(
+        (
             "no checkpointing",
-            IterConfig::new("s", 4, iters).with_checkpoint_interval(0),
-            local(),
+            secs(
+                IterConfig::new("s", 4, iters).with_checkpoint_interval(0),
+                local(),
+            ),
         ),
     ];
 
     // Load balancing on a cluster with one crippled worker.
     let mut hetero = local();
     hetero.nodes[0].speed = 0.3;
-    rows.push(run(
+    rows.push((
         "heterogeneous, no load balancing",
-        IterConfig::new("s", 4, iters).with_checkpoint_interval(1),
-        hetero.clone(),
+        secs(
+            IterConfig::new("s", 4, iters).with_checkpoint_interval(1),
+            hetero.clone(),
+        ),
     ));
-    rows.push(run(
-        "heterogeneous, load balancing on",
+    let balanced = run(
         IterConfig::new("s", 4, iters)
             .with_checkpoint_interval(1)
             .with_load_balance(LoadBalance {
@@ -660,7 +653,9 @@ pub fn ablation(scale: f64, iters: usize) -> FigureResult {
                 max_migrations: 2,
             }),
         hetero,
-    ));
+    );
+    let balanced_label = "heterogeneous, load balancing on";
+    rows.push((balanced_label, balanced.finished.as_secs_f64()));
 
     // Combiner ablation lives on the K-means side (one2all).
     let points = generate_points((LASTFM_USERS * scale) as usize, 24, 10, 21);
@@ -668,29 +663,20 @@ pub fn ablation(scale: f64, iters: usize) -> FigureResult {
         let r = imr_runner_on(local());
         let cfg = IterConfig::new("km", 4, 10).with_one2all();
         let out = kmeans::run_kmeans_imr(&r, &points, 10, &cfg, combiner).unwrap();
-        rows.push((
-            label.to_owned(),
-            out.report.finished.as_secs_f64(),
-            out.report.metrics,
-        ));
+        rows.push((label, out.report.finished.as_secs_f64()));
     }
 
-    for (i, (label, t, _)) in rows.iter().enumerate() {
+    for (i, (label, t)) in rows.iter().enumerate() {
         fig.note(format!("[{}] {label}: {t:.1}s", i + 1));
     }
-    if let Some((label, _, m)) = rows
-        .iter()
-        .find(|(label, _, _)| label.contains("load balancing on"))
-    {
-        fig.note(format!(
-            "counts [{label}]: migrations={}, tasks_launched={}",
-            m.migrations, m.tasks_launched
-        ));
-    }
+    fig.note(format!(
+        "counts [{balanced_label}]: migrations={}, tasks_launched={}",
+        balanced.metrics.migrations, balanced.metrics.tasks_launched
+    ));
     let points_xy = rows
         .iter()
         .enumerate()
-        .map(|(i, (_, t, _))| ((i + 1) as f64, *t))
+        .map(|(i, (_, t))| ((i + 1) as f64, *t))
         .collect();
     fig.push_series("total time", points_xy);
     fig

@@ -136,7 +136,7 @@ impl<K: imr_records::Key, S: imr_records::Value> DeltaStore<K, S> {
 
     /// Run one priority round: pick the ⌈pending / `share`⌉ pending
     /// keys with the largest [`Accumulative::progress`] (ties broken by
-    /// ascending key index; `share == 1` selects every pending key),
+    /// ascending key index),
     /// fold each selected key's delta into its value, extract the
     /// induced deltas into `out` against the key-aligned static part,
     /// and reset the key's delta to the identity. A static record that
@@ -147,10 +147,10 @@ impl<K: imr_records::Key, S: imr_records::Value> DeltaStore<K, S> {
     /// application order irrelevant to the result, and a fixed order
     /// keeps the emitted stream deterministic.
     ///
-    /// A share above 1 scores every key once into `rank` (a buffer the
-    /// caller keeps between rounds), whose length is the pending count,
-    /// and finds the last key the round takes with a linear-time
-    /// selection; a share of 1 ranks nothing. Then one index-order walk
+    /// The round scores every key once into `rank` (a buffer the caller
+    /// keeps between rounds), whose length is the pending count, and
+    /// finds the last key the round takes with a linear-time selection
+    /// when it cannot take them all. Then one index-order walk
     /// over the store applies exactly the keys that rank at or above
     /// that cut, reading the static value of each key it applies and
     /// skipping the rest ([`StaticPart::values`]).
@@ -170,10 +170,8 @@ impl<K: imr_records::Key, S: imr_records::Value> DeltaStore<K, S> {
         // above 0.0 are ranked, so there is no NaN: a total order.
         let order = |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
         rank.clear();
-        if share > 1 {
-            let scored = self.entries.iter().enumerate().map(|(i, e)| (score(e), i));
-            rank.extend(scored.filter(|&(s, _)| s > 0.0));
-        }
+        let scored = self.entries.iter().enumerate().map(|(i, e)| (score(e), i));
+        rank.extend(scored.filter(|&(s, _)| s > 0.0));
         let pending = rank.len();
         // `validate` refuses a share of 0; one off the wire takes all.
         let take = pending.div_ceil(share.max(1) as usize);
@@ -197,8 +195,7 @@ impl<K: imr_records::Key, S: imr_records::Value> DeltaStore<K, S> {
         }
         Ok(BatchOutcome {
             applied,
-            // A share of 1 ranked nothing and defers nothing.
-            deferred: pending.saturating_sub(applied),
+            deferred: pending - applied,
         })
     }
 
@@ -317,7 +314,9 @@ mod tests {
         let out = store
             .select_batch(&HalfFwd, &mut stat(), 1, &mut rank, &mut Emitter::new())
             .unwrap();
-        assert!(rank.is_empty(), "a share of 1 ranks nothing");
+        // Every pending key is ranked, and with no cut the ranking
+        // keeps index order; key 3's identity delta is not pending.
+        assert_eq!(rank, vec![(8.0, 0), (4.0, 1), (2.0, 2)]);
         assert_eq!(out.applied, 3);
         assert_eq!(out.deferred, 0);
     }

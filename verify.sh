@@ -9,9 +9,11 @@
 #   ./verify.sh lint       # clippy, warnings denied
 #   ./verify.sh build      # release build of the whole workspace
 #   ./verify.sh test       # debug test suite + release cross-engine suite
-#   ./verify.sh bench      # smoke-run every experiment (--bin all) at tiny
-#                          # size, rerun it at default scale and diff
-#                          # against results/, then
+#   ./verify.sh bench      # bad invocations of all, trace_timeline,
+#                          # imr-jobs, imr-worker and imr-stat exit 2 with
+#                          # a message; smoke-run every experiment
+#                          # (--bin all) at tiny size, rerun it at
+#                          # default scale and diff against results/, then
 #                          # benchmark/run.sh --quick (must be correct)
 #   ./verify.sh drift      # verify.sh subcommands <-> CI jobs bijection,
 #                          # wire enums <-> DESIGN.md §8 message table,
@@ -21,6 +23,9 @@
 #                          # table,
 #                          # every IterConfig builder has a caller,
 #                          # imr-bench's EXPERIMENTS ids <-> results/*.json,
+#                          # every counter_schema! counter <-> one DESIGN.md
+#                          # §9 row whose consumer (a test fn, a benchmark/
+#                          # row, a results/ note) reads it,
 #                          # BENCH_*.json rows <-> BENCHMARK.json (needs jq),
 #                          # the newest CHANGES.md entry <= 6000 bytes,
 #                          # every file a code scan names exists,
@@ -174,6 +179,30 @@ experiment_ids() {
     | sed -n 's/^    row("\([a-z0-9_]*\)".*/\1/p'
 }
 
+# The binaries' refusals: each bad invocation below exits 2 with a
+# message on stderr (written under $1). Every one is refused while the
+# arguments are parsed, before any thread or process starts.
+cli_refusals() {
+  local cmd status n=0
+  while read -r cmd; do
+    [ -n "$cmd" ] || continue
+    n=$((n + 1))
+    status=0
+    # shellcheck disable=SC2086  # cmd is a word list by construction
+    timeout 60 target/release/$cmd > /dev/null 2> "$1/cli.err" < /dev/null || status=$?
+    [ "$status" -eq 2 ] && [ -s "$1/cli.err" ] \
+      || { echo "cli: '$cmd' exited $status (want 2 with a message): $(cat "$1/cli.err")" >&2; exit 1; }
+  done <<< '
+all --iters 0
+all --scale -1
+trace_timeline --only fig4
+imr-jobs frobnicate
+imr-worker 127.0.0.1:1 0 0
+imr-stat --bogus
+'
+  echo "cli: $n bad invocations exit 2 with a message"
+}
+
 # Smoke-run every experiment at tiny scale into a scratch directory,
 # check it emits exactly the committed results/ set and that every
 # artifact carries the keys the plotting/readme tooling relies on, then
@@ -187,6 +216,7 @@ cmd_bench() {
   # The RETURN trap would fire again for the caller's return (where the
   # local is gone), so it removes itself after cleaning up.
   trap 'rm -rf "${out:-}"; trap - RETURN' RETURN
+  cli_refusals "$out"
   echo "bench-smoke: all --scale 0.002 --iters 2"
   timeout 600 target/release/all --scale 0.002 --iters 2 --out "$out/smoke" > /dev/null
   diff <(ls results) <(ls "$out/smoke/results") >&2 \
@@ -368,6 +398,26 @@ rust_code() {
   ' "${@:2}"
 }
 
+# The lines of `fn <name>` in <file>, from its signature to the brace
+# that closes its body (braces in string literals and `//` comments are
+# not counted). Prints nothing when the file defines no such fn.
+fn_body() {
+  awk -v name="$1" '
+    !f && $0 ~ ("(^|[^A-Za-z0-9_])fn " name "[(<]") { f = 1; depth = 0; opened = 0 }
+    f {
+      print
+      code = $0
+      gsub(/"([^"\\]|\\.)*"/, "\"\"", code)
+      sub(/\/\/.*/, "", code)
+      t = code; n = gsub(/\{/, "", t)
+      t = code; m = gsub(/\}/, "", t)
+      depth += n - m
+      if (n > 0) opened = 1
+      if (opened && depth <= 0) exit
+    }
+  ' "$2"
+}
+
 cmd_drift() {
   local enum code doc
   for enum in ToCoord ToWorker; do
@@ -428,6 +478,59 @@ cmd_drift() {
     exit 1
   fi
   echo "drift: results/ holds exactly the $(echo "$ids" | wc -l) EXPERIMENTS artifacts"
+
+  # Every counter names its consumer: the `counter_schema!` list
+  # (crates/simcluster/src/metrics.rs) and DESIGN.md §9's counter rows
+  # are the same set, one row per counter, and each row's consumer can
+  # be found — a test fn whose body names the counter, a BENCHMARK.json
+  # per-layer row that benchmark/src computes from it, or a committed
+  # results/ note that prints `<counter>=`. The /metrics exposition and
+  # the Sample columns render every counter by construction, so they
+  # consume none.
+  local schema rows counter consumer fn path metric artifact found lost=""
+  schema=$(awk '/^counter_schema! \{/ { f = 1; next } f && /^\}/ { f = 0 } f' crates/simcluster/src/metrics.rs \
+    | sed -n 's/^    \([a-z_][a-z0-9_]*\),$/\1/p')
+  rows=$(sed -n 's/^| [^|]* | `\([a-z_][a-z0-9_]*\)` counter | \(.*\) |$/\1\t\2/p' DESIGN.md)
+  if [ -z "$schema" ] || ! diff <(sort <<< "$schema") <(cut -f1 <<< "$rows" | sort) >&2; then
+    echo "drift: counter_schema! (left) and DESIGN.md §9's counter rows (right) differ: one row per counter" >&2
+    exit 1
+  fi
+  while IFS=$'\t' read -r counter consumer; do
+    case "$consumer" in
+      '`fn '*'` in `'*'`')
+        fn=${consumer#'`fn '}
+        fn=${fn%%'`'*}
+        path=${consumer##*' in `'}
+        path=${path%'`'}
+        found=$({ [ -f "$path" ] && fn_body "$fn" "$path"; } || true)
+        grep -qw -- "$counter" <<< "$found" && continue
+        ;;
+      '`benchmark/` row `'*'`')
+        metric=${consumer#'`benchmark/` row `'}
+        metric=${metric%'`'}
+        # A statement naming the metric reads the counter as a field
+        # (`c.<counter>`) between the name and its `;`, strings blanked.
+        found=$(find benchmark/src -name '*.rs' -exec perl -0777 -ne '
+          BEGIN { ($m, $c) = splice @ARGV, 0, 2 }
+          while (/"\Q$m\E"([^;]*)/g) {
+            (my $rest = $1) =~ s/"(?:[^"\\]|\\.)*"/""/g;
+            print "$ARGV\n" if $rest =~ /\.\Q$c\E\b/;
+          }
+        ' "$metric" "$counter" {} +)
+        jq -e --arg m "$metric" 'any(.per_layer[]; .name == $m)' BENCHMARK.json > /dev/null \
+          && [ -n "$found" ] && continue
+        ;;
+      '`results/'*'.json` note')
+        artifact=${consumer#'`'}
+        artifact=${artifact%'` note'}
+        [ -f "$artifact" ] && grep -qE "(^|[^A-Za-z0-9_])$counter=[0-9]" "$artifact" && continue
+        ;;
+    esac
+    lost="$lost"$'\n'"  $counter: $consumer"
+  done <<< "$rows"
+  [ -z "$lost" ] \
+    || { echo "drift: DESIGN.md §9 names a counter consumer that cannot be found (a test fn whose body names the counter, a benchmark/ row computed from it, or a results/ note printing it):$lost" >&2; exit 1; }
+  echo "drift: all $(wc -l <<< "$schema") schema counters have one DESIGN.md §9 row, and every row's consumer reads its counter"
 
   # The committed perf trajectory: every BENCH_*.json at the root is a
   # table of rows, each naming a workload and a metric BENCHMARK.json
