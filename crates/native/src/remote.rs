@@ -752,7 +752,10 @@ fn accept_workers(
             Err(e) => return Err(EngineError::Worker(format!("accept failed: {e}"))),
         }
     }
-    Ok(conns.into_iter().map(Option::unwrap).collect())
+    conns
+        .into_iter()
+        .collect::<Option<Vec<_>>>()
+        .ok_or_else(|| EngineError::Worker(format!("{n} workers connected, but not one per pair")))
 }
 
 /// A spawned worker process, killed on drop so no generation leaks
@@ -1210,5 +1213,44 @@ mod tests {
                 other => panic!("{rogue:?} settled as {other:?}"),
             }
         }
+    }
+
+    /// A connection that opens with garbage instead of the wire preamble
+    /// is counted once and dropped, and the valid hello queued behind it
+    /// is still accepted.
+    #[test]
+    fn a_garbage_connection_is_rejected_and_the_hello_behind_it_accepted() {
+        let metrics: MetricsHandle = Arc::new(Metrics::default());
+        let dfs = Dfs::new(Arc::new(ClusterSpec::local(1)), Arc::clone(&metrics), 1);
+        let runner = NativeRunner::new(dfs, metrics);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Both connect before the hub accepts, so it takes them in order.
+        TcpStream::connect(addr)
+            .unwrap()
+            .write_all(&[0xAB; 32])
+            .unwrap();
+        let mut writer = FrameWriter::new(TcpStream::connect(addr).unwrap()).unwrap();
+        let hello = ToCoord::Hello {
+            pair: 0,
+            generation: 1,
+            job: 0,
+        };
+        writer.write(&hello.to_bytes()).unwrap();
+        let policy = NetPolicy::default();
+        let accepted = accept_workers(
+            &listener,
+            1,
+            1,
+            0,
+            &mut [],
+            &policy,
+            &runner,
+            Instant::now(),
+        )
+        .unwrap();
+        assert_eq!(accepted.len(), 1);
+        assert_eq!(runner.metrics.hellos_rejected.get(), 1);
     }
 }

@@ -33,25 +33,22 @@ impl ChannelMesh {
     /// Create the links for `n` pairs, each channel bounded to
     /// `buffer` in-flight segments. `links()[q]` is pair `q`'s view.
     pub fn links(n: usize, buffer: usize) -> Vec<ChannelLink> {
-        let mut senders: Vec<Vec<Option<Sender<Bytes>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        let mut receivers: Vec<Vec<Option<Receiver<Bytes>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
+        let mut links: Vec<ChannelLink> = (0..n)
+            .map(|_| ChannelLink {
+                sends: Vec::with_capacity(n),
+                recvs: Vec::with_capacity(n),
+            })
+            .collect();
+        // Made in `from`-major order, each channel's ends are pushed at
+        // their indices: `sends[to]` of pair `from`, `recvs[from]` of `to`.
         for from in 0..n {
             for to in 0..n {
                 let (tx, rx) = bounded::<Bytes>(buffer);
-                senders[from][to] = Some(tx);
-                receivers[to][from] = Some(rx);
+                links[from].sends.push(tx);
+                links[to].recvs.push(rx);
             }
         }
-        senders
-            .into_iter()
-            .zip(receivers)
-            .map(|(sends, recvs)| ChannelLink {
-                sends: sends.into_iter().map(Option::unwrap).collect(),
-                recvs: recvs.into_iter().map(Option::unwrap).collect(),
-            })
-            .collect()
+        links
     }
 }
 

@@ -87,25 +87,6 @@ impl ClusterSpec {
         Self::uniform("single", 1, CostModel::ec2_small())
     }
 
-    /// A deliberately heterogeneous cluster: node speeds drawn
-    /// deterministically from `seed` in `[0.5, 1.5)`. Exercises the
-    /// paper's §3.4.2 load-balancing migration.
-    pub fn heterogeneous(n: usize, seed: u64) -> Self {
-        let mut spec = Self::uniform(format!("hetero-{n}"), n, CostModel::hadoop_era());
-        let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        for node in &mut spec.nodes {
-            // splitmix64 — tiny, deterministic, no external RNG needed.
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
-            node.speed = 0.5 + unit;
-        }
-        spec
-    }
-
     /// Applies [`CostModel::scaled_for_sample`] to this cluster's cost
     /// model: experiments run on a `scale`-sized data sample but report
     /// full-size virtual times.
@@ -296,19 +277,6 @@ mod tests {
 
         let single = ClusterSpec::single();
         assert_eq!(single.len(), 1);
-    }
-
-    #[test]
-    fn heterogeneous_is_deterministic_and_bounded() {
-        let a = ClusterSpec::heterogeneous(16, 42);
-        let b = ClusterSpec::heterogeneous(16, 42);
-        assert_eq!(a, b);
-        assert!(a.nodes.iter().all(|n| n.speed >= 0.5 && n.speed < 1.5));
-        let c = ClusterSpec::heterogeneous(16, 43);
-        assert_ne!(a, c);
-        // Actually heterogeneous: speeds differ across nodes.
-        let first = a.nodes[0].speed;
-        assert!(a.nodes.iter().any(|n| (n.speed - first).abs() > 1e-9));
     }
 
     #[test]

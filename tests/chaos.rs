@@ -21,6 +21,8 @@ use imr_jobs::{AlgoSpec, EngineSel, JobPhase, JobService, JobSpec, ServiceConfig
 use imr_mapreduce::EngineError;
 use imr_native::WorkerSpec;
 use imr_simcluster::NodeId;
+use imr_trace::{TraceBuffer, TraceKind};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// This package's worker binary.
@@ -141,6 +143,32 @@ fn chaos_pagerank_matches_clean_and_counts_faults() {
         m.reconnect_attempts > 0,
         "an injected teardown must force at least one reconnect"
     );
+}
+
+/// The hub counts every inbound frame that fails its integrity check
+/// and traces each one: under a bit-flip-only schedule the flips reach
+/// the hub's reads, and `corrupt_frames` equals the run's `Corrupt`
+/// events.
+#[test]
+fn chaos_corrupt_frames_are_counted_and_traced_by_the_hub() {
+    let g = dataset("Google").unwrap().generate(0.003);
+    let flips = ChaosConfig::seeded(47)
+        .with_corrupt_rate(0.25)
+        .with_budget(8);
+    // The shared shape, its schedule replaced by bit flips alone.
+    let cfg = chaotic(IterConfig::new("pr-flips", 2, 6), 0).with_chaos(flips);
+    let nodes = g.num_nodes().to_string();
+    let trace = Arc::new(TraceBuffer::with_capacity(1 << 16));
+    let rt = tcp_runner(4, WORKER, &["pagerank", &nodes]).with_trace(Arc::clone(&trace));
+    pagerank::run_pagerank_imr(&rt, &g, &cfg).unwrap();
+    let corrupt = rt.metrics().snapshot().corrupt_frames;
+    let traced = trace
+        .snapshot()
+        .iter()
+        .filter(|e| matches!(e.kind, TraceKind::Corrupt { .. }))
+        .count() as u64;
+    assert!(corrupt > 0, "no flipped frame reached the hub");
+    assert_eq!(corrupt, traced, "every counted corrupt frame is traced");
 }
 
 /// Connected components (integer labels — no float slack at all).

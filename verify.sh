@@ -26,11 +26,15 @@
 #                          # every counter_schema! counter <-> one DESIGN.md
 #                          # §9 row whose consumer (a test fn, a benchmark/
 #                          # row, a results/ note) reads it,
+#                          # tests/budget.rs's BUDGETS <-> DESIGN.md §6's
+#                          # budget ledger (rows and budgets),
 #                          # BENCH_*.json rows <-> BENCHMARK.json (needs jq),
 #                          # the newest CHANGES.md entry <= 6000 bytes,
 #                          # every file a code scan names exists,
-#                          # one `unsafe` site (crc.rs) and no unannotated
-#                          # panic site in imr-net / imr-native, the sim
+#                          # one `unsafe` site (crc.rs) besides the one
+#                          # `unsafe impl GlobalAlloc` (tests/budget.rs),
+#                          # no unannotated panic site (`Option::unwrap`
+#                          # paths included) in imr-net / imr-native, the sim
 #                          # drivers (engine, aux, incremental), core's
 #                          # config,
 #                          # the core and shuffle kernels (accum, kernel,
@@ -532,6 +536,21 @@ cmd_drift() {
     || { echo "drift: DESIGN.md §9 names a counter consumer that cannot be found (a test fn whose body names the counter, a benchmark/ row computed from it, or a results/ note printing it):$lost" >&2; exit 1; }
   echo "drift: all $(wc -l <<< "$schema") schema counters have one DESIGN.md §9 row, and every row's consumer reads its counter"
 
+  # One budget ledger: the rows of `BUDGETS` in tests/budget.rs and
+  # DESIGN.md §6's "Budget ledger" table are the same rows, in the same
+  # order, with the same budgets (compared as numbers: `20.0` is `20`).
+  local ledger_code ledger_doc
+  ledger_code=$(awk '/^const BUDGETS: / { f = 1; next } f && /^\];/ { f = 0 } f' tests/budget.rs \
+    | sed -n 's/^    ("\([a-z_][a-z0-9_]*\)", \([0-9][0-9.]*\), .*/\1 \2/p' | awk '{ printf "%s %g\n", $1, $2 }')
+  ledger_doc=$(awk '/^\| row \| what it counts \| budget \|$/ { f = 1; next } f && !/^\|/ { f = 0 } f' DESIGN.md \
+    | sed -n 's/^| `\([a-z_][a-z0-9_]*\)` | .* | \([0-9][0-9.]*\) |$/\1 \2/p' | awk '{ printf "%s %g\n", $1, $2 }')
+  if [ -z "$ledger_code" ] || [ "$ledger_code" != "$ledger_doc" ]; then
+    echo "drift: tests/budget.rs's BUDGETS (left) and DESIGN.md §6's budget ledger (right) differ:" >&2
+    diff <(echo "$ledger_code") <(echo "$ledger_doc") >&2 || true
+    exit 1
+  fi
+  echo "drift: the $(wc -l <<< "$ledger_code") rows of tests/budget.rs's BUDGETS are DESIGN.md §6's budget ledger"
+
   # The committed perf trajectory: every BENCH_*.json at the root is a
   # table of rows, each naming a workload and a metric BENCHMARK.json
   # declares — a renamed metric cannot leave an orphaned history behind.
@@ -559,10 +578,11 @@ cmd_drift() {
 
   # `unsafe` stays confined: the one call into the folded CRC kernel
   # after CPU feature detection (crates/net/src/crc.rs), plus the
-  # counting allocators of two test binaries, whose `GlobalAlloc` impl
-  # the trait makes `unsafe` by definition. Every other library crate
-  # root forbids `unsafe_code`; imr-net denies it and allows it once.
-  local root unsafe_sites stray_unsafe allows
+  # budget ledger's counting allocator (tests/budget.rs), whose
+  # `GlobalAlloc` impl the trait makes `unsafe` by definition — the one
+  # `unsafe impl GlobalAlloc` in the repository. Every other library
+  # crate root forbids `unsafe_code`; imr-net denies it and allows it once.
+  local root unsafe_sites stray_unsafe allows allocators
   for root in crates/*/src/lib.rs src/lib.rs; do
     if [ "$root" = crates/net/src/lib.rs ]; then
       grep -qx '#!\[deny(unsafe_code)\]' "$root" \
@@ -575,19 +595,23 @@ cmd_drift() {
   unsafe_sites=$(rust_code 0 $(find crates src tests -name '*.rs' | sort) \
     | { grep -E ':@?.*(^|[^A-Za-z0-9_])unsafe([^A-Za-z0-9_]|$)' || true; })
   stray_unsafe=$(grep -v '^crates/net/src/crc\.rs:' <<< "$unsafe_sites" \
-    | grep -Ev '^tests/[a-z_]+\.rs:[0-9]+:[[:space:]]*unsafe (impl GlobalAlloc for|fn (alloc|alloc_zeroed|dealloc|realloc)\()' \
+    | grep -Ev '^tests/budget\.rs:[0-9]+:[[:space:]]*unsafe (impl GlobalAlloc for|fn (alloc|alloc_zeroed|dealloc|realloc)\()' \
     || true)
   [ -z "$stray_unsafe" ] \
-    || { echo "drift: unsafe outside the CRC kernel's one call site:" >&2; echo "$stray_unsafe" >&2; exit 1; }
+    || { echo "drift: unsafe outside the CRC kernel's one call site and tests/budget.rs's allocator:" >&2; echo "$stray_unsafe" >&2; exit 1; }
+  allocators=$(grep -rnE --include='*.rs' --exclude-dir=target 'unsafe impl GlobalAlloc' crates src tests examples benchmark vendor || true)
+  [ "$(grep -c . <<< "$allocators")" -eq 1 ] && grep -q '^tests/budget\.rs:' <<< "$allocators" \
+    || { echo "drift: the repository must hold exactly one unsafe impl GlobalAlloc, in tests/budget.rs:" >&2; echo "$allocators" >&2; exit 1; }
   [ "$(grep -c '^crates/net/src/crc\.rs:' <<< "$unsafe_sites")" -eq 1 ] \
     || { echo "drift: crates/net/src/crc.rs must hold exactly one unsafe site:" >&2; grep '^crates/net/src/crc\.rs:' <<< "$unsafe_sites" >&2; exit 1; }
   allows=$(grep -rn --include='*.rs' 'allow(unsafe_code)' crates src tests || true)
   [ "$(wc -l <<< "$allows")" -eq 1 ] && grep -q '^crates/net/src/crc\.rs:' <<< "$allows" \
     || { echo "drift: allow(unsafe_code) must appear once, in crates/net/src/crc.rs:" >&2; echo "$allows" >&2; exit 1; }
-  echo "drift: one unsafe site (crates/net/src/crc.rs); every other library root forbids unsafe_code"
+  echo "drift: one unsafe site (crates/net/src/crc.rs) and one counting allocator (tests/budget.rs); every other library root forbids unsafe_code"
 
-  # No panic on the TCP path: outside #[cfg(test)], every unwrap,
-  # expect, assert, unreachable!, panic!, todo! or unimplemented! in
+  # No panic on the TCP path: outside #[cfg(test)], every unwrap or
+  # expect (a method call, or an `Option::`/`Result::` path handed to a
+  # combinator), assert, unreachable!, panic!, todo! or unimplemented! in
   # imr-net, imr-native, the sim driver (crates/core/src/{engine,aux}.rs),
   # the incremental driver (crates/core/src/incremental.rs), the
   # configuration and its checks (crates/core/src/config.rs), the iteration kernel
@@ -608,7 +632,7 @@ cmd_drift() {
       crates/core/src/{accum,aux,config,ctl,engine,incremental,iter_engine,kernel,observe,pair,sim_env,static_part,store,supervise}.rs \
       crates/dfs/src/{lib,snapshot}.rs \
       crates/records/src/{shuffle,sorted,codec}.rs \
-    | { grep -E '^[^:]+:[0-9]+:[^@].*(\.unwrap\(\)|\.expect\(|(^|[^A-Za-z0-9_])((debug_)?assert(_eq|_ne)?|unreachable|panic|todo|unimplemented)!)' \
+    | { grep -E '^[^:]+:[0-9]+:[^@].*(\.unwrap\(\)|\.expect\(|(^|[^A-Za-z0-9_])(Option|Result)::(unwrap|expect)([^A-Za-z0-9_]|$)|(^|[^A-Za-z0-9_])((debug_)?assert(_eq|_ne)?|unreachable|panic|todo|unimplemented)!)' \
       || true; })
   [ -z "$panics" ] \
     || { echo "drift: unannotated panic sites on the data path (add a typed error or // unreachable: <proof>):" >&2; echo "$panics" >&2; exit 1; }
